@@ -158,6 +158,13 @@ class _JVP:
         v = stm.pat[0]
         if not is_float(v.type):
             return
+        if e.op in ("min", "max"):
+            # Select the winner's tangent rather than weighting both by 0/1
+            # masks: 0·inf would poison the result with the loser's tangent.
+            c = b.binop("le" if e.op == "min" else "ge", e.x, e.y, "d")
+            dt = b.select(c, self.tangent(e.x), self.tangent(e.y), v.name + "_dot")
+            self._set_tan(v, dt, b)
+            return
         dx, dy = binop_partials(b, e.op, e.x, e.y, v)
         terms: List[Atom] = []
         if dx is not None:

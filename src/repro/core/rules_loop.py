@@ -110,7 +110,12 @@ def rev_loop(vjp, stm: Stm, e: Loop, aux, sc: AdjScope) -> None:
     val_fvs = [v for v in fvs if v.name not in vjp.acc_env]
 
     # Reverse-loop state: adjoints of float params, value-mode free-variable
-    # adjoints, and threaded accumulators.
+    # adjoints, and threaded accumulators.  Unlike ``rev_map``, a parameter
+    # whose *initialiser* is non-differentiable data is not data itself: it
+    # is loop-carried, so from the second iteration on it holds a body
+    # result that may depend on differentiable values.  Dropping its adjoint
+    # needs an activity fixpoint over the body, not the one-line test a map
+    # parameter gets.
     float_params = [p for p in e.params if is_float(p.type)]
     pbar_params = [Var(fresh(p.name + "_bar"), p.type) for p in float_params]
     wbar_params = [Var(fresh(v.name + "_bar"), v.type) for v in val_fvs]

@@ -96,8 +96,23 @@ def rev_map(vjp, stm: Stm, e: Map, sc: AdjScope) -> None:
             j += 1
         else:
             seeds.append(None)
-    want = [p for p in lam.params if is_float(p.type)] + scalar_fvs
-    adjs = vjp.transform_scope(lam.body, seeds, want, lb)
+    # An element of a non-differentiable array is data too: nothing reads its
+    # adjoint, so none is built.  Sibling lambdas reuse parameter names, so
+    # the marking lasts only while this lambda is transformed.
+    data_params = {
+        p.name for p, a in zip(lam.params, e.arrs) if a.name in vjp.nodiff
+    } - vjp.nodiff
+    diff_args = [
+        (p, a)
+        for p, a in zip(lam.params, e.arrs)
+        if is_float(p.type) and a.name not in vjp.nodiff
+    ]
+    want = [p for p, _ in diff_args] + scalar_fvs
+    vjp.nodiff.update(data_params)
+    try:
+        adjs = vjp.transform_scope(lam.body, seeds, want, lb)
+    finally:
+        vjp.nodiff.difference_update(data_params)
     acc_res = [vjp.acc_env[v.name] for v in acc_order]
     lam_body = lb.finish(tuple(acc_res) + tuple(adjs))
 
@@ -109,10 +124,9 @@ def rev_map(vjp, stm: Stm, e: Map, sc: AdjScope) -> None:
     rev_lam = Lambda(rev_params, lam_body)
     map_arrs = tuple(e.arrs) + tuple(yb for yb in ybars if yb is not None)
 
-    n_float_params = len([p for p in lam.params if is_float(p.type)])
     out_names = (
         [v.name + "_acc" for v in acc_order]
-        + [p.name + "_bar" for p in lam.params if is_float(p.type)]
+        + [p.name + "_bar" for p, _ in diff_args]
         + [v.name + "_c" for v in scalar_fvs]
     )
 
@@ -149,15 +163,11 @@ def rev_map(vjp, stm: Stm, e: Map, sc: AdjScope) -> None:
     rest_out = rest_out[len(inherited):]
 
     # Elementwise adjoints of the argument arrays.
-    xbars = rest_out[:n_float_params]
-    k = 0
-    for p, arr in zip(lam.params, e.arrs):
-        if is_float(p.type):
-            sc.add(arr, xbars[k])
-            k += 1
+    for (_, arr), xbar in zip(diff_args, rest_out):
+        sc.add(arr, xbar)
 
     # Per-iteration contributions of free scalars: sum them.
-    contribs = rest_out[n_float_params:]
+    contribs = rest_out[len(diff_args):]
     for v, carr in zip(scalar_fvs, contribs):
         a1 = Var(fresh("a"), v.type)
         a2 = Var(fresh("b"), v.type)

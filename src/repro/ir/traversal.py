@@ -12,6 +12,7 @@ statements between scopes, so it leans heavily on:
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, Iterator
 
 from ..util import fresh
@@ -61,6 +62,7 @@ __all__ = [
     "rename_var",
     "inline_lambda",
     "map_stms",
+    "map_bodies",
     "count_stms",
     "count_soacs",
     "all_bound_vars",
@@ -444,6 +446,20 @@ def map_stms(body: Body, f: Callable[[Stm], Iterable[Stm]]) -> Body:
     for stm in body.stms:
         out.extend(f(stm))
     return Body(tuple(out), body.result)
+
+
+def map_bodies(e: Exp, f: Callable[[Body], Body]) -> Exp:
+    """Rebuild ``e`` with ``f`` applied to each directly nested body; every
+    other field (including ``schedule``) is kept."""
+    if isinstance(e, (Map, Reduce, Scan, ReduceByIndex, WithAcc)):
+        return replace(e, lam=Lambda(e.lam.params, f(e.lam.body)))
+    if isinstance(e, Loop):
+        return replace(e, body=f(e.body))
+    if isinstance(e, WhileLoop):
+        return replace(e, cond=Lambda(e.cond.params, f(e.cond.body)), body=f(e.body))
+    if isinstance(e, If):
+        return If(e.cond, f(e.then), f(e.els))
+    return e
 
 
 def count_stms(node) -> int:

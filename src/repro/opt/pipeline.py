@@ -15,6 +15,9 @@ enable flag (``register_pass``); the built-ins run in registry order:
 
 * ``simplify`` — copy propagation, constant folding, algebraic identities;
 * ``cse``      — common-subexpression elimination (cheap pure expressions);
+* ``fission``  — split k-ary reduce/scan/hist into one SOAC per independent
+  component group, so AD's dual-number sums lower to bulk ufunc kernels
+  (``opt/fission.py``; ``REPRO_OPT_PASSES=-fission`` is the ablation);
 * ``fuse``     — vertical/horizontal SOAC fusion (``opt/fusion.py``);
 * ``dce``      — dead-code elimination.
 
@@ -229,6 +232,7 @@ def optimize_fun(
 
 def opt_stats() -> Dict[str, object]:
     """Per-pass fired/changed counters plus memo-cache counters."""
+    from .fission import fission_stats
     from .fusion import fuse_cost_mode, fusion_stats
 
     return {
@@ -237,6 +241,7 @@ def opt_stats() -> Dict[str, object]:
         "enabled": tuple(p.name for p in resolve_passes()),
         "fuse_cost_mode": fuse_cost_mode(),
         "fusion": fusion_stats(),
+        "fission": fission_stats(),
     }
 
 
@@ -254,8 +259,8 @@ def clear_opt_cache() -> None:
 
 
 def _obs_opt_snapshot() -> Dict[str, object]:
-    # The registry section excludes the nested fusion/enabled views
-    # (fusion has its own section; the enabled set is config, not a counter).
+    # The registry section excludes the nested fusion/fission/enabled views
+    # (those have their own sections; the enabled set is config, not a counter).
     return {
         "passes": {n: dict(c) for n, c in _PASS_STATS.items()},
         "cache": {**_CACHE_STATS, "entries": len(_OPT_CACHE)},
@@ -271,11 +276,13 @@ _obs_metrics.register_source("opt", _obs_opt_snapshot, reset_opt_stats)
 
 from .simplify import simplify_fun  # noqa: E402
 from .cse import cse_fun  # noqa: E402
+from .fission import fission_fun  # noqa: E402
 from .fusion import fuse_fun  # noqa: E402
 from .dce import dce_fun  # noqa: E402
 
 register_pass("simplify", simplify_fun, doc="copy-prop, folding, identities")
 register_pass("cse", cse_fun, doc="common-subexpression elimination")
+register_pass("fission", fission_fun, doc="split independent k-ary reduce/scan/hist")
 register_pass("fuse", fuse_fun, doc="vertical/horizontal SOAC fusion")
 register_pass("dce", dce_fun, doc="dead-code elimination")
 
@@ -283,5 +290,6 @@ register_pass("dce", dce_fun, doc="dead-code elimination")
 PIPELINE = tuple(_REGISTRY)
 
 #: The passes that are safe to run on a program that will be differentiated
-#: again: everything except ``fuse`` (AD rules assume canonical operators).
-AD_SAFE_PASSES = ("simplify", "cse", "dce")
+#: again: everything except ``fuse`` (AD rules assume canonical operators,
+#: which ``fission`` only produces more of).
+AD_SAFE_PASSES = ("simplify", "cse", "fission", "dce")

@@ -21,13 +21,16 @@ from ..ir.ast import (
     Exp,
     Fun,
     If,
+    Iota,
     Lambda,
     Loop,
     Map,
     Reduce,
     ReduceByIndex,
+    Replicate,
     Scan,
     Select,
+    Size,
     Stm,
     UnOp,
     Var,
@@ -36,7 +39,7 @@ from ..ir.ast import (
     ZerosLike,
 )
 from ..ir.traversal import refresh_body, subst_exp
-from ..ir.types import BOOL, Scalar, np_dtype, rank_of
+from ..ir.types import BOOL, AccType, Scalar, np_dtype, rank_of
 from ..exec.prims import apply_binop, apply_unop, cast_to
 
 __all__ = ["simplify_fun", "simplify_body"]
@@ -162,6 +165,22 @@ class _Simplifier:
             return AtomExp(e.x)
         return None
 
+    def _fold_size(self, e: Size) -> Optional[Exp]:
+        """``length`` of a value whose definition states its extent.  The
+        reduce/replicate AD rules take ``length`` of a re-executed forward
+        ``map``; reading the extent off the map's *argument* instead is what
+        lets DCE drop that forward sweep (§4.1)."""
+        if e.dim != 0 or isinstance(e.arr.type, AccType):
+            return None
+        d = self.defs.get(e.arr.name)
+        if isinstance(d, Map) and d.arrs:
+            return Size(d.arrs[0], 0)
+        if isinstance(d, (Iota, Replicate)):
+            return AtomExp(d.n)
+        if isinstance(d, ZerosLike) and isinstance(d.x, Var):
+            return Size(d.x, 0)
+        return None
+
     # -- traversal --------------------------------------------------------------
 
     def exp(self, e: Exp, m: Dict[str, Atom]) -> Exp:
@@ -174,6 +193,8 @@ class _Simplifier:
             return self._fold_select(e) or e
         if isinstance(e, Cast):
             return self._fold_cast(e) or e
+        if isinstance(e, Size):
+            return self._fold_size(e) or e
         if isinstance(e, Map):
             return Map(self.lam(e.lam), e.arrs, e.accs)
         if isinstance(e, Reduce):
@@ -183,8 +204,10 @@ class _Simplifier:
         if isinstance(e, ReduceByIndex):
             return ReduceByIndex(e.num_bins, self.lam(e.lam), e.nes, e.inds, e.vals)
         if isinstance(e, Loop):
+            self._unbind(e.params + (e.ivar,))
             return Loop(e.params, e.inits, e.ivar, e.n, self.body(e.body), e.stripmine, e.checkpoint)
         if isinstance(e, WhileLoop):
+            self._unbind(e.params)
             return WhileLoop(e.params, e.inits, self.lam(e.cond), self.body(e.body), e.bound)
         if isinstance(e, If):
             return If(e.cond, self.body(e.then), self.body(e.els))
@@ -192,7 +215,15 @@ class _Simplifier:
             return WithAcc(e.arrs, self.lam(e.lam))
         return e
 
+    def _unbind(self, params) -> None:
+        """Sibling scopes reuse names (AD's redundant execution does): a
+        name that is a parameter here must not keep the definition an earlier
+        sibling's *statement* gave it."""
+        for p in params:
+            self.defs.pop(p.name, None)
+
     def lam(self, lam: Lambda) -> Lambda:
+        self._unbind(lam.params)
         return Lambda(lam.params, self.body(lam.body))
 
     def body(self, body: Body) -> Body:

@@ -43,6 +43,32 @@ def run_both(fc, *args):
     return r_ref
 
 
+def reduce_census(fun, args):
+    """``(kind, strategy, extent)`` of every reduce/scan/hist instruction the
+    plan lowering emits for ``fun`` (nested bodies included).  ``extent`` is
+    the leading extent of the folded arrays under ``args``' shapes, ``None``
+    where it is not statically known."""
+    from repro.exec.lower import PBody, lower_fun
+    from repro.ir.analysis import infer_static_shapes
+
+    static = infer_static_shapes(fun, [np.shape(a) for a in args])
+    out = []
+
+    def walk(body) -> None:
+        for ins in body.instrs:
+            if getattr(ins, "strategy", None) is not None:
+                shape = static.shape(ins.arrs[0].name)
+                out.append((ins.kind, ins.strategy, shape[0] if shape else None))
+            for klass in type(ins).__mro__:
+                for slot in getattr(klass, "__slots__", ()):
+                    sub = getattr(ins, slot, None)
+                    if isinstance(sub, PBody):
+                        walk(sub)
+
+    walk(lower_fun(fun).body)
+    return out
+
+
 def fd_grad(fc, args, k: int, eps: float = 1e-6):
     """Central-difference gradient of a scalar-valued compiled function with
     respect to float argument ``k``."""

@@ -71,6 +71,36 @@ def test_multi_result_map():
     check_grad(f, (rng.standard_normal(5),))
 
 
+def test_map_over_data_array_builds_no_adjoint_for_its_rows():
+    # `wrt` marks `pts` as data; a row of it (the lambda parameter `p`, which
+    # the inner map reads as a free array) is data too.  Its adjoint used to
+    # be built anyway: an inner withacc plus one negated copy per
+    # contribution, summed into an array nothing reads.
+    from repro.core.vjp import vjp_fun
+    from repro.ir.ast import Map
+    from repro.ir.traversal import all_bound_vars
+
+    def f(pts, c):
+        return rp.sum(rp.map(
+            lambda p: rp.sum(rp.map(lambda j: (p[j] - c[j]) ** 2.0, rp.iota(rp.size(c)))),
+            pts))
+
+    pts, c = rng.standard_normal((5, 3)), rng.standard_normal(3)
+    fun = rp.trace_like(f, (pts, c))
+    (row,) = [s.exp.lam.params[0] for s in fun.body.stms if isinstance(s.exp, Map)]
+
+    def row_adjoints(wrt):
+        bound = all_bound_vars(vjp_fun(fun, wrt=wrt))
+        return sorted(n for n in bound if n.startswith(row.name + "_") and n != row.name)
+
+    assert row_adjoints(None), "the unrestricted vjp does differentiate the rows"
+    assert row_adjoints([1]) == []
+    fc = rp.compile(fun)
+    _, g_c = rp.grad(fc)(pts, c)
+    np.testing.assert_allclose(rp.grad(fc, wrt=[1])(pts, c), g_c, rtol=1e-12)
+    check_grad(f, (pts, c), wrt=[1])
+
+
 # ---------------------------------------------------------------------------
 # reduce (§5.1): special cases and the general two-scan rule
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_fuzz_corpus_fused_parity(seed):
 
 def test_registry_and_resolve():
     names = [p.name for p in registered_passes()]
-    assert names == ["simplify", "cse", "fuse", "dce"]
+    assert names == ["simplify", "cse", "fission", "fuse", "dce"]
     assert [p.name for p in resolve_passes(["dce", "simplify"])] == ["simplify", "dce"]
     with pytest.raises(ValueError):
         resolve_passes(["nope"])
@@ -234,7 +234,8 @@ def test_opt_stats_counters():
     optimize_fun(_trace(f, 1.0), cache=False)
     after = opt_stats()
     assert after["passes"]["simplify"]["fired"] > before
-    assert set(after["passes"]) == {"simplify", "cse", "fuse", "dce"}
+    assert set(after["passes"]) == {"simplify", "cse", "fission", "fuse", "dce"}
+    assert set(after["fission"]) == {"split", "groups", "kept_coupled"}
     assert {"hits", "misses", "evictions", "entries"} <= set(after["cache"])
 
 

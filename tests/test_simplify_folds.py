@@ -84,3 +84,58 @@ def test_unknown_op_errors_still_propagate():
 
     with pytest.raises(ExecError):
         apply_binop("no_such_op", 1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# `length` folds through the definition of its argument
+# ---------------------------------------------------------------------------
+
+
+def _stm_kinds(fun):
+    return [type(s.exp).__name__ for s in fun.body.stms]
+
+
+_SIZE_CASES = [
+    # the forward map is only kept alive by `length`: folding through it to
+    # the map's argument lets DCE drop the map (§4.1's redundant sweep)
+    ("map", lambda xs: rp.size(rp.map(lambda x: rp.exp(x), xs)) + 0, ["Size"]),
+    ("iota", lambda xs: rp.size(rp.iota(rp.size(xs) + 2)) + 0, ["Size", "BinOp"]),
+    ("replicate", lambda xs: rp.size(rp.replicate(rp.size(xs) * 3, 1.5)) + 0, ["Size", "BinOp"]),
+    ("zeros_like", lambda xs: rp.size(rp.zeros_like(xs)) + 0, ["Size"]),
+]
+
+
+@pytest.mark.parametrize("name,f,kinds", _SIZE_CASES, ids=[c[0] for c in _SIZE_CASES])
+def test_length_folds_through_definition(name, f, kinds):
+    fun = rp.trace_like(f, (np.ones(4),))
+    fo = rp.compile(fun, optimize=True)
+    fr = rp.compile(fun, optimize=False)
+    assert _stm_kinds(fo.fun) == kinds
+    for n in (0, 1, 5):
+        for be in BACKENDS:
+            assert fo(np.ones(n), backend=be) == fr(np.ones(n), backend=be)
+
+
+def test_length_fold_ignores_a_sibling_scopes_definition_of_the_name():
+    # AD's redundant execution reuses binder names across sibling scopes.
+    # Here `t` is bound by an `iota 3` statement in the first lambda and is
+    # the *parameter* (a row of `m`) of the second: `length t` there must
+    # not fold to 3.
+    from repro.ir import F64, I64, Fun, Lambda, Var, array
+    from repro.ir.ast import Body, Iota, Map, Size, Stm
+    from repro.ir.builder import const
+    from repro.opt.simplify import simplify_fun
+
+    m = Var("m", array(F64, 2))
+    x, n1, t_row, n2 = Var("x", array(F64, 1)), Var("n1", I64), Var("t", array(F64, 1)), Var("n2", I64)
+    t_iota = Var("t", array(I64, 1))
+    first = Lambda((x,), Body((Stm((t_iota,), Iota(const(3, I64))), Stm((n1,), Size(t_iota))), (n1,)))
+    second = Lambda((t_row,), Body((Stm((n2,), Size(t_row)),), (n2,)))
+    a, b = Var("a", array(I64, 1)), Var("b", array(I64, 1))
+    fun = Fun("f", (m,), Body((Stm((a,), Map(first, (m,))), Stm((b,), Map(second, (m,)))), (a, b)))
+    out = simplify_fun(fun)
+    assert out.body.stms[0].exp.lam.body.result == (const(3, I64),)
+    assert out.body.stms[1].exp.lam.body == second.body
+    got = rp.compile(out, optimize=False)(np.ones((2, 5)), backend="ref")
+    np.testing.assert_array_equal(got[0], [3, 3])
+    np.testing.assert_array_equal(got[1], [5, 5])

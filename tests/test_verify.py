@@ -234,6 +234,30 @@ def test_parallel_reduce_unrecognized_op_rejected():
     _reject(Fun("f", (xs,), body), "not a recognised associative")
 
 
+def test_forced_fission_of_coupled_argmin_rejected():
+    # The mutation a buggy component analysis would produce: the argmin pair
+    # (v, i) split into a `v` reduce and an `i` reduce.  Each half still
+    # reads the other's operator parameters, which its lambda no longer binds.
+    from repro.core.rules_reduce import argminmax_lambda
+    from repro.opt.fission import component_groups, split_soac
+
+    xs, idx = Var("xs", A), Var("idx", AI)
+    y, iy = Var("y", F64), Var("iy", I64)
+    lam = argminmax_lambda(F64, "min")
+    stm = Stm((y, iy), Reduce(lam, (Const(np.inf, F64), Const(2**62, I64)), (xs, idx)))
+    assert component_groups(lam, 2) == [(0, 1)]
+    verify_fun(Fun("argmin", (xs, idx), Body((stm,), (y, iy))), where="opt:fission")
+    halves = split_soac(stm, [(0,), (1,)])
+    i1 = lam.params[1].name
+    err = _reject(
+        Fun("argmin", (xs, idx), Body(tuple(halves), (y, iy))),
+        f"use of {i1!r} before its definition",
+        where="opt:fission",
+    )
+    # the error names the statement inside the `v` half that reads `i1`
+    assert "let (ile_" in str(err)
+
+
 def test_parallel_map_free_accumulator_rejected_in_full():
     # A parallel split whose lambda updates a free accumulator: every chunk
     # would race on the same underlying buffer.
