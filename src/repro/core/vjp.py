@@ -168,6 +168,17 @@ class VJP:
         if not is_float(stm.pat[0].type):
             return
         ybar = self._ybar(stm, sc)
+        if e.op in ("min", "max"):
+            # Route the adjoint to the winner (as ``_jvp_BinOp`` routes the
+            # tangent) rather than weighting it by 0/1 masks: 0·inf would
+            # hand the loser a nan.
+            c = sc.b.binop("le" if e.op == "min" else "ge", e.x, e.y, "d")
+            zero = const_like(0.0, stm.pat[0])
+            if isinstance(e.x, Var):
+                sc.add(e.x, sc.b.select(c, ybar, zero, "c"))
+            if isinstance(e.y, Var):
+                sc.add(e.y, sc.b.select(c, zero, ybar, "c"))
+            return
         dx, dy = binop_partials(sc.b, e.op, e.x, e.y, stm.pat[0])
         if dx is not None and is_float(e.x.type):
             sc.add(e.x, sc.b.mul(dx, ybar, "c"))

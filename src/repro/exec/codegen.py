@@ -60,12 +60,13 @@ from .lower import (
     Ref,
     check_spec_sig,
     lower_fun,
+    nested_bodies,
     plan_schedules,
     spec_signature,
 )
 from .plan import (
     EMITTER_STATS,
-    PLAN_STATS,
+    _count_plan,
     _Engine,
     _LOCK,
     plan_for,
@@ -80,6 +81,7 @@ from .vector import (
     _batch_args,
     _combine_mask,
     _elem,
+    _elem_into,
     _expand,
     _gather,
     _grids,
@@ -109,6 +111,7 @@ _BASE_NAMESPACE = {
     "_combine_mask": _combine_mask,
     "_mask_where": _mask_where,
     "_elem": _elem,
+    "_elem_into": _elem_into,
     "_where": _where,
     "_gather": _gather,
     "_uniform_int": _uniform_int,
@@ -118,6 +121,11 @@ _BASE_NAMESPACE = {
     "_values": _values,
     "cast_to": cast_to,
 }
+
+
+def _chunked(e) -> bool:
+    """Whether map ``e`` renders through ``_emit_map_chunked``."""
+    return e.chunk > 1 and not e.accs and e.n_acc == 0
 
 
 class _SrcEmitter:
@@ -134,6 +142,10 @@ class _SrcEmitter:
         self.n = 0
         self.consts: List[object] = []
         self._const_names: Dict[int, str] = {}
+        #: Temporaries of the instruction being emitted (``emit_body`` clears
+        #: them with the instruction's releases: a template's ``args``/``rd``
+        #: would otherwise pin the arrays the memory plan just let go of).
+        self.temps: List[str] = []
 
     # -- infrastructure -------------------------------------------------------
 
@@ -142,7 +154,9 @@ class _SrcEmitter:
 
     def fresh(self, prefix: str = "t") -> str:
         self.n += 1
-        return f"_{prefix}{self.n}"
+        nm = f"_{prefix}{self.n}"
+        self.temps.append(nm)
+        return nm
 
     def const(self, obj) -> str:
         # Uppercase prefix: fresh() temporaries are all lowercase, so an
@@ -172,8 +186,24 @@ class _SrcEmitter:
         if not pbody.instrs:
             self.w("pass")  # keep indented blocks (try:, def:) syntactically valid
         for ins in pbody.instrs:
+            first = len(self.temps)
             getattr(self, "_emit_" + ins.kind)(ins)
+            self._emit_release(ins, self.temps[first:])
+            del self.temps[first:]
         return tuple(self.ref(r) for r in pbody.result)
+
+    def _emit_release(self, ins, temps) -> None:
+        """Clear the locals of the slots ``ins`` releases and the template
+        temporaries its emission introduced.  Bodies rendered as nested
+        ``def``s (``if`` branches, a chunked map) keep their slots in that
+        ``def``'s frame, which is gone already."""
+        dead = [s for s, _ in ins.release]
+        if ins.kind == "if" or (ins.kind == "map" and _chunked(ins)):
+            framed = {s for b in nested_bodies(ins) for s, _ in b.bound}
+            dead = [s for s in dead if s not in framed]
+        names = [f"s{s}" for s in dead] + list(temps)
+        if names:
+            self.w(" = ".join(names) + " = None")
 
     # -- fused scalar runs ----------------------------------------------------
 
@@ -182,18 +212,16 @@ class _SrcEmitter:
         k = o.kind
         if k == "atom":
             return opn(o.xs[0])
-        if k == "unop":
+        if k in ("unop", "binop"):
             try:
-                uf = _UNOPS[o.op]
+                uf = (_UNOPS if k == "unop" else _BINOPS)[o.op]
             except KeyError:
-                raise ExecError(f"unknown unary op {o.op!r}") from None
-            return f"_elem({self.const(uf)}, {opn(o.xs[0])})"
-        if k == "binop":
-            try:
-                uf = _BINOPS[o.op]
-            except KeyError:
-                raise ExecError(f"unknown binary op {o.op!r}") from None
-            return f"_elem({self.const(uf)}, {opn(o.xs[0])}, {opn(o.xs[1])})"
+                what = "unary" if k == "unop" else "binary"
+                raise ExecError(f"unknown {what} op {o.op!r}") from None
+            args = ", ".join(opn(x) for x in o.xs)
+            if o.donate:
+                return f"_elem_into({self.const(uf)}, {o.donate!r}, {args})"
+            return f"_elem({self.const(uf)}, {args})"
         if k == "select":
             c, t, f = (opn(x) for x in o.xs)
             return f"_where({c}, {t}, {f})"
@@ -216,6 +244,11 @@ class _SrcEmitter:
             nm = f"s{exported[i]}" if i in exported else self.fresh()
             self.w(f"{nm} = {self._run_expr(o, names)}")
             names.append(nm)
+            if o.release:
+                dead = [names[y] for y in o.release]  # never an exported one
+                self.w(" = ".join(dead) + " = None")
+                for nm in dead:
+                    self.temps.remove(nm)
 
     # -- simple expressions ---------------------------------------------------
 
@@ -338,7 +371,7 @@ class _SrcEmitter:
         return res
 
     def _emit_map(self, e) -> None:
-        if getattr(e, "chunk", 0) > 1 and not e.accs and e.n_acc == 0:
+        if _chunked(e):
             self._emit_map_chunked(e, e.chunk)
             return
         d, args, n = self._soac_prologue(e.arrs)
@@ -1054,8 +1087,7 @@ class CodegenPlan:
             self._fn = ns["_plan_main"]
         _maybe_dump(fun, self.specialized, src)
         with _LOCK:
-            PLAN_STATS["fused_stms"] += ir.fused
-            PLAN_STATS["spec_folds"] += ir.folds
+            _count_plan(ir)
             st = EMITTER_STATS.setdefault(
                 "codegen",
                 {"plans": 0, "emit_s": 0.0, "code_objects": 0,

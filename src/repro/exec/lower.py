@@ -11,15 +11,20 @@ space, with every statically resolvable choice already made:
 * atoms resolve to slots (``Ref`` with a slot index) or prebuilt scalar
   ``BV`` constants;
 * runs of ≥2 adjacent scalar statements (``_RUN_FUSIBLE``) collapse into one
-  ``IRun`` whose interior temporaries never touch the register file (the
-  live-after sets come from ONE backward free-vars sweep per body);
+  ``IRun`` whose interior temporaries never touch the register file (what
+  a run exports comes from ONE last-use pass per body);
 * reduce/scan/histogram operators are recognised (``recognize_binop_lambda``
   / ``recognize_redomap_lambda``) and the chosen strategy — ufunc fast path,
   fused redomap, or generic fold — is recorded on the instruction;
 * with tier-2 ``StaticInfo`` facts, ``Size`` folds to a constant, iota /
   replicate / histogram extents become compile-time ints (small iotas are
   prebuilt outright), and reduce lowering picks its variant by the known
-  extent (``ext`` on the node; the emitters compile dead branches away).
+  extent (``ext`` on the node; the emitters compile dead branches away);
+* the **memory plan**: every instruction lists the slots to ``release``
+  after it, every ``RunOp`` the run-local values that die at it and which of
+  those it may compute into (``donate``) — see ``_Lowerer.lower_body`` and
+  ``_plan_run_memory``.  The liveness comes from the same last-use pass
+  that finds the run exports.
 
 Emitters consume the IR without re-deciding anything: ``exec/plan.py`` emits
 one Python closure per instruction (the interpreter), ``exec/codegen.py``
@@ -76,10 +81,11 @@ from ..ir.ast import (
 )
 from ..ir.schedule import SCHEDULABLE as _SCHEDULABLE
 from ..ir.schedule import schedule_str as _schedule_str
-from ..ir.traversal import free_vars_exp
-from ..ir.types import np_dtype
+from ..ir.traversal import exp_atoms, exp_lambdas
+from ..ir.types import is_float, np_dtype
 from ..obs import tracing as _tracing
 from ..util import ExecError
+from .prims import INPLACE_OPS
 from .vector import BV, _ne_is_identity
 
 __all__ = [
@@ -91,6 +97,8 @@ __all__ = [
     "lower_fun",
     "lower_specialized",
     "plan_schedules",
+    "nested_bodies",
+    "mem_counts",
     "spec_signature",
     "check_spec_sig",
     "IRun",
@@ -119,6 +127,10 @@ __all__ = [
 #: Statement expressions eligible for scalar-run fusion: pure, single-result,
 #: independent of the engine's mask/batch state (they only read operands).
 _RUN_FUSIBLE = (AtomExp, UnOp, BinOp, Select, Cast, Index, ZerosLike)
+
+#: Run-op kinds whose result is always a freshly allocated array (``atom``
+#: forwards its operand, ``index`` returns a view at batch depth 0).
+_ALLOCATING = ("unop", "binop", "select", "cast", "zeroslike")
 
 #: Largest statically known iota a specialised lowering prebuilds (beyond
 #: it, holding the constant array per cached plan costs more memory than the
@@ -155,25 +167,37 @@ class RunOp:
     """One scalar op inside a fused run.  ``xs`` operands are run-local
     indices (``int`` — the value of a previous op in the same run) or
     ``Ref``s.  ``op`` names the scalar operator (unop/binop); ``dtype`` is
-    the target of a cast."""
+    the target of a cast.
 
-    __slots__ = ("kind", "op", "xs", "dtype")
+    ``release`` lists the run-local values whose last read is this op (never
+    an exported one); ``donate`` the operand positions among them whose
+    buffer the op may write its result into — the value is a fresh array
+    nobody else can see (see ``_plan_run_memory``)."""
+
+    __slots__ = ("kind", "op", "xs", "dtype", "release", "donate")
 
     def __init__(self, kind, xs, op=None, dtype=None):
         self.kind = kind
         self.xs = xs
         self.op = op
         self.dtype = dtype
+        self.release: Tuple[int, ...] = ()
+        self.donate: Tuple[int, ...] = ()
 
 
 class PBody:
-    """A lowered body: instruction records plus result refs."""
+    """A lowered body: instruction records plus result refs.  ``bound`` lists
+    the ``(slot, name)`` pairs still bound when the body has run — its
+    binders (lambda/loop parameters, ``ivar``) and the results it defined
+    itself; everything else it defined was released inside it.  The
+    enclosing instruction releases them once it has copied the results."""
 
-    __slots__ = ("instrs", "result")
+    __slots__ = ("instrs", "result", "bound")
 
-    def __init__(self, instrs, result):
+    def __init__(self, instrs, result, bound=()):
         self.instrs = instrs
         self.result = result
+        self.bound = bound
 
 
 class _Instr:
@@ -188,6 +212,11 @@ class _Instr:
     #: the profiler report can say *how* a statement was scheduled.  Empty
     #: on non-schedulable instructions.
     schedule: str = ""
+    #: The memory plan: ``(slot, name)`` pairs to clear once this instruction
+    #: has completed — slots of the enclosing body whose last read (nested
+    #: bodies included) is this instruction, then the ``bound`` slots of its
+    #: own nested bodies.  Never a slot the enclosing body returns.
+    release: tuple = ()
 
 
 class IRun(_Instr):
@@ -372,10 +401,11 @@ class PlanIR:
     """The lowered form of one ``Fun``: a flat slot space, parameter slots,
     and a ``PBody`` of instruction records.  ``fused`` counts statements
     collapsed into runs, ``folds`` the compile-time folds the specialised
-    lowering performed (both surfaced via ``plan_cache_stats``)."""
+    lowering performed, ``mem`` the size of the memory plan (``mem_counts``
+    of the whole body) — all surfaced via ``plan_cache_stats``."""
 
     __slots__ = ("fun", "param_slots", "param_types", "body", "nslots",
-                 "fused", "folds", "specialized")
+                 "fused", "folds", "specialized", "mem")
 
     def __init__(self, fun, param_slots, param_types, body, nslots,
                  fused, folds, specialized):
@@ -387,6 +417,41 @@ class PlanIR:
         self.fused = fused
         self.folds = folds
         self.specialized = specialized
+        self.mem = mem_counts(body.instrs)
+
+
+def nested_bodies(ins) -> Tuple[PBody, ...]:
+    """The bodies instruction ``ins`` executes (none for leaf instructions)."""
+    kind = ins.kind
+    if kind in ("map", "loop", "withacc"):
+        return (ins.body,)
+    if kind in ("reduce", "scan", "hist"):
+        return tuple(b for b in (ins.mbody, ins.body) if b is not None)
+    if kind == "if":
+        return (ins.then, ins.els)
+    if kind == "while":
+        return (ins.cbody, ins.body)
+    return ()
+
+
+def mem_counts(instrs) -> Dict[str, int]:
+    """The size of the memory plan under ``instrs``, nested bodies included:
+    register slots released, run-local values released, and scalar ops that
+    may compute into a dead operand."""
+    out = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0}
+
+    def walk(instrs) -> None:
+        for ins in instrs:
+            out["released_slots"] += len(ins.release)
+            if ins.kind == "run":
+                for o in ins.ops:
+                    out["run_local_releases"] += len(o.release)
+                    out["donating_ops"] += bool(o.donate)
+            for b in nested_bodies(ins):
+                walk(b.instrs)
+
+    walk(instrs)
+    return out
 
 
 def plan_schedules(ir: "PlanIR") -> str:
@@ -402,6 +467,38 @@ def plan_schedules(ir: "PlanIR") -> str:
 # ---------------------------------------------------------------------------
 
 
+def _plan_run_memory(ops: Sequence[RunOp], exported, run: Sequence[Stm]) -> None:
+    """The memory plan of one fused run (``ops[y]`` lowers ``run[y]``):
+    release every run-local value at the op that reads it last, and let that
+    op compute into it (``donate``) when the value is a float buffer no one
+    else can see — produced by an op that allocates its result
+    (``_ALLOCATING``), read by no op that may hand it on unchanged or as a
+    view (``atom``; ``index`` on its array operand), and not exported.  Only
+    ops on ``INPLACE_OPS`` ufuncs can take ``out=``.  Values no op reads stay
+    until the run ends."""
+    last: Dict[int, int] = {}
+    shared = set()
+    for x, o in enumerate(ops):
+        for y in o.xs:
+            if isinstance(y, int):
+                last[y] = x
+        if o.kind in ("atom", "index") and isinstance(o.xs[0], int):
+            shared.add(o.xs[0])
+    for y, x in last.items():
+        if y in exported:
+            continue
+        o = ops[x]
+        o.release += (y,)
+        if (
+            o.kind in ("unop", "binop")
+            and o.op in INPLACE_OPS
+            and ops[y].kind in _ALLOCATING
+            and y not in shared
+            and is_float(run[y].pat[0].type)
+        ):
+            o.donate += tuple(p for p, z in enumerate(o.xs) if z == y)[:1]
+
+
 class _Lowerer:
     """One-shot lowering of a ``Fun`` body to plan IR.
 
@@ -415,6 +512,9 @@ class _Lowerer:
         self.fused = 0
         self.static = static
         self.folds = 0
+        #: ``id(exp) -> free names`` (``uses``); the ``Fun`` being lowered
+        #: keeps every expression alive, so ids are stable.
+        self._uses: Dict[int, Tuple[str, ...]] = {}
 
     # -- atoms ----------------------------------------------------------------
 
@@ -478,58 +578,109 @@ class _Lowerer:
 
     # -- bodies ---------------------------------------------------------------
 
-    def lower_body(self, body: Body) -> PBody:
+    def uses(self, e: Exp) -> Tuple[str, ...]:
+        """The names free in ``e`` (``free_vars_exp``; a leaf may repeat a
+        name).  A nested expression is walked once and remembered: every
+        enclosing body's last-use pass asks again, and re-walking the nest
+        each time is quadratic in depth."""
+        if isinstance(e, _RUN_FUSIBLE):
+            return tuple(a.name for a in exp_atoms(e) if isinstance(a, Var))
+        got = self._uses.get(id(e))
+        if got is None:
+            out = dict.fromkeys(a.name for a in exp_atoms(e) if isinstance(a, Var))
+            for lam in exp_lambdas(e):
+                self._body_uses(lam.body, lam.params, out)
+            if isinstance(e, Loop):
+                self._body_uses(e.body, e.params + (e.ivar,), out)
+            elif isinstance(e, WhileLoop):
+                self._body_uses(e.body, e.params, out)
+            elif isinstance(e, If):
+                self._body_uses(e.then, (), out)
+                self._body_uses(e.els, (), out)
+            got = self._uses[id(e)] = tuple(out)
+        return got
+
+    def _body_uses(self, body: Body, binders, out: Dict[str, None]) -> None:
+        bound = {p.name for p in binders}
+        for stm in body.stms:
+            for nm in self.uses(stm.exp):
+                if nm not in bound:
+                    out[nm] = None
+            for v in stm.pat:
+                bound.add(v.name)
+        for a in body.result:
+            if isinstance(a, Var) and a.name not in bound:
+                out[a.name] = None
+
+    def lower_body(self, body: Body, binders: Sequence[Var] = ()) -> PBody:
+        """Lower ``body``; ``binders`` are the variables the enclosing
+        instruction binds before running it (their slots are already
+        allocated)."""
         stms = body.stms
         n = len(stms)
-        # Find the fusible runs first, then compute each run's live-after
-        # set with ONE backward free-vars sweep over the body (walking the
-        # whole tail per run would make lowering quadratic in body size).
-        spans = []
+        # Instruction boundaries: runs of >= 2 adjacent fusible statements,
+        # every other statement on its own.
+        bounds = []
         i = 0
         while i < n:
-            if isinstance(stms[i].exp, _RUN_FUSIBLE) and len(stms[i].pat) == 1:
-                j = i
-                while (
-                    j < n
-                    and isinstance(stms[j].exp, _RUN_FUSIBLE)
-                    and len(stms[j].pat) == 1
-                ):
-                    j += 1
-                if j - i >= 2:
-                    spans.append((i, j))
-                    i = j
-                    continue
-            i += 1
-        used_after_at = {}
-        if spans:
-            ends = {j for _, j in spans}
-            live = {a.name for a in body.result if isinstance(a, Var)}
-            if n in ends:
-                used_after_at[n] = frozenset(live)
-            for k in range(n - 1, -1, -1):
-                live.update(free_vars_exp(stms[k].exp))
-                if k in ends:
-                    used_after_at[k] = frozenset(live)
+            j = i
+            while (
+                j < n
+                and isinstance(stms[j].exp, _RUN_FUSIBLE)
+                and len(stms[j].pat) == 1
+            ):
+                j += 1
+            j = j if j - i >= 2 else i + 1
+            bounds.append((i, j))
+            i = j
+        # ONE pass over the body's free variables (walking the whole tail per
+        # instruction would make lowering quadratic in body size) records the
+        # last instruction that reads each name, nested bodies included;
+        # what the body returns is read after all of them.  That decides both
+        # what a run must export and which of the slots this body writes die
+        # where.
+        last: Dict[str, int] = {}
+        for x, (i, j) in enumerate(bounds):
+            for s in stms[i:j]:
+                for nm in self.uses(s.exp):
+                    last[nm] = x
+        for a in body.result:
+            if isinstance(a, Var):
+                last[a.name] = len(bounds)
+        own: Dict[str, int] = {}  # name -> the instruction that writes its slot
+        for x, (i, j) in enumerate(bounds):
+            for s in stms[i:j]:
+                for v in s.pat:
+                    # Only what is read after a run reaches a slot.
+                    if j - i == 1 or last.get(v.name, x) > x:
+                        own[v.name] = x
+        dying: Dict[int, List[str]] = {}
+        for nm, x in own.items():
+            dying.setdefault(max(x, last.get(nm, x)), []).append(nm)
         instrs: List[_Instr] = []
-        span_at = {i: j for i, j in spans}
-        i = 0
-        while i < n:
-            j = span_at.get(i)
-            if j is not None:
-                ins = self._lower_run(stms[i:j], used_after_at[j])
-                ins.prov = tuple(stms[i:j])
-                instrs.append(ins)
+        for x, (i, j) in enumerate(bounds):
+            if j - i > 1:
+                ins = self._lower_run(stms[i:j], own)
                 self.fused += j - i
-                i = j
-                continue
-            ins = self._lower_stm(stms[i])
-            ins.prov = (stms[i],)
-            e = stms[i].exp
-            if isinstance(e, _SCHEDULABLE):
-                ins.schedule = _schedule_str(e)
+            else:
+                ins = self._lower_stm(stms[i])
+                e = stms[i].exp
+                if isinstance(e, _SCHEDULABLE):
+                    ins.schedule = _schedule_str(e)
+            ins.prov = tuple(stms[i:j])
+            release = {self.slot(nm): nm for nm in dying.get(x, ())}
+            if ins.kind != "run":
+                for b in nested_bodies(ins):
+                    release.update(b.bound)
+            if release:
+                ins.release = tuple(release.items())
             instrs.append(ins)
-            i += 1
-        return PBody(tuple(instrs), self.refs(body.result))
+        result = self.refs(body.result)
+        bound = {self.slot(v.name): v.name for v in binders}
+        bound.update(
+            (r.slot, r.name) for r in result if r.slot is not None and r.name in own
+        )
+        return PBody(tuple(instrs), result, tuple(bound.items()))
 
     # -- fused scalar runs ----------------------------------------------------
 
@@ -566,6 +717,7 @@ class _Lowerer:
             local_of[name] = idx
             if name in used_after:
                 exports.append((idx, self.slot(name), name))
+        _plan_run_memory(ops, {idx for idx, _s, _n in exports}, run)
         return IRun(tuple(ops), tuple(exports))
 
     # -- statements -----------------------------------------------------------
@@ -630,14 +782,16 @@ class _Lowerer:
             return ILoop(
                 self.ref(e.n), self.refs(e.inits),
                 (self.slot(e.ivar.name), e.ivar.name),
-                self.pslots(e.params), self.lower_body(e.body),
+                self.pslots(e.params),
+                self.lower_body(e.body, e.params + (e.ivar,)),
                 self.outs_of(stm, len(e.params)),
             )
         if isinstance(e, WhileLoop):
             return IWhile(
                 self.refs(e.inits),
-                self.pslots(e.cond.params), self.lower_body(e.cond.body),
-                self.pslots(e.params), self.lower_body(e.body),
+                self.pslots(e.cond.params),
+                self.lower_body(e.cond.body, e.cond.params),
+                self.pslots(e.params), self.lower_body(e.body, e.params),
                 self.outs_of(stm, len(e.params)),
             )
         if isinstance(e, If):
@@ -649,7 +803,7 @@ class _Lowerer:
         if isinstance(e, WithAcc):
             return IWithAcc(
                 self.refs(e.arrs), self.pslots(e.lam.params),
-                self.lower_body(e.lam.body), len(e.arrs),
+                self.lower_body(e.lam.body, e.lam.params), len(e.arrs),
                 self.outs_of(stm, len(e.lam.body.result)),
             )
         if isinstance(e, UpdAcc):
@@ -670,13 +824,13 @@ class _Lowerer:
             )
         return IMap(
             self.refs(e.arrs), self.refs(e.accs), self.pslots(e.lam.params),
-            self.lower_body(e.lam.body), len(e.accs),
+            self.lower_body(e.lam.body, e.lam.params), len(e.accs),
             self.outs_of(stm, len(e.lam.body.result)),
             chunk=chunk,
         )
 
     def _lower_map_part(self, mlam: Lambda):
-        return self.pslots(mlam.params), self.lower_body(mlam.body)
+        return self.pslots(mlam.params), self.lower_body(mlam.body, mlam.params)
 
     def _lower_reduce(self, e: Reduce, stm: Stm) -> IReduce:
         arrs = self.refs(e.arrs)
@@ -703,7 +857,8 @@ class _Lowerer:
             )
         return IReduce(
             "generic", arrs, nes, outs,
-            params=self.pslots(e.lam.params), body=self.lower_body(e.lam.body),
+            params=self.pslots(e.lam.params),
+            body=self.lower_body(e.lam.body, e.lam.params),
         )
 
     def _lower_scan(self, e: Scan, stm: Stm) -> IScan:
@@ -728,7 +883,8 @@ class _Lowerer:
             )
         return IScan(
             "generic", arrs, nes, outs,
-            params=self.pslots(e.lam.params), body=self.lower_body(e.lam.body),
+            params=self.pslots(e.lam.params),
+            body=self.lower_body(e.lam.body, e.lam.params),
         )
 
     def _lower_hist(self, e: ReduceByIndex, stm: Stm) -> IHist:
@@ -747,7 +903,8 @@ class _Lowerer:
                          mparams=mparams, mbody=mbody)
         return IHist(
             num_bins, arrs, nes, "generic", outs,
-            params=self.pslots(e.lam.params), body=self.lower_body(e.lam.body),
+            params=self.pslots(e.lam.params),
+            body=self.lower_body(e.lam.body, e.lam.params),
         )
 
 

@@ -97,16 +97,19 @@ from .lower import (
     plan_schedules,
     spec_signature,
 )
-from .prims import apply_binop, apply_unop, cast_to
+from .prims import _BINOPS, _UNOPS, apply_binop, apply_unop, cast_to
 from .values import coerce_arg
 from .vector import (
+    _MEM_LOCK,
     _UFUNC,
+    MEM_STATS,
     AccBV,
     BV,
     _align,
     _batch_args,
     _combine_mask,
     _elem,
+    _elem_into,
     _expand,
     _gather,
     _grids,
@@ -216,9 +219,36 @@ def _run_operand(x) -> Callable:
 
 
 def _emit_run_op(o) -> Callable:
+    fn = _emit_run_fn(o)
+    if not o.release:
+        return fn
+    dead = o.release
+
+    def releasing(regs, loc, _fn=fn, _dead=dead):
+        v = _fn(regs, loc)
+        for i in _dead:
+            loc[i] = None
+        return v
+
+    return releasing
+
+
+def _emit_run_fn(o) -> Callable:
     kind = o.kind
     if kind == "atom":
         return _run_operand(o.xs[0])
+    if o.donate:
+        # unop/binop on an out=-capable ufunc (``INPLACE_OPS``), some operand
+        # a dead run-local temporary: compute into it when that is safe.
+        rx = _run_operand(o.xs[0])
+        if kind == "unop":
+            return lambda regs, loc, _rx=rx, _uf=_UNOPS[o.op], _don=o.donate: (
+                _elem_into(_uf, _don, _rx(regs, loc))
+            )
+        ry = _run_operand(o.xs[1])
+        return lambda regs, loc, _rx=rx, _ry=ry, _uf=_BINOPS[o.op], _don=o.donate: (
+            _elem_into(_uf, _don, _rx(regs, loc), _ry(regs, loc))
+        )
     if kind == "unop":
         rx = _run_operand(o.xs[0])
         op = o.op
@@ -262,25 +292,48 @@ def _emit_run_op(o) -> Callable:
     raise ExecError(f"plan emit: unexpected run op {kind!r}")
 
 
-def _assign_single(fn: Callable, out) -> Callable:
-    s0 = out[0]
+def _assign_single(fn: Callable, e) -> Callable:
+    """The instruction closure of single-output ``e``: bind ``fn``'s value,
+    then clear the slots ``e`` releases (no loop emitted when there are
+    none — dispatch-bound plans must not pay for the memory plan)."""
+    s0 = e.out[0]
+    if not e.release:
+        def ins(eng, _fn=fn, _s=s0):
+            eng.regs[_s] = _fn(eng)
 
-    def ins(eng, _fn=fn, _s=s0):
-        eng.regs[_s] = _fn(eng)
+        return ins
+    dead = tuple(s for s, _ in e.release)
 
-    return ins
+    def ins_rel(eng, _fn=fn, _s=s0, _dead=dead):
+        regs = eng.regs
+        regs[_s] = _fn(eng)
+        for s in _dead:
+            regs[s] = None
+
+    return ins_rel
 
 
-def _assign_multi(fn: Callable, outs) -> Callable:
-    slots = tuple(s for s, _ in outs)
+def _assign_multi(fn: Callable, e) -> Callable:
+    slots = tuple(s for s, _ in e.outs)
+    if not e.release:
+        def ins(eng, _fn=fn, _slots=slots):
+            vals = _fn(eng)
+            regs = eng.regs
+            for s, v in zip(_slots, vals):
+                regs[s] = v
 
-    def ins(eng, _fn=fn, _slots=slots):
+        return ins
+    dead = tuple(s for s, _ in e.release)
+
+    def ins_rel(eng, _fn=fn, _slots=slots, _dead=dead):
         vals = _fn(eng)
         regs = eng.regs
         for s, v in zip(_slots, vals):
             regs[s] = v
+        for s in _dead:
+            regs[s] = None
 
-    return ins
+    return ins_rel
 
 
 class _ClosureEmitter:
@@ -305,7 +358,8 @@ class _ClosureEmitter:
 
     def _emit_run(self, ins) -> Callable:
         ops = tuple(_emit_run_op(o) for o in ins.ops)
-        if len(ops) == 1:
+        dead = tuple(s for s, _ in ins.release)
+        if len(ops) == 1 and not dead:
             # A standalone scalar statement: one export, no locals.
             (_, s0, _n) = ins.exports[0]
             op = ops[0]
@@ -317,13 +371,15 @@ class _ClosureEmitter:
         exports = tuple((li, s) for li, s, _n in ins.exports)
         k = len(ops)
 
-        def run(eng, _ops=ops, _exports=exports, _k=k):
+        def run(eng, _ops=ops, _exports=exports, _k=k, _dead=dead):
             regs = eng.regs
             loc = [None] * _k
             for x, op in enumerate(_ops):
                 loc[x] = op(regs, loc)
             for li, s in _exports:
                 regs[s] = loc[li]
+            for s in _dead:
+                regs[s] = None
 
         return run
 
@@ -359,19 +415,19 @@ class _ClosureEmitter:
                 ad[sel] = np.where(md, vd, old)
             return BV(ad, k)
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     def _emit_iota(self, e) -> Callable:
         if e.prebuilt is not None:
             arr = e.prebuilt
-            return _assign_single(lambda eng, _a=arr: BV(_a.copy(), 0), e.out)
+            return _assign_single(lambda eng, _a=arr: BV(_a.copy(), 0), e)
         rn = _int_reader(e.n)
         dt = e.dtype
 
         def fn(eng, _rn=rn, _dt=dt):
             return BV(np.arange(_rn(eng), dtype=_dt), 0)
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     def _emit_replicate(self, e) -> Callable:
         rn = _int_reader(e.n)
@@ -385,7 +441,7 @@ class _ClosureEmitter:
             shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
             return BV(np.broadcast_to(d2, shape).copy(), v.bdims)
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     def _emit_scratch(self, e) -> Callable:
         rn = _reader(e.n)
@@ -399,12 +455,12 @@ class _ClosureEmitter:
             dt = np.asarray(v.data).dtype
             return BV(np.zeros(bshape + (n,) + v.pshape(), dtype=dt), len(bshape))
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     def _emit_size(self, e) -> Callable:
         if e.const is not None:
             bv = e.const
-            return _assign_single(lambda eng, _bv=bv: _bv, e.out)
+            return _assign_single(lambda eng, _bv=bv: _bv, e)
         rd = _reader(e.arr)
         dim = e.dim
 
@@ -415,7 +471,7 @@ class _ClosureEmitter:
                 return BV(np.asarray(np.int64(shape[_dim])), 0)
             return BV(np.asarray(np.int64(v.pshape()[_dim])), 0)
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     def _emit_reverse(self, e) -> Callable:
         rd = _reader(e.x)
@@ -424,7 +480,7 @@ class _ClosureEmitter:
             v = _rd(eng.regs)
             return BV(np.flip(np.asarray(v.data), axis=v.bdims).copy(), v.bdims)
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     def _emit_concat(self, e) -> Callable:
         rx = _reader(e.x)
@@ -438,7 +494,7 @@ class _ClosureEmitter:
             dy = np.broadcast_to(dy, bx + dy.shape[k:])
             return BV(np.concatenate([dx, dy], axis=k), k)
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     # -- SOACs ----------------------------------------------------------------
 
@@ -499,7 +555,7 @@ class _ClosureEmitter:
                     BV(np.ascontiguousarray(rd), d) for rd in one(params, n)
                 )
 
-            return _assign_multi(fn_chunked, e.outs)
+            return _assign_multi(fn_chunked, e)
 
         def fn(eng, _arrs=arr_rds, _accs=acc_rds, _ps=pslots, _code=code, _na=n_acc):
             d = len(eng.bstack)
@@ -525,7 +581,7 @@ class _ClosureEmitter:
                 out.append(BV(np.ascontiguousarray(rd), d))
             return tuple(out)
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     def _emit_map_part(self, params, body) -> Callable:
         """Emit a redomap map part; returns ``(eng, batched_args, n) ->
@@ -568,7 +624,7 @@ class _ClosureEmitter:
                     shape = data.shape[:d] + data.shape[d + 1:]
                     return (BV(np.broadcast_to(nd, shape).copy(), d),)
 
-                return _assign_multi(empty, e.outs)
+                return _assign_multi(empty, e)
             if e.ext == 1:
                 # Specialised lowering, extent 1: a reduction over one
                 # element is that element (plus the neutral fold).
@@ -580,7 +636,7 @@ class _ClosureEmitter:
                         red = _uf(_expand(_ne(eng.regs), d), red)
                     return (BV(red, d),)
 
-                return _assign_multi(one, e.outs)
+                return _assign_multi(one, e)
             if e.ext is not None:
                 # Specialised lowering, known extent >= 2: the empty branch
                 # is dead, compile it away.
@@ -592,7 +648,7 @@ class _ClosureEmitter:
                         red = _uf(_expand(_ne(eng.regs), d), red)
                     return (BV(red, d),)
 
-                return _assign_multi(fast_nz, e.outs)
+                return _assign_multi(fast_nz, e)
 
             def fast(eng, _arrs=arr_rds, _ne=ne_rds[0], _uf=ufunc, _fold=fold):
                 d = len(eng.bstack)
@@ -607,7 +663,7 @@ class _ClosureEmitter:
                     red = _uf(_expand(_ne(eng.regs), d), red)
                 return (BV(red, d),)
 
-            return _assign_multi(fast, e.outs)
+            return _assign_multi(fast, e)
         if e.strategy == "redomap":
             ufunc = _UFUNC[e.op]
             fold = e.fold
@@ -624,7 +680,7 @@ class _ClosureEmitter:
                         red = _uf(_expand(_ne(eng.regs), d), red)
                     return (BV(red, d),)
 
-                return _assign_multi(fused_nz, e.outs)
+                return _assign_multi(fused_nz, e)
 
             def fused(eng, _arrs=arr_rds, _ne=ne_rds[0], _mp=mp, _uf=ufunc, _fold=fold):
                 d = len(eng.bstack)
@@ -639,7 +695,7 @@ class _ClosureEmitter:
                     red = _uf(_expand(_ne(eng.regs), d), red)
                 return (BV(red, d),)
 
-            return _assign_multi(fused, e.outs)
+            return _assign_multi(fused, e)
         pslots = tuple(s for s, _ in e.params)
         code = self.emit_body(e.body)
 
@@ -655,7 +711,7 @@ class _ClosureEmitter:
                 acc = list(_run_body(eng, _code))
             return tuple(acc)
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     def _emit_scan(self, e) -> Callable:
         arr_rds = tuple(_reader(a) for a in e.arrs)
@@ -674,7 +730,7 @@ class _ClosureEmitter:
                     acc = _uf(nd, acc)
                 return (BV(acc, d),)
 
-            return _assign_multi(fast, e.outs)
+            return _assign_multi(fast, e)
         if e.strategy == "redomap":
             ufunc = _UFUNC[e.op]
             fold = e.fold
@@ -692,7 +748,7 @@ class _ClosureEmitter:
                         acc = _uf(nd, acc)
                     return (BV(acc, d),)
 
-                return _assign_multi(fused_nz, e.outs)
+                return _assign_multi(fused_nz, e)
 
             def fused(eng, _arrs=arr_rds, _mp=mp, _uf=ufunc, _nes=ne_rds, _fold=fold):
                 d = len(eng.bstack)
@@ -708,7 +764,7 @@ class _ClosureEmitter:
                     acc = _uf(nd, acc)
                 return (BV(acc, d),)
 
-            return _assign_multi(fused, e.outs)
+            return _assign_multi(fused, e)
         pslots = tuple(s for s, _ in e.params)
         code = self.emit_body(e.body)
 
@@ -737,7 +793,7 @@ class _ClosureEmitter:
                 outs.append(BV(np.stack(col, axis=d), d))
             return tuple(outs)
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     def _emit_hist(self, e) -> Callable:
         rm = _int_reader(e.num_bins)
@@ -778,7 +834,7 @@ class _ClosureEmitter:
                 _uf.at(hist, isel, contrib)
                 return (BV(hist, d),)
 
-            return _assign_multi(fast, e.outs)
+            return _assign_multi(fast, e)
         if e.strategy == "redomap":
             mop = e.op
             ufunc = _UFUNC[mop]
@@ -816,7 +872,7 @@ class _ClosureEmitter:
                 _uf.at(hist, isel, contrib)
                 return (BV(hist, d),)
 
-            return _assign_multi(fused, e.outs)
+            return _assign_multi(fused, e)
         pslots = tuple(s for s, _ in e.params)
         code = self.emit_body(e.body)
 
@@ -862,7 +918,7 @@ class _ClosureEmitter:
                     h[s] = np.where(w, np.broadcast_to(nd, old.shape), old)
             return tuple(BV(h, d) for h in hists)
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     def _emit_scatter(self, e) -> Callable:
         rdest = _reader(e.dest)
@@ -893,7 +949,7 @@ class _ClosureEmitter:
             dd[sel] = np.where(w, np.broadcast_to(vdata, old.shape), old)
             return BV(dd, d)
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
     # -- control flow ---------------------------------------------------------
 
@@ -916,7 +972,7 @@ class _ClosureEmitter:
             eng.mask = saved
             return tuple(_where(c, t, f) for t, f in zip(tvals, fvals))
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     def _emit_loop(self, e) -> Callable:
         rn = _reader(e.n)
@@ -953,7 +1009,7 @@ class _ClosureEmitter:
             eng.mask = saved
             return tuple(state)
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     def _emit_while(self, e) -> Callable:
         init_rds = tuple(_reader(i) for i in e.inits)
@@ -992,7 +1048,7 @@ class _ClosureEmitter:
             eng.mask = saved
             return tuple(state)
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     # -- accumulators ---------------------------------------------------------
 
@@ -1023,7 +1079,7 @@ class _ClosureEmitter:
             out.extend(res[_na:])
             return tuple(out)
 
-        return _assign_multi(fn, e.outs)
+        return _assign_multi(fn, e)
 
     def _emit_updacc(self, e) -> Callable:
         racc = _reader(e.acc)
@@ -1059,7 +1115,7 @@ class _ClosureEmitter:
             np.add.at(acc.data, sel, vd)
             return acc
 
-        return _assign_single(fn, e.out)
+        return _assign_single(fn, e)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,8 +1169,7 @@ class Plan:
             #: Compile-time folds performed by the specialised lowering.
             self.spec_folds = ir.folds
         with _LOCK:
-            PLAN_STATS["fused_stms"] += ir.fused
-            PLAN_STATS["spec_folds"] += ir.folds
+            _count_plan(ir)
             st = EMITTER_STATS.setdefault(self.emitter_name, {"plans": 0, "emit_s": 0.0})
             st["plans"] += 1
             st["emit_s"] += tm.seconds
@@ -1484,6 +1539,15 @@ def plan_for(
         return plan
 
 
+def _count_plan(ir: PlanIR) -> None:
+    """Add one emitted plan's static totals to the counters (under ``_LOCK``)."""
+    PLAN_STATS["fused_stms"] += ir.fused
+    PLAN_STATS["spec_folds"] += ir.folds
+    with _MEM_LOCK:
+        for k, n in ir.mem.items():
+            MEM_STATS[k] += n
+
+
 def plan_cache_stats() -> Dict[str, object]:
     """A snapshot of the cache counters plus the current entry counts
     (``entries`` — generic tier, ``specialized_entries`` — specialised) and
@@ -1496,6 +1560,9 @@ def plan_cache_stats() -> Dict[str, object]:
             "entries": len(_GENERIC),
             "specialized_entries": len(_SPECIAL),
             "emitters": {k: dict(v) for k, v in EMITTER_STATS.items()},
+            # The memory plan (exec/lower.py): static sizes summed over the
+            # plans emitted, and the donations that fell back at run time.
+            "mem": dict(MEM_STATS),
             # Verification is per *lowering*, never per call: cache hits
             # reuse the verified PlanIR, so these counters stand still on
             # the hot path (asserted by the A9 overhead guard).
@@ -1529,6 +1596,8 @@ def reset_plan_cache_stats() -> None:
     with _LOCK:
         PLAN_STATS.reset()
         EMITTER_STATS.clear()
+        with _MEM_LOCK:
+            MEM_STATS.update(dict.fromkeys(MEM_STATS, 0))
 
 
 _obs_metrics.register_source("plan_cache", plan_cache_stats, reset_plan_cache_stats)

@@ -18,7 +18,7 @@ except Exception:  # pragma: no cover
 
 from ..util import ExecError
 
-__all__ = ["apply_unop", "apply_binop", "cast_to", "NEUTRAL"]
+__all__ = ["apply_unop", "apply_binop", "cast_to", "NEUTRAL", "INPLACE_OPS"]
 
 
 def _sigmoid(x):
@@ -70,6 +70,17 @@ _BINOPS = {
     "ne": np.not_equal,
     "mod": np.mod,
 }
+
+#: Ops a float operand's buffer can take the result of: implemented by a true
+#: ufunc (so ``out=`` exists) whose float loops return the operand dtype
+#: (comparisons and logic return bool; ``div``/``sigmoid`` are Python
+#: functions).  ``exec/lower.py`` marks donations only on these.
+INPLACE_OPS = frozenset(
+    name
+    for name, f in {**_UNOPS, **_BINOPS}.items()
+    if isinstance(f, np.ufunc)
+    and {"f" * f.nin + "->f", "d" * f.nin + "->d"} <= set(f.types)
+)
 
 #: Neutral elements for the specialisable commutative operators (used by the
 #: reduce/scan/hist rules and by predication in the vectorised interpreter).

@@ -25,6 +25,7 @@ extent where in-place writes require ownership.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -191,6 +192,64 @@ def _elem(f, *vs) -> BV:
             datas, k, _ = _align(list(vs))
             return BV(np.asarray(f(*datas)), k)
     return BV(np.asarray(f(*[np.asarray(v.data) for v in vs])), 0)
+
+
+#: The memory plan's counters (the ``mem`` section of ``plan_cache_stats``):
+#: three static sizes summed over the plans emitted since the last reset, and
+#: the one run-time count — donations of a buffer worth reusing whose check
+#: failed, so the op allocated.
+#: Every mutation holds ``_MEM_LOCK`` (shard thread mode runs plans in workers).
+MEM_STATS = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0,
+             "donation_fallbacks": 0}
+_MEM_LOCK = threading.Lock()
+
+
+def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
+    """Whether ``shape`` broadcasts against ``into`` without enlarging it."""
+    return len(shape) <= len(into) and all(
+        a == b or a == 1 for a, b in zip(reversed(shape), reversed(into))
+    )
+
+
+#: Smallest buffer worth computing into: glibc's default ``M_MMAP_THRESHOLD``.
+#: Below it ``malloc`` hands a just-released temporary's block straight back,
+#: so a fresh result costs less than the donation check (measured on the HAND
+#: Jacobian, 74 KB temporaries: 49 ms without donation, 53 ms with); from it
+#: up a fresh array is mapped, zero-faulted and unmapped by the kernel.
+_DONATE_MIN_BYTES = 128 * 1024
+
+
+def _elem_into(f, donate, *vs) -> BV:
+    """``_elem`` for a ufunc ``f`` whose operands at positions ``donate`` are
+    dead temporaries of a fused run (``exec/lower.py`` proved nobody else
+    holds them): write the result into the first one that is large enough to
+    matter and can hold it — float, C-contiguous, of every operand's dtype
+    and already of the result's shape, so the outcome is bitwise what a
+    fresh array would get — instead of allocating.  Otherwise exactly
+    ``_elem``."""
+    for v in vs:
+        if v.bdims:
+            datas, k, _ = _align(list(vs))
+            break
+    else:
+        datas, k = [np.asarray(v.data) for v in vs], 0
+    refused = False
+    for p in donate:
+        out = datas[p]
+        if out.nbytes < _DONATE_MIN_BYTES:
+            continue
+        dt, shape = out.dtype, out.shape
+        for d in datas:
+            if d.dtype != dt or not (d.shape == shape or _fits(d.shape, shape)):
+                break
+        else:
+            if dt.kind == "f" and out.flags.c_contiguous:
+                return BV(f(*datas, out=out), k)
+        refused = True
+    if refused:
+        with _MEM_LOCK:
+            MEM_STATS["donation_fallbacks"] += 1
+    return BV(np.asarray(f(*datas)), k)
 
 
 def _where(c: BV, t, f):

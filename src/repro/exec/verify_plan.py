@@ -17,7 +17,15 @@ of structural invariants this module checks once per lowering:
   slots;
 * **structural arities** — loop bodies return one value per loop parameter,
   ``if`` branches agree with the instruction's outputs, the while condition
-  returns a single value.
+  returns a single value;
+* **the memory plan** — no slot is read after an instruction released it, on
+  any path (a body's results included), and an instruction releases only
+  what its own body wrote or its nested bodies left bound, never a slot
+  bound outside (a loop body would read it again next iteration); inside a
+  fused run no op reads a released run-local value, and a ``donate`` mark
+  sits only on an ``out=``-capable op whose operand is run-local, owned
+  (produced by an allocating op, never handed on by ``atom``/``index``),
+  dead at that op and unexported.
 
 ``verify_codegen_source`` checks the source-codegen emitter's output: the
 generated module must parse (``ast.parse``) and must not reference any free
@@ -33,11 +41,12 @@ from __future__ import annotations
 
 import ast as _pyast
 import dis
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 from ..ir.verify import VERIFY_STATS, VerifyError, verify_mode
 from ..obs import tracing as _tracing
 from .lower import (
+    _ALLOCATING,
     IIf,
     ILoop,
     IMap,
@@ -50,6 +59,7 @@ from .lower import (
     PlanIR,
     Ref,
 )
+from .prims import INPLACE_OPS
 
 __all__ = ["verify_plan_ir", "maybe_verify_plan_ir", "verify_codegen_source"]
 
@@ -63,6 +73,9 @@ class _PlanChecker:
     def __init__(self, ir: PlanIR, where: str):
         self.ir = ir
         self.where = where
+        #: slot -> name of everything some instruction released (for telling
+        #: a read-after-release from a plain undefined read).
+        self.released: Dict[int, str] = {}
 
     def fail(self, msg: str, instr=None) -> None:
         raise VerifyError(f"plan IR: {msg}", self.where, _stm_of(instr))
@@ -93,8 +106,9 @@ class _PlanChecker:
             return
         if isinstance(r, Ref) and r.slot is not None:
             if r.slot not in defined:
+                state = "released" if r.slot in self.released else "undefined"
                 self.fail(
-                    f"read of undefined slot {r.slot} ({r.name or what!r})",
+                    f"read of {state} slot {r.slot} ({r.name or what!r})",
                     instr,
                 )
 
@@ -109,12 +123,115 @@ class _PlanChecker:
     # -- bodies -------------------------------------------------------------
 
     def check_body(self, body: PBody, defined: Set[int]) -> None:
+        """``defined`` holds what is bound on entry (binders included)."""
+        entry = frozenset(defined)
         for instr in body.instrs:
-            self.check_instr(instr, defined)
+            left = self.check_instr(instr, defined)
+            self.check_release(instr, defined, entry, left)
         self.reads(body.result, defined)
 
-    def check_instr(self, instr, defined: Set[int]) -> None:
+    def check_release(self, instr, defined: Set[int], entry, left: Set[int]) -> None:
+        """Apply ``instr.release``: ``left`` are the slots its nested bodies
+        left bound (invisible to this body, so clearing them is always
+        sound); anything else must be a slot this body wrote itself."""
+        for slot, name in instr.release:
+            if slot in left:
+                continue
+            if slot in entry:
+                self.fail(
+                    f"release of slot {slot} ({name!r}) bound outside the "
+                    f"releasing body",
+                    instr,
+                )
+            if slot not in defined:
+                self.fail(f"release of unbound slot {slot} ({name!r})", instr)
+            defined.discard(slot)
+            self.released[slot] = name
+
+    def check_run_memory(self, instr: IRun) -> None:
+        ops = instr.ops
+        exported = {idx: (slot, name) for idx, slot, name in instr.exports}
+
+        def local(x: int) -> str:
+            prov = instr.prov
+            name = prov[x].pat[0].name if len(prov) == len(ops) else "?"
+            return f"run-local value {x} ({name!r})"
+
+        # run-local value -> an op that may return it unchanged or as a view
+        handed_on = {
+            o.xs[0]: q for q, o in enumerate(ops)
+            if o.kind in ("atom", "index") and isinstance(o.xs[0], int)
+        }
+        gone: Dict[int, int] = {}
+        for pos, op in enumerate(ops):
+            for x in op.xs:
+                if isinstance(x, int) and x in gone:
+                    self.fail(
+                        f"run op {pos} reads {local(x)} released by op {gone[x]}",
+                        instr,
+                    )
+            for x in op.release:
+                if not (isinstance(x, int) and 0 <= x < pos):
+                    self.fail(f"run op {pos} releases {x!r}, not an earlier op", instr)
+                if x in exported:
+                    slot, name = exported[x]
+                    self.fail(
+                        f"run op {pos} releases {local(x)} exported to slot "
+                        f"{slot} ({name!r})",
+                        instr,
+                    )
+                gone[x] = pos
+            for p in op.donate:
+                x = op.xs[p] if 0 <= p < len(op.xs) else None
+                if isinstance(x, Ref):
+                    what = (
+                        f"register operand slot {x.slot} ({x.name!r})"
+                        if x.slot is not None else "a constant operand"
+                    )
+                    self.fail(
+                        f"run op {pos} donates {what}: only run-local "
+                        f"temporaries may be written",
+                        instr,
+                    )
+                if not isinstance(x, int):
+                    self.fail(f"run op {pos} donates operand {p}, which it lacks", instr)
+                if op.kind not in ("unop", "binop") or op.op not in INPLACE_OPS:
+                    self.fail(
+                        f"run op {pos} ({op.kind} {op.op!r}) donates {local(x)} "
+                        f"but cannot compute in place",
+                        instr,
+                    )
+                if x in exported:
+                    slot, name = exported[x]
+                    self.fail(
+                        f"run op {pos} donates {local(x)} exported to slot "
+                        f"{slot} ({name!r})",
+                        instr,
+                    )
+                if ops[x].kind not in _ALLOCATING:
+                    self.fail(
+                        f"run op {pos} donates {local(x)} produced by "
+                        f"{ops[x].kind!r}, which does not own its buffer",
+                        instr,
+                    )
+                if x not in op.release:
+                    self.fail(
+                        f"run op {pos} donates {local(x)}, which is not dead there",
+                        instr,
+                    )
+                if x in handed_on:
+                    q = handed_on[x]
+                    self.fail(
+                        f"run op {pos} donates {local(x)}, which op {q} "
+                        f"({ops[q].kind}) hands on",
+                        instr,
+                    )
+
+    def check_instr(self, instr, defined: Set[int]) -> Set[int]:
+        """Check one instruction; returns the slots its nested bodies left
+        bound (they never join ``defined``)."""
         kind = instr.kind
+        left: Set[int] = set()
         if isinstance(instr, IRun):
             for pos, op in enumerate(instr.ops):
                 for x in op.xs:
@@ -135,6 +252,7 @@ class _PlanChecker:
                         instr,
                     )
                 self.write(slot, name, defined, instr)
+            self.check_run_memory(instr)
         elif kind == "update":
             self.read(instr.arr, defined, instr)
             self.reads(instr.idx, defined, instr)
@@ -167,6 +285,7 @@ class _PlanChecker:
             inner = set(defined)
             self.bind_params(instr.params, inner, instr)
             self.check_body(instr.body, inner)
+            left = inner - defined
             if len(instr.outs) != len(instr.body.result):
                 self.fail(
                     f"map binds {len(instr.outs)} outputs for "
@@ -178,14 +297,14 @@ class _PlanChecker:
         elif isinstance(instr, IReduce):  # also IScan (subclass)
             self.reads(instr.arrs, defined, instr)
             self.reads(instr.nes, defined, instr)
-            self._check_operator_part(instr, defined)
+            left = self._check_operator_part(instr, defined)
             for slot, name in instr.outs:
                 self.write(slot, name, defined, instr)
         elif kind == "hist":
             self.read(instr.num_bins, defined, instr)
             self.reads(instr.arrs, defined, instr)
             self.reads(instr.nes, defined, instr)
-            self._check_operator_part(instr, defined)
+            left = self._check_operator_part(instr, defined)
             for slot, name in instr.outs:
                 self.write(slot, name, defined, instr)
         elif kind == "scatter":
@@ -206,6 +325,7 @@ class _PlanChecker:
             self.bind_params(instr.params, inner, instr)
             self.write(*instr.ivar, inner, instr)
             self.check_body(instr.body, inner)
+            left = inner - defined
             if len(instr.body.result) != len(instr.params):
                 self.fail(
                     f"loop body returns {len(instr.body.result)} values "
@@ -232,6 +352,7 @@ class _PlanChecker:
                     instr,
                 )
             self.check_body(instr.body, inner)
+            left = inner - defined
             if len(instr.body.result) != len(instr.params):
                 self.fail(
                     f"while body returns {len(instr.body.result)} values "
@@ -246,6 +367,7 @@ class _PlanChecker:
             self.check_body(instr.then, then_scope)
             els_scope = set(defined)
             self.check_body(instr.els, els_scope)
+            left = (then_scope | els_scope) - defined
             if len(instr.then.result) != len(instr.outs) or len(
                 instr.els.result
             ) != len(instr.outs):
@@ -262,6 +384,7 @@ class _PlanChecker:
             inner = set(defined)
             self.bind_params(instr.params, inner, instr)
             self.check_body(instr.body, inner)
+            left = inner - defined
             if len(instr.outs) != len(instr.body.result):
                 self.fail(
                     f"withacc binds {len(instr.outs)} outputs for "
@@ -277,17 +400,23 @@ class _PlanChecker:
             self.write(*instr.out, defined, instr)
         else:  # pragma: no cover - exhaustiveness guard
             self.fail(f"unknown instruction kind {kind!r}", instr)
+        return left
 
-    def _check_operator_part(self, instr, defined: Set[int]) -> None:
-        """The fused map part / generic lambda of a reduce/scan/hist."""
+    def _check_operator_part(self, instr, defined: Set[int]) -> Set[int]:
+        """The fused map part / generic lambda of a reduce/scan/hist;
+        returns the slots they left bound."""
+        left: Set[int] = set()
         if instr.mparams is not None or instr.mbody is not None:
             inner = set(defined)
             self.bind_params(instr.mparams, inner, instr)
             self.check_body(instr.mbody, inner)
+            left |= inner - defined
         if instr.params is not None or instr.body is not None:
             inner = set(defined)
             self.bind_params(instr.params, inner, instr)
             self.check_body(instr.body, inner)
+            left |= inner - defined
+        return left
 
 
 def verify_plan_ir(ir: PlanIR, where: str = "lower") -> PlanIR:

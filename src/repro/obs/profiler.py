@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..ir.analysis import ir_hash
 from ..ir.cost_model import estimate_stms
 from ..ir.pretty import pretty_exp
-from ..exec.lower import lower_fun
+from ..exec.lower import lower_fun, mem_counts
 from ..exec.plan import Plan, register_emitter
 from . import metrics, tracing
 
@@ -58,15 +58,18 @@ RANK_SEPARATION = 4.0
 
 
 class _Rec:
-    __slots__ = ("label", "kind", "prov", "fun", "schedule", "calls", "seconds")
+    __slots__ = ("label", "kind", "prov", "fun", "schedule", "mem", "calls", "seconds")
 
     def __init__(self, label: str, kind: str, prov: tuple, fun: str,
-                 schedule: str = ""):
+                 schedule: str = "", mem: Optional[Dict[str, int]] = None):
         self.label = label
         self.kind = kind
         self.prov = prov
         self.fun = fun
         self.schedule = schedule
+        #: ``exec.lower.mem_counts`` of the instruction (nested bodies
+        #: included): the size of its memory plan, fixed at emit time.
+        self.mem = mem or {}
         self.calls = 0
         self.seconds = 0.0
 
@@ -93,7 +96,7 @@ def _label_of(prov: tuple, kind: str) -> str:
 
 
 def _wrap(closure, key: tuple, label: str, kind: str, prov: tuple, fun: str,
-          schedule: str = ""):
+          schedule: str = "", mem: Optional[Dict[str, int]] = None):
     """Time one instruction closure; the record is resolved per call so
     accumulation survives ``reset_profile`` on cached plans."""
 
@@ -106,7 +109,7 @@ def _wrap(closure, key: tuple, label: str, kind: str, prov: tuple, fun: str,
             with _PLOCK:
                 rec = _DATA.get(key)
                 if rec is None:
-                    rec = _DATA[key] = _Rec(label, kind, prov, fun, schedule)
+                    rec = _DATA[key] = _Rec(label, kind, prov, fun, schedule, mem)
                 rec.calls += 1
                 rec.seconds += dt
 
@@ -137,6 +140,7 @@ class ProfilePlan(Plan):
                 ins.prov,
                 fun.name,
                 ins.schedule,
+                mem_counts((ins,)),
             )
             for i, (c, ins) in enumerate(zip(instrs, ir.body.instrs))
         )
@@ -168,7 +172,9 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
     """Rank instruction hotspots; measured vs cost-model work side by side.
 
     Returns ``{total_s, execute_span_s, coverage, by_kind, entries}``.
-    Each entry carries ``label`` / ``fun`` / ``kind`` / ``calls`` /
+    Each entry carries ``label`` / ``fun`` / ``kind`` / ``mem`` (the size of
+    the instruction's memory plan: slots released, run-local values
+    released, donating ops — nested bodies included) / ``calls`` /
     ``seconds`` / ``share`` / ``est_work`` (``estimate_stms(...).total``
     over its provenance) / ``measured_rank`` / ``est_rank`` /
     ``mispredicted``.  ``coverage`` is instruction-attributed seconds
@@ -178,17 +184,17 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
     with _PLOCK:
         recs = sorted(_DATA.values(), key=lambda r: r.seconds, reverse=True)
         recs = [
-            (r.label, r.kind, r.prov, r.fun, r.schedule, r.calls, r.seconds)
+            (r.label, r.kind, r.prov, r.fun, r.schedule, r.mem, r.calls, r.seconds)
             for r in recs
         ]
     total = sum(sec for *_, sec in recs)
     by_kind: Dict[str, float] = {}
-    for _, kind, _, _, _, _, sec in recs:
+    for _, kind, *_, sec in recs:
         by_kind[kind] = by_kind.get(kind, 0.0) + sec
 
     entries: List[Dict[str, Any]] = []
     ests: List[Optional[float]] = []
-    for label, kind, prov, fun, schedule, calls, sec in recs[: max(top_k, 0)]:
+    for label, kind, prov, fun, schedule, mem, calls, sec in recs[: max(top_k, 0)]:
         est = estimate_stms(prov).total if prov else None
         ests.append(est)
         entries.append(
@@ -197,6 +203,7 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
                 "fun": fun,
                 "kind": kind,
                 "schedule": schedule,
+                "mem": dict(mem),
                 "calls": calls,
                 "seconds": sec,
                 "share": (sec / total) if total else 0.0,
@@ -249,17 +256,19 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
             else ""
         ),
         f"{'#':>2s} {'seconds':>9s} {'share':>6s} {'calls':>7s} "
-        f"{'est work':>10s} {'est#':>4s} {'':2s} label",
+        f"{'est work':>10s} {'est#':>4s} {'rel/loc/don':>11s} {'':2s} label",
     ]
     for e in rep["entries"]:
         est = f"{e['est_work']:.3g}" if e["est_work"] is not None else "-"
         erk = str(e["est_rank"]) if e["est_rank"] is not None else "-"
         flag = "!" if e["mispredicted"] else ""
         sched = f" [{e['schedule']}]" if e.get("schedule") else ""
+        # slots released / run-local values released / donating ops
+        mem = "/".join(str(n) for n in e.get("mem", {}).values()) or "-"
         lines.append(
             f"{e['measured_rank']:2d} {e['seconds']:9.4f} "
             f"{100 * e['share']:5.1f}% {e['calls']:7d} {est:>10s} {erk:>4s} "
-            f"{flag:2s} {e['fun']}: {e['label']}{sched}"
+            f"{mem:>11s} {flag:2s} {e['fun']}: {e['label']}{sched}"
         )
     if rep["by_kind"]:
         top = sorted(rep["by_kind"].items(), key=lambda kv: kv[1], reverse=True)

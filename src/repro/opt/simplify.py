@@ -39,7 +39,7 @@ from ..ir.ast import (
     ZerosLike,
 )
 from ..ir.traversal import refresh_body, subst_exp
-from ..ir.types import BOOL, AccType, Scalar, np_dtype, rank_of
+from ..ir.types import BOOL, AccType, Scalar, is_float, np_dtype, rank_of
 from ..exec.prims import apply_binop, apply_unop, cast_to
 
 __all__ = ["simplify_fun", "simplify_body"]
@@ -122,6 +122,10 @@ class _Simplifier:
         elif e.op == "pow":
             if _is_const(y, 1):
                 return AtomExp(x)
+            if _is_const(y, 2) and is_float(y.type) and is_float(x.type):
+                # ``np.power`` calls libm per element; the square is one
+                # multiply, and its derivative ``2·x`` needs no second pow.
+                return BinOp("mul", x, x)
         return None
 
     def _fold_unop(self, e: UnOp) -> Optional[Exp]:

@@ -45,6 +45,19 @@ def test_grad_binops():
     check_grad(lambda x, y: x % y, (np.array(7.3), np.array(2.1)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_vjp_min_max_route_the_adjoint_to_the_winner(bad):
+    # The adjoint of min/max goes to the *selected* operand.  Weighting it by
+    # 0/1 masks handed the loser 0·inf = nan (the jvp side: test_ad_jvp.py).
+    for op, x, y in ((rp.minimum, 1.0, 2.0), (rp.maximum, 2.0, 1.0)):
+        rev = rp.vjp(rp.compile(rp.trace_like(lambda a, b: op(a, b), (x, y))))
+        for be in ("ref", "vec", "plan", "codegen"):
+            _, xb, yb = rev(x, y, bad, backend=be)
+            assert yb == 0.0 and (xb == bad or (np.isnan(bad) and np.isnan(xb)))
+            _, yb, xb = rev(y, x, bad, backend=be)
+            assert yb == 0.0 and (xb == bad or (np.isnan(bad) and np.isnan(xb)))
+
+
 def test_grad_select():
     check_grad(lambda x: rp.where(x > 0.0, x * x, -x), (np.array(1.5),))
     check_grad(lambda x: rp.where(x > 0.0, x * x, -x), (np.array(-1.5),))

@@ -1,0 +1,262 @@
+"""The plan executor's memory plan (`exec/lower.py`: releases and donations),
+attacked through the public API on both emitters.
+
+A released slot that is read again raises ``unbound variable`` (``plan``) or
+``UnboundLocalError``/``AttributeError`` (``codegen``); a donation that hits
+memory someone else can see changes a result or raises on a read-only array.
+So the tests below only have to *run* hostile inputs and compare results.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro as rp
+from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
+from repro.exec import plan_cache_stats, vector
+from test_fuzz_programs import _gen_program
+
+EMITTERS = ("plan", "codegen")
+
+
+NEVER = 1 << 62
+
+
+@pytest.fixture(params=[0, None], ids=["donate-all", "donate-large"])
+def donation_floor(request, monkeypatch):
+    """Run once with every donation attempted (CI-sized temporaries sit far
+    below the production size floor) and once as shipped.  Yields a setter
+    for the floor and the initial value."""
+    def set_floor(nbytes):
+        monkeypatch.setattr(vector, "_DONATE_MIN_BYTES", nbytes)
+
+    if request.param is not None:
+        set_floor(request.param)
+    return set_floor, request.param
+
+
+def _flat(res):
+    if isinstance(res, (tuple, list)):
+        return [a for r in res for a in _flat(r)]
+    return [np.asarray(res)]
+
+
+def _assert_bitwise(got, want, what):
+    got, want = _flat(got), _flat(want)
+    assert len(got) == len(want), what
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype, what
+        assert g.tobytes() == w.tobytes(), what
+
+
+# ---------------------------------------------------------------------------
+# Every app, CI size: (inputs, IR, derivative call as a user writes it)
+# ---------------------------------------------------------------------------
+
+
+def _lstm_case():
+    xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(2, 3, 4, 4, 1)
+    return (xs, wx, wh, b, wy, tg), lstm.build_ir(3, 2, 4, 4), (
+        lambda fc, inp, be: rp.grad(fc, wrt=[1, 2, 3, 4])(*inp, backend=be))
+
+
+def _ba_case():
+    cams, pts, ws, obs_cam, obs_pt, feats = datagen.ba_instance(4, 8, 16, 1)
+    gc, gp, gw = ba.gather_obs(cams, pts, ws, obs_cam, obs_pt)
+    return (gc, gp, gw, feats), ba.build_ir(16), (
+        lambda fc, inp, be: ba.jacobian_ad(rp.vjp(fc, wrt=[0, 1, 2]), *inp, backend=be))
+
+
+def _kmeans_case():
+    return datagen.kmeans_instance(3, 40, 4, 1), kmeans.build_ir(40, 3, 4), (
+        lambda fc, inp, be: (rp.grad(fc, wrt=[1])(*inp, backend=be),
+                             rp.hessian_diag(fc, wrt=1)(*inp, backend=be)))
+
+
+def _xs_case():
+    inp = datagen.xs_instance(30, 6, 16, 1)
+    return inp, xsbench.build_ir(30, 6, 16, inp[3].shape[1]), (
+        lambda fc, inp, be: rp.grad(fc, wrt=[1, 4])(*inp, backend=be))
+
+
+_APPS = {
+    "gmm": lambda: (
+        datagen.gmm_instance(16, 4, 3, 1)[:4], gmm.build_ir(16, 4, 3),
+        lambda fc, inp, be: rp.grad(fc, wrt=[0, 1, 2])(*inp, backend=be)),
+    "kmeans": _kmeans_case,
+    "kmeans_sparse": lambda: (
+        datagen.sparse_kmeans_instance(20, 12, 3, 3, 1), kmeans_sparse.build_ir(20, 3, 12),
+        lambda fc, inp, be: rp.grad(fc, wrt=[3])(*inp, backend=be)),
+    "lstm": _lstm_case,
+    "hand": lambda: (
+        datagen.hand_instance(3, 8, 1), hand.build_ir(3, 8),
+        lambda fc, inp, be: hand.jacobian_fwd_ad(rp.jvp(fc), *inp, backend=be)),
+    "ba": _ba_case,
+    "xsbench": _xs_case,
+    "rsbench": lambda: (
+        datagen.rs_instance(40, 12, 4, 1), rsbench.build_ir(40, 4, 12),
+        lambda fc, inp, be: rp.grad(fc, wrt=[2, 3])(*inp, backend=be)),
+}
+
+
+def _app(name):
+    inp, ir, call = _APPS[name]()
+    return tuple(np.asarray(a) for a in inp), rp.compile(ir), call
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+@pytest.mark.parametrize("name", sorted(_APPS))
+def test_apps_never_write_their_inputs(name, emitter, donation_floor):
+    inp, fc, call = _app(name)
+    want = (fc(*inp, backend=emitter), call(fc, inp, emitter))
+    frozen = tuple(a.copy() for a in inp)
+    for a in frozen:
+        a.setflags(write=False)
+    got = (fc(*frozen, backend=emitter), call(fc, frozen, emitter))
+    _assert_bitwise(got, want, f"{name}/{emitter}: read-only inputs change the result")
+    _assert_bitwise(frozen, inp, f"{name}/{emitter}: inputs were written")
+    set_floor, floor = donation_floor
+    if floor == 0:
+        # ...and computing into dead temporaries changes no bit
+        set_floor(NEVER)
+        plain = (fc(*inp, backend=emitter), call(fc, inp, emitter))
+        _assert_bitwise(got, plain, f"{name}/{emitter}: donation changed a result")
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+@pytest.mark.parametrize("name", ["gmm", "kmeans", "lstm", "ba"])
+def test_results_are_the_callers_to_overwrite(name, emitter, donation_floor):
+    # Nothing survives a call: scribbling over a returned derivative must not
+    # reach a buffer the next call reads.
+    inp, fc, call = _app(name)
+    first = call(fc, inp, emitter)
+    keep = [a.copy() for a in _flat(first)]
+    for a in _flat(first):
+        if a.ndim and a.flags.writeable:
+            a.fill(np.nan)
+    _assert_bitwise(call(fc, inp, emitter), keep, f"{name}/{emitter}: second call differs")
+
+
+# ---------------------------------------------------------------------------
+# Control flow with releases on: re-entered bodies, masks, folds, chunks
+# ---------------------------------------------------------------------------
+
+
+def _while_prog(xs):
+    def per(x):
+        v, s = rp.while_loop(
+            lambda v, s: v < 6.0, lambda v, s: (v * 1.5 + 0.1, s + rp.sin(v) * v), (x * x + 0.2, 0.0))
+        return s + v
+
+    return rp.sum(rp.map(per, xs))
+
+
+def _masked_if_prog(xs):
+    def per(x):
+        y = x * x - 0.3
+        return rp.cond(y > 0.2, lambda: rp.exp(-y) * x + y, lambda: rp.cond(
+            x > 0.0, lambda: y - x, lambda: rp.tanh(y) * y))
+
+    return rp.sum(rp.map(per, xs))
+
+
+def _generic_fold_prog(xs):
+    # a coupled (value, index) fold stays on the generic strategy
+    idx = rp.map(lambda i: rp.astype(i, rp.F64), rp.iota(rp.size(xs)))
+    v, i = rp.reduce(
+        lambda a, ai, b, bi: (rp.minimum(a, b), rp.where(a <= b, ai, bi)),
+        (np.inf, -1.0), rp.map(lambda x: rp.sin(x) * x, xs), idx)
+    return v * 2.0 + i
+
+
+def _loop_prog(xs):
+    def per(x):
+        return rp.fori_loop(4, lambda i, a: rp.tanh(a * 0.8 + x) + a * x, x)
+
+    return rp.sum(rp.map(per, xs))
+
+
+def _seq_map_prog(xs):
+    return rp.map(lambda x: rp.sin(x) * x + rp.exp(-x * x), xs)
+
+
+#: name -> (program, schedule, derivative).  The coupled fold has no reverse
+#: rule and the map returns an array: those two differentiate forward.
+_CONTROL = {
+    "while": (_while_prog, None, rp.grad),
+    "masked_if": (_masked_if_prog, None, rp.grad),
+    "generic_fold": (_generic_fold_prog, None, rp.jvp),
+    "loop": (_loop_prog, None, rp.grad),
+    "sequential_map": (_seq_map_prog, "sequential(4)·vectorized", rp.jvp),
+    **{f"fuzz{seed}": (_gen_program(seed), None, rp.grad) for seed in (0, 1, 2, 3, 5, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTROL))
+def test_control_flow_with_releases_matches_ref(name, donation_floor):
+    prog, schedule, transform = _CONTROL[name]
+    xs = np.random.default_rng(7).standard_normal(11) * 0.9
+    fc = rp.compile(rp.trace_like(prog, (xs,)), schedule=schedule)
+    args = (xs, np.cos(xs)) if transform is rp.jvp else (xs,)
+    deriv = transform(fc)
+    want, dwant = fc(xs, backend="ref"), deriv(*args, backend="ref")
+    for emitter in EMITTERS:
+        np.testing.assert_allclose(fc(xs, backend=emitter), want, rtol=1e-12, atol=1e-12)
+        for got, ref in zip(_flat(deriv(*args, backend=emitter)), _flat(dwant)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+    _assert_bitwise(deriv(*args, backend="plan"), deriv(*args, backend="codegen"), name)
+
+
+def test_a_large_dead_temporary_is_computed_into():
+    # Above the size floor the shipped configuration donates: the chain below
+    # allocates its first product and then works in that one buffer.
+    xs = np.random.default_rng(0).standard_normal(64 * 1024)
+    fc = rp.compile(rp.trace_like(
+        lambda v: rp.map(lambda x: rp.sin(x * x + 1.0) * x - x * 0.5, v), (xs,)))
+    want = fc(xs, backend="ref")
+    for emitter in EMITTERS:
+        fc(xs, backend=emitter)  # lowered and cached
+        before = plan_cache_stats()["mem"]["donation_fallbacks"]
+        tracemalloc.start()
+        try:
+            got = fc(xs, backend=emitter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert plan_cache_stats()["mem"]["donation_fallbacks"] == before
+        # x*x, x*0.5 and the result: three live arrays at most, not six
+        assert peak < 3.5 * xs.nbytes, peak / xs.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Deterministic memory guard (no timer): peak traced allocation of one call
+# ---------------------------------------------------------------------------
+
+
+def _peak_mb(fn) -> float:
+    fn()  # lowered, cached, promoted or not: the measured call is a cached one
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_hessian_call_peaks_under_16_mb():
+    # (k, n, d) = (8, 1000, 32) is the `kmeans_newton` benchmark size: one
+    # (n, k, d) float64 temporary is 1.95 MB.  The register file used to keep
+    # every one of them until the call returned (32.6 MB).
+    pts, ctr = datagen.kmeans_instance(8, 1000, 32, 0)
+    h = rp.hessian_diag(rp.compile(kmeans.build_ir(1000, 8, 32)), wrt=1)
+    assert _peak_mb(lambda: h(pts, ctr)) <= 16.0
+
+
+def test_lstm_gradient_call_peak_no_higher_than_before_the_memory_plan():
+    # (bs, n, d, h) = (16, 12, 10, 16), the `lstm_grad` benchmark size; the
+    # executor without a memory plan peaked at 1.66 MB here (0.35 with).
+    xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(16, 12, 10, 16, 0)
+    g = rp.grad(rp.compile(lstm.build_ir(12, 16, 10, 16)), wrt=[1, 2, 3, 4])
+    assert _peak_mb(lambda: g(xs, wx, wh, b, wy, tg)) <= 1.66

@@ -228,8 +228,11 @@ def test_profile_report_gmm_gradient(monkeypatch):
         assert e["label"] and e["kind"]
         assert e["measured_rank"] >= 1
         assert "est_work" in e and "est_rank" in e and "mispredicted" in e
+        # the size of each instruction's memory plan rides along
+        assert set(e["mem"]) == {"released_slots", "run_local_releases", "donating_ops"}
+    assert sum(e["mem"]["released_slots"] for e in rep["entries"]) > 0
     txt = profiler.format_profile_report(rep)
-    assert "est work" in txt and "%" in txt
+    assert "est work" in txt and "%" in txt and "rel/loc/don" in txt
 
 
 def test_write_profile_json(tmp_path, monkeypatch):
@@ -277,6 +280,56 @@ def test_snapshot_covers_all_stats_surfaces():
         assert section in snap, section
     assert snap["plan_cache"].keys() >= {"hits", "misses"}
     assert "passes" in snap["opt"] and "cache" in snap["opt"]
+
+
+def test_mem_section_counts_the_memory_plan():
+    from repro.exec.lower import lower_fun
+
+    xs = np.linspace(0.0, 1.0, 8)
+    fc = rp.compile(rp.trace_like(
+        lambda v: rp.sum(rp.map(lambda x: rp.sin(x * x + 1.0) * x, v)), (xs,),
+        name="obs_mem_demo"))
+    reset_plan_cache_stats()
+    clear_plan_cache()
+    fc(xs, backend="plan")
+    mem = plan_cache_stats()["mem"]
+    # static sizes, fixed when the plan was emitted: exactly the lowering's
+    assert {k: mem[k] for k in lower_fun(fc.fun).mem} == lower_fun(fc.fun).mem
+    assert mem["released_slots"] > 0 and mem["run_local_releases"] > 0
+    assert mem["donating_ops"] > 0 and mem["donation_fallbacks"] == 0
+    fc(xs, backend="plan")  # a cached call emits nothing: the sizes stand still
+    assert plan_cache_stats()["mem"] == mem
+    assert obs.snapshot()["plan_cache"]["mem"] == mem
+    reset_plan_cache_stats()
+    assert set(plan_cache_stats()["mem"].values()) == {0}
+
+
+def test_donation_fallbacks_count_refused_large_buffers(monkeypatch):
+    from repro.exec import vector
+    from repro.exec.vector import BV, _elem_into
+
+    monkeypatch.setattr(vector, "_DONATE_MIN_BYTES", 64)
+    reset_plan_cache_stats()
+    a, b = np.arange(16.0), np.arange(16.0)
+    out = _elem_into(np.add, (0,), BV(a, 0), BV(b, 0))
+    assert out.data is a and plan_cache_stats()["mem"]["donation_fallbacks"] == 0
+    # a donor the result does not fit into, one of another dtype, a strided
+    # one: each allocates, leaves the donor alone and is counted ...
+    row = np.arange(16.0).reshape(1, 16)
+    cases = [
+        (row, np.ones((2, 16))), (np.arange(16.0), np.arange(16)),
+        (np.arange(32.0)[::2], np.arange(16.0)), (np.arange(16), np.arange(16)),
+    ]
+    for n, (x, y) in enumerate(cases, start=1):
+        keep = x.copy()
+        got = _elem_into(np.add, (0,), BV(x, 0), BV(y, 0))
+        assert got.data is not x and np.array_equal(x, keep)
+        np.testing.assert_array_equal(got.data, x + y)
+        assert plan_cache_stats()["mem"]["donation_fallbacks"] == n
+    # ... a buffer below the size floor is not worth an attempt, so not a refusal
+    small = np.arange(4.0)
+    assert _elem_into(np.add, (0,), BV(small, 0), BV(small, 0)).data is not small
+    assert plan_cache_stats()["mem"]["donation_fallbacks"] == len(cases)
 
 
 def test_reset_plan_cache_stats_keeps_plans():

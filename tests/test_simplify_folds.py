@@ -139,3 +139,79 @@ def test_length_fold_ignores_a_sibling_scopes_definition_of_the_name():
     got = rp.compile(out, optimize=False)(np.ones((2, 5)), backend="ref")
     np.testing.assert_array_equal(got[0], [3, 3])
     np.testing.assert_array_equal(got[1], [5, 5])
+
+
+# ---------------------------------------------------------------------------
+# `pow` by a float constant 2 is a multiply
+# ---------------------------------------------------------------------------
+
+
+def test_pow_two_becomes_a_multiply_before_ad():
+    fo = rp.compile(rp.trace_like(lambda x: x**2.0 + x**1.0, (1.5,)))
+    ops = [s.exp.op for s in fo.fun.body.stms]
+    assert ops == ["mul", "add"], ops
+    assert fo.fun.body.stms[0].exp.x == fo.fun.body.stms[0].exp.y
+    # the derivative is 2·x with no pow (and no log) anywhere
+    g = rp.grad(fo)
+    assert "pow" not in {getattr(s.exp, "op", None) for s in g.adfun.fun.body.stms}
+    for x in (1.5, -0.0, np.inf, np.nan):
+        for be in BACKENDS:
+            np.testing.assert_array_equal(fo(x, backend=be), np.float64(x) * x + x)
+            np.testing.assert_array_equal(g(x, backend=be), np.float64(2.0) * x + 1.0)
+    # integer bases and other exponents keep their pow
+    fi = rp.compile(rp.trace_like(lambda i, x: rp.astype(i**2, rp.F64) + x**3.0, (np.int64(3), 1.5)))
+    assert [s.exp.op for s in fi.fun.body.stms if hasattr(s.exp, "op")].count("pow") == 2
+
+
+def test_pow_rewrite_matches_the_unrewritten_apps(monkeypatch):
+    from repro.apps import datagen, gmm, kmeans
+    from repro.opt import simplify
+    from repro.opt.pipeline import clear_opt_cache
+
+    pts, ctr = datagen.kmeans_instance(3, 40, 4, seed=5)
+    ginp = datagen.gmm_instance(16, 4, 3, seed=2)[:4]
+
+    def derive():
+        clear_opt_cache()
+        fk = rp.compile(kmeans.build_ir(40, 3, 4))
+        fg = rp.compile(gmm.build_ir(16, 4, 3))
+        pows = sum(
+            getattr(s.exp, "op", None) == "pow"
+            for s in _all_stms(fk.fun.body)
+        )
+        return pows, [
+            fk(pts, ctr), *rp.grad(fk, wrt=[1])(pts, ctr),
+            rp.hessian_diag(fk, wrt=1)(pts, ctr), *rp.grad(fg, wrt=[0, 1, 2])(*ginp),
+        ]
+
+    pows_on, on = derive()
+    fold = simplify._Simplifier._fold_binop
+    monkeypatch.setattr(
+        simplify._Simplifier, "_fold_binop",
+        lambda self, e: None if e.op == "pow" and simplify._is_const(e.y, 2) else fold(self, e),
+    )
+    pows_off, off = derive()
+    monkeypatch.undo()
+    clear_opt_cache()
+    assert (pows_on, pows_off) == (0, 1)
+    # x·x is correctly rounded, libm's pow(x, 2) to within an ulp: the two
+    # programs differ by at most one ulp per squared term they sum.
+    for a, b in zip(on, off):
+        a, b = np.asarray(a), np.asarray(b)
+        np.testing.assert_allclose(a, b, rtol=0, atol=np.finfo(a.dtype).eps * np.abs(b).max() * 8)
+
+
+def _all_stms(body):
+    from repro.ir.ast import If, Loop, WhileLoop
+    from repro.ir.traversal import exp_lambdas
+
+    for s in body.stms:
+        yield s
+        e = s.exp
+        subs = [lam.body for lam in exp_lambdas(e)]
+        if isinstance(e, (Loop, WhileLoop)):
+            subs.append(e.body)
+        elif isinstance(e, If):
+            subs += [e.then, e.els]
+        for b in subs:
+            yield from _all_stms(b)

@@ -360,6 +360,145 @@ def test_plan_duplicate_param_slot_rejected(monkeypatch):
         verify_plan_ir(ir)
 
 
+# -- the memory plan: releases and donations --------------------------------
+
+
+def _mem_prog(x, v):
+    # `a` is read by the first run and again by the map, which therefore
+    # carries its release; the run's interior values die inside it, most of
+    # them into a donation.
+    a = x * x + 1.0
+    t = rp.sin(a * x) * rp.cos(a + x) + a
+    return rp.sum(rp.map(lambda e: e * t + a, v)) + v[0] * t
+
+
+def _reads_slot(ins, slot) -> bool:
+    from repro.exec.lower import nested_bodies
+
+    refs = [x for o in getattr(ins, "ops", ()) for x in o.xs if isinstance(x, Ref)]
+    for attr in ("arrs", "accs", "nes", "inits"):
+        refs += list(getattr(ins, attr, ()) or ())
+    if any(r.slot == slot for r in refs):
+        return True
+    return any(
+        _reads_slot(sub, slot) or any(r.slot == slot for r in b.result)
+        for b in nested_bodies(ins) for sub in b.instrs
+    )
+
+
+def test_plan_release_before_last_read_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    instrs = ir.body.instrs
+    # a slot released by the instruction that reads it last, with an earlier
+    # reader to move the release to
+    for i, ins in enumerate(instrs):
+        for slot, name in ins.release:
+            earlier = [k for k in range(i) if _reads_slot(instrs[k], slot)]
+            if earlier and _reads_slot(ins, slot):
+                ins.release = tuple(r for r in ins.release if r[0] != slot)
+                instrs[earlier[0]].release += ((slot, name),)
+                with pytest.raises(
+                    VerifyError, match=rf"read of released slot {slot} \('{name}'\)"
+                ):
+                    verify_plan_ir(ir)
+                return
+    raise AssertionError("no release with an earlier reader in the plan")
+
+
+def test_plan_release_of_body_result_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    res = ir.body.result[0]
+    ir.body.instrs[-1].release += ((res.slot, res.name),)
+    with pytest.raises(
+        VerifyError, match=rf"read of released slot {res.slot} \('{res.name}'\)"
+    ):
+        verify_plan_ir(ir)
+    # ... and of a nested body's result, which its instruction still copies
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    body = next(i for i in ir.body.instrs if i.kind == "map").body
+    res = body.result[0]
+    body.instrs[-1].release += ((res.slot, res.name),)
+    with pytest.raises(VerifyError, match=rf"read of released slot {res.slot} "):
+        verify_plan_ir(ir)
+
+
+def test_plan_release_of_outer_slot_from_a_loop_body_rejected(monkeypatch):
+    # the body would read it again on the next iteration
+    ir = _lowered(
+        lambda x: rp.fori_loop(3, lambda i, a: a * x + 1.0, x), (2.0,), monkeypatch
+    )
+    loop = next(i for i in ir.body.instrs if isinstance(i, ILoop))
+    slot, name = ir.param_slots[0], ir.fun.params[0].name
+    loop.body.instrs[-1].release += ((slot, name),)
+    with pytest.raises(
+        VerifyError, match=rf"release of slot {slot} \('{name}'\) bound outside"
+    ):
+        verify_plan_ir(ir)
+
+
+def _donating(run: IRun):
+    return next((pos, op) for pos, op in enumerate(run.ops) if op.donate)
+
+
+def _big_run(ir: PlanIR) -> IRun:
+    return max((i for i in ir.body.instrs if isinstance(i, IRun)), key=lambda r: len(r.ops))
+
+
+def test_plan_donate_exported_local_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = _donating(run)
+    donor = op.xs[op.donate[0]]
+    name = run.prov[donor].pat[0].name
+    run.exports += ((donor, ir.nslots - 1, name),)
+    with pytest.raises(VerifyError, match=rf"exported to slot {ir.nslots - 1} \('{name}'\)"):
+        verify_plan_ir(ir)
+
+
+@pytest.mark.parametrize("kind", ["index", "atom"])
+def test_plan_donate_non_owning_local_rejected(kind, monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = _donating(run)
+    donor = op.xs[op.donate[0]]
+    run.ops[donor].kind = kind  # the value is now a view / a forwarded operand
+    name = run.prov[donor].pat[0].name
+    with pytest.raises(
+        VerifyError,
+        match=rf"donates run-local value {donor} \('{name}'\) produced by '{kind}'",
+    ):
+        verify_plan_ir(ir)
+
+
+def test_plan_donate_register_operand_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = next(
+        (pos, op) for pos, op in enumerate(run.ops)
+        if op.kind == "binop" and any(isinstance(x, Ref) and x.slot is not None for x in op.xs)
+    )
+    p = next(p for p, x in enumerate(op.xs) if isinstance(x, Ref) and x.slot is not None)
+    op.donate = (p,)
+    reg = op.xs[p]
+    with pytest.raises(
+        VerifyError,
+        match=rf"donates register operand slot {reg.slot} \('{reg.name}'\)",
+    ):
+        verify_plan_ir(ir)
+
+
+def test_plan_donate_live_local_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = _donating(run)
+    donor = op.xs[op.donate[0]]
+    # a later op reads the donated value: it is not dead at `pos`
+    later = next(o for o in run.ops[pos + 1:] if o.kind == "binop")
+    later.xs = (donor,) + tuple(later.xs[1:])
+    with pytest.raises(VerifyError, match=rf"reads run-local value {donor} .* released by op {pos}"):
+        verify_plan_ir(ir)
+
+
 def test_codegen_free_name_rejected():
     src = "def _plan_main(x):\n    return np.sin(x)\n"
     with pytest.raises(VerifyError, match="free name 'np'"):
