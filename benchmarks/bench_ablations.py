@@ -7,9 +7,8 @@ A4  §5.1 specialised reduce rules vs the general two-scan rule;
 A5  SOAC fusion on/off on the GMM gradient (the pass-registry flag);
 A6  shard on/off on the GMM full Jacobian (batched forward seeds as the
     shard axis, plan backend vs the sharded executor);
-A7  plan-cache tier-2 specialisation on/off: a ≥5-signature shape sweep of
-    one Fun (one tier-1 generic lowering) and Table 1 workloads, generic
-    vs shape-specialised plans;
+A7  retired with tier-2 plan specialisation (its shape-sweep invariant is
+    tests/test_plan_cache.py);
 A8  static cost model on/off: cost-guided fusion (REPRO_FUSE_COST=on) vs
     monotone fusion (=always) on the Table 5 GMM gradient and Table 3
     kmeans gradient, and cost-derived shard chunk sizing vs the static
@@ -32,7 +31,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-from repro.apps import ba, datagen, gmm, kmeans, lstm
+from repro.apps import datagen, gmm, kmeans, lstm
 from repro.core.api import vjp
 from repro.exec.cost import CostRecorder
 from repro.exec.interp import RefInterp
@@ -40,7 +39,7 @@ from repro.frontend.function import Compiled
 from repro.ir import count_soacs, count_stms
 from repro.opt.pipeline import AD_SAFE_PASSES, optimize_fun
 from repro.core.vjp import vjp_fun
-from common import BENCH_BACKEND, ba_setup, bench_row, timeit, write_table
+from common import BENCH_BACKEND, bench_row, timeit, write_table
 
 rng = np.random.default_rng(0)
 
@@ -311,109 +310,6 @@ def test_ablation_a6_shard(benchmark, sharded_on, gmm_full_jacobian, monkeypatch
         # deliver it; smaller boxes record the measurement without asserting.
         if (os.cpu_count() or 1) >= 4 and st["mode"] == "thread":
             assert speedup >= 1.5
-
-
-# --- A7: plan-cache tier-2 specialisation on/off -------------------------------------
-
-#: ≥5 distinct shape signatures of ONE Fun.  The app IRs bake their extents
-#: at trace time (iota constants), so the sweep uses a size-polymorphic
-#: GMM-style log-sum-exp kernel; the Table 1 workloads below measure the
-#: specialised-vs-generic wall clock at their (fixed) bench sizes.
-A7_SIZES = (24, 32, 48, 64, 96)
-
-
-@pytest.fixture(scope="module")
-def a7_workloads():
-    rng7 = np.random.default_rng(7)
-
-    def kernel(xs, ws):
-        return rp.sum(
-            rp.map(lambda x: rp.log(rp.sum(rp.map(lambda w: rp.exp(x * w), ws))), xs)
-        )
-
-    g_sweep = vjp(
-        rp.compile(rp.trace_like(kernel, (np.ones(8), np.ones(16)))), wrt=[0, 1]
-    )
-    sweep_args = [
-        (rng7.standard_normal(n), rng7.standard_normal(16), 1.0) for n in A7_SIZES
-    ]
-    n, d, K = GMM_A5
-    gmm_args = datagen.gmm_instance(n, d, K, 0)[:4] + (1.0,)
-    g_gmm = vjp(rp.compile(gmm.build_ir(n, d, K)), wrt=[0, 1, 2])
-    (gc, gp, gw, feats), _fc, _jv, jv_raw = ba_setup(16, 64, 256)
-    ba_jac = lambda: ba.jacobian_ad(jv_raw, gc, gp, gw, feats, backend="plan")
-    return (g_sweep, sweep_args), (g_gmm, gmm_args), ba_jac
-
-
-def test_ablation_a7_plan_specialize(benchmark, a7_workloads, monkeypatch):
-    from repro.exec.plan import clear_plan_cache, plan_cache_stats
-
-    (g_sweep, sweep_args), (g_gmm, gmm_args), ba_jac = a7_workloads
-
-    def sweep():
-        for a in sweep_args:
-            g_sweep(*a, backend="plan")
-
-    def table1():
-        g_gmm(*gmm_args, backend="plan")
-        ba_jac()
-
-    def measure():
-        clear_plan_cache()
-        sweep(); table1()  # lower the generic plans
-        sweep(); table1()  # hit (and, when enabled, promote)
-        t_sweep = timeit(sweep)
-        t_t1 = timeit(table1)
-        res = [np.asarray(g_sweep(*a, backend="plan")[1]) for a in sweep_args]
-        return t_sweep, t_t1, res, plan_cache_stats()
-
-    monkeypatch.setenv("REPRO_PLAN_SPECIALIZE", "0")
-    tg_sweep, tg_t1, res_gen, st_gen = measure()
-    # the tier-1 acceptance invariant: one generic lowering serves all
-    # >=5 signatures of the swept Fun (checked in isolation)
-    clear_plan_cache()
-    sweep()
-    st_iso = plan_cache_stats()
-    assert st_iso["misses"] == 1, st_iso
-    assert st_iso["hits"] == len(A7_SIZES) - 1, st_iso
-
-    monkeypatch.setenv("REPRO_PLAN_SPECIALIZE", "1")
-    monkeypatch.setenv("REPRO_PLAN_SPECIALIZE_AFTER", "1")
-    ts_sweep, ts_t1, res_spec, st_spec = measure()
-    assert st_spec["promotions"] >= len(A7_SIZES), st_spec
-    assert st_spec["spec_folds"] > 0, st_spec
-    # specialised and generic plans agree bitwise
-    for a, b in zip(res_gen, res_spec):
-        np.testing.assert_array_equal(a, b)
-
-    benchmark(sweep)
-    write_table(
-        "ablation_a7_specialize",
-        [
-            "A7: plan-cache tier-2 specialisation on/off (REPRO_PLAN_SPECIALIZE)",
-            f"shape sweep {A7_SIZES} of one Fun: generic {tg_sweep*1000:.1f} ms, "
-            f"specialised {ts_sweep*1000:.1f} ms ({tg_sweep/ts_sweep:.2f}x); "
-            f"1 generic lowering, {st_spec['promotions']} promotions, "
-            f"{st_spec['spec_folds']} folds",
-            f"Table 1 (GMM grad {GMM_A5} + BA jac (16,64,256)): generic "
-            f"{tg_t1*1000:.1f} ms, specialised {ts_t1*1000:.1f} ms "
-            f"({tg_t1/ts_t1:.2f}x)",
-            "tier 1 lowers once per rank/dtype signature (misses==1 across the",
-            "sweep); tier 2 folds Size/iota/extent constants per concrete shape",
-            "and must be wall-clock no slower than generic (bitwise-equal results).",
-        ],
-        rows=[
-            bench_row("sweep/generic", seconds=tg_sweep, backend="plan"),
-            bench_row("sweep/specialized", seconds=ts_sweep, backend="plan",
-                      promotions=st_spec["promotions"],
-                      spec_folds=st_spec["spec_folds"]),
-            bench_row("table1_gmm_ba/generic", seconds=tg_t1, backend="plan"),
-            bench_row("table1_gmm_ba/specialized", seconds=ts_t1, backend="plan"),
-        ],
-    )
-    # "no slower than generic", with headroom for interpreter noise
-    assert ts_sweep <= tg_sweep * 1.25, (ts_sweep, tg_sweep)
-    assert ts_t1 <= tg_t1 * 1.25, (ts_t1, tg_t1)
 
 
 # --- A8: cost-model-guided decisions vs static heuristics ----------------------------

@@ -9,8 +9,8 @@ and records the paper's reported numbers next to ours.
 All "ours" rows run on the plan-compiled backend by default (lowered once,
 cached per shape signature — see ``repro.exec.plan``), which is what the
 paper's compiled-bulk-code numbers correspond to.  ``REPRO_BENCH_BACKEND``
-selects any registered backend instead: ``vec``/``ref`` to measure the
-interpreters, ``codegen`` to run plan IR rendered to compiled Python source
+selects any registered backend instead: ``ref`` to measure the
+interpreter, ``codegen`` to run plan IR rendered to compiled Python source
 (no per-instruction dispatch, bitwise-equal to ``plan``), ``shard`` to
 spread the dominant SOAC (and the batched seed axes) across the worker
 pool (``REPRO_SHARD_WORKERS``/``REPRO_SHARD_MODE``).

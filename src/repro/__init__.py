@@ -2,7 +2,7 @@
 
 A from-scratch reproduction of "AD for an Array Language with Nested
 Parallelism" (Schenck, Rønning, Henriksen, Oancea; SC 2022).  See README.md
-for a tour and DESIGN.md for the system inventory.
+for a tour and the system inventory.
 
 Quick taste::
 

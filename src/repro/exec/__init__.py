@@ -1,26 +1,23 @@
-"""Executors: reference interpreter, vectorised SIMT simulator, the plan
-family (shared lowering in ``lower``, closure emitter in ``plan``, source
-codegen emitter in ``codegen``), the sharded parallel executor, and the
-cost model — all resolvable by name through the backend registry."""
+"""Executors: the reference interpreter (the oracle), the plan family
+(shared lowering in ``lower``, closure emitter in ``plan``, source codegen
+emitter in ``codegen``, batched-value helpers in ``vector``), the sharded
+parallel executor, and the cost model — all resolvable by name through the
+backend registry."""
 from .codegen import (  # noqa: F401
     CodegenPlan,
-    compile_codegen,
     run_fun_codegen,
     run_fun_codegen_batched,
 )
 from .cost import Cost, CostRecorder  # noqa: F401
 from .interp import RefInterp, run_fun  # noqa: F401
-from .lower import PlanIR, lower_fun, lower_specialized  # noqa: F401
+from .lower import PlanIR, lower_fun  # noqa: F401
 from .plan import (  # noqa: F401
     Plan,
     clear_plan_cache,
-    compile_plan,
     plan_cache_stats,
     plan_for,
     run_fun_plan,
     run_fun_plan_batched,
-    specialize_enabled,
-    specialized_plan,
 )
 from .registry import (  # noqa: F401
     Backend,
@@ -39,4 +36,3 @@ from .shard import (  # noqa: F401
     shutdown_shard_pool,
 )
 from .values import AccVal, coerce_arg, zeros_of  # noqa: F401
-from .vector import VecInterp, run_fun_vec, run_fun_vec_batched  # noqa: F401

@@ -13,7 +13,7 @@ This emitter removes the dispatch entirely.  It renders the **same plan IR**
   indexing, no unbound checks on the hot path;
 * fused scalar runs become straight-line expressions over locals;
 * SOAC fast paths become the direct NumPy call sequences, with ufuncs,
-  dtypes, prebuilt iotas and constant ``BV``s injected as compile-time
+  dtypes and constant ``BV``s injected as compile-time
   constants (``_K3``) through the exec namespace;
 * control flow becomes real Python ``for``/``while``/``if`` — only ``If``
   branches get nested ``def``s (each branch body is emitted once and the
@@ -23,8 +23,8 @@ This emitter removes the dispatch entirely.  It renders the **same plan IR**
   but with zero closure dispatch per statement.
 
 The source is ``compile()``/``exec()``d once per plan and the resulting
-code object lives in the ordinary two-tier plan cache (same keys, same
-promotion logic — ``plan_for(..., backend="codegen")``).  Because lowering
+code object lives in the ordinary plan cache (same keys —
+``plan_for(..., backend="codegen")``).  Because lowering
 is shared and every instruction template transliterates the interpreter's
 closure body, the generated function performs the **same NumPy calls in the
 same order** — results are bitwise identical to the plan backend, which the
@@ -48,22 +48,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ir.analysis import StaticInfo, infer_static_shapes, ir_hash
+from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
 from ..ir.types import np_dtype
 from ..obs import tracing as _obs_tracing
 from ..util import ExecError, env_capacity
 from . import values as _values
-from .lower import (
-    IntRef,
-    PlanIR,
-    Ref,
-    check_spec_sig,
-    lower_fun,
-    nested_bodies,
-    plan_schedules,
-    spec_signature,
-)
+from .lower import IntRef, PlanIR, Ref, lower_fun, nested_bodies, plan_schedules
 from .plan import (
     EMITTER_STATS,
     _count_plan,
@@ -93,7 +84,6 @@ from .vector import (
 
 __all__ = [
     "CodegenPlan",
-    "compile_codegen",
     "run_fun_codegen",
     "run_fun_codegen_batched",
 ]
@@ -284,9 +274,6 @@ class _SrcEmitter:
         self.w(f"s{e.out[0]} = BV({ad}, {k})")
 
     def _emit_iota(self, e) -> None:
-        if e.prebuilt is not None:
-            self.w(f"s{e.out[0]} = BV({self.const(e.prebuilt)}.copy(), 0)")
-            return
         self.w(
             f"s{e.out[0]} = BV(np.arange({self.int_expr(e.n)}, "
             f"dtype={self.const(e.dtype)}), 0)"
@@ -315,9 +302,6 @@ class _SrcEmitter:
         )
 
     def _emit_size(self, e) -> None:
-        if e.const is not None:
-            self.w(f"s{e.out[0]} = {self.const(e.const)}")
-            return
         v = self.ref(e.arr)
         self.w(f"if isinstance({v}, AccBV):")
         self.w(
@@ -471,27 +455,6 @@ class _SrcEmitter:
             ne = self.ref(e.nes[0])
             uf = self.const(_UFUNC[e.op])
             red = self.fresh("red")
-            if e.ext == 0:
-                data, nd = self.fresh("dd"), self.fresh("nd")
-                self.w(f"{data} = np.asarray({args}[0].data)")
-                self.w(f"{nd} = _expand({ne}, {d})")
-                self.w(
-                    f"s{out} = BV(np.broadcast_to({nd}, {data}.shape[:{d}] "
-                    f"+ {data}.shape[{d} + 1:]).copy(), {d})"
-                )
-                return
-            if e.ext == 1:
-                self.w(f"{red} = np.take(np.asarray({args}[0].data), 0, axis={d})")
-                if e.fold:
-                    self.w(f"{red} = {uf}(_expand({ne}, {d}), {red})")
-                self.w(f"s{out} = BV({red}, {d})")
-                return
-            if e.ext is not None:
-                self.w(f"{red} = {uf}.reduce(np.asarray({args}[0].data), axis={d})")
-                if e.fold:
-                    self.w(f"{red} = {uf}(_expand({ne}, {d}), {red})")
-                self.w(f"s{out} = BV({red}, {d})")
-                return
             data, nd = self.fresh("dd"), self.fresh("nd")
             self.w(f"{data} = np.asarray({args}[0].data)")
             self.w(f"if {data}.shape[{d}] == 0:")
@@ -511,13 +474,6 @@ class _SrcEmitter:
             uf = self.const(_UFUNC[e.op])
             red = self.fresh("red")
             src = lambda i, _a=args: f"{_a}[{i}]"  # noqa: E731
-            if e.ext is not None and e.ext > 0:
-                data = self._emit_map_part(e.mparams, e.mbody, src, d, n)
-                self.w(f"{red} = {uf}.reduce({data}, axis={d})")
-                if e.fold:
-                    self.w(f"{red} = {uf}(_expand({ne}, {d}), {red})")
-                self.w(f"s{out} = BV({red}, {d})")
-                return
             nd = self.fresh("nd")
             self.w(f"if {n} == 0:")
             self.w(f"    {nd} = _expand({ne}, {d})")
@@ -554,14 +510,6 @@ class _SrcEmitter:
             uf = self.const(_UFUNC[e.op])
             acc, nd = self.fresh("acc"), self.fresh("nd")
             src = lambda i, _a=args: f"{_a}[{i}]"  # noqa: E731
-            if e.ext is not None and e.ext > 0:
-                data = self._emit_map_part(e.mparams, e.mbody, src, d, n)
-                self.w(f"{acc} = {uf}.accumulate({data}, axis={d})")
-                if e.fold:
-                    self.w(f"{nd} = np.expand_dims(_expand({ne}, {d}), axis={d})")
-                    self.w(f"{acc} = {uf}({nd}, {acc})")
-                self.w(f"s{out} = BV({acc}, {d})")
-                return
             self.w(f"if {n} == 0:")
             self.w(
                 f"    s{out} = BV(np.zeros((0,) * ({ne}.prank + 1), "
@@ -1026,7 +974,7 @@ class _SrcEmitter:
 _DUMP_SEQ = [0]
 
 
-def _maybe_dump(fun: Fun, specialized: bool, src: str) -> None:
+def _maybe_dump(fun: Fun, src: str) -> None:
     path = os.environ.get("REPRO_CODEGEN_DUMP")
     if not path:
         return
@@ -1034,10 +982,9 @@ def _maybe_dump(fun: Fun, specialized: bool, src: str) -> None:
     with _LOCK:
         seq = _DUMP_SEQ[0]
         _DUMP_SEQ[0] += 1
-    kind = "spec" if specialized else "generic"
-    fname = f"{seq:04d}_{fun.name}_{kind}_{ir_hash(fun)[:12]}.py"
+    fname = f"{seq:04d}_{fun.name}_{ir_hash(fun)[:12]}.py"
     with open(os.path.join(path, fname), "w") as fh:
-        fh.write(f"# {fun.name} ({kind}) ir_hash={ir_hash(fun)}\n")
+        fh.write(f"# {fun.name} ir_hash={ir_hash(fun)}\n")
         fh.write(src)
 
 
@@ -1049,24 +996,15 @@ class CodegenPlan:
     is one compiled function call instead of a closure-per-instruction
     interpreter walk."""
 
-    def __init__(
-        self,
-        fun: Fun,
-        static: Optional[StaticInfo] = None,
-        spec_sig: Optional[tuple] = None,
-        ir: Optional[PlanIR] = None,
-    ) -> None:
+    def __init__(self, fun: Fun, ir: Optional[PlanIR] = None) -> None:
         with _obs_tracing.timed("emit", cat="compile", fun=fun.name, emitter="codegen") as tem:
             if ir is None:
-                ir = lower_fun(fun, static)
+                ir = lower_fun(fun)
             self.fun = fun
-            self.specialized = ir.specialized
-            self.spec_sig = spec_sig
             self.param_slots = ir.param_slots
             self.param_types = ir.param_types
             self.nslots = ir.nslots
             self.fused_stms = ir.fused
-            self.spec_folds = ir.folds
             em = _SrcEmitter()
             src, ns = em.render(ir)
             self.source = src
@@ -1085,7 +1023,7 @@ class CodegenPlan:
             code = compile(src, f"<codegen:{fun.name}>", "exec")
             exec(code, ns)
             self._fn = ns["_plan_main"]
-        _maybe_dump(fun, self.specialized, src)
+        _maybe_dump(fun, src)
         with _LOCK:
             _count_plan(ir)
             st = EMITTER_STATS.setdefault(
@@ -1100,15 +1038,10 @@ class CodegenPlan:
             st["compile_s"] += tcc.seconds
 
     def __repr__(self) -> str:
-        kind = "specialized " if self.specialized else ""
         return (
-            f"<{kind}CodegenPlan {self.fun.name}: {len(self.source)} source "
-            f"bytes, {self.nslots} slots, {self.fused_stms} fused, "
-            f"{self.spec_folds} folds>"
+            f"<CodegenPlan {self.fun.name}: {len(self.source)} source "
+            f"bytes, {self.nslots} slots, {self.fused_stms} fused>"
         )
-
-    def _check_spec_sig(self, args: Sequence[object], batched) -> None:
-        check_spec_sig(self.fun.name, self.spec_sig, args, batched)
 
     def run(self, args: Sequence[object]) -> Tuple[object, ...]:
         if len(args) != len(self.param_slots):
@@ -1116,7 +1049,6 @@ class CodegenPlan:
                 f"{self.fun.name}: expected {len(self.param_slots)} arguments, "
                 f"got {len(args)}"
             )
-        self._check_spec_sig(args, None)
         with _obs_tracing.span("execute", cat="exec", fun=self.fun.name, emitter="codegen",
                                schedule=self.schedule_str or None):
             eng = _Engine(0)
@@ -1146,7 +1078,6 @@ class CodegenPlan:
             )
         if len(batched) != len(args):
             raise ExecError("run_batched: batched flags must match arguments")
-        self._check_spec_sig(args, batched)
         with _obs_tracing.span("execute", cat="exec", fun=self.fun.name, emitter="codegen",
                                batched=True, schedule=self.schedule_str or None):
             b = int(batch_size)
@@ -1178,23 +1109,6 @@ class CodegenPlan:
 from .values import coerce_arg  # noqa: E402  (placed after class for clarity)
 
 
-def compile_codegen(
-    fun: Fun,
-    args: Optional[Sequence[object]] = None,
-    batched: Optional[Sequence[bool]] = None,
-) -> CodegenPlan:
-    """Compile ``fun`` to a fresh (uncached) codegen plan — specialised to
-    ``args``' concrete shapes when given, shape-generic otherwise."""
-    if args is None:
-        return CodegenPlan(fun)
-    shapes, flags = spec_signature(args, batched)
-    return CodegenPlan(
-        fun,
-        static=infer_static_shapes(fun, list(shapes)),
-        spec_sig=(shapes, flags),
-    )
-
-
 register_emitter("codegen", CodegenPlan)
 
 
@@ -1204,7 +1118,7 @@ register_emitter("codegen", CodegenPlan)
 #
 # Code objects don't pickle, but *source* does: a process worker can rebuild
 # a codegen plan from ``(name, source, consts, param_types)`` — the injected
-# ``_K{i}`` constants are ufuncs, dtypes and prebuilt arrays, all picklable
+# ``_K{i}`` constants are ufuncs, dtypes and scalar ``BV``s, all picklable
 # for the programs the shard executor ships (anything exotic surfaces as a
 # PicklingError at submit time and degrades to the thread pool).
 
@@ -1259,13 +1173,10 @@ class ShippedCodegenPlan(CodegenPlan):
             exec(code, ns)
             self._fn = ns["_plan_main"]
         self.fun = _ShippedFun(name)
-        self.specialized = False
-        self.spec_sig = None
         self.param_slots = tuple(range(len(param_types)))
         self.param_types = tuple(param_types)
         self.nslots = 0
         self.fused_stms = 0
-        self.spec_folds = 0
         self.source = source
         self.consts = tuple(consts)
         self.schedule_str = ""

@@ -1,12 +1,11 @@
-"""Backend-neutral lowering: ``Fun`` + static shape facts → linear plan IR.
+"""Backend-neutral lowering: ``Fun`` → linear, shape-generic plan IR.
 
-Until PR 6 the plan backend lowered and *emitted* in one pass —
-``_PlanCompiler`` walked the AST and directly built instruction closures, so
-every compile-time decision (slot allocation, scalar-run fusion, SOAC
-fast-path recognition, specialisation folds) was welded to one execution
-strategy.  This module factors those decisions out into an explicit **plan
-IR**: a flat sequence of instruction records over a slot-numbered register
-space, with every statically resolvable choice already made:
+Every compile-time decision of the plan family (slot allocation, scalar-run
+fusion, SOAC fast-path recognition, the memory plan) is made here, once, for
+every emitter.  The **plan IR** is a flat sequence of instruction records
+over a slot-numbered register space, with every statically resolvable choice
+already made — and none that depends on a concrete extent, so one lowering
+serves every shape of a rank/dtype signature:
 
 * atoms resolve to slots (``Ref`` with a slot index) or prebuilt scalar
   ``BV`` constants;
@@ -16,10 +15,6 @@ space, with every statically resolvable choice already made:
 * reduce/scan/histogram operators are recognised (``recognize_binop_lambda``
   / ``recognize_redomap_lambda``) and the chosen strategy — ufunc fast path,
   fused redomap, or generic fold — is recorded on the instruction;
-* with tier-2 ``StaticInfo`` facts, ``Size`` folds to a constant, iota /
-  replicate / histogram extents become compile-time ints (small iotas are
-  prebuilt outright), and reduce lowering picks its variant by the known
-  extent (``ext`` on the node; the emitters compile dead branches away);
 * the **memory plan**: every instruction lists the slots to ``release``
   after it, every ``RunOp`` the run-local values that die at it and which of
   those it may compute into (``donate``) — see ``_Lowerer.lower_body`` and
@@ -35,13 +30,12 @@ calls in the same order, only dispatched differently.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..ir.analysis import (
-    StaticInfo,
-    infer_static_shapes,
+    ne_is_identity,
     recognize_binop_lambda,
     recognize_redomap_lambda,
 )
@@ -86,7 +80,7 @@ from ..ir.types import is_float, np_dtype
 from ..obs import tracing as _tracing
 from ..util import ExecError
 from .prims import INPLACE_OPS
-from .vector import BV, _ne_is_identity
+from .vector import BV
 
 __all__ = [
     "Ref",
@@ -95,12 +89,9 @@ __all__ = [
     "PBody",
     "PlanIR",
     "lower_fun",
-    "lower_specialized",
     "plan_schedules",
     "nested_bodies",
     "mem_counts",
-    "spec_signature",
-    "check_spec_sig",
     "IRun",
     "IUpdate",
     "IIota",
@@ -120,7 +111,6 @@ __all__ = [
     "IWithAcc",
     "IUpdAcc",
     "_RUN_FUSIBLE",
-    "_IOTA_PREBUILD_MAX",
 ]
 
 
@@ -131,11 +121,6 @@ _RUN_FUSIBLE = (AtomExp, UnOp, BinOp, Select, Cast, Index, ZerosLike)
 #: Run-op kinds whose result is always a freshly allocated array (``atom``
 #: forwards its operand, ``index`` returns a view at batch depth 0).
 _ALLOCATING = ("unop", "binop", "select", "cast", "zeroslike")
-
-#: Largest statically known iota a specialised lowering prebuilds (beyond
-#: it, holding the constant array per cached plan costs more memory than the
-#: per-call ``np.arange`` costs time).
-_IOTA_PREBUILD_MAX = 1 << 16
 
 
 class Ref:
@@ -151,9 +136,8 @@ class Ref:
 
 
 class IntRef:
-    """A lane-uniform integer extent: a compile-time ``const`` (literal or
-    folded from the specialisation signature) or a ``ref`` validated for
-    lane-uniformity per call."""
+    """A lane-uniform integer extent: a literal ``const`` or a ``ref``
+    validated for lane-uniformity per call."""
 
     __slots__ = ("const", "ref", "what")
 
@@ -242,10 +226,10 @@ class IUpdate(_Instr):
 
 class IIota(_Instr):
     kind = "iota"
-    __slots__ = ("n", "dtype", "prebuilt", "out")
+    __slots__ = ("n", "dtype", "out")
 
-    def __init__(self, n, dtype, prebuilt, out):
-        self.n, self.dtype, self.prebuilt, self.out = n, dtype, prebuilt, out
+    def __init__(self, n, dtype, out):
+        self.n, self.dtype, self.out = n, dtype, out
 
 
 class IReplicate(_Instr):
@@ -266,10 +250,10 @@ class IScratch(_Instr):
 
 class ISize(_Instr):
     kind = "size"
-    __slots__ = ("arr", "dim", "const", "out")
+    __slots__ = ("arr", "dim", "out")
 
-    def __init__(self, arr, dim, const, out):
-        self.arr, self.dim, self.const, self.out = arr, dim, const, out
+    def __init__(self, arr, dim, out):
+        self.arr, self.dim, self.out = arr, dim, out
 
 
 class IReverse(_Instr):
@@ -305,21 +289,20 @@ class IMap(_Instr):
 
 class IReduce(_Instr):
     """``strategy`` ∈ {"ufunc", "redomap", "generic"}.  For ufunc/redomap,
-    ``op`` names the recognised operator, ``fold`` whether the neutral
-    element must still be folded in, and ``ext`` the statically known leading
-    extent (``None`` when dynamic).  Redomap carries the fused map part
+    ``op`` names the recognised operator and ``fold`` whether the neutral
+    element must still be folded in.  Redomap carries the fused map part
     (``mparams``/``mbody``); generic carries the full lambda."""
 
     kind = "reduce"
     __slots__ = (
-        "strategy", "arrs", "nes", "op", "fold", "ext",
+        "strategy", "arrs", "nes", "op", "fold",
         "mparams", "mbody", "params", "body", "outs",
     )
 
-    def __init__(self, strategy, arrs, nes, outs, op=None, fold=False, ext=None,
+    def __init__(self, strategy, arrs, nes, outs, op=None, fold=False,
                  mparams=None, mbody=None, params=None, body=None):
         self.strategy, self.arrs, self.nes, self.outs = strategy, arrs, nes, outs
-        self.op, self.fold, self.ext = op, fold, ext
+        self.op, self.fold = op, fold
         self.mparams, self.mbody = mparams, mbody
         self.params, self.body = params, body
 
@@ -329,8 +312,7 @@ class IScan(IReduce):
 
 
 class IHist(_Instr):
-    """Generalised histogram; same strategy taxonomy as ``IReduce`` (no
-    extent specialisation — the bin count, not the input extent, dominates)."""
+    """Generalised histogram; same strategy taxonomy as ``IReduce``."""
 
     kind = "hist"
     __slots__ = (
@@ -400,23 +382,19 @@ class IUpdAcc(_Instr):
 class PlanIR:
     """The lowered form of one ``Fun``: a flat slot space, parameter slots,
     and a ``PBody`` of instruction records.  ``fused`` counts statements
-    collapsed into runs, ``folds`` the compile-time folds the specialised
-    lowering performed, ``mem`` the size of the memory plan (``mem_counts``
-    of the whole body) — all surfaced via ``plan_cache_stats``."""
+    collapsed into runs, ``mem`` the size of the memory plan (``mem_counts``
+    of the whole body) — both surfaced via ``plan_cache_stats``."""
 
     __slots__ = ("fun", "param_slots", "param_types", "body", "nslots",
-                 "fused", "folds", "specialized", "mem")
+                 "fused", "mem")
 
-    def __init__(self, fun, param_slots, param_types, body, nslots,
-                 fused, folds, specialized):
+    def __init__(self, fun, param_slots, param_types, body, nslots, fused):
         self.fun = fun
         self.param_slots = param_slots
         self.param_types = param_types
         self.body = body
         self.nslots = nslots
         self.fused = fused
-        self.folds = folds
-        self.specialized = specialized
         self.mem = mem_counts(body.instrs)
 
 
@@ -507,37 +485,14 @@ class _Lowerer:
     interpreters rely on).
     """
 
-    def __init__(self, static: Optional[StaticInfo] = None) -> None:
+    def __init__(self) -> None:
         self.slots: Dict[str, int] = {}
         self.fused = 0
-        self.static = static
-        self.folds = 0
         #: ``id(exp) -> free names`` (``uses``); the ``Fun`` being lowered
         #: keeps every expression alive, so ids are stable.
         self._uses: Dict[int, Tuple[str, ...]] = {}
 
     # -- atoms ----------------------------------------------------------------
-
-    def static_int(self, a: Atom) -> Optional[int]:
-        """The compile-time value of a lane-uniform integer atom, if known."""
-        if isinstance(a, Const):
-            return int(a.value)
-        if self.static is not None:
-            v = self.static.int_of(a.name)
-            if v is not None:
-                self.folds += 1
-                return int(v)
-        return None
-
-    def static_extent(self, arrs) -> Optional[int]:
-        """The statically known leading extent of a SOAC's input arrays."""
-        if self.static is None or not arrs:
-            return None
-        s = self.static.shape(arrs[0].name)
-        if s is not None and len(s) >= 1:
-            self.folds += 1
-            return int(s[0])
-        return None
 
     def slot(self, name: str) -> int:
         s = self.slots.get(name)
@@ -555,9 +510,8 @@ class _Lowerer:
         return tuple(self.ref(a) for a in xs)
 
     def int_ref(self, a: Atom, what: str) -> IntRef:
-        n = self.static_int(a)
-        if n is not None:
-            return IntRef(const=n, what=what)
+        if isinstance(a, Const):
+            return IntRef(const=int(a.value), what=what)
         return IntRef(ref=self.ref(a), what=what)
 
     def pslots(self, params) -> Tuple[Tuple[int, str], ...]:
@@ -734,19 +688,7 @@ class _Lowerer:
             return IUpdate(self.ref(e.arr), self.refs(e.idx), self.ref(e.val),
                            self.out_of(stm))
         if isinstance(e, Iota):
-            dt = np_dtype(e.elem)
-            if self.static is not None:
-                n = self.static_int(e.n)
-                if n is not None and 0 <= n <= _IOTA_PREBUILD_MAX:
-                    # Specialised lowering: the array is a compile-time
-                    # constant.  Emitters hand out a fresh copy per call
-                    # (memcpy, no extent resolution or arange fill) — unlike
-                    # the shared scalar Const BVs, an array could escape as
-                    # a function result, and a caller mutating it must not
-                    # corrupt the cached plan.
-                    return IIota(IntRef(const=n, what="iota length"), dt,
-                                 np.arange(n, dtype=dt), self.out_of(stm))
-            return IIota(self.int_ref(e.n, "iota length"), dt, None,
+            return IIota(self.int_ref(e.n, "iota length"), np_dtype(e.elem),
                          self.out_of(stm))
         if isinstance(e, Replicate):
             return IReplicate(self.int_ref(e.n, "replicate count"),
@@ -754,15 +696,7 @@ class _Lowerer:
         if isinstance(e, ScratchLike):
             return IScratch(self.ref(e.n), self.ref(e.x), self.out_of(stm))
         if isinstance(e, Size):
-            if self.static is not None:
-                s = self.static.shape(e.arr.name)
-                if s is not None and -len(s) <= e.dim < len(s):
-                    # Specialised lowering: the extent is determined by the
-                    # signature — no register read, no pshape() walk.
-                    self.folds += 1
-                    bv = BV(np.asarray(np.int64(s[e.dim])), 0)
-                    return ISize(None, e.dim, bv, self.out_of(stm))
-            return ISize(self.ref(e.arr), e.dim, None, self.out_of(stm))
+            return ISize(self.ref(e.arr), e.dim, self.out_of(stm))
         if isinstance(e, Reverse):
             return IReverse(self.ref(e.x), self.out_of(stm))
         if isinstance(e, Concat):
@@ -840,19 +774,17 @@ class _Lowerer:
         if op is not None:
             return IReduce(
                 "ufunc", arrs, nes, outs, op=op,
-                fold=not _ne_is_identity(op, e.nes[0]),
-                ext=self.static_extent(e.arrs),
+                fold=not ne_is_identity(op, e.nes[0]),
             )
         rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
         if rm is not None:
             # Fused (redomap-shaped) operator: bulk-map the element function,
             # then reduce with the ufunc — fusion keeps the fast path.
             mop, mlam = rm
-            ext = self.static_extent(e.arrs)
             mparams, mbody = self._lower_map_part(mlam)
             return IReduce(
                 "redomap", arrs, nes, outs, op=mop,
-                fold=not _ne_is_identity(mop, e.nes[0]), ext=ext,
+                fold=not ne_is_identity(mop, e.nes[0]),
                 mparams=mparams, mbody=mbody,
             )
         return IReduce(
@@ -869,16 +801,15 @@ class _Lowerer:
         if op is not None:
             return IScan(
                 "ufunc", arrs, nes, outs, op=op,
-                fold=not _ne_is_identity(op, e.nes[0]),
+                fold=not ne_is_identity(op, e.nes[0]),
             )
         rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
         if rm is not None:
             mop, mlam = rm
-            ext = self.static_extent(e.arrs)
             mparams, mbody = self._lower_map_part(mlam)
             return IScan(
                 "redomap", arrs, nes, outs, op=mop,
-                fold=not _ne_is_identity(mop, e.nes[0]), ext=ext,
+                fold=not ne_is_identity(mop, e.nes[0]),
                 mparams=mparams, mbody=mbody,
             )
         return IScan(
@@ -908,63 +839,16 @@ class _Lowerer:
         )
 
 
-def lower_fun(fun: Fun, static: Optional[StaticInfo] = None) -> PlanIR:
-    """Lower ``fun`` to plan IR — shape-generic with ``static=None``, else
-    specialised to the signature's static facts (bitwise-equal results)."""
-    with _tracing.span("lower", cat="compile", fun=fun.name, specialized=static is not None):
-        lo = _Lowerer(static)
+def lower_fun(fun: Fun) -> PlanIR:
+    """Lower ``fun`` to shape-generic plan IR."""
+    with _tracing.span("lower", cat="compile", fun=fun.name):
+        lo = _Lowerer()
         param_slots = tuple(lo.slot(p.name) for p in fun.params)
         param_types = tuple(p.type for p in fun.params)
         body = lo.lower_body(fun.body)
-        ir = PlanIR(fun, param_slots, param_types, body, len(lo.slots),
-                    lo.fused, lo.folds, static is not None)
+        ir = PlanIR(fun, param_slots, param_types, body, len(lo.slots), lo.fused)
     # Layer-2 verification happens here, once per lowering — cached plans
     # (exec/plan.py) reuse the verified PlanIR and never re-check.
     from .verify_plan import maybe_verify_plan_ir
 
     return maybe_verify_plan_ir(ir)
-
-
-def spec_signature(args: Sequence[object], batched=None):
-    """The ``(payload shapes, batched flags)`` pair a specialised lowering is
-    valid for (the batch axis of flagged args is stripped — static facts
-    describe payload shapes)."""
-    flags = tuple(bool(f) for f in batched) if batched is not None else (False,) * len(args)
-    shapes = []
-    for a, f in zip(args, flags):
-        s = np.asarray(a).shape
-        shapes.append(tuple(s[1:]) if f else tuple(s))
-    return tuple(shapes), flags
-
-
-def lower_specialized(fun: Fun, args: Sequence[object], batched=None):
-    """Lower ``fun`` specialised to ``args``' concrete shapes; returns
-    ``(PlanIR, spec_sig)``."""
-    shapes, flags = spec_signature(args, batched)
-    return (
-        lower_fun(fun, static=infer_static_shapes(fun, list(shapes))),
-        (shapes, flags),
-    )
-
-
-def check_spec_sig(fun_name: str, spec_sig, args: Sequence[object], batched) -> None:
-    """Reject arguments outside a specialised plan's signature loudly —
-    constants folded for one signature are wrong for every other."""
-    if spec_sig is None:
-        return
-    exp_shapes, exp_flags = spec_sig
-    flags = tuple(batched) if batched is not None else (False,) * len(args)
-    if flags != exp_flags:
-        raise ExecError(
-            f"{fun_name}: plan specialised for batched flags "
-            f"{exp_flags}, called with {flags}"
-        )
-    for i, (a, f, exp) in enumerate(zip(args, flags, exp_shapes)):
-        s = np.asarray(a).shape
-        if f:
-            s = s[1:]
-        if tuple(s) != exp:
-            raise ExecError(
-                f"{fun_name}: plan specialised for argument {i} "
-                f"payload shape {exp}, got {tuple(s)}"
-            )

@@ -1,70 +1,52 @@
 """Plan backend — closure emission + runtime over the shared plan IR.
 
-The vectorised interpreter (``exec/vector.py``) already executes SOACs as
-bulk NumPy ops, but it re-walks the IR on *every* call: each statement costs
-an ``isinstance`` dispatch chain, dict-based environment lookups, and atom
-re-resolution.  For the paper's workloads — where a differentiated program is
-evaluated thousands of times on same-shaped inputs — that per-call AST
-interpretation is pure overhead.
+For the paper's workloads a differentiated program is evaluated thousands of
+times on same-shaped inputs, so everything that can be decided once is
+decided once, and the per-call work is the NumPy calls themselves.  The plan
+family is layered:
 
-Since PR 6 the plan family is layered:
-
-* ``exec/lower.py`` turns an optimised ``Fun`` (plus optional static shape
-  facts) into an explicit linear **plan IR** — slot allocation, fused scalar
-  runs, SOAC fast-path selection, and specialisation folds all decided there,
-  once, for every emitter;
+* ``exec/lower.py`` turns an optimised ``Fun`` into an explicit linear,
+  shape-generic **plan IR** — slot allocation, fused scalar runs, SOAC
+  fast-path selection and the memory plan all decided there, once, for every
+  emitter;
 * this module **emits** that IR as a flat sequence of Python closures, one
   per instruction, over a slot-indexed register file (the interpreter
-  emitter), and hosts the runtime (``_Engine``) plus the two-tier plan
-  cache shared by all plan-family emitters;
+  emitter), and hosts the runtime (``_Engine``) plus the plan cache shared
+  by all plan-family emitters;
 * ``exec/codegen.py`` emits the same IR as the source of a single Python
   function (``backend="codegen"``) — no per-instruction dispatch at all.
 
-Runtime semantics are *identical* to the vectorised interpreter — plans reuse
-its ``BV`` batched-value representation, masking discipline, and helper
-machinery — so SIMT-style divergence, accumulators, and lane-varying loops
-all behave the same (the test suite runs every program on ``ref``, ``vec``,
-``plan`` and ``codegen`` and asserts agreement).
+Plans execute on the ``BV`` batched-value representation, masking discipline
+and helper machinery of ``exec/vector.py``, so SIMT-style divergence,
+accumulators and lane-varying loops behave the same on both emitters (the
+test suite runs every program on ``ref``, ``plan`` and ``codegen`` and
+asserts agreement).
 
-Caching — two tiers
--------------------
+Caching
+-------
 
 ``plan_for(fun, args, batched=..., backend=..., emitter=...)`` memoises
-plans in a module-level, lock-guarded cache with two tiers:
+plans in one module-level, lock-guarded LRU keyed by ``(ir_hash(fun),
+backend, emitter, batched flags, rank/dtype signature)``.  The key leads
+with the alpha-invariant content hash (``ir.analysis.ir_hash``), so
+alpha-equivalent ``Fun`` bodies — retraced derivatives, per-worker
+re-optimised copies — share one lowering instead of one per object
+identity.  Concrete extents are not part of the key: plans are
+shape-generic, so one lowering serves a whole problem-size sweep (GMM
+D0→D6, BA camera counts, shard chunk extents) instead of re-lowering per
+shape and churning the LRU.  The backend/emitter dimensions separate
+entries lowered for the plan backend proper from shard chunk plans and
+codegen code objects.
 
-* **tier 1 (generic)** — keyed by ``(ir_hash(fun), backend, emitter,
-  rank/dtype signature, batched flags)``.  The key leads with the
-  alpha-invariant content hash (``ir.analysis.ir_hash``), so
-  alpha-equivalent ``Fun`` bodies — retraced derivatives, per-worker
-  re-optimised copies — share one lowering instead of one per object
-  identity.  Concrete extents are dropped from the key: plans are
-  shape-generic, so one lowering serves a whole problem-size sweep (GMM
-  D0→D6, BA camera counts, shard chunk extents) instead of re-lowering per
-  shape and churning the LRU.  The backend/emitter dimensions separate
-  entries lowered for the plan backend proper from shard chunk plans and
-  codegen code objects.
-* **tier 2 (specialised, ``REPRO_PLAN_SPECIALIZE``, default on)** — after a
-  concrete ``(shape, dtype)`` signature scores enough tier-1 hits that the
-  predicted specialisation savings amortise the estimated re-lowering cost
-  (``ir.cost_model.promotion_threshold``; signatures admitting no folds are
-  never promoted; ``REPRO_PLAN_SPECIALIZE_AFTER`` overrides with a bare
-  hit-count threshold), the plan is re-lowered with the signature's static
-  facts folded in (``ir.analysis.infer_static_shapes``): ``Size``
-  expressions become prebuilt constants, iota/replicate/histogram extents
-  become compile-time ints (small iotas prebuilt outright), and reduce/scan
-  lowering picks its strategy by the known extent.  Specialised and generic
-  plans agree bitwise — promotion is purely a perf move.
-
-Repeat calls on same-shaped arguments skip tracing, optimisation, and
-lowering entirely; ``PLAN_STATS`` counts hits/misses/specialized-hits/
-promotions/evictions and fused-statement/fold totals, and ``EMITTER_STATS``
-breaks plan construction down per emitter, so callers can assert cache
-behaviour.  Each tier is an LRU bounded by ``REPRO_PLAN_CACHE_SIZE`` entries
-(default 512, ``0`` unbounded); ``clear_plan_cache`` drops everything
-eagerly (plans are derived purely from immutable ``Fun`` values, so entries
-never go stale).  All cache and counter state is mutated under one
-re-entrant lock — shard thread mode resolves plans from pool workers
-concurrently.
+Repeat calls on same-rank arguments skip tracing, optimisation, and
+lowering entirely; ``PLAN_STATS`` counts hits/misses/evictions and the
+fused-statement total, and ``EMITTER_STATS`` breaks plan construction down
+per emitter, so callers can assert cache behaviour.  The LRU is bounded by
+``REPRO_PLAN_CACHE_SIZE`` entries (default 512, ``0`` unbounded);
+``clear_plan_cache`` drops everything eagerly (plans are derived purely from
+immutable ``Fun`` values, so entries never go stale).  All cache and counter
+state is mutated under one re-entrant lock — shard thread mode resolves
+plans from pool workers concurrently.
 
 Batched seeds
 -------------
@@ -82,21 +64,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ir.analysis import StaticInfo, infer_static_shapes, ir_hash
+from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
 from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError, env_capacity
 from . import values as _values
-from .lower import (
-    IntRef,
-    PlanIR,
-    Ref,
-    check_spec_sig,
-    lower_fun,
-    plan_schedules,
-    spec_signature,
-)
+from .lower import IntRef, PlanIR, Ref, lower_fun, plan_schedules
 from .prims import _BINOPS, _UNOPS, apply_binop, apply_unop, cast_to
 from .values import coerce_arg
 from .vector import (
@@ -121,10 +95,7 @@ from .vector import (
 
 __all__ = [
     "Plan",
-    "compile_plan",
     "plan_for",
-    "specialized_plan",
-    "specialize_enabled",
     "register_emitter",
     "run_fun_plan",
     "run_fun_plan_batched",
@@ -196,11 +167,8 @@ def _reader(ref: Ref) -> Callable:
 
 
 def _int_reader(iref: IntRef) -> Callable:
-    """Accessor for a lane-uniform integer (iota/replicate/hist extents).
-
-    Lowering already folded compile-time constants into ``IntRef.const``;
-    everything else reads the register file and validates lane-uniformity
-    per call."""
+    """Accessor for a lane-uniform integer (iota/replicate/hist extents):
+    a literal, or a register read validated for lane-uniformity per call."""
     if iref.const is not None:
         n = iref.const
         return lambda eng, _n=n: _n
@@ -418,9 +386,6 @@ class _ClosureEmitter:
         return _assign_single(fn, e)
 
     def _emit_iota(self, e) -> Callable:
-        if e.prebuilt is not None:
-            arr = e.prebuilt
-            return _assign_single(lambda eng, _a=arr: BV(_a.copy(), 0), e)
         rn = _int_reader(e.n)
         dt = e.dtype
 
@@ -458,9 +423,6 @@ class _ClosureEmitter:
         return _assign_single(fn, e)
 
     def _emit_size(self, e) -> Callable:
-        if e.const is not None:
-            bv = e.const
-            return _assign_single(lambda eng, _bv=bv: _bv, e)
         rd = _reader(e.arr)
         dim = e.dim
 
@@ -613,42 +575,6 @@ class _ClosureEmitter:
         if e.strategy == "ufunc":
             ufunc = _UFUNC[e.op]
             fold = e.fold
-            if e.ext == 0:
-                # Specialised lowering, extent 0: the reduce is the neutral
-                # element — no ufunc launch at all.
-                def empty(eng, _arrs=arr_rds, _ne=ne_rds[0]):
-                    d = len(eng.bstack)
-                    args, _n = _map_args_rt(eng, _arrs)
-                    data = np.asarray(args[0].data)
-                    nd = _expand(_ne(eng.regs), d)
-                    shape = data.shape[:d] + data.shape[d + 1:]
-                    return (BV(np.broadcast_to(nd, shape).copy(), d),)
-
-                return _assign_multi(empty, e)
-            if e.ext == 1:
-                # Specialised lowering, extent 1: a reduction over one
-                # element is that element (plus the neutral fold).
-                def one(eng, _arrs=arr_rds, _ne=ne_rds[0], _uf=ufunc, _fold=fold):
-                    d = len(eng.bstack)
-                    args, _n = _map_args_rt(eng, _arrs)
-                    red = np.take(np.asarray(args[0].data), 0, axis=d)
-                    if _fold:
-                        red = _uf(_expand(_ne(eng.regs), d), red)
-                    return (BV(red, d),)
-
-                return _assign_multi(one, e)
-            if e.ext is not None:
-                # Specialised lowering, known extent >= 2: the empty branch
-                # is dead, compile it away.
-                def fast_nz(eng, _arrs=arr_rds, _ne=ne_rds[0], _uf=ufunc, _fold=fold):
-                    d = len(eng.bstack)
-                    args, _n = _map_args_rt(eng, _arrs)
-                    red = _uf.reduce(np.asarray(args[0].data), axis=d)
-                    if _fold:
-                        red = _uf(_expand(_ne(eng.regs), d), red)
-                    return (BV(red, d),)
-
-                return _assign_multi(fast_nz, e)
 
             def fast(eng, _arrs=arr_rds, _ne=ne_rds[0], _uf=ufunc, _fold=fold):
                 d = len(eng.bstack)
@@ -668,19 +594,6 @@ class _ClosureEmitter:
             ufunc = _UFUNC[e.op]
             fold = e.fold
             mp = self._emit_map_part(e.mparams, e.mbody)
-
-            if e.ext is not None and e.ext > 0:
-                # Specialised lowering: the extent is known nonzero, the
-                # empty branch is dead.
-                def fused_nz(eng, _arrs=arr_rds, _ne=ne_rds[0], _mp=mp, _uf=ufunc, _fold=fold):
-                    d = len(eng.bstack)
-                    args, n = _map_args_rt(eng, _arrs)
-                    red = _uf.reduce(_mp(eng, args, n), axis=d)
-                    if _fold:
-                        red = _uf(_expand(_ne(eng.regs), d), red)
-                    return (BV(red, d),)
-
-                return _assign_multi(fused_nz, e)
 
             def fused(eng, _arrs=arr_rds, _ne=ne_rds[0], _mp=mp, _uf=ufunc, _fold=fold):
                 d = len(eng.bstack)
@@ -735,20 +648,6 @@ class _ClosureEmitter:
             ufunc = _UFUNC[e.op]
             fold = e.fold
             mp = self._emit_map_part(e.mparams, e.mbody)
-
-            if e.ext is not None and e.ext > 0:
-                # Specialised lowering: known nonzero extent, dead empty
-                # branch compiled away (the scan analogue of ``fused_nz``).
-                def fused_nz(eng, _arrs=arr_rds, _mp=mp, _uf=ufunc, _nes=ne_rds, _fold=fold):
-                    d = len(eng.bstack)
-                    args, n = _map_args_rt(eng, _arrs)
-                    acc = _uf.accumulate(_mp(eng, args, n), axis=d)
-                    if _fold:
-                        nd = np.expand_dims(_expand(_nes[0](eng.regs), d), axis=d)
-                        acc = _uf(nd, acc)
-                    return (BV(acc, d),)
-
-                return _assign_multi(fused_nz, e)
 
             def fused(eng, _arrs=arr_rds, _mp=mp, _uf=ufunc, _nes=ne_rds, _fold=fold):
                 d = len(eng.bstack)
@@ -1125,37 +1024,21 @@ class _ClosureEmitter:
 
 class Plan:
     """An executable lowering of one ``Fun``: flat instruction closures over
-    slots, emitted from the shared plan IR (``exec/lower.py``).
-
-    With ``static=None`` the plan is fully shape-generic (tier 1 of the plan
-    cache — one lowering serves every concrete signature of a rank/dtype
-    signature).  With a ``StaticInfo`` the lowering folds everything the
-    concrete signature determines (tier 2 — see ``lower._Lowerer``); results
-    are bitwise identical either way.
-    """
+    slots, emitted from the shared plan IR (``exec/lower.py``).  Plans are
+    shape-generic: one serves every concrete shape of a rank/dtype
+    signature."""
 
     #: ``EMITTER_STATS`` bucket and span label; subclasses (the profile
     #: emitter) override it so their constructions are attributed apart.
     emitter_name = "plan"
 
-    def __init__(
-        self,
-        fun: Fun,
-        static: Optional[StaticInfo] = None,
-        spec_sig: Optional[tuple] = None,
-        ir: Optional[PlanIR] = None,
-    ) -> None:
+    def __init__(self, fun: Fun, ir: Optional[PlanIR] = None) -> None:
         with _obs_tracing.timed(
             "emit", cat="compile", fun=fun.name, emitter=self.emitter_name
         ) as tm:
             if ir is None:
-                ir = lower_fun(fun, static)
+                ir = lower_fun(fun)
             self.fun = fun
-            self.specialized = ir.specialized
-            #: ``(payload shapes, batched flags)`` the specialised lowering is
-            #: valid for; ``run``/``run_batched`` enforce it — folded constants
-            #: silently produce wrong numbers on any other signature.
-            self.spec_sig = spec_sig
             em = _ClosureEmitter()
             self.param_slots = ir.param_slots
             self.param_types = ir.param_types
@@ -1166,8 +1049,6 @@ class Plan:
             self.schedule_str = plan_schedules(ir)
             #: Statements collapsed into fused scalar-run closures (recursive).
             self.fused_stms = ir.fused
-            #: Compile-time folds performed by the specialised lowering.
-            self.spec_folds = ir.folds
         with _LOCK:
             _count_plan(ir)
             st = EMITTER_STATS.setdefault(self.emitter_name, {"plans": 0, "emit_s": 0.0})
@@ -1175,15 +1056,10 @@ class Plan:
             st["emit_s"] += tm.seconds
 
     def __repr__(self) -> str:
-        kind = "specialized " if self.specialized else ""
         return (
-            f"<{kind}Plan {self.fun.name}: {len(self.code[0])} instrs, "
-            f"{self.nslots} slots, {self.fused_stms} fused, "
-            f"{self.spec_folds} folds>"
+            f"<Plan {self.fun.name}: {len(self.code[0])} instrs, "
+            f"{self.nslots} slots, {self.fused_stms} fused>"
         )
-
-    def _check_spec_sig(self, args: Sequence[object], batched) -> None:
-        check_spec_sig(self.fun.name, self.spec_sig, args, batched)
 
     def run(self, args: Sequence[object]) -> Tuple[object, ...]:
         if len(args) != len(self.param_slots):
@@ -1191,7 +1067,6 @@ class Plan:
                 f"{self.fun.name}: expected {len(self.param_slots)} arguments, "
                 f"got {len(args)}"
             )
-        self._check_spec_sig(args, None)
         with _span("execute", cat="exec", fun=self.fun.name, emitter=self.emitter_name,
                    schedule=self.schedule_str or None):
             eng = _Engine(self.nslots)
@@ -1213,10 +1088,12 @@ class Plan:
     ) -> Tuple[object, ...]:
         """Evaluate once with the flagged arguments batched on a leading axis.
 
-        Semantics match ``exec.vector.run_fun_vec_batched``: execution starts
-        with one pre-pushed batch level of extent ``batch_size``, batched
-        arguments are ``BV``s with one batch dim, shared arguments broadcast.
-        Every result is returned with a leading ``batch_size`` axis.
+        Execution starts with one pre-pushed batch level of extent
+        ``batch_size`` — exactly the state of evaluating a ``map`` over the
+        batch — so batched arguments are ``BV``s with one batch dim, shared
+        arguments broadcast, and every statement runs as a single bulk NumPy
+        op over all batch members.  Every result is returned with a leading
+        ``batch_size`` axis.
         """
         if len(args) != len(self.param_slots):
             raise ExecError(
@@ -1225,7 +1102,6 @@ class Plan:
             )
         if len(batched) != len(args):
             raise ExecError("run_batched: batched flags must match arguments")
-        self._check_spec_sig(args, batched)
         with _span("execute", cat="exec", fun=self.fun.name, emitter=self.emitter_name,
                    batched=True, schedule=self.schedule_str or None):
             b = int(batch_size)
@@ -1254,47 +1130,12 @@ class Plan:
             return tuple(out)
 
 
-def compile_plan(
-    fun: Fun,
-    args: Optional[Sequence[object]] = None,
-    batched: Optional[Sequence[bool]] = None,
-) -> Plan:
-    """Lower ``fun`` to a fresh (uncached) plan.
-
-    With ``args`` the lowering is specialised to their concrete shapes (the
-    tier-2 lowering, forced — no promotion threshold); without, it is the
-    shape-generic tier-1 lowering.
-    """
-    if args is None:
-        return Plan(fun)
-    return specialized_plan(fun, args, batched)
-
-
-def specialized_plan(
-    fun: Fun,
-    args: Sequence[object],
-    batched: Optional[Sequence[bool]] = None,
-) -> Plan:
-    """A fresh plan specialised to ``args``' concrete shapes (uncached).
-
-    ``batched`` flags mark arguments whose leading axis is the batch axis of
-    ``run_batched`` — it is stripped before inference, since static facts
-    describe *payload* shapes.
-    """
-    shapes, flags = spec_signature(args, batched)
-    return Plan(
-        fun,
-        static=infer_static_shapes(fun, list(shapes)),
-        spec_sig=(shapes, flags),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Emitter registry
 # ---------------------------------------------------------------------------
 
-#: Plan emitters by name: ``build(fun, static=None, spec_sig=None)`` returns
-#: a plan-like object (``run``/``run_batched``/``spec_sig``).  The closure
+#: Plan emitters by name: ``build(fun)`` returns a plan-like object
+#: (``run``/``run_batched``).  The closure
 #: interpreter registers as ``"plan"`` here; ``exec/codegen.py`` registers
 #: ``"codegen"`` on import (resolved lazily below so the plan backend never
 #: pays for the codegen module).
@@ -1302,7 +1143,7 @@ _EMITTERS: Dict[str, Callable] = {}
 
 
 def register_emitter(name: str, build: Callable) -> None:
-    """Register a plan-family emitter (``build(fun, static, spec_sig)``)."""
+    """Register a plan-family emitter (``build(fun)``)."""
     _EMITTERS[name] = build
 
 
@@ -1335,30 +1176,17 @@ def profile_enabled() -> bool:
     return os.environ.get("REPRO_PROFILE", "").lower() not in ("", "0", "off", "false", "no")
 
 
-def _specialized_build(
-    build: Callable, fun: Fun, args: Sequence[object], batched
-):
-    """A fresh tier-2 plan through ``build`` (the promotion path)."""
-    shapes, flags = spec_signature(args, batched)
-    return build(
-        fun,
-        static=infer_static_shapes(fun, list(shapes)),
-        spec_sig=(shapes, flags),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Plan cache — two tiers
+# Plan cache
 # ---------------------------------------------------------------------------
 
 #: Counters for the module-level plan cache (reset on clear).  Every
-#: ``plan_for`` call increments exactly one of ``misses`` (a generic tier-1
-#: lowering — by construction one per rank/dtype signature), ``hits`` (the
-#: generic plan served a concrete signature), or ``specialized_hits`` (a
-#: promoted tier-2 plan served its exact signature); ``promotions`` counts
-#: tier-2 lowerings, ``evictions`` LRU drops across both tiers,
-#: ``fused_stms`` scalar statements collapsed into fused run closures, and
-#: ``spec_folds`` compile-time folds performed by specialised lowerings.
+#: ``plan_for`` call increments exactly one of ``misses`` (a lowering — by
+#: construction one per rank/dtype signature) or ``hits``; ``evictions``
+#: counts LRU drops and ``fused_stms`` scalar statements collapsed into fused
+#: run closures.  ``specialized_hits`` and ``promotions`` are always 0: the
+#: tier they counted is gone, and ``bench/workloads.py:cache_delta`` still
+#: indexes both keys.
 PLAN_STATS = _obs_metrics.counter_group(
     "plan_cache",
     {
@@ -1368,7 +1196,6 @@ PLAN_STATS = _obs_metrics.counter_group(
         "promotions": 0,
         "evictions": 0,
         "fused_stms": 0,
-        "spec_folds": 0,
     },
 )
 
@@ -1378,79 +1205,18 @@ PLAN_STATS = _obs_metrics.counter_group(
 #: via ``plan_cache_stats()["emitters"]``; reset by ``clear_plan_cache``.
 EMITTER_STATS: Dict[str, Dict[str, object]] = {}
 
-#: Tier 1: shape-generic plans keyed by ``(ir_hash(fun), backend, emitter,
-#: rank/dtype signature, batched flags)``.  Tier 2: specialised plans keyed
-#: by the full concrete ``(shape, dtype)`` signature.  ``_PROMO`` counts
-#: tier-1 hits per concrete signature, driving promotion; its entries are
-#: ``(count, threshold)`` pairs.  Content-hash keys make entries shareable
-#: across alpha-equivalent ``Fun`` objects (and immune to id recycling —
-#: the old identity-keyed soundness argument is gone entirely).  All three
-#: are mutated only under ``_LOCK`` together with the stats dicts (shard
-#: thread mode resolves plans from pool workers).
-_GENERIC = BoundedLRU()
-_SPECIAL = BoundedLRU()
-_PROMO = BoundedLRU()
+#: The cache (key: see ``plan_for``).  Mutated only under ``_LOCK`` together
+#: with the stats dicts (shard thread mode resolves plans from pool workers).
+_CACHE = BoundedLRU()
 _LOCK = threading.RLock()
 _MISS = object()
 
 _DEFAULT_CACHE_SIZE = 512
 
 
-def specialize_enabled() -> bool:
-    """Whether tier-2 specialisation is on (``REPRO_PLAN_SPECIALIZE``,
-    default on; ``0``/``off``/``false``/``no`` disable)."""
-    return os.environ.get("REPRO_PLAN_SPECIALIZE", "1").lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
-def _specialize_after() -> int:
-    """Tier-1 hits on one concrete signature before promotion
-    (``REPRO_PLAN_SPECIALIZE_AFTER``, default 2, min 1)."""
-    return max(1, env_capacity("REPRO_PLAN_SPECIALIZE_AFTER", 2))
-
-
-def _payload_shapes(args: Sequence[object], batched) -> list:
-    """Concrete payload shapes (batch axis stripped from flagged args)."""
-    flags = tuple(bool(f) for f in batched) if batched is not None else (False,) * len(args)
-    out = []
-    for a, f in zip(args, flags):
-        s = np.asarray(a).shape
-        out.append(tuple(s[1:]) if f else tuple(s))
-    return out
-
-
-def _promo_threshold(fun: Fun, args, batched) -> Optional[int]:
-    """Tier-1 hit count at which this signature gets promoted.
-
-    ``REPRO_PLAN_SPECIALIZE_AFTER`` in the environment overrides with the
-    old bare counter; otherwise the threshold is derived from the static
-    cost model (``ir.cost_model.promotion_threshold``): the smallest hit
-    count whose predicted per-call specialisation savings amortise the
-    estimated re-lowering cost — signatures whose shapes admit *no*
-    compile-time folds are never promoted (``None``)."""
-    if "REPRO_PLAN_SPECIALIZE_AFTER" in os.environ:
-        return _specialize_after()
-    from ..ir.cost_model import promotion_threshold
-
-    return promotion_threshold(fun, _payload_shapes(args, batched))
-
-
 def _sig_of(args: Sequence[object]) -> tuple:
-    """The concrete (tier-2) signature: per-arg shape and dtype."""
-    sig = []
-    for a in args:
-        arr = np.asarray(a)
-        sig.append((arr.shape, arr.dtype.str))
-    return tuple(sig)
-
-
-def _generic_sig_of(args: Sequence[object]) -> tuple:
-    """The generic (tier-1) signature: per-arg rank and dtype — concrete
-    extents dropped, so a D0→D6 shape sweep shares one entry."""
+    """The cache signature: per-arg rank and dtype — concrete extents
+    dropped, so a D0→D6 shape sweep shares one entry."""
     sig = []
     for a in args:
         arr = np.asarray(a)
@@ -1465,35 +1231,17 @@ def plan_for(
     backend: str = "plan",
     emitter: Optional[str] = None,
 ):
-    """The cached plan for ``fun`` given ``args``' shapes/dtypes — two tiers.
-
-    **Tier 1 (generic):** keyed by ``(ir_hash(fun), backend, emitter,
-    rank/dtype signature, batched flags)`` — the content hash shares one
-    lowering across alpha-equivalent ``Fun`` bodies, and concrete extents
-    are *not* part of the key, so sweeping a problem-size axis (GMM D0→D6,
-    BA camera counts, shard chunk extents) re-uses one lowering instead of
-    re-lowering and evicting per shape.  The ``backend``/``emitter``
-    dimensions keep entries lowered on behalf of different executors apart
-    (shard chunk plans and codegen code objects can never collide with
-    plain plan-backend entries for the same ``Fun``).
-
-    **Tier 2 (specialised, ``REPRO_PLAN_SPECIALIZE``):** after a concrete
-    ``(shape, dtype)`` signature scores ``REPRO_PLAN_SPECIALIZE_AFTER``
-    tier-1 hits, it is promoted: a plan is re-lowered with the signature's
-    static facts folded in (``Size`` constants, prebuilt iotas, extent-picked
-    reduce strategies — see ``exec/lower.py``) and served for that exact
-    signature from then on.  Promotion is a pure optimisation: specialised
-    and generic plans agree bitwise.
+    """The cached plan for ``fun`` given ``args``' ranks/dtypes, keyed by
+    ``(ir_hash(fun), backend, emitter, batched flags, rank/dtype signature)``
+    (module docstring, "Caching": why the content hash, and why no extents).
 
     ``emitter`` picks how the lowered IR executes — ``"plan"`` (closure
     interpreter, the default) or ``"codegen"`` (compiled source); it
-    defaults to ``"codegen"`` when ``backend="codegen"``.  Both tiers are
-    LRUs bounded by ``REPRO_PLAN_CACHE_SIZE`` entries each (default 512,
-    ``0`` unbounded) and entries never go stale (``Fun`` is immutable).
-    The whole lookup — cache mutation, counters, and any lowering — runs
-    under one re-entrant lock, so concurrent shard workers can never
-    corrupt the LRU order or lose stat increments (and a plan is lowered
-    once, not once per racing thread).
+    defaults to ``"codegen"`` when ``backend="codegen"``.  The whole lookup
+    — cache mutation, counters, and any lowering — runs under one
+    re-entrant lock, so concurrent shard workers can never corrupt the LRU
+    order or lose stat increments (and a plan is lowered once, not once per
+    racing thread).
     """
     if emitter is None:
         if backend == "codegen":
@@ -1504,61 +1252,37 @@ def plan_for(
             emitter = "plan"
     build = _resolve_emitter(emitter)
     flags = tuple(batched) if batched is not None else None
-    base = (ir_hash(fun), backend, emitter, flags)
-    gkey = base + (_generic_sig_of(args),)
+    key = (ir_hash(fun), backend, emitter, flags, _sig_of(args))
     cap = env_capacity("REPRO_PLAN_CACHE_SIZE", _DEFAULT_CACHE_SIZE)
     with _LOCK:
-        plan = _GENERIC.get(gkey, _MISS)
+        plan = _CACHE.get(key, _MISS)
         if plan is _MISS:
             PLAN_STATS["misses"] += 1
             plan = build(fun)
-            PLAN_STATS["evictions"] += _GENERIC.put(gkey, plan, cap)
-            return plan
-        skey = base + (_sig_of(args),)
-        sp = _SPECIAL.get(skey, _MISS)
-        if sp is not _MISS:
-            PLAN_STATS["specialized_hits"] += 1
-            return sp
-        PLAN_STATS["hits"] += 1
-        if specialize_enabled():
-            ent = _PROMO.get(skey)
-            if ent is not None:
-                n, thr = ent[0] + 1, ent[1]
-            else:
-                # First tier-1 hit of this signature: derive (and memoise)
-                # its promotion threshold from the cost model — the
-                # amortisation estimate runs once per signature, not per hit.
-                n, thr = 1, _promo_threshold(fun, args, batched)
-            _PROMO.put(skey, (n, thr), cap * 8 if cap > 0 else 0)
-            if thr is not None and n >= thr:
-                with _span("promote", cat="compile", fun=fun.name, emitter=emitter):
-                    sp = _specialized_build(build, fun, args, batched)
-                PLAN_STATS["promotions"] += 1
-                PLAN_STATS["evictions"] += _SPECIAL.put(skey, sp, cap)
-                return sp
+            PLAN_STATS["evictions"] += _CACHE.put(key, plan, cap)
+        else:
+            PLAN_STATS["hits"] += 1
         return plan
 
 
 def _count_plan(ir: PlanIR) -> None:
     """Add one emitted plan's static totals to the counters (under ``_LOCK``)."""
     PLAN_STATS["fused_stms"] += ir.fused
-    PLAN_STATS["spec_folds"] += ir.folds
     with _MEM_LOCK:
         for k, n in ir.mem.items():
             MEM_STATS[k] += n
 
 
 def plan_cache_stats() -> Dict[str, object]:
-    """A snapshot of the cache counters plus the current entry counts
-    (``entries`` — generic tier, ``specialized_entries`` — specialised) and
-    the per-emitter construction breakdown (``emitters``)."""
+    """A snapshot of the cache counters plus the current entry count
+    (``entries``) and the per-emitter construction breakdown
+    (``emitters``)."""
     from ..ir.verify import verify_mode, VERIFY_STATS
 
     with _LOCK:
         return {
             **PLAN_STATS,
-            "entries": len(_GENERIC),
-            "specialized_entries": len(_SPECIAL),
+            "entries": len(_CACHE),
             "emitters": {k: dict(v) for k, v in EMITTER_STATS.items()},
             # The memory plan (exec/lower.py): static sizes summed over the
             # plans emitted, and the donations that fell back at run time.
@@ -1575,7 +1299,7 @@ def plan_cache_stats() -> Dict[str, object]:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan (both tiers) and reset all counters.
+    """Drop every cached plan and reset all counters.
 
     This clears ``EMITTER_STATS`` too — the per-emitter construction
     totals describe the plans being dropped, so they go with them.  To
@@ -1583,9 +1307,7 @@ def clear_plan_cache() -> None:
     ``reset_plan_cache_stats``.
     """
     with _LOCK:
-        _GENERIC.clear()
-        _SPECIAL.clear()
-        _PROMO.clear()
+        _CACHE.clear()
         reset_plan_cache_stats()
 
 

@@ -1,18 +1,14 @@
 """Pluggable executor-backend registry.
 
-Until PR 3 the backend set was a hard-coded ``"ref"|"vec"|"plan"`` string
-check repeated in ``core/api.py``, ``frontend/function.py`` and the
-benchmark wiring — adding the shard executor would have meant touching every
-one of them (and any future backend the same again).  This module makes the
-backend set data: a ``Backend`` record bundles the two executor entry points
-with its capability flags, and every dispatch site resolves names through
-``get_backend`` — which also gives unknown-backend errors one helpful shape
-(the requested name plus the currently-registered set) instead of failing
-deep inside dispatch.
+The backend set is data: a ``Backend`` record bundles the two executor
+entry points with its capability flags, and every dispatch site
+(``core/api.py``, ``frontend/function.py``, the benchmark wiring) resolves
+names through ``get_backend`` — which also gives unknown-backend errors one
+helpful shape (the requested name plus the currently-registered set) instead
+of failing deep inside dispatch.
 
 Built-in backends, registered at import:
 
-* ``vec``   — the vectorised SIMT simulator (re-interprets the IR per call);
 * ``ref``   — the reference interpreter (semantics oracle, cost model);
 * ``plan``  — the cached plan compiler (lower once, replay closures);
 * ``codegen`` — the source codegen executor (same lowering, plan IR rendered
@@ -60,7 +56,7 @@ def record_call(name: str) -> None:
     BACKEND_CALLS[name] = BACKEND_CALLS.get(name, 0) + 1
 
 #: Fallback default when ``REPRO_BACKEND`` is unset: the plan compiler —
-#: the paper's compiled-bulk-code executor, and with the two-tier cache the
+#: the paper's compiled-bulk-code executor, and with the plan cache the
 #: cheapest repeat-call path.  Semantics are identical across backends (the
 #: parity suite asserts it), so the default is purely a performance choice.
 DEFAULT_BACKEND = "plan"
@@ -142,8 +138,7 @@ def default_backend() -> str:
     dispatch, naming the registered set.  ``Compiled.__call__``,
     ``call_batched`` and the ``grad``/``value_and_grad``/``jacobian``/
     ``hessian_diag`` wrappers all resolve ``backend=None`` through this one
-    function — the former per-entry-point defaults drifted ("vec" here,
-    "plan" there).
+    function.
     """
     return get_backend(os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)).name
 
@@ -173,16 +168,7 @@ def _register_builtins() -> None:
     from .codegen import run_fun_codegen, run_fun_codegen_batched
     from .plan import run_fun_plan, run_fun_plan_batched
     from .shard import run_fun_shard, run_fun_shard_batched
-    from .vector import run_fun_vec, run_fun_vec_batched
 
-    register_backend(
-        Backend(
-            "vec",
-            run=run_fun_vec,
-            run_batched=run_fun_vec_batched,
-            description="vectorised SIMT simulator (re-interprets per call)",
-        )
-    )
     register_backend(
         Backend(
             "ref",

@@ -49,21 +49,18 @@ persistent pool; ``REPRO_SHARD_MODE`` selects it:
   zero-copy NumPy views of the parent's arrays (outputs are fresh per-chunk
   arrays the parent recombines by concatenation), and NumPy releases the
   GIL inside the bulk ufunc loops where the time goes.  Each worker
-  resolves its chunk plan through the (thread-safe) two-tier plan cache:
-  chunks of every extent share one tier-1 shape-generic lowering, and hot
-  chunk-extent buckets are promoted to tier-2 specialised plans —
-  ``Plan.run`` keeps all mutable state per call, so concurrent runs are
-  safe.  ``REPRO_SHARD_EMITTER`` (``plan``/``codegen``) selects which
-  plan-family emitter chunks compile with; unset, chunks run codegen-
+  resolves its chunk plan through the (thread-safe) plan cache: chunks of
+  every extent share one shape-generic lowering, and ``Plan.run`` keeps all
+  mutable state per call, so concurrent runs are safe.  Chunks run codegen-
   compiled exactly when the session backend is ``codegen``.
 * ``process`` — a spawn-based ``ProcessPoolExecutor`` for workloads whose
   Python-side dispatch would serialise on the GIL.  ndarray inputs/outputs
   travel through ``multiprocessing.shared_memory`` segments (pickled inline
   below ``REPRO_SHARD_SHM_MIN`` bytes); each worker caches built plans by
   the dispatched program's ``ir_hash`` so a function ships per call but is
-  built once per worker.  With ``REPRO_SHARD_EMITTER=codegen`` (or a
-  ``codegen`` session backend) the parent ships generated source plus the
-  injected constants instead of pickled IR, and workers ``compile()`` it
+  built once per worker.  With a ``codegen`` session backend the parent
+  ships generated source plus the injected constants instead of pickled IR,
+  and workers ``compile()`` it
   (``exec/codegen.py``'s ``ShippedCodegenPlan``).  A pool-infrastructure
   failure (a broken worker, spawn unavailable, an unpicklable environment)
   is counted in ``shard_stats()["pool_errors"]`` and degrades the call to
@@ -125,17 +122,17 @@ __all__ = [
 
 def shard_workers() -> int:
     """Worker-pool size: ``REPRO_SHARD_WORKERS`` or the CPU count."""
-    try:
-        w = int(os.environ.get("REPRO_SHARD_WORKERS", os.cpu_count() or 1))
-    except ValueError:
-        w = os.cpu_count() or 1
-    return max(1, w)
+    return max(1, env_capacity("REPRO_SHARD_WORKERS", os.cpu_count() or 1))
 
 
 def shard_mode() -> str:
     """``REPRO_SHARD_MODE``: ``thread`` (default) or ``process``."""
     mode = os.environ.get("REPRO_SHARD_MODE", "thread")
-    return mode if mode in ("thread", "process") else "thread"
+    if mode not in ("thread", "process"):
+        raise ReproError(
+            f"REPRO_SHARD_MODE={mode!r}: expected 'thread' or 'process'"
+        )
+    return mode
 
 
 def _min_chunk() -> int:
@@ -166,8 +163,7 @@ def _shm_min() -> int:
 def _chunk_emitter() -> str:
     """Which plan-family emitter shard chunks compile with.
 
-    ``REPRO_SHARD_EMITTER`` picks explicitly (``plan`` or ``codegen``);
-    unset, chunks follow the session default — codegen-compiled when the
+    Chunks follow the session default — codegen-compiled when the
     session backend is ``codegen``, profile-instrumented when
     ``REPRO_PROFILE`` is on (so sharded execute time stays attributed),
     closure plans otherwise.  Process-mode workers honour ``codegen`` by
@@ -176,13 +172,6 @@ def _chunk_emitter() -> str:
     text does); the ``profile`` emitter is thread-side only, so process
     workers map it to plain ``Plan``s.
     """
-    em = os.environ.get("REPRO_SHARD_EMITTER")
-    if em is not None:
-        if em not in ("plan", "codegen"):
-            raise ReproError(
-                f"REPRO_SHARD_EMITTER={em!r}: expected 'plan' or 'codegen'"
-            )
-        return em
     if os.environ.get("REPRO_BACKEND") == "codegen":
         return "codegen"
     return "profile" if profile_enabled() else "plan"
@@ -681,11 +670,9 @@ def _dispatch(
     stamped on every ``shard:chunk`` span.
 
     Thread mode (and the in-process fallback for a broken process pool)
-    resolves the chunk plan *per chunk* through the two-tier plan cache —
-    chunks of every extent share one tier-1 generic entry (which retired
-    this module's former private plan-sharing), and hot chunk-extent
-    buckets get promoted to tier-2 specialised plans (``plan_for`` is
-    thread-safe, so pool workers resolve concurrently).  Process mode ships
+    resolves the chunk plan *per chunk* through the plan cache — chunks of
+    every extent share one shape-generic entry (``plan_for`` is thread-safe,
+    so pool workers resolve concurrently).  Process mode ships
     the pickled ``Fun`` plus shm descriptors to ``_process_task``.  Results
     always come back in chunk order.
     """

@@ -98,8 +98,6 @@ class _PlanChecker:
         defined.add(slot)
 
     def read(self, r, defined: Set[int], instr=None, what: str = "") -> None:
-        if r is None:
-            return
         if isinstance(r, IntRef):
             if r.const is None:
                 self.read(r.ref, defined, instr, what or r.what)

@@ -6,14 +6,14 @@ Backends
 Backends are resolved through the pluggable registry
 (``exec/registry.py``) — the built-ins:
 
-* ``"vec"`` (default) — the vectorised SIMT simulator, re-interpreting the
-  IR on every call;
+* ``"plan"`` (default) — the plan compiler: the function is lowered once to
+  a flat sequence of NumPy closures and memoised per argument rank/dtype
+  signature (see ``exec/plan.py`` for cache keying and invalidation), so
+  repeat calls skip optimisation and AST dispatch entirely;
+* ``"codegen"`` — the same lowering rendered to one compiled Python
+  function (``exec/codegen.py``), bitwise-equal to ``"plan"``;
 * ``"ref"`` — the reference interpreter (semantics oracle, drives the cost
   model);
-* ``"plan"`` — the plan compiler: the function is lowered once to a flat
-  sequence of NumPy closures and memoised per argument shape/dtype signature
-  (see ``exec/plan.py`` for cache keying and invalidation), so repeat calls
-  skip optimisation and AST dispatch entirely;
 * ``"shard"`` — the sharded parallel executor: the dominant data-parallel
   SOAC (or the batch axis of a batched call) is partitioned across a
   persistent worker pool, each chunk running through the cached plan
@@ -24,8 +24,8 @@ added with ``repro.exec.registry.register_backend``.
 
 ``call_batched`` is the batched multi-seed entry used by ``jacobian``: it
 evaluates the function once with selected arguments carrying a leading batch
-axis (supported on backends with the ``batched`` capability — ``vec``,
-``plan`` and ``shard`` — whose batching machinery makes it a single bulk
+axis (supported on backends with the ``batched`` capability — ``plan``,
+``codegen`` and ``shard`` — whose batching machinery makes it a single bulk
 pass).
 """
 from __future__ import annotations
@@ -68,8 +68,8 @@ class Compiled:
     ``backend=None`` (default) resolves through the registry-level
     ``default_backend()`` — ``REPRO_BACKEND`` or the plan compiler — so
     every entry point in the system shares one default; any registered
-    backend name selects that executor explicitly (``ref``, ``vec``,
-    ``plan``, ``shard``, or a custom registration).  ``cost()`` measures
+    backend name selects that executor explicitly (``ref``, ``plan``,
+    ``codegen``, ``shard``, or a custom registration).  ``cost()`` measures
     the cost-model counters of a run (reference interpretation).
 
     ``passes`` selects the optimisation passes applied at construction (a

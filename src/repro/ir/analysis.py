@@ -453,7 +453,7 @@ def parallel_split(fun: Fun, weigh=None) -> Optional[ParallelSplit]:
 
 
 # ---------------------------------------------------------------------------
-# Static shape / size-value inference (tier-2 plan specialisation)
+# Static shape / size-value inference (the static cost model's shape facts)
 # ---------------------------------------------------------------------------
 
 
@@ -471,10 +471,8 @@ class StaticInfo:
     fixpoint (result shape equals the initial shape), otherwise they are
     re-walked with the state parameters unbound.
 
-    The tier-2 plan compiler (``exec/plan.py``) keys its compile-time folds
-    off this: ``Size`` atoms become constants, iota/replicate/histogram
-    extents become Python ints (prebuilding small iotas outright), and
-    reduce/scan lowering picks its strategy by the known extent.
+    The static cost model (``ir/cost_model.py``) reads extents and trip
+    counts off this when concrete argument shapes are known.
     """
 
     shapes: Dict[str, Tuple[int, ...]]
@@ -482,9 +480,6 @@ class StaticInfo:
 
     def shape(self, name: str) -> Optional[Tuple[int, ...]]:
         return self.shapes.get(name)
-
-    def int_of(self, name: str) -> Optional[int]:
-        return self.ints.get(name)
 
 
 def infer_static_shapes(
@@ -524,7 +519,7 @@ def _bcast(*ss) -> Optional[Tuple[int, ...]]:
         return None
 
 
-#: Integer BinOps that are exact and fold at specialisation time.
+#: Integer BinOps that are exact and fold during shape inference.
 _INT_FOLD = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
@@ -824,7 +819,7 @@ def ir_hash(fun: Fun) -> str:
     kinds, operator names, types, constant values, loop annotations — feeds
     the digest, so semantically different programs hash apart.
 
-    This is the tier-1 plan-cache key: tracing the same source function
+    This is the plan-cache key: tracing the same source function
     twice yields alpha-equivalent ``Fun``s with fresh SSA names, and hashing
     lets them share one lowering (and is the identity a future disk cache or
     RPC plan shipping would key on).  Memoised per ``Fun`` object.

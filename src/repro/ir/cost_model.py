@@ -12,11 +12,7 @@ system's optimisation heuristics into decisions:
   work and sizes chunks so each pool task carries roughly
   ``REPRO_COST_TASK_GRAIN`` work units (the old
   ``REPRO_SHARD_MIN_CHUNK``/``REPRO_SHARD_MAX_TASKS`` knobs remain as
-  overrides, not the policy);
-* ``exec/plan.py`` promotes a hot signature to a tier-2 specialised plan
-  when the predicted per-call specialisation saving times the observed hit
-  count amortises the estimated re-lowering cost
-  (``REPRO_PLAN_SPECIALIZE_AFTER`` remains as an override).
+  overrides, not the policy).
 
 Shape facts come from ``ir.analysis.infer_static_shapes`` when concrete
 argument shapes are available; otherwise every unknown array dimension is
@@ -94,13 +90,9 @@ __all__ = [
     "choose_schedule",
     "PARALLEL_TASK_OVERHEAD",
     "fusion_wins",
-    "count_fold_opportunities",
-    "promotion_threshold",
     "default_extent",
     "task_grain",
     "SOAC_OVERHEAD",
-    "LOWER_COST_PER_STM",
-    "SPEC_SAVING_PER_FOLD",
 ]
 
 
@@ -134,15 +126,6 @@ def task_grain() -> int:
 #: makes horizontally fusing two sibling maps strictly cheaper than running
 #: them separately even though their element work is unchanged.
 SOAC_OVERHEAD = 8.0
-
-#: Estimated cost (in work units) of lowering one IR statement to a plan
-#: closure — the numerator of the tier-2 promotion amortisation test.
-LOWER_COST_PER_STM = 1024.0
-
-#: Estimated per-call saving (in work units) of one compile-time fold a
-#: specialised plan performs (a ``Size``/extent resolution, a dead empty
-#: branch, a prebuilt iota) — the denominator of the amortisation test.
-SPEC_SAVING_PER_FOLD = 96.0
 
 
 # ---------------------------------------------------------------------------
@@ -603,88 +586,3 @@ def fusion_wins(
     for s in after:
         ea = ea + m.stm(s)
     return ea.total <= eb.total and ea.work <= eb.work * 1.05 + 1.0
-
-
-# ---------------------------------------------------------------------------
-# Decision 3: tier-2 promotion amortisation (exec/plan.py)
-# ---------------------------------------------------------------------------
-
-
-def count_fold_opportunities(fun: Fun, info: StaticInfo) -> int:
-    """How many compile-time folds a plan specialised under ``info`` could
-    perform: ``Size`` nodes with known shapes, iota/replicate/histogram
-    extents with known values, reduce/scan strategies pickable by a known
-    extent.  The walk mirrors the fold sites in ``exec/lower._Lowerer``
-    without lowering anything."""
-
-    count = 0
-
-    def known_int(a: Atom) -> bool:
-        return isinstance(a, Const) or (isinstance(a, Var) and a.name in info.ints)
-
-    def known_extent(arrs) -> bool:
-        return bool(arrs) and info.shape(arrs[0].name) is not None
-
-    def walk_body(body: Body) -> None:
-        for stm in body.stms:
-            walk_exp(stm.exp)
-
-    def walk_exp(e: Exp) -> None:
-        nonlocal count
-        if isinstance(e, Size):
-            if info.shape(e.arr.name) is not None:
-                count += 1
-        elif isinstance(e, Iota):
-            if known_int(e.n) and not isinstance(e.n, Const):
-                count += 1
-        elif isinstance(e, (Replicate, ReduceByIndex)):
-            nn = e.n if isinstance(e, Replicate) else e.num_bins
-            if known_int(nn) and not isinstance(nn, Const):
-                count += 1
-            if isinstance(e, ReduceByIndex):
-                walk_body(e.lam.body)
-        elif isinstance(e, (Reduce, Scan)):
-            if known_extent(e.arrs):
-                count += 1
-            walk_body(e.lam.body)
-        elif isinstance(e, Map):
-            walk_body(e.lam.body)
-        elif isinstance(e, (Loop, WhileLoop)):
-            walk_body(e.body)
-            if isinstance(e, WhileLoop):
-                walk_body(e.cond.body)
-        elif isinstance(e, If):
-            walk_body(e.then)
-            walk_body(e.els)
-        elif isinstance(e, WithAcc):
-            walk_body(e.lam.body)
-
-    walk_body(fun.body)
-    return count
-
-
-#: Ceiling on the derived promotion threshold: a signature hotter than this
-#: many hits is worth specialising even when the model sees few folds (the
-#: model is a lower bound on the real saving — dead-branch elision compounds).
-_PROMO_MAX = 64
-
-
-def promotion_threshold(
-    fun: Fun, arg_shapes: Sequence[Optional[Tuple[int, ...]]]
-) -> Optional[int]:
-    """Tier-1 hits after which specialising ``fun`` for this signature pays:
-    the smallest ``h`` with ``h * saving >= relower_cost``.  ``None`` when
-    the signature admits no folds at all (promotion would buy nothing).
-
-    The explicit ``REPRO_PLAN_SPECIALIZE_AFTER`` env knob overrides this
-    derivation entirely (handled by the caller in ``exec/plan.py``).
-    """
-    info = infer_static_shapes(fun, arg_shapes)
-    folds = count_fold_opportunities(fun, info)
-    if folds <= 0:
-        return None
-    from .traversal import count_stms
-
-    relower = LOWER_COST_PER_STM * max(1, count_stms(fun))
-    saving = SPEC_SAVING_PER_FOLD * folds
-    return max(1, min(_PROMO_MAX, int(math.ceil(relower / saving))))

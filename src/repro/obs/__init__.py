@@ -3,7 +3,7 @@
 Three pillars, one import:
 
 * :mod:`repro.obs.tracing` — nestable spans over every pipeline phase
-  (trace → opt passes → lower → emit/compile → promote → execute, plus
+  (trace → opt passes → lower → emit/compile → execute, plus
   shard per-chunk spans), ring-buffered and exportable as Chrome-trace
   JSON via ``REPRO_TRACE=<file>``.
 * :mod:`repro.obs.profiler` — the ``"profile"`` plan emitter: wraps

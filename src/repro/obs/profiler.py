@@ -1,7 +1,7 @@
 """The ``"profile"`` plan emitter: per-instruction wall-clock attribution.
 
 Registered through the emitter seam in ``exec/plan.py`` (the same
-registry ``"codegen"`` uses), so it composes with both cache tiers, the
+registry ``"codegen"`` uses), so it composes with the plan cache, the
 shard executor and every backend that resolves plans through
 ``plan_for``.  A ``ProfilePlan`` is a ``Plan`` whose top-level
 instruction closures are wrapped with timing; each measurement is keyed
@@ -15,7 +15,7 @@ against the static cost model's ``estimate_stms`` work for the same
 statements, flagging rank-order inversions: statement pairs where one is
 at least 4× hotter than the other yet the model orders them the other
 way round.  Those inversions are exactly where cost-driven decisions
-(fusion, shard chunking, tier-2 promotion) go wrong, which is what makes
+(fusion, shard chunking, schedule choice) go wrong, which is what makes
 the column pair actionable.
 
 Selection: pass ``emitter="profile"`` to ``plan_for``, or set
@@ -74,7 +74,7 @@ class _Rec:
         self.seconds = 0.0
 
 
-# (fun name, ir hash, specialized, instr index) -> _Rec
+# (fun name, ir hash, instr index) -> _Rec
 _DATA: Dict[tuple, _Rec] = {}
 
 
@@ -125,11 +125,11 @@ class ProfilePlan(Plan):
 
     emitter_name = "profile"
 
-    def __init__(self, fun, static=None, spec_sig=None, ir=None):
+    def __init__(self, fun, ir=None):
         if ir is None:
-            ir = lower_fun(fun, static)
-        super().__init__(fun, static=static, spec_sig=spec_sig, ir=ir)
-        base = (fun.name, ir_hash(fun), bool(ir.specialized))
+            ir = lower_fun(fun)
+        super().__init__(fun, ir=ir)
+        base = (fun.name, ir_hash(fun))
         instrs, res = self.code
         wrapped = tuple(
             _wrap(

@@ -132,11 +132,15 @@ class BoundedLRU:
 
 
 def env_capacity(var: str, default: int) -> int:
-    """An integer cache capacity from the environment (read at call time)."""
-    try:
-        return int(os.environ.get(var, default))
-    except ValueError:
+    """An integer knob from the environment (read at call time); a value that
+    is not an integer raises ``ReproError`` naming the variable."""
+    raw = os.environ.get(var)
+    if raw is None:
         return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ReproError(f"{var}={raw!r}: expected an integer") from None
 
 
 def reset_names() -> None:

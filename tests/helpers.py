@@ -15,7 +15,7 @@ import repro as rp
 #: threshold to force genuine multi-worker execution.  ``codegen`` shares
 #: the plan lowering and must match ``plan`` *bitwise* (asserted below),
 #: not merely to tolerance.
-BACKENDS = ("ref", "vec", "plan", "codegen", "shard")
+BACKENDS = ("ref", "plan", "codegen", "shard")
 
 
 def run_both(fc, *args):

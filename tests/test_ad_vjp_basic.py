@@ -51,7 +51,7 @@ def test_vjp_min_max_route_the_adjoint_to_the_winner(bad):
     # 0/1 masks handed the loser 0·inf = nan (the jvp side: test_ad_jvp.py).
     for op, x, y in ((rp.minimum, 1.0, 2.0), (rp.maximum, 2.0, 1.0)):
         rev = rp.vjp(rp.compile(rp.trace_like(lambda a, b: op(a, b), (x, y))))
-        for be in ("ref", "vec", "plan", "codegen"):
+        for be in ("ref", "plan", "codegen"):
             _, xb, yb = rev(x, y, bad, backend=be)
             assert yb == 0.0 and (xb == bad or (np.isnan(bad) and np.isnan(xb)))
             _, yb, xb = rev(y, x, bad, backend=be)

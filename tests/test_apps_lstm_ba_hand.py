@@ -66,10 +66,10 @@ def test_ba_jacobian_ad_batched_matches_looped_and_manual():
     gc, gp, gw = ba.gather_obs(cams, pts, ws, oc, op)
     jv = rp.vjp(rp.compile(ba.build_ir(20)), wrt=[0, 1, 2])
     Jb_plan = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="plan")
-    Jb_vec = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="vec")
+    Jb_cg = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="codegen")
     J_loop = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="plan", batched=False)
     J_ref = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="ref")  # loops on ref
-    for other in (Jb_vec, J_loop, J_ref):
+    for other in (Jb_cg, J_loop, J_ref):
         for a, b in zip(Jb_plan, other):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
     Jm = ba.jacobian_manual(gc, gp, gw, feats)  # (n, 3, 15)

@@ -1,6 +1,6 @@
-"""The static cost model (`ir/cost_model.py`) and the three decision points
-it drives: the fusion gate, shard chunk sizing / shard-point selection, and
-tier-2 plan-promotion amortisation.  Golden per-SOAC estimates for the GMM
+"""The static cost model (`ir/cost_model.py`) and the two decision points
+it drives here: the fusion gate and shard chunk sizing / shard-point
+selection.  Golden per-SOAC estimates for the GMM
 and BA gradients live here too (the hypothesis-based soundness property
 against ``CostRecorder`` is in ``test_props_hypothesis.py``)."""
 import numpy as np
@@ -11,7 +11,7 @@ from repro.apps import ba, datagen, gmm
 from repro.core.api import vjp
 from repro.exec.cost import CostRecorder
 from repro.exec.interp import RefInterp
-from repro.exec.plan import clear_plan_cache, plan_cache_stats
+from repro.exec.plan import clear_plan_cache
 from repro.exec.shard import _chunk_bounds, _edges
 from repro.ir.analysis import parallel_split
 from repro.ir.cost_model import (
@@ -20,7 +20,6 @@ from repro.ir.cost_model import (
     estimate_fun,
     estimate_stm,
     fusion_wins,
-    promotion_threshold,
     soac_elem_cost,
     soac_estimates,
     stm_work,
@@ -291,59 +290,6 @@ def test_shard_derived_chunking_bitwise_across_worker_counts(monkeypatch):
         results.append(np.asarray(fc(xs, backend="shard")))
     np.testing.assert_array_equal(results[0], results[1])
     shutdown_shard_pool()
-
-
-# ---------------------------------------------------------------------------
-# Decision 3: promotion amortisation
-# ---------------------------------------------------------------------------
-
-
-def test_promotion_threshold_none_without_folds():
-    # A pure scalar program admits no specialisation folds at all.
-    fun = rp.trace_like(lambda x: rp.sin(x) * x + 1.0, (1.0,))
-    assert promotion_threshold(fun, [()]) is None
-
-
-def test_promotion_threshold_scales_with_fold_density():
-    fun = rp.compile(
-        rp.trace_like(
-            lambda v: rp.sum(rp.map(lambda i: rp.astype(i, rp.F64), rp.iota(rp.size(v))))
-            * rp.sum(v),
-            (np.ones(5),),
-        )
-    ).fun
-    thr = promotion_threshold(fun, [(5,)])
-    assert thr is not None and 1 <= thr <= 64
-    # unknown shapes -> no facts -> no folds -> no promotion
-    assert promotion_threshold(fun, [None]) is None
-
-
-def test_plan_promotion_respects_env_override_and_derivation(monkeypatch):
-    fc = rp.compile(rp.trace_like(lambda v: rp.sum(v), (np.ones(4),)))
-    x = rng.standard_normal(6)
-    monkeypatch.setenv("REPRO_PLAN_SPECIALIZE", "1")
-    # bare-counter override: promotes on the 3rd tier-1 hit
-    monkeypatch.setenv("REPRO_PLAN_SPECIALIZE_AFTER", "3")
-    clear_plan_cache()
-    for _ in range(5):
-        fc(x, backend="plan")
-    st = plan_cache_stats()
-    assert st["promotions"] == 1 and st["specialized_hits"] == 1
-    # derived threshold: still promotes eventually (the signature folds),
-    # at the amortisation point rather than a fixed count
-    monkeypatch.delenv("REPRO_PLAN_SPECIALIZE_AFTER", raising=False)
-    thr = promotion_threshold(fc.fun, [(6,)])
-    assert thr is not None
-    clear_plan_cache()
-    for _ in range(thr + 2):
-        fc(x, backend="plan")
-    st = plan_cache_stats()
-    assert st["promotions"] == 1
-    assert st["hits"] == thr  # promoted exactly when the savings amortise
-    # bitwise across the switch
-    r_gen = np.asarray(fc(x, backend="ref"))
-    r_spec = np.asarray(fc(x, backend="plan"))
-    np.testing.assert_allclose(r_gen, r_spec, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import repro as rp
-from helpers import check_grad, run_both
+from helpers import check_grad, reduce_census, run_both
+from repro.util import ExecError
 
 
 def test_singleton_map_and_reduce():
@@ -152,3 +153,56 @@ def test_second_order_nonuniform_hessian():
     f = rp.compile(rp.trace_like(lambda xs: rp.sum(rp.map(lambda x: rp.exp(x), xs)), (np.ones(3),)))
     x = np.array([0.1, -0.5, 1.2])
     np.testing.assert_allclose(rp.hessian_diag(f)(x), np.exp(x), rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Extents 0 and 1 on every reduce/scan/reduce_by_index lowering strategy
+# ---------------------------------------------------------------------------
+
+_ADD = lambda a, b: a + b  # noqa: E731  (a recognised ufunc operator)
+_GEN = lambda a, b: a * b + a + b  # noqa: E731  (associative, neutral 0, no ufunc)
+_ELEM = lambda x: rp.sin(x) * x  # noqa: E731  (fuses into the SOAC: redomap)
+
+#: ``(soac, strategy) -> program over one row``; hist rows are (inds, vals).
+_EXTENT_PROGRAMS = {
+    ("reduce", "ufunc"): lambda v: rp.reduce(_ADD, 0.0, v),
+    ("reduce", "ufunc", "folded-ne"): lambda v: rp.reduce(_ADD, 2.0, v),
+    ("reduce", "redomap"): lambda v: rp.reduce(_ADD, 0.0, rp.map(_ELEM, v)),
+    ("reduce", "generic"): lambda v: rp.reduce(_GEN, 0.0, v),
+    ("scan", "ufunc"): lambda v: rp.scan(_ADD, 0.0, v),
+    ("scan", "redomap"): lambda v: rp.scan(_ADD, 0.0, rp.map(_ELEM, v)),
+    ("scan", "generic"): lambda v: rp.scan(_GEN, 0.0, v),
+    ("hist", "ufunc"): lambda i, v: rp.reduce_by_index(3, _ADD, 0.0, i, v),
+    ("hist", "redomap"): lambda i, v: rp.reduce_by_index(
+        3, _ADD, 0.0, i, rp.map(_ELEM, v)
+    ),
+    ("hist", "generic"): lambda i, v: rp.reduce_by_index(3, _GEN, 0.0, i, v),
+}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "in-map"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("key", list(_EXTENT_PROGRAMS), ids="-".join)
+def test_extent_0_and_1_on_every_fold_strategy(key, n, nested, request):
+    """Primal and ``vjp`` of each strategy at extents 0 and 1, at top level
+    and under a ``map`` (batch depth 1): every backend equal to ``ref``,
+    plan and codegen bitwise-equal to each other (``run_both``)."""
+    if key == ("scan", "generic") and n == 0:
+        # rules_scan's general rule reads ``ȳs[n-1]``; on an empty scan every
+        # backend raises (ref: ExecError, plan/codegen: IndexError).
+        request.applymarker(
+            pytest.mark.xfail(strict=True, raises=(ExecError, IndexError))
+        )
+    row = _EXTENT_PROGRAMS[key]
+    f = (lambda *rows: rp.map(row, *rows)) if nested else row
+    lead = (2,) if nested else ()
+    vals = 0.5 * np.arange(1.0, n * (nested + 1) + 1.0).reshape(lead + (n,))
+    args = (vals,)
+    if key[0] == "hist":
+        args = (np.ones(lead + (n,), dtype=np.int64), vals)
+    ex = tuple(np.ones(lead + (3,), dtype=a.dtype) for a in args)
+    fc = rp.compile(rp.trace_like(f, ex))
+    assert (key[0], key[1]) in {(k, s) for k, s, _ in reduce_census(fc.fun, ex)}
+    out = run_both(fc, *args)
+    assert np.shape(out) == {"reduce": lead, "scan": lead + (n,), "hist": lead + (3,)}[key[0]]
+    run_both(rp.vjp(fc, wrt=[len(args) - 1]), *args, np.ones_like(out))

@@ -1,6 +1,5 @@
 """Source-codegen backend (``exec/codegen.py``): bitwise parity with the
-closure interpreter across generic and specialised tiers, cache accounting
-for code objects, the ``REPRO_CODEGEN_DUMP`` knob, and codegen-compiled
+closure interpreter, cache accounting for code objects, the ``REPRO_CODEGEN_DUMP`` knob, and codegen-compiled
 shard chunks."""
 import os
 
@@ -9,15 +8,9 @@ import pytest
 
 import repro as rp
 from helpers import run_both
-from repro.exec.codegen import CodegenPlan, compile_codegen
-from repro.exec.plan import (
-    Plan,
-    clear_plan_cache,
-    compile_plan,
-    plan_cache_stats,
-    plan_for,
-)
-from repro.util import ExecError, ReproError
+from repro.exec.codegen import CodegenPlan
+from repro.exec.plan import Plan, clear_plan_cache, plan_cache_stats, plan_for
+from repro.util import ExecError
 
 rng = np.random.default_rng(29)
 
@@ -31,9 +24,10 @@ def _sum_kernel():
     return rp.compile(rp.trace_like(f, (np.ones(4),)))
 
 
-#: The construct battery from the plan-cache suite, re-run here against the
-#: codegen emitter: every SOAC strategy/extent fast path, control flow,
-#: accumulators, and the specialised folds.
+#: Programs whose lowering reads an extent at run time (``Size``, iota and
+#: replicate lengths, histogram sizes, empty and one-element reduces) plus
+#: every SOAC strategy, control flow and accumulators; each is traced at
+#: ``ex``'s shapes and run at different ones.
 _BATTERY = [
     ("size_iota_replicate", lambda v: rp.sum(
         rp.map(lambda i: rp.astype(i, rp.F64), rp.iota(rp.size(v)))
@@ -66,25 +60,19 @@ _BATTERY = [
 
 
 # ---------------------------------------------------------------------------
-# Bitwise parity: codegen vs plan, generic vs specialised
+# Bitwise parity: codegen vs plan
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name,f,ex,args", _BATTERY, ids=[b[0] for b in _BATTERY])
-def test_codegen_generic_and_specialized_bitwise_battery(name, f, ex, args):
+def test_codegen_bitwise_battery(name, f, ex, args):
     fc = rp.compile(rp.trace_like(f, ex))
     run_both(fc, *args)  # includes the suite-wide plan↔codegen bitwise check
-    fun = fc.fun
-    plan = compile_plan(fun)
-    generic = compile_codegen(fun)
-    spec = compile_codegen(fun, args)
-    rp_ = plan.run(tuple(args))
-    rg = generic.run(tuple(args))
-    rs = spec.run(tuple(args))
-    assert len(rp_) == len(rg) == len(rs)
-    for a, b, c in zip(rp_, rg, rs):
+    rp_ = Plan(fc.fun).run(tuple(args))  # and again through uncached plans
+    rg = CodegenPlan(fc.fun).run(tuple(args))
+    assert len(rp_) == len(rg)
+    for a, b in zip(rp_, rg):
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        np.testing.assert_array_equal(np.asarray(a), np.asarray(c))
 
 
 def test_codegen_gradients_bitwise_vs_plan():
@@ -112,17 +100,8 @@ def test_codegen_batched_bitwise_vs_plan():
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
-def test_specialized_codegen_rejects_other_shapes_loudly():
-    fc = _sum_kernel()
-    spec = compile_codegen(fc.fun, (np.ones(4),))
-    with pytest.raises(ExecError, match="specialised for argument 0"):
-        spec.run((np.ones(7),))
-    with pytest.raises(ExecError, match="batched flags"):
-        spec.run_batched((np.ones((2, 4)),), (True,), 2)
-
-
 # ---------------------------------------------------------------------------
-# Cache-tier accounting: code objects ride the same two-tier cache
+# Cache accounting: code objects ride the same plan cache
 # ---------------------------------------------------------------------------
 
 
@@ -138,29 +117,12 @@ def test_codegen_shape_sweep_one_code_object_per_signature():
         )
     st = plan_cache_stats()
     assert st["misses"] == 1, f"sweep re-compiled codegen plans: {st}"
-    assert st["hits"] + st["specialized_hits"] == len(sizes) - 1
+    assert st["hits"] == len(sizes) - 1
     em = st["emitters"]["codegen"]
     assert em["plans"] == 1
     assert em["code_objects"] == 1
     assert em["source_bytes"] > 0
     assert em["compile_s"] >= 0.0 and em["emit_s"] >= 0.0
-
-
-def test_codegen_promotion_counts_specialised_code_objects(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_SPECIALIZE", "1")
-    monkeypatch.setenv("REPRO_PLAN_SPECIALIZE_AFTER", "2")
-    fc = _sum_kernel()
-    clear_plan_cache()
-    x = rng.standard_normal(6)
-    results = [np.asarray(fc(x, backend="codegen")) for _ in range(5)]
-    st = plan_cache_stats()
-    assert st["promotions"] == 1
-    assert st["specialized_entries"] == 1
-    em = st["emitters"]["codegen"]
-    assert em["plans"] == 2  # one generic + one promoted specialised
-    assert em["code_objects"] == 2
-    for r in results[1:]:  # bitwise across the generic->specialised switch
-        np.testing.assert_array_equal(results[0], r)
 
 
 def test_plan_and_codegen_emitters_get_separate_cache_rows():
@@ -199,13 +161,11 @@ def test_clear_plan_cache_resets_emitter_stats():
 def test_codegen_dump_writes_generated_source(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODEGEN_DUMP", str(tmp_path))
     fc = _sum_kernel()
-    generic = compile_codegen(fc.fun)
-    spec = compile_codegen(fc.fun, (np.ones(4),))
-    files = sorted(os.listdir(tmp_path))
+    plans = (CodegenPlan(fc.fun), CodegenPlan(rp.vjp(fc).fun))
+    files = sorted(os.listdir(tmp_path))  # one per compiled plan, in order
     assert len(files) == 2
-    assert any("_generic_" in f for f in files)
-    assert any("_spec_" in f for f in files)
-    for f, plan in zip(files, (generic, spec)):
+    for f, plan in zip(files, plans):
+        assert f"_{plan.fun.name}_" in f
         text = (tmp_path / f).read_text()
         assert "def _plan_main(" in text
         assert plan.source in text
@@ -220,7 +180,7 @@ def test_shard_chunks_run_codegen_compiled(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
     monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
     monkeypatch.setenv("REPRO_SHARD_MAX_TASKS", "4")
-    monkeypatch.setenv("REPRO_SHARD_EMITTER", "codegen")
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
 
     def f(v):
         return rp.map(lambda x: rp.tanh(x) * 2.0, v)
@@ -233,16 +193,3 @@ def test_shard_chunks_run_codegen_compiled(monkeypatch):
                                   np.asarray(fc(xs, backend="plan")))
     em = plan_cache_stats()["emitters"]
     assert "codegen" in em and em["codegen"]["code_objects"] >= 1
-
-
-def test_shard_emitter_knob_rejects_unknown_values(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
-    monkeypatch.setenv("REPRO_SHARD_EMITTER", "llvm")
-
-    def f(v):
-        return rp.map(lambda x: x * 2.0, v)
-
-    fc = rp.compile(rp.trace_like(f, (np.ones(8),)))
-    with pytest.raises(ReproError, match="REPRO_SHARD_EMITTER"):
-        fc(rng.standard_normal(11), backend="shard")

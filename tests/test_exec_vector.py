@@ -1,10 +1,12 @@
-"""Vectorised (SIMT) interpreter vs the reference interpreter."""
+"""The SIMT execution model (masks, lane-varying loops, batched seeds) on the
+plan-family executors vs the reference interpreter."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro as rp
 from helpers import run_both
+from repro.exec import get_backend
 from repro.util import ExecError
 
 rng = np.random.default_rng(0)
@@ -102,21 +104,23 @@ def test_general_scan_op_batched():
     run_both(fc, rng.standard_normal((3, 5)) * 0.3)
 
 
-def test_irregular_iota_rejected_in_vec():
+def test_irregular_iota_rejected_by_plan_and_codegen():
     def f(ns):
         return rp.map(lambda n: rp.sum(rp.map(lambda i: rp.astype(i, rp.F64), rp.iota(n))), ns)
 
     fc = rp.compile(rp.trace_like(f, (np.array([1, 2]),)))
-    with pytest.raises(ExecError):
-        fc(np.array([1, 2, 3]), backend="vec")
+    for be in ("plan", "codegen"):
+        with pytest.raises(ExecError, match="varies across parallel lanes"):
+            fc(np.array([1, 2, 3]), backend=be)
     # The reference interpreter handles irregularity fine.
     out = fc(np.array([1, 2, 3]), backend="ref")
     np.testing.assert_allclose(out, [0.0, 1.0, 3.0])
 
 
-def test_run_fun_vec_batched_matches_looped_runs():
-    # The batched-seed driver must agree with one interpreter run per seed.
-    from repro.exec.vector import run_fun_vec, run_fun_vec_batched
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def test_run_batched_matches_looped_runs(backend):
+    # The batched-seed driver must agree with one run per seed.
+    be = get_backend(backend)
 
     def f(x, s):
         return rp.sum(rp.map(lambda a, b: rp.sin(a) * b, x, s)), rp.map(
@@ -126,25 +130,24 @@ def test_run_fun_vec_batched_matches_looped_runs():
     fc = rp.compile(rp.trace_like(f, (np.ones(4), np.ones(4))))
     x = rng.standard_normal(4)
     seeds = rng.standard_normal((6, 4))
-    batched = run_fun_vec_batched(fc.fun, (x, seeds), (False, True), 6)
+    batched = be.run_batched(fc.fun, (x, seeds), (False, True), 6)
     assert all(np.asarray(r).shape[0] == 6 for r in batched)
     for i in range(6):
-        row = run_fun_vec(fc.fun, (x, seeds[i]))
+        row = be.run(fc.fun, (x, seeds[i]))
         for got, want in zip(batched, row):
             np.testing.assert_allclose(
                 np.asarray(got)[i], np.asarray(want), rtol=1e-12, atol=1e-12
             )
 
 
-def test_run_fun_vec_batched_rejects_bad_batch_axis():
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def test_run_batched_rejects_bad_batch_axis(backend):
     def f(x):
         return rp.map(lambda a: a * 2.0, x)
 
     fc = rp.compile(rp.trace_like(f, (np.ones(4),)))
-    from repro.exec.vector import run_fun_vec_batched
-
-    with pytest.raises(ExecError):
-        run_fun_vec_batched(fc.fun, (np.ones((3, 4)),), (True,), 5)
+    with pytest.raises(ExecError, match="does not match batch size 5"):
+        get_backend(backend).run_batched(fc.fun, (np.ones((3, 4)),), (True,), 5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,5 @@
 """Random-program fuzzing: a small generator of well-typed nested-parallel
-programs, checked for (a) ref/vec backend agreement, (b) jvp/vjp dot-product
+programs, checked for (a) backend agreement with ref, (b) jvp/vjp dot-product
 consistency, (c) optimisation-pipeline semantics preservation.
 
 This is the strongest single test in the suite: it exercises arbitrary

@@ -1,6 +1,6 @@
 """Alpha-invariant IR content hash (``ir/analysis.py:ir_hash``): renamed
 bodies hash equal, semantically different bodies don't, and the hash-keyed
-tier-1 plan cache shares one lowering across alpha-equivalent ``Fun``s."""
+plan cache shares one lowering across alpha-equivalent ``Fun``s."""
 import numpy as np
 
 import repro as rp
@@ -77,7 +77,7 @@ def test_free_variable_identity_is_not_erased():
     assert ir_hash(first) != ir_hash(second)
 
 
-def test_alpha_equivalent_funs_share_one_tier1_lowering():
+def test_alpha_equivalent_funs_share_one_lowering():
     """The cache key is the content hash, so a retraced/renamed Fun object
     reuses the cached lowering instead of compiling its own."""
     v = rng.standard_normal(6)

@@ -235,7 +235,7 @@ def test_a_large_dead_temporary_is_computed_into():
 
 
 def _peak_mb(fn) -> float:
-    fn()  # lowered, cached, promoted or not: the measured call is a cached one
+    fn()  # lowered and cached: the measured call is a cached one
     fn()
     tracemalloc.start()
     try:

@@ -1,5 +1,8 @@
 """Remaining unit coverage: util, pretty-printer constructs, datagen
-determinism, cost ratios, API shapes."""
+determinism, cost ratios, API shapes, environment knobs."""
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ import repro as rp
 from repro.apps import datagen
 from repro.exec.cost import Cost
 from repro.ir import pretty
-from repro.util import ADError, NameSupply, fresh
+from repro.util import ADError, NameSupply, ReproError, fresh
 
 
 def test_name_supply_unique_and_stem_stable():
@@ -105,3 +108,41 @@ def test_jvp_int_params_have_no_tangent_slot():
 def test_compiled_repr_and_name():
     f = rp.compile(rp.trace_like(lambda x: x, (1.0,), name="idfun"))
     assert f.name.startswith("idfun") and "idfun" in repr(f)
+
+
+# ---------------------------------------------------------------------------
+# Environment knobs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "var,value",
+    [
+        ("REPRO_PLAN_CACHE_SIZE", "abc"),
+        ("REPRO_SHARD_MODE", "proces"),
+        ("REPRO_SHARD_WORKERS", "two"),
+    ],
+)
+def test_malformed_knob_fails_loudly(var, value, monkeypatch):
+    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")  # 11 elements: two chunks
+    # a blanket ``parallel(n)`` names the pool size itself, and then
+    # REPRO_SHARD_WORKERS is never read (CI's forced-schedule leg sets one)
+    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)
+    monkeypatch.setenv(var, value)
+    fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: x * 2.0, v), (np.ones(8),)))
+    with pytest.raises(ReproError, match=f"{var}='{value}'"):
+        fc(np.ones(11), backend="shard")
+
+
+def test_knob_census_matches_readme_table():
+    """Every ``REPRO_*`` name the source or the benchmarks mention has a row
+    in README "Environment knobs", and the table lists nothing else."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    used = set()
+    for sub in ("src", "benchmarks"):
+        for path in (root / sub).rglob("*.py"):
+            used |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    table = (root / "README.md").read_text().split("### Environment knobs")[1]
+    table = table.split("\n## ")[0]
+    rows = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", table, flags=re.M))
+    assert used == rows, (sorted(used - rows), sorted(rows - used))

@@ -259,6 +259,6 @@ def test_split_reduces_on_degenerate_extents(extent):
     fc = rp.compile(rp.trace_like(f, (np.ones(3), np.ones(3))))
     assert [len(s.exp.nes) for s in _soacs(fc.fun)] == [1, 1]
     x = np.full(extent, 2.5)
-    for be in ("ref", "vec", "plan"):
+    for be in ("ref", "plan"):
         got = fc(x, x, backend=be)
         np.testing.assert_array_equal(np.asarray(got), [x.sum(), x.prod()])

@@ -167,7 +167,7 @@ def test_fuzz_legal_schedules_bitwise_equal_default(seed, n, dseed, si):
     forced = Compiled(
         apply_schedule(base.fun, _SCHEDULES[si], strict=False), optimize=False
     )
-    for be in ("ref", "vec", "plan", "codegen"):
+    for be in ("ref", "plan", "codegen"):
         np.testing.assert_array_equal(
             np.asarray(base(xs, backend=be)),
             np.asarray(forced(xs, backend=be)),
@@ -290,7 +290,7 @@ def test_process_degradation_is_bounded_and_resettable(monkeypatch):
 
 def test_process_mode_ships_codegen_source(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_MODE", "process")
-    monkeypatch.setenv("REPRO_SHARD_EMITTER", "codegen")
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
     monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
     monkeypatch.setenv("REPRO_SHARD_SHM_MIN", "0")

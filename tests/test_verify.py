@@ -600,7 +600,7 @@ def test_fuzz_corpus_green_under_full_verification(seed, monkeypatch):
     prog = _gen_program(seed)
     xs = np.random.default_rng(seed).standard_normal(6) * 0.8
     fc = rp.compile(rp.trace_like(prog, (xs,)))  # verifies every opt pass
-    run_both(fc, xs)  # ref + vec agree
+    run_both(fc, xs)  # every backend agrees with ref
     want = fc(xs)
     (got,) = plan_for(fc.fun, (xs,)).run((xs,))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
