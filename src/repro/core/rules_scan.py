@@ -5,7 +5,10 @@ The adjoint of an inclusive scan obeys the backward linear recurrence
     r̄s[i] = ȳs[i] + c_i · r̄s[i+1],   c_i = ∂(rs[i] ⊙ as[i+1])/∂rs[i]
 
 which is solved with a scan whose operator is linear-function composition
-(Blelloch's classic trick).  The element contributions follow with one map:
+(Blelloch's classic trick): step ``i`` is the affine map ``x ↦ ȳs[i] + c_i·x``
+and the last one the constant ``ȳs[n-1]``, so the composed maps' constant
+terms *are* ``r̄s`` — nothing reads ``ȳs[n-1]`` on its own, and the rule is
+total for ``n = 0``.  The element contributions follow with one map:
 
     ās[i] += (i == 0 ? 1 : ∂(rs[i-1] ⊙ as[i])/∂as[i]) · r̄s[i]
 
@@ -66,7 +69,7 @@ def rev_scan(vjp, stm: Stm, e: Scan, sc: AdjScope) -> None:
     zero = const(0.0, et)
 
     # (ds, cs): ds_i = ȳs[i], cs_i = ∂(rs[i] ⊙ as[i+1])/∂rs[i]; the last
-    # element is the affine identity (0, 1).
+    # element is the constant map (ȳs[n-1], 0).
     i1 = Var(fresh("i"), I64)
     mb = Builder()
     last = mb.binop("eq", i1, nm1, "last")
@@ -75,9 +78,8 @@ def rev_scan(vjp, stm: Stm, e: Scan, sc: AdjScope) -> None:
     r_i = mb.index(rs, (i1,), "r_i")
     a_n = mb.index(arr, (safe,), "a_n")
     _t, dr = inline_lambda(mb, lift, (r_i, a_n, one, zero))
-    d_v = mb.index(ysbar, (i1,), "d_v")
-    ds_v = mb.select(last, zero, d_v, "ds")
-    cs_v = mb.select(last, one, dr, "cs")
+    ds_v = mb.index(ysbar, (i1,), "ds")
+    cs_v = mb.select(last, zero, dr, "cs")
     ds, cs = b.map(Lambda((i1,), mb.finish([ds_v, cs_v])), [idxs], names=["ds", "cs"])
 
     # Scan with linear-function composition over the reversed sequence.
@@ -92,17 +94,8 @@ def rev_scan(vjp, stm: Stm, e: Scan, sc: AdjScope) -> None:
     lin_o = Lambda((d1, c1, d2, c2), lb.finish([nd, nc]))
     rds = b.reverse(ds, "rds")
     rcs = b.reverse(cs, "rcs")
-    sd, scn = b.scan(lin_o, [zero, one], [rds, rcs], names=["sd", "sc"])
-
-    # rs_bar = reverse (map (λ(d,c) → d + c·ȳs[n-1]) (sd, sc))
-    ylast = b.index(ysbar, (nm1,), "ylast")
-    dp = Var(fresh("d"), et)
-    cp = Var(fresh("c"), et)
-    pb = Builder()
-    t2 = pb.mul(cp, ylast, "t")
-    u = pb.add(dp, t2, "u")
-    (rsbar_rev,) = b.map(Lambda((dp, cp), pb.finish([u])), [sd, scn], names=["rbr"])
-    rsbar = b.reverse(rsbar_rev, "rsbar")
+    sd, _scn = b.scan(lin_o, [zero, one], [rds, rcs], names=["sd", "sc"])
+    rsbar = b.reverse(sd, "rsbar")
 
     # ās[i] += (i == 0 ? rs_bar[0] : ∂(rs[i-1] ⊙ as[i])/∂as[i] · rs_bar[i])
     i2 = Var(fresh("i"), I64)

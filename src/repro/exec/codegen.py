@@ -76,9 +76,11 @@ from .vector import (
     _expand,
     _gather,
     _grids,
-    _mask_where,
+    _index,
     _neutral_of,
+    _owned,
     _uniform_int,
+    _upd_acc,
     _where,
 )
 
@@ -99,11 +101,13 @@ _BASE_NAMESPACE = {
     "_expand": _expand,
     "_align": _align,
     "_combine_mask": _combine_mask,
-    "_mask_where": _mask_where,
     "_elem": _elem,
     "_elem_into": _elem_into,
     "_where": _where,
     "_gather": _gather,
+    "_index": _index,
+    "_owned": _owned,
+    "_upd_acc": _upd_acc,
     "_uniform_int": _uniform_int,
     "_batch_args": _batch_args,
     "_grids": _grids,
@@ -221,7 +225,9 @@ class _SrcEmitter:
         if k == "index":
             a = opn(o.xs[0])
             idx = ", ".join(opn(x) for x in o.xs[1:])
-            return f"_gather({a}, [{idx}])"
+            if o.affine is None:
+                return f"_gather({a}, [{idx}])"
+            return f"_index({a}, [{idx}], {o.affine!r})"
         if k == "zeroslike":
             x = opn(o.xs[0])
             return f"BV(np.zeros_like(np.asarray({x}.data)), {x}.bdims)"
@@ -382,7 +388,7 @@ class _SrcEmitter:
                     f"    {rd} = np.broadcast_to({rd}, {rd}.shape[:{d}] "
                     f"+ ({n},) + {rd}.shape[{d} + 1:])"
                 )
-                self.w(f"s{slot} = BV(np.ascontiguousarray({rd}), {d})")
+                self.w(f"s{slot} = BV(_owned(np.ascontiguousarray({rd})), {d})")
 
     def _emit_map_chunked(self, e, chunk: int) -> None:
         """A ``sequential(chunk)`` schedule on an acc-free map: the body is
@@ -428,7 +434,7 @@ class _SrcEmitter:
         self.w("else:")
         self.w(f"    {parts} = {body_fn}({args}, {n})")
         for j, (slot, _nm) in enumerate(e.outs):
-            self.w(f"    s{slot} = BV(np.ascontiguousarray({parts}[{j}]), {d})")
+            self.w(f"    s{slot} = BV(_owned(np.ascontiguousarray({parts}[{j}])), {d})")
 
     def _emit_map_part(self, mparams, mbody, src, d: str, n: str) -> str:
         """Inline a redomap map part: bind params via ``src(i)`` expressions,
@@ -853,6 +859,8 @@ class _SrcEmitter:
         self.w(f"eng.mask = {sv}")
         for j, (slot, _nm) in enumerate(e.outs):
             self.w(f"s{slot} = {st}[{j}]")
+            self.w(f"if isinstance(s{slot}, BV):")
+            self.w(f"    s{slot} = BV(_owned(s{slot}.data), s{slot}.bdims)")
 
     def _emit_while(self, e) -> None:
         st, sv, fuel = self.fresh("st"), self.fresh("sv"), self.fresh("fu")
@@ -915,34 +923,11 @@ class _SrcEmitter:
                 self.w(f"s{slot} = {res[j]}")
 
     def _emit_updacc(self, e) -> None:
-        acc, v = self.ref(e.acc), self.ref(e.v)
-        idxs = [self.ref(i) for i in e.idx]
-        self.w(f"if not isinstance({acc}, AccBV):")
-        self.w('    raise ExecError("upd: operand is not an accumulator")')
-        k, bs, vd = self.fresh("k"), self.fresh("bs"), self.fresh("vd")
-        dims = ", ".join([f"{v}.bdims", f"{acc}.bdims"]
-                         + [f"{i}.bdims" for i in idxs])
-        self.w(f"{k} = max(({dims}))")
-        self.w("if eng.mask is not None:")
-        self.w(f"    {k} = max({k}, eng.mask.bdims)")
-        self.w(f"{bs} = tuple(eng.bstack[:{k}])")
-        self.w(f"{vd} = _expand({v}, {k})")
-        self.w(f"{vd} = np.broadcast_to({vd}, {bs} + {vd}.shape[{k}:])")
-        self.w(f"{vd} = _mask_where(eng, {vd}, {k}, np.zeros((), dtype={vd}.dtype))")
-        if not idxs:
-            ex = self.fresh("ex")
-            self.w(f"{ex} = tuple(range({acc}.bdims, {k}))")
-            self.w(f"{acc}.data += {vd}.sum(axis={ex}) if {ex} else {vd}")
-        else:
-            clips = ", ".join(
-                f"np.clip(np.broadcast_to(_expand({i}, {k}), {bs}), 0, "
-                f"max({acc}.data.shape[{acc}.bdims + {a}] - 1, 0))"
-                for a, i in enumerate(idxs)
-            )
-            sel = self.fresh("sel")
-            self.w(f"{sel} = _grids({bs})[:{acc}.bdims] + ({clips},)")
-            self.w(f"np.add.at({acc}.data, {sel}, {vd})")
-        self.w(f"s{e.out[0]} = {acc}")
+        idxs = ", ".join(self.ref(i) for i in e.idx)
+        self.w(
+            f"s{e.out[0]} = _upd_acc(eng, {self.ref(e.acc)}, [{idxs}], "
+            f"{self.ref(e.v)}, {e.affine!r})"
+        )
 
     # -- top level -------------------------------------------------------------
 

@@ -19,7 +19,17 @@ serves every shape of a rank/dtype signature:
   after it, every ``RunOp`` the run-local values that die at it and which of
   those it may compute into (``donate``) — see ``_Lowerer.lower_body`` and
   ``_plan_run_memory``.  The liveness comes from the same last-use pass
-  that finds the run exports.
+  that finds the run exports;
+* **index provenance**: which reads are gathers.  An integer name is
+  *lane-affine* when it is a ``map``/redomap/hist map-part parameter bound
+  to an ``iota``-defined array, or such a name ``±`` an integer literal
+  (also through copies); *uniform* when it is an integer literal, a loop
+  counter, a ``length`` or a binary operation on those.  An ``index`` or
+  ``upd_acc`` all of whose index operands are one or the other carries
+  ``affine`` flags and takes the view path of ``exec/vector.py``
+  (``_index`` / ``_upd_acc``); any other stays a clipped gather /
+  ``np.add.at``.  The facts are scoped to the binding body (sibling scopes
+  reuse names) — see ``_Lowerer.facts``.
 
 Emitters consume the IR without re-deciding anything: ``exec/plan.py`` emits
 one Python closure per instruction (the interpreter), ``exec/codegen.py``
@@ -30,7 +40,7 @@ calls in the same order, only dispatched differently.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +86,7 @@ from ..ir.ast import (
 from ..ir.schedule import SCHEDULABLE as _SCHEDULABLE
 from ..ir.schedule import schedule_str as _schedule_str
 from ..ir.traversal import exp_atoms, exp_lambdas
-from ..ir.types import is_float, np_dtype
+from ..ir.types import is_float, is_integral, np_dtype
 from ..obs import tracing as _tracing
 from ..util import ExecError
 from .prims import INPLACE_OPS
@@ -91,7 +101,7 @@ __all__ = [
     "lower_fun",
     "plan_schedules",
     "nested_bodies",
-    "mem_counts",
+    "plan_counts",
     "IRun",
     "IUpdate",
     "IIota",
@@ -119,7 +129,7 @@ __all__ = [
 _RUN_FUSIBLE = (AtomExp, UnOp, BinOp, Select, Cast, Index, ZerosLike)
 
 #: Run-op kinds whose result is always a freshly allocated array (``atom``
-#: forwards its operand, ``index`` returns a view at batch depth 0).
+#: forwards its operand, ``index`` may return a view).
 _ALLOCATING = ("unop", "binop", "select", "cast", "zeroslike")
 
 
@@ -156,17 +166,22 @@ class RunOp:
     ``release`` lists the run-local values whose last read is this op (never
     an exported one); ``donate`` the operand positions among them whose
     buffer the op may write its result into — the value is a fresh array
-    nobody else can see (see ``_plan_run_memory``)."""
+    nobody else can see (see ``_plan_run_memory``).
 
-    __slots__ = ("kind", "op", "xs", "dtype", "release", "donate")
+    ``affine`` (``index`` ops) is ``None`` for a gather, else one flag per
+    index operand — lane-affine (True) or uniform (False): the op takes the
+    view path (module docstring, "index provenance")."""
 
-    def __init__(self, kind, xs, op=None, dtype=None):
+    __slots__ = ("kind", "op", "xs", "dtype", "release", "donate", "affine")
+
+    def __init__(self, kind, xs, op=None, dtype=None, affine=None):
         self.kind = kind
         self.xs = xs
         self.op = op
         self.dtype = dtype
         self.release: Tuple[int, ...] = ()
         self.donate: Tuple[int, ...] = ()
+        self.affine: Optional[Tuple[bool, ...]] = affine
 
 
 class PBody:
@@ -372,21 +387,26 @@ class IWithAcc(_Instr):
 
 
 class IUpdAcc(_Instr):
-    kind = "updacc"
-    __slots__ = ("acc", "idx", "v", "out")
+    """``affine``: as on an ``index`` ``RunOp`` (``None``: scatter path, and
+    always for an update without indices)."""
 
-    def __init__(self, acc, idx, v, out):
+    kind = "updacc"
+    __slots__ = ("acc", "idx", "v", "out", "affine")
+
+    def __init__(self, acc, idx, v, out, affine=None):
         self.acc, self.idx, self.v, self.out = acc, idx, v, out
+        self.affine = affine
 
 
 class PlanIR:
     """The lowered form of one ``Fun``: a flat slot space, parameter slots,
     and a ``PBody`` of instruction records.  ``fused`` counts statements
-    collapsed into runs, ``mem`` the size of the memory plan (``mem_counts``
-    of the whole body) — both surfaced via ``plan_cache_stats``."""
+    collapsed into runs, ``mem`` the size of the memory plan and ``index`` how
+    its indexed reads and updates execute (``plan_counts`` of the whole body)
+    — all surfaced via ``plan_cache_stats``."""
 
     __slots__ = ("fun", "param_slots", "param_types", "body", "nslots",
-                 "fused", "mem")
+                 "fused", "mem", "index")
 
     def __init__(self, fun, param_slots, param_types, body, nslots, fused):
         self.fun = fun
@@ -395,7 +415,7 @@ class PlanIR:
         self.body = body
         self.nslots = nslots
         self.fused = fused
-        self.mem = mem_counts(body.instrs)
+        self.mem, self.index = plan_counts(body.instrs)
 
 
 def nested_bodies(ins) -> Tuple[PBody, ...]:
@@ -412,24 +432,33 @@ def nested_bodies(ins) -> Tuple[PBody, ...]:
     return ()
 
 
-def mem_counts(instrs) -> Dict[str, int]:
-    """The size of the memory plan under ``instrs``, nested bodies included:
-    register slots released, run-local values released, and scalar ops that
-    may compute into a dead operand."""
-    out = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0}
+def plan_counts(instrs) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """``(mem, index)`` under ``instrs``, nested bodies included, in one walk.
+    ``mem`` is the size of the memory plan: register slots released,
+    run-local values released, and scalar ops that may compute into a dead
+    operand.  ``index`` is how the indexed reads and accumulator updates
+    execute: ``index`` ops and indexed ``upd_acc``s on the view path, and
+    ``index`` ops left as gathers."""
+    mem = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0}
+    index = {"view_index_ops": 0, "view_updacc_ops": 0, "gather_index_ops": 0}
 
     def walk(instrs) -> None:
         for ins in instrs:
-            out["released_slots"] += len(ins.release)
+            mem["released_slots"] += len(ins.release)
             if ins.kind == "run":
                 for o in ins.ops:
-                    out["run_local_releases"] += len(o.release)
-                    out["donating_ops"] += bool(o.donate)
+                    mem["run_local_releases"] += len(o.release)
+                    mem["donating_ops"] += bool(o.donate)
+                    if o.kind == "index":
+                        view = o.affine is not None
+                        index["view_index_ops" if view else "gather_index_ops"] += 1
+            elif ins.kind == "updacc":
+                index["view_updacc_ops"] += ins.affine is not None
             for b in nested_bodies(ins):
                 walk(b.instrs)
 
     walk(instrs)
-    return out
+    return mem, index
 
 
 def plan_schedules(ir: "PlanIR") -> str:
@@ -488,6 +517,13 @@ class _Lowerer:
     def __init__(self) -> None:
         self.slots: Dict[str, int] = {}
         self.fused = 0
+        #: Index provenance of the names in scope (module docstring): an
+        #: ``iota``-defined array is ``"iota"``, a lane-affine integer
+        #: ``"lane"``, a uniform one ``"uni"``.  Each body works on its own
+        #: copy (``lower_body``), so a fact never outlives its binding scope
+        #: (and SSA rules out shadowing within one); ``_lower_stm`` and
+        #: ``_lower_run_exp`` record them as they meet the defining statement.
+        self.facts: Dict[str, str] = {}
         #: ``id(exp) -> free names`` (``uses``); the ``Fun`` being lowered
         #: keeps every expression alive, so ids are stable.
         self._uses: Dict[int, Tuple[str, ...]] = {}
@@ -566,10 +602,13 @@ class _Lowerer:
             if isinstance(a, Var) and a.name not in bound:
                 out[a.name] = None
 
-    def lower_body(self, body: Body, binders: Sequence[Var] = ()) -> PBody:
+    def lower_body(self, body: Body, binders: Sequence[Var] = (),
+                   bind: Optional[Dict[str, str]] = None) -> PBody:
         """Lower ``body``; ``binders`` are the variables the enclosing
         instruction binds before running it (their slots are already
-        allocated)."""
+        allocated), ``bind`` what is known of them as indices."""
+        outer = self.facts
+        self.facts = {**outer, **bind} if bind else dict(outer)
         stms = body.stms
         n = len(stms)
         # Instruction boundaries: runs of >= 2 adjacent fusible statements,
@@ -634,7 +673,47 @@ class _Lowerer:
         bound.update(
             (r.slot, r.name) for r in result if r.slot is not None and r.name in own
         )
+        self.facts = outer
         return PBody(tuple(instrs), result, tuple(bound.items()))
+
+    # -- index provenance -----------------------------------------------------
+
+    def _fact(self, a: Atom) -> Optional[str]:
+        if type(a) is Var:
+            return self.facts.get(a.name)
+        return "uni" if is_integral(a.type) else None
+
+    def _note_binop(self, e: BinOp, fx: str, name: str) -> None:
+        """What ``name = e`` is as an index, ``fx`` being what ``e.x`` is."""
+        fy = self._fact(e.y)
+        if fx == "uni" and fy == "uni":
+            self.facts[name] = "uni"  # whatever the operator: no operand has a lane
+        elif fx == "lane" and fy and type(e.y) is Const and e.op in ("add", "sub"):
+            self.facts[name] = "lane"  # i ± c
+        elif fy == "lane" and type(e.x) is Const and e.op == "add":
+            self.facts[name] = "lane"  # c + i
+
+    def _index_flags(self, idx: Sequence[Atom]) -> Optional[Tuple[bool, ...]]:
+        """The ``affine`` flags of an ``index``/``upd_acc`` with operands
+        ``idx``; ``None`` (gather) unless every one is lane-affine or
+        uniform."""
+        get = self.facts.get
+        flags = []
+        for a in idx:
+            f = get(a.name) if type(a) is Var else self._fact(a)
+            if f == "lane":
+                flags.append(True)
+            elif f == "uni":
+                flags.append(False)
+            else:
+                return None
+        return tuple(flags) if flags else None
+
+    def _lanes_of(self, params: Sequence[Var], arrs: Sequence[Atom]) -> Dict[str, str]:
+        """The parameters of a map (part) that run over an ``iota``."""
+        return {
+            p.name: "lane" for p, a in zip(params, arrs) if self._fact(a) == "iota"
+        }
 
     # -- fused scalar runs ----------------------------------------------------
 
@@ -643,20 +722,29 @@ class _Lowerer:
             return local_of[a.name]
         return self.ref(a)
 
-    def _lower_run_exp(self, e: Exp, local_of: Dict[str, int]) -> RunOp:
+    def _lower_run_exp(self, e: Exp, local_of: Dict[str, int], name: str) -> RunOp:
+        """Lower scalar statement ``name = e``; copies and integer arithmetic
+        hand their operands' index provenance on to ``name``."""
         rd = lambda a: self._run_operand(a, local_of)  # noqa: E731
         if isinstance(e, AtomExp):
+            fact = self._fact(e.x)
+            if fact:
+                self.facts[name] = fact
             return RunOp("atom", (rd(e.x),))
         if isinstance(e, UnOp):
             return RunOp("unop", (rd(e.x),), op=e.op)
         if isinstance(e, BinOp):
+            fact = self._fact(e.x)
+            if fact:
+                self._note_binop(e, fact, name)
             return RunOp("binop", (rd(e.x), rd(e.y)), op=e.op)
         if isinstance(e, Select):
             return RunOp("select", (rd(e.c), rd(e.t), rd(e.f)))
         if isinstance(e, Cast):
             return RunOp("cast", (rd(e.x),), dtype=np_dtype(e.to))
         if isinstance(e, Index):
-            return RunOp("index", (rd(e.arr),) + tuple(rd(i) for i in e.idx))
+            return RunOp("index", (rd(e.arr),) + tuple(rd(i) for i in e.idx),
+                         affine=self._index_flags(e.idx))
         if isinstance(e, ZerosLike):
             return RunOp("zeroslike", (rd(e.x),))
         raise ExecError(f"plan run lower: unexpected {type(e).__name__}")
@@ -666,8 +754,8 @@ class _Lowerer:
         ops = []
         exports = []
         for idx, s in enumerate(run):
-            ops.append(self._lower_run_exp(s.exp, local_of))
             name = s.pat[0].name
+            ops.append(self._lower_run_exp(s.exp, local_of, name))
             local_of[name] = idx
             if name in used_after:
                 exports.append((idx, self.slot(name), name))
@@ -681,13 +769,14 @@ class _Lowerer:
         if isinstance(e, _RUN_FUSIBLE):
             # A standalone scalar statement is a fused run of length 1 with
             # one export (shared scalar handlers in the emitters).
-            op = self._lower_run_exp(e, {})
+            op = self._lower_run_exp(e, {}, stm.pat[0].name)
             out = self.out_of(stm)
             return IRun((op,), ((0,) + out,))
         if isinstance(e, Update):
             return IUpdate(self.ref(e.arr), self.refs(e.idx), self.ref(e.val),
                            self.out_of(stm))
         if isinstance(e, Iota):
+            self.facts[stm.pat[0].name] = "iota"
             return IIota(self.int_ref(e.n, "iota length"), np_dtype(e.elem),
                          self.out_of(stm))
         if isinstance(e, Replicate):
@@ -696,6 +785,7 @@ class _Lowerer:
         if isinstance(e, ScratchLike):
             return IScratch(self.ref(e.n), self.ref(e.x), self.out_of(stm))
         if isinstance(e, Size):
+            self.facts[stm.pat[0].name] = "uni"
             return ISize(self.ref(e.arr), e.dim, self.out_of(stm))
         if isinstance(e, Reverse):
             return IReverse(self.ref(e.x), self.out_of(stm))
@@ -717,7 +807,8 @@ class _Lowerer:
                 self.ref(e.n), self.refs(e.inits),
                 (self.slot(e.ivar.name), e.ivar.name),
                 self.pslots(e.params),
-                self.lower_body(e.body, e.params + (e.ivar,)),
+                self.lower_body(e.body, e.params + (e.ivar,),
+                                {e.ivar.name: "uni"}),
                 self.outs_of(stm, len(e.params)),
             )
         if isinstance(e, WhileLoop):
@@ -742,7 +833,7 @@ class _Lowerer:
             )
         if isinstance(e, UpdAcc):
             return IUpdAcc(self.ref(e.acc), self.refs(e.idx), self.ref(e.v),
-                           self.out_of(stm))
+                           self.out_of(stm), self._index_flags(e.idx))
         raise ExecError(f"plan lower: unknown expression {type(e).__name__}")
 
     # -- SOACs ----------------------------------------------------------------
@@ -758,13 +849,16 @@ class _Lowerer:
             )
         return IMap(
             self.refs(e.arrs), self.refs(e.accs), self.pslots(e.lam.params),
-            self.lower_body(e.lam.body, e.lam.params), len(e.accs),
-            self.outs_of(stm, len(e.lam.body.result)),
+            self.lower_body(e.lam.body, e.lam.params,
+                            self._lanes_of(e.lam.params, e.arrs)),
+            len(e.accs), self.outs_of(stm, len(e.lam.body.result)),
             chunk=chunk,
         )
 
-    def _lower_map_part(self, mlam: Lambda):
-        return self.pslots(mlam.params), self.lower_body(mlam.body, mlam.params)
+    def _lower_map_part(self, mlam: Lambda, arrs: Sequence[Atom]):
+        return self.pslots(mlam.params), self.lower_body(
+            mlam.body, mlam.params, self._lanes_of(mlam.params, arrs)
+        )
 
     def _lower_reduce(self, e: Reduce, stm: Stm) -> IReduce:
         arrs = self.refs(e.arrs)
@@ -781,7 +875,7 @@ class _Lowerer:
             # Fused (redomap-shaped) operator: bulk-map the element function,
             # then reduce with the ufunc — fusion keeps the fast path.
             mop, mlam = rm
-            mparams, mbody = self._lower_map_part(mlam)
+            mparams, mbody = self._lower_map_part(mlam, e.arrs)
             return IReduce(
                 "redomap", arrs, nes, outs, op=mop,
                 fold=not ne_is_identity(mop, e.nes[0]),
@@ -806,7 +900,7 @@ class _Lowerer:
         rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
         if rm is not None:
             mop, mlam = rm
-            mparams, mbody = self._lower_map_part(mlam)
+            mparams, mbody = self._lower_map_part(mlam, e.arrs)
             return IScan(
                 "redomap", arrs, nes, outs, op=mop,
                 fold=not ne_is_identity(mop, e.nes[0]),
@@ -829,7 +923,7 @@ class _Lowerer:
         rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
         if rm is not None:
             mop, mlam = rm
-            mparams, mbody = self._lower_map_part(mlam)
+            mparams, mbody = self._lower_map_part(mlam, e.vals)
             return IHist(num_bins, arrs, nes, "redomap", outs, op=mop,
                          mparams=mparams, mbody=mbody)
         return IHist(

@@ -74,8 +74,9 @@ from .lower import IntRef, PlanIR, Ref, lower_fun, plan_schedules
 from .prims import _BINOPS, _UNOPS, apply_binop, apply_unop, cast_to
 from .values import coerce_arg
 from .vector import (
-    _MEM_LOCK,
+    _STATS_LOCK,
     _UFUNC,
+    INDEX_STATS,
     MEM_STATS,
     AccBV,
     BV,
@@ -87,9 +88,11 @@ from .vector import (
     _expand,
     _gather,
     _grids,
-    _mask_where,
+    _index,
     _neutral_of,
+    _owned,
     _uniform_int,
+    _upd_acc,
     _where,
 )
 
@@ -134,8 +137,8 @@ def _run_body(eng: _Engine, code) -> Tuple[object, ...]:
     return tuple(r(regs) for r in res)
 
 
-# The masking/elementwise/gather/SOAC-entry primitives (_combine_mask,
-# _mask_where, _elem, _where, _gather, _uniform_int, _batch_args) are imported
+# The masking/elementwise/index/SOAC-entry primitives (_combine_mask, _elem,
+# _where, _gather, _index, _upd_acc, _uniform_int, _batch_args) are imported
 # from exec/vector.py — one shared copy is what guarantees the backends
 # cannot drift semantically.
 
@@ -246,8 +249,12 @@ def _emit_run_fn(o) -> Callable:
     if kind == "index":
         ra = _run_operand(o.xs[0])
         ris = tuple(_run_operand(x) for x in o.xs[1:])
-        return lambda regs, loc, _ra=ra, _ris=ris: _gather(
-            _ra(regs, loc), [r(regs, loc) for r in _ris]
+        if o.affine is None:
+            return lambda regs, loc, _ra=ra, _ris=ris: _gather(
+                _ra(regs, loc), [r(regs, loc) for r in _ris]
+            )
+        return lambda regs, loc, _ra=ra, _ris=ris, _aff=o.affine: _index(
+            _ra(regs, loc), [r(regs, loc) for r in _ris], _aff
         )
     if kind == "zeroslike":
         rx = _run_operand(o.xs[0])
@@ -514,7 +521,7 @@ class _ClosureEmitter:
                         for j in range(len(parts[0]))
                     )
                 return tuple(
-                    BV(np.ascontiguousarray(rd), d) for rd in one(params, n)
+                    BV(_owned(np.ascontiguousarray(rd)), d) for rd in one(params, n)
                 )
 
             return _assign_multi(fn_chunked, e)
@@ -540,7 +547,7 @@ class _ClosureEmitter:
                 rd = _expand(r, d + 1)
                 if rd.shape[d] != n:
                     rd = np.broadcast_to(rd, rd.shape[:d] + (n,) + rd.shape[d + 1:])
-                out.append(BV(np.ascontiguousarray(rd), d))
+                out.append(BV(_owned(np.ascontiguousarray(rd)), d))
             return tuple(out)
 
         return _assign_multi(fn, e)
@@ -906,7 +913,9 @@ class _ClosureEmitter:
                     ]
                     eng.mask = saved
             eng.mask = saved
-            return tuple(state)
+            return tuple(
+                BV(_owned(s.data), s.bdims) if isinstance(s, BV) else s for s in state
+            )
 
         return _assign_multi(fn, e)
 
@@ -985,34 +994,9 @@ class _ClosureEmitter:
         rv = _reader(e.v)
         ris = tuple(_reader(i) for i in e.idx)
 
-        def fn(eng, _racc=racc, _rv=rv, _ris=ris):
+        def fn(eng, _racc=racc, _rv=rv, _ris=ris, _aff=e.affine):
             regs = eng.regs
-            acc = _racc(regs)
-            if not isinstance(acc, AccBV):
-                raise ExecError("upd: operand is not an accumulator")
-            v = _rv(regs)
-            idxs = [r(regs) for r in _ris]
-            k = max([v.bdims, acc.bdims] + [i.bdims for i in idxs])
-            if eng.mask is not None:
-                k = max(k, eng.mask.bdims)
-            bshape = tuple(eng.bstack[:k])
-            vd = _expand(v, k)
-            vd = np.broadcast_to(vd, bshape + vd.shape[k:])
-            vd = _mask_where(eng, vd, k, np.zeros((), dtype=vd.dtype))
-            if not idxs:
-                extra = tuple(range(acc.bdims, k))
-                acc.data += vd.sum(axis=extra) if extra else vd
-                return acc
-            sel = _grids(bshape)[: acc.bdims] + tuple(
-                np.clip(
-                    np.broadcast_to(_expand(i, k), bshape),
-                    0,
-                    max(acc.data.shape[acc.bdims + a] - 1, 0),
-                )
-                for a, i in enumerate(idxs)
-            )
-            np.add.at(acc.data, sel, vd)
-            return acc
+            return _upd_acc(eng, _racc(regs), [r(regs) for r in _ris], _rv(regs), _aff)
 
         return _assign_single(fn, e)
 
@@ -1268,9 +1252,11 @@ def plan_for(
 def _count_plan(ir: PlanIR) -> None:
     """Add one emitted plan's static totals to the counters (under ``_LOCK``)."""
     PLAN_STATS["fused_stms"] += ir.fused
-    with _MEM_LOCK:
+    with _STATS_LOCK:
         for k, n in ir.mem.items():
             MEM_STATS[k] += n
+        for k, n in ir.index.items():
+            INDEX_STATS[k] += n
 
 
 def plan_cache_stats() -> Dict[str, object]:
@@ -1287,6 +1273,10 @@ def plan_cache_stats() -> Dict[str, object]:
             # The memory plan (exec/lower.py): static sizes summed over the
             # plans emitted, and the donations that fell back at run time.
             "mem": dict(MEM_STATS),
+            # Index provenance (exec/lower.py): indexed reads/updates on the
+            # view path and reads left as gathers, summed over the plans
+            # emitted, and the view ops that fell back at run time.
+            "index": dict(INDEX_STATS),
             # Verification is per *lowering*, never per call: cache hits
             # reuse the verified PlanIR, so these counters stand still on
             # the hot path (asserted by the A9 overhead guard).
@@ -1318,8 +1308,9 @@ def reset_plan_cache_stats() -> None:
     with _LOCK:
         PLAN_STATS.reset()
         EMITTER_STATS.clear()
-        with _MEM_LOCK:
+        with _STATS_LOCK:
             MEM_STATS.update(dict.fromkeys(MEM_STATS, 0))
+            INDEX_STATS.update(dict.fromkeys(INDEX_STATS, 0))
 
 
 _obs_metrics.register_source("plan_cache", plan_cache_stats, reset_plan_cache_stats)

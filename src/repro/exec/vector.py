@@ -18,7 +18,12 @@ all iterations at once.  Divergent control flow runs SIMT-style:
   trip count with per-lane active masks;
 * accumulator updates (``UpdAcc``) become ``np.add.at`` — the moral
   equivalent of the CUDA ``atomicAdd`` the paper lowers accumulators to —
-  with inactive lanes contributing zero.
+  with inactive lanes contributing zero;
+* reads and accumulator updates whose indices ``exec/lower.py`` proved to be
+  the enclosing maps' own ``iota`` (plus a constant) or lane-uniform skip
+  the gather/scatter: ``_index`` returns a basic-indexing *view* and
+  ``_upd_acc`` adds into one (``_basic_view``), falling back to the clipped
+  ``_gather`` / ``np.add.at`` whenever a per-call fact fails.
 
 Batched values are ``BV(data, bdims)``: ``data`` carries ``bdims`` leading
 batch axes aligned with the engine's batch-size stack.  Batch axes may have
@@ -154,10 +159,16 @@ def _elem(f, *vs) -> BV:
 #: three static sizes summed over the plans emitted since the last reset, and
 #: the one run-time count — donations of a buffer worth reusing whose check
 #: failed, so the op allocated.
-#: Every mutation holds ``_MEM_LOCK`` (shard thread mode runs plans in workers).
+#: Every mutation holds ``_STATS_LOCK`` (shard thread mode runs plans in workers).
 MEM_STATS = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0,
              "donation_fallbacks": 0}
-_MEM_LOCK = threading.Lock()
+#: The index counters (the ``index`` section of ``plan_cache_stats``), same
+#: discipline: how many ``index`` / indexed ``upd_acc`` ops of the plans
+#: emitted take the view path (``exec/lower.py:plan_counts``) and how many
+#: reads stay gathers, plus the view ops that fell back at run time.
+INDEX_STATS = {"view_index_ops": 0, "view_updacc_ops": 0, "gather_index_ops": 0,
+               "view_fallbacks": 0}
+_STATS_LOCK = threading.Lock()
 
 
 def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
@@ -203,7 +214,7 @@ def _elem_into(f, donate, *vs) -> BV:
                 return BV(f(*datas, out=out), k)
         refused = True
     if refused:
-        with _MEM_LOCK:
+        with _STATS_LOCK:
             MEM_STATS["donation_fallbacks"] += 1
     return BV(np.asarray(f(*datas)), k)
 
@@ -225,11 +236,154 @@ def _gather(arr: BV, idxs: List[BV]) -> BV:
     for a, i in enumerate(idxs):
         dim = ad.shape[k + a]
         sel.append(np.clip(_expand(i, k), 0, max(dim - 1, 0)))
-    if k == 0:
-        out = ad[tuple(int(np.asarray(i)[()]) for i in sel)]
-        return BV(np.asarray(out), 0)
     out = ad[_grids(ad.shape[:k]) + tuple(sel)]
     return BV(np.asarray(out), k)
+
+
+def _basic_view(a: np.ndarray, ka: int, idxs: Sequence[BV], affine, k: int):
+    """``a[..., i0, i1, ..]`` (``a`` carries ``ka`` batch axes) at batch depth
+    ``k`` as ONE basic-indexing expression — a view, no clip, no grid, no
+    copy — or ``None`` when it is not one.
+
+    ``affine[p]`` is lowering's proof that operand ``p`` is an enclosing
+    map's ``iota`` parameter plus a constant: unit stride along its own lane
+    (batch axis ``bdims - 1``), constant along every other.  What only the
+    call knows is checked here in O(1): an operand without batch axes is a
+    lane-uniform integer and must be in range; an affine one must span
+    exactly its lane (``size == n``), start and end inside the axis (chunked
+    and sharded maps start past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
+    it — that read stays a clipped gather), on a lane no other operand uses
+    and no shallower than ``a``'s own batch axes (either would be a
+    diagonal).  Each such operand becomes ``slice(start, start + n)`` on its
+    lane's position, every batch axis nothing varies along a ``None``."""
+    sel = []
+    lanes = []
+    for p, i in enumerate(idxs):
+        d = i.data
+        dim = a.shape[ka + p]
+        if i.bdims == 0:
+            j = d.item()
+            if not 0 <= j < dim:
+                return None
+            sel.append(j)
+            continue
+        if not affine[p]:
+            return None
+        lane = i.bdims - 1
+        n = d.shape[lane]
+        if lane < ka or lane in lanes or n == 0 or d.size != n:
+            return None
+        lo = d.item(0)
+        if lo < 0 or lo + n > dim or d.item(n - 1) != lo + n - 1:
+            return None
+        sel.append(slice(lo, lo + n))
+        lanes.append(lane)
+    if lanes == sorted(lanes):
+        # Payload order is lane order: interleave the ``None``s.
+        tup = [slice(None)] * ka
+        cur, nxt = ka, iter(lanes)
+        for s in sel:
+            if type(s) is slice:
+                lane = next(nxt)
+                tup += [None] * (lane - cur)
+                cur = lane + 1
+            tup.append(s)
+        tup += [None] * (k - cur)
+        return a[tuple(tup) + (Ellipsis,)]
+    # ``a[j, i]``: slices first, spare singleton axes after, one transpose.
+    m = len(lanes)
+    out = a[(slice(None),) * ka + tuple(sel) + (None,) * (k - ka - m) + (Ellipsis,)]
+    src = {lane: ka + x for x, lane in enumerate(lanes)}
+    spare = iter(range(ka + m, k))
+    block = [src[t] if t in src else next(spare) for t in range(ka, k)]
+    return out.transpose(list(range(ka)) + block + list(range(k, out.ndim)))
+
+
+def _view_fell_back() -> None:
+    with _STATS_LOCK:
+        INDEX_STATS["view_fallbacks"] += 1
+
+
+def _index(arr: BV, idxs: List[BV], affine: Tuple[bool, ...]) -> BV:
+    """``arr[idxs]`` for an ``index`` op lowering routed to the view path
+    (every operand lane-affine or lane-uniform by construction): the
+    ``_basic_view``, else exactly ``_gather``."""
+    k = arr.bdims
+    for i in idxs:
+        if i.bdims > k:
+            k = i.bdims
+    out = _basic_view(arr.data, arr.bdims, idxs, affine, k)
+    if out is None:
+        _view_fell_back()
+        return _gather(arr, idxs)
+    return BV(out, k)
+
+
+def _add_view(state, acc: AccBV, idxs: List[BV], v: BV, affine, k: int) -> bool:
+    """``acc[idxs] += v`` as a strided in-place add on the ``_basic_view`` of
+    the accumulator: distinct lanes on slices cannot collide, and a batch
+    axis no index varies along (extent 1 in the view) receives the value
+    summed over it — provided the value is materialised along that axis (a
+    lane-uniform value would count once instead of once per lane; that case
+    takes ``np.add.at``).  False when any fact fails; nothing was written."""
+    ka = acc.bdims
+    view = _basic_view(acc.data, ka, idxs, affine, k)
+    if view is None:
+        return False
+    vd = _expand(v, k)
+    if vd.ndim != view.ndim:
+        return False
+    extra = []
+    for t in range(ka, k):
+        if view.shape[t] == 1:
+            if vd.shape[t] != state.bstack[t]:
+                return False
+            extra.append(t)
+        elif view.shape[t] != state.bstack[t]:
+            return False
+    view += vd.sum(axis=tuple(extra), keepdims=True) if extra else vd
+    return True
+
+
+def _upd_acc(state, acc, idxs: List[BV], v: BV, affine) -> AccBV:
+    """``upd acc[idxs] += v`` — shared by both emitters.  ``affine`` is
+    ``None`` for an update lowering left on the scatter path; masked updates
+    always take it (inactive lanes contribute zero)."""
+    if not isinstance(acc, AccBV):
+        raise ExecError("upd: operand is not an accumulator")
+    k = max([v.bdims, acc.bdims] + [i.bdims for i in idxs])
+    if state.mask is not None:
+        k = max(k, state.mask.bdims)
+    elif affine is not None:
+        if _add_view(state, acc, idxs, v, affine, k):
+            return acc
+        _view_fell_back()
+    bshape = tuple(state.bstack[:k])
+    vd = _expand(v, k)
+    vd = np.broadcast_to(vd, bshape + vd.shape[k:])
+    vd = _mask_where(state, vd, k, np.zeros((), dtype=vd.dtype))
+    if not idxs:
+        extra = tuple(range(acc.bdims, k))
+        acc.data += vd.sum(axis=extra) if extra else vd
+        return acc
+    sel = _grids(bshape)[: acc.bdims] + tuple(
+        np.clip(
+            np.broadcast_to(_expand(i, k), bshape),
+            0,
+            max(acc.data.shape[acc.bdims + a] - 1, 0),
+        )
+        for a, i in enumerate(idxs)
+    )
+    np.add.at(acc.data, sel, vd)
+    return acc
+
+
+def _owned(data):
+    """A map/loop result as an array the instruction owns.  A body may
+    return a view of memory it did not allocate (``_index``, a parameter
+    handed straight on); an array that owns its data is a view of nothing,
+    anything else is copied — results never alias inputs."""
+    return data if data.flags.owndata else data.copy()
 
 
 def _uniform_int(v: BV, what: str) -> int:

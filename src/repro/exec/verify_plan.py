@@ -25,7 +25,18 @@ of structural invariants this module checks once per lowering:
   fused run no op reads a released run-local value, and a ``donate`` mark
   sits only on an ``out=``-capable op whose operand is run-local, owned
   (produced by an allocating op, never handed on by ``atom``/``index``),
-  dead at that op and unexported.
+  dead at that op and unexported;
+* **index provenance** — an ``affine`` flag on an ``index`` or ``upd_acc``
+  operand licenses the executor to read the operand as a unit-stride slice
+  without looking at more than its two ends, so the checker re-derives the
+  fact on its own, from the plan IR alone: the operand's definition chain
+  must end at a map (part) parameter bound to an ``iota`` result, through
+  copies and ``add``/``sub`` of an integer constant only, all within the
+  scope that binds the parameter.  A flag on anything else — a
+  data-dependent index, a loop-carried integer, a name a sibling scope
+  re-bound, ``2 * i`` — is rejected, naming the op and the operand.  (The
+  unflagged operands of such an op are only *hints* of lane-uniformity;
+  the executor checks those per call.)
 
 ``verify_codegen_source`` checks the source-codegen emitter's output: the
 generated module must parse (``ast.parse``) and must not reference any free
@@ -76,6 +87,10 @@ class _PlanChecker:
         #: slot -> name of everything some instruction released (for telling
         #: a read-after-release from a plain undefined read).
         self.released: Dict[int, str] = {}
+        #: slot -> ``"iota"`` (the result of an ``iota``) / ``"lane"`` (a
+        #: lane-affine integer), for the slot's *current* binding: every
+        #: ``write`` forgets what the previous one established.
+        self.facts: Dict[int, str] = {}
 
     def fail(self, msg: str, instr=None) -> None:
         raise VerifyError(f"plan IR: {msg}", self.where, _stm_of(instr))
@@ -96,6 +111,7 @@ class _PlanChecker:
                 instr,
             )
         defined.add(slot)
+        self.facts.pop(slot, None)
 
     def read(self, r, defined: Set[int], instr=None, what: str = "") -> None:
         if isinstance(r, IntRef):
@@ -114,9 +130,54 @@ class _PlanChecker:
         for r in refs or ():
             self.read(r, defined, instr)
 
-    def bind_params(self, pslots, defined: Set[int], instr) -> None:
+    def bind_params(self, pslots, defined: Set[int], instr, arrs=()) -> None:
+        """Bind lambda/loop parameters; those of a map (part) running over
+        an ``iota`` result (``arrs``: the mapped arrays) are lane-affine."""
         for slot, name in pslots or ():
             self.write(slot, name, defined, instr)
+        for (slot, _), arr in zip(pslots or (), arrs):
+            if self.facts.get(arr.slot) == "iota":
+                self.facts[slot] = "lane"
+
+    # -- index provenance -----------------------------------------------------
+
+    def operand_fact(self, x, local: Dict[int, str]) -> Optional[str]:
+        """``"lane"``/``"iota"``/``"const"`` (an integer constant) or None."""
+        if isinstance(x, int):
+            return local.get(x)
+        if x.slot is not None:
+            return self.facts.get(x.slot)
+        return "const" if x.bv.data.dtype.kind in "iu" else None
+
+    def run_op_fact(self, op, local: Dict[int, str]) -> Optional[str]:
+        """What a run op's result is, given its operands' facts."""
+        if op.kind == "atom":
+            return self.operand_fact(op.xs[0], local)
+        if op.kind == "binop" and op.op in ("add", "sub"):
+            fx, fy = (self.operand_fact(x, local) for x in op.xs)
+            if fx == "lane" and fy == "const":
+                return "lane"
+            if op.op == "add" and fx == "const" and fy == "lane":
+                return "lane"
+        return None
+
+    def check_affine(self, flags, idx, local: Dict[int, str], what: str, instr) -> None:
+        if flags is None:
+            return
+        if len(flags) != len(idx):
+            self.fail(f"{what} carries {len(flags)} affine flags for "
+                      f"{len(idx)} index operands", instr)
+        for p, (flag, x) in enumerate(zip(flags, idx)):
+            if flag and self.operand_fact(x, local) != "lane":
+                name = f"run-local value {x}" if isinstance(x, int) else (
+                    f"slot {x.slot} ({x.name!r})" if x.slot is not None
+                    else "a constant")
+                self.fail(
+                    f"{what} flags index operand {p} ({name}) lane-affine, but "
+                    f"its definition does not end at a map parameter bound to "
+                    f"an iota through copies and +/- constants",
+                    instr,
+                )
 
     # -- bodies -------------------------------------------------------------
 
@@ -231,6 +292,7 @@ class _PlanChecker:
         kind = instr.kind
         left: Set[int] = set()
         if isinstance(instr, IRun):
+            local: Dict[int, str] = {}
             for pos, op in enumerate(instr.ops):
                 for x in op.xs:
                     if isinstance(x, int):
@@ -242,6 +304,12 @@ class _PlanChecker:
                             )
                     else:
                         self.read(x, defined, instr)
+                if op.kind == "index":
+                    self.check_affine(op.affine, op.xs[1:], local,
+                                      f"run op {pos} (index)", instr)
+                fact = self.run_op_fact(op, local)
+                if fact:
+                    local[pos] = fact
             for idx, slot, name in instr.exports:
                 if not (0 <= idx < len(instr.ops)):
                     self.fail(
@@ -250,6 +318,8 @@ class _PlanChecker:
                         instr,
                     )
                 self.write(slot, name, defined, instr)
+                if idx in local:
+                    self.facts[slot] = local[idx]
             self.check_run_memory(instr)
         elif kind == "update":
             self.read(instr.arr, defined, instr)
@@ -259,6 +329,7 @@ class _PlanChecker:
         elif kind == "iota":
             self.read(instr.n, defined, instr)
             self.write(*instr.out, defined, instr)
+            self.facts[instr.out[0]] = "iota"
         elif kind == "replicate":
             self.read(instr.n, defined, instr)
             self.read(instr.v, defined, instr)
@@ -281,7 +352,7 @@ class _PlanChecker:
             self.reads(instr.arrs, defined, instr)
             self.reads(instr.accs, defined, instr)
             inner = set(defined)
-            self.bind_params(instr.params, inner, instr)
+            self.bind_params(instr.params, inner, instr, instr.arrs)
             self.check_body(instr.body, inner)
             left = inner - defined
             if len(instr.outs) != len(instr.body.result):
@@ -395,6 +466,7 @@ class _PlanChecker:
             self.read(instr.acc, defined, instr)
             self.reads(instr.idx, defined, instr)
             self.read(instr.v, defined, instr)
+            self.check_affine(instr.affine, instr.idx, {}, "upd_acc", instr)
             self.write(*instr.out, defined, instr)
         else:  # pragma: no cover - exhaustiveness guard
             self.fail(f"unknown instruction kind {kind!r}", instr)
@@ -406,7 +478,9 @@ class _PlanChecker:
         left: Set[int] = set()
         if instr.mparams is not None or instr.mbody is not None:
             inner = set(defined)
-            self.bind_params(instr.mparams, inner, instr)
+            # The map part runs over the folded arrays (a hist's: its values).
+            arrs = instr.arrs[1:] if instr.kind == "hist" else instr.arrs
+            self.bind_params(instr.mparams, inner, instr, arrs)
             self.check_body(instr.mbody, inner)
             left |= inner - defined
         if instr.params is not None or instr.body is not None:

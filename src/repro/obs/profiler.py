@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..ir.analysis import ir_hash
 from ..ir.cost_model import estimate_stms
 from ..ir.pretty import pretty_exp
-from ..exec.lower import lower_fun, mem_counts
+from ..exec.lower import lower_fun, plan_counts
 from ..exec.plan import Plan, register_emitter
 from . import metrics, tracing
 
@@ -58,18 +58,23 @@ RANK_SEPARATION = 4.0
 
 
 class _Rec:
-    __slots__ = ("label", "kind", "prov", "fun", "schedule", "mem", "calls", "seconds")
+    __slots__ = ("label", "kind", "prov", "fun", "schedule", "mem", "index",
+                 "calls", "seconds")
 
     def __init__(self, label: str, kind: str, prov: tuple, fun: str,
-                 schedule: str = "", mem: Optional[Dict[str, int]] = None):
+                 schedule: str = "", mem: Optional[Dict[str, int]] = None,
+                 index: Optional[Dict[str, int]] = None):
         self.label = label
         self.kind = kind
         self.prov = prov
         self.fun = fun
         self.schedule = schedule
-        #: ``exec.lower.mem_counts`` of the instruction (nested bodies
-        #: included): the size of its memory plan, fixed at emit time.
+        #: ``exec.lower.plan_counts`` of the instruction (nested bodies
+        #: included), fixed at emit time: the size of its memory plan …
         self.mem = mem or {}
+        #: … and its indexed reads and updates on the view path against its
+        #: reads left as gathers.
+        self.index = index or {}
         self.calls = 0
         self.seconds = 0.0
 
@@ -96,7 +101,8 @@ def _label_of(prov: tuple, kind: str) -> str:
 
 
 def _wrap(closure, key: tuple, label: str, kind: str, prov: tuple, fun: str,
-          schedule: str = "", mem: Optional[Dict[str, int]] = None):
+          schedule: str = "", mem: Optional[Dict[str, int]] = None,
+          index: Optional[Dict[str, int]] = None):
     """Time one instruction closure; the record is resolved per call so
     accumulation survives ``reset_profile`` on cached plans."""
 
@@ -109,7 +115,7 @@ def _wrap(closure, key: tuple, label: str, kind: str, prov: tuple, fun: str,
             with _PLOCK:
                 rec = _DATA.get(key)
                 if rec is None:
-                    rec = _DATA[key] = _Rec(label, kind, prov, fun, schedule, mem)
+                    rec = _DATA[key] = _Rec(label, kind, prov, fun, schedule, mem, index)
                 rec.calls += 1
                 rec.seconds += dt
 
@@ -140,7 +146,7 @@ class ProfilePlan(Plan):
                 ins.prov,
                 fun.name,
                 ins.schedule,
-                mem_counts((ins,)),
+                *plan_counts((ins,)),
             )
             for i, (c, ins) in enumerate(zip(instrs, ir.body.instrs))
         )
@@ -174,7 +180,9 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
     Returns ``{total_s, execute_span_s, coverage, by_kind, entries}``.
     Each entry carries ``label`` / ``fun`` / ``kind`` / ``mem`` (the size of
     the instruction's memory plan: slots released, run-local values
-    released, donating ops — nested bodies included) / ``calls`` /
+    released, donating ops — nested bodies included) / ``index`` (its
+    indexed reads and accumulator updates on the view path and its reads
+    left as gathers, nested bodies included) / ``calls`` /
     ``seconds`` / ``share`` / ``est_work`` (``estimate_stms(...).total``
     over its provenance) / ``measured_rank`` / ``est_rank`` /
     ``mispredicted``.  ``coverage`` is instruction-attributed seconds
@@ -184,7 +192,8 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
     with _PLOCK:
         recs = sorted(_DATA.values(), key=lambda r: r.seconds, reverse=True)
         recs = [
-            (r.label, r.kind, r.prov, r.fun, r.schedule, r.mem, r.calls, r.seconds)
+            (r.label, r.kind, r.prov, r.fun, r.schedule, r.mem, r.index, r.calls,
+             r.seconds)
             for r in recs
         ]
     total = sum(sec for *_, sec in recs)
@@ -194,7 +203,7 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
 
     entries: List[Dict[str, Any]] = []
     ests: List[Optional[float]] = []
-    for label, kind, prov, fun, schedule, mem, calls, sec in recs[: max(top_k, 0)]:
+    for label, kind, prov, fun, schedule, mem, index, calls, sec in recs[: max(top_k, 0)]:
         est = estimate_stms(prov).total if prov else None
         ests.append(est)
         entries.append(
@@ -204,6 +213,7 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
                 "kind": kind,
                 "schedule": schedule,
                 "mem": dict(mem),
+                "index": dict(index),
                 "calls": calls,
                 "seconds": sec,
                 "share": (sec / total) if total else 0.0,
@@ -256,7 +266,8 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
             else ""
         ),
         f"{'#':>2s} {'seconds':>9s} {'share':>6s} {'calls':>7s} "
-        f"{'est work':>10s} {'est#':>4s} {'rel/loc/don':>11s} {'':2s} label",
+        f"{'est work':>10s} {'est#':>4s} {'rel/loc/don':>11s} {'view/gather':>11s} "
+        f"{'':2s} label",
     ]
     for e in rep["entries"]:
         est = f"{e['est_work']:.3g}" if e["est_work"] is not None else "-"
@@ -265,10 +276,14 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
         sched = f" [{e['schedule']}]" if e.get("schedule") else ""
         # slots released / run-local values released / donating ops
         mem = "/".join(str(n) for n in e.get("mem", {}).values()) or "-"
+        # indexed reads + accumulator updates that are views / reads that gather
+        ix = e.get("index", {})
+        idx = (f"{ix['view_index_ops'] + ix['view_updacc_ops']}/"
+               f"{ix['gather_index_ops']}") if ix else "-"
         lines.append(
             f"{e['measured_rank']:2d} {e['seconds']:9.4f} "
             f"{100 * e['share']:5.1f}% {e['calls']:7d} {est:>10s} {erk:>4s} "
-            f"{mem:>11s} {flag:2s} {e['fun']}: {e['label']}{sched}"
+            f"{mem:>11s} {idx:>11s} {flag:2s} {e['fun']}: {e['label']}{sched}"
         )
     if rep["by_kind"]:
         top = sorted(rep["by_kind"].items(), key=lambda kv: kv[1], reverse=True)

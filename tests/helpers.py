@@ -2,6 +2,8 @@
 execution, and jvp/vjp consistency checks."""
 from __future__ import annotations
 
+import cProfile
+import pstats
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +68,33 @@ def reduce_census(fun, args):
                         walk(sub)
 
     walk(lower_fun(fun).body)
+    return out
+
+
+def numpy_call_census(fn) -> dict:
+    """Run ``fn()`` once under ``cProfile`` and count what indexing cost it:
+    ``gather`` — calls of ``exec.vector._gather`` (the clipped fancy-index
+    read), ``scatter`` — ``ufunc.at`` calls made by ``exec.vector._upd_acc``
+    (the ``np.add.at`` update), ``clip`` — every ``np.clip``.  Deterministic
+    (call counts, no timing); counting by profile rather than by patching
+    sees the calls however an emitter bound the helper."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        fn()
+    finally:
+        prof.disable()
+    out = {"gather": 0, "scatter": 0, "clip": 0}
+    for (path, _line, name), (_cc, ncalls, _tt, _ct, callers) in pstats.Stats(prof).stats.items():
+        if name == "_gather" and path.endswith("vector.py"):
+            out["gather"] += ncalls
+        elif name == "clip" and path.endswith("fromnumeric.py"):
+            out["clip"] += ncalls
+        elif name == "<method 'at' of 'numpy.ufunc' objects>":
+            out["scatter"] += sum(
+                c[0] for (cpath, _l, cname), c in callers.items()
+                if cname == "_upd_acc" and cpath.endswith("vector.py")
+            )
     return out
 
 

@@ -5,7 +5,6 @@ import pytest
 
 import repro as rp
 from helpers import check_grad, reduce_census, run_both
-from repro.util import ExecError
 
 
 def test_singleton_map_and_reduce():
@@ -183,16 +182,10 @@ _EXTENT_PROGRAMS = {
 @pytest.mark.parametrize("nested", [False, True], ids=["top", "in-map"])
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("key", list(_EXTENT_PROGRAMS), ids="-".join)
-def test_extent_0_and_1_on_every_fold_strategy(key, n, nested, request):
+def test_extent_0_and_1_on_every_fold_strategy(key, n, nested):
     """Primal and ``vjp`` of each strategy at extents 0 and 1, at top level
     and under a ``map`` (batch depth 1): every backend equal to ``ref``,
     plan and codegen bitwise-equal to each other (``run_both``)."""
-    if key == ("scan", "generic") and n == 0:
-        # rules_scan's general rule reads ``ȳs[n-1]``; on an empty scan every
-        # backend raises (ref: ExecError, plan/codegen: IndexError).
-        request.applymarker(
-            pytest.mark.xfail(strict=True, raises=(ExecError, IndexError))
-        )
     row = _EXTENT_PROGRAMS[key]
     f = (lambda *rows: rp.map(row, *rows)) if nested else row
     lead = (2,) if nested else ()

@@ -41,7 +41,7 @@ from repro.ir.ast import (
 from repro.ir.schedule import Parallel
 from repro.ir.types import AccType
 from repro.ir.verify import VERIFY_STATS
-from repro.exec.lower import ILoop, IRun, PlanIR, Ref, lower_fun
+from repro.exec.lower import ILoop, IMap, IRun, PlanIR, Ref, lower_fun, nested_bodies
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
 from repro.exec.verify_plan import verify_codegen_source, verify_plan_ir
 from helpers import run_both
@@ -496,6 +496,99 @@ def test_plan_donate_live_local_rejected(monkeypatch):
     later = next(o for o in run.ops[pos + 1:] if o.kind == "binop")
     later.xs = (donor,) + tuple(later.xs[1:])
     with pytest.raises(VerifyError, match=rf"reads run-local value {donor} .* released by op {pos}"):
+        verify_plan_ir(ir)
+
+
+# -- index provenance: the affine flags --------------------------------------
+
+
+def _index_ops(ir: PlanIR):
+    """Every ``index`` run-op of the plan with its run, nested bodies included."""
+    out = []
+
+    def walk(instrs):
+        for ins in instrs:
+            if isinstance(ins, IRun):
+                out.extend((ins, pos, op) for pos, op in enumerate(ins.ops) if op.kind == "index")
+            for b in nested_bodies(ins):
+                walk(b.instrs)
+
+    walk(ir.body.instrs)
+    return out
+
+
+def _reject_flag(ir: PlanIR, ins, pos, op, operand):
+    name = ins.prov[pos].exp.idx[operand]
+    with pytest.raises(
+        VerifyError, match=rf"run op {pos} \(index\) flags index operand {operand} "
+    ) as exc:
+        verify_plan_ir(ir)
+    assert "lane-affine" in str(exc.value) and getattr(name, "name", "") in str(exc.value)
+
+
+def test_lowering_flags_only_iota_parameters_plus_constants(monkeypatch):
+    def prog(a):
+        return rp.map(
+            lambda i: a[i] + a[i + 1] + a[2 + i] + a[i - 1] + a[1 - i] + a[2 * i] + a[i % 2],
+            rp.iota(2),
+        )
+
+    ir = _lowered(prog, (np.ones(8),), monkeypatch)
+    assert [op.affine for _, _, op in _index_ops(ir)] == (
+        [(True,)] * 4 + [None] * 3
+    )
+
+
+def test_plan_affine_flag_on_data_dependent_index_rejected(monkeypatch):
+    # the index is a reduce result (an argmin-style selection), not an iota
+    def prog(a, inds):
+        k = rp.reduce(lambda x, y: rp.minimum(x, y), 3, inds)
+        return a[k] * 2.0
+
+    ir = _lowered(prog, (np.ones(4), np.arange(4)), monkeypatch)
+    ((ins, pos, op),) = _index_ops(ir)
+    assert op.affine is None
+    op.affine = (True,)
+    _reject_flag(ir, ins, pos, op, 0)
+
+
+def test_plan_affine_flag_on_loop_carried_integer_rejected(monkeypatch):
+    def prog(a):
+        return rp.fori_loop(3, lambda t, k, s: (k + 1, s + a[k]), (0, 0.0))
+
+    ir = _lowered(prog, (np.ones(4),), monkeypatch)
+    ((ins, pos, op),) = _index_ops(ir)
+    op.affine = (True,)
+    _reject_flag(ir, ins, pos, op, 0)
+
+
+def test_plan_affine_flag_on_scaled_iota_rejected(monkeypatch):
+    ir = _lowered(
+        lambda a: rp.map(lambda i: a[2 * i], rp.iota(2)), (np.ones(4),), monkeypatch
+    )
+    ((ins, pos, op),) = _index_ops(ir)
+    op.affine = (True,)
+    _reject_flag(ir, ins, pos, op, 0)
+
+
+def test_plan_affine_flag_on_name_rebound_in_sibling_scope_rejected(monkeypatch):
+    """Two sibling maps bind the same slot: over an ``iota`` in the first,
+    over data in the second.  What the first scope proved must not leak."""
+    def prog(a, inds):
+        return rp.map(lambda i: a[i], rp.iota(4)), rp.map(lambda k: a[k], inds)
+
+    ir = _lowered(prog, (np.ones(4), np.arange(4)), monkeypatch)
+    first, second = (i for i in ir.body.instrs if isinstance(i, IMap))
+    (_, _, op1), (ins, pos, op2) = _index_ops(ir)
+    assert op1.affine == (True,) and op2.affine is None
+    old = second.params
+    second.params = first.params  # the sibling re-binds the first map's name
+    op2.xs = (op2.xs[0], op1.xs[1])
+    second.body.bound = first.body.bound
+    second.release = tuple(r for r in second.release if r not in old) + first.params
+    verify_plan_ir(ir)  # re-binding alone is fine (sibling scopes) …
+    op2.affine = (True,)  # … carrying the flag over is not
+    with pytest.raises(VerifyError, match=r"flags index operand 0 .*lane-affine"):
         verify_plan_ir(ir)
 
 
