@@ -1,29 +1,24 @@
-"""Ablations A1–A10 (per DESIGN.md):
+"""Ablations A1–A5, A9, A10 (per DESIGN.md):
 
 A1  §6.1 accumulator→reduce on the matmul adjoint (the GMM/LSTM lever);
 A2  §4.3 strip-mining time–space trade-off (checkpoint memory vs re-exec);
 A3  §4.1 perfect nests ⇒ no re-execution (DCE kills the forward sweeps);
 A4  §5.1 specialised reduce rules vs the general two-scan rule;
 A5  SOAC fusion on/off on the GMM gradient (the pass-registry flag);
-A6  shard on/off on the GMM full Jacobian (batched forward seeds as the
-    shard axis, plan backend vs the sharded executor);
+A6  retired with the shard executor (its trial is in CHANGES.md, PR 17);
 A7  retired with tier-2 plan specialisation (its shape-sweep invariant is
     tests/test_plan_cache.py);
-A8  static cost model on/off: cost-guided fusion (REPRO_FUSE_COST=on) vs
-    monotone fusion (=always) on the Table 5 GMM gradient and Table 3
-    kmeans gradient, and cost-derived shard chunk sizing vs the static
-    REPRO_SHARD_MIN_CHUNK/REPRO_SHARD_MAX_TASKS knobs on a map-kind shard
-    program — guided must be parity-safe (bitwise) and no slower;
+A8  retired with the cost model's decision points (the fusion gate never
+    rejected a candidate; CHANGES.md, PR 17);
 A9  source codegen vs the closure interpreter: the same plan IR rendered
     to one compiled Python function (backend=codegen) vs per-instruction
-    closure dispatch (backend=plan) on the A8 GMM gradient and two
+    closure dispatch (backend=plan) on a GMM gradient and two
     dispatch-bound scalar loops — bitwise parity asserted, codegen must
     win outright where dispatch dominates and be no slower elsewhere;
-A10 execution schedules: the cost model's default schedule vs forced
-    REPRO_SCHEDULE overrides (all-sequential(64) on plan — bitwise parity
-    asserted — and parallel(2) on shard — allclose) on the GMM full
-    Jacobian and the LSTM scan; every row records the schedule it ran
-    under and the cost-model-chosen schedule of the dominant statement.
+A10 execution schedules: the default schedule vs a forced
+    REPRO_SCHEDULE=sequential(64) override on plan — bitwise parity
+    asserted — on the GMM full Jacobian and the LSTM scan; every row
+    records the schedule it ran under.
 """
 import os
 
@@ -31,7 +26,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-from repro.apps import datagen, gmm, kmeans, lstm
+from repro.apps import datagen, gmm, lstm
 from repro.core.api import vjp
 from repro.exec.cost import CostRecorder
 from repro.exec.interp import RefInterp
@@ -243,203 +238,14 @@ def test_ablation_a5_fusion(benchmark, fused, gmm_fusion_pair):
         assert s_on < s_off
 
 
-# --- A6: sharded execution on/off ---------------------------------------------------
-
-GMM_A6 = (256, 8, 16)  # n, d, K -> K*d = 128 forward basis seeds
-
-
-@pytest.fixture(scope="module")
-def gmm_full_jacobian():
-    """The GMM full Jacobian w.r.t. the means: all K·d forward basis seeds
-    stacked on a leading batch axis (`call_batched`), which is exactly the
-    axis the shard backend partitions across workers."""
-    n, d, K = GMM_A6
-    alphas, means, icf, x = datagen.gmm_instance(n, d, K, 0)[:4]
-    fwd = rp.jvp(rp.compile(gmm.build_ir(n, d, K)))
-    m = K * d
-    seeds = np.eye(m).reshape(m, K, d)
-    zeros = (np.zeros_like(alphas), np.zeros_like(icf), np.zeros_like(x))
-
-    def jac(backend):
-        out = fwd.call_batched(
-            (alphas, means, icf, x, zeros[0], seeds, zeros[1], zeros[2]),
-            (False, False, False, False, False, True, False, False),
-            m,
-            backend=backend,
-        )
-        return np.asarray(out[-1]).reshape(m)
-
-    return jac
-
-
-@pytest.mark.parametrize("sharded_on", [False, True])
-def test_ablation_a6_shard(benchmark, sharded_on, gmm_full_jacobian, monkeypatch):
-    from repro.exec.shard import shard_stats, shutdown_shard_pool
-
-    jac = gmm_full_jacobian
-    workers = min(4, os.cpu_count() or 1)
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", str(workers))
-    backend = "shard" if sharded_on else "plan"
-    benchmark(lambda: jac(backend))
-    if sharded_on:
-        np.testing.assert_allclose(jac("shard"), jac("plan"), rtol=1e-9, atol=1e-12)
-        t_plan = timeit(lambda: jac("plan"))
-        t_shard = timeit(lambda: jac("shard"))
-        st = shard_stats()
-        shutdown_shard_pool()
-        speedup = t_plan / t_shard
-        write_table(
-            "ablation_a6_shard",
-            [
-                "A6: shard on/off — GMM full Jacobian wrt means (batched fwd seeds)",
-                f"shape {GMM_A6}, {GMM_A6[1] * GMM_A6[2]} seeds: "
-                f"plan {t_plan * 1000:.1f} ms, shard {t_shard * 1000:.1f} ms "
-                f"({speedup:.2f}x, {st['workers']} {st['mode']} workers, "
-                f"cpu_count={os.cpu_count()})",
-                "the stacked seed axis is partitioned across the worker pool;",
-                "the win tracks the physical core count (>=1.5x expected at 4+",
-                "cores; a 1-core box records ~1.0x and that is the honest number).",
-            ],
-            rows=[
-                bench_row("plan", seconds=t_plan, backend="plan"),
-                bench_row("shard", seconds=t_shard, backend="shard",
-                          workers=st["workers"], mode=st["mode"]),
-            ],
-        )
-        # The >=1.5x acceptance bar only applies where the hardware can
-        # deliver it; smaller boxes record the measurement without asserting.
-        if (os.cpu_count() or 1) >= 4 and st["mode"] == "thread":
-            assert speedup >= 1.5
-
-
-# --- A8: cost-model-guided decisions vs static heuristics ----------------------------
-
-#: Table 5 GMM gradient shape and Table 3 kmeans gradient shape, scaled down
-#: like every other ablation (the decision *parity* is what A8 asserts; the
-#: wall-clock ratio is recorded honestly at these sizes).
-GMM_A8 = (128, 8, 8)
-KMEANS_A8 = (8, 512, 4)
-
-
-def _a8_fusion_pair(monkeypatch, mode):
-    """Trace + differentiate the A8 workloads under one REPRO_FUSE_COST
-    mode.  The optimisation memo keys on the mode, so flipping the env var
-    between builds cannot serve stale fused programs."""
-    monkeypatch.setenv("REPRO_FUSE_COST", mode)
-    n, d, K = GMM_A8
-    gmm_args = datagen.gmm_instance(n, d, K, 0)[:4] + (1.0,)
-    g_gmm = vjp(rp.compile(gmm.build_ir(n, d, K)), wrt=[0, 1, 2])
-    k, kn, kd = KMEANS_A8
-    pts, ctr = datagen.kmeans_instance(k, kn, kd, 0)
-    g_km = vjp(rp.compile(kmeans.build_ir(kn, k, kd)), wrt=[1])
-    return (g_gmm, gmm_args), (g_km, (pts, ctr))
-
-
-def test_ablation_a8_cost_model(benchmark, monkeypatch):
-    from repro.opt.fusion import fusion_stats, reset_fusion_stats
-    from repro.exec.shard import reset_shard_stats, shard_stats, shutdown_shard_pool
-
-    # -- part 1: cost-guided vs monotone fusion --------------------------------
-    reset_fusion_stats()
-    (gg_on, gmm_args), (gk_on, km_args) = _a8_fusion_pair(monkeypatch, "on")
-    st_fuse = fusion_stats()
-    (gg_mono, _), (gk_mono, _) = _a8_fusion_pair(monkeypatch, "always")
-    s_on = count_soacs(gg_on.fun) + count_soacs(gk_on.fun)
-    s_mono = count_soacs(gg_mono.fun) + count_soacs(gk_mono.fun)
-
-    def run_pair(gg, gk):
-        out = []
-        for g, args in ((gg, gmm_args), (gk, km_args + (1.0,))):
-            res = g(*args, backend=BENCH_BACKEND)
-            out.extend(np.asarray(r) for r in (res if isinstance(res, tuple) else (res,)))
-        return out
-
-    res_on, res_mono = run_pair(gg_on, gk_on), run_pair(gg_mono, gk_mono)
-    for a, b in zip(res_on, res_mono):
-        np.testing.assert_array_equal(a, b)  # guided == monotone, bitwise
-
-    t_on = timeit(lambda: run_pair(gg_on, gk_on))
-    t_mono = timeit(lambda: run_pair(gg_mono, gk_mono))
-
-    # -- part 2: cost-derived chunking vs the static knobs --------------------
-    workers = min(4, os.cpu_count() or 1)
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", str(workers))
-    xs = rng.standard_normal(200_000)
-    fc = rp.compile(
-        rp.trace_like(
-            lambda v: rp.map(lambda x: rp.sin(x) * rp.exp(-x * x) + x * 0.5, v), (xs,)
-        )
-    )
-
-    def shard_run():
-        return np.asarray(fc(xs, backend="shard"))
-
-    def measure(min_chunk, max_tasks):
-        """One configuration: warm twice (plan cache, pool, ufunc caches),
-        then take the median of 7 repeats — both configs measured the same
-        way so neither rides the other's warm-up."""
-        if min_chunk is None:
-            monkeypatch.delenv("REPRO_SHARD_MIN_CHUNK", raising=False)
-            monkeypatch.delenv("REPRO_SHARD_MAX_TASKS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", min_chunk)
-            monkeypatch.setenv("REPRO_SHARD_MAX_TASKS", max_tasks)
-        reset_shard_stats()
-        res = shard_run()
-        chunks = shard_stats()["chunks"]
-        shard_run()
-        return res, chunks, timeit(shard_run, repeats=7)
-
-    r_guided, chunks_guided, t_guided = measure(None, None)
-    r_static, chunks_static, t_static = measure("1024", "16")
-    shutdown_shard_pool()
-    # map-kind shard points recombine by concatenation: chunk geometry can
-    # never change the numbers, so guided chunking is bitwise-safe.
-    np.testing.assert_array_equal(r_guided, r_static)
-
-    benchmark(lambda: run_pair(gg_on, gk_on))
-    write_table(
-        "ablation_a8_cost_model",
-        [
-            "A8: static cost model — guided vs cost-blind decisions",
-            f"fusion (GMM {GMM_A8} + kmeans {KMEANS_A8} gradients): guided "
-            f"{t_on*1000:.1f} ms / {s_on} SOACs, monotone {t_mono*1000:.1f} ms "
-            f"/ {s_mono} SOACs ({t_mono/t_on:.2f}x, cost_rejected="
-            f"{st_fuse['cost_rejected']})",
-            f"shard chunking (200k-elem map, {workers} workers): derived "
-            f"{t_guided*1000:.1f} ms / {chunks_guided} chunks, static knobs "
-            f"{t_static*1000:.1f} ms / {chunks_static} chunks "
-            f"({t_static/t_guided:.2f}x)",
-            "guided fusion accepts exactly the candidates the estimator",
-            "predicts to cut traffic (identical decisions on these programs,",
-            "bitwise-equal results); chunk counts now derive from estimated",
-            "per-element work against REPRO_COST_TASK_GRAIN instead of the",
-            "static REPRO_SHARD_MIN_CHUNK floor (kept as an override).",
-        ],
-        rows=[
-            bench_row("fusion/guided", seconds=t_on, soacs=s_on,
-                      cost_rejected=st_fuse["cost_rejected"]),
-            bench_row("fusion/monotone", seconds=t_mono, soacs=s_mono),
-            bench_row("chunking/derived", seconds=t_guided, backend="shard",
-                      chunks=chunks_guided, workers=workers),
-            bench_row("chunking/static_knobs", seconds=t_static, backend="shard",
-                      chunks=chunks_static, workers=workers),
-        ],
-    )
-    # guided must be >= 1.0x monotone/static up to timing noise
-    assert t_on <= t_mono * 1.15, (t_on, t_mono)
-    assert t_guided <= t_static * 1.25, (t_guided, t_static)
-    assert s_on == s_mono  # the gate accepted every profitable fusion
-
-
 # --- A9: source codegen vs the closure interpreter -----------------------------------
 
-#: Two regimes.  The GMM gradient (A8 scale) is array-bound: NumPy kernels
-#: dominate and codegen only trims the residual per-instruction dispatch.
-#: The scalar loops are dispatch-bound: almost every "instruction" is a
+#: Two regimes.  The GMM gradient (Table 5 shape, scaled down) is
+#: array-bound: NumPy kernels dominate and codegen only trims the residual
+#: per-instruction dispatch.  The scalar loops are dispatch-bound: almost every "instruction" is a
 #: handful of FLOPs, so the closure interpreter's per-op indirection *is*
 #: the cost, and rendering the plan IR to one Python function removes it.
-GMM_A9 = GMM_A8
+GMM_A9 = (128, 8, 8)
 A9_FORI_ITERS = 512
 A9_WHILE_LIMIT = 1000.0
 
@@ -560,24 +366,19 @@ def test_ablation_a9_codegen(benchmark):
             os.environ["REPRO_VERIFY"] = env0
 
 
-# --- A10: execution schedules (cost-model default vs forced overrides) ----------
+# --- A10: execution schedules (default vs a forced override) ---------------------
 
-#: GMM sizes reuse A6 (the batched-seed shard axis); the LSTM sizes keep the
-#: scan long enough that the recurrence, not setup, dominates.
-GMM_A10 = GMM_A6
+#: GMM: n, d, K -> K*d = 128 forward basis seeds on one batch axis; the LSTM
+#: sizes keep the scan long enough that the recurrence, not setup, dominates.
+GMM_A10 = (256, 8, 16)
 LSTM_A10 = (4, 24, 12, 16)  # bs, n, d, h
 
 
 def test_ablation_a10_schedule(benchmark, monkeypatch):
-    from repro.exec.shard import shutdown_shard_pool
-    from repro.ir.cost_model import choose_schedule, stm_work
-    from repro.ir.schedule import SCHEDULABLE, format_schedule
-
     monkeypatch.delenv("REPRO_SCHEDULE", raising=False)
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
 
     # GMM full Jacobian w.r.t. the means: all K·d forward basis seeds
-    # stacked on a leading batch axis (the axis shard partitions).
+    # stacked on a leading batch axis.
     n, d, K = GMM_A10
     alphas, means, icf, x = datagen.gmm_instance(n, d, K, 0)[:4]
     fwd = rp.jvp(rp.compile(gmm.build_ir(n, d, K)))
@@ -608,23 +409,15 @@ def test_ablation_a10_schedule(benchmark, monkeypatch):
         ("lstm_scan", lc, lstm_loss),
     ]
     lines = [
-        "A10: cost-model default schedule vs forced REPRO_SCHEDULE overrides.",
-        "sequential(64) runs on plan and must be bitwise-equal to the default;",
-        "parallel(2) runs on shard at 2 pinned workers (allclose).  'chosen'",
-        "is the cost model's pick for the workload's dominant statement.",
+        "A10: default schedule vs a forced REPRO_SCHEDULE=sequential(64) override.",
+        "sequential(64) runs on plan and must be bitwise-equal to the default.",
     ]
     rows = []
     for name, base, run in workloads:
-        stms = [s for s in base.fun.body.stms if isinstance(s.exp, SCHEDULABLE)]
-        chosen = "-"
-        if stms:
-            dom = max(stms, key=stm_work)
-            chosen = format_schedule(choose_schedule(dom, workers=2))
-
         ref = run(base, "plan")
         t_def = timeit(lambda: run(base, "plan"))
         rows.append(bench_row(f"{name}/default", seconds=t_def, backend="plan",
-                              schedule="(cost model)", chosen_schedule=chosen))
+                              schedule="(default)"))
 
         # schedules are applied at compile time, so forced variants rebuild
         # from the already-optimised fun under the REPRO_SCHEDULE override
@@ -633,24 +426,12 @@ def test_ablation_a10_schedule(benchmark, monkeypatch):
         np.testing.assert_array_equal(run(seq, "plan"), ref)
         t_seq = timeit(lambda: run(seq, "plan"))
         rows.append(bench_row(f"{name}/sequential(64)", seconds=t_seq,
-                              backend="plan", schedule="sequential(64)",
-                              chosen_schedule=chosen))
-
-        monkeypatch.setenv("REPRO_SCHEDULE", "parallel(2)·vectorized")
-        par = Compiled(base.fun, optimize=False)
-        np.testing.assert_allclose(run(par, "shard"), ref, rtol=1e-9, atol=1e-12)
-        t_par = timeit(lambda: run(par, "shard"))
-        rows.append(bench_row(f"{name}/parallel(2)", seconds=t_par,
-                              backend="shard",
-                              schedule="parallel(2)·vectorized",
-                              chosen_schedule=chosen))
+                              backend="plan", schedule="sequential(64)"))
         monkeypatch.delenv("REPRO_SCHEDULE")
 
         lines.append(
-            f"{name:14s} chosen {chosen:24s} default {t_def*1000:8.2f} ms, "
-            f"sequential(64) {t_seq*1000:8.2f} ms, "
-            f"parallel(2) {t_par*1000:8.2f} ms"
+            f"{name:14s} default {t_def*1000:8.2f} ms, "
+            f"sequential(64) {t_seq*1000:8.2f} ms"
         )
-    shutdown_shard_pool()
     benchmark(lambda: lstm_loss(lc, "plan"))
     write_table("ablation_a10_schedule", lines, rows=rows)

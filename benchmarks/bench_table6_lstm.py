@@ -93,8 +93,7 @@ def test_table6_fwd_batched_bias_gradient(benchmark):
             "Table 6 (extra): LSTM d loss/d bias, forward mode over 4h seeds",
             f"D0 {DS['D0']}: batched {t_b * 1000:.1f} ms, per-seed loop "
             f"{t_l * 1000:.1f} ms ({t_l / t_b:.1f}x)",
-            "all basis seeds stack on one leading batch axis (call_batched);",
-            "on backend=shard that axis is partitioned across the worker pool.",
+            "all basis seeds stack on one leading batch axis (call_batched).",
         ],
         rows=[
             bench_row("fwd_batched", seconds=t_b),

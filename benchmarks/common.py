@@ -11,9 +11,7 @@ cached per shape signature — see ``repro.exec.plan``), which is what the
 paper's compiled-bulk-code numbers correspond to.  ``REPRO_BENCH_BACKEND``
 selects any registered backend instead: ``ref`` to measure the
 interpreter, ``codegen`` to run plan IR rendered to compiled Python source
-(no per-instruction dispatch, bitwise-equal to ``plan``), ``shard`` to
-spread the dominant SOAC (and the batched seed axes) across the worker
-pool (``REPRO_SHARD_WORKERS``/``REPRO_SHARD_MODE``).
+(no per-instruction dispatch, bitwise-equal to ``plan``).
 Unknown names fail at import with the registered set listed.
 """
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro import obs
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
 from repro.exec.plan import plan_cache_stats
 from repro.exec.registry import get_backend
-from repro.exec.shard import shard_stats
 from repro.obs import tracing as obs_tracing
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -76,7 +73,7 @@ def write_table(name: str, lines, rows=None) -> None:
     repo root as ``BENCH_<name>.json`` — so the perf trajectory is
     trackable across PRs: the per-row measurements (``bench_row`` dicts
     when the caller passes them), the backend, a snapshot of the plan-cache
-    and shard counters at write time, and the human-readable lines.
+    counters at write time, and the human-readable lines.
     """
     path = os.path.join(RESULTS_DIR, name + ".txt")
     text = "\n".join(lines) + "\n"
@@ -88,7 +85,6 @@ def write_table(name: str, lines, rows=None) -> None:
         "unix_time": time.time(),
         "rows": [dict(r) for r in (rows or [])],
         "plan_cache": plan_cache_stats(),
-        "shard": shard_stats(),
         "lines": list(lines),
     }
     blob = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"

@@ -82,7 +82,7 @@ def build_ir(n_obs: int):
     )
 
 
-def jacobian_ad(jv, gcams, gpts, ws, feats, backend="plan", batched=None):
+def jacobian_ad(jv, gcams, gpts, ws, feats, backend=None, batched=None):
     """The AD reprojection-Jacobian blocks via the seed-vector trick (§7.1).
 
     ``jv`` is ``rp.vjp(compile(build_ir(n)), wrt=[0, 1, 2])``.  One reverse
@@ -96,8 +96,9 @@ def jacobian_ad(jv, gcams, gpts, ws, feats, backend="plan", batched=None):
     weight-regulariser row ``d werr/d w = -2w`` is closed-form and omitted,
     as in the Table 1 measurement.)
     """
-    from ..exec.registry import get_backend
+    from ..exec.registry import default_backend, get_backend
 
+    backend = backend or default_backend()
     n = gcams.shape[0]
     if batched is None:
         batched = get_backend(backend).batched

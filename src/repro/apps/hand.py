@@ -98,7 +98,7 @@ def build_ir(n_bones: int, n_verts: int):
     )
 
 
-def jacobian_fwd_ad(fwd, theta, base, wghts, targets, backend="plan", batched=None):
+def jacobian_fwd_ad(fwd, theta, base, wghts, targets, backend=None, batched=None):
     """All 3·B forward pose directions of the HAND objective in one pass.
 
     ``fwd`` is ``rp.jvp(compile(build_ir(B, V)))``.  The Table 1 HAND

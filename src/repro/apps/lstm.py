@@ -79,7 +79,7 @@ def build_ir(n: int, bs: int, d: int, h: int):
     )
 
 
-def grad_fwd_ad(fwd, xs, wx, wh, b, wy, targets, backend="plan", batched=None):
+def grad_fwd_ad(fwd, xs, wx, wh, b, wy, targets, backend=None, batched=None):
     """Forward-mode gradient of the LSTM loss w.r.t. the bias, batched.
 
     ``fwd`` is ``rp.jvp(compile(build_ir(...)))``.  The loss is scalar, so

@@ -10,7 +10,7 @@ drift from each other.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ def identity_seed_pass(
     fwd,
     primals: Sequence[np.ndarray],
     seed_slot: int,
-    backend: str = "plan",
+    backend: Optional[str] = None,
     batched: "bool | None" = None,
 ) -> np.ndarray:
     """Directional derivatives of ``fwd`` over the full identity basis of
@@ -31,16 +31,17 @@ def identity_seed_pass(
     ``(*primals, *tangents)`` with one tangent per (all-float) primal.  The
     tangent of ``primals[seed_slot]`` — which must be rank-1, of length
     ``m`` — is seeded with every row of ``eye(m)``; the other tangents are
-    zero.  On a batched-capable backend all ``m`` basis seeds stack on a
-    leading batch axis and evaluate in one ``call_batched`` pass (on
-    ``shard``, partitioned across the worker pool); otherwise (or with
-    ``batched=False``) a per-seed loop runs.
+    zero.  ``backend=None`` resolves through ``default_backend()``
+    (``REPRO_BACKEND``).  On a batched-capable backend all ``m`` basis seeds
+    stack on a leading batch axis and evaluate in one ``call_batched`` pass;
+    otherwise (or with ``batched=False``) a per-seed loop runs.
 
     Returns the ``(m,)`` array of ``out[-1]`` per direction — for a scalar
     function, its gradient recovered column-by-column.
     """
-    from ..exec.registry import get_backend
+    from ..exec.registry import default_backend, get_backend
 
+    backend = backend or default_backend()
     primals = tuple(np.asarray(p) for p in primals)
     m = primals[seed_slot].shape[0]
     if batched is None:

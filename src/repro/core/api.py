@@ -14,14 +14,12 @@ These mirror the paper's ``jvp``/``vjp`` language constructs (§2.0.1/2.0.2):
 Batched seeds
 -------------
 
-On the batched-capable backends (``plan``, ``codegen``, ``shard``) ``jacobian``
+On the batched-capable backends (``plan``, ``codegen``) ``jacobian``
 evaluates *all* basis seeds in a single pass: the n (fwd) or m (rev) seed
 vectors are stacked on a leading batch axis and the derivative function runs
 once with that axis treated as one more parallel level — instead of n/m
-separate interpreter invocations.  On ``shard`` that seed axis is
-additionally partitioned across the worker pool (``exec/shard.py``).  Pass
-``batched=False`` to force the per-seed loop (the only strategy available
-on the ``ref`` backend).
+separate interpreter invocations.  Pass ``batched=False`` to force the
+per-seed loop (the only strategy available on the ``ref`` backend).
 """
 from __future__ import annotations
 
@@ -174,11 +172,9 @@ def jacobian(f: FunLike, mode: Optional[str] = None) -> Callable:
     call time — the §2 cost argument.
 
     The returned callable accepts ``backend`` and ``batched`` keywords.  On
-    the batched-capable backends (``plan``/``codegen``/``shard``) all basis
-    seeds are evaluated in one batched pass by default — on ``shard`` the
-    stacked seeds additionally become the shard axis, spreading the pass
-    across the worker pool; ``batched=False`` forces the per-seed loop,
-    which is also the fallback on ``ref``.
+    the batched-capable backends (``plan``/``codegen``) all basis seeds are
+    evaluated in one batched pass by default; ``batched=False`` forces the
+    per-seed loop, which is also the fallback on ``ref``.
     """
     fun = _fun_of(f)
     if len(fun.params) != 1 or len(fun.body.result) != 1:

@@ -1,8 +1,7 @@
 """Executors: the reference interpreter (the oracle), the plan family
 (shared lowering in ``lower``, closure emitter in ``plan``, source codegen
-emitter in ``codegen``, batched-value helpers in ``vector``), the sharded
-parallel executor, and the cost model — all resolvable by name through the
-backend registry."""
+emitter in ``codegen``, batched-value helpers in ``vector``) and the cost
+recorder — all resolvable by name through the backend registry."""
 from .codegen import (  # noqa: F401
     CodegenPlan,
     run_fun_codegen,
@@ -27,12 +26,5 @@ from .registry import (  # noqa: F401
     get_backend,
     register_backend,
     unregister_backend,
-)
-from .shard import (  # noqa: F401
-    reset_shard_stats,
-    run_fun_shard,
-    run_fun_shard_batched,
-    shard_stats,
-    shutdown_shard_pool,
 )
 from .values import AccVal, coerce_arg, zeros_of  # noqa: F401

@@ -24,7 +24,7 @@ This emitter removes the dispatch entirely.  It renders the **same plan IR**
 
 The source is ``compile()``/``exec()``d once per plan and the resulting
 code object lives in the ordinary plan cache (same keys —
-``plan_for(..., backend="codegen")``).  Because lowering
+``plan_for(..., emitter="codegen")``).  Because lowering
 is shared and every instruction template transliterates the interpreter's
 closure body, the generated function performs the **same NumPy calls in the
 same order** — results are bitwise identical to the plan backend, which the
@@ -990,13 +990,8 @@ class CodegenPlan:
             self.param_types = ir.param_types
             self.nslots = ir.nslots
             self.fused_stms = ir.fused
-            em = _SrcEmitter()
-            src, ns = em.render(ir)
+            src, ns = _SrcEmitter().render(ir)
             self.source = src
-            #: Injected Python constants, in ``_K{i}`` order — with
-            #: ``source``/``param_types`` this is everything a process
-            #: worker needs to recompile the plan (``codegen_payload``).
-            self.consts = tuple(em.consts)
             self.schedule_str = plan_schedules(ir)
         # Layer-2 codegen sanity (ir/verify knob): the rendered module must
         # parse and reference nothing beyond the injected namespace.  Once
@@ -1097,85 +1092,15 @@ from .values import coerce_arg  # noqa: E402  (placed after class for clarity)
 register_emitter("codegen", CodegenPlan)
 
 
-# ---------------------------------------------------------------------------
-# Shipping codegen plans to process workers
-# ---------------------------------------------------------------------------
-#
-# Code objects don't pickle, but *source* does: a process worker can rebuild
-# a codegen plan from ``(name, source, consts, param_types)`` — the injected
-# ``_K{i}`` constants are ufuncs, dtypes and scalar ``BV``s, all picklable
-# for the programs the shard executor ships (anything exotic surfaces as a
-# PicklingError at submit time and degrades to the thread pool).
-
-
-_PAYLOAD_MEMO: "BoundedLRU" = None  # type: ignore[assignment]
-_PAYLOAD_MEMO_CAP = 128
-
-
-def codegen_payload(fun: Fun) -> Tuple[str, str, tuple, tuple]:
-    """``(name, source, consts, param_types)`` for worker-side recompilation
-    (memoised per ``fun`` identity; workers cache by ``ir_hash``)."""
-    global _PAYLOAD_MEMO
-    if _PAYLOAD_MEMO is None:
-        from ..util import BoundedLRU
-
-        _PAYLOAD_MEMO = BoundedLRU()
-    ent = _PAYLOAD_MEMO.get(id(fun))
-    if ent is not None and ent[0] is fun:
-        return ent[1]
-    plan = CodegenPlan(fun)
-    payload = (fun.name, plan.source, plan.consts, tuple(plan.param_types))
-    _PAYLOAD_MEMO.put(id(fun), (fun, payload), _PAYLOAD_MEMO_CAP)
-    return payload
-
-
-class _ShippedFun:
-    """Stand-in for the ``fun`` a shipped plan no longer carries: the run
-    methods only read ``.name`` (spans and error messages)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
-class ShippedCodegenPlan(CodegenPlan):
-    """A ``CodegenPlan`` rebuilt worker-side from a ``codegen_payload``.
-
-    Skips lowering and emission entirely — the parent already did both —
-    and just recompiles the shipped source against the shared base
-    namespace plus the shipped constants.  ``run``/``run_batched`` are
-    inherited unchanged, so chunk execution is bitwise-identical to the
-    parent's own codegen backend."""
-
-    def __init__(self, payload: Tuple[str, str, tuple, tuple]) -> None:
-        name, source, consts, param_types = payload
-        ns = dict(_BASE_NAMESPACE)
-        for i, obj in enumerate(consts):
-            ns[f"_K{i}"] = obj
-        with _obs_tracing.timed("compile", cat="compile", fun=name, emitter="codegen"):
-            code = compile(source, f"<codegen:shipped:{name}>", "exec")
-            exec(code, ns)
-            self._fn = ns["_plan_main"]
-        self.fun = _ShippedFun(name)
-        self.param_slots = tuple(range(len(param_types)))
-        self.param_types = tuple(param_types)
-        self.nslots = 0
-        self.fused_stms = 0
-        self.source = source
-        self.consts = tuple(consts)
-        self.schedule_str = ""
-
-
 def run_fun_codegen(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
     """Evaluate ``fun`` via the (cached) codegen backend."""
-    return plan_for(fun, args, backend="codegen").run(args)
+    return plan_for(fun, args, emitter="codegen").run(args)
 
 
 def run_fun_codegen_batched(
     fun: Fun, args: Sequence[object], batched: Sequence[bool], batch_size: int
 ) -> Tuple[object, ...]:
     """Evaluate ``fun`` once with batched arguments via the codegen backend."""
-    return plan_for(fun, args, batched, backend="codegen").run_batched(
+    return plan_for(fun, args, batched, emitter="codegen").run_batched(
         args, batched, batch_size
     )

@@ -207,7 +207,7 @@ class _Instr:
     #: these statements; everything else ignores them.
     prov: tuple = ()
     #: The active schedule of the lowered SOAC/loop statement, formatted
-    #: (``ir.schedule.schedule_str``) — carried so execute/shard spans and
+    #: (``ir.schedule.schedule_str``) — carried so execute spans and
     #: the profiler report can say *how* a statement was scheduled.  Empty
     #: on non-schedulable instructions.
     schedule: str = ""

@@ -25,17 +25,15 @@ asserts agreement).
 Caching
 -------
 
-``plan_for(fun, args, batched=..., backend=..., emitter=...)`` memoises
-plans in one module-level, lock-guarded LRU keyed by ``(ir_hash(fun),
-backend, emitter, batched flags, rank/dtype signature)``.  The key leads
-with the alpha-invariant content hash (``ir.analysis.ir_hash``), so
-alpha-equivalent ``Fun`` bodies — retraced derivatives, per-worker
-re-optimised copies — share one lowering instead of one per object
-identity.  Concrete extents are not part of the key: plans are
-shape-generic, so one lowering serves a whole problem-size sweep (GMM
-D0→D6, BA camera counts, shard chunk extents) instead of re-lowering per
-shape and churning the LRU.  The backend/emitter dimensions separate
-entries lowered for the plan backend proper from shard chunk plans and
+``plan_for(fun, args, batched=..., emitter=...)`` memoises plans in one
+module-level, lock-guarded LRU keyed by ``(ir_hash(fun), emitter, batched
+flags, rank/dtype signature)``.  The key leads with the alpha-invariant
+content hash (``ir.analysis.ir_hash``), so alpha-equivalent ``Fun`` bodies
+— retraced derivatives, re-optimised copies — share one lowering instead
+of one per object identity.  Concrete extents are not part of the key:
+plans are shape-generic, so one lowering serves a whole problem-size sweep
+(GMM D0→D6, BA camera counts) instead of re-lowering per shape and
+churning the LRU.  The emitter dimension separates closure plans from
 codegen code objects.
 
 Repeat calls on same-rank arguments skip tracing, optimisation, and
@@ -45,8 +43,8 @@ per emitter, so callers can assert cache behaviour.  The LRU is bounded by
 ``REPRO_PLAN_CACHE_SIZE`` entries (default 512, ``0`` unbounded);
 ``clear_plan_cache`` drops everything eagerly (plans are derived purely from
 immutable ``Fun`` values, so entries never go stale).  All cache and counter
-state is mutated under one re-entrant lock — shard thread mode resolves
-plans from pool workers concurrently.
+state is mutated under one re-entrant lock — users may call one
+``Compiled`` from several of their own threads.
 
 Batched seeds
 -------------
@@ -1190,7 +1188,7 @@ PLAN_STATS = _obs_metrics.counter_group(
 EMITTER_STATS: Dict[str, Dict[str, object]] = {}
 
 #: The cache (key: see ``plan_for``).  Mutated only under ``_LOCK`` together
-#: with the stats dicts (shard thread mode resolves plans from pool workers).
+#: with the stats dicts (a ``Compiled`` may be called from several threads).
 _CACHE = BoundedLRU()
 _LOCK = threading.RLock()
 _MISS = object()
@@ -1212,31 +1210,24 @@ def plan_for(
     fun: Fun,
     args: Sequence[object],
     batched: Optional[Sequence[bool]] = None,
-    backend: str = "plan",
     emitter: Optional[str] = None,
 ):
     """The cached plan for ``fun`` given ``args``' ranks/dtypes, keyed by
-    ``(ir_hash(fun), backend, emitter, batched flags, rank/dtype signature)``
+    ``(ir_hash(fun), emitter, batched flags, rank/dtype signature)``
     (module docstring, "Caching": why the content hash, and why no extents).
 
     ``emitter`` picks how the lowered IR executes — ``"plan"`` (closure
-    interpreter, the default) or ``"codegen"`` (compiled source); it
-    defaults to ``"codegen"`` when ``backend="codegen"``.  The whole lookup
-    — cache mutation, counters, and any lowering — runs under one
-    re-entrant lock, so concurrent shard workers can never corrupt the LRU
-    order or lose stat increments (and a plan is lowered once, not once per
-    racing thread).
+    interpreter, the default; ``"profile"`` under ``REPRO_PROFILE``) or
+    ``"codegen"`` (compiled source).  The whole lookup — cache mutation,
+    counters, and any lowering — runs under one re-entrant lock, so
+    concurrent callers can never corrupt the LRU order or lose stat
+    increments (and a plan is lowered once, not once per racing thread).
     """
     if emitter is None:
-        if backend == "codegen":
-            emitter = "codegen"
-        elif profile_enabled():
-            emitter = "profile"
-        else:
-            emitter = "plan"
+        emitter = "profile" if profile_enabled() else "plan"
     build = _resolve_emitter(emitter)
     flags = tuple(batched) if batched is not None else None
-    key = (ir_hash(fun), backend, emitter, flags, _sig_of(args))
+    key = (ir_hash(fun), emitter, flags, _sig_of(args))
     cap = env_capacity("REPRO_PLAN_CACHE_SIZE", _DEFAULT_CACHE_SIZE)
     with _LOCK:
         plan = _CACHE.get(key, _MISS)

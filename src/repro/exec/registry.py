@@ -12,9 +12,7 @@ Built-in backends, registered at import:
 * ``ref``   — the reference interpreter (semantics oracle, cost model);
 * ``plan``  — the cached plan compiler (lower once, replay closures);
 * ``codegen`` — the source codegen executor (same lowering, plan IR rendered
-  to one compiled Python function; see ``exec/codegen.py``);
-* ``shard`` — the sharded parallel executor (chunked plan execution on a
-  worker pool; see ``exec/shard.py``).
+  to one compiled Python function; see ``exec/codegen.py``).
 
 Registering a custom backend is one call::
 
@@ -69,15 +67,12 @@ class Backend:
     ``run(fun, args)`` evaluates a ``Fun`` and returns the result tuple.
     ``run_batched(fun, args, batched, batch_size)`` — when not None — is the
     batched multi-seed entry (flagged arguments carry a leading batch axis);
-    its presence *is* the ``batched`` capability.  ``sharded`` marks
-    executors that spread work across a worker pool (used by stats/ablation
-    tooling, and reserved in the plan-cache key).
+    its presence *is* the ``batched`` capability.
     """
 
     name: str
     run: Callable[[Fun, Sequence[object]], Tuple[object, ...]]
     run_batched: Optional[Callable] = None
-    sharded: bool = False
     description: str = ""
 
     @property
@@ -167,7 +162,6 @@ def _run_ref(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
 def _register_builtins() -> None:
     from .codegen import run_fun_codegen, run_fun_codegen_batched
     from .plan import run_fun_plan, run_fun_plan_batched
-    from .shard import run_fun_shard, run_fun_shard_batched
 
     register_backend(
         Backend(
@@ -190,15 +184,6 @@ def _register_builtins() -> None:
             run=run_fun_codegen,
             run_batched=run_fun_codegen_batched,
             description="source codegen (plan IR compiled to one Python function)",
-        )
-    )
-    register_backend(
-        Backend(
-            "shard",
-            run=run_fun_shard,
-            run_batched=run_fun_shard_batched,
-            sharded=True,
-            description="sharded parallel executor over the plan backend",
         )
     )
 

@@ -1,9 +1,9 @@
 """Batched-value helper library of the plan family.
 
 This module is **not an executor**.  It holds the value representation and
-the runtime primitives that ``exec/lower.py``, ``exec/plan.py``,
-``exec/codegen.py`` and ``exec/shard.py`` import — one shared copy is what
-keeps the two emitters bitwise-equal to each other.
+the runtime primitives that ``exec/lower.py``, ``exec/plan.py`` and
+``exec/codegen.py`` import — one shared copy is what keeps the two emitters
+bitwise-equal to each other.
 
 The execution model they implement is the flattening one the paper relies on
 (§4.1): entering a ``map`` pushes a batch level, lambda parameters become
@@ -159,7 +159,7 @@ def _elem(f, *vs) -> BV:
 #: three static sizes summed over the plans emitted since the last reset, and
 #: the one run-time count — donations of a buffer worth reusing whose check
 #: failed, so the op allocated.
-#: Every mutation holds ``_STATS_LOCK`` (shard thread mode runs plans in workers).
+#: Every mutation holds ``_STATS_LOCK`` (users may run plans from their own threads).
 MEM_STATS = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0,
              "donation_fallbacks": 0}
 #: The index counters (the ``index`` section of ``plan_cache_stats``), same
@@ -251,7 +251,7 @@ def _basic_view(a: np.ndarray, ka: int, idxs: Sequence[BV], affine, k: int):
     call knows is checked here in O(1): an operand without batch axes is a
     lane-uniform integer and must be in range; an affine one must span
     exactly its lane (``size == n``), start and end inside the axis (chunked
-    and sharded maps start past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
+    maps start past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
     it — that read stays a clipped gather), on a lane no other operand uses
     and no shallower than ``a``'s own batch axes (either would be a
     diagonal).  Each such operand becomes ``slice(start, start + n)`` on its

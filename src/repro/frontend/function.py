@@ -13,20 +13,15 @@ Backends are resolved through the pluggable registry
 * ``"codegen"`` — the same lowering rendered to one compiled Python
   function (``exec/codegen.py``), bitwise-equal to ``"plan"``;
 * ``"ref"`` — the reference interpreter (semantics oracle, drives the cost
-  model);
-* ``"shard"`` — the sharded parallel executor: the dominant data-parallel
-  SOAC (or the batch axis of a batched call) is partitioned across a
-  persistent worker pool, each chunk running through the cached plan
-  backend (``exec/shard.py``; non-shardable programs fall back to plan).
+  model).
 
 Unknown names raise listing the registered set; custom executors can be
 added with ``repro.exec.registry.register_backend``.
 
 ``call_batched`` is the batched multi-seed entry used by ``jacobian``: it
 evaluates the function once with selected arguments carrying a leading batch
-axis (supported on backends with the ``batched`` capability — ``plan``,
-``codegen`` and ``shard`` — whose batching machinery makes it a single bulk
-pass).
+axis (supported on backends with the ``batched`` capability — ``plan`` and
+``codegen`` — whose batching machinery makes it a single bulk pass).
 """
 from __future__ import annotations
 
@@ -69,16 +64,16 @@ class Compiled:
     ``default_backend()`` — ``REPRO_BACKEND`` or the plan compiler — so
     every entry point in the system shares one default; any registered
     backend name selects that executor explicitly (``ref``, ``plan``,
-    ``codegen``, ``shard``, or a custom registration).  ``cost()`` measures
-    the cost-model counters of a run (reference interpretation).
+    ``codegen``, or a custom registration).  ``cost()`` measures the
+    cost-model counters of a run (reference interpretation).
 
     ``passes`` selects the optimisation passes applied at construction (a
     sequence of registered pass names — see ``opt.pipeline``); None means
     the default set, overridable via the ``REPRO_OPT_PASSES`` environment
     variable.
 
-    ``schedule`` overrides the cost model's default execution schedule (see
-    ``ir.schedule``): a directive string like ``"parallel(2)·vectorized"``
+    ``schedule`` overrides the default execution schedule (see
+    ``ir.schedule``): a directive string like ``"sequential(64)·vectorized"``
     or a tuple of directive objects, attached *after* optimisation to the
     dominant schedulable statement — illegal schedules raise
     ``ScheduleError`` naming the offending directive.  With no explicit
@@ -108,7 +103,8 @@ class Compiled:
 
             fun = apply_env_schedule(fun)
         # Pass-boundary verification after schedule application — this is
-        # the boundary where layer 3 (parallel safety) sees the directives.
+        # the boundary where the schedule-legality re-check sees the
+        # attached directives.
         from ..ir.verify import maybe_verify_fun
 
         self.fun = maybe_verify_fun(fun, where="schedule")

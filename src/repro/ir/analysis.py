@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +30,6 @@ from .ast import (
     ScratchLike,
     Select,
     Size,
-    Stm,
     UnOp,
     UpdAcc,
     Update,
@@ -39,7 +38,7 @@ from .ast import (
     WithAcc,
     ZerosLike,
 )
-from .types import is_float, np_dtype, rank_of
+from .types import np_dtype
 from ..util import BoundedLRU, env_capacity
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "perfect_map_nest",
     "OP_IDENTITY",
     "ne_is_identity",
-    "ParallelSplit",
-    "parallel_split",
     "StaticInfo",
     "infer_static_shapes",
     "ir_hash",
@@ -58,9 +55,8 @@ __all__ = [
 
 
 #: Identities of the specialisable reduce operators (float domain).  The
-#: single source of truth: the executors' fast reduce/scan/hist paths (via
-#: ``ne_is_identity``) and the shardability analysis (which substitutes the
-#: identity as the chunk neutral element) both key off this table.
+#: single source of truth: the executors' fast reduce/scan/hist paths key
+#: off this table (via ``ne_is_identity``).
 OP_IDENTITY = {"add": 0.0, "mul": 1.0, "min": float("inf"), "max": float("-inf")}
 
 
@@ -203,253 +199,6 @@ def _recognize_redomap(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
             return None
         map_stms.append(stm)
     return exp.op, Lambda(tuple(lam.params[1:]), Body(tuple(map_stms), (v,)))
-
-
-# ---------------------------------------------------------------------------
-# Parallel-directive legality + inference (the schedule IR's splitting pass)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParallelSplit:
-    """A data-parallel decomposition of one ``Fun`` for the shard executor.
-
-    This is the realisation of a ``parallel`` schedule directive
-    (``ir.schedule``): the split point is the statement carrying an explicit
-    ``Parallel`` directive when one exists, otherwise the heaviest legal
-    top-level ``Map`` (no accumulators) or single-operand specialisable
-    ``Reduce``/redomap — the cost model's default schedule choice.  The
-    function body is split around that point into three derived functions:
-
-    * ``prefix_fun``  — the statements before the shard point, evaluated once
-      in the parent; its results (``prefix_fun.body.result``) carry every
-      value the later stages need (sharded inputs, broadcast closure values,
-      the reduce neutral element, suffix inputs);
-    * ``chunk_fun``   — the shard point alone.  Its first ``n_sharded``
-      parameters are the SOAC's input arrays, partitioned along the leading
-      axis; the rest broadcast unsliced.  For the reduce kind the neutral
-      element is replaced by the operator identity so chunk partials combine
-      exactly once in the parent;
-    * ``suffix_fun``  — the statements after the shard point (``None`` when
-      the function's results come straight off the shard point), evaluated
-      once in the parent on the recombined chunk results.
-
-    Index plumbing (all into ``prefix_fun``'s result tuple unless tagged):
-
-    * ``sharded_src[i]``      — prefix result feeding chunk parameter ``i``;
-    * ``chunk_broadcast[j]``  — prefix result feeding chunk parameter
-      ``n_sharded + j``;
-    * ``suffix_src``          — per suffix parameter, ``("out", i)`` for the
-      ``i``-th recombined chunk result or ``("pre", j)`` for a prefix result;
-    * ``out_src``             — when ``suffix_fun`` is None, ``("out", i)``
-      per function result;
-    * ``combine_op``/``ne_src`` — reduce kind only: the ufunc combining the
-      chunk partials, and where the real neutral element lives (``("pre", j)``
-      or ``("const", v)``; ``None`` when it is provably the identity).
-    * ``workers`` — worker count requested by an explicit ``parallel(w)``
-      directive (0 = use ``REPRO_SHARD_WORKERS``);
-    * ``schedule_str`` — the realised schedule, formatted, for obs spans.
-    """
-
-    kind: str  # "map" | "reduce"
-    prefix_fun: Fun
-    chunk_fun: Fun
-    n_sharded: int
-    sharded_src: Tuple[int, ...]
-    chunk_broadcast: Tuple[int, ...]
-    n_outs: int
-    suffix_fun: Optional[Fun]
-    suffix_src: Tuple[Tuple[str, int], ...]
-    out_src: Tuple[Tuple[str, int], ...]
-    combine_op: Optional[str] = None
-    ne_src: Optional[Tuple[str, object]] = None
-    workers: int = 0
-    schedule_str: str = ""
-
-
-def _parallel_candidate(stm: Stm):
-    """``(kind, combine_op, chunk_exp, ne_atom)`` if a ``parallel``
-    directive is legal on ``stm``, else None.
-
-    A ``Map`` is splittable when it has no accumulators (those carry
-    cross-element state) and none of its input arrays is also read whole
-    inside the lambda (slicing would change what the lambda sees).  A
-    ``Reduce`` is splittable when its operator is a recognised specialisable
-    binop or redomap shape (associative, so chunk partials recombine) over a
-    scalar float neutral element.  Scans, while-loops and data-dependent
-    control flow at the top level are simply never candidates — the caller
-    falls back to the plan backend.  (``ir.schedule.check_schedule`` applies
-    the same conditions when validating an explicit ``parallel`` directive.)
-    """
-    e = stm.exp
-    if isinstance(e, Map):
-        if e.accs or not e.arrs:
-            return None
-        from .traversal import free_vars
-
-        arr_names = {a.name for a in e.arrs}
-        if arr_names & set(free_vars(e.lam)):
-            return None
-        return ("map", None, e, None)
-    if isinstance(e, Reduce):
-        if len(e.nes) != 1 or not e.arrs or len(stm.pat) != 1:
-            return None
-        ne = e.nes[0]
-        if not (is_float(ne.type) and rank_of(ne.type) == 0):
-            return None
-        op = recognize_binop_lambda(e.lam)
-        if op is None:
-            rm = recognize_redomap_lambda(e.lam)
-            op = rm[0] if rm is not None else None
-        if op is None:
-            return None
-        from .traversal import free_vars
-
-        arr_names = {a.name for a in e.arrs}
-        if arr_names & set(free_vars(e.lam)):
-            return None
-        chunk_exp = replace(e, nes=(Const(OP_IDENTITY[op], ne.type),))
-        return ("reduce", op, chunk_exp, ne)
-    return None
-
-
-def parallel_split(fun: Fun, weigh=None) -> Optional[ParallelSplit]:
-    """Realise the ``parallel`` schedule directive, or None when absent.
-
-    A statement carrying an explicit ``Parallel`` directive (attached by
-    ``ir.schedule.apply_schedule``) wins the split point — the heaviest such
-    statement when several are annotated.  Otherwise the pass falls back to
-    *inferring* the default parallel schedule: the heaviest legal candidate
-    (see ``_parallel_candidate``), weighed by the static cost model
-    (``ir.cost_model.stm_work``: estimated scalar work plus memory traffic)
-    — so e.g. GMM shards its big per-point redomap rather than the tiny
-    wishart reduce that happens to come later.  ``weigh`` substitutes a
-    custom ``Stm -> float`` weigher.  Programs with no top-level parallel
-    SOAC — scans, data-dependent loops, pure scalar code — return None and
-    run unsharded.
-
-    The consumed ``Parallel`` directive is stripped from the chunk program
-    (the chunk runs the remaining inner schedule), and its worker request is
-    recorded on the split (``workers``) for the shard runtime to honour.
-    """
-    from .schedule import Parallel, format_schedule
-    from .traversal import free_vars, free_vars_exp
-
-    if weigh is None:
-        from .cost_model import stm_work as weigh  # late: cost_model imports us
-
-    stms = fun.body.stms
-    best = None
-    best_w = -1.0
-    best_explicit = False
-    for k, stm in enumerate(stms):
-        cand = _parallel_candidate(stm)
-        if cand is None:
-            continue
-        explicit = any(
-            isinstance(d, Parallel)
-            for d in getattr(stm.exp, "schedule", ())
-        )
-        if best_explicit and not explicit:
-            continue
-        w = float(weigh(stm))
-        if (explicit and not best_explicit) or w >= best_w:
-            # explicit directives outrank inference; ties -> later statement
-            best, best_w, best_explicit = (k, cand), w, explicit
-    if best is None:
-        return None
-    k, (kind, op, chunk_exp, ne_atom) = best
-    stm = stms[k]
-
-    # Consume the parallel directive: the chunk program runs whatever inner
-    # schedule remains, and the directive's worker request rides the split.
-    workers = 0
-    sched = tuple(getattr(chunk_exp, "schedule", ()))
-    if sched:
-        for d in sched:
-            if isinstance(d, Parallel):
-                workers = d.workers
-        inner = tuple(d for d in sched if not isinstance(d, Parallel))
-        chunk_exp = replace(chunk_exp, schedule=inner)
-    else:
-        from .schedule import Vectorized
-
-        sched = (Parallel(workers), Vectorized())
-    schedule_str = format_schedule(
-        sched if any(isinstance(d, Parallel) for d in sched)
-        else (Parallel(workers),) + sched
-    )
-
-    # The prefix result tuple, grown on demand.
-    pre_vars: list = []
-    pre_idx = {}
-
-    def pre(v: Var) -> int:
-        i = pre_idx.get(v.name)
-        if i is None:
-            i = len(pre_vars)
-            pre_idx[v.name] = i
-            pre_vars.append(v)
-        return i
-
-    arrs = chunk_exp.arrs
-    seen = set()
-    sharded = [a for a in arrs if not (a.name in seen or seen.add(a.name))]
-    chunk_free = free_vars_exp(chunk_exp)
-    broadcast = [v for n, v in chunk_free.items() if n not in seen]
-    sharded_src = tuple(pre(v) for v in sharded)
-    chunk_broadcast = tuple(pre(v) for v in broadcast)
-    chunk_fun = Fun(
-        fun.name + "_shard_chunk",
-        tuple(sharded) + tuple(broadcast),
-        Body((Stm(stm.pat, chunk_exp),), tuple(stm.pat)),
-    )
-
-    ne_src = None
-    if kind == "reduce":
-        if isinstance(ne_atom, Var):
-            ne_src = ("pre", pre(ne_atom))
-        elif not ne_is_identity(op, ne_atom):
-            ne_src = ("const", ne_atom.value)
-
-    pat_pos = {v.name: i for i, v in enumerate(stm.pat)}
-    suffix_stms = stms[k + 1:]
-    suffix_fun = None
-    suffix_src: Tuple[Tuple[str, int], ...] = ()
-    out_src: Tuple[Tuple[str, int], ...] = ()
-    if suffix_stms or not all(
-        isinstance(a, Var) and a.name in pat_pos for a in fun.body.result
-    ):
-        sbody = Body(tuple(suffix_stms), fun.body.result)
-        sfree = free_vars(sbody)
-        sparams = tuple(sfree.values())
-        suffix_fun = Fun(fun.name + "_shard_suffix", sparams, sbody)
-        suffix_src = tuple(
-            ("out", pat_pos[v.name]) if v.name in pat_pos else ("pre", pre(v))
-            for v in sparams
-        )
-    else:
-        out_src = tuple(("out", pat_pos[a.name]) for a in fun.body.result)
-
-    prefix_fun = Fun(
-        fun.name + "_shard_pre", fun.params, Body(stms[:k], tuple(pre_vars))
-    )
-    return ParallelSplit(
-        kind=kind,
-        prefix_fun=prefix_fun,
-        chunk_fun=chunk_fun,
-        n_sharded=len(sharded),
-        sharded_src=sharded_src,
-        chunk_broadcast=chunk_broadcast,
-        n_outs=len(stm.pat),
-        suffix_fun=suffix_fun,
-        suffix_src=suffix_src,
-        out_src=out_src,
-        combine_op=op,
-        ne_src=ne_src,
-        workers=workers,
-        schedule_str=schedule_str,
-    )
 
 
 # ---------------------------------------------------------------------------

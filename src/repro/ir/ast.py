@@ -289,7 +289,7 @@ class Map:
       the result arrays.
 
     ``schedule`` is the node's axis schedule — an ordered tuple of directives
-    from ``ir.schedule`` (``Vectorized | Parallel | Sequential``).  Empty means
+    from ``ir.schedule`` (``Vectorized | Sequential``).  Empty means
     "use the default schedule" (see ``ir.schedule.default_schedule``).  The
     field is trailing-with-default on every schedulable node so positional
     rebuilds in the optimiser and AD reset it; schedules are applied *after*

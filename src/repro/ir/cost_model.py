@@ -2,26 +2,23 @@
 
 The dynamic cost model (``exec/cost.py``) *measures* a reference-interpreted
 execution; this module *predicts* the same machine-independent quantities by
-walking the IR once, without running it.  The prediction is what turns the
-system's optimisation heuristics into decisions:
+walking the IR once, without running it.  It is an estimator with two
+readers and makes no decision of its own:
 
-* ``opt/fusion.py`` fuses a producer/consumer pair only when the estimate
-  says the fused SOAC carries less memory traffic and no more work
-  (``REPRO_FUSE_COST``);
-* ``exec/shard.py`` picks its shard point by estimated per-element SOAC
-  work and sizes chunks so each pool task carries roughly
-  ``REPRO_COST_TASK_GRAIN`` work units (the old
-  ``REPRO_SHARD_MIN_CHUNK``/``REPRO_SHARD_MAX_TASKS`` knobs remain as
-  overrides, not the policy).
+* ``ir/schedule.py``'s ``apply_schedule(strict=True)`` attaches a
+  ``schedule=`` to the statement with the largest estimated work
+  (``stm_work``);
+* ``obs/profiler.py`` prints the estimate next to each instruction's
+  measured time (the ``est_work`` column).
 
 Shape facts come from ``ir.analysis.infer_static_shapes`` when concrete
-argument shapes are available; otherwise every unknown array dimension is
-assumed to have ``REPRO_COST_DEFAULT_EXTENT`` elements and unknown loop trip
-counts ``REPRO_COST_LOOP_TRIP`` iterations, so the estimator degrades to a
-*relative* model: exact extents cancel when two candidate rewrites of the
-same program are compared (the fusion gate), and matter only for absolute
-predictions (validated against ``CostRecorder`` on the fuzz corpus by the
-property-test suite — constant-factor agreement and rank-order consistency).
+argument shapes are available (``estimate_fun(fun, arg_shapes)``); otherwise
+every unknown array dimension is assumed to have ``DEFAULT_EXTENT`` elements
+and unknown loop trip counts ``DEFAULT_TRIP`` iterations, so the estimator
+degrades to a *relative* model: exact extents cancel when two statements of
+the same program are ranked, and matter only for absolute predictions
+(validated against ``CostRecorder`` on the fuzz corpus by the property-test
+suite — constant-factor agreement and rank-order consistency).
 
 The estimate mirrors ``CostRecorder``'s accounting: ``work`` counts scalar
 operations (a bulk op over m elements costs m), ``span`` the work-depth
@@ -72,7 +69,6 @@ from .ast import (
     ZerosLike,
 )
 from .types import rank_of
-from ..util import env_capacity
 
 __all__ = [
     "Estimate",
@@ -84,47 +80,25 @@ __all__ = [
     "estimate_exp",
     "soac_estimates",
     "stm_work",
-    "soac_elem_cost",
-    "schedule_candidates",
-    "score_schedule",
-    "choose_schedule",
-    "PARALLEL_TASK_OVERHEAD",
-    "fusion_wins",
-    "default_extent",
-    "task_grain",
+    "DEFAULT_EXTENT",
+    "DEFAULT_TRIP",
     "SOAC_OVERHEAD",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Calibration constants (env-overridable; defaults documented in README)
+# Calibration constants
 # ---------------------------------------------------------------------------
 
+#: Assumed extent of an array dimension of unknown size.
+DEFAULT_EXTENT = 64
 
-def default_extent() -> int:
-    """Assumed extent of an array dimension of unknown size
-    (``REPRO_COST_DEFAULT_EXTENT``)."""
-    return max(1, env_capacity("REPRO_COST_DEFAULT_EXTENT", 64))
-
-
-def default_trip() -> int:
-    """Assumed trip count of a loop with unknown bound
-    (``REPRO_COST_LOOP_TRIP``)."""
-    return max(1, env_capacity("REPRO_COST_LOOP_TRIP", 16))
-
-
-def task_grain() -> int:
-    """Estimated work+traffic units one shard pool task should carry
-    (``REPRO_COST_TASK_GRAIN``).  Calibrated so a task amortises its
-    dispatch overhead (a plan-cache lookup plus a pool future, ~tens of
-    microseconds) against bulk NumPy throughput (~a few ns per element-op):
-    2**17 units is a few hundred microseconds of useful work."""
-    return max(1, env_capacity("REPRO_COST_TASK_GRAIN", 1 << 17))
-
+#: Assumed trip count of a loop with unknown bound.
+DEFAULT_TRIP = 16
 
 #: Fixed work charged per SOAC *launch* — the per-dispatch constant that
-#: makes horizontally fusing two sibling maps strictly cheaper than running
-#: them separately even though their element work is unchanged.
+#: makes two sibling maps cost more than their horizontally fused form even
+#: though the element work is unchanged.
 SOAC_OVERHEAD = 8.0
 
 
@@ -150,7 +124,7 @@ class Estimate:
 
     @property
     def total(self) -> float:
-        """One scalar decision metric: work plus memory traffic."""
+        """One scalar ranking metric: work plus memory traffic."""
         return self.work + self.mem
 
     def __add__(self, other: "Estimate") -> "Estimate":
@@ -204,15 +178,13 @@ class CostModel:
     ``shapes`` maps SSA names to known physical shapes, ``ints`` names of
     statically known integers (both as produced by
     ``ir.analysis.infer_static_shapes`` — missing names fall back to the
-    assumed ``default_extent``/``default_trip``).  The model is purely
+    assumed ``DEFAULT_EXTENT``/``DEFAULT_TRIP``).  The model is purely
     syntactic otherwise: it never executes anything.
     """
 
     def __init__(self, info: Optional[StaticInfo] = None) -> None:
         self.shapes: Dict[str, Tuple[int, ...]] = dict(info.shapes) if info else {}
         self.ints: Dict[str, int] = dict(info.ints) if info else {}
-        self._dflt = default_extent()
-        self._trip = default_trip()
 
     # -- shape/size queries ---------------------------------------------------
 
@@ -224,7 +196,7 @@ class CostModel:
         if s is not None:
             return float(max(1, _prod(s)))
         r = rank_of(a.type)
-        return float(self._dflt ** r) if r > 0 else 1.0
+        return float(DEFAULT_EXTENT ** r) if r > 0 else 1.0
 
     def is_array(self, a: Atom) -> bool:
         return isinstance(a, Var) and rank_of(a.type) > 0
@@ -235,7 +207,7 @@ class CostModel:
             s = self.shapes.get(a.name)
             if s is not None and len(s) >= 1:
                 return float(s[0])
-        return float(self._dflt)
+        return float(DEFAULT_EXTENT)
 
     def int_of(self, a: Atom, fallback: Optional[float] = None) -> float:
         if isinstance(a, Const):
@@ -245,7 +217,7 @@ class CostModel:
                 pass
         elif a.name in self.ints:
             return float(max(0, self.ints[a.name]))
-        return float(self._dflt if fallback is None else fallback)
+        return float(DEFAULT_EXTENT if fallback is None else fallback)
 
     def out_elems(self, pat: Sequence[Var], fallback: float) -> float:
         """Estimated total element count of a statement's results."""
@@ -358,11 +330,12 @@ class CostModel:
             )
 
         if isinstance(e, Loop):
-            n = self.int_of(e.n, fallback=self._trip)
+            n = self.int_of(e.n, fallback=DEFAULT_TRIP)
             inner = self.body(e.body)
             return inner.scaled(n, span_k=n) + Estimate(span=1.0)
         if isinstance(e, WhileLoop):
-            n = self.int_of(e.bound, fallback=self._trip) if e.bound is not None else float(self._trip)
+            n = (self.int_of(e.bound, fallback=DEFAULT_TRIP)
+                 if e.bound is not None else float(DEFAULT_TRIP))
             inner = self.body(e.body) + self.body(e.cond.body)
             return inner.scaled(n, span_k=n) + Estimate(span=1.0)
         if isinstance(e, If):
@@ -452,137 +425,6 @@ def soac_estimates(
 
 
 def stm_work(stm: Stm) -> float:
-    """Shape-agnostic decision weight of one statement (work + traffic) —
-    the shard-point selector's replacement for the syntactic statement
-    count."""
-    est = estimate_stm(stm)
-    return est.total
-
-
-def soac_elem_cost(e: Exp) -> Optional[float]:
-    """Estimated per-element cost (work + traffic) of one SOAC's lambda —
-    what one extent unit of the sharded axis costs a chunk.  ``None`` for
-    non-SOAC expressions."""
-    if not isinstance(e, (Map, Reduce, Scan, ReduceByIndex)):
-        return None
-    model = CostModel()
-    inner = model.body(e.lam.body)
-    arrs = e.vals if isinstance(e, ReduceByIndex) else e.arrs
-    # Each element costs the lambda body plus reading one element per input
-    # array and writing one result element.
-    per = inner.work + inner.mem + len(arrs) + 1.0
-    return max(1.0, per)
-
-
-# ---------------------------------------------------------------------------
-# Decision 0: schedule selection (ir/schedule.py, exec/shard.py, A10)
-# ---------------------------------------------------------------------------
-
-
-#: Fixed cost charged per shard pool task: a plan-cache lookup, a future,
-#: and the result hand-back.  Scaled in the same work+traffic units as
-#: ``Estimate.total`` so ``score_schedule`` can trade it against the
-#: parallel speedup.
-PARALLEL_TASK_OVERHEAD = 256.0
-
-
-def schedule_candidates(stm: Stm):
-    """The legal candidate schedules for one statement, default first."""
-    from .schedule import (
-        Parallel,
-        SCHEDULABLE,
-        Sequential,
-        Vectorized,
-        check_schedule,
-        default_schedule,
-    )
-
-    e = stm.exp
-    if not isinstance(e, SCHEDULABLE):
-        return ()
-    cands = [default_schedule(e)]
-    for sched in (
-        (Parallel(), Vectorized()),
-        (Sequential(default_extent()), Vectorized()),
-        (Sequential(),),
-    ):
-        if sched in cands:
-            continue
-        if check_schedule(e, sched, n_pat=len(stm.pat)) is None:
-            cands.append(sched)
-    return tuple(cands)
-
-
-def score_schedule(
-    stm: Stm, sched, workers: Optional[int] = None,
-    model: Optional[CostModel] = None,
-) -> float:
-    """Predicted cost (work+traffic units) of running ``stm`` under
-    ``sched``.  Mirrors the shard runtime's own chunking: a ``parallel``
-    directive splits the estimated total into ``task_grain()``-sized tasks
-    (never more than the dispatch cap) and charges each task its pool
-    overhead; a chunked ``sequential`` directive charges one extra SOAC
-    launch per chunk.  Lower is better."""
-    import os as _os
-
-    from .schedule import Parallel, Sequential, _as_schedule
-
-    total = estimate_stm(stm, model).total
-    score = float(total)
-    for d in _as_schedule(sched):
-        if isinstance(d, Parallel):
-            w = d.workers or workers or (_os.cpu_count() or 1)
-            ntasks = max(1, min(int(total // task_grain()), 16))
-            if ntasks <= 1:
-                # Too small to split: the probe itself is pure overhead.
-                score += PARALLEL_TASK_OVERHEAD
-            else:
-                score = (score / max(1, min(w, ntasks))
-                         + ntasks * PARALLEL_TASK_OVERHEAD)
-        elif isinstance(d, Sequential) and d.chunk > 1:
-            score += SOAC_OVERHEAD * max(
-                1.0, default_extent() / float(d.chunk)
-            )
-    return score
-
-
-def choose_schedule(
-    stm: Stm, workers: Optional[int] = None,
-    model: Optional[CostModel] = None,
-):
-    """The cost model's schedule pick for one statement: the cheapest legal
-    candidate under ``score_schedule``.  This is what the shard runtime's
-    split inference and ablation A10's per-row 'chosen' column report."""
-    cands = schedule_candidates(stm)
-    if not cands:
-        return ()
-    return min(cands, key=lambda s: score_schedule(stm, s, workers, model))
-
-
-# ---------------------------------------------------------------------------
-# Decision 1: the fusion gate (opt/fusion.py)
-# ---------------------------------------------------------------------------
-
-
-def fusion_wins(
-    before: Sequence[Stm], after: Sequence[Stm], model: Optional[CostModel] = None
-) -> bool:
-    """True when replacing ``before`` with ``after`` is predicted to reduce
-    memory traffic without increasing work.
-
-    This is the cost gate ``REPRO_FUSE_COST=on`` puts in front of every
-    vertical/horizontal fusion step: vertical fusion eliminates the
-    intermediate array's write+read (traffic strictly drops, work is
-    unchanged — the producer still runs once per element thanks to the
-    engine's single-use requirement), and horizontal fusion saves one SOAC
-    launch.  The 5% work headroom absorbs the model's If-branch
-    over-approximation differing across the two shapes of the same program.
-    """
-    m = model or CostModel()
-    eb = ZERO
-    for s in before:
-        eb = eb + m.stm(s)
-    ea = ZERO
-    for s in after:
-        ea = ea + m.stm(s)
-    return ea.total <= eb.total and ea.work <= eb.work * 1.05 + 1.0
+    """Shape-agnostic weight of one statement (work + traffic) — how
+    ``apply_schedule(strict=True)`` finds the dominant statement."""
+    return estimate_stm(stm).total

@@ -5,39 +5,30 @@ leading axis of a SOAC (or the trip axis of a loop) is executed, outermost
 directive first:
 
 * ``vectorized``      — one bulk NumPy evaluation over the axis;
-* ``parallel(w)``     — split the axis across ``w`` pool workers (0 = use
-  ``REPRO_SHARD_WORKERS``); realised only by the shard runtime, a no-op on
-  single-process backends, which is what keeps every legal schedule
-  bitwise-identical to the default;
 * ``sequential(c)``   — run the axis in order, ``c`` elements per step
   (0 = one at a time / plain sequential).  On a ``Loop`` a chunked
   sequential directive is sugar for the paper's §4.3 strip-mining
   annotation (``stripmine=c``); on a ``Map`` it lowers to an explicit
   chunk loop in plan IR.
 
-The paper's strip-mine annotation, the shard backend's split point and the
-batched multi-seed axis are all instances of this algebra; this module is
-the one place that names it.  Schedules are *descriptions*: every directive
-is realised by exactly one layer (vectorized → bulk emitters, sequential →
-stripmine pass / chunked map lowering, parallel → shard runtime), and each
-realisation is constructed to be bitwise-identical to the default bulk
-execution — slicing an elementwise map is exact, and the shard chunk
-grid is worker-count independent.
+The paper's strip-mine annotation and the chunked map are both instances
+of this algebra; this module is the one place that names it.  Schedules are
+*descriptions*: every directive is realised by exactly one layer
+(vectorized → bulk emitters, sequential → stripmine pass / chunked map
+lowering), and each realisation is constructed to be bitwise-identical to
+the default bulk execution — slicing an elementwise map is exact.
 
 Legality is structural plus per-node:
 
-* at most one ``parallel`` directive, and it must be outermost;
 * at most one ``vectorized`` directive, and it must be innermost;
 * ``Loop``: only ``sequential`` directives (the trip axis is
   loop-carried); ``WhileLoop``: only *unchunked* ``sequential`` (the trip
   count is data-dependent, so there is no axis to split);
-* ``Map`` with accumulators: no splitting directives (accumulators thread
-  sequentially through every element);
-* ``Reduce``: ``parallel`` only for single-result reductions with a
-  recognised associative operator and a scalar float neutral element (the
-  conditions under which a tree combine is exact enough to reproduce);
-* ``Scan``/``ReduceByIndex``/``Scatter``: no ``parallel`` and no chunked
-  ``sequential`` (prefix dependence / bin conflicts / overlapping writes).
+* ``Map`` with accumulators: no chunked ``sequential`` (accumulators
+  thread sequentially through every element);
+* ``Reduce``/``Scan``/``ReduceByIndex``/``Scatter``: no chunked
+  ``sequential`` (no chunked form / prefix dependence / bin conflicts /
+  overlapping writes).
 
 ``apply_schedule`` attaches a schedule to a function after optimisation:
 strict mode (the ``schedule=`` keyword on ``compile``/``grad``) targets the
@@ -69,7 +60,6 @@ from .ast import (
 
 __all__ = [
     "Directive",
-    "Parallel",
     "SCHEDULABLE",
     "ScheduleError",
     "Sequential",
@@ -96,27 +86,18 @@ class Vectorized:
 
 
 @dataclass(frozen=True)
-class Parallel:
-    """Split the axis across pool workers; 0 = ``REPRO_SHARD_WORKERS``."""
-
-    workers: int = 0
-
-
-@dataclass(frozen=True)
 class Sequential:
     """In-order execution, ``chunk`` elements per step (0 = one at a time)."""
 
     chunk: int = 0
 
 
-Directive = Union[Vectorized, Parallel, Sequential]
+Directive = Union[Vectorized, Sequential]
 
 #: Expression classes that carry a ``schedule`` field.
 SCHEDULABLE = (Map, Reduce, Scan, ReduceByIndex, Scatter, Loop, WhileLoop)
 
-_DIRECTIVE_RE = re.compile(
-    r"^(vectorized|parallel|sequential)(?:\((\d+)\))?$"
-)
+_DIRECTIVE_RE = re.compile(r"^(vectorized|sequential)(?:\((\d+)\))?$")
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +108,6 @@ _DIRECTIVE_RE = re.compile(
 def format_directive(d: Directive) -> str:
     if isinstance(d, Vectorized):
         return "vectorized"
-    if isinstance(d, Parallel):
-        return f"parallel({d.workers})" if d.workers else "parallel"
     if isinstance(d, Sequential):
         return f"sequential({d.chunk})" if d.chunk else "sequential"
     raise ScheduleError(f"not a schedule directive: {d!r}")
@@ -140,7 +119,7 @@ def format_schedule(sched: Tuple[Directive, ...]) -> str:
 
 
 def parse_schedule(text: str) -> Tuple[Directive, ...]:
-    """Parse ``"parallel(2)·sequential(64)·vectorized"``.
+    """Parse ``"sequential(64)·vectorized"``.
 
     Directives may be separated by ``·``, ``*``, ``;``, ``,`` or whitespace.
     Raises ``ScheduleError`` on junk, naming the offending token.
@@ -152,7 +131,7 @@ def parse_schedule(text: str) -> Tuple[Directive, ...]:
         if m is None:
             raise ScheduleError(
                 f"cannot parse schedule directive {tok!r} "
-                "(expected vectorized | parallel[(w)] | sequential[(c)])"
+                "(expected vectorized | sequential[(c)])"
             )
         name, arg = m.group(1), m.group(2)
         if name == "vectorized":
@@ -161,8 +140,6 @@ def parse_schedule(text: str) -> Tuple[Directive, ...]:
                     f"directive {tok!r}: vectorized takes no argument"
                 )
             sched.append(Vectorized())
-        elif name == "parallel":
-            sched.append(Parallel(int(arg) if arg else 0))
         else:
             sched.append(Sequential(int(arg) if arg else 0))
     return tuple(sched)
@@ -173,7 +150,7 @@ def _as_schedule(schedule) -> Tuple[Directive, ...]:
         return parse_schedule(schedule)
     sched = tuple(schedule)
     for d in sched:
-        if not isinstance(d, (Vectorized, Parallel, Sequential)):
+        if not isinstance(d, (Vectorized, Sequential)):
             raise ScheduleError(f"not a schedule directive: {d!r}")
     return sched
 
@@ -184,8 +161,6 @@ def schedule_key(sched: Tuple[Directive, ...]) -> bytes:
     for d in sched:
         if isinstance(d, Vectorized):
             parts.append("v")
-        elif isinstance(d, Parallel):
-            parts.append(f"p{d.workers}")
         else:
             parts.append(f"s{d.chunk}")
     return ("sched[" + ",".join(parts) + "]").encode()
@@ -220,42 +195,10 @@ def schedule_str(e) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_parallel_ok(e: Reduce, n_pat: Optional[int]) -> Optional[str]:
-    from .analysis import recognize_binop_lambda, recognize_redomap_lambda
-    from .types import is_float, rank_of
-
-    if len(e.nes) != 1 or (n_pat is not None and n_pat != 1):
-        return "parallel: only single-result reductions tree-combine exactly"
-    if not e.arrs:
-        return "parallel: reduce over no arrays has no axis to split"
-    ne = e.nes[0]
-    if not (is_float(ne.type) and rank_of(ne.type) == 0):
-        return "parallel: reduce needs a scalar float neutral element"
-    op = recognize_binop_lambda(e.lam)
-    if op is None:
-        rm = recognize_redomap_lambda(e.lam)
-        if rm is None:
-            return ("parallel: reduce operator is not a recognised "
-                    "associative binop/redomap")
-    return _arrs_not_free(e)
-
-
-def _arrs_not_free(e) -> Optional[str]:
-    from .traversal import free_vars
-
-    free = free_vars(e.lam)
-    for a in e.arrs:
-        if a.name in free:
-            return (f"parallel: lambda reads the whole input {a.name!r}, "
-                    "so the axis cannot be split")
-    return None
-
-
-def check_schedule(e, sched, n_pat: Optional[int] = None) -> Optional[str]:
+def check_schedule(e, sched) -> Optional[str]:
     """Return None when ``sched`` is legal for node ``e``, else the reason.
 
-    The reason string always names the offending directive.  ``n_pat`` is
-    the binding statement's pattern arity when known (reduce legality).
+    The reason string always names the offending directive.
     """
     sched = _as_schedule(sched)
     if not sched:
@@ -263,12 +206,7 @@ def check_schedule(e, sched, n_pat: Optional[int] = None) -> Optional[str]:
     if not isinstance(e, SCHEDULABLE):
         return (f"{format_directive(sched[0])}: {type(e).__name__} "
                 "statements carry no schedule")
-    n_par = sum(isinstance(d, Parallel) for d in sched)
     n_vec = sum(isinstance(d, Vectorized) for d in sched)
-    if n_par > 1:
-        return "parallel: at most one parallel directive per schedule"
-    if n_par and not isinstance(sched[0], Parallel):
-        return "parallel: the parallel directive must be outermost"
     if n_vec > 1:
         return "vectorized: at most one vectorized directive per schedule"
     if n_vec and not isinstance(sched[-1], Vectorized):
@@ -298,39 +236,23 @@ def check_schedule(e, sched, n_pat: Optional[int] = None) -> Optional[str]:
                         "'sequential(f)·sequential' form")
         return None
 
-    splitting = [d for d in sched
-                 if isinstance(d, Parallel)
-                 or (isinstance(d, Sequential) and d.chunk > 1)]
+    chunked = [d for d in sched if isinstance(d, Sequential) and d.chunk > 1]
+    if not chunked:
+        return None
     if isinstance(e, Map):
-        if e.accs and splitting:
-            return (f"{format_directive(splitting[0])}: map carries "
+        if e.accs:
+            return (f"{format_directive(chunked[0])}: map carries "
                     "accumulators, which thread sequentially through every "
                     "element")
-        if n_par:
-            if not e.arrs:
-                return "parallel: map over no arrays has no axis to split"
-            err = _arrs_not_free(e)
-            if err:
-                return err
         return None
-    if isinstance(e, Reduce):
-        for d in sched:
-            if isinstance(d, Sequential) and d.chunk > 1:
-                return (f"{format_directive(d)}: chunked sequential "
-                        "reduction is not implemented — use bare "
-                        "'sequential'")
-        if n_par:
-            return _reduce_parallel_ok(e, n_pat)
-        return None
-    # Scan / ReduceByIndex / Scatter: order- or conflict-sensitive.
     why = {
+        Reduce: ("chunked sequential reduction is not implemented — use "
+                 "bare 'sequential'"),
         Scan: "a scan's prefix dependence crosses any split point",
         ReduceByIndex: "histogram bins conflict across any split point",
         Scatter: "scatter writes may collide across any split point",
     }[type(e)]
-    for d in splitting:
-        return f"{format_directive(d)}: {why}"
-    return None
+    return f"{format_directive(chunked[0])}: {why}"
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +294,7 @@ def apply_schedule(fun: Fun, schedule, strict: bool = True) -> Fun:
                 f"attach schedule '{format_schedule(sched)}' to"
             )
         k = max(idxs, key=lambda i: (stm_work(stms[i]), i))
-        err = check_schedule(stms[k].exp, sched, n_pat=len(stms[k].pat))
+        err = check_schedule(stms[k].exp, sched)
         if err is not None:
             raise ScheduleError(
                 f"{fun.name}: schedule '{format_schedule(sched)}' is "
@@ -384,8 +306,7 @@ def apply_schedule(fun: Fun, schedule, strict: bool = True) -> Fun:
         changed = False
         for i, s in enumerate(stms):
             if (isinstance(s.exp, SCHEDULABLE)
-                    and check_schedule(s.exp, sched,
-                                       n_pat=len(s.pat)) is None):
+                    and check_schedule(s.exp, sched) is None):
                 stms[i] = Stm(s.pat, _annotate(s.exp, sched))
                 changed = True
         if not changed:

@@ -12,7 +12,7 @@ knob:
   optimisation pipeline, after AD transforms, after schedule application and
   at lowering (the default under pytest, see ``tests/conftest.py``);
 * ``full``      — additionally verify after every individual optimisation
-  pass (failures name the pass that fired), run the parallel-safety
+  pass (failures name the pass that fired), run the scatter-overlap
   analysis (layer 3, below) and the plan/codegen checks of
   ``exec/verify_plan.py`` (layer 2).
 
@@ -28,12 +28,10 @@ Checks performed by ``verify_fun``:
 * **schedule legality** — every attached schedule re-checked with
   ``schedule.check_schedule``.
 
-Layer 3, ``verify_parallel_safety``, statically proves every ``parallel(w)``
-directive race-free: the directive's legality conditions, no free
-accumulator threading through the split, a commutative combine operator for
-parallel reductions, and a scatter/``ufunc.at`` index-overlap analysis that
-refuses provably-overlapping writes.  Violations raise ``VerifyError``
-naming the pass and the offending statement.
+Layer 3 is a scatter index-overlap analysis: a ``Scatter`` whose indices
+provably repeat violates the IR precondition (duplicate-free writes) under
+any execution order and is refused.  Violations raise ``VerifyError`` naming
+the pass and the offending statement.
 
 Counters are surfaced through the ``obs`` metrics registry under the
 ``verify`` section; each verification runs inside a ``verify`` tracing span.
@@ -46,11 +44,6 @@ from typing import Dict, Optional, Set
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from ..util import IRError, ReproError
-from .analysis import (
-    OP_IDENTITY,
-    recognize_binop_lambda,
-    recognize_redomap_lambda,
-)
 from .ast import (
     AtomExp,
     Body,
@@ -60,18 +53,15 @@ from .ast import (
     If,
     Lambda,
     Loop,
-    Map,
-    Reduce,
     Replicate,
     Scatter,
     Stm,
     Var,
     WhileLoop,
 )
-from .schedule import Parallel, check_schedule, format_schedule
-from .traversal import exp_atoms, exp_lambdas, free_vars
+from .schedule import check_schedule, format_schedule
+from .traversal import exp_atoms, exp_lambdas
 from .typecheck import check_fun
-from .types import AccType
 from .validate import validate_fun
 
 __all__ = [
@@ -80,7 +70,6 @@ __all__ = [
     "verify_mode",
     "verify_fun",
     "maybe_verify_fun",
-    "verify_parallel_safety",
     "verify_stats",
     "reset_verify_stats",
 ]
@@ -124,7 +113,7 @@ VERIFY_STATS = _metrics.counter_group(
         "fun_checks": 0,
         "plan_checks": 0,
         "codegen_checks": 0,
-        "parallel_checks": 0,
+        "scatter_checks": 0,
         "failures": 0,
     },
 )
@@ -235,7 +224,7 @@ def _check_schedules(fun: Fun, where: str) -> None:
         for stm in body.stms:
             sched = getattr(stm.exp, "schedule", ())
             if sched:
-                err = check_schedule(stm.exp, sched, n_pat=len(stm.pat))
+                err = check_schedule(stm.exp, sched)
                 if err is not None:
                     raise VerifyError(
                         f"illegal schedule "
@@ -258,13 +247,8 @@ def _check_schedules(fun: Fun, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Layer 3: parallel-safety analysis
+# Layer 3: scatter index-overlap analysis
 # ---------------------------------------------------------------------------
-
-#: Operators whose chunk partials recombine in any order — required for a
-#: parallel reduce, where worker completion order is nondeterministic.
-#: (Floating-point reassociation is accepted, as in the paper's backend.)
-COMMUTATIVE_OPS = frozenset(OP_IDENTITY)
 
 
 def _resolve_def(name: str, defs: Dict[str, Exp]) -> Optional[Exp]:
@@ -285,9 +269,8 @@ def _scatter_overlap(e: Scatter, defs: Dict[str, Exp]) -> Optional[str]:
     """A reason when the scatter's writes provably overlap.
 
     ``Iota``-derived (and reversed-iota) indices are provably duplicate-free;
-    a ``Replicate`` of one index is provably all-duplicates — the
-    ``ufunc.at``-style write would race under any chunked or parallel
-    execution, and violates the IR precondition outright.
+    a ``Replicate`` of one index is provably all-duplicates, which violates
+    the IR precondition outright (which write wins is unspecified).
     Unknown index provenance passes (runtime semantics apply).
     """
     d = _resolve_def(e.inds.name, defs)
@@ -297,36 +280,14 @@ def _scatter_overlap(e: Scatter, defs: Dict[str, Exp]) -> Optional[str]:
             return None
         return (
             f"scatter indices {e.inds.name!r} replicate a single index — "
-            f"overlapping writes race across chunks"
+            f"the writes overlap"
         )
     return None
 
 
-def _map_split_hazard(e: Map) -> Optional[str]:
-    for name, v in free_vars(e.lam).items():
-        if isinstance(v.type, AccType):
-            return (
-                f"free accumulator {name!r} threads through the split — "
-                f"chunks would race on its underlying buffer"
-            )
-    return None
-
-
-def _reduce_combine_hazard(e: Reduce) -> Optional[str]:
-    op = recognize_binop_lambda(e.lam)
-    if op is None:
-        rm = recognize_redomap_lambda(e.lam)
-        op = rm[0] if rm is not None else None
-    if op is None:
-        return "combine operator not recognised as associative"
-    if op not in COMMUTATIVE_OPS:
-        return f"combine operator {op!r} is not commutative"
-    return None
-
-
-def verify_parallel_safety(fun: Fun, where: str = "") -> None:
-    """Statically prove every parallel schedule race-free; raise otherwise."""
-    VERIFY_STATS["parallel_checks"] += 1
+def _check_scatter_overlap(fun: Fun, where: str) -> None:
+    """Refuse every scatter whose writes provably overlap."""
+    VERIFY_STATS["scatter_checks"] += 1
 
     def walk_body(body: Body) -> None:
         defs: Dict[str, Exp] = {}
@@ -335,28 +296,7 @@ def verify_parallel_safety(fun: Fun, where: str = "") -> None:
             if isinstance(e, Scatter):
                 reason = _scatter_overlap(e, defs)
                 if reason is not None:
-                    raise VerifyError(
-                        f"parallel-unsafe: {reason}", where, stm
-                    )
-            sched = tuple(getattr(e, "schedule", ()))
-            if any(isinstance(d, Parallel) for d in sched):
-                err = check_schedule(e, sched, n_pat=len(stm.pat))
-                if err is not None:
-                    raise VerifyError(
-                        f"parallel-unsafe schedule "
-                        f"{format_schedule(sched)!r}: {err}",
-                        where,
-                        stm,
-                    )
-                reason = None
-                if isinstance(e, Map):
-                    reason = _map_split_hazard(e)
-                elif isinstance(e, Reduce):
-                    reason = _reduce_combine_hazard(e)
-                if reason is not None:
-                    raise VerifyError(
-                        f"parallel-unsafe: {reason}", where, stm
-                    )
+                    raise VerifyError(reason, where, stm)
             for lam in exp_lambdas(e):
                 walk_body(lam.body)
             if isinstance(e, (Loop, WhileLoop)):
@@ -380,7 +320,7 @@ def verify_fun(fun: Fun, where: str = "", *, full: bool = False) -> Fun:
 
     Raises ``VerifyError`` naming ``where`` (the pass/stage that produced
     the IR) and the offending statement.  ``full`` additionally runs the
-    parallel-safety analysis.
+    scatter-overlap analysis.
     """
     with _tracing.span("verify", cat="verify", fun=fun.name, where=where):
         VERIFY_STATS["fun_checks"] += 1
@@ -390,7 +330,7 @@ def verify_fun(fun: Fun, where: str = "", *, full: bool = False) -> Fun:
             validate_fun(fun)
             _check_schedules(fun, where)
             if full:
-                verify_parallel_safety(fun, where=where)
+                _check_scatter_overlap(fun, where)
         except VerifyError:
             VERIFY_STATS["failures"] += 1
             raise

@@ -3,14 +3,13 @@
 Three pillars, one import:
 
 * :mod:`repro.obs.tracing` — nestable spans over every pipeline phase
-  (trace → opt passes → lower → emit/compile → execute, plus
-  shard per-chunk spans), ring-buffered and exportable as Chrome-trace
-  JSON via ``REPRO_TRACE=<file>``.
+  (trace → opt passes → lower → emit/compile → execute), ring-buffered
+  and exportable as Chrome-trace JSON via ``REPRO_TRACE=<file>``.
 * :mod:`repro.obs.profiler` — the ``"profile"`` plan emitter: wraps
   every plan-IR instruction with timing keyed to its source statement
   and reports measured time against the static cost model.
 * :mod:`repro.obs.metrics` — one registry for counters/gauges/timers;
-  the four historical stats surfaces (plan cache, shard, opt, fusion)
+  the historical stats surfaces (plan cache, opt, fusion)
   are re-homed here, with :func:`snapshot`/:func:`reset_all`/
   :func:`delta` as the single lifecycle.
 
@@ -39,7 +38,7 @@ __all__ = [
 def _ensure_sources() -> None:
     """Import the modules that own stats sections so snapshots are
     complete even before any program has been compiled."""
-    from ..exec import plan as _plan, shard as _shard  # noqa: F401
+    from ..exec import plan as _plan  # noqa: F401
     from ..exec import registry as _registry  # noqa: F401
     from ..opt import fusion as _fusion, pipeline as _pipeline  # noqa: F401
 

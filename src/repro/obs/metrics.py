@@ -1,8 +1,7 @@
 """One metrics registry for the whole pipeline.
 
-Before this module existed the repo had four stats surfaces with four
-lifecycles: ``plan_cache_stats``/``clear_plan_cache`` (exec/plan),
-``shard_stats``/``reset_shard_stats`` (exec/shard), ``opt_stats``/
+Before this module existed each stats surface had its own lifecycle:
+``plan_cache_stats``/``clear_plan_cache`` (exec/plan), ``opt_stats``/
 ``reset_opt_stats`` (opt/pipeline) and ``fusion_stats``/
 ``reset_fusion_stats`` (opt/fusion).  Each module now *re-homes* its
 counters here, in one of two ways:
@@ -52,7 +51,7 @@ class CounterGroup(dict):
     """A named group of counters owned by the registry.
 
     It is a ``dict`` so the modules that own the counters mutate it
-    directly (``SHARD_STATS["chunks"] += 1``); the registry only needs
+    directly (``PLAN_STATS["hits"] += 1``); the registry only needs
     to know how to read and reset it.
     """
 

@@ -1,8 +1,8 @@
 """The ``"profile"`` plan emitter: per-instruction wall-clock attribution.
 
 Registered through the emitter seam in ``exec/plan.py`` (the same
-registry ``"codegen"`` uses), so it composes with the plan cache, the
-shard executor and every backend that resolves plans through
+registry ``"codegen"`` uses), so it composes with the plan cache and
+every backend that resolves plans through
 ``plan_for``.  A ``ProfilePlan`` is a ``Plan`` whose top-level
 instruction closures are wrapped with timing; each measurement is keyed
 to the *source statements* the instruction executes (the provenance
@@ -14,8 +14,8 @@ labelled via ``ir/pretty``.  Results are bitwise-identical to the plain
 against the static cost model's ``estimate_stms`` work for the same
 statements, flagging rank-order inversions: statement pairs where one is
 at least 4× hotter than the other yet the model orders them the other
-way round.  Those inversions are exactly where cost-driven decisions
-(fusion, shard chunking, schedule choice) go wrong, which is what makes
+way round.  Those inversions are where the estimator mis-ranks statements
+(``apply_schedule`` picks its target by that ranking), which is what makes
 the column pair actionable.
 
 Selection: pass ``emitter="profile"`` to ``plan_for``, or set

@@ -1,7 +1,7 @@
 """Structured tracing: nestable spans over the compile/execute pipeline.
 
 A *span* marks one phase (``trace``, ``opt:<pass>``, ``lower``, ``emit``,
-``compile``, ``execute``, ``shard:chunk`` …).  Spans nest
+``compile``, ``execute`` …).  Spans nest
 freely, are thread-aware, and are collected into a bounded ring buffer
 as Chrome-trace ``B``/``E`` event pairs; ``export()`` (or interpreter
 exit, when ``REPRO_TRACE=<file>`` is set) writes the buffer as a

@@ -25,34 +25,12 @@ elements, or its index array), and — for the redomap cases — the fused
 operator must round-trip through ``recognize_redomap_lambda`` so it stays
 both fast and un-fusable.  Applied bottom-up and to a fixed point by the
 pass pipeline driver.
-
-Cost gating (``REPRO_FUSE_COST``)
----------------------------------
-
-Each candidate fusion is additionally gated by the static cost model
-(``ir.cost_model.fusion_wins``): the fused statement must be predicted to
-carry less total work + memory traffic than the pair it replaces.  Modes:
-
-* ``on`` (default) — cost-guided: a candidate that the estimator predicts
-  to be a regression is skipped (counted in
-  ``fusion_stats()["cost_rejected"]``);
-* ``always`` — fuse every legal candidate (the pre-cost-model monotone
-  behaviour; the A8 ablation baseline);
-* ``off`` — disable the pass entirely (equivalent to
-  ``REPRO_OPT_PASSES=-fuse``, kept as a one-knob ablation convenience).
-
-Because the engine already requires single-use producers, the gate accepts
-every fusion the monotone engine would perform on real programs — guided
-and monotone decisions are bitwise-identical there — and exists to keep
-that true by construction as the engine grows more speculative cases.
 """
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.analysis import recognize_redomap_lambda
-from ..ir.cost_model import fusion_wins
 from ..ir.ast import (
     BinOp,
     Body,
@@ -78,31 +56,21 @@ from ..ir.traversal import (
 )
 from ..ir.types import rank_of, with_rank
 from ..obs import metrics as _obs_metrics
-from ..util import ADError, BoundedLRU, fresh
+from ..util import ADError, fresh
 
 __all__ = [
     "fuse_fun",
     "fuse_body",
     "unfuse_fun",
     "unfuse_body",
-    "fuse_cost_mode",
     "fusion_stats",
     "reset_fusion_stats",
 ]
 
 
-def fuse_cost_mode() -> str:
-    """``REPRO_FUSE_COST``: ``on`` (cost-guided, default), ``always``
-    (monotone — fuse every legal candidate), or ``off`` (pass disabled)."""
-    mode = os.environ.get("REPRO_FUSE_COST", "on").lower()
-    return mode if mode in ("on", "off", "always") else "on"
-
-
-#: Fusion decision counters: candidates that fused (by direction) and
-#: candidates the cost gate rejected.  Reset via ``reset_fusion_stats``.
-FUSE_STATS = _obs_metrics.counter_group(
-    "fusion", {"vertical": 0, "horizontal": 0, "cost_rejected": 0}
-)
+#: Fusion counters: candidates that fused, by direction.  Reset via
+#: ``reset_fusion_stats``.
+FUSE_STATS = _obs_metrics.counter_group("fusion", {"vertical": 0, "horizontal": 0})
 
 
 def fusion_stats() -> Dict[str, int]:
@@ -111,28 +79,9 @@ def fusion_stats() -> Dict[str, int]:
 
 def reset_fusion_stats() -> None:
     FUSE_STATS.reset()
-    _REJECTED_SEEN.clear()
 
 
 _obs_metrics.register_source("fusion", fusion_stats, reset_fusion_stats)
-
-
-#: Candidates the gate already rejected, by structural identity — the
-#: fixed-point driver and the pipeline's rounds re-discover (and re-reject)
-#: the same pair every scan, which must not inflate ``cost_rejected``.
-_REJECTED_SEEN = BoundedLRU()
-_REJECTED_SEEN_CAP = 1024
-
-
-def _gate(before: List[Stm], after: List[Stm], guided: bool) -> bool:
-    """Apply the cost gate to one candidate rewrite (monotone mode skips)."""
-    if not guided or fusion_wins(before, after):
-        return True
-    key = (tuple(before), tuple(after))
-    if _REJECTED_SEEN.get(key) is None:
-        _REJECTED_SEEN.put(key, True, _REJECTED_SEEN_CAP)
-        FUSE_STATS["cost_rejected"] += 1
-    return False
 
 
 def _uses_in_body(body: Body) -> Dict[str, int]:
@@ -270,7 +219,7 @@ def _forbidden_names(e: Exp) -> Set[str]:
     return out
 
 
-def _vertical_step(stms: List[Stm], uses: Dict[str, int], guided: bool) -> bool:
+def _vertical_step(stms: List[Stm], uses: Dict[str, int]) -> bool:
     """Perform one vertical fusion in ``stms`` (in place); True if fused."""
     for i, stm in enumerate(stms):
         e = stm.exp
@@ -303,10 +252,7 @@ def _vertical_step(stms: List[Stm], uses: Dict[str, int], guided: bool) -> bool:
         fused = _fuse_vertical(stm, ce)
         if fused is None:
             continue
-        new_stm = Stm(stms[consumer_idx].pat, fused)
-        if not _gate([stm, stms[consumer_idx]], [new_stm], guided):
-            continue
-        stms[consumer_idx] = new_stm
+        stms[consumer_idx] = Stm(stms[consumer_idx].pat, fused)
         del stms[i]
         FUSE_STATS["vertical"] += 1
         return True
@@ -318,7 +264,7 @@ def _vertical_step(stms: List[Stm], uses: Dict[str, int], guided: bool) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _horizontal_step(stms: List[Stm], guided: bool) -> bool:
+def _horizontal_step(stms: List[Stm]) -> bool:
     """Merge one pair of sibling maps over a shared array (in place)."""
     for i, s1 in enumerate(stms):
         e1 = s1.exp
@@ -345,11 +291,7 @@ def _horizontal_step(stms: List[Stm], guided: bool) -> bool:
                     tuple(e1.lam.params) + p2,
                     Body(b1.stms + b2.stms, b1.result + b2.result),
                 )
-                merged = Stm(s1.pat + s2.pat, Map(lam, e1.arrs + e2.arrs))
-                if not _gate([s1, s2], [merged], guided):
-                    between.update(v.name for v in s2.pat)
-                    continue
-                stms[i] = merged
+                stms[i] = Stm(s1.pat + s2.pat, Map(lam, e1.arrs + e2.arrs))
                 del stms[j]
                 FUSE_STATS["horizontal"] += 1
                 return True
@@ -362,18 +304,14 @@ def _horizontal_step(stms: List[Stm], guided: bool) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def fuse_body(body: Body, mode: Optional[str] = None) -> Body:
-    mode = mode or fuse_cost_mode()
-    if mode == "off":
-        return body
-    guided = mode == "on"
+def fuse_body(body: Body) -> Body:
     stms = list(body.stms)
     changed = True
     while changed:
         uses = _uses_in_body(Body(tuple(stms), body.result))
-        changed = _vertical_step(stms, uses, guided)
+        changed = _vertical_step(stms, uses)
         if not changed:
-            changed = _horizontal_step(stms, guided)
+            changed = _horizontal_step(stms)
     out: List[Stm] = []
     for stm in stms:
         out.append(Stm(stm.pat, _fuse_exp(stm.exp)))
@@ -405,8 +343,6 @@ def _fuse_exp(e: Exp) -> Exp:
 
 
 def fuse_fun(fun: Fun) -> Fun:
-    if fuse_cost_mode() == "off":
-        return fun
     return Fun(fun.name, fun.params, fuse_body(fun.body))
 
 

@@ -174,12 +174,7 @@ def optimize_fun(
     if not active:
         return fun
     names = tuple(p.name for p in active)
-    # The fuse pass is additionally configured by REPRO_FUSE_COST (cost-gated
-    # vs monotone vs off); the mode must be part of the memo key or flipping
-    # the env var mid-session (the A8 ablation does) would serve stale plans.
-    from .fusion import fuse_cost_mode
-
-    key = (id(fun), rounds, names, fuse_cost_mode() if "fuse" in names else None)
+    key = (id(fun), rounds, names)
     if cache:
         hit = _OPT_CACHE.get(key)
         if hit is not None and hit[0] is fun:
@@ -233,13 +228,12 @@ def optimize_fun(
 def opt_stats() -> Dict[str, object]:
     """Per-pass fired/changed counters plus memo-cache counters."""
     from .fission import fission_stats
-    from .fusion import fuse_cost_mode, fusion_stats
+    from .fusion import fusion_stats
 
     return {
         "passes": {n: dict(c) for n, c in _PASS_STATS.items()},
         "cache": {**_CACHE_STATS, "entries": len(_OPT_CACHE)},
         "enabled": tuple(p.name for p in resolve_passes()),
-        "fuse_cost_mode": fuse_cost_mode(),
         "fusion": fusion_stats(),
         "fission": fission_stats(),
     }

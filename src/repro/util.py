@@ -86,9 +86,9 @@ class BoundedLRU:
 
     Thread safety: every operation takes an internal re-entrant lock —
     ``OrderedDict.move_to_end``/``popitem`` are not safe under concurrent
-    mutation (the shard executor's thread mode resolves plans from pool
-    workers).  Compound caller sequences (get-then-put) remain benign races:
-    the worst case is one duplicate lowering, never a corrupted mapping.
+    mutation (users may call one ``Compiled`` from several threads).
+    Compound caller sequences (get-then-put) remain benign races: the worst
+    case is one duplicate lowering, never a corrupted mapping.
     """
 
     def __init__(self) -> None:

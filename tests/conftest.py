@@ -1,13 +1,10 @@
-"""Pytest configuration: make tests/helpers.py importable, keep hypothesis
-deadlines off (interpreted executors are slow but deterministic), and pin
-the shard executor to 2 workers so CI boxes are never oversubscribed
-(individual shard tests override the env knobs with monkeypatch)."""
+"""Pytest configuration: make tests/helpers.py importable and keep
+hypothesis deadlines off (interpreted executors are slow but
+deterministic)."""
 import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-os.environ.setdefault("REPRO_SHARD_WORKERS", "2")
 
 # Stage-boundary IR verification is on by default under pytest (the prod
 # default is "off"); CI additionally runs one leg with REPRO_VERIFY=full.

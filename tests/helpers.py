@@ -10,14 +10,10 @@ import numpy as np
 
 import repro as rp
 
-#: Every registered backend takes part in the parity checks; ``shard``
-#: mostly falls back to ``plan`` at test sizes (extents below
-#: ``REPRO_SHARD_MIN_CHUNK``), which still exercises its dispatch and
-#: analysis paths — ``tests/test_exec_shard.py`` lowers the chunking
-#: threshold to force genuine multi-worker execution.  ``codegen`` shares
-#: the plan lowering and must match ``plan`` *bitwise* (asserted below),
-#: not merely to tolerance.
-BACKENDS = ("ref", "plan", "codegen", "shard")
+#: Every registered backend takes part in the parity checks.  ``codegen``
+#: shares the plan lowering and must match ``plan`` *bitwise* (asserted
+#: below), not merely to tolerance.
+BACKENDS = ("ref", "plan", "codegen")
 
 
 def run_both(fc, *args):

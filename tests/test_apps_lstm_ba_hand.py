@@ -135,3 +135,76 @@ def test_hand_complicated_residuals_and_jacobian_blocks():
         du = out[4]
         # sparse block is exactly -cands[:, :, c] (block-diagonal in v)
         np.testing.assert_allclose(du, -cands[:, :, c], atol=1e-12)
+
+
+def test_hand_jacobian_fwd_ad_batched_matches_loop_and_grad():
+    theta, base, wghts, tgts = datagen.hand_instance(4, 12, seed=7)
+    fc = rp.compile(hand.build_ir(4, 12))
+    fwd = rp.jvp(fc)
+    batched = hand.jacobian_fwd_ad(fwd, theta, base, wghts, tgts, backend="plan")
+    looped = hand.jacobian_fwd_ad(fwd, theta, base, wghts, tgts, backend="plan", batched=False)
+    np.testing.assert_allclose(batched, looped, rtol=1e-9, atol=1e-12)
+    # forward over the full basis == the reverse-mode gradient
+    g = rp.grad(fc, wrt=[0])
+    np.testing.assert_allclose(batched, g(theta, base, wghts, tgts), rtol=1e-7, atol=1e-9)
+
+
+def test_lstm_grad_fwd_ad_batched_matches_loop_and_grad():
+    xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(2, 3, 4, 5, seed=8)
+    fc = rp.compile(lstm.build_ir(xs.shape[0], xs.shape[1], xs.shape[2], wh.shape[1]))
+    fwd = rp.jvp(fc)
+    batched = lstm.grad_fwd_ad(fwd, xs, wx, wh, b, wy, tg, backend="plan")
+    looped = lstm.grad_fwd_ad(fwd, xs, wx, wh, b, wy, tg, backend="plan", batched=False)
+    np.testing.assert_allclose(batched, looped, rtol=1e-9, atol=1e-12)
+    gb = rp.grad(fc, wrt=[1, 2, 3, 4])(xs, wx, wh, b, wy, tg)[2]
+    np.testing.assert_allclose(batched, gb, rtol=1e-7, atol=1e-9)
+
+
+def _hand_fwd():
+    primals = datagen.hand_instance(3, 8, seed=8)
+    return rp.jvp(rp.compile(hand.build_ir(3, 8))), primals
+
+
+def _via_seeding():
+    from repro.apps.seeding import identity_seed_pass
+
+    fwd, primals = _hand_fwd()
+    return lambda **kw: identity_seed_pass(fwd, primals, 0, **kw)
+
+
+def _via_hand():
+    fwd, primals = _hand_fwd()
+    return lambda **kw: hand.jacobian_fwd_ad(fwd, *primals, **kw)
+
+
+def _via_ba():
+    cams, pts, ws, oc, op_, feats = datagen.ba_instance(3, 5, 8, seed=2)
+    gc, gp, gw = ba.gather_obs(cams, pts, ws, oc, op_)
+    jv = rp.vjp(rp.compile(ba.build_ir(8)), wrt=[0, 1, 2])
+    return lambda **kw: ba.jacobian_ad(jv, gc, gp, gw, feats, **kw)
+
+
+def _via_lstm():
+    xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(2, 3, 4, 4, seed=5)
+    fwd = rp.jvp(rp.compile(lstm.build_ir(3, 2, 4, 4)))
+    return lambda **kw: lstm.grad_fwd_ad(fwd, xs, wx, wh, b, wy, tg, **kw)
+
+
+@pytest.mark.parametrize(
+    "build", [_via_seeding, _via_hand, _via_ba, _via_lstm], ids=lambda f: f.__name__[5:]
+)
+def test_seeded_entry_points_follow_repro_backend(build, monkeypatch):
+    """``backend=None`` resolves through ``default_backend()``: under
+    ``REPRO_BACKEND=codegen`` the pass constructs ``codegen`` plans and no
+    ``plan`` ones, bitwise equal to the ``plan`` result."""
+    from repro.exec.plan import clear_plan_cache, plan_cache_stats
+
+    call = build()
+    want = call(backend="plan")
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    clear_plan_cache()
+    got = call()
+    em = plan_cache_stats()["emitters"]
+    assert em.get("codegen", {}).get("plans", 0) >= 1 and "plan" not in em, em
+    for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()

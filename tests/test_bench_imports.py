@@ -43,37 +43,6 @@ def test_common_exposes_plan_backend_wiring():
     assert common.BENCH_BACKEND in available_backends()
 
 
-def test_shard_stats_shape_for_bench_ablations():
-    """The A6 shard ablation keys off ``shard_stats()``; make sure the
-    counters exist, expose the worker/mode configuration, and move when a
-    batched call is sharded."""
-    import numpy as np
-
-    import repro as rp
-    from repro.exec.shard import shard_stats, shutdown_shard_pool
-
-    st = shard_stats()
-    assert {
-        "sharded_calls",
-        "batched_calls",
-        "fallback_calls",
-        "chunks",
-        "pool_builds",
-        "pool_errors",
-        "workers",
-        "mode",
-    } <= set(st)
-    assert st["workers"] >= 1 and st["mode"] in ("thread", "process")
-    before = st["batched_calls"] + st["fallback_calls"]
-    jac = rp.jacobian(
-        rp.compile(rp.trace_like(lambda x: rp.map(lambda v: v * v, x), (np.ones(4),)))
-    )
-    jac(np.ones(4), backend="shard")
-    st = shard_stats()
-    assert st["batched_calls"] + st["fallback_calls"] > before
-    shutdown_shard_pool()
-
-
 def test_opt_stats_shape_for_bench_ablations():
     """The A5 fusion ablation keys off the pass registry and ``opt_stats``;
     make sure the counters exist, cover every registered pass, and move when
@@ -84,38 +53,14 @@ def test_opt_stats_shape_for_bench_ablations():
     from repro.opt.pipeline import opt_stats, optimize_fun
 
     st = opt_stats()
-    assert {"passes", "cache", "enabled"} <= set(st)
+    assert {"passes", "cache", "enabled", "fusion"} <= set(st)
+    assert set(st["fusion"]) == {"vertical", "horizontal"}
     assert {"simplify", "cse", "fuse", "dce"} <= set(st["passes"])
     for c in st["passes"].values():
         assert {"fired", "changed"} <= set(c)
-    before = st["passes"]["fuse"]["fired"]
+    before = st["passes"]["fuse"]["fired"], st["fusion"]["vertical"]
     fun = rp.trace_like(lambda xs: rp.sum(rp.map(lambda x: x * 2.0, xs)), (np.ones(3),))
     optimize_fun(fun, cache=False)
-    assert opt_stats()["passes"]["fuse"]["fired"] > before
-
-
-def test_cost_model_shape_for_bench_ablation_a8():
-    """The A8 cost-model ablation keys off ``fusion_stats``, the
-    REPRO_FUSE_COST mode surfaced in ``opt_stats``, and the shard chunk
-    counters; make sure the wiring exists and moves."""
-    import numpy as np
-
-    import repro as rp
-    from repro.ir.cost_model import estimate_fun, soac_elem_cost, task_grain
-    from repro.opt.fusion import fuse_cost_mode, fusion_stats, reset_fusion_stats
-    from repro.opt.pipeline import opt_stats, optimize_fun
-
-    assert fuse_cost_mode() in ("on", "off", "always")
     st = opt_stats()
-    assert {"fuse_cost_mode", "fusion"} <= set(st)
-    assert {"vertical", "horizontal", "cost_rejected"} <= set(st["fusion"])
-
-    reset_fusion_stats()
-    fun = rp.trace_like(lambda xs: rp.sum(rp.map(lambda x: x * 2.0, xs)), (np.ones(3),))
-    optimize_fun(fun, cache=False)
-    assert fusion_stats()["vertical"] >= 1
-
-    fe = estimate_fun(fun, [(3,)])
-    assert fe.total.work > 0 and fe.soacs
-    assert task_grain() >= 1
-    assert soac_elem_cost(fun.body.stms[0].exp) is not None
+    assert st["passes"]["fuse"]["fired"] > before[0]
+    assert st["fusion"]["vertical"] > before[1]

@@ -1,6 +1,6 @@
 """Source-codegen backend (``exec/codegen.py``): bitwise parity with the
-closure interpreter, cache accounting for code objects, the ``REPRO_CODEGEN_DUMP`` knob, and codegen-compiled
-shard chunks."""
+closure interpreter, cache accounting for code objects, and the
+``REPRO_CODEGEN_DUMP`` knob."""
 import os
 
 import numpy as np
@@ -170,26 +170,3 @@ def test_codegen_dump_writes_generated_source(tmp_path, monkeypatch):
         assert "def _plan_main(" in text
         assert plan.source in text
 
-
-# ---------------------------------------------------------------------------
-# Shard chunks on codegen
-# ---------------------------------------------------------------------------
-
-
-def test_shard_chunks_run_codegen_compiled(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
-    monkeypatch.setenv("REPRO_SHARD_MAX_TASKS", "4")
-    monkeypatch.setenv("REPRO_BACKEND", "codegen")
-
-    def f(v):
-        return rp.map(lambda x: rp.tanh(x) * 2.0, v)
-
-    fc = rp.compile(rp.trace_like(f, (np.ones(8),)))
-    clear_plan_cache()
-    xs = rng.standard_normal(11)  # chunk extents 5 and 6
-    r_shard = fc(xs, backend="shard")
-    np.testing.assert_array_equal(np.asarray(r_shard),
-                                  np.asarray(fc(xs, backend="plan")))
-    em = plan_cache_stats()["emitters"]
-    assert "codegen" in em and em["codegen"]["code_objects"] >= 1

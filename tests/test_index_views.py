@@ -124,7 +124,7 @@ def test_out_of_range_in_an_active_lane_clips_as_before():
     a = np.arange(1.0, N + 1.0)
     fc = rp.compile(rp.trace_like(lambda a: rp.map(lambda i: a[i + 1] * 1.0, rp.iota(N)), (a,)))
     want = a[np.minimum(np.arange(N) + 1, N - 1)]
-    got = {be: fc(a, backend=be) for be in ("plan", "codegen", "shard")}
+    got = {be: fc(a, backend=be) for be in ("plan", "codegen")}
     for be, r in got.items():
         np.testing.assert_array_equal(r, want, err_msg=be)
 
@@ -138,7 +138,7 @@ def test_extent_0_and_1_maps(n):
 
 
 # ---------------------------------------------------------------------------
-# Chunked and sharded maps: lanes that do not start at 0
+# Chunked maps: lanes that do not start at 0
 # ---------------------------------------------------------------------------
 
 
@@ -153,11 +153,15 @@ def test_sequential_chunks_start_past_zero():
     assert _census(fc, a) == {"gather": 0, "scatter": 0, "clip": 0}
 
 
-def test_shard_thread_chunks_start_past_zero(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "2")
-    monkeypatch.setenv("REPRO_SHARD_MODE", "thread")
-    _all_modes(_chunky, (_mat(10, M),))
+def test_chunked_derivative_maps_start_past_zero(monkeypatch):
+    """``schedule=`` reaches the primal only (AD rebuilds the nodes), so the
+    derivatives' own top-level maps are chunked through ``REPRO_SCHEDULE``:
+    chunks [0,4) [4,8) [8,10) of the ``vjp`` and ``jvp`` programs."""
+    monkeypatch.setenv("REPRO_SCHEDULE", "sequential(4)·vectorized")
+    a = _mat(10, M)
+    fc = _all_modes(_chunky, (a,))
+    for d in (rp.vjp(fc), rp.jvp(fc)):
+        assert any(getattr(s.exp, "schedule", ()) for s in d.fun.body.stms)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +177,7 @@ def test_call_batched_with_batched_and_unbatched_arrays():
         lambda a, w: rp.map(lambda i: a[i] * w[i] + w[N - 1] , rp.iota(N)), (a, ws[0])))
     want = np.stack([fc(a, w, backend="ref") for w in ws])
     outs = {}
-    for be in ("plan", "codegen", "shard"):
+    for be in ("plan", "codegen"):
         (outs[be],) = fc.call_batched((a, ws), (False, True), 3, backend=be)
         np.testing.assert_allclose(outs[be], want, rtol=1e-12, err_msg=be)
     np.testing.assert_array_equal(outs["plan"], outs["codegen"])
@@ -211,7 +215,7 @@ def test_input_layouts(layout):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen", "shard"])
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
 def test_map_results_do_not_alias_the_indexed_array(backend):
     """``map (\\i -> a[i]) (iota n)`` is a view of ``a`` inside the map; what
     the map returns is the caller's own array (as on ``ref``)."""

@@ -119,19 +119,23 @@ def test_compiled_repr_and_name():
     "var,value",
     [
         ("REPRO_PLAN_CACHE_SIZE", "abc"),
-        ("REPRO_SHARD_MODE", "proces"),
-        ("REPRO_SHARD_WORKERS", "two"),
+        ("REPRO_OPT_CACHE_SIZE", "abc"),
+        ("REPRO_ANALYSIS_CACHE_SIZE", "abc"),
+        ("REPRO_TRACE_BUFFER", "abc"),
     ],
 )
 def test_malformed_knob_fails_loudly(var, value, monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")  # 11 elements: two chunks
-    # a blanket ``parallel(n)`` names the pool size itself, and then
-    # REPRO_SHARD_WORKERS is never read (CI's forced-schedule leg sets one)
-    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)
+    """Every integer knob goes through ``util.env_capacity``: junk raises
+    naming the variable, on an ordinary compile + ``plan`` call (the trace
+    buffer is sized when a tracer starts)."""
+    from repro.obs import tracing
+
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.setenv(var, value)
-    fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: x * 2.0, v), (np.ones(8),)))
     with pytest.raises(ReproError, match=f"{var}='{value}'"):
-        fc(np.ones(11), backend="shard")
+        with tracing.collecting():
+            fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: x * 2.0, v), (np.ones(8),)))
+            fc(np.ones(11), backend="plan")
 
 
 def test_knob_census_matches_readme_table():

@@ -136,26 +136,6 @@ def test_repro_trace_exports_chrome_json(tmp_path, monkeypatch):
     assert ex["args"]["fun"] == "obs_trace_demo"
 
 
-def test_trace_includes_shard_chunk_spans(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "8")
-    xs = np.linspace(0.0, 1.0, 64)
-    fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_shard_demo"))
-    tracing.enable()
-    fc(xs, backend="shard")
-    evs = tracing.events()
-    _balance_check(evs)
-    chunks = [e for e in evs if e["ph"] == "B" and e["name"] == "shard:chunk"]
-    assert len(chunks) >= 2
-    for ev in chunks:
-        assert ev["cat"] == "shard"
-        assert ev["args"]["mode"] == "thread"
-        assert ev["args"]["extent"] >= 1
-        assert "worker" in ev["args"]
-    # distinct worker threads carried distinct tids
-    assert len({e["tid"] for e in chunks}) >= 1
-
-
 def test_tracing_under_codegen_backend(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "codegen")
     xs = np.linspace(-1.0, 1.0, 16)
@@ -276,8 +256,9 @@ def test_metrics_snapshot_delta_roundtrip():
 
 def test_snapshot_covers_all_stats_surfaces():
     snap = obs.snapshot()
-    for section in ("plan_cache", "shard", "fusion", "opt", "backend_calls"):
+    for section in ("plan_cache", "fusion", "opt", "backend_calls"):
         assert section in snap, section
+    assert "shard" not in snap
     assert snap["plan_cache"].keys() >= {"hits", "misses"}
     assert "passes" in snap["opt"] and "cache" in snap["opt"]
 
@@ -349,7 +330,7 @@ def test_reset_plan_cache_stats_keeps_plans():
 def test_reset_all_zeroes_every_surface():
     xs = np.linspace(0.0, 1.0, 8)
     fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_resetall_demo"))
-    fc(xs, backend="shard")
+    fc(xs, backend="plan")
     metrics.inc("obs_resetall_counter")
     tracing.enable()
     with tracing.span("x"):
@@ -358,8 +339,6 @@ def test_reset_all_zeroes_every_surface():
     snap = obs.snapshot()
     for k in ("hits", "misses", "specialized_hits", "promotions"):
         assert snap["plan_cache"][k] == 0
-    for k in ("sharded_calls", "batched_calls", "fallback_calls", "chunks"):
-        assert snap["shard"][k] == 0
     assert all(v == 0 for v in snap["backend_calls"].values())
     assert snap["counters"] == {}
     assert tracing.phase_totals() == {}

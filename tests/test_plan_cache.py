@@ -1,8 +1,9 @@
 """The plan cache: one shape-generic lowering per rank/dtype signature
-(including on the shard chunk path and for batched calls), the
-multi-thread hammer under the locked cache, the
+(including for batched calls), the
+multi-thread hammers under the locked cache, the
 ``BoundedLRU`` stored-``None`` regression, and the registry-level default
 backend."""
+import sys
 import threading
 
 import numpy as np
@@ -90,77 +91,53 @@ def test_repeated_batched_calls_hit_the_cache_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# Shard integration: chunks of every extent share one lowering
+# Thread safety: users may call one ``Compiled`` from their own threads
 # ---------------------------------------------------------------------------
 
 
-def test_shard_chunk_plans_share_one_generic_lowering(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
-    monkeypatch.setenv("REPRO_SHARD_MAX_TASKS", "4")
-
-    def f(v):
-        return rp.map(lambda x: rp.tanh(x) * 2.0, v)
-
-    fc = rp.compile(rp.trace_like(f, (np.ones(8),)))
-    clear_plan_cache()
-    xs = rng.standard_normal(11)  # chunk extents 5 and 6 — distinct shapes
-    np.testing.assert_array_equal(
-        fc(xs, backend="shard"), np.asarray(fc(xs, backend="plan"))
-    )
-    st = plan_cache_stats()
-    shard_misses = st["misses"]
-    # A different total extent (different chunk extents again) must not
-    # re-lower the chunk plan: the cache keys on rank/dtype only.
-    xs2 = rng.standard_normal(13)
-    np.testing.assert_array_equal(
-        fc(xs2, backend="shard"), np.asarray(fc(xs2, backend="plan"))
-    )
-    assert plan_cache_stats()["misses"] == shard_misses
-
-
-def test_shard_thread_mode_parity_under_locked_cache(monkeypatch):
-    """Concurrent shard calls resolve plans from pool workers; under the
-    locked cache the stats stay exact and results stay correct."""
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MODE", "thread")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "8")
-    monkeypatch.setenv("REPRO_SHARD_MAX_TASKS", "4")
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def test_compiled_called_from_user_threads(backend):
+    """6 user threads (more than cores, short switch interval) x 20 calls of
+    one ``Compiled``: every result is bitwise equal to a quiet call, the
+    plan is lowered once, and no cache counter increment is lost."""
 
     def f(v):
         return rp.sum(rp.map(lambda x: rp.exp(x) * x, v))
 
     fc = rp.compile(rp.trace_like(f, (np.ones(8),)))
     xs = {n: rng.standard_normal(n) for n in (33, 47, 61)}
-    # Chunking is worker-count-independent, so concurrent shard results must
-    # be *bitwise* equal to a quiet shard run (they may differ from the flat
-    # plan reduce in the last ulp — different partial association order).
-    expected = {n: float(np.asarray(fc(x, backend="shard"))) for n, x in xs.items()}
-    for n, x in xs.items():
-        np.testing.assert_allclose(
-            expected[n], np.asarray(fc(x, backend="plan")), rtol=1e-12
-        )
+    expected = {n: np.asarray(fc(x, backend=backend)).tobytes() for n, x in xs.items()}
     clear_plan_cache()
+    nthreads, niter = 6, 20
     errors = []
-    barrier = threading.Barrier(4)
+    barrier = threading.Barrier(nthreads)
 
     def worker(t):
         try:
-            barrier.wait()
-            for i in range(12):
+            barrier.wait(timeout=30)
+            for i in range(niter):
                 n = sorted(xs)[(t + i) % len(xs)]
-                got = float(np.asarray(fc(xs[n], backend="shard")))
-                if got != expected[n]:  # chunking is worker-count-independent
-                    errors.append((t, i, n, got, expected[n]))
+                if np.asarray(fc(xs[n], backend=backend)).tobytes() != expected[n]:
+                    errors.append((t, i, n))
         except Exception as e:  # pragma: no cover - surfaced by the assert
             errors.append(repr(e))
 
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
     assert not errors, errors[:3]
+    st = plan_cache_stats()
+    assert st["misses"] == 1, st  # one rank/dtype signature -> one lowering
+    assert st["hits"] + st["misses"] == nthreads * niter, st
+    assert st["emitters"][backend]["plans"] == 1, st
 
 
 def test_plan_cache_thread_hammer():

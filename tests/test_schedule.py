@@ -1,26 +1,21 @@
 """Schedule IR: directive parsing/formatting, legality, strict and lenient
 application, bitwise backend parity for every legal schedule (property-based
-over the fuzz corpus), explicit-directive consumption by ``parallel_split``,
-the loop ``sequential(f)·sequential`` strip-mine sugar, bounded process-pool
-degradation, codegen shipping to process workers, and schedule strings in
-the profiler report."""
+over the fuzz corpus), the chunk grid of a ``sequential(c)`` map
+(property-based over extent and chunk size), the loop
+``sequential(f)·sequential`` strip-mine sugar, and schedule strings in
+execute spans and the profiler report."""
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro as rp
 from repro.exec.plan import plan_for
-from repro.exec.shard import (
-    reset_shard_stats,
-    shard_stats,
-    shutdown_shard_pool,
-)
 from repro.frontend.function import Compiled
-from repro.ir.analysis import parallel_split
 from repro.ir.ast import Loop, Map, Reduce
 from repro.ir.schedule import (
-    Parallel,
     SCHEDULABLE,
     ScheduleError,
     Sequential,
@@ -55,11 +50,9 @@ def _reduce_prog(xs):
 def test_parse_format_round_trip():
     for text, sched in [
         ("vectorized", (Vectorized(),)),
-        ("parallel", (Parallel(),)),
-        ("parallel(2)", (Parallel(2),)),
         ("sequential", (Sequential(),)),
         ("sequential(64)", (Sequential(64),)),
-        ("parallel(2)·vectorized", (Parallel(2), Vectorized())),
+        ("sequential(8)·vectorized", (Sequential(8), Vectorized())),
         ("sequential(4)·sequential", (Sequential(4), Sequential())),
     ]:
         assert parse_schedule(text) == sched
@@ -69,7 +62,7 @@ def test_parse_format_round_trip():
 
 
 def test_parse_accepts_ascii_separators():
-    assert parse_schedule("parallel(2) vectorized") == (Parallel(2), Vectorized())
+    assert parse_schedule("sequential(8) vectorized") == (Sequential(8), Vectorized())
     assert parse_schedule("sequential(4);sequential") == (
         Sequential(4),
         Sequential(),
@@ -84,6 +77,21 @@ def test_parse_rejects_junk_and_vectorized_arg():
     assert parse_schedule("") == ()
 
 
+def test_parallel_directive_no_longer_parses(monkeypatch):
+    """``parallel`` left the grammar: the string form fails everywhere it can
+    arrive (``parse_schedule``, ``schedule=``, ``REPRO_SCHEDULE``), naming the
+    token and what is still accepted."""
+    fun = _trace(_map_prog, np.ones(8))
+    want = r"'parallel\(2\)'.*vectorized \| sequential\[\(c\)\]"
+    with pytest.raises(ScheduleError, match=want):
+        parse_schedule("parallel(2)·vectorized")
+    with pytest.raises(ScheduleError, match=want):
+        rp.compile(fun, schedule="parallel(2)")
+    monkeypatch.setenv("REPRO_SCHEDULE", "parallel(2)")
+    with pytest.raises(ScheduleError, match=want):
+        rp.compile(fun)
+
+
 # ---------------------------------------------------------------------------
 # Legality
 # ---------------------------------------------------------------------------
@@ -93,27 +101,21 @@ def test_structural_legality_names_the_directive():
     xs = np.ones(8)
     fun = rp.compile(_trace(_map_prog, xs)).fun
     m = next(s.exp for s in fun.body.stms if isinstance(s.exp, Map))
-    # two parallels
-    r = check_schedule(m, (Parallel(2), Parallel(2)))
-    assert r is not None and "parallel" in r
-    # parallel not outermost
-    r = check_schedule(m, (Vectorized(), Parallel(2)))
-    assert r is not None and "parallel" in r
+    # two vectorized
+    r = check_schedule(m, (Vectorized(), Vectorized()))
+    assert r is not None and "vectorized" in r
     # vectorized not innermost
     r = check_schedule(m, (Vectorized(), Sequential()))
     assert r is not None and "vectorized" in r
     # legal ones pass
     assert check_schedule(m, (Vectorized(),)) is None
     assert check_schedule(m, (Sequential(8), Vectorized())) is None
-    assert check_schedule(m, (Parallel(2), Vectorized())) is None
 
 
 def test_loop_only_takes_sequential():
     fun = _trace(lambda x: rp.fori_loop(10, lambda i, a: a * 0.5 + x, x), 1.0)
     fc = Compiled(fun)
     lp = next(s.exp for s in fc.fun.body.stms if isinstance(s.exp, Loop))
-    r = check_schedule(lp, (Parallel(2),))
-    assert r is not None and "parallel" in r
     r = check_schedule(lp, (Vectorized(),))
     assert r is not None and "vectorized" in r
     assert check_schedule(lp, (Sequential(),)) is None
@@ -131,8 +133,8 @@ def test_reduce_rejects_chunked_sequential():
 
 def test_illegal_schedule_raises_loudly_at_compile():
     fun = _trace(lambda x: rp.fori_loop(10, lambda i, a: a * 0.5 + x, x), 1.0)
-    with pytest.raises(ScheduleError, match="parallel"):
-        rp.compile(fun, schedule="parallel(2)")
+    with pytest.raises(ScheduleError, match="vectorized: loop iterations"):
+        rp.compile(fun, schedule="vectorized")
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,6 @@ _SCHEDULES = [
     (Sequential(3),),
     (Sequential(7), Vectorized()),
     (Vectorized(),),
-    (Parallel(2), Vectorized()),
-    (Parallel(), Sequential(5), Vectorized()),
 ]
 
 
@@ -175,39 +175,67 @@ def test_fuzz_legal_schedules_bitwise_equal_default(seed, n, dseed, si):
         )
 
 
-def test_shard_worker_count_invariance_under_parallel_schedule(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_MODE", "thread")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
-    xs = np.random.default_rng(7).standard_normal(64)
-    fun = _trace(_reduce_prog, xs)
-    fc = rp.compile(fun, schedule="parallel·vectorized")
-    try:
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
-        r1 = np.asarray(fc(xs, backend="shard"))
-        shutdown_shard_pool()
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "3")
-        r3 = np.asarray(fc(xs, backend="shard"))
-        np.testing.assert_array_equal(r1, r3)
-        np.testing.assert_array_equal(r3, np.asarray(fc(xs, backend="plan")))
-    finally:
-        shutdown_shard_pool()
-
-
 # ---------------------------------------------------------------------------
-# Explicit-directive consumption and the loop sugar
+# The chunk grid of ``sequential(c)`` on a map
 # ---------------------------------------------------------------------------
 
 
-def test_parallel_split_consumes_explicit_directive():
-    xs = np.ones(32)
-    fc = rp.compile(_trace(_reduce_prog, xs), schedule="parallel(3)·vectorized")
-    split = parallel_split(fc.fun)
-    assert split is not None
-    assert split.workers == 3
-    assert "parallel" in split.schedule_str
-    # the Parallel directive is realised by the split, not re-lowered
-    chunk_stm = split.chunk_fun.body.stms[0].exp
-    assert not any(isinstance(d, Parallel) for d in chunk_stm.schedule)
+def _grid_prog(a):
+    # lane i of the map returns i itself: the result *is* the grid
+    return rp.map(lambda i: i + 0 * rp.size(a), rp.iota(rp.size(a)))
+
+
+def _chunk_prog(a):
+    return rp.map(lambda i: rp.sin(a[i]) * a[i] + rp.exp(-a[i]), rp.iota(rp.size(a)))
+
+
+def _forced(c, sched):
+    fun = apply_schedule(c.fun, sched, strict=False)
+    assert any(getattr(s.exp, "schedule", ()) == sched for s in fun.body.stms)
+    return Compiled(fun, optimize=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_programs():
+    grid = rp.compile(rp.trace_like(_grid_prog, (np.ones(4),)))
+    chunk = rp.compile(rp.trace_like(_chunk_prog, (np.ones(4),)))
+    return grid, (chunk, rp.vjp(chunk), rp.jvp(chunk))
+
+
+# the fixture only removes a variable, which every example wants removed
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(0, 13), c=st.integers(1, 16), dseed=st.integers(0, 10**6))
+def test_sequential_chunk_grid_covers_the_axis_once_in_order(monkeypatch, n, c, dseed):
+    """For every extent and chunk size — ``n = 0``, ``c = 1``, ``c > n``,
+    ``n % c != 0`` included — the chunks of a ``sequential(c)`` map cover
+    ``[0, n)`` exactly once and in order, and value, ``vjp`` and ``jvp`` are
+    bitwise the default schedule's on ``plan``/``codegen`` and equal
+    ``ref``."""
+    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)  # the default is the baseline
+    base_grid, derivs = _chunk_programs()
+    sched = (Sequential(c), Vectorized())
+    rng = np.random.default_rng(dseed)
+    a = rng.standard_normal(n)
+    grid = _forced(base_grid, sched)
+    for be in ("ref", "plan", "codegen"):
+        np.testing.assert_array_equal(grid(a, backend=be), np.arange(n), err_msg=be)
+    if c > 1:
+        assert f"sequential({c})" in plan_for(grid.fun, (a,)).schedule_str
+    for d in derivs:
+        args = (a,) + tuple(rng.standard_normal(n) for _ in d.fun.params[1:])
+        forced = _forced(d, sched)
+        want = d(*args, backend="ref")
+        for be in ("plan", "codegen"):
+            got, base = forced(*args, backend=be), d(*args, backend=be)
+            for g, b, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, base, want))):
+                assert np.asarray(g).tobytes() == np.asarray(b).tobytes(), (be, d.name)
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12, err_msg=be)
+
+
+# ---------------------------------------------------------------------------
+# The loop sugar, the env override, defaults
+# ---------------------------------------------------------------------------
 
 
 def test_loop_sequential_sugar_sets_stripmine():
@@ -247,91 +275,6 @@ def test_default_schedule_shapes():
 
 
 # ---------------------------------------------------------------------------
-# Process mode: bounded degradation + codegen shipping
-# ---------------------------------------------------------------------------
-
-
-def test_process_degradation_is_bounded_and_resettable(monkeypatch):
-    from concurrent.futures import BrokenExecutor
-
-    from repro.exec import shard
-
-    monkeypatch.setenv("REPRO_SHARD_MODE", "process")
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
-    monkeypatch.setenv("REPRO_SHARD_RETRY_AFTER", "2")
-
-    def boom(*a, **k):
-        raise BrokenExecutor("injected pool failure")
-
-    monkeypatch.setattr(shard, "_dispatch_process", boom)
-    xs = np.random.default_rng(3).standard_normal(48)
-    fc = rp.compile(_trace(_reduce_prog, xs))
-    want = np.asarray(fc(xs, backend="plan"))
-    reset_shard_stats()
-    try:
-        for _ in range(6):
-            np.testing.assert_array_equal(
-                np.asarray(fc(xs, backend="shard")), want
-            )
-        st = shard_stats()
-        # call 1 probes and fails; after 2 degraded calls the pool is
-        # re-probed (fails again, doubling the backoff), then degraded again
-        assert st["pool_errors"] >= 2
-        assert st["process_retries"] >= 1
-        assert st["process_degraded_calls"] >= 2
-        assert st["process_degraded"] is True
-        shard.reset_shard_degradation()
-        assert shard_stats()["process_degraded"] is False
-    finally:
-        reset_shard_stats()
-        shutdown_shard_pool()
-
-
-def test_process_mode_ships_codegen_source(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_MODE", "process")
-    monkeypatch.setenv("REPRO_BACKEND", "codegen")
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
-    monkeypatch.setenv("REPRO_SHARD_SHM_MIN", "0")
-    reset_shard_stats()
-    try:
-        xs = np.random.default_rng(5).standard_normal(64)
-        fc = rp.compile(_trace(_map_prog, xs))
-        np.testing.assert_array_equal(
-            fc(xs, backend="shard"), fc(xs, backend="plan")
-        )
-        st = shard_stats()
-        if st["pool_errors"]:
-            pytest.skip("process pool unavailable in this environment")
-        assert st["sharded_calls"] == 1 and st["chunks"] >= 2
-        # repeat call: worker-side plan cache hit, still bitwise
-        np.testing.assert_array_equal(
-            fc(xs, backend="shard"), fc(xs, backend="plan")
-        )
-    finally:
-        shutdown_shard_pool()
-
-
-def test_codegen_payload_round_trip():
-    import pickle
-
-    from repro.exec.codegen import ShippedCodegenPlan, codegen_payload
-
-    xs = np.linspace(0.0, 1.0, 17)
-    fc = rp.compile(_trace(_reduce_prog, xs))
-    payload = codegen_payload(fc.fun)
-    # memoised by identity
-    assert codegen_payload(fc.fun) is payload
-    shipped = ShippedCodegenPlan(pickle.loads(pickle.dumps(payload)))
-    want = plan_for(fc.fun, (xs,), None, emitter="codegen").run((xs,))
-    got = shipped.run((xs,))
-    assert len(want) == len(got)
-    for a, b in zip(want, got):
-        np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-
-
-# ---------------------------------------------------------------------------
 # Observability
 # ---------------------------------------------------------------------------
 
@@ -348,25 +291,14 @@ def test_profile_report_carries_schedule():
     assert any("sequential(8)" in s for s in scheds)
 
 
-def test_shard_chunk_spans_carry_schedule(monkeypatch):
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def test_execute_spans_carry_schedule(backend):
     from repro.obs import tracing
 
-    monkeypatch.setenv("REPRO_SHARD_MODE", "thread")
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
     xs = np.random.default_rng(11).standard_normal(32)
-    fc = rp.compile(_trace(_reduce_prog, xs), schedule="parallel(2)·vectorized")
-    try:
-        with tracing.collecting():
-            fc(xs, backend="shard")
-            chunks = [
-                ev
-                for ev in tracing.events()
-                if ev["ph"] == "B" and ev["name"] == "shard:chunk"
-            ]
-        assert chunks
-        assert all(
-            "parallel" in (ev["args"].get("schedule") or "") for ev in chunks
-        )
-    finally:
-        shutdown_shard_pool()
+    fc = rp.compile(_trace(_map_prog, xs), schedule="sequential(8)·vectorized")
+    with tracing.collecting():
+        fc(xs, backend=backend)
+        spans = [ev for ev in tracing.events() if ev["ph"] == "B" and ev["name"] == "execute"]
+    assert spans
+    assert all("sequential(8)" in (ev["args"].get("schedule") or "") for ev in spans)

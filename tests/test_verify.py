@@ -38,7 +38,7 @@ from repro.ir.ast import (
     UpdAcc,
     WithAcc,
 )
-from repro.ir.schedule import Parallel
+from repro.ir.schedule import Sequential
 from repro.ir.types import AccType
 from repro.ir.verify import VERIFY_STATS
 from repro.exec.lower import ILoop, IMap, IRun, PlanIR, Ref, lower_fun, nested_bodies
@@ -188,13 +188,13 @@ def test_racy_scatter_schedule_rejected():
     vals = Var("vals", A)
     out = Var("out", A)
     body = Body(
-        (Stm((out,), Scatter(dest, inds, vals, schedule=(Parallel(2),))),),
+        (Stm((out,), Scatter(dest, inds, vals, schedule=(Sequential(4),))),),
         (out,),
     )
     err = _reject(
         Fun("f", (dest, inds, vals), body), "scatter writes may collide"
     )
-    assert "parallel(2)" in str(err)
+    assert "sequential(4)" in str(err)
     assert "let (out)" in str(err)
 
 
@@ -213,25 +213,6 @@ def test_scatter_replicated_indices_rejected_in_full():
     fun = Fun("f", (dest, vals), body)
     verify_fun(fun, where="opt:evil")  # boundary layers cannot see it
     _reject(fun, "replicate a single index", full=True)
-
-
-def test_parallel_reduce_unrecognized_op_rejected():
-    xs = Var("xs", A)
-    pa = Var("pa", F64)
-    pb = Var("pb", F64)
-    r = Var("r", F64)
-    s = Var("s", F64)
-    lam = Lambda((pa, pb), Body((Stm((r,), BinOp("sub", pa, pb)),), (r,)))
-    body = Body(
-        (
-            Stm(
-                (s,),
-                Reduce(lam, (Const(0.0, F64),), (xs,), schedule=(Parallel(2),)),
-            ),
-        ),
-        (s,),
-    )
-    _reject(Fun("f", (xs,), body), "not a recognised associative")
 
 
 def test_forced_fission_of_coupled_argmin_rejected():
@@ -256,39 +237,6 @@ def test_forced_fission_of_coupled_argmin_rejected():
     )
     # the error names the statement inside the `v` half that reads `i1`
     assert "let (ile_" in str(err)
-
-
-def test_parallel_map_free_accumulator_rejected_in_full():
-    # A parallel split whose lambda updates a free accumulator: every chunk
-    # would race on the same underlying buffer.
-    a = Var("a", A)
-    xs = Var("xs", A)
-    pa = Var("pa", ACC)
-    x = Var("x", F64)
-    u = Var("u", ACC)
-    y = Var("y", F64)
-    map_lam = Lambda(
-        (x,),
-        Body(
-            (
-                Stm((u,), UpdAcc(pa, (Const(0, I64),), x)),
-                Stm((y,), BinOp("mul", x, x)),
-            ),
-            (y,),
-        ),
-    )
-    ys = Var("ys", A)
-    wa_body = Body(
-        (Stm((ys,), Map(map_lam, (xs,), schedule=(Parallel(2),))),),
-        (pa, ys),
-    )
-    a2 = Var("a2", A)
-    ys2 = Var("ys2", A)
-    body = Body(
-        (Stm((a2, ys2), WithAcc((a,), Lambda((pa,), wa_body))),), (ys2,)
-    )
-    fun = Fun("f", (a, xs), body)
-    _reject(fun, "free accumulator 'pa' threads through the split", full=True)
 
 
 # ---------------------------------------------------------------------------
