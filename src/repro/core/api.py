@@ -197,6 +197,9 @@ def jacobian(f: FunLike, mode: Optional[str] = None) -> Callable:
                 f"{backend!r}; choose from {batched_backends()} or pass "
                 f"batched=False"
             )
+        if n == 0 or m == 0:
+            # No seed to run in either mode: the Jacobian has no entries.
+            return np.zeros(y.shape + x.shape)
         if use == "fwd":
             if use_batched:
                 seeds = np.eye(n, dtype=np.float64).reshape((n,) + x.shape)

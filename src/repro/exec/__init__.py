@@ -1,7 +1,9 @@
 """Executors: the reference interpreter (the oracle), the plan family
-(shared lowering in ``lower``, closure emitter in ``plan``, source codegen
-emitter in ``codegen``, batched-value helpers in ``vector``) and the cost
-recorder — all resolvable by name through the backend registry."""
+(shared lowering in ``lower``; batched values and one kernel per plan
+instruction in ``vector``; the closure emitter and the ``run`` driver in
+``plan``, the source emitter in ``codegen`` — both bind operands and
+dispatch, neither computes) and the cost recorder — all resolvable by name
+through the backend registry."""
 from .codegen import (  # noqa: F401
     CodegenPlan,
     run_fun_codegen,

@@ -9,18 +9,23 @@ family is layered:
   shape-generic **plan IR** — slot allocation, fused scalar runs, SOAC
   fast-path selection and the memory plan all decided there, once, for every
   emitter;
-* this module **emits** that IR as a flat sequence of Python closures, one
-  per instruction, over a slot-indexed register file (the interpreter
-  emitter), and hosts the runtime (``_Engine``) plus the plan cache shared
-  by all plan-family emitters;
+* ``exec/vector.py`` holds what each instruction of that IR *computes*: one
+  kernel per instruction over the ``BV`` batched-value representation and
+  its masking discipline (SIMT-style divergence, accumulators, lane-varying
+  loops);
+* this module **emits** the IR as a flat sequence of Python closures, one
+  per instruction, over a slot-indexed register file — each closure reads
+  operands, calls the kernel and assigns/releases slots, or runs a nested
+  body (the interpreter emitter) — and hosts the runtime (``_Engine``), the
+  one ``run``/``run_batched`` driver and the plan cache shared by all
+  plan-family emitters;
 * ``exec/codegen.py`` emits the same IR as the source of a single Python
   function (``backend="codegen"``) — no per-instruction dispatch at all.
 
-Plans execute on the ``BV`` batched-value representation, masking discipline
-and helper machinery of ``exec/vector.py``, so SIMT-style divergence,
-accumulators and lane-varying loops behave the same on both emitters (the
-test suite runs every program on ``ref``, ``plan`` and ``codegen`` and
-asserts agreement).
+Both emitters call the same kernels, so for instruction semantics they agree
+by construction; the test suite runs every program on ``ref``, ``plan`` and
+``codegen``, where agreement with ``ref`` checks the kernels and the bitwise
+``plan`` ↔ ``codegen`` assertion checks binding, releases and control flow.
 
 Caching
 -------
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,35 +75,45 @@ from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError, env_capacity
 from . import values as _values
 from .lower import IntRef, PlanIR, Ref, lower_fun, plan_schedules
-from .prims import _BINOPS, _UNOPS, apply_binop, apply_unop, cast_to
+from .prims import _BINOPS, _UNOPS, cast_to
 from .values import coerce_arg
 from .vector import (
     _STATS_LOCK,
-    _UFUNC,
     INDEX_STATS,
     MEM_STATS,
+    REDOMAP_TAILS,
     AccBV,
     BV,
-    _align,
+    _acc_of,
+    _acc_value,
     _batch_args,
+    _branch,
     _combine_mask,
     _elem,
     _elem_into,
+    _elems_at,
     _expand,
     _gather,
-    _grids,
+    _hist_accumulate,
+    _hist_enter,
+    _hist_get,
+    _hist_open,
+    _hist_put,
     _index,
-    _neutral_of,
+    _map_acc,
+    _map_chunked,
+    _map_result,
+    _out_of_fuel,
     _owned,
+    _stack_columns,
     _uniform_int,
-    _upd_acc,
     _where,
+    leaf_kernel,
 )
 
 __all__ = [
     "Plan",
     "plan_for",
-    "register_emitter",
     "run_fun_plan",
     "run_fun_plan_batched",
     "PLAN_STATS",
@@ -135,17 +151,6 @@ def _run_body(eng: _Engine, code) -> Tuple[object, ...]:
     return tuple(r(regs) for r in res)
 
 
-# The masking/elementwise/index/SOAC-entry primitives (_combine_mask, _elem,
-# _where, _gather, _index, _upd_acc, _uniform_int, _batch_args) are imported
-# from exec/vector.py — one shared copy is what guarantees the backends
-# cannot drift semantically.
-
-
-def _map_args_rt(eng: _Engine, readers) -> Tuple[List[BV], int]:
-    regs = eng.regs
-    return _batch_args(eng, [rd(regs) for rd in readers])
-
-
 # ---------------------------------------------------------------------------
 # Closure emission over the plan IR
 # ---------------------------------------------------------------------------
@@ -167,14 +172,34 @@ def _reader(ref: Ref) -> Callable:
     return lambda regs, _bv=bv: _bv
 
 
-def _int_reader(iref: IntRef) -> Callable:
-    """Accessor for a lane-uniform integer (iota/replicate/hist extents):
-    a literal, or a register read validated for lane-uniformity per call."""
-    if iref.const is not None:
-        n = iref.const
-        return lambda eng, _n=n: _n
-    rd = _reader(iref.ref)
-    return lambda eng, _rd=rd, _w=iref.what: _uniform_int(_rd(eng.regs), _w)
+def _operand(x) -> Callable:
+    """A ``regs -> value`` accessor for an instruction operand: a ``Ref``
+    reads a ``BV``, a tuple of ``Ref``s a list of them, an ``IntRef`` a
+    lane-uniform integer (a literal, or a register read validated per
+    call)."""
+    if isinstance(x, tuple):
+        rds = tuple(_reader(r) for r in x)
+        return lambda regs, _rds=rds: [rd(regs) for rd in _rds]
+    if not isinstance(x, IntRef):
+        return _reader(x)
+    if x.const is not None:
+        return lambda regs, _n=x.const: _n
+    return lambda regs, _rd=_reader(x.ref), _w=x.what: _uniform_int(_rd(regs), _w)
+
+
+def _chunked(e) -> bool:
+    """Whether map ``e`` runs through ``vector._map_chunked``."""
+    return e.chunk > 1 and not e.accs and e.n_acc == 0
+
+
+def _scalar_fn(o):
+    """The NumPy function of a ``unop``/``binop`` run op, resolved when the
+    plan is emitted — an unknown operator fails there, not on first call."""
+    try:
+        return (_UNOPS if o.kind == "unop" else _BINOPS)[o.op]
+    except KeyError:
+        what = "unary" if o.kind == "unop" else "binary"
+        raise ExecError(f"unknown {what} op {o.op!r}") from None
 
 
 def _run_operand(x) -> Callable:
@@ -206,29 +231,24 @@ def _emit_run_fn(o) -> Callable:
     kind = o.kind
     if kind == "atom":
         return _run_operand(o.xs[0])
-    if o.donate:
-        # unop/binop on an out=-capable ufunc (``INPLACE_OPS``), some operand
-        # a dead run-local temporary: compute into it when that is safe.
+    if kind in ("unop", "binop"):
+        # ``donate``: an out=-capable ufunc (``INPLACE_OPS``) with some operand
+        # a dead run-local temporary computes into it when that is safe.
+        uf, don = _scalar_fn(o), o.donate
         rx = _run_operand(o.xs[0])
         if kind == "unop":
-            return lambda regs, loc, _rx=rx, _uf=_UNOPS[o.op], _don=o.donate: (
-                _elem_into(_uf, _don, _rx(regs, loc))
-            )
+            if don:
+                return lambda regs, loc, _rx=rx, _uf=uf, _don=don: (
+                    _elem_into(_uf, _don, _rx(regs, loc))
+                )
+            return lambda regs, loc, _rx=rx, _uf=uf: _elem(_uf, _rx(regs, loc))
         ry = _run_operand(o.xs[1])
-        return lambda regs, loc, _rx=rx, _ry=ry, _uf=_BINOPS[o.op], _don=o.donate: (
-            _elem_into(_uf, _don, _rx(regs, loc), _ry(regs, loc))
-        )
-    if kind == "unop":
-        rx = _run_operand(o.xs[0])
-        op = o.op
-        return lambda regs, loc, _rx=rx, _op=op: _elem(
-            lambda d: apply_unop(_op, d), _rx(regs, loc)
-        )
-    if kind == "binop":
-        rx, ry = _run_operand(o.xs[0]), _run_operand(o.xs[1])
-        op = o.op
-        return lambda regs, loc, _rx=rx, _ry=ry, _op=op: _elem(
-            lambda a, b: apply_binop(_op, a, b), _rx(regs, loc), _ry(regs, loc)
+        if don:
+            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don: (
+                _elem_into(_uf, _don, _rx(regs, loc), _ry(regs, loc))
+            )
+        return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf: _elem(
+            _uf, _rx(regs, loc), _ry(regs, loc)
         )
     if kind == "select":
         rc, rt, rf = (_run_operand(x) for x in o.xs)
@@ -265,11 +285,10 @@ def _emit_run_fn(o) -> Callable:
     raise ExecError(f"plan emit: unexpected run op {kind!r}")
 
 
-def _assign_single(fn: Callable, e) -> Callable:
-    """The instruction closure of single-output ``e``: bind ``fn``'s value,
-    then clear the slots ``e`` releases (no loop emitted when there are
-    none — dispatch-bound plans must not pay for the memory plan)."""
-    s0 = e.out[0]
+def _assign_single(fn: Callable, s0: int, e) -> Callable:
+    """The instruction closure binding ``fn``'s value to slot ``s0``, then
+    clearing the slots ``e`` releases (no loop emitted when there are none —
+    dispatch-bound plans must not pay for the memory plan)."""
     if not e.release:
         def ins(eng, _fn=fn, _s=s0):
             eng.regs[_s] = _fn(eng)
@@ -309,13 +328,19 @@ def _assign_multi(fn: Callable, e) -> Callable:
     return ins_rel
 
 
+def _out_slot(ins) -> int:
+    """The slot of the one output of a ``LEAF_KERNELS`` instruction."""
+    return ins.out[0] if hasattr(ins, "out") else ins.outs[0][0]
+
+
 class _ClosureEmitter:
     """The interpreter emitter: one Python closure per plan-IR instruction.
 
-    Every compile-time decision already lives in the IR — this class only
-    binds readers/writers and transliterates each instruction into the
-    closure that executes it (the NumPy call sequences are shared verbatim
-    with the codegen emitter, which is what keeps the two bitwise equal)."""
+    Every compile-time decision already lives in the IR and every NumPy call
+    sequence in a ``vector.py`` kernel — this class binds readers and
+    writers, and builds the control flow around nested bodies: binding lambda
+    parameters, pushing and popping the batch stack, ``for``/``while``,
+    saving and restoring the mask."""
 
     # -- bodies ---------------------------------------------------------------
 
@@ -325,7 +350,37 @@ class _ClosureEmitter:
         return instrs, res
 
     def _emit_ins(self, ins) -> Callable:
-        return getattr(self, "_emit_" + ins.kind)(ins)
+        leaf = leaf_kernel(ins)
+        if leaf is None:
+            return getattr(self, "_emit_" + ins.kind)(ins)
+        kernel, operands, statics = leaf
+        reads = tuple(_operand(getattr(ins, f)) for f in operands)
+        consts = tuple(getattr(ins, f) for f in statics)
+
+        def fn(eng, _k=kernel, _reads=reads, _consts=consts):
+            regs = eng.regs
+            return _k(eng, *[rd(regs) for rd in _reads], *_consts)
+
+        return _assign_single(fn, _out_slot(ins), ins)
+
+    def _emit_lanes(self, params, body) -> Callable:
+        """Emit a SOAC lambda; returns ``(eng, vals, n) -> results``: bind
+        the parameters, run the body one batch level (of extent ``n``)
+        down."""
+        pslots = tuple(s for s, _ in params)
+        code = self.emit_body(body)
+
+        def lanes(eng, vals, n, _ps=pslots, _code=code):
+            regs = eng.regs
+            for s, v in zip(_ps, vals):
+                regs[s] = v
+            eng.bstack.append(n)
+            try:
+                return _run_body(eng, _code)
+            finally:
+                eng.bstack.pop()
+
+        return lanes
 
     # -- fused scalar runs ----------------------------------------------------
 
@@ -356,541 +411,128 @@ class _ClosureEmitter:
 
         return run
 
-    # -- simple expressions ---------------------------------------------------
-
-    def _emit_update(self, e) -> Callable:
-        ra = _reader(e.arr)
-        ris = tuple(_reader(i) for i in e.idx)
-        rv = _reader(e.val)
-
-        def fn(eng, _ra=ra, _ris=ris, _rv=rv):
-            regs = eng.regs
-            arr = _ra(regs)
-            idxs = [r(regs) for r in _ris]
-            val = _rv(regs)
-            k = max([arr.bdims, val.bdims] + [i.bdims for i in idxs])
-            if eng.mask is not None:
-                k = max(k, eng.mask.bdims)
-            bshape = tuple(eng.bstack[:k])
-            ad = _expand(arr, k)
-            ad = np.broadcast_to(ad, bshape + ad.shape[k:]).copy()
-            sel = _grids(bshape) + tuple(
-                np.clip(_expand(i, k), 0, max(ad.shape[k + a] - 1, 0))
-                for a, i in enumerate(idxs)
-            )
-            vd = _expand(val, k)
-            if eng.mask is None:
-                ad[sel] = vd
-            else:
-                old = ad[sel]
-                md = _expand(eng.mask, k)
-                md = md.reshape(md.shape + (1,) * (old.ndim - md.ndim))
-                ad[sel] = np.where(md, vd, old)
-            return BV(ad, k)
-
-        return _assign_single(fn, e)
-
-    def _emit_iota(self, e) -> Callable:
-        rn = _int_reader(e.n)
-        dt = e.dtype
-
-        def fn(eng, _rn=rn, _dt=dt):
-            return BV(np.arange(_rn(eng), dtype=_dt), 0)
-
-        return _assign_single(fn, e)
-
-    def _emit_replicate(self, e) -> Callable:
-        rn = _int_reader(e.n)
-        rv = _reader(e.v)
-
-        def fn(eng, _rn=rn, _rv=rv):
-            n = _rn(eng)
-            v = _rv(eng.regs)
-            d = np.asarray(v.data)
-            d2 = np.expand_dims(d, axis=v.bdims)
-            shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
-            return BV(np.broadcast_to(d2, shape).copy(), v.bdims)
-
-        return _assign_single(fn, e)
-
-    def _emit_scratch(self, e) -> Callable:
-        rn = _reader(e.n)
-        rx = _reader(e.x)
-
-        def fn(eng, _rn=rn, _rx=rx):
-            nd = np.asarray(_rn(eng.regs).data)
-            n = 0 if nd.size == 0 else int(nd.max())
-            v = _rx(eng.regs)
-            bshape = tuple(eng.bstack)
-            dt = np.asarray(v.data).dtype
-            return BV(np.zeros(bshape + (n,) + v.pshape(), dtype=dt), len(bshape))
-
-        return _assign_single(fn, e)
-
-    def _emit_size(self, e) -> Callable:
-        rd = _reader(e.arr)
-        dim = e.dim
-
-        def fn(eng, _rd=rd, _dim=dim):
-            v = _rd(eng.regs)
-            if isinstance(v, AccBV):
-                shape = v.data.shape[v.bdims:]
-                return BV(np.asarray(np.int64(shape[_dim])), 0)
-            return BV(np.asarray(np.int64(v.pshape()[_dim])), 0)
-
-        return _assign_single(fn, e)
-
-    def _emit_reverse(self, e) -> Callable:
-        rd = _reader(e.x)
-
-        def fn(eng, _rd=rd):
-            v = _rd(eng.regs)
-            return BV(np.flip(np.asarray(v.data), axis=v.bdims).copy(), v.bdims)
-
-        return _assign_single(fn, e)
-
-    def _emit_concat(self, e) -> Callable:
-        rx = _reader(e.x)
-        ry = _reader(e.y)
-
-        def fn(eng, _rx=rx, _ry=ry):
-            regs = eng.regs
-            (dx, dy), k, _ = _align([_rx(regs), _ry(regs)])
-            bx = np.broadcast_shapes(dx.shape[:k], dy.shape[:k])
-            dx = np.broadcast_to(dx, bx + dx.shape[k:])
-            dy = np.broadcast_to(dy, bx + dy.shape[k:])
-            return BV(np.concatenate([dx, dy], axis=k), k)
-
-        return _assign_single(fn, e)
-
     # -- SOACs ----------------------------------------------------------------
 
     def _emit_map(self, e) -> Callable:
-        arr_rds = tuple(_reader(a) for a in e.arrs)
-        acc_rds = tuple(_reader(a) for a in e.accs)
-        pslots = tuple(s for s, _ in e.params)
-        code = self.emit_body(e.body)
-        n_acc = e.n_acc
-        chunk = getattr(e, "chunk", 0)
-
-        if chunk > 1 and not e.accs and n_acc == 0:
-            # ``sequential(chunk)`` schedule: run the (acc-free) map in
-            # in-order chunks and concatenate.  ``_batch_args`` guarantees
-            # every param's data has extent exactly ``n`` on the batch axis,
-            # so slicing at axis 0 is exact, and elementwise NumPy ops on
-            # slices are bitwise-equal to the bulk evaluation.  The chunked
-            # path only fires at top level (no batch axis, no mask) — the
-            # same plan may also serve batched runs, which fall back to the
-            # bulk path below.
-            def fn_chunked(eng, _arrs=arr_rds, _ps=pslots, _code=code,
-                           _chunk=chunk):
-                d = len(eng.bstack)
-                params, n = _map_args_rt(eng, _arrs)
-                regs = eng.regs
-
-                def one(vals, m):
-                    for s, v in zip(_ps, vals):
-                        regs[s] = v
-                    eng.bstack.append(m)
-                    try:
-                        res = _run_body(eng, _code)
-                    finally:
-                        eng.bstack.pop()
-                    out = []
-                    for r in res:
-                        rd = _expand(r, d + 1)
-                        if rd.shape[d] != m:
-                            rd = np.broadcast_to(
-                                rd, rd.shape[:d] + (m,) + rd.shape[d + 1:]
-                            )
-                        out.append(rd)
-                    return out
-
-                if d == 0 and eng.mask is None and n > _chunk:
-                    parts = [
-                        one([BV(p.data[lo:lo + _chunk], p.bdims)
-                             for p in params],
-                            min(_chunk, n - lo))
-                        for lo in range(0, n, _chunk)
-                    ]
-                    return tuple(
-                        BV(np.ascontiguousarray(
-                            np.concatenate([p[j] for p in parts], axis=0)), 0)
-                        for j in range(len(parts[0]))
-                    )
-                return tuple(
-                    BV(_owned(np.ascontiguousarray(rd)), d) for rd in one(params, n)
-                )
+        arrs, accs = _operand(e.arrs), _operand(e.accs)
+        lanes = self._emit_lanes(e.params, e.body)
+        if _chunked(e):
+            def fn_chunked(eng, _arrs=arrs, _chunk=e.chunk, _lanes=lanes):
+                return _map_chunked(eng, _arrs(eng.regs), _chunk, _lanes)
 
             return _assign_multi(fn_chunked, e)
 
-        def fn(eng, _arrs=arr_rds, _accs=acc_rds, _ps=pslots, _code=code, _na=n_acc):
-            d = len(eng.bstack)
-            params, n = _map_args_rt(eng, _arrs)
+        def fn(eng, _arrs=arrs, _accs=accs, _lanes=lanes, _na=e.n_acc):
             regs = eng.regs
-            vals = params + [rd(regs) for rd in _accs]
-            for s, v in zip(_ps, vals):
-                regs[s] = v
-            eng.bstack.append(n)
-            try:
-                res = _run_body(eng, _code)
-            finally:
-                eng.bstack.pop()
-            out: List[object] = []
-            for r in res[:_na]:
-                if not isinstance(r, AccBV):
-                    raise ExecError("map: accumulator results must lead")
-                out.append(r)
-            for r in res[_na:]:
-                rd = _expand(r, d + 1)
-                if rd.shape[d] != n:
-                    rd = np.broadcast_to(rd, rd.shape[:d] + (n,) + rd.shape[d + 1:])
-                out.append(BV(_owned(np.ascontiguousarray(rd)), d))
-            return tuple(out)
+            params, n = _batch_args(eng, _arrs(regs))
+            res = _lanes(eng, params + _accs(regs), n)
+            return [_map_acc(eng, r) for r in res[:_na]] + [
+                _map_result(eng, r, n) for r in res[_na:]
+            ]
 
         return _assign_multi(fn, e)
-
-    def _emit_map_part(self, params, body) -> Callable:
-        """Emit a redomap map part; returns ``(eng, batched_args, n) ->
-        ndarray`` yielding the mapped payload with extent ``n`` on the
-        current batch axis."""
-        pslots = tuple(s for s, _ in params)
-        code = self.emit_body(body)
-
-        def run(eng, args, n, _ps=pslots, _code=code):
-            d = len(eng.bstack)
-            regs = eng.regs
-            for s, v in zip(_ps, args):
-                regs[s] = v
-            eng.bstack.append(n)
-            try:
-                (r,) = _run_body(eng, _code)
-            finally:
-                eng.bstack.pop()
-            rd = _expand(r, d + 1)
-            if rd.shape[d] != n:
-                rd = np.broadcast_to(rd, rd.shape[:d] + (n,) + rd.shape[d + 1:])
-            return rd
-
-        return run
 
     def _emit_reduce(self, e) -> Callable:
-        arr_rds = tuple(_reader(a) for a in e.arrs)
-        ne_rds = tuple(_reader(ne) for ne in e.nes)
-        if e.strategy == "ufunc":
-            ufunc = _UFUNC[e.op]
-            fold = e.fold
+        """``redomap`` and ``generic`` reduces and scans (``ufunc`` ones are
+        leaf kernels)."""
+        if e.strategy != "redomap":
+            return self._emit_fold_loop(e)
+        empty, tail = REDOMAP_TAILS[e.kind]
+        arrs, ne = _operand(e.arrs), _reader(e.nes[0])
+        lanes = self._emit_lanes(e.mparams, e.mbody)
 
-            def fast(eng, _arrs=arr_rds, _ne=ne_rds[0], _uf=ufunc, _fold=fold):
-                d = len(eng.bstack)
-                args, _n = _map_args_rt(eng, _arrs)
-                data = np.asarray(args[0].data)
-                if data.shape[d] == 0:
-                    nd = _expand(_ne(eng.regs), d)
-                    shape = data.shape[:d] + data.shape[d + 1:]
-                    return (BV(np.broadcast_to(nd, shape).copy(), d),)
-                red = _uf.reduce(data, axis=d)
-                if _fold:
-                    red = _uf(_expand(_ne(eng.regs), d), red)
-                return (BV(red, d),)
+        def fused(eng, _arrs=arrs, _ne=ne, _lanes=lanes, _op=e.op, _fold=e.fold):
+            regs = eng.regs
+            args, n = _batch_args(eng, _arrs(regs))
+            if n == 0:
+                return (empty(eng, _ne(regs)),)
+            (r,) = _lanes(eng, args, n)
+            return (tail(eng, _op, _fold, _ne(regs), r, n),)
 
-            return _assign_multi(fast, e)
-        if e.strategy == "redomap":
-            ufunc = _UFUNC[e.op]
-            fold = e.fold
-            mp = self._emit_map_part(e.mparams, e.mbody)
+        return _assign_multi(fused, e)
 
-            def fused(eng, _arrs=arr_rds, _ne=ne_rds[0], _mp=mp, _uf=ufunc, _fold=fold):
-                d = len(eng.bstack)
-                args, n = _map_args_rt(eng, _arrs)
-                if n == 0:
-                    nd = _expand(_ne(eng.regs), d)
-                    bshape = tuple(eng.bstack)
-                    return (BV(np.broadcast_to(nd, bshape + nd.shape[d:]).copy(), d),)
-                data = _mp(eng, args, n)
-                red = _uf.reduce(data, axis=d)
-                if _fold:
-                    red = _uf(_expand(_ne(eng.regs), d), red)
-                return (BV(red, d),)
+    _emit_scan = _emit_reduce
 
-            return _assign_multi(fused, e)
+    def _emit_fold_loop(self, e) -> Callable:
+        """The generic element-at-a-time fold shared by reduce and scan."""
+        arrs, nes = _operand(e.arrs), _operand(e.nes)
         pslots = tuple(s for s, _ in e.params)
         code = self.emit_body(e.body)
 
-        def fn(eng, _arrs=arr_rds, _nes=ne_rds, _ps=pslots, _code=code):
+        def fn(eng, _arrs=arrs, _nes=nes, _ps=pslots, _code=code, _scan=e.kind == "scan"):
             d = len(eng.bstack)
-            args, n = _map_args_rt(eng, _arrs)
             regs = eng.regs
-            acc = [rd(regs) for rd in _nes]
+            args, n = _batch_args(eng, _arrs(regs))
+            acc = nes = _nes(regs)
+            cols: List[List[BV]] = [[] for _ in nes] if _scan else []
             for i in range(n):
-                elems = [BV(np.take(np.asarray(a.data), i, axis=d), d) for a in args]
-                for s, v in zip(_ps, acc + elems):
+                for s, v in zip(_ps, acc + _elems_at(args, i, d)):
                     regs[s] = v
                 acc = list(_run_body(eng, _code))
-            return tuple(acc)
-
-        return _assign_multi(fn, e)
-
-    def _emit_scan(self, e) -> Callable:
-        arr_rds = tuple(_reader(a) for a in e.arrs)
-        ne_rds = tuple(_reader(ne) for ne in e.nes)
-        if e.strategy == "ufunc":
-            ufunc = _UFUNC[e.op]
-            fold = e.fold
-
-            def fast(eng, _arrs=arr_rds, _ne=ne_rds[0], _uf=ufunc, _fold=fold):
-                d = len(eng.bstack)
-                args, _n = _map_args_rt(eng, _arrs)
-                data = np.asarray(args[0].data)
-                acc = _uf.accumulate(data, axis=d)
-                if _fold:
-                    nd = np.expand_dims(_expand(_ne(eng.regs), d), axis=d)
-                    acc = _uf(nd, acc)
-                return (BV(acc, d),)
-
-            return _assign_multi(fast, e)
-        if e.strategy == "redomap":
-            ufunc = _UFUNC[e.op]
-            fold = e.fold
-            mp = self._emit_map_part(e.mparams, e.mbody)
-
-            def fused(eng, _arrs=arr_rds, _mp=mp, _uf=ufunc, _nes=ne_rds, _fold=fold):
-                d = len(eng.bstack)
-                args, n = _map_args_rt(eng, _arrs)
-                if n == 0:
-                    ne = _nes[0](eng.regs)
-                    dt = np.asarray(ne.data).dtype
-                    return (BV(np.zeros((0,) * (ne.prank + 1), dtype=dt), 0),)
-                data = _mp(eng, args, n)
-                acc = _uf.accumulate(data, axis=d)
-                if _fold:
-                    nd = np.expand_dims(_expand(_nes[0](eng.regs), d), axis=d)
-                    acc = _uf(nd, acc)
-                return (BV(acc, d),)
-
-            return _assign_multi(fused, e)
-        pslots = tuple(s for s, _ in e.params)
-        code = self.emit_body(e.body)
-
-        def fn(eng, _arrs=arr_rds, _nes=ne_rds, _ps=pslots, _code=code):
-            d = len(eng.bstack)
-            args, n = _map_args_rt(eng, _arrs)
-            regs = eng.regs
-            acc = [rd(regs) for rd in _nes]
-            cols: List[List[np.ndarray]] = [[] for _ in _nes]
-            for i in range(n):
-                elems = [BV(np.take(np.asarray(a.data), i, axis=d), d) for a in args]
-                for s, v in zip(_ps, acc + elems):
-                    regs[s] = v
-                acc = list(_run_body(eng, _code))
-                for j, a in enumerate(acc):
-                    cols[j].append(_expand(a, d))
-            outs = []
-            for j, col in enumerate(cols):
-                if n == 0:
-                    ne = _nes[j](regs)
-                    dt = np.asarray(ne.data).dtype
-                    outs.append(BV(np.zeros((0,) * (ne.prank + 1), dtype=dt), 0))
-                    continue
-                shape = np.broadcast_shapes(*[c.shape for c in col])
-                col = [np.broadcast_to(c, shape) for c in col]
-                outs.append(BV(np.stack(col, axis=d), d))
-            return tuple(outs)
+                if _scan:
+                    for col, a in zip(cols, acc):
+                        col.append(a)
+            if not _scan:
+                return acc
+            return [_stack_columns(eng, col, ne) for col, ne in zip(cols, nes)]
 
         return _assign_multi(fn, e)
 
     def _emit_hist(self, e) -> Callable:
-        rm = _int_reader(e.num_bins)
-        arr_rds = tuple(_reader(a) for a in e.arrs)
-        ne_rds = tuple(_reader(ne) for ne in e.nes)
-        if e.strategy == "ufunc":
-            op = e.op
-            ufunc = _UFUNC[op]
-
-            def fast(eng, _rm=rm, _arrs=arr_rds, _ne=ne_rds[0], _op=op, _uf=ufunc):
-                d = len(eng.bstack)
-                m = _rm(eng)
-                args, n = _map_args_rt(eng, _arrs)
-                inds, v = args[0], args[1]
-                bshape = tuple(eng.bstack)
-                idata = np.broadcast_to(np.asarray(inds.data), bshape + (n,))
-                valid = (idata >= 0) & (idata < m)
-                if eng.mask is not None:
-                    md = _expand(eng.mask, d)
-                    md = np.broadcast_to(
-                        md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)),
-                        valid.shape,
-                    )
-                    valid = valid & md
-                isel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(m - 1, 0)),)
-                pe = v.pshape()
-                vdata = np.broadcast_to(np.asarray(v.data), bshape + (n,) + pe)
-                dt = vdata.dtype
-                ne = _ne(eng.regs)
-                hist = np.ascontiguousarray(
-                    np.broadcast_to(
-                        np.expand_dims(_expand(ne, d), axis=d), bshape + (m,) + pe
-                    ).astype(dt)
-                )
-                neutral = _neutral_of(_op, dt)
-                w = valid.reshape(valid.shape + (1,) * (vdata.ndim - valid.ndim))
-                contrib = np.where(w, vdata, neutral)
-                _uf.at(hist, isel, contrib)
-                return (BV(hist, d),)
-
-            return _assign_multi(fast, e)
+        """``redomap`` and ``generic`` histograms."""
+        rm, arrs, nes = _operand(e.num_bins), _operand(e.arrs), _operand(e.nes)
         if e.strategy == "redomap":
-            mop = e.op
-            ufunc = _UFUNC[mop]
-            mp = self._emit_map_part(e.mparams, e.mbody)
+            lanes = self._emit_lanes(e.mparams, e.mbody)
 
-            def fused(eng, _rm=rm, _arrs=arr_rds, _ne=ne_rds[0], _mp=mp, _uf=ufunc, _mop=mop):
-                d = len(eng.bstack)
-                m = _rm(eng)
-                args, n = _map_args_rt(eng, _arrs)
-                inds, vals = args[0], list(args[1:])
-                bshape = tuple(eng.bstack)
-                idata = np.broadcast_to(np.asarray(inds.data), bshape + (n,))
-                valid = (idata >= 0) & (idata < m)
-                if eng.mask is not None:
-                    md = _expand(eng.mask, d)
-                    md = np.broadcast_to(
-                        md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)),
-                        valid.shape,
-                    )
-                    valid = valid & md
-                data = _mp(eng, vals, n)
-                pe = data.shape[d + 1:]
-                dt = data.dtype
-                ne = _ne(eng.regs)
-                hist = np.ascontiguousarray(
-                    np.broadcast_to(
-                        np.expand_dims(_expand(ne, d), axis=d), bshape + (m,) + pe
-                    ).astype(dt)
-                )
-                neutral = _neutral_of(_mop, dt)
-                vdata = np.broadcast_to(data, bshape + (n,) + pe)
-                w = valid.reshape(valid.shape + (1,) * (vdata.ndim - valid.ndim))
-                contrib = np.where(w, vdata, neutral)
-                isel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(m - 1, 0)),)
-                _uf.at(hist, isel, contrib)
-                return (BV(hist, d),)
+            def fused(eng, _rm=rm, _arrs=arrs, _nes=nes, _lanes=lanes, _op=e.op):
+                regs = eng.regs
+                args, n, hs = _hist_enter(eng, _rm(regs), _arrs(regs))
+                (r,) = _lanes(eng, args[1:], n)
+                return (_hist_accumulate(eng, _op, _nes(regs)[0], hs, r),)
 
             return _assign_multi(fused, e)
         pslots = tuple(s for s, _ in e.params)
         code = self.emit_body(e.body)
 
-        def fn(eng, _rm=rm, _arrs=arr_rds, _nes=ne_rds, _ps=pslots, _code=code):
+        def fn(eng, _rm=rm, _arrs=arrs, _nes=nes, _ps=pslots, _code=code):
             d = len(eng.bstack)
-            m = _rm(eng)
-            args, n = _map_args_rt(eng, _arrs)
-            inds, vals = args[0], list(args[1:])
-            bshape = tuple(eng.bstack)
-            idata = np.broadcast_to(np.asarray(inds.data), bshape + (n,))
-            valid = (idata >= 0) & (idata < m)
-            if eng.mask is not None:
-                md = _expand(eng.mask, d)
-                md = np.broadcast_to(
-                    md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)), valid.shape
-                )
-                valid = valid & md
             regs = eng.regs
-            hists = []
-            for ne_rd, v in zip(_nes, vals):
-                nev = ne_rd(regs)
-                pshape = v.pshape()
-                dt = np.asarray(v.data).dtype
-                h = np.broadcast_to(
-                    np.expand_dims(_expand(nev, d), axis=d),
-                    bshape + (m,) + pshape,
-                ).astype(dt)
-                hists.append(np.ascontiguousarray(h))
-            gsel = _grids(bshape)
+            args, n, hs = _hist_enter(eng, _rm(regs), _arrs(regs))
+            vals = args[1:]
+            st = _hist_open(eng, _nes(regs), hs, vals)
             for i in range(n):
-                b = idata[..., i]
-                vi = valid[..., i]
-                s = gsel + (np.clip(b, 0, max(m - 1, 0)),)
-                cur = [BV(h[s], d) for h in hists]
-                elems = [BV(np.take(np.asarray(v.data), i, axis=d), d) for v in vals]
-                for sl, val in zip(_ps, cur + elems):
-                    regs[sl] = val
-                new = _run_body(eng, _code)
-                for h, nv in zip(hists, new):
-                    nd = _expand(nv, d)
-                    old = h[s]
-                    w = vi.reshape(vi.shape + (1,) * (old.ndim - vi.ndim))
-                    h[s] = np.where(w, np.broadcast_to(nd, old.shape), old)
-            return tuple(BV(h, d) for h in hists)
+                sel, cur = _hist_get(eng, st, i)
+                for s, v in zip(_ps, cur + _elems_at(vals, i, d)):
+                    regs[s] = v
+                _hist_put(eng, st, i, sel, _run_body(eng, _code))
+            return st[0]
 
         return _assign_multi(fn, e)
-
-    def _emit_scatter(self, e) -> Callable:
-        rdest = _reader(e.dest)
-        arr_rds = (_reader(e.inds), _reader(e.vals))
-
-        def fn(eng, _rd=rdest, _arrs=arr_rds):
-            d = len(eng.bstack)
-            dest = _rd(eng.regs)
-            args, n = _map_args_rt(eng, _arrs)
-            inds, vals = args
-            bshape = tuple(eng.bstack)
-            dd = _expand(dest, d)
-            dd = np.broadcast_to(dd, bshape + dd.shape[d:]).copy()
-            ln = dd.shape[d]
-            idata = np.broadcast_to(np.asarray(inds.data), bshape + (n,))
-            pe = vals.pshape()
-            vdata = np.broadcast_to(np.asarray(vals.data), bshape + (n,) + pe)
-            valid = (idata >= 0) & (idata < ln)
-            if eng.mask is not None:
-                md = _expand(eng.mask, d)
-                md = np.broadcast_to(
-                    md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)), valid.shape
-                )
-                valid = valid & md
-            sel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(ln - 1, 0)),)
-            old = dd[sel]
-            w = valid.reshape(valid.shape + (1,) * (old.ndim - valid.ndim))
-            dd[sel] = np.where(w, np.broadcast_to(vdata, old.shape), old)
-            return BV(dd, d)
-
-        return _assign_single(fn, e)
 
     # -- control flow ---------------------------------------------------------
 
     def _emit_if(self, e) -> Callable:
         rc = _reader(e.cond)
-        then_code = self.emit_body(e.then)
-        els_code = self.emit_body(e.els)
+        then_fn = partial(_run_body, code=self.emit_body(e.then))
+        else_fn = partial(_run_body, code=self.emit_body(e.els))
 
-        def fn(eng, _rc=rc, _then=then_code, _els=els_code):
-            c = _rc(eng.regs)
-            cd = np.asarray(c.data)
-            if cd.size == 1 and eng.mask is None:
-                return _run_body(eng, _then if bool(cd.reshape(-1)[0]) else _els)
-            saved = eng.mask
-            notc = BV(np.logical_not(cd), c.bdims)
-            eng.mask = _combine_mask(saved, c)
-            tvals = _run_body(eng, _then)
-            eng.mask = _combine_mask(saved, notc)
-            fvals = _run_body(eng, _els)
-            eng.mask = saved
-            return tuple(_where(c, t, f) for t, f in zip(tvals, fvals))
+        def fn(eng, _rc=rc, _then=then_fn, _els=else_fn):
+            return _branch(eng, _rc(eng.regs), _then, _els)
 
         return _assign_multi(fn, e)
 
     def _emit_loop(self, e) -> Callable:
-        rn = _reader(e.n)
-        init_rds = tuple(_reader(i) for i in e.inits)
+        rn, inits = _reader(e.n), _operand(e.inits)
         islot = e.ivar[0]
         pslots = tuple(s for s, _ in e.params)
         code = self.emit_body(e.body)
 
-        def fn(eng, _rn=rn, _inits=init_rds, _is=islot, _ps=pslots, _code=code):
+        def fn(eng, _rn=rn, _inits=inits, _is=islot, _ps=pslots, _code=code):
             regs = eng.regs
             nv = _rn(regs)
             nd = np.asarray(nv.data)
             nmax = 0 if nd.size == 0 else int(nd.max())
-            state = [rd(regs) for rd in _inits]
+            state = _inits(regs)
             uniform = nd.size == 1 or (nd.size > 0 and nd.min() == nd.max())
             saved = eng.mask
             for i in range(nmax):
@@ -918,15 +560,15 @@ class _ClosureEmitter:
         return _assign_multi(fn, e)
 
     def _emit_while(self, e) -> Callable:
-        init_rds = tuple(_reader(i) for i in e.inits)
+        inits = _operand(e.inits)
         cslots = tuple(s for s, _ in e.cparams)
         cond_code = self.emit_body(e.cbody)
         pslots = tuple(s for s, _ in e.params)
         body_code = self.emit_body(e.body)
 
-        def fn(eng, _inits=init_rds, _cs=cslots, _cc=cond_code, _ps=pslots, _bc=body_code):
+        def fn(eng, _inits=inits, _cs=cslots, _cc=cond_code, _ps=pslots, _bc=body_code):
             regs = eng.regs
-            state = [rd(regs) for rd in _inits]
+            state = _inits(regs)
             saved = eng.mask
             limit = _values.WHILE_FUEL
             fuel = limit
@@ -948,9 +590,7 @@ class _ClosureEmitter:
                 eng.mask = saved
                 fuel -= 1
                 if fuel <= 0:
-                    raise ExecError(
-                        f"while loop exceeded iteration fuel ({limit} iterations)"
-                    )
+                    raise _out_of_fuel(limit)
             eng.mask = saved
             return tuple(state)
 
@@ -959,44 +599,18 @@ class _ClosureEmitter:
     # -- accumulators ---------------------------------------------------------
 
     def _emit_withacc(self, e) -> Callable:
-        arr_rds = tuple(_reader(a) for a in e.arrs)
+        arrs = _operand(e.arrs)
         pslots = tuple(s for s, _ in e.params)
         code = self.emit_body(e.body)
-        n_acc = e.n_acc
 
-        def fn(eng, _arrs=arr_rds, _ps=pslots, _code=code, _na=n_acc):
-            d = len(eng.bstack)
-            bshape = tuple(eng.bstack)
+        def fn(eng, _arrs=arrs, _ps=pslots, _code=code, _na=e.n_acc):
             regs = eng.regs
-            accs = []
-            for rd in _arrs:
-                v = rd(regs)
-                ad = _expand(v, d)
-                ad = np.broadcast_to(ad, bshape + ad.shape[d:]).copy()
-                accs.append(AccBV(ad, d))
-            for s, acc in zip(_ps, accs):
-                regs[s] = acc
+            for s, v in zip(_ps, _arrs(regs)):
+                regs[s] = _acc_of(eng, v)
             res = _run_body(eng, _code)
-            out: List[object] = []
-            for r in res[:_na]:
-                if not isinstance(r, AccBV):
-                    raise ExecError("withacc: lambda must return its accumulators")
-                out.append(BV(r.data, r.bdims))
-            out.extend(res[_na:])
-            return tuple(out)
+            return [_acc_value(eng, r) for r in res[:_na]] + list(res[_na:])
 
         return _assign_multi(fn, e)
-
-    def _emit_updacc(self, e) -> Callable:
-        racc = _reader(e.acc)
-        rv = _reader(e.v)
-        ris = tuple(_reader(i) for i in e.idx)
-
-        def fn(eng, _racc=racc, _rv=rv, _ris=ris, _aff=e.affine):
-            regs = eng.regs
-            return _upd_acc(eng, _racc(regs), [r(regs) for r in _ris], _rv(regs), _aff)
-
-        return _assign_single(fn, e)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,10 +622,16 @@ class Plan:
     """An executable lowering of one ``Fun``: flat instruction closures over
     slots, emitted from the shared plan IR (``exec/lower.py``).  Plans are
     shape-generic: one serves every concrete shape of a rank/dtype
-    signature."""
+    signature.
 
-    #: ``EMITTER_STATS`` bucket and span label; subclasses (the profile
-    #: emitter) override it so their constructions are attributed apart.
+    This class is also the one driver of the plan family: argument checking
+    and coercion, ``errstate``, the execute span and result unwrapping live in
+    ``run``/``run_batched``; an emitter subclass (``CodegenPlan``, the
+    profiler's ``ProfilePlan``) supplies ``_emit``/``_compile`` — what it
+    builds from the IR — and ``_invoke`` — how that runs."""
+
+    #: ``EMITTER_STATS`` bucket and span label; subclasses override it so
+    #: their constructions are attributed apart.
     emitter_name = "plan"
 
     def __init__(self, fun: Fun, ir: Optional[PlanIR] = None) -> None:
@@ -1021,21 +641,36 @@ class Plan:
             if ir is None:
                 ir = lower_fun(fun)
             self.fun = fun
-            em = _ClosureEmitter()
             self.param_slots = ir.param_slots
             self.param_types = ir.param_types
-            self.code = em.emit_body(ir.body)
             self.nslots = ir.nslots
             #: Distinct active schedules of the top-level SOAC/loop
             #: statements, for the execute span.
             self.schedule_str = plan_schedules(ir)
-            #: Statements collapsed into fused scalar-run closures (recursive).
+            #: Statements collapsed into fused scalar runs (recursive).
             self.fused_stms = ir.fused
+            self._emit(ir)
+        built = {"plans": 1, "emit_s": tm.seconds, **self._compile()}
         with _LOCK:
             _count_plan(ir)
-            st = EMITTER_STATS.setdefault(self.emitter_name, {"plans": 0, "emit_s": 0.0})
-            st["plans"] += 1
-            st["emit_s"] += tm.seconds
+            st = EMITTER_STATS.setdefault(self.emitter_name, {})
+            for k, v in built.items():
+                st[k] = st.get(k, 0) + v
+
+    def _emit(self, ir: PlanIR) -> None:
+        self.code = _ClosureEmitter().emit_body(ir.body)
+
+    def _compile(self) -> Dict[str, object]:
+        """Whatever turns the emitted form into a callable; returns what it
+        adds to this emitter's ``EMITTER_STATS`` row (closures: nothing)."""
+        return {}
+
+    def _invoke(self, eng: _Engine, vals: List[BV]) -> Tuple[object, ...]:
+        """Run the emitted body on the parameter values ``vals``."""
+        regs = eng.regs
+        for s, v in zip(self.param_slots, vals):
+            regs[s] = v
+        return _run_body(eng, self.code)
 
     def __repr__(self) -> str:
         return (
@@ -1044,26 +679,7 @@ class Plan:
         )
 
     def run(self, args: Sequence[object]) -> Tuple[object, ...]:
-        if len(args) != len(self.param_slots):
-            raise ExecError(
-                f"{self.fun.name}: expected {len(self.param_slots)} arguments, "
-                f"got {len(args)}"
-            )
-        with _span("execute", cat="exec", fun=self.fun.name, emitter=self.emitter_name,
-                   schedule=self.schedule_str or None):
-            eng = _Engine(self.nslots)
-            regs = eng.regs
-            for s, a, t in zip(self.param_slots, args, self.param_types):
-                regs[s] = BV(np.asarray(coerce_arg(a, t)), 0)
-            with np.errstate(all="ignore"):
-                res = _run_body(eng, self.code)
-            out = []
-            for r in res:
-                if isinstance(r, AccBV):
-                    raise ExecError("accumulator escaped to top level")
-                d = np.asarray(r.data)
-                out.append(d if d.ndim else d[()])
-            return tuple(out)
+        return self._run(args, None, 0)
 
     def run_batched(
         self, args: Sequence[object], batched: Sequence[bool], batch_size: int
@@ -1077,20 +693,27 @@ class Plan:
         op over all batch members.  Every result is returned with a leading
         ``batch_size`` axis.
         """
+        return self._run(args, batched, int(batch_size))
+
+    def _run(self, args, batched: Optional[Sequence[bool]], b: int) -> Tuple[object, ...]:
         if len(args) != len(self.param_slots):
             raise ExecError(
                 f"{self.fun.name}: expected {len(self.param_slots)} arguments, "
                 f"got {len(args)}"
             )
-        if len(batched) != len(args):
-            raise ExecError("run_batched: batched flags must match arguments")
+        how = {}
+        if batched is not None:
+            if len(batched) != len(args):
+                raise ExecError("run_batched: batched flags must match arguments")
+            how["batched"] = True
         with _span("execute", cat="exec", fun=self.fun.name, emitter=self.emitter_name,
-                   batched=True, schedule=self.schedule_str or None):
-            b = int(batch_size)
+                   schedule=self.schedule_str or None, **how):
             eng = _Engine(self.nslots)
-            eng.bstack.append(b)
-            regs = eng.regs
-            for s, a, t, flag in zip(self.param_slots, args, self.param_types, batched):
+            if batched is not None:
+                eng.bstack.append(b)
+            flags = (False,) * len(args) if batched is None else batched
+            vals = []
+            for a, t, flag in zip(args, self.param_types, flags):
                 if flag:
                     arr = np.asarray(a)
                     if arr.ndim == 0 or arr.shape[0] != b:
@@ -1098,55 +721,40 @@ class Plan:
                             f"batched argument: leading axis {arr.shape[:1]} does "
                             f"not match batch size {b}"
                         )
-                    regs[s] = BV(np.ascontiguousarray(arr, dtype=np_dtype(t)), 1)
+                    vals.append(BV(np.ascontiguousarray(arr, dtype=np_dtype(t)), 1))
                 else:
-                    regs[s] = BV(np.asarray(coerce_arg(a, t)), 0)
+                    vals.append(BV(np.asarray(coerce_arg(a, t)), 0))
             with np.errstate(all="ignore"):
-                res = _run_body(eng, self.code)
+                res = self._invoke(eng, vals)
             out = []
             for r in res:
                 if isinstance(r, AccBV):
                     raise ExecError("accumulator escaped to top level")
-                d = _expand(r, 1)
-                out.append(np.ascontiguousarray(np.broadcast_to(d, (b,) + d.shape[1:])))
+                if batched is None:
+                    d = np.asarray(r.data)
+                    out.append(d if d.ndim else d[()])
+                else:
+                    d = _expand(r, 1)
+                    out.append(np.ascontiguousarray(np.broadcast_to(d, (b,) + d.shape[1:])))
             return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# Emitter registry
-# ---------------------------------------------------------------------------
+def _emitter_class(name: str):
+    """The plan class of emitter ``name``.  ``codegen`` and ``profile`` are
+    imported on first use, so the plan backend never pays for them."""
+    if name == "plan":
+        return Plan
+    if name == "codegen":
+        from .codegen import CodegenPlan
 
-#: Plan emitters by name: ``build(fun)`` returns a plan-like object
-#: (``run``/``run_batched``).  The closure
-#: interpreter registers as ``"plan"`` here; ``exec/codegen.py`` registers
-#: ``"codegen"`` on import (resolved lazily below so the plan backend never
-#: pays for the codegen module).
-_EMITTERS: Dict[str, Callable] = {}
+        return CodegenPlan
+    if name == "profile":
+        from ..obs.profiler import ProfilePlan
 
-
-def register_emitter(name: str, build: Callable) -> None:
-    """Register a plan-family emitter (``build(fun)``)."""
-    _EMITTERS[name] = build
-
-
-register_emitter("plan", Plan)
-
-
-def _resolve_emitter(name: str) -> Callable:
-    build = _EMITTERS.get(name)
-    if build is None and name == "codegen":
-        from . import codegen  # noqa: F401  (registers itself on import)
-
-        build = _EMITTERS.get(name)
-    if build is None and name == "profile":
-        from ..obs import profiler  # noqa: F401  (registers itself on import)
-
-        build = _EMITTERS.get(name)
-    if build is None:
-        raise ExecError(
-            f"unknown plan emitter {name!r} (have {sorted(_EMITTERS)})"
-        )
-    return build
+        return ProfilePlan
+    raise ExecError(
+        f"unknown plan emitter {name!r} (have 'plan', 'codegen', 'profile')"
+    )
 
 
 def profile_enabled() -> bool:
@@ -1225,7 +833,7 @@ def plan_for(
     """
     if emitter is None:
         emitter = "profile" if profile_enabled() else "plan"
-    build = _resolve_emitter(emitter)
+    build = _emitter_class(emitter)
     flags = tuple(batched) if batched is not None else None
     key = (ir_hash(fun), emitter, flags, _sig_of(args))
     cap = env_capacity("REPRO_PLAN_CACHE_SIZE", _DEFAULT_CACHE_SIZE)

@@ -50,8 +50,10 @@ BACKEND_CALLS = _obs_metrics.counter_group("backend_calls", {})
 
 
 def record_call(name: str) -> None:
-    """Count one top-level dispatch to backend ``name``."""
-    BACKEND_CALLS[name] = BACKEND_CALLS.get(name, 0) + 1
+    """Count one top-level dispatch to backend ``name`` (callable from user
+    threads: the increment holds the metrics registry's lock)."""
+    BACKEND_CALLS.add(name)
+
 
 #: Fallback default when ``REPRO_BACKEND`` is unset: the plan compiler —
 #: the paper's compiled-bulk-code executor, and with the plan cache the

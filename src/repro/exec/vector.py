@@ -1,11 +1,19 @@
-"""Batched-value helper library of the plan family.
+"""Batched values and the instruction kernels of the plan family.
 
-This module is **not an executor**.  It holds the value representation and
-the runtime primitives that ``exec/lower.py``, ``exec/plan.py`` and
-``exec/codegen.py`` import — one shared copy is what keeps the two emitters
-bitwise-equal to each other.
+This module is **not an executor** — it runs no program — but it *is* the
+semantics of the plan IR: the NumPy call sequence of every instruction that
+runs no nested body, and of the body-free prologue and tail of every one that
+does, is written here once, as one function (``kernel(eng, *operands,
+*static facts) -> BV | tuple``).  ``LEAF_KERNELS`` maps the body-free
+instruction kinds to theirs.  The two emitters (``exec/plan.py``,
+``exec/codegen.py``) bind operands to slots and render control flow around
+these calls, so they are bitwise equal to each other by construction; what a
+kernel computes is checked against the reference interpreter and against
+direct NumPy expectations (``tests/test_vector_internals.py``), never against
+the other emitter.  A kernel calls back into emitted code only where both
+emitters hold that code as a callable (``_branch``, ``_map_chunked``).
 
-The execution model they implement is the flattening one the paper relies on
+The execution model is the flattening one the paper relies on
 (§4.1): entering a ``map`` pushes a batch level, lambda parameters become
 whole NumPy arrays with a leading batch axis, and every scalar statement of
 the (possibly deeply nested) lambda body executes as one bulk NumPy op over
@@ -40,7 +48,7 @@ import numpy as np
 
 from ..util import ExecError
 
-__all__ = ["BV", "AccBV"]
+__all__ = ["BV", "AccBV", "LEAF_KERNELS", "REDOMAP_TAILS", "leaf_kernel"]
 
 
 _UFUNC = {"add": np.add, "mul": np.multiply, "min": np.minimum, "max": np.maximum}
@@ -118,11 +126,10 @@ def _grids(prefix: Tuple[int, ...], extra: int = 0) -> Tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Runtime primitives shared by the emitters (exec/plan.py, exec/codegen.py)
+# Runtime primitives: masks, elementwise ops, indexed reads and updates
 #
-# ``state`` is any object with ``bstack``/``mask`` attributes (the plan
-# ``_Engine``).  Keeping one copy here is what guarantees the two emitters
-# cannot drift semantically.
+# ``state`` / ``eng`` is any object with ``bstack``/``mask`` attributes (the
+# plan ``_Engine``).
 # ---------------------------------------------------------------------------
 
 
@@ -417,3 +424,355 @@ def _batch_args(state, vs: Sequence[BV]) -> Tuple[List[BV], int]:
             raise ExecError(f"map/soac: array length mismatch {n} vs {ln}")
         params.append(BV(dd, d + 1))
     return params, int(n or 0)
+
+
+# ---------------------------------------------------------------------------
+# Instruction kernels: ``kernel(eng, *operands, *static facts)``
+# ---------------------------------------------------------------------------
+
+
+def _materialised(eng, v: BV, k: int) -> np.ndarray:
+    """A private copy of ``v`` at the full extent of the first ``k`` batch
+    levels (what an in-place write needs)."""
+    d = _expand(v, k)
+    return np.broadcast_to(d, tuple(eng.bstack[:k]) + d.shape[k:]).copy()
+
+
+def _update(eng, arr: BV, idxs: List[BV], val: BV) -> BV:
+    """``arr with [idxs] <- val`` on a copy, through clipped indices; inactive
+    lanes keep the old element."""
+    k = max([arr.bdims, val.bdims] + [i.bdims for i in idxs])
+    if eng.mask is not None:
+        k = max(k, eng.mask.bdims)
+    ad = _materialised(eng, arr, k)
+    sel = _grids(ad.shape[:k]) + tuple(
+        np.clip(_expand(i, k), 0, max(ad.shape[k + a] - 1, 0))
+        for a, i in enumerate(idxs)
+    )
+    vd = _expand(val, k)
+    if eng.mask is None:
+        ad[sel] = vd
+    else:
+        old = ad[sel]
+        md = _expand(eng.mask, k)
+        md = md.reshape(md.shape + (1,) * (old.ndim - md.ndim))
+        ad[sel] = np.where(md, vd, old)
+    return BV(ad, k)
+
+
+def _iota(eng, n: int, dt) -> BV:
+    return BV(np.arange(n, dtype=dt), 0)
+
+
+def _replicate(eng, n: int, v: BV) -> BV:
+    d = np.asarray(v.data)
+    d2 = np.expand_dims(d, axis=v.bdims)
+    shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
+    return BV(np.broadcast_to(d2, shape).copy(), v.bdims)
+
+
+def _scratch(eng, n: BV, x: BV) -> BV:
+    """Zeros shaped ``[max n over lanes] + shape(x)`` per lane."""
+    nd = np.asarray(n.data)
+    ext = 0 if nd.size == 0 else int(nd.max())
+    bshape = tuple(eng.bstack)
+    dt = np.asarray(x.data).dtype
+    return BV(np.zeros(bshape + (ext,) + x.pshape(), dtype=dt), len(bshape))
+
+
+def _size(eng, v, dim: int) -> BV:
+    """Extent ``dim`` of the payload of a value or an accumulator."""
+    return BV(np.asarray(np.int64(np.shape(v.data)[v.bdims:][dim])), 0)
+
+
+def _reverse(eng, v: BV) -> BV:
+    return BV(np.flip(np.asarray(v.data), axis=v.bdims).copy(), v.bdims)
+
+
+def _concat(eng, x: BV, y: BV) -> BV:
+    (dx, dy), k, _ = _align([x, y])
+    bx = np.broadcast_shapes(dx.shape[:k], dy.shape[:k])
+    dx = np.broadcast_to(dx, bx + dx.shape[k:])
+    dy = np.broadcast_to(dy, bx + dy.shape[k:])
+    return BV(np.concatenate([dx, dy], axis=k), k)
+
+
+def _valid_lanes(eng, inds: BV, n: int, m: int):
+    """The ``n`` indices per lane of a hist/scatter at full batch extent, and
+    which of them write: those in ``[0, m)`` on an active lane."""
+    d = len(eng.bstack)
+    idata = np.broadcast_to(np.asarray(inds.data), tuple(eng.bstack) + (n,))
+    valid = (idata >= 0) & (idata < m)
+    if eng.mask is not None:
+        md = _expand(eng.mask, d)
+        md = np.broadcast_to(
+            md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)), valid.shape
+        )
+        valid = valid & md
+    return idata, valid
+
+
+def _scatter(eng, dest: BV, inds: BV, vals: BV) -> BV:
+    """``scatter dest inds vals`` on a copy.  Only the in-range indices of
+    active lanes are written at all (writing the old element back through a
+    clipped index would undo a valid write to that element); among equal
+    indices of a lane the last one wins."""
+    d = len(eng.bstack)
+    (inds, vals), n = _batch_args(eng, [inds, vals])
+    dd = _materialised(eng, dest, d)
+    idata, valid = _valid_lanes(eng, inds, n, dd.shape[d])
+    vdata = np.broadcast_to(np.asarray(vals.data), idata.shape + vals.pshape())
+    lanes = np.nonzero(valid)  # (batch indices..., position in the lane)
+    dd[lanes[:-1] + (idata[lanes],)] = vdata[lanes]
+    return BV(dd, d)
+
+
+# -- map ----------------------------------------------------------------------
+
+
+def _lane_payload(eng, r: BV, n: int) -> np.ndarray:
+    """The result of a lane body (its batch level already popped) as an array
+    with extent ``n`` on the lane axis."""
+    d = len(eng.bstack)
+    rd = _expand(r, d + 1)
+    if rd.shape[d] != n:
+        rd = np.broadcast_to(rd, rd.shape[:d] + (n,) + rd.shape[d + 1:])
+    return rd
+
+
+def _map_result(eng, r: BV, n: int) -> BV:
+    """A map result: contiguous and owned (results never alias inputs)."""
+    return BV(_owned(np.ascontiguousarray(_lane_payload(eng, r, n))), len(eng.bstack))
+
+
+def _map_acc(eng, r) -> AccBV:
+    if not isinstance(r, AccBV):
+        raise ExecError("map: accumulator results must lead")
+    return r
+
+
+def _map_chunked(eng, arrs: List[BV], chunk: int, body) -> Tuple[BV, ...]:
+    """An acc-free map under a ``sequential(chunk)`` schedule: ``body(eng,
+    params, m)`` runs the lambda over ``m`` lanes.  In-order chunks fire only
+    at top level (no batch axis, no mask — the same plan also serves batched
+    runs, which take the bulk path).  ``_batch_args`` guarantees every
+    param's data has extent exactly ``n`` on the batch axis, so slicing at
+    axis 0 is exact, and elementwise NumPy ops on slices are bitwise-equal to
+    the bulk evaluation."""
+    params, n = _batch_args(eng, arrs)
+    if eng.bstack or eng.mask is not None or n <= chunk:
+        return tuple(_map_result(eng, r, n) for r in body(eng, params, n))
+    parts = []
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        res = body(eng, [BV(p.data[lo:lo + chunk], p.bdims) for p in params], m)
+        parts.append([_lane_payload(eng, r, m) for r in res])
+    return tuple(
+        BV(np.ascontiguousarray(np.concatenate(col, axis=0)), 0) for col in zip(*parts)
+    )
+
+
+# -- reduce / scan ------------------------------------------------------------
+
+
+def _fold_empty(eng, ne: BV) -> BV:
+    """A reduce over no elements: the neutral element on every lane."""
+    d = len(eng.bstack)
+    return BV(_materialised(eng, ne, d), d)
+
+
+def _reduce_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
+    """Fold the ``n`` lanes of ``r`` with ``op``; ``fold``: then with ``ne``."""
+    d = len(eng.bstack)
+    uf = _UFUNC[op]
+    red = uf.reduce(_lane_payload(eng, r, n), axis=d)
+    if fold:
+        red = uf(_expand(ne, d), red)
+    return BV(red, d)
+
+
+def _reduce_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> BV:
+    d = len(eng.bstack)
+    args, n = _batch_args(eng, arrs)
+    if n == 0:
+        shape = args[0].data.shape
+        return BV(np.broadcast_to(_expand(nes[0], d), shape[:d] + shape[d + 1:]).copy(), d)
+    return _reduce_lanes(eng, op, fold, nes[0], args[0], n)
+
+
+def _scan_empty(eng, ne: BV) -> BV:
+    return BV(np.zeros((0,) * (ne.prank + 1), dtype=np.asarray(ne.data).dtype), 0)
+
+
+def _scan_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
+    d = len(eng.bstack)
+    uf = _UFUNC[op]
+    acc = uf.accumulate(_lane_payload(eng, r, n), axis=d)
+    if fold:
+        acc = uf(np.expand_dims(_expand(ne, d), axis=d), acc)
+    return BV(acc, d)
+
+
+def _scan_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> BV:
+    args, n = _batch_args(eng, arrs)
+    return _scan_lanes(eng, op, fold, nes[0], args[0], n)
+
+
+def _elems_at(args: Sequence[BV], i: int, d: int) -> List[BV]:
+    """Element ``i`` of each argument of an element-at-a-time fold."""
+    return [BV(np.take(np.asarray(a.data), i, axis=d), d) for a in args]
+
+
+def _stack_columns(eng, col: List[BV], ne: BV) -> BV:
+    """One result of a generic scan from its per-iteration values."""
+    if not col:
+        return _scan_empty(eng, ne)
+    d = len(eng.bstack)
+    col = [_expand(a, d) for a in col]
+    shape = np.broadcast_shapes(*[c.shape for c in col])
+    return BV(np.stack([np.broadcast_to(c, shape) for c in col], axis=d), d)
+
+
+# -- histograms ---------------------------------------------------------------
+
+
+def _hist_enter(eng, m: int, arrs: List[BV]):
+    """Enter a histogram's arguments; returns ``(args, n, hs)`` with ``hs`` the
+    bin count, the lane indices and which of them write."""
+    args, n = _batch_args(eng, arrs)
+    return args, n, (m,) + _valid_lanes(eng, args[0], n, m)
+
+
+def _hist_init(eng, ne: BV, m: int, pe: Tuple[int, ...], dt) -> np.ndarray:
+    """``m`` bins of payload shape ``pe`` per lane, each holding ``ne``."""
+    d = len(eng.bstack)
+    ned = np.expand_dims(_expand(ne, d), axis=d)
+    return np.ascontiguousarray(
+        np.broadcast_to(ned, tuple(eng.bstack) + (m,) + pe).astype(dt)
+    )
+
+
+def _hist_accumulate(eng, op: str, ne: BV, hs, r: BV) -> BV:
+    """The histogram of the lanes of ``r`` under ``op``: one ``ufunc.at``,
+    lanes that do not write contributing the neutral element."""
+    m, idata, valid = hs
+    d = len(eng.bstack)
+    bshape = tuple(eng.bstack)
+    n = idata.shape[-1]
+    data = _lane_payload(eng, r, n)
+    pe = data.shape[d + 1:]
+    hist = _hist_init(eng, ne, m, pe, data.dtype)
+    vdata = np.broadcast_to(data, bshape + (n,) + pe)
+    w = valid.reshape(valid.shape + (1,) * (vdata.ndim - valid.ndim))
+    isel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(m - 1, 0)),)
+    _UFUNC[op].at(hist, isel, np.where(w, vdata, _neutral_of(op, data.dtype)))
+    return BV(hist, d)
+
+
+def _hist_ufunc(eng, m: int, arrs: List[BV], nes: List[BV], op: str) -> BV:
+    args, _n, hs = _hist_enter(eng, m, arrs)
+    return _hist_accumulate(eng, op, nes[0], hs, args[1])
+
+
+def _hist_open(eng, nes: List[BV], hs, vals: Sequence[BV]):
+    """State of an element-at-a-time histogram: the result ``BV``s (filled in
+    place), the batch grids, then ``hs``."""
+    d = len(eng.bstack)
+    outs = [
+        BV(_hist_init(eng, ne, hs[0], v.pshape(), np.asarray(v.data).dtype), d)
+        for ne, v in zip(nes, vals)
+    ]
+    return (outs, _grids(tuple(eng.bstack))) + hs
+
+
+def _hist_get(eng, st, i: int):
+    """Iteration ``i``: the selection of each lane's bin, and the bins'
+    current contents (one ``BV`` per histogram)."""
+    outs, gsel, m, idata, _valid = st
+    s = gsel + (np.clip(idata[..., i], 0, max(m - 1, 0)),)
+    return s, [BV(o.data[s], o.bdims) for o in outs]
+
+
+def _hist_put(eng, st, i: int, s, new: Sequence[BV]) -> None:
+    """Write iteration ``i``'s operator results back into the lanes that
+    write."""
+    outs, _gsel, _m, _idata, valid = st
+    vi = valid[..., i]
+    for o, nv in zip(outs, new):
+        nd = _expand(nv, o.bdims)
+        old = o.data[s]
+        w = vi.reshape(vi.shape + (1,) * (old.ndim - vi.ndim))
+        o.data[s] = np.where(w, np.broadcast_to(nd, old.shape), old)
+
+
+# -- accumulators and control flow --------------------------------------------
+
+
+def _acc_of(eng, v: BV) -> AccBV:
+    """``withacc`` entry: a private, fully materialised buffer."""
+    d = len(eng.bstack)
+    return AccBV(_materialised(eng, v, d), d)
+
+
+def _acc_value(eng, r) -> BV:
+    if not isinstance(r, AccBV):
+        raise ExecError("withacc: lambda must return its accumulators")
+    return BV(r.data, r.bdims)
+
+
+def _branch(eng, c: BV, then_fn, else_fn) -> Tuple[object, ...]:
+    """``if c``: one branch when the condition is a single unmasked scalar,
+    else both under complementary masks, selected per lane.  ``then_fn(eng)``
+    / ``else_fn(eng)`` run a branch body and return its results."""
+    cd = np.asarray(c.data)
+    if cd.size == 1 and eng.mask is None:
+        return then_fn(eng) if bool(cd.reshape(-1)[0]) else else_fn(eng)
+    saved = eng.mask
+    notc = BV(np.logical_not(cd), c.bdims)
+    eng.mask = _combine_mask(saved, c)
+    tvals = then_fn(eng)
+    eng.mask = _combine_mask(saved, notc)
+    fvals = else_fn(eng)
+    eng.mask = saved
+    return tuple(_where(c, t, f) for t, f in zip(tvals, fvals))
+
+
+def _out_of_fuel(limit: int) -> ExecError:
+    return ExecError(f"while loop exceeded iteration fuel ({limit} iterations)")
+
+
+#: The plan-IR instructions that run no nested body, by ``kind`` (``kind:
+#: strategy`` for the reduce family): the kernel, the instruction fields it
+#: takes as operands (a ``Ref``, a tuple of ``Ref``s or an ``IntRef`` each —
+#: read per call) and the fields it takes as static facts.  An emitter calls
+#: ``kernel(eng, *operands, *statics)`` and binds the result to the
+#: instruction's one output.
+LEAF_KERNELS = {
+    "update": (_update, ("arr", "idx", "val"), ()),
+    "iota": (_iota, ("n",), ("dtype",)),
+    "replicate": (_replicate, ("n", "v"), ()),
+    "scratch": (_scratch, ("n", "x"), ()),
+    "size": (_size, ("arr",), ("dim",)),
+    "reverse": (_reverse, ("x",), ()),
+    "concat": (_concat, ("x", "y"), ()),
+    "scatter": (_scatter, ("dest", "inds", "vals"), ()),
+    "updacc": (_upd_acc, ("acc", "idx", "v"), ("affine",)),
+    "reduce:ufunc": (_reduce_ufunc, ("arrs", "nes"), ("op", "fold")),
+    "scan:ufunc": (_scan_ufunc, ("arrs", "nes"), ("op", "fold")),
+    "hist:ufunc": (_hist_ufunc, ("num_bins", "arrs", "nes"), ("op",)),
+}
+
+#: ``redomap`` reduces and scans, by ``kind``: the kernel of the empty case
+#: ``(eng, ne)`` — the map part does not run — and of the tail that folds the
+#: map part's lanes ``(eng, op, fold, ne, r, n)``.
+REDOMAP_TAILS = {
+    "reduce": (_fold_empty, _reduce_lanes),
+    "scan": (_scan_empty, _scan_lanes),
+}
+
+
+def leaf_kernel(ins):
+    """``LEAF_KERNELS`` entry of instruction ``ins``; ``None`` when it runs a
+    nested body (the emitters render those themselves)."""
+    strategy = getattr(ins, "strategy", None)
+    return LEAF_KERNELS.get(ins.kind if strategy is None else f"{ins.kind}:{strategy}")

@@ -60,6 +60,13 @@ class CounterGroup(dict):
         self.name = name
         self._initial = dict(initial)
 
+    def add(self, key: str, n: int = 1) -> None:
+        """``self[key] += n`` (a missing key counts from 0) under the registry
+        lock — for counters bumped on paths users may run from their own
+        threads, where the bare read-modify-write loses increments."""
+        with _LOCK:
+            self[key] = self.get(key, 0) + n
+
     def reset(self) -> None:
         for k in [k for k in self if k not in self._initial]:
             del self[k]

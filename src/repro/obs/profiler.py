@@ -1,9 +1,8 @@
 """The ``"profile"`` plan emitter: per-instruction wall-clock attribution.
 
-Registered through the emitter seam in ``exec/plan.py`` (the same
-registry ``"codegen"`` uses), so it composes with the plan cache and
-every backend that resolves plans through
-``plan_for``.  A ``ProfilePlan`` is a ``Plan`` whose top-level
+``plan_for(..., emitter="profile")`` resolves to this module's class
+(``exec/plan.py:_emitter_class``), so it composes with the plan cache and
+every backend that resolves plans through ``plan_for``.  A ``ProfilePlan`` is a ``Plan`` whose top-level
 instruction closures are wrapped with timing; each measurement is keyed
 to the *source statements* the instruction executes (the provenance
 ``exec/lower.py`` records on every top-level plan-IR instruction) and
@@ -37,7 +36,7 @@ from ..ir.analysis import ir_hash
 from ..ir.cost_model import estimate_stms
 from ..ir.pretty import pretty_exp
 from ..exec.lower import lower_fun, plan_counts
-from ..exec.plan import Plan, register_emitter
+from ..exec.plan import Plan
 from . import metrics, tracing
 
 __all__ = [
@@ -151,9 +150,6 @@ class ProfilePlan(Plan):
             for i, (c, ins) in enumerate(zip(instrs, ir.body.instrs))
         )
         self.code = (wrapped, res)
-
-
-register_emitter("profile", ProfilePlan)
 
 
 def reset_profile() -> None:

@@ -67,11 +67,8 @@ def reduce_census(fun, args):
     return out
 
 
-def numpy_call_census(fn) -> dict:
-    """Run ``fn()`` once under ``cProfile`` and count what indexing cost it:
-    ``gather`` — calls of ``exec.vector._gather`` (the clipped fancy-index
-    read), ``scatter`` — ``ufunc.at`` calls made by ``exec.vector._upd_acc``
-    (the ``np.add.at`` update), ``clip`` — every ``np.clip``.  Deterministic
+def _profiled(fn) -> dict:
+    """``pstats`` rows of one ``fn()`` under ``cProfile``.  Deterministic
     (call counts, no timing); counting by profile rather than by patching
     sees the calls however an emitter bound the helper."""
     prof = cProfile.Profile()
@@ -80,8 +77,16 @@ def numpy_call_census(fn) -> dict:
         fn()
     finally:
         prof.disable()
+    return pstats.Stats(prof).stats
+
+
+def numpy_call_census(fn) -> dict:
+    """What indexing cost one ``fn()``: ``gather`` — calls of
+    ``exec.vector._gather`` (the clipped fancy-index read), ``scatter`` —
+    ``ufunc.at`` calls made by ``exec.vector._upd_acc`` (the ``np.add.at``
+    update), ``clip`` — every ``np.clip``."""
     out = {"gather": 0, "scatter": 0, "clip": 0}
-    for (path, _line, name), (_cc, ncalls, _tt, _ct, callers) in pstats.Stats(prof).stats.items():
+    for (path, _line, name), (_cc, ncalls, _tt, _ct, callers) in _profiled(fn).items():
         if name == "_gather" and path.endswith("vector.py"):
             out["gather"] += ncalls
         elif name == "clip" and path.endswith("fromnumeric.py"):
@@ -92,6 +97,16 @@ def numpy_call_census(fn) -> dict:
                 if cname == "_upd_acc" and cpath.endswith("vector.py")
             )
     return out
+
+
+def vector_call_census(fn) -> dict:
+    """``{exec/vector.py function: calls}`` of one ``fn()`` — every kernel and
+    helper the executed plan reached."""
+    return {
+        name: ncalls
+        for (path, _line, name), (_cc, ncalls, _tt, _ct, _callers) in _profiled(fn).items()
+        if path.endswith("exec/vector.py")
+    }
 
 
 def fd_grad(fc, args, k: int, eps: float = 1e-6):

@@ -112,12 +112,40 @@ def test_scatter_empty_indices():
     assert fc(np.ones(4), np.zeros(0, dtype=np.int64), np.zeros(0)) == 4.0
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "in-map"])
+def test_scatter_out_of_range_index_does_not_undo_a_valid_write(nested):
+    """-4 and 9 are dropped; they used to be clipped onto elements 0 and 3 and
+    write the *old* element back there, erasing the valid writes before them
+    (found by the kernel-level tests of ``vector._scatter``)."""
+    row = lambda d, i, v: rp.scatter(d, i, v)  # noqa: E731
+    dest, inds, vals = np.zeros(4), np.array([3, 0, 9, -4]), np.array([5.0, 6.0, 7.0, 8.0])
+    args = (dest, inds, vals)
+    if nested:
+        args = tuple(np.stack([a, a[::-1]]) for a in args)
+    fc = rp.compile(rp.trace_like((lambda *a: rp.map(row, *a)) if nested else row, args))
+    out = run_both(fc, *args)
+    np.testing.assert_array_equal(out[0] if nested else out, [6.0, 0.0, 0.0, 5.0])
+
+
 def test_hist_empty_input():
     def f(inds, vals):
         return rp.sum(rp.reduce_by_index(3, lambda a, b: a + b, 0.0, inds, vals))
 
     fc = rp.compile(rp.trace_like(f, (np.zeros(0, dtype=np.int64), np.zeros(0))))
     assert fc(np.zeros(0, dtype=np.int64), np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("batched", [None, False], ids=["default", "looped"])
+@pytest.mark.parametrize("mode", [None, "fwd", "rev"])
+@pytest.mark.parametrize("backend", ["ref", "plan", "codegen"])
+def test_jacobian_of_empty_input_is_the_empty_jacobian(backend, mode, batched):
+    """No input (and so no output) element: the ``y.shape + x.shape`` array
+    without entries, not a ``ValueError`` from stacking zero seeds."""
+    sq = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: x * x, v), (np.ones(4),)))
+    total = rp.compile(rp.trace_like(lambda v: rp.sum(rp.map(lambda x: x * x, v)), (np.ones(4),)))
+    for fc, shape in ((sq, (0, 0)), (total, (0,))):
+        j = rp.jacobian(fc, mode=mode)(np.zeros(0), backend=backend, batched=batched)
+        assert j.shape == shape and j.dtype == np.float64
 
 
 def test_reduce_min_on_all_equal():
@@ -199,3 +227,46 @@ def test_extent_0_and_1_on_every_fold_strategy(key, n, nested):
     out = run_both(fc, *args)
     assert np.shape(out) == {"reduce": lead, "scan": lead + (n,), "hist": lead + (3,)}[key[0]]
     run_both(rp.vjp(fc, wrt=[len(args) - 1]), *args, np.ones_like(out))
+
+
+# ---------------------------------------------------------------------------
+# NaN / +inf / -inf through every fold strategy and operator: equal to ``ref``
+# ---------------------------------------------------------------------------
+
+#: ``op -> (recognised spelling, a spelling lowering cannot recognise with
+#: exactly the operator's NaN/inf behaviour, neutral element)``.
+_FOLD_OPS = {
+    "add": (lambda a, b: a + b, lambda a, b: -((-a) - b), 0.0),
+    "mul": (lambda a, b: a * b, lambda a, b: -((-a) * b), 1.0),
+    "min": (lambda a, b: rp.minimum(a, b), lambda a, b: -rp.maximum(-a, -b), np.inf),
+    "max": (lambda a, b: rp.maximum(a, b), lambda a, b: -rp.minimum(-a, -b), -np.inf),
+}
+
+
+@pytest.mark.parametrize("op", list(_FOLD_OPS))
+@pytest.mark.parametrize("strategy", ["ufunc", "redomap", "generic"])
+@pytest.mark.parametrize("soac", ["reduce", "scan", "hist"])
+def test_nan_and_inf_propagate_as_on_ref(soac, strategy, op):
+    """Non-finite inputs (alone, together, next to a zero — ``0 * inf``) come
+    out of ``plan`` and ``codegen`` exactly as out of ``ref``, NaN for NaN."""
+    plain, opaque, ne = _FOLD_OPS[op]
+    fn = opaque if strategy == "generic" else plain
+    pre = (lambda v: rp.map(lambda x: x * 2.0, v)) if strategy == "redomap" else (lambda v: v)
+    if soac == "hist":
+        f = lambda i, v: rp.reduce_by_index(3, fn, ne, i, pre(v))  # noqa: E731
+        lead = (np.array([0, 1, 0, 2, 1, 0]),)
+    else:
+        f = lambda v: getattr(rp, soac)(fn, ne, pre(v))  # noqa: E731
+        lead = ()
+    ex = lead + (np.ones(6),)
+    fc = rp.compile(rp.trace_like(f, ex))
+    assert (soac, strategy) in {(k, s) for k, s, _ in reduce_census(fc.fun, ex)}
+    base = np.array([1.5, 0.0, -2.0, 0.25, 3.0, -0.5])
+    for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [-np.inf, np.nan, np.inf]):
+        vals = base.copy()
+        vals[2:2 + len(bad)] = bad
+        want = np.asarray(fc(*lead, vals, backend="ref"))
+        assert not np.isfinite(want).all() or op in ("min", "max")
+        for backend in ("plan", "codegen"):
+            got = np.asarray(fc(*lead, vals, backend=backend))
+            np.testing.assert_array_equal(got, want, err_msg=f"{backend}, {bad}")

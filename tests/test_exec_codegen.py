@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-from helpers import run_both
+from helpers import run_both, vector_call_census
 from repro.exec.codegen import CodegenPlan
 from repro.exec.plan import Plan, clear_plan_cache, plan_cache_stats, plan_for
 from repro.util import ExecError
@@ -151,6 +151,22 @@ def test_clear_plan_cache_resets_emitter_stats():
     assert plan_cache_stats()["emitters"]
     clear_plan_cache()
     assert plan_cache_stats()["emitters"] == {}
+
+
+@pytest.mark.parametrize("app", ["gmm", "lstm", "kmeans"])
+def test_both_emitters_reach_the_same_kernels_the_same_number_of_times(app):
+    """One cached derivative call makes the same ``exec/vector.py`` calls,
+    function by function, on ``plan`` and on ``codegen``: the emitters differ
+    in how they bind and dispatch, not in which kernels run."""
+    from test_mem_plan import _app
+
+    inp, fc, call = _app(app)
+    census = {}
+    for backend in ("plan", "codegen"):
+        call(fc, inp, backend)  # compile; the profiled call below is cached
+        census[backend] = vector_call_census(lambda: call(fc, inp, backend))
+    assert census["plan"] == census["codegen"]
+    assert {"_batch_args", "_elem", "_map_result"} <= set(census["plan"])
 
 
 # ---------------------------------------------------------------------------

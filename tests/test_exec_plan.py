@@ -192,6 +192,23 @@ def test_while_fuel_configurable_and_reported(backend, monkeypatch):
         fc(0.0, backend=backend)
 
 
+@pytest.mark.parametrize("kind", ["unop", "binop"])
+@pytest.mark.parametrize("emitter", ["plan", "codegen"])
+def test_unknown_scalar_op_fails_when_the_plan_is_built(emitter, kind):
+    """Scalar operators resolve to their NumPy function at emit time on both
+    emitters: an unknown one is an ``ExecError`` from the constructor, with
+    one wording, before anything runs."""
+    from repro.exec import CodegenPlan, Plan, lower_fun
+
+    fc = rp.compile(rp.trace_like(lambda x, y: rp.sin(x) * y, (1.0, 1.0)))
+    ir = lower_fun(fc.fun)
+    (op,) = [o for ins in ir.body.instrs if ins.kind == "run" for o in ins.ops if o.kind == kind]
+    op.op = "frobnicate"
+    what = {"unop": "unary", "binop": "binary"}[kind]
+    with pytest.raises(ExecError, match=f"unknown {what} op 'frobnicate'"):
+        {"plan": Plan, "codegen": CodegenPlan}[emitter](fc.fun, ir=ir)
+
+
 # ---------------------------------------------------------------------------
 # Compiled-path jacobian: batching is not a loss, no generic fold remains
 # ---------------------------------------------------------------------------

@@ -150,3 +150,21 @@ def test_knob_census_matches_readme_table():
     table = table.split("\n## ")[0]
     rows = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", table, flags=re.M))
     assert used == rows, (sorted(used - rows), sorted(rows - used))
+
+
+def test_emitters_hold_no_numpy_call_sequence_of_their_own():
+    """What an instruction computes is written once, in an ``exec/vector.py``
+    kernel; the two emitters bind operands and render control flow.  None of
+    the NumPy calls those kernels are made of may grow back inside either
+    emitter class."""
+    import inspect
+
+    from repro.exec.codegen import _SrcEmitter
+    from repro.exec.plan import _ClosureEmitter
+
+    moved = ("np.clip", "np.where", "np.broadcast_to", "np.concatenate", "np.stack",
+             "np.flip", "np.zeros(", "np.arange", "np.expand_dims", "np.broadcast_shapes",
+             "np.ascontiguousarray", ".at(", ".reduce(", ".accumulate(")
+    for emitter in (_ClosureEmitter, _SrcEmitter):
+        src = inspect.getsource(emitter)
+        assert not [m for m in moved if m in src], emitter.__name__

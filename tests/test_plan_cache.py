@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro as rp
+from repro import obs
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
 from repro.exec.registry import default_backend
 from repro.util import BoundedLRU, ReproError
@@ -99,7 +100,8 @@ def test_repeated_batched_calls_hit_the_cache_bitwise():
 def test_compiled_called_from_user_threads(backend):
     """6 user threads (more than cores, short switch interval) x 20 calls of
     one ``Compiled``: every result is bitwise equal to a quiet call, the
-    plan is lowered once, and no cache counter increment is lost."""
+    plan is lowered once, and no cache or dispatch counter increment is
+    lost."""
 
     def f(v):
         return rp.sum(rp.map(lambda x: rp.exp(x) * x, v))
@@ -108,6 +110,7 @@ def test_compiled_called_from_user_threads(backend):
     xs = {n: rng.standard_normal(n) for n in (33, 47, 61)}
     expected = {n: np.asarray(fc(x, backend=backend)).tobytes() for n, x in xs.items()}
     clear_plan_cache()
+    dispatched = obs.snapshot()["backend_calls"][backend]
     nthreads, niter = 6, 20
     errors = []
     barrier = threading.Barrier(nthreads)
@@ -137,6 +140,7 @@ def test_compiled_called_from_user_threads(backend):
     st = plan_cache_stats()
     assert st["misses"] == 1, st  # one rank/dtype signature -> one lowering
     assert st["hits"] + st["misses"] == nthreads * niter, st
+    assert obs.snapshot()["backend_calls"][backend] - dispatched == nthreads * niter
     assert st["emitters"][backend]["plans"] == 1, st
 
 

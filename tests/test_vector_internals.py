@@ -46,3 +46,358 @@ def test_neutral_of_dtypes():
 def test_bv_payload_introspection():
     v = BV(np.zeros((2, 3, 4)), 1)
     assert v.prank == 2 and v.pshape() == (3, 4)
+
+
+# ---------------------------------------------------------------------------
+# Instruction kernels: each against a per-lane Python-loop expectation, at
+# batch depth 0, 1 and 2, masked and unmasked.  ``ref`` never imports
+# ``vector.py``; these are the kernels' own unit tests.
+# ---------------------------------------------------------------------------
+
+from types import SimpleNamespace  # noqa: E402
+
+from repro.exec import lower, vector as V  # noqa: E402
+from repro.exec.vector import AccBV  # noqa: E402
+
+BATCHES = [(), (3,), (2, 3)]
+_OPS = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b, "min": min, "max": max}
+_NE = {"add": 0.0, "mul": 1.0, "min": np.inf, "max": -np.inf}
+
+
+def _eng(bshape, masked):
+    """An engine state at batch shape ``bshape``; ``masked``: lanes alternate
+    active/inactive (depth 0 has one lane, and a mask there is always on)."""
+    mask = None
+    if masked:
+        on = np.arange(int(np.prod(bshape, dtype=int))).reshape(bshape) % 2 == 0
+        mask = BV(on, len(bshape))
+    return SimpleNamespace(bstack=list(bshape), mask=mask)
+
+
+def _active(eng, lane) -> bool:
+    return eng.mask is None or bool(eng.mask.data[lane])
+
+
+def _full(out: BV, bshape):
+    """A kernel result at full batch extent (batch axes may come back as 1)."""
+    d = _expand(out, len(bshape))
+    return np.broadcast_to(d, bshape + d.shape[len(bshape):])
+
+
+def _rand(rng, bshape, *payload):
+    return rng.standard_normal(bshape + payload)
+
+
+both = pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+depths = pytest.mark.parametrize("bshape", BATCHES, ids=["d0", "d1", "d2"])
+
+
+@both
+@depths
+@pytest.mark.parametrize("n", [1, 4])
+def test_update_kernel(bshape, masked, n):
+    """Active lanes write at the clipped index (an out-of-range index is
+    memory-safe, not an error); inactive lanes keep the array whatever their
+    index holds; the input is never written."""
+    rng = np.random.default_rng(0)
+    eng, d = _eng(bshape, masked), len(bshape)
+    arr, val = _rand(rng, bshape, n, 2), _rand(rng, bshape, 2)
+    idx = rng.integers(-3, n + 3, size=bshape)  # in and out of range, every lane kind
+    before = arr.copy()
+    out = _full(V._update(eng, BV(arr, d), [BV(idx, d)], BV(val, d)), bshape)
+    for lane in np.ndindex(*bshape):
+        want = arr[lane].copy()
+        if _active(eng, lane):
+            want[min(max(int(idx[lane]), 0), n - 1)] = val[lane]
+        np.testing.assert_array_equal(out[lane], want)
+    np.testing.assert_array_equal(arr, before)
+    # A lane-uniform array and value under batched indices: materialised per lane.
+    if d:
+        out = V._update(eng, BV(arr[(0,) * d], 0), [BV(idx, d)], BV(val[(0,) * d], 0))
+        assert out.bdims == d and out.data.shape == bshape + (n, 2)
+
+
+def test_update_kernel_two_indices_on_a_matrix():
+    eng = _eng((), False)
+    arr = np.arange(12.0).reshape(3, 4)
+    idxs = [BV(np.int64(2), 0), BV(np.int64(9), 0)]
+    out = V._update(eng, BV(arr, 0), idxs, BV(np.float64(-1), 0))
+    want = arr.copy()
+    want[2, 3] = -1.0  # column 9 clips to 3
+    np.testing.assert_array_equal(out.data, want)
+
+
+@depths
+def test_iota_replicate_scratch_size_reverse_concat_kernels(bshape):
+    rng = np.random.default_rng(1)
+    eng, d = _eng(bshape, False), len(bshape)
+    for n in (0, 1, 3):
+        np.testing.assert_array_equal(V._iota(eng, n, np.int64).data, np.arange(n))
+        v = _rand(rng, bshape, 2)
+        rep = V._replicate(eng, n, BV(v, d))
+        assert rep.bdims == d and rep.data.shape == bshape + (n, 2)
+        for lane in np.ndindex(*bshape):
+            np.testing.assert_array_equal(rep.data[lane], np.broadcast_to(v[lane], (n, 2)))
+        x = _rand(rng, bshape, n, 2)
+        rev = V._reverse(eng, BV(x, d))
+        np.testing.assert_array_equal(rev.data, x[(slice(None),) * d + (slice(None, None, -1),)])
+        assert rev.data.flags.owndata
+        assert int(V._size(eng, BV(x, d), 0).data) == n
+        assert int(V._size(eng, AccBV(x, d), 1).data) == 2
+        y = _rand(rng, (), 2, 2)  # lane-uniform second operand
+        cat = V._concat(eng, BV(x, d), BV(y, 0))
+        assert cat.bdims == d and cat.data.shape == bshape + (n + 2, 2)
+        for lane in np.ndindex(*bshape):
+            np.testing.assert_array_equal(cat.data[lane], np.concatenate([x[lane], y]))
+    # scratch: the largest requested extent over the lanes, zero-filled.
+    counts = np.arange(int(np.prod(bshape, dtype=int))).reshape(bshape)
+    sc = V._scratch(eng, BV(counts, d), BV(_rand(rng, bshape, 2), d))
+    assert sc.bdims == d and sc.data.shape == bshape + (int(counts.max()), 2)
+    assert not sc.data.any()
+    none = V._scratch(eng, BV(np.zeros(0, dtype=np.int64), 0), BV(np.float64(1), 0))
+    assert none.data.shape == bshape + (0,)
+
+
+@both
+@depths
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_scatter_kernel(bshape, masked, n):
+    rng = np.random.default_rng(2)
+    eng, d = _eng(bshape, masked), len(bshape)
+    ln = 4
+    dest, vals = _rand(rng, bshape, ln, 2), _rand(rng, bshape, n, 2)
+    # Distinct targets per lane, out-of-range ones included (-2, -1, 4, 5).
+    inds = np.stack([rng.permutation(np.arange(-2, ln + 2))[:n] for _ in np.ndindex(*bshape)])
+    inds = inds.reshape(bshape + (n,))
+    before = dest.copy()
+    out = _full(V._scatter(eng, BV(dest, d), BV(inds, d), BV(vals, d)), bshape)
+    for lane in np.ndindex(*bshape):
+        want = dest[lane].copy()
+        for j in range(n):
+            if _active(eng, lane) and 0 <= inds[lane][j] < ln:
+                want[inds[lane][j]] = vals[lane][j]
+        np.testing.assert_array_equal(out[lane], want)
+    np.testing.assert_array_equal(dest, before)
+
+
+@depths
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("op", list(_OPS))
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_reduce_and_scan_ufunc_kernels(bshape, n, op, fold):
+    rng = np.random.default_rng(3)
+    eng, d = _eng(bshape, False), len(bshape)
+    xs = _rand(rng, bshape, n)
+    # ``fold``: the neutral element is not the operator's own and is folded in.
+    ne = 0.25 if fold else _NE[op]
+    red = _full(V._reduce_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold), bshape)
+    scn = V._scan_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold)
+    assert scn.bdims == d and scn.data.shape == bshape + (n,)
+    for lane in np.ndindex(*bshape):
+        acc, pre = ne, []
+        for x in xs[lane]:
+            acc = _OPS[op](acc, x)
+            pre.append(acc)
+        np.testing.assert_allclose(red[lane], acc, rtol=1e-14)
+        np.testing.assert_allclose(scn.data[lane], pre, rtol=1e-14)
+
+
+@depths
+def test_redomap_tails_broadcast_a_lane_uniform_body_result(bshape):
+    """``_lane_payload``: a lambda whose result does not depend on its element
+    comes back with fewer batch axes and stands for ``n`` equal lanes."""
+    eng, d = _eng(bshape, False), len(bshape)
+    r = BV(np.float64(1.5), 0)
+    assert V._lane_payload(eng, r, 4).shape == (1,) * d + (4,)
+    np.testing.assert_array_equal(_full(V._reduce_lanes(eng, "add", False, r, r, 4), bshape), 6.0)
+    np.testing.assert_array_equal(
+        _full(V._scan_lanes(eng, "add", True, BV(np.float64(1.0), 0), r, 3), bshape),
+        np.broadcast_to([2.5, 4.0, 5.5], bshape + (3,)),
+    )
+    empty = V._fold_empty(eng, BV(np.float64(7.0), 0))
+    assert empty.bdims == d and empty.data.shape == bshape and (empty.data == 7.0).all()
+    e2 = V._scan_empty(eng, BV(np.zeros(3, dtype=np.float32), 0))
+    assert e2.data.shape == (0, 0) and e2.data.dtype == np.float32 and e2.bdims == 0
+
+
+def test_map_result_is_owned_contiguous_and_full_extent():
+    eng = _eng((2,), False)
+    src = np.arange(24.0).reshape(2, 3, 4)
+    view = BV(src.transpose(0, 2, 1), 2)  # what ``_index`` may hand a body: a view
+    out = V._map_result(eng, view, 4)
+    assert out.bdims == 1 and out.data.flags.owndata and out.data.flags.c_contiguous
+    np.testing.assert_array_equal(out.data, src.transpose(0, 2, 1))
+    assert not np.shares_memory(out.data, src)
+    uni = V._map_result(eng, BV(np.float64(2.0), 0), 3)  # lane-uniform result
+    assert uni.data.shape == (1, 3) and (uni.data == 2.0).all()
+    acc = AccBV(np.zeros(2), 0)
+    assert V._map_acc(eng, acc) is acc
+    with pytest.raises(ExecError, match="accumulator results must lead"):
+        V._map_acc(eng, uni)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 64])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_map_chunked_covers_the_lanes_in_order_and_equals_the_bulk_path(n, chunk):
+    xs, ys = np.arange(float(n)), np.arange(float(n)) * 10.0
+    calls = []
+
+    def body(eng, params, m):
+        calls.append(m)
+        a, b = params
+        assert a.bdims == b.bdims == len(eng.bstack) + 1 and a.data.shape[a.bdims - 1] == m
+        return BV(a.data * 2.0 + b.data, a.bdims), BV(np.float64(3.0), 0)
+
+    eng = _eng((), False)
+    out = V._map_chunked(eng, [BV(xs, 0), BV(ys, 0)], chunk, body)
+    assert calls == ([chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0) if n > chunk else [n])
+    np.testing.assert_array_equal(out[0].data, xs * 2.0 + ys)
+    np.testing.assert_array_equal(out[1].data, np.full(n, 3.0))
+    assert all(o.bdims == 0 and o.data.flags.c_contiguous for o in out)
+    # Under a batch level or a mask the same plan takes the bulk path: one call.
+    for eng2, arg in ((_eng((2,), False), np.stack([xs, xs])), (_eng((), True), xs)):
+        calls.clear()
+        V._map_chunked(eng2, [BV(arg, len(eng2.bstack)), BV(ys, 0)], 2, body)
+        assert calls == [n]
+
+
+def _hist_want(eng, bshape, m, inds, vals, op, ne):
+    want = np.full(bshape + (m,) + vals.shape[len(bshape) + 1:], ne)
+    for lane in np.ndindex(*bshape):
+        for j in range(inds.shape[-1]):
+            b = inds[lane][j]
+            if _active(eng, lane) and 0 <= b < m:
+                want[lane][b] = _OPS[op](want[lane][b], vals[lane][j])
+    return want
+
+
+@both
+@depths
+@pytest.mark.parametrize("op", list(_OPS))
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_hist_kernels_ufunc_redomap_and_generic(bshape, masked, n, op):
+    """One expectation, three routes: the ``hist:ufunc`` leaf, ``_hist_enter``
+    + ``_hist_accumulate`` (the redomap tail), and the element-at-a-time
+    ``_hist_open``/``_hist_get``/``_hist_put`` driven by a Python operator.
+    Indices run from -2 to m+1 in every kind of lane."""
+    rng = np.random.default_rng(4)
+    eng, d = _eng(bshape, masked), len(bshape)
+    m = 3
+    inds = rng.integers(-2, m + 2, size=bshape + (n,))
+    vals = np.abs(_rand(rng, bshape, n)) + 0.5
+    nes = [BV(np.float64(_NE[op]), 0)]
+    want = _hist_want(eng, bshape, m, inds, vals, op, _NE[op])
+    arrs = [BV(inds, d), BV(vals, d)]
+    got = V._hist_ufunc(eng, m, arrs, nes, op)
+    np.testing.assert_allclose(_full(got, bshape), want, rtol=1e-14)
+    args, n2, hs = V._hist_enter(eng, m, arrs)
+    assert n2 == n and args[1].bdims == d + 1
+    got = V._hist_accumulate(eng, op, nes[0], hs, args[1])
+    np.testing.assert_allclose(_full(got, bshape), want, rtol=1e-14)
+    st = V._hist_open(eng, nes, hs, args[1:])
+    for i in range(n):
+        sel, (cur,) = V._hist_get(eng, st, i)
+        (el,) = V._elems_at(args[1:], i, d)
+        assert cur.bdims == el.bdims == d
+        V._hist_put(eng, st, i, sel, [V._elem(V._UFUNC[op], cur, el)])
+    np.testing.assert_allclose(_full(st[0][0], bshape), want, rtol=1e-14)
+
+
+def test_hist_accumulate_with_a_vector_payload_and_a_lane_uniform_map_result():
+    eng = _eng((2,), False)
+    inds = np.array([[0, 2, 2], [1, 1, 5]])
+    args, n, hs = V._hist_enter(eng, 3, [BV(inds, 1), BV(np.zeros((2, 3, 2)), 1)])
+    got = V._hist_accumulate(eng, "add", BV(np.zeros(2), 0), hs, BV(np.array([1.0, 10.0]), 0))
+    want = np.array([[[1, 10], [0, 0], [2, 20]], [[0, 0], [2, 20], [0, 0]]], dtype=float)
+    np.testing.assert_array_equal(got.data, want)
+
+
+@depths
+def test_withacc_entry_and_exit_kernels(bshape):
+    eng, d = _eng(bshape, False), len(bshape)
+    src = np.arange(3.0)
+    acc = V._acc_of(eng, BV(src, 0))
+    assert isinstance(acc, AccBV) and acc.bdims == d and acc.data.shape == bshape + (3,)
+    acc.data += 1.0
+    np.testing.assert_array_equal(src, np.arange(3.0))  # a private buffer
+    out = V._acc_value(eng, acc)
+    assert isinstance(out, BV) and out.data is acc.data and out.bdims == d
+    with pytest.raises(ExecError, match="must return its accumulators"):
+        V._acc_value(eng, out)
+
+
+def test_branch_kernel_scalar_condition_runs_one_branch():
+    eng = _eng((), False)
+    ran = []
+    then_fn = lambda e: ran.append("t") or (BV(np.float64(1.0), 0),)  # noqa: E731
+    else_fn = lambda e: ran.append("f") or (BV(np.float64(2.0), 0),)  # noqa: E731
+    assert V._branch(eng, BV(np.array(True), 0), then_fn, else_fn)[0].data == 1.0
+    assert V._branch(eng, BV(np.array([False]), 1), then_fn, else_fn)[0].data == 2.0
+    assert ran == ["t", "f"] and eng.mask is None
+
+
+@both
+def test_branch_kernel_batched_condition_runs_both_under_complementary_masks(masked):
+    eng = _eng((4,), masked)
+    outer = np.ones(4, dtype=bool) if eng.mask is None else eng.mask.data.copy()
+    saved = eng.mask
+    c = np.array([True, False, False, True])
+    seen = {}
+
+    def then_fn(e):
+        seen["t"] = e.mask.data.copy()
+        return BV(np.full(4, 1.0), 1), acc
+
+    def else_fn(e):
+        seen["f"] = e.mask.data.copy()
+        return BV(np.float64(2.0), 0), acc
+
+    acc = AccBV(np.zeros(4), 1)
+    val, acc_out = V._branch(eng, BV(c, 1), then_fn, else_fn)
+    np.testing.assert_array_equal(seen["t"], outer & c)
+    np.testing.assert_array_equal(seen["f"], outer & ~c)
+    np.testing.assert_array_equal(val.data, np.where(c, 1.0, 2.0))
+    assert acc_out is acc and eng.mask is saved
+    with pytest.raises(ExecError, match="threaded identically"):
+        V._branch(eng, BV(c, 1), lambda e: (acc,), lambda e: (AccBV(np.zeros(4), 1),))
+
+
+@depths
+def test_stack_columns_and_elems_at(bshape):
+    eng, d = _eng(bshape, False), len(bshape)
+    ne = BV(np.float64(0.0), 0)
+    assert V._stack_columns(eng, [], ne).data.shape == (0,)
+    # Per-iteration values of different batch depth stack on the lane axis.
+    col = [BV(np.float64(1.0), 0), BV(np.full(bshape, 2.0), d)]
+    out = V._stack_columns(eng, col, ne)
+    assert out.bdims == d
+    np.testing.assert_array_equal(out.data, np.broadcast_to([1.0, 2.0], bshape + (2,)))
+    xs = np.arange(float(np.prod(bshape + (3, 2), dtype=int))).reshape(bshape + (3, 2))
+    (el,) = V._elems_at([BV(xs, d + 1)], 1, d)
+    assert el.bdims == d
+    np.testing.assert_array_equal(el.data, xs[(slice(None),) * d + (1,)])
+
+
+def test_out_of_fuel_is_the_one_wording():
+    err = V._out_of_fuel(25)
+    assert isinstance(err, ExecError) and "exceeded iteration fuel (25 iterations)" in str(err)
+
+
+def test_leaf_kernel_table_names_fields_the_plan_ir_has():
+    """``LEAF_KERNELS`` reads instruction records by field name: every field
+    it names is a slot of that instruction class, and the table plus the
+    body-carrying kinds the emitters render themselves cover the plan IR."""
+    by_kind = {c.kind: c for c in vars(lower).values()
+               if isinstance(c, type) and issubclass(c, lower._Instr) and c is not lower._Instr}
+
+    def slots_of(cls):
+        return {s for k in cls.__mro__ for s in getattr(k, "__slots__", ())}
+
+    for key, (kernel, operands, statics) in V.LEAF_KERNELS.items():
+        slots = slots_of(by_kind[key.split(":")[0]])
+        assert callable(kernel) and set(operands) | set(statics) <= slots, key
+        assert "out" in slots or "outs" in slots, key
+    covered = {key.split(":")[0] for key in V.LEAF_KERNELS}
+    nested = {k for k, c in by_kind.items() if {"body", "then", "cbody", "ops"} & slots_of(c)}
+    assert covered | nested == set(by_kind)
+    assert covered & nested == {"reduce", "scan", "hist"}  # body-free on ``ufunc`` only
