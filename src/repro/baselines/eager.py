@@ -18,14 +18,11 @@ scatter-add, stacking, and the usual transcendentals.
 """
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-try:
-    from scipy.special import erf as _sp_erf
-except Exception:  # pragma: no cover
-    _sp_erf = np.vectorize(__import__("math").erf)
 
 __all__ = ["T", "Tape", "tape", "grad", "value_and_grad"]
 
@@ -256,7 +253,20 @@ sqrt = _unop(np.sqrt, lambda x, y: 0.5 / y)
 sin = _unop(np.sin, lambda x, y: np.cos(x))
 cos = _unop(np.cos, lambda x, y: -np.sin(x))
 tanh = _unop(np.tanh, lambda x, y: 1.0 - y * y)
-erf = _unop(_sp_erf, lambda x, y: 2.0 / np.sqrt(np.pi) * np.exp(-x * x))
+
+
+@functools.lru_cache(maxsize=None)
+def _sp_erf():
+    """SciPy's ``erf``, else ``math.erf`` vectorised, looked up on the first
+    call (``scipy.special`` costs more to import than everything else here)."""
+    try:
+        from scipy.special import erf
+    except ImportError:
+        return np.vectorize(math.erf)
+    return erf
+
+
+erf = _unop(lambda x: _sp_erf()(x), lambda x, y: 2.0 / np.sqrt(np.pi) * np.exp(-x * x))
 abs_ = _unop(np.abs, lambda x, y: np.sign(x))
 
 

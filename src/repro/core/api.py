@@ -30,6 +30,7 @@ import numpy as np
 from ..exec.registry import batched_backends, default_backend, get_backend
 from ..frontend.function import Compiled, compile_fun
 from ..ir.ast import Fun
+from ..ir.schedule import strip_schedules
 from ..ir.types import is_float, rank_of
 from ..opt.pipeline import AD_SAFE_PASSES, optimize_fun
 from ..opt.while_bound import while_bound_fun
@@ -58,9 +59,12 @@ def _pre_ad(fun: Fun) -> Fun:
     AD rules cannot differentiate — ``vjp_fun``/``jvp_fun`` unfuse their
     input, and nothing here may re-fuse it.  The post-AD optimisation of
     the derivative function re-fuses — the paper's "AD preserves fusion
-    opportunities" round trip.
+    opportunities" round trip.  Nor does the way that ``Compiled`` was told to
+    run carry over: its schedule is taken off here, in this one place (a
+    rewrite keeps the nodes it does not touch, directives and all), and the
+    derivative is scheduled when it is compiled.
     """
-    fun = optimize_fun(fun, passes=AD_SAFE_PASSES)
+    fun = optimize_fun(strip_schedules(fun), passes=AD_SAFE_PASSES)
     fun = while_bound_fun(fun)
     fun = stripmine_fun(fun)
     return optimize_fun(fun, passes=AD_SAFE_PASSES)

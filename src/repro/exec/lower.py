@@ -85,7 +85,7 @@ from ..ir.ast import (
 )
 from ..ir.schedule import SCHEDULABLE as _SCHEDULABLE
 from ..ir.schedule import schedule_str as _schedule_str
-from ..ir.traversal import exp_atoms, exp_lambdas
+from ..ir.traversal import exp_free_vars
 from ..ir.types import is_float, is_integral, np_dtype
 from ..obs import tracing as _tracing
 from ..util import ExecError
@@ -524,9 +524,6 @@ class _Lowerer:
         #: (and SSA rules out shadowing within one); ``_lower_stm`` and
         #: ``_lower_run_exp`` record them as they meet the defining statement.
         self.facts: Dict[str, str] = {}
-        #: ``id(exp) -> free names`` (``uses``); the ``Fun`` being lowered
-        #: keeps every expression alive, so ids are stable.
-        self._uses: Dict[int, Tuple[str, ...]] = {}
 
     # -- atoms ----------------------------------------------------------------
 
@@ -568,40 +565,6 @@ class _Lowerer:
 
     # -- bodies ---------------------------------------------------------------
 
-    def uses(self, e: Exp) -> Tuple[str, ...]:
-        """The names free in ``e`` (``free_vars_exp``; a leaf may repeat a
-        name).  A nested expression is walked once and remembered: every
-        enclosing body's last-use pass asks again, and re-walking the nest
-        each time is quadratic in depth."""
-        if isinstance(e, _RUN_FUSIBLE):
-            return tuple(a.name for a in exp_atoms(e) if isinstance(a, Var))
-        got = self._uses.get(id(e))
-        if got is None:
-            out = dict.fromkeys(a.name for a in exp_atoms(e) if isinstance(a, Var))
-            for lam in exp_lambdas(e):
-                self._body_uses(lam.body, lam.params, out)
-            if isinstance(e, Loop):
-                self._body_uses(e.body, e.params + (e.ivar,), out)
-            elif isinstance(e, WhileLoop):
-                self._body_uses(e.body, e.params, out)
-            elif isinstance(e, If):
-                self._body_uses(e.then, (), out)
-                self._body_uses(e.els, (), out)
-            got = self._uses[id(e)] = tuple(out)
-        return got
-
-    def _body_uses(self, body: Body, binders, out: Dict[str, None]) -> None:
-        bound = {p.name for p in binders}
-        for stm in body.stms:
-            for nm in self.uses(stm.exp):
-                if nm not in bound:
-                    out[nm] = None
-            for v in stm.pat:
-                bound.add(v.name)
-        for a in body.result:
-            if isinstance(a, Var) and a.name not in bound:
-                out[a.name] = None
-
     def lower_body(self, body: Body, binders: Sequence[Var] = (),
                    bind: Optional[Dict[str, str]] = None) -> PBody:
         """Lower ``body``; ``binders`` are the variables the enclosing
@@ -635,8 +598,8 @@ class _Lowerer:
         last: Dict[str, int] = {}
         for x, (i, j) in enumerate(bounds):
             for s in stms[i:j]:
-                for nm in self.uses(s.exp):
-                    last[nm] = x
+                for a in exp_free_vars(s.exp):
+                    last[a.name] = x
         for a in body.result:
             if isinstance(a, Var):
                 last[a.name] = len(bounds)

@@ -75,7 +75,7 @@ from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError, env_capacity
 from . import values as _values
 from .lower import IntRef, PlanIR, Ref, lower_fun, plan_schedules
-from .prims import _BINOPS, _UNOPS, cast_to
+from .prims import _BINOPS, cast_to, unop_fn
 from .values import coerce_arg
 from .vector import (
     _STATS_LOCK,
@@ -196,7 +196,7 @@ def _scalar_fn(o):
     """The NumPy function of a ``unop``/``binop`` run op, resolved when the
     plan is emitted — an unknown operator fails there, not on first call."""
     try:
-        return (_UNOPS if o.kind == "unop" else _BINOPS)[o.op]
+        return unop_fn(o.op) if o.kind == "unop" else _BINOPS[o.op]
     except KeyError:
         what = "unary" if o.kind == "unop" else "binary"
         raise ExecError(f"unknown {what} op {o.op!r}") from None

@@ -6,19 +6,26 @@ vectorised interpreter (on whole batches).
 """
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-
-try:  # scipy is available in this environment, but keep a fallback.
-    from scipy.special import erf as _erf
-except Exception:  # pragma: no cover
-    _vec_erf = np.vectorize(__import__("math").erf)
-
-    def _erf(x):
-        return _vec_erf(x)
 
 from ..util import ExecError
 
-__all__ = ["apply_unop", "apply_binop", "cast_to", "NEUTRAL", "INPLACE_OPS"]
+__all__ = ["unop_fn", "apply_unop", "apply_binop", "cast_to", "NEUTRAL", "INPLACE_OPS"]
+
+
+@functools.lru_cache(maxsize=None)
+def _erf():
+    """SciPy's ``erf`` ufunc, else ``math.erf`` vectorised — looked up when
+    the first program that contains ``erf`` asks: importing ``scipy.special``
+    takes twice as long as importing NumPy and no other primitive needs it."""
+    try:
+        from scipy.special import erf
+    except ImportError:
+        return np.vectorize(math.erf)
+    return erf
 
 
 def _sigmoid(x):
@@ -40,8 +47,12 @@ _UNOPS = {
     "tanh": np.tanh,
     "sigmoid": _sigmoid,
     "floor": np.floor,
-    "erf": _erf,
 }
+
+
+def unop_fn(op: str):
+    """The NumPy function of unary ``op`` (``KeyError`` if there is none)."""
+    return _erf() if op == "erf" else _UNOPS[op]
 
 
 def _div(x, y):
@@ -74,7 +85,9 @@ _BINOPS = {
 #: Ops a float operand's buffer can take the result of: implemented by a true
 #: ufunc (so ``out=`` exists) whose float loops return the operand dtype
 #: (comparisons and logic return bool; ``div``/``sigmoid`` are Python
-#: functions).  ``exec/lower.py`` marks donations only on these.
+#: functions; ``erf`` is left out whether or not SciPy provides it as a
+#: ufunc, so that a plan does not depend on what is installed).
+#: ``exec/lower.py`` marks donations only on these.
 INPLACE_OPS = frozenset(
     name
     for name, f in {**_UNOPS, **_BINOPS}.items()
@@ -94,7 +107,7 @@ NEUTRAL = {
 
 def apply_unop(op: str, x):
     try:
-        f = _UNOPS[op]
+        f = unop_fn(op)
     except KeyError:
         raise ExecError(f"unknown unary op {op!r}") from None
     return f(x)

@@ -92,8 +92,8 @@ class Compiled:
             from ..opt.pipeline import optimize_fun
 
             fun = optimize_fun(fun, passes=passes)
-        # Schedules attach after optimisation: the optimiser rebuilds SOAC
-        # nodes positionally, which deliberately resets schedule fields.
+        # Schedules attach after optimisation: a pass that rebuilds a SOAC
+        # node does so positionally, which resets its schedule field.
         if schedule is not None:
             from ..ir.schedule import apply_schedule
 

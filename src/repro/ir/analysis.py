@@ -37,9 +37,9 @@ from .ast import (
     WhileLoop,
     WithAcc,
     ZerosLike,
+    fact,
 )
 from .types import np_dtype
-from ..util import BoundedLRU, env_capacity
 
 __all__ = [
     "recognize_binop_lambda",
@@ -117,16 +117,6 @@ def recognize_addition(lam: Lambda) -> bool:
     return recognize_binop_lambda(lam) == "add"
 
 
-#: Memo for ``recognize_redomap_lambda``: the vectorised interpreter re-walks
-#: the IR on every call (recognition per reduce/scan/hist evaluation, which
-#: for reduces inside loops means once per iteration), and the analysis —
-#: free-variable sets per statement — is not cheap.  Keyed by ``id`` with the
-#: lambda kept alive (ids cannot recycle while entries live); an LRU bounded
-#: by ``REPRO_ANALYSIS_CACHE_SIZE`` like the optimisation/plan caches.
-_REDOMAP_MEMO = BoundedLRU()
-_REDOMAP_MEMO_CAP = 4096
-
-
 def recognize_redomap_lambda(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
     """Decompose ``\\acc x.. -> acc `op` g(x..)`` into ``(op, g)``.
 
@@ -141,15 +131,10 @@ def recognize_redomap_lambda(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
 
     Returns ``None`` unless the accumulator parameter (``lam.params[0]``)
     feeds *exactly* the final combine.  ``g`` is returned as a ``Lambda``
-    over the element parameters (``lam.params[1:]``).
+    over the element parameters (``lam.params[1:]``).  A fact of the lambda
+    (``ir.ast.fact``): the reference interpreter asks per reduce evaluation.
     """
-    hit = _REDOMAP_MEMO.get(id(lam))
-    if hit is not None and hit[0] is lam:
-        return hit[1]
-    res = _recognize_redomap(lam)
-    cap = env_capacity("REPRO_ANALYSIS_CACHE_SIZE", _REDOMAP_MEMO_CAP)
-    _REDOMAP_MEMO.put(id(lam), (lam, res), cap)
-    return res
+    return fact(lam, "_redomap", _recognize_redomap)
 
 
 def _recognize_redomap(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
@@ -548,15 +533,6 @@ def perfect_map_nest(exp) -> Tuple[Tuple[Map, ...], Body]:
 # Alpha-invariant content hash
 # ---------------------------------------------------------------------------
 
-#: Memo for ``ir_hash``: the plan cache calls it once per ``plan_for`` (i.e.
-#: per executed call on the plan-family backends), and the hash walks the
-#: whole ``Fun``.  Keyed by ``id`` with the hashed ``Fun`` kept alive in the
-#: entry (ids cannot recycle while entries live); an LRU bounded by
-#: ``REPRO_ANALYSIS_CACHE_SIZE`` like the other analysis memos.
-_IR_HASH_MEMO = BoundedLRU()
-_IR_HASH_MEMO_CAP = 4096
-
-
 def ir_hash(fun: Fun) -> str:
     """An alpha-invariant structural content hash of ``fun``.
 
@@ -571,11 +547,13 @@ def ir_hash(fun: Fun) -> str:
     This is the plan-cache key: tracing the same source function
     twice yields alpha-equivalent ``Fun``s with fresh SSA names, and hashing
     lets them share one lowering (and is the identity a future disk cache or
-    RPC plan shipping would key on).  Memoised per ``Fun`` object.
+    RPC plan shipping would key on).  A fact of the ``Fun`` (``ir.ast.fact``):
+    the plan cache asks once per executed call.
     """
-    ent = _IR_HASH_MEMO.get(id(fun))
-    if ent is not None and ent[0] is fun:
-        return ent[1]
+    return fact(fun, "_ir_hash", _ir_hash)
+
+
+def _ir_hash(fun: Fun) -> str:
     h = hashlib.blake2b(digest_size=16)
     ids: Dict[str, int] = {}
     feed = h.update
@@ -710,7 +688,4 @@ def ir_hash(fun: Fun) -> str:
     atoms(fun.params)
     body(fun.body)
     feed(b")")
-    digest = h.hexdigest()
-    cap = env_capacity("REPRO_ANALYSIS_CACHE_SIZE", _IR_HASH_MEMO_CAP)
-    _IR_HASH_MEMO.put(id(fun), (fun, digest), cap)
-    return digest
+    return h.hexdigest()

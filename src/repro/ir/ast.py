@@ -14,15 +14,20 @@ The language follows the paper's core IR (§2.1):
   by copy-on-write in our executors);
 * accumulators (``WithAcc``/``UpdAcc``) are the paper's write-only views used
   by reverse AD inside ``map``.
+
+Nodes are frozen dataclasses, so whatever can be derived from one — its free
+variables, its content hash, the passes it is a fixed point of — is true for
+as long as the object lives.  ``fact`` keeps such a value on the node itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from .types import Scalar, Type
 
 __all__ = [
+    "fact",
     "Var",
     "Const",
     "Atom",
@@ -59,6 +64,24 @@ __all__ = [
     "BINOPS",
     "COMPARISONS",
 ]
+
+
+def fact(node, name: str, compute: Callable[[Any], Any]):
+    """``compute(node)``, evaluated on first request and kept on the node.
+
+    The value lives in the instance ``__dict__`` (which ``frozen=True`` does
+    not guard), not in a field: ``==``, ``hash``, ``repr``,
+    ``dataclasses.replace`` and ``ir_hash`` never see it, a rebuilt node
+    starts without it, and it dies with the node — nothing is pinned and
+    there is nothing to bound or invalidate.  Two threads racing on the first
+    request store the same value twice.
+    """
+    d = node.__dict__
+    try:
+        return d[name]
+    except KeyError:
+        v = d[name] = compute(node)
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +313,12 @@ class Map:
 
     ``schedule`` is the node's axis schedule — an ordered tuple of directives
     from ``ir.schedule`` (``Vectorized | Sequential``).  Empty means
-    "use the default schedule" (see ``ir.schedule.default_schedule``).  The
-    field is trailing-with-default on every schedulable node so positional
-    rebuilds in the optimiser and AD reset it; schedules are applied *after*
-    optimisation (``Compiled.__init__``).
+    "use the default schedule" (see ``ir.schedule.default_schedule``).
+    Schedules are applied *after* optimisation (``Compiled.__init__``) and
+    taken off again where a compiled program enters AD
+    (``ir.schedule.strip_schedules``): a rewrite that leaves a node alone
+    leaves its directives alone, one that rebuilds it positionally resets
+    them (the field is trailing-with-default on every schedulable node).
     """
 
     lam: Lambda

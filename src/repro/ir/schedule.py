@@ -57,6 +57,7 @@ from .ast import (
     Stm,
     WhileLoop,
 )
+from .traversal import map_bodies, same_body, with_body, with_exp
 
 __all__ = [
     "Directive",
@@ -73,6 +74,7 @@ __all__ = [
     "parse_schedule",
     "schedule_key",
     "schedule_str",
+    "strip_schedules",
 ]
 
 
@@ -312,6 +314,23 @@ def apply_schedule(fun: Fun, schedule, strict: bool = True) -> Fun:
         if not changed:
             return fun
     return Fun(fun.name, fun.params, Body(tuple(stms), fun.body.result))
+
+
+def strip_schedules(fun: Fun) -> Fun:
+    """``fun`` with every attached schedule removed (a loop keeps the
+    ``stripmine`` annotation its schedule was converted to); ``fun`` itself
+    when none is attached.  AD differentiates the program, not the way one
+    ``Compiled`` of it was told to run: ``core.api`` calls this on the way
+    in, and the derivative gets its own schedule when it is compiled."""
+
+    def strip(e):
+        e = map_bodies(e, body)
+        return replace(e, schedule=()) if getattr(e, "schedule", ()) else e
+
+    def body(b: Body) -> Body:
+        return same_body(b, [with_exp(s, strip(s.exp)) for s in b.stms], b.result)
+
+    return with_body(fun, body(fun.body))
 
 
 def env_schedule() -> Optional[Tuple[Directive, ...]]:

@@ -9,11 +9,28 @@ statements between scopes, so it leans heavily on:
   by atoms;
 * ``refresh(node)`` — alpha-rename every binder to a fresh name (used when a
   body is copied so the program stays SSA).
+
+Two conventions make the compile pipeline incremental without a cache:
+
+* **facts live on the node.**  The free variables of an expression with a
+  nested body are walked once per node object and kept on it
+  (``ir.ast.fact``, context-free, first use first); every query —
+  ``free_vars``, ``free_vars_exp``, ``exp_free_vars``, ``subst_exp``'s
+  "does this touch it at all" — filters that tuple instead of re-walking
+  bodies, so asking per statement per pass is linear in nesting depth, not
+  quadratic;
+* **a rewrite that changed nothing returns the object it was given.**
+  ``map_bodies`` is the one recursion into nested scopes and hands back the
+  node whose bodies all came back identical; ``with_exp`` / ``same_body`` /
+  ``with_body`` do the same for statements, bodies and functions.  Untouched
+  subtrees therefore survive from pass to pass with their facts, and a
+  driver can test "did anything happen" with ``is``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator
+from typing import Callable, Dict, Iterable, Iterator, Sequence, Set, Tuple
 
 from ..util import fresh
 from .ast import (
@@ -48,6 +65,7 @@ from .ast import (
     WhileLoop,
     WithAcc,
     ZerosLike,
+    fact,
 )
 
 __all__ = [
@@ -61,8 +79,13 @@ __all__ = [
     "refresh_lambda",
     "rename_var",
     "inline_lambda",
+    "exp_free_vars",
+    "NESTED",
     "map_stms",
     "map_bodies",
+    "with_exp",
+    "same_body",
+    "with_body",
     "count_stms",
     "count_soacs",
     "all_bound_vars",
@@ -166,34 +189,59 @@ def exp_lambdas(e: Exp) -> Iterator[Lambda]:
 # ---------------------------------------------------------------------------
 
 
-def _fv_body(body: Body, bound: frozenset, out: Dict[str, Var]) -> None:
+#: The expression kinds that contain a body.
+NESTED = frozenset({Map, Reduce, Scan, ReduceByIndex, Loop, WhileLoop, If, WithAcc})
+
+
+def _fv_body(body: Body, bound: Set[str], out: Dict[str, Var]) -> None:
+    """``bound`` is this body's own scope and grows as statements bind."""
     for stm in body.stms:
         _fv_exp(stm.exp, bound, out)
-        bound = bound | {v.name for v in stm.pat}
+        bound.update(v.name for v in stm.pat)
     for a in body.result:
         if isinstance(a, Var) and a.name not in bound and a.name not in out:
             out[a.name] = a
 
 
-def _fv_lambda(lam: Lambda, bound: frozenset, out: Dict[str, Var]) -> None:
-    _fv_body(lam.body, bound | {p.name for p in lam.params}, out)
+def _fv_lambda(lam: Lambda, out: Dict[str, Var]) -> None:
+    _fv_body(lam.body, {p.name for p in lam.params}, out)
 
 
-def _fv_exp(e: Exp, bound: frozenset, out: Dict[str, Var]) -> None:
+def _fv_nested(e: Exp) -> Tuple[Var, ...]:
+    """The one from-scratch walk of a nested expression: its free variables
+    with nothing bound around it, in first-use order (its children answer
+    from their own fact)."""
+    out: Dict[str, Var] = {}
     for a in exp_atoms(e):
-        if isinstance(a, Var) and a.name not in bound and a.name not in out:
-            out[a.name] = a
+        if isinstance(a, Var):
+            out.setdefault(a.name, a)
     for lam in exp_lambdas(e):
-        _fv_lambda(lam, bound, out)
+        _fv_lambda(lam, out)
     if isinstance(e, Loop):
-        inner = bound | {p.name for p in e.params} | {e.ivar.name}
-        _fv_body(e.body, inner, out)
+        _fv_body(e.body, {p.name for p in e.params} | {e.ivar.name}, out)
     elif isinstance(e, WhileLoop):
-        inner = bound | {p.name for p in e.params}
-        _fv_body(e.body, inner, out)
+        _fv_body(e.body, {p.name for p in e.params}, out)
     elif isinstance(e, If):
-        _fv_body(e.then, bound, out)
-        _fv_body(e.els, bound, out)
+        _fv_body(e.then, set(), out)
+        _fv_body(e.els, set(), out)
+    return tuple(out.values())
+
+
+def exp_free_vars(e: Exp) -> Iterable[Var]:
+    """The variables free in ``e``, first use first.  A nested expression
+    answers from the fact on the node — a name is free in it under ``bound``
+    iff it is free in it under nothing and not in ``bound``, first uses in
+    the same order — so asking again never re-walks its bodies; a leaf yields
+    its variable atoms as they stand (one may repeat)."""
+    if type(e) in NESTED:
+        return fact(e, "_fv", _fv_nested)
+    return (a for a in exp_atoms(e) if isinstance(a, Var))
+
+
+def _fv_exp(e: Exp, bound, out: Dict[str, Var]) -> None:
+    for a in exp_free_vars(e):
+        if a.name not in bound and a.name not in out:
+            out[a.name] = a
 
 
 def free_vars(node) -> Dict[str, Var]:
@@ -204,11 +252,11 @@ def free_vars(node) -> Dict[str, Var]:
     """
     out: Dict[str, Var] = {}
     if isinstance(node, Body):
-        _fv_body(node, frozenset(), out)
+        _fv_body(node, set(), out)
     elif isinstance(node, Lambda):
-        _fv_lambda(node, frozenset(), out)
+        _fv_lambda(node, out)
     elif isinstance(node, Fun):
-        _fv_body(node.body, frozenset(p.name for p in node.params), out)
+        _fv_body(node.body, {p.name for p in node.params}, out)
     else:
         raise TypeError(f"free_vars: unsupported node {type(node).__name__}")
     return out
@@ -217,7 +265,7 @@ def free_vars(node) -> Dict[str, Var]:
 def free_vars_exp(e: Exp) -> Dict[str, Var]:
     """Ordered free variables of a single expression."""
     out: Dict[str, Var] = {}
-    _fv_exp(e, frozenset(), out)
+    _fv_exp(e, (), out)
     return out
 
 
@@ -243,8 +291,9 @@ def _sub_var(v: Var, m: Mapping) -> Var:
 
 
 def subst_exp(e: Exp, m: Mapping) -> Exp:
-    """Capture-avoiding substitution of free variables in ``e``."""
-    if not m:
+    """Capture-avoiding substitution of free variables in ``e``; ``e`` itself
+    when none of its free variables is in ``m``."""
+    if not m or not any(a.name in m for a in exp_free_vars(e)):
         return e
     s = lambda a: _sub_atom(a, m)  # noqa: E731
     sv = lambda v: _sub_var(v, m)  # noqa: E731
@@ -343,11 +392,10 @@ def _sub_body(body: Body, m: Mapping) -> Body:
     m = dict(m)
     stms = []
     for stm in body.stms:
-        stms.append(Stm(stm.pat, subst_exp(stm.exp, m)))
+        stms.append(with_exp(stm, subst_exp(stm.exp, m)))
         for v in stm.pat:
             m.pop(v.name, None)
-    result = tuple(_sub_atom(a, m) for a in body.result)
-    return Body(tuple(stms), result)
+    return same_body(body, stms, tuple(_sub_atom(a, m) for a in body.result))
 
 
 def subst(node, m: Mapping):
@@ -448,17 +496,51 @@ def map_stms(body: Body, f: Callable[[Stm], Iterable[Stm]]) -> Body:
     return Body(tuple(out), body.result)
 
 
+def with_exp(stm: Stm, e: Exp) -> Stm:
+    """``stm`` binding ``e`` instead — ``stm`` itself if it already does."""
+    return stm if e is stm.exp else Stm(stm.pat, e)
+
+
+def same_body(body: Body, stms: Sequence[Stm], result: Tuple[Atom, ...]) -> Body:
+    """``body`` itself when ``stms`` are its own statement objects and
+    ``result`` its result, else the new ``Body`` — how a rewrite's body loop
+    ends, so that what it left alone keeps its identity (and its facts)."""
+    if (
+        len(stms) == len(body.stms)
+        and all(map(operator.is_, stms, body.stms))
+        and result == body.result
+    ):
+        return body
+    return Body(tuple(stms), result)
+
+
+def with_body(fun: Fun, body: Body) -> Fun:
+    """``fun`` with ``body`` — ``fun`` itself if that is its body already."""
+    return fun if body is fun.body else Fun(fun.name, fun.params, body)
+
+
+def _with_lam_body(lam: Lambda, body: Body) -> Lambda:
+    return lam if body is lam.body else Lambda(lam.params, body)
+
+
 def map_bodies(e: Exp, f: Callable[[Body], Body]) -> Exp:
-    """Rebuild ``e`` with ``f`` applied to each directly nested body; every
-    other field (including ``schedule``) is kept."""
+    """``e`` with ``f`` applied to each directly nested body, every other
+    field (``schedule`` included) kept — and ``e`` itself when ``f`` handed
+    every body back.  This is the one recursion into nested scopes: a
+    ``Body -> Body`` rewrite calls it per statement and stays identity-
+    preserving for free."""
     if isinstance(e, (Map, Reduce, Scan, ReduceByIndex, WithAcc)):
-        return replace(e, lam=Lambda(e.lam.params, f(e.lam.body)))
+        lam = _with_lam_body(e.lam, f(e.lam.body))
+        return e if lam is e.lam else replace(e, lam=lam)
     if isinstance(e, Loop):
-        return replace(e, body=f(e.body))
+        body = f(e.body)
+        return e if body is e.body else replace(e, body=body)
     if isinstance(e, WhileLoop):
-        return replace(e, cond=Lambda(e.cond.params, f(e.cond.body)), body=f(e.body))
+        cond, body = _with_lam_body(e.cond, f(e.cond.body)), f(e.body)
+        return e if cond is e.cond and body is e.body else replace(e, cond=cond, body=body)
     if isinstance(e, If):
-        return If(e.cond, f(e.then), f(e.els))
+        then, els = f(e.then), f(e.els)
+        return e if then is e.then and els is e.els else If(e.cond, then, els)
     return e
 
 

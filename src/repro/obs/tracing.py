@@ -160,6 +160,9 @@ class _NullSpan:
     def __exit__(self, *exc: Any) -> bool:
         return False
 
+    def note(self, **args: Any) -> None:
+        pass
+
 
 _NULL = _NullSpan()
 
@@ -172,6 +175,11 @@ class Span:
         self.name = name
         self.cat = cat
         self.args = args
+
+    def note(self, **args: Any) -> None:
+        """Attributes only known once the span's work is done (they land on
+        its begin event, next to those given up front)."""
+        self.args.update(args)
 
     def __enter__(self) -> "Span":
         st = self.st

@@ -24,7 +24,8 @@ The accumulator's consumption path may thread through nested ``withacc``
 regions created for other adjoints; those are traversed transparently.
 Rewrites are applied top-down and iterated to a fixed point with the
 standard simplifier, so chains invariant to several dimensions hoist level
-by level.
+by level; the iteration stops at the first round that rewrote nothing
+(``acc_opt_fun``).
 """
 from __future__ import annotations
 
@@ -38,24 +39,19 @@ from ..ir.ast import (
     Cast,
     Exp,
     Fun,
-    If,
     Iota,
     Lambda,
-    Loop,
     Map,
-    Reduce,
-    ReduceByIndex,
-    Scan,
     Size,
     Stm,
     UpdAcc,
     Var,
-    WhileLoop,
     WithAcc,
 )
 from ..ir.builder import Builder, const
-from ..ir.traversal import free_vars_exp
+from ..ir.traversal import free_vars_exp, map_bodies, same_body, with_body, with_exp
 from ..ir.types import I64, elem_type, is_integral, rank_of, with_rank
+from ..obs import tracing as _obs_tracing
 from ..util import fresh
 
 __all__ = ["acc_opt_fun"]
@@ -441,7 +437,11 @@ def _rewrite_hist(stm: Stm, chain: _Chain, b: Builder) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _try_rewrites(stm: Stm, e: Map, parent_body: Body, b: Builder) -> bool:
+def _try_rewrites(stm: Stm, e: Exp, parent_body: Body, b: Builder, fired: List[str]) -> bool:
+    """If ``e`` is a map with a rewritable accumulator, emit the rewritten
+    ``stm`` into ``b`` and record which rewrite fired."""
+    if not (isinstance(e, Map) and e.accs):
+        return False
     for pos in range(len(e.accs)):
         chain = _find_chain(e, pos, parent_body)
         if chain is None:
@@ -452,8 +452,10 @@ def _try_rewrites(stm: Stm, e: Map, parent_body: Body, b: Builder) -> bool:
             if _is_identity_chain(chain):
                 continue
             _rewrite_reduce(stm, chain, b)
+            fired.append("reduce")
             return True
         if _rewrite_hist(stm, chain, b):
+            fired.append("hist")
             return True
     return False
 
@@ -476,43 +478,22 @@ def _is_identity_chain(chain: _Chain) -> bool:
     )
 
 
-def _opt_lambda(lam: Lambda, body_ctx: Body) -> Lambda:
-    return Lambda(lam.params, _opt_body(lam.body))
-
-
-def _opt_exp(e: Exp) -> Exp:
-    if isinstance(e, Map):
-        return Map(Lambda(e.lam.params, _opt_body(e.lam.body)), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(Lambda(e.lam.params, _opt_body(e.lam.body)), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(Lambda(e.lam.params, _opt_body(e.lam.body)), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, Lambda(e.lam.params, _opt_body(e.lam.body)), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        return Loop(e.params, e.inits, e.ivar, e.n, _opt_body(e.body), e.stripmine, e.checkpoint)
-    if isinstance(e, WhileLoop):
-        return WhileLoop(e.params, e.inits, Lambda(e.cond.params, _opt_body(e.cond.body)), _opt_body(e.body), e.bound)
-    if isinstance(e, If):
-        return If(e.cond, _opt_body(e.then), _opt_body(e.els))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, Lambda(e.lam.params, _opt_body(e.lam.body)))
-    return e
-
-
-def _opt_body(body: Body) -> Body:
+def _opt_body(body: Body, fired: List[str]) -> Body:
+    """One sweep; ``fired`` gains an entry per rewrite, and a body without
+    one (at any depth) comes back as the object it was."""
     b = Builder()
     for stm in body.stms:
-        e = stm.exp
         # Top-down: hoisting at the outermost invariant level sums over the
-        # biggest dimension; later rounds revisit what remains inside.
-        if isinstance(e, Map) and e.accs and _try_rewrites(stm, e, body, b):
+        # biggest dimension; later rounds revisit what remains inside.  A
+        # map whose nest was rewritten below gets a second look right away.
+        e = stm.exp
+        if _try_rewrites(stm, e, body, b, fired):
             continue
-        e = _opt_exp(e)
-        if isinstance(e, Map) and e.accs and _try_rewrites(stm, e, body, b):
+        inner = map_bodies(e, lambda bd: _opt_body(bd, fired))
+        if inner is not e and _try_rewrites(stm, inner, body, b, fired):
             continue
-        b.stms.append(Stm(stm.pat, e))
-    return b.finish(body.result)
+        b.stms.append(with_exp(stm, inner))
+    return same_body(body, b.stms, body.result)
 
 
 def acc_opt_fun(fun: Fun, rounds: int = 6) -> Fun:
@@ -524,13 +505,24 @@ def acc_opt_fun(fun: Fun, rounds: int = 6) -> Fun:
     pass's redomap shapes would break both the chain recognition here and
     the AD rules downstream.  Callers that only execute the result fuse it
     at ``Compiled`` construction instead.
+
+    Termination: a round is a sweep plus the simplifier.  A sweep that
+    rewrote nothing hands back the ``Fun`` it was given, and if that is
+    already the simplifier's output ``optimize_fun`` answers from its memo
+    with the same object — at which point nothing can change any more, so
+    the loop ends after one sweep more than the rounds that rewrote.
     """
     from .pipeline import AD_SAFE_PASSES, optimize_fun
 
-    for _ in range(rounds):
-        prev = fun
-        fun = Fun(fun.name, fun.params, _opt_body(fun.body))
-        fun = optimize_fun(fun, passes=AD_SAFE_PASSES)
-        if fun == prev:
-            break
+    fired: List[str] = []
+    n = 0
+    with _obs_tracing.span("acc_opt", cat="compile", fun=fun.name) as sp:
+        for n in range(1, rounds + 1):
+            out = optimize_fun(
+                with_body(fun, _opt_body(fun.body, fired)), passes=AD_SAFE_PASSES
+            )
+            if out is fun:
+                break
+            fun = out
+        sp.note(rounds=n, rewrites=len(fired))
     return fun

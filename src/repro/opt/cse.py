@@ -8,37 +8,26 @@ lambdas share many subexpressions with the return sweep of the same scope).
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..ir.ast import (
-    AtomExp,
     Atom,
     BinOp,
     Body,
     Cast,
     Exp,
     Fun,
-    If,
     Index,
     Iota,
-    Lambda,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
     Replicate,
     Reverse,
-    Scan,
     Select,
     Size,
-    Stm,
     UnOp,
     Var,
-    WhileLoop,
-    WithAcc,
     ZerosLike,
 )
-from ..ir.traversal import subst_exp
+from ..ir.traversal import map_bodies, same_body, subst_exp, with_body, with_exp
 
 __all__ = ["cse_fun", "cse_body"]
 
@@ -55,38 +44,14 @@ def _key(e: Exp):
     return e  # frozen dataclasses hash structurally
 
 
-def _cse_exp(e: Exp, table: Dict, m: Dict[str, Atom]) -> Exp:
-    e = subst_exp(e, m)
-    if isinstance(e, Map):
-        return Map(_cse_lambda(e.lam, table), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(_cse_lambda(e.lam, table), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(_cse_lambda(e.lam, table), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, _cse_lambda(e.lam, table), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        # Loop bodies run many times with changing params; outer table is
-        # still valid (keys reference in-scope invariant vars only).
-        return Loop(e.params, e.inits, e.ivar, e.n, _cse_body(e.body, dict(table)), e.stripmine, e.checkpoint)
-    if isinstance(e, WhileLoop):
-        return WhileLoop(e.params, e.inits, _cse_lambda(e.cond, table), _cse_body(e.body, dict(table)), e.bound)
-    if isinstance(e, If):
-        return If(e.cond, _cse_body(e.then, dict(table)), _cse_body(e.els, dict(table)))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, _cse_lambda(e.lam, table))
-    return e
-
-
-def _cse_lambda(lam: Lambda, table: Dict) -> Lambda:
-    return Lambda(lam.params, _cse_body(lam.body, dict(table)))
-
-
 def _cse_body(body: Body, table: Dict) -> Body:
     m: Dict[str, Atom] = {}
     stms = []
     for stm in body.stms:
-        e = _cse_exp(stm.exp, table, m)
+        # A nested body starts from a copy of the table as it stands here:
+        # it may reuse outer bindings (a loop body too — keys reference
+        # in-scope invariant vars only), and nothing it binds leaks out.
+        e = map_bodies(subst_exp(stm.exp, m), lambda b: _cse_body(b, dict(table)))
         if isinstance(e, _CHEAP) and len(stm.pat) == 1:
             k = _key(e)
             hit = table.get(k)
@@ -94,9 +59,9 @@ def _cse_body(body: Body, table: Dict) -> Body:
                 m[stm.pat[0].name] = hit
                 continue
             table[k] = stm.pat[0]
-        stms.append(Stm(stm.pat, e))
+        stms.append(with_exp(stm, e))
     result = tuple(m.get(a.name, a) if isinstance(a, Var) else a for a in body.result)
-    return Body(tuple(stms), result)
+    return same_body(body, stms, result)
 
 
 def cse_body(body: Body) -> Body:
@@ -104,4 +69,4 @@ def cse_body(body: Body) -> Body:
 
 
 def cse_fun(fun: Fun) -> Fun:
-    return Fun(fun.name, fun.params, cse_body(fun.body))
+    return with_body(fun, cse_body(fun.body))

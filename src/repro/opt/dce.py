@@ -15,59 +15,12 @@ unobservable.
 """
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Set
 
-from ..ir.ast import (
-    Body,
-    Exp,
-    Fun,
-    If,
-    Lambda,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
-    Scan,
-    Stm,
-    Var,
-    WhileLoop,
-    WithAcc,
-)
-from ..ir.traversal import exp_atoms
+from ..ir.ast import Body, Fun, If, Lambda, Map, Stm, Var
+from ..ir.traversal import exp_free_vars, map_bodies, same_body, with_body
 
 __all__ = ["dce_fun", "dce_body"]
-
-
-def _exp_uses(e: Exp, live: Set[str]) -> None:
-    from ..ir.traversal import free_vars_exp
-
-    for v in free_vars_exp(e).values():
-        live.add(v.name)
-
-
-def _dce_lambda(lam: Lambda) -> Lambda:
-    return Lambda(lam.params, dce_body(lam.body))
-
-
-def _dce_exp(e: Exp) -> Exp:
-    """Recurse into nested bodies."""
-    if isinstance(e, Map):
-        return Map(_dce_lambda(e.lam), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(_dce_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(_dce_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, _dce_lambda(e.lam), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        return Loop(e.params, e.inits, e.ivar, e.n, dce_body(e.body), e.stripmine, e.checkpoint)
-    if isinstance(e, WhileLoop):
-        return WhileLoop(e.params, e.inits, _dce_lambda(e.cond), dce_body(e.body), e.bound)
-    if isinstance(e, If):
-        return If(e.cond, dce_body(e.then), dce_body(e.els))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, _dce_lambda(e.lam))
-    return e
 
 
 def _shrink_map(e: Map, keep: List[bool]) -> Map:
@@ -94,21 +47,20 @@ def dce_body(body: Body) -> Body:
         keep = [v.name in live for v in stm.pat]
         if not any(keep):
             continue
-        e = stm.exp
-        pat = stm.pat
+        e, pat = stm.exp, stm.pat
         if not all(keep):
             # Partial liveness: shrink shrinkable expressions.
             if isinstance(e, Map) and all(keep[: len(e.accs)]):
                 e = _shrink_map(e, keep)
-                pat = tuple(v for v, k in zip(stm.pat, keep) if k)
             elif isinstance(e, If):
                 e = _shrink_if(e, keep)
-                pat = tuple(v for v, k in zip(stm.pat, keep) if k)
-        e = _dce_exp(e)
-        _exp_uses(e, live)
-        out.append(Stm(pat, e))
-    return Body(tuple(reversed(out)), body.result)
+            if e is not stm.exp:
+                pat = tuple(v for v, k in zip(pat, keep) if k)
+        e = map_bodies(e, dce_body)
+        live.update(a.name for a in exp_free_vars(e))
+        out.append(stm if e is stm.exp else Stm(pat, e))
+    return same_body(body, out[::-1], body.result)
 
 
 def dce_fun(fun: Fun) -> Fun:
-    return Fun(fun.name, fun.params, dce_body(fun.body))
+    return with_body(fun, dce_body(fun.body))

@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..ir.ast import Body, Fun, Lambda, Reduce, ReduceByIndex, Scan, Stm, Var
-from ..ir.traversal import free_vars_exp, map_bodies
+from ..ir.traversal import free_vars_exp, map_bodies, same_body, with_body, with_exp
 from ..obs import metrics as _obs_metrics
 from .dce import dce_body
 
@@ -102,7 +102,7 @@ def split_soac(stm: Stm, groups: Sequence[Sequence[int]]) -> List[Stm]:
 def _fission_body(body: Body) -> Body:
     stms: List[Stm] = []
     for stm in body.stms:
-        stm = Stm(stm.pat, map_bodies(stm.exp, _fission_body))
+        stm = with_exp(stm, map_bodies(stm.exp, _fission_body))
         e = stm.exp
         if isinstance(e, (Reduce, Scan, ReduceByIndex)) and len(e.nes) > 1:
             groups = component_groups(e.lam, len(e.nes))
@@ -113,8 +113,8 @@ def _fission_body(body: Body) -> Body:
                 continue
             FISSION_STATS["kept_coupled"] += 1
         stms.append(stm)
-    return Body(tuple(stms), body.result)
+    return same_body(body, stms, body.result)
 
 
 def fission_fun(fun: Fun) -> Fun:
-    return Fun(fun.name, fun.params, _fission_body(fun.body))
+    return with_body(fun, _fission_body(fun.body))

@@ -28,6 +28,7 @@ pass pipeline driver.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.analysis import recognize_redomap_lambda
@@ -36,23 +37,23 @@ from ..ir.ast import (
     Body,
     Exp,
     Fun,
-    If,
     Lambda,
-    Loop,
     Map,
     Reduce,
     ReduceByIndex,
     Scan,
     Stm,
     Var,
-    WhileLoop,
-    WithAcc,
 )
 from ..ir.traversal import (
     free_vars,
     free_vars_exp,
     inline_lambda,
+    map_bodies,
     rename_var,
+    same_body,
+    with_body,
+    with_exp,
 )
 from ..ir.types import rank_of, with_rank
 from ..obs import metrics as _obs_metrics
@@ -84,20 +85,12 @@ def reset_fusion_stats() -> None:
 _obs_metrics.register_source("fusion", fusion_stats, reset_fusion_stats)
 
 
-def _uses_in_body(body: Body) -> Dict[str, int]:
-    """Total number of syntactic uses of each name in a body (recursive)."""
-    counts: Dict[str, int] = {}
-
-    def exp(e: Exp) -> None:
-        for v in free_vars_exp(e).values():
-            counts[v.name] = counts.get(v.name, 0) + 1
-
-    for stm in body.stms:
-        exp(stm.exp)
-    for a in body.result:
-        if isinstance(a, Var):
-            counts[a.name] = counts.get(a.name, 0) + 1
-    return counts
+def _uses_in_body(stms: List[Stm], result) -> Dict[str, int]:
+    """Total number of syntactic uses of each name in a body (a statement
+    counts once per name, nested bodies included)."""
+    names = [n for stm in stms for n in free_vars_exp(stm.exp)]
+    names += [a.name for a in result if isinstance(a, Var)]
+    return Counter(names)
 
 
 # ---------------------------------------------------------------------------
@@ -308,42 +301,16 @@ def fuse_body(body: Body) -> Body:
     stms = list(body.stms)
     changed = True
     while changed:
-        uses = _uses_in_body(Body(tuple(stms), body.result))
+        uses = _uses_in_body(stms, body.result)
         changed = _vertical_step(stms, uses)
         if not changed:
             changed = _horizontal_step(stms)
-    out: List[Stm] = []
-    for stm in stms:
-        out.append(Stm(stm.pat, _fuse_exp(stm.exp)))
-    return Body(tuple(out), body.result)
-
-
-def _fuse_lambda(lam: Lambda) -> Lambda:
-    return Lambda(lam.params, fuse_body(lam.body))
-
-
-def _fuse_exp(e: Exp) -> Exp:
-    if isinstance(e, Map):
-        return Map(_fuse_lambda(e.lam), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(_fuse_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(_fuse_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, _fuse_lambda(e.lam), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        return Loop(e.params, e.inits, e.ivar, e.n, fuse_body(e.body), e.stripmine, e.checkpoint)
-    if isinstance(e, WhileLoop):
-        return WhileLoop(e.params, e.inits, _fuse_lambda(e.cond), fuse_body(e.body), e.bound)
-    if isinstance(e, If):
-        return If(e.cond, fuse_body(e.then), fuse_body(e.els))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, _fuse_lambda(e.lam))
-    return e
+    out = [with_exp(stm, map_bodies(stm.exp, fuse_body)) for stm in stms]
+    return same_body(body, out, body.result)
 
 
 def fuse_fun(fun: Fun) -> Fun:
-    return Fun(fun.name, fun.params, fuse_body(fun.body))
+    return with_body(fun, fuse_body(fun.body))
 
 
 # ---------------------------------------------------------------------------
@@ -402,33 +369,8 @@ def _unfuse_redomap(stm: Stm) -> List[Stm]:
 def unfuse_body(body: Body) -> Body:
     out: List[Stm] = []
     for stm in body.stms:
-        stm = Stm(stm.pat, _unfuse_exp(stm.exp))
-        out.extend(_unfuse_redomap(stm))
-    return Body(tuple(out), body.result)
-
-
-def _unfuse_lambda(lam: Lambda) -> Lambda:
-    return Lambda(lam.params, unfuse_body(lam.body))
-
-
-def _unfuse_exp(e: Exp) -> Exp:
-    if isinstance(e, Map):
-        return Map(_unfuse_lambda(e.lam), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(_unfuse_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(_unfuse_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, _unfuse_lambda(e.lam), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        return Loop(e.params, e.inits, e.ivar, e.n, unfuse_body(e.body), e.stripmine, e.checkpoint)
-    if isinstance(e, WhileLoop):
-        return WhileLoop(e.params, e.inits, _unfuse_lambda(e.cond), unfuse_body(e.body), e.bound)
-    if isinstance(e, If):
-        return If(e.cond, unfuse_body(e.then), unfuse_body(e.els))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, _unfuse_lambda(e.lam))
-    return e
+        out.extend(_unfuse_redomap(with_exp(stm, map_bodies(stm.exp, unfuse_body))))
+    return same_body(body, out, body.result)
 
 
 def unfuse_fun(fun: Fun) -> Fun:
@@ -439,4 +381,4 @@ def unfuse_fun(fun: Fun) -> Fun:
     redomap shapes are not.  Fusion re-fuses the AD output afterwards —
     exactly the "AD preserves fusion opportunities" round trip of the paper.
     """
-    return Fun(fun.name, fun.params, unfuse_body(fun.body))
+    return with_body(fun, unfuse_body(fun.body))

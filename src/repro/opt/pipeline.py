@@ -25,6 +25,18 @@ enable flag (``register_pass``); the built-ins run in registry order:
 ``rounds``) and keeps per-pass ``fired``/``changed`` counters, exposed
 together with the memo-cache counters via ``opt_stats()``.
 
+The driver works by identity.  What a pass promises (``register_pass``):
+*return your input if you changed nothing* — the ``Fun`` object itself,
+never an equal copy (``ir.traversal.map_bodies`` / ``same_body`` /
+``with_body`` make that the natural way to write a body loop, and keep every
+subtree a rewrite did not touch, with the facts on its nodes).  So a quiet
+firing is ``out is fun``; ``changed`` counts the firings that returned a new
+object; a round in which nothing moved ends the loop without comparing
+trees; and a ``Fun`` that came through a quiet firing of pass *P* carries
+that as a fact (``ir.ast.fact``), so no later call fires *P* on it again,
+whatever its pass list — ``Compiled``'s full set after ``acc_opt``'s AD-safe
+set, the AD-safe set on a ``Compiled``'s converged program.
+
 The enabled set resolves, in order of precedence: the ``passes`` argument
 (a sequence of pass names), the ``REPRO_OPT_PASSES`` environment variable,
 the registry defaults.  ``REPRO_OPT_PASSES`` is a comma-separated list of
@@ -58,7 +70,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..ir.ast import Fun
+from ..ir.ast import Fun, fact
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, env_capacity
 
@@ -78,7 +90,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Pass:
-    """A named ``Fun -> Fun`` rewrite with a default enable flag."""
+    """A named ``Fun -> Fun`` rewrite with a default enable flag; ``fn``
+    returns its input (the object) when it rewrote nothing."""
 
     name: str
     fn: Callable[[Fun], Fun]
@@ -89,9 +102,11 @@ class Pass:
 _REGISTRY: "OrderedDict[str, Pass]" = OrderedDict()
 
 #: Per-pass counters: ``fired`` = invocations, ``changed`` = invocations
-#: whose output differed structurally from the input (attributed only in
-#: rounds that made net progress; a round whose passes exactly cancel out
-#: counts as converged and leaves ``changed`` untouched).
+#: that returned a new object (attributed only in rounds that made net
+#: progress; a round whose passes exactly cancel out counts as converged and
+#: leaves ``changed`` untouched).  A pass hands back its input when it
+#: rewrote nothing and never builds an equal copy of it, so "new object" and
+#: "structurally different" are the same thing (``tests/test_opt_incremental``).
 _PASS_STATS: Dict[str, Dict[str, int]] = {}
 
 #: Memo-cache counters (snapshot/reset through the ``"opt"`` registry
@@ -184,36 +199,45 @@ def optimize_fun(
 
     src = fun
     converged = False
+    n = 0
     # Pass-boundary verification (ir/verify): "full" re-checks the IR after
-    # every pass, attributing a violation to the pass that fired; "boundary"
-    # checks once after the whole pipeline.  "off" costs this one lookup.
+    # every pass that produced a new program, attributing a violation to the
+    # pass that fired; "boundary" checks once after the whole pipeline.
+    # "off" costs this one lookup.
     from ..ir.verify import maybe_verify_fun, verify_fun, verify_mode
 
     vmode = verify_mode()
-    with _obs_tracing.span("optimize", cat="compile", fun=fun.name):
-        for _ in range(rounds):
+    with _obs_tracing.span("optimize", cat="compile", fun=fun.name) as sp:
+        for n in range(1, rounds + 1):
             start = fun
-            outs = []
+            moved = []
             for p in active:
-                with _obs_tracing.span(f"opt:{p.name}", cat="opt", fun=fun.name):
-                    fun = p.fn(fun)
+                # The passes (by function: a name can be re-registered) this
+                # very object is known to be a fixed point of.
+                quiet = fact(fun, "_fixed_point_of", lambda _: set())
+                if p.fn in quiet:
+                    continue
+                with _obs_tracing.span(f"opt:{p.name}", cat="opt", fun=fun.name) as psp:
+                    out = p.fn(fun)
+                    psp.note(changed=out is not fun)
                 _PASS_STATS[p.name]["fired"] += 1
+                if out is fun:
+                    quiet.add(p.fn)
+                    continue
                 if vmode == "full":
-                    verify_fun(fun, where=f"opt:{p.name}", full=True)
-                outs.append(fun)
-            if fun == start:
-                # Round-level fixed point: ONE deep comparison instead of one
-                # per pass — the full-tree-walk cost concentrates in unchanged
-                # trees, which is exactly the near-convergence common case.
+                    verify_fun(out, where=f"opt:{p.name}", full=True)
+                moved.append(p.name)
+                fun = out
+            # Nothing moved, or what moved cancelled out: ONE structural
+            # comparison per round, and only for a round that built
+            # something (shared subtrees compare by identity).
+            if fun is start or fun == start:
+                fun = start
                 converged = True
                 break
-            # The round made net progress; attribute per-pass "changed" by
-            # comparing adjacent outputs (these mostly short-circuit early).
-            prev = start
-            for p, out in zip(active, outs):
-                if out != prev:
-                    _PASS_STATS[p.name]["changed"] += 1
-                prev = out
+            for name in moved:
+                _PASS_STATS[name]["changed"] += 1
+        sp.note(rounds=n, converged=converged)
     if vmode == "boundary":
         maybe_verify_fun(fun, where="optimize")
     if cache:

@@ -22,23 +22,25 @@ from ..ir.ast import (
     Fun,
     If,
     Iota,
-    Lambda,
     Loop,
     Map,
-    Reduce,
-    ReduceByIndex,
     Replicate,
-    Scan,
     Select,
     Size,
-    Stm,
     UnOp,
     Var,
     WhileLoop,
-    WithAcc,
     ZerosLike,
 )
-from ..ir.traversal import refresh_body, subst_exp
+from ..ir.traversal import (
+    exp_lambdas,
+    map_bodies,
+    refresh_body,
+    same_body,
+    subst_exp,
+    with_body,
+    with_exp,
+)
 from ..ir.types import BOOL, AccType, Scalar, is_float, np_dtype, rank_of
 from ..exec.prims import apply_binop, apply_unop, cast_to
 
@@ -199,36 +201,20 @@ class _Simplifier:
             return self._fold_cast(e) or e
         if isinstance(e, Size):
             return self._fold_size(e) or e
-        if isinstance(e, Map):
-            return Map(self.lam(e.lam), e.arrs, e.accs)
-        if isinstance(e, Reduce):
-            return Reduce(self.lam(e.lam), e.nes, e.arrs)
-        if isinstance(e, Scan):
-            return Scan(self.lam(e.lam), e.nes, e.arrs)
-        if isinstance(e, ReduceByIndex):
-            return ReduceByIndex(e.num_bins, self.lam(e.lam), e.nes, e.inds, e.vals)
+        # Sibling scopes reuse names (AD's redundant execution does): a name
+        # that is a parameter here must not keep the definition an earlier
+        # sibling's *statement* gave it.
+        for lam in exp_lambdas(e):
+            self._unbind(lam.params)
         if isinstance(e, Loop):
             self._unbind(e.params + (e.ivar,))
-            return Loop(e.params, e.inits, e.ivar, e.n, self.body(e.body), e.stripmine, e.checkpoint)
-        if isinstance(e, WhileLoop):
+        elif isinstance(e, WhileLoop):
             self._unbind(e.params)
-            return WhileLoop(e.params, e.inits, self.lam(e.cond), self.body(e.body), e.bound)
-        if isinstance(e, If):
-            return If(e.cond, self.body(e.then), self.body(e.els))
-        if isinstance(e, WithAcc):
-            return WithAcc(e.arrs, self.lam(e.lam))
-        return e
+        return map_bodies(e, self.body)
 
     def _unbind(self, params) -> None:
-        """Sibling scopes reuse names (AD's redundant execution does): a
-        name that is a parameter here must not keep the definition an earlier
-        sibling's *statement* gave it."""
         for p in params:
             self.defs.pop(p.name, None)
-
-    def lam(self, lam: Lambda) -> Lambda:
-        self._unbind(lam.params)
-        return Lambda(lam.params, self.body(lam.body))
 
     def body(self, body: Body) -> Body:
         m: Dict[str, Atom] = {}
@@ -248,9 +234,9 @@ class _Simplifier:
                 continue
             for v in stm.pat:
                 self.defs[v.name] = e
-            stms.append(Stm(stm.pat, e))
+            stms.append(with_exp(stm, e))
         result = tuple(m.get(a.name, a) if isinstance(a, Var) else a for a in body.result)
-        return Body(tuple(stms), result)
+        return same_body(body, stms, result)
 
 
 def simplify_body(body: Body) -> Body:
@@ -258,4 +244,4 @@ def simplify_body(body: Body) -> Body:
 
 
 def simplify_fun(fun: Fun) -> Fun:
-    return Fun(fun.name, fun.params, simplify_body(fun.body))
+    return with_body(fun, simplify_body(fun.body))

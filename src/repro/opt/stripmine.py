@@ -16,46 +16,17 @@ overhead of Siskind & Pearlmutter's divide-and-conquer checkpointing.
 """
 from __future__ import annotations
 
-from ..ir.ast import (
-    Body,
-    Exp,
-    Fun,
-    If,
-    Lambda,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
-    Scan,
-    Stm,
-    Var,
-    WhileLoop,
-    WithAcc,
-)
+from ..ir.ast import Body, Fun, Loop, Stm, Var
 from ..ir.builder import Builder, const
-from ..ir.traversal import refresh_body
+from ..ir.traversal import map_bodies, refresh_body, same_body, with_body
 from ..ir.types import I64
 from ..util import fresh
 
 __all__ = ["stripmine_fun", "stripmine_body"]
 
 
-def _loop_factor(e: Loop) -> int:
-    """The strip-mine factor: the ``stripmine`` annotation, or the chunk of
-    a ``sequential(f)`` schedule directive not yet converted to it."""
-    if e.stripmine > 1:
-        return e.stripmine
-    from ..ir.schedule import Sequential
-
-    for d in e.schedule:
-        if isinstance(d, Sequential) and d.chunk > 1:
-            return d.chunk
-    return 0
-
-
 def _rewrite_loop(stm: Stm, e: Loop, b: Builder) -> None:
-    f = _loop_factor(e)
-    fa = const(f, I64)
+    fa = const(e.stripmine, I64)
     one = const(1, I64)
     npf = b.add(e.n, b.sub(fa, one, "fm1"), "npf")
     no = b.div(npf, fa, "no")  # ⌈n/f⌉ (integer division)
@@ -85,40 +56,18 @@ def _rewrite_loop(stm: Stm, e: Loop, b: Builder) -> None:
     b.emit_into(stm.pat, outer)
 
 
-def _rw_lambda(lam: Lambda) -> Lambda:
-    return Lambda(lam.params, stripmine_body(lam.body))
-
-
-def _rw_exp(e: Exp) -> Exp:
-    if isinstance(e, Map):
-        return Map(_rw_lambda(e.lam), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(_rw_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(_rw_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, _rw_lambda(e.lam), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        return Loop(e.params, e.inits, e.ivar, e.n, stripmine_body(e.body), e.stripmine, e.checkpoint)
-    if isinstance(e, WhileLoop):
-        return WhileLoop(e.params, e.inits, _rw_lambda(e.cond), stripmine_body(e.body), e.bound)
-    if isinstance(e, If):
-        return If(e.cond, stripmine_body(e.then), stripmine_body(e.els))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, _rw_lambda(e.lam))
-    return e
-
-
 def stripmine_body(body: Body) -> Body:
     b = Builder()
     for stm in body.stms:
-        e = _rw_exp(stm.exp)
-        if isinstance(e, Loop) and _loop_factor(e) > 1:
+        e = map_bodies(stm.exp, stripmine_body)
+        if isinstance(e, Loop) and e.stripmine > 1:
             _rewrite_loop(stm, e, b)
+        elif e is stm.exp:
+            b.stms.append(stm)
         else:
             b.emit_into(stm.pat, e)
-    return b.finish(body.result)
+    return same_body(body, b.stms, body.result)
 
 
 def stripmine_fun(fun: Fun) -> Fun:
-    return Fun(fun.name, fun.params, stripmine_body(fun.body))
+    return with_body(fun, stripmine_body(fun.body))

@@ -13,27 +13,9 @@ unknown.  Two mechanisms, both from the paper:
 """
 from __future__ import annotations
 
-from typing import List
-
-from ..ir.ast import (
-    AtomExp,
-    Body,
-    Exp,
-    Fun,
-    If,
-    Lambda,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
-    Scan,
-    Stm,
-    Var,
-    WhileLoop,
-    WithAcc,
-)
+from ..ir.ast import Body, Fun, Lambda, Loop, Stm, Var, WhileLoop
 from ..ir.builder import Builder, const
-from ..ir.traversal import refresh_body, refresh_lambda
+from ..ir.traversal import map_bodies, refresh_body, same_body, with_body
 from ..ir.types import I64, is_float
 from ..util import fresh
 
@@ -74,44 +56,20 @@ def _rewrite_while(stm: Stm, e: WhileLoop, b: Builder) -> None:
     b.emit_into(stm.pat, loop)
 
 
-def _rw_lambda(lam: Lambda) -> Lambda:
-    return Lambda(lam.params, while_bound_body(lam.body))
-
-
-def _rw_exp(e: Exp) -> Exp:
-    if isinstance(e, Map):
-        return Map(_rw_lambda(e.lam), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(_rw_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(_rw_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, _rw_lambda(e.lam), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        return Loop(e.params, e.inits, e.ivar, e.n, while_bound_body(e.body), e.stripmine, e.checkpoint)
-    if isinstance(e, If):
-        return If(e.cond, while_bound_body(e.then), while_bound_body(e.els))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, _rw_lambda(e.lam))
-    return e
-
-
 def while_bound_body(body: Body) -> Body:
     b = Builder()
     for stm in body.stms:
-        e = stm.exp
-        if isinstance(e, WhileLoop):
-            # Bound only loops carrying float state (those the return sweep
-            # must enter); integer-only whiles stay as they are.
-            if any(is_float(p.type) for p in e.params):
-                inner = WhileLoop(e.params, e.inits, _rw_lambda(e.cond), while_bound_body(e.body), e.bound)
-                _rewrite_while(stm, inner, b)
-                continue
-            b.emit_into(stm.pat, WhileLoop(e.params, e.inits, _rw_lambda(e.cond), while_bound_body(e.body), e.bound))
-            continue
-        b.emit_into(stm.pat, _rw_exp(e))
-    return b.finish(body.result)
+        e = map_bodies(stm.exp, while_bound_body)
+        # Bound only loops carrying float state (those the return sweep
+        # must enter); integer-only whiles stay as they are.
+        if isinstance(e, WhileLoop) and any(is_float(p.type) for p in e.params):
+            _rewrite_while(stm, e, b)
+        elif e is stm.exp:
+            b.stms.append(stm)
+        else:
+            b.emit_into(stm.pat, e)
+    return same_body(body, b.stms, body.result)
 
 
 def while_bound_fun(fun: Fun) -> Fun:
-    return Fun(fun.name, fun.params, while_bound_body(fun.body))
+    return with_body(fun, while_bound_body(fun.body))

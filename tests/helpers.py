@@ -16,6 +16,32 @@ import repro as rp
 BACKENDS = ("ref", "plan", "codegen")
 
 
+def cold_programs():
+    """``name -> (build_ir, derive)`` of the nine derivative programs the
+    benchmark compiles cold, from the eight apps, at its reduced sizes
+    (``bench/workloads.py``, third column, restated: tests do not import
+    ``bench/``).  ``derive(fc)`` goes through the public API and returns the
+    ``ADFunction``."""
+    from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
+
+    def grad(wrt):
+        return lambda fc: rp.grad(fc, wrt=wrt).adfun
+
+    n_mats = datagen.xs_instance(30, 6, 16, 0)[3].shape[1]
+    return {
+        "gmm": (lambda: gmm.build_ir(16, 4, 3), grad([0, 1, 2])),
+        "kmeans_grad": (lambda: kmeans.build_ir(40, 3, 4), grad([1])),
+        "kmeans_hess": (lambda: kmeans.build_ir(40, 3, 4),
+                        lambda fc: rp.hessian_diag(fc, wrt=1).adfun),
+        "kmeans_sparse": (lambda: kmeans_sparse.build_ir(20, 3, 12), grad([3])),
+        "lstm": (lambda: lstm.build_ir(3, 2, 4, 4), grad([1, 2, 3, 4])),
+        "hand": (lambda: hand.build_ir(3, 8), rp.jvp),
+        "ba": (lambda: ba.build_ir(16), lambda fc: rp.vjp(fc, wrt=[0, 1, 2])),
+        "xsbench": (lambda: xsbench.build_ir(30, 6, 16, n_mats), grad([1, 4])),
+        "rsbench": (lambda: rsbench.build_ir(40, 4, 12), grad([2, 3])),
+    }
+
+
 def run_both(fc, *args):
     """Run a compiled function on every backend and assert agreement with
     the reference interpreter; ``codegen`` must additionally be bitwise

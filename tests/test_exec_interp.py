@@ -46,6 +46,35 @@ def test_sigmoid_erf():
     np.testing.assert_allclose(out, (1 / (1 + np.exp(-0.3)), sperf(0.3)), rtol=1e-12)
 
 
+def test_erf_is_looked_up_on_first_use_not_at_import():
+    """``scipy.special`` costs more to import than NumPy and serves ``erf``
+    alone: neither the package nor the tape baseline may pull it in, and
+    ``erf`` must still be ``math.erf`` on every backend once a program asks."""
+    import math
+    import os
+    import subprocess
+    import sys
+
+    from repro.exec.prims import INPLACE_OPS
+
+    src = os.path.dirname(os.path.dirname(rp.__file__))
+    code = (
+        "import sys, repro, repro.baselines.eager\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:5]"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
+    xs = np.array([-1.2, 0.0, 0.1, 0.5, 3.0])
+    fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: rp.erf(x) * x, v), (xs,)))
+    for backend in ("ref", "plan", "codegen"):
+        np.testing.assert_allclose(
+            fc(xs, backend=backend), [math.erf(x) * x for x in xs], rtol=1e-14, atol=0
+        )
+    # Never donated into, whether or not SciPy provides a ufunc for it: a
+    # plan must not depend on what is installed.
+    assert "erf" not in INPLACE_OPS
+
+
 def test_map_multi_result():
     xs = np.arange(4.0)
     a, b = _run(lambda v: rp.map(lambda x: (x + 1.0, x * 2.0), v), (xs,))

@@ -120,7 +120,6 @@ def test_compiled_repr_and_name():
     [
         ("REPRO_PLAN_CACHE_SIZE", "abc"),
         ("REPRO_OPT_CACHE_SIZE", "abc"),
-        ("REPRO_ANALYSIS_CACHE_SIZE", "abc"),
         ("REPRO_TRACE_BUFFER", "abc"),
     ],
 )
