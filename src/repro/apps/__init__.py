@@ -2,4 +2,4 @@
 IR program (differentiated by our AD), a NumPy reference, a hand-written
 gradient/Jacobian where the paper has a "Manual" column, and an eager-tape
 formulation (the PyTorch/Tapenade comparator)."""
-from . import ba, datagen, gmm, hand, harness, kmeans, kmeans_sparse, lstm, rsbench, xsbench  # noqa: F401
+from . import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench  # noqa: F401

@@ -2,8 +2,8 @@
 (shared lowering in ``lower``; batched values and one kernel per plan
 instruction in ``vector``; the closure emitter and the ``run`` driver in
 ``plan``, the source emitter in ``codegen`` — both bind operands and
-dispatch, neither computes) and the cost recorder — all resolvable by name
-through the backend registry."""
+dispatch, neither computes) and the cost recorder — the executors resolvable
+by name through ``registry``."""
 from .codegen import (  # noqa: F401
     CodegenPlan,
     run_fun_codegen,
@@ -26,7 +26,5 @@ from .registry import (  # noqa: F401
     batched_backends,
     default_backend,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from .values import AccVal, coerce_arg, zeros_of  # noqa: F401

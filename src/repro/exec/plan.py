@@ -740,8 +740,9 @@ class Plan:
 
 
 def _emitter_class(name: str):
-    """The plan class of emitter ``name``.  ``codegen`` and ``profile`` are
-    imported on first use, so the plan backend never pays for them."""
+    """The plan class of emitter ``name``.  Both imports are local because
+    the modules import this one; ``codegen`` is loaded with the package
+    (``exec/__init__``), ``obs.profiler`` on first use."""
     if name == "plan":
         return Plan
     if name == "codegen":

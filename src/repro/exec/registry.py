@@ -1,26 +1,17 @@
-"""Pluggable executor-backend registry.
+"""The executor backends, by name.
 
-The backend set is data: a ``Backend`` record bundles the two executor
-entry points with its capability flags, and every dispatch site
-(``core/api.py``, ``frontend/function.py``, the benchmark wiring) resolves
-names through ``get_backend`` — which also gives unknown-backend errors one
-helpful shape (the requested name plus the currently-registered set) instead
-of failing deep inside dispatch.
+A ``Backend`` record bundles the two executor entry points, and every
+dispatch site (``core/api.py``, ``frontend/function.py``, the benchmark
+wiring) resolves names through ``get_backend`` — which also gives
+unknown-backend errors one helpful shape (the requested name plus the
+registered set) instead of failing deep inside dispatch.
 
-Built-in backends, registered at import:
+The backends, a fixed table built at import:
 
 * ``ref``   — the reference interpreter (semantics oracle, cost model);
 * ``plan``  — the cached plan compiler (lower once, replay closures);
 * ``codegen`` — the source codegen executor (same lowering, plan IR rendered
   to one compiled Python function; see ``exec/codegen.py``).
-
-Registering a custom backend is one call::
-
-    from repro.exec.registry import Backend, register_backend
-    register_backend(Backend("traced", run=my_run, run_batched=my_batched))
-
-after which ``compiled(*args, backend="traced")``, ``grad(...)`` and the
-rest of the API accept the new name.
 """
 from __future__ import annotations
 
@@ -31,11 +22,12 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..ir.ast import Fun
 from ..obs import metrics as _obs_metrics
 from ..util import ReproError
+from .codegen import run_fun_codegen, run_fun_codegen_batched
+from .interp import RefInterp
+from .plan import run_fun_plan, run_fun_plan_batched
 
 __all__ = [
     "Backend",
-    "register_backend",
-    "unregister_backend",
     "get_backend",
     "default_backend",
     "available_backends",
@@ -64,7 +56,7 @@ DEFAULT_BACKEND = "plan"
 
 @dataclass(frozen=True)
 class Backend:
-    """One executor: a name, entry points, and capability flags.
+    """One executor: a name and its entry points.
 
     ``run(fun, args)`` evaluates a ``Fun`` and returns the result tuple.
     ``run_batched(fun, args, batched, batch_size)`` — when not None — is the
@@ -75,7 +67,6 @@ class Backend:
     name: str
     run: Callable[[Fun, Sequence[object]], Tuple[object, ...]]
     run_batched: Optional[Callable] = None
-    description: str = ""
 
     @property
     def batched(self) -> bool:
@@ -83,41 +74,23 @@ class Backend:
         return self.run_batched is not None
 
 
-_REGISTRY: Dict[str, Backend] = {}
+def _run_ref(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
+    return RefInterp().run(fun, args)
 
 
-def register_backend(backend: Backend, overwrite: bool = False) -> Backend:
-    """Register ``backend`` under its name; returns it for chaining.
-
-    Re-registering an existing name raises unless ``overwrite=True`` (a
-    silent replacement of ``"plan"`` would be a debugging nightmare).
-    """
-    if not backend.name:
-        raise ReproError("register_backend: backend name must be non-empty")
-    if backend.name in _REGISTRY and not overwrite:
-        raise ReproError(
-            f"backend {backend.name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> Backend:
-    """Remove and return a registered backend; unknown names raise
-    ``ReproError`` listing the registered set (same shape as ``get_backend``)."""
-    be = _REGISTRY.pop(name, None)
-    if be is None:
-        raise ReproError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        )
-    return be
+_BACKENDS: Dict[str, Backend] = {
+    b.name: b
+    for b in (
+        Backend("ref", run=_run_ref),
+        Backend("plan", run=run_fun_plan, run_batched=run_fun_plan_batched),
+        Backend("codegen", run=run_fun_codegen, run_batched=run_fun_codegen_batched),
+    )
+}
 
 
 def get_backend(name: str) -> Backend:
     """Resolve a backend name, or raise listing the registered set."""
-    be = _REGISTRY.get(name)
+    be = _BACKENDS.get(name)
     if be is None:
         raise ReproError(
             f"unknown backend {name!r}; registered backends: "
@@ -141,53 +114,10 @@ def default_backend() -> str:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
+    """The backend names."""
+    return tuple(_BACKENDS)
 
 
 def batched_backends() -> Tuple[str, ...]:
     """Names of backends able to run batched multi-seed calls."""
-    return tuple(n for n, b in _REGISTRY.items() if b.batched)
-
-
-# ---------------------------------------------------------------------------
-# Built-ins
-# ---------------------------------------------------------------------------
-
-
-def _run_ref(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
-    from .interp import RefInterp
-
-    return RefInterp().run(fun, args)
-
-
-def _register_builtins() -> None:
-    from .codegen import run_fun_codegen, run_fun_codegen_batched
-    from .plan import run_fun_plan, run_fun_plan_batched
-
-    register_backend(
-        Backend(
-            "ref",
-            run=_run_ref,
-            description="reference interpreter (semantics oracle)",
-        )
-    )
-    register_backend(
-        Backend(
-            "plan",
-            run=run_fun_plan,
-            run_batched=run_fun_plan_batched,
-            description="cached plan compiler (lower once, replay closures)",
-        )
-    )
-    register_backend(
-        Backend(
-            "codegen",
-            run=run_fun_codegen,
-            run_batched=run_fun_codegen_batched,
-            description="source codegen (plan IR compiled to one Python function)",
-        )
-    )
-
-
-_register_builtins()
+    return tuple(n for n, b in _BACKENDS.items() if b.batched)

@@ -3,8 +3,7 @@
 Backends
 --------
 
-Backends are resolved through the pluggable registry
-(``exec/registry.py``) — the built-ins:
+Backends are resolved by name (``exec/registry.py``):
 
 * ``"plan"`` (default) — the plan compiler: the function is lowered once to
   a flat sequence of NumPy closures and memoised per argument rank/dtype
@@ -15,8 +14,7 @@ Backends are resolved through the pluggable registry
 * ``"ref"`` — the reference interpreter (semantics oracle, drives the cost
   model).
 
-Unknown names raise listing the registered set; custom executors can be
-added with ``repro.exec.registry.register_backend``.
+Unknown names raise listing the registered set.
 
 ``call_batched`` is the batched multi-seed entry used by ``jacobian``: it
 evaluates the function once with selected arguments carrying a leading batch
@@ -29,32 +27,13 @@ from typing import Sequence, Tuple
 
 from ..exec.cost import Cost, CostRecorder
 from ..exec.interp import RefInterp
-from ..exec.registry import (
-    available_backends,
-    batched_backends,
-    default_backend,
-    get_backend,
-    record_call,
-)
+from ..exec.registry import batched_backends, default_backend, get_backend, record_call
 from ..ir.ast import Fun
 from ..ir.pretty import pretty
 from ..obs import tracing as _obs_tracing
 from ..util import ReproError
 
-__all__ = ["Compiled", "compile_fun", "BACKENDS", "BATCHED_BACKENDS"]
-
-
-def __getattr__(name: str):
-    # Live views of the registry, not import-time snapshots — a backend
-    # registered after this module loads is visible immediately, so
-    # capability checks against these names can never go stale.
-    # ``BATCHED_BACKENDS`` lists the backends able to evaluate all seeds of
-    # a multi-seed derivative in one batched pass (``ref`` loops instead).
-    if name == "BACKENDS":
-        return available_backends()
-    if name == "BATCHED_BACKENDS":
-        return batched_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Compiled", "compile_fun"]
 
 
 class Compiled:
@@ -62,23 +41,23 @@ class Compiled:
 
     ``backend=None`` (default) resolves through the registry-level
     ``default_backend()`` — ``REPRO_BACKEND`` or the plan compiler — so
-    every entry point in the system shares one default; any registered
-    backend name selects that executor explicitly (``ref``, ``plan``,
-    ``codegen``, or a custom registration).  ``cost()`` measures the
-    cost-model counters of a run (reference interpretation).
+    every entry point in the system shares one default; a backend name
+    selects that executor explicitly (``ref``, ``plan``, ``codegen``).
+    ``cost()`` measures the cost-model counters of a run (reference
+    interpretation).
 
     ``passes`` selects the optimisation passes applied at construction (a
-    sequence of registered pass names — see ``opt.pipeline``); None means
-    the default set, overridable via the ``REPRO_OPT_PASSES`` environment
-    variable.
+    sequence of pass names — see ``opt.pipeline``); None means all of them,
+    overridable via the ``REPRO_OPT_PASSES`` environment variable.
 
     ``schedule`` overrides the default execution schedule (see
     ``ir.schedule``): a directive string like ``"sequential(64)·vectorized"``
-    or a tuple of directive objects, attached *after* optimisation to the
-    dominant schedulable statement — illegal schedules raise
-    ``ScheduleError`` naming the offending directive.  With no explicit
-    ``schedule``, the ``REPRO_SCHEDULE`` environment override (if set) is
-    applied leniently to every statement where it is legal.
+    or a tuple of directive objects, attached *after* optimisation to every
+    top-level statement it is legal on; a schedule that is legal on none
+    raises ``ScheduleError`` with each statement's reason, which names the
+    offending directive.  With no explicit ``schedule``, the
+    ``REPRO_SCHEDULE`` environment override (if set) is applied by the same
+    rule, except that a program it is legal nowhere on runs as it is.
     """
 
     def __init__(

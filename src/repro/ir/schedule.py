@@ -30,12 +30,12 @@ Legality is structural plus per-node:
   ``sequential`` (no chunked form / prefix dependence / bin conflicts /
   overlapping writes).
 
-``apply_schedule`` attaches a schedule to a function after optimisation:
-strict mode (the ``schedule=`` keyword on ``compile``/``grad``) targets the
-dominant schedulable statement and raises ``ScheduleError`` naming the
-offending directive when illegal; lenient mode (``REPRO_SCHEDULE``)
-annotates every top-level statement where the schedule is legal and skips
-the rest.
+``apply_schedule`` attaches a schedule to a function after optimisation, by
+one rule for both entry points: every top-level statement on which the
+schedule is legal gets it, the rest keep their default.  The ``schedule=``
+keyword on ``compile``/``grad`` (strict) raises ``ScheduleError`` with each
+statement's refusal — which names the offending directive — when it was
+legal on none; ``REPRO_SCHEDULE`` (lenient) leaves such a program as it is.
 """
 
 from __future__ import annotations
@@ -272,48 +272,43 @@ def _annotate(e, sched: Tuple[Directive, ...]):
 
 
 def apply_schedule(fun: Fun, schedule, strict: bool = True) -> Fun:
-    """Return ``fun`` with ``schedule`` attached to top-level statements.
+    """Return ``fun`` with ``schedule`` attached to every top-level
+    schedulable statement on which ``check_schedule`` accepts it.
 
-    Strict mode targets the dominant (largest estimated work) schedulable
-    statement and raises ``ScheduleError`` if the schedule is illegal for
-    it.  Lenient mode annotates every top-level statement for which the
-    schedule is legal, silently skipping the rest (this is the
-    ``REPRO_SCHEDULE`` semantics, so a blanket override never breaks a
-    program that contains e.g. a data-dependent while loop).
+    The statements that refuse keep their default — a blanket directive
+    never breaks a program that contains e.g. a reduce or a data-dependent
+    while loop next to the maps it was meant for.  ``strict`` is the failure
+    policy when *no* statement took it: ``schedule=`` raises ``ScheduleError``
+    carrying each statement's refusal, ``REPRO_SCHEDULE`` hands ``fun`` back.
     """
     sched = _as_schedule(schedule)
     if not sched:
         return fun
     stms = list(fun.body.stms)
-    if strict:
-        from .cost_model import stm_work
-
-        idxs = [i for i, s in enumerate(stms)
-                if isinstance(s.exp, SCHEDULABLE)]
-        if not idxs:
-            raise ScheduleError(
-                f"{fun.name}: no schedulable (SOAC/loop) statement to "
-                f"attach schedule '{format_schedule(sched)}' to"
-            )
-        k = max(idxs, key=lambda i: (stm_work(stms[i]), i))
-        err = check_schedule(stms[k].exp, sched)
-        if err is not None:
-            raise ScheduleError(
-                f"{fun.name}: schedule '{format_schedule(sched)}' is "
-                f"illegal for the dominant "
-                f"{type(stms[k].exp).__name__.lower()} statement — {err}"
-            )
-        stms[k] = Stm(stms[k].pat, _annotate(stms[k].exp, sched))
-    else:
-        changed = False
-        for i, s in enumerate(stms):
-            if (isinstance(s.exp, SCHEDULABLE)
-                    and check_schedule(s.exp, sched) is None):
-                stms[i] = Stm(s.pat, _annotate(s.exp, sched))
-                changed = True
-        if not changed:
-            return fun
-    return Fun(fun.name, fun.params, Body(tuple(stms), fun.body.result))
+    taken = False
+    refusals = []
+    for i, s in enumerate(stms):
+        if not isinstance(s.exp, SCHEDULABLE):
+            continue
+        why = check_schedule(s.exp, sched)
+        if why is None:
+            stms[i] = Stm(s.pat, _annotate(s.exp, sched))
+            taken = True
+        else:
+            refusals.append(f"{type(s.exp).__name__.lower()} {s.pat[0].name}: {why}")
+    if taken:
+        return Fun(fun.name, fun.params, Body(tuple(stms), fun.body.result))
+    if not strict:
+        return fun
+    if not refusals:
+        raise ScheduleError(
+            f"{fun.name}: no schedulable (SOAC/loop) statement to "
+            f"attach schedule '{format_schedule(sched)}' to"
+        )
+    raise ScheduleError(
+        f"{fun.name}: schedule '{format_schedule(sched)}' is illegal for "
+        "every schedulable statement — " + "; ".join(refusals)
+    )
 
 
 def strip_schedules(fun: Fun) -> Fun:

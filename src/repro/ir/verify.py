@@ -98,9 +98,13 @@ _MODES = ("off", "boundary", "full")
 
 
 def verify_mode() -> str:
-    """The active verification mode: ``REPRO_VERIFY`` ∈ off|boundary|full."""
-    mode = os.environ.get("REPRO_VERIFY", "off").strip().lower()
-    return mode if mode in _MODES else "off"
+    """The active verification mode: ``REPRO_VERIFY`` ∈ off|boundary|full
+    (unset or empty = off).  Anything else raises — a typo in the verifier's
+    own knob must not switch the verifier off."""
+    mode = os.environ.get("REPRO_VERIFY", "").strip().lower() or "off"
+    if mode not in _MODES:
+        raise ReproError(f"REPRO_VERIFY={mode!r}: expected {' | '.join(_MODES)}")
+    return mode
 
 
 # ---------------------------------------------------------------------------

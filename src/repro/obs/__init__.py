@@ -7,8 +7,8 @@ Three pillars, one import:
   and exportable as Chrome-trace JSON via ``REPRO_TRACE=<file>``.
 * :mod:`repro.obs.profiler` — the ``"profile"`` plan emitter: wraps
   every plan-IR instruction with timing keyed to its source statement
-  and reports measured time against the static cost model.
-* :mod:`repro.obs.metrics` — one registry for counters/gauges/timers;
+  and ranks the hotspots.
+* :mod:`repro.obs.metrics` — one registry for counter sections and timers;
   the historical stats surfaces (plan cache, opt, fusion)
   are re-homed here, with :func:`snapshot`/:func:`reset_all`/
   :func:`delta` as the single lifecycle.
@@ -44,13 +44,13 @@ def _ensure_sources() -> None:
 
 
 def snapshot() -> Dict[str, Any]:
-    """One dict covering all stats surfaces and labelled metrics."""
+    """One dict covering all stats surfaces and timers."""
     _ensure_sources()
     return metrics.snapshot()
 
 
 def reset_all() -> None:
-    """Zero every stats surface, the labelled metrics, the span buffer and
+    """Zero every stats surface, the timers, the span buffer and
     the profiler's accumulated instruction timings (each surface registers
     its ``reset_*`` with the metrics registry on import)."""
     _ensure_sources()

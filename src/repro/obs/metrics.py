@@ -15,9 +15,8 @@ counters here, in one of two ways:
   richer than their raw counters (e.g. ``plan_cache_stats`` adds cache
   entry counts and emitter aggregates).
 
-On top of that the registry offers free-standing *labelled* counters,
-gauges and timers (``inc``/``set_gauge``/``observe``/``timer``) for
-instrumentation that has no module-level dict of its own.
+On top of that the registry keeps named timers (``observe``), which
+``tracing.timed`` feeds with every duration it measures.
 
 ``snapshot()`` returns one nested dict covering everything;
 ``delta(before, after)`` subtracts two snapshots recursively so tests
@@ -26,25 +25,19 @@ and benchmarks can attribute what a measured region changed.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = [
     "CounterGroup",
     "counter_group",
     "register_source",
-    "inc",
-    "set_gauge",
     "observe",
-    "timer",
     "snapshot",
     "reset_all",
     "delta",
 ]
 
 _LOCK = threading.RLock()
-
-_LabelKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
 
 
 class CounterGroup(dict):
@@ -77,9 +70,7 @@ class CounterGroup(dict):
 # section name -> (snapshot_fn, reset_fn)
 _SECTIONS: Dict[str, Tuple[Callable[[], Any], Callable[[], None]]] = {}
 
-_COUNTERS: Dict[_LabelKey, float] = {}
-_GAUGES: Dict[_LabelKey, float] = {}
-_TIMERS: Dict[_LabelKey, List[float]] = {}  # key -> [count, seconds]
+_TIMERS: Dict[str, List[float]] = {}  # name -> [count, seconds]
 
 
 def counter_group(name: str, initial: Dict[str, Any]) -> CounterGroup:
@@ -101,73 +92,22 @@ def register_source(name: str, snapshot_fn: Callable[[], Any], reset_fn: Callabl
         _SECTIONS[name] = (snapshot_fn, reset_fn)
 
 
-def _key(name: str, labels: Dict[str, Any]) -> _LabelKey:
-    return (name, tuple(sorted(labels.items())))
-
-
-def _fmt(key: _LabelKey) -> str:
-    name, labels = key
-    if not labels:
-        return name
-    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-
-
-def inc(name: str, value: float = 1, **labels: Any) -> None:
-    """Increment a labelled counter."""
-    k = _key(name, labels)
+def observe(name: str, seconds: float) -> None:
+    """Record one observation into the timer ``name``."""
     with _LOCK:
-        _COUNTERS[k] = _COUNTERS.get(k, 0) + value
-
-
-def set_gauge(name: str, value: float, **labels: Any) -> None:
-    """Set a labelled gauge to its latest value."""
-    with _LOCK:
-        _GAUGES[_key(name, labels)] = value
-
-
-def observe(name: str, seconds: float, **labels: Any) -> None:
-    """Record one observation into a labelled timer."""
-    k = _key(name, labels)
-    with _LOCK:
-        cell = _TIMERS.get(k)
+        cell = _TIMERS.get(name)
         if cell is None:
-            cell = _TIMERS[k] = [0, 0.0]
+            cell = _TIMERS[name] = [0, 0.0]
         cell[0] += 1
         cell[1] += seconds
 
 
-class _Timer:
-    __slots__ = ("name", "labels", "t0", "seconds")
-
-    def __init__(self, name: str, labels: Dict[str, Any]):
-        self.name = name
-        self.labels = labels
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self.seconds = time.perf_counter() - self.t0
-        observe(self.name, self.seconds, **self.labels)
-        return False
-
-
-def timer(name: str, **labels: Any) -> _Timer:
-    """Context manager measuring a block into a labelled timer."""
-    return _Timer(name, labels)
-
-
 def snapshot() -> Dict[str, Any]:
-    """One nested dict covering every registered section plus the
-    free-standing labelled counters/gauges/timers."""
+    """One nested dict covering every registered section plus the timers."""
     with _LOCK:
         sections = list(_SECTIONS.items())
         out: Dict[str, Any] = {
-            "counters": {_fmt(k): v for k, v in _COUNTERS.items()},
-            "gauges": {_fmt(k): v for k, v in _GAUGES.items()},
-            "timers": {_fmt(k): {"count": c, "seconds": s} for k, (c, s) in _TIMERS.items()},
+            "timers": {k: {"count": c, "seconds": s} for k, (c, s) in _TIMERS.items()},
         }
     # Section snapshots run outside the registry lock: they may take the
     # owning module's lock, and the reverse ordering must stay impossible.
@@ -177,11 +117,9 @@ def snapshot() -> Dict[str, Any]:
 
 
 def reset_all() -> None:
-    """Zero every registered section and the labelled metrics."""
+    """Zero every registered section and the timers."""
     with _LOCK:
         sections = list(_SECTIONS.values())
-        _COUNTERS.clear()
-        _GAUGES.clear()
         _TIMERS.clear()
     for _, reset in sections:
         reset()

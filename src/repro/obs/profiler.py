@@ -9,13 +9,8 @@ to the *source statements* the instruction executes (the provenance
 labelled via ``ir/pretty``.  Results are bitwise-identical to the plain
 ``plan`` emitter — the wrapper only observes.
 
-``profile_report()`` ranks the top-k hotspots and sets measured seconds
-against the static cost model's ``estimate_stms`` work for the same
-statements, flagging rank-order inversions: statement pairs where one is
-at least 4× hotter than the other yet the model orders them the other
-way round.  Those inversions are where the estimator mis-ranks statements
-(``apply_schedule`` picks its target by that ranking), which is what makes
-the column pair actionable.
+``profile_report()`` ranks the top-k hotspots by measured seconds, each
+with its schedule and the size of its memory and index plans.
 
 Selection: pass ``emitter="profile"`` to ``plan_for``, or set
 ``REPRO_PROFILE`` — any truthy value routes default plan-backend
@@ -30,10 +25,9 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..ir.analysis import ir_hash
-from ..ir.cost_model import estimate_stms
 from ..ir.pretty import pretty_exp
 from ..exec.lower import lower_fun, plan_counts
 from ..exec.plan import Plan
@@ -50,22 +44,16 @@ __all__ = [
 
 _PLOCK = threading.Lock()
 
-#: The separation factor above which a measured ordering counts as
-#: *strong* — only strongly-separated pairs can flag a cost-model
-#: rank inversion (mirrors the ≥4x convention of the PR 5 validation).
-RANK_SEPARATION = 4.0
-
 
 class _Rec:
-    __slots__ = ("label", "kind", "prov", "fun", "schedule", "mem", "index",
+    __slots__ = ("label", "kind", "fun", "schedule", "mem", "index",
                  "calls", "seconds")
 
-    def __init__(self, label: str, kind: str, prov: tuple, fun: str,
+    def __init__(self, label: str, kind: str, fun: str,
                  schedule: str = "", mem: Optional[Dict[str, int]] = None,
                  index: Optional[Dict[str, int]] = None):
         self.label = label
         self.kind = kind
-        self.prov = prov
         self.fun = fun
         self.schedule = schedule
         #: ``exec.lower.plan_counts`` of the instruction (nested bodies
@@ -99,7 +87,7 @@ def _label_of(prov: tuple, kind: str) -> str:
     return f"run[{len(prov)}] {first}..{last}"
 
 
-def _wrap(closure, key: tuple, label: str, kind: str, prov: tuple, fun: str,
+def _wrap(closure, key: tuple, label: str, kind: str, fun: str,
           schedule: str = "", mem: Optional[Dict[str, int]] = None,
           index: Optional[Dict[str, int]] = None):
     """Time one instruction closure; the record is resolved per call so
@@ -114,7 +102,7 @@ def _wrap(closure, key: tuple, label: str, kind: str, prov: tuple, fun: str,
             with _PLOCK:
                 rec = _DATA.get(key)
                 if rec is None:
-                    rec = _DATA[key] = _Rec(label, kind, prov, fun, schedule, mem, index)
+                    rec = _DATA[key] = _Rec(label, kind, fun, schedule, mem, index)
                 rec.calls += 1
                 rec.seconds += dt
 
@@ -142,7 +130,6 @@ class ProfilePlan(Plan):
                 base + (i,),
                 _label_of(ins.prov, ins.kind),
                 ins.kind,
-                ins.prov,
                 fun.name,
                 ins.schedule,
                 *plan_counts((ins,)),
@@ -171,25 +158,22 @@ def profile_summary() -> Dict[str, Any]:
 
 
 def profile_report(top_k: int = 10) -> Dict[str, Any]:
-    """Rank instruction hotspots; measured vs cost-model work side by side.
+    """Rank instruction hotspots by measured seconds.
 
     Returns ``{total_s, execute_span_s, coverage, by_kind, entries}``.
-    Each entry carries ``label`` / ``fun`` / ``kind`` / ``mem`` (the size of
-    the instruction's memory plan: slots released, run-local values
-    released, donating ops — nested bodies included) / ``index`` (its
-    indexed reads and accumulator updates on the view path and its reads
-    left as gathers, nested bodies included) / ``calls`` /
-    ``seconds`` / ``share`` / ``est_work`` (``estimate_stms(...).total``
-    over its provenance) / ``measured_rank`` / ``est_rank`` /
-    ``mispredicted``.  ``coverage`` is instruction-attributed seconds
-    over the ``execute`` span total (requires tracing on to be set) —
-    the acceptance bar is ≥0.9 on the GMM gradient.
+    Each entry carries ``label`` / ``fun`` / ``kind`` / ``schedule`` /
+    ``mem`` (the size of the instruction's memory plan: slots released,
+    run-local values released, donating ops — nested bodies included) /
+    ``index`` (its indexed reads and accumulator updates on the view path and
+    its reads left as gathers, nested bodies included) / ``calls`` /
+    ``seconds`` / ``share`` / ``measured_rank``.  ``coverage`` is
+    instruction-attributed seconds over the ``execute`` span total (requires
+    tracing on to be set) — the acceptance bar is ≥0.9 on the GMM gradient.
     """
     with _PLOCK:
         recs = sorted(_DATA.values(), key=lambda r: r.seconds, reverse=True)
         recs = [
-            (r.label, r.kind, r.prov, r.fun, r.schedule, r.mem, r.index, r.calls,
-             r.seconds)
+            (r.label, r.kind, r.fun, r.schedule, r.mem, r.index, r.calls, r.seconds)
             for r in recs
         ]
     total = sum(sec for *_, sec in recs)
@@ -197,47 +181,22 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
     for _, kind, *_, sec in recs:
         by_kind[kind] = by_kind.get(kind, 0.0) + sec
 
-    entries: List[Dict[str, Any]] = []
-    ests: List[Optional[float]] = []
-    for label, kind, prov, fun, schedule, mem, index, calls, sec in recs[: max(top_k, 0)]:
-        est = estimate_stms(prov).total if prov else None
-        ests.append(est)
-        entries.append(
-            {
-                "label": label,
-                "fun": fun,
-                "kind": kind,
-                "schedule": schedule,
-                "mem": dict(mem),
-                "index": dict(index),
-                "calls": calls,
-                "seconds": sec,
-                "share": (sec / total) if total else 0.0,
-                "est_work": est,
-                "measured_rank": len(entries) + 1,
-            }
-        )
-    est_order = sorted(
-        (i for i, e in enumerate(ests) if e is not None),
-        key=lambda i: ests[i],
-        reverse=True,
-    )
-    for rank, i in enumerate(est_order, start=1):
-        entries[i]["est_rank"] = rank
-    for e in entries:
-        e.setdefault("est_rank", None)
-        e["mispredicted"] = False
-    # A pair (i hotter than j by >= RANK_SEPARATION) the model orders the
-    # other way round flags both ends: i is under-estimated, j over.
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            ei, ej = ests[i], ests[j]
-            if ei is None or ej is None:
-                continue
-            si, sj = entries[i]["seconds"], entries[j]["seconds"]
-            if si >= RANK_SEPARATION * sj and ei < ej:
-                entries[i]["mispredicted"] = True
-                entries[j]["mispredicted"] = True
+    entries: List[Dict[str, Any]] = [
+        {
+            "label": label,
+            "fun": fun,
+            "kind": kind,
+            "schedule": schedule,
+            "mem": dict(mem),
+            "index": dict(index),
+            "calls": calls,
+            "seconds": sec,
+            "share": (sec / total) if total else 0.0,
+            "measured_rank": rank,
+        }
+        for rank, (label, kind, fun, schedule, mem, index, calls, sec)
+        in enumerate(recs[: max(top_k, 0)], start=1)
+    ]
 
     phases = tracing.phase_totals()
     execute_s = phases.get("execute", {}).get("seconds")
@@ -262,13 +221,9 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
             else ""
         ),
         f"{'#':>2s} {'seconds':>9s} {'share':>6s} {'calls':>7s} "
-        f"{'est work':>10s} {'est#':>4s} {'rel/loc/don':>11s} {'view/gather':>11s} "
-        f"{'':2s} label",
+        f"{'rel/loc/don':>11s} {'view/gather':>11s} label",
     ]
     for e in rep["entries"]:
-        est = f"{e['est_work']:.3g}" if e["est_work"] is not None else "-"
-        erk = str(e["est_rank"]) if e["est_rank"] is not None else "-"
-        flag = "!" if e["mispredicted"] else ""
         sched = f" [{e['schedule']}]" if e.get("schedule") else ""
         # slots released / run-local values released / donating ops
         mem = "/".join(str(n) for n in e.get("mem", {}).values()) or "-"
@@ -278,8 +233,8 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
                f"{ix['gather_index_ops']}") if ix else "-"
         lines.append(
             f"{e['measured_rank']:2d} {e['seconds']:9.4f} "
-            f"{100 * e['share']:5.1f}% {e['calls']:7d} {est:>10s} {erk:>4s} "
-            f"{mem:>11s} {idx:>11s} {flag:2s} {e['fun']}: {e['label']}{sched}"
+            f"{100 * e['share']:5.1f}% {e['calls']:7d} "
+            f"{mem:>11s} {idx:>11s} {e['fun']}: {e['label']}{sched}"
         )
     if rep["by_kind"]:
         top = sorted(rep["by_kind"].items(), key=lambda kv: kv[1], reverse=True)

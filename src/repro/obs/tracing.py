@@ -54,7 +54,7 @@ class _TraceState:
     def __init__(self, path: Optional[str], explicit: bool, maxlen: int):
         self.path = path
         self.explicit = explicit
-        self.events: deque = deque(maxlen=maxlen)
+        self.events: deque = deque(maxlen=maxlen or None)  # 0 = unbounded
         self.phases: Dict[str, List[float]] = {}  # name -> [count, seconds]
         self.epoch = time.perf_counter()
 

@@ -1,12 +1,11 @@
-"""Optimisation passes over the IR (simplify, DCE, CSE, fusion, acc-opt,
-strip-mining, while-bounding), organised as a registry of named passes with
-a fixed-point driver — see ``pipeline``."""
+"""Optimisation passes over the IR: simplify, CSE, fission, fusion and DCE as
+named passes under a fixed-point driver (see ``pipeline``), plus acc-opt,
+strip-mining and while-bounding."""
 from .pipeline import (  # noqa: F401
     AD_SAFE_PASSES,
     clear_opt_cache,
     opt_stats,
     optimize_fun,
-    register_pass,
     registered_passes,
     reset_opt_stats,
 )

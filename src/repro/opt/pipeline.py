@@ -1,5 +1,4 @@
-"""The optimisation pipeline: a registry of named passes with a fixed-point
-driver.
+"""The optimisation pipeline: five named passes with a fixed-point driver.
 
 Mirrors the paper's setup: a battery of standard simplifications runs both
 before AD (the source program is "already heavily optimized by the compiler")
@@ -10,8 +9,7 @@ perfectly-nested scopes, §4.1), plus the SOAC fusion engine that realises the
 Pass framework
 --------------
 
-Passes are ``Fun -> Fun`` rewrites registered under a name with a default
-enable flag (``register_pass``); the built-ins run in registry order:
+Passes are named ``Fun -> Fun`` rewrites; they run in this order:
 
 * ``simplify`` — copy propagation, constant folding, algebraic identities;
 * ``cse``      — common-subexpression elimination (cheap pure expressions);
@@ -25,22 +23,22 @@ enable flag (``register_pass``); the built-ins run in registry order:
 ``rounds``) and keeps per-pass ``fired``/``changed`` counters, exposed
 together with the memo-cache counters via ``opt_stats()``.
 
-The driver works by identity.  What a pass promises (``register_pass``):
-*return your input if you changed nothing* — the ``Fun`` object itself,
-never an equal copy (``ir.traversal.map_bodies`` / ``same_body`` /
-``with_body`` make that the natural way to write a body loop, and keep every
-subtree a rewrite did not touch, with the facts on its nodes).  So a quiet
-firing is ``out is fun``; ``changed`` counts the firings that returned a new
-object; a round in which nothing moved ends the loop without comparing
-trees; and a ``Fun`` that came through a quiet firing of pass *P* carries
-that as a fact (``ir.ast.fact``), so no later call fires *P* on it again,
-whatever its pass list — ``Compiled``'s full set after ``acc_opt``'s AD-safe
-set, the AD-safe set on a ``Compiled``'s converged program.
+The driver works by identity.  What a pass promises: *return your input if
+you changed nothing* — the ``Fun`` object itself, never an equal copy
+(``ir.traversal.map_bodies`` / ``same_body`` / ``with_body`` make that the
+natural way to write a body loop, and keep every subtree a rewrite did not
+touch, with the facts on its nodes).  So a quiet firing is ``out is fun``;
+``changed`` counts the firings that returned a new object; a round in which
+nothing moved ends the loop without comparing trees; and a ``Fun`` that came
+through a quiet firing of pass *P* carries that as a fact (``ir.ast.fact``),
+so no later call fires *P* on it again, whatever its pass list —
+``Compiled``'s full set after ``acc_opt``'s AD-safe set, the AD-safe set on a
+``Compiled``'s converged program.
 
 The enabled set resolves, in order of precedence: the ``passes`` argument
 (a sequence of pass names), the ``REPRO_OPT_PASSES`` environment variable,
-the registry defaults.  ``REPRO_OPT_PASSES`` is a comma-separated list of
-names to enable exactly (``REPRO_OPT_PASSES=simplify,cse,dce`` is the
+all five.  ``REPRO_OPT_PASSES`` is a comma-separated list of names to
+enable exactly (``REPRO_OPT_PASSES=simplify,cse,dce`` is the
 fusion ablation; ``none`` disables everything); names prefixed with ``-``
 subtract from the defaults instead (``REPRO_OPT_PASSES=-fuse``).
 
@@ -52,54 +50,65 @@ associative operators rather than fusion's redomap shapes.
 Memoisation
 -----------
 
-Results are memoised per input ``Fun`` (by object identity, with a strong
-reference retained so ids cannot be recycled): the AD entry points and the
-``Compiled`` wrapper optimise the same function objects repeatedly, and on
-the hot path the memo turns those re-runs into dictionary lookups.
-Converged outputs (fixed points of the pipeline) are registered as their own
-results, so ``optimize_fun(optimize_fun(f))`` is free.  The memo is an LRU
-bounded by ``REPRO_OPT_CACHE_SIZE`` entries (default 1024, ``0`` unbounded)
-so the strong-ref pinning cannot leak every traced ``Fun`` in long sessions;
-evictions are counted in ``opt_stats()``.  Entries never go stale (``Fun``
-is immutable); ``clear_opt_cache`` drops everything eagerly.
+The result for a ``(rounds, pass names)`` pair is a fact of the input ``Fun``
+(``ir.ast.fact``): the AD entry points and the ``Compiled`` wrapper optimise
+the same function objects repeatedly, and on the hot path the memo turns
+those re-runs into one dictionary lookup on the node.  A converged output
+(a fixed point of the pipeline) is its own result, so
+``optimize_fun(optimize_fun(f))`` is free.  The memo lives and dies with the
+node — nothing is pinned, bounded or evicted, and an entry never goes stale
+(``Fun`` is immutable).  ``clear_opt_cache`` makes every program optimise
+afresh by moving on the epoch each stored result is stamped with.
 """
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..ir.ast import Fun, fact
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
-from ..util import BoundedLRU, env_capacity
+from .cse import cse_fun
+from .dce import dce_fun
+from .fission import fission_fun
+from .fusion import fuse_fun
+from .simplify import simplify_fun
 
 __all__ = [
     "Pass",
-    "register_pass",
     "registered_passes",
     "resolve_passes",
     "optimize_fun",
     "opt_stats",
     "reset_opt_stats",
     "clear_opt_cache",
-    "PIPELINE",
     "AD_SAFE_PASSES",
 ]
 
 
 @dataclass(frozen=True)
 class Pass:
-    """A named ``Fun -> Fun`` rewrite with a default enable flag; ``fn``
-    returns its input (the object) when it rewrote nothing."""
+    """A named ``Fun -> Fun`` rewrite; ``fn`` returns its input (the object)
+    when it rewrote nothing."""
 
     name: str
     fn: Callable[[Fun], Fun]
-    default: bool = True
-    doc: str = ""
 
 
-_REGISTRY: "OrderedDict[str, Pass]" = OrderedDict()
+#: The passes, in execution order.
+_PASSES: Tuple[Pass, ...] = (
+    Pass("simplify", simplify_fun),  # copy propagation, folding, identities
+    Pass("cse", cse_fun),  # common-subexpression elimination
+    Pass("fission", fission_fun),  # split independent k-ary reduce/scan/hist
+    Pass("fuse", fuse_fun),  # vertical/horizontal SOAC fusion
+    Pass("dce", dce_fun),  # dead-code elimination
+)
+_NAMES = tuple(p.name for p in _PASSES)
+
+#: The passes that are safe to run on a program that will be differentiated
+#: again: everything except ``fuse`` (AD rules assume canonical operators,
+#: which ``fission`` only produces more of).
+AD_SAFE_PASSES = ("simplify", "cse", "fission", "dce")
 
 #: Per-pass counters: ``fired`` = invocations, ``changed`` = invocations
 #: that returned a new object (attributed only in rounds that made net
@@ -107,32 +116,20 @@ _REGISTRY: "OrderedDict[str, Pass]" = OrderedDict()
 #: leaves ``changed`` untouched).  A pass hands back its input when it
 #: rewrote nothing and never builds an equal copy of it, so "new object" and
 #: "structurally different" are the same thing (``tests/test_opt_incremental``).
-_PASS_STATS: Dict[str, Dict[str, int]] = {}
+_PASS_STATS: Dict[str, Dict[str, int]] = {n: {"fired": 0, "changed": 0} for n in _NAMES}
 
-#: Memo-cache counters (snapshot/reset through the ``"opt"`` registry
+#: Memo counters (snapshot/reset through the ``"opt"`` registry
 #: section below, together with the per-pass counters).
-_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+_CACHE_STATS = {"hits": 0, "misses": 0}
 
-# key: (id of input Fun, rounds, enabled names)
-#   -> (input Fun kept alive, optimised Fun)
-_OPT_CACHE = BoundedLRU()
-
-_DEFAULT_CACHE_SIZE = 1024
-
-
-def register_pass(
-    name: str, fn: Callable[[Fun], Fun], default: bool = True, doc: str = ""
-) -> Pass:
-    """Register (or replace) a named pass; returns the ``Pass`` record."""
-    p = Pass(name, fn, default, doc)
-    _REGISTRY[name] = p
-    _PASS_STATS.setdefault(name, {"fired": 0, "changed": 0})
-    return p
+#: What ``clear_opt_cache`` moves on: a memoised result counts only while the
+#: epoch it was stored under is the current one.
+_EPOCH = 0
 
 
 def registered_passes() -> Tuple[Pass, ...]:
-    """All registered passes, in registry (execution) order."""
-    return tuple(_REGISTRY.values())
+    """All passes, in execution order."""
+    return _PASSES
 
 
 def _parse_env(spec: str) -> Tuple[str, ...]:
@@ -140,42 +137,36 @@ def _parse_env(spec: str) -> Tuple[str, ...]:
     if not toks or toks == ["none"]:
         return ()
     removals = {t[1:] for t in toks if t.startswith("-")}
-    adds = [t for t in toks if not t.startswith("-")]
-    unknown = (set(adds) | removals) - set(_REGISTRY)
+    adds = {t for t in toks if not t.startswith("-")}
+    unknown = (adds | removals) - set(_NAMES)
     if unknown:
         raise ValueError(
             f"REPRO_OPT_PASSES: unknown pass(es) {sorted(unknown)}; "
-            f"registered: {list(_REGISTRY)}"
+            f"registered: {list(_NAMES)}"
         )
-    if adds:
-        enabled = set(adds) - removals
-    else:
-        enabled = {p.name for p in _REGISTRY.values() if p.default} - removals
-    return tuple(n for n in _REGISTRY if n in enabled)
+    return tuple((adds or set(_NAMES)) - removals)
 
 
 def resolve_passes(passes: Optional[Sequence[str]] = None) -> Tuple[Pass, ...]:
     """The enabled passes in execution order (see module docstring)."""
     if passes is not None:
-        unknown = set(passes) - set(_REGISTRY)
+        names = set(passes)
+        unknown = names - set(_NAMES)
         if unknown:
             raise ValueError(
                 f"unknown optimisation pass(es) {sorted(unknown)}; "
-                f"registered: {list(_REGISTRY)}"
+                f"registered: {list(_NAMES)}"
             )
-        names = tuple(n for n in _REGISTRY if n in set(passes))
     else:
         env = os.environ.get("REPRO_OPT_PASSES")
-        if env is not None:
-            names = _parse_env(env)
-        else:
-            names = tuple(n for n, p in _REGISTRY.items() if p.default)
-    return tuple(_REGISTRY[n] for n in names)
+        names = _NAMES if env is None else _parse_env(env)
+    return tuple(p for p in _PASSES if p.name in names)
 
 
-def _cache_put(key, src: Fun, out: Fun) -> None:
-    cap = env_capacity("REPRO_OPT_CACHE_SIZE", _DEFAULT_CACHE_SIZE)
-    _CACHE_STATS["evictions"] += _OPT_CACHE.put(key, (src, out), cap)
+def _memo(fun: Fun) -> Dict[tuple, Tuple[int, Optional[Fun]]]:
+    """``fun``'s optimised forms: ``(rounds, pass names) -> (epoch, result)``,
+    the result ``None`` where it is ``fun`` itself."""
+    return fact(fun, "_optimized", lambda _: {})
 
 
 def optimize_fun(
@@ -188,13 +179,12 @@ def optimize_fun(
     active = resolve_passes(passes)
     if not active:
         return fun
-    names = tuple(p.name for p in active)
-    key = (id(fun), rounds, names)
+    key = (rounds, tuple(p.name for p in active))
     if cache:
-        hit = _OPT_CACHE.get(key)
-        if hit is not None and hit[0] is fun:
+        epoch, hit = _memo(fun).get(key, (None, None))
+        if epoch == _EPOCH:
             _CACHE_STATS["hits"] += 1
-            return hit[1]
+            return fun if hit is None else hit
         _CACHE_STATS["misses"] += 1
 
     src = fun
@@ -212,17 +202,16 @@ def optimize_fun(
             start = fun
             moved = []
             for p in active:
-                # The passes (by function: a name can be re-registered) this
-                # very object is known to be a fixed point of.
+                # The passes this very object is known to be a fixed point of.
                 quiet = fact(fun, "_fixed_point_of", lambda _: set())
-                if p.fn in quiet:
+                if p.name in quiet:
                     continue
                 with _obs_tracing.span(f"opt:{p.name}", cat="opt", fun=fun.name) as psp:
                     out = p.fn(fun)
                     psp.note(changed=out is not fun)
                 _PASS_STATS[p.name]["fired"] += 1
                 if out is fun:
-                    quiet.add(p.fn)
+                    quiet.add(p.name)
                     continue
                 if vmode == "full":
                     verify_fun(out, where=f"opt:{p.name}", full=True)
@@ -241,11 +230,13 @@ def optimize_fun(
     if vmode == "boundary":
         maybe_verify_fun(fun, where="optimize")
     if cache:
-        _cache_put(key, src, fun)
-        if converged and fun is not src:
+        # ``None`` stands for the program itself: a node never refers to
+        # itself, so dropping the last reference to it frees it at once.
+        _memo(src)[key] = (_EPOCH, None if fun is src else fun)
+        if converged:
             # The pipeline is deterministic, so a converged output maps to
-            # itself — make re-optimising the result a cache hit too.
-            _cache_put((id(fun),) + key[1:], fun, fun)
+            # itself — make re-optimising the result a memo hit too.
+            _memo(fun)[key] = (_EPOCH, None)
     return fun
 
 
@@ -256,7 +247,7 @@ def opt_stats() -> Dict[str, object]:
 
     return {
         "passes": {n: dict(c) for n, c in _PASS_STATS.items()},
-        "cache": {**_CACHE_STATS, "entries": len(_OPT_CACHE)},
+        "cache": dict(_CACHE_STATS),
         "enabled": tuple(p.name for p in resolve_passes()),
         "fusion": fusion_stats(),
         "fission": fission_stats(),
@@ -264,7 +255,7 @@ def opt_stats() -> Dict[str, object]:
 
 
 def reset_opt_stats() -> None:
-    """Zero every pass and cache counter (the cache itself is untouched)."""
+    """Zero every pass and memo counter (the memoised results are untouched)."""
     for c in _PASS_STATS.values():
         c["fired"] = c["changed"] = 0
     for k in _CACHE_STATS:
@@ -272,8 +263,9 @@ def reset_opt_stats() -> None:
 
 
 def clear_opt_cache() -> None:
-    """Drop all memoised optimisation results."""
-    _OPT_CACHE.clear()
+    """Forget all memoised optimisation results."""
+    global _EPOCH
+    _EPOCH += 1
 
 
 def _obs_opt_snapshot() -> Dict[str, object]:
@@ -281,33 +273,8 @@ def _obs_opt_snapshot() -> Dict[str, object]:
     # (those have their own sections; the enabled set is config, not a counter).
     return {
         "passes": {n: dict(c) for n, c in _PASS_STATS.items()},
-        "cache": {**_CACHE_STATS, "entries": len(_OPT_CACHE)},
+        "cache": dict(_CACHE_STATS),
     }
 
 
 _obs_metrics.register_source("opt", _obs_opt_snapshot, reset_opt_stats)
-
-
-# ---------------------------------------------------------------------------
-# Built-in registry
-# ---------------------------------------------------------------------------
-
-from .simplify import simplify_fun  # noqa: E402
-from .cse import cse_fun  # noqa: E402
-from .fission import fission_fun  # noqa: E402
-from .fusion import fuse_fun  # noqa: E402
-from .dce import dce_fun  # noqa: E402
-
-register_pass("simplify", simplify_fun, doc="copy-prop, folding, identities")
-register_pass("cse", cse_fun, doc="common-subexpression elimination")
-register_pass("fission", fission_fun, doc="split independent k-ary reduce/scan/hist")
-register_pass("fuse", fuse_fun, doc="vertical/horizontal SOAC fusion")
-register_pass("dce", dce_fun, doc="dead-code elimination")
-
-#: Default pass order (kept for introspection/back-compat).
-PIPELINE = tuple(_REGISTRY)
-
-#: The passes that are safe to run on a program that will be differentiated
-#: again: everything except ``fuse`` (AD rules assume canonical operators,
-#: which ``fission`` only produces more of).
-AD_SAFE_PASSES = ("simplify", "cse", "fission", "dce")

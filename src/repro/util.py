@@ -78,11 +78,8 @@ _MISSING = object()
 class BoundedLRU:
     """An access-ordered mapping bounded to a capacity supplied at put time.
 
-    Shared by the optimisation memo, the analysis memos, and the plan cache:
-    all key immutable values by object identity (holding strong references so
-    ids cannot be recycled while entries live) and bound growth with an
-    env-configured capacity read per call, so they stay behaviourally
-    identical.
+    The plan cache's store: growth is bounded by an env-configured capacity
+    read per call.
 
     Thread safety: every operation takes an internal re-entrant lock —
     ``OrderedDict.move_to_end``/``popitem`` are not safe under concurrent
@@ -132,15 +129,19 @@ class BoundedLRU:
 
 
 def env_capacity(var: str, default: int) -> int:
-    """An integer knob from the environment (read at call time); a value that
-    is not an integer raises ``ReproError`` naming the variable."""
+    """A size knob from the environment (read at call time): a non-negative
+    integer, ``0`` meaning unbounded; anything else raises ``ReproError``
+    naming the variable."""
     raw = os.environ.get(var)
     if raw is None:
         return default
     try:
-        return int(raw)
+        n = int(raw)
     except ValueError:
-        raise ReproError(f"{var}={raw!r}: expected an integer") from None
+        n = -1
+    if n < 0:
+        raise ReproError(f"{var}={raw!r}: expected a non-negative integer (0 = unbounded)")
+    return n
 
 
 def reset_names() -> None:

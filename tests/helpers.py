@@ -67,22 +67,17 @@ def run_both(fc, *args):
     return r_ref
 
 
-def reduce_census(fun, args):
-    """``(kind, strategy, extent)`` of every reduce/scan/hist instruction the
-    plan lowering emits for ``fun`` (nested bodies included).  ``extent`` is
-    the leading extent of the folded arrays under ``args``' shapes, ``None``
-    where it is not statically known."""
+def reduce_census(fun):
+    """``(kind, strategy)`` of every reduce/scan/hist instruction the plan
+    lowering emits for ``fun`` (nested bodies included)."""
     from repro.exec.lower import PBody, lower_fun
-    from repro.ir.analysis import infer_static_shapes
 
-    static = infer_static_shapes(fun, [np.shape(a) for a in args])
     out = []
 
     def walk(body) -> None:
         for ins in body.instrs:
             if getattr(ins, "strategy", None) is not None:
-                shape = static.shape(ins.arrs[0].name)
-                out.append((ins.kind, ins.strategy, shape[0] if shape else None))
+                out.append((ins.kind, ins.strategy))
             for klass in type(ins).__mro__:
                 for slot in getattr(klass, "__slots__", ()):
                     sub = getattr(ins, slot, None)

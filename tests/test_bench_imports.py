@@ -5,7 +5,13 @@ pattern, so signature drift in the app/AD APIs they call would otherwise go
 unnoticed until someone runs the benchmarks by hand.  Importing each module
 executes its setup-level code (grids, paper tables, IR builders referenced
 at module scope) without running any benchmark.
+
+``bench/`` (the ``BENCHMARK.json`` gate) is never imported by tier-1
+(``tests/helpers.py`` states that convention), so the names it takes from
+``repro`` are checked statically: a public name a PR deletes shows up here by
+name, not as a subprocess failure minutes into ``bench/test_bench_smoke.py``.
 """
+import ast
 import importlib
 import pathlib
 import sys
@@ -14,6 +20,7 @@ import pytest
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_MODULES = sorted(p.stem for p in BENCH_DIR.glob("bench_*.py"))
+GATE_FILES = sorted((BENCH_DIR.parent / "bench").glob("*.py"))
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -33,6 +40,31 @@ def test_bench_modules_discovered():
 @pytest.mark.parametrize("mod", BENCH_MODULES)
 def test_bench_module_imports(mod):
     importlib.import_module(mod)
+
+
+def test_bench_gate_imports_resolve():
+    """Every ``from repro… import name`` in ``bench/*.py`` names a module that
+    imports and a name it has."""
+    assert GATE_FILES
+    missing = []
+    for path in GATE_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                wanted = [(a.name, None) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                wanted = [(node.module, a.name) for a in node.names]
+            else:
+                continue
+            for modname, attr in wanted:
+                if modname.split(".")[0] != "repro":
+                    continue
+                mod = importlib.import_module(modname)
+                if attr is not None and not hasattr(mod, attr):
+                    try:  # ``from repro import obs``: a submodule not yet loaded
+                        importlib.import_module(f"{modname}.{attr}")
+                    except ImportError:
+                        missing.append(f"{path.name}: {modname}.{attr}")
+    assert not missing, missing
 
 
 def test_common_exposes_plan_backend_wiring():

@@ -223,7 +223,7 @@ def test_extent_0_and_1_on_every_fold_strategy(key, n, nested):
         args = (np.ones(lead + (n,), dtype=np.int64), vals)
     ex = tuple(np.ones(lead + (3,), dtype=a.dtype) for a in args)
     fc = rp.compile(rp.trace_like(f, ex))
-    assert (key[0], key[1]) in {(k, s) for k, s, _ in reduce_census(fc.fun, ex)}
+    assert key[:2] in reduce_census(fc.fun)
     out = run_both(fc, *args)
     assert np.shape(out) == {"reduce": lead, "scan": lead + (n,), "hist": lead + (3,)}[key[0]]
     run_both(rp.vjp(fc, wrt=[len(args) - 1]), *args, np.ones_like(out))
@@ -260,7 +260,7 @@ def test_nan_and_inf_propagate_as_on_ref(soac, strategy, op):
         lead = ()
     ex = lead + (np.ones(6),)
     fc = rp.compile(rp.trace_like(f, ex))
-    assert (soac, strategy) in {(k, s) for k, s, _ in reduce_census(fc.fun, ex)}
+    assert (soac, strategy) in reduce_census(fc.fun)
     base = np.array([1.5, 0.0, -2.0, 0.25, 3.0, -0.5])
     for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [-np.inf, np.nan, np.inf]):
         vals = base.copy()

@@ -119,14 +119,17 @@ def test_compiled_repr_and_name():
     "var,value",
     [
         ("REPRO_PLAN_CACHE_SIZE", "abc"),
-        ("REPRO_OPT_CACHE_SIZE", "abc"),
+        ("REPRO_PLAN_CACHE_SIZE", "-1"),
         ("REPRO_TRACE_BUFFER", "abc"),
+        ("REPRO_TRACE_BUFFER", "-1"),
+        ("REPRO_VERIFY", "ful"),
     ],
 )
 def test_malformed_knob_fails_loudly(var, value, monkeypatch):
-    """Every integer knob goes through ``util.env_capacity``: junk raises
-    naming the variable, on an ordinary compile + ``plan`` call (the trace
-    buffer is sized when a tracer starts)."""
+    """Every size knob goes through ``util.env_capacity``: junk and negative
+    values raise naming the variable, on an ordinary compile + ``plan`` call
+    (the trace buffer is sized when a tracer starts); so does a misspelt
+    verifier mode."""
     from repro.obs import tracing
 
     monkeypatch.delenv("REPRO_TRACE", raising=False)

@@ -136,6 +136,19 @@ def test_repro_trace_exports_chrome_json(tmp_path, monkeypatch):
     assert ex["args"]["fun"] == "obs_trace_demo"
 
 
+def test_trace_buffer_zero_is_unbounded(tmp_path, monkeypatch):
+    """``REPRO_TRACE_BUFFER=0`` means no bound, as ``0`` does for the
+    cache-size knob — not a ring that holds nothing and an empty trace file."""
+    out = tmp_path / "trace.json"
+    monkeypatch.setenv("REPRO_TRACE", str(out))
+    monkeypatch.setenv("REPRO_TRACE_BUFFER", "0")
+    xs = np.linspace(0.0, 1.0, 8)
+    rp.compile(rp.trace_like(_sum_sq, (xs,)))(xs)
+    tracing.export()
+    names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
+    assert {"call", "execute"} <= names
+
+
 def test_tracing_under_codegen_backend(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "codegen")
     xs = np.linspace(-1.0, 1.0, 16)
@@ -234,12 +247,14 @@ def test_profile_report_gmm_gradient(monkeypatch):
     for e in rep["entries"]:
         assert e["label"] and e["kind"]
         assert e["measured_rank"] >= 1
-        assert "est_work" in e and "est_rank" in e and "mispredicted" in e
+        assert {"seconds", "share", "calls", "index", "schedule"} <= set(e)
+        assert not {"est_work", "est_rank", "mispredicted"} & set(e)
         # the size of each instruction's memory plan rides along
         assert set(e["mem"]) == {"released_slots", "run_local_releases", "donating_ops"}
     assert sum(e["mem"]["released_slots"] for e in rep["entries"]) > 0
     txt = profiler.format_profile_report(rep)
-    assert "est work" in txt and "%" in txt and "rel/loc/don" in txt
+    assert "est work" not in txt and "est#" not in txt
+    assert "%" in txt and "rel/loc/don" in txt and "view/gather" in txt
 
 
 def test_write_profile_json(tmp_path, monkeypatch):
@@ -262,23 +277,17 @@ def test_write_profile_json(tmp_path, monkeypatch):
 
 
 def test_metrics_snapshot_delta_roundtrip():
-    metrics.inc("obs_test_counter", 2, stage="a")
-    with metrics.timer("obs_test_timer"):
-        time.sleep(0.001)
-    metrics.set_gauge("obs_test_gauge", 42)
+    metrics.observe("obs_test_timer", 0.25)
     before = obs.snapshot()
-    metrics.inc("obs_test_counter", 3, stage="a")
-    metrics.inc("obs_test_counter", 1, stage="b")
-    with metrics.timer("obs_test_timer"):
-        pass
+    metrics.observe("obs_test_timer", 0.5)
     after = obs.snapshot()
     d = obs.delta(before, after)
-    assert d["counters"]["obs_test_counter{stage=a}"] == 3
-    assert d["counters"]["obs_test_counter{stage=b}"] == 1
-    assert d["timers"]["obs_test_timer"]["count"] == 1
+    assert d["timers"]["obs_test_timer"] == {"count": 1, "seconds": 0.5}
     # round-trip: applying the delta to `before` reproduces `after`
-    k = "obs_test_counter{stage=a}"
-    assert before["counters"][k] + d["counters"][k] == after["counters"][k]
+    for k, v in after["timers"]["obs_test_timer"].items():
+        assert before["timers"]["obs_test_timer"][k] + d["timers"]["obs_test_timer"][k] == v
+    # the free-standing labelled counters and gauges are gone
+    assert "counters" not in after and "gauges" not in after
 
 
 def test_snapshot_covers_all_stats_surfaces():
@@ -358,7 +367,7 @@ def test_reset_all_zeroes_every_surface():
     xs = np.linspace(0.0, 1.0, 8)
     fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_resetall_demo"))
     fc(xs, backend="plan")
-    metrics.inc("obs_resetall_counter")
+    metrics.observe("obs_resetall_timer", 0.5)
     tracing.enable()
     with tracing.span("x"):
         pass
@@ -367,7 +376,7 @@ def test_reset_all_zeroes_every_surface():
     for k in ("hits", "misses", "specialized_hits", "promotions"):
         assert snap["plan_cache"][k] == 0
     assert all(v == 0 for v in snap["backend_calls"].values())
-    assert snap["counters"] == {}
+    assert snap["timers"] == {}
     assert tracing.phase_totals() == {}
 
 

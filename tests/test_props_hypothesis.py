@@ -1,13 +1,9 @@
 """Hypothesis property tests on core invariants."""
-import itertools
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import repro as rp
-from repro.ir.cost_model import estimate_fun
 from helpers import check_jvp_vjp_consistency, run_both
-from test_fuzz_programs import _gen_program
 
 _finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -113,50 +109,3 @@ def test_optimization_pipeline_preserves_gradients(n, seed):
     g_opt = rp.grad(rp.compile(fun, optimize=True))(xs)
     g_raw = rp.grad(rp.compile(fun, optimize=False), optimize=False)(xs)
     np.testing.assert_allclose(g_opt, g_raw, rtol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# Static cost model vs the dynamic CostRecorder (fuzz corpus)
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 9), dseed=st.integers(0, 10**6))
-def test_cost_estimator_work_within_constant_factor(seed, n, dseed):
-    """The static estimator's work prediction brackets the recorded work of
-    a reference interpretation within a constant factor on arbitrary fuzz
-    programs (the estimator only over-approximates: If branches count as
-    the max of both sides, loops/scratch assume conservative extents)."""
-    prog = _gen_program(seed)
-    xs = np.random.default_rng(dseed).standard_normal(n) * 0.8
-    fc = rp.compile(rp.trace_like(prog, (xs,)))
-    rec = fc.cost(xs)
-    est = estimate_fun(fc.fun, [tuple(xs.shape)]).total
-    assert rec.work * 0.25 <= est.work <= rec.work * 8 + 16, (rec.work, est.work)
-    # traffic is bracketed too (looser: branch maxima inflate array reads)
-    assert est.mem <= rec.mem * 8 + 64, (rec.mem, est.mem)
-
-
-def test_cost_estimator_rank_order_consistent_on_fuzz_corpus():
-    """Across a fixed corpus spanning ~3 orders of magnitude of recorded
-    work, the estimator must rank programs consistently: every pair whose
-    recorded work differs by >= 4x is ordered the same way by the estimate.
-    This is the property the decision points rely on (which SOAC is
-    heaviest, which rewrite is cheaper) — absolute precision is not."""
-    rows = []
-    for seed in range(12):
-        for n in (3, 24, 192):
-            prog = _gen_program(seed)
-            xs = np.random.default_rng(seed).standard_normal(n) * 0.8
-            fc = rp.compile(rp.trace_like(prog, (xs,)))
-            rec = fc.cost(xs)
-            est = estimate_fun(fc.fun, [tuple(xs.shape)]).total
-            if rec.work > 0:
-                rows.append((rec.work, est.work))
-    assert len(rows) >= 30
-    violations = [
-        (a, b)
-        for a, b in itertools.combinations(rows, 2)
-        if (a[0] >= 4 * b[0] or b[0] >= 4 * a[0]) and (a[0] > b[0]) != (a[1] > b[1])
-    ]
-    assert not violations, violations[:5]

@@ -1,7 +1,7 @@
-"""Schedule IR: directive parsing/formatting, legality, strict and lenient
-application, bitwise backend parity for every legal schedule (property-based
-over the fuzz corpus), the chunk grid of a ``sequential(c)`` map
-(property-based over extent and chunk size), the loop
+"""Schedule IR: directive parsing/formatting, legality, the one application
+rule under its strict and lenient failure policy, bitwise backend parity for
+every legal schedule (property-based over the fuzz corpus), the chunk grid of
+a ``sequential(c)`` map (property-based over extent and chunk size), the loop
 ``sequential(f)·sequential`` strip-mine sugar, and schedule strings in
 execute spans and the profiler report."""
 import functools
@@ -135,6 +135,88 @@ def test_illegal_schedule_raises_loudly_at_compile():
     fun = _trace(lambda x: rp.fori_loop(10, lambda i, a: a * 0.5 + x, x), 1.0)
     with pytest.raises(ScheduleError, match="vectorized: loop iterations"):
         rp.compile(fun, schedule="vectorized")
+
+
+# ---------------------------------------------------------------------------
+# One application rule: every statement that takes the schedule gets it
+# ---------------------------------------------------------------------------
+
+
+def _map_reduce_map_prog(xs):
+    ys = rp.map(lambda x: rp.sin(x) * x + rp.exp(-x), xs)
+    s = rp.sum(ys)
+    return rp.map(lambda y: y * s, ys)
+
+
+def _tuple(r):
+    return r if isinstance(r, tuple) else (r,)
+
+
+@pytest.mark.parametrize("derive", [lambda f, **kw: rp.compile(f.fun, **kw), rp.vjp, rp.jvp],
+                         ids=["value", "vjp", "jvp"])
+def test_schedule_lands_on_the_maps_and_leaves_the_reduce_alone(derive):
+    """``schedule=`` chunks the maps of a program that also holds a reduce,
+    which refuses every chunked directive and keeps its default; the result
+    is bitwise the unscheduled program's on every backend."""
+    sched = (Sequential(4), Vectorized())
+    xs = np.linspace(0.1, 2.0, 11)
+    fc = rp.compile(_trace(_map_reduce_map_prog, xs))
+    base, forced = derive(fc), derive(fc, schedule="sequential(4)·vectorized")
+    by_kind = {Map: set(), Reduce: set()}
+    for stm in forced.fun.body.stms:
+        if isinstance(stm.exp, (Map, Reduce)):
+            by_kind[type(stm.exp)].add(stm.exp.schedule)
+    assert by_kind == {Map: {sched}, Reduce: {()}}
+    rng = np.random.default_rng(3)
+    args = (xs,) + tuple(rng.standard_normal(11) for _ in forced.fun.params[1:])
+    for be in ("ref", "plan", "codegen"):
+        for got, want in zip(_tuple(forced(*args, backend=be)), _tuple(base(*args, backend=be))):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), be
+
+
+def test_gmm_gradient_takes_a_chunked_schedule():
+    """Five of the GMM gradient's six schedulable statements are reduces;
+    the schedule lands on its map instead of raising for the reduces."""
+    from repro.apps import datagen, gmm
+
+    n, d, K = 64, 4, 3
+    args = datagen.gmm_instance(n, d, K)[:4]
+    fc = rp.compile(gmm.build_ir(n, d, K))
+    base = rp.grad(fc, wrt=[0, 1, 2])
+    forced = rp.grad(fc, wrt=[0, 1, 2], schedule="sequential(8)·vectorized")
+    assert any(getattr(s.exp, "schedule", ()) for s in forced.adfun.fun.body.stms)
+    for got, want in zip(forced(*args), base(*args)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_schedule_legal_nowhere_raises_with_each_statements_reason(monkeypatch):
+    """The k-means gradient's only schedulable statement is a reduce:
+    ``schedule=`` raises carrying that statement's refusal, ``REPRO_SCHEDULE``
+    runs the program as it is."""
+    from repro.apps import kmeans
+
+    fc = rp.compile(kmeans.build_ir(23, 5, 7))
+    with pytest.raises(ScheduleError, match=r"reduce \w+: sequential\(8\): chunked sequential "
+                                            r"reduction is not implemented"):
+        rp.grad(fc, wrt=[1], schedule="sequential(8)·vectorized")
+    monkeypatch.setenv("REPRO_SCHEDULE", "sequential(8)·vectorized")
+    lenient = rp.grad(fc, wrt=[1]).adfun.fun
+    assert not any(getattr(s.exp, "schedule", ()) for s in lenient.body.stms)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 17])
+def test_chunked_map_degenerate_extents(n):
+    """Extents around the chunk size (0, 1, one ragged chunk pair, many
+    chunks) on the chunked ``sequential(2)`` map.  ``reduce`` has no chunked
+    form (``check_schedule`` refuses it), so only the map cases exist."""
+    xs = np.arange(float(n)) + 2.0
+    fun = rp.trace_like(lambda v: rp.map(lambda x: x * 2.0, v), (np.ones(4),))
+    base = rp.compile(fun)
+    chunked = rp.compile(fun, schedule="sequential(2)·vectorized")
+    for be in ("plan", "codegen"):
+        got = np.asarray(chunked(xs, backend=be))
+        np.testing.assert_array_equal(got, np.asarray(base(xs, backend=be)))
+        np.testing.assert_array_equal(got, np.asarray(base(xs, backend="ref")))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.ir.ast import (
 from repro.ir.schedule import Sequential
 from repro.ir.types import AccType
 from repro.ir.verify import VERIFY_STATS
+from repro.util import ReproError
 from repro.exec.lower import ILoop, IMap, IRun, PlanIR, Ref, lower_fun, nested_bodies
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
 from repro.exec.verify_plan import verify_codegen_source, verify_plan_ir
@@ -583,8 +584,12 @@ def test_off_mode_runs_no_checks(monkeypatch):
     assert dict(VERIFY_STATS) == before
 
 
-def test_unknown_mode_means_off(monkeypatch):
+def test_unknown_mode_raises(monkeypatch):
+    """A typo in the verifier's own knob must not switch the verifier off."""
     monkeypatch.setenv("REPRO_VERIFY", "paranoid")
+    with pytest.raises(ReproError, match=r"REPRO_VERIFY='paranoid'.*off \| boundary \| full"):
+        verify_mode()
+    monkeypatch.setenv("REPRO_VERIFY", "")
     assert verify_mode() == "off"
 
 
