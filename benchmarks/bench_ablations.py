@@ -1,4 +1,4 @@
-"""Ablations A1–A5, A9, A10 (per DESIGN.md):
+"""Ablations A1–A5, A9 (per DESIGN.md):
 
 A1  §6.1 accumulator→reduce on the matmul adjoint (the GMM/LSTM lever);
 A2  §4.3 strip-mining time–space trade-off (checkpoint memory vs re-exec);
@@ -15,18 +15,16 @@ A9  source codegen vs the closure interpreter: the same plan IR rendered
     closure dispatch (backend=plan) on a GMM gradient and two
     dispatch-bound scalar loops — bitwise parity asserted, codegen must
     win outright where dispatch dominates and be no slower elsewhere;
-A10 execution schedules: the default schedule vs a forced
-    REPRO_SCHEDULE=sequential(64) override on plan — bitwise parity
-    asserted — on the GMM full Jacobian and the LSTM scan; every row
-    records the schedule it ran under.
+A10 retired with the schedule layer; trial in CHANGES.md, PR 21.
 """
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro as rp
-from repro.apps import datagen, gmm, lstm
+from repro.apps import datagen, gmm
 from repro.core.api import vjp
 from repro.exec.cost import CostRecorder
 from repro.exec.interp import RefInterp
@@ -34,7 +32,7 @@ from repro.frontend.function import Compiled
 from repro.ir import count_soacs, count_stms
 from repro.opt.pipeline import AD_SAFE_PASSES, optimize_fun
 from repro.core.vjp import vjp_fun
-from common import BENCH_BACKEND, bench_row, timeit, write_table
+from common import BENCH_BACKEND, bench_row, on_bench_backend, timeit, write_table
 
 rng = np.random.default_rng(0)
 
@@ -99,24 +97,38 @@ def _peak_and_work(g):
     return c.peak_alloc, c.work
 
 
+def _measured(g):
+    """Traced peak MB and median seconds of the cached gradient call on the
+    benchmark backend — the recorder's counts above, as the user sees them."""
+    run = on_bench_backend(g)
+    run(0.8)  # lowered and cached
+    tracemalloc.start()
+    try:
+        run(0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, timeit(run, 0.8)
+
+
 @pytest.mark.parametrize("sm", [0, 8, 32])
 def test_ablation_a2_stripmine(benchmark, sm):
     g = _stripmine_grad(sm)
     benchmark(lambda: g(0.8))
     if sm == 32:
         rows = ["A2: strip-mining a 1024-iteration loop — §4.3 time-space trade-off",
-                f"{'factor':>7s} {'peak ckpt':>10s} {'work':>10s}"]
+                f"{'factor':>7s} {'peak ckpt':>10s} {'work':>10s} {'peak MB':>8s} {'seconds':>8s}"]
+        jrows, counts = [], {}
         for k in (0, 8, 32):
-            p, w = _peak_and_work(_stripmine_grad(k))
-            rows.append(f"{k:7d} {p:10d} {w:10d}")
+            gk = _stripmine_grad(k)
+            p, w = counts[k] = _peak_and_work(gk)
+            mb, sec = _measured(gk)
+            rows.append(f"{k:7d} {p:10d} {w:10d} {mb:8.3f} {sec:8.3f}")
+            jrows.append(bench_row(f"stripmine_{k}", seconds=sec, peak_alloc=p, work=w,
+                                   peak_mb=mb))
         rows.append("memory drops ~f-fold per level; work grows by one extra forward sweep")
-        jrows = []
-        for k in (0, 8, 32):
-            p_, w_ = _peak_and_work(_stripmine_grad(k))
-            jrows.append(bench_row(f"stripmine_{k}", peak_alloc=p_, work=w_))
         write_table("ablation_a2_stripmine", rows, rows=jrows)
-        p0, w0 = _peak_and_work(_stripmine_grad(0))
-        p32, w32 = _peak_and_work(_stripmine_grad(32))
+        (p0, w0), (p32, w32) = counts[0], counts[32]
         assert p32 < p0 / 4 and w32 < 4 * w0
 
 
@@ -364,74 +376,3 @@ def test_ablation_a9_codegen(benchmark):
             os.environ.pop("REPRO_VERIFY", None)
         else:
             os.environ["REPRO_VERIFY"] = env0
-
-
-# --- A10: execution schedules (default vs a forced override) ---------------------
-
-#: GMM: n, d, K -> K*d = 128 forward basis seeds on one batch axis; the LSTM
-#: sizes keep the scan long enough that the recurrence, not setup, dominates.
-GMM_A10 = (256, 8, 16)
-LSTM_A10 = (4, 24, 12, 16)  # bs, n, d, h
-
-
-def test_ablation_a10_schedule(benchmark, monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)
-
-    # GMM full Jacobian w.r.t. the means: all K·d forward basis seeds
-    # stacked on a leading batch axis.
-    n, d, K = GMM_A10
-    alphas, means, icf, x = datagen.gmm_instance(n, d, K, 0)[:4]
-    fwd = rp.jvp(rp.compile(gmm.build_ir(n, d, K)))
-    m = K * d
-    seeds = np.eye(m).reshape(m, K, d)
-    zeros = (np.zeros_like(alphas), np.zeros_like(icf), np.zeros_like(x))
-
-    def gmm_jac(fc, backend):
-        out = fc.call_batched(
-            (alphas, means, icf, x, zeros[0], seeds, zeros[1], zeros[2]),
-            (False, False, False, False, False, True, False, False),
-            m,
-            backend=backend,
-        )
-        return np.asarray(out[-1]).reshape(m)
-
-    # LSTM sequence loss: the scan-carried recurrence.
-    bs, ln, ld, lh = LSTM_A10
-    xs, wx, wh, b, wy, h0, c0, tg = datagen.lstm_instance(bs, ln, ld, lh, 0)
-    lc = rp.compile(lstm.build_ir(xs.shape[0], xs.shape[1], xs.shape[2], wh.shape[1]))
-    largs = (xs, wx, wh, b, wy, tg)
-
-    def lstm_loss(fc, backend):
-        return np.asarray(fc(*largs, backend=backend))
-
-    workloads = [
-        ("gmm_jacobian", fwd, gmm_jac),
-        ("lstm_scan", lc, lstm_loss),
-    ]
-    lines = [
-        "A10: default schedule vs a forced REPRO_SCHEDULE=sequential(64) override.",
-        "sequential(64) runs on plan and must be bitwise-equal to the default.",
-    ]
-    rows = []
-    for name, base, run in workloads:
-        ref = run(base, "plan")
-        t_def = timeit(lambda: run(base, "plan"))
-        rows.append(bench_row(f"{name}/default", seconds=t_def, backend="plan",
-                              schedule="(default)"))
-
-        # schedules are applied at compile time, so forced variants rebuild
-        # from the already-optimised fun under the REPRO_SCHEDULE override
-        monkeypatch.setenv("REPRO_SCHEDULE", "sequential(64)")
-        seq = Compiled(base.fun, optimize=False)
-        np.testing.assert_array_equal(run(seq, "plan"), ref)
-        t_seq = timeit(lambda: run(seq, "plan"))
-        rows.append(bench_row(f"{name}/sequential(64)", seconds=t_seq,
-                              backend="plan", schedule="sequential(64)"))
-        monkeypatch.delenv("REPRO_SCHEDULE")
-
-        lines.append(
-            f"{name:14s} default {t_def*1000:8.2f} ms, "
-            f"sequential(64) {t_seq*1000:8.2f} ms"
-        )
-    benchmark(lambda: lstm_loss(lc, "plan"))
-    write_table("ablation_a10_schedule", lines, rows=rows)

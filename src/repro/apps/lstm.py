@@ -22,8 +22,9 @@ from ..baselines import eager as eg
 __all__ = ["build_ir", "loss_np", "grad_fwd_ad", "grad_manual", "loss_eager"]
 
 
-def build_ir(n: int, bs: int, d: int, h: int):
-    """loss(xs, wx, wh, b, wy, targets) -> scalar."""
+def build_ir(n: int, bs: int, d: int, h: int, stripmine: int = 0):
+    """loss(xs, wx, wh, b, wy, targets) -> scalar.  ``stripmine`` is the time
+    loop's §4.3 annotation (``rp.fori_loop``)."""
     H4 = 4 * h
 
     def loss(xs, wx, wh, b, wy, targets):
@@ -61,7 +62,7 @@ def build_ir(n: int, bs: int, d: int, h: int):
 
         h0 = rp.map(lambda bi: rp.map(lambda u: 0.0 * rp.astype(u, rp.F64), rp.iota(h)), rp.iota(bs))
         c0 = rp.map(lambda bi: rp.map(lambda u: 0.0 * rp.astype(u, rp.F64), rp.iota(h)), rp.iota(bs))
-        _, _, total = rp.fori_loop(n, step, (h0, c0, 0.0))
+        _, _, total = rp.fori_loop(n, step, (h0, c0, 0.0), stripmine=stripmine)
         return total
 
     return rp.trace(

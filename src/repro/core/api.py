@@ -30,7 +30,6 @@ import numpy as np
 from ..exec.registry import batched_backends, default_backend, get_backend
 from ..frontend.function import Compiled, compile_fun
 from ..ir.ast import Fun
-from ..ir.schedule import strip_schedules
 from ..ir.types import is_float, rank_of
 from ..opt.pipeline import AD_SAFE_PASSES, optimize_fun
 from ..opt.while_bound import while_bound_fun
@@ -59,12 +58,9 @@ def _pre_ad(fun: Fun) -> Fun:
     AD rules cannot differentiate — ``vjp_fun``/``jvp_fun`` unfuse their
     input, and nothing here may re-fuse it.  The post-AD optimisation of
     the derivative function re-fuses — the paper's "AD preserves fusion
-    opportunities" round trip.  Nor does the way that ``Compiled`` was told to
-    run carry over: its schedule is taken off here, in this one place (a
-    rewrite keeps the nodes it does not touch, directives and all), and the
-    derivative is scheduled when it is compiled.
+    opportunities" round trip.
     """
-    fun = optimize_fun(strip_schedules(fun), passes=AD_SAFE_PASSES)
+    fun = optimize_fun(fun, passes=AD_SAFE_PASSES)
     fun = while_bound_fun(fun)
     fun = stripmine_fun(fun)
     return optimize_fun(fun, passes=AD_SAFE_PASSES)
@@ -79,16 +75,14 @@ class ADFunction(Compiled):
     """A compiled derivative function with bookkeeping about its shape."""
 
     def __init__(
-        self, fun: Fun, n_primal_out: int, optimize: bool = True, passes=None,
-        schedule=None,
+        self, fun: Fun, n_primal_out: int, optimize: bool = True, passes=None
     ) -> None:
-        super().__init__(fun, optimize=optimize, passes=passes, schedule=schedule)
+        super().__init__(fun, optimize=optimize, passes=passes)
         self.n_primal_out = n_primal_out
 
 
 def vjp(
-    f: FunLike, optimize: bool = True, acc_opt: bool = True, wrt=None, passes=None,
-    schedule=None,
+    f: FunLike, optimize: bool = True, acc_opt: bool = True, wrt=None, passes=None
 ) -> ADFunction:
     """Reverse-mode derivative.
 
@@ -98,8 +92,7 @@ def vjp(
     accumulator→reduce/histogram rewrites (on by default, as in the paper;
     disable for the ablation).  ``passes`` selects the optimisation passes
     applied to the *derivative* program (the pre-AD pipeline always runs the
-    AD-safe set).  ``schedule`` overrides the derivative program's execution
-    schedule (see ``ir.schedule``; applied after its optimisation).
+    AD-safe set).
     """
     fun = _pre_ad(_fun_of(f))
     out = vjp_fun(fun, wrt=wrt)
@@ -107,28 +100,20 @@ def vjp(
         from ..opt.acc_opt import acc_opt_fun
 
         out = acc_opt_fun(out)
-    return ADFunction(
-        out, len(fun.body.result), optimize=optimize, passes=passes,
-        schedule=schedule,
-    )
+    return ADFunction(out, len(fun.body.result), optimize=optimize, passes=passes)
 
 
-def jvp(f: FunLike, optimize: bool = True, passes=None, schedule=None) -> ADFunction:
+def jvp(f: FunLike, optimize: bool = True, passes=None) -> ADFunction:
     """Forward-mode derivative.
 
     ``jvp(f)(*args, *tangents)`` returns ``(*primal_results, *tangent_results)``.
     """
     fun = _pre_ad(_fun_of(f))
     out = jvp_fun(fun)
-    return ADFunction(
-        out, len(fun.body.result), optimize=optimize, passes=passes,
-        schedule=schedule,
-    )
+    return ADFunction(out, len(fun.body.result), optimize=optimize, passes=passes)
 
 
-def grad(
-    f: FunLike, optimize: bool = True, wrt=None, passes=None, schedule=None
-) -> Callable:
+def grad(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> Callable:
     """Gradient of a scalar-valued function: ``grad(f)(*args)`` returns the
     adjoints of the (``wrt``-selected) float parameters."""
     fun = _fun_of(f)
@@ -136,7 +121,7 @@ def grad(
     r0 = fun.body.result[0].type
     if n_res != 1 or not is_float(r0) or rank_of(r0) != 0:
         raise ADError("grad: function must return a single float scalar")
-    g = vjp(f, optimize=optimize, wrt=wrt, passes=passes, schedule=schedule)
+    g = vjp(f, optimize=optimize, wrt=wrt, passes=passes)
 
     def run(*args, backend: Optional[str] = None):
         res = _as_tuple(g(*args, 1.0, backend=backend or default_backend()))
@@ -148,14 +133,14 @@ def grad(
 
 
 def value_and_grad(
-    f: FunLike, optimize: bool = True, wrt=None, passes=None, schedule=None
+    f: FunLike, optimize: bool = True, wrt=None, passes=None
 ) -> Callable:
     """Like ``grad`` but also returns the primal value."""
     fun = _fun_of(f)
     r0 = fun.body.result[0].type
     if len(fun.body.result) != 1 or not is_float(r0) or rank_of(r0) != 0:
         raise ADError("value_and_grad: function must return a single float scalar")
-    g = vjp(f, optimize=optimize, wrt=wrt, passes=passes, schedule=schedule)
+    g = vjp(f, optimize=optimize, wrt=wrt, passes=passes)
 
     def run(*args, backend: Optional[str] = None):
         # Normalise exactly as ``grad`` does: ``Compiled`` unwraps singleton

@@ -16,9 +16,8 @@ This emitter removes the dispatch.  It renders the **same plan IR**
   ``vector.LEAF_KERNELS`` kernel, ufuncs, dtypes and constant ``BV``s
   injected as compile-time constants (``_K3``) through the exec namespace;
 * control flow becomes real Python ``for``/``while``/``try`` around the
-  inlined lambda bodies — only ``If`` branches and the body of a chunked
-  map get nested ``def``s, which ``vector._branch`` / ``_map_chunked``
-  call;
+  inlined lambda bodies — only ``If`` branches get nested ``def``s, which
+  ``vector._branch`` calls;
 * generic SOAC lambdas inline into Python loops — still element-at-a-time,
   but with zero closure dispatch per statement.
 
@@ -54,7 +53,7 @@ from ..obs import tracing as _obs_tracing
 from ..util import ExecError
 from . import values as _values
 from .lower import IntRef, PlanIR, Ref, nested_bodies
-from .plan import _LOCK, Plan, _chunked, _out_slot, _scalar_fn, plan_for
+from .plan import _LOCK, Plan, _out_slot, _scalar_fn, plan_for
 from .prims import cast_to
 from .vector import (
     REDOMAP_TAILS,
@@ -76,7 +75,6 @@ from .vector import (
     _hist_put,
     _index,
     _map_acc,
-    _map_chunked,
     _map_result,
     _out_of_fuel,
     _owned,
@@ -197,10 +195,10 @@ class _SrcEmitter:
     def _emit_release(self, ins, temps) -> None:
         """Clear the locals of the slots ``ins`` releases and the template
         temporaries its emission introduced.  Bodies rendered as nested
-        ``def``s (``if`` branches, a chunked map) keep their slots in that
-        ``def``'s frame, which is gone already."""
+        ``def``s (``if`` branches) keep their slots in that ``def``'s frame,
+        which is gone already."""
         dead = [s for s, _ in ins.release]
-        if ins.kind == "if" or (ins.kind == "map" and _chunked(ins)):
+        if ins.kind == "if":
             framed = {s for b in nested_bodies(ins) for s, _ in b.bound}
             dead = [s for s in dead if s not in framed]
         names = [f"s{s}" for s in dead] + list(temps)
@@ -275,22 +273,6 @@ class _SrcEmitter:
     # -- SOACs ----------------------------------------------------------------
 
     def _emit_map(self, e) -> None:
-        if _chunked(e):
-            # The body is emitted once into a nested ``def`` (sound: the temp
-            # counter is global, SSA slots are unique, and nested defs close
-            # over enclosing locals) that ``_map_chunked`` calls per chunk.
-            body_fn, mv, mn = self.fresh("mapseq"), self.fresh("mv"), self.fresh("mn")
-            self.w(f"def {body_fn}(eng, {mv}, {mn}):")
-            self.level += 1
-            self.w(_ret(self._emit_lanes(e.params, e.body, lambda i: f"{mv}[{i}]", mn)))
-            self.level -= 1
-            vals = self.fresh("vals")
-            self.w(
-                f"{vals} = {self.use(_map_chunked)}"
-                f"(eng, {self.operand(e.arrs)}, {e.chunk}, {body_fn})"
-            )
-            self.bind(e.outs, vals)
-            return
         args, n = self._enter(e.arrs)
         srcs = [f"{args}[{i}]" for i in range(len(e.arrs))] + [self.ref(a) for a in e.accs]
         res = self._emit_lanes(e.params, e.body, srcs.__getitem__, n)

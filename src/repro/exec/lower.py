@@ -83,8 +83,6 @@ from ..ir.ast import (
     WithAcc,
     ZerosLike,
 )
-from ..ir.schedule import SCHEDULABLE as _SCHEDULABLE
-from ..ir.schedule import schedule_str as _schedule_str
 from ..ir.traversal import exp_free_vars
 from ..ir.types import is_float, is_integral, np_dtype
 from ..obs import tracing as _tracing
@@ -99,7 +97,6 @@ __all__ = [
     "PBody",
     "PlanIR",
     "lower_fun",
-    "plan_schedules",
     "nested_bodies",
     "plan_counts",
     "IRun",
@@ -206,11 +203,6 @@ class _Instr:
     #: emitter (``obs/profiler.py``) keys its per-instruction timings to
     #: these statements; everything else ignores them.
     prov: tuple = ()
-    #: The active schedule of the lowered SOAC/loop statement, formatted
-    #: (``ir.schedule.schedule_str``) — carried so execute spans and
-    #: the profiler report can say *how* a statement was scheduled.  Empty
-    #: on non-schedulable instructions.
-    schedule: str = ""
     #: The memory plan: ``(slot, name)`` pairs to clear once this instruction
     #: has completed — slots of the enclosing body whose last read (nested
     #: bodies included) is this instruction, then the ``bound`` slots of its
@@ -288,18 +280,12 @@ class IConcat(_Instr):
 
 
 class IMap(_Instr):
-    """``chunk > 1`` realises a ``sequential(chunk)`` schedule directive:
-    the emitters slice the (acc-free, top-level, unmasked) map into in-order
-    chunks of that extent and concatenate the payloads — bitwise-identical
-    to the bulk path because elementwise NumPy slices compose exactly."""
-
     kind = "map"
-    __slots__ = ("arrs", "accs", "params", "body", "n_acc", "outs", "chunk")
+    __slots__ = ("arrs", "accs", "params", "body", "n_acc", "outs")
 
-    def __init__(self, arrs, accs, params, body, n_acc, outs, chunk=0):
+    def __init__(self, arrs, accs, params, body, n_acc, outs):
         self.arrs, self.accs, self.params = arrs, accs, params
         self.body, self.n_acc, self.outs = body, n_acc, outs
-        self.chunk = chunk
 
 
 class IReduce(_Instr):
@@ -461,14 +447,6 @@ def plan_counts(instrs) -> Tuple[Dict[str, int], Dict[str, int]]:
     return mem, index
 
 
-def plan_schedules(ir: "PlanIR") -> str:
-    """Comma-joined distinct active schedules of the plan's top-level
-    SOAC/loop instructions — the ``schedule`` attribute on execute spans."""
-    return ",".join(dict.fromkeys(
-        ins.schedule for ins in ir.body.instrs if ins.schedule
-    ))
-
-
 # ---------------------------------------------------------------------------
 # Lowering
 # ---------------------------------------------------------------------------
@@ -620,9 +598,6 @@ class _Lowerer:
                 self.fused += j - i
             else:
                 ins = self._lower_stm(stms[i])
-                e = stms[i].exp
-                if isinstance(e, _SCHEDULABLE):
-                    ins.schedule = _schedule_str(e)
             ins.prov = tuple(stms[i:j])
             release = {self.slot(nm): nm for nm in dying.get(x, ())}
             if ins.kind != "run":
@@ -802,20 +777,11 @@ class _Lowerer:
     # -- SOACs ----------------------------------------------------------------
 
     def _lower_map(self, e: Map, stm: Stm) -> IMap:
-        chunk = 0
-        if not e.accs:
-            from ..ir.schedule import Sequential
-
-            chunk = next(
-                (d.chunk for d in e.schedule
-                 if isinstance(d, Sequential) and d.chunk > 1), 0,
-            )
         return IMap(
             self.refs(e.arrs), self.refs(e.accs), self.pslots(e.lam.params),
             self.lower_body(e.lam.body, e.lam.params,
                             self._lanes_of(e.lam.params, e.arrs)),
             len(e.accs), self.outs_of(stm, len(e.lam.body.result)),
-            chunk=chunk,
         )
 
     def _lower_map_part(self, mlam: Lambda, arrs: Sequence[Atom]):

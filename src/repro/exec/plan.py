@@ -74,7 +74,7 @@ from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError, env_capacity
 from . import values as _values
-from .lower import IntRef, PlanIR, Ref, lower_fun, plan_schedules
+from .lower import IntRef, PlanIR, Ref, lower_fun
 from .prims import _BINOPS, cast_to, unop_fn
 from .values import coerce_arg
 from .vector import (
@@ -101,7 +101,6 @@ from .vector import (
     _hist_put,
     _index,
     _map_acc,
-    _map_chunked,
     _map_result,
     _out_of_fuel,
     _owned,
@@ -185,11 +184,6 @@ def _operand(x) -> Callable:
     if x.const is not None:
         return lambda regs, _n=x.const: _n
     return lambda regs, _rd=_reader(x.ref), _w=x.what: _uniform_int(_rd(regs), _w)
-
-
-def _chunked(e) -> bool:
-    """Whether map ``e`` runs through ``vector._map_chunked``."""
-    return e.chunk > 1 and not e.accs and e.n_acc == 0
 
 
 def _scalar_fn(o):
@@ -416,11 +410,6 @@ class _ClosureEmitter:
     def _emit_map(self, e) -> Callable:
         arrs, accs = _operand(e.arrs), _operand(e.accs)
         lanes = self._emit_lanes(e.params, e.body)
-        if _chunked(e):
-            def fn_chunked(eng, _arrs=arrs, _chunk=e.chunk, _lanes=lanes):
-                return _map_chunked(eng, _arrs(eng.regs), _chunk, _lanes)
-
-            return _assign_multi(fn_chunked, e)
 
         def fn(eng, _arrs=arrs, _accs=accs, _lanes=lanes, _na=e.n_acc):
             regs = eng.regs
@@ -644,9 +633,6 @@ class Plan:
             self.param_slots = ir.param_slots
             self.param_types = ir.param_types
             self.nslots = ir.nslots
-            #: Distinct active schedules of the top-level SOAC/loop
-            #: statements, for the execute span.
-            self.schedule_str = plan_schedules(ir)
             #: Statements collapsed into fused scalar runs (recursive).
             self.fused_stms = ir.fused
             self._emit(ir)
@@ -706,8 +692,8 @@ class Plan:
             if len(batched) != len(args):
                 raise ExecError("run_batched: batched flags must match arguments")
             how["batched"] = True
-        with _span("execute", cat="exec", fun=self.fun.name, emitter=self.emitter_name,
-                   schedule=self.schedule_str or None, **how):
+        with _span("execute", cat="exec", fun=self.fun.name,
+                   emitter=self.emitter_name, **how):
             eng = _Engine(self.nslots)
             if batched is not None:
                 eng.bstack.append(b)

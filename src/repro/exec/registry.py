@@ -8,7 +8,8 @@ registered set) instead of failing deep inside dispatch.
 
 The backends, a fixed table built at import:
 
-* ``ref``   — the reference interpreter (semantics oracle, cost model);
+* ``ref``   — the reference interpreter (semantics oracle; runs the work/span
+  recorder ``exec/cost.py``);
 * ``plan``  — the cached plan compiler (lower once, replay closures);
 * ``codegen`` — the source codegen executor (same lowering, plan IR rendered
   to one compiled Python function; see ``exec/codegen.py``).

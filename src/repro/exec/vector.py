@@ -11,7 +11,7 @@ these calls, so they are bitwise equal to each other by construction; what a
 kernel computes is checked against the reference interpreter and against
 direct NumPy expectations (``tests/test_vector_internals.py``), never against
 the other emitter.  A kernel calls back into emitted code only where both
-emitters hold that code as a callable (``_branch``, ``_map_chunked``).
+emitters hold that code as a callable (``_branch``).
 
 The execution model is the flattening one the paper relies on
 (§4.1): entering a ``map`` pushes a batch level, lambda parameters become
@@ -257,8 +257,8 @@ def _basic_view(a: np.ndarray, ka: int, idxs: Sequence[BV], affine, k: int):
     (batch axis ``bdims - 1``), constant along every other.  What only the
     call knows is checked here in O(1): an operand without batch axes is a
     lane-uniform integer and must be in range; an affine one must span
-    exactly its lane (``size == n``), start and end inside the axis (chunked
-    maps start past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
+    exactly its lane (``size == n``), start and end inside the axis
+    (``a[i+2]`` starts past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
     it — that read stays a clipped gather), on a lane no other operand uses
     and no shallower than ``a``'s own batch axes (either would be a
     diagonal).  Each such operand becomes ``slice(start, start + n)`` on its
@@ -549,27 +549,6 @@ def _map_acc(eng, r) -> AccBV:
     if not isinstance(r, AccBV):
         raise ExecError("map: accumulator results must lead")
     return r
-
-
-def _map_chunked(eng, arrs: List[BV], chunk: int, body) -> Tuple[BV, ...]:
-    """An acc-free map under a ``sequential(chunk)`` schedule: ``body(eng,
-    params, m)`` runs the lambda over ``m`` lanes.  In-order chunks fire only
-    at top level (no batch axis, no mask — the same plan also serves batched
-    runs, which take the bulk path).  ``_batch_args`` guarantees every
-    param's data has extent exactly ``n`` on the batch axis, so slicing at
-    axis 0 is exact, and elementwise NumPy ops on slices are bitwise-equal to
-    the bulk evaluation."""
-    params, n = _batch_args(eng, arrs)
-    if eng.bstack or eng.mask is not None or n <= chunk:
-        return tuple(_map_result(eng, r, n) for r in body(eng, params, n))
-    parts = []
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        res = body(eng, [BV(p.data[lo:lo + chunk], p.bdims) for p in params], m)
-        parts.append([_lane_payload(eng, r, m) for r in res])
-    return tuple(
-        BV(np.ascontiguousarray(np.concatenate(col, axis=0)), 0) for col in zip(*parts)
-    )
 
 
 # -- reduce / scan ------------------------------------------------------------

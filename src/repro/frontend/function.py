@@ -11,8 +11,8 @@ Backends are resolved by name (``exec/registry.py``):
   repeat calls skip optimisation and AST dispatch entirely;
 * ``"codegen"`` — the same lowering rendered to one compiled Python
   function (``exec/codegen.py``), bitwise-equal to ``"plan"``;
-* ``"ref"`` — the reference interpreter (semantics oracle, drives the cost
-  model).
+* ``"ref"`` — the reference interpreter (semantics oracle; runs the
+  work/span recorder ``exec/cost.py``).
 
 Unknown names raise listing the registered set.
 
@@ -49,15 +49,6 @@ class Compiled:
     ``passes`` selects the optimisation passes applied at construction (a
     sequence of pass names — see ``opt.pipeline``); None means all of them,
     overridable via the ``REPRO_OPT_PASSES`` environment variable.
-
-    ``schedule`` overrides the default execution schedule (see
-    ``ir.schedule``): a directive string like ``"sequential(64)·vectorized"``
-    or a tuple of directive objects, attached *after* optimisation to every
-    top-level statement it is legal on; a schedule that is legal on none
-    raises ``ScheduleError`` with each statement's reason, which names the
-    offending directive.  With no explicit ``schedule``, the
-    ``REPRO_SCHEDULE`` environment override (if set) is applied by the same
-    rule, except that a program it is legal nowhere on runs as it is.
     """
 
     def __init__(
@@ -65,28 +56,15 @@ class Compiled:
         fun: Fun,
         optimize: bool = True,
         passes: "Sequence[str] | None" = None,
-        schedule=None,
     ) -> None:
         if optimize:
             from ..opt.pipeline import optimize_fun
 
             fun = optimize_fun(fun, passes=passes)
-        # Schedules attach after optimisation: a pass that rebuilds a SOAC
-        # node does so positionally, which resets its schedule field.
-        if schedule is not None:
-            from ..ir.schedule import apply_schedule
-
-            fun = apply_schedule(fun, schedule, strict=True)
-        else:
-            from ..ir.schedule import apply_env_schedule
-
-            fun = apply_env_schedule(fun)
-        # Pass-boundary verification after schedule application — this is
-        # the boundary where the schedule-legality re-check sees the
-        # attached directives.
+        # The only pre-lowering check of an ``optimize=False`` program.
         from ..ir.verify import maybe_verify_fun
 
-        self.fun = maybe_verify_fun(fun, where="schedule")
+        self.fun = maybe_verify_fun(fun, where="compile")
 
     @property
     def name(self) -> str:
@@ -143,6 +121,5 @@ def compile_fun(
     fun: Fun,
     optimize: bool = True,
     passes: "Sequence[str] | None" = None,
-    schedule=None,
 ) -> Compiled:
-    return Compiled(fun, optimize=optimize, passes=passes, schedule=schedule)
+    return Compiled(fun, optimize=optimize, passes=passes)

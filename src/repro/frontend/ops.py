@@ -285,9 +285,11 @@ def _trace_state_body(body_out, b, state_types) -> Tuple:
 def fori_loop(n, body_fn: Callable, init, *, stripmine: int = 0, checkpoint: str = "iters"):
     """``loop (state = init) for i < n do body_fn(i, *state)``.
 
-    ``stripmine=k`` strip-mines the loop ``k`` times before reverse AD (the
-    paper's §4.3 time–space knob); ``checkpoint="entry"`` marks the loop as
-    free of false dependencies (§6.2) so only the loop entry is checkpointed.
+    ``stripmine=f`` strip-mines the loop by the factor ``f`` before reverse
+    AD (the paper's §4.3 time–space knob; 0 and 1 mean off);
+    ``checkpoint="entry"`` is the caller's assertion that the loop is free of
+    false dependencies (§6.2), so only the loop entry is checkpointed.  Any
+    other value of either raises ``TypeError_`` here, naming the field.
     """
     inits = init if isinstance(init, (tuple, list)) else (init,)
     in_tv = _as_tvals(inits)

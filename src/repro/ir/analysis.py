@@ -317,11 +317,6 @@ def _ir_hash(fun: Fun) -> str:
             atom(e.v)
         else:  # future node kinds: still deterministic, never silent
             feed(repr(e).encode())
-        sched = getattr(e, "schedule", ())
-        if sched:  # non-default schedules are distinct programs
-            from .schedule import schedule_key
-
-            feed(schedule_key(sched))
         feed(b";")
 
     def body(b: Body) -> None:

@@ -310,21 +310,11 @@ class Map:
       the accumulators as its *leading* results, followed by the per-element
       results.  The Map's own results are the final accumulators followed by
       the result arrays.
-
-    ``schedule`` is the node's axis schedule — an ordered tuple of directives
-    from ``ir.schedule`` (``Vectorized | Sequential``).  Empty means
-    "use the default schedule" (see ``ir.schedule.default_schedule``).
-    Schedules are applied *after* optimisation (``Compiled.__init__``) and
-    taken off again where a compiled program enters AD
-    (``ir.schedule.strip_schedules``): a rewrite that leaves a node alone
-    leaves its directives alone, one that rebuilds it positionally resets
-    them (the field is trailing-with-default on every schedulable node).
     """
 
     lam: Lambda
     arrs: Tuple[Var, ...]
     accs: Tuple[Var, ...] = ()
-    schedule: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -338,7 +328,6 @@ class Reduce:
     lam: Lambda
     nes: Tuple[Atom, ...]
     arrs: Tuple[Var, ...]
-    schedule: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -348,7 +337,6 @@ class Scan:
     lam: Lambda
     nes: Tuple[Atom, ...]
     arrs: Tuple[Var, ...]
-    schedule: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -366,7 +354,6 @@ class ReduceByIndex:
     nes: Tuple[Atom, ...]
     inds: Var
     vals: Tuple[Var, ...]
-    schedule: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -381,7 +368,6 @@ class Scatter:
     dest: Var
     inds: Var
     vals: Var
-    schedule: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +382,14 @@ class Loop:
     ``body`` sees ``params`` and ``ivar``; its results become the params of
     the next iteration.  Annotations (mirroring the paper's user annotations):
 
-    * ``stripmine`` — strip-mine this loop ``stripmine`` times before reverse
-      AD (time–space trade-off of §4.3);
+    * ``stripmine`` — strip-mine this loop by the factor ``stripmine`` before
+      reverse AD (time–space trade-off of §4.3; 0 and 1 both mean "off");
     * ``checkpoint`` — ``"iters"`` (default: save loop-variant values every
       iteration, Fig. 3) or ``"entry"`` (§6.2: loop-variant arrays free of
       false dependencies are saved once at loop entry and restored before the
-      return sweep).
+      return sweep).  That freedom is the user's assertion; nothing checks it.
 
-    ``stripmine=f`` is sugar for the schedule ``sequential(f)·sequential``:
-    ``ir.schedule.apply_schedule`` converts a chunked sequential directive on
-    a Loop into this annotation, which ``opt.stripmine`` then realises.
+    ``ir.typecheck`` refuses any other value of either field.
     """
 
     params: Tuple[Var, ...]
@@ -415,7 +399,6 @@ class Loop:
     body: "Body"
     stripmine: int = 0
     checkpoint: str = "iters"
-    schedule: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -432,7 +415,6 @@ class WhileLoop:
     cond: "Lambda"
     body: "Body"
     bound: Optional[Atom] = None
-    schedule: tuple = ()
 
 
 @dataclass(frozen=True)

@@ -525,10 +525,9 @@ def _with_lam_body(lam: Lambda, body: Body) -> Lambda:
 
 def map_bodies(e: Exp, f: Callable[[Body], Body]) -> Exp:
     """``e`` with ``f`` applied to each directly nested body, every other
-    field (``schedule`` included) kept — and ``e`` itself when ``f`` handed
-    every body back.  This is the one recursion into nested scopes: a
-    ``Body -> Body`` rewrite calls it per statement and stays identity-
-    preserving for free."""
+    field kept — and ``e`` itself when ``f`` handed every body back.  This is
+    the one recursion into nested scopes: a ``Body -> Body`` rewrite calls it
+    per statement and stays identity-preserving for free."""
     if isinstance(e, (Map, Reduce, Scan, ReduceByIndex, WithAcc)):
         lam = _with_lam_body(e.lam, f(e.lam.body))
         return e if lam is e.lam else replace(e, lam=lam)

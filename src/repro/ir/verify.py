@@ -1,16 +1,16 @@
 """Layer-1 static verifier: pass-boundary checking of the array IR.
 
 The paper's correctness story rests on invariants the rewrite engine must
-preserve — SSA scoping, type preservation, schedule legality, and the §5.4
-accumulator discipline.  This module packages them as one entry point,
-``verify_fun``, invoked at pipeline boundaries behind the ``REPRO_VERIFY``
-knob:
+preserve — SSA scoping, type preservation and the §5.4 accumulator
+discipline.  This module packages them as one entry point, ``verify_fun``,
+invoked at pipeline boundaries behind the ``REPRO_VERIFY`` knob:
 
 * ``off``       — no verification (production default; the hooks cost one
   environment lookup per *compile stage*, never per call);
 * ``boundary``  — verify at stage boundaries: after tracing, after the whole
-  optimisation pipeline, after AD transforms, after schedule application and
-  at lowering (the default under pytest, see ``tests/conftest.py``);
+  optimisation pipeline, after AD transforms, at the end of
+  ``Compiled.__init__`` and at lowering (the default under pytest, see
+  ``tests/conftest.py``);
 * ``full``      — additionally verify after every individual optimisation
   pass (failures name the pass that fired), run the scatter-overlap
   analysis (layer 3, below) and the plan/codegen checks of
@@ -24,9 +24,7 @@ Checks performed by ``verify_fun``:
   is lexically dominated by its definition;
 * **type preservation** — ``typecheck.check_fun``;
 * **accumulator discipline** — ``validate.validate_fun`` (region/escape
-  analysis);
-* **schedule legality** — every attached schedule re-checked with
-  ``schedule.check_schedule``.
+  analysis).
 
 Layer 3 is a scatter index-overlap analysis: a ``Scatter`` whose indices
 provably repeat violates the IR precondition (duplicate-free writes) under
@@ -59,7 +57,6 @@ from .ast import (
     Var,
     WhileLoop,
 )
-from .schedule import check_schedule, format_schedule
 from .traversal import exp_atoms, exp_lambdas
 from .typecheck import check_fun
 from .validate import validate_fun
@@ -79,7 +76,7 @@ class VerifyError(IRError):
     """An IR invariant violation caught by the static verifier.
 
     The message names the pipeline location (``where`` — e.g. ``opt:fuse``,
-    ``vjp``, ``schedule``, ``lower``) and the offending statement, so a
+    ``vjp``, ``compile``, ``lower``) and the offending statement, so a
     failing pass is attributable without a bisection.
     """
 
@@ -219,38 +216,6 @@ def _check_ssa(fun: Fun, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Schedule legality
-# ---------------------------------------------------------------------------
-
-
-def _check_schedules(fun: Fun, where: str) -> None:
-    def walk_body(body: Body) -> None:
-        for stm in body.stms:
-            sched = getattr(stm.exp, "schedule", ())
-            if sched:
-                err = check_schedule(stm.exp, sched)
-                if err is not None:
-                    raise VerifyError(
-                        f"illegal schedule "
-                        f"{format_schedule(tuple(sched))!r}: {err}",
-                        where,
-                        stm,
-                    )
-            walk_exp(stm.exp)
-
-    def walk_exp(e: Exp) -> None:
-        for lam in exp_lambdas(e):
-            walk_body(lam.body)
-        if isinstance(e, (Loop, WhileLoop)):
-            walk_body(e.body)
-        elif isinstance(e, If):
-            walk_body(e.then)
-            walk_body(e.els)
-
-    walk_body(fun.body)
-
-
-# ---------------------------------------------------------------------------
 # Layer 3: scatter index-overlap analysis
 # ---------------------------------------------------------------------------
 
@@ -332,7 +297,6 @@ def verify_fun(fun: Fun, where: str = "", *, full: bool = False) -> Fun:
             _check_ssa(fun, where)
             check_fun(fun)
             validate_fun(fun)
-            _check_schedules(fun, where)
             if full:
                 _check_scatter_overlap(fun, where)
         except VerifyError:

@@ -10,7 +10,7 @@ labelled via ``ir/pretty``.  Results are bitwise-identical to the plain
 ``plan`` emitter — the wrapper only observes.
 
 ``profile_report()`` ranks the top-k hotspots by measured seconds, each
-with its schedule and the size of its memory and index plans.
+with the size of its memory and index plans.
 
 Selection: pass ``emitter="profile"`` to ``plan_for``, or set
 ``REPRO_PROFILE`` — any truthy value routes default plan-backend
@@ -46,16 +46,14 @@ _PLOCK = threading.Lock()
 
 
 class _Rec:
-    __slots__ = ("label", "kind", "fun", "schedule", "mem", "index",
-                 "calls", "seconds")
+    __slots__ = ("label", "kind", "fun", "mem", "index", "calls", "seconds")
 
     def __init__(self, label: str, kind: str, fun: str,
-                 schedule: str = "", mem: Optional[Dict[str, int]] = None,
+                 mem: Optional[Dict[str, int]] = None,
                  index: Optional[Dict[str, int]] = None):
         self.label = label
         self.kind = kind
         self.fun = fun
-        self.schedule = schedule
         #: ``exec.lower.plan_counts`` of the instruction (nested bodies
         #: included), fixed at emit time: the size of its memory plan …
         self.mem = mem or {}
@@ -88,7 +86,7 @@ def _label_of(prov: tuple, kind: str) -> str:
 
 
 def _wrap(closure, key: tuple, label: str, kind: str, fun: str,
-          schedule: str = "", mem: Optional[Dict[str, int]] = None,
+          mem: Optional[Dict[str, int]] = None,
           index: Optional[Dict[str, int]] = None):
     """Time one instruction closure; the record is resolved per call so
     accumulation survives ``reset_profile`` on cached plans."""
@@ -102,7 +100,7 @@ def _wrap(closure, key: tuple, label: str, kind: str, fun: str,
             with _PLOCK:
                 rec = _DATA.get(key)
                 if rec is None:
-                    rec = _DATA[key] = _Rec(label, kind, fun, schedule, mem, index)
+                    rec = _DATA[key] = _Rec(label, kind, fun, mem, index)
                 rec.calls += 1
                 rec.seconds += dt
 
@@ -131,7 +129,6 @@ class ProfilePlan(Plan):
                 _label_of(ins.prov, ins.kind),
                 ins.kind,
                 fun.name,
-                ins.schedule,
                 *plan_counts((ins,)),
             )
             for i, (c, ins) in enumerate(zip(instrs, ir.body.instrs))
@@ -161,7 +158,7 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
     """Rank instruction hotspots by measured seconds.
 
     Returns ``{total_s, execute_span_s, coverage, by_kind, entries}``.
-    Each entry carries ``label`` / ``fun`` / ``kind`` / ``schedule`` /
+    Each entry carries ``label`` / ``fun`` / ``kind`` /
     ``mem`` (the size of the instruction's memory plan: slots released,
     run-local values released, donating ops — nested bodies included) /
     ``index`` (its indexed reads and accumulator updates on the view path and
@@ -173,7 +170,7 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
     with _PLOCK:
         recs = sorted(_DATA.values(), key=lambda r: r.seconds, reverse=True)
         recs = [
-            (r.label, r.kind, r.fun, r.schedule, r.mem, r.index, r.calls, r.seconds)
+            (r.label, r.kind, r.fun, r.mem, r.index, r.calls, r.seconds)
             for r in recs
         ]
     total = sum(sec for *_, sec in recs)
@@ -186,7 +183,6 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
             "label": label,
             "fun": fun,
             "kind": kind,
-            "schedule": schedule,
             "mem": dict(mem),
             "index": dict(index),
             "calls": calls,
@@ -194,7 +190,7 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
             "share": (sec / total) if total else 0.0,
             "measured_rank": rank,
         }
-        for rank, (label, kind, fun, schedule, mem, index, calls, sec)
+        for rank, (label, kind, fun, mem, index, calls, sec)
         in enumerate(recs[: max(top_k, 0)], start=1)
     ]
 
@@ -224,7 +220,6 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
         f"{'rel/loc/don':>11s} {'view/gather':>11s} label",
     ]
     for e in rep["entries"]:
-        sched = f" [{e['schedule']}]" if e.get("schedule") else ""
         # slots released / run-local values released / donating ops
         mem = "/".join(str(n) for n in e.get("mem", {}).values()) or "-"
         # indexed reads + accumulator updates that are views / reads that gather
@@ -234,7 +229,7 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
         lines.append(
             f"{e['measured_rank']:2d} {e['seconds']:9.4f} "
             f"{100 * e['share']:5.1f}% {e['calls']:7d} "
-            f"{mem:>11s} {idx:>11s} {e['fun']}: {e['label']}{sched}"
+            f"{mem:>11s} {idx:>11s} {e['fun']}: {e['label']}"
         )
     if rep["by_kind"]:
         top = sorted(rep["by_kind"].items(), key=lambda kv: kv[1], reverse=True)

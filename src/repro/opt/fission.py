@@ -11,10 +11,10 @@ the bulk ``ufunc`` strategy (and again fusable into a redomap).
 
 Result ``i`` of the operator joins the group of every component ``j`` whose
 ``acc_j``/``elem_j`` parameter it transitively reads.  Each group keeps its
-slice of ``nes``/``arrs`` (and the shared ``inds``/``num_bins``/``schedule``)
-and the dead-code-eliminated slice of the operator body.  Genuinely coupled
-operators — argmin ``(v, i)``, min-with-tangent — form a single group and are
-left untouched.
+slice of ``nes``/``arrs`` (and the shared ``inds``/``num_bins``) and the
+dead-code-eliminated slice of the operator body.  Genuinely coupled operators
+— argmin ``(v, i)``, min-with-tangent — form a single group and are left
+untouched.
 """
 from __future__ import annotations
 

@@ -1,11 +1,8 @@
-"""The ``sequential``-directive rewriter: loop strip-mining (paper §4.3).
+"""Loop strip-mining (paper §4.3), the user's time–space annotation.
 
-In schedule-IR terms (``ir.schedule``) a loop scheduled
-``sequential(f)·sequential`` executes its trip axis as an outer loop of
-⌈n/f⌉ steps around an inner loop of ``f`` steps; the legacy ``stripmine=f``
-annotation is sugar for exactly that schedule, and ``apply_schedule``
-converts between the two.  This pass realises the directive: the loop is
-split before reverse AD into the outer/inner pair, the body guarded by
+``rp.fori_loop(..., stripmine=f)`` marks a loop (``Loop.stripmine``); this
+pass realises the mark before reverse AD: the trip axis becomes an outer loop
+of ⌈n/f⌉ steps around an inner loop of ``f`` steps, the body guarded by
 ``i < n``.  Reverse AD then checkpoints each of the two loops separately:
 memory drops from O(n) to O(⌈n/f⌉ + f) loop-variant snapshots while the
 forward sweep of the inner loop is re-executed once more (Fig. 4's

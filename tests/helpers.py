@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -128,6 +129,19 @@ def vector_call_census(fn) -> dict:
         for (path, _line, name), (_cc, ncalls, _tt, _ct, _callers) in _profiled(fn).items()
         if path.endswith("exec/vector.py")
     }
+
+
+def peak_mb(fn) -> float:
+    """``tracemalloc`` peak of one cached call of ``fn`` (deterministic: no
+    timer)."""
+    fn()  # lowered and cached: the measured call is a cached one
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def fd_grad(fc, args, k: int, eps: float = 1e-6):

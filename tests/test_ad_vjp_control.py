@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-from helpers import check_grad
+from helpers import check_grad, peak_mb
 from repro.util import ADError
 
 rng = np.random.default_rng(5)
@@ -90,6 +90,53 @@ def test_stripmine_reduces_checkpoint_memory():
     p_sm = peak(make(16))
     assert p_plain >= 256
     assert p_sm < p_plain / 3  # ~ 16 + 16 vs 256 checkpoint slots
+
+
+def test_stripmine_cuts_traced_peak_on_the_plan_backend():
+    """The §4.3 trial on the executor users run: a 128-iteration loop over
+    20,000 floats, ``tracemalloc`` peak of one cached gradient call
+    (measured 9.2 vs 58.9 MB), the two gradients bitwise-equal."""
+
+    def make(sm):
+        def f(xs):
+            def step(i, a):
+                return rp.map(lambda v: rp.sin(v) * v + 0.5, a)
+
+            return rp.sum(rp.fori_loop(128, step, xs, stripmine=sm))
+
+        return rp.grad(rp.compile(rp.trace_like(f, (np.ones(4),))))
+
+    xs = np.random.default_rng(0).standard_normal(20_000) * 0.5
+    g_plain, g_sm = make(0), make(16)
+    p_plain = peak_mb(lambda: g_plain(xs, backend="plan"))
+    p_sm = peak_mb(lambda: g_sm(xs, backend="plan"))
+    assert p_sm <= p_plain / 4, (p_sm, p_plain)
+    assert g_sm(xs, backend="plan").tobytes() == g_plain(xs, backend="plan").tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint", "Entry"), ("checkpoint", "enter"), ("stripmine", -4), ("stripmine", 2.0),
+])
+def test_loop_annotations_refuse_unknown_values(field, value):
+    from repro.util import TypeError_
+
+    with pytest.raises(TypeError_, match=f"loop: {field} must be"):
+        rp.trace_like(
+            lambda x: rp.fori_loop(4, lambda i, a: a * x, x, **{field: value}), (1.0,))
+
+
+def test_stripmine_0_and_1_both_mean_off():
+    from repro.ir.analysis import ir_hash
+
+    def make(sm):
+        def f(x):
+            return rp.fori_loop(8, lambda i, a: rp.sin(a) * x, x, stripmine=sm)
+
+        return rp.grad(rp.compile(rp.trace_like(f, (1.0,))))
+
+    g0, g1 = make(0), make(1)
+    assert g0(0.8) == g1(0.8)
+    assert ir_hash(g0.adfun.fun) == ir_hash(g1.adfun.fun)
 
 
 def test_checkpoint_entry_annotation():

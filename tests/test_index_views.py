@@ -27,11 +27,11 @@ from helpers import numpy_call_census, run_both
 N, M = 5, 4
 
 
-def _all_modes(f, args, ex=None, **compile_kw):
+def _all_modes(f, args, ex=None):
     """Value, ``vjp`` and ``jvp`` of ``f`` on every backend (``run_both``);
     returns the compiled primal."""
     rng = np.random.default_rng(0)
-    fc = rp.compile(rp.trace_like(f, ex or args), **compile_kw)
+    fc = rp.compile(rp.trace_like(f, ex or args))
     out = run_both(fc, *args)
     outs = out if isinstance(out, tuple) else (out,)
     floats = [np.asarray(a) for a in args if np.asarray(a).dtype.kind == "f"]
@@ -135,33 +135,6 @@ def test_extent_0_and_1_maps(n):
         return rp.map(lambda i: a[i] * 2.0, rp.iota(rp.size(a)))
 
     _all_modes(f, (np.arange(1.0, n + 1.0),), ex=(np.ones(3),))
-
-
-# ---------------------------------------------------------------------------
-# Chunked maps: lanes that do not start at 0
-# ---------------------------------------------------------------------------
-
-
-def _chunky(a):
-    return rp.map(lambda i: rp.sum(rp.map(lambda j: a[i, j] * a[i, j], rp.iota(M))), rp.iota(10))
-
-
-def test_sequential_chunks_start_past_zero():
-    a = _mat(10, M)
-    fc = _all_modes(_chunky, (a,), schedule="sequential(4)·vectorized")
-    # every chunk's slice starts at its own offset: still no gather
-    assert _census(fc, a) == {"gather": 0, "scatter": 0, "clip": 0}
-
-
-def test_chunked_derivative_maps_start_past_zero(monkeypatch):
-    """``schedule=`` reaches the primal only (AD rebuilds the nodes), so the
-    derivatives' own top-level maps are chunked through ``REPRO_SCHEDULE``:
-    chunks [0,4) [4,8) [8,10) of the ``vjp`` and ``jvp`` programs."""
-    monkeypatch.setenv("REPRO_SCHEDULE", "sequential(4)·vectorized")
-    a = _mat(10, M)
-    fc = _all_modes(_chunky, (a,))
-    for d in (rp.vjp(fc), rp.jvp(fc)):
-        assert any(getattr(s.exp, "schedule", ()) for s in d.fun.body.stms)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import repro as rp
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
 from repro.exec import plan_cache_stats, vector
+from helpers import peak_mb
 from test_fuzz_programs import _gen_program
 
 EMITTERS = ("plan", "codegen")
@@ -138,7 +139,7 @@ def test_results_are_the_callers_to_overwrite(name, emitter, donation_floor):
 
 
 # ---------------------------------------------------------------------------
-# Control flow with releases on: re-entered bodies, masks, folds, chunks
+# Control flow with releases on: re-entered bodies, masks, folds
 # ---------------------------------------------------------------------------
 
 
@@ -176,27 +177,27 @@ def _loop_prog(xs):
     return rp.sum(rp.map(per, xs))
 
 
-def _seq_map_prog(xs):
+def _array_map_prog(xs):
     return rp.map(lambda x: rp.sin(x) * x + rp.exp(-x * x), xs)
 
 
-#: name -> (program, schedule, derivative).  The coupled fold has no reverse
+#: name -> (program, derivative).  The coupled fold has no reverse
 #: rule and the map returns an array: those two differentiate forward.
 _CONTROL = {
-    "while": (_while_prog, None, rp.grad),
-    "masked_if": (_masked_if_prog, None, rp.grad),
-    "generic_fold": (_generic_fold_prog, None, rp.jvp),
-    "loop": (_loop_prog, None, rp.grad),
-    "sequential_map": (_seq_map_prog, "sequential(4)·vectorized", rp.jvp),
-    **{f"fuzz{seed}": (_gen_program(seed), None, rp.grad) for seed in (0, 1, 2, 3, 5, 8)},
+    "while": (_while_prog, rp.grad),
+    "masked_if": (_masked_if_prog, rp.grad),
+    "generic_fold": (_generic_fold_prog, rp.jvp),
+    "loop": (_loop_prog, rp.grad),
+    "array_map": (_array_map_prog, rp.jvp),
+    **{f"fuzz{seed}": (_gen_program(seed), rp.grad) for seed in (0, 1, 2, 3, 5, 8)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CONTROL))
 def test_control_flow_with_releases_matches_ref(name, donation_floor):
-    prog, schedule, transform = _CONTROL[name]
+    prog, transform = _CONTROL[name]
     xs = np.random.default_rng(7).standard_normal(11) * 0.9
-    fc = rp.compile(rp.trace_like(prog, (xs,)), schedule=schedule)
+    fc = rp.compile(rp.trace_like(prog, (xs,)))
     args = (xs, np.cos(xs)) if transform is rp.jvp else (xs,)
     deriv = transform(fc)
     want, dwant = fc(xs, backend="ref"), deriv(*args, backend="ref")
@@ -234,24 +235,13 @@ def test_a_large_dead_temporary_is_computed_into():
 # ---------------------------------------------------------------------------
 
 
-def _peak_mb(fn) -> float:
-    fn()  # lowered and cached: the measured call is a cached one
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_kmeans_hessian_call_peaks_under_16_mb():
     # (k, n, d) = (8, 1000, 32) is the `kmeans_newton` benchmark size: one
     # (n, k, d) float64 temporary is 1.95 MB.  The register file used to keep
     # every one of them until the call returned (32.6 MB).
     pts, ctr = datagen.kmeans_instance(8, 1000, 32, 0)
     h = rp.hessian_diag(rp.compile(kmeans.build_ir(1000, 8, 32)), wrt=1)
-    assert _peak_mb(lambda: h(pts, ctr)) <= 16.0
+    assert peak_mb(lambda: h(pts, ctr)) <= 16.0
 
 
 def test_lstm_gradient_call_peak_no_higher_than_before_the_memory_plan():
@@ -259,4 +249,4 @@ def test_lstm_gradient_call_peak_no_higher_than_before_the_memory_plan():
     # executor without a memory plan peaked at 1.66 MB here (0.35 with).
     xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(16, 12, 10, 16, 0)
     g = rp.grad(rp.compile(lstm.build_ir(12, 16, 10, 16)), wrt=[1, 2, 3, 4])
-    assert _peak_mb(lambda: g(xs, wx, wh, b, wy, tg)) <= 1.66
+    assert peak_mb(lambda: g(xs, wx, wh, b, wy, tg)) <= 1.66

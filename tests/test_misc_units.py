@@ -140,6 +140,27 @@ def test_malformed_knob_fails_loudly(var, value, monkeypatch):
             fc(np.ones(11), backend="plan")
 
 
+def test_schedule_layer_is_deleted_not_deprecated(monkeypatch):
+    """``schedule=`` is an unknown keyword on every compile entry point, and
+    the ``REPRO_SCHEDULE`` variable is read by nothing: a gradient compiled
+    under any value of it is the program, and the result, of the unset run."""
+    from repro.ir.analysis import ir_hash
+
+    xs = np.linspace(0.1, 2.0, 11)
+    ir = rp.trace_like(lambda v: rp.sum(rp.map(lambda x: rp.sin(x) * x, v)), (xs,))
+    for entry in (rp.compile, rp.vjp, rp.jvp, rp.grad, rp.value_and_grad):
+        with pytest.raises(TypeError, match="schedule"):
+            entry(ir, schedule="sequential(4)")
+    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)
+    base = rp.grad(rp.compile(ir))
+    for value in ("sequential(4)", "parallel(2)"):
+        monkeypatch.setenv("REPRO_SCHEDULE", value)
+        forced = rp.grad(rp.compile(ir))
+        assert ir_hash(forced.adfun.fun) == ir_hash(base.adfun.fun)
+        for be in ("ref", "plan", "codegen"):
+            assert forced(xs, backend=be).tobytes() == base(xs, backend=be).tobytes()
+
+
 def test_knob_census_matches_readme_table():
     """Every ``REPRO_*`` name the source or the benchmarks mention has a row
     in README "Environment knobs", and the table lists nothing else."""

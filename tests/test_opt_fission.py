@@ -17,7 +17,6 @@ from repro.ir import F64, I64, Fun, Lambda, Var, array
 from repro.ir.analysis import recognize_binop_lambda
 from repro.ir.ast import Reduce, ReduceByIndex, Scan
 from repro.ir.builder import Builder, const
-from repro.ir.schedule import Sequential
 from repro.ir.typecheck import check_fun
 from repro.opt.fission import component_groups, fission_fun, fission_stats
 from repro.opt.pipeline import clear_opt_cache
@@ -115,7 +114,7 @@ def test_scan_and_hist_split_and_hist_keeps_its_indices():
                   rng.standard_normal(5))
 
 
-def _dual_row_sum(schedule=()):
+def _dual_row_sum():
     """``reduce (\\a ȧ x ẋ -> (a+x, ȧ+ẋ)) (0-row, 0-row) m ṁ`` over rows:
     array-typed elements and neutral elements that are *variables*."""
     m, dm = Var("m", array(F64, 2)), Var("dm", array(F64, 2))
@@ -125,18 +124,16 @@ def _dual_row_sum(schedule=()):
     a, da, x, dx = (Var(n, row) for n in ("a", "da", "x", "dx"))
     lb = Builder()
     lam = Lambda((a, da, x, dx), lb.finish([lb.add(a, x, "s"), lb.add(da, dx, "ds")]))
-    outs = b.emit(Reduce(lam, tuple(nes), (m, dm), schedule), ["sum", "dsum"])
+    outs = b.emit(Reduce(lam, tuple(nes), (m, dm)), ["sum", "dsum"])
     return Fun("dual_row_sum", (m, dm), b.finish(outs)), nes
 
 
-def test_array_neutral_elements_and_schedule_survive():
-    sched = (Sequential(),)
-    fun, nes = _dual_row_sum(sched)
+def test_array_neutral_elements_survive():
+    fun, nes = _dual_row_sum()
     split = fission_fun(fun)
     check_fun(split)
     stms = _soacs(split)
     assert [s.exp.nes for s in stms] == [(nes[0],), (nes[1],)]
-    assert all(s.exp.schedule == sched for s in stms)
     _same_results(fun, split, rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
 
 

@@ -252,31 +252,6 @@ def test_converged_program_is_not_optimised_again(corpus):
         assert optimize_fun(g, rounds=8) is g
 
 
-def test_scheduled_converged_program_keeps_its_directives(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)  # ``plain`` must be unscheduled
-
-    def prog(v):
-        n = rp.size(v)
-        idx = rp.map(lambda i: (i * 3) % n, rp.iota(n))
-        return rp.map(lambda i: v[i] * v[i], idx)
-
-    ir = rp.trace_like(prog, (np.ones(4),))
-    plain, sched = rp.compile(ir), rp.compile(ir, schedule="sequential(64)")
-    scheduled = [s.exp for s in sched.fun.body.stms if getattr(s.exp, "schedule", ())]
-    assert scheduled
-    assert optimize_fun(sched.fun) is sched.fun  # directives intact: the very same nodes
-    # ... and AD takes them off in one named place, so the derivative is the
-    # one the unscheduled program has.
-    from repro.core import api
-    from repro.ir.analysis import ir_hash
-
-    assert ir_hash(rp.vjp(sched).fun) == ir_hash(rp.vjp(plain).fun)
-    assert ir_hash(rp.jvp(sched).fun) == ir_hash(rp.jvp(plain).fun)
-    monkeypatch.setattr(api, "strip_schedules", lambda f: f)
-    # without it the forward sweep keeps them
-    assert ir_hash(rp.vjp(sched).fun) != ir_hash(rp.vjp(plain).fun)
-
-
 # -- (e) acc_opt stops when it rewrote nothing ---------------------------------
 
 

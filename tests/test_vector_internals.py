@@ -236,31 +236,6 @@ def test_map_result_is_owned_contiguous_and_full_extent():
         V._map_acc(eng, uni)
 
 
-@pytest.mark.parametrize("chunk", [2, 3, 7, 64])
-@pytest.mark.parametrize("n", [0, 1, 7])
-def test_map_chunked_covers_the_lanes_in_order_and_equals_the_bulk_path(n, chunk):
-    xs, ys = np.arange(float(n)), np.arange(float(n)) * 10.0
-    calls = []
-
-    def body(eng, params, m):
-        calls.append(m)
-        a, b = params
-        assert a.bdims == b.bdims == len(eng.bstack) + 1 and a.data.shape[a.bdims - 1] == m
-        return BV(a.data * 2.0 + b.data, a.bdims), BV(np.float64(3.0), 0)
-
-    eng = _eng((), False)
-    out = V._map_chunked(eng, [BV(xs, 0), BV(ys, 0)], chunk, body)
-    assert calls == ([chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0) if n > chunk else [n])
-    np.testing.assert_array_equal(out[0].data, xs * 2.0 + ys)
-    np.testing.assert_array_equal(out[1].data, np.full(n, 3.0))
-    assert all(o.bdims == 0 and o.data.flags.c_contiguous for o in out)
-    # Under a batch level or a mask the same plan takes the bulk path: one call.
-    for eng2, arg in ((_eng((2,), False), np.stack([xs, xs])), (_eng((), True), xs)):
-        calls.clear()
-        V._map_chunked(eng2, [BV(arg, len(eng2.bstack)), BV(ys, 0)], 2, body)
-        assert calls == [n]
-
-
 def _hist_want(eng, bshape, m, inds, vals, op, ne):
     want = np.full(bshape + (m,) + vals.shape[len(bshape) + 1:], ne)
     for lane in np.ndindex(*bshape):

@@ -38,7 +38,6 @@ from repro.ir.ast import (
     UpdAcc,
     WithAcc,
 )
-from repro.ir.schedule import Sequential
 from repro.ir.types import AccType
 from repro.ir.verify import VERIFY_STATS
 from repro.util import ReproError
@@ -61,7 +60,7 @@ def _reject(fun, match, *, full=False, where="opt:evil"):
 
 
 # ---------------------------------------------------------------------------
-# Layer 1: SSA / types / accumulator discipline / schedules
+# Layer 1: SSA / types / accumulator discipline
 # ---------------------------------------------------------------------------
 
 
@@ -181,22 +180,6 @@ def test_loop_acc_not_threaded_rejected():
         (a2,),
     )
     _reject(Fun("f", (a, b), body), "not threaded linearly")
-
-
-def test_racy_scatter_schedule_rejected():
-    dest = Var("dest", A)
-    inds = Var("inds", AI)
-    vals = Var("vals", A)
-    out = Var("out", A)
-    body = Body(
-        (Stm((out,), Scatter(dest, inds, vals, schedule=(Sequential(4),))),),
-        (out,),
-    )
-    err = _reject(
-        Fun("f", (dest, inds, vals), body), "scatter writes may collide"
-    )
-    assert "sequential(4)" in str(err)
-    assert "let (out)" in str(err)
 
 
 def test_scatter_replicated_indices_rejected_in_full():
