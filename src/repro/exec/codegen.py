@@ -68,6 +68,7 @@ from .vector import (
     _elem_into,
     _elems_at,
     _gather,
+    _give,
     _hist_accumulate,
     _hist_enter,
     _hist_get,
@@ -117,6 +118,10 @@ class _SrcEmitter:
         #: them with the instruction's releases: a template's ``args`` would
         #: otherwise pin the arrays the memory plan just let go of).
         self.temps: List[str] = []
+        #: The local of the body being emitted that says whether its lane
+        #: extent reaches the size floor (``_Engine.lanes`` / ``.floor``):
+        #: takers and recyclable run-local releases render under it.
+        self.big = ""
 
     # -- infrastructure -------------------------------------------------------
 
@@ -178,6 +183,11 @@ class _SrcEmitter:
         its results."""
         if not pbody.instrs:
             self.w("pass")  # keep indented blocks (try:, def:) syntactically valid
+        outer = self.big
+        if any(o.take or o.recycle for i in pbody.instrs if i.kind == "run" for o in i.ops):
+            self.big = self.fresh("big")
+            self.temps.pop()  # a flag pins nothing: no need to clear it
+            self.w(f"{self.big} = eng.lanes >= eng.floor")
         for ins in pbody.instrs:
             first = len(self.temps)
             leaf = leaf_kernel(ins)
@@ -190,20 +200,28 @@ class _SrcEmitter:
                 self.w(f"s{_out_slot(ins)} = {self.use(kernel)}(eng, {', '.join(args)})")
             self._emit_release(ins, self.temps[first:])
             del self.temps[first:]
+        self.big = outer
         return tuple(self.ref(r) for r in pbody.result)
 
     def _emit_release(self, ins, temps) -> None:
         """Clear the locals of the slots ``ins`` releases and the template
-        temporaries its emission introduced.  Bodies rendered as nested
-        ``def``s (``if`` branches) keep their slots in that ``def``'s frame,
-        which is gone already."""
-        dead = [s for s, _ in ins.release]
+        temporaries its emission introduced, then offer the recyclable ones
+        to the free list (last: a value is only kept once nobody else holds
+        it).  Bodies rendered as nested ``def``s (``if`` branches) keep their
+        slots in that ``def``'s frame, which is gone already."""
+        dead = [s for s, _ in ins.release if s not in ins.recycle]
         if ins.kind == "if":
             framed = {s for b in nested_bodies(ins) for s, _ in b.bound}
             dead = [s for s in dead if s not in framed]
         names = [f"s{s}" for s in dead] + list(temps)
         if names:
             self.w(" = ".join(names) + " = None")
+        if ins.recycle:
+            # ``eng.out`` is empty until the call has taken a buffer from the
+            # free list: until then nothing offered would be admitted.
+            give = self.use(_give)
+            self.w("if eng.out: " + "; ".join(f"s{s} = {give}(s{s})" for s in ins.recycle))
+            self.w(" = ".join(f"s{s}" for s in ins.recycle) + " = None")
 
     def _emit_lanes(self, params, body, src, n: str) -> Tuple[str, ...]:
         """Inline a SOAC lambda: bind its params to the ``src(i)``
@@ -211,13 +229,18 @@ class _SrcEmitter:
         down.  Returns the names of its results."""
         for i, (slot, _name) in enumerate(params):
             self.w(f"s{slot} = {src(i)}")
+        outer = self.fresh("ln")
+        self.temps.pop()  # an int
         self.w(f"eng.bstack.append({n})")
+        self.w(f"{outer} = eng.lanes")
+        self.w(f"eng.lanes = {outer} * {n}")
         self.w("try:")
         self.level += 1
         res = self.emit_body(body)
         self.level -= 1
         self.w("finally:")
         self.w("    eng.bstack.pop()")
+        self.w(f"    eng.lanes = {outer}")
         return res
 
     def _enter(self, arrs) -> Tuple[str, str]:
@@ -237,9 +260,11 @@ class _SrcEmitter:
         if k in ("unop", "binop"):
             uf = self.const(_scalar_fn(o))
             args = ", ".join(opn(x) for x in o.xs)
+            into = f"{self.use(_elem_into)}({uf}, {o.donate!r}, {args}"
             if o.donate:
-                return f"{self.use(_elem_into)}({uf}, {o.donate!r}, {args})"
-            return f"{self.use(_elem)}({uf}, {args})"
+                return into + (f", take={self.big})" if o.take else ")")
+            plain = f"{self.use(_elem)}({uf}, {args})"
+            return f"({into}, take=True) if {self.big} else {plain})" if o.take else plain
         if k == "select":
             c, t, f = (opn(x) for x in o.xs)
             return f"{self.use(_where)}({c}, {t}, {f})"
@@ -266,9 +291,18 @@ class _SrcEmitter:
             names.append(nm)
             if o.release:
                 dead = [names[y] for y in o.release]  # never an exported one
+                if o.recycle:
+                    gives = "; ".join(
+                        f"{names[y]} = {self.use(_give)}({names[y]})" for y in o.recycle
+                    )
+                    dead = [names[y] for y in o.release if y not in o.recycle]
+                    if dead:
+                        self.w(" = ".join(dead) + " = None")
+                    self.w(f"if {self.big}: {gives}")
+                    dead = [names[y] for y in o.recycle]
                 self.w(" = ".join(dead) + " = None")
-                for nm in dead:
-                    self.temps.remove(nm)
+                for y in o.release:
+                    self.temps.remove(names[y])
 
     # -- SOACs ----------------------------------------------------------------
 
@@ -293,6 +327,8 @@ class _SrcEmitter:
         ne, out = self.ref(e.nes[0]), e.outs[0][0]
         self.w(f"if {n} == 0:")
         self.w(f"    s{out} = {self.use(empty)}(eng, {ne})")
+        for s in e.mbody.spare:  # offered to the free list below: bind them here too
+            self.w(f"    s{s} = None")
         self.w("else:")
         self.level += 1
         (r,) = self._emit_lanes(e.mparams, e.mbody, lambda i: f"{args}[{i}]", n)

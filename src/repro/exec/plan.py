@@ -73,7 +73,7 @@ from ..ir.ast import Fun
 from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError, env_capacity
-from . import values as _values
+from . import values as _values, vector as _vector
 from .lower import IntRef, PlanIR, Ref, lower_fun
 from .prims import _BINOPS, cast_to, unop_fn
 from .values import coerce_arg
@@ -94,6 +94,7 @@ from .vector import (
     _elems_at,
     _expand,
     _gather,
+    _give,
     _hist_accumulate,
     _hist_enter,
     _hist_get,
@@ -104,10 +105,13 @@ from .vector import (
     _map_result,
     _out_of_fuel,
     _owned,
+    _pool,
     _stack_columns,
     _uniform_int,
     _where,
+    clear_pool,
     leaf_kernel,
+    pool_bytes,
 )
 
 __all__ = [
@@ -132,14 +136,24 @@ _span = _obs_tracing.span
 
 
 class _Engine:
-    """Mutable per-call state: register file, batch stack, predication mask."""
+    """Mutable per-call state: register file, batch stack, predication mask —
+    and the lane extent ``lanes`` (the product of ``bstack``, kept in step
+    where a body is entered and left) with ``floor``, the extent from which
+    one float per lane is a buffer worth recycling: a fused run compares the
+    two once and only then runs its pool-aware ops (``exec/vector.py``, "the
+    free list").  ``out`` is the calling thread's count of pool-served
+    buffers this call has out, by key: while it is empty nothing a release
+    offers the free list would be admitted, so nothing is offered."""
 
-    __slots__ = ("regs", "bstack", "mask")
+    __slots__ = ("regs", "bstack", "mask", "lanes", "floor", "out")
 
     def __init__(self, nslots: int) -> None:
         self.regs: List[object] = [None] * nslots
         self.bstack: List[int] = []
         self.mask: Optional[BV] = None
+        self.lanes = 1
+        self.floor = -(-_vector._DONATE_MIN_BYTES // 8)
+        self.out = _pool().out
 
 
 def _run_body(eng: _Engine, code) -> Tuple[object, ...]:
@@ -206,40 +220,59 @@ def _run_operand(x) -> Callable:
     return lambda regs, loc, _b=base: _b(regs)
 
 
-def _emit_run_op(o) -> Callable:
-    fn = _emit_run_fn(o)
+def _emit_run_op(o, pooled: bool = False) -> Callable:
+    """The closure of run op ``o``; ``pooled``: the one a run uses when its
+    lane extent reaches the size floor — a taker may compute into a free-list
+    buffer and recyclable values go there when they die."""
+    fn = _emit_run_fn(o, pooled and o.take)
     if not o.release:
         return fn
     dead = o.release
+    if not (pooled and o.recycle):
+        def releasing(regs, loc, _fn=fn, _dead=dead):
+            v = _fn(regs, loc)
+            for i in _dead:
+                loc[i] = None
+            return v
 
-    def releasing(regs, loc, _fn=fn, _dead=dead):
+        return releasing
+    # Everything else goes first: a value is only kept once nobody holds it.
+    dead = tuple(i for i in dead if i not in o.recycle)
+
+    def recycling(regs, loc, _fn=fn, _dead=dead, _rec=o.recycle):
         v = _fn(regs, loc)
         for i in _dead:
             loc[i] = None
+        for i in _rec:
+            d = loc[i]
+            loc[i] = None
+            _give(d)
         return v
 
-    return releasing
+    return recycling
 
 
-def _emit_run_fn(o) -> Callable:
+def _emit_run_fn(o, take: bool = False) -> Callable:
     kind = o.kind
     if kind == "atom":
         return _run_operand(o.xs[0])
     if kind in ("unop", "binop"):
         # ``donate``: an out=-capable ufunc (``INPLACE_OPS``) with some operand
-        # a dead run-local temporary computes into it when that is safe.
+        # a dead run-local temporary computes into it when that is safe;
+        # ``take``: failing that, into a buffer from the free list.
         uf, don = _scalar_fn(o), o.donate
+        into = partial(_elem_into, take=True) if take else _elem_into
         rx = _run_operand(o.xs[0])
         if kind == "unop":
-            if don:
-                return lambda regs, loc, _rx=rx, _uf=uf, _don=don: (
-                    _elem_into(_uf, _don, _rx(regs, loc))
+            if don or take:
+                return lambda regs, loc, _rx=rx, _uf=uf, _don=don, _into=into: (
+                    _into(_uf, _don, _rx(regs, loc))
                 )
             return lambda regs, loc, _rx=rx, _uf=uf: _elem(_uf, _rx(regs, loc))
         ry = _run_operand(o.xs[1])
-        if don:
-            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don: (
-                _elem_into(_uf, _don, _rx(regs, loc), _ry(regs, loc))
+        if don or take:
+            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don, _into=into: (
+                _into(_uf, _don, _rx(regs, loc), _ry(regs, loc))
             )
         return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf: _elem(
             _uf, _rx(regs, loc), _ry(regs, loc)
@@ -279,22 +312,41 @@ def _emit_run_fn(o) -> Callable:
     raise ExecError(f"plan emit: unexpected run op {kind!r}")
 
 
+def _recycle(regs, dead, rec) -> None:
+    """Release the slots ``dead``, offering those in ``rec`` to the free list
+    — last, because a value is only kept once nobody else holds it.  Callers
+    come here only while the call has a pool-served buffer out (``eng.out``):
+    until then nothing offered would be admitted, so a plan whose values
+    never reach the size floor clears its slots exactly as it always has."""
+    for s in dead:
+        if s not in rec:
+            regs[s] = None
+    for s in rec:
+        v = regs[s]
+        regs[s] = None
+        _give(v)
+
+
 def _assign_single(fn: Callable, s0: int, e) -> Callable:
     """The instruction closure binding ``fn``'s value to slot ``s0``, then
     clearing the slots ``e`` releases (no loop emitted when there are none —
-    dispatch-bound plans must not pay for the memory plan)."""
+    dispatch-bound plans must not pay for the memory plan) or offering them
+    to the free list."""
     if not e.release:
         def ins(eng, _fn=fn, _s=s0):
             eng.regs[_s] = _fn(eng)
 
         return ins
-    dead = tuple(s for s, _ in e.release)
+    dead, rec = tuple(s for s, _ in e.release), e.recycle
 
-    def ins_rel(eng, _fn=fn, _s=s0, _dead=dead):
+    def ins_rel(eng, _fn=fn, _s=s0, _dead=dead, _rec=rec):
         regs = eng.regs
         regs[_s] = _fn(eng)
-        for s in _dead:
-            regs[s] = None
+        if _rec and eng.out:
+            _recycle(regs, _dead, _rec)
+        else:
+            for s in _dead:
+                regs[s] = None
 
     return ins_rel
 
@@ -309,15 +361,18 @@ def _assign_multi(fn: Callable, e) -> Callable:
                 regs[s] = v
 
         return ins
-    dead = tuple(s for s, _ in e.release)
+    dead, rec = tuple(s for s, _ in e.release), e.recycle
 
-    def ins_rel(eng, _fn=fn, _slots=slots, _dead=dead):
+    def ins_rel(eng, _fn=fn, _slots=slots, _dead=dead, _rec=rec):
         vals = _fn(eng)
         regs = eng.regs
         for s, v in zip(_slots, vals):
             regs[s] = v
-        for s in _dead:
-            regs[s] = None
+        if _rec and eng.out:
+            _recycle(regs, _dead, _rec)
+        else:
+            for s in _dead:
+                regs[s] = None
 
     return ins_rel
 
@@ -369,39 +424,70 @@ class _ClosureEmitter:
             for s, v in zip(_ps, vals):
                 regs[s] = v
             eng.bstack.append(n)
+            outer = eng.lanes
+            eng.lanes = outer * n
             try:
                 return _run_body(eng, _code)
             finally:
                 eng.bstack.pop()
+                eng.lanes = outer
 
         return lanes
 
     # -- fused scalar runs ----------------------------------------------------
 
     def _emit_run(self, ins) -> Callable:
-        ops = tuple(_emit_run_op(o) for o in ins.ops)
-        dead = tuple(s for s, _ in ins.release)
+        run_ops = ins.ops  # (not ``ins``: its provenance would pin the source IR)
+        ops = tuple(_emit_run_op(o) for o in run_ops)
+        marked = any(o.take or o.recycle for o in run_ops)
+        # The ops of the run as it executes where one float per lane is a
+        # buffer worth recycling — decided per run entry, from the lane
+        # extent, and emitted when that first happens: a plan whose values
+        # never reach the size floor carries one set of closures, as ever.
+        big: List[tuple] = []
+
+        def pooled():
+            if not big:
+                big.append(tuple(
+                    _emit_run_op(o, True) if o.take or o.recycle else op
+                    for o, op in zip(run_ops, ops)
+                ))
+            return big[0]
+
+        dead, rec = tuple(s for s, _ in ins.release), ins.recycle
         if len(ops) == 1 and not dead:
             # A standalone scalar statement: one export, no locals.
             (_, s0, _n) = ins.exports[0]
             op = ops[0]
+            if not marked:
+                def one(eng, _op=op, _s=s0):
+                    eng.regs[_s] = _op(eng.regs, ())
 
-            def one(eng, _op=op, _s=s0):
+                return one
+
+            def one_of(eng, _op=op, _s=s0):
+                if eng.lanes >= eng.floor:
+                    _op = pooled()[0]
                 eng.regs[_s] = _op(eng.regs, ())
 
-            return one
+            return one_of
         exports = tuple((li, s) for li, s, _n in ins.exports)
         k = len(ops)
 
-        def run(eng, _ops=ops, _exports=exports, _k=k, _dead=dead):
+        def run(eng, _ops=ops, _marked=marked, _exports=exports, _k=k, _dead=dead, _rec=rec):
             regs = eng.regs
             loc = [None] * _k
+            if _marked and eng.lanes >= eng.floor:
+                _ops = pooled()
             for x, op in enumerate(_ops):
                 loc[x] = op(regs, loc)
             for li, s in _exports:
                 regs[s] = loc[li]
-            for s in _dead:
-                regs[s] = None
+            if _rec and eng.out:
+                _recycle(regs, _dead, _rec)
+            else:
+                for s in _dead:
+                    regs[s] = None
 
         return run
 
@@ -697,6 +783,7 @@ class Plan:
             eng = _Engine(self.nslots)
             if batched is not None:
                 eng.bstack.append(b)
+                eng.lanes = b
             flags = (False,) * len(args) if batched is None else batched
             vals = []
             for a, t, flag in zip(args, self.param_types, flags):
@@ -710,8 +797,13 @@ class Plan:
                     vals.append(BV(np.ascontiguousarray(arr, dtype=np_dtype(t)), 1))
                 else:
                     vals.append(BV(np.asarray(coerce_arg(a, t)), 0))
-            with np.errstate(all="ignore"):
-                res = self._invoke(eng, vals)
+            try:
+                with np.errstate(all="ignore"):
+                    res = self._invoke(eng, vals)
+            finally:
+                # What the call took and did not give back (a result, a
+                # refused value) is nobody's to return any more.
+                eng.out.clear()
             out = []
             for r in res:
                 if isinstance(r, AccBV):
@@ -857,8 +949,10 @@ def plan_cache_stats() -> Dict[str, object]:
             "entries": len(_CACHE),
             "emitters": {k: dict(v) for k, v in EMITTER_STATS.items()},
             # The memory plan (exec/lower.py): static sizes summed over the
-            # plans emitted, and the donations that fell back at run time.
-            "mem": dict(MEM_STATS),
+            # plans emitted, the donations that fell back at run time, and the
+            # free list (exec/vector.py): large results served from it or
+            # not, recyclable values it refused, bytes it holds now.
+            "mem": {**MEM_STATS, "pool_bytes": pool_bytes()},
             # Index provenance (exec/lower.py): indexed reads/updates on the
             # view path and reads left as gathers, summed over the plans
             # emitted, and the view ops that fell back at run time.
@@ -875,7 +969,8 @@ def plan_cache_stats() -> Dict[str, object]:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset all counters.
+    """Drop every cached plan, hand the free list's buffers back to the
+    allocator and reset all counters.
 
     This clears ``EMITTER_STATS`` too — the per-emitter construction
     totals describe the plans being dropped, so they go with them.  To
@@ -884,6 +979,7 @@ def clear_plan_cache() -> None:
     """
     with _LOCK:
         _CACHE.clear()
+        clear_pool()
         reset_plan_cache_stats()
 
 

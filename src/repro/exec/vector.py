@@ -37,12 +37,21 @@ Batched values are ``BV(data, bdims)``: ``data`` carries ``bdims`` leading
 batch axes aligned with the engine's batch-size stack.  Batch axes may have
 size 1 (kept broadcastable); values are only materialised to full batch
 extent where in-place writes require ownership.
+
+This module also owns the one piece of state that outlives a call: the
+per-thread **free list** of large dead temporaries (``_give`` / ``_buffer``,
+"the free list" below).  It never holds a function input or result, only
+buffers the executing plans allocated themselves and nobody can see any
+more; ``clear_pool`` (``clear_plan_cache``) empties it.
 """
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from sys import getrefcount
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,11 +173,17 @@ def _elem(f, *vs) -> BV:
 
 #: The memory plan's counters (the ``mem`` section of ``plan_cache_stats``):
 #: three static sizes summed over the plans emitted since the last reset, and
-#: the one run-time count — donations of a buffer worth reusing whose check
-#: failed, so the op allocated.
+#: the run-time counts — donations of a buffer worth reusing whose check
+#: failed, so the op allocated; large results computed into a free-list
+#: buffer (``pool_hits``) or, the list having none of that shape, into a
+#: fresh array (``pool_misses``); and recyclable values somebody wanted that
+#: failed the exclusivity or layout check at their release (``pool_refused``
+#: — an operand an op has just computed into is one: its result holds it).
+#: ``pool_bytes`` (held now) is measured, not counted: ``pool_bytes()``.
 #: Every mutation holds ``_STATS_LOCK`` (users may run plans from their own threads).
 MEM_STATS = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0,
-             "donation_fallbacks": 0}
+             "donation_fallbacks": 0, "pool_hits": 0, "pool_misses": 0,
+             "pool_refused": 0}
 #: The index counters (the ``index`` section of ``plan_cache_stats``), same
 #: discipline: how many ``index`` / indexed ``upd_acc`` ops of the plans
 #: emitted take the view path (``exec/lower.py:plan_counts``) and how many
@@ -178,6 +193,11 @@ INDEX_STATS = {"view_index_ops": 0, "view_updacc_ops": 0, "gather_index_ops": 0,
 _STATS_LOCK = threading.Lock()
 
 
+def _count(stats: Dict[str, int], key: str) -> None:
+    with _STATS_LOCK:
+        stats[key] += 1
+
+
 def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
     """Whether ``shape`` broadcasts against ``into`` without enlarging it."""
     return len(shape) <= len(into) and all(
@@ -185,22 +205,170 @@ def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
     )
 
 
-#: Smallest buffer worth computing into: glibc's default ``M_MMAP_THRESHOLD``.
-#: Below it ``malloc`` hands a just-released temporary's block straight back,
-#: so a fresh result costs less than the donation check (measured on the HAND
-#: Jacobian, 74 KB temporaries: 49 ms without donation, 53 ms with); from it
-#: up a fresh array is mapped, zero-faulted and unmapped by the kernel.
+#: Smallest buffer worth computing into or keeping: glibc's default
+#: ``M_MMAP_THRESHOLD``.  Below it ``malloc`` hands a just-released
+#: temporary's block straight back, so a fresh result costs less than the
+#: donation check or the free-list look-up (measured on the HAND Jacobian,
+#: 74 KB temporaries: 49 ms without donation, 53 ms with); from it up a fresh
+#: array is mapped, zero-faulted and, once dropped, trimmed or unmapped by the
+#: kernel — on every op, because nothing in the process holds on to it.
 _DONATE_MIN_BYTES = 128 * 1024
 
 
-def _elem_into(f, donate, *vs) -> BV:
+# -- the free list ------------------------------------------------------------
+#
+# Re-execution instead of a tape (the paper's trade) makes a derivative's bulk
+# temporaries short-lived: the same few shapes are allocated, used once and
+# dropped, call after call.  ``exec/lower.py`` marks where such a value dies
+# (*recyclable*) and which ops could write their result into one (*takers*);
+# ``_give`` and ``_buffer`` below are the two run-time halves.
+
+
+class _Pool:
+    """One thread's dead buffers, ``(shape, dtype) -> [array, ...]``, and per
+    key how many pool-served buffers this call still has out (``out``): a
+    dying value is admitted only against one of those, so the list never
+    holds more buffers of a key than were live at once."""
+
+    __slots__ = ("free", "out", "__weakref__")
+
+    def __init__(self) -> None:
+        self.free: Dict[tuple, List[np.ndarray]] = {}
+        self.out: Dict[tuple, int] = {}
+
+
+_TLS = threading.local()
+#: Every live thread's pool (``pool_bytes`` / ``clear_pool`` reach all of
+#: them; a pool dies with its thread).  Mutated under ``_STATS_LOCK``.
+_POOLS: "weakref.WeakSet[_Pool]" = weakref.WeakSet()
+
+
+def _pool() -> _Pool:
+    try:
+        return _TLS.pool
+    except AttributeError:
+        pool = _TLS.pool = _Pool()
+        with _STATS_LOCK:
+            _POOLS.add(pool)
+        return pool
+
+
+def _buffer(shape: Tuple[int, ...], dt: np.dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array for a large result: a dead one of
+    exactly this shape and dtype from the calling thread's free list, else a
+    fresh one.  The caller overwrites every element, so what it ends up
+    holding is bitwise what ``np.empty`` / ``.copy()`` / ``out=None`` would
+    have given it."""
+    pool = _pool()
+    key = (shape, dt)
+    pool.out[key] = pool.out.get(key, 0) + 1
+    held = pool.free.get(key)
+    if held:
+        _count(MEM_STATS, "pool_hits")
+        return held.pop()
+    _count(MEM_STATS, "pool_misses")
+    return np.empty(shape, dt)
+
+
+def _refs(v: "BV", a: np.ndarray) -> Tuple[int, int]:
+    return getrefcount(v), getrefcount(a)
+
+
+def _sole_refs() -> Tuple[int, int]:
+    """What ``_refs`` reports from inside ``_give`` for a ``BV`` only
+    ``_give``'s caller holds, wrapping an array only that ``BV`` holds —
+    measured, not assumed: how many references a call in flight adds is the
+    interpreter's business."""
+    def give(v):
+        a = v.data
+        return _refs(v, a)
+
+    v = BV(np.empty(0), 0)
+    return give(v)
+
+
+_SOLE = _sole_refs()
+
+
+def _give(v) -> None:
+    """The release point of a *recyclable* value (``exec/lower.py``: produced
+    by a kernel that allocates, float, handed on by nothing lowering can
+    see), the caller holding its one reference to ``v``: keep the buffer for
+    the next ``_buffer`` of its shape instead of handing it back to
+    ``malloc`` — when it is large enough to matter, some pool-served buffer
+    of its key is still out (so the list does not grow past what the program
+    needs at once), and nobody else can see it.  The mark is not that
+    proof: ``_map_result`` hands on the body's own array, ``_acc_value``
+    re-wraps the accumulator's buffer, loop state sits in a list.  The
+    reference counts are — one holder of the ``BV``, one of the array, and
+    an array that owns its data is a view of nothing while every view of it
+    would hold a reference to it; O(1), as in NumPy's own temporary
+    elision.  Returns ``None`` (so generated code can write ``x =
+    _give(x)``)."""
+    if type(v) is not BV:
+        return
+    a = v.data
+    if type(a) is not np.ndarray or a.nbytes < _DONATE_MIN_BYTES:
+        return
+    pool = _pool()
+    key = (a.shape, a.dtype)
+    out = pool.out.get(key)
+    if not out:
+        return
+    sole = _refs(v, a) == _SOLE  # before ``a.flags``: that object holds ``a`` too
+    flags = a.flags
+    if not (sole and flags.owndata and flags.c_contiguous and flags.writeable
+            and a.dtype.kind == "f"):
+        _count(MEM_STATS, "pool_refused")
+        return
+    pool.out[key] = out - 1
+    pool.free.setdefault(key, []).append(a)
+
+
+def pool_bytes() -> int:
+    """Bytes the free lists of all threads hold right now."""
+    with _STATS_LOCK:
+        pools = list(_POOLS)
+    return sum(a.nbytes for p in pools for held in list(p.free.values()) for a in list(held))
+
+
+def clear_pool() -> None:
+    """Hand every held buffer back to the allocator (``clear_plan_cache``)."""
+    with _STATS_LOCK:
+        pools = list(_POOLS)
+    for p in pools:
+        p.free.clear()
+        p.out.clear()
+
+
+def _result_buffer(datas: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """A ``_buffer`` for the result of a dtype-preserving ufunc over the
+    aligned operands ``datas`` — all of one float dtype, the broadcast result
+    large enough to matter — else ``None``."""
+    first = datas[0]
+    dt, shape = first.dtype, first.shape
+    if dt.kind != "f":
+        return None
+    for d in datas:
+        if d.dtype != dt:
+            return None
+        if d.shape != shape:
+            shape = np.broadcast_shapes(*[d.shape for d in datas])
+            break
+    if math.prod(shape) * dt.itemsize < _DONATE_MIN_BYTES:
+        return None
+    return _buffer(shape, dt)
+
+
+def _elem_into(f, donate, *vs, take: bool = False) -> BV:
     """``_elem`` for a ufunc ``f`` whose operands at positions ``donate`` are
     dead temporaries of a fused run (``exec/lower.py`` proved nobody else
     holds them): write the result into the first one that is large enough to
     matter and can hold it — float, C-contiguous, of every operand's dtype
     and already of the result's shape, so the outcome is bitwise what a
-    fresh array would get — instead of allocating.  Otherwise exactly
-    ``_elem``."""
+    fresh array would get — instead of allocating.  Failing that, ``take``
+    (a *taker* op in a body whose lane extent reaches the size floor)
+    computes into a ``_buffer``.  Otherwise exactly ``_elem``."""
     for v in vs:
         if v.bdims:
             datas, k, _ = _align(list(vs))
@@ -221,8 +389,11 @@ def _elem_into(f, donate, *vs) -> BV:
                 return BV(f(*datas, out=out), k)
         refused = True
     if refused:
-        with _STATS_LOCK:
-            MEM_STATS["donation_fallbacks"] += 1
+        _count(MEM_STATS, "donation_fallbacks")
+    if take:
+        out = _result_buffer(datas)
+        if out is not None:
+            return BV(f(*datas, out=out), k)
     return BV(np.asarray(f(*datas)), k)
 
 
@@ -307,8 +478,7 @@ def _basic_view(a: np.ndarray, ka: int, idxs: Sequence[BV], affine, k: int):
 
 
 def _view_fell_back() -> None:
-    with _STATS_LOCK:
-        INDEX_STATS["view_fallbacks"] += 1
+    _count(INDEX_STATS, "view_fallbacks")
 
 
 def _index(arr: BV, idxs: List[BV], affine: Tuple[bool, ...]) -> BV:
@@ -431,11 +601,20 @@ def _batch_args(state, vs: Sequence[BV]) -> Tuple[List[BV], int]:
 # ---------------------------------------------------------------------------
 
 
+def _copy(src: np.ndarray) -> np.ndarray:
+    """``src.copy()`` (C order), a large one into a ``_buffer``."""
+    if src.nbytes < _DONATE_MIN_BYTES:
+        return src.copy()
+    out = _buffer(src.shape, src.dtype)
+    np.copyto(out, src)
+    return out
+
+
 def _materialised(eng, v: BV, k: int) -> np.ndarray:
     """A private copy of ``v`` at the full extent of the first ``k`` batch
     levels (what an in-place write needs)."""
     d = _expand(v, k)
-    return np.broadcast_to(d, tuple(eng.bstack[:k]) + d.shape[k:]).copy()
+    return _copy(np.broadcast_to(d, tuple(eng.bstack[:k]) + d.shape[k:]))
 
 
 def _update(eng, arr: BV, idxs: List[BV], val: BV) -> BV:
@@ -468,7 +647,7 @@ def _replicate(eng, n: int, v: BV) -> BV:
     d = np.asarray(v.data)
     d2 = np.expand_dims(d, axis=v.bdims)
     shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
-    return BV(np.broadcast_to(d2, shape).copy(), v.bdims)
+    return BV(_copy(np.broadcast_to(d2, shape)), v.bdims)
 
 
 def _scratch(eng, n: BV, x: BV) -> BV:
@@ -477,7 +656,12 @@ def _scratch(eng, n: BV, x: BV) -> BV:
     ext = 0 if nd.size == 0 else int(nd.max())
     bshape = tuple(eng.bstack)
     dt = np.asarray(x.data).dtype
-    return BV(np.zeros(bshape + (ext,) + x.pshape(), dtype=dt), len(bshape))
+    shape = bshape + (ext,) + x.pshape()
+    if math.prod(shape) * dt.itemsize < _DONATE_MIN_BYTES:
+        return BV(np.zeros(shape, dtype=dt), len(bshape))
+    out = _buffer(shape, dt)
+    out.fill(0)
+    return BV(out, len(bshape))
 
 
 def _size(eng, v, dim: int) -> BV:
@@ -541,8 +725,12 @@ def _lane_payload(eng, r: BV, n: int) -> np.ndarray:
 
 
 def _map_result(eng, r: BV, n: int) -> BV:
-    """A map result: contiguous and owned (results never alias inputs)."""
-    return BV(_owned(np.ascontiguousarray(_lane_payload(eng, r, n))), len(eng.bstack))
+    """A map result: contiguous and owned (results never alias inputs) — the
+    body's own array when it is both, else a copy."""
+    rd = _lane_payload(eng, r, n)
+    if not (rd.flags.owndata and rd.flags.c_contiguous):
+        rd = _copy(rd)
+    return BV(rd, len(eng.bstack))
 
 
 def _map_acc(eng, r) -> AccBV:

@@ -1,11 +1,14 @@
-"""The plan executor's memory plan (`exec/lower.py`: releases and donations),
-attacked through the public API on both emitters.
+"""The plan executor's memory plan (`exec/lower.py`: releases, donations and
+the free list), attacked through the public API on both emitters.
 
 A released slot that is read again raises ``unbound variable`` (``plan``) or
-``UnboundLocalError``/``AttributeError`` (``codegen``); a donation that hits
-memory someone else can see changes a result or raises on a read-only array.
-So the tests below only have to *run* hostile inputs and compare results.
+``UnboundLocalError``/``AttributeError`` (``codegen``); a donation or a
+recycled buffer that hits memory someone else can see changes a result or
+raises on a read-only array.  So the tests below only have to *run* hostile
+inputs and compare results.
 """
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 
 import repro as rp
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
-from repro.exec import plan_cache_stats, vector
+from repro.exec import clear_plan_cache, plan_cache_stats, vector
 from helpers import peak_mb
 from test_fuzz_programs import _gen_program
 
@@ -21,13 +24,14 @@ EMITTERS = ("plan", "codegen")
 
 
 NEVER = 1 << 62
+SHIPPED = vector._DONATE_MIN_BYTES
 
 
 @pytest.fixture(params=[0, None], ids=["donate-all", "donate-large"])
 def donation_floor(request, monkeypatch):
-    """Run once with every donation attempted (CI-sized temporaries sit far
-    below the production size floor) and once as shipped.  Yields a setter
-    for the floor and the initial value."""
+    """Run once with every donation and every recycling attempted (CI-sized
+    temporaries sit far below the production size floor) and once as shipped.
+    Yields a setter for the floor and the initial value."""
     def set_floor(nbytes):
         monkeypatch.setattr(vector, "_DONATE_MIN_BYTES", nbytes)
 
@@ -127,8 +131,9 @@ def test_apps_never_write_their_inputs(name, emitter, donation_floor):
 @pytest.mark.parametrize("emitter", EMITTERS)
 @pytest.mark.parametrize("name", ["gmm", "kmeans", "lstm", "ba"])
 def test_results_are_the_callers_to_overwrite(name, emitter, donation_floor):
-    # Nothing survives a call: scribbling over a returned derivative must not
-    # reach a buffer the next call reads.
+    # Scratch buffers survive a call (the free list), results never do:
+    # scribbling over a returned derivative must not reach a buffer the next
+    # call reads or computes into.
     inp, fc, call = _app(name)
     first = call(fc, inp, emitter)
     keep = [a.copy() for a in _flat(first)]
@@ -206,6 +211,195 @@ def test_control_flow_with_releases_matches_ref(name, donation_floor):
         for got, ref in zip(_flat(deriv(*args, backend=emitter)), _flat(dwant)):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
     _assert_bitwise(deriv(*args, backend="plan"), deriv(*args, backend="codegen"), name)
+
+
+# ---------------------------------------------------------------------------
+# The free list: every way a recyclable-looking buffer can still be visible
+# ---------------------------------------------------------------------------
+
+
+def _map_result_is_body_array(xs):
+    ys = rp.map(lambda x: rp.sin(x) * x, xs)  # the body's own array becomes `ys`
+    zs = rp.map(lambda y: y * y + 1.0, ys)  # ... and must not serve this map
+    return rp.sum(zs) * ys[1], ys
+
+
+def _index_view_outlives_array(m):
+    a = rp.map(lambda r: rp.map(lambda e: rp.exp(e) * 0.5, r), m)
+    row = a[1]  # last read of `a`: its slot dies, its memory lives on in `row`
+    b = rp.map(lambda r: rp.map(lambda e: e * e + 1.0, r), m)
+    return rp.sum(rp.map(lambda e, f: e * f, row, b[0])), row
+
+
+def _if_forwards_branch_value(xs, c):
+    ys = rp.map(lambda x: x * 2.0 + 1.0, xs)
+    zs = rp.cond(c > 0.0, lambda: ys, lambda: rp.map(lambda x: x - 1.0, xs))
+    ws = rp.map(lambda z: rp.cos(z) * z, zs)
+    return rp.sum(ws) + rp.sum(ys), zs
+
+
+def _loop_state(xs, **how):
+    out = rp.fori_loop(
+        4, lambda i, a: rp.map(lambda e, x: rp.tanh(e * 0.9 + x) + e * x, a, xs), xs, **how)
+    return rp.sum(rp.map(lambda e: e * e, out))
+
+
+def _input_returned(xs):
+    return xs, rp.sum(rp.map(lambda x: rp.exp(x) * x, xs))
+
+
+def _scatter_add(ws, idx, xs):
+    return rp.sum(rp.map(lambda i, x: rp.sin(ws[i] * x) * ws[i], idx, xs))
+
+
+_XS = np.random.default_rng(11).standard_normal(12) * 0.8
+_IDX = np.random.default_rng(12).integers(0, 5, 12)
+
+#: name -> (program, inputs, what to call on the compiled function)
+_HAZARDS = {
+    "map_result_is_body_array": (_map_result_is_body_array, (_XS,), None),
+    "withacc_result": (_scatter_add, (_XS[:5], _IDX, _XS), lambda fc: rp.grad(fc, wrt=[0])),
+    "index_view_outlives_array": (_index_view_outlives_array, (_XS.reshape(3, 4),), None),
+    "if_forwards_then": (_if_forwards_branch_value, (_XS, 1.0), None),
+    "if_forwards_else": (_if_forwards_branch_value, (_XS, -1.0), None),
+    "if_forwards_grad": (_if_forwards_branch_value, (_XS, 1.0),
+                         lambda fc: rp.vjp(fc, wrt=[0])),
+    "loop_state": (_loop_state, (_XS,), rp.grad),
+    "loop_state_stripmined": (lambda xs: _loop_state(xs, stripmine=2), (_XS,), rp.grad),
+    "loop_state_entry_checkpoint": (
+        lambda xs: _loop_state(xs, checkpoint="entry"), (_XS,), rp.grad),
+    "input_returned": (_input_returned, (_XS,), None),
+}
+
+
+def _hazard_call(name, emitter):
+    prog, args, derive = _HAZARDS[name]
+    fc = rp.compile(rp.trace_like(prog, args))
+    f = fc if derive is None else derive(fc)
+    if name == "if_forwards_grad":
+        args = args + (1.0, np.ones_like(_XS))
+    frozen = tuple(np.array(a) for a in args)
+    for a in frozen:
+        if a.ndim:
+            a.setflags(write=False)
+    return lambda: f(*frozen, backend=emitter), frozen
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+@pytest.mark.parametrize("name", sorted(_HAZARDS))
+def test_recycling_never_reaches_a_visible_buffer(name, emitter, donation_floor):
+    set_floor, floor = donation_floor
+    call, frozen = _hazard_call(name, emitter)
+    args = [a.copy() for a in frozen]
+    # Results of earlier calls are held while later calls run: a result that
+    # sat on the free list would be computed into.
+    held = [call() for _ in range(4)]
+    snap = [[a.copy() for a in _flat(r)] for r in held]
+    set_floor(NEVER)
+    want = call()
+    set_floor(SHIPPED if floor is None else floor)
+    for r, kept in zip(held, snap):
+        _assert_bitwise(r, want, f"{name}/{emitter}: recycling changed a result")
+        _assert_bitwise(r, kept, f"{name}/{emitter}: a later call wrote an earlier result")
+    _assert_bitwise(frozen, args, f"{name}/{emitter}: inputs were written")
+    if name == "input_returned":
+        assert held[0][0] is frozen[0]  # handed back as it came: never a pool buffer
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+def test_two_plans_share_one_free_list(emitter, donation_floor):
+    # Same shapes, different programs, alternating — and the other emitter's
+    # plan of the same program in between: one store serves them all.
+    set_floor, floor = donation_floor
+    f = rp.compile(rp.trace_like(_map_result_is_body_array, (_XS,)))
+    g = rp.grad(rp.compile(rp.trace_like(_loop_state, (_XS,))))
+    other = "codegen" if emitter == "plan" else "plan"
+    calls = [
+        lambda: f(_XS, backend=emitter), lambda: g(_XS, backend=emitter),
+        lambda: f(_XS, backend=other), lambda: g(_XS, backend=emitter),
+        lambda: f(_XS, backend=emitter),
+    ]
+    got = [c() for c in calls]
+    set_floor(NEVER)
+    want = [c() for c in calls]
+    set_floor(SHIPPED if floor is None else floor)
+    _assert_bitwise(got, want, f"{emitter}: a shared free list changed a result")
+    if floor == 0:
+        before = plan_cache_stats()["mem"]
+        got = [c() for c in calls]
+        after = plan_cache_stats()["mem"]
+        assert after["pool_hits"] > before["pool_hits"]  # ... and it does serve them
+        _assert_bitwise(got, want, f"{emitter}: second round differs")
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+def test_threads_run_one_plan_concurrently(emitter, donation_floor):
+    # Free lists are per thread: threads in one plan never see each other's
+    # buffers, whatever the interleaving — and the shared counters lose no
+    # update.  More threads than cores, a short switch interval.
+    set_floor, floor = donation_floor
+    g = rp.grad(rp.compile(rp.trace_like(_loop_state, (_XS,))))
+    inputs = [_XS, _XS[::-1].copy(), _XS * 0.5]
+    rounds = 20
+    for x in inputs:
+        g(x, backend=emitter)  # lowered and cached before the race; lists warm
+    before = plan_cache_stats()["mem"]
+    g(inputs[0], backend=emitter)
+    after = plan_cache_stats()["mem"]
+    takes = sum(after[k] - before[k] for k in ("pool_hits", "pool_misses"))
+    got = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs))
+
+    def work(k):
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            got[k].append(g(inputs[k], backend=emitter))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    raced = plan_cache_stats()["mem"]
+    assert sum(raced[k] - after[k] for k in ("pool_hits", "pool_misses")) == (
+        takes * rounds * len(inputs))
+    assert (takes > 0) == (floor == 0)
+    set_floor(NEVER)
+    want = [g(x, backend=emitter) for x in inputs]
+    set_floor(SHIPPED if floor is None else floor)
+    for k in range(len(inputs)):
+        assert len(got[k]) == rounds
+        for r in got[k]:
+            _assert_bitwise(r, want[k], f"{emitter}: thread {k} saw another's buffer")
+
+
+def test_the_free_list_holds_no_more_than_was_live_at_once_and_clears():
+    # Deterministic, no timer: the `kmeans_newton` size.  The second call of
+    # a signature finds every buffer it needs; the list is bounded by what the
+    # program has live at once (six 1.95 MB temporaries), and goes with the
+    # plan cache.
+    pts, ctr = datagen.kmeans_instance(8, 1000, 32, 0)
+    h = rp.hessian_diag(rp.compile(kmeans.build_ir(1000, 8, 32)), wrt=1)
+    clear_plan_cache()
+    assert plan_cache_stats()["mem"]["pool_bytes"] == 0
+    first = h(pts, ctr)
+    warm = plan_cache_stats()["mem"]
+    assert warm["pool_misses"] > 0 and warm["pool_bytes"] > 0
+    second = h(pts, ctr)
+    mem = plan_cache_stats()["mem"]
+    assert mem["pool_misses"] == warm["pool_misses"], mem
+    assert mem["pool_hits"] > warm["pool_hits"]
+    assert 0 < mem["pool_bytes"] <= 12 * 2**20, mem
+    assert mem["donation_fallbacks"] == 0
+    _assert_bitwise(second, first, "recycled buffers changed the Hessian diagonal")
+    clear_plan_cache()
+    assert plan_cache_stats()["mem"]["pool_bytes"] == 0
 
 
 def test_a_large_dead_temporary_is_computed_into():

@@ -96,3 +96,144 @@ def test_fig2_structure_if_inside_map():
     r2 = Compiled(opt, optimize=False)(cs, ass, seed)
     for a, b in zip(r1, r2):
         np.testing.assert_allclose(np.asarray(a), np.asarray(b))
+
+
+# ---------------------------------------------------------------------------
+# Loop shrinking: a carried parameter nobody reads goes, with its init
+# ---------------------------------------------------------------------------
+
+
+def _loops(fun):
+    from repro.ir.ast import Loop
+    from repro.ir.traversal import map_bodies
+
+    out = []
+
+    def walk(body):
+        for s in body.stms:
+            if isinstance(s.exp, Loop):
+                out.append(s.exp)
+            map_bodies(s.exp, walk)
+        return body
+
+    walk(fun.body)
+    return out
+
+
+def _same_on_ref(a, b, *args):
+    ra = Compiled(a, optimize=False)(*args, backend="ref")
+    rb = Compiled(b, optimize=False)(*args, backend="ref")
+    for x, y in zip(ra if isinstance(ra, tuple) else (ra,), rb if isinstance(rb, tuple) else (rb,)):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_dce_drops_a_dead_loop_parameter_with_its_init():
+    def f(x):
+        a, dead = rp.fori_loop(5, lambda i, a, b: (a * 0.9 + x, rp.exp(b)), (x, x * 2.0))
+        return a
+
+    fun = rp.trace_like(f, (1.0,))
+    d = dce_fun(fun)
+    (before,), (after,) = _loops(fun), _loops(d)
+    assert len(before.params) == 2 and len(after.params) == 1 and len(after.inits) == 1
+    assert "exp" not in pretty(d) and "2.0" not in pretty(d)  # next value and init are gone too
+    _same_on_ref(fun, d, 0.7)
+
+
+def test_dce_keeps_a_live_loop_parameter_and_the_annotations():
+    def f(x):
+        a, b = rp.fori_loop(
+            6, lambda i, a, b: (a * 0.9 + x, b + 1.0), (x, x), stripmine=2, checkpoint="entry")
+        return a + b
+
+    fun = rp.trace_like(f, (1.0,))
+    assert dce_fun(fun) is fun
+    # ... and a shrunk loop keeps them
+    g = rp.trace_like(
+        lambda x: rp.fori_loop(
+            6, lambda i, a, b: (a * 0.9 + x, b + 1.0), (x, x), stripmine=2,
+            checkpoint="entry")[0], (1.0,))
+    (loop,) = _loops(dce_fun(g))
+    assert len(loop.params) == 1 and (loop.stripmine, loop.checkpoint) == (2, "entry")
+
+
+def test_dce_keeps_a_dead_parameter_that_feeds_a_live_one_through_another():
+    # c's result is dead, but c feeds b's next value and b feeds a's: both stay;
+    # d feeds nothing live and goes.
+    def f(x):
+        a, b, c, d = rp.fori_loop(
+            4,
+            lambda i, a, b, c, d: (a + b, b * c, c + 0.5, d * a),
+            (x, x, x, x))
+        return a
+
+    fun = rp.trace_like(f, (1.0,))
+    d = dce_fun(fun)
+    (loop,) = _loops(d)
+    assert len(loop.params) == 3 and len(loop.body.result) == 3
+    _same_on_ref(fun, d, 0.3)
+
+
+def test_dce_never_drops_an_accumulator_parameter():
+    from repro.ir.types import AccType
+    from repro.opt.dce import _shrink_loop
+
+    # A loop under a map that reads an outer array: the reverse loop threads
+    # that array's accumulator, and its updates are the loop's effect whether
+    # or not anything reads the loop's accumulator result.
+    def f(xs, ws):
+        return rp.sum(rp.map(
+            lambda x: rp.fori_loop(3, lambda i, a: a * ws[i] + x, x), xs))
+
+    fun = optimize_fun(rp.trace_like(f, (np.ones(4), np.ones(3))))
+    raw = vjp_fun(fun)
+    opt = dce_fun(raw)
+    accs = lambda g: [  # noqa: E731
+        lp for lp in _loops(g) if any(isinstance(p.type, AccType) for p in lp.params)]
+    assert accs(raw) and len(accs(opt)) == len(accs(raw))
+    _same_on_ref(raw, opt, rng.standard_normal(4), rng.standard_normal(3), 1.0)
+    # ... even with every result declared dead
+    (loop,) = accs(opt)
+    keep = [False] * len(loop.params)
+    cut = _shrink_loop(loop, keep)
+    assert [p for p in loop.params if isinstance(p.type, AccType)] == [
+        p for p in cut.params if isinstance(p.type, AccType)]
+    assert [p for p, k in zip(loop.params, keep) if k] == list(cut.params)
+
+
+def test_gmm_gradient_fills_no_checkpoint_in_its_inner_forward_loop():
+    # The loop rule checkpoints every carried value (`scratch` + one whole-array
+    # `update` per iteration); where the reverse sweep never reads them the
+    # arrays are dead results of the forward loop and go.
+    from repro.apps import gmm
+    from repro.ir.ast import ScratchLike, Update
+
+    g = rp.grad(rp.compile(gmm.build_ir(16, 4, 3)), wrt=[0, 1, 2]).adfun.fun
+    inner = [lp for lp in _loops(g) if not _loops_in_body(lp)]
+    forward = [lp for lp in inner if not any(p.name.endswith("_bar") for p in lp.params)]
+    assert forward
+    for lp in forward:
+        assert not any(isinstance(s.exp, (Update, ScratchLike)) for s in lp.body.stms)
+
+
+def _loops_in_body(loop):
+    from repro.ir.ast import Fun
+
+    return _loops(Fun("b", (), loop.body))
+
+
+def test_dce_is_bitwise_on_ref_for_every_app():
+    # The raw reverse-mode program of every app, before and after DCE, on the
+    # reference interpreter: identical results, and never more statements.
+    from test_mem_plan import _APPS
+
+    for name in sorted(_APPS):
+        inp, ir, _call = _APPS[name]()
+        fun = optimize_fun(rp.compile(ir).fun)
+        raw = vjp_fun(fun)
+        cut = dce_fun(raw)
+        assert count_stms(cut) <= count_stms(raw), name
+        inp = tuple(np.asarray(a) for a in inp)
+        res = Compiled(fun, optimize=False)(*inp, backend="ref")
+        seeds = tuple(np.ones_like(np.asarray(r)) for r in (res if isinstance(res, tuple) else (res,)))
+        _same_on_ref(raw, cut, *inp, *seeds)

@@ -376,3 +376,108 @@ def test_leaf_kernel_table_names_fields_the_plan_ir_has():
     nested = {k for k, c in by_kind.items() if {"body", "then", "cbody", "ops"} & slots_of(c)}
     assert covered | nested == set(by_kind)
     assert covered & nested == {"reduce", "scan", "hist"}  # body-free on ``ufunc`` only
+
+
+# ---------------------------------------------------------------------------
+# The free list: `_buffer` / `_give` / `_elem_into(take=True)` / `_copy`
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """An empty free list with the size floor at 64 bytes."""
+    monkeypatch.setattr(V, "_DONATE_MIN_BYTES", 64)
+    V.clear_pool()
+    yield V._pool()
+    V.clear_pool()
+
+
+def _offer(v):
+    """A release point: the caller's one reference goes to ``_give``."""
+    V._give(v)
+
+
+def test_give_admits_only_against_an_outstanding_take(pool):
+    key = ((16,), np.dtype(np.float64))
+    _offer(BV(np.ones(16), 0))  # nobody asked for one of these
+    assert V.pool_bytes() == 0 and not pool.free
+    buf = V._buffer(*key)  # a miss: fresh, and one buffer of this key is out
+    assert pool.out[key] == 1 and buf.shape == (16,)
+    _offer(BV(np.ones(16), 0))
+    assert V.pool_bytes() == 128 and pool.out[key] == 0
+    _offer(BV(np.ones(16), 0))  # the debt is paid: this one goes to malloc
+    assert V.pool_bytes() == 128
+    kept = pool.free[key][0]
+    assert V._buffer(*key) is kept and V.pool_bytes() == 0
+    _offer(BV(np.ones(4), 0))  # below the floor
+    assert V.pool_bytes() == 0
+    V._buffer(*key)
+    _offer(BV(kept, 0))  # `kept` is ours too: not exclusive
+    assert V.pool_bytes() == 0
+
+
+def test_give_refuses_whatever_someone_else_can_see(pool):
+    key = ((16,), np.dtype(np.float64))
+    before = V.MEM_STATS["pool_refused"]
+
+    def refused(make):
+        V._buffer(*key)  # someone wants one
+        pool.out[((4, 4), np.dtype(np.float64))] = 1
+        keep = make()  # (value offered, whatever else holds on to it)
+        _offer(keep[0])
+        return V.pool_bytes() == 0
+
+    base = np.ones(32)
+    arr = np.ones(16)
+    shared_bv = BV(np.ones(16), 0)
+    assert refused(lambda: (BV(arr, 0),))  # the array has another holder (`arr`)
+    assert refused(lambda: (shared_bv,))  # the BV has another holder
+    assert refused(lambda: (BV(base[:16], 0),))  # a view owns nothing
+    v = BV(np.ones(16), 0)
+    view = v.data[2:5]
+    assert refused(lambda: (v, view))  # a view of it is alive
+    del v, view
+    assert refused(lambda: (BV(np.asfortranarray(np.ones((4, 4))), 0),))  # not C-contiguous
+    ro = np.ones(16)
+    ro.setflags(write=False)
+    assert refused(lambda: (BV(ro, 0),))
+    assert refused(lambda: (V.AccBV(np.ones(16), 0),))  # accumulators are never offered
+    assert V.MEM_STATS["pool_refused"] > before
+    pool.out[((16,), np.dtype(np.int64))] = 1
+    _offer(BV(np.ones(16, dtype=np.int64), 0))  # not float
+    assert V.pool_bytes() == 0
+
+
+def test_a_taker_computes_the_same_bits_into_a_recycled_buffer(pool):
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((4, 1, 5)), rng.standard_normal((1, 3, 5))
+    want = V._elem(np.multiply, BV(a, 2), BV(b, 2))
+    box = [V._elem_into(np.multiply, (), BV(a, 2), BV(b, 2), take=True)]  # a miss
+    assert box[0].data.tobytes() == want.data.tobytes() and box[0].bdims == want.bdims
+    box[0].data.fill(np.nan)
+    _offer(box.pop())
+    assert V.pool_bytes() == want.data.nbytes
+    again = V._elem_into(np.multiply, (), BV(a, 2), BV(b, 2), take=True)  # a hit
+    assert V.pool_bytes() == 0 and again.data.tobytes() == want.data.tobytes()
+    # a donor still comes first, mixed dtypes and small results allocate as ever
+    t = rng.standard_normal((4, 3, 5))
+    out = V._elem_into(np.add, (0,), BV(t, 2), BV(b, 2), take=True)
+    assert out.data is t
+    mixed = V._elem_into(np.add, (), BV(a, 2), BV(b.astype(np.float32), 2), take=True)
+    assert mixed.data.dtype == np.float64 and not pool.out.get(((4, 3, 5), np.dtype(np.float32)))
+    small = V._elem_into(np.add, (), BV(np.ones(2), 0), BV(np.ones(2), 0), take=True)
+    assert small.data.tolist() == [2.0, 2.0] and ((2,), np.dtype(np.float64)) not in pool.out
+
+
+def test_copy_and_scratch_serve_large_results_from_the_free_list(pool):
+    src = np.broadcast_to(np.arange(4.0), (6, 4))
+    dirty = np.full((6, 4), np.nan)
+    pool.free[((6, 4), np.dtype(np.float64))] = [dirty]
+    out = V._copy(src)
+    assert out is dirty and out.flags.c_contiguous and out.tobytes() == src.copy().tobytes()
+    assert V._copy(np.arange(3.0)).tolist() == [0.0, 1.0, 2.0]  # small: a plain copy
+    dirty2 = np.full((2, 5, 3), np.nan)
+    pool.free[((2, 5, 3), np.dtype(np.float64))] = [dirty2]
+    eng = _eng((2,), False)
+    sc = V._scratch(eng, BV(np.array([5, 3]), 1), BV(np.ones((2, 3)), 1))
+    assert sc.data is dirty2 and not sc.data.any()

@@ -431,6 +431,124 @@ def test_plan_donate_live_local_rejected(monkeypatch):
         verify_plan_ir(ir)
 
 
+# -- the free-list marks: recyclable releases and takers -----------------------
+
+
+def _pool_prog(v, w):
+    a = rp.map(lambda e: e * 2.0 + 1.0, v)
+    b = rp.map(lambda e, f: rp.sin(e * f) * e, a, w)
+    return rp.sum(b) + a[1] * 3.0
+
+
+def _pool_plan(monkeypatch):
+    """The plan of ``_pool_prog`` with its first map, the run that indexes
+    that map's result (and recycles it) and the position of the ``index``."""
+    ir = _lowered(_pool_prog, (np.ones(4), np.ones(4)), monkeypatch)
+    first = ir.body.instrs[0]
+    run = next(i for i in ir.body.instrs
+               if isinstance(i, IRun) and any(o.kind == "index" for o in i.ops))
+    pos = next(p for p, o in enumerate(run.ops) if o.kind == "index")
+    assert first.kind == "map" and first.outs[0][0] in run.recycle
+    return ir, first, run, pos
+
+
+def test_lowering_marks_recyclable_releases_and_takers(monkeypatch):
+    ir, first, run, pos = _pool_plan(monkeypatch)
+    inner = first.body.instrs[0]
+    # every out=-capable float op is a taker, an interior product dies into
+    # the free list, parameters and the body's result never do
+    assert [o.take for o in inner.ops] == [True, True]
+    assert inner.ops[1].recycle == (0,) and first.recycle == ()
+    assert not run.ops[pos].take and run.ops[pos + 1].recycle == ()
+    reduce = next(i for i in ir.body.instrs if i.kind == "reduce")
+    assert reduce.recycle == tuple(s for s, _ in reduce.release)  # the second map's result
+
+
+def test_plan_recycle_of_a_parameter_rejected(monkeypatch):
+    ir, first, _run, _pos = _pool_plan(monkeypatch)
+    slot, name = first.params[0]
+    first.recycle = (slot,)
+    with pytest.raises(
+        VerifyError, match=rf"recycles slot {slot} \('{name}'\), a parameter or result of its nested"
+    ):
+        verify_plan_ir(ir)
+    # ... and a function parameter is not even released
+    ir, first, _run, _pos = _pool_plan(monkeypatch)
+    first.recycle = (ir.param_slots[0],)
+    with pytest.raises(VerifyError, match=r"recycles slot 0 .* which it does not release"):
+        verify_plan_ir(ir)
+
+
+def test_plan_recycle_of_a_body_result_rejected(monkeypatch):
+    ir, first, _run, _pos = _pool_plan(monkeypatch)
+    res = first.body.result[0]
+    first.recycle = (res.slot,)
+    with pytest.raises(
+        VerifyError, match=rf"recycles slot {res.slot} \('{res.name}'\), a parameter or result"
+    ):
+        verify_plan_ir(ir)
+
+
+def test_plan_recycle_of_an_index_result_rejected(monkeypatch):
+    ir, _first, run, pos = _pool_plan(monkeypatch)
+    reader = next(o for o in run.ops if pos in o.release)
+    reader.recycle = (pos,)  # a view of the map's result
+    name = run.prov[pos].pat[0].name
+    with pytest.raises(
+        VerifyError,
+        match=rf"recycles run-local value {pos} \('{name}'\) produced by 'index'",
+    ):
+        verify_plan_ir(ir)
+    # ... and as a register: exported, then released by a later instruction
+    def prog(m):
+        a = rp.map(lambda r: rp.map(lambda e: e * 2.0, r), m)
+        row = a[0]
+        s = rp.sum(row)
+        return s + rp.sum(rp.map(lambda e: e * s, row))
+
+    ir = _lowered(prog, (np.ones((3, 2)),), monkeypatch)
+    slot, name = next(
+        (s, n) for i in ir.body.instrs if isinstance(i, IRun)
+        for li, s, n in i.exports if i.ops[li].kind == "index")
+    last = next(i for i in ir.body.instrs if slot in dict(i.release))
+    last.recycle = (slot,)
+    with pytest.raises(
+        VerifyError, match=rf"recycles slot {slot} \('{name}'\), which no allocating kernel"
+    ):
+        verify_plan_ir(ir)
+
+
+def test_plan_recycle_of_a_value_an_atom_hands_on_rejected(monkeypatch):
+    ir, first, run, pos = _pool_plan(monkeypatch)
+    run.ops[pos].kind = "atom"  # now a copy of the map's result, not a read of it
+    run.ops[pos].affine = None
+    slot, name = first.outs[0]
+    with pytest.raises(
+        VerifyError, match=rf"recycles slot {slot} \('{name}'\), which an atom op hands on"
+    ):
+        verify_plan_ir(ir)
+    # ... and inside a run
+    ir, _first, _run, _pos = _pool_plan(monkeypatch)
+    second = [i for i in ir.body.instrs if i.kind == "map"][1]
+    sin = second.body.instrs[0].ops[1]
+    assert sin.op == "sin" and sin.recycle == (0,)
+    sin.kind, sin.op, sin.donate, sin.take = "atom", None, (), False
+    second.body.instrs[0].ops[2].donate = ()
+    with pytest.raises(
+        VerifyError, match=r"run op 1 recycles run-local value 0 .* which op 1 \(atom\) hands on"
+    ):
+        verify_plan_ir(ir)
+
+
+def test_plan_taker_mark_on_an_op_without_out_rejected(monkeypatch):
+    ir, _first, run, pos = _pool_plan(monkeypatch)
+    run.ops[pos].take = True
+    with pytest.raises(
+        VerifyError, match=rf"run op {pos} \(index .* is marked a taker but cannot compute in place"
+    ):
+        verify_plan_ir(ir)
+
+
 # -- index provenance: the affine flags --------------------------------------
 
 
