@@ -10,8 +10,19 @@ statements between scopes, so it leans heavily on:
 * ``refresh(node)`` — alpha-rename every binder to a fresh name (used when a
   body is copied so the program stays SSA).
 
-Two conventions make the compile pipeline incremental without a cache:
+Three conventions keep this module short and the compile pipeline
+incremental without a cache:
 
+* **the shape is read off the declaration.**  Which fields of an expression
+  kind are uses, ``Var``-only uses, binders, lambdas, bodies or statics is
+  derived once, at import, from the annotations of the frozen dataclasses in
+  ``ir.ast`` (``_shape_of``); ``exp_atoms``, ``exp_lambdas``, ``scopes``,
+  ``NESTED`` and every structural walk here — and the SSA walk, the type
+  walk and ``ir_hash`` — read that table, in declaration order.  Adding a
+  node kind is: declare the dataclass, add it to ``ast.Exp``, write its
+  semantic arms (``infer_exp_types``, ``validate``, ``pretty``, the AD rules,
+  ``interp``, ``lower``) — no edit here.  A ``Var`` field that *binds* goes
+  in ``_BINDERS``; an annotation the table cannot classify fails the import;
 * **facts live on the node.**  The free variables of an expression with a
   nested body are walked once per node object and kept on it
   (``ir.ast.fact``, context-free, first use first); every query —
@@ -29,48 +40,24 @@ Two conventions make the compile pipeline incremental without a cache:
 from __future__ import annotations
 
 import operator
-from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator, Sequence, Set, Tuple
+from dataclasses import fields, replace
+from typing import (
+    Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple,
+    get_args, get_type_hints,
+)
 
 from ..util import fresh
+from . import ast
 from .ast import (
-    AtomExp,
-    Atom,
-    BinOp,
-    Body,
-    Cast,
-    Concat,
-    Exp,
-    Fun,
-    If,
-    Index,
-    Iota,
-    Lambda,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
-    Replicate,
-    Reverse,
-    Scan,
-    Scatter,
-    ScratchLike,
-    Select,
-    Size,
-    Stm,
-    UnOp,
-    UpdAcc,
-    Update,
-    Var,
-    WhileLoop,
-    WithAcc,
-    ZerosLike,
-    fact,
+    Atom, Body, Exp, Fun, Lambda, Loop, Map, Reduce, ReduceByIndex, Scan, Scatter, Stm, Var,
+    WhileLoop, fact,
 )
+from .types import Scalar
 
 __all__ = [
     "exp_atoms",
     "exp_lambdas",
+    "scopes",
     "free_vars",
     "free_vars_exp",
     "subst",
@@ -93,104 +80,105 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Direct atom / lambda children of an expression
+# The shape of every expression kind, read off its declaration
 # ---------------------------------------------------------------------------
+
+#: The one fact the annotations cannot carry: which ``Var`` fields *bind*.
+_BINDERS = frozenset({(Loop, "params"), (Loop, "ivar"), (WhileLoop, "params")})
+
+_USE, _VAR, _BIND, _LAM, _BODY, _STATIC = "use", "var", "bind", "lam", "body", "static"
+
+#: annotation -> (role, the field holds a tuple of them).  ``_VAR`` is a use
+#: that syntactically requires a ``Var``; a ``None`` in an optional use is no
+#: use; statics are fed to ``ir_hash`` by ``repr`` and otherwise carried.
+_ROLES = {
+    Atom: (_USE, False),
+    Optional[Atom]: (_USE, False),
+    Tuple[Atom, ...]: (_USE, True),
+    Var: (_VAR, False),
+    Tuple[Var, ...]: (_VAR, True),
+    Lambda: (_LAM, False),
+    Body: (_BODY, False),
+    str: (_STATIC, False),
+    int: (_STATIC, False),
+    Scalar: (_STATIC, False),
+}
+
+
+class _Shape(NamedTuple):
+    """One expression kind; every tuple is in declaration order."""
+
+    fields: Tuple[Tuple[str, str, bool], ...]  # (name, role, many), all fields
+    uses: Tuple[Tuple[str, bool], ...]  # (name, many) of the _USE / _VAR fields
+    binds: Tuple[Tuple[str, bool], ...]  # (name, many) of the _BIND fields
+    nested: Tuple[Tuple[str, str], ...]  # (name, role) of the _LAM / _BODY fields
+
+
+def _shape_of(cls) -> _Shape:
+    hints = get_type_hints(cls, vars(ast))
+    out = []
+    for f in fields(cls):
+        if hints[f.name] not in _ROLES:
+            raise TypeError(
+                f"ir.traversal: cannot classify field {cls.__name__}.{f.name}: "
+                f"{hints[f.name]!r} is not a use, a lambda, a body or a static"
+            )
+        role, many = _ROLES[hints[f.name]]
+        if (cls, f.name) in _BINDERS:
+            role = _BIND
+        out.append((f.name, role, many))
+    return _Shape(
+        tuple(out),
+        tuple((n, many) for n, role, many in out if role in (_USE, _VAR)),
+        tuple((n, many) for n, role, many in out if role is _BIND),
+        tuple((n, role) for n, role, _ in out if role in (_LAM, _BODY)),
+    )
+
+
+_SHAPES = {cls: _shape_of(cls) for cls in get_args(Exp)}
+
+#: The expression kinds that contain a body.
+NESTED = frozenset(cls for cls, sh in _SHAPES.items() if sh.nested)
 
 
 def exp_atoms(e: Exp) -> Iterator[Atom]:
     """Atoms directly referenced by ``e`` (excluding nested bodies/lambdas)."""
-    if isinstance(e, AtomExp):
-        yield e.x
-    elif isinstance(e, UnOp):
-        yield e.x
-    elif isinstance(e, BinOp):
-        yield e.x
-        yield e.y
-    elif isinstance(e, Select):
-        yield e.c
-        yield e.t
-        yield e.f
-    elif isinstance(e, Cast):
-        yield e.x
-    elif isinstance(e, Index):
-        yield e.arr
-        yield from e.idx
-    elif isinstance(e, Update):
-        yield e.arr
-        yield from e.idx
-        yield e.val
-    elif isinstance(e, Iota):
-        yield e.n
-    elif isinstance(e, Replicate):
-        yield e.n
-        yield e.v
-    elif isinstance(e, ZerosLike):
-        yield e.x
-    elif isinstance(e, ScratchLike):
-        yield e.n
-        yield e.x
-    elif isinstance(e, Size):
-        yield e.arr
-    elif isinstance(e, Reverse):
-        yield e.x
-    elif isinstance(e, Concat):
-        yield e.x
-        yield e.y
-    elif isinstance(e, Map):
-        yield from e.arrs
-        yield from e.accs
-    elif isinstance(e, (Reduce, Scan)):
-        yield from e.nes
-        yield from e.arrs
-    elif isinstance(e, ReduceByIndex):
-        yield e.num_bins
-        yield from e.nes
-        yield e.inds
-        yield from e.vals
-    elif isinstance(e, Scatter):
-        yield e.dest
-        yield e.inds
-        yield e.vals
-    elif isinstance(e, Loop):
-        yield from e.inits
-        yield e.n
-    elif isinstance(e, WhileLoop):
-        yield from e.inits
-        if e.bound is not None:
-            yield e.bound
-    elif isinstance(e, If):
-        yield e.cond
-    elif isinstance(e, WithAcc):
-        yield from e.arrs
-    elif isinstance(e, UpdAcc):
-        yield e.acc
-        yield from e.idx
-        yield e.v
-    else:  # pragma: no cover - exhaustiveness guard
-        raise TypeError(f"exp_atoms: unknown expression {type(e).__name__}")
+    for name, many in _SHAPES[type(e)].uses:
+        x = getattr(e, name)
+        if many:
+            yield from x
+        elif x is not None:
+            yield x
 
 
 def exp_lambdas(e: Exp) -> Iterator[Lambda]:
     """Lambdas directly contained in ``e``."""
-    if isinstance(e, Map):
-        yield e.lam
-    elif isinstance(e, (Reduce, Scan)):
-        yield e.lam
-    elif isinstance(e, ReduceByIndex):
-        yield e.lam
-    elif isinstance(e, WhileLoop):
-        yield e.cond
-    elif isinstance(e, WithAcc):
-        yield e.lam
+    return (getattr(e, name) for name, role in _SHAPES[type(e)].nested if role is _LAM)
+
+
+def _binders(e: Exp) -> Tuple[Var, ...]:
+    """The variables ``e`` itself binds over its bodies."""
+    out: Tuple[Var, ...] = ()
+    for name, many in _SHAPES[type(e)].binds:
+        out += getattr(e, name) if many else (getattr(e, name),)
+    return out
+
+
+def scopes(e: Exp) -> Tuple[Tuple[Tuple[Var, ...], Body], ...]:
+    """``(binders, body)`` of every scope directly nested in ``e``: a lambda
+    binds its parameters over its body, a body field sees what the node
+    itself binds (``Loop``: ``params`` and ``ivar``; ``If``: nothing)."""
+    own = _binders(e)
+    out = []
+    for name, role in _SHAPES[type(e)].nested:
+        x = getattr(e, name)
+        out.append((x.params, x.body) if role is _LAM else (own, x))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Free variables
 # ---------------------------------------------------------------------------
-
-
-#: The expression kinds that contain a body.
-NESTED = frozenset({Map, Reduce, Scan, ReduceByIndex, Loop, WhileLoop, If, WithAcc})
 
 
 def _fv_body(body: Body, bound: Set[str], out: Dict[str, Var]) -> None:
@@ -215,15 +203,8 @@ def _fv_nested(e: Exp) -> Tuple[Var, ...]:
     for a in exp_atoms(e):
         if isinstance(a, Var):
             out.setdefault(a.name, a)
-    for lam in exp_lambdas(e):
-        _fv_lambda(lam, out)
-    if isinstance(e, Loop):
-        _fv_body(e.body, {p.name for p in e.params} | {e.ivar.name}, out)
-    elif isinstance(e, WhileLoop):
-        _fv_body(e.body, {p.name for p in e.params}, out)
-    elif isinstance(e, If):
-        _fv_body(e.then, set(), out)
-        _fv_body(e.els, set(), out)
+    for binders, body in scopes(e):
+        _fv_body(body, {p.name for p in binders}, out)
     return tuple(out.values())
 
 
@@ -290,100 +271,40 @@ def _sub_var(v: Var, m: Mapping) -> Var:
     return r
 
 
+def _minus(m: Mapping, binders: Iterable[Var]) -> Mapping:
+    """``m`` without the names ``binders`` bind (``m`` itself if none)."""
+    inner = m
+    for p in binders:
+        if p.name in inner:
+            if inner is m:
+                inner = dict(m)
+            del inner[p.name]
+    return inner
+
+
 def subst_exp(e: Exp, m: Mapping) -> Exp:
     """Capture-avoiding substitution of free variables in ``e``; ``e`` itself
     when none of its free variables is in ``m``."""
     if not m or not any(a.name in m for a in exp_free_vars(e)):
         return e
-    s = lambda a: _sub_atom(a, m)  # noqa: E731
-    sv = lambda v: _sub_var(v, m)  # noqa: E731
-    if isinstance(e, AtomExp):
-        return AtomExp(s(e.x))
-    if isinstance(e, UnOp):
-        return UnOp(e.op, s(e.x))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, s(e.x), s(e.y))
-    if isinstance(e, Select):
-        return Select(s(e.c), s(e.t), s(e.f))
-    if isinstance(e, Cast):
-        return Cast(s(e.x), e.to)
-    if isinstance(e, Index):
-        return Index(sv(e.arr), tuple(s(i) for i in e.idx))
-    if isinstance(e, Update):
-        return Update(sv(e.arr), tuple(s(i) for i in e.idx), s(e.val))
-    if isinstance(e, Iota):
-        return Iota(s(e.n), e.elem)
-    if isinstance(e, Replicate):
-        return Replicate(s(e.n), s(e.v))
-    if isinstance(e, ZerosLike):
-        return ZerosLike(s(e.x))
-    if isinstance(e, ScratchLike):
-        return ScratchLike(s(e.n), s(e.x))
-    if isinstance(e, Size):
-        return Size(sv(e.arr), e.dim)
-    if isinstance(e, Reverse):
-        return Reverse(sv(e.x))
-    if isinstance(e, Concat):
-        return Concat(sv(e.x), sv(e.y))
-    if isinstance(e, Map):
-        return Map(
-            _sub_lambda(e.lam, m),
-            tuple(sv(a) for a in e.arrs),
-            tuple(sv(a) for a in e.accs),
-        )
-    if isinstance(e, Reduce):
-        return Reduce(_sub_lambda(e.lam, m), tuple(s(a) for a in e.nes), tuple(sv(a) for a in e.arrs))
-    if isinstance(e, Scan):
-        return Scan(_sub_lambda(e.lam, m), tuple(s(a) for a in e.nes), tuple(sv(a) for a in e.arrs))
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(
-            s(e.num_bins),
-            _sub_lambda(e.lam, m),
-            tuple(s(a) for a in e.nes),
-            sv(e.inds),
-            tuple(sv(a) for a in e.vals),
-        )
-    if isinstance(e, Scatter):
-        return Scatter(sv(e.dest), sv(e.inds), sv(e.vals))
-    if isinstance(e, Loop):
-        inner = {k: v for k, v in m.items()}
-        for p in e.params:
-            inner.pop(p.name, None)
-        inner.pop(e.ivar.name, None)
-        return Loop(
-            e.params,
-            tuple(s(a) for a in e.inits),
-            e.ivar,
-            s(e.n),
-            _sub_body(e.body, inner),
-            e.stripmine,
-            e.checkpoint,
-        )
-    if isinstance(e, WhileLoop):
-        inner = {k: v for k, v in m.items()}
-        for p in e.params:
-            inner.pop(p.name, None)
-        return WhileLoop(
-            e.params,
-            tuple(s(a) for a in e.inits),
-            _sub_lambda(e.cond, m),
-            _sub_body(e.body, inner),
-            None if e.bound is None else s(e.bound),
-        )
-    if isinstance(e, If):
-        return If(s(e.cond), _sub_body(e.then, m), _sub_body(e.els, m))
-    if isinstance(e, WithAcc):
-        return WithAcc(tuple(sv(a) for a in e.arrs), _sub_lambda(e.lam, m))
-    if isinstance(e, UpdAcc):
-        return UpdAcc(sv(e.acc), tuple(s(i) for i in e.idx), s(e.v))
-    raise TypeError(f"subst_exp: unknown expression {type(e).__name__}")
+    changes = {}
+    for name, role, many in _SHAPES[type(e)].fields:
+        x = getattr(e, name)
+        if role is _USE or role is _VAR:
+            sub = _sub_atom if role is _USE else _sub_var
+            if many:
+                changes[name] = tuple(sub(a, m) for a in x)
+            elif x is not None:
+                changes[name] = sub(x, m)
+        elif role is _LAM:
+            changes[name] = _sub_lambda(x, m)
+        elif role is _BODY:
+            changes[name] = _sub_body(x, _minus(m, _binders(e)))
+    return replace(e, **changes)
 
 
 def _sub_lambda(lam: Lambda, m: Mapping) -> Lambda:
-    inner = {k: v for k, v in m.items()}
-    for p in lam.params:
-        inner.pop(p.name, None)
-    return Lambda(lam.params, _sub_body(lam.body, inner))
+    return Lambda(lam.params, _sub_body(lam.body, _minus(m, lam.params)))
 
 
 def _sub_body(body: Body, m: Mapping) -> Body:
@@ -419,31 +340,26 @@ def rename_var(v: Var) -> Var:
 def _refresh_exp(e: Exp, m: Mapping) -> Exp:
     """Refresh binders inside ``e`` while substituting ``m`` for free vars."""
     e = subst_exp(e, m)
-    if isinstance(e, Map):
-        return Map(refresh_lambda(e.lam), e.arrs, e.accs)
-    if isinstance(e, Reduce):
-        return Reduce(refresh_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, Scan):
-        return Scan(refresh_lambda(e.lam), e.nes, e.arrs)
-    if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, refresh_lambda(e.lam), e.nes, e.inds, e.vals)
-    if isinstance(e, Loop):
-        new_params = tuple(rename_var(p) for p in e.params)
-        new_ivar = rename_var(e.ivar)
-        inner: Mapping = {p.name: np for p, np in zip(e.params, new_params)}
-        inner[e.ivar.name] = new_ivar
-        return Loop(new_params, e.inits, new_ivar, e.n, refresh_body(e.body, inner), e.stripmine, e.checkpoint)
-    if isinstance(e, WhileLoop):
-        new_params = tuple(rename_var(p) for p in e.params)
-        inner = {p.name: np for p, np in zip(e.params, new_params)}
-        cond_m = {p.name: np for p, np in zip(e.cond.params, new_params)}
-        new_cond = Lambda(new_params, refresh_body(e.cond.body, cond_m))
-        return WhileLoop(new_params, e.inits, new_cond, refresh_body(e.body, inner), e.bound)
-    if isinstance(e, If):
-        return If(e.cond, refresh_body(e.then, {}), refresh_body(e.els, {}))
-    if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, refresh_lambda(e.lam))
-    return e
+    sh = _SHAPES[type(e)]
+    if not sh.nested:
+        return e
+    inner: Mapping = {p.name: rename_var(p) for p in _binders(e)}
+    changes: Dict[str, object] = {}
+    for name, many in sh.binds:
+        x = getattr(e, name)
+        changes[name] = tuple(inner[p.name] for p in x) if many else inner[x.name]
+    for name, role in sh.nested:
+        x = getattr(e, name)
+        if role is _BODY:
+            changes[name] = refresh_body(x, inner)
+        elif isinstance(e, WhileLoop):
+            # ``cond``'s parameters *are* the loop's binders: the same new names.
+            new = changes["params"]
+            cond_m = {p.name: q for p, q in zip(x.params, new)}
+            changes[name] = Lambda(new, refresh_body(x.body, cond_m))
+        else:
+            changes[name] = refresh_lambda(x)
+    return replace(e, **changes)
 
 
 def refresh_body(body: Body, m: Mapping | None = None) -> Body:
@@ -528,68 +444,39 @@ def map_bodies(e: Exp, f: Callable[[Body], Body]) -> Exp:
     field kept — and ``e`` itself when ``f`` handed every body back.  This is
     the one recursion into nested scopes: a ``Body -> Body`` rewrite calls it
     per statement and stays identity-preserving for free."""
-    if isinstance(e, (Map, Reduce, Scan, ReduceByIndex, WithAcc)):
-        lam = _with_lam_body(e.lam, f(e.lam.body))
-        return e if lam is e.lam else replace(e, lam=lam)
-    if isinstance(e, Loop):
-        body = f(e.body)
-        return e if body is e.body else replace(e, body=body)
-    if isinstance(e, WhileLoop):
-        cond, body = _with_lam_body(e.cond, f(e.cond.body)), f(e.body)
-        return e if cond is e.cond and body is e.body else replace(e, cond=cond, body=body)
-    if isinstance(e, If):
-        then, els = f(e.then), f(e.els)
-        return e if then is e.then and els is e.els else If(e.cond, then, els)
-    return e
+    changes = {}
+    for name, role in _SHAPES[type(e)].nested:
+        x = getattr(e, name)
+        new = f(x) if role is _BODY else _with_lam_body(x, f(x.body))
+        if new is not x:
+            changes[name] = new
+    return replace(e, **changes) if changes else e
+
+
+def _body_of(node) -> Body:
+    if isinstance(node, (Fun, Lambda)):
+        return node.body
+    if isinstance(node, Body):
+        return node
+    raise TypeError(type(node).__name__)
 
 
 def count_stms(node) -> int:
     """Total number of statements in a node, recursively (for tests)."""
-    if isinstance(node, Fun):
-        return count_stms(node.body)
-    if isinstance(node, Lambda):
-        return count_stms(node.body)
-    if isinstance(node, Body):
-        n = 0
-        for stm in node.stms:
-            n += 1 + count_stms_exp(stm.exp)
-        return n
-    raise TypeError(type(node).__name__)
+    return sum(1 + count_stms_exp(stm.exp) for stm in _body_of(node).stms)
 
 
 def count_stms_exp(e: Exp) -> int:
-    n = 0
-    for lam in exp_lambdas(e):
-        n += count_stms(lam.body)
-    if isinstance(e, Loop):
-        n += count_stms(e.body)
-    elif isinstance(e, WhileLoop):
-        n += count_stms(e.body)
-    elif isinstance(e, If):
-        n += count_stms(e.then) + count_stms(e.els)
-    return n
+    return sum(count_stms(body) for _, body in scopes(e))
 
 
 def count_soacs(node) -> int:
     """Total number of SOAC statements (map/reduce/scan/hist/scatter) in a
     node, recursively — the fusion engine's progress metric."""
-    if isinstance(node, Fun):
-        return count_soacs(node.body)
-    if isinstance(node, Lambda):
-        return count_soacs(node.body)
-    if not isinstance(node, Body):
-        raise TypeError(type(node).__name__)
     n = 0
-    for stm in node.stms:
-        e = stm.exp
-        if isinstance(e, (Map, Reduce, Scan, ReduceByIndex, Scatter)):
-            n += 1
-        for lam in exp_lambdas(e):
-            n += count_soacs(lam.body)
-        if isinstance(e, (Loop, WhileLoop)):
-            n += count_soacs(e.body)
-        elif isinstance(e, If):
-            n += count_soacs(e.then) + count_soacs(e.els)
+    for stm in _body_of(node).stms:
+        n += isinstance(stm.exp, (Map, Reduce, Scan, ReduceByIndex, Scatter))
+        n += sum(count_soacs(body) for _, body in scopes(stm.exp))
     return n
 
 
@@ -597,41 +484,15 @@ def all_bound_vars(node) -> Dict[str, Var]:
     """All variables bound anywhere inside a node (params, pats, ivars)."""
     out: Dict[str, Var] = {}
 
-    def body(b: Body) -> None:
-        for stm in b.stms:
+    def walk(binders: Iterable[Var], body: Body) -> None:
+        for p in binders:
+            out[p.name] = p
+        for stm in body.stms:
             for v in stm.pat:
                 out[v.name] = v
-            exp(stm.exp)
+            for inner in scopes(stm.exp):
+                walk(*inner)
 
-    def lam(l: Lambda) -> None:
-        for p in l.params:
-            out[p.name] = p
-        body(l.body)
-
-    def exp(e: Exp) -> None:
-        for l in exp_lambdas(e):
-            lam(l)
-        if isinstance(e, Loop):
-            for p in e.params:
-                out[p.name] = p
-            out[e.ivar.name] = e.ivar
-            body(e.body)
-        elif isinstance(e, WhileLoop):
-            for p in e.params:
-                out[p.name] = p
-            body(e.body)
-        elif isinstance(e, If):
-            body(e.then)
-            body(e.els)
-
-    if isinstance(node, Fun):
-        for p in node.params:
-            out[p.name] = p
-        body(node.body)
-    elif isinstance(node, Body):
-        body(node)
-    elif isinstance(node, Lambda):
-        lam(node)
-    else:
-        raise TypeError(type(node).__name__)
+    body = _body_of(node)
+    walk(() if node is body else node.params, body)
     return out

@@ -51,6 +51,7 @@ from .ast import (
     WithAcc,
     ZerosLike,
 )
+from .traversal import exp_atoms, scopes
 from .types import (
     AccType,
     ArrayType,
@@ -414,38 +415,16 @@ class _Checker:
         self.scope = saved
         return tys
 
-    def lam(self, l: Lambda) -> Tuple[Type, ...]:
-        saved = dict(self.scope)
-        for p in l.params:
-            self.bind(p)
-        tys = self.body(l.body)
-        self.scope = saved
-        return tys
-
     def stm(self, stm: Stm) -> None:
-        from .traversal import exp_atoms, exp_lambdas
-
-        for a in exp_atoms(stm.exp):
-            self.atom(a)
-        for l in exp_lambdas(stm.exp):
-            self.lam(l)
         e = stm.exp
-        if isinstance(e, Loop):
+        for a in exp_atoms(e):
+            self.atom(a)
+        for binders, body in scopes(e):
             saved = dict(self.scope)
-            for p in e.params:
+            for p in binders:
                 self.bind(p)
-            self.bind(e.ivar)
-            self.body(e.body)
+            self.body(body)
             self.scope = saved
-        elif isinstance(e, WhileLoop):
-            saved = dict(self.scope)
-            for p in e.params:
-                self.bind(p)
-            self.body(e.body)
-            self.scope = saved
-        elif isinstance(e, If):
-            self.body(e.then)
-            self.body(e.els)
         tys = infer_exp_types(e)
         if len(tys) != len(stm.pat):
             raise TypeError_(

@@ -48,16 +48,13 @@ from .ast import (
     Const,
     Exp,
     Fun,
-    If,
-    Lambda,
-    Loop,
     Replicate,
     Scatter,
     Stm,
     Var,
     WhileLoop,
 )
-from .traversal import exp_atoms, exp_lambdas
+from .traversal import exp_atoms, scopes
 from .typecheck import check_fun
 from .validate import validate_fun
 
@@ -173,41 +170,21 @@ def _check_ssa(fun: Fun, where: str) -> None:
         for a in body.result:
             use(a, scope, None)
 
-    def walk_lambda(lam: Lambda, scope: Set[str], stm: Optional[Stm]) -> None:
-        inner = set(scope)
-        for p in lam.params:
-            bind(p, inner, stm)
-        walk_body(lam.body, inner)
-
     def walk_exp(e: Exp, scope: Set[str], stm: Optional[Stm]) -> None:
         for a in exp_atoms(e):
             use(a, scope, stm)
-        if isinstance(e, WhileLoop):
+        for binders, body in scopes(e):
+            if isinstance(e, WhileLoop):
+                # The condition lambda shares the loop's binders by
+                # construction (frontend/ops.py, traversal.refresh) —
+                # re-binding those names is not shadowing.  Any *other* name
+                # it binds is a new binder.
+                pnames = {p.name for p in e.params}
+                binders = e.params + tuple(p for p in binders if p.name not in pnames)
             inner = set(scope)
-            pnames = {p.name for p in e.params}
-            for p in e.params:
+            for p in binders:
                 bind(p, inner, stm)
-            # The condition lambda shares the loop's binders by construction
-            # (frontend/ops.py, traversal.refresh) — re-binding those names
-            # is not shadowing.  Any *other* name it binds is a new binder.
-            cinner = set(inner)
-            for p in e.cond.params:
-                if p.name not in pnames:
-                    bind(p, cinner, stm)
-            walk_body(e.cond.body, cinner)
-            walk_body(e.body, inner)
-        elif isinstance(e, Loop):
-            inner = set(scope)
-            for p in e.params:
-                bind(p, inner, stm)
-            bind(e.ivar, inner, stm)
-            walk_body(e.body, inner)
-        elif isinstance(e, If):
-            walk_body(e.then, scope)
-            walk_body(e.els, scope)
-        else:
-            for lam in exp_lambdas(e):
-                walk_lambda(lam, scope, stm)
+            walk_body(body, inner)
 
     scope0: Set[str] = set()
     for p in fun.params:
@@ -266,13 +243,8 @@ def _check_scatter_overlap(fun: Fun, where: str) -> None:
                 reason = _scatter_overlap(e, defs)
                 if reason is not None:
                     raise VerifyError(reason, where, stm)
-            for lam in exp_lambdas(e):
-                walk_body(lam.body)
-            if isinstance(e, (Loop, WhileLoop)):
-                walk_body(e.body)
-            elif isinstance(e, If):
-                walk_body(e.then)
-                walk_body(e.els)
+            for _, inner in scopes(e):
+                walk_body(inner)
             for v in stm.pat:
                 defs.setdefault(v.name, e)
 

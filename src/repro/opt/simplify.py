@@ -22,21 +22,19 @@ from ..ir.ast import (
     Fun,
     If,
     Iota,
-    Loop,
     Map,
     Replicate,
     Select,
     Size,
     UnOp,
     Var,
-    WhileLoop,
     ZerosLike,
 )
 from ..ir.traversal import (
-    exp_lambdas,
     map_bodies,
     refresh_body,
     same_body,
+    scopes,
     subst_exp,
     with_body,
     with_exp,
@@ -204,12 +202,8 @@ class _Simplifier:
         # Sibling scopes reuse names (AD's redundant execution does): a name
         # that is a parameter here must not keep the definition an earlier
         # sibling's *statement* gave it.
-        for lam in exp_lambdas(e):
-            self._unbind(lam.params)
-        if isinstance(e, Loop):
-            self._unbind(e.params + (e.ivar,))
-        elif isinstance(e, WhileLoop):
-            self._unbind(e.params)
+        for binders, _ in scopes(e):
+            self._unbind(binders)
         return map_bodies(e, self.body)
 
     def _unbind(self, params) -> None:
