@@ -4,38 +4,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional, Tuple
 
-from .ast import (
-    AtomExp,
-    BinOp,
-    Body,
-    Cast,
-    Concat,
-    Const,
-    Fun,
-    If,
-    Index,
-    Iota,
-    Lambda,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
-    Replicate,
-    Reverse,
-    Scan,
-    Scatter,
-    ScratchLike,
-    Select,
-    Size,
-    UnOp,
-    UpdAcc,
-    Update,
-    Var,
-    WhileLoop,
-    WithAcc,
-    ZerosLike,
-    fact,
-)
+from .ast import AtomExp, BinOp, Body, Const, Fun, Lambda, Var, fact
+from .traversal import _BODY, _LAM, _SHAPES, _STATIC, free_vars_exp
 
 __all__ = [
     "recognize_binop_lambda",
@@ -164,8 +134,6 @@ def _recognize_redomap(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
         return None
     # The map part is everything outside the combine chain; it must neither
     # read the accumulator nor the combine's results.
-    from .traversal import free_vars_exp
-
     forbidden = chain | {acc.name}
     map_stms = []
     for stm in body.stms:
@@ -190,9 +158,11 @@ def ir_hash(fun: Fun) -> str:
     renaming of SSA names: every variable is replaced by its de-Bruijn-style
     introduction index (binding sites come before uses in ANF, and the walk
     order is deterministic, so alpha-equivalent programs number their
-    variables identically).  Everything semantically load-bearing — node
-    kinds, operator names, types, constant values, loop annotations — feeds
-    the digest, so semantically different programs hash apart.
+    variables identically).  Every field of every node feeds the digest, in
+    declaration order by its role in ``ir.traversal``'s shape table — a
+    variable by its index, a static (operator name, element type, loop
+    annotation) by ``repr`` — so semantically different programs hash apart
+    and no node kind can reach the digest by its SSA names.
 
     This is the plan-cache key: tracing the same source function
     twice yields alpha-equivalent ``Fun``s with fresh SSA names, and hashing
@@ -232,91 +202,20 @@ def _ir_hash(fun: Fun) -> str:
         feed(b")")
 
     def exp(e) -> None:
-        t = type(e)
-        feed(t.__name__.encode())
-        if t in (AtomExp, ZerosLike):
-            atom(e.x)
-        elif t is UnOp:
-            feed(e.op.encode())
-            atom(e.x)
-        elif t is BinOp:
-            feed(e.op.encode())
-            atoms((e.x, e.y))
-        elif t is Select:
-            atoms((e.c, e.t, e.f))
-        elif t is Cast:
-            atom(e.x)
-            feed(repr(e.to).encode())
-        elif t is Index:
-            atom(e.arr)
-            atoms(e.idx)
-        elif t is Update:
-            atom(e.arr)
-            atoms(e.idx)
-            atom(e.val)
-        elif t is Iota:
-            atom(e.n)
-            feed(repr(e.elem).encode())
-        elif t is Replicate:
-            atoms((e.n, e.v))
-        elif t is ScratchLike:
-            atoms((e.n, e.x))
-        elif t is Size:
-            atom(e.arr)
-            feed(b"%d" % e.dim)
-        elif t is Reverse:
-            atom(e.x)
-        elif t is Concat:
-            atoms((e.x, e.y))
-        elif t is Map:
-            lam(e.lam)
-            atoms(e.arrs)
-            feed(b"|")
-            atoms(e.accs)
-        elif t in (Reduce, Scan):
-            lam(e.lam)
-            atoms(e.nes)
-            feed(b"|")
-            atoms(e.arrs)
-        elif t is ReduceByIndex:
-            atom(e.num_bins)
-            lam(e.lam)
-            atoms(e.nes)
-            feed(b"|")
-            atom(e.inds)
-            atoms(e.vals)
-        elif t is Scatter:
-            atoms((e.dest, e.inds, e.vals))
-        elif t is Loop:
-            atoms(e.params)
-            feed(b"=")
-            atoms(e.inits)
-            atom(e.ivar)
-            atom(e.n)
-            body(e.body)
-            feed(b"sm%d,cp%s" % (e.stripmine, e.checkpoint.encode()))
-        elif t is WhileLoop:
-            atoms(e.params)
-            feed(b"=")
-            atoms(e.inits)
-            lam(e.cond)
-            body(e.body)
-            if e.bound is not None:
-                feed(b"bound:")
-                atom(e.bound)
-        elif t is If:
-            atom(e.cond)
-            body(e.then)
-            body(e.els)
-        elif t is WithAcc:
-            atoms(e.arrs)
-            lam(e.lam)
-        elif t is UpdAcc:
-            atom(e.acc)
-            atoms(e.idx)
-            atom(e.v)
-        else:  # future node kinds: still deterministic, never silent
-            feed(repr(e).encode())
+        feed(type(e).__name__.encode())
+        for name, role, many in _SHAPES[type(e)].fields:
+            x = getattr(e, name)
+            if role is _STATIC:
+                feed(repr(x).encode())
+            elif role is _LAM:
+                lam(x)
+            elif role is _BODY:
+                body(x)
+            elif many:
+                atoms(x)
+            elif x is not None:
+                atom(x)
+            feed(b",")
         feed(b";")
 
     def body(b: Body) -> None:
