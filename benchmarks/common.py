@@ -8,10 +8,10 @@ and records the paper's reported numbers next to ours.
 
 All "ours" rows run on the plan-compiled backend by default (lowered once,
 cached per shape signature — see ``repro.exec.plan``), which is what the
-paper's compiled-bulk-code numbers correspond to.  ``REPRO_BENCH_BACKEND``
-selects any registered backend instead: ``ref`` to measure the
-interpreter, ``codegen`` to run plan IR rendered to compiled Python source
-(no per-instruction dispatch, bitwise-equal to ``plan``).
+paper's compiled-bulk-code numbers correspond to.  ``REPRO_BACKEND``
+selects any registered backend instead, as it does everywhere: ``ref`` to
+measure the interpreter, ``codegen`` to run plan IR rendered to compiled
+Python source (no per-instruction dispatch, bitwise-equal to ``plan``).
 Unknown names fail at import with the registered set listed.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ import repro as rp
 from repro import obs
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
 from repro.exec.plan import plan_cache_stats
-from repro.exec.registry import get_backend
+from repro.exec.registry import default_backend
 from repro.obs import tracing as obs_tracing
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -39,10 +39,10 @@ os.makedirs(RESULTS_DIR, exist_ok=True)
 #: level of the repository (the per-run copy stays in ``results/``).
 ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Backend every "ours" measurement runs on (tables 1/3/5 etc.); validated
-#: through the backend registry so a typo fails loudly here, not deep in
-#: dispatch half-way through a benchmark run.
-BENCH_BACKEND = get_backend(os.environ.get("REPRO_BENCH_BACKEND", "plan")).name
+#: Backend every "ours" measurement runs on (tables 1/3/5 etc.): the session
+#: default, resolved once here so a typo in ``REPRO_BACKEND`` fails loudly at
+#: import, not deep in dispatch half-way through a benchmark run.
+BENCH_BACKEND = default_backend()
 
 
 def on_bench_backend(f: Callable) -> Callable:

@@ -37,23 +37,20 @@ divergence: reading a genuinely unbound variable raises ``NameError``
 instead of the interpreter's ``ExecError`` — valid scoped programs never do
 this, and dropping the per-read check is part of the speedup.
 
-Set ``REPRO_CODEGEN_DUMP=<dir>`` to write every generated source file to
-``<dir>`` for debugging.
+``CodegenPlan.source`` is the generated module text.
 """
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
 from ..obs import tracing as _obs_tracing
 from ..util import ExecError
 from . import values as _values
 from .lower import IntRef, PlanIR, Ref, nested_bodies
-from .plan import _LOCK, Plan, _out_slot, _scalar_fn, plan_for
+from .plan import Plan, _out_slot, _scalar_fn, plan_for
 from .prims import cast_to
 from .vector import (
     REDOMAP_TAILS,
@@ -522,23 +519,6 @@ class _SrcEmitter:
 # ---------------------------------------------------------------------------
 
 
-_DUMP_SEQ = [0]
-
-
-def _maybe_dump(fun: Fun, src: str) -> None:
-    path = os.environ.get("REPRO_CODEGEN_DUMP")
-    if not path:
-        return
-    os.makedirs(path, exist_ok=True)
-    with _LOCK:
-        seq = _DUMP_SEQ[0]
-        _DUMP_SEQ[0] += 1
-    fname = f"{seq:04d}_{fun.name}_{ir_hash(fun)[:12]}.py"
-    with open(os.path.join(path, fname), "w") as fh:
-        fh.write(f"# {fun.name} ir_hash={ir_hash(fun)}\n")
-        fh.write(src)
-
-
 class CodegenPlan(Plan):
     """A plan compiled to a single Python code object (``exec/codegen.py``).
 
@@ -563,7 +543,6 @@ class CodegenPlan(Plan):
         with _obs_tracing.timed("compile", cat="compile", fun=fun.name, emitter="codegen") as tm:
             exec(compile(src, f"<codegen:{fun.name}>", "exec"), ns)
             self._fn = ns["_plan_main"]
-        _maybe_dump(fun, src)
         return {"code_objects": 1, "source_bytes": len(src), "compile_s": tm.seconds}
 
     def _invoke(self, eng, vals: List[BV]) -> Tuple[object, ...]:

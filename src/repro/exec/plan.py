@@ -44,8 +44,8 @@ codegen code objects.
 Repeat calls on same-rank arguments skip tracing, optimisation, and
 lowering entirely; ``PLAN_STATS`` counts hits/misses/evictions and the
 fused-statement total, and ``EMITTER_STATS`` breaks plan construction down
-per emitter, so callers can assert cache behaviour.  The LRU is bounded by
-``REPRO_PLAN_CACHE_SIZE`` entries (default 512, ``0`` unbounded);
+per emitter, so callers can assert cache behaviour.  The LRU holds at most
+``_DEFAULT_CACHE_SIZE`` entries;
 ``clear_plan_cache`` drops everything eagerly (plans are derived purely from
 immutable ``Fun`` values, so entries never go stale).  All cache and counter
 state is mutated under one re-entrant lock — users may call one
@@ -72,7 +72,7 @@ from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
 from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
-from ..util import BoundedLRU, ExecError, env_capacity
+from ..util import BoundedLRU, ExecError
 from . import values as _values, vector as _vector
 from .lower import IntRef, PlanIR, Ref, lower_fun
 from .prims import _BINOPS, cast_to, unop_fn
@@ -915,13 +915,12 @@ def plan_for(
     build = _emitter_class(emitter)
     flags = tuple(batched) if batched is not None else None
     key = (ir_hash(fun), emitter, flags, _sig_of(args))
-    cap = env_capacity("REPRO_PLAN_CACHE_SIZE", _DEFAULT_CACHE_SIZE)
     with _LOCK:
         plan = _CACHE.get(key, _MISS)
         if plan is _MISS:
             PLAN_STATS["misses"] += 1
             plan = build(fun)
-            PLAN_STATS["evictions"] += _CACHE.put(key, plan, cap)
+            PLAN_STATS["evictions"] += _CACHE.put(key, plan, _DEFAULT_CACHE_SIZE)
         else:
             PLAN_STATS["hits"] += 1
         return plan

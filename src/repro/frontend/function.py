@@ -47,8 +47,7 @@ class Compiled:
     interpretation).
 
     ``passes`` selects the optimisation passes applied at construction (a
-    sequence of pass names — see ``opt.pipeline``); None means all of them,
-    overridable via the ``REPRO_OPT_PASSES`` environment variable.
+    sequence of pass names — see ``opt.pipeline``); None means all of them.
     """
 
     def __init__(

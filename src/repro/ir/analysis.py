@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Dict, Optional, Tuple
 
 from .ast import AtomExp, BinOp, Body, Const, Fun, Lambda, Var, fact
-from .traversal import _BODY, _LAM, _SHAPES, _STATIC, free_vars_exp
+from .traversal import _BIND, _BODY, _LAM, _SHAPES, _STATIC, free_vars_exp
 
 __all__ = [
     "recognize_binop_lambda",
@@ -155,14 +156,15 @@ def ir_hash(fun: Fun) -> str:
     """An alpha-invariant structural content hash of ``fun``.
 
     Two ``Fun``s hash equal iff they are identical up to a consistent
-    renaming of SSA names: every variable is replaced by its de-Bruijn-style
-    introduction index (binding sites come before uses in ANF, and the walk
-    order is deterministic, so alpha-equivalent programs number their
-    variables identically).  Every field of every node feeds the digest, in
-    declaration order by its role in ``ir.traversal``'s shape table — a
-    variable by its index, a static (operator name, element type, loop
-    annotation) by ``repr`` — so semantically different programs hash apart
-    and no node kind can reach the digest by its SSA names.
+    renaming of SSA names: every variable is replaced by the de-Bruijn-style
+    index of its binding site (binding sites come before uses in ANF, and the
+    walk order is deterministic, so alpha-equivalent programs number their
+    variables identically; a name bound again in a sibling scope, as AD's
+    redundant execution does, is a new variable).  Every field of every node
+    feeds the digest, in declaration order, by its role in ``ir.traversal``'s
+    shape table — a variable by its index, a static (operator name, element
+    type, loop annotation) by ``repr`` — so semantically different programs
+    hash apart and no node kind can reach the digest by its SSA names.
 
     This is the plan-cache key: tracing the same source function
     twice yields alpha-equivalent ``Fun``s with fresh SSA names, and hashing
@@ -176,28 +178,21 @@ def ir_hash(fun: Fun) -> str:
 def _ir_hash(fun: Fun) -> str:
     h = hashlib.blake2b(digest_size=16)
     ids: Dict[str, int] = {}
+    sites = itertools.count()
     feed = h.update
 
-    def name_of(n: str) -> int:
-        i = ids.get(n)
-        if i is None:
-            i = len(ids)
-            ids[n] = i
-        return i
-
-    def atom(a) -> None:
-        if isinstance(a, Var):
-            feed(b"v%d:%s;" % (name_of(a.name), repr(a.type).encode()))
-        else:
-            feed(b"c%s:%s;" % (repr(a.type).encode(), repr(a.value).encode()))
-
-    def atoms(xs) -> None:
+    def atoms(xs, bind: bool = False) -> None:
         for a in xs:
-            atom(a)
+            if isinstance(a, Var):
+                if bind or a.name not in ids:
+                    ids[a.name] = next(sites)
+                feed(b"v%d:%s;" % (ids[a.name], repr(a.type).encode()))
+            else:
+                feed(b"c%s:%s;" % (repr(a.type).encode(), repr(a.value).encode()))
 
     def lam(l: Lambda) -> None:
         feed(b"lam%d(" % len(l.params))
-        atoms(l.params)
+        atoms(l.params, True)
         body(l.body)
         feed(b")")
 
@@ -211,25 +206,23 @@ def _ir_hash(fun: Fun) -> str:
                 lam(x)
             elif role is _BODY:
                 body(x)
-            elif many:
-                atoms(x)
             elif x is not None:
-                atom(x)
+                atoms(x if many else (x,), role is _BIND)
             feed(b",")
         feed(b";")
 
     def body(b: Body) -> None:
         feed(b"{")
         for stm in b.stms:
-            atoms(stm.pat)
-            feed(b"=")
             exp(stm.exp)
+            feed(b"=")
+            atoms(stm.pat, True)
         feed(b"->")
         atoms(b.result)
         feed(b"}")
 
     feed(b"fun%d(" % len(fun.params))
-    atoms(fun.params)
+    atoms(fun.params, True)
     body(fun.body)
     feed(b")")
     return h.hexdigest()

@@ -16,13 +16,13 @@ incremental without a cache:
 * **the shape is read off the declaration.**  Which fields of an expression
   kind are uses, ``Var``-only uses, binders, lambdas, bodies or statics is
   derived once, at import, from the annotations of the frozen dataclasses in
-  ``ir.ast`` (``_shape_of``); ``exp_atoms``, ``exp_lambdas``, ``scopes``,
-  ``NESTED`` and every structural walk here — and the SSA walk, the type
-  walk and ``ir_hash`` — read that table, in declaration order.  Adding a
-  node kind is: declare the dataclass, add it to ``ast.Exp``, write its
-  semantic arms (``infer_exp_types``, ``validate``, ``pretty``, the AD rules,
-  ``interp``, ``lower``) — no edit here.  A ``Var`` field that *binds* goes
-  in ``_BINDERS``; an annotation the table cannot classify fails the import;
+  ``ir.ast``; ``exp_atoms``, ``exp_lambdas``, ``scopes``, ``NESTED``, every
+  structural walk here, the SSA walk, the type walk and ``ir_hash`` read that
+  table, in declaration order.  To add a node kind: declare the dataclass,
+  add it to ``ast.Exp``, write its semantic arms (``infer_exp_types``,
+  ``validate``, ``pretty``, the AD rules, ``interp``, ``lower``) — no edit
+  here, unless a ``Var`` field *binds* (``_BINDERS``); an annotation the
+  table cannot classify fails the import;
 * **facts live on the node.**  The free variables of an expression with a
   nested body are walked once per node object and kept on it
   (``ir.ast.fact``, context-free, first use first); every query —
@@ -42,15 +42,38 @@ from __future__ import annotations
 import operator
 from dataclasses import fields, replace
 from typing import (
-    Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple,
-    get_args, get_type_hints,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    get_args,
+    get_type_hints,
 )
 
 from ..util import fresh
 from . import ast
 from .ast import (
-    Atom, Body, Exp, Fun, Lambda, Loop, Map, Reduce, ReduceByIndex, Scan, Scatter, Stm, Var,
-    WhileLoop, fact,
+    Atom,
+    Body,
+    Exp,
+    Fun,
+    Lambda,
+    Loop,
+    Map,
+    Reduce,
+    ReduceByIndex,
+    Scan,
+    Scatter,
+    Stm,
+    Var,
+    WhileLoop,
+    fact,
 )
 from .types import Scalar
 
@@ -68,7 +91,6 @@ __all__ = [
     "inline_lambda",
     "exp_free_vars",
     "NESTED",
-    "map_stms",
     "map_bodies",
     "with_exp",
     "same_body",
@@ -191,10 +213,6 @@ def _fv_body(body: Body, bound: Set[str], out: Dict[str, Var]) -> None:
             out[a.name] = a
 
 
-def _fv_lambda(lam: Lambda, out: Dict[str, Var]) -> None:
-    _fv_body(lam.body, {p.name for p in lam.params}, out)
-
-
 def _fv_nested(e: Exp) -> Tuple[Var, ...]:
     """The one from-scratch walk of a nested expression: its free variables
     with nothing bound around it, in first-use order (its children answer
@@ -234,9 +252,7 @@ def free_vars(node) -> Dict[str, Var]:
     out: Dict[str, Var] = {}
     if isinstance(node, Body):
         _fv_body(node, set(), out)
-    elif isinstance(node, Lambda):
-        _fv_lambda(node, out)
-    elif isinstance(node, Fun):
+    elif isinstance(node, (Lambda, Fun)):
         _fv_body(node.body, {p.name for p in node.params}, out)
     else:
         raise TypeError(f"free_vars: unsupported node {type(node).__name__}")
@@ -272,14 +288,9 @@ def _sub_var(v: Var, m: Mapping) -> Var:
 
 
 def _minus(m: Mapping, binders: Iterable[Var]) -> Mapping:
-    """``m`` without the names ``binders`` bind (``m`` itself if none)."""
-    inner = m
-    for p in binders:
-        if p.name in inner:
-            if inner is m:
-                inner = dict(m)
-            del inner[p.name]
-    return inner
+    """``m`` without the names ``binders`` bind."""
+    bound = {p.name for p in binders}
+    return {k: a for k, a in m.items() if k not in bound}
 
 
 def subst_exp(e: Exp, m: Mapping) -> Exp:
@@ -287,7 +298,7 @@ def subst_exp(e: Exp, m: Mapping) -> Exp:
     when none of its free variables is in ``m``."""
     if not m or not any(a.name in m for a in exp_free_vars(e)):
         return e
-    changes = {}
+    changes: Dict[str, Any] = {}
     for name, role, many in _SHAPES[type(e)].fields:
         x = getattr(e, name)
         if role is _USE or role is _VAR:
@@ -344,7 +355,7 @@ def _refresh_exp(e: Exp, m: Mapping) -> Exp:
     if not sh.nested:
         return e
     inner: Mapping = {p.name: rename_var(p) for p in _binders(e)}
-    changes: Dict[str, object] = {}
+    changes: Dict[str, Any] = {}
     for name, many in sh.binds:
         x = getattr(e, name)
         changes[name] = tuple(inner[p.name] for p in x) if many else inner[x.name]
@@ -404,14 +415,6 @@ def inline_lambda(lam: Lambda, args: Iterable[Atom]) -> Body:
 # ---------------------------------------------------------------------------
 
 
-def map_stms(body: Body, f: Callable[[Stm], Iterable[Stm]]) -> Body:
-    """Rebuild ``body`` by expanding each statement through ``f`` (shallow)."""
-    out = []
-    for stm in body.stms:
-        out.extend(f(stm))
-    return Body(tuple(out), body.result)
-
-
 def with_exp(stm: Stm, e: Exp) -> Stm:
     """``stm`` binding ``e`` instead — ``stm`` itself if it already does."""
     return stm if e is stm.exp else Stm(stm.pat, e)
@@ -444,7 +447,7 @@ def map_bodies(e: Exp, f: Callable[[Body], Body]) -> Exp:
     field kept — and ``e`` itself when ``f`` handed every body back.  This is
     the one recursion into nested scopes: a ``Body -> Body`` rewrite calls it
     per statement and stays identity-preserving for free."""
-    changes = {}
+    changes: Dict[str, Any] = {}
     for name, role in _SHAPES[type(e)].nested:
         x = getattr(e, name)
         new = f(x) if role is _BODY else _with_lam_body(x, f(x.body))
@@ -463,11 +466,10 @@ def _body_of(node) -> Body:
 
 def count_stms(node) -> int:
     """Total number of statements in a node, recursively (for tests)."""
-    return sum(1 + count_stms_exp(stm.exp) for stm in _body_of(node).stms)
-
-
-def count_stms_exp(e: Exp) -> int:
-    return sum(count_stms(body) for _, body in scopes(e))
+    n = 0
+    for stm in _body_of(node).stms:
+        n += 1 + sum(count_stms(body) for _, body in scopes(stm.exp))
+    return n
 
 
 def count_soacs(node) -> int:

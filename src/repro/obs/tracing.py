@@ -29,7 +29,6 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from ..util import env_capacity
 from . import metrics
 
 __all__ = [
@@ -47,24 +46,23 @@ __all__ = [
 
 _LOCK = threading.RLock()
 
+#: Ring-buffer capacity in events: the oldest spans are evicted first.
+_BUFFER_EVENTS = 1 << 16
+
 
 class _TraceState:
     __slots__ = ("path", "explicit", "events", "phases", "epoch")
 
-    def __init__(self, path: Optional[str], explicit: bool, maxlen: int):
+    def __init__(self, path: Optional[str], explicit: bool):
         self.path = path
         self.explicit = explicit
-        self.events: deque = deque(maxlen=maxlen or None)  # 0 = unbounded
+        self.events: deque = deque(maxlen=_BUFFER_EVENTS)
         self.phases: Dict[str, List[float]] = {}  # name -> [count, seconds]
         self.epoch = time.perf_counter()
 
 
 _STATE: Optional[_TraceState] = None
 _ATEXIT_ARMED = False
-
-
-def _buffer_cap() -> int:
-    return env_capacity("REPRO_TRACE_BUFFER", 1 << 16)
 
 
 def _arm_atexit() -> None:
@@ -99,7 +97,7 @@ def active() -> Optional[_TraceState]:
             with _LOCK:
                 st = _STATE
                 if st is None or st.path != path:
-                    st = _STATE = _TraceState(path, False, _buffer_cap())
+                    st = _STATE = _TraceState(path, False)
                     _arm_atexit()
         return st
     if st is not None:  # env-driven state whose variable went away
@@ -111,7 +109,7 @@ def enable(path: Optional[str] = None) -> None:
     """Turn tracing on programmatically (wins over ``REPRO_TRACE``)."""
     global _STATE
     with _LOCK:
-        _STATE = _TraceState(path, True, _buffer_cap())
+        _STATE = _TraceState(path, True)
         _arm_atexit()
 
 

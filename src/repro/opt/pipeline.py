@@ -15,7 +15,7 @@ Passes are named ``Fun -> Fun`` rewrites; they run in this order:
 * ``cse``      — common-subexpression elimination (cheap pure expressions);
 * ``fission``  — split k-ary reduce/scan/hist into one SOAC per independent
   component group, so AD's dual-number sums lower to bulk ufunc kernels
-  (``opt/fission.py``; ``REPRO_OPT_PASSES=-fission`` is the ablation);
+  (``opt/fission.py``; ``passes=`` without it is the ablation);
 * ``fuse``     — vertical/horizontal SOAC fusion (``opt/fusion.py``);
 * ``dce``      — dead-code elimination.
 
@@ -35,12 +35,9 @@ so no later call fires *P* on it again, whatever its pass list —
 ``Compiled``'s full set after ``acc_opt``'s AD-safe set, the AD-safe set on a
 ``Compiled``'s converged program.
 
-The enabled set resolves, in order of precedence: the ``passes`` argument
-(a sequence of pass names), the ``REPRO_OPT_PASSES`` environment variable,
-all five.  ``REPRO_OPT_PASSES`` is a comma-separated list of names to
-enable exactly (``REPRO_OPT_PASSES=simplify,cse,dce`` is the
-fusion ablation; ``none`` disables everything); names prefixed with ``-``
-subtract from the defaults instead (``REPRO_OPT_PASSES=-fuse``).
+The enabled set is the ``passes`` argument (a sequence of pass names;
+``("simplify", "cse", "dce")`` is the fusion ablation, ``()`` disables
+everything) or, without one, all five.
 
 Note that ``fuse`` is enabled only for *executed* programs: the AD entry
 points optimise with ``AD_SAFE_PASSES`` (and ``unfuse_fun``) before
@@ -62,7 +59,6 @@ afresh by moving on the epoch each stored result is stamped with.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -132,34 +128,17 @@ def registered_passes() -> Tuple[Pass, ...]:
     return _PASSES
 
 
-def _parse_env(spec: str) -> Tuple[str, ...]:
-    toks = [t.strip() for t in spec.split(",") if t.strip()]
-    if not toks or toks == ["none"]:
-        return ()
-    removals = {t[1:] for t in toks if t.startswith("-")}
-    adds = {t for t in toks if not t.startswith("-")}
-    unknown = (adds | removals) - set(_NAMES)
-    if unknown:
-        raise ValueError(
-            f"REPRO_OPT_PASSES: unknown pass(es) {sorted(unknown)}; "
-            f"registered: {list(_NAMES)}"
-        )
-    return tuple((adds or set(_NAMES)) - removals)
-
-
 def resolve_passes(passes: Optional[Sequence[str]] = None) -> Tuple[Pass, ...]:
     """The enabled passes in execution order (see module docstring)."""
-    if passes is not None:
-        names = set(passes)
-        unknown = names - set(_NAMES)
-        if unknown:
-            raise ValueError(
-                f"unknown optimisation pass(es) {sorted(unknown)}; "
-                f"registered: {list(_NAMES)}"
-            )
-    else:
-        env = os.environ.get("REPRO_OPT_PASSES")
-        names = _NAMES if env is None else _parse_env(env)
+    if passes is None:
+        return _PASSES
+    names = set(passes)
+    unknown = names - set(_NAMES)
+    if unknown:
+        raise ValueError(
+            f"unknown optimisation pass(es) {sorted(unknown)}; "
+            f"registered: {list(_NAMES)}"
+        )
     return tuple(p for p in _PASSES if p.name in names)
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from collections import OrderedDict
 
@@ -16,7 +15,6 @@ __all__ = [
     "fresh",
     "reset_names",
     "BoundedLRU",
-    "env_capacity",
 ]
 
 
@@ -78,8 +76,7 @@ _MISSING = object()
 class BoundedLRU:
     """An access-ordered mapping bounded to a capacity supplied at put time.
 
-    The plan cache's store: growth is bounded by an env-configured capacity
-    read per call.
+    The plan cache's store.
 
     Thread safety: every operation takes an internal re-entrant lock —
     ``OrderedDict.move_to_end``/``popitem`` are not safe under concurrent
@@ -126,22 +123,6 @@ class BoundedLRU:
     def clear(self) -> None:
         with self._lock:
             self._d.clear()
-
-
-def env_capacity(var: str, default: int) -> int:
-    """A size knob from the environment (read at call time): a non-negative
-    integer, ``0`` meaning unbounded; anything else raises ``ReproError``
-    naming the variable."""
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ReproError(f"{var}={raw!r}: expected a non-negative integer (0 = unbounded)")
-    return n
 
 
 def reset_names() -> None:

@@ -69,10 +69,11 @@ def test_bench_gate_imports_resolve():
 
 def test_common_exposes_plan_backend_wiring():
     common = importlib.import_module("common")
-    from repro.exec.registry import available_backends
+    from repro.exec.registry import available_backends, default_backend
 
-    # any registered backend is a valid bench target (REPRO_BENCH_BACKEND)
+    # "ours" rows run on the session default (``REPRO_BACKEND``, as everywhere)
     assert common.BENCH_BACKEND in available_backends()
+    assert common.BENCH_BACKEND == default_backend()
 
 
 def test_opt_stats_shape_for_bench_ablations():

@@ -1,8 +1,5 @@
 """Source-codegen backend (``exec/codegen.py``): bitwise parity with the
-closure interpreter, cache accounting for code objects, and the
-``REPRO_CODEGEN_DUMP`` knob."""
-import os
-
+closure interpreter and cache accounting for code objects."""
 import numpy as np
 import pytest
 
@@ -167,22 +164,4 @@ def test_both_emitters_reach_the_same_kernels_the_same_number_of_times(app):
         census[backend] = vector_call_census(lambda: call(fc, inp, backend))
     assert census["plan"] == census["codegen"]
     assert {"_batch_args", "_elem", "_map_result"} <= set(census["plan"])
-
-
-# ---------------------------------------------------------------------------
-# REPRO_CODEGEN_DUMP
-# ---------------------------------------------------------------------------
-
-
-def test_codegen_dump_writes_generated_source(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN_DUMP", str(tmp_path))
-    fc = _sum_kernel()
-    plans = (CodegenPlan(fc.fun), CodegenPlan(rp.vjp(fc).fun))
-    files = sorted(os.listdir(tmp_path))  # one per compiled plan, in order
-    assert len(files) == 2
-    for f, plan in zip(files, plans):
-        assert f"_{plan.fun.name}_" in f
-        text = (tmp_path / f).read_text()
-        assert "def _plan_main(" in text
-        assert plan.source in text
 

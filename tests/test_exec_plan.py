@@ -5,6 +5,7 @@ import pytest
 
 import repro as rp
 from helpers import reduce_census, run_both
+from repro.exec import plan as plan_mod
 from repro.exec import values as exec_values
 from repro.exec.plan import clear_plan_cache, plan_cache_stats
 from repro.util import ADError, ExecError
@@ -305,7 +306,7 @@ def _distinct_funs(k):
 
 
 def test_plan_cache_lru_eviction(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "2")
+    monkeypatch.setattr(plan_mod, "_DEFAULT_CACHE_SIZE", 2)
     clear_plan_cache()
     funs = _distinct_funs(4)  # four distinct entries
     for fc in funs:
@@ -319,7 +320,7 @@ def test_plan_cache_lru_eviction(monkeypatch):
 
 
 def test_plan_cache_lru_keeps_recently_used(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "2")
+    monkeypatch.setattr(plan_mod, "_DEFAULT_CACHE_SIZE", 2)
     clear_plan_cache()
     f3, f4, f5 = _distinct_funs(3)
     f3(np.ones(3), backend="plan")  # miss: fun 3

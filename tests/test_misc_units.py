@@ -115,29 +115,49 @@ def test_compiled_repr_and_name():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "var,value",
-    [
-        ("REPRO_PLAN_CACHE_SIZE", "abc"),
-        ("REPRO_PLAN_CACHE_SIZE", "-1"),
-        ("REPRO_TRACE_BUFFER", "abc"),
-        ("REPRO_TRACE_BUFFER", "-1"),
-        ("REPRO_VERIFY", "ful"),
-    ],
-)
+@pytest.mark.parametrize("var,value", [("REPRO_VERIFY", "ful")])
 def test_malformed_knob_fails_loudly(var, value, monkeypatch):
-    """Every size knob goes through ``util.env_capacity``: junk and negative
-    values raise naming the variable, on an ordinary compile + ``plan`` call
-    (the trace buffer is sized when a tracer starts); so does a misspelt
-    verifier mode."""
-    from repro.obs import tracing
-
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    """A misspelt verifier mode raises naming the variable, on an ordinary
+    compile + ``plan`` call."""
     monkeypatch.setenv(var, value)
     with pytest.raises(ReproError, match=f"{var}='{value}'"):
+        fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: x * 2.0, v), (np.ones(8),)))
+        fc(np.ones(11), backend="plan")
+
+
+def test_removed_knobs_are_read_by_nothing(monkeypatch, tmp_path):
+    """The five knobs nothing but their own tests set are deleted, not
+    deprecated: under a value that each of them used to refuse (or, for the
+    dump directory, act on), a traced cold gradient is the program, the
+    generated source and the bits of the unset run."""
+    from repro.exec import clear_plan_cache
+    from repro.exec.codegen import CodegenPlan
+    from repro.ir.analysis import ir_hash
+    from repro.obs import tracing
+    from repro.opt.pipeline import clear_opt_cache
+
+    removed = ("REPRO_PLAN_CACHE_SIZE", "REPRO_TRACE_BUFFER", "REPRO_OPT_PASSES",
+               "REPRO_CODEGEN_DUMP", "REPRO_BENCH_BACKEND")
+    xs = np.linspace(0.1, 2.0, 11)
+    ir = rp.trace_like(lambda v: rp.sum(rp.map(lambda x: rp.sin(x) * x, v)), (xs,))
+
+    def cold():
+        clear_plan_cache()
+        clear_opt_cache()
         with tracing.collecting():
-            fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: x * 2.0, v), (np.ones(8),)))
-            fc(np.ones(11), backend="plan")
+            g = rp.grad(rp.compile(ir))
+            bits = [g(xs, backend=be).tobytes() for be in ("ref", "plan", "codegen")]
+        return ir_hash(g.adfun.fun), CodegenPlan(g.adfun.fun).source, bits
+
+    for name in removed:
+        monkeypatch.delenv(name, raising=False)
+    base = cold()
+    junk = tmp_path / "junk"
+    for name in removed:
+        monkeypatch.setenv(name, str(junk))
+        assert cold() == base, name
+        monkeypatch.delenv(name)
+    assert not junk.exists()
 
 
 def test_schedule_layer_is_deleted_not_deprecated(monkeypatch):

@@ -136,19 +136,6 @@ def test_repro_trace_exports_chrome_json(tmp_path, monkeypatch):
     assert ex["args"]["fun"] == "obs_trace_demo"
 
 
-def test_trace_buffer_zero_is_unbounded(tmp_path, monkeypatch):
-    """``REPRO_TRACE_BUFFER=0`` means no bound, as ``0`` does for the
-    cache-size knob — not a ring that holds nothing and an empty trace file."""
-    out = tmp_path / "trace.json"
-    monkeypatch.setenv("REPRO_TRACE", str(out))
-    monkeypatch.setenv("REPRO_TRACE_BUFFER", "0")
-    xs = np.linspace(0.0, 1.0, 8)
-    rp.compile(rp.trace_like(_sum_sq, (xs,)))(xs)
-    tracing.export()
-    names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
-    assert {"call", "execute"} <= names
-
-
 def test_tracing_under_codegen_backend(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "codegen")
     xs = np.linspace(-1.0, 1.0, 16)

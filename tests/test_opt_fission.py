@@ -19,7 +19,7 @@ from repro.ir.ast import Reduce, ReduceByIndex, Scan
 from repro.ir.builder import Builder, const
 from repro.ir.typecheck import check_fun
 from repro.opt.fission import component_groups, fission_fun, fission_stats
-from repro.opt.pipeline import clear_opt_cache
+from repro.opt.pipeline import AD_SAFE_PASSES, clear_opt_cache
 from helpers import reduce_census, vector_call_census
 
 rng = np.random.default_rng(11)
@@ -156,15 +156,16 @@ def test_nested_soacs_are_split_and_pass_is_idempotent():
 # ---------------------------------------------------------------------------
 
 
-def _with_and_without(monkeypatch, derive):
-    """``derive()`` evaluated under the default pipeline and with fission
-    subtracted (the registry's ablation switch)."""
+NO_FISSION = ("simplify", "cse", "fuse", "dce")
+
+
+def _with_and_without(derive):
+    """``derive(passes)`` with the derivative program optimised by the default
+    pipeline and by the pipeline without fission (the ablation)."""
     clear_opt_cache()
-    on = derive()
-    monkeypatch.setenv("REPRO_OPT_PASSES", "-fission")
+    on = derive(None)
     clear_opt_cache()
-    off = derive()
-    monkeypatch.delenv("REPRO_OPT_PASSES")
+    off = derive(NO_FISSION)
     clear_opt_cache()
     return on, off
 
@@ -182,15 +183,20 @@ def _assert_close(got, want, rtol, atol):
         np.testing.assert_allclose(g, w, rtol=rtol, atol=atol)
 
 
-def test_kmeans_grad_hessian_and_dot_product_identity(monkeypatch):
+def test_kmeans_grad_hessian_and_dot_product_identity():
     k, n, d = 3, 40, 4
     pts, ctr = datagen.kmeans_instance(k, n, d, seed=5)
     fc = rp.compile(kmeans.build_ir(n, k, d))
 
-    def derive():
-        return rp.grad(fc, wrt=[1])(pts, ctr), rp.hessian_diag(fc, wrt=1)(pts, ctr)
+    def derive(passes):
+        # ``hessian_diag`` by hand, so that the final pass list can be chosen:
+        # jvp of the AD-safe-optimised vjp, seeded with ones on the centres.
+        hof = rp.jvp(rp.vjp(fc, wrt=[1], passes=AD_SAFE_PASSES), passes=passes)
+        hess = hof(pts, ctr, 1.0, np.zeros_like(pts), np.ones_like(ctr), 0.0)[-1]
+        return rp.grad(fc, wrt=[1], passes=passes)(pts, ctr), hess
 
-    on, off = _with_and_without(monkeypatch, derive)
+    on, off = _with_and_without(derive)
+    _assert_close(on[1], rp.hessian_diag(fc, wrt=1)(pts, ctr), rtol=0, atol=0)
     _assert_close(on, off, rtol=1e-10, atol=1e-10)
     _assert_close(on, kmeans.grad_hess_manual(pts, ctr), rtol=1e-6, atol=1e-6)
 
@@ -202,21 +208,21 @@ def test_kmeans_grad_hessian_and_dot_product_identity(monkeypatch):
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
-def test_gmm_grad(monkeypatch):
+def test_gmm_grad():
     n, d, K = 16, 4, 3
     inp = datagen.gmm_instance(n, d, K, seed=2)[:4]
     fc = rp.compile(gmm.build_ir(n, d, K))
-    on, off = _with_and_without(monkeypatch, lambda: rp.grad(fc, wrt=[0, 1, 2])(*inp))
+    on, off = _with_and_without(lambda passes: rp.grad(fc, wrt=[0, 1, 2], passes=passes)(*inp))
     _assert_close(on, off, rtol=1e-10, atol=1e-10)
     _assert_close(on, gmm.grad_manual(*inp), rtol=1e-7, atol=1e-7)
 
 
-def test_hand_forward_jacobian(monkeypatch):
+def test_hand_forward_jacobian():
     inp = datagen.hand_instance(3, 8, seed=4)
     theta = inp[0]
     fc = rp.compile(hand.build_ir(3, 8))
     on, off = _with_and_without(
-        monkeypatch, lambda: hand.jacobian_fwd_ad(rp.jvp(fc), *inp))
+        lambda passes: hand.jacobian_fwd_ad(rp.jvp(fc, passes=passes), *inp))
     _assert_close(on, off, rtol=1e-10, atol=1e-10)
     eps = 1e-6
     fd = [

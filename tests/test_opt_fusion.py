@@ -203,7 +203,7 @@ def test_fuzz_corpus_fused_parity(seed):
 
 
 # ---------------------------------------------------------------------------
-# Pass framework: registry, env override, stats, cache bounds
+# Pass framework: registry, pass selection, stats, cache bounds
 # ---------------------------------------------------------------------------
 
 
@@ -215,18 +215,17 @@ def test_registry_and_resolve():
         resolve_passes(["nope"])
 
 
-def test_env_override_disables_fusion(monkeypatch):
+def test_passes_argument_disables_fusion():
+    """A pass list without ``fuse`` leaves the SOACs apart, an empty one
+    leaves the program alone."""
     def f(xs):
         return rp.sum(rp.map(lambda x: x * 2.0, xs))
 
     fun = _trace(f, np.ones(4))
-    monkeypatch.setenv("REPRO_OPT_PASSES", "-fuse")
-    off = optimize_fun(fun, cache=False)
-    monkeypatch.setenv("REPRO_OPT_PASSES", "simplify,cse,fuse,dce")
-    on = optimize_fun(fun, cache=False)
+    off = optimize_fun(fun, cache=False, passes=("simplify", "cse", "fission", "dce"))
+    on = optimize_fun(fun, cache=False, passes=("simplify", "cse", "fuse", "dce"))
     assert count_soacs(on) < count_soacs(off)
-    monkeypatch.setenv("REPRO_OPT_PASSES", "none")
-    assert optimize_fun(fun, cache=False) == fun
+    assert optimize_fun(fun, cache=False, passes=()) is fun
 
 
 def test_opt_stats_counters():

@@ -12,6 +12,7 @@ import pytest
 
 import repro as rp
 from repro.ir import (
+    BOOL,
     F64,
     I64,
     Fun,
@@ -28,6 +29,7 @@ from repro.ir.ast import (
     BinOp,
     Body,
     Const,
+    If,
     Map,
     Loop,
     Reduce,
@@ -36,6 +38,7 @@ from repro.ir.ast import (
     Stm,
     UnOp,
     UpdAcc,
+    WhileLoop,
     WithAcc,
 )
 from repro.ir.types import AccType
@@ -84,6 +87,49 @@ def test_shadowing_rejected():
     lam = Lambda((inner,), Body((), (inner,)))
     body = Body((Stm((ys,), Map(lam, (xs,))),), (ys,))
     _reject(Fun("f", (xs,), body), "shadows a definition live in an enclosing")
+
+
+def test_loop_ivar_used_after_the_loop_rejected():
+    x, p, r, i = Var("x", F64), Var("p", F64), Var("r", F64), Var("i", I64)
+    out, j = Var("out", F64), Var("j", I64)
+    loop = Loop((p,), (x,), i, Const(3, I64), Body((Stm((r,), BinOp("mul", p, x)),), (r,)))
+    body = Body((Stm((out,), loop), Stm((j,), AtomExp(i))), (out,))  # i died with the loop
+    err = _reject(Fun("f", (x,), body), "use of 'i' before its definition")
+    assert "let (j)" in str(err)
+
+
+def test_while_cond_binder_shadowing_an_outer_definition_rejected():
+    x, p, c, out = Var("x", F64), Var("p", F64), Var("c", BOOL), Var("out", F64)
+    # The condition may re-bind the loop's own parameter ``p``; binding the
+    # live outer ``x`` beside it is shadowing like any other.
+    cond = Lambda((p, x), Body((Stm((c,), BinOp("lt", p, x)),), (c,)))
+    loop = WhileLoop((p,), (x,), cond, Body((), (p,)), None)
+    _reject(Fun("f", (x,), Body((Stm((out,), loop),), (out,))),
+            "binder 'x' shadows a definition live in an enclosing")
+    # ... and the shared name alone is fine as far as SSA goes.
+    ok = WhileLoop((p,), (x,), Lambda((p,), cond.body), Body((), (p,)), None)
+    verify_fun(Fun("f", (x,), Body((Stm((out,), ok),), (out,))))
+
+
+def test_if_branch_using_the_other_branchs_binding_rejected():
+    x, c, t, u, out = Var("x", F64), Var("c", BOOL), Var("t", F64), Var("u", F64), Var("out", F64)
+    then = Body((Stm((t,), UnOp("neg", x)),), (t,))
+    els = Body((Stm((u,), BinOp("add", t, x)),), (u,))  # t is the other branch's
+    err = _reject(Fun("f", (x, c), Body((Stm((out,), If(c, then, els)),), (out,))),
+                  "use of 't' before its definition")
+    assert "let (u)" in str(err)
+
+
+def test_reduce_operator_parameter_used_outside_its_lambda_rejected():
+    xs, a, b, s = Var("xs", A), Var("a", F64), Var("b", F64), Var("s", F64)
+    r, out = Var("r", F64), Var("out", F64)
+    lam = Lambda((a, b), Body((Stm((s,), BinOp("add", a, b)),), (s,)))
+    body = Body(
+        (Stm((r,), Reduce(lam, (Const(0.0, F64),), (xs,))), Stm((out,), BinOp("mul", r, a))),
+        (out,),
+    )
+    err = _reject(Fun("f", (xs,), body), "use of 'a' before its definition")
+    assert "let (out)" in str(err)
 
 
 def test_type_wrong_rewrite_rejected():
