@@ -86,9 +86,6 @@ class _JVP:
             raise ADError(f"no tangent recorded for {a.name} : {a.type}")
         return t
 
-    def _zero_tan(self, b: Builder, a: Atom) -> Atom:
-        return b.zeros_like(a)
-
     # -- bodies -----------------------------------------------------------------
 
     def body(self, body: Body, b: Builder) -> Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]:
@@ -104,16 +101,6 @@ class _JVP:
         b = Builder()
         prim, tans = self.body(body, b)
         return b.finish(tuple(prim) + tans)
-
-    def lam_with_tangents(self, lam: Lambda) -> Tuple[Tuple[Var, ...], Tuple[Var, ...]]:
-        """Fresh tangent params for the float params of ``lam`` (registered)."""
-        dparams = []
-        for p in lam.params:
-            if is_float(p.type):
-                dp = _dvar(p)
-                self.tan[p.name] = dp
-                dparams.append(dp)
-        return lam.params, tuple(dparams)
 
     # -- statements --------------------------------------------------------------
 

@@ -12,14 +12,12 @@ This emitter removes the dispatch.  It renders the **same plan IR**
 * register slots become local variables (``s12``) — no register-file
   indexing, no unbound checks on the hot path;
 * fused scalar runs become straight-line expressions over locals;
-* an instruction without a nested body becomes one call of its
-  ``vector.LEAF_KERNELS`` kernel, ufuncs, dtypes and constant ``BV``s
-  injected as compile-time constants (``_K3``) through the exec namespace;
-* control flow becomes real Python ``for``/``while``/``try`` around the
-  inlined lambda bodies — only ``If`` branches get nested ``def``s, which
-  ``vector._branch`` calls;
-* generic SOAC lambdas inline into Python loops — still element-at-a-time,
-  but with zero closure dispatch per statement.
+* every other instruction becomes one call of its ``vector.KERNELS``
+  kernel, ufuncs, dtypes and constant ``BV``s injected as compile-time
+  constants (``_K3``) through the exec namespace;
+* each nested body — a lambda, a loop or branch body — becomes a nested
+  ``def`` rendered once, just before the call, and the kernel calls it:
+  the loops, masks and batch levels around a body are the kernel's.
 
 The source is ``compile()``/``exec()``d once per plan and the resulting
 code object lives in the ordinary plan cache (same keys —
@@ -27,15 +25,15 @@ code object lives in the ordinary plan cache (same keys —
 call sequence is a ``vector.py`` kernel both emitters call, so for what an
 instruction computes the two are bitwise identical by construction; what the
 test suite's bitwise assertions (parity battery, fuzz corpus) still guard is
-what differs — slot binding, releases, control flow and fused runs.
+what differs — slot binding, releases and fused runs.
 
 Soundness of the flat local-variable space: SSA names are globally unique
-per program, so no two slots alias one local; ``If`` branch ``def``s only
-assign names bound inside that branch (never read outside it in scoped
-programs) and close over earlier locals by reference.  One deliberate
-divergence: reading a genuinely unbound variable raises ``NameError``
-instead of the interpreter's ``ExecError`` — valid scoped programs never do
-this, and dropping the per-read check is part of the speedup.
+per program, so no two slots alias one local; a body's ``def`` only assigns
+names bound inside that body (never read outside it in scoped programs) and
+closes over earlier locals by reference.  One deliberate divergence:
+reading a genuinely unbound variable raises ``NameError`` instead of the
+interpreter's ``ExecError`` — valid scoped programs never do this, and
+dropping the per-read check is part of the speedup.
 
 ``CodegenPlan.source`` is the generated module text.
 """
@@ -48,38 +46,19 @@ import numpy as np
 from ..ir.ast import Fun
 from ..obs import tracing as _obs_tracing
 from ..util import ExecError
-from . import values as _values
-from .lower import IntRef, PlanIR, Ref, nested_bodies
-from .plan import Plan, _out_slot, _scalar_fn, plan_for
+from .lower import IntRef, PlanIR, Ref, outer_release
+from .plan import Plan, _scalar_fn, plan_for
 from .prims import cast_to
 from .vector import (
-    REDOMAP_TAILS,
-    AccBV,
     BV,
-    _acc_of,
-    _acc_value,
-    _batch_args,
-    _branch,
-    _combine_mask,
     _elem,
     _elem_into,
-    _elems_at,
     _gather,
     _give,
-    _hist_accumulate,
-    _hist_enter,
-    _hist_get,
-    _hist_open,
-    _hist_put,
     _index,
-    _map_acc,
-    _map_result,
-    _out_of_fuel,
-    _owned,
-    _stack_columns,
     _uniform_int,
     _where,
-    leaf_kernel,
+    kernel_of,
 )
 
 __all__ = [
@@ -100,8 +79,8 @@ class _SrcEmitter:
     (``use``), other injected objects as ``_K{n}`` constants, temporaries as
     ``_t{n}`` (the counter is global to the program so a name is never reused
     across scopes — nested ``def``s can shadow nothing).  Like the closure
-    emitter it binds operands and renders control flow; what an instruction
-    computes is a ``vector.py`` kernel call."""
+    emitter it binds operands and hands each nested body to its kernel as a
+    callable; what an instruction computes is a ``vector.py`` kernel call."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
@@ -109,7 +88,7 @@ class _SrcEmitter:
         self.n = 0
         #: Every name the rendered function may reference: what the templates
         #: used, nothing kept in step by hand.
-        self.ns: Dict[str, object] = {"np": np, "BV": BV, "AccBV": AccBV}
+        self.ns: Dict[str, object] = {"np": np, "BV": BV}
         self._const_names: Dict[int, str] = {}
         #: Temporaries of the instruction being emitted (``emit_body`` clears
         #: them with the instruction's releases: a template's ``args`` would
@@ -168,18 +147,11 @@ class _SrcEmitter:
             return repr(v)
         return self.const(v)
 
-    def bind(self, slots, vals: str) -> None:
-        """Assign the ``(slot, name)`` pairs ``slots`` from sequence ``vals``."""
-        for j, (slot, _nm) in enumerate(slots):
-            self.w(f"s{slot} = {vals}[{j}]")
-
     # -- bodies ---------------------------------------------------------------
 
     def emit_body(self, pbody) -> Tuple[str, ...]:
         """Emit a lowered body at the current indent; returns the names of
         its results."""
-        if not pbody.instrs:
-            self.w("pass")  # keep indented blocks (try:, def:) syntactically valid
         outer = self.big
         if any(o.take or o.recycle for i in pbody.instrs if i.kind == "run" for o in i.ops):
             self.big = self.fresh("big")
@@ -187,30 +159,51 @@ class _SrcEmitter:
             self.w(f"{self.big} = eng.lanes >= eng.floor")
         for ins in pbody.instrs:
             first = len(self.temps)
-            leaf = leaf_kernel(ins)
-            if leaf is None:
-                getattr(self, "_emit_" + ins.kind)(ins)
+            if ins.kind == "run":
+                self._emit_run(ins)
             else:
-                kernel, operands, statics = leaf
-                args = [self.operand(getattr(ins, f)) for f in operands]
-                args += [self.static(getattr(ins, f)) for f in statics]
-                self.w(f"s{_out_slot(ins)} = {self.use(kernel)}(eng, {', '.join(args)})")
+                self._emit_call(ins)
             self._emit_release(ins, self.temps[first:])
             del self.temps[first:]
         self.big = outer
         return tuple(self.ref(r) for r in pbody.result)
 
+    def _emit_call(self, ins) -> None:
+        """One call of the instruction's ``vector.KERNELS`` kernel, its
+        nested bodies rendered just before it as ``def``s."""
+        kernel, operands, statics, bodies = kernel_of(ins)
+        args = [self.operand(getattr(ins, f)) for f in operands]
+        args += [self.static(getattr(ins, f)) for f in statics]
+        args += [self._emit_def(ins, fields) for fields in bodies]
+        call = f"{self.use(kernel)}(eng, {', '.join(args)})"
+        if hasattr(ins, "out"):
+            self.w(f"s{ins.out[0]} = {call}")
+        else:
+            self.w("".join(f"s{s}, " for s, _ in ins.outs) + f"= {call}" if ins.outs else call)
+
+    def _emit_def(self, ins, fields) -> str:
+        """Render a nested body (``fields``: its parameter fields, then its
+        own) as ``def _bN(eng, vals)``; returns its name.  Its slots are
+        that ``def``'s locals, gone with its frame."""
+        *params, pbody = (getattr(ins, f) for f in fields)
+        name = self.fresh("b")
+        self.temps.pop()  # a function pins no array: no need to clear it
+        self.w(f"def {name}(eng, vals):")
+        self.level += 1
+        slots = [f"s{s}" for ps in params for s, _ in ps]
+        if slots:
+            self.w(", ".join(slots) + ", = vals")
+        self.w(_ret(self.emit_body(pbody)))
+        self.level -= 1
+        return name
+
     def _emit_release(self, ins, temps) -> None:
         """Clear the locals of the slots ``ins`` releases and the template
         temporaries its emission introduced, then offer the recyclable ones
         to the free list (last: a value is only kept once nobody else holds
-        it).  Bodies rendered as nested ``def``s (``if`` branches) keep their
-        slots in that ``def``'s frame, which is gone already."""
-        dead = [s for s, _ in ins.release if s not in ins.recycle]
-        if ins.kind == "if":
-            framed = {s for b in nested_bodies(ins) for s, _ in b.bound}
-            dead = [s for s in dead if s not in framed]
-        names = [f"s{s}" for s in dead] + list(temps)
+        it).  The slots of its nested bodies are locals of their ``def``s,
+        gone already (``outer_release``)."""
+        names = [f"s{s}" for s in outer_release(ins) if s not in ins.recycle] + list(temps)
         if names:
             self.w(" = ".join(names) + " = None")
         if ins.recycle:
@@ -219,33 +212,6 @@ class _SrcEmitter:
             give = self.use(_give)
             self.w("if eng.out: " + "; ".join(f"s{s} = {give}(s{s})" for s in ins.recycle))
             self.w(" = ".join(f"s{s}" for s in ins.recycle) + " = None")
-
-    def _emit_lanes(self, params, body, src, n: str) -> Tuple[str, ...]:
-        """Inline a SOAC lambda: bind its params to the ``src(i)``
-        expressions, then emit the body one batch level (of extent ``n``)
-        down.  Returns the names of its results."""
-        for i, (slot, _name) in enumerate(params):
-            self.w(f"s{slot} = {src(i)}")
-        outer = self.fresh("ln")
-        self.temps.pop()  # an int
-        self.w(f"eng.bstack.append({n})")
-        self.w(f"{outer} = eng.lanes")
-        self.w(f"eng.lanes = {outer} * {n}")
-        self.w("try:")
-        self.level += 1
-        res = self.emit_body(body)
-        self.level -= 1
-        self.w("finally:")
-        self.w("    eng.bstack.pop()")
-        self.w(f"    eng.lanes = {outer}")
-        return res
-
-    def _enter(self, arrs) -> Tuple[str, str]:
-        """Emit a SOAC entry; returns the names of its batched arguments and
-        their common extent."""
-        args, n = self.fresh("a"), self.fresh("n")
-        self.w(f"{args}, {n} = {self.use(_batch_args)}(eng, {self.operand(arrs)})")
-        return args, n
 
     # -- fused scalar runs ----------------------------------------------------
 
@@ -300,202 +266,6 @@ class _SrcEmitter:
                 self.w(" = ".join(dead) + " = None")
                 for y in o.release:
                     self.temps.remove(names[y])
-
-    # -- SOACs ----------------------------------------------------------------
-
-    def _emit_map(self, e) -> None:
-        args, n = self._enter(e.arrs)
-        srcs = [f"{args}[{i}]" for i in range(len(e.arrs))] + [self.ref(a) for a in e.accs]
-        res = self._emit_lanes(e.params, e.body, srcs.__getitem__, n)
-        for j, (slot, _nm) in enumerate(e.outs):
-            if j < e.n_acc:
-                self.w(f"s{slot} = {self.use(_map_acc)}(eng, {res[j]})")
-            else:
-                self.w(f"s{slot} = {self.use(_map_result)}(eng, {res[j]}, {n})")
-
-    def _emit_reduce(self, e) -> None:
-        """``redomap`` and ``generic`` reduces and scans (``ufunc`` ones are
-        leaf kernels)."""
-        args, n = self._enter(e.arrs)
-        if e.strategy != "redomap":
-            self._emit_fold_loop(e, args, n)
-            return
-        empty, tail = REDOMAP_TAILS[e.kind]
-        ne, out = self.ref(e.nes[0]), e.outs[0][0]
-        self.w(f"if {n} == 0:")
-        self.w(f"    s{out} = {self.use(empty)}(eng, {ne})")
-        for s in e.mbody.spare:  # offered to the free list below: bind them here too
-            self.w(f"    s{s} = None")
-        self.w("else:")
-        self.level += 1
-        (r,) = self._emit_lanes(e.mparams, e.mbody, lambda i: f"{args}[{i}]", n)
-        self.w(f"s{out} = {self.use(tail)}(eng, {e.op!r}, {e.fold!r}, {ne}, {r}, {n})")
-        self.level -= 1
-
-    _emit_scan = _emit_reduce
-
-    def _emit_fold_loop(self, e, args: str, n: str) -> None:
-        """The generic element-at-a-time fold shared by reduce and scan."""
-        scan = e.kind == "scan"
-        k = len(e.nes)
-        d, acc, i, el = self.fresh("d"), self.fresh("acc"), self.fresh("i"), self.fresh("el")
-        self.w(f"{d} = len(eng.bstack)")
-        self.w(f"{acc} = {self.operand(e.nes)}")
-        if scan:
-            cols = self.fresh("cols")
-            self.w(f"{cols} = [[] for {self.fresh()} in range({k})]")
-        self.w(f"for {i} in range({n}):")
-        self.level += 1
-        self.w(f"{el} = {self.use(_elems_at)}({args}, {i}, {d})")
-        for j, (slot, _nm) in enumerate(e.params):
-            self.w(f"s{slot} = {acc}[{j}]" if j < k else f"s{slot} = {el}[{j - k}]")
-        res = self.emit_body(e.body)
-        self.w(f"{acc} = [{', '.join(res)}]")
-        if scan:
-            for j in range(k):
-                self.w(f"{cols}[{j}].append({acc}[{j}])")
-        self.level -= 1
-        if not scan:
-            self.bind(e.outs, acc)
-            return
-        for j, (slot, _nm) in enumerate(e.outs):
-            self.w(
-                f"s{slot} = {self.use(_stack_columns)}"
-                f"(eng, {cols}[{j}], {self.ref(e.nes[j])})"
-            )
-
-    def _emit_hist(self, e) -> None:
-        """``redomap`` and ``generic`` histograms."""
-        args, n, hs = self.fresh("a"), self.fresh("n"), self.fresh("hs")
-        # num_bins resolves before the arrays batch, as in the closure emitter.
-        self.w(
-            f"{args}, {n}, {hs} = {self.use(_hist_enter)}"
-            f"(eng, {self.operand(e.num_bins)}, {self.operand(e.arrs)})"
-        )
-        if e.strategy == "redomap":
-            (r,) = self._emit_lanes(e.mparams, e.mbody, lambda i: f"{args}[{i + 1}]", n)
-            self.w(
-                f"s{e.outs[0][0]} = {self.use(_hist_accumulate)}"
-                f"(eng, {e.op!r}, {self.ref(e.nes[0])}, {hs}, {r})"
-            )
-            return
-        k = len(e.nes)
-        d, vals, st = self.fresh("d"), self.fresh("v"), self.fresh("st")
-        i, sel, cur, el = self.fresh("i"), self.fresh("sel"), self.fresh("cur"), self.fresh("el")
-        self.w(f"{d} = len(eng.bstack)")
-        self.w(f"{vals} = {args}[1:]")
-        self.w(f"{st} = {self.use(_hist_open)}(eng, {self.operand(e.nes)}, {hs}, {vals})")
-        self.w(f"for {i} in range({n}):")
-        self.level += 1
-        self.w(f"{sel}, {cur} = {self.use(_hist_get)}(eng, {st}, {i})")
-        self.w(f"{el} = {self.use(_elems_at)}({vals}, {i}, {d})")
-        for j, (slot, _nm) in enumerate(e.params):
-            self.w(f"s{slot} = {cur}[{j}]" if j < k else f"s{slot} = {el}[{j - k}]")
-        res = self.emit_body(e.body)
-        self.w(f"{self.use(_hist_put)}(eng, {st}, {i}, {sel}, ({', '.join(res)},))")
-        self.level -= 1
-        self.bind(e.outs, f"{st}[0]")
-
-    # -- control flow ----------------------------------------------------------
-
-    def _emit_if(self, e) -> None:
-        # Each branch body is emitted once, into a nested ``def``, and
-        # ``_branch`` calls one or both — instead of duplicating branch source
-        # 2^depth times.
-        bt, bf = self.fresh("brt"), self.fresh("brf")
-        for nm, body in ((bt, e.then), (bf, e.els)):
-            self.w(f"def {nm}(eng):")
-            self.level += 1
-            self.w(_ret(self.emit_body(body)))
-            self.level -= 1
-        vals = self.fresh("vals")
-        self.w(f"{vals} = {self.use(_branch)}(eng, {self.ref(e.cond)}, {bt}, {bf})")
-        self.bind(e.outs, vals)
-
-    def _emit_loop(self, e) -> None:
-        nv = self.ref(e.n)
-        nd, nmax, st, uni, sv, i = (
-            self.fresh("nd"), self.fresh("nm"), self.fresh("st"),
-            self.fresh("uni"), self.fresh("sv"), self.fresh("i"),
-        )
-        mask, where = self.use(_combine_mask), self.use(_where)
-        self.w(f"{nd} = np.asarray({nv}.data)")
-        self.w(f"{nmax} = 0 if {nd}.size == 0 else int({nd}.max())")
-        self.w(f"{st} = {self.operand(e.inits)}")
-        self.w(
-            f"{uni} = {nd}.size == 1 or ({nd}.size > 0 "
-            f"and {nd}.min() == {nd}.max())"
-        )
-        self.w(f"{sv} = eng.mask")
-        self.w(f"for {i} in range({nmax}):")
-        self.level += 1
-        self.w(f"s{e.ivar[0]} = BV(np.asarray(np.int64({i})), 0)")
-        self.w(f"if not {uni}:")
-        self.w(f"    eng.mask = {mask}({sv}, BV({i} < {nd}, {nv}.bdims))")
-        self.bind(e.params, st)
-        res = self.emit_body(e.body)
-        new = ", ".join(res)
-        self.w(f"if {uni}:")
-        self.w(f"    {st} = [{new}]")
-        self.w("else:")
-        act, a2, b2 = self.fresh("act"), self.fresh("a"), self.fresh("b")
-        self.w(f"    {act} = BV({i} < {nd}, {nv}.bdims)")
-        self.w(
-            f"    {st} = [{b2} if isinstance({b2}, AccBV) "
-            f"else {where}({act}, {b2}, {a2}) "
-            f"for {a2}, {b2} in zip({st}, [{new}])]"
-        )
-        self.w(f"    eng.mask = {sv}")
-        self.level -= 1
-        self.w(f"eng.mask = {sv}")
-        for j, (slot, _nm) in enumerate(e.outs):
-            self.w(f"s{slot} = {st}[{j}]")
-            self.w(f"if isinstance(s{slot}, BV):")
-            self.w(f"    s{slot} = BV({self.use(_owned)}(s{slot}.data), s{slot}.bdims)")
-
-    def _emit_while(self, e) -> None:
-        st, sv, lim, fuel = (self.fresh("st"), self.fresh("sv"), self.fresh("lim"),
-                             self.fresh("fu"))
-        mask, where = self.use(_combine_mask), self.use(_where)
-        self.w(f"{st} = {self.operand(e.inits)}")
-        self.w(f"{sv} = eng.mask")
-        self.w(f"{fuel} = {lim} = {self.use(_values, '_values')}.WHILE_FUEL")
-        self.w("while True:")
-        self.level += 1
-        self.bind(e.cparams, st)
-        (c,) = self.emit_body(e.cbody)
-        act = self.fresh("act")
-        self.w(f"{act} = {mask}({sv}, {c})")
-        self.w(f"if not np.any(np.asarray({act}.data)):")
-        self.w("    break")
-        self.w(f"eng.mask = {act}")
-        self.bind(e.params, st)
-        res = self.emit_body(e.body)
-        a2, b2 = self.fresh("a"), self.fresh("b")
-        self.w(
-            f"{st} = [{b2} if isinstance({b2}, AccBV) "
-            f"else {where}({act}, {b2}, {a2}) "
-            f"for {a2}, {b2} in zip({st}, [{', '.join(res)}])]"
-        )
-        self.w(f"eng.mask = {sv}")
-        self.w(f"{fuel} -= 1")
-        self.w(f"if {fuel} <= 0:")
-        self.w(f"    raise {self.use(_out_of_fuel)}({lim})")
-        self.level -= 1
-        self.w(f"eng.mask = {sv}")
-        self.bind(e.outs, st)
-
-    # -- accumulators ----------------------------------------------------------
-
-    def _emit_withacc(self, e) -> None:
-        for (slot, _nm), arr in zip(e.params, e.arrs):
-            self.w(f"s{slot} = {self.use(_acc_of)}(eng, {self.ref(arr)})")
-        res = self.emit_body(e.body)
-        for j, (slot, _nm) in enumerate(e.outs):
-            if j < e.n_acc:
-                self.w(f"s{slot} = {self.use(_acc_value)}(eng, {res[j]})")
-            else:
-                self.w(f"s{slot} = {res[j]}")
 
     # -- top level -------------------------------------------------------------
 

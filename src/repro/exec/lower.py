@@ -108,6 +108,7 @@ __all__ = [
     "PlanIR",
     "lower_fun",
     "nested_bodies",
+    "outer_release",
     "allocated_outs",
     "plan_counts",
     "IRun",
@@ -208,12 +209,13 @@ class PBody:
     """A lowered body: instruction records plus result refs.  ``bound`` lists
     the ``(slot, name)`` pairs still bound when the body has run — its
     binders (lambda/loop parameters, ``ivar``) and the results it defined
-    itself; everything else it defined was released inside it.  The
-    enclosing instruction releases them once it has copied the results.
-    ``spare`` are the result slots among them that hold a float array one of
-    the body's own instructions allocated and nothing hands on: recyclable
-    when the enclosing instruction consumes its body's results (the map part
-    of a reduce / scan / hist) instead of forwarding them."""
+    itself; everything else it defined was released inside it.  They die
+    with the body: both emitters run a body as a frame of its own (a closure
+    that clears them on return, a nested ``def``).  ``spare`` are the result
+    slots among them that hold a float array one of the body's own
+    instructions allocated and nothing hands on: recyclable when the
+    enclosing kernel consumes its body's results (the map part of a reduce /
+    scan / hist — the instruction's ``spare``) instead of forwarding them."""
 
     __slots__ = ("instrs", "result", "bound", "spare")
 
@@ -234,7 +236,8 @@ class _Instr:
     #: The memory plan: ``(slot, name)`` pairs to clear once this instruction
     #: has completed — slots of the enclosing body whose last read (nested
     #: bodies included) is this instruction, then the ``bound`` slots of its
-    #: own nested bodies.  Never a slot the enclosing body returns.
+    #: own nested bodies (``outer_release``: which of them the enclosing body
+    #: clears itself).  Never a slot the enclosing body returns.
     release: tuple = ()
     #: The released slots whose value may go to the free list (module
     #: docstring, "the memory plan"): only ever slots this body wrote.
@@ -323,12 +326,14 @@ class IReduce(_Instr):
     """``strategy`` ∈ {"ufunc", "redomap", "generic"}.  For ufunc/redomap,
     ``op`` names the recognised operator and ``fold`` whether the neutral
     element must still be folded in.  Redomap carries the fused map part
-    (``mparams``/``mbody``); generic carries the full lambda."""
+    (``mparams``/``mbody``) and whether the fold kernel may offer its result
+    to the free list (``spare``: ``mbody.spare`` is not empty); generic
+    carries the full lambda."""
 
     kind = "reduce"
     __slots__ = (
         "strategy", "arrs", "nes", "op", "fold",
-        "mparams", "mbody", "params", "body", "outs",
+        "mparams", "mbody", "spare", "params", "body", "outs",
     )
 
     def __init__(self, strategy, arrs, nes, outs, op=None, fold=False,
@@ -336,6 +341,7 @@ class IReduce(_Instr):
         self.strategy, self.arrs, self.nes, self.outs = strategy, arrs, nes, outs
         self.op, self.fold = op, fold
         self.mparams, self.mbody = mparams, mbody
+        self.spare = mbody is not None and bool(mbody.spare)
         self.params, self.body = params, body
 
 
@@ -349,7 +355,7 @@ class IHist(_Instr):
     kind = "hist"
     __slots__ = (
         "num_bins", "arrs", "nes", "strategy", "op",
-        "mparams", "mbody", "params", "body", "outs",
+        "mparams", "mbody", "spare", "params", "body", "outs",
     )
 
     def __init__(self, num_bins, arrs, nes, strategy, outs, op=None,
@@ -357,6 +363,7 @@ class IHist(_Instr):
         self.num_bins, self.arrs, self.nes = num_bins, arrs, nes
         self.strategy, self.outs, self.op = strategy, outs, op
         self.mparams, self.mbody = mparams, mbody
+        self.spare = mbody is not None and bool(mbody.spare)
         self.params, self.body = params, body
 
 
@@ -369,6 +376,9 @@ class IScatter(_Instr):
 
 
 class ILoop(_Instr):
+    """``ivar``: the counter's ``(slot, name)``, a one-pair tuple like the
+    parameters it is bound with."""
+
     kind = "loop"
     __slots__ = ("n", "inits", "ivar", "params", "body", "outs")
 
@@ -447,6 +457,14 @@ def nested_bodies(ins) -> Tuple[PBody, ...]:
     if kind == "while":
         return (ins.cbody, ins.body)
     return ()
+
+
+def outer_release(ins) -> Tuple[int, ...]:
+    """The slots of ``ins.release`` the body holding ``ins`` clears: not the
+    ones its nested bodies left bound, which go with the body's own frame —
+    both emitters run a body as a callable of its own (``PBody``)."""
+    framed = {s for b in nested_bodies(ins) for s, _ in b.bound}
+    return tuple(s for s, _ in ins.release if s not in framed)
 
 
 def plan_counts(instrs) -> Tuple[Dict[str, int], Dict[str, int]]:
@@ -705,11 +723,8 @@ class _Lowerer:
             fresh.update(allocated_outs(ins))
             release = {self.slot(nm): nm for nm in dying.get(x, ())}
             recycle = tuple(s for s, nm in release.items() if s in fresh and nm in keepable)
-            if ins.kind != "run":
-                for b in nested_bodies(ins):
-                    release.update(b.bound)
-                if getattr(ins, "mbody", None) is not None:
-                    recycle += ins.mbody.spare  # the fold kernel is their last reader
+            for b in nested_bodies(ins):
+                release.update(b.bound)
             if recycle:
                 ins.recycle = recycle
             if release:
@@ -865,8 +880,7 @@ class _Lowerer:
                             self.ref(e.vals), self.out_of(stm))
         if isinstance(e, Loop):
             return ILoop(
-                self.ref(e.n), self.refs(e.inits),
-                (self.slot(e.ivar.name), e.ivar.name),
+                self.ref(e.n), self.refs(e.inits), self.pslots((e.ivar,)),
                 self.pslots(e.params),
                 self.lower_body(e.body, e.params + (e.ivar,),
                                 {e.ivar.name: "uni"}),

@@ -12,20 +12,21 @@ family is layered:
 * ``exec/vector.py`` holds what each instruction of that IR *computes*: one
   kernel per instruction over the ``BV`` batched-value representation and
   its masking discipline (SIMT-style divergence, accumulators, lane-varying
-  loops);
+  loops) — nested bodies included, which reach it as callables;
 * this module **emits** the IR as a flat sequence of Python closures, one
   per instruction, over a slot-indexed register file — each closure reads
-  operands, calls the kernel and assigns/releases slots, or runs a nested
-  body (the interpreter emitter) — and hosts the runtime (``_Engine``), the
-  one ``run``/``run_batched`` driver and the plan cache shared by all
-  plan-family emitters;
+  operands, calls the kernel (a nested body passed as a closure that binds
+  its parameter slots and runs its own instructions) and assigns/releases
+  slots, or runs a fused scalar run (the interpreter emitter) — and hosts
+  the runtime (``_Engine``), the one ``run``/``run_batched`` driver and the
+  plan cache shared by all plan-family emitters;
 * ``exec/codegen.py`` emits the same IR as the source of a single Python
   function (``backend="codegen"``) — no per-instruction dispatch at all.
 
 Both emitters call the same kernels, so for instruction semantics they agree
 by construction; the test suite runs every program on ``ref``, ``plan`` and
 ``codegen``, where agreement with ``ref`` checks the kernels and the bitwise
-``plan`` ↔ ``codegen`` assertion checks binding, releases and control flow.
+``plan`` ↔ ``codegen`` assertion checks binding, releases and fused runs.
 
 Caching
 -------
@@ -73,44 +74,27 @@ from ..ir.ast import Fun
 from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError
-from . import values as _values, vector as _vector
-from .lower import IntRef, PlanIR, Ref, lower_fun
+from . import vector as _vector
+from .lower import IntRef, PlanIR, Ref, lower_fun, outer_release
 from .prims import _BINOPS, cast_to, unop_fn
 from .values import coerce_arg
 from .vector import (
     _STATS_LOCK,
     INDEX_STATS,
     MEM_STATS,
-    REDOMAP_TAILS,
     AccBV,
     BV,
-    _acc_of,
-    _acc_value,
-    _batch_args,
-    _branch,
-    _combine_mask,
     _elem,
     _elem_into,
-    _elems_at,
     _expand,
     _gather,
     _give,
-    _hist_accumulate,
-    _hist_enter,
-    _hist_get,
-    _hist_open,
-    _hist_put,
     _index,
-    _map_acc,
-    _map_result,
-    _out_of_fuel,
-    _owned,
     _pool,
-    _stack_columns,
     _uniform_int,
     _where,
     clear_pool,
-    leaf_kernel,
+    kernel_of,
     pool_bytes,
 )
 
@@ -332,12 +316,12 @@ def _assign_single(fn: Callable, s0: int, e) -> Callable:
     clearing the slots ``e`` releases (no loop emitted when there are none —
     dispatch-bound plans must not pay for the memory plan) or offering them
     to the free list."""
-    if not e.release:
+    dead, rec = outer_release(e), e.recycle
+    if not dead:
         def ins(eng, _fn=fn, _s=s0):
             eng.regs[_s] = _fn(eng)
 
         return ins
-    dead, rec = tuple(s for s, _ in e.release), e.recycle
 
     def ins_rel(eng, _fn=fn, _s=s0, _dead=dead, _rec=rec):
         regs = eng.regs
@@ -353,7 +337,8 @@ def _assign_single(fn: Callable, s0: int, e) -> Callable:
 
 def _assign_multi(fn: Callable, e) -> Callable:
     slots = tuple(s for s, _ in e.outs)
-    if not e.release:
+    dead, rec = outer_release(e), e.recycle
+    if not dead:
         def ins(eng, _fn=fn, _slots=slots):
             vals = _fn(eng)
             regs = eng.regs
@@ -361,7 +346,6 @@ def _assign_multi(fn: Callable, e) -> Callable:
                 regs[s] = v
 
         return ins
-    dead, rec = tuple(s for s, _ in e.release), e.recycle
 
     def ins_rel(eng, _fn=fn, _slots=slots, _dead=dead, _rec=rec):
         vals = _fn(eng)
@@ -377,21 +361,13 @@ def _assign_multi(fn: Callable, e) -> Callable:
     return ins_rel
 
 
-def _out_slot(ins) -> int:
-    """The slot of the one output of a ``LEAF_KERNELS`` instruction."""
-    return ins.out[0] if hasattr(ins, "out") else ins.outs[0][0]
-
-
 class _ClosureEmitter:
     """The interpreter emitter: one Python closure per plan-IR instruction.
 
     Every compile-time decision already lives in the IR and every NumPy call
-    sequence in a ``vector.py`` kernel — this class binds readers and
-    writers, and builds the control flow around nested bodies: binding lambda
-    parameters, pushing and popping the batch stack, ``for``/``while``,
-    saving and restoring the mask."""
-
-    # -- bodies ---------------------------------------------------------------
+    sequence, control flow included, in a ``vector.py`` kernel — this class
+    binds readers and writers, turns each nested body into a callable for its
+    kernel, and runs fused scalar runs."""
 
     def emit_body(self, pbody) -> tuple:
         instrs = tuple(self._emit_ins(i) for i in pbody.instrs)
@@ -399,40 +375,41 @@ class _ClosureEmitter:
         return instrs, res
 
     def _emit_ins(self, ins) -> Callable:
-        leaf = leaf_kernel(ins)
-        if leaf is None:
-            return getattr(self, "_emit_" + ins.kind)(ins)
-        kernel, operands, statics = leaf
+        if ins.kind == "run":
+            return self._emit_run(ins)
+        kernel, operands, statics, bodies = kernel_of(ins)
         reads = tuple(_operand(getattr(ins, f)) for f in operands)
         consts = tuple(getattr(ins, f) for f in statics)
+        consts += tuple(self._emit_callable(ins, fields) for fields in bodies)
 
         def fn(eng, _k=kernel, _reads=reads, _consts=consts):
             regs = eng.regs
             return _k(eng, *[rd(regs) for rd in _reads], *_consts)
 
-        return _assign_single(fn, _out_slot(ins), ins)
+        if hasattr(ins, "out"):
+            return _assign_single(fn, ins.out[0], ins)
+        return _assign_multi(fn, ins)
 
-    def _emit_lanes(self, params, body) -> Callable:
-        """Emit a SOAC lambda; returns ``(eng, vals, n) -> results``: bind
-        the parameters, run the body one batch level (of extent ``n``)
-        down."""
-        pslots = tuple(s for s, _ in params)
-        code = self.emit_body(body)
+    def _emit_callable(self, ins, fields) -> Callable:
+        """A nested body (``fields``: its parameter fields, then its own) as
+        ``body(eng, vals) -> results``: bind ``vals`` to the parameter slots,
+        run, and clear the slots the body left bound — a frame of its own, as
+        a nested ``def`` is in ``exec/codegen.py``."""
+        *params, pbody = (getattr(ins, f) for f in fields)
+        pslots = tuple(s for ps in params for s, _ in ps)
+        code = self.emit_body(pbody)
+        bound = tuple(s for s, _ in pbody.bound)
 
-        def lanes(eng, vals, n, _ps=pslots, _code=code):
+        def body(eng, vals, _ps=pslots, _code=code, _bound=bound):
             regs = eng.regs
             for s, v in zip(_ps, vals):
                 regs[s] = v
-            eng.bstack.append(n)
-            outer = eng.lanes
-            eng.lanes = outer * n
-            try:
-                return _run_body(eng, _code)
-            finally:
-                eng.bstack.pop()
-                eng.lanes = outer
+            res = _run_body(eng, _code)
+            for s in _bound:
+                regs[s] = None
+            return res
 
-        return lanes
+        return body
 
     # -- fused scalar runs ----------------------------------------------------
 
@@ -490,202 +467,6 @@ class _ClosureEmitter:
                     regs[s] = None
 
         return run
-
-    # -- SOACs ----------------------------------------------------------------
-
-    def _emit_map(self, e) -> Callable:
-        arrs, accs = _operand(e.arrs), _operand(e.accs)
-        lanes = self._emit_lanes(e.params, e.body)
-
-        def fn(eng, _arrs=arrs, _accs=accs, _lanes=lanes, _na=e.n_acc):
-            regs = eng.regs
-            params, n = _batch_args(eng, _arrs(regs))
-            res = _lanes(eng, params + _accs(regs), n)
-            return [_map_acc(eng, r) for r in res[:_na]] + [
-                _map_result(eng, r, n) for r in res[_na:]
-            ]
-
-        return _assign_multi(fn, e)
-
-    def _emit_reduce(self, e) -> Callable:
-        """``redomap`` and ``generic`` reduces and scans (``ufunc`` ones are
-        leaf kernels)."""
-        if e.strategy != "redomap":
-            return self._emit_fold_loop(e)
-        empty, tail = REDOMAP_TAILS[e.kind]
-        arrs, ne = _operand(e.arrs), _reader(e.nes[0])
-        lanes = self._emit_lanes(e.mparams, e.mbody)
-
-        def fused(eng, _arrs=arrs, _ne=ne, _lanes=lanes, _op=e.op, _fold=e.fold):
-            regs = eng.regs
-            args, n = _batch_args(eng, _arrs(regs))
-            if n == 0:
-                return (empty(eng, _ne(regs)),)
-            (r,) = _lanes(eng, args, n)
-            return (tail(eng, _op, _fold, _ne(regs), r, n),)
-
-        return _assign_multi(fused, e)
-
-    _emit_scan = _emit_reduce
-
-    def _emit_fold_loop(self, e) -> Callable:
-        """The generic element-at-a-time fold shared by reduce and scan."""
-        arrs, nes = _operand(e.arrs), _operand(e.nes)
-        pslots = tuple(s for s, _ in e.params)
-        code = self.emit_body(e.body)
-
-        def fn(eng, _arrs=arrs, _nes=nes, _ps=pslots, _code=code, _scan=e.kind == "scan"):
-            d = len(eng.bstack)
-            regs = eng.regs
-            args, n = _batch_args(eng, _arrs(regs))
-            acc = nes = _nes(regs)
-            cols: List[List[BV]] = [[] for _ in nes] if _scan else []
-            for i in range(n):
-                for s, v in zip(_ps, acc + _elems_at(args, i, d)):
-                    regs[s] = v
-                acc = list(_run_body(eng, _code))
-                if _scan:
-                    for col, a in zip(cols, acc):
-                        col.append(a)
-            if not _scan:
-                return acc
-            return [_stack_columns(eng, col, ne) for col, ne in zip(cols, nes)]
-
-        return _assign_multi(fn, e)
-
-    def _emit_hist(self, e) -> Callable:
-        """``redomap`` and ``generic`` histograms."""
-        rm, arrs, nes = _operand(e.num_bins), _operand(e.arrs), _operand(e.nes)
-        if e.strategy == "redomap":
-            lanes = self._emit_lanes(e.mparams, e.mbody)
-
-            def fused(eng, _rm=rm, _arrs=arrs, _nes=nes, _lanes=lanes, _op=e.op):
-                regs = eng.regs
-                args, n, hs = _hist_enter(eng, _rm(regs), _arrs(regs))
-                (r,) = _lanes(eng, args[1:], n)
-                return (_hist_accumulate(eng, _op, _nes(regs)[0], hs, r),)
-
-            return _assign_multi(fused, e)
-        pslots = tuple(s for s, _ in e.params)
-        code = self.emit_body(e.body)
-
-        def fn(eng, _rm=rm, _arrs=arrs, _nes=nes, _ps=pslots, _code=code):
-            d = len(eng.bstack)
-            regs = eng.regs
-            args, n, hs = _hist_enter(eng, _rm(regs), _arrs(regs))
-            vals = args[1:]
-            st = _hist_open(eng, _nes(regs), hs, vals)
-            for i in range(n):
-                sel, cur = _hist_get(eng, st, i)
-                for s, v in zip(_ps, cur + _elems_at(vals, i, d)):
-                    regs[s] = v
-                _hist_put(eng, st, i, sel, _run_body(eng, _code))
-            return st[0]
-
-        return _assign_multi(fn, e)
-
-    # -- control flow ---------------------------------------------------------
-
-    def _emit_if(self, e) -> Callable:
-        rc = _reader(e.cond)
-        then_fn = partial(_run_body, code=self.emit_body(e.then))
-        else_fn = partial(_run_body, code=self.emit_body(e.els))
-
-        def fn(eng, _rc=rc, _then=then_fn, _els=else_fn):
-            return _branch(eng, _rc(eng.regs), _then, _els)
-
-        return _assign_multi(fn, e)
-
-    def _emit_loop(self, e) -> Callable:
-        rn, inits = _reader(e.n), _operand(e.inits)
-        islot = e.ivar[0]
-        pslots = tuple(s for s, _ in e.params)
-        code = self.emit_body(e.body)
-
-        def fn(eng, _rn=rn, _inits=inits, _is=islot, _ps=pslots, _code=code):
-            regs = eng.regs
-            nv = _rn(regs)
-            nd = np.asarray(nv.data)
-            nmax = 0 if nd.size == 0 else int(nd.max())
-            state = _inits(regs)
-            uniform = nd.size == 1 or (nd.size > 0 and nd.min() == nd.max())
-            saved = eng.mask
-            for i in range(nmax):
-                regs[_is] = BV(np.asarray(np.int64(i)), 0)
-                if not uniform:
-                    active = BV(i < nd, nv.bdims)
-                    eng.mask = _combine_mask(saved, active)
-                for s, v in zip(_ps, state):
-                    regs[s] = v
-                new = list(_run_body(eng, _code))
-                if uniform:
-                    state = new
-                else:
-                    active = BV(i < nd, nv.bdims)
-                    state = [
-                        s2 if isinstance(s2, AccBV) else _where(active, s2, s)
-                        for s, s2 in zip(state, new)
-                    ]
-                    eng.mask = saved
-            eng.mask = saved
-            return tuple(
-                BV(_owned(s.data), s.bdims) if isinstance(s, BV) else s for s in state
-            )
-
-        return _assign_multi(fn, e)
-
-    def _emit_while(self, e) -> Callable:
-        inits = _operand(e.inits)
-        cslots = tuple(s for s, _ in e.cparams)
-        cond_code = self.emit_body(e.cbody)
-        pslots = tuple(s for s, _ in e.params)
-        body_code = self.emit_body(e.body)
-
-        def fn(eng, _inits=inits, _cs=cslots, _cc=cond_code, _ps=pslots, _bc=body_code):
-            regs = eng.regs
-            state = _inits(regs)
-            saved = eng.mask
-            limit = _values.WHILE_FUEL
-            fuel = limit
-            while True:
-                for s, v in zip(_cs, state):
-                    regs[s] = v
-                (c,) = _run_body(eng, _cc)
-                active = _combine_mask(saved, c)
-                if not np.any(np.asarray(active.data)):
-                    break
-                eng.mask = active
-                for s, v in zip(_ps, state):
-                    regs[s] = v
-                new = list(_run_body(eng, _bc))
-                state = [
-                    s2 if isinstance(s2, AccBV) else _where(active, s2, s)
-                    for s, s2 in zip(state, new)
-                ]
-                eng.mask = saved
-                fuel -= 1
-                if fuel <= 0:
-                    raise _out_of_fuel(limit)
-            eng.mask = saved
-            return tuple(state)
-
-        return _assign_multi(fn, e)
-
-    # -- accumulators ---------------------------------------------------------
-
-    def _emit_withacc(self, e) -> Callable:
-        arrs = _operand(e.arrs)
-        pslots = tuple(s for s, _ in e.params)
-        code = self.emit_body(e.body)
-
-        def fn(eng, _arrs=arrs, _ps=pslots, _code=code, _na=e.n_acc):
-            regs = eng.regs
-            for s, v in zip(_ps, _arrs(regs)):
-                regs[s] = _acc_of(eng, v)
-            res = _run_body(eng, _code)
-            return [_acc_value(eng, r) for r in res[:_na]] + list(res[_na:])
-
-        return _assign_multi(fn, e)
 
 
 # ---------------------------------------------------------------------------

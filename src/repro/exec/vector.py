@@ -1,17 +1,17 @@
 """Batched values and the instruction kernels of the plan family.
 
 This module is **not an executor** — it runs no program — but it *is* the
-semantics of the plan IR: the NumPy call sequence of every instruction that
-runs no nested body, and of the body-free prologue and tail of every one that
-does, is written here once, as one function (``kernel(eng, *operands,
-*static facts) -> BV | tuple``).  ``LEAF_KERNELS`` maps the body-free
-instruction kinds to theirs.  The two emitters (``exec/plan.py``,
-``exec/codegen.py``) bind operands to slots and render control flow around
-these calls, so they are bitwise equal to each other by construction; what a
-kernel computes is checked against the reference interpreter and against
-direct NumPy expectations (``tests/test_vector_internals.py``), never against
-the other emitter.  A kernel calls back into emitted code only where both
-emitters hold that code as a callable (``_branch``).
+semantics of the plan IR: what every instruction but a fused scalar run
+does, control flow included, is written here once, as one function
+(``kernel(eng, *operands, *static facts, *bodies) -> BV | sequence``).
+``KERNELS`` maps the instruction kinds to theirs.  A nested body reaches its
+kernel as a callable ``body(eng, vals) -> results`` the emitter built: it
+binds ``vals`` to the body's parameters, runs, and leaves nothing bound.  The
+two emitters (``exec/plan.py``, ``exec/codegen.py``) bind operands to slots
+and build those callables, so they are bitwise equal to each other by
+construction; what a kernel computes is checked against the reference
+interpreter and against direct NumPy expectations with plain-Python bodies
+(``tests/test_vector_internals.py``), never against the other emitter.
 
 The execution model is the flattening one the paper relies on
 (§4.1): entering a ``map`` pushes a batch level, lambda parameters become
@@ -56,8 +56,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..util import ExecError
+from . import values as _values
 
-__all__ = ["BV", "AccBV", "LEAF_KERNELS", "REDOMAP_TAILS", "leaf_kernel"]
+__all__ = ["BV", "AccBV", "KERNELS", "kernel_of"]
 
 
 _UFUNC = {"add": np.add, "mul": np.multiply, "min": np.minimum, "max": np.maximum}
@@ -138,7 +139,8 @@ def _grids(prefix: Tuple[int, ...], extra: int = 0) -> Tuple[np.ndarray, ...]:
 # Runtime primitives: masks, elementwise ops, indexed reads and updates
 #
 # ``state`` / ``eng`` is any object with ``bstack``/``mask`` attributes (the
-# plan ``_Engine``).
+# plan ``_Engine``; the kernels that run bodies also read and keep ``lanes``
+# in step and read ``out``).
 # ---------------------------------------------------------------------------
 
 
@@ -298,7 +300,7 @@ def _give(v) -> None:
     ``malloc`` — when it is large enough to matter, some pool-served buffer
     of its key is still out (so the list does not grow past what the program
     needs at once), and nobody else can see it.  The mark is not that
-    proof: ``_map_result`` hands on the body's own array, ``_acc_value``
+    proof: ``_map_result`` hands on the body's own array, ``_withacc``
     re-wraps the accumulator's buffer, loop state sits in a list.  The
     reference counts are — one holder of the ``BV``, one of the array, and
     an array that owns its data is a view of nothing while every view of it
@@ -597,7 +599,7 @@ def _batch_args(state, vs: Sequence[BV]) -> Tuple[List[BV], int]:
 
 
 # ---------------------------------------------------------------------------
-# Instruction kernels: ``kernel(eng, *operands, *static facts)``
+# Instruction kernels: ``kernel(eng, *operands, *static facts, *bodies)``
 # ---------------------------------------------------------------------------
 
 
@@ -711,6 +713,28 @@ def _scatter(eng, dest: BV, inds: BV, vals: BV) -> BV:
     return BV(dd, d)
 
 
+# -- bodies -------------------------------------------------------------------
+
+
+def _run_lanes(eng, body, vals, n: int):
+    """Run ``body`` on ``vals`` one batch level (of extent ``n``) down."""
+    eng.bstack.append(n)
+    outer = eng.lanes
+    eng.lanes = outer * n
+    try:
+        return body(eng, vals)
+    finally:
+        eng.bstack.pop()
+        eng.lanes = outer
+
+
+def _kept(active: BV, old, new) -> List[object]:
+    """Loop state after a masked iteration: what the ``active`` lanes
+    computed, what the others had (accumulators are threaded, not
+    selected)."""
+    return [n if isinstance(n, AccBV) else _where(active, n, o) for o, n in zip(old, new)]
+
+
 # -- map ----------------------------------------------------------------------
 
 
@@ -733,10 +757,16 @@ def _map_result(eng, r: BV, n: int) -> BV:
     return BV(rd, len(eng.bstack))
 
 
-def _map_acc(eng, r) -> AccBV:
-    if not isinstance(r, AccBV):
-        raise ExecError("map: accumulator results must lead")
-    return r
+def _map(eng, arrs: List[BV], accs: List[AccBV], n_acc: int, body) -> List[object]:
+    """``map``: the body runs once, one lane level down, on the arguments'
+    elements as whole batched arrays and on the accumulators as they are;
+    those must lead its results."""
+    params, n = _batch_args(eng, arrs)
+    res = _run_lanes(eng, body, params + accs, n)
+    for r in res[:n_acc]:
+        if not isinstance(r, AccBV):
+            raise ExecError("map: accumulator results must lead")
+    return [*res[:n_acc], *[_map_result(eng, r, n) for r in res[n_acc:]]]
 
 
 # -- reduce / scan ------------------------------------------------------------
@@ -758,13 +788,13 @@ def _reduce_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
     return BV(red, d)
 
 
-def _reduce_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> BV:
+def _reduce_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> Tuple[BV]:
     d = len(eng.bstack)
     args, n = _batch_args(eng, arrs)
     if n == 0:
         shape = args[0].data.shape
-        return BV(np.broadcast_to(_expand(nes[0], d), shape[:d] + shape[d + 1:]).copy(), d)
-    return _reduce_lanes(eng, op, fold, nes[0], args[0], n)
+        return (BV(np.broadcast_to(_expand(nes[0], d), shape[:d] + shape[d + 1:]).copy(), d),)
+    return (_reduce_lanes(eng, op, fold, nes[0], args[0], n),)
 
 
 def _scan_empty(eng, ne: BV) -> BV:
@@ -780,9 +810,32 @@ def _scan_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
     return BV(acc, d)
 
 
-def _scan_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> BV:
+def _scan_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> Tuple[BV]:
     args, n = _batch_args(eng, arrs)
-    return _scan_lanes(eng, op, fold, nes[0], args[0], n)
+    return (_scan_lanes(eng, op, fold, nes[0], args[0], n),)
+
+
+def _redomap(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool, spare: bool,
+             mbody, scan: bool = False) -> Tuple[BV]:
+    """A reduce (``scan``: a scan) whose operator is ``op`` after a map part:
+    ``mbody`` runs once, one lane level down, then one ufunc call folds its
+    lanes; over no elements it does not run.  ``spare``: its result is a
+    buffer it allocated and nothing else holds (``exec/lower.py``), offered
+    to the free list once folded — while the call has a pool-served buffer
+    out (``eng.out``; until then nothing offered would be admitted)."""
+    ne = nes[0]
+    args, n = _batch_args(eng, arrs)
+    if n == 0:
+        return ((_scan_empty if scan else _fold_empty)(eng, ne),)
+    (r,) = _run_lanes(eng, mbody, args, n)
+    out = (_scan_lanes if scan else _reduce_lanes)(eng, op, fold, ne, r, n)
+    if spare and eng.out:
+        _give(r)
+    return (out,)
+
+
+def _redomap_scan(eng, arrs, nes, op, fold, spare, mbody) -> Tuple[BV]:
+    return _redomap(eng, arrs, nes, op, fold, spare, mbody, scan=True)
 
 
 def _elems_at(args: Sequence[BV], i: int, d: int) -> List[BV]:
@@ -798,6 +851,27 @@ def _stack_columns(eng, col: List[BV], ne: BV) -> BV:
     col = [_expand(a, d) for a in col]
     shape = np.broadcast_shapes(*[c.shape for c in col])
     return BV(np.stack([np.broadcast_to(c, shape) for c in col], axis=d), d)
+
+
+def _fold(eng, arrs: List[BV], nes: List[BV], body, scan: bool = False) -> Sequence[BV]:
+    """A generic reduce (``scan``: scan), one element at a time: the operator
+    ``body`` runs on the accumulators and element ``i`` of every argument."""
+    d = len(eng.bstack)
+    args, n = _batch_args(eng, arrs)
+    acc: Sequence[BV] = nes
+    cols: List[List[BV]] = [[] for _ in nes]
+    for i in range(n):
+        acc = body(eng, [*acc, *_elems_at(args, i, d)])
+        if scan:
+            for col, a in zip(cols, acc):
+                col.append(a)
+    if not scan:
+        return acc
+    return [_stack_columns(eng, col, ne) for col, ne in zip(cols, nes)]
+
+
+def _fold_scan(eng, arrs, nes, body) -> Sequence[BV]:
+    return _fold(eng, arrs, nes, body, scan=True)
 
 
 # -- histograms ---------------------------------------------------------------
@@ -836,110 +910,161 @@ def _hist_accumulate(eng, op: str, ne: BV, hs, r: BV) -> BV:
     return BV(hist, d)
 
 
-def _hist_ufunc(eng, m: int, arrs: List[BV], nes: List[BV], op: str) -> BV:
+def _hist_ufunc(eng, m: int, arrs: List[BV], nes: List[BV], op: str) -> Tuple[BV]:
     args, _n, hs = _hist_enter(eng, m, arrs)
-    return _hist_accumulate(eng, op, nes[0], hs, args[1])
+    return (_hist_accumulate(eng, op, nes[0], hs, args[1]),)
 
 
-def _hist_open(eng, nes: List[BV], hs, vals: Sequence[BV]):
-    """State of an element-at-a-time histogram: the result ``BV``s (filled in
-    place), the batch grids, then ``hs``."""
+def _hist_redomap(eng, m: int, arrs: List[BV], nes: List[BV], op: str, spare: bool,
+                  mbody) -> Tuple[BV]:
+    """A histogram whose operator is ``op`` after a map part, as
+    ``_redomap``: ``mbody`` runs once over the values, one lane level down."""
+    args, n, hs = _hist_enter(eng, m, arrs)
+    (r,) = _run_lanes(eng, mbody, args[1:], n)
+    out = _hist_accumulate(eng, op, nes[0], hs, r)
+    if spare and eng.out:
+        _give(r)
+    return (out,)
+
+
+def _hist_fold(eng, m: int, arrs: List[BV], nes: List[BV], body) -> List[BV]:
+    """A generic histogram, one element at a time: the operator ``body`` runs
+    on each lane's current bin and element ``i`` of the values, and the lanes
+    whose index writes take its results."""
     d = len(eng.bstack)
-    outs = [
-        BV(_hist_init(eng, ne, hs[0], v.pshape(), np.asarray(v.data).dtype), d)
-        for ne, v in zip(nes, vals)
-    ]
-    return (outs, _grids(tuple(eng.bstack))) + hs
-
-
-def _hist_get(eng, st, i: int):
-    """Iteration ``i``: the selection of each lane's bin, and the bins'
-    current contents (one ``BV`` per histogram)."""
-    outs, gsel, m, idata, _valid = st
-    s = gsel + (np.clip(idata[..., i], 0, max(m - 1, 0)),)
-    return s, [BV(o.data[s], o.bdims) for o in outs]
-
-
-def _hist_put(eng, st, i: int, s, new: Sequence[BV]) -> None:
-    """Write iteration ``i``'s operator results back into the lanes that
-    write."""
-    outs, _gsel, _m, _idata, valid = st
-    vi = valid[..., i]
-    for o, nv in zip(outs, new):
-        nd = _expand(nv, o.bdims)
-        old = o.data[s]
-        w = vi.reshape(vi.shape + (1,) * (old.ndim - vi.ndim))
-        o.data[s] = np.where(w, np.broadcast_to(nd, old.shape), old)
+    args, n, (m, idata, valid) = _hist_enter(eng, m, arrs)
+    vals = args[1:]
+    outs = [BV(_hist_init(eng, ne, m, v.pshape(), np.asarray(v.data).dtype), d)
+            for ne, v in zip(nes, vals)]
+    gsel = _grids(tuple(eng.bstack))
+    for i in range(n):
+        s = gsel + (np.clip(idata[..., i], 0, max(m - 1, 0)),)
+        new = body(eng, [*(BV(o.data[s], d) for o in outs), *_elems_at(vals, i, d)])
+        vi = valid[..., i]
+        for o, nv in zip(outs, new):
+            old = o.data[s]
+            w = vi.reshape(vi.shape + (1,) * (old.ndim - vi.ndim))
+            o.data[s] = np.where(w, np.broadcast_to(_expand(nv, d), old.shape), old)
+    return outs
 
 
 # -- accumulators and control flow --------------------------------------------
 
 
-def _acc_of(eng, v: BV) -> AccBV:
-    """``withacc`` entry: a private, fully materialised buffer."""
+def _withacc(eng, arrs: List[BV], n_acc: int, body) -> List[object]:
+    """``withacc``: the body runs on private, fully materialised accumulator
+    buffers of ``arrs``, returns them first, and they leave as values."""
     d = len(eng.bstack)
-    return AccBV(_materialised(eng, v, d), d)
+    res = body(eng, [AccBV(_materialised(eng, v, d), d) for v in arrs])
+    for r in res[:n_acc]:
+        if not isinstance(r, AccBV):
+            raise ExecError("withacc: lambda must return its accumulators")
+    return [*[BV(r.data, r.bdims) for r in res[:n_acc]], *res[n_acc:]]
 
 
-def _acc_value(eng, r) -> BV:
-    if not isinstance(r, AccBV):
-        raise ExecError("withacc: lambda must return its accumulators")
-    return BV(r.data, r.bdims)
-
-
-def _branch(eng, c: BV, then_fn, else_fn) -> Tuple[object, ...]:
+def _branch(eng, c: BV, then, els) -> Tuple[object, ...]:
     """``if c``: one branch when the condition is a single unmasked scalar,
-    else both under complementary masks, selected per lane.  ``then_fn(eng)``
-    / ``else_fn(eng)`` run a branch body and return its results."""
+    else both under complementary masks, selected per lane."""
     cd = np.asarray(c.data)
     if cd.size == 1 and eng.mask is None:
-        return then_fn(eng) if bool(cd.reshape(-1)[0]) else else_fn(eng)
+        return then(eng, ()) if bool(cd.reshape(-1)[0]) else els(eng, ())
     saved = eng.mask
     notc = BV(np.logical_not(cd), c.bdims)
     eng.mask = _combine_mask(saved, c)
-    tvals = then_fn(eng)
+    tvals = then(eng, ())
     eng.mask = _combine_mask(saved, notc)
-    fvals = else_fn(eng)
+    fvals = els(eng, ())
     eng.mask = saved
     return tuple(_where(c, t, f) for t, f in zip(tvals, fvals))
+
+
+def _loop(eng, n: BV, inits: List[object], body) -> List[object]:
+    """``loop`` ``n`` times, the body running on the counter and the state.
+    Lanes with different trip counts run to the largest, each lane masked
+    off once it has made its own; the results are owned (never a view of
+    an input)."""
+    nd = np.asarray(n.data)
+    nmax = 0 if nd.size == 0 else int(nd.max())
+    uniform = nd.size == 1 or (nd.size > 0 and nd.min() == nd.max())
+    saved = eng.mask
+    state = inits
+    for i in range(nmax):
+        it = BV(np.asarray(np.int64(i)), 0)
+        if uniform:
+            state = body(eng, [it, *state])
+            continue
+        active = BV(i < nd, n.bdims)
+        eng.mask = _combine_mask(saved, active)
+        new = body(eng, [it, *state])
+        eng.mask = saved
+        state = _kept(active, state, new)
+    return [BV(_owned(s.data), s.bdims) if isinstance(s, BV) else s for s in state]
 
 
 def _out_of_fuel(limit: int) -> ExecError:
     return ExecError(f"while loop exceeded iteration fuel ({limit} iterations)")
 
 
-#: The plan-IR instructions that run no nested body, by ``kind`` (``kind:
-#: strategy`` for the reduce family): the kernel, the instruction fields it
-#: takes as operands (a ``Ref``, a tuple of ``Ref``s or an ``IntRef`` each —
-#: read per call) and the fields it takes as static facts.  An emitter calls
-#: ``kernel(eng, *operands, *statics)`` and binds the result to the
-#: instruction's one output.
-LEAF_KERNELS = {
-    "update": (_update, ("arr", "idx", "val"), ()),
-    "iota": (_iota, ("n",), ("dtype",)),
-    "replicate": (_replicate, ("n", "v"), ()),
-    "scratch": (_scratch, ("n", "x"), ()),
-    "size": (_size, ("arr",), ("dim",)),
-    "reverse": (_reverse, ("x",), ()),
-    "concat": (_concat, ("x", "y"), ()),
-    "scatter": (_scatter, ("dest", "inds", "vals"), ()),
-    "updacc": (_upd_acc, ("acc", "idx", "v"), ("affine",)),
-    "reduce:ufunc": (_reduce_ufunc, ("arrs", "nes"), ("op", "fold")),
-    "scan:ufunc": (_scan_ufunc, ("arrs", "nes"), ("op", "fold")),
-    "hist:ufunc": (_hist_ufunc, ("num_bins", "arrs", "nes"), ("op",)),
+def _while(eng, inits: List[object], cond, body) -> Sequence[object]:
+    """``while cond do body``: a lane stops once its condition fails, the loop
+    once every lane has; at most ``values.WHILE_FUEL`` iterations."""
+    saved = eng.mask
+    limit = fuel = _values.WHILE_FUEL
+    state: Sequence[object] = inits
+    while True:
+        (c,) = cond(eng, state)
+        active = _combine_mask(saved, c)
+        if not np.any(np.asarray(active.data)):
+            return state
+        eng.mask = active
+        new = body(eng, state)
+        eng.mask = saved
+        state = _kept(active, state, new)
+        fuel -= 1
+        if fuel <= 0:
+            raise _out_of_fuel(limit)
+
+
+#: The kernel of every plan-IR instruction but a fused ``run`` (the emitters
+#: render those themselves), by ``kind`` (``kind:strategy`` for the reduce
+#: family): the kernel, then the instruction fields it takes as operands (a
+#: ``Ref``, a tuple of ``Ref``s or an ``IntRef`` each — read per call), as
+#: static facts, and as bodies — each body the fields holding its
+#: parameters' ``(slot, name)`` pairs, then its ``PBody`` field.  An emitter
+#: calls ``kernel(eng, *operands, *statics, *bodies)``, each body a
+#: ``body(eng, vals)`` (module docstring), and binds the result to the
+#: instruction's ``out``, or its sequence to the instruction's ``outs``.
+KERNELS = {
+    "update": (_update, ("arr", "idx", "val"), (), ()),
+    "iota": (_iota, ("n",), ("dtype",), ()),
+    "replicate": (_replicate, ("n", "v"), (), ()),
+    "scratch": (_scratch, ("n", "x"), (), ()),
+    "size": (_size, ("arr",), ("dim",), ()),
+    "reverse": (_reverse, ("x",), (), ()),
+    "concat": (_concat, ("x", "y"), (), ()),
+    "scatter": (_scatter, ("dest", "inds", "vals"), (), ()),
+    "updacc": (_upd_acc, ("acc", "idx", "v"), ("affine",), ()),
+    "map": (_map, ("arrs", "accs"), ("n_acc",), (("params", "body"),)),
+    "reduce:ufunc": (_reduce_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
+    "reduce:redomap": (_redomap, ("arrs", "nes"), ("op", "fold", "spare"),
+                       (("mparams", "mbody"),)),
+    "reduce:generic": (_fold, ("arrs", "nes"), (), (("params", "body"),)),
+    "scan:ufunc": (_scan_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
+    "scan:redomap": (_redomap_scan, ("arrs", "nes"), ("op", "fold", "spare"),
+                     (("mparams", "mbody"),)),
+    "scan:generic": (_fold_scan, ("arrs", "nes"), (), (("params", "body"),)),
+    "hist:ufunc": (_hist_ufunc, ("num_bins", "arrs", "nes"), ("op",), ()),
+    "hist:redomap": (_hist_redomap, ("num_bins", "arrs", "nes"), ("op", "spare"),
+                     (("mparams", "mbody"),)),
+    "hist:generic": (_hist_fold, ("num_bins", "arrs", "nes"), (), (("params", "body"),)),
+    "withacc": (_withacc, ("arrs",), ("n_acc",), (("params", "body"),)),
+    "if": (_branch, ("cond",), (), (("then",), ("els",))),
+    "loop": (_loop, ("n", "inits"), (), (("ivar", "params", "body"),)),
+    "while": (_while, ("inits",), (), (("cparams", "cbody"), ("params", "body"))),
 }
 
-#: ``redomap`` reduces and scans, by ``kind``: the kernel of the empty case
-#: ``(eng, ne)`` — the map part does not run — and of the tail that folds the
-#: map part's lanes ``(eng, op, fold, ne, r, n)``.
-REDOMAP_TAILS = {
-    "reduce": (_fold_empty, _reduce_lanes),
-    "scan": (_scan_empty, _scan_lanes),
-}
 
-
-def leaf_kernel(ins):
-    """``LEAF_KERNELS`` entry of instruction ``ins``; ``None`` when it runs a
-    nested body (the emitters render those themselves)."""
+def kernel_of(ins):
+    """The ``KERNELS`` entry of instruction ``ins`` (any kind but ``run``)."""
     strategy = getattr(ins, "strategy", None)
-    return LEAF_KERNELS.get(ins.kind if strategy is None else f"{ins.kind}:{strategy}")
+    return KERNELS[ins.kind if strategy is None else f"{ins.kind}:{strategy}"]

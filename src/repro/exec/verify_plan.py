@@ -32,11 +32,12 @@ of structural invariants this module checks once per lowering:
   op or instruction itself, was written in the releasing body by a kernel
   that allocates its result (an allocating run op; ``update`` / ``replicate``
   / ``scratch`` / …; a ``map`` result; a ``withacc`` accumulator result; a
-  bulk reduce) — never a parameter, a view, or a nested body's result other
-  than the map part of a reduce / scan / hist, which the fold kernel
-  consumes — and sits in no handing-on position anywhere in the plan (an
-  ``atom`` operand, a nested body's result, a loop's initial state, a fold's
-  neutral element); a taker is an ``out=``-capable op;
+  bulk reduce) — never a parameter, a view, or a nested body's result — and
+  sits in no handing-on position anywhere in the plan (an ``atom`` operand,
+  a nested body's result, a loop's initial state, a fold's neutral
+  element); the map part of a reduce / scan / hist whose fold kernel offers
+  its result (``spare``) wrote that result itself, by such a kernel, and
+  nothing hands it on; a taker is an ``out=``-capable op;
 * **index provenance** — an ``affine`` flag on an ``index`` or ``upd_acc``
   operand licenses the executor to read the operand as a unit-stride slice
   without looking at more than its two ends, so the checker re-derives the
@@ -250,17 +251,15 @@ class _PlanChecker:
             defined.discard(slot)
             self.released[slot] = name
         names = dict(instr.release)
-        mbody = getattr(instr, "mbody", None)
-        spare = {r.slot for r in mbody.result} if mbody is not None else ()
         for slot in instr.recycle:
             what = f"slot {slot} ({names.get(slot, '?')!r})"
             if slot not in names:
                 self.fail(f"recycles {what}, which it does not release", instr)
-            if slot in left and slot not in spare:
+            if slot in left:
                 self.fail(
                     f"recycles {what}, a parameter or result of its nested body: "
-                    f"only the map part of a reduce/scan/hist hands its result "
-                    f"to a kernel that consumes it",
+                    f"it dies with the body (the map part of a reduce/scan/hist "
+                    f"hands its result to the fold kernel: ``spare``)",
                     instr,
                 )
             if slot not in self.fresh:
@@ -487,8 +486,7 @@ class _PlanChecker:
                     instr,
                 )
             inner = set(defined)
-            self.bind_params(instr.params, inner, instr)
-            self.write(*instr.ivar, inner, instr)
+            self.bind_params(instr.params + instr.ivar, inner, instr)
             self.check_body(instr.body, inner)
             left = inner - defined
             if len(instr.body.result) != len(instr.params):
@@ -579,6 +577,17 @@ class _PlanChecker:
             self.bind_params(instr.mparams, inner, instr, arrs)
             self.check_body(instr.mbody, inner)
             left |= inner - defined
+            if instr.spare:
+                r = instr.mbody.result[0]
+                what = f"the map part's result, slot {r.slot} ({r.name!r})"
+                if r.slot not in left or r.slot not in self.fresh:
+                    self.fail(
+                        f"offers {what} to the free list, which no allocating "
+                        f"kernel of the map part produced",
+                        instr,
+                    )
+                if r.slot in self.handed:
+                    self.fail(f"offers {what}, which {self.handed[r.slot]} hands on", instr)
         if instr.params is not None or instr.body is not None:
             inner = set(defined)
             self.bind_params(instr.params, inner, instr)

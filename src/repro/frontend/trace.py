@@ -11,7 +11,7 @@ appear only syntactically inside SOACs.
 """
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class scope:
 # ---------------------------------------------------------------------------
 # Tracer values
 # ---------------------------------------------------------------------------
-
-Liftable = Union["TVal", int, float, bool, np.generic]
-
 
 class TVal:
     """A traced value: wraps an IR atom.  Supports Python operators."""

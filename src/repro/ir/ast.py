@@ -518,7 +518,3 @@ class Fun:
     name: str
     params: Tuple[Var, ...]
     body: Body
-
-    @property
-    def ret_types(self) -> Tuple[Type, ...]:
-        return tuple(a.type for a in self.body.result)

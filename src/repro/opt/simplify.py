@@ -56,10 +56,6 @@ def _is_const(a: Atom, value=None) -> bool:
         return False
 
 
-def _same_rank(a: Atom, b: Atom) -> bool:
-    return rank_of(a.type) == rank_of(b.type)
-
-
 class _Simplifier:
     def __init__(self) -> None:
         # defs tracks scalar-cheap definitions for def-chain queries

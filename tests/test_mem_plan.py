@@ -402,6 +402,25 @@ def test_the_free_list_holds_no_more_than_was_live_at_once_and_clears():
     assert plan_cache_stats()["mem"]["pool_bytes"] == 0
 
 
+def test_both_emitters_recycle_the_same_buffers_per_call():
+    # The free list's run-time counters of one cached call are the same on
+    # both emitters: every buffer a body's result leaves behind is offered by
+    # a shared kernel or a release list, never by one emitter alone.
+    pts, ctr = datagen.kmeans_instance(8, 1000, 32, 0)
+    h = rp.hessian_diag(rp.compile(kmeans.build_ir(1000, 8, 32)), wrt=1)
+    keys = ("pool_hits", "pool_misses", "pool_refused")
+    per_call = {}
+    for emitter in EMITTERS:
+        clear_plan_cache()
+        h(pts, ctr, backend=emitter)
+        before = plan_cache_stats()["mem"]
+        h(pts, ctr, backend=emitter)
+        after = plan_cache_stats()["mem"]
+        per_call[emitter] = {k: after[k] - before[k] for k in keys}
+    assert per_call["plan"] == per_call["codegen"], per_call
+    assert per_call["plan"]["pool_hits"] > 0 and per_call["plan"]["pool_misses"] == 0
+
+
 def test_a_large_dead_temporary_is_computed_into():
     # Above the size floor the shipped configuration donates: the chain below
     # allocates its first product and then works in that one buffer.

@@ -197,9 +197,11 @@ def test_knob_census_matches_readme_table():
 
 def test_emitters_hold_no_numpy_call_sequence_of_their_own():
     """What an instruction computes is written once, in an ``exec/vector.py``
-    kernel; the two emitters bind operands and render control flow.  None of
-    the NumPy calls those kernels are made of may grow back inside either
-    emitter class."""
+    kernel — control flow included; the two emitters bind operands and hand
+    nested bodies to the kernels as callables.  None of the NumPy calls, mask
+    or batch-stack bookkeeping or fuel those kernels are made of may grow back
+    inside either emitter class, and neither renders an instruction kind of
+    its own but fused runs."""
     import inspect
 
     from repro.exec.codegen import _SrcEmitter
@@ -207,7 +209,12 @@ def test_emitters_hold_no_numpy_call_sequence_of_their_own():
 
     moved = ("np.clip", "np.where", "np.broadcast_to", "np.concatenate", "np.stack",
              "np.flip", "np.zeros(", "np.arange", "np.expand_dims", "np.broadcast_shapes",
-             "np.ascontiguousarray", ".at(", ".reduce(", ".accumulate(")
+             "np.ascontiguousarray", ".at(", ".reduce(", ".accumulate(",
+             "eng.mask", "bstack", "WHILE_FUEL")
+    kinds = {f"_emit_{k}" for k in ("map", "reduce", "scan", "fold_loop", "hist", "if",
+                                    "loop", "while", "withacc", "lanes", "enter")}
     for emitter in (_ClosureEmitter, _SrcEmitter):
         src = inspect.getsource(emitter)
         assert not [m for m in moved if m in src], emitter.__name__
+        own = {m for m in vars(emitter) if m.startswith("_emit_")}
+        assert "_emit_run" in own and not own & kinds, own

@@ -1,4 +1,6 @@
 """Unit tests for the vectorised interpreter's batching machinery."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_bv_payload_introspection():
 
 from types import SimpleNamespace  # noqa: E402
 
-from repro.exec import lower, vector as V  # noqa: E402
+from repro.exec import lower, values as exec_values, vector as V  # noqa: E402
 from repro.exec.vector import AccBV  # noqa: E402
 
 BATCHES = [(), (3,), (2, 3)]
@@ -68,10 +70,11 @@ def _eng(bshape, masked):
     """An engine state at batch shape ``bshape``; ``masked``: lanes alternate
     active/inactive (depth 0 has one lane, and a mask there is always on)."""
     mask = None
+    lanes = int(np.prod(bshape, dtype=int))
     if masked:
-        on = np.arange(int(np.prod(bshape, dtype=int))).reshape(bshape) % 2 == 0
+        on = np.arange(lanes).reshape(bshape) % 2 == 0
         mask = BV(on, len(bshape))
-    return SimpleNamespace(bstack=list(bshape), mask=mask)
+    return SimpleNamespace(bstack=list(bshape), mask=mask, lanes=lanes, out=V._pool().out)
 
 
 def _active(eng, lane) -> bool:
@@ -190,8 +193,9 @@ def test_reduce_and_scan_ufunc_kernels(bshape, n, op, fold):
     xs = _rand(rng, bshape, n)
     # ``fold``: the neutral element is not the operator's own and is folded in.
     ne = 0.25 if fold else _NE[op]
-    red = _full(V._reduce_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold), bshape)
-    scn = V._scan_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold)
+    (red,) = V._reduce_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold)
+    red = _full(red, bshape)
+    (scn,) = V._scan_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold)
     assert scn.bdims == d and scn.data.shape == bshape + (n,)
     for lane in np.ndindex(*bshape):
         acc, pre = ne, []
@@ -230,10 +234,6 @@ def test_map_result_is_owned_contiguous_and_full_extent():
     assert not np.shares_memory(out.data, src)
     uni = V._map_result(eng, BV(np.float64(2.0), 0), 3)  # lane-uniform result
     assert uni.data.shape == (1, 3) and (uni.data == 2.0).all()
-    acc = AccBV(np.zeros(2), 0)
-    assert V._map_acc(eng, acc) is acc
-    with pytest.raises(ExecError, match="accumulator results must lead"):
-        V._map_acc(eng, uni)
 
 
 def _hist_want(eng, bshape, m, inds, vals, op, ne):
@@ -251,10 +251,11 @@ def _hist_want(eng, bshape, m, inds, vals, op, ne):
 @pytest.mark.parametrize("op", list(_OPS))
 @pytest.mark.parametrize("n", [0, 1, 6])
 def test_hist_kernels_ufunc_redomap_and_generic(bshape, masked, n, op):
-    """One expectation, three routes: the ``hist:ufunc`` leaf, ``_hist_enter``
-    + ``_hist_accumulate`` (the redomap tail), and the element-at-a-time
-    ``_hist_open``/``_hist_get``/``_hist_put`` driven by a Python operator.
-    Indices run from -2 to m+1 in every kind of lane."""
+    """One expectation, three routes: the ``hist:ufunc`` kernel, the
+    ``hist:redomap`` one with an identity map part (run once, one lane level
+    down — also over no elements) and the element-at-a-time ``hist:generic``
+    one driven by a Python operator body.  Indices run from -2 to m+1 in
+    every kind of lane."""
     rng = np.random.default_rng(4)
     eng, d = _eng(bshape, masked), len(bshape)
     m = 3
@@ -263,19 +264,29 @@ def test_hist_kernels_ufunc_redomap_and_generic(bshape, masked, n, op):
     nes = [BV(np.float64(_NE[op]), 0)]
     want = _hist_want(eng, bshape, m, inds, vals, op, _NE[op])
     arrs = [BV(inds, d), BV(vals, d)]
-    got = V._hist_ufunc(eng, m, arrs, nes, op)
+    (got,) = V._hist_ufunc(eng, m, arrs, nes, op)
     np.testing.assert_allclose(_full(got, bshape), want, rtol=1e-14)
-    args, n2, hs = V._hist_enter(eng, m, arrs)
-    assert n2 == n and args[1].bdims == d + 1
-    got = V._hist_accumulate(eng, op, nes[0], hs, args[1])
+    depths_seen = []
+
+    def part(e, vs):
+        depths_seen.append(list(e.bstack))
+        assert vs[0].bdims == d + 1
+        return (vs[0],)
+
+    (got,) = V._hist_redomap(eng, m, arrs, nes, op, False, part)
+    assert depths_seen == [list(bshape) + [n]] and eng.bstack == list(bshape)
     np.testing.assert_allclose(_full(got, bshape), want, rtol=1e-14)
-    st = V._hist_open(eng, nes, hs, args[1:])
-    for i in range(n):
-        sel, (cur,) = V._hist_get(eng, st, i)
-        (el,) = V._elems_at(args[1:], i, d)
-        assert cur.bdims == el.bdims == d
-        V._hist_put(eng, st, i, sel, [V._elem(V._UFUNC[op], cur, el)])
-    np.testing.assert_allclose(_full(st[0][0], bshape), want, rtol=1e-14)
+    steps = []
+
+    def operator(e, vs):
+        cur, el = vs
+        assert cur.bdims == el.bdims == d and e.bstack == list(bshape)
+        steps.append(1)
+        return (V._elem(V._UFUNC[op], cur, el),)
+
+    (got,) = V._hist_fold(eng, m, arrs, nes, operator)
+    assert len(steps) == n  # over no elements the operator never runs
+    np.testing.assert_allclose(_full(got, bshape), want, rtol=1e-14)
 
 
 def test_hist_accumulate_with_a_vector_payload_and_a_lane_uniform_map_result():
@@ -291,21 +302,28 @@ def test_hist_accumulate_with_a_vector_payload_and_a_lane_uniform_map_result():
 def test_withacc_entry_and_exit_kernels(bshape):
     eng, d = _eng(bshape, False), len(bshape)
     src = np.arange(3.0)
-    acc = V._acc_of(eng, BV(src, 0))
-    assert isinstance(acc, AccBV) and acc.bdims == d and acc.data.shape == bshape + (3,)
-    acc.data += 1.0
+    seen = []
+
+    def body(e, vals):
+        (acc,) = vals
+        assert isinstance(acc, AccBV) and acc.bdims == d and acc.data.shape == bshape + (3,)
+        acc.data += 1.0
+        seen.append(acc)
+        return acc, BV(np.float64(5.0), 0)
+
+    out, extra = V._withacc(eng, [BV(src, 0)], 1, body)
     np.testing.assert_array_equal(src, np.arange(3.0))  # a private buffer
-    out = V._acc_value(eng, acc)
-    assert isinstance(out, BV) and out.data is acc.data and out.bdims == d
+    assert isinstance(out, BV) and out.data is seen[0].data and out.bdims == d
+    assert (out.data == np.arange(3.0) + 1.0).all() and extra.data == 5.0
     with pytest.raises(ExecError, match="must return its accumulators"):
-        V._acc_value(eng, out)
+        V._withacc(eng, [BV(src, 0)], 1, lambda e, vals: (BV(src, 0),))
 
 
 def test_branch_kernel_scalar_condition_runs_one_branch():
     eng = _eng((), False)
     ran = []
-    then_fn = lambda e: ran.append("t") or (BV(np.float64(1.0), 0),)  # noqa: E731
-    else_fn = lambda e: ran.append("f") or (BV(np.float64(2.0), 0),)  # noqa: E731
+    then_fn = lambda e, vals: ran.append("t") or (BV(np.float64(1.0), 0),)  # noqa: E731
+    else_fn = lambda e, vals: ran.append("f") or (BV(np.float64(2.0), 0),)  # noqa: E731
     assert V._branch(eng, BV(np.array(True), 0), then_fn, else_fn)[0].data == 1.0
     assert V._branch(eng, BV(np.array([False]), 1), then_fn, else_fn)[0].data == 2.0
     assert ran == ["t", "f"] and eng.mask is None
@@ -319,11 +337,11 @@ def test_branch_kernel_batched_condition_runs_both_under_complementary_masks(mas
     c = np.array([True, False, False, True])
     seen = {}
 
-    def then_fn(e):
+    def then_fn(e, vals):
         seen["t"] = e.mask.data.copy()
         return BV(np.full(4, 1.0), 1), acc
 
-    def else_fn(e):
+    def else_fn(e, vals):
         seen["f"] = e.mask.data.copy()
         return BV(np.float64(2.0), 0), acc
 
@@ -334,7 +352,7 @@ def test_branch_kernel_batched_condition_runs_both_under_complementary_masks(mas
     np.testing.assert_array_equal(val.data, np.where(c, 1.0, 2.0))
     assert acc_out is acc and eng.mask is saved
     with pytest.raises(ExecError, match="threaded identically"):
-        V._branch(eng, BV(c, 1), lambda e: (acc,), lambda e: (AccBV(np.zeros(4), 1),))
+        V._branch(eng, BV(c, 1), lambda e, v: (acc,), lambda e, v: (AccBV(np.zeros(4), 1),))
 
 
 @depths
@@ -359,23 +377,186 @@ def test_out_of_fuel_is_the_one_wording():
 
 
 def test_leaf_kernel_table_names_fields_the_plan_ir_has():
-    """``LEAF_KERNELS`` reads instruction records by field name: every field
-    it names is a slot of that instruction class, and the table plus the
-    body-carrying kinds the emitters render themselves cover the plan IR."""
+    """``KERNELS`` reads instruction records by field name: every plan-IR
+    kind but a fused ``run`` has one entry (one per strategy for the reduce
+    family), every operand, static and body field an entry names is a slot
+    of that instruction class, a body's last field holds the ``PBody`` and
+    the kernel takes exactly ``eng`` plus what the entry names."""
     by_kind = {c.kind: c for c in vars(lower).values()
                if isinstance(c, type) and issubclass(c, lower._Instr) and c is not lower._Instr}
 
     def slots_of(cls):
         return {s for k in cls.__mro__ for s in getattr(k, "__slots__", ())}
 
-    for key, (kernel, operands, statics) in V.LEAF_KERNELS.items():
+    strategies = ("ufunc", "redomap", "generic")
+    want = {k for k in by_kind if k not in ("run", "reduce", "scan", "hist")}
+    want |= {f"{k}:{s}" for k in ("reduce", "scan", "hist") for s in strategies}
+    assert set(V.KERNELS) == want
+    bodies_of = {}
+    for key, (kernel, operands, statics, bodies) in V.KERNELS.items():
         slots = slots_of(by_kind[key.split(":")[0]])
-        assert callable(kernel) and set(operands) | set(statics) <= slots, key
+        named = set(operands) | set(statics) | {f for b in bodies for f in b}
+        assert callable(kernel) and named <= slots, key
         assert "out" in slots or "outs" in slots, key
-    covered = {key.split(":")[0] for key in V.LEAF_KERNELS}
-    nested = {k for k, c in by_kind.items() if {"body", "then", "cbody", "ops"} & slots_of(c)}
-    assert covered | nested == set(by_kind)
-    assert covered & nested == {"reduce", "scan", "hist"}  # body-free on ``ufunc`` only
+        bodies_of[key] = [b[-1] for b in bodies]
+        inspect.signature(kernel).bind(None, *[None] * (len(operands) + len(statics) + len(bodies)))
+    assert bodies_of["if"] == ["then", "els"] and bodies_of["while"] == ["cbody", "body"]
+    for k in ("reduce", "scan", "hist"):
+        assert [bodies_of[f"{k}:{s}"] for s in strategies] == [[], ["mbody"], ["body"]]
+    with pytest.raises(KeyError):
+        V.kernel_of(lower.IRun((), ()))
+
+
+# ---------------------------------------------------------------------------
+# Kernels that run nested bodies, driven by plain-Python bodies
+# ---------------------------------------------------------------------------
+
+
+def _scalars(bshape, fn):
+    """A body over batched scalars: ``fn`` on the data arrays."""
+    d = len(bshape)
+
+    def body(e, vals):
+        return tuple(BV(np.asarray(r), d) for r in fn(*[np.broadcast_to(
+            _expand(v, d), bshape) for v in vals]))
+
+    return body
+
+
+@both
+def test_map_kernel_runs_its_body_one_lane_level_down(masked):
+    eng = _eng((2,), masked)
+    xs = np.arange(6.0).reshape(2, 3)
+    acc = AccBV(np.zeros(2), 1)
+    seen = {}
+
+    def body(e, vals):
+        x, a = vals
+        seen.update(bstack=list(e.bstack), lanes=e.lanes, bdims=x.bdims)
+        assert a is acc
+        return a, BV(x.data * 2.0, x.bdims)
+
+    a, out = V._map(eng, [BV(xs, 1)], [acc], 1, body)
+    assert seen == {"bstack": [2, 3], "lanes": 6, "bdims": 2}
+    assert eng.bstack == [2] and eng.lanes == 2
+    assert a is acc and out.bdims == 1 and (out.data == xs * 2.0).all()
+    with pytest.raises(ExecError, match="accumulator results must lead"):
+        V._map(eng, [BV(xs, 1)], [acc], 1, lambda e, vals: (vals[0], vals[1]))
+    assert eng.bstack == [2] and eng.lanes == 2  # restored on the way out too
+
+
+@both
+@pytest.mark.parametrize("outer", [(), (3,)], ids=["d0", "d1"])
+def test_loop_kernel_runs_lane_varying_trip_counts_under_an_outer_mask(outer, masked):
+    """Each lane makes its own trip count; the body sees the outer mask
+    narrowed to the lanes still running, the lanes that stopped keep their
+    state, accumulators are threaded and the results own their memory."""
+    eng, d = _eng(outer, masked), len(outer)
+    saved = eng.mask
+    counts = np.array([2, 0, 3]) if outer else np.array(2)
+    x0 = np.array([1.0, 2.0, 3.0]) if outer else np.array(1.0)
+    acc = AccBV(np.zeros(outer), d)
+    masks = []
+
+    def body(e, vals):
+        i, x, a = vals
+        masks.append(None if e.mask is None else np.broadcast_to(e.mask.data, outer).copy())
+        return BV(x.data * 2.0 + i.data, d), a
+
+    x, a = V._loop(eng, BV(counts, d), [BV(x0, d), acc], body)
+    assert a is acc and eng.mask is saved
+    want = x0.copy()
+    for lane in np.ndindex(*outer):
+        for i in range(counts[lane]):
+            want[lane] = want[lane] * 2.0 + i
+    np.testing.assert_array_equal(_full(x, outer), want)
+    assert len(masks) == counts.max()
+    outer_on = np.ones(outer, bool) if not masked else eng.mask.data
+    uniform = counts.size == 1
+    for i, m in enumerate(masks):
+        if uniform:
+            assert m is None if not masked else (m == outer_on).all()
+        else:
+            np.testing.assert_array_equal(m, outer_on & (i < counts))
+    # no trip: the initial state comes back as an array of its own
+    view = np.arange(4.0)[1:]
+    (y,) = V._loop(eng, BV(np.int64(0), 0), [BV(view, 0)], body)
+    assert y.data.flags.owndata and not np.shares_memory(y.data, view)
+
+
+@both
+def test_while_kernel_under_a_batched_condition_and_out_of_fuel(masked, monkeypatch):
+    eng = _eng((4,), masked)
+    saved = eng.mask
+    outer_on = np.ones(4, bool) if not masked else eng.mask.data.copy()
+    limit = np.array([0.0, 3.0, 1.0, 5.0])
+    cond = _scalars((4,), lambda x: (x < limit,))
+    seen = []
+
+    def body(e, vals):
+        seen.append(e.mask.data.copy())
+        return (BV(vals[0].data + 1.0, 1),)
+
+    (x,) = V._while(eng, [BV(np.zeros(4), 1)], cond, body)
+    want = np.where(outer_on, limit, 0.0)
+    np.testing.assert_array_equal(x.data, want)
+    assert len(seen) == int(want.max()) and eng.mask is saved
+    for k, m in enumerate(seen):
+        np.testing.assert_array_equal(m, outer_on & (k < limit))
+    monkeypatch.setattr(exec_values, "WHILE_FUEL", 3)
+    forever = _scalars((4,), lambda x: (x == x,))
+    with pytest.raises(ExecError, match=r"exceeded iteration fuel \(3 iterations\)"):
+        V._while(eng, [BV(np.zeros(4), 1)], forever, body)
+
+
+@depths
+def test_generic_fold_and_scan_kernels_collect_one_column_per_result(bshape):
+    rng = np.random.default_rng(5)
+    eng, d = _eng(bshape, False), len(bshape)
+    xs, ys = _rand(rng, bshape, 4), _rand(rng, bshape, 4)
+    nes = [BV(np.float64(0.5), 0), BV(np.float64(1.0), 0)]
+
+    def op(e, vals):  # (sum of x, running product of y)
+        a, b, x, y = vals
+        assert x.bdims == d and e.bstack == list(bshape)
+        return V._elem(np.add, a, x), V._elem(np.multiply, b, y)
+
+    red = V._fold(eng, [BV(xs, d), BV(ys, d)], nes, op)
+    scn = V._fold_scan(eng, [BV(xs, d), BV(ys, d)], nes, op)
+    want_s = 0.5 + np.cumsum(xs, axis=-1)
+    want_p = np.cumprod(ys, axis=-1)
+    np.testing.assert_allclose(_full(red[0], bshape), want_s[..., -1], rtol=1e-14)
+    np.testing.assert_allclose(_full(red[1], bshape), want_p[..., -1], rtol=1e-14)
+    np.testing.assert_allclose(_full(scn[0], bshape), want_s, rtol=1e-14)
+    np.testing.assert_allclose(_full(scn[1], bshape), want_p, rtol=1e-14)
+
+
+@depths
+def test_redomap_fold_and_hist_kernels_over_no_elements(bshape):
+    """An empty extent: the neutral element on every lane (reduce), an empty
+    array (scan), ``m`` bins of it (hist); a redomap's map part and a generic
+    operator never run — a hist's map part runs once, on no lanes."""
+    eng, d = _eng(bshape, False), len(bshape)
+    empty = BV(np.zeros(bshape + (0,)), d)
+    ne = BV(np.float64(7.0), 0)
+    ran = []
+
+    def body(e, vals):
+        ran.append(list(e.bstack))
+        return (vals[0],)
+
+    (r,) = V._redomap(eng, [empty], [ne], "add", True, False, body)
+    assert r.bdims == d and _full(r, bshape).shape == bshape and (r.data == 7.0).all()
+    (sc,) = V._redomap_scan(eng, [empty], [ne], "add", True, False, body)
+    assert sc.data.shape == (0,)
+    assert V._fold(eng, [empty], [ne], body) == [ne]
+    (col,) = V._fold_scan(eng, [empty], [ne], body)
+    assert col.data.shape == (0,)
+    inds = BV(np.zeros(bshape + (0,), dtype=np.int64), d)
+    (h,) = V._hist_fold(eng, 2, [inds, empty], [ne], body)
+    assert ran == [] and h.data.shape == bshape + (2,) and (h.data == 7.0).all()
+    (h,) = V._hist_redomap(eng, 2, [inds, empty], [ne], "add", False, body)
+    assert ran == [list(bshape) + [0]] and h.data.shape == bshape + (2,) and (h.data == 7.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -481,3 +662,25 @@ def test_copy_and_scratch_serve_large_results_from_the_free_list(pool):
     eng = _eng((2,), False)
     sc = V._scratch(eng, BV(np.array([5, 3]), 1), BV(np.ones((2, 3)), 1))
     assert sc.data is dirty2 and not sc.data.any()
+
+
+def test_redomap_kernels_offer_a_spare_map_part_result_once_folded(pool):
+    """``spare``: lowering proved the map part's result a buffer nobody else
+    holds, so the kernel hands it to the free list after folding it."""
+    key = ((16,), np.dtype(np.float64))
+    eng = _eng((), False)
+    xs = BV(np.arange(16.0), 0)
+    inds = BV(np.zeros(16, dtype=np.int64), 0)
+    part = lambda e, vals: (BV(vals[-1].data * 2.0, 1),)  # noqa: E731
+    ne = [BV(np.float64(0.0), 0)]
+    for run in (
+        lambda spare: V._redomap(eng, [xs], ne, "add", False, spare, part),
+        lambda spare: V._redomap_scan(eng, [xs], ne, "add", False, spare, part),
+        lambda spare: V._hist_redomap(eng, 1, [inds, xs], ne, "add", spare, part),
+    ):
+        pool.out[key] = 1
+        (out,) = run(False)
+        assert V.pool_bytes() == 0
+        (again,) = run(True)
+        assert V.pool_bytes() == 128 and again.data.tobytes() == out.data.tobytes()
+        V.clear_pool()

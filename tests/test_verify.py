@@ -535,6 +535,20 @@ def test_plan_recycle_of_a_body_result_rejected(monkeypatch):
         verify_plan_ir(ir)
 
 
+def test_plan_spare_mark_on_a_map_part_result_it_does_not_own_rejected(monkeypatch):
+    # The fold kernel offers a ``spare`` map part's result to the free list;
+    # a parameter handed straight through is not a buffer the map part made.
+    ir = _lowered(lambda v: rp.reduce(lambda a, x: a + rp.sin(x) * x, 0.0, v),
+                  (np.ones(4),), monkeypatch)
+    (red,) = ir.body.instrs
+    assert red.strategy == "redomap" and red.spare
+    red.mbody.result = tuple(Ref(slot=s, name=n) for s, n in red.mparams)
+    with pytest.raises(
+        VerifyError, match=r"offers the map part's result, slot .* which no allocating kernel"
+    ):
+        verify_plan_ir(ir)
+
+
 def test_plan_recycle_of_an_index_result_rejected(monkeypatch):
     ir, _first, run, pos = _pool_plan(monkeypatch)
     reader = next(o for o in run.ops if pos in o.release)
