@@ -23,13 +23,13 @@ per-seed loop (the only strategy available on the ``ref`` backend).
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from ..exec.registry import batched_backends, default_backend, get_backend
 from ..frontend.function import Compiled, compile_fun
-from ..ir.ast import Fun
+from ..ir.ast import Body, Fun
 from ..ir.types import is_float, rank_of
 from ..opt.pipeline import AD_SAFE_PASSES, optimize_fun
 from ..opt.while_bound import while_bound_fun
@@ -81,6 +81,24 @@ class ADFunction(Compiled):
         self.n_primal_out = n_primal_out
 
 
+def _project(fun: Fun, keep: slice) -> Fun:
+    """``fun`` returning only ``fun.body.result[keep]``, with its parameter
+    list unchanged: the optimiser's DCE then drops the work that only the
+    other results needed."""
+    return Fun(fun.name, fun.params, Body(fun.body.stms, fun.body.result[keep]))
+
+
+def _vjp_fun(f: FunLike, acc_opt: bool, wrt) -> Tuple[Fun, int]:
+    """The unoptimised reverse-mode program of ``f`` and ``f``'s result count."""
+    fun = _pre_ad(_fun_of(f))
+    out = vjp_fun(fun, wrt=wrt)
+    if acc_opt:
+        from ..opt.acc_opt import acc_opt_fun
+
+        out = acc_opt_fun(out)
+    return out, len(fun.body.result)
+
+
 def vjp(
     f: FunLike, optimize: bool = True, acc_opt: bool = True, wrt=None, passes=None
 ) -> ADFunction:
@@ -94,13 +112,8 @@ def vjp(
     applied to the *derivative* program (the pre-AD pipeline always runs the
     AD-safe set).
     """
-    fun = _pre_ad(_fun_of(f))
-    out = vjp_fun(fun, wrt=wrt)
-    if acc_opt:
-        from ..opt.acc_opt import acc_opt_fun
-
-        out = acc_opt_fun(out)
-    return ADFunction(out, len(fun.body.result), optimize=optimize, passes=passes)
+    out, n_res = _vjp_fun(f, acc_opt, wrt)
+    return ADFunction(out, n_res, optimize=optimize, passes=passes)
 
 
 def jvp(f: FunLike, optimize: bool = True, passes=None) -> ADFunction:
@@ -115,18 +128,21 @@ def jvp(f: FunLike, optimize: bool = True, passes=None) -> ADFunction:
 
 def grad(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> Callable:
     """Gradient of a scalar-valued function: ``grad(f)(*args)`` returns the
-    adjoints of the (``wrt``-selected) float parameters."""
+    adjoints of the (``wrt``-selected) float parameters.
+
+    ``run.adfun`` is the vjp projected to those adjoints: it takes
+    ``(*args, seed)`` like ``vjp(f)`` but neither computes nor returns ``y``.
+    """
     fun = _fun_of(f)
-    n_res = len(fun.body.result)
     r0 = fun.body.result[0].type
-    if n_res != 1 or not is_float(r0) or rank_of(r0) != 0:
+    if len(fun.body.result) != 1 or not is_float(r0) or rank_of(r0) != 0:
         raise ADError("grad: function must return a single float scalar")
-    g = vjp(f, optimize=optimize, wrt=wrt, passes=passes)
+    out, n_res = _vjp_fun(f, True, wrt)
+    g = ADFunction(_project(out, slice(n_res, None)), 0, optimize=optimize, passes=passes)
 
     def run(*args, backend: Optional[str] = None):
-        res = _as_tuple(g(*args, 1.0, backend=backend or default_backend()))
-        adjs = res[1:]
-        return adjs[0] if len(adjs) == 1 else adjs
+        # ``Compiled`` unwraps a single adjoint.
+        return g(*args, 1.0, backend=backend or default_backend())
 
     run.adfun = g  # type: ignore[attr-defined]
     return run
@@ -254,7 +270,9 @@ def hessian_diag(f: FunLike, wrt: int = 0) -> Callable:
     # not run until the final ADFunction compilation.
     gradf = acc_opt_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES))
     hof = jvp_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES))
-    compiled = ADFunction(hof, len(gradf.body.result))
+    # hof returns (y, x̄, ẏ, x̄̇); keep only x̄̇ = (d/dε)∇f(x+ε·1) = H·1, so
+    # DCE drops the primal re-run that only y and ẏ needed.
+    compiled = ADFunction(_project(hof, slice(-1, None)), 0)
 
     # Derive (and check) the tangent ordering from the actual parameter
     # lists rather than trusting positional conventions.
@@ -295,9 +313,7 @@ def hessian_diag(f: FunLike, wrt: int = 0) -> Callable:
                 tangents.append(np.ones_like(a) if i == wrt else np.zeros_like(a))
             else:  # the adjoint seed: constant 1.0, so its tangent is zero
                 tangents.append(0.0)
-        out = compiled(*args, 1.0, *tangents, backend=backend)
-        # Results: (y, x̄, ẏ, x̄̇) — the last is (d/dε)∇f(x+ε·1) = H·1.
-        return np.asarray(out[-1])
+        return np.asarray(compiled(*args, 1.0, *tangents, backend=backend))
 
     run.adfun = compiled  # type: ignore[attr-defined]
     return run

@@ -14,7 +14,8 @@ Conventions for bundling (all "float positions" in order, primals first):
   lambda results ``(acc..., acċ..., r..., ṙ...)``;
 * ``Reduce/Scan/Hist``: the operator is lifted to dual numbers — params
   ``(acc..., acċ..., x..., ẋ...)`` — which preserves associativity because
-  differentiation commutes with composition;
+  differentiation commutes with composition (a min/max ``reduce`` keeps its
+  canonical primal beside the lifted fold);
 * ``Loop/While/If``: state/result tuples are extended with tangents.
 """
 from __future__ import annotations
@@ -55,12 +56,14 @@ from ..ir.ast import (
     WithAcc,
     ZerosLike,
 )
+from ..ir.analysis import recognize_binop_lambda
 from ..ir.builder import Builder, const
+from ..ir.traversal import refresh_lambda
 from ..ir.typecheck import check_fun
 from ..ir.validate import validate_fun
 from ..ir.types import elem_type, is_float
 from ..util import ADError, fresh
-from .rules_scalar import binop_partials, unop_partial
+from .rules_scalar import binop_partials, minmax_takes_x, unop_partial
 
 __all__ = ["jvp_fun"]
 
@@ -148,7 +151,7 @@ class _JVP:
         if e.op in ("min", "max"):
             # Select the winner's tangent rather than weighting both by 0/1
             # masks: 0·inf would poison the result with the loser's tangent.
-            c = b.binop("le" if e.op == "min" else "ge", e.x, e.y, "d")
+            c = minmax_takes_x(b, e.op, e.x, e.y)
             dt = b.select(c, self.tangent(e.x), self.tangent(e.y), v.name + "_dot")
             self._set_tan(v, dt, b)
             return
@@ -337,6 +340,18 @@ class _JVP:
         return new_lam, tuple(nes) + tuple(dnes), floats
 
     def _jvp_Reduce(self, stm: Stm, e: Reduce, b: Builder) -> None:
+        y = stm.pat[0]
+        if (len(e.nes) == 1 and is_float(y.type)
+                and recognize_binop_lambda(e.lam) in ("min", "max")):
+            # y stays the canonical reduce and ẏ gets its own lifted fold:
+            # where only y is used (the first-index reduce of a vjp), DCE
+            # drops the fold and no element-at-a-time reduce is left.
+            self._bind(stm, b)
+            new_lam, new_nes, _ = self._lift_operator(refresh_lambda(e.lam), e.nes, b)
+            darr = self.tangent(e.arrs[0])
+            _, dy = b.reduce(new_lam, new_nes, (e.arrs[0], darr), names=[y.name, y.name + "_dot"])
+            self.tan[y.name] = dy
+            return
         new_lam, new_nes, floats = self._lift_operator(e.lam, e.nes, b)
         darrs = [self.tangent(a) for a, fl in zip(e.arrs, floats) if fl]
         new_arrs = tuple(e.arrs) + tuple(darrs)  # type: ignore[arg-type]

@@ -4,9 +4,9 @@ The specialised operators mirror the reduce rules, per bin, with the
 histogram adjoint gathered through the index array:
 
 * ``+``   : ās[i] += h̄[inds[i]] (a gather, guarded for out-of-range);
-* ``min``/``max`` : the forward sweep computes per-bin argmin/argmax; the
-  return sweep scatters each bin's adjoint to its winning element (a map
-  over bins accumulating into ās);
+* ``min``/``max`` : the forward sweep adds per bin the first index holding
+  the bin's extremum; the return sweep scatters each bin's adjoint to that
+  element (a map over bins accumulating into ās);
 * ``*``   : the forward sweep keeps per-bin zero counts and non-zero
   products; the return sweep distributes like reduce-``*``.
 
@@ -25,14 +25,12 @@ from ..ir.ast import (
     Size,
     Stm,
     Var,
-    WithAcc,
 )
 from ..ir.builder import Builder, const
 from ..ir.types import AccType, I64, elem_type, is_float, rank_of
-from ..util import ADError, fresh
-from ..ir.ast import Lambda as _Lam  # noqa: F401 (re-export convenience)
+from ..util import fresh
 from .adjoint import AdjScope
-from .rules_reduce import argminmax_lambda
+from .rules_reduce import NO_INDEX, first_hit, op_lambda
 
 __all__ = ["fwd_hist", "rev_hist"]
 
@@ -54,18 +52,12 @@ def fwd_hist(vjp, stm: Stm, e: ReduceByIndex, b: Builder):
         zf = xb.select(isz, const(1, I64), const(0, I64), "zf")
         nzv = xb.select(isz, const(1.0, et), x, "nzv")
         zflags, nzvals = b.map(Lambda((x,), xb.finish([zf, nzv])), [arr], names=["zf", "nzv"])
-        a1 = Var(fresh("a"), I64)
-        a2 = Var(fresh("b"), I64)
-        ab = Builder()
-        s = ab.add(a1, a2, "s")
-        addl = Lambda((a1, a2), ab.finish([s]))
-        (nz,) = b.reduce_by_index(e.num_bins, addl, [const(0, I64)], e.inds, [zflags], names=["nz"])
-        m1 = Var(fresh("a"), et)
-        m2 = Var(fresh("b"), et)
-        mb = Builder()
-        pr = mb.mul(m1, m2, "p")
-        mull = Lambda((m1, m2), mb.finish([pr]))
-        (p,) = b.reduce_by_index(e.num_bins, mull, [const(1.0, et)], e.inds, [nzvals], names=["p"])
+        (nz,) = b.reduce_by_index(
+            e.num_bins, op_lambda("add", I64), [const(0, I64)], e.inds, [zflags], names=["nz"]
+        )
+        (p,) = b.reduce_by_index(
+            e.num_bins, op_lambda("mul", et), [const(1.0, et)], e.inds, [nzvals], names=["p"]
+        )
         c = Var(fresh("c"), I64)
         pp = Var(fresh("p"), et)
         hb = Builder()
@@ -74,15 +66,21 @@ def fwd_hist(vjp, stm: Stm, e: ReduceByIndex, b: Builder):
         (h,) = b.map(Lambda((c, pp), hb.finish([hv])), [nz, p], names=["h"])
         b.emit_into(stm.pat, AtomExp(h))
         return {"kind": "mul", "nz": nz, "p": p}
-    # min / max: per-bin argmin.
+    # min / max: the canonical histogram, then per bin the first index
+    # holding the bin's extremum (a bulk map and an integer ``min`` histogram;
+    # out-of-range elements are dropped by both).
+    b.emit_into(stm.pat, e)
     n = b.emit1(Size(arr), "n")
     idxs = b.emit1(Iota(n), "is")
-    lam = argminmax_lambda(et, op)
-    ninf = const(float("inf") if op == "min" else float("-inf"), et)
-    hv, hi = b.reduce_by_index(
-        e.num_bins, lam, [ninf, const(2**62, I64)], e.inds, [arr, idxs], names=["hv", "hi"]
+    ix, v, i = Var(fresh("ix"), elem_type(e.inds.type)), Var(fresh("v"), et), Var(fresh("i"), I64)
+    hb = Builder()
+    mm1 = hb.sub(e.num_bins, const(1, I64), "mm1")
+    safe = hb.binop("min", hb.binop("max", ix, const(0, I64), "s0"), mm1, "safe")
+    hit = first_hit(hb, v, hb.index(stm.pat[0], (safe,), "y"), i)
+    (hits,) = b.map(Lambda((ix, v, i), hb.finish([hit])), [e.inds, arr, idxs], names=["hits"])
+    (hi,) = b.reduce_by_index(
+        e.num_bins, op_lambda("min", I64), [const(NO_INDEX, I64)], e.inds, [hits], names=["hi"]
     )
-    b.emit_into(stm.pat, AtomExp(hv))
     return {"kind": op, "hi": hi, "n": n}
 
 

@@ -11,35 +11,29 @@ The special cases (§5.1.1) replace this 5-pass pipeline:
 * ``+``   : ā += ȳ (broadcast);
 * ``*``   : forward sweep counts zeros and multiplies non-zeros; the return
   sweep distributes ``ȳ·(y/aᵢ)`` / ``ȳ·p`` according to the zero count;
-* ``min``/``max`` : forward sweep computes the argmin/argmax (tuple reduce);
-  only the winning element receives ``ȳ``.
+* ``min``/``max`` : ``y`` stays the canonical reduce; the forward sweep adds
+  the first index holding ``y`` (``first_index``: a bulk map and an integer
+  ``reduce min``, no tuple operator), and only that element receives ``ȳ``.
+  ``jvp`` lifts the operator, whose tangent follows the same element
+  (``rules_scalar.minmax_takes_x``).
 """
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from ..ir.analysis import recognize_binop_lambda
-from ..ir.ast import (
-    AtomExp,
-    Atom,
-    BinOp,
-    Const,
-    Index,
-    Iota,
-    Lambda,
-    Reduce,
-    Select,
-    Size,
-    Stm,
-    Var,
-)
-from ..ir.builder import Builder, const, const_like
+from ..ir.ast import AtomExp, Atom, Iota, Lambda, Reduce, Size, Stm, Var
+from ..ir.builder import Builder, const
 from ..ir.traversal import free_vars
-from ..ir.types import BOOL, I64, elem_type, is_float
+from ..ir.types import I64, elem_type, is_float
 from ..util import ADError, fresh
 from .adjoint import AdjScope, inline_lambda
 
-__all__ = ["fwd_reduce", "rev_reduce", "lifted_op", "argminmax_lambda"]
+__all__ = ["fwd_reduce", "rev_reduce", "lifted_op", "op_lambda", "first_hit",
+           "first_index", "NO_INDEX"]
+
+#: Neutral element of a first-index reduce: past the end of any array.
+NO_INDEX = 2**62
 
 
 def lifted_op(lam: Lambda) -> Lambda:
@@ -58,21 +52,35 @@ def lifted_op(lam: Lambda) -> Lambda:
     return Lambda((a, b_, da, db), body)
 
 
-def argminmax_lambda(et, op: str) -> Lambda:
-    """Tuple-reduce operator computing (extremal value, first index)."""
-    v1 = Var(fresh("v1"), et)
-    i1 = Var(fresh("i1"), I64)
-    v2 = Var(fresh("v2"), et)
-    i2 = Var(fresh("i2"), I64)
-    b = Builder()
-    better = b.binop("lt" if op == "min" else "gt", v1, v2, "bt")
-    eq = b.binop("eq", v1, v2, "eq")
-    ile = b.binop("le", i1, i2, "ile")
-    tie = b.binop("and", eq, ile, "tie")
-    take1 = b.binop("or", better, tie, "take1")
-    v = b.select(take1, v1, v2, "v")
-    i = b.select(take1, i1, i2, "i")
-    return Lambda((v1, i1, v2, i2), b.finish([v, i]))
+def op_lambda(op: str, ty) -> Lambda:
+    """The canonical operator ``\\a b -> a `op` b`` on scalars of type ``ty``."""
+    a, b_ = Var(fresh("a"), ty), Var(fresh("b"), ty)
+    lb = Builder()
+    return Lambda((a, b_), lb.finish([lb.binop(op, a, b_, "r")]))
+
+
+def first_hit(b: Builder, v: Atom, y: Atom, i: Atom) -> Var:
+    """``i`` if element ``v`` is the extremum ``y`` or is NaN, else
+    ``NO_INDEX``: a ``reduce min`` over these is the first index holding the
+    extremum.  min/max propagate NaN, so a NaN extremum routes to the first
+    NaN, as ``np.argmin`` does."""
+    eq = b.binop("eq", v, y, "eq")
+    nan = b.binop("ne", v, v, "nan")
+    hit = b.binop("or", eq, nan, "hit")
+    return b.select(hit, i, const(NO_INDEX, I64), "hi")
+
+
+def first_index(b: Builder, arr: Var, y: Atom) -> Tuple[Var, Var]:
+    """``(iota n, iy)``: ``iy`` is the first index of ``arr`` holding its
+    extremum ``y``, ``NO_INDEX`` for an empty ``arr``.  A bulk ``map`` and an
+    integer ``reduce min``, which lower to ufunc/redomap, not to a fold."""
+    idxs = b.emit1(Iota(b.emit1(Size(arr), "n")), "is")
+    v, i = Var(fresh("v"), elem_type(arr.type)), Var(fresh("i"), I64)
+    hb = Builder()
+    hi = first_hit(hb, v, y, i)
+    (hits,) = b.map(Lambda((v, i), hb.finish([hi])), [arr, idxs], names=["hits"])
+    (iy,) = b.reduce(op_lambda("min", I64), [const(NO_INDEX, I64)], [hits], names=["iy"])
+    return idxs, iy
 
 
 def fwd_reduce(vjp, stm: Stm, e: Reduce, b: Builder):
@@ -107,14 +115,9 @@ def fwd_reduce(vjp, stm: Stm, e: Reduce, b: Builder):
         y = b.select(has0, p, const(0.0, et), "y")
         b.emit_into(stm.pat, AtomExp(y))
         return {"kind": "mul", "nz": nz, "p": p}
-    # min / max: the common argmin trick.
-    n = b.emit1(Size(arr), "n")
-    idxs = b.emit1(Iota(n), "is")
-    lam = argminmax_lambda(et, op)
-    ninf = const(float("inf") if op == "min" else float("-inf"), et)
-    y, iy = b.reduce(lam, [ninf, const(2**62, I64)], [arr, idxs], names=["y", "iy"])
-    b.emit_into(stm.pat, AtomExp(y))
-    return {"kind": op, "iy": iy, "n": n}
+    b.emit_into(stm.pat, e)
+    idxs, iy = first_index(b, arr, stm.pat[0])
+    return {"kind": op, "idxs": idxs, "iy": iy}
 
 
 def rev_reduce(vjp, stm: Stm, e: Reduce, aux, sc: AdjScope) -> None:
@@ -154,15 +157,25 @@ def rev_reduce(vjp, stm: Stm, e: Reduce, aux, sc: AdjScope) -> None:
         return
 
     if kind in ("min", "max"):
-        iy, n = aux["iy"], aux["n"]
-        # Guarded one-hot contribution: only the winning index receives ȳ
-        # (branch-free so it also works in accumulator mode / empty arrays).
-        inb = b.binop("lt", iy, n, "inb")
-        nm1 = b.sub(n, const(1, I64), "nm1")
-        safe = b.binop("min", iy, nm1, "safe")
+        # Only the first element holding y receives ȳ.
+        idxs, iy = aux["idxs"], aux["iy"]
         zero = const(0.0, et)
-        cv = b.select(inb, ybar, zero, "cv")
-        sc.add_at(arr, (safe,), cv)
+        if arr.name in sc.acc_env:
+            # A free array of an enclosing map: one update of its accumulator,
+            # of 0 when no element holds y (a non-identity neutral element).
+            # An empty array has no slot to update and fails loudly.
+            n = b.emit1(Size(arr), "n")
+            inb = b.binop("lt", iy, n, "inb")
+            safe = b.binop("min", iy, b.sub(n, const(1, I64), "nm1"), "safe")
+            sc.add_at(arr, (safe,), b.select(inb, ybar, zero, "cv"))
+            return
+        # Value mode: a one-hot map, as cheap as the copy an update makes.
+        i = Var(fresh("i"), I64)
+        ob = Builder()
+        at = ob.binop("eq", i, iy, "at")
+        cv = ob.select(at, ybar, zero, "cv")
+        (contrib,) = b.map(Lambda((i,), ob.finish([cv])), [idxs], names=["c"])
+        sc.add(arr, contrib)
         return
 
     # ----- general rule: two exclusive scans + a map of the local vjp -------

@@ -16,7 +16,7 @@ from ..ir.builder import Builder, const_like
 from ..ir.types import elem_type, is_float
 from ..util import ADError
 
-__all__ = ["unop_partial", "binop_partials", "is_diff_atom"]
+__all__ = ["unop_partial", "binop_partials", "minmax_takes_x", "is_diff_atom"]
 
 
 def is_diff_atom(a: Atom) -> bool:
@@ -73,6 +73,15 @@ def unop_partial(b: Builder, op: str, x: Atom, primal: Atom) -> Optional[Atom]:
     raise ADError(f"no derivative rule for unary op {op!r}")
 
 
+def minmax_takes_x(b: Builder, op: str, x: Atom, y: Atom) -> Atom:
+    """Whether ``x `op` y`` (``min``/``max``) returned ``x``: it wins ties, and
+    a NaN ``x`` is what the operator propagated.  Derivatives follow that
+    operand, so a left fold routes them to the first extremal element — the
+    first NaN, if any — as the reduce rule does (``rules_reduce``)."""
+    c = b.binop("le" if op == "min" else "ge", x, y, "d")
+    return b.binop("or", c, b.binop("ne", x, x, "nan"), "d")
+
+
 def binop_partials(
     b: Builder, op: str, x: Atom, y: Atom, primal: Atom
 ) -> Tuple[Optional[Atom], Optional[Atom]]:
@@ -99,14 +108,8 @@ def binop_partials(
         lx = b.unop("log", x, "d")
         dy = b.mul(primal, lx, "d")
         return dx, dy
-    if op == "min":
-        c = b.binop("le", x, y, "d")
-        zero = const_like(0.0, x)
-        dx = b.select(c, one, zero, "d")
-        dy = b.select(c, zero, one, "d")
-        return dx, dy
-    if op == "max":
-        c = b.binop("ge", x, y, "d")
+    if op in ("min", "max"):
+        c = minmax_takes_x(b, op, x, y)
         zero = const_like(0.0, x)
         dx = b.select(c, one, zero, "d")
         dy = b.select(c, zero, one, "d")

@@ -64,7 +64,7 @@ from ..ir.validate import validate_fun
 from ..ir.types import elem_type, is_float, rank_of
 from ..util import ADError, fresh
 from .adjoint import AdjScope
-from .rules_scalar import binop_partials, unop_partial
+from .rules_scalar import binop_partials, minmax_takes_x, unop_partial
 
 __all__ = ["vjp_fun", "VJP"]
 
@@ -172,7 +172,7 @@ class VJP:
             # Route the adjoint to the winner (as ``_jvp_BinOp`` routes the
             # tangent) rather than weighting it by 0/1 masks: 0·inf would
             # hand the loser a nan.
-            c = sc.b.binop("le" if e.op == "min" else "ge", e.x, e.y, "d")
+            c = minmax_takes_x(sc.b, e.op, e.x, e.y)
             zero = const_like(0.0, stm.pat[0])
             if isinstance(e.x, Var):
                 sc.add(e.x, sc.b.select(c, ybar, zero, "c"))

@@ -104,16 +104,15 @@ class BoundedLRU:
             return v
 
     def put(self, key, value, capacity: int) -> int:
-        """Store ``key``; evict least-recent entries beyond ``capacity``
-        (``capacity <= 0`` means unbounded).  Returns the eviction count."""
+        """Store ``key``; evict least-recent entries beyond ``capacity``.
+        Returns the eviction count."""
         with self._lock:
             self._d[key] = value
             self._d.move_to_end(key)
             n = 0
-            if capacity > 0:
-                while len(self._d) > capacity:
-                    self._d.popitem(last=False)
-                    n += 1
+            while len(self._d) > capacity:
+                self._d.popitem(last=False)
+                n += 1
             return n
 
     def __len__(self) -> int:

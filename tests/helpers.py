@@ -68,6 +68,24 @@ def run_both(fc, *args):
     return r_ref
 
 
+def argmin_pair_lambda():
+    """The coupled ``(v, i)`` argmin operator: ``(v1, i1) ⊙ (v2, i2)`` keeps
+    the smaller value, the first index on a tie.  Neither component can be
+    computed without the other's parameters (what fission must not split)."""
+    from repro.ir import F64, I64, Lambda, Var
+    from repro.ir.builder import Builder
+    from repro.util import fresh
+
+    v1, i1, v2, i2 = (Var(fresh(n), t) for n, t in
+                      (("v1", F64), ("i1", I64), ("v2", F64), ("i2", I64)))
+    b = Builder()
+    better = b.binop("lt", v1, v2, "bt")
+    tie = b.binop("and", b.binop("eq", v1, v2, "eq"), b.binop("le", i1, i2, "ile"), "tie")
+    take1 = b.binop("or", better, tie, "take1")
+    return Lambda((v1, i1, v2, i2), b.finish([b.select(take1, v1, v2, "v"),
+                                               b.select(take1, i1, i2, "i")]))
+
+
 def reduce_census(fun):
     """``(kind, strategy)`` of every reduce/scan/hist instruction the plan
     lowering emits for ``fun`` (nested bodies included)."""

@@ -1,0 +1,87 @@
+"""``grad`` and ``hessian_diag`` compile only the results they return.
+
+``rp.grad`` keeps the adjoints of its vjp and ``rp.hessian_diag`` keeps x̄̇
+of its ``jvp ∘ vjp``.  Each is checked against the program before that cut,
+on every cold-compiled benchmark derivative that goes through one of the two
+(the HAND jvp and the BA vjp are not cut).  The parameter list must be the
+same, only the returned results may be left, and there must be fewer
+statements.  The values must be bitwise-equal to the uncut program's
+matching outputs.
+"""
+import numpy as np
+import pytest
+
+import repro as rp
+from repro.apps import datagen, gmm, kmeans, kmeans_sparse, lstm, rsbench, xsbench
+from repro.core.api import _pre_ad
+from repro.core.jvp import jvp_fun
+from repro.core.vjp import vjp_fun
+from repro.ir.traversal import count_stms
+from repro.opt.acc_opt import acc_opt_fun
+from repro.opt.pipeline import AD_SAFE_PASSES, optimize_fun
+
+
+def _inputs():
+    """``name -> (build_ir, wrt, inputs)`` at the reduced sizes of
+    ``helpers.cold_programs``."""
+    lstm_inp = datagen.lstm_instance(2, 3, 4, 4, 0)
+    xs_inp = datagen.xs_instance(30, 6, 16, 0)
+    return {
+        "gmm": (lambda: gmm.build_ir(16, 4, 3), [0, 1, 2], datagen.gmm_instance(16, 4, 3, 0)[:4]),
+        "kmeans": (lambda: kmeans.build_ir(40, 3, 4), [1], datagen.kmeans_instance(3, 40, 4, 0)),
+        "kmeans_sparse": (lambda: kmeans_sparse.build_ir(20, 3, 12), [3],
+                          datagen.sparse_kmeans_instance(20, 12, 3, 3, 0)),
+        "lstm": (lambda: lstm.build_ir(3, 2, 4, 4), [1, 2, 3, 4],
+                 lstm_inp[:5] + lstm_inp[7:]),
+        "xsbench": (lambda: xsbench.build_ir(30, 6, 16, xs_inp[3].shape[1]), [1, 4], xs_inp),
+        "rsbench": (lambda: rsbench.build_ir(40, 4, 12), [2, 3], datagen.rs_instance(40, 12, 4, 0)),
+    }
+
+
+def _bitwise(got, want) -> None:
+    got = got if isinstance(got, tuple) else (got,)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _same_params(cut, full, primal) -> None:
+    """Same parameter types, and the primal's parameters by name (seeds and
+    tangents get fresh names in every transform)."""
+    assert [p.type for p in cut.params] == [p.type for p in full.params]
+    names = [p.name for p in primal.params]
+    assert [p.name for p in cut.params][:len(names)] == names
+
+
+@pytest.mark.parametrize("name", list(_inputs()))
+def test_grad_is_the_vjp_cut_to_its_adjoints(name):
+    build_ir, wrt, inp = _inputs()[name]
+    fc = rp.compile(build_ir())
+    g = rp.grad(fc, wrt=wrt)
+    full = rp.vjp(fc, wrt=wrt)
+    cut = g.adfun.fun
+    _same_params(cut, full.fun, fc.fun)
+    assert len(full.fun.body.result) == 1 + len(wrt) == 1 + len(cut.body.result)
+    assert count_stms(cut) < count_stms(full.fun)
+    for be in ("ref", "plan"):
+        _bitwise(g.adfun(*inp, 1.0, backend=be), full(*inp, 1.0, backend=be)[1:])
+        _bitwise(g(*inp, backend=be), full(*inp, 1.0, backend=be)[1:])
+
+
+def test_hessian_diag_is_the_jvp_of_vjp_cut_to_its_last_result():
+    build_ir, _wrt, (pts, ctr) = _inputs()["kmeans"]
+    fc = rp.compile(build_ir())
+    h = rp.hessian_diag(fc, wrt=1)
+    # The uncut program, through the same stages as ``hessian_diag``.
+    gradf = vjp_fun(_pre_ad(fc.fun), wrt=[1])
+    gradf = acc_opt_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES))
+    full = rp.compile(jvp_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES)))
+    cut = h.adfun.fun
+    _same_params(cut, full.fun, fc.fun)
+    assert len(full.fun.body.result) == 4 and len(cut.body.result) == 1
+    assert count_stms(cut) < count_stms(full.fun)
+    args = (pts, ctr, 1.0, np.zeros_like(pts), np.ones_like(ctr), 0.0)
+    for be in ("ref", "plan"):
+        _bitwise(h.adfun(*args, backend=be), full(*args, backend=be)[-1:])
+        _bitwise(h(pts, ctr, backend=be), full(*args, backend=be)[-1:])

@@ -4,15 +4,14 @@ into one SOAC per independent component group.
 Unit tests pin *what* splits (independent components) and what must not
 (argmin-style coupled operators); the differential tests run the k-means,
 GMM and HAND derivatives with and without the pass against each other and
-against the apps' hand-written derivatives; the census pins the strategy the
-two `kmeans_newton` plans end up on.
+against the apps' hand-written derivatives; the census pins that the
+`kmeans_newton` and `gmm_grad` plans keep no generic fold.
 """
 import numpy as np
 import pytest
 
 import repro as rp
 from repro.apps import datagen, gmm, hand, kmeans
-from repro.core.rules_reduce import argminmax_lambda
 from repro.ir import F64, I64, Fun, Lambda, Var, array
 from repro.ir.analysis import recognize_binop_lambda
 from repro.ir.ast import Reduce, ReduceByIndex, Scan
@@ -20,7 +19,7 @@ from repro.ir.builder import Builder, const
 from repro.ir.typecheck import check_fun
 from repro.opt.fission import component_groups, fission_fun, fission_stats
 from repro.opt.pipeline import AD_SAFE_PASSES, clear_opt_cache
-from helpers import reduce_census, vector_call_census
+from helpers import argmin_pair_lambda, reduce_census
 
 rng = np.random.default_rng(11)
 
@@ -64,7 +63,7 @@ def test_argmin_pair_and_argmin_with_tangent_stay_whole():
     xs = Var("xs", array(F64))
     b = Builder()
     idx = b.iota(b.emit1(rp.ir.ast.Size(xs), "n"))
-    lam = argminmax_lambda(F64, "min")
+    lam = argmin_pair_lambda()
     b.reduce(lam, [const(np.inf, F64), const(2**62, I64)], [xs, idx], names=["y", "iy"])
     fun = Fun("argmin", (xs,), b.finish(b.stms[-1].pat))
     assert component_groups(lam, 2) == [(0, 1)]
@@ -234,29 +233,20 @@ def test_hand_forward_jacobian():
 
 
 # ---------------------------------------------------------------------------
-# Strategy census of the two `kmeans_newton` plans
+# Strategy census: no element-at-a-time fold left in the hot derivatives
 # ---------------------------------------------------------------------------
 
 
-def test_kmeans_newton_plans_fold_only_the_small_argmins():
-    # All-distinct extents, so the number of fold steps names the folded axis.
-    k, n, d = 5, 23, 7
-    pts, ctr = datagen.kmeans_instance(k, n, d, seed=0)
-    fc = rp.compile(kmeans.build_ir(n, k, d))
-    g = rp.grad(fc, wrt=[1])
-    h = rp.hessian_diag(fc, wrt=1)
-    census = reduce_census(g.adfun.fun) + reduce_census(h.adfun.fun)
-    generic = [c for c in census if c[1] == "generic"]
-    assert 0 < len(generic) <= 3, census
-    # The remaining folds are the argmin-shaped selections over the k centres.
-    # An element-at-a-time fold fetches its operands once per step
-    # (``_elems_at``): folds over k alone make k fetches each, a single fold
-    # over the n points would add n.
-    steps = sum(
-        vector_call_census(lambda: deriv(pts, ctr, backend="plan")).get("_elems_at", 0)
-        for deriv in (g, h)
-    )
-    assert steps == len(generic) * k < n, (steps, census)
+def test_kmeans_newton_and_gmm_plans_have_no_generic_fold():
+    # min/max differentiate through a bulk first-index reduce (§5.1.1), so the
+    # k-means gradient and Hessian and the GMM gradient (logsumexp's max)
+    # keep every reduce on the ufunc/redomap strategies.
+    fk = rp.compile(kmeans.build_ir(23, 5, 7))
+    fg = rp.compile(gmm.build_ir(16, 4, 3))
+    for fun in (rp.grad(fk, wrt=[1]).adfun.fun, rp.hessian_diag(fk, wrt=1).adfun.fun,
+                rp.grad(fg, wrt=[0, 1, 2]).adfun.fun):
+        census = reduce_census(fun)
+        assert census and not [c for c in census if c[1] == "generic"], census
 
 
 @pytest.mark.parametrize("extent", [0, 1])

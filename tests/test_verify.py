@@ -249,12 +249,12 @@ def test_forced_fission_of_coupled_argmin_rejected():
     # The mutation a buggy component analysis would produce: the argmin pair
     # (v, i) split into a `v` reduce and an `i` reduce.  Each half still
     # reads the other's operator parameters, which its lambda no longer binds.
-    from repro.core.rules_reduce import argminmax_lambda
     from repro.opt.fission import component_groups, split_soac
+    from helpers import argmin_pair_lambda
 
     xs, idx = Var("xs", A), Var("idx", AI)
     y, iy = Var("y", F64), Var("iy", I64)
-    lam = argminmax_lambda(F64, "min")
+    lam = argmin_pair_lambda()
     stm = Stm((y, iy), Reduce(lam, (Const(np.inf, F64), Const(2**62, I64)), (xs, idx)))
     assert component_groups(lam, 2) == [(0, 1)]
     verify_fun(Fun("argmin", (xs, idx), Body((stm,), (y, iy))), where="opt:fission")
