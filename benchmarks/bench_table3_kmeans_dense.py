@@ -18,19 +18,21 @@ WORKLOADS = {
 
 _ROWS = {}
 
+#: Every row a workload records: the step on each side, and ours split into
+#: its two derivatives, so a change shows which of them moved.
+_IMPLS = ("manual", "ours", "ours_grad", "ours_hess", "ours_cg", "tape")
+
 
 def _record(wname, impl, t):
     _ROWS.setdefault(wname, {})[impl] = t
-    if len(_ROWS) == len(WORKLOADS) and all(len(v) == 4 for v in _ROWS.values()):
+    if len(_ROWS) == len(WORKLOADS) and all(len(v) == len(_IMPLS) for v in _ROWS.values()):
         lines = [
             "Table 3: dense k-means — one Newton step (grad + Hessian diag), seconds",
-            f"{'workload':16s} {'manual':>9s} {'ours(AD)':>9s} {'ours(cg)':>9s} {'tape':>9s}",
+            f"{'workload':16s} {'manual':>9s} {'ours(AD)':>9s} {'  grad':>9s} {'  hess':>9s} "
+            f"{'ours(cg)':>9s} {'tape':>9s}",
         ]
         for w, v in _ROWS.items():
-            lines.append(
-                f"{w:16s} {v['manual']:9.4f} {v['ours']:9.4f} "
-                f"{v['ours_cg']:9.4f} {v['tape']:9.4f}"
-            )
+            lines.append(f"{w:16s} " + " ".join(f"{v[i]:9.4f}" for i in _IMPLS))
         lines.append("paper: manual 9.3/9.9 ms, Futhark-AD 36.6/9.6 ms, PyTorch 44.9/11.2 ms (A100)")
         rows = [
             bench_row(f"{w}/{impl}", seconds=t,
@@ -52,6 +54,8 @@ def test_table3_ours(benchmark, wname):
 
     benchmark(step)
     _record(wname, "ours", timeit(step))
+    _record(wname, "ours_grad", timeit(lambda: g(pts, ctr)))
+    _record(wname, "ours_hess", timeit(lambda: h(pts, ctr)))
 
 
 @pytest.mark.parametrize("wname", list(WORKLOADS))

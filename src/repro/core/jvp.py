@@ -61,7 +61,7 @@ from ..ir.builder import Builder, const
 from ..ir.traversal import refresh_lambda
 from ..ir.typecheck import check_fun
 from ..ir.validate import validate_fun
-from ..ir.types import elem_type, is_float
+from ..ir.types import is_float
 from ..util import ADError, fresh
 from .rules_scalar import binop_partials, minmax_takes_x, unop_partial
 
@@ -217,8 +217,12 @@ class _JVP:
             self._set_tan(v, b.replicate(e.n, dv, v.name + "_dot"), b)
 
     def _jvp_ZerosLike(self, stm: Stm, e: ZerosLike, b: Builder) -> None:
+        # The same zeros, shaped by ẋ rather than by x: a zero tangent must
+        # not keep a primal array alive that only it reads.
         self._bind(stm, b)
-        self._set_tan(stm.pat[0], None, b)
+        v = stm.pat[0]
+        dx = self.tan.get(e.x.name) if isinstance(e.x, Var) and is_float(e.x.type) else None
+        self._set_tan(v, b.zeros_like(dx, v.name + "_dot") if isinstance(dx, Var) else None, b)
 
     def _jvp_ScratchLike(self, stm: Stm, e: ScratchLike, b: Builder) -> None:
         self._bind(stm, b)
@@ -329,14 +333,10 @@ class _JVP:
         dres = [self.tangent(a) for a, fl in zip(prim, floats) if fl]
         body = lb.finish(tuple(prim) + tuple(dres))
         new_lam = Lambda(tuple(accs) + tuple(daccs) + tuple(elems) + tuple(delems), body)
-        dnes = []
-        for ne, fl in zip(nes, floats):
-            if not fl:
-                continue
-            if isinstance(ne, Const):
-                dnes.append(Const(0.0, elem_type(ne.type)))
-            else:
-                dnes.append(b.zeros_like(ne))  # array-typed neutral elements
+        # A neutral element's tangent is its own: 0 for a constant, and for
+        # a computed one whatever the input moves it by (``sum_leading_axis``'s
+        # zero row is ``zeros_like`` of the tangent rows, not of the primal).
+        dnes = [self.tangent(ne) for ne, fl in zip(nes, floats) if fl]
         return new_lam, tuple(nes) + tuple(dnes), floats
 
     def _jvp_Reduce(self, stm: Stm, e: Reduce, b: Builder) -> None:

@@ -30,7 +30,7 @@ from ..ir.builder import Builder, const
 from ..ir.types import AccType, I64, elem_type, is_float, rank_of
 from ..util import fresh
 from .adjoint import AdjScope
-from .rules_reduce import NO_INDEX, first_hit, op_lambda
+from .rules_reduce import NO_INDEX, first_hit, op_lambda, require_const_nes
 
 __all__ = ["fwd_hist", "rev_hist"]
 
@@ -56,7 +56,7 @@ def fwd_hist(vjp, stm: Stm, e: ReduceByIndex, b: Builder):
             e.num_bins, op_lambda("add", I64), [const(0, I64)], e.inds, [zflags], names=["nz"]
         )
         (p,) = b.reduce_by_index(
-            e.num_bins, op_lambda("mul", et), [const(1.0, et)], e.inds, [nzvals], names=["p"]
+            e.num_bins, op_lambda("mul", et), [e.nes[0]], e.inds, [nzvals], names=["p"]
         )
         c = Var(fresh("c"), I64)
         pp = Var(fresh("p"), et)
@@ -85,6 +85,7 @@ def fwd_hist(vjp, stm: Stm, e: ReduceByIndex, b: Builder):
 
 
 def rev_hist(vjp, stm: Stm, e: ReduceByIndex, aux, sc: AdjScope) -> None:
+    require_const_nes(e, "reduce_by_index")
     b = sc.b
     kind = aux["kind"]
     if kind == "general":

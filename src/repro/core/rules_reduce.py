@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..ir.analysis import recognize_binop_lambda
-from ..ir.ast import AtomExp, Atom, Iota, Lambda, Reduce, Size, Stm, Var
+from ..ir.ast import AtomExp, Atom, Const, Iota, Lambda, Reduce, Size, Stm, Var
 from ..ir.builder import Builder, const
 from ..ir.traversal import free_vars
 from ..ir.types import I64, elem_type, is_float
@@ -30,7 +30,7 @@ from ..util import ADError, fresh
 from .adjoint import AdjScope, inline_lambda
 
 __all__ = ["fwd_reduce", "rev_reduce", "lifted_op", "op_lambda", "first_hit",
-           "first_index", "NO_INDEX"]
+           "first_index", "require_const_nes", "NO_INDEX"]
 
 #: Neutral element of a first-index reduce: past the end of any array.
 NO_INDEX = 2**62
@@ -57,6 +57,18 @@ def op_lambda(op: str, ty) -> Lambda:
     a, b_ = Var(fresh("a"), ty), Var(fresh("b"), ty)
     lb = Builder()
     return Lambda((a, b_), lb.finish([lb.binop(op, a, b_, "r")]))
+
+
+def require_const_nes(e, what: str) -> None:
+    """The reverse rules of reduce/scan/hist treat neutral elements as
+    constants: a computed float one would get no adjoint, so refuse it
+    rather than return a silently wrong derivative (``jvp`` handles it)."""
+    if any(is_float(ne.type) and not isinstance(ne, Const) for ne in e.nes):
+        raise ADError(
+            f"reverse AD of {what} with an input-dependent float neutral "
+            "element is not supported: the rules of paper §5.1–5.2 assume a "
+            "constant one (fold the value in after the reduction, or use jvp)"
+        )
 
 
 def first_hit(b: Builder, v: Atom, y: Atom, i: Atom) -> Var:
@@ -95,7 +107,8 @@ def fwd_reduce(vjp, stm: Stm, e: Reduce, b: Builder):
         b.emit_into(stm.pat, e)
         return {"kind": "add"}
     if op == "mul":
-        # One map-reduce pass: count zeros, multiply the non-zeros.
+        # One map-reduce pass: count zeros, multiply the non-zeros into the
+        # neutral element (which need not be 1).
         x = Var(fresh("x"), et)
         xb = Builder()
         isz = xb.binop("eq", x, const(0.0, et), "isz")
@@ -110,7 +123,7 @@ def fwd_reduce(vjp, stm: Stm, e: Reduce, b: Builder):
         cs = ob.add(c1, x1, "cs")
         ps = ob.mul(c2, x2, "ps")
         op2 = Lambda((c1, c2, x1, x2), ob.finish([cs, ps]))
-        nz, p = b.reduce(op2, [const(0, I64), const(1.0, et)], [zflags, nzvals], names=["nz", "p"])
+        nz, p = b.reduce(op2, [const(0, I64), e.nes[0]], [zflags, nzvals], names=["nz", "p"])
         has0 = b.binop("eq", nz, const(0, I64), "has0")
         y = b.select(has0, p, const(0.0, et), "y")
         b.emit_into(stm.pat, AtomExp(y))
@@ -121,6 +134,7 @@ def fwd_reduce(vjp, stm: Stm, e: Reduce, b: Builder):
 
 
 def rev_reduce(vjp, stm: Stm, e: Reduce, aux, sc: AdjScope) -> None:
+    require_const_nes(e, "reduce")
     b = sc.b
     kind = aux["kind"]
     if kind == "tuple":

@@ -24,7 +24,7 @@ from ..ir.traversal import free_vars
 from ..ir.types import I64, elem_type, is_float
 from ..util import ADError, fresh
 from .adjoint import AdjScope, inline_lambda
-from .rules_reduce import lifted_op
+from .rules_reduce import lifted_op, require_const_nes
 
 __all__ = ["rev_scan"]
 
@@ -32,6 +32,7 @@ __all__ = ["rev_scan"]
 def rev_scan(vjp, stm: Stm, e: Scan, sc: AdjScope) -> None:
     if len(e.nes) != 1:
         raise ADError("reverse AD of tuple-valued scans is not supported")
+    require_const_nes(e, "scan")
     b = sc.b
     arr = e.arrs[0]
     et = elem_type(arr.type)

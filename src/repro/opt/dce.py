@@ -6,20 +6,48 @@ return sweep uses, so they are dead code and the differentiated program
 carries no re-execution overhead (Fig. 2's ``xss``/``xs``/``xs'``/``x``).
 
 Bodies are processed backwards from their result atoms.  Multi-result
-``Map``/``If``/``Loop`` statements with partially-dead results are *shrunk*
-(dead columns dropped), which is how the dead primal outputs of AD-generated
-maps disappear — and the checkpoint arrays the loop rule fills on a forward
-sweep whose reverse sweep never reads them.  Accumulator updates are handled by ordinary liveness: the
-linearity discipline guarantees a live ``WithAcc`` keeps its whole update
-chain alive, and a dead ``WithAcc`` result means the updates were
-unobservable.
+statements with partially-dead results are *shrunk*:
+
+* ``Map``/``If``/``Loop`` drop their dead columns — the dead primal outputs
+  of AD-generated maps, and the checkpoint arrays the loop rule fills on a
+  forward sweep whose reverse sweep never reads them;
+* ``WithAcc`` drops a dead accumulator together with its whole update chain:
+  the array, the lambda's parameter and leading result, every ``upd`` on it
+  and, through a ``map``, the threaded ``accs`` entry, parameter, result and
+  pattern variable.  An accumulator is write-only, so nothing else can have
+  observed those updates.  A chain that meets anything else (a ``loop``,
+  ``if``, ``while``, nested ``withacc`` or any other read) keeps its
+  accumulator; secondary results always stay.  This is how ``hessian_diag``
+  stops computing the gradient x̄ beside x̄̇ in the one ``withacc`` of a
+  ``jvp ∘ vjp``.
+
+A fused (redomap-shaped) ``reduce``/``scan``/``hist`` also drops the element
+arrays whose parameter its operator never reads, such as the lifted ẋ that
+``jvp`` hands a ``first_index`` reduce.  A canonical ``(k+k)`` operator is
+left alone: its element parameters are the operator's right operand.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Set
+from typing import FrozenSet, List, Optional, Set, Tuple
 
-from ..ir.ast import Body, Fun, If, Lambda, Loop, Map, Stm, Var
+from ..ir.analysis import recognize_redomap_lambda
+from ..ir.ast import (
+    Body,
+    Fun,
+    If,
+    Lambda,
+    Loop,
+    Map,
+    Reduce,
+    ReduceByIndex,
+    Scan,
+    Stm,
+    UpdAcc,
+    Var,
+    WithAcc,
+    fact,
+)
 from ..ir.traversal import exp_free_vars, free_vars, map_bodies, same_body, with_body
 from ..ir.types import AccType
 
@@ -71,6 +99,111 @@ def _shrink_loop(e: Loop, keep: List[bool]) -> Loop:
     )
 
 
+def _threaded_map(e: Map, acc: str, outer: FrozenSet[str]) -> Optional[Tuple[int, Map]]:
+    """``(j, e')``: ``acc`` is ``e.accs[j]``, and ``e'`` is ``e`` with it and
+    its chain cut out of the lambda, which must not read ``acc`` or
+    ``outer`` either; else None."""
+    names = [a.name for a in e.accs]
+    if names.count(acc) != 1:
+        return None
+    j = names.index(acc)
+    params = e.lam.params
+    p = len(e.arrs) + j
+    body = _drop_chain(e.lam.body, params[p].name, j, outer | {acc})
+    if body is None:
+        return None
+    lam = Lambda(params[:p] + params[p + 1:], body)
+    return j, Map(lam, e.arrs, e.accs[:j] + e.accs[j + 1:])
+
+
+def _drop_chain(
+    body: Body, acc: str, pos: int, outer: FrozenSet[str] = frozenset()
+) -> Optional[Body]:
+    """``body`` without the update chain of its accumulator ``acc``, which
+    must end as ``body.result[pos]`` (dropped too); None when anything but an
+    ``upd`` or a ``map`` threading it touches the chain, or anything reads
+    the enclosing levels' chain variables ``outer``.  Free variables come
+    from the facts on the nodes (``exp_free_vars``), so nothing is walked."""
+    stms: List[Stm] = []
+    for stm in body.stms:
+        e = stm.exp
+        names = [a.name for a in exp_free_vars(e)]
+        uses = names.count(acc)
+        if outer.intersection(names):
+            return None
+        if not uses:
+            stms.append(stm)
+        elif isinstance(e, UpdAcc) and uses == 1 and e.acc.name == acc:
+            acc = stm.pat[0].name
+        else:
+            cut = _threaded_map(e, acc, outer) if isinstance(e, Map) else None
+            if cut is None:
+                return None
+            j, m = cut
+            stms.append(Stm(stm.pat[:j] + stm.pat[j + 1:], m))
+            acc = stm.pat[j].name
+    res = body.result
+    names = [a.name if isinstance(a, Var) else None for a in res]
+    if outer.intersection(names) or names.count(acc) != 1 or names.index(acc) != pos:
+        return None
+    return Body(tuple(stms), res[:pos] + res[pos + 1:])
+
+
+def _cut_accs(e: WithAcc, dead: Tuple[int, ...]) -> Tuple[WithAcc, FrozenSet[int]]:
+    """``e`` without each accumulator of ``dead`` whose update chain
+    ``_drop_chain`` can cut out, and the positions that went."""
+    arrs, params, body = e.arrs, e.lam.params, e.lam.body
+    gone = []
+    for i in reversed(dead):
+        cut = _drop_chain(body, params[i].name, i)
+        if cut is not None:
+            arrs, params, body = arrs[:i] + arrs[i + 1:], params[:i] + params[i + 1:], cut
+            gone.append(i)
+    return (WithAcc(arrs, Lambda(params, body)) if gone else e), frozenset(gone)
+
+
+def _shrink_withacc(e: WithAcc, keep: List[bool]) -> WithAcc:
+    """``_cut_accs`` of the dead accumulators; ``keep`` is updated to what
+    stays (secondary results all do).  The cut is a fact of the node per
+    dead set: ``_shrink_loop`` re-runs DCE on a loop body until its carried
+    set settles, meeting the same ``withacc`` each round."""
+    dead = tuple(i for i in range(len(e.arrs)) if not keep[i])
+    cuts = fact(e, "_acc_cuts", lambda _: {})
+    if dead not in cuts:
+        cuts[dead] = _cut_accs(e, dead)
+    out, gone = cuts[dead]
+    keep[:] = [i not in gone for i in range(len(keep))]
+    return out
+
+
+_FOLDS = frozenset({Reduce, Scan, ReduceByIndex})
+
+
+def _unread_params(lam: Lambda) -> Tuple[int, ...]:
+    used = free_vars(lam.body)
+    return tuple(i for i, p in enumerate(lam.params) if p.name not in used)
+
+
+def _drop_unread(e):
+    """A fused (redomap-shaped) reduce/scan/hist without the element arrays
+    whose parameter its operator never reads; one array always stays, for
+    the extent.  Canonical ``(k+k)`` operators come back unchanged."""
+    arrs = e.vals if isinstance(e, ReduceByIndex) else e.arrs
+    k = len(e.nes)
+    if len(arrs) == k or recognize_redomap_lambda(e.lam) is None:
+        return e
+    unread = {i - k for i in fact(e.lam, "_unread_params", _unread_params) if i >= k}
+    stay = [j for j in range(len(arrs)) if j not in unread] or [0]
+    if len(stay) == len(arrs):
+        return e
+    params = e.lam.params
+    lam = Lambda(params[:k] + tuple(params[k + j] for j in stay), e.lam.body)
+    kept = tuple(arrs[j] for j in stay)
+    if isinstance(e, ReduceByIndex):
+        return replace(e, lam=lam, vals=kept)
+    return replace(e, lam=lam, arrs=kept)
+
+
 def dce_body(body: Body) -> Body:
     live: Set[str] = {a.name for a in body.result if isinstance(a, Var)}
     out: List[Stm] = []
@@ -87,9 +220,13 @@ def dce_body(body: Body) -> Body:
                 e = _shrink_if(e, keep)
             elif isinstance(e, Loop):
                 e = _shrink_loop(e, keep)
+            elif isinstance(e, WithAcc):
+                e = _shrink_withacc(e, keep)
             if e is not stm.exp:
                 pat = tuple(v for v, k in zip(pat, keep) if k)
         e = map_bodies(e, dce_body)
+        if type(e) in _FOLDS:
+            e = _drop_unread(e)
         live.update(a.name for a in exp_free_vars(e))
         out.append(stm if e is stm.exp else Stm(pat, e))
     return same_body(body, out[::-1], body.result)

@@ -112,6 +112,10 @@ class _Simplifier:
                 return AtomExp(x)
             if _is_const(y, 0) and rank_of(x.type) == 0:
                 return AtomExp(y)
+            if isinstance(x, Const) and isinstance(y, Var):
+                return self._fold_unit_times_double(x, y)
+            if isinstance(y, Const) and isinstance(x, Var):
+                return self._fold_unit_times_double(y, x)
         elif e.op == "div":
             if _is_const(y, 1):
                 return AtomExp(x)
@@ -122,6 +126,17 @@ class _Simplifier:
                 # ``np.power`` calls libm per element; the square is one
                 # multiply, and its derivative ``2·x`` needs no second pow.
                 return BinOp("mul", x, x)
+        return None
+
+    def _fold_unit_times_double(self, c: Const, v: Var) -> Optional[Exp]:
+        """``±1.0 · (a + a)`` → ``±2.0 · a``: bitwise-exact, because doubling
+        and negation never round (±0, ±inf, NaN and subnormals included).
+        The reverse rule of ``(p − c)²`` emits the left-hand side."""
+        if not is_float(c.type) or abs(float(c.value)) != 1.0:
+            return None
+        d = self.defs.get(v.name)
+        if isinstance(d, BinOp) and d.op == "add" and isinstance(d.x, Var) and d.x == d.y:
+            return BinOp("mul", Const(2.0 * float(c.value), c.type), d.x)
         return None
 
     def _fold_unop(self, e: UnOp) -> Optional[Exp]:

@@ -85,3 +85,37 @@ def test_hessian_diag_is_the_jvp_of_vjp_cut_to_its_last_result():
     for be in ("ref", "plan"):
         _bitwise(h.adfun(*args, backend=be), full(*args, backend=be)[-1:])
         _bitwise(h(pts, ctr, backend=be), full(*args, backend=be)[-1:])
+
+
+def _stms(body):
+    from repro.ir.traversal import scopes
+
+    for s in body.stms:
+        yield s
+        for _, inner in scopes(s.exp):
+            yield from _stms(inner)
+
+
+def test_projected_kmeans_hessian_computes_no_gradient_and_no_distance_tangent():
+    # x̄ and x̄̇ share one withacc in jvp ∘ vjp: DCE drops x̄'s accumulator with
+    # its update chain, so the adjoint map over the points has x̄̇'s column
+    # only.  The first-index reduce never reads the distances' tangents, so
+    # the distance map computes none.
+    from repro.ir.analysis import recognize_binop_lambda
+    from repro.ir.ast import Map, Reduce, WithAcc
+    from repro.ir.traversal import exp_free_vars
+
+    build_ir, _wrt, _inp = _inputs()["kmeans"]
+    fc = rp.compile(build_ir())
+    fun = rp.hessian_diag(fc, wrt=1).adfun.fun
+    (wa,) = [s.exp for s in fun.body.stms if isinstance(s.exp, WithAcc)]
+    assert len(wa.arrs) == 1
+    (top,) = [s for s in wa.lam.body.stms if isinstance(s.exp, Map)]
+    assert len(top.pat) == 1
+    stms = list(_stms(fun.body))
+    defs = {v.name: s for s in stms for v in s.pat}
+    (mins,) = [s.exp for s in stms if isinstance(s.exp, Reduce)
+               and recognize_binop_lambda(s.exp.lam) == "min"]
+    dist = defs[mins.arrs[0].name]
+    tangents = {p.name for p in fun.params[len(fc.fun.params) + 1:]}
+    assert len(dist.pat) == 1 and not tangents & {v.name for v in exp_free_vars(dist.exp)}

@@ -304,3 +304,69 @@ def test_property_jvp_vjp_consistency_soac_pipeline(seed, n):
         return rp.sum(rp.map(lambda a, b: a * b, h, rp.map(lambda x: x + 1.0, h))) + rp.sum(s)
 
     check_jvp_vjp_consistency(f, (xs, inds), seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Neutral elements: a computed one differentiates forward and is refused in
+# reverse; a constant one need not be the identity
+# ---------------------------------------------------------------------------
+
+_X, _M, _INDS = np.array([1.0]), np.array([4.0, 5.0]), np.array([0, 2])
+
+#: ``s = soac(x[0]·3, m)``, ``f = s·s`` (summed over a scan's or a
+#: histogram's outputs): x₀ = 1 puts the neutral element 3 below both
+#: elements, so it is min's winner too, and every ``d f / d x₀`` is non-zero.
+_NE_CASES = {
+    "reduce_add": lambda x, m, _i: rp.reduce(lambda a, b: a + b, x[0] * 3.0, m),
+    "reduce_mul": lambda x, m, _i: rp.reduce(lambda a, b: a * b, x[0] * 3.0, m),
+    "reduce_min": lambda x, m, _i: rp.reduce(lambda a, b: rp.minimum(a, b), x[0] * 3.0, m),
+    "scan_add": lambda x, m, _i: rp.sum(rp.scan(lambda a, b: a + b, x[0] * 3.0, m)),
+    "hist_add": lambda x, m, inds: rp.sum(
+        rp.reduce_by_index(3, lambda a, b: a + b, x[0] * 3.0, inds, m)),
+}
+
+
+def _ne_fun(name):
+    g = _NE_CASES[name]
+
+    def f(x, m, inds):
+        s = g(x, m, inds)
+        return s * s
+
+    return rp.compile(rp.trace_like(f, (_X, _M, _INDS)))
+
+
+@pytest.mark.parametrize("name", list(_NE_CASES))
+def test_input_dependent_neutral_element_jvp_matches_central_differences(name):
+    from helpers import fd_grad
+
+    fc = _ne_fun(name)
+    fd = fd_grad(fc, (_X, _M, _INDS), 0)
+    assert abs(fd[0]) > 1.0
+    for be in ("ref", "plan", "codegen"):
+        _y, dy = rp.jvp(fc)(_X, _M, _INDS, np.ones(1), np.zeros(2), backend=be)
+        np.testing.assert_allclose(dy, fd[0], rtol=1e-6)
+
+
+@pytest.mark.parametrize("name", list(_NE_CASES))
+def test_input_dependent_neutral_element_vjp_raises(name):
+    from repro.util import ADError
+
+    with pytest.raises(ADError, match="neutral element"):
+        rp.grad(_ne_fun(name))
+    with pytest.raises(ADError, match="neutral element"):
+        rp.vjp(_ne_fun(name))
+
+
+def test_product_with_a_constant_non_identity_neutral_element():
+    # The forward sweep multiplies the non-zeros into the neutral element:
+    # 2·3·5 = 30, not 15, and ∂/∂x = (10, 6).
+    for xs in (np.array([3.0, 5.0]), np.array([0.0, 5.0])):
+        fc, _g = check_grad(lambda v: rp.reduce(lambda a, b: a * b, 2.0, v), (xs,))
+        assert fc(xs) == 2.0 * np.prod(xs) == rp.vjp(fc)(xs, 1.0)[0]
+    assert rp.vjp(fc)(np.zeros(0), 1.0)[0] == 2.0
+
+    def hist(xs, inds):
+        return rp.sum(rp.map(lambda v: v * v, rp.reduce_by_index(3, lambda a, b: a * b, 2.0, inds, xs)))
+
+    check_grad(hist, (rng.standard_normal(8) + 1.5, rng.integers(0, 3, 8)))

@@ -2,6 +2,7 @@
 scopes introduce NO re-execution because the redundant forward sweeps are
 dead code."""
 import numpy as np
+import pytest
 
 import repro as rp
 from repro.frontend.function import Compiled
@@ -237,3 +238,178 @@ def test_dce_is_bitwise_on_ref_for_every_app():
         res = Compiled(fun, optimize=False)(*inp, backend="ref")
         seeds = tuple(np.ones_like(np.asarray(r)) for r in (res if isinstance(res, tuple) else (res,)))
         _same_on_ref(raw, cut, *inp, *seeds)
+
+
+# ---------------------------------------------------------------------------
+# Dead accumulators: a dead `withacc` result goes with its whole update chain
+# ---------------------------------------------------------------------------
+
+
+def _acc_nest():
+    """``withacc (ā, c̄)`` over a two-level map nest: element ``xss[r, j]``
+    adds itself into ``ā[j]`` and its square into ``c̄[j]``; the outer map
+    also yields each row's first element, a secondary result of the
+    ``withacc``.  Returns ``(c̄, firsts)``: ``ā`` is dead."""
+    from repro.ir import F64, I64, AccType, Builder, Fun, Lambda, Var, array, const
+    from repro.ir.ast import Size
+
+    acc = AccType(F64, 1)
+    xss, a, c = Var("xss", array(F64, 2)), Var("a", array(F64, 1)), Var("c", array(F64, 1))
+    x, j, ia, ic = Var("x", F64), Var("j", I64), Var("ia", acc), Var("ic", acc)
+    ib = Builder()
+    inner = Lambda((x, j, ia, ic), ib.finish([ib.upd_acc(ia, j, x), ib.upd_acc(ic, j, ib.mul(x, x))]))
+    xs, oa, oc = Var("xs", array(F64, 1)), Var("oa", acc), Var("oc", acc)
+    ob = Builder()
+    js = ob.iota(ob.emit1(Size(xs), "n"))
+    oa2, oc2 = ob.map(inner, [xs, js], [oa, oc], names=["oa", "oc"])
+    outer = Lambda((xs, oa, oc), ob.finish([oa2, oc2, ob.index(xs, (const(0, I64),), "x0")]))
+    wa, wc = Var("wa", acc), Var("wc", acc)
+    wb = Builder()
+    wa2, wc2, firsts = wb.map(outer, [xss], [wa, wc], names=["wa", "wc", "firsts"])
+    b = Builder()
+    _abar, cbar, fs = b.with_acc(
+        [b.zeros_like(a), b.zeros_like(c)], Lambda((wa, wc), wb.finish([wa2, wc2, firsts])),
+        names=["abar", "cbar", "fs"])
+    return Fun("nest", (xss, a, c), b.finish([cbar, fs]))
+
+
+def _withaccs(fun):
+    from repro.ir.ast import WithAcc
+
+    return [s.exp for s in fun.body.stms if isinstance(s.exp, WithAcc)]
+
+
+def _as_tuple(r):
+    return r if isinstance(r, tuple) else (r,)
+
+
+def _cut_is_sound(fun, *args):
+    """``dce_fun(fun)``, checked: well-typed, the accumulator discipline
+    holds, and bitwise-equal to ``fun`` on every backend."""
+    from repro.ir import check_fun, validate_fun
+
+    cut = dce_fun(fun)
+    check_fun(cut)
+    validate_fun(cut)
+    for be in ("ref", "plan", "codegen"):
+        want = _as_tuple(Compiled(fun, optimize=False)(*args, backend=be))
+        got = _as_tuple(Compiled(cut, optimize=False)(*args, backend=be))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), be
+    return cut
+
+
+def test_dce_drops_a_dead_accumulator_through_a_two_level_map_nest():
+    fun = _acc_nest()
+    cut = _cut_is_sound(fun, rng.standard_normal((3, 4)), rng.standard_normal(4),
+                        rng.standard_normal(4))
+    (wa,) = _withaccs(cut)
+    assert len(wa.arrs) == len(wa.lam.params) == 1 and len(wa.lam.body.result) == 2
+    (outer,) = [s for s in wa.lam.body.stms if isinstance(s.exp, Map)]
+    (was,) = [s for s in _withaccs(fun)[0].lam.body.stms if isinstance(s.exp, Map)]
+    assert len(outer.exp.accs) == 1 and outer.pat == was.pat[1:]  # c̄'s acc and the firsts
+    (inner,) = [s.exp for s in outer.exp.lam.body.stms if isinstance(s.exp, Map)]
+    assert len(inner.accs) == 1 and len(inner.lam.params) == 3
+    assert len(inner.lam.body.stms) == 2  # x*x and the one upd left
+    assert "abar" not in pretty(cut) and "zeros_like(a)" not in pretty(cut)
+
+
+def test_dce_keeps_a_dead_accumulator_whose_chain_runs_through_a_loop():
+    from repro.ir import F64, I64, AccType, Builder, Fun, Lambda, Var, array, const
+
+    acc = AccType(F64, 1)
+    a, wa, wc, p, i = Var("a", array(F64, 1)), Var("wa", acc), Var("wc", acc), Var("p", acc), Var("i", I64)
+    lb = Builder()
+    step = lb.finish([lb.upd_acc(p, const(0, I64), const(1.0, F64))])
+    wb = Builder()
+    (la,) = wb.loop([p], [wa], i, const(2, I64), step, names=["la"])
+    wc2 = wb.upd_acc(wc, const(0, I64), const(2.0, F64))
+    b = Builder()
+    _abar, cbar = b.with_acc([b.zeros_like(a), b.zeros_like(a)], Lambda((wa, wc), wb.finish([la, wc2])))
+    fun = Fun("loop_chain", (a,), b.finish([cbar]))
+    assert _cut_is_sound(fun, np.ones(3)) is fun
+    assert _withaccs(dce_fun(fun))[0] is _withaccs(fun)[0]
+
+
+def test_a_mutant_that_drops_a_live_accumulator_is_caught(monkeypatch):
+    from repro.opt import dce
+    from repro.util import ReproError
+
+    real = dce._shrink_withacc
+
+    def every_accumulator_dead(e, keep):
+        keep[: len(e.arrs)] = [False] * len(e.arrs)
+        return real(e, keep)
+
+    args = (np.ones((2, 3)), np.ones(3), np.ones(3))
+    _cut_is_sound(_acc_nest(), *args)
+    monkeypatch.setattr(dce, "_shrink_withacc", every_accumulator_dead)
+    with pytest.raises(ReproError):
+        _cut_is_sound(_acc_nest(), *args)
+
+
+# ---------------------------------------------------------------------------
+# A fused reduce/scan/hist drops the element arrays its operator never reads
+# ---------------------------------------------------------------------------
+
+
+def _soac_fun(kind, k, op_body, n_elems):
+    """``kind`` ∈ reduce/scan/hist over ``n_elems`` arrays with the ``k``-ary
+    operator ``op_body(builder, accs, elems) -> results``, neutral 0.0."""
+    from repro.ir import F64, I64, Builder, Fun, Lambda, Var, array, const
+
+    arrs = [Var(f"xs{j}", array(F64, 1)) for j in range(n_elems)]
+    inds = Var("inds", array(I64, 1))
+    accs = [Var(f"acc{i}", F64) for i in range(k)]
+    elems = [Var(f"x{j}", F64) for j in range(n_elems)]
+    lb = Builder()
+    lam = Lambda(tuple(accs + elems), lb.finish(op_body(lb, accs, elems)))
+    nes = [const(0.0, F64)] * k
+    b = Builder()
+    if kind == "reduce":
+        out = b.reduce(lam, nes, arrs)
+    elif kind == "scan":
+        out = b.scan(lam, nes, arrs)
+    else:
+        out = b.reduce_by_index(const(3, I64), lam, nes, inds, arrs)
+    return Fun(kind, tuple(arrs) + (inds,), b.finish(list(out)))
+
+
+def _twice_x0(b, accs, elems):
+    from repro.ir import F64, const
+
+    return [b.add(accs[0], b.mul(elems[0], const(2.0, F64)))]
+
+
+def _count(b, accs, elems):
+    from repro.ir import F64, const
+
+    return [b.add(accs[0], const(1.0, F64))]
+
+
+def _soac_args(n_elems):
+    return tuple(rng.standard_normal(5) for _ in range(n_elems)) + (np.array([0, 2, 1, 2, 5]),)
+
+
+@pytest.mark.parametrize("kind", ["reduce", "scan", "hist"])
+def test_dce_drops_an_unread_operand_of_a_fused_soac(kind):
+    # \acc x0 x1 x2 -> acc + 2·x0: x1 and x2 go; so do both of \acc x0 x1 ->
+    # acc + 1.0's, but one array stays for the extent.
+    for op_body, n in ((_twice_x0, 3), (_count, 2)):
+        fun = _soac_fun(kind, 1, op_body, n)
+        e = _cut_is_sound(fun, *_soac_args(n)).body.stms[-1].exp
+        arrs = e.vals if kind == "hist" else e.arrs
+        assert [a.name for a in arrs] == ["xs0"] and len(e.lam.params) == 2
+
+
+@pytest.mark.parametrize("kind", ["reduce", "scan", "hist"])
+def test_dce_leaves_a_canonical_operator_alone(kind):
+    # (k+k) operators: an element parameter is the operator's right operand,
+    # read or not — \a b -> a + 1.0 and \a1 a2 b1 b2 -> (a1 + b1, a2).
+    def pair(b, accs, elems):
+        return [b.add(accs[0], elems[0]), b.copy(accs[1])]
+
+    for k, op_body in ((1, _count), (2, pair)):
+        fun = _soac_fun(kind, k, op_body, k)
+        assert _cut_is_sound(fun, *_soac_args(k)) is fun

@@ -215,3 +215,41 @@ def _all_stms(body):
             subs += [e.then, e.els]
         for b in subs:
             yield from _all_stms(b)
+
+
+# ---------------------------------------------------------------------------
+# `±1.0 · (a + a)` is `±2.0 · a`
+# ---------------------------------------------------------------------------
+
+#: ±0, ±inf, NaN of either sign, the smallest and largest subnormals, and a
+#: value whose double overflows.
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                   2.225073858507201e-308, -2.225073858507201e-308, 1e308, -1.5])
+
+
+@pytest.mark.parametrize("form", ["c*(x+x)", "(x+x)*c"])
+def test_unit_times_a_double_folds_to_a_bitwise_equal_double_multiply(form):
+    def f(xs):
+        def elem(x):
+            t = x + x
+            return -1.0 * t if form == "c*(x+x)" else t * -1.0
+        return rp.map(elem, xs)
+
+    fun = rp.trace_like(f, (_EDGES,))
+    fo = rp.compile(fun, optimize=True)
+    fr = rp.compile(fun, optimize=False)
+    (body,) = [s.exp.lam.body for s in fo.fun.body.stms]
+    (mul,) = [s.exp for s in body.stms]
+    assert mul.op == "mul" and -2.0 in (getattr(mul.x, "value", None), getattr(mul.y, "value", None))
+    for be in ("ref", "plan", "codegen"):
+        assert np.asarray(fo(_EDGES, backend=be)).tobytes() == np.asarray(fr(_EDGES, backend=be)).tobytes()
+    # the fold is exactly what doubling then negating does in NumPy
+    with np.errstate(over="ignore"):
+        want = (-1.0 * (_EDGES + _EDGES)).tobytes()
+        assert (-2.0 * _EDGES).tobytes() == want
+    assert np.asarray(fo(_EDGES)).tobytes() == want
+
+
+def test_unit_times_a_sum_of_two_different_values_does_not_fold():
+    fo = rp.compile(rp.trace_like(lambda x, y: -1.0 * (x + y), (1.0, 2.0)))
+    assert [s.exp.op for s in fo.fun.body.stms] == ["add", "mul"]
