@@ -13,26 +13,28 @@ Array adjoints come in two modes:
   adjoint of a free array is an accumulator; contributions become ``UpdAcc``
   (operationally ``atomicAdd``).  ``acc_env`` maps original variable names to
   their current accumulator variable and is shared across nested scopes.
+
+A value-mode adjoint may also be a **pending one-hot**: the min/max rule
+(``rules_reduce``) gives ȳ to one element only, its *hot lane* ``iy``, and
+when the reduced array is the result of a ``map`` of this scope read by that
+reduce alone, the rule records ``(iy, ȳ)`` instead of building the dense
+one-hot array.  ``rules_map.rev_map`` of the defining statement takes it
+(``take_one_hot``) and differentiates that one lane; every other reader —
+``lookup``, ``add``, ``add_at``, ``final`` — materialises it first, as the
+one-hot map the rule would have built.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir.ast import (
-    Atom,
-    Const,
-    Iota,
-    Lambda,
-    Size,
-    Var,
-)
-from ..ir.types import ArrayType, I64
+from ..ir.ast import Atom, Body, Const, Exp, Lambda, Map, Size, Var
 from ..ir.builder import Builder, const
-from ..ir.traversal import refresh_body, subst
-from ..ir.types import elem_type, is_float, rank_of
+from ..ir.traversal import exp_free_vars, refresh_body
+from ..ir.types import I64, ArrayType, elem_type, is_float, rank_of
 from ..util import ADError, fresh
 
-__all__ = ["AdjScope", "inline_lambda", "sum_leading_axis"]
+__all__ = ["AdjScope", "inline_lambda", "one_hot", "sum_leading_axis"]
 
 
 def inline_lambda(b: Builder, lam: Lambda, args: Sequence[Atom]) -> Tuple[Atom, ...]:
@@ -71,8 +73,23 @@ def sum_leading_axis(b: Builder, arr: Var) -> Var:
     return b.reduce(lam, [ne], [arr], names=["sum"])[0]
 
 
+def one_hot(b: Builder, idxs: Var, iy: Atom, ybar: Atom) -> Var:
+    """``map (λi. if i == iy then ȳ else 0) idxs``: the dense adjoint of a
+    min/max reduce whose hot lane is ``iy`` (all zeros when ``iy`` is past
+    the end), as cheap as the copy an update would make."""
+    i = Var(fresh("i"), I64)
+    ob = Builder()
+    at = ob.binop("eq", i, iy, "at")
+    cv = ob.select(at, ybar, const(0.0, ybar.type), "cv")
+    (contrib,) = b.map(Lambda((i,), ob.finish([cv])), [idxs], names=["c"])
+    return contrib
+
+
 class AdjScope:
-    """Adjoint environment for one scope of the return sweep."""
+    """Adjoint environment for one scope of the return sweep.  ``body`` is
+    the primal scope being differentiated, when there is one; the one-hot
+    deferral asks it who binds and who reads what (``bound_by``,
+    ``sole_map_read``)."""
 
     def __init__(
         self,
@@ -80,21 +97,29 @@ class AdjScope:
         acc_env: Dict[str, Var],
         init: Optional[Dict[str, Atom]] = None,
         nodiff: Optional[set] = None,
+        body: Optional[Body] = None,
     ) -> None:
         self.b = b
         self.adj: Dict[str, Atom] = dict(init or {})
         self.acc_env = acc_env
         self.nodiff = nodiff if nodiff is not None else set()
+        self.body = body
+        #: Pending one-hots: name -> ``(idxs, iy, ȳ)``.
+        self.hot: Dict[str, Tuple[Var, Var, Atom]] = {}
+        self._reads: Counter = Counter()
+        self._defs: Optional[Dict[str, Exp]] = None
 
     # -- queries ------------------------------------------------------------
 
     def has(self, v: Var) -> bool:
-        return v.name in self.adj or v.name in self.acc_env
+        """Has ``v`` received a value-mode contribution in this scope?"""
+        return v.name in self.adj or v.name in self.hot
 
     def lookup(self, v: Var) -> Atom:
         """Current adjoint of ``v`` (zeros if none yet).  Value mode only."""
         if v.name in self.acc_env:
             raise ADError(f"adjoint of {v.name} is an accumulator; cannot read it")
+        self._settle(v)
         a = self.adj.get(v.name)
         if a is None:
             a = self.b.zeros_like(v, name=v.name + "_bar")
@@ -103,6 +128,57 @@ class AdjScope:
 
     def set(self, v: Var, a: Atom) -> None:
         self.adj[v.name] = a
+
+    def bound_by(self, v: Var) -> Optional[Exp]:
+        """The expression binding ``v`` in this scope's body, if it does."""
+        self._index_body()
+        return self._defs.get(v.name)
+
+    def sole_map_read(self, v: Var) -> bool:
+        """Is ``v`` bound by a ``map`` of this scope's body, and read by
+        exactly one of its statements and not returned?"""
+        return isinstance(self.bound_by(v), Map) and self._reads[v.name] == 1
+
+    def _index_body(self) -> None:
+        """Who binds and how many statements read each name, once."""
+        if self._defs is not None:
+            return
+        self._defs = {}
+        if self.body is None:
+            return
+        for stm in self.body.stms:
+            self._reads.update({a.name for a in exp_free_vars(stm.exp)})
+            self._defs.update((p.name, stm.exp) for p in stm.pat)
+        self._reads.update(a.name for a in self.body.result if isinstance(a, Var))
+
+    # -- pending one-hots -----------------------------------------------------
+
+    def defer_one_hot(self, v: Var, idxs: Var, iy: Var, ybar: Atom) -> None:
+        """``v̄ += one_hot(idxs, iy, ȳ)``, kept as ``(iy, ȳ)`` until read.
+        ``v`` has no adjoint yet (``sole_map_read``)."""
+        self.hot[v.name] = (idxs, iy, ybar)
+
+    def take_one_hot(self, vs: Sequence[Var]) -> Optional[Tuple[Var, List[Optional[Atom]]]]:
+        """``(iy, ȳs)`` when every ``v`` of ``vs`` with an adjoint has a
+        pending one-hot, at one ``iy`` (and at least one has): ``ȳs`` holds
+        each ``v``'s ȳ, None where it has no adjoint.  The one-hots are
+        consumed; None (and nothing consumed) otherwise."""
+        hots = [self.hot.get(v.name) for v in vs]
+        if any(h is None and v.name in self.adj for v, h in zip(vs, hots)):
+            return None
+        if len({h[1].name for h in hots if h is not None}) != 1:
+            return None
+        for v, h in zip(vs, hots):
+            if h is not None:
+                del self.hot[v.name]
+        iy = next(h[1] for h in hots if h is not None)
+        return iy, [None if h is None else h[2] for h in hots]
+
+    def _settle(self, v: Var) -> None:
+        """Materialise ``v``'s pending one-hot, if it has one."""
+        h = self.hot.pop(v.name, None)
+        if h is not None:
+            self.add(v, one_hot(self.b, *h))
 
     # -- contributions ----------------------------------------------------------
 
@@ -119,6 +195,7 @@ class AdjScope:
         assert isinstance(v, Var)
         if v.name in self.nodiff:
             return
+        self._settle(v)
         while rank_of(contrib.type) > rank_of(v.type):
             if not isinstance(contrib, Var):
                 raise ADError("cannot reduce a constant contribution")
@@ -162,8 +239,6 @@ class AdjScope:
             return contrib
         if have > want:
             raise ADError(f"contribution rank {have} exceeds target rank {want}")
-        from ..ir.ast import Size
-
         out = contrib
         # Broadcast by replication along each missing leading axis of v.
         for d in range(want - have - 1, -1, -1):

@@ -13,8 +13,14 @@ The special cases (§5.1.1) replace this 5-pass pipeline:
   sweep distributes ``ȳ·(y/aᵢ)`` / ``ȳ·p`` according to the zero count;
 * ``min``/``max`` : ``y`` stays the canonical reduce; the forward sweep adds
   the first index holding ``y`` (``first_index``: a bulk map and an integer
-  ``reduce min``, no tuple operator), and only that element receives ``ȳ``.
-  ``jvp`` lifts the operator, whose tangent follows the same element
+  ``reduce min``, no tuple operator), and only that element — the *hot
+  lane* ``iy`` — receives ``ȳ``.  A free array of an enclosing map gets one
+  accumulator update at ``iy``.  In value mode, when the array is a ``map``
+  result of this scope that the reduce alone reads, the adjoint stays
+  sparse: the rule records ``(iy, ȳ)`` on the ``AdjScope`` and
+  ``rules_map.rev_map`` differentiates that one element of the map.
+  Otherwise it is the dense one-hot map ``adjoint.one_hot``.  ``jvp`` lifts
+  the operator, whose tangent follows the same element
   (``rules_scalar.minmax_takes_x``).
 """
 from __future__ import annotations
@@ -25,9 +31,9 @@ from ..ir.analysis import recognize_binop_lambda
 from ..ir.ast import AtomExp, Atom, Const, Iota, Lambda, Reduce, Size, Stm, Var
 from ..ir.builder import Builder, const
 from ..ir.traversal import free_vars
-from ..ir.types import I64, elem_type, is_float
+from ..ir.types import I64, elem_type, is_float, rank_of
 from ..util import ADError, fresh
-from .adjoint import AdjScope, inline_lambda
+from .adjoint import AdjScope, inline_lambda, one_hot
 
 __all__ = ["fwd_reduce", "rev_reduce", "lifted_op", "op_lambda", "first_hit",
            "first_index", "require_const_nes", "NO_INDEX"]
@@ -173,7 +179,6 @@ def rev_reduce(vjp, stm: Stm, e: Reduce, aux, sc: AdjScope) -> None:
     if kind in ("min", "max"):
         # Only the first element holding y receives ȳ.
         idxs, iy = aux["idxs"], aux["iy"]
-        zero = const(0.0, et)
         if arr.name in sc.acc_env:
             # A free array of an enclosing map: one update of its accumulator,
             # of 0 when no element holds y (a non-identity neutral element).
@@ -181,15 +186,15 @@ def rev_reduce(vjp, stm: Stm, e: Reduce, aux, sc: AdjScope) -> None:
             n = b.emit1(Size(arr), "n")
             inb = b.binop("lt", iy, n, "inb")
             safe = b.binop("min", iy, b.sub(n, const(1, I64), "nm1"), "safe")
-            sc.add_at(arr, (safe,), b.select(inb, ybar, zero, "cv"))
+            sc.add_at(arr, (safe,), b.select(inb, ybar, const(0.0, et), "cv"))
             return
-        # Value mode: a one-hot map, as cheap as the copy an update makes.
-        i = Var(fresh("i"), I64)
-        ob = Builder()
-        at = ob.binop("eq", i, iy, "at")
-        cv = ob.select(at, ybar, zero, "cv")
-        (contrib,) = b.map(Lambda((i,), ob.finish([cv])), [idxs], names=["c"])
-        sc.add(arr, contrib)
+        # Value mode.  A map result only this reduce reads keeps its adjoint
+        # sparse, for ``rev_map`` to differentiate the hot lane alone;
+        # anything else gets the one-hot map.
+        if rank_of(arr.type) == 1 and sc.sole_map_read(arr):
+            sc.defer_one_hot(arr, idxs, iy, ybar)
+        else:
+            sc.add(arr, one_hot(b, idxs, iy, ybar))
         return
 
     # ----- general rule: two exclusive scans + a map of the local vjp -------

@@ -100,7 +100,7 @@ class VJP:
         aux_list = []
         for stm in body.stms:
             aux_list.append((stm, self.fwd_stm(stm, b)))
-        sc = AdjScope(b, self.acc_env, init_adj, nodiff=self.nodiff)
+        sc = AdjScope(b, self.acc_env, init_adj, nodiff=self.nodiff, body=body)
         for a, s in zip(body.result, seeds):
             if s is not None and isinstance(a, Var) and is_float(a.type):
                 sc.add(a, s)
@@ -140,7 +140,7 @@ class VJP:
         # A statement whose bound float results were never used by the
         # return sweep so far has all-zero result adjoints and contributes
         # nothing (its own operand adjoints stay untouched).
-        if not any(is_float(v.type) and v.name in sc.adj for v in stm.pat):
+        if not any(is_float(v.type) and sc.has(v) for v in stm.pat):
             return
         e = stm.exp
         handler = getattr(self, "_rev_" + type(e).__name__, None)

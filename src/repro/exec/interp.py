@@ -302,8 +302,13 @@ class RefInterp:
             if n:
                 col = np.stack([np.asarray(r[j]) for r in rows])
             else:
-                rt = e.lam.body.result[len(e.accs) + j].type
-                col = np.zeros((0,) * (rank_of(rt) + 1), dtype=np_dtype(rt))
+                # No element computes the extents of an array-valued result.
+                r = e.lam.body.result[len(e.accs) + j]
+                if rank_of(r.type):
+                    raise ExecError(
+                        f"map over zero elements: the extents of its per-element "
+                        f"result {r} ({r.type}) are unknown")
+                col = np.zeros((0,), dtype=np_dtype(r.type))
             rec.mem(writes=col.size)
             out.append(col)
         return tuple(out)

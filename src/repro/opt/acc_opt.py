@@ -16,9 +16,14 @@ specialised, fast code generation:
 
 * **accs_to_hist** — a *data-dependent* update directly under one map
   becomes a ``reduce_by_index`` (generalised histogram), which the backend
-  implements with specialised histogram code (``np.bincount`` here; the
-  multi-pass shared-memory histograms of [17] on a real GPU).  This is the
-  k-means pattern (§7.4/7.5).
+  implements with specialised histogram code (one ``ufunc.at`` here,
+  ``exec/vector.py:_hist_accumulate``; the multi-pass shared-memory
+  histograms of [17] on a real GPU).  Of the benchmark programs it fires on
+  the GMM gradient (ᾱ) and the BA vjp (w̄), both updates indexed by the
+  map's own element.  Dense and sparse k-means never reach it: the min
+  rule's hot lane (``core/rules_map.py``) updates the nearest centre two
+  levels deep (``upd c̄[iy, j]``), and turning that into a row-valued
+  histogram is not done.
 
 The accumulator's consumption path may thread through nested ``withacc``
 regions created for other adjoints; those are traversed transparently.

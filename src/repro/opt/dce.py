@@ -13,13 +13,13 @@ statements with partially-dead results are *shrunk*:
   forward sweep whose reverse sweep never reads them;
 * ``WithAcc`` drops a dead accumulator together with its whole update chain:
   the array, the lambda's parameter and leading result, every ``upd`` on it
-  and, through a ``map``, the threaded ``accs`` entry, parameter, result and
-  pattern variable.  An accumulator is write-only, so nothing else can have
-  observed those updates.  A chain that meets anything else (a ``loop``,
-  ``if``, ``while``, nested ``withacc`` or any other read) keeps its
-  accumulator; secondary results always stay.  This is how ``hessian_diag``
-  stops computing the gradient x̄ beside x̄̇ in the one ``withacc`` of a
-  ``jvp ∘ vjp``.
+  and, through a ``map`` or a ``loop``, the threaded ``accs`` entry (loop
+  state), parameter, result and pattern variable.  An accumulator is
+  write-only, so nothing else can have observed those updates.  A chain that
+  meets anything else (an ``if``, ``while``, nested ``withacc`` or any other
+  read) keeps its accumulator; secondary results always stay.  This is how
+  ``hessian_diag`` stops computing the gradient x̄ beside x̄̇ in the one
+  ``withacc`` of a ``jvp ∘ vjp``.
 
 A fused (redomap-shaped) ``reduce``/``scan``/``hist`` also drops the element
 arrays whose parameter its operator never reads, such as the lifted ẋ that
@@ -116,14 +116,29 @@ def _threaded_map(e: Map, acc: str, outer: FrozenSet[str]) -> Optional[Tuple[int
     return j, Map(lam, e.arrs, e.accs[:j] + e.accs[j + 1:])
 
 
+def _threaded_loop(e: Loop, acc: str, outer: FrozenSet[str]) -> Optional[Tuple[int, Loop]]:
+    """``_threaded_map`` for a ``loop`` carrying ``acc`` as its state
+    ``j``: the min/max rule's hot lane runs in one (``rules_map``)."""
+    names = [a.name if isinstance(a, Var) else None for a in e.inits]
+    if names.count(acc) != 1:
+        return None
+    j = names.index(acc)
+    body = _drop_chain(e.body, e.params[j].name, j, outer | {acc})
+    if body is None:
+        return None
+    return j, replace(e, params=e.params[:j] + e.params[j + 1:],
+                      inits=e.inits[:j] + e.inits[j + 1:], body=body)
+
+
 def _drop_chain(
     body: Body, acc: str, pos: int, outer: FrozenSet[str] = frozenset()
 ) -> Optional[Body]:
     """``body`` without the update chain of its accumulator ``acc``, which
     must end as ``body.result[pos]`` (dropped too); None when anything but an
-    ``upd`` or a ``map`` threading it touches the chain, or anything reads
-    the enclosing levels' chain variables ``outer``.  Free variables come
-    from the facts on the nodes (``exp_free_vars``), so nothing is walked."""
+    ``upd`` or a ``map`` / ``loop`` threading it touches the chain, or
+    anything reads the enclosing levels' chain variables ``outer``.  Free
+    variables come from the facts on the nodes (``exp_free_vars``), so
+    nothing is walked."""
     stms: List[Stm] = []
     for stm in body.stms:
         e = stm.exp
@@ -136,7 +151,8 @@ def _drop_chain(
         elif isinstance(e, UpdAcc) and uses == 1 and e.acc.name == acc:
             acc = stm.pat[0].name
         else:
-            cut = _threaded_map(e, acc, outer) if isinstance(e, Map) else None
+            cut = (_threaded_map(e, acc, outer) if isinstance(e, Map)
+                   else _threaded_loop(e, acc, outer) if isinstance(e, Loop) else None)
             if cut is None:
                 return None
             j, m = cut

@@ -13,6 +13,8 @@ import pytest
 
 import repro as rp
 import repro.core.rules_reduce as rules_reduce
+from repro.apps import datagen, kmeans, kmeans_sparse
+from repro.baselines import eager as eg
 from repro.ir import I64, Lambda, Var
 from repro.ir.ast import Iota, Size
 from repro.ir.builder import Builder, const
@@ -166,3 +168,184 @@ def test_a_last_index_tie_break_is_caught(monkeypatch):
     for op in ("min", "max"):
         with pytest.raises(AssertionError):
             _check_vjp(op, _operand("ties", op), "plan")
+
+
+# ---------------------------------------------------------------------------
+# The hot lane: a min/max over a map's result differentiates one element of
+# that map (rules_map), not all of them
+# ---------------------------------------------------------------------------
+
+W = 3  # max-pooling window
+
+
+def _pool(x, kern, s):
+    """Σ over windows of max_w (x[i+w]·kern[w] + s): the window map's only
+    reader is the max, so its one-hot adjoint stays sparse.  ``kern`` is an
+    argument of that map, ``x`` a free array and ``s`` a free scalar."""
+    return rp.sum(rp.map(
+        lambda i: rp.max(rp.map(lambda w, k: x[i + w] * k + s, rp.iota(W), kern)),
+        rp.iota(rp.size(x) - (W - 1))))
+
+
+def _pool_fun():
+    return rp.compile(rp.trace_like(_pool, (np.ones(6), np.ones(W), 0.5)))
+
+
+def _pool_first_index(x, kern, s):
+    """The oracle: each window's ȳ goes to its first NaN, else its first
+    maximum."""
+    xbar, kbar, sbar = np.zeros_like(x), np.zeros_like(kern), 0.0
+    for i in range(x.size - (W - 1)):
+        w = _first_index(x[i:i + W] * kern + s, "max")
+        xbar[i + w] += kern[w]
+        kbar[w] += x[i + w]
+        sbar += 1.0
+    return xbar, kbar, sbar
+
+
+def _pool_tape(x, kern, s):
+    idx = np.arange(x.size - (W - 1))[:, None] + np.arange(W)[None, :]
+    return eg.grad(lambda xt, kt, st: (xt[idx] * kt + st).max(axis=1).sum())(x, kern, s)
+
+
+def _exps(fun):
+    from repro.ir.traversal import scopes
+
+    def walk(body):
+        for s in body.stms:
+            yield s.exp
+            for _, inner in scopes(s.exp):
+                yield from walk(inner)
+
+    return list(walk(fun.body))
+
+
+def _one_hot_maps(fun):
+    """Maps of the form ``map (λi. select(i == iy, ȳ, 0))``: a dense one-hot
+    adjoint (``adjoint.one_hot``) nothing fused away."""
+    from repro.ir.ast import BinOp, Map, Select
+
+    return [e for e in _exps(fun) if isinstance(e, Map)
+            and [type(t.exp) for t in e.lam.body.stms] == [BinOp, Select]]
+
+
+def _hot_lanes(fun):
+    """The loops of a derivative whose primal has none: the hot lanes."""
+    from repro.ir.ast import Loop
+
+    return [e for e in _exps(fun) if isinstance(e, Loop)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_max_pool_vjp_matches_central_differences_and_the_tape(backend):
+    rng = np.random.default_rng(5)
+    x, kern, s = rng.standard_normal(9), rng.standard_normal(W), 0.25
+    fc = _pool_fun()
+    grads = rp.grad(fc)(x, kern, s, backend=backend)
+    for g, t in zip(grads, _pool_tape(x, kern, s)):
+        np.testing.assert_allclose(g, t, rtol=1e-12, atol=1e-12)
+    dx, dk, ds = rng.standard_normal(9), rng.standard_normal(W), 0.3
+    eps = 1e-6
+    fd = (fc(x + eps * dx, kern + eps * dk, s + eps * ds, backend="ref")
+          - fc(x - eps * dx, kern - eps * dk, s - eps * ds, backend="ref")) / (2 * eps)
+    np.testing.assert_allclose(grads[0] @ dx + grads[1] @ dk + grads[2] * ds, fd, rtol=1e-6)
+    assert len(_hot_lanes(rp.vjp(fc).fun)) == 1
+
+
+def _check_pool_ties_and_nans(backend):
+    # Ties in windows 0–2 and 7, a NaN in windows 3–6 (two in 5 and 6).
+    x = np.array([1.0, 3.0, 3.0, 2.0, 3.0, NAN, 1.0, NAN, 0.0, 0.0])
+    kern, s = np.ones(W), 0.0
+    got = rp.grad(_pool_fun())(x, kern, s, backend=backend)
+    for g, w in zip(got, _pool_first_index(x, kern, s)):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_max_pool_vjp_routes_ties_to_the_first_index_and_nans_to_the_first_nan(backend):
+    _check_pool_ties_and_nans(backend)
+
+
+def _no_hit_fun():
+    # min with a neutral element of 0 over values ≥ 1: no element holds y.
+    return rp.compile(rp.trace_like(
+        lambda m: rp.sum(rp.map(
+            lambda r: rp.reduce(lambda a, b: rp.minimum(a, b), 0.0,
+                                rp.map(lambda v: v * v + 1.0, r)), m)),
+        (np.ones((2, 3)),)))
+
+
+def _check_no_hit(backend):
+    m = np.arange(1.0, 7.0).reshape(2, 3)
+    fc = _no_hit_fun()
+    np.testing.assert_array_equal(rp.grad(fc)(m, backend=backend), np.zeros_like(m))
+    assert len(_hot_lanes(rp.vjp(fc).fun)) == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_no_element_holds_y_nothing_is_read_or_added(backend):
+    _check_no_hit(backend)
+    # An empty window reads nothing either (no element at all to read).
+    xs = np.zeros(0)
+    fc = rp.compile(rp.trace_like(
+        lambda v: rp.max(rp.map(lambda x: x * x, v)), (np.ones(3),)))
+    np.testing.assert_array_equal(rp.vjp(fc)(xs, 1.0, backend=backend)[1], xs)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_inf_centre_no_point_picks_gets_a_zero_row(backend):
+    # A dense one-hot adjoint multiplied the inf centre's 0 adjoint into
+    # (p - inf): its gradient and Hessian rows came out [nan, 0].  Central
+    # differences and the manual Hessian give 0 (the manual gradient's
+    # 0·inf is nan).
+    pts = np.array([[0.0, 0.0], [4.0, 4.0], [1.0, 2.0]])
+    ctr = np.array([[0.0, 1.0], [5.0, 5.0], [INF, 0.0]])
+    fc = rp.compile(kmeans.build_ir(3, 3, 2))
+    g = rp.grad(fc, wrt=[1])(pts, ctr, backend=backend)
+    h = rp.hessian_diag(fc, wrt=1)(pts, ctr, backend=backend)
+    np.testing.assert_array_equal(g[2], [0.0, 0.0])
+    np.testing.assert_array_equal(h[2], [0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        gm, hm = kmeans.grad_hess_manual(pts, ctr)
+    np.testing.assert_allclose(g[:2], gm[:2])
+    np.testing.assert_allclose(h, hm)
+    e = np.zeros_like(ctr)
+    e[2, 1] = 1e-6
+    fd = (fc(pts, ctr + e, backend="ref") - fc(pts, ctr - e, backend="ref")) / 2e-6
+    assert fd == g[2, 1] == 0.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n, k", [(0, 3), (5, 0)])
+def test_kmeans_with_no_points_or_no_centres_has_zero_derivatives(n, k, backend):
+    rng = np.random.default_rng(0)
+    pts, ctr = rng.standard_normal((n, 4)), rng.standard_normal((k, 4))
+    fc = rp.compile(kmeans.build_ir(n, k, 4))
+    for d in (rp.grad(fc, wrt=[1]), rp.hessian_diag(fc, wrt=1)):
+        got = d(pts, ctr, backend=backend)
+        assert got.shape == ctr.shape
+        np.testing.assert_array_equal(got, np.zeros_like(ctr))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sparse_kmeans_matches_the_manual_gradient(backend):
+    # The per-centre reverse loop of the CSR dot product runs once per row.
+    data = datagen.sparse_kmeans_instance(30, 12, 4, k=4, seed=2)
+    g = rp.grad(rp.compile(kmeans_sparse.build_ir(30, 4, 12)), wrt=[3])
+    np.testing.assert_allclose(g(*data, backend=backend),
+                               kmeans_sparse.grad_manual(*data), rtol=1e-12, atol=1e-12)
+
+
+def test_hot_lane_mutants_are_caught(monkeypatch):
+    from repro.core import rules_map
+
+    _check_pool_ties_and_nans("plan")
+    _check_no_hit("plan")
+    with monkeypatch.context() as m:
+        m.setattr(rules_reduce, "first_index", _last_index)
+        with pytest.raises(AssertionError):
+            _check_pool_ties_and_nans("plan")
+    with monkeypatch.context() as m:
+        m.setattr(rules_map, "_lane_trips", lambda b, iy, arr: const(1, I64))
+        with pytest.raises(AssertionError):
+            _check_no_hit("plan")

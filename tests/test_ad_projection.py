@@ -16,6 +16,7 @@ from repro.apps import datagen, gmm, kmeans, kmeans_sparse, lstm, rsbench, xsben
 from repro.core.api import _pre_ad
 from repro.core.jvp import jvp_fun
 from repro.core.vjp import vjp_fun
+from repro.ir import pretty
 from repro.ir.traversal import count_stms
 from repro.opt.acc_opt import acc_opt_fun
 from repro.opt.pipeline import AD_SAFE_PASSES, optimize_fun
@@ -119,3 +120,40 @@ def test_projected_kmeans_hessian_computes_no_gradient_and_no_distance_tangent()
     dist = defs[mins.arrs[0].name]
     tangents = {p.name for p in fun.params[len(fc.fun.params) + 1:]}
     assert len(dist.pat) == 1 and not tangents & {v.name for v in exp_free_vars(dist.exp)}
+
+
+def _maps_over(fun, extent):
+    """The maps (at any depth) whose first array is an ``iota(extent)``."""
+    from repro.ir.ast import Const, Iota, Map
+
+    stms = list(_stms(fun.body))
+    iotas = {v.name for s in stms for v in s.pat
+             if isinstance(s.exp, Iota) and s.exp.n == Const(extent, s.exp.n.type)}
+    return [s.exp for s in stms if isinstance(s.exp, Map) and s.exp.arrs[0].name in iotas]
+
+
+def test_projected_kmeans_derivatives_differentiate_one_centre_per_point():
+    # The min rule keeps its one-hot adjoint sparse up to the distance map
+    # (rules_map's hot lane): the only map over the k centres left is the
+    # forward sweep's distance map; the adjoint updates the nearest centre
+    # alone, inside a loop of at most one trip.
+    from repro.ir.ast import Loop
+
+    build_ir, _wrt, _inp = _inputs()["kmeans"]
+    fc = rp.compile(build_ir())
+    k = 3
+    for fun in (rp.grad(fc, wrt=[1]).adfun.fun, rp.hessian_diag(fc, wrt=1).adfun.fun):
+        (dist,) = _maps_over(fun, k)
+        assert not dist.accs
+        loops = [s.exp for s in _stms(fun.body) if isinstance(s.exp, Loop)]
+        assert len(loops) == 1 and "upd" in pretty(loops[0].body)
+
+
+def test_a_map_result_with_a_second_reader_keeps_the_dense_one_hot():
+    # Each of GMM's two logsumexps reads its ``vals`` twice (the max and the
+    # exp-sum), so both max rules build the one-hot map, and the vals maps
+    # are reversed over all their lanes.
+    from test_ad_minmax import _one_hot_maps
+
+    build_ir, wrt, _inp = _inputs()["gmm"]
+    assert len(_one_hot_maps(rp.grad(rp.compile(build_ir()), wrt=wrt).adfun.fun)) == 2

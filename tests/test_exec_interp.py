@@ -179,6 +179,20 @@ def test_empty_map_and_reduce():
     assert out[1] == 0.0
 
 
+def test_empty_map_of_arrays_never_gets_a_wrong_shape():
+    # No element computes the inner extent: ref says so instead of returning
+    # (0, 0); plan and codegen run the body on zero lanes and see the 3.
+    fc = rp.compile(rp.trace_like(
+        lambda c: rp.map(lambda i: rp.map(lambda j: c[i, j] * 2.0, rp.iota(3)),
+                         rp.iota(rp.size(c))),
+        (np.ones((2, 3)),)))
+    c = np.zeros((0, 3))
+    with pytest.raises(ExecError, match="zero elements.*extents"):
+        fc(c, backend="ref")
+    for be in ("plan", "codegen"):
+        assert fc(c, backend=be).shape == (0, 3)
+
+
 def test_matmul_transpose_sugar():
     A = np.arange(6.0).reshape(2, 3)
     B = np.arange(12.0).reshape(3, 4)

@@ -315,21 +315,36 @@ def test_dce_drops_a_dead_accumulator_through_a_two_level_map_nest():
     assert "abar" not in pretty(cut) and "zeros_like(a)" not in pretty(cut)
 
 
-def test_dce_keeps_a_dead_accumulator_whose_chain_runs_through_a_loop():
-    from repro.ir import F64, I64, AccType, Builder, Fun, Lambda, Var, array, const
+def _chain_through(kind):
+    """``withacc`` of two accumulators whose first (dead) one is threaded
+    through a ``loop`` or an ``if`` that updates it; the second is live."""
+    from repro.ir import BOOL, F64, I64, AccType, Builder, Fun, Lambda, Var, array, const
 
     acc = AccType(F64, 1)
     a, wa, wc, p, i = Var("a", array(F64, 1)), Var("wa", acc), Var("wc", acc), Var("p", acc), Var("i", I64)
-    lb = Builder()
-    step = lb.finish([lb.upd_acc(p, const(0, I64), const(1.0, F64))])
     wb = Builder()
-    (la,) = wb.loop([p], [wa], i, const(2, I64), step, names=["la"])
+    if kind == "loop":
+        lb = Builder()
+        step = lb.finish([lb.upd_acc(p, const(0, I64), const(1.0, F64))])
+        (la,) = wb.loop([p], [wa], i, const(2, I64), step, names=["la"])
+    else:
+        tb = Builder()
+        then = tb.finish([tb.upd_acc(wa, const(0, I64), const(1.0, F64))])
+        (la,) = wb.if_(const(True, BOOL), then, Builder().finish([wa]), names=["la"])
     wc2 = wb.upd_acc(wc, const(0, I64), const(2.0, F64))
     b = Builder()
     _abar, cbar = b.with_acc([b.zeros_like(a), b.zeros_like(a)], Lambda((wa, wc), wb.finish([la, wc2])))
-    fun = Fun("loop_chain", (a,), b.finish([cbar]))
+    return Fun(kind + "_chain", (a,), b.finish([cbar]))
+
+
+def test_dce_drops_a_dead_accumulator_through_a_loop_but_not_an_if():
+    # A loop threads an accumulator as a map does (the min/max rule's hot
+    # lane runs in one); an ``if`` is not followed.
+    cut = _cut_is_sound(_chain_through("loop"), np.ones(3))
+    (wa,) = _withaccs(cut)
+    assert len(wa.arrs) == 1 and not _loops(cut)
+    fun = _chain_through("if")
     assert _cut_is_sound(fun, np.ones(3)) is fun
-    assert _withaccs(dce_fun(fun))[0] is _withaccs(fun)[0]
 
 
 def test_a_mutant_that_drops_a_live_accumulator_is_caught(monkeypatch):
