@@ -106,6 +106,16 @@ class RefInterp:
         for v, val in zip(stm.pat, vals):
             env[v.name] = val
 
+    def index(self, idx: Sequence[Atom], env: Env, shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The index operands of an ``Index`` / ``Update`` / ``UpdAcc`` into an
+        array of ``shape``: a negative or too-large one is an error, not a
+        wrap-around (the plan family clips instead; no program may rely on
+        either)."""
+        out = tuple(int(scalar_value(self.atom(i, env))) for i in idx)
+        if len(out) > len(shape) or not all(0 <= i < n for i, n in zip(out, shape)):
+            raise ExecError(f"index {out} out of bounds for shape {tuple(shape)}")
+        return out
+
     def apply_lambda(self, lam: Lambda, args: Sequence[object], env: Env):
         # Lexical closure: lambda bodies see the enclosing environment.  All
         # generated names are unique, so a flat environment is safe.
@@ -154,17 +164,13 @@ class RefInterp:
 
         if isinstance(e, Index):
             arr = self.atom(e.arr, env)
-            idx = tuple(int(scalar_value(self.atom(i, env))) for i in e.idx)
-            try:
-                v = arr[idx]
-            except IndexError:
-                raise ExecError(f"index {idx} out of bounds for shape {arr.shape}")
+            v = arr[self.index(e.idx, env, arr.shape)]
             rec.mem(reads=_size(v))
             return (v,)
 
         if isinstance(e, Update):
             arr = self.atom(e.arr, env)
-            idx = tuple(int(scalar_value(self.atom(i, env))) for i in e.idx)
+            idx = self.index(e.idx, env, np.shape(arr))
             val = self.atom(e.val, env)
             out = np.array(arr)  # copy-on-write functional semantics
             out[idx] = val
@@ -260,7 +266,7 @@ class RefInterp:
             acc = self.atom(e.acc, env)
             if not isinstance(acc, AccVal):
                 raise ExecError("upd: operand is not an accumulator")
-            idx = tuple(int(scalar_value(self.atom(i, env))) for i in e.idx)
+            idx = self.index(e.idx, env, acc.buf.shape)
             v = self.atom(e.v, env)
             rec.op(_size(v))
             rec.mem(reads=_size(v), writes=_size(v))  # atomic RMW

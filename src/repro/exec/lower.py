@@ -38,8 +38,9 @@ serves every shape of a rank/dtype signature:
   ``upd_acc`` all of whose index operands are one or the other carries
   ``affine`` flags and takes the view path of ``exec/vector.py``
   (``_index`` / ``_upd_acc``); any other stays a clipped gather /
-  ``np.add.at``.  The facts are scoped to the binding body (sibling scopes
-  reuse names) — see ``_Lowerer.facts``.
+  scatter-add through one linear index (``np.take`` / ``np.add.at``, see
+  ``vector._linear``).  The facts are scoped to the binding body (sibling
+  scopes reuse names) — see ``_Lowerer.facts``.
 
 Emitters consume the IR without re-deciding anything: ``exec/plan.py`` emits
 one Python closure per instruction (the interpreter), ``exec/codegen.py``

@@ -24,14 +24,21 @@ all iterations at once.  Divergent control flow runs SIMT-style:
   does;
 * ``Loop``/``WhileLoop`` with lane-varying trip counts run to the maximum
   trip count with per-lane active masks;
-* accumulator updates (``UpdAcc``) become ``np.add.at`` — the moral
-  equivalent of the CUDA ``atomicAdd`` the paper lowers accumulators to —
-  with inactive lanes contributing zero;
+* accumulator updates (``UpdAcc``) become one ``np.add.at`` on the
+  flattened accumulator — the moral equivalent of the CUDA ``atomicAdd``
+  the paper lowers accumulators to — with inactive lanes contributing zero;
+* every indexed kernel (gather, scatter-add, histogram, ``scatter``,
+  ``update``) addresses its array through one element-linear ``intp``
+  index (``_linear``: batch lanes and clipped index operands times
+  their strides), never through index grids and a tuple of index arrays:
+  NumPy's ``take`` / ``ufunc.at`` / assignment are fast on a 1-D index and
+  slow on a tuple, and a 1-D index visits the elements in the same C order,
+  so the results are bitwise the same;
 * reads and accumulator updates whose indices ``exec/lower.py`` proved to be
   the enclosing maps' own ``iota`` (plus a constant) or lane-uniform skip
   the gather/scatter: ``_index`` returns a basic-indexing *view* and
   ``_upd_acc`` adds into one (``_basic_view``), falling back to the clipped
-  ``_gather`` / ``np.add.at`` whenever a per-call fact fails.
+  ``_gather`` / scatter-add whenever a per-call fact fails.
 
 Batched values are ``BV(data, bdims)``: ``data`` carries ``bdims`` leading
 batch axes aligned with the engine's batch-size stack.  Batch axes may have
@@ -124,15 +131,46 @@ def _align(vs: Sequence[BV]) -> Tuple[List[np.ndarray], int, int]:
     return out, k, pmax
 
 
-def _grids(prefix: Tuple[int, ...], extra: int = 0) -> Tuple[np.ndarray, ...]:
-    """Open index grids over the leading axes, padded with ``extra`` trailing
-    singleton dims so they broadcast against deeper index arrays."""
-    k = len(prefix)
-    gs = []
-    for a, s in enumerate(prefix):
-        shape = (1,) * a + (s,) + (1,) * (k - 1 - a + extra)
-        gs.append(np.arange(s).reshape(shape))
-    return tuple(gs)
+def _linear(shape: Tuple[int, ...], k: int, idxs: Sequence[np.ndarray],
+            elems: bool = False) -> np.ndarray:
+    """The C-order linear index of ``a[batch..., i0, i1, ...]`` into an ``a``
+    of ``shape``: ``k`` leading batch axes, one axis per index operand, then
+    the *row* axes.  Each batch axis of extent other
+    than 1 contributes ``arange · stride``, each operand (batch axes first,
+    all of one rank) its clipped value ``· stride``; the sum broadcasts over
+    the operands' lanes.  It addresses the rows of ``_rows(a, k +
+    len(idxs))``, or with ``elems`` the elements of ``a.reshape(-1)`` (plus
+    the ``arange`` of a row, on the row axes).  A C-order walk of it visits
+    what the tuple index ``(grids..., *idxs)`` would, in the same order."""
+    nd = max([k] + [np.ndim(i) for i in idxs])
+    lead = k + len(idxs)
+    row = math.prod(shape[lead:]) if elems else 1
+    stride = row
+    lin = None
+    for a in range(lead - 1, -1, -1):
+        dim = shape[a]
+        if a >= k:
+            # Clip for memory safety: inactive/divergent lanes may hold
+            # garbage indices; their results are never selected downstream.
+            t = np.clip(idxs[a - k], 0, max(dim - 1, 0))
+        elif dim != 1:
+            t = np.arange(dim).reshape((1,) * a + (dim,) + (1,) * (nd - 1 - a))
+        else:
+            continue
+        if stride != 1:
+            t = t * np.intp(stride)
+        lin = t if lin is None else lin + t
+        stride *= dim
+    if elems and lead < len(shape):
+        lin = np.add.outer(lin, np.arange(row).reshape(shape[lead:]))
+    return lin
+
+
+def _rows(a: np.ndarray, lead: int) -> np.ndarray:
+    """``a`` as one row per element of its ``lead`` leading axes: a view
+    when ``a`` is C-contiguous (every buffer the kernels write through), a
+    copy at worst."""
+    return a.reshape((math.prod(a.shape[:lead]),) + a.shape[lead:])
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +446,11 @@ def _where(c: BV, t, f):
 
 
 def _gather(arr: BV, idxs: List[BV]) -> BV:
+    """``arr[idxs]`` through clipped indices: one ``take`` of rows."""
     k = max([arr.bdims] + [i.bdims for i in idxs])
     ad = _expand(arr, k)
-    # Clip for memory safety: inactive/divergent lanes may hold garbage
-    # indices; their results are never selected downstream.
-    sel = []
-    for a, i in enumerate(idxs):
-        dim = ad.shape[k + a]
-        sel.append(np.clip(_expand(i, k), 0, max(dim - 1, 0)))
-    out = ad[_grids(ad.shape[:k]) + tuple(sel)]
-    return BV(np.asarray(out), k)
+    lin = _linear(ad.shape, k, [_expand(i, k) for i in idxs])
+    return BV(_rows(ad, k + len(idxs)).take(lin, axis=0), k)
 
 
 def _basic_view(a: np.ndarray, ka: int, idxs: Sequence[BV], affine, k: int):
@@ -545,15 +578,8 @@ def _upd_acc(state, acc, idxs: List[BV], v: BV, affine) -> AccBV:
         extra = tuple(range(acc.bdims, k))
         acc.data += vd.sum(axis=extra) if extra else vd
         return acc
-    sel = _grids(bshape)[: acc.bdims] + tuple(
-        np.clip(
-            np.broadcast_to(_expand(i, k), bshape),
-            0,
-            max(acc.data.shape[acc.bdims + a] - 1, 0),
-        )
-        for a, i in enumerate(idxs)
-    )
-    np.add.at(acc.data, sel, vd)
+    lin = _linear(acc.data.shape, acc.bdims, [_expand(i, k) for i in idxs], elems=True)
+    np.add.at(acc.data.reshape(-1), np.broadcast_to(lin, vd.shape).ravel(), vd.ravel())
     return acc
 
 
@@ -626,18 +652,16 @@ def _update(eng, arr: BV, idxs: List[BV], val: BV) -> BV:
     if eng.mask is not None:
         k = max(k, eng.mask.bdims)
     ad = _materialised(eng, arr, k)
-    sel = _grids(ad.shape[:k]) + tuple(
-        np.clip(_expand(i, k), 0, max(ad.shape[k + a] - 1, 0))
-        for a, i in enumerate(idxs)
-    )
+    rows = _rows(ad, k + len(idxs))
+    lin = _linear(ad.shape, k, [_expand(i, k) for i in idxs])
     vd = _expand(val, k)
     if eng.mask is None:
-        ad[sel] = vd
+        rows[lin] = vd
     else:
-        old = ad[sel]
+        old = rows[lin]
         md = _expand(eng.mask, k)
         md = md.reshape(md.shape + (1,) * (old.ndim - md.ndim))
-        ad[sel] = np.where(md, vd, old)
+        rows[lin] = np.where(md, vd, old)
     return BV(ad, k)
 
 
@@ -708,8 +732,7 @@ def _scatter(eng, dest: BV, inds: BV, vals: BV) -> BV:
     dd = _materialised(eng, dest, d)
     idata, valid = _valid_lanes(eng, inds, n, dd.shape[d])
     vdata = np.broadcast_to(np.asarray(vals.data), idata.shape + vals.pshape())
-    lanes = np.nonzero(valid)  # (batch indices..., position in the lane)
-    dd[lanes[:-1] + (idata[lanes],)] = vdata[lanes]
+    _rows(dd, d + 1)[_linear(dd.shape, d, [idata])[valid]] = vdata[valid]
     return BV(dd, d)
 
 
@@ -905,8 +928,9 @@ def _hist_accumulate(eng, op: str, ne: BV, hs, r: BV) -> BV:
     hist = _hist_init(eng, ne, m, pe, data.dtype)
     vdata = np.broadcast_to(data, bshape + (n,) + pe)
     w = valid.reshape(valid.shape + (1,) * (vdata.ndim - valid.ndim))
-    isel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(m - 1, 0)),)
-    _UFUNC[op].at(hist, isel, np.where(w, vdata, _neutral_of(op, data.dtype)))
+    vals = np.where(w, vdata, _neutral_of(op, data.dtype))
+    lin = _linear(hist.shape, d, [idata], elems=True)
+    _UFUNC[op].at(hist.reshape(-1), np.broadcast_to(lin, vals.shape).ravel(), vals.ravel())
     return BV(hist, d)
 
 
@@ -936,15 +960,16 @@ def _hist_fold(eng, m: int, arrs: List[BV], nes: List[BV], body) -> List[BV]:
     vals = args[1:]
     outs = [BV(_hist_init(eng, ne, m, v.pshape(), np.asarray(v.data).dtype), d)
             for ne, v in zip(nes, vals)]
-    gsel = _grids(tuple(eng.bstack))
+    bins = [_rows(o.data, d + 1) for o in outs]
+    lin = _linear(tuple(eng.bstack) + (m,), d, [idata])
     for i in range(n):
-        s = gsel + (np.clip(idata[..., i], 0, max(m - 1, 0)),)
-        new = body(eng, [*(BV(o.data[s], d) for o in outs), *_elems_at(vals, i, d)])
+        s = lin[..., i]
+        new = body(eng, [*(BV(b[s], d) for b in bins), *_elems_at(vals, i, d)])
         vi = valid[..., i]
-        for o, nv in zip(outs, new):
-            old = o.data[s]
+        for b, nv in zip(bins, new):
+            old = b[s]
             w = vi.reshape(vi.shape + (1,) * (old.ndim - vi.ndim))
-            o.data[s] = np.where(w, np.broadcast_to(_expand(nv, d), old.shape), old)
+            b[s] = np.where(w, np.broadcast_to(_expand(nv, d), old.shape), old)
     return outs
 
 

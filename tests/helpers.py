@@ -122,7 +122,7 @@ def _profiled(fn) -> dict:
 
 def numpy_call_census(fn) -> dict:
     """What indexing cost one ``fn()``: ``gather`` — calls of
-    ``exec.vector._gather`` (the clipped fancy-index read), ``scatter`` —
+    ``exec.vector._gather`` (the clipped row ``take``), ``scatter`` —
     ``ufunc.at`` calls made by ``exec.vector._upd_acc`` (the ``np.add.at``
     update), ``clip`` — every ``np.clip``."""
     out = {"gather": 0, "scatter": 0, "clip": 0}

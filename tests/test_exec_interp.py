@@ -173,6 +173,45 @@ def test_gather():
     np.testing.assert_allclose(out, [30.0, 10.0])
 
 
+def test_a_negative_read_index_is_an_error_not_a_wrap_around():
+    """``xs[i-1]`` at ``i = 0``: NumPy would read ``xs[4]`` (``[4,0,1,2,3]``);
+    ``ref`` names the index and the shape.  The plan family clips (``[0,0,1,2,3]``)."""
+    xs = np.arange(5.0)
+    fc = rp.compile(rp.trace_like(lambda a: rp.map(lambda i: a[i - 1], rp.iota(5)), (xs,)))
+    with pytest.raises(ExecError, match=r"index \(-1,\) out of bounds for shape \(5,\)"):
+        fc(xs, backend="ref")
+    for be in ("plan", "codegen"):
+        np.testing.assert_array_equal(fc(xs, backend=be), [0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("i", [5, -1])
+def test_an_update_out_of_range_is_an_error(i):
+    """``update xs 5 9.0`` used to escape as a bare ``IndexError``;
+    ``update xs (-1) 9.0`` wrote ``xs[4]`` (the plan family clips onto ``xs[0]``)."""
+    xs = np.arange(5.0)
+    fc = rp.compile(rp.trace_like(lambda a, j: rp.update(a, j, 9.0), (xs, np.int64(0))))
+    with pytest.raises(ExecError, match=rf"index \({i},\) out of bounds for shape \(5,\)"):
+        fc(xs, np.int64(i), backend="ref")
+    np.testing.assert_array_equal(fc(xs, np.int64(2), backend="ref"), [0.0, 1.0, 9.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("i", [4, -1])
+def test_an_accumulator_update_out_of_range_is_an_error(i):
+    """``withacc xs (λp. upd p[j] += 1.0)`` with ``j`` outside ``[0, 4)``."""
+    from repro.ir import F64, I64, Fun, Lambda, Var, array
+    from repro.ir.ast import Body, Const, Stm, UpdAcc, WithAcc
+    from repro.ir.types import AccType
+
+    a, j, out = Var("a", array(F64)), Var("j", I64), Var("out", array(F64))
+    p, u = Var("p", AccType(F64, 1)), Var("u", AccType(F64, 1))
+    lam = Lambda((p,), Body((Stm((u,), UpdAcc(p, (j,), Const(1.0, F64))),), (u,)))
+    fun = Fun("f", (a, j), Body((Stm((out,), WithAcc((a,), lam)),), (out,)))
+    with pytest.raises(ExecError, match=rf"index \({i},\) out of bounds for shape \(4,\)"):
+        run_fun(fun, (np.zeros(4), np.int64(i)))
+    (ok,) = run_fun(fun, (np.zeros(4), np.int64(3)))
+    np.testing.assert_array_equal(ok, [0.0, 0.0, 0.0, 1.0])
+
+
 def test_empty_map_and_reduce():
     out = _run(lambda xs: (rp.map(lambda x: x * 2.0, xs), rp.sum(xs)), (np.zeros(0),))
     assert out[0].shape == (0,)

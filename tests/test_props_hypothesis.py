@@ -109,3 +109,150 @@ def test_optimization_pipeline_preserves_gradients(n, seed):
     g_opt = rp.grad(rp.compile(fun, optimize=True))(xs)
     g_raw = rp.grad(rp.compile(fun, optimize=False), optimize=False)(xs)
     np.testing.assert_allclose(g_opt, g_raw, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Indexed kernels: the scatter-add of ``_upd_acc`` and the histogram of
+# ``_hist_accumulate`` address their buffer through one linear index
+# (``exec/vector.py:_linear``).  Both must be bitwise what ``ufunc.at``
+# through open grids and a tuple of clipped index arrays gave — the same
+# additions in the same order — on duplicate-heavy inputs whose sums depend
+# on that order.  Each property is a checker so the mutants below can show it
+# bites.
+# ---------------------------------------------------------------------------
+
+from types import SimpleNamespace  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.exec import vector as V  # noqa: E402
+from repro.exec.vector import AccBV, BV  # noqa: E402
+
+
+def _grid_index(bshape, k, extra, idx, m):
+    """The tuple index the kernels used before the linear one: open grids
+    over the first ``k`` batch axes (``extra`` trailing singleton axes),
+    then the clipped index array."""
+    grids = tuple(np.arange(s).reshape((1,) * a + (s,) + (1,) * (len(bshape) - 1 - a + extra))
+                  for a, s in enumerate(bshape[:k]))
+    return grids + (np.clip(idx, 0, max(m - 1, 0)),)
+
+
+def _summands(rng, shape, dt):
+    """Values over six decades: their float sum depends on its order."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)).astype(dt)
+
+
+def _eng(rng, bshape, masked):
+    mask = BV(rng.random(bshape) < 0.7, len(bshape)) if masked else None
+    return SimpleNamespace(bstack=list(bshape), mask=mask, lanes=int(np.prod(bshape)), out={})
+
+
+def _scatter_add_matches(dt, bshape, ka, m, row, varies, masked, seed) -> bool:
+    """``upd acc[i] += v`` on the scatter path, ``acc`` with ``ka`` batch
+    axes; the index varies along the lane axes flagged in ``varies``."""
+    rng = np.random.default_rng(seed)
+    k = len(bshape)
+    eng = _eng(rng, bshape, masked)
+    start = _summands(rng, bshape[:ka] + (m,) + row, dt)
+    idx = rng.integers(-1, m + 1, tuple(s if v else 1 for s, v in zip(bshape, varies)))
+    v = _summands(rng, bshape + row, dt)
+    acc = AccBV(start.copy(), ka)
+    V._upd_acc(eng, acc, [BV(idx, k)], BV(v, k), None)
+    if masked:
+        v = np.where(eng.mask.data.reshape(bshape + (1,) * len(row)), v, dt(0))
+    want = start.copy()
+    np.add.at(want, _grid_index(bshape, ka, 0, np.broadcast_to(idx, bshape), m), v)
+    return acc.data.tobytes() == want.tobytes()
+
+
+def _hist_matches(dt, op, bshape, m, n, row, masked, seed) -> bool:
+    """A ``hist:ufunc`` of ``n`` row values per lane into ``m`` bins."""
+    rng = np.random.default_rng(seed)
+    d = len(bshape)
+    eng = _eng(rng, bshape, masked)
+    inds = rng.integers(-1, m + 1, bshape + (n,))
+    vals = _summands(rng, bshape + (n,) + row, dt)
+    ne = V._neutral_of(op, np.dtype(dt))
+    args, _n, hs = V._hist_enter(eng, m, [BV(inds, d), BV(vals, d)])
+    got = V._hist_accumulate(eng, op, BV(np.full(row, ne, dt), 0), hs, args[1])
+    valid = hs[2].reshape(hs[2].shape + (1,) * len(row))
+    want = np.full(bshape + (m,) + row, ne, dt)
+    V._UFUNC[op].at(want, _grid_index(bshape, d, 1, inds, m), np.where(valid, vals, ne))
+    return got.data.tobytes() == want.tobytes()
+
+
+_dtypes = st.sampled_from([np.float32, np.float64])
+_bshapes = st.lists(st.integers(1, 4), max_size=2).map(tuple)
+_rows = st.sampled_from([(), (2,)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dtypes, _bshapes, st.data(), st.integers(1, 3), _rows, st.booleans(),
+       st.integers(0, 10**6))
+def test_scatter_add_is_bitwise_the_tuple_index_add_at(dt, bshape, data, m, row, masked, seed):
+    ka = data.draw(st.integers(0, len(bshape)))
+    varies = data.draw(st.lists(st.booleans(), min_size=len(bshape), max_size=len(bshape)))
+    assert _scatter_add_matches(dt, bshape, ka, m, row, varies, masked, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dtypes, st.sampled_from(["add", "max"]), _bshapes, st.integers(1, 3),
+       st.integers(0, 24), _rows, st.booleans(), st.integers(0, 10**6))
+def test_histogram_is_bitwise_the_tuple_index_ufunc_at(dt, op, bshape, m, n, row, masked, seed):
+    assert _hist_matches(dt, op, bshape, m, n, row, masked, seed)
+
+
+# -- mutants the two properties must catch --------------------------------------
+
+_linear = V._linear
+
+
+def _skips_a_uniform_lane(shape, k, idxs, elems=False):
+    """Mutant: a batch axis the index does not vary along (extent 1 in the
+    index) is skipped, stride and all, as if the array were shared along it
+    too — every lane then adds into batch row 0."""
+    flat = tuple(1 if a < k and all(np.shape(i)[a] == 1 for i in idxs) else s
+                 for a, s in enumerate(shape))
+    return _linear(flat, k, idxs, elems)
+
+
+class _ReversedAt:
+    """A ufunc whose ``at`` visits its (1-D) index last to first."""
+
+    def __init__(self, uf):
+        self.uf = uf
+
+    def at(self, buf, lin, vals):
+        self.uf.at(buf, lin[::-1], vals[::-1])
+
+    def __getattr__(self, name):
+        return getattr(self.uf, name)
+
+
+class _NumpyWithReversedAdd:
+    add = _ReversedAt(np.add)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+# Duplicate-heavy: 48 float32 lanes onto 2 bins.
+_DUPS = dict(dt=np.float32, bshape=(3, 16), m=2, row=(), masked=False, seed=3)
+
+
+def test_a_mutant_that_skips_a_lane_uniform_batch_axis_is_caught(monkeypatch):
+    case = dict(_DUPS, ka=1, varies=(False, True))
+    assert _scatter_add_matches(**case)
+    monkeypatch.setattr(V, "_linear", _skips_a_uniform_lane)
+    assert not _scatter_add_matches(**case)
+
+
+def test_a_mutant_that_reverses_the_visiting_order_is_caught(monkeypatch):
+    scatter = dict(_DUPS, ka=0, varies=(True, True))
+    hist = dict(dt=np.float32, op="add", bshape=(2,), m=2, n=40, row=(2,), masked=True, seed=4)
+    assert _scatter_add_matches(**scatter) and _hist_matches(**hist)
+    monkeypatch.setattr(V, "np", _NumpyWithReversedAdd())
+    monkeypatch.setattr(V, "_UFUNC", {**V._UFUNC, "add": _ReversedAt(np.add)})
+    assert not _scatter_add_matches(**scatter)
+    assert not _hist_matches(**hist)

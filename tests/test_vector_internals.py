@@ -1,10 +1,11 @@
 """Unit tests for the vectorised interpreter's batching machinery."""
 import inspect
+import math
 
 import numpy as np
 import pytest
 
-from repro.exec.vector import BV, _align, _expand, _grids, _neutral_of
+from repro.exec.vector import BV, _align, _expand, _neutral_of
 from repro.util import ExecError
 
 
@@ -29,13 +30,6 @@ def test_align_batches_and_payloads():
     assert datas[1].shape == (1, 5)
     # The result broadcasts to (3, 5):
     assert (datas[0] + datas[1]).shape == (3, 5)
-
-
-def test_grids_shapes():
-    gs = _grids((2, 3))
-    assert gs[0].shape == (2, 1) and gs[1].shape == (1, 3)
-    gs = _grids((2,), extra=1)
-    assert gs[0].shape == (2, 1)
 
 
 def test_neutral_of_dtypes():
@@ -242,7 +236,7 @@ def _hist_want(eng, bshape, m, inds, vals, op, ne):
         for j in range(inds.shape[-1]):
             b = inds[lane][j]
             if _active(eng, lane) and 0 <= b < m:
-                want[lane][b] = _OPS[op](want[lane][b], vals[lane][j])
+                want[lane][b] = V._UFUNC[op](want[lane][b], vals[lane][j])
     return want
 
 
@@ -296,6 +290,164 @@ def test_hist_accumulate_with_a_vector_payload_and_a_lane_uniform_map_result():
     got = V._hist_accumulate(eng, "add", BV(np.zeros(2), 0), hs, BV(np.array([1.0, 10.0]), 0))
     want = np.array([[[1, 10], [0, 0], [2, 20]], [[0, 0], [2, 20], [0, 0]]], dtype=float)
     np.testing.assert_array_equal(got.data, want)
+
+
+# ---------------------------------------------------------------------------
+# Indexed kernels: one linear index (``_linear``) into the array, checked
+# bitwise against per-lane loops — every read, last-writer-wins write and
+# ``ufunc.at`` update happens in the order the loop makes it.  Indices run
+# negative, past the end and onto one another; a batch axis of extent 1
+# meets index lanes of full extent.
+# ---------------------------------------------------------------------------
+
+
+def _clip(i, n):
+    return min(max(int(i), 0), n - 1)
+
+
+def _lane(v: BV, lane):
+    """``v``'s value on ``lane``: a batch axis of extent 1 is shared."""
+    d = np.asarray(v.data)
+    return d[tuple(0 if s == 1 else i for i, s in zip(lane, d.shape[: v.bdims]))]
+
+
+def _tuple_index(shape, k, idxs):
+    """What ``_linear`` replaced: open grids over the batch axes, then the
+    clipped index arrays."""
+    nd = max([k] + [np.ndim(i) for i in idxs])
+    grids = tuple(np.arange(s).reshape((1,) * a + (s,) + (1,) * (nd - 1 - a))
+                  for a, s in enumerate(shape[:k]))
+    return grids + tuple(np.clip(i, 0, max(shape[k + a] - 1, 0)) for a, i in enumerate(idxs))
+
+
+@pytest.mark.parametrize("shape,k,idxs", [
+    ((1, 3, 5, 2), 2, [np.array([[-2, 0, 4], [5, 9, 0]])]),  # extent-1 batch axis, 2 index lanes
+    ((2, 3, 4), 1, [np.array([[0, 3, 3, -1, 7], [2, 2, 0, 1, 4]])]),  # hist-style lane axis
+    ((4, 3), 0, [np.array(7)]),  # depth 0: one row
+    ((2, 6, 4, 3), 1, [np.array([[1], [9]]), np.array([[-1, 2, 5]])]),  # two operands
+    ((0, 4), 1, [np.zeros(1, dtype=np.int64)]),  # a batch axis of extent 0
+    ((3, 4, 0), 1, [np.array([0, 1, 5])]),  # rows of extent 0
+], ids=["extent1", "hist", "d0", "two", "zero-batch", "zero-rows"])
+def test_linear_index_visits_what_the_tuple_index_does(shape, k, idxs):
+    a = np.arange(float(math.prod(shape))).reshape(shape)
+    want = a[_tuple_index(shape, k, idxs)]
+    rows = V._rows(a, k + len(idxs))
+    np.testing.assert_array_equal(rows.take(V._linear(shape, k, idxs), axis=0), want)
+    elems = V._linear(shape, k, idxs, elems=True)
+    np.testing.assert_array_equal(a.reshape(-1)[elems], want)
+    assert np.asarray(elems).dtype == np.intp
+
+
+def test_gather_kernel_lanes_rows_and_sources():
+    rng = np.random.default_rng(6)
+    # A source shared by one batch axis (extent 1), read by index lanes of full extent.
+    src = rng.standard_normal((1, 3, 5, 2))
+    idx = np.array([[-2, 0, 4], [5, 9, 0]])
+    out = V._gather(BV(src, 2), [BV(idx, 2)])
+    assert out.bdims == 2 and out.data.shape == (2, 3, 2)
+    for lane in np.ndindex(2, 3):
+        np.testing.assert_array_equal(out.data[lane], src[0, lane[1], _clip(idx[lane], 5)])
+    # A transposed (not C-contiguous) source, two operands of different depth.
+    src = rng.standard_normal((4, 6)).T
+    i, j = np.array([0, 5, 7, -1]), np.array([[3, 1, -4]])
+    out = V._gather(BV(src, 0), [BV(i, 1), BV(j, 2)])
+    assert out.bdims == 2 and out.data.shape == (4, 3)
+    for a, b in np.ndindex(4, 3):
+        assert out.data[a, b] == src[_clip(i[a], 6), _clip(j[0, b], 4)]
+    # Zero extents: no index lanes; a source batch axis of extent 0.
+    none = V._gather(BV(np.arange(5.0), 0), [BV(np.zeros(0, dtype=np.int64), 1)])
+    assert none.data.shape == (0,) and none.bdims == 1
+    none = V._gather(BV(np.zeros((0, 5)), 1), [BV(np.int64(2), 0)])
+    assert none.data.shape == (0,) and none.bdims == 1
+    # Depth 0: one row, a copy.
+    src = rng.standard_normal((4, 3))
+    one = V._gather(BV(src, 0), [BV(np.int64(-3), 0)])
+    np.testing.assert_array_equal(one.data, src[0])
+    assert not np.shares_memory(one.data, src)
+
+
+@both
+@pytest.mark.parametrize("ka", [0, 1], ids=["acc-d0", "acc-d1"])
+def test_upd_acc_scatter_path_against_a_per_lane_loop(masked, ka):
+    """``upd acc[i] += v`` with row values into an accumulator with and
+    without batch axes; the index has one lane axis of extent 1."""
+    rng = np.random.default_rng(7)
+    bshape = (3, 4)
+    eng = _eng(bshape, masked)
+    start = rng.standard_normal(bshape[:ka] + (5, 2))
+    idx = np.array([[-2, 6, 3, 3]])
+    for v in (BV(rng.standard_normal(bshape + (2,)), 2), BV(rng.standard_normal((1, 4, 2)), 2),
+              BV(rng.standard_normal(2), 0)):  # full, extent-1 lane axis, lane-uniform
+        acc = AccBV(start.copy(), ka)
+        assert V._upd_acc(eng, acc, [BV(idx, 2)], v, None) is acc
+        want = start.copy()
+        for lane in np.ndindex(*bshape):
+            if _active(eng, lane):
+                want[lane[:ka] + (_clip(idx[0, lane[1]], 5),)] += _lane(v, lane)
+        np.testing.assert_array_equal(acc.data, want)
+    # No lanes at all: nothing is added.
+    acc = AccBV(np.ones((5, 2)), 0)
+    V._upd_acc(_eng((0,), False), acc, [BV(np.zeros(0, dtype=np.int64), 1)],
+               BV(np.zeros((0, 2)), 1), None)
+    np.testing.assert_array_equal(acc.data, np.ones((5, 2)))
+
+
+@both
+@pytest.mark.parametrize("op", ["add", "max"])
+def test_hist_kernels_with_rows_duplicates_and_an_extent_1_batch_axis(masked, op):
+    rng = np.random.default_rng(8)
+    bshape, m = (1, 3), 3
+    eng = _eng(bshape, masked)
+    inds = np.array([[[0, 2, 2, -1, 3, 2], [1, 1, 1, 0, 5, -3], [2, 0, 2, 0, 2, 0]]])
+    vals = rng.standard_normal(bshape + (6, 2))
+    ne = _NE[op]
+    want = _hist_want(eng, bshape, m, inds, vals, op, ne)
+    args, _n, hs = V._hist_enter(eng, m, [BV(inds, 2), BV(vals, 2)])
+    got = V._hist_accumulate(eng, op, BV(np.full(2, ne), 0), hs, args[1])
+    np.testing.assert_array_equal(got.data, want)
+    (got,) = V._hist_fold(eng, m, [BV(inds, 2), BV(vals, 2)], [BV(np.full(2, ne), 0)],
+                          lambda e, vs: (V._elem(V._UFUNC[op], *vs),))
+    np.testing.assert_array_equal(got.data, want)
+
+
+@both
+def test_scatter_kernel_last_writer_wins_rows_and_a_zero_extent(masked):
+    rng = np.random.default_rng(9)
+    bshape = (1, 3)
+    eng = _eng(bshape, masked)
+    dest, vals = rng.standard_normal(bshape + (4, 2)), rng.standard_normal(bshape + (5, 2))
+    inds = np.array([[[1, 1, -1, 4, 1], [0, 3, 0, 9, 2], [2, 2, 2, 2, 2]]])
+    out = V._scatter(eng, BV(dest, 2), BV(inds, 2), BV(vals, 2))
+    for lane in np.ndindex(*bshape):
+        want = dest[lane].copy()
+        for j in range(5):
+            if _active(eng, lane) and 0 <= inds[lane][j] < 4:
+                want[inds[lane][j]] = vals[lane][j]
+        np.testing.assert_array_equal(out.data[lane], want)
+    empty = V._scatter(eng, BV(np.zeros(bshape + (0, 2)), 2), BV(inds, 2), BV(vals, 2))
+    assert empty.data.shape == bshape + (0, 2)
+
+
+@both
+def test_update_kernel_rows_an_extent_1_batch_axis_and_a_transposed_source(masked):
+    rng = np.random.default_rng(10)
+    bshape = (2, 3)
+    eng = _eng(bshape, masked)
+    arr = rng.standard_normal((1, 3, 4, 2))  # shared by the first batch axis
+    idx, val = np.array([[-1, 2, 7], [3, 3, 0]]), rng.standard_normal((1, 1, 2))
+    out = V._update(eng, BV(arr, 2), [BV(idx, 2)], BV(val, 2))
+    assert out.data.shape == bshape + (4, 2)
+    for lane in np.ndindex(*bshape):
+        want = arr[0, lane[1]].copy()
+        if _active(eng, lane):
+            want[_clip(idx[lane], 4)] = val[0, 0]
+        np.testing.assert_array_equal(out.data[lane], want)
+    src = rng.standard_normal((3, 5)).T  # (5, 3), not C-contiguous
+    out = V._update(_eng((), False), BV(src, 0), [BV(np.int64(9), 0), BV(np.int64(1), 0)],
+                    BV(np.float64(-1.0), 0))
+    want = src.copy()
+    want[4, 1] = -1.0
+    np.testing.assert_array_equal(out.data, want)
 
 
 @depths
