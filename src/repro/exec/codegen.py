@@ -11,7 +11,9 @@ This emitter removes the dispatch.  It renders the **same plan IR**
 
 * register slots become local variables (``s12``) — no register-file
   indexing, no unbound checks on the hot path;
-* fused scalar runs become straight-line expressions over locals;
+* fused scalar runs become straight-line expressions over locals, each op
+  one direct NumPy call on its operands' data, lined up by their static
+  selectors (``exec/lower.py``: ``layout``);
 * every other instruction becomes one call of its ``vector.KERNELS``
   kernel, ufuncs, dtypes and constant ``BV``s injected as compile-time
   constants (``_K3``) through the exec namespace;
@@ -19,8 +21,9 @@ This emitter removes the dispatch.  It renders the **same plan IR**
   ``def`` rendered once, just before the call, and the kernel calls it:
   the loops, masks and batch levels around a body are the kernel's.
 
-The source is ``compile()``/``exec()``d once per plan and the resulting
-code object lives in the ordinary plan cache (same keys —
+The source is ``compile()``/``exec()``d once per plan and flags tuple (a
+``Plan`` keeps one emitted body per flags tuple) and the resulting code
+objects live in the ordinary plan cache (same keys —
 ``plan_for(..., emitter="codegen")``).  Lowering is shared and every NumPy
 call sequence is a ``vector.py`` kernel both emitters call, so for what an
 instruction computes the two are bitwise identical by construction; what the
@@ -44,20 +47,19 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..ir.ast import Fun
+from ..ir.verify import verify_mode
 from ..obs import tracing as _obs_tracing
 from ..util import ExecError
-from .lower import IntRef, PlanIR, Ref, outer_release
+from .lower import IntRef, Layout, PlanIR, Ref, outer_release
 from .plan import Plan, _scalar_fn, plan_for
 from .prims import cast_to
 from .vector import (
     BV,
-    _elem,
     _elem_into,
     _gather,
     _give,
     _index,
     _uniform_int,
-    _where,
     kernel_of,
 )
 
@@ -82,7 +84,8 @@ class _SrcEmitter:
     emitter it binds operands and hands each nested body to its kernel as a
     callable; what an instruction computes is a ``vector.py`` kernel call."""
 
-    def __init__(self) -> None:
+    def __init__(self, lay: Layout) -> None:
+        self.lay = lay
         self.lines: List[str] = []
         self.level = 1
         self.n = 0
@@ -90,6 +93,8 @@ class _SrcEmitter:
         #: used, nothing kept in step by hand.
         self.ns: Dict[str, object] = {"np": np, "BV": BV}
         self._const_names: Dict[int, str] = {}
+        #: Selector constants by ``repr`` (slices are unhashable before 3.12).
+        self._sel_names: Dict[str, str] = {}
         #: Temporaries of the instruction being emitted (``emit_body`` clears
         #: them with the instruction's releases: a template's ``args`` would
         #: otherwise pin the arrays the memory plan just let go of).
@@ -143,9 +148,19 @@ class _SrcEmitter:
         return f"{self.use(_uniform_int)}({self.ref(x.ref)}, {x.what!r})"
 
     def static(self, v) -> str:
-        if v is None or isinstance(v, (bool, int, str, tuple)):
+        if v is None or isinstance(v, (bool, int, str)) or (
+                isinstance(v, tuple) and all(type(x) in (bool, int) for x in v)):
             return repr(v)
         return self.const(v)
+
+    def sel(self, s) -> str:
+        """The constant holding selector (or view template) ``s``, one per
+        distinct value."""
+        key = repr(s)
+        nm = self._sel_names.get(key)
+        if nm is None:
+            nm = self._sel_names[key] = self.const(s)
+        return nm
 
     # -- bodies ---------------------------------------------------------------
 
@@ -173,7 +188,7 @@ class _SrcEmitter:
         nested bodies rendered just before it as ``def``s."""
         kernel, operands, statics, bodies = kernel_of(ins)
         args = [self.operand(getattr(ins, f)) for f in operands]
-        args += [self.static(getattr(ins, f)) for f in statics]
+        args += [self.static(self.lay.static(ins, f)) for f in statics]
         args += [self._emit_def(ins, fields) for fields in bodies]
         call = f"{self.use(kernel)}(eng, {', '.join(args)})"
         if hasattr(ins, "out"):
@@ -216,34 +231,44 @@ class _SrcEmitter:
     # -- fused scalar runs ----------------------------------------------------
 
     def _run_expr(self, o, names: List[str]) -> str:
-        opn = lambda x: names[x] if isinstance(x, int) else self.ref(x)  # noqa: E731
-        k = o.kind
-        if k == "atom":
-            return opn(o.xs[0])
-        if k in ("unop", "binop"):
+        """One direct NumPy call on the operands' data, each lined up by its
+        static selector, wrapped at the op's static batch depth."""
+        lo = self.lay.ops[o]
+        k = lo.k
+
+        def data(x, s) -> str:
+            if isinstance(x, int) or x.slot is not None:
+                nm = names[x] if isinstance(x, int) else self.ref(x)
+                return f"{nm}.data" if s is None else f"{nm}.data[{self.sel(s)}]"
+            return self.const(x.bv.data if s is None else x.bv.data[s])
+
+        kind = o.kind
+        if kind == "atom":
+            x = o.xs[0]
+            return names[x] if isinstance(x, int) else self.ref(x)
+        if kind in ("unop", "binop", "select"):
             uf = self.const(_scalar_fn(o))
-            args = ", ".join(opn(x) for x in o.xs)
-            into = f"{self.use(_elem_into)}({uf}, {o.donate!r}, {args}"
+            args = ", ".join(map(data, o.xs, lo.sels))
+            if kind == "select":
+                return f"BV({uf}({args}), {k})"
+            into = f"{self.use(_elem_into)}({uf}, {o.donate!r}, {k}, [{args}]"
             if o.donate:
-                return into + (f", take={self.big})" if o.take else ")")
-            plain = f"{self.use(_elem)}({uf}, {args})"
-            return f"({into}, take=True) if {self.big} else {plain})" if o.take else plain
-        if k == "select":
-            c, t, f = (opn(x) for x in o.xs)
-            return f"{self.use(_where)}({c}, {t}, {f})"
-        if k == "cast":
-            x = opn(o.xs[0])
-            return f"BV({self.use(cast_to)}({x}.data, {self.const(o.dtype)}), {x}.bdims)"
-        if k == "index":
-            a = opn(o.xs[0])
-            idx = ", ".join(opn(x) for x in o.xs[1:])
+                return into + (f", {self.big})" if o.take else ")")
+            call = f"{uf}({args})"
+            plain = f"BV({call if k + max(o.pranks) else f'np.asarray({call})'}, {k})"
+            return f"({into}, True) if {self.big} else {plain})" if o.take else plain
+        x = data(o.xs[0], None)
+        if kind == "cast":
+            return f"BV({self.use(cast_to)}({x}, {self.const(o.dtype)}), {k})"
+        if kind == "index":
+            ids = ", ".join(data(i, None) for i in o.xs[1:])
             if o.affine is None:
-                return f"{self.use(_gather)}({a}, [{idx}])"
-            return f"{self.use(_index)}({a}, [{idx}], {o.affine!r})"
-        if k == "zeroslike":
-            x = opn(o.xs[0])
-            return f"BV(np.zeros_like(np.asarray({x}.data)), {x}.bdims)"
-        raise ExecError(f"codegen: unexpected run op {k!r}")
+                return f"{self.use(_gather)}({x}, [{ids}], {k}, {self.sel(lo.sels)})"
+            return (f"{self.use(_index)}({x}, [{ids}], {k}, {self.sel(lo.sels)}, "
+                    f"{self.sel(lo.view)})")
+        if kind == "zeroslike":
+            return f"BV(np.zeros_like(np.asarray({x})), {k})"
+        raise ExecError(f"codegen: unexpected run op {kind!r}")
 
     def _emit_run(self, ins) -> None:
         exported = {li: s for li, s, _n in ins.exports}
@@ -299,24 +324,26 @@ class CodegenPlan(Plan):
 
     emitter_name = "codegen"
 
-    def _emit(self, ir: PlanIR) -> None:
-        self.source, self._ns = _SrcEmitter().render(ir)
-
-    def _compile(self) -> Dict[str, object]:
-        fun, src, ns = self.fun, self.source, self._ns
+    def _emit(self, ir: PlanIR, lay: Layout):
+        fun = self.fun
+        src, ns = _SrcEmitter(lay).render(ir)
+        if not self.bodies:
+            #: The source of the body the plan was built for.
+            self.source = src
         # Layer-2 codegen sanity (ir/verify knob): the rendered module must
         # parse and reference nothing beyond the injected namespace.  Once
         # per compile; cached plans never re-check.
-        from .verify_plan import maybe_verify_codegen_source
+        if verify_mode() != "off":
+            from .verify_plan import verify_codegen_source
 
-        maybe_verify_codegen_source(fun.name, src, ns)
+            verify_codegen_source(fun.name, src, ns)
         with _obs_tracing.timed("compile", cat="compile", fun=fun.name, emitter="codegen") as tm:
             exec(compile(src, f"<codegen:{fun.name}>", "exec"), ns)
-            self._fn = ns["_plan_main"]
-        return {"code_objects": 1, "source_bytes": len(src), "compile_s": tm.seconds}
+        built = {"code_objects": 1, "source_bytes": len(src), "compile_s": tm.seconds}
+        return ns["_plan_main"], built
 
-    def _invoke(self, eng, vals: List[BV]) -> Tuple[object, ...]:
-        return self._fn(eng, *vals)
+    def _invoke(self, body, eng, vals: List[BV]) -> Tuple[object, ...]:
+        return body(eng, *vals)
 
     def __repr__(self) -> str:
         return (

@@ -40,12 +40,21 @@ serves every shape of a rank/dtype signature:
   (``_index`` / ``_upd_acc``); any other stays a clipped gather /
   scatter-add through one linear index (``np.take`` / ``np.add.at``, see
   ``vector._linear``).  The facts are scoped to the binding body (sibling
-  scopes reuse names) — see ``_Lowerer.facts``.
+  scopes reuse names) — see ``_Lowerer.facts``;
+* **layout**: every value's payload rank is in its IR type (``RunOp.pranks``)
+  and its batch depth is where it is computed in the flattening nest, so
+  both are fixed when a plan is emitted.  ``layout(ir, flags)`` — one pass
+  per batched-argument flags tuple, a fixpoint over loop bodies — gives every
+  fused-run op its depth and each operand a static selector (``selector``,
+  ``lift``; view-path ``index`` ops their view template), and every join
+  (``if``, loop state, generic fold, ``update``) the depth its kernel raises
+  its values to.  Emitters call NumPy directly on the selected operands;
+  ``verify_plan.verify_layout`` re-derives the facts.
 
-Emitters consume the IR without re-deciding anything: ``exec/plan.py`` emits
-one Python closure per instruction (the interpreter), ``exec/codegen.py``
-renders the same IR to the source of a single Python function
-(``backend="codegen"``).  Sharing the lowering is what makes the two
+Emitters consume the IR and its layout without re-deciding anything:
+``exec/plan.py`` emits one Python closure per instruction (the interpreter),
+``exec/codegen.py`` renders the same IR to the source of a single Python
+function (``backend="codegen"``).  Sharing the lowering is what makes the two
 backends bitwise-identical by construction — they execute the same NumPy
 calls in the same order, only dispatched differently.
 """
@@ -95,11 +104,12 @@ from ..ir.ast import (
     ZerosLike,
 )
 from ..ir.traversal import exp_free_vars, map_bodies
-from ..ir.types import is_float, is_integral, np_dtype
+from ..ir.types import is_float, is_integral, np_dtype, rank_of
+from ..ir.verify import verify_mode
 from ..obs import tracing as _tracing
 from ..util import ExecError
 from .prims import INPLACE_OPS
-from .vector import BV
+from .vector import BV, _view_template
 
 __all__ = [
     "Ref",
@@ -108,6 +118,12 @@ __all__ = [
     "PBody",
     "PlanIR",
     "lower_fun",
+    "layout",
+    "Layout",
+    "OpLayout",
+    "selector",
+    "lift",
+    "run_atoms",
     "nested_bodies",
     "outer_release",
     "allocated_outs",
@@ -189,10 +205,14 @@ class RunOp:
 
     ``affine`` (``index`` ops) is ``None`` for a gather, else one flag per
     index operand — lane-affine (True) or uniform (False): the op takes the
-    view path (module docstring, "index provenance")."""
+    view path (module docstring, "index provenance").
+
+    ``pranks`` is the payload rank of each operand, from its IR type: the
+    half of an operand's layout that no batching changes (``layout`` adds
+    the other)."""
 
     __slots__ = ("kind", "op", "xs", "dtype", "release", "donate", "recycle", "take",
-                 "affine")
+                 "affine", "pranks")
 
     def __init__(self, kind, xs, op=None, dtype=None, affine=None):
         self.kind = kind
@@ -204,6 +224,7 @@ class RunOp:
         self.recycle: Tuple[int, ...] = ()
         self.take = False
         self.affine: Optional[Tuple[bool, ...]] = affine
+        self.pranks: Tuple[int, ...] = ()
 
 
 class PBody:
@@ -565,6 +586,19 @@ def _handed_on(body: Body, out: set) -> set:
     return out
 
 
+def run_atoms(e: Exp) -> Tuple[Atom, ...]:
+    """The operands of a fusible statement, in ``RunOp.xs`` order."""
+    if isinstance(e, (AtomExp, UnOp, Cast, ZerosLike)):
+        return (e.x,)
+    if isinstance(e, BinOp):
+        return (e.x, e.y)
+    if isinstance(e, Select):
+        return (e.c, e.t, e.f)
+    if isinstance(e, Index):
+        return (e.arr,) + tuple(e.idx)
+    raise ExecError(f"plan run lower: unexpected {type(e).__name__}")
+
+
 def _plan_run_memory(ops: Sequence[RunOp], exported, run: Sequence[Stm]) -> None:
     """The memory plan of one fused run (``ops[y]`` lowers ``run[y]``):
     release every run-local value at the op that reads it last, and let that
@@ -789,37 +823,37 @@ class _Lowerer:
             return local_of[a.name]
         return self.ref(a)
 
-    def _lower_run_exp(self, e: Exp, local_of: Dict[str, int], name: str) -> RunOp:
-        """Lower scalar statement ``name = e``; copies and integer arithmetic
-        hand their operands' index provenance on to ``name``."""
-        rd = lambda a: self._run_operand(a, local_of)  # noqa: E731
+    def _lower_run_exp(self, e: Exp, xs: tuple, name: str) -> RunOp:
+        """Lower scalar statement ``name = e`` over its resolved operands
+        ``xs`` (``run_atoms`` order); copies and integer arithmetic hand
+        their operands' index provenance on to ``name``."""
         if isinstance(e, AtomExp):
             fact = self._fact(e.x)
             if fact:
                 self.facts[name] = fact
-            return RunOp("atom", (rd(e.x),))
+            return RunOp("atom", xs)
         if isinstance(e, UnOp):
-            return RunOp("unop", (rd(e.x),), op=e.op)
+            return RunOp("unop", xs, op=e.op)
         if isinstance(e, BinOp):
             fact = self._fact(e.x)
             if fact:
                 self._note_binop(e, fact, name)
-            return RunOp("binop", (rd(e.x), rd(e.y)), op=e.op)
+            return RunOp("binop", xs, op=e.op)
         if isinstance(e, Select):
-            return RunOp("select", (rd(e.c), rd(e.t), rd(e.f)))
+            return RunOp("select", xs)
         if isinstance(e, Cast):
-            return RunOp("cast", (rd(e.x),), dtype=np_dtype(e.to))
+            return RunOp("cast", xs, dtype=np_dtype(e.to))
         if isinstance(e, Index):
-            return RunOp("index", (rd(e.arr),) + tuple(rd(i) for i in e.idx),
-                         affine=self._index_flags(e.idx))
-        if isinstance(e, ZerosLike):
-            return RunOp("zeroslike", (rd(e.x),))
-        raise ExecError(f"plan run lower: unexpected {type(e).__name__}")
+            return RunOp("index", xs, affine=self._index_flags(e.idx))
+        return RunOp("zeroslike", xs)
 
     def _lower_run_stm(self, s: Stm, local_of: Dict[str, int]) -> RunOp:
         """Lower scalar statement ``s``.  An op that can take ``out=``
         (``INPLACE_OPS``) and returns a float is a *taker*."""
-        o = self._lower_run_exp(s.exp, local_of, s.pat[0].name)
+        atoms = run_atoms(s.exp)
+        o = self._lower_run_exp(
+            s.exp, tuple(self._run_operand(a, local_of) for a in atoms), s.pat[0].name)
+        o.pranks = tuple(rank_of(a.type) for a in atoms)
         o.take = (
             o.kind in ("unop", "binop") and o.op in INPLACE_OPS
             and is_float(s.pat[0].type)
@@ -1010,7 +1044,269 @@ def lower_fun(fun: Fun) -> PlanIR:
         body = lo.lower_body(fun.body)
         ir = PlanIR(fun, param_slots, param_types, body, len(lo.slots), lo.fused)
     # Layer-2 verification happens here, once per lowering — cached plans
-    # (exec/plan.py) reuse the verified PlanIR and never re-check.
-    from .verify_plan import maybe_verify_plan_ir
+    # (exec/plan.py) reuse the verified PlanIR and never re-check.  The
+    # verifier is imported only when it runs.
+    if verify_mode() == "off":
+        return ir
+    from .verify_plan import verify_plan_ir
 
-    return maybe_verify_plan_ir(ir)
+    return verify_plan_ir(ir)
+
+
+# ---------------------------------------------------------------------------
+# Layout
+# ---------------------------------------------------------------------------
+
+
+def selector(b: int, p: int, k: int, pmax: int):
+    """The static selector of an operand of batch depth ``b`` and payload
+    rank ``p`` of an elementwise op at depth ``k`` and payload rank
+    ``pmax``: ``None`` where NumPy's implicit left-padding already lines it
+    up (no batch axes, or none missing and the full rank), else the index
+    that inserts the missing batch axes after its own, then the missing
+    payload axes — as singleton axes, a view."""
+    if b == 0 or (b == k and p == pmax):
+        return None
+    return (slice(None),) * b + (None,) * (k - b + pmax - p) + (Ellipsis,)
+
+
+def lift(b: int, k: int):
+    """The selector raising a value of batch depth ``b`` to ``k`` even when
+    it has no batch axes (a gather's array and indices: their batch axes
+    must line up, not their payloads); ``None`` when ``b == k``."""
+    return None if b == k else (slice(None),) * b + (None,) * (k - b) + (Ellipsis,)
+
+
+class OpLayout:
+    """The layout of one fused-run op: the batch depth ``k`` of its result,
+    each operand's static selector (``sels``: ``selector`` for an
+    elementwise op or ``select``, ``lift`` for an ``index``'s array and
+    indices, which a gather reads at depth ``k``) and a view-path
+    ``index``'s ``vector._view_template`` (``view``; ``None`` when no call
+    can read it as a view)."""
+
+    __slots__ = ("k", "sels", "view")
+
+    def __init__(self, k: int, sels: tuple, view=None) -> None:
+        self.k, self.sels, self.view = k, sels, view
+
+
+class Layout:
+    """The static layout of a ``PlanIR`` under one flags tuple (``None`` for
+    ``Plan.run``, else ``run_batched``'s per-argument flags), what
+    ``layout`` found: ``ops`` maps each fused-run op to its ``OpLayout``,
+    ``outs`` each instruction to the batch depths of its outputs, and
+    ``kernel`` each instruction whose kernel takes a ``"layout"`` static
+    (``vector.KERNELS``) to it — the depth an ``update``'s result is raised
+    to, the depths the results or state of an ``if`` / ``loop`` / ``while`` /
+    generic reduce or scan are raised to (the joins), an ``upd_acc``'s
+    depth and view template."""
+
+    __slots__ = ("flags", "ops", "outs", "kernel")
+
+    def __init__(self, flags: Optional[Tuple[bool, ...]]) -> None:
+        self.flags = flags
+        self.ops: Dict[RunOp, OpLayout] = {}
+        self.outs: Dict[_Instr, Tuple[int, ...]] = {}
+        self.kernel: Dict[_Instr, object] = {}
+
+    def static(self, ins, field: str):
+        """The value of static ``field`` of ``ins``'s kernel."""
+        return self.kernel[ins] if field == "layout" else getattr(ins, field)
+
+
+#: What ``layout`` knows of a value: its batch depth, and whether it is an
+#: accumulator (threaded as it is, never raised, whatever joins it).
+_Fact = Tuple[int, bool]
+
+
+class _LayoutPass:
+    """The walk behind ``layout``.  ``env`` maps each slot to the ``_Fact``
+    of its current binding — one flat map: slots are single-assignment
+    along every path, and a body walked again (a loop's fixpoint) rewrites
+    what it binds."""
+
+    def __init__(self, lay: Layout, env: Dict[int, _Fact]) -> None:
+        self.lay = lay
+        self.env = env
+
+    def fact(self, r) -> _Fact:
+        return self.env[r.slot] if r.slot is not None else (0, False)
+
+    def depth(self, r) -> int:
+        return self.fact(r)[0]
+
+    def bind(self, pslots, facts: Sequence[_Fact]) -> None:
+        for (s, _n), f in zip(pslots, facts):
+            self.env[s] = f
+
+    def body(self, pbody: PBody, depth: int, masked: int) -> List[_Fact]:
+        """Walk ``pbody`` at batch depth ``depth``, under masks of depth at
+        most ``masked``; returns its results' facts."""
+        for ins in pbody.instrs:
+            if ins.kind == "run":
+                self.run(ins)
+                continue
+            facts = self.instr(ins, depth, masked)
+            self.bind((ins.out,) if hasattr(ins, "out") else ins.outs, facts)
+            self.lay.outs[ins] = tuple(b for b, _ in facts)
+        return [self.fact(r) for r in pbody.result]
+
+    def run(self, ins: IRun) -> None:
+        local: List[_Fact] = []
+        for o in ins.ops:
+            facts = [local[x] if isinstance(x, int) else self.fact(x) for x in o.xs]
+            bs = tuple(b for b, _ in facts)
+            kind = o.kind
+            if kind in ("atom", "cast", "zeroslike"):
+                lo = OpLayout(bs[0], (None,))
+            elif kind == "index":
+                k = max(bs)
+                view = None
+                if o.affine is not None:
+                    view = _view_template(bs[0], bs[1:], o.affine, k)
+                lo = OpLayout(k, tuple(lift(b, k) for b in bs), view)
+            else:
+                k, pmax = max(bs), max(o.pranks)
+                lo = OpLayout(k, tuple(selector(b, p, k, pmax) for b, p in zip(bs, o.pranks)))
+            self.lay.ops[o] = lo
+            local.append(facts[0] if kind == "atom" else (lo.k, False))
+        self.lay.outs[ins] = tuple(local[li][0] for li, _s, _n in ins.exports)
+        for li, s, _n in ins.exports:
+            self.env[s] = local[li]
+
+    def state(self, inits: Sequence[_Fact], floor: int, walk) -> List[_Fact]:
+        """The fixpoint of loop-carried state: each value that is not an
+        accumulator at the join of its initial value, ``floor`` and what
+        ``walk(state)`` (one walk of the body) hands back for it."""
+        st = [f if f[1] else (max(f[0], floor), False) for f in inits]
+        while True:
+            res = walk(st)
+            new = [f if f[1] else (max(f[0], r[0]), False) for f, r in zip(st, res)]
+            if new == st:
+                return st
+            st = new
+
+    def instr(self, ins, depth: int, masked: int) -> List[_Fact]:
+        """The facts of ``ins``'s outputs (nested bodies walked)."""
+        kind, lay, dep = ins.kind, self.lay, self.depth
+        if kind == "update":
+            k = max([dep(ins.arr), dep(ins.val), masked] + [dep(i) for i in ins.idx])
+            lay.kernel[ins] = k
+            return [(k, False)]
+        if kind in ("iota", "size"):
+            return [(0, False)]
+        if kind == "replicate":
+            return [(dep(ins.v), False)]
+        if kind == "reverse":
+            return [(dep(ins.x), False)]
+        if kind == "concat":
+            return [(max(dep(ins.x), dep(ins.y)), False)]
+        if kind in ("scratch", "scatter"):
+            return [(depth, False)]
+        if kind == "updacc":
+            acc = self.fact(ins.acc)
+            bs = [dep(i) for i in ins.idx]
+            k = max([acc[0], dep(ins.v)] + bs)
+            view = None if ins.affine is None else _view_template(acc[0], bs, ins.affine, k)
+            lay.kernel[ins] = (k, view)
+            return [acc]
+        if kind == "map":
+            self.bind(ins.params, [(depth + 1, False)] * len(ins.arrs)
+                      + [self.fact(r) for r in ins.accs])
+            res = self.body(ins.body, depth + 1, masked)
+            return res[:ins.n_acc] + [(depth, False)] * (len(res) - ins.n_acc)
+        if kind in ("reduce", "scan", "hist"):
+            if ins.mbody is not None:
+                self.bind(ins.mparams, [(depth + 1, False)] * len(ins.mparams))
+                self.body(ins.mbody, depth + 1, masked)
+            outs = [(depth, False)] * len(ins.outs)
+            if ins.body is None:
+                return outs
+            if kind == "hist":
+                # Bins and elements at the lanes' depth; the kernel raises
+                # what the operator returns to it.
+                self.bind(ins.params, [(depth, False)] * len(ins.params))
+                self.body(ins.body, depth, masked)
+                return outs
+            elems = [(depth, False)] * (len(ins.params) - len(ins.nes))
+
+            def fold(st):
+                self.bind(ins.params, st + elems)
+                return self.body(ins.body, depth, masked)
+
+            accs = self.state([self.fact(r) for r in ins.nes], 0, fold)
+            lay.kernel[ins] = tuple(b for b, _ in accs)
+            return accs if kind == "reduce" else outs
+        if kind == "withacc":
+            self.bind(ins.params, [(depth, True)] * len(ins.params))
+            res = self.body(ins.body, depth, masked)
+            return [(depth, False)] * ins.n_acc + res[ins.n_acc:]
+        if kind == "if":
+            c = dep(ins.cond)
+            m = max(masked, c)
+            then = self.body(ins.then, depth, m)
+            els = self.body(ins.els, depth, m)
+            outs = [t if t[1] else (max(c, t[0], e[0]), False) for t, e in zip(then, els)]
+        elif kind == "loop":
+            n = dep(ins.n)
+
+            def step(st):
+                self.bind(ins.ivar + ins.params, [(0, False)] + st)
+                return self.body(ins.body, depth, max(masked, n))
+
+            outs = self.state([self.fact(r) for r in ins.inits], n, step)
+        elif kind == "while":
+            def turn(st):
+                self.bind(ins.cparams, st)
+                (c,) = self.body(ins.cbody, depth, masked)
+                self.bind(ins.params, st)
+                res = self.body(ins.body, depth, max(masked, c[0]))
+                return [(max(r[0], c[0]), r[1]) for r in res]
+
+            outs = self.state([self.fact(r) for r in ins.inits], masked, turn)
+        else:
+            raise ExecError(f"plan layout: unknown instruction kind {kind!r}")
+        lay.kernel[ins] = tuple(b for b, _ in outs)
+        return outs
+
+
+def layout(ir: PlanIR, flags: Optional[Sequence[bool]] = None) -> Layout:
+    """The static layout of ``ir`` run with batched-argument ``flags``
+    (``None``: unbatched).  Every value's payload rank is in its IR type
+    (``RunOp.pranks``); its batch depth is fixed by where it is computed —
+    the flattening nest of §4.1:
+
+    * a parameter is at depth 1 when batched, else 0; constants, ``iota``
+      and ``size`` at 0;
+    * a SOAC body's parameters at the enclosing depth + 1 (a generic fold's
+      accumulators and elements, and a histogram operator's, at the
+      enclosing depth), every SOAC, ``scratch``, ``scatter`` and
+      ``withacc`` result at the enclosing depth (accumulators at their own);
+    * an elementwise op, ``select``, ``index`` or ``concat`` at the deepest
+      of its operands; ``replicate``, ``reverse``, ``cast``, ``atom`` and
+      ``zeroslike`` at their operand's.
+
+    Where the kernel used to pick a depth from extents, the fact is the join
+    of everything that can flow in and the kernel raises its values to it
+    (``vector._raise``: singleton axes, never a copy): ``if`` results (the
+    condition's depth included — the masked path selects per lane);
+    ``loop`` and ``while`` state, a fixpoint over the body (the trip count's
+    or condition's depth included, and for ``while`` the enclosing masks');
+    a generic fold's accumulators; an ``update``'s result (the enclosing
+    masks' depth included).  So a value's batch depth at run time always
+    equals its fact here, and the emitters line up every fused-run operand
+    with a static selector instead of aligning per call."""
+    flags = None if flags is None else tuple(bool(f) for f in flags)
+    if flags is not None and len(flags) != len(ir.param_slots):
+        raise ExecError("run_batched: batched flags must match arguments")
+    with _tracing.span("layout", cat="compile", fun=ir.fun.name):
+        lay = Layout(flags)
+        env = {s: (int(f), False)
+               for s, f in zip(ir.param_slots, flags or (False,) * len(ir.param_slots))}
+        _LayoutPass(lay, env).body(ir.body, 0 if flags is None else 1, 0)
+    if verify_mode() == "off":
+        return lay
+    from .verify_plan import verify_layout
+
+    return verify_layout(ir, lay)

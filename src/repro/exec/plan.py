@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,7 +74,7 @@ from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError
 from . import vector as _vector
-from .lower import IntRef, PlanIR, Ref, lower_fun, outer_release
+from .lower import IntRef, Layout, PlanIR, Ref, layout, lower_fun, outer_release
 from .prims import _BINOPS, cast_to, unop_fn
 from .values import coerce_arg
 from .vector import (
@@ -84,7 +83,6 @@ from .vector import (
     MEM_STATS,
     AccBV,
     BV,
-    _elem,
     _elem_into,
     _expand,
     _gather,
@@ -92,7 +90,6 @@ from .vector import (
     _index,
     _pool,
     _uniform_int,
-    _where,
     clear_pool,
     kernel_of,
     pool_bytes,
@@ -185,8 +182,11 @@ def _operand(x) -> Callable:
 
 
 def _scalar_fn(o):
-    """The NumPy function of a ``unop``/``binop`` run op, resolved when the
-    plan is emitted — an unknown operator fails there, not on first call."""
+    """The NumPy function of a ``unop``/``binop``/``select`` run op, resolved
+    when the plan is emitted — an unknown operator fails there, not on first
+    call."""
+    if o.kind == "select":
+        return np.where
     try:
         return unop_fn(o.op) if o.kind == "unop" else _BINOPS[o.op]
     except KeyError:
@@ -204,11 +204,28 @@ def _run_operand(x) -> Callable:
     return lambda regs, loc, _b=base: _b(regs)
 
 
-def _emit_run_op(o, pooled: bool = False) -> Callable:
-    """The closure of run op ``o``; ``pooled``: the one a run uses when its
-    lane extent reaches the size floor — a taker may compute into a free-list
-    buffer and recyclable values go there when they die."""
-    fn = _emit_run_fn(o, pooled and o.take)
+def _run_data(x, sel) -> Callable:
+    """A ``(regs, loc) -> ndarray`` accessor of a run operand's data, lined
+    up by its static selector ``sel`` (``exec/lower.py``: ``layout``)."""
+    if isinstance(x, int):
+        if sel is None:
+            return lambda regs, loc, _i=x: loc[_i].data
+        return lambda regs, loc, _i=x, _s=sel: loc[_i].data[_s]
+    if x.slot is None:
+        d = x.bv.data if sel is None else x.bv.data[sel]
+        return lambda regs, loc, _d=d: _d
+    base = _reader(x)
+    if sel is None:
+        return lambda regs, loc, _b=base: _b(regs).data
+    return lambda regs, loc, _b=base, _s=sel: _b(regs).data[_s]
+
+
+def _emit_run_op(o, lo, pooled: bool = False) -> Callable:
+    """The closure of run op ``o`` at layout ``lo``; ``pooled``: the one a
+    run uses when its lane extent reaches the size floor — a taker may
+    compute into a free-list buffer and recyclable values go there when they
+    die."""
+    fn = _emit_run_fn(o, lo, pooled and o.take)
     if not o.release:
         return fn
     dead = o.release
@@ -236,63 +253,54 @@ def _emit_run_op(o, pooled: bool = False) -> Callable:
     return recycling
 
 
-def _emit_run_fn(o, take: bool = False) -> Callable:
-    kind = o.kind
+def _emit_run_fn(o, lo, take: bool = False) -> Callable:
+    """One direct NumPy call per op: every operand's data lined up by its
+    static selector, the result at the op's static batch depth ``lo.k``."""
+    kind, k = o.kind, lo.k
     if kind == "atom":
         return _run_operand(o.xs[0])
-    if kind in ("unop", "binop"):
+    if kind in ("unop", "binop", "select"):
+        rds = tuple(_run_data(x, s) for x, s in zip(o.xs, lo.sels))
+        uf, don = _scalar_fn(o), o.donate
+        if kind == "select":
+            rc, rt, rf = rds
+            return lambda regs, loc, _rc=rc, _rt=rt, _rf=rf, _uf=uf, _k=k: BV(
+                _uf(_rc(regs, loc), _rt(regs, loc), _rf(regs, loc)), _k)
         # ``donate``: an out=-capable ufunc (``INPLACE_OPS``) with some operand
         # a dead run-local temporary computes into it when that is safe;
         # ``take``: failing that, into a buffer from the free list.
-        uf, don = _scalar_fn(o), o.donate
-        into = partial(_elem_into, take=True) if take else _elem_into
-        rx = _run_operand(o.xs[0])
+        rx = rds[0]
         if kind == "unop":
             if don or take:
-                return lambda regs, loc, _rx=rx, _uf=uf, _don=don, _into=into: (
-                    _into(_uf, _don, _rx(regs, loc))
-                )
-            return lambda regs, loc, _rx=rx, _uf=uf: _elem(_uf, _rx(regs, loc))
-        ry = _run_operand(o.xs[1])
+                return lambda regs, loc, _rx=rx, _uf=uf, _don=don, _k=k, _t=take: (
+                    _elem_into(_uf, _don, _k, [_rx(regs, loc)], _t))
+            if k + o.pranks[0] == 0:  # a 0-d result: ufuncs return a scalar
+                return lambda regs, loc, _rx=rx, _uf=uf, _a=np.asarray: BV(
+                    _a(_uf(_rx(regs, loc))), 0)
+            return lambda regs, loc, _rx=rx, _uf=uf, _k=k: BV(_uf(_rx(regs, loc)), _k)
+        ry = rds[1]
         if don or take:
-            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don, _into=into: (
-                _into(_uf, _don, _rx(regs, loc), _ry(regs, loc))
-            )
-        return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf: _elem(
-            _uf, _rx(regs, loc), _ry(regs, loc)
-        )
-    if kind == "select":
-        rc, rt, rf = (_run_operand(x) for x in o.xs)
-        return lambda regs, loc, _rc=rc, _rt=rt, _rf=rf: _where(
-            _rc(regs, loc), _rt(regs, loc), _rf(regs, loc)
-        )
+            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don, _k=k, _t=take: (
+                _elem_into(_uf, _don, _k, [_rx(regs, loc), _ry(regs, loc)], _t))
+        if k + max(o.pranks) == 0:
+            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _a=np.asarray: BV(
+                _a(_uf(_rx(regs, loc), _ry(regs, loc))), 0)
+        return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _k=k: BV(
+            _uf(_rx(regs, loc), _ry(regs, loc)), _k)
     if kind == "cast":
-        rx = _run_operand(o.xs[0])
-        dt = o.dtype
-
-        def cast_fn(regs, loc, _rx=rx, _dt=dt):
-            v = _rx(regs, loc)
-            return BV(cast_to(v.data, _dt), v.bdims)
-
-        return cast_fn
+        return lambda regs, loc, _rx=_run_data(o.xs[0], None), _dt=o.dtype, _k=k: BV(
+            cast_to(_rx(regs, loc), _dt), _k)
     if kind == "index":
-        ra = _run_operand(o.xs[0])
-        ris = tuple(_run_operand(x) for x in o.xs[1:])
+        ra = _run_data(o.xs[0], None)
+        ris = tuple(_run_data(x, None) for x in o.xs[1:])
         if o.affine is None:
-            return lambda regs, loc, _ra=ra, _ris=ris: _gather(
-                _ra(regs, loc), [r(regs, loc) for r in _ris]
-            )
-        return lambda regs, loc, _ra=ra, _ris=ris, _aff=o.affine: _index(
-            _ra(regs, loc), [r(regs, loc) for r in _ris], _aff
-        )
+            return lambda regs, loc, _ra=ra, _ris=ris, _k=k, _s=lo.sels: _gather(
+                _ra(regs, loc), [r(regs, loc) for r in _ris], _k, _s)
+        return lambda regs, loc, _ra=ra, _ris=ris, _k=k, _s=lo.sels, _v=lo.view: _index(
+            _ra(regs, loc), [r(regs, loc) for r in _ris], _k, _s, _v)
     if kind == "zeroslike":
-        rx = _run_operand(o.xs[0])
-
-        def zl_fn(regs, loc, _rx=rx):
-            v = _rx(regs, loc)
-            return BV(np.zeros_like(np.asarray(v.data)), v.bdims)
-
-        return zl_fn
+        return lambda regs, loc, _rx=_run_data(o.xs[0], None), _k=k: BV(
+            np.zeros_like(np.asarray(_rx(regs, loc))), _k)
     raise ExecError(f"plan emit: unexpected run op {kind!r}")
 
 
@@ -364,10 +372,14 @@ def _assign_multi(fn: Callable, e) -> Callable:
 class _ClosureEmitter:
     """The interpreter emitter: one Python closure per plan-IR instruction.
 
-    Every compile-time decision already lives in the IR and every NumPy call
-    sequence, control flow included, in a ``vector.py`` kernel — this class
-    binds readers and writers, turns each nested body into a callable for its
-    kernel, and runs fused scalar runs."""
+    Every compile-time decision already lives in the IR and its ``Layout``,
+    and every NumPy call sequence, control flow included, in a ``vector.py``
+    kernel — this class binds readers and writers, turns each nested body
+    into a callable for its kernel, and runs fused scalar runs, one direct
+    NumPy call per op."""
+
+    def __init__(self, lay: Layout) -> None:
+        self.lay = lay
 
     def emit_body(self, pbody) -> tuple:
         instrs = tuple(self._emit_ins(i) for i in pbody.instrs)
@@ -379,7 +391,7 @@ class _ClosureEmitter:
             return self._emit_run(ins)
         kernel, operands, statics, bodies = kernel_of(ins)
         reads = tuple(_operand(getattr(ins, f)) for f in operands)
-        consts = tuple(getattr(ins, f) for f in statics)
+        consts = tuple(self.lay.static(ins, f) for f in statics)
         consts += tuple(self._emit_callable(ins, fields) for fields in bodies)
 
         def fn(eng, _k=kernel, _reads=reads, _consts=consts):
@@ -415,7 +427,8 @@ class _ClosureEmitter:
 
     def _emit_run(self, ins) -> Callable:
         run_ops = ins.ops  # (not ``ins``: its provenance would pin the source IR)
-        ops = tuple(_emit_run_op(o) for o in run_ops)
+        los = tuple(self.lay.ops[o] for o in run_ops)
+        ops = tuple(_emit_run_op(o, lo) for o, lo in zip(run_ops, los))
         marked = any(o.take or o.recycle for o in run_ops)
         # The ops of the run as it executes where one float per lane is a
         # buffer worth recycling — decided per run entry, from the lane
@@ -426,8 +439,8 @@ class _ClosureEmitter:
         def pooled():
             if not big:
                 big.append(tuple(
-                    _emit_run_op(o, True) if o.take or o.recycle else op
-                    for o, op in zip(run_ops, ops)
+                    _emit_run_op(o, lo, True) if o.take or o.recycle else op
+                    for o, lo, op in zip(run_ops, los, ops)
                 ))
             return big[0]
 
@@ -478,19 +491,23 @@ class Plan:
     """An executable lowering of one ``Fun``: flat instruction closures over
     slots, emitted from the shared plan IR (``exec/lower.py``).  Plans are
     shape-generic: one serves every concrete shape of a rank/dtype
-    signature.
+    signature.  What is emitted depends on the batched-argument flags
+    (``None`` for ``run``) through the IR's static ``layout``, so a plan
+    keeps one emitted body per flags tuple: the one it was built for
+    (``flags``), and any other the first time it runs with it.
 
     This class is also the one driver of the plan family: argument checking
     and coercion, ``errstate``, the execute span and result unwrapping live in
     ``run``/``run_batched``; an emitter subclass (``CodegenPlan``, the
-    profiler's ``ProfilePlan``) supplies ``_emit``/``_compile`` — what it
-    builds from the IR — and ``_invoke`` — how that runs."""
+    profiler's ``ProfilePlan``) supplies ``_emit`` — what it builds from the
+    IR and a layout — and ``_invoke`` — how that runs."""
 
     #: ``EMITTER_STATS`` bucket and span label; subclasses override it so
     #: their constructions are attributed apart.
     emitter_name = "plan"
 
-    def __init__(self, fun: Fun, ir: Optional[PlanIR] = None) -> None:
+    def __init__(self, fun: Fun, ir: Optional[PlanIR] = None,
+                 flags: Optional[Sequence[bool]] = None) -> None:
         with _obs_tracing.timed(
             "emit", cat="compile", fun=fun.name, emitter=self.emitter_name
         ) as tm:
@@ -502,32 +519,55 @@ class Plan:
             self.nslots = ir.nslots
             #: Statements collapsed into fused scalar runs (recursive).
             self.fused_stms = ir.fused
-            self._emit(ir)
-        built = {"plans": 1, "emit_s": tm.seconds, **self._compile()}
+            #: flags (``None``: unbatched) -> the body emitted for them.
+            self.bodies: Dict[Optional[Tuple[bool, ...]], object] = {}
+            built = self._add_body(ir, _flags_key(flags))
         with _LOCK:
             _count_plan(ir)
-            st = EMITTER_STATS.setdefault(self.emitter_name, {})
-            for k, v in built.items():
-                st[k] = st.get(k, 0) + v
+            self._count(plans=1, emit_s=tm.seconds, **built)
 
-    def _emit(self, ir: PlanIR) -> None:
-        self.code = _ClosureEmitter().emit_body(ir.body)
+    def _count(self, **built) -> None:
+        """Add ``built`` to this emitter's ``EMITTER_STATS`` row (under ``_LOCK``)."""
+        st = EMITTER_STATS.setdefault(self.emitter_name, {})
+        for k, v in built.items():
+            st[k] = st.get(k, 0) + v
 
-    def _compile(self) -> Dict[str, object]:
-        """Whatever turns the emitted form into a callable; returns what it
-        adds to this emitter's ``EMITTER_STATS`` row (closures: nothing)."""
-        return {}
+    def _add_body(self, ir: PlanIR, flags: Optional[Tuple[bool, ...]]) -> Dict[str, object]:
+        body, built = self._emit(ir, layout(ir, flags))
+        self.bodies.setdefault(flags, body)
+        return built
 
-    def _invoke(self, eng: _Engine, vals: List[BV]) -> Tuple[object, ...]:
-        """Run the emitted body on the parameter values ``vals``."""
+    def _body(self, flags: Optional[Tuple[bool, ...]]):
+        """The body emitted for ``flags``, emitted now — from a fresh lowering:
+        a plan keeps its bodies, not the IR — if this is the first call with
+        them."""
+        body = self.bodies.get(flags)
+        if body is not None:
+            return body
+        with _obs_tracing.timed(
+            "emit", cat="compile", fun=self.fun.name, emitter=self.emitter_name
+        ) as tm:
+            built = self._add_body(lower_fun(self.fun), flags)
+        with _LOCK:
+            self._count(emit_s=tm.seconds, **built)
+        return self.bodies[flags]
+
+    def _emit(self, ir: PlanIR, lay: Layout) -> Tuple[object, Dict[str, object]]:
+        """The body this emitter builds from ``ir`` under ``lay``, and what
+        building it adds to the emitter's ``EMITTER_STATS`` row (closures:
+        nothing)."""
+        return _ClosureEmitter(lay).emit_body(ir.body), {}
+
+    def _invoke(self, body, eng: _Engine, vals: List[BV]) -> Tuple[object, ...]:
+        """Run the emitted ``body`` on the parameter values ``vals``."""
         regs = eng.regs
         for s, v in zip(self.param_slots, vals):
             regs[s] = v
-        return _run_body(eng, self.code)
+        return _run_body(eng, body)
 
     def __repr__(self) -> str:
         return (
-            f"<Plan {self.fun.name}: {len(self.code[0])} instrs, "
+            f"<Plan {self.fun.name}: {len(next(iter(self.bodies.values()))[0])} instrs, "
             f"{self.nslots} slots, {self.fused_stms} fused>"
         )
 
@@ -559,6 +599,7 @@ class Plan:
             if len(batched) != len(args):
                 raise ExecError("run_batched: batched flags must match arguments")
             how["batched"] = True
+        body = self._body(_flags_key(batched))
         with _span("execute", cat="exec", fun=self.fun.name,
                    emitter=self.emitter_name, **how):
             eng = _Engine(self.nslots)
@@ -580,7 +621,7 @@ class Plan:
                     vals.append(BV(np.asarray(coerce_arg(a, t)), 0))
             try:
                 with np.errstate(all="ignore"):
-                    res = self._invoke(eng, vals)
+                    res = self._invoke(body, eng, vals)
             finally:
                 # What the call took and did not give back (a result, a
                 # refused value) is nobody's to return any more.
@@ -596,6 +637,10 @@ class Plan:
                     d = _expand(r, 1)
                     out.append(np.ascontiguousarray(np.broadcast_to(d, (b,) + d.shape[1:])))
             return tuple(out)
+
+
+def _flags_key(flags: Optional[Sequence[bool]]) -> Optional[Tuple[bool, ...]]:
+    return None if flags is None else tuple(bool(f) for f in flags)
 
 
 def _emitter_class(name: str):
@@ -700,7 +745,7 @@ def plan_for(
         plan = _CACHE.get(key, _MISS)
         if plan is _MISS:
             PLAN_STATS["misses"] += 1
-            plan = build(fun)
+            plan = build(fun, flags=flags)
             PLAN_STATS["evictions"] += _CACHE.put(key, plan, _DEFAULT_CACHE_SIZE)
         else:
             PLAN_STATS["hits"] += 1
@@ -743,6 +788,7 @@ def plan_cache_stats() -> Dict[str, object]:
             "verify": {
                 "mode": verify_mode(),
                 "plan_checks": VERIFY_STATS["plan_checks"],
+                "layout_checks": VERIFY_STATS["layout_checks"],
                 "codegen_checks": VERIFY_STATS["codegen_checks"],
             },
         }

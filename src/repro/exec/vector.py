@@ -37,13 +37,22 @@ all iterations at once.  Divergent control flow runs SIMT-style:
 * reads and accumulator updates whose indices ``exec/lower.py`` proved to be
   the enclosing maps' own ``iota`` (plus a constant) or lane-uniform skip
   the gather/scatter: ``_index`` returns a basic-indexing *view* and
-  ``_upd_acc`` adds into one (``_basic_view``), falling back to the clipped
-  ``_gather`` / scatter-add whenever a per-call fact fails.
+  ``_upd_acc`` adds into one (``_view``, its template fixed when the plan
+  is emitted), falling back to the clipped ``_gather`` / scatter-add
+  whenever a per-call fact fails.
 
 Batched values are ``BV(data, bdims)``: ``data`` carries ``bdims`` leading
 batch axes aligned with the engine's batch-size stack.  Batch axes may have
 size 1 (kept broadcastable); values are only materialised to full batch
-extent where in-place writes require ownership.
+extent where in-place writes require ownership.  A value's ``bdims`` at run
+time always equals the batch depth the plan's static layout gave it
+(``exec/lower.py:layout``): every kernel returns its values at the depth
+where they are computed, and where control flow joins values of different
+depths (``if``, loop state, a generic fold, ``update`` with or without a
+mask) it raises them to the join's depth with singleton axes (``_raise``).
+That is what lets the emitters line up a fused run's operands with
+selectors fixed at emission — one direct NumPy call per op, nothing aligned
+per call.
 
 This module also owns the one piece of state that outlives a call: the
 per-thread **free list** of large dead temporaries (``_give`` / ``_buffer``,
@@ -90,10 +99,6 @@ class BV:
     data: np.ndarray
     bdims: int
 
-    @property
-    def prank(self) -> int:
-        return np.asarray(self.data).ndim - self.bdims
-
     def pshape(self) -> Tuple[int, ...]:
         return np.asarray(self.data).shape[self.bdims:]
 
@@ -116,19 +121,13 @@ def _expand(v: BV, k: int) -> np.ndarray:
     return d.reshape(d.shape[: v.bdims] + (1,) * (k - v.bdims) + d.shape[v.bdims:])
 
 
-def _align(vs: Sequence[BV]) -> Tuple[List[np.ndarray], int, int]:
-    """Expand values to a common batch depth and payload rank so that plain
-    NumPy broadcasting implements the IR's elementwise semantics."""
-    k = max(v.bdims for v in vs)
-    pmax = max(v.prank for v in vs)
-    out = []
-    for v in vs:
-        d = _expand(v, k)
-        p = d.ndim - k
-        if p < pmax:
-            d = d.reshape(d.shape[:k] + (1,) * (pmax - p) + d.shape[k:])
-        out.append(d)
-    return out, k, pmax
+def _raise(v, k: int):
+    """``v`` at batch depth ``k``, where control flow joins values of
+    different depths (``exec/lower.py``: ``layout``); an accumulator as it
+    is."""
+    if type(v) is BV and v.bdims != k:
+        return BV(_expand(v, k), k)
+    return v
 
 
 def _linear(shape: Tuple[int, ...], k: int, idxs: Sequence[np.ndarray],
@@ -185,8 +184,8 @@ def _rows(a: np.ndarray, lead: int) -> np.ndarray:
 def _combine_mask(m: Optional[BV], extra: BV) -> BV:
     if m is None:
         return extra
-    datas, k, _ = _align([m, extra])
-    return BV(np.logical_and(datas[0], datas[1]), k)
+    k = max(m.bdims, extra.bdims)
+    return BV(np.logical_and(_expand(m, k), _expand(extra, k)), k)
 
 
 def _mask_where(state, v: np.ndarray, k: int, neutral) -> np.ndarray:
@@ -197,18 +196,6 @@ def _mask_where(state, v: np.ndarray, k: int, neutral) -> np.ndarray:
     md = _expand(state.mask, k) if state.mask.bdims <= k else np.asarray(state.mask.data)
     md = md.reshape(md.shape + (1,) * (np.asarray(v).ndim - md.ndim))
     return np.where(md, v, neutral)
-
-
-def _elem(f, *vs) -> BV:
-    # Fast path: with no batch axes anywhere, the explicit rank padding
-    # ``_align`` performs is exactly NumPy's implicit left-pad broadcasting,
-    # so applying ``f`` directly is bitwise identical — and this is the hot
-    # case in element-at-a-time generic SOAC loops.
-    for v in vs:
-        if v.bdims:
-            datas, k, _ = _align(list(vs))
-            return BV(np.asarray(f(*datas)), k)
-    return BV(np.asarray(f(*[np.asarray(v.data) for v in vs])), 0)
 
 
 #: The memory plan's counters (the ``mem`` section of ``plan_cache_stats``):
@@ -245,13 +232,16 @@ def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
     )
 
 
-#: Smallest buffer worth computing into or keeping: glibc's default
-#: ``M_MMAP_THRESHOLD``.  Below it ``malloc`` hands a just-released
-#: temporary's block straight back, so a fresh result costs less than the
-#: donation check or the free-list look-up (measured on the HAND Jacobian,
-#: 74 KB temporaries: 49 ms without donation, 53 ms with); from it up a fresh
-#: array is mapped, zero-faulted and, once dropped, trimmed or unmapped by the
-#: kernel — on every op, because nothing in the process holds on to it.
+#: Smallest buffer worth keeping: glibc's default ``M_MMAP_THRESHOLD``.
+#: Below it ``malloc`` hands a just-released temporary's block straight
+#: back, so a fresh result costs less than the free-list look-up; from it up
+#: a fresh array is mapped, zero-faulted and, once dropped, trimmed or
+#: unmapped by the kernel — on every op, because nothing in the process holds
+#: on to it.  A dead operand is worth computing into from more than half of
+#: it: the donation check is a few attribute reads once the operands are
+#: lined up statically, and the donor's cache lines are hot where a fresh
+#: block's are cold (measured on the HAND Jacobian, 74 KB temporaries, one
+#: process alternating: 52.0 ms without donation, 48.7 ms with).
 _DONATE_MIN_BYTES = 128 * 1024
 
 
@@ -400,29 +390,25 @@ def _result_buffer(datas: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     return _buffer(shape, dt)
 
 
-def _elem_into(f, donate, *vs, take: bool = False) -> BV:
-    """``_elem`` for a ufunc ``f`` whose operands at positions ``donate`` are
-    dead temporaries of a fused run (``exec/lower.py`` proved nobody else
+def _elem_into(f, donate, k: int, datas: List[np.ndarray], take: bool = False) -> BV:
+    """The elementwise op ``f`` of a fused run at batch depth ``k``, its
+    operands' data ``datas`` already lined up by their static selectors
+    (``exec/lower.py``: ``layout``), when some of them are dead temporaries
+    of the run (positions ``donate``: ``exec/lower.py`` proved nobody else
     holds them): write the result into the first one that is large enough to
     matter and can hold it — float, C-contiguous, of every operand's dtype
     and already of the result's shape, so the outcome is bitwise what a
     fresh array would get — instead of allocating.  Failing that, ``take``
     (a *taker* op in a body whose lane extent reaches the size floor)
-    computes into a ``_buffer``.  Otherwise exactly ``_elem``."""
-    for v in vs:
-        if v.bdims:
-            datas, k, _ = _align(list(vs))
-            break
-    else:
-        datas, k = [np.asarray(v.data) for v in vs], 0
+    computes into a ``_buffer``.  Otherwise a fresh result."""
     refused = False
     for p in donate:
         out = datas[p]
-        if out.nbytes < _DONATE_MIN_BYTES:
+        if 2 * out.nbytes <= _DONATE_MIN_BYTES:
             continue
         dt, shape = out.dtype, out.shape
         for d in datas:
-            if d.dtype != dt or not (d.shape == shape or _fits(d.shape, shape)):
+            if d.dtype != dt or not (d.shape == shape or not d.ndim or _fits(d.shape, shape)):
                 break
         else:
             if dt.kind == "f" and out.flags.c_contiguous:
@@ -438,108 +424,137 @@ def _elem_into(f, donate, *vs, take: bool = False) -> BV:
 
 
 def _where(c: BV, t, f):
+    """Per lane, ``t`` where ``c`` holds, else ``f``: where divergent
+    control flow joins, ``t`` and ``f`` already raised to the join's batch
+    depth (``_raise``), no shallower than ``c``."""
     if isinstance(t, AccBV) or isinstance(f, AccBV):
         if t is f:
             return t
         raise ExecError("accumulators must be threaded identically through branches")
-    return _elem(np.where, c, t, f)
+    k = t.bdims
+    cd = _expand(c, k)
+    td = t.data
+    return BV(np.where(cd.reshape(cd.shape + (1,) * (np.ndim(td) - cd.ndim)), td, f.data), k)
 
 
-def _gather(arr: BV, idxs: List[BV]) -> BV:
-    """``arr[idxs]`` through clipped indices: one ``take`` of rows."""
-    k = max([arr.bdims] + [i.bdims for i in idxs])
-    ad = _expand(arr, k)
-    lin = _linear(ad.shape, k, [_expand(i, k) for i in idxs])
-    return BV(_rows(ad, k + len(idxs)).take(lin, axis=0), k)
+def _gather(ad: np.ndarray, ids: List[np.ndarray], k: int, sels) -> BV:
+    """``a[ids]`` through clipped indices: one ``take`` of rows.  ``sels``
+    are the static selectors (``exec/lower.py``: ``lift``) that raise the
+    array's data ``ad`` and each index's data to batch depth ``k``."""
+    if sels[0] is not None:
+        ad = ad[sels[0]]
+    ids = [i if s is None else i[s] for i, s in zip(ids, sels[1:])]
+    return BV(_rows(ad, k + len(ids)).take(_linear(ad.shape, k, ids), axis=0), k)
 
 
-def _basic_view(a: np.ndarray, ka: int, idxs: Sequence[BV], affine, k: int):
-    """``a[..., i0, i1, ..]`` (``a`` carries ``ka`` batch axes) at batch depth
-    ``k`` as ONE basic-indexing expression — a view, no clip, no grid, no
-    copy — or ``None`` when it is not one.
+def _view_template(ka: int, bs: Sequence[int], affine, k: int):
+    """The static half of reading ``a[..., i0, i1, ..]`` (``a`` carries
+    ``ka`` batch axes, index operand ``p`` ``bs[p]``, the read is at batch
+    depth ``k``) as ONE basic-indexing expression — a view, no clip, no grid,
+    no copy — or ``None`` when no call can read it so.
 
     ``affine[p]`` is lowering's proof that operand ``p`` is an enclosing
     map's ``iota`` parameter plus a constant: unit stride along its own lane
-    (batch axis ``bdims - 1``), constant along every other.  What only the
-    call knows is checked here in O(1): an operand without batch axes is a
-    lane-uniform integer and must be in range; an affine one must span
-    exactly its lane (``size == n``), start and end inside the axis
-    (``a[i+2]`` starts past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
-    it — that read stays a clipped gather), on a lane no other operand uses
-    and no shallower than ``a``'s own batch axes (either would be a
-    diagonal).  Each such operand becomes ``slice(start, start + n)`` on its
-    lane's position, every batch axis nothing varies along a ``None``."""
-    sel = []
+    (batch axis ``bs[p] - 1``), constant along every other.  An operand
+    without batch axes is a lane-uniform integer and becomes one; an affine
+    one becomes a slice on its lane's position, provided no other operand
+    uses that lane and it is no shallower than ``a``'s own batch axes (either
+    would be a diagonal); every batch axis nothing varies along is a
+    ``None``.  Returns ``(ka, tmpl, slots, perm)``: ``tmpl`` that index with
+    a placeholder at each operand's position ``slots[p][0]``,
+    ``slots[p][1]`` the operand's lane (``None``: uniform), and ``perm`` the
+    order of the ``k`` batch axes after the read when the lanes are out of
+    payload order (``a[j, i]``: slices first, spare singleton axes after,
+    one transpose), else ``None``.  ``_view`` does the per-call half."""
     lanes = []
-    for p, i in enumerate(idxs):
-        d = i.data
+    for b, aff in zip(bs, affine):
+        if b == 0:
+            continue
+        lane = b - 1
+        if not aff or lane < ka or lane in lanes:
+            return None
+        lanes.append(lane)
+    tmpl: List[object] = [slice(None)] * ka
+    pos = []
+    if lanes == sorted(lanes):
+        # Payload order is lane order: interleave the ``None``s.
+        cur = ka
+        for b in bs:
+            if b:
+                tmpl += [None] * (b - 1 - cur)
+                cur = b
+            pos.append(len(tmpl))
+            tmpl.append(None)
+        tmpl += [None] * (k - cur)
+        perm = None
+    else:
+        m = len(lanes)
+        pos = list(range(ka, ka + len(bs)))
+        tmpl += [None] * (len(bs) + k - ka - m)
+        src = {lane: ka + x for x, lane in enumerate(lanes)}
+        spare = iter(range(ka + m, k))
+        perm = tuple(range(ka)) + tuple(src[t] if t in src else next(spare)
+                                        for t in range(ka, k))
+    slots = tuple((q, b - 1 if b else None) for q, b in zip(pos, bs))
+    return ka, tuple(tmpl) + (Ellipsis,), slots, perm
+
+
+def _view(a: np.ndarray, ids: Sequence[np.ndarray], vt) -> Optional[np.ndarray]:
+    """The view ``vt`` (``_view_template``) of ``a`` at the index data
+    ``ids``, or ``None`` when what only the call knows, checked here in
+    O(1), fails: a uniform operand must be in range; an affine one must span
+    exactly its lane (``size == n``) and start and end inside the axis
+    (``a[i+2]`` starts past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
+    it — that read stays a clipped gather)."""
+    ka, tmpl, slots, perm = vt
+    sel = list(tmpl)
+    for p, (q, lane) in enumerate(slots):
+        d = ids[p]
         dim = a.shape[ka + p]
-        if i.bdims == 0:
+        if lane is None:
             j = d.item()
             if not 0 <= j < dim:
                 return None
-            sel.append(j)
+            sel[q] = j
             continue
-        if not affine[p]:
-            return None
-        lane = i.bdims - 1
         n = d.shape[lane]
-        if lane < ka or lane in lanes or n == 0 or d.size != n:
+        if n == 0 or d.size != n:
             return None
         lo = d.item(0)
         if lo < 0 or lo + n > dim or d.item(n - 1) != lo + n - 1:
             return None
-        sel.append(slice(lo, lo + n))
-        lanes.append(lane)
-    if lanes == sorted(lanes):
-        # Payload order is lane order: interleave the ``None``s.
-        tup = [slice(None)] * ka
-        cur, nxt = ka, iter(lanes)
-        for s in sel:
-            if type(s) is slice:
-                lane = next(nxt)
-                tup += [None] * (lane - cur)
-                cur = lane + 1
-            tup.append(s)
-        tup += [None] * (k - cur)
-        return a[tuple(tup) + (Ellipsis,)]
-    # ``a[j, i]``: slices first, spare singleton axes after, one transpose.
-    m = len(lanes)
-    out = a[(slice(None),) * ka + tuple(sel) + (None,) * (k - ka - m) + (Ellipsis,)]
-    src = {lane: ka + x for x, lane in enumerate(lanes)}
-    spare = iter(range(ka + m, k))
-    block = [src[t] if t in src else next(spare) for t in range(ka, k)]
-    return out.transpose(list(range(ka)) + block + list(range(k, out.ndim)))
+        sel[q] = slice(lo, lo + n)
+    out = a[tuple(sel)]
+    if perm is None:
+        return out
+    return out.transpose(perm + tuple(range(len(perm), out.ndim)))
 
 
 def _view_fell_back() -> None:
     _count(INDEX_STATS, "view_fallbacks")
 
 
-def _index(arr: BV, idxs: List[BV], affine: Tuple[bool, ...]) -> BV:
-    """``arr[idxs]`` for an ``index`` op lowering routed to the view path
+def _index(ad: np.ndarray, ids: List[np.ndarray], k: int, sels, vt) -> BV:
+    """``a[ids]`` for an ``index`` op lowering routed to the view path
     (every operand lane-affine or lane-uniform by construction): the
-    ``_basic_view``, else exactly ``_gather``."""
-    k = arr.bdims
-    for i in idxs:
-        if i.bdims > k:
-            k = i.bdims
-    out = _basic_view(arr.data, arr.bdims, idxs, affine, k)
-    if out is None:
-        _view_fell_back()
-        return _gather(arr, idxs)
-    return BV(out, k)
+    ``_view``, else exactly ``_gather``."""
+    if vt is not None:
+        out = _view(ad, ids, vt)
+        if out is not None:
+            return BV(out, k)
+    _view_fell_back()
+    return _gather(ad, ids, k, sels)
 
 
-def _add_view(state, acc: AccBV, idxs: List[BV], v: BV, affine, k: int) -> bool:
-    """``acc[idxs] += v`` as a strided in-place add on the ``_basic_view`` of
-    the accumulator: distinct lanes on slices cannot collide, and a batch
+def _add_view(state, acc: AccBV, ids: List[np.ndarray], v: BV, vt, k: int) -> bool:
+    """``acc[idxs] += v`` as a strided in-place add on the ``_view`` of the
+    accumulator: distinct lanes on slices cannot collide, and a batch
     axis no index varies along (extent 1 in the view) receives the value
     summed over it — provided the value is materialised along that axis (a
     lane-uniform value would count once instead of once per lane; that case
     takes ``np.add.at``).  False when any fact fails; nothing was written."""
     ka = acc.bdims
-    view = _basic_view(acc.data, ka, idxs, affine, k)
+    view = _view(acc.data, ids, vt)
     if view is None:
         return False
     vd = _expand(v, k)
@@ -557,17 +572,19 @@ def _add_view(state, acc: AccBV, idxs: List[BV], v: BV, affine, k: int) -> bool:
     return True
 
 
-def _upd_acc(state, acc, idxs: List[BV], v: BV, affine) -> AccBV:
+def _upd_acc(state, acc, idxs: List[BV], v: BV, affine, lay) -> AccBV:
     """``upd acc[idxs] += v`` — shared by both emitters.  ``affine`` is
     ``None`` for an update lowering left on the scatter path; masked updates
-    always take it (inactive lanes contribute zero)."""
+    always take it (inactive lanes contribute zero).  ``lay`` is the static
+    ``(k, view)``: the batch depth of the update unmasked and its
+    ``_view_template``."""
     if not isinstance(acc, AccBV):
         raise ExecError("upd: operand is not an accumulator")
-    k = max([v.bdims, acc.bdims] + [i.bdims for i in idxs])
+    k, vt = lay
     if state.mask is not None:
         k = max(k, state.mask.bdims)
     elif affine is not None:
-        if _add_view(state, acc, idxs, v, affine, k):
+        if vt is not None and _add_view(state, acc, [i.data for i in idxs], v, vt, k):
             return acc
         _view_fell_back()
     bshape = tuple(state.bstack[:k])
@@ -645,9 +662,10 @@ def _materialised(eng, v: BV, k: int) -> np.ndarray:
     return _copy(np.broadcast_to(d, tuple(eng.bstack[:k]) + d.shape[k:]))
 
 
-def _update(eng, arr: BV, idxs: List[BV], val: BV) -> BV:
+def _update(eng, arr: BV, idxs: List[BV], val: BV, depth: int) -> BV:
     """``arr with [idxs] <- val`` on a copy, through clipped indices; inactive
-    lanes keep the old element."""
+    lanes keep the old element.  The result is raised to ``depth``, its
+    static batch depth: a mask, when there is one, adds its own."""
     k = max([arr.bdims, val.bdims] + [i.bdims for i in idxs])
     if eng.mask is not None:
         k = max(k, eng.mask.bdims)
@@ -662,7 +680,7 @@ def _update(eng, arr: BV, idxs: List[BV], val: BV) -> BV:
         md = _expand(eng.mask, k)
         md = md.reshape(md.shape + (1,) * (old.ndim - md.ndim))
         rows[lin] = np.where(md, vd, old)
-    return BV(ad, k)
+    return _raise(BV(ad, k), depth)
 
 
 def _iota(eng, n: int, dt) -> BV:
@@ -700,7 +718,8 @@ def _reverse(eng, v: BV) -> BV:
 
 
 def _concat(eng, x: BV, y: BV) -> BV:
-    (dx, dy), k, _ = _align([x, y])
+    k = max(x.bdims, y.bdims)
+    dx, dy = _expand(x, k), _expand(y, k)
     bx = np.broadcast_shapes(dx.shape[:k], dy.shape[:k])
     dx = np.broadcast_to(dx, bx + dx.shape[k:])
     dy = np.broadcast_to(dy, bx + dy.shape[k:])
@@ -821,7 +840,10 @@ def _reduce_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> Tu
 
 
 def _scan_empty(eng, ne: BV) -> BV:
-    return BV(np.zeros((0,) * (ne.prank + 1), dtype=np.asarray(ne.data).dtype), 0)
+    """A scan over no elements: no element per lane, at the lanes' depth."""
+    d = len(eng.bstack)
+    nd = np.asarray(ne.data)
+    return BV(np.zeros((1,) * d + (0,) * (nd.ndim - ne.bdims + 1), dtype=nd.dtype), d)
 
 
 def _scan_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
@@ -876,15 +898,17 @@ def _stack_columns(eng, col: List[BV], ne: BV) -> BV:
     return BV(np.stack([np.broadcast_to(c, shape) for c in col], axis=d), d)
 
 
-def _fold(eng, arrs: List[BV], nes: List[BV], body, scan: bool = False) -> Sequence[BV]:
+def _fold(eng, arrs: List[BV], nes: List[BV], ks: Tuple[int, ...], body,
+          scan: bool = False) -> Sequence[BV]:
     """A generic reduce (``scan``: scan), one element at a time: the operator
-    ``body`` runs on the accumulators and element ``i`` of every argument."""
+    ``body`` runs on the accumulators and element ``i`` of every argument.
+    The accumulators stay at their static batch depths ``ks``."""
     d = len(eng.bstack)
     args, n = _batch_args(eng, arrs)
-    acc: Sequence[BV] = nes
+    acc: Sequence[BV] = [_raise(v, k) for v, k in zip(nes, ks)]
     cols: List[List[BV]] = [[] for _ in nes]
     for i in range(n):
-        acc = body(eng, [*acc, *_elems_at(args, i, d)])
+        acc = [_raise(v, k) for v, k in zip(body(eng, [*acc, *_elems_at(args, i, d)]), ks)]
         if scan:
             for col, a in zip(cols, acc):
                 col.append(a)
@@ -893,8 +917,8 @@ def _fold(eng, arrs: List[BV], nes: List[BV], body, scan: bool = False) -> Seque
     return [_stack_columns(eng, col, ne) for col, ne in zip(cols, nes)]
 
 
-def _fold_scan(eng, arrs, nes, body) -> Sequence[BV]:
-    return _fold(eng, arrs, nes, body, scan=True)
+def _fold_scan(eng, arrs, nes, ks, body) -> Sequence[BV]:
+    return _fold(eng, arrs, nes, ks, body, scan=True)
 
 
 # -- histograms ---------------------------------------------------------------
@@ -987,12 +1011,14 @@ def _withacc(eng, arrs: List[BV], n_acc: int, body) -> List[object]:
     return [*[BV(r.data, r.bdims) for r in res[:n_acc]], *res[n_acc:]]
 
 
-def _branch(eng, c: BV, then, els) -> Tuple[object, ...]:
+def _branch(eng, c: BV, ks: Tuple[int, ...], then, els) -> Tuple[object, ...]:
     """``if c``: one branch when the condition is a single unmasked scalar,
-    else both under complementary masks, selected per lane."""
+    else both under complementary masks, selected per lane; either way the
+    results at their static batch depths ``ks``."""
     cd = np.asarray(c.data)
     if cd.size == 1 and eng.mask is None:
-        return then(eng, ()) if bool(cd.reshape(-1)[0]) else els(eng, ())
+        res = then(eng, ()) if bool(cd.reshape(-1)[0]) else els(eng, ())
+        return tuple(_raise(v, k) for v, k in zip(res, ks))
     saved = eng.mask
     notc = BV(np.logical_not(cd), c.bdims)
     eng.mask = _combine_mask(saved, c)
@@ -1000,27 +1026,27 @@ def _branch(eng, c: BV, then, els) -> Tuple[object, ...]:
     eng.mask = _combine_mask(saved, notc)
     fvals = els(eng, ())
     eng.mask = saved
-    return tuple(_where(c, t, f) for t, f in zip(tvals, fvals))
+    return tuple(_where(c, _raise(t, k), _raise(f, k)) for t, f, k in zip(tvals, fvals, ks))
 
 
-def _loop(eng, n: BV, inits: List[object], body) -> List[object]:
-    """``loop`` ``n`` times, the body running on the counter and the state.
-    Lanes with different trip counts run to the largest, each lane masked
-    off once it has made its own; the results are owned (never a view of
-    an input)."""
+def _loop(eng, n: BV, inits: List[object], ks: Tuple[int, ...], body) -> List[object]:
+    """``loop`` ``n`` times, the body running on the counter and the state,
+    which stays at its static batch depths ``ks``.  Lanes with different
+    trip counts run to the largest, each lane masked off once it has made
+    its own; the results are owned (never a view of an input)."""
     nd = np.asarray(n.data)
     nmax = 0 if nd.size == 0 else int(nd.max())
     uniform = nd.size == 1 or (nd.size > 0 and nd.min() == nd.max())
     saved = eng.mask
-    state = inits
+    state = [_raise(v, k) for v, k in zip(inits, ks)]
     for i in range(nmax):
         it = BV(np.asarray(np.int64(i)), 0)
         if uniform:
-            state = body(eng, [it, *state])
+            state = [_raise(v, k) for v, k in zip(body(eng, [it, *state]), ks)]
             continue
         active = BV(i < nd, n.bdims)
         eng.mask = _combine_mask(saved, active)
-        new = body(eng, [it, *state])
+        new = [_raise(v, k) for v, k in zip(body(eng, [it, *state]), ks)]
         eng.mask = saved
         state = _kept(active, state, new)
     return [BV(_owned(s.data), s.bdims) if isinstance(s, BV) else s for s in state]
@@ -1030,19 +1056,20 @@ def _out_of_fuel(limit: int) -> ExecError:
     return ExecError(f"while loop exceeded iteration fuel ({limit} iterations)")
 
 
-def _while(eng, inits: List[object], cond, body) -> Sequence[object]:
+def _while(eng, inits: List[object], ks: Tuple[int, ...], cond, body) -> Sequence[object]:
     """``while cond do body``: a lane stops once its condition fails, the loop
-    once every lane has; at most ``values.WHILE_FUEL`` iterations."""
+    once every lane has; at most ``values.WHILE_FUEL`` iterations.  The
+    state stays at its static batch depths ``ks``."""
     saved = eng.mask
     limit = fuel = _values.WHILE_FUEL
-    state: Sequence[object] = inits
+    state: Sequence[object] = [_raise(v, k) for v, k in zip(inits, ks)]
     while True:
         (c,) = cond(eng, state)
         active = _combine_mask(saved, c)
         if not np.any(np.asarray(active.data)):
             return state
         eng.mask = active
-        new = body(eng, state)
+        new = [_raise(v, k) for v, k in zip(body(eng, state), ks)]
         eng.mask = saved
         state = _kept(active, state, new)
         fuel -= 1
@@ -1054,13 +1081,15 @@ def _while(eng, inits: List[object], cond, body) -> Sequence[object]:
 #: render those themselves), by ``kind`` (``kind:strategy`` for the reduce
 #: family): the kernel, then the instruction fields it takes as operands (a
 #: ``Ref``, a tuple of ``Ref``s or an ``IntRef`` each — read per call), as
-#: static facts, and as bodies — each body the fields holding its
-#: parameters' ``(slot, name)`` pairs, then its ``PBody`` field.  An emitter
-#: calls ``kernel(eng, *operands, *statics, *bodies)``, each body a
-#: ``body(eng, vals)`` (module docstring), and binds the result to the
-#: instruction's ``out``, or its sequence to the instruction's ``outs``.
+#: static facts (``"layout"``: what the emitting ``exec/lower.py:Layout``
+#: fixed for the instruction, ``Layout.static``), and as bodies — each body
+#: the fields holding its parameters' ``(slot, name)`` pairs, then its
+#: ``PBody`` field.  An emitter calls ``kernel(eng, *operands, *statics,
+#: *bodies)``, each body a ``body(eng, vals)`` (module docstring), and binds
+#: the result to the instruction's ``out``, or its sequence to the
+#: instruction's ``outs``.
 KERNELS = {
-    "update": (_update, ("arr", "idx", "val"), (), ()),
+    "update": (_update, ("arr", "idx", "val"), ("layout",), ()),
     "iota": (_iota, ("n",), ("dtype",), ()),
     "replicate": (_replicate, ("n", "v"), (), ()),
     "scratch": (_scratch, ("n", "x"), (), ()),
@@ -1068,24 +1097,24 @@ KERNELS = {
     "reverse": (_reverse, ("x",), (), ()),
     "concat": (_concat, ("x", "y"), (), ()),
     "scatter": (_scatter, ("dest", "inds", "vals"), (), ()),
-    "updacc": (_upd_acc, ("acc", "idx", "v"), ("affine",), ()),
+    "updacc": (_upd_acc, ("acc", "idx", "v"), ("affine", "layout"), ()),
     "map": (_map, ("arrs", "accs"), ("n_acc",), (("params", "body"),)),
     "reduce:ufunc": (_reduce_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
     "reduce:redomap": (_redomap, ("arrs", "nes"), ("op", "fold", "spare"),
                        (("mparams", "mbody"),)),
-    "reduce:generic": (_fold, ("arrs", "nes"), (), (("params", "body"),)),
+    "reduce:generic": (_fold, ("arrs", "nes"), ("layout",), (("params", "body"),)),
     "scan:ufunc": (_scan_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
     "scan:redomap": (_redomap_scan, ("arrs", "nes"), ("op", "fold", "spare"),
                      (("mparams", "mbody"),)),
-    "scan:generic": (_fold_scan, ("arrs", "nes"), (), (("params", "body"),)),
+    "scan:generic": (_fold_scan, ("arrs", "nes"), ("layout",), (("params", "body"),)),
     "hist:ufunc": (_hist_ufunc, ("num_bins", "arrs", "nes"), ("op",), ()),
     "hist:redomap": (_hist_redomap, ("num_bins", "arrs", "nes"), ("op", "spare"),
                      (("mparams", "mbody"),)),
     "hist:generic": (_hist_fold, ("num_bins", "arrs", "nes"), (), (("params", "body"),)),
     "withacc": (_withacc, ("arrs",), ("n_acc",), (("params", "body"),)),
-    "if": (_branch, ("cond",), (), (("then",), ("els",))),
-    "loop": (_loop, ("n", "inits"), (), (("ivar", "params", "body"),)),
-    "while": (_while, ("inits",), (), (("cparams", "cbody"), ("params", "body"))),
+    "if": (_branch, ("cond",), ("layout",), (("then",), ("els",))),
+    "loop": (_loop, ("n", "inits"), ("layout",), (("ivar", "params", "body"),)),
+    "while": (_while, ("inits",), ("layout",), (("cparams", "cbody"), ("params", "body"))),
 }
 
 

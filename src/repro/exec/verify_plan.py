@@ -56,7 +56,8 @@ name beyond the injected namespace defaults and a small builtin allowlist
 (every helper is passed as a keyword-only default of ``_plan_main``, so a
 stray global load means the emitter produced a dangling reference).
 
-Both are gated on ``REPRO_VERIFY`` (see ``ir/verify.py``) and run at
+Their callers run them only when ``REPRO_VERIFY`` is on (see
+``ir/verify.py``; with it off this module is not even imported), at
 *compile* time only — cached-plan reuse never re-verifies (the ``verify``
 section of ``plan_cache_stats()`` counts checks per lowering).
 """
@@ -64,9 +65,10 @@ from __future__ import annotations
 
 import ast as _pyast
 import dis
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.verify import VERIFY_STATS, VerifyError, verify_mode
+from ..ir.types import rank_of
+from ..ir.verify import VERIFY_STATS, VerifyError
 from ..obs import tracing as _tracing
 from .lower import (
     _ALLOCATING,
@@ -78,14 +80,19 @@ from .lower import (
     IRun,
     IWhile,
     IWithAcc,
+    Layout,
     PBody,
     PlanIR,
     Ref,
+    lift,
     nested_bodies,
+    run_atoms,
+    selector,
 )
 from .prims import INPLACE_OPS
+from .vector import _view_template
 
-__all__ = ["verify_plan_ir", "maybe_verify_plan_ir", "verify_codegen_source"]
+__all__ = ["verify_plan_ir", "verify_layout", "verify_codegen_source"]
 
 
 def _stm_of(instr) -> Optional[object]:
@@ -618,11 +625,215 @@ def verify_plan_ir(ir: PlanIR, where: str = "lower") -> PlanIR:
     return ir
 
 
-def maybe_verify_plan_ir(ir: PlanIR, where: str = "lower") -> PlanIR:
-    """``verify_plan_ir`` gated on ``REPRO_VERIFY`` (the lowering hook)."""
-    if verify_mode() == "off":
-        return ir
-    return verify_plan_ir(ir, where=where)
+# ---------------------------------------------------------------------------
+# Layout
+# ---------------------------------------------------------------------------
+
+
+class _LayoutChecker:
+    """Checks a ``Layout`` against the plan IR it was computed for, walking
+    every body once: a loop's, a fold's and an ``if``'s join facts are taken
+    as given and checked to hold everything that flows into them."""
+
+    def __init__(self, lay: Layout, where: str) -> None:
+        self.lay = lay
+        self.where = where
+        #: slot -> (batch depth, accumulator?) of its current binding.
+        self.env: Dict[int, Tuple[int, bool]] = {}
+
+    def fail(self, msg: str, instr=None) -> None:
+        raise VerifyError(f"plan layout: {msg}", self.where, _stm_of(instr))
+
+    def fact(self, r) -> Tuple[int, bool]:
+        return self.env[r.slot] if r.slot is not None else (0, False)
+
+    def depth(self, r) -> int:
+        return self.fact(r)[0]
+
+    def bind(self, pslots, facts) -> None:
+        for (s, _n), f in zip(pslots, facts):
+            self.env[s] = f
+
+    def recorded(self, table, ins, what: str):
+        got = table.get(ins)
+        if got is None:
+            self.fail(f"no {what} for this {ins.kind}", ins)
+        return got
+
+    def body(self, pbody: PBody, depth: int, masked: int) -> List[Tuple[int, bool]]:
+        for ins in pbody.instrs:
+            if ins.kind == "run":
+                self.run(ins)
+                continue
+            want = self.instr(ins, depth, masked)
+            got = self.recorded(self.lay.outs, ins, "output facts")
+            if tuple(b for b, _ in want) != got:
+                self.fail(f"output batch depths {got}, expected "
+                          f"{tuple(b for b, _ in want)}", ins)
+            self.bind((ins.out,) if hasattr(ins, "out") else ins.outs, want)
+        return [self.fact(r) for r in pbody.result]
+
+    def run(self, ins: IRun) -> None:
+        prov = ins.prov if len(ins.prov) == len(ins.ops) else ()
+        local: List[Tuple[int, bool]] = []
+        for pos, o in enumerate(ins.ops):
+            what = f"run op {pos} ({o.kind})"
+            if prov:
+                types = tuple(rank_of(a.type) for a in run_atoms(prov[pos].exp))
+                if o.pranks != types:
+                    self.fail(f"{what} records payload ranks {o.pranks}, its "
+                              f"operands' types give {types}", ins)
+            facts = [local[x] if isinstance(x, int) else self.fact(x) for x in o.xs]
+            bs = tuple(b for b, _ in facts)
+            lo = self.recorded(self.lay.ops, o, f"layout of {what}")
+            if o.kind in ("atom", "cast", "zeroslike"):
+                k, sels, view = bs[0], (None,), None
+            elif o.kind == "index":
+                k = max(bs)
+                sels = tuple(lift(b, k) for b in bs)
+                view = (None if o.affine is None
+                        else _view_template(bs[0], bs[1:], o.affine, k))
+            else:
+                k, pmax = max(bs), max(o.pranks)
+                sels = tuple(selector(b, p, k, pmax) for b, p in zip(bs, o.pranks))
+                view = None
+            if lo.k != k:
+                self.fail(f"{what} is at batch depth {lo.k}, its operands "
+                          f"{bs} put it at {k}", ins)
+            if repr((lo.sels, lo.view)) != repr((sels, view)):
+                self.fail(f"{what}: selectors and view {(lo.sels, lo.view)!r}, its "
+                          f"operands' batch depths {bs} and payload ranks "
+                          f"{o.pranks} give {(sels, view)!r}", ins)
+            local.append(facts[0] if o.kind == "atom" else (k, False))
+        got = self.recorded(self.lay.outs, ins, "output facts")
+        if got != tuple(local[li][0] for li, _s, _n in ins.exports):
+            self.fail(f"run exports recorded at batch depths {got}", ins)
+        for li, s, _n in ins.exports:
+            self.env[s] = local[li]
+
+    def join(self, ins, incoming, depth: int) -> Tuple[Tuple[int, bool], ...]:
+        """The join facts recorded for ``ins``, checked against what flows
+        in: ``incoming[j]`` lists the facts reaching output ``j``, plus the
+        depth of a condition or trip count, which only values join."""
+        ks = self.recorded(self.lay.kernel, ins, "join facts")
+        if ins.kind == "update":
+            ks = (ks,)
+        if len(ks) != len(incoming):
+            self.fail(f"{len(ks)} join facts for {len(incoming)} values", ins)
+        out = []
+        for j, (k, (facts, cond)) in enumerate(zip(ks, incoming)):
+            if any(a for _, a in facts):
+                if any(f != (k, True) for f in facts):
+                    self.fail(f"value {j} joins accumulator facts {facts} at {k}", ins)
+                out.append((k, True))
+                continue
+            low = max([b for b, _ in facts] + [cond])
+            if not low <= k <= depth:
+                self.fail(f"value {j} joins at batch depth {k}, below what flows "
+                          f"in ({low}) or beyond its nest ({depth})", ins)
+            out.append((k, False))
+        return tuple(out)
+
+    def instr(self, ins, depth: int, masked: int) -> List[Tuple[int, bool]]:
+        kind, dep = ins.kind, self.depth
+        if kind == "update":
+            (f,) = self.join(ins, [([self.fact(ins.arr), self.fact(ins.val)]
+                                     + [self.fact(i) for i in ins.idx], masked)], depth)
+            return [f]
+        if kind in ("iota", "size"):
+            return [(0, False)]
+        if kind == "replicate":
+            return [(dep(ins.v), False)]
+        if kind == "reverse":
+            return [(dep(ins.x), False)]
+        if kind == "concat":
+            return [(max(dep(ins.x), dep(ins.y)), False)]
+        if kind in ("scratch", "scatter"):
+            return [(depth, False)]
+        if kind == "updacc":
+            acc = self.fact(ins.acc)
+            bs = [dep(i) for i in ins.idx]
+            k = max([acc[0], dep(ins.v)] + bs)
+            view = None if ins.affine is None else _view_template(acc[0], bs, ins.affine, k)
+            got = self.recorded(self.lay.kernel, ins, "depth and view")
+            if repr(got) != repr((k, view)):
+                self.fail(f"upd_acc recorded at {got!r}, its operands give "
+                          f"{(k, view)!r}", ins)
+            return [acc]
+        if kind == "map":
+            self.bind(ins.params, [(depth + 1, False)] * len(ins.arrs)
+                      + [self.fact(r) for r in ins.accs])
+            res = self.body(ins.body, depth + 1, masked)
+            return res[:ins.n_acc] + [(depth, False)] * (len(res) - ins.n_acc)
+        if kind in ("reduce", "scan", "hist"):
+            if ins.mbody is not None:
+                self.bind(ins.mparams, [(depth + 1, False)] * len(ins.mparams))
+                self.body(ins.mbody, depth + 1, masked)
+            outs = [(depth, False)] * len(ins.outs)
+            if ins.body is None:
+                return outs
+            if kind == "hist":
+                self.bind(ins.params, [(depth, False)] * len(ins.params))
+                self.body(ins.body, depth, masked)
+                return outs
+            nes = [self.fact(r) for r in ins.nes]
+            ks = self.join(ins, [([f], 0) for f in nes], depth)
+            self.bind(ins.params, ks + ((depth, False),) * (len(ins.params) - len(nes)))
+            self.join(ins, [([f, r], 0) for f, r in
+                            zip(nes, self.body(ins.body, depth, masked))], depth)
+            return list(ks) if kind == "reduce" else outs
+        if kind == "withacc":
+            self.bind(ins.params, [(depth, True)] * len(ins.params))
+            res = self.body(ins.body, depth, masked)
+            return [(depth, False)] * ins.n_acc + res[ins.n_acc:]
+        if kind == "if":
+            c = dep(ins.cond)
+            then = self.body(ins.then, depth, max(masked, c))
+            els = self.body(ins.els, depth, max(masked, c))
+            return list(self.join(ins, [([t, e], c) for t, e in zip(then, els)], depth))
+        if kind == "loop":
+            n = dep(ins.n)
+            inits = [self.fact(r) for r in ins.inits]
+            ks = self.join(ins, [([f], n) for f in inits], depth)
+            self.bind(ins.ivar + ins.params, ((0, False),) + ks)
+            res = self.body(ins.body, depth, max(masked, n))
+            self.join(ins, [([f, r], n) for f, r in zip(inits, res)], depth)
+            return list(ks)
+        if kind == "while":
+            inits = [self.fact(r) for r in ins.inits]
+            ks = self.join(ins, [([f], masked) for f in inits], depth)
+            self.bind(ins.cparams, ks)
+            (c,) = self.body(ins.cbody, depth, masked)
+            self.bind(ins.params, ks)
+            res = self.body(ins.body, depth, max(masked, c[0]))
+            self.join(ins, [([f, r], max(masked, c[0])) for f, r in zip(inits, res)], depth)
+            return list(ks)
+        self.fail(f"unknown instruction kind {kind!r}", ins)
+        return []
+
+
+def verify_layout(ir: PlanIR, lay: Layout, where: str = "layout") -> Layout:
+    """Check ``lay`` against ``ir``: each fused-run op's depth is the one
+    its operands give (the deepest; an ``atom`` / ``cast`` / ``zeroslike``
+    its operand's), each selector and view template the one ``(bdims,
+    prank)`` gives, each payload rank the one its IR type gives, each join
+    (``if``, ``loop``, ``while``, generic fold, ``update``) at least as deep
+    as every value flowing in and no deeper than its nest, and every other
+    output at the depth its kernel puts it.  Returns ``lay``."""
+    with _tracing.span("verify", cat="verify", fun=ir.fun.name, where=where,
+                       layer="layout"):
+        VERIFY_STATS["layout_checks"] += 1
+        try:
+            ck = _LayoutChecker(lay, where)
+            flags = lay.flags or (False,) * len(ir.param_slots)
+            top = 0 if lay.flags is None else 1
+            ck.bind(((s, "") for s in ir.param_slots),
+                    [(int(f) * top, False) for f in flags])
+            ck.body(ir.body, top, 0)
+        except VerifyError:
+            VERIFY_STATS["failures"] += 1
+            raise
+    return lay
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +901,3 @@ def verify_codegen_source(
                             f"namespace",
                             where=where,
                         )
-
-
-def maybe_verify_codegen_source(fun_name: str, source: str, namespace) -> None:
-    """``verify_codegen_source`` gated on ``REPRO_VERIFY``."""
-    if verify_mode() == "off":
-        return
-    verify_codegen_source(fun_name, source, namespace)

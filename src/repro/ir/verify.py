@@ -110,6 +110,7 @@ VERIFY_STATS = _metrics.counter_group(
     {
         "fun_checks": 0,
         "plan_checks": 0,
+        "layout_checks": 0,
         "codegen_checks": 0,
         "scatter_checks": 0,
         "failures": 0,

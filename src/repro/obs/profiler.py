@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional
 
 from ..ir.analysis import ir_hash
 from ..ir.pretty import pretty_exp
-from ..exec.lower import lower_fun, plan_counts
+from ..exec.lower import plan_counts
 from ..exec.plan import Plan, plan_cache_stats
 from . import metrics, tracing
 
@@ -116,12 +116,10 @@ class ProfilePlan(Plan):
 
     emitter_name = "profile"
 
-    def __init__(self, fun, ir=None):
-        if ir is None:
-            ir = lower_fun(fun)
-        super().__init__(fun, ir=ir)
+    def _emit(self, ir, lay):
+        (instrs, res), built = super()._emit(ir, lay)
+        fun = self.fun
         base = (fun.name, ir_hash(fun))
-        instrs, res = self.code
         wrapped = tuple(
             _wrap(
                 c,
@@ -133,7 +131,7 @@ class ProfilePlan(Plan):
             )
             for i, (c, ins) in enumerate(zip(instrs, ir.body.instrs))
         )
-        self.code = (wrapped, res)
+        return (wrapped, res), built
 
 
 def reset_profile() -> None:

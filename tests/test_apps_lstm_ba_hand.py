@@ -208,3 +208,44 @@ def test_seeded_entry_points_follow_repro_backend(build, monkeypatch):
     assert em.get("codegen", {}).get("plans", 0) >= 1 and "plan" not in em, em
     for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def _fortran(a):
+    return np.asfortranarray(a)
+
+
+def _strided(a):
+    """``a`` as a non-contiguous view: every other element of a larger buffer
+    along each axis."""
+    a = np.asarray(a)
+    big = np.full(tuple(2 * s for s in a.shape), np.nan, dtype=a.dtype)
+    view = big[tuple(slice(None, None, 2) for _ in a.shape)]
+    view[...] = a
+    assert a.ndim == 0 or not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("layout", [_fortran, _strided], ids=["fortran", "strided"])
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def test_hand_jacobian_and_lstm_gradient_ignore_the_input_layout(layout, backend):
+    """Fortran-order and strided inputs give bitwise the C-order results."""
+    primals = datagen.hand_instance(4, 12, seed=9)
+    fwd = rp.jvp(rp.compile(hand.build_ir(4, 12)))
+    want = hand.jacobian_fwd_ad(fwd, *primals, backend=backend)
+    got = hand.jacobian_fwd_ad(fwd, *[layout(p) for p in primals], backend=backend)
+    assert got.tobytes() == want.tobytes()
+    seeds = np.eye(primals[0].size)
+    zeros = [np.zeros_like(p) for p in primals[1:]]
+    flags = (False,) * 4 + (True,) + (False,) * 3
+    ref = fwd.call_batched((*primals, seeds, *zeros), flags, seeds.shape[0], backend=backend)
+    out = fwd.call_batched((*[layout(p) for p in primals], layout(seeds), *zeros), flags,
+                           seeds.shape[0], backend=backend)
+    assert [np.asarray(o).tobytes() for o in out] == [np.asarray(r).tobytes() for r in ref]
+
+    xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(2, 3, 4, 5, seed=9)
+    fc = rp.compile(lstm.build_ir(xs.shape[0], xs.shape[1], xs.shape[2], wh.shape[1]))
+    g = rp.grad(fc, wrt=[1, 2, 3, 4])
+    inp = (xs, wx, wh, b, wy, tg)
+    want = g(*inp, backend=backend)
+    got = g(*[layout(a) for a in inp], backend=backend)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

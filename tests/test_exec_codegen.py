@@ -163,5 +163,5 @@ def test_both_emitters_reach_the_same_kernels_the_same_number_of_times(app):
         call(fc, inp, backend)  # compile; the profiled call below is cached
         census[backend] = vector_call_census(lambda: call(fc, inp, backend))
     assert census["plan"] == census["codegen"]
-    assert {"_batch_args", "_elem", "_map_result"} <= set(census["plan"])
+    assert {"_batch_args", "_elem_into", "_map_result"} <= set(census["plan"])
 

@@ -333,3 +333,112 @@ def test_plan_cache_lru_keeps_recently_used(monkeypatch):
     assert s2["hits"] == s["hits"] + 1
     assert s2["misses"] == s["misses"]
     clear_plan_cache()
+
+
+# ---------------------------------------------------------------------------
+# Extent-dependent paths: where a kernel picks a path from extents (a scalar
+# branch, a uniform loop, no mask, no element), its results still carry the
+# batch depth the plan's static layout gave them (``exec/lower.py:layout``).
+# Each program runs on ref, plan and codegen (``run_both``); batched calls
+# also against the per-seed loop.
+# ---------------------------------------------------------------------------
+
+
+def _bits(out):
+    return [np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def _batched_equals_per_seed(fc, args, flags, b):
+    """``call_batched`` on plan and codegen: bitwise one another, each seed's
+    row equal to an unbatched call with that seed's arguments."""
+    got = {be: fc.call_batched(args, flags, b, backend=be) for be in ("plan", "codegen")}
+    assert _bits(got["plan"]) == _bits(got["codegen"])
+    for s in range(b):
+        one = [a[s] if f else a for a, f in zip(args, flags)]
+        want = fc(*one, backend="ref")
+        want = want if isinstance(want, tuple) else (want,)
+        for g, w in zip(got["plan"], want):
+            np.testing.assert_allclose(np.asarray(g)[s], w, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_if_on_a_batched_condition_of_extent_one_or_more(n):
+    """Extent 1: the scalar path runs one branch, whose result (a constant
+    in ``els``) is raised to the join's depth; more: both under masks."""
+    def f(xs, a):
+        return rp.map(lambda x: rp.cond(x > 0.0, lambda: x * a, lambda: a + 1.0), xs)
+
+    xs = np.linspace(-1.0, 1.0, n) if n > 1 else np.array([-0.5])
+    fc = rp.compile(rp.trace_like(f, (xs, 2.0)))
+    run_both(fc, xs, 2.0)
+    seeds = np.array([[0.7], [-0.2]]) if n == 1 else np.stack([xs, -xs])
+    _batched_equals_per_seed(fc, (seeds, 2.0), (True, False), 2)
+    _batched_equals_per_seed(fc, (seeds[:1], 2.0), (True, False), 1)
+
+
+@pytest.mark.parametrize("ns", [[3, 3, 3], [1, 3, 0]], ids=["agree", "vary"])
+def test_loop_whose_lane_trip_counts_agree_or_vary(ns):
+    """Trip counts that happen to agree run the uniform path (no mask); the
+    state starts from a constant and is raised to the loop's fact."""
+    def f(xs, ns):
+        return rp.map(lambda x, n: rp.fori_loop(n, lambda i, a: a * 0.5 + x, 1.0), xs, ns)
+
+    xs, ns = np.array([0.5, -1.0, 2.0]), np.array(ns, dtype=np.int64)
+    fc = rp.compile(rp.trace_like(f, (xs, ns)))
+    run_both(fc, xs, ns)
+    _batched_equals_per_seed(fc, (np.stack([xs, xs * 2.0]), ns), (True, False), 2)
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["unmasked", "masked"])
+def test_update_inside_an_if_with_and_without_a_mask(n):
+    """At extent 1 the branch runs unmasked and ``update`` materialises
+    nothing per lane; under a mask it does — either way at the same depth."""
+    def f(xs, arr):
+        def lane(x):
+            hit = rp.cond(x > 0.0, lambda: rp.update(arr, 1, x), lambda: arr)
+            return rp.sum(hit) * x
+        return rp.map(lane, xs)
+
+    xs = np.array([0.5]) if n == 1 else np.array([0.5, -1.0, 2.0])
+    arr = np.arange(4.0)
+    fc = rp.compile(rp.trace_like(f, (xs, arr)))
+    run_both(fc, xs, arr)
+    _batched_equals_per_seed(fc, (np.stack([xs, -xs]), arr), (True, False), 2)
+
+
+def test_generic_fold_over_no_elements():
+    """The operator is not a ufunc (a generic fold): over no elements the
+    neutral element comes back, at the fold's depth."""
+    op = lambda a, b: a * b + a  # noqa: E731
+
+    def f(m, xs):
+        return rp.map(lambda row: rp.reduce(op, 0.5, row), m), rp.reduce(op, 0.25, xs)
+
+    m, xs = np.zeros((3, 0)), np.zeros(0)
+    fc = rp.compile(rp.trace_like(f, (np.ones((3, 2)), np.ones(2))))
+    run_both(fc, m, xs)
+    _batched_equals_per_seed(fc, (np.zeros((2, 3, 0)), xs), (True, False), 2)
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a + b * b, lambda a, b: a * b + a],
+                         ids=["redomap", "generic"])
+def test_scan_over_an_empty_array_inside_a_map(op):
+    def f(m):
+        return rp.map(lambda row: rp.scan(op, 0.0, row), m)
+
+    fc = rp.compile(rp.trace_like(f, (np.ones((3, 2)),)))
+    for m in (np.zeros((3, 0)), np.ones((2, 3)) * 0.5):
+        run_both(fc, m)
+    _batched_equals_per_seed(fc, (np.zeros((2, 3, 0)),), (True,), 2)
+
+
+def test_jacobian_and_call_batched_at_batch_size_one():
+    fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: rp.sin(x) * x, v), (np.ones(1),)))
+    x = np.array([0.3])
+    want = rp.jacobian(fc)(x, backend="ref")
+    got = {be: rp.jacobian(fc)(x, backend=be) for be in ("plan", "codegen")}
+    assert got["plan"].tobytes() == got["codegen"].tobytes()
+    np.testing.assert_allclose(got["plan"], want, rtol=1e-12)
+    loop = rp.jacobian(fc)(x, backend="plan", batched=False)
+    np.testing.assert_array_equal(got["plan"], loop)
+    _batched_equals_per_seed(fc, (x[None, :],), (True,), 1)

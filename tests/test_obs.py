@@ -310,12 +310,12 @@ def test_mem_section_counts_the_memory_plan():
 
 def test_donation_fallbacks_count_refused_large_buffers(monkeypatch):
     from repro.exec import vector
-    from repro.exec.vector import BV, _elem_into
+    from repro.exec.vector import _elem_into
 
     monkeypatch.setattr(vector, "_DONATE_MIN_BYTES", 64)
     reset_plan_cache_stats()
     a, b = np.arange(16.0), np.arange(16.0)
-    out = _elem_into(np.add, (0,), BV(a, 0), BV(b, 0))
+    out = _elem_into(np.add, (0,), 0, [a, b])
     assert out.data is a and plan_cache_stats()["mem"]["donation_fallbacks"] == 0
     # a donor the result does not fit into, one of another dtype, a strided
     # one: each allocates, leaves the donor alone and is counted ...
@@ -326,13 +326,13 @@ def test_donation_fallbacks_count_refused_large_buffers(monkeypatch):
     ]
     for n, (x, y) in enumerate(cases, start=1):
         keep = x.copy()
-        got = _elem_into(np.add, (0,), BV(x, 0), BV(y, 0))
+        got = _elem_into(np.add, (0,), 0, [x, y])
         assert got.data is not x and np.array_equal(x, keep)
         np.testing.assert_array_equal(got.data, x + y)
         assert plan_cache_stats()["mem"]["donation_fallbacks"] == n
     # ... a buffer below the size floor is not worth an attempt, so not a refusal
     small = np.arange(4.0)
-    assert _elem_into(np.add, (0,), BV(small, 0), BV(small, 0)).data is not small
+    assert _elem_into(np.add, (0,), 0, [small, small]).data is not small
     assert plan_cache_stats()["mem"]["donation_fallbacks"] == len(cases)
 
 

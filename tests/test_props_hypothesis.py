@@ -158,7 +158,7 @@ def _scatter_add_matches(dt, bshape, ka, m, row, varies, masked, seed) -> bool:
     idx = rng.integers(-1, m + 1, tuple(s if v else 1 for s, v in zip(bshape, varies)))
     v = _summands(rng, bshape + row, dt)
     acc = AccBV(start.copy(), ka)
-    V._upd_acc(eng, acc, [BV(idx, k)], BV(v, k), None)
+    V._upd_acc(eng, acc, [BV(idx, k)], BV(v, k), None, (k, None))
     if masked:
         v = np.where(eng.mask.data.reshape(bshape + (1,) * len(row)), v, dt(0))
     want = start.copy()
@@ -256,3 +256,55 @@ def test_a_mutant_that_reverses_the_visiting_order_is_caught(monkeypatch):
     monkeypatch.setattr(V, "_UFUNC", {**V._UFUNC, "add": _ReversedAt(np.add)})
     assert not _scatter_add_matches(**scatter)
     assert not _hist_matches(**hist)
+
+
+# ---------------------------------------------------------------------------
+# Static layout: a fused run lines its operands up with selectors fixed when
+# the plan is emitted (``exec/lower.py``: ``selector``, ``lift``).  They must
+# be bitwise what the per-call rule they replace gave: raise every operand to
+# the deepest batch depth ``k`` by singleton batch axes after its own, then to
+# the widest payload rank ``pmax`` by singleton axes after the batch axes.
+# ---------------------------------------------------------------------------
+
+from repro.exec.lower import lift, selector  # noqa: E402
+
+
+def _reshape_oracle(d, b, k, pmax):
+    """The old per-call alignment, written out."""
+    d = d.reshape(d.shape[:b] + (1,) * (k - b) + d.shape[b:])
+    p = d.ndim - k
+    return d.reshape(d.shape[:k] + (1,) * (pmax - p) + d.shape[k:])
+
+
+_ELEMENTWISE = {1: np.negative, 2: np.subtract, 3: lambda c, t, f: np.where(c > 0, t, f)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nops=st.integers(1, 3), depth=st.integers(0, 3), rank=st.integers(0, 2),
+       seed=st.integers(0, 2**16))
+def test_static_selectors_are_bitwise_the_reshape_oracle(data, nops, depth, rank, seed):
+    """Operands ``(bdims, shape)`` of one batch nest and payload, any of
+    their axes of extent 1 (a lane-uniform batch axis, a broadcast payload
+    axis), any of them without batch axes or payload."""
+    rng = np.random.default_rng(seed)
+    extents = st.lists(st.integers(1, 3), min_size=depth + rank, max_size=depth + rank)
+    full = data.draw(extents)
+    ops = []
+    for _ in range(nops):
+        b = data.draw(st.integers(0, depth))
+        p = data.draw(st.sampled_from([0, rank]))
+        keep = data.draw(st.lists(st.booleans(), min_size=b + p, max_size=b + p))
+        axes = full[:b] + full[depth:depth + p]
+        shape = tuple(e if k else 1 for e, k in zip(axes, keep))
+        ops.append((rng.standard_normal(shape), b, p))
+    k, pmax = max(b for _, b, _ in ops), max(p for _, _, p in ops)
+    lined = [d if s is None else d[s]
+             for d, b, p in ops for s in [selector(b, p, k, pmax)]]
+    oracle = [_reshape_oracle(d, b, k, pmax) for d, b, _ in ops]
+    got, want = _ELEMENTWISE[nops](*lined), _ELEMENTWISE[nops](*oracle)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for d, b, _ in ops:  # a gather's operands: batch axes lined up, not payloads
+        s = lift(b, k)
+        raised = d if s is None else d[s]
+        assert raised.shape == V._expand(BV(d, b), k).shape
+        assert not raised.size or np.shares_memory(raised, d)  # a view, never a copy

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.exec.vector import BV, _align, _expand, _neutral_of
+from repro.exec.lower import lift, selector
+from repro.exec.vector import BV, _expand, _neutral_of
 from repro.util import ExecError
 
 
@@ -21,15 +22,31 @@ def test_expand_rejects_lowering():
         _expand(v, 1)
 
 
-def test_align_batches_and_payloads():
+def _lined_up(vs, pranks):
+    """Operands of an elementwise op lined up by their static selectors."""
+    k, pmax = max(v.bdims for v in vs), max(pranks)
+    sels = [selector(v.bdims, p, k, pmax) for v, p in zip(vs, pranks)]
+    return [v.data if s is None else v.data[s] for v, s in zip(vs, sels)], k
+
+
+def _elem(f, *vs) -> BV:
+    """An elementwise op as a fused run executes it (plain-Python bodies)."""
+    datas, k = _lined_up(vs, [np.ndim(v.data) - v.bdims for v in vs])
+    return BV(np.asarray(f(*datas)), k)
+
+
+def test_selectors_line_up_batches_and_payloads():
     a = BV(np.ones((3,)), 1)          # batched scalar
     b = BV(np.ones((5,)), 0)          # unbatched vector payload
-    datas, k, p = _align([a, b])
-    assert k == 1 and p == 1
-    assert datas[0].shape == (3, 1)
-    assert datas[1].shape == (1, 5)
+    (da, db), k = _lined_up([a, b], [0, 1])
+    assert k == 1
+    assert da.shape == (3, 1)
+    assert db.shape == (5,)  # no batch axes: NumPy's left-padding lines it up
     # The result broadcasts to (3, 5):
-    assert (datas[0] + datas[1]).shape == (3, 5)
+    assert (da + db).shape == (3, 5)
+    assert selector(1, 1, 1, 1) is None and selector(0, 0, 2, 1) is None
+    assert selector(1, 0, 2, 1) == (slice(None), None, None, Ellipsis)
+    assert lift(0, 2) == (None, None, Ellipsis) and lift(2, 2) is None
 
 
 def test_neutral_of_dtypes():
@@ -41,7 +58,7 @@ def test_neutral_of_dtypes():
 
 def test_bv_payload_introspection():
     v = BV(np.zeros((2, 3, 4)), 1)
-    assert v.prank == 2 and v.pshape() == (3, 4)
+    assert v.pshape() == (3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +118,7 @@ def test_update_kernel(bshape, masked, n):
     arr, val = _rand(rng, bshape, n, 2), _rand(rng, bshape, 2)
     idx = rng.integers(-3, n + 3, size=bshape)  # in and out of range, every lane kind
     before = arr.copy()
-    out = _full(V._update(eng, BV(arr, d), [BV(idx, d)], BV(val, d)), bshape)
+    out = _full(V._update(eng, BV(arr, d), [BV(idx, d)], BV(val, d), d), bshape)
     for lane in np.ndindex(*bshape):
         want = arr[lane].copy()
         if _active(eng, lane):
@@ -110,7 +127,7 @@ def test_update_kernel(bshape, masked, n):
     np.testing.assert_array_equal(arr, before)
     # A lane-uniform array and value under batched indices: materialised per lane.
     if d:
-        out = V._update(eng, BV(arr[(0,) * d], 0), [BV(idx, d)], BV(val[(0,) * d], 0))
+        out = V._update(eng, BV(arr[(0,) * d], 0), [BV(idx, d)], BV(val[(0,) * d], 0), d)
         assert out.bdims == d and out.data.shape == bshape + (n, 2)
 
 
@@ -118,7 +135,7 @@ def test_update_kernel_two_indices_on_a_matrix():
     eng = _eng((), False)
     arr = np.arange(12.0).reshape(3, 4)
     idxs = [BV(np.int64(2), 0), BV(np.int64(9), 0)]
-    out = V._update(eng, BV(arr, 0), idxs, BV(np.float64(-1), 0))
+    out = V._update(eng, BV(arr, 0), idxs, BV(np.float64(-1), 0), 0)
     want = arr.copy()
     want[2, 3] = -1.0  # column 9 clips to 3
     np.testing.assert_array_equal(out.data, want)
@@ -215,7 +232,7 @@ def test_redomap_tails_broadcast_a_lane_uniform_body_result(bshape):
     empty = V._fold_empty(eng, BV(np.float64(7.0), 0))
     assert empty.bdims == d and empty.data.shape == bshape and (empty.data == 7.0).all()
     e2 = V._scan_empty(eng, BV(np.zeros(3, dtype=np.float32), 0))
-    assert e2.data.shape == (0, 0) and e2.data.dtype == np.float32 and e2.bdims == 0
+    assert e2.data.shape == (1,) * d + (0, 0) and e2.data.dtype == np.float32 and e2.bdims == d
 
 
 def test_map_result_is_owned_contiguous_and_full_extent():
@@ -276,7 +293,7 @@ def test_hist_kernels_ufunc_redomap_and_generic(bshape, masked, n, op):
         cur, el = vs
         assert cur.bdims == el.bdims == d and e.bstack == list(bshape)
         steps.append(1)
-        return (V._elem(V._UFUNC[op], cur, el),)
+        return (_elem(V._UFUNC[op], cur, el),)
 
     (got,) = V._hist_fold(eng, m, arrs, nes, operator)
     assert len(steps) == n  # over no elements the operator never runs
@@ -338,30 +355,37 @@ def test_linear_index_visits_what_the_tuple_index_does(shape, k, idxs):
     assert np.asarray(elems).dtype == np.intp
 
 
+def _gather(arr: BV, idxs):
+    """``_gather`` of batched values: lifted to their deepest batch depth."""
+    k = max([arr.bdims] + [i.bdims for i in idxs])
+    sels = tuple(lift(v.bdims, k) for v in [arr, *idxs])
+    return V._gather(arr.data, [i.data for i in idxs], k, sels)
+
+
 def test_gather_kernel_lanes_rows_and_sources():
     rng = np.random.default_rng(6)
     # A source shared by one batch axis (extent 1), read by index lanes of full extent.
     src = rng.standard_normal((1, 3, 5, 2))
     idx = np.array([[-2, 0, 4], [5, 9, 0]])
-    out = V._gather(BV(src, 2), [BV(idx, 2)])
+    out = _gather(BV(src, 2), [BV(idx, 2)])
     assert out.bdims == 2 and out.data.shape == (2, 3, 2)
     for lane in np.ndindex(2, 3):
         np.testing.assert_array_equal(out.data[lane], src[0, lane[1], _clip(idx[lane], 5)])
     # A transposed (not C-contiguous) source, two operands of different depth.
     src = rng.standard_normal((4, 6)).T
     i, j = np.array([0, 5, 7, -1]), np.array([[3, 1, -4]])
-    out = V._gather(BV(src, 0), [BV(i, 1), BV(j, 2)])
+    out = _gather(BV(src, 0), [BV(i, 1), BV(j, 2)])
     assert out.bdims == 2 and out.data.shape == (4, 3)
     for a, b in np.ndindex(4, 3):
         assert out.data[a, b] == src[_clip(i[a], 6), _clip(j[0, b], 4)]
     # Zero extents: no index lanes; a source batch axis of extent 0.
-    none = V._gather(BV(np.arange(5.0), 0), [BV(np.zeros(0, dtype=np.int64), 1)])
+    none = _gather(BV(np.arange(5.0), 0), [BV(np.zeros(0, dtype=np.int64), 1)])
     assert none.data.shape == (0,) and none.bdims == 1
-    none = V._gather(BV(np.zeros((0, 5)), 1), [BV(np.int64(2), 0)])
+    none = _gather(BV(np.zeros((0, 5)), 1), [BV(np.int64(2), 0)])
     assert none.data.shape == (0,) and none.bdims == 1
     # Depth 0: one row, a copy.
     src = rng.standard_normal((4, 3))
-    one = V._gather(BV(src, 0), [BV(np.int64(-3), 0)])
+    one = _gather(BV(src, 0), [BV(np.int64(-3), 0)])
     np.testing.assert_array_equal(one.data, src[0])
     assert not np.shares_memory(one.data, src)
 
@@ -379,7 +403,7 @@ def test_upd_acc_scatter_path_against_a_per_lane_loop(masked, ka):
     for v in (BV(rng.standard_normal(bshape + (2,)), 2), BV(rng.standard_normal((1, 4, 2)), 2),
               BV(rng.standard_normal(2), 0)):  # full, extent-1 lane axis, lane-uniform
         acc = AccBV(start.copy(), ka)
-        assert V._upd_acc(eng, acc, [BV(idx, 2)], v, None) is acc
+        assert V._upd_acc(eng, acc, [BV(idx, 2)], v, None, (2, None)) is acc
         want = start.copy()
         for lane in np.ndindex(*bshape):
             if _active(eng, lane):
@@ -388,7 +412,7 @@ def test_upd_acc_scatter_path_against_a_per_lane_loop(masked, ka):
     # No lanes at all: nothing is added.
     acc = AccBV(np.ones((5, 2)), 0)
     V._upd_acc(_eng((0,), False), acc, [BV(np.zeros(0, dtype=np.int64), 1)],
-               BV(np.zeros((0, 2)), 1), None)
+               BV(np.zeros((0, 2)), 1), None, (1, None))
     np.testing.assert_array_equal(acc.data, np.ones((5, 2)))
 
 
@@ -406,7 +430,7 @@ def test_hist_kernels_with_rows_duplicates_and_an_extent_1_batch_axis(masked, op
     got = V._hist_accumulate(eng, op, BV(np.full(2, ne), 0), hs, args[1])
     np.testing.assert_array_equal(got.data, want)
     (got,) = V._hist_fold(eng, m, [BV(inds, 2), BV(vals, 2)], [BV(np.full(2, ne), 0)],
-                          lambda e, vs: (V._elem(V._UFUNC[op], *vs),))
+                          lambda e, vs: (_elem(V._UFUNC[op], *vs),))
     np.testing.assert_array_equal(got.data, want)
 
 
@@ -435,7 +459,7 @@ def test_update_kernel_rows_an_extent_1_batch_axis_and_a_transposed_source(maske
     eng = _eng(bshape, masked)
     arr = rng.standard_normal((1, 3, 4, 2))  # shared by the first batch axis
     idx, val = np.array([[-1, 2, 7], [3, 3, 0]]), rng.standard_normal((1, 1, 2))
-    out = V._update(eng, BV(arr, 2), [BV(idx, 2)], BV(val, 2))
+    out = V._update(eng, BV(arr, 2), [BV(idx, 2)], BV(val, 2), 2)
     assert out.data.shape == bshape + (4, 2)
     for lane in np.ndindex(*bshape):
         want = arr[0, lane[1]].copy()
@@ -444,7 +468,7 @@ def test_update_kernel_rows_an_extent_1_batch_axis_and_a_transposed_source(maske
         np.testing.assert_array_equal(out.data[lane], want)
     src = rng.standard_normal((3, 5)).T  # (5, 3), not C-contiguous
     out = V._update(_eng((), False), BV(src, 0), [BV(np.int64(9), 0), BV(np.int64(1), 0)],
-                    BV(np.float64(-1.0), 0))
+                    BV(np.float64(-1.0), 0), 0)
     want = src.copy()
     want[4, 1] = -1.0
     np.testing.assert_array_equal(out.data, want)
@@ -476,8 +500,9 @@ def test_branch_kernel_scalar_condition_runs_one_branch():
     ran = []
     then_fn = lambda e, vals: ran.append("t") or (BV(np.float64(1.0), 0),)  # noqa: E731
     else_fn = lambda e, vals: ran.append("f") or (BV(np.float64(2.0), 0),)  # noqa: E731
-    assert V._branch(eng, BV(np.array(True), 0), then_fn, else_fn)[0].data == 1.0
-    assert V._branch(eng, BV(np.array([False]), 1), then_fn, else_fn)[0].data == 2.0
+    assert V._branch(eng, BV(np.array(True), 0), (0,), then_fn, else_fn)[0].data == 1.0
+    (out,) = V._branch(eng, BV(np.array([False]), 1), (1,), then_fn, else_fn)
+    assert out.bdims == 1 and out.data.tolist() == [2.0]  # raised to the join's depth
     assert ran == ["t", "f"] and eng.mask is None
 
 
@@ -498,20 +523,21 @@ def test_branch_kernel_batched_condition_runs_both_under_complementary_masks(mas
         return BV(np.float64(2.0), 0), acc
 
     acc = AccBV(np.zeros(4), 1)
-    val, acc_out = V._branch(eng, BV(c, 1), then_fn, else_fn)
+    val, acc_out = V._branch(eng, BV(c, 1), (1, 1), then_fn, else_fn)
     np.testing.assert_array_equal(seen["t"], outer & c)
     np.testing.assert_array_equal(seen["f"], outer & ~c)
     np.testing.assert_array_equal(val.data, np.where(c, 1.0, 2.0))
     assert acc_out is acc and eng.mask is saved
     with pytest.raises(ExecError, match="threaded identically"):
-        V._branch(eng, BV(c, 1), lambda e, v: (acc,), lambda e, v: (AccBV(np.zeros(4), 1),))
+        V._branch(eng, BV(c, 1), (1,), lambda e, v: (acc,),
+                  lambda e, v: (AccBV(np.zeros(4), 1),))
 
 
 @depths
 def test_stack_columns_and_elems_at(bshape):
     eng, d = _eng(bshape, False), len(bshape)
     ne = BV(np.float64(0.0), 0)
-    assert V._stack_columns(eng, [], ne).data.shape == (0,)
+    assert V._stack_columns(eng, [], ne).data.shape == (1,) * d + (0,)
     # Per-iteration values of different batch depth stack on the lane axis.
     col = [BV(np.float64(1.0), 0), BV(np.full(bshape, 2.0), d)]
     out = V._stack_columns(eng, col, ne)
@@ -532,8 +558,10 @@ def test_leaf_kernel_table_names_fields_the_plan_ir_has():
     """``KERNELS`` reads instruction records by field name: every plan-IR
     kind but a fused ``run`` has one entry (one per strategy for the reduce
     family), every operand, static and body field an entry names is a slot
-    of that instruction class, a body's last field holds the ``PBody`` and
-    the kernel takes exactly ``eng`` plus what the entry names."""
+    of that instruction class (a ``"layout"`` static is the emitting
+    ``Layout``'s fact, ``Layout.static``), a body's last field holds the
+    ``PBody`` and the kernel takes exactly ``eng`` plus what the entry
+    names."""
     by_kind = {c.kind: c for c in vars(lower).values()
                if isinstance(c, type) and issubclass(c, lower._Instr) and c is not lower._Instr}
 
@@ -547,7 +575,7 @@ def test_leaf_kernel_table_names_fields_the_plan_ir_has():
     bodies_of = {}
     for key, (kernel, operands, statics, bodies) in V.KERNELS.items():
         slots = slots_of(by_kind[key.split(":")[0]])
-        named = set(operands) | set(statics) | {f for b in bodies for f in b}
+        named = set(operands) | set(statics) - {"layout"} | {f for b in bodies for f in b}
         assert callable(kernel) and named <= slots, key
         assert "out" in slots or "outs" in slots, key
         bodies_of[key] = [b[-1] for b in bodies]
@@ -615,7 +643,7 @@ def test_loop_kernel_runs_lane_varying_trip_counts_under_an_outer_mask(outer, ma
         masks.append(None if e.mask is None else np.broadcast_to(e.mask.data, outer).copy())
         return BV(x.data * 2.0 + i.data, d), a
 
-    x, a = V._loop(eng, BV(counts, d), [BV(x0, d), acc], body)
+    x, a = V._loop(eng, BV(counts, d), [BV(x0, d), acc], (d, d), body)
     assert a is acc and eng.mask is saved
     want = x0.copy()
     for lane in np.ndindex(*outer):
@@ -632,7 +660,7 @@ def test_loop_kernel_runs_lane_varying_trip_counts_under_an_outer_mask(outer, ma
             np.testing.assert_array_equal(m, outer_on & (i < counts))
     # no trip: the initial state comes back as an array of its own
     view = np.arange(4.0)[1:]
-    (y,) = V._loop(eng, BV(np.int64(0), 0), [BV(view, 0)], body)
+    (y,) = V._loop(eng, BV(np.int64(0), 0), [BV(view, 0)], (0,), body)
     assert y.data.flags.owndata and not np.shares_memory(y.data, view)
 
 
@@ -649,7 +677,7 @@ def test_while_kernel_under_a_batched_condition_and_out_of_fuel(masked, monkeypa
         seen.append(e.mask.data.copy())
         return (BV(vals[0].data + 1.0, 1),)
 
-    (x,) = V._while(eng, [BV(np.zeros(4), 1)], cond, body)
+    (x,) = V._while(eng, [BV(np.zeros(4), 1)], (1,), cond, body)
     want = np.where(outer_on, limit, 0.0)
     np.testing.assert_array_equal(x.data, want)
     assert len(seen) == int(want.max()) and eng.mask is saved
@@ -658,7 +686,7 @@ def test_while_kernel_under_a_batched_condition_and_out_of_fuel(masked, monkeypa
     monkeypatch.setattr(exec_values, "WHILE_FUEL", 3)
     forever = _scalars((4,), lambda x: (x == x,))
     with pytest.raises(ExecError, match=r"exceeded iteration fuel \(3 iterations\)"):
-        V._while(eng, [BV(np.zeros(4), 1)], forever, body)
+        V._while(eng, [BV(np.zeros(4), 1)], (1,), forever, body)
 
 
 @depths
@@ -671,10 +699,10 @@ def test_generic_fold_and_scan_kernels_collect_one_column_per_result(bshape):
     def op(e, vals):  # (sum of x, running product of y)
         a, b, x, y = vals
         assert x.bdims == d and e.bstack == list(bshape)
-        return V._elem(np.add, a, x), V._elem(np.multiply, b, y)
+        return _elem(np.add, a, x), _elem(np.multiply, b, y)
 
-    red = V._fold(eng, [BV(xs, d), BV(ys, d)], nes, op)
-    scn = V._fold_scan(eng, [BV(xs, d), BV(ys, d)], nes, op)
+    red = V._fold(eng, [BV(xs, d), BV(ys, d)], nes, (d, d), op)
+    scn = V._fold_scan(eng, [BV(xs, d), BV(ys, d)], nes, (d, d), op)
     want_s = 0.5 + np.cumsum(xs, axis=-1)
     want_p = np.cumprod(ys, axis=-1)
     np.testing.assert_allclose(_full(red[0], bshape), want_s[..., -1], rtol=1e-14)
@@ -700,10 +728,10 @@ def test_redomap_fold_and_hist_kernels_over_no_elements(bshape):
     (r,) = V._redomap(eng, [empty], [ne], "add", True, False, body)
     assert r.bdims == d and _full(r, bshape).shape == bshape and (r.data == 7.0).all()
     (sc,) = V._redomap_scan(eng, [empty], [ne], "add", True, False, body)
-    assert sc.data.shape == (0,)
-    assert V._fold(eng, [empty], [ne], body) == [ne]
-    (col,) = V._fold_scan(eng, [empty], [ne], body)
-    assert col.data.shape == (0,)
+    assert sc.bdims == d and sc.data.shape == (1,) * d + (0,)
+    assert V._fold(eng, [empty], [ne], (0,), body) == [ne]
+    (col,) = V._fold_scan(eng, [empty], [ne], (0,), body)
+    assert col.bdims == d and col.data.shape == (1,) * d + (0,)
     inds = BV(np.zeros(bshape + (0,), dtype=np.int64), d)
     (h,) = V._hist_fold(eng, 2, [inds, empty], [ne], body)
     assert ran == [] and h.data.shape == bshape + (2,) and (h.data == 7.0).all()
@@ -784,21 +812,21 @@ def test_give_refuses_whatever_someone_else_can_see(pool):
 def test_a_taker_computes_the_same_bits_into_a_recycled_buffer(pool):
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((4, 1, 5)), rng.standard_normal((1, 3, 5))
-    want = V._elem(np.multiply, BV(a, 2), BV(b, 2))
-    box = [V._elem_into(np.multiply, (), BV(a, 2), BV(b, 2), take=True)]  # a miss
+    want = _elem(np.multiply, BV(a, 2), BV(b, 2))
+    box = [V._elem_into(np.multiply, (), 2, [a, b], take=True)]  # a miss
     assert box[0].data.tobytes() == want.data.tobytes() and box[0].bdims == want.bdims
     box[0].data.fill(np.nan)
     _offer(box.pop())
     assert V.pool_bytes() == want.data.nbytes
-    again = V._elem_into(np.multiply, (), BV(a, 2), BV(b, 2), take=True)  # a hit
+    again = V._elem_into(np.multiply, (), 2, [a, b], take=True)  # a hit
     assert V.pool_bytes() == 0 and again.data.tobytes() == want.data.tobytes()
     # a donor still comes first, mixed dtypes and small results allocate as ever
     t = rng.standard_normal((4, 3, 5))
-    out = V._elem_into(np.add, (0,), BV(t, 2), BV(b, 2), take=True)
+    out = V._elem_into(np.add, (0,), 2, [t, b], take=True)
     assert out.data is t
-    mixed = V._elem_into(np.add, (), BV(a, 2), BV(b.astype(np.float32), 2), take=True)
+    mixed = V._elem_into(np.add, (), 2, [a, b.astype(np.float32)], take=True)
     assert mixed.data.dtype == np.float64 and not pool.out.get(((4, 3, 5), np.dtype(np.float32)))
-    small = V._elem_into(np.add, (), BV(np.ones(2), 0), BV(np.ones(2), 0), take=True)
+    small = V._elem_into(np.add, (), 0, [np.ones(2), np.ones(2)], take=True)
     assert small.data.tolist() == [2.0, 2.0] and ((2,), np.dtype(np.float64)) not in pool.out
 
 
@@ -836,3 +864,136 @@ def test_redomap_kernels_offer_a_spare_map_part_result_once_folded(pool):
         (again,) = run(True)
         assert V.pool_bytes() == 128 and again.data.tobytes() == out.data.tobytes()
         V.clear_pool()
+
+
+# ---------------------------------------------------------------------------
+# The static layout (``exec/lower.py:layout``): every value's batch depth is
+# fixed when the plan is emitted, ``verify_layout`` re-derives it, and at run
+# time each value carries exactly that depth.
+# ---------------------------------------------------------------------------
+
+import repro as rp  # noqa: E402
+from repro.exec.lower import layout, lower_fun  # noqa: E402
+from repro.exec.plan import Plan, _ClosureEmitter  # noqa: E402
+from repro.exec.verify_plan import verify_layout  # noqa: E402
+from repro.ir.verify import VerifyError  # noqa: E402
+
+
+def _nested(xs, ys):
+    """A loop whose state starts as a constant and becomes a lane value, and
+    a product of an outer and an inner lane value (a selector with ``None``)."""
+    def lane(x):
+        acc = rp.fori_loop(3, lambda i, a: a * 0.5 + x, 0.0)
+        return rp.sum(rp.map(lambda y: x * y + acc, ys))
+    return rp.map(lane, xs)
+
+
+def _fresh_layout(f=_nested, args=(np.ones(3), np.ones(4)), flags=None):
+    ir = lower_fun(rp.compile(rp.trace_like(f, args)).fun)
+    lay = layout(ir, flags)
+    verify_layout(ir, lay)  # the unmutated layout holds
+    return ir, lay
+
+
+def _a_lined_up_op(lay):
+    return next(o for o, lo in lay.ops.items()
+                if o.kind == "binop" and any(s is not None and None in s for s in lo.sels))
+
+
+def test_layout_mutant_a_run_op_one_level_too_shallow_is_caught():
+    ir, lay = _fresh_layout()
+    lay.ops[_a_lined_up_op(lay)].k -= 1
+    with pytest.raises(VerifyError, match="put it at"):
+        verify_layout(ir, lay)
+
+
+def test_layout_mutant_a_selector_missing_a_none_is_caught():
+    ir, lay = _fresh_layout()
+    lo = lay.ops[_a_lined_up_op(lay)]
+    q = next(q for q, s in enumerate(lo.sels) if s is not None and None in s)
+    s = list(lo.sels[q])
+    s.remove(None)
+    lo.sels = lo.sels[:q] + (tuple(s),) + lo.sels[q + 1:]
+    with pytest.raises(VerifyError, match="selector"):
+        verify_layout(ir, lay)
+
+
+def test_layout_mutant_a_loop_state_below_its_body_result_is_caught():
+    ir, lay = _fresh_layout()
+    loop = next(i for i in lay.kernel if i.kind == "loop")
+    assert lay.kernel[loop] == (1,)  # 0.0 flows in, a lane value comes back
+    lay.kernel[loop] = lay.outs[loop] = (0,)
+    # Caught at the body's first read of the state, or at the join.
+    with pytest.raises(VerifyError, match="put it at|below what flows in"):
+        verify_layout(ir, lay)
+
+
+def test_layout_mutant_a_wrong_payload_rank_is_caught():
+    ir, lay = _fresh_layout()
+    op = _a_lined_up_op(lay)
+    op.pranks = (op.pranks[0] + 1,) + op.pranks[1:]
+    with pytest.raises(VerifyError, match="payload ranks"):
+        verify_layout(ir, lay)
+
+
+class _CheckingEmitter(_ClosureEmitter):
+    """Asserts after every instruction, nested bodies included, that each
+    value it bound carries the batch depth its layout fact says (run exports
+    included)."""
+
+    def _emit_ins(self, ins):
+        fn = super()._emit_ins(ins)
+        if ins.kind == "run":
+            outs = [s for _li, s, _n in ins.exports]
+        else:
+            outs = [ins.out[0]] if hasattr(ins, "out") else [s for s, _n in ins.outs]
+        facts = self.lay.outs[ins]
+
+        def checked(eng):
+            fn(eng)
+            for s, want in zip(outs, facts):
+                v = eng.regs[s]
+                if v is not None:  # (an output nobody reads is released at once)
+                    assert v.bdims == want, (ins.kind, s, v.bdims, want)
+                    assert np.ndim(v.data) >= want
+
+        return checked
+
+
+class _CheckingPlan(Plan):
+    def _emit(self, ir, lay):
+        return _CheckingEmitter(lay).emit_body(ir.body), {}
+
+
+def _edge_programs():
+    op = lambda a, b: a * b + a  # noqa: E731
+    yield (lambda xs, a: rp.map(lambda x: rp.cond(x > 0.0, lambda: x * a, lambda: a), xs),
+           (np.array([-0.5]), 2.0), (True, False))
+    yield (lambda xs, ns: rp.map(lambda x, n: rp.fori_loop(n, lambda i, a: a * 0.5 + x, 1.0),
+                                 xs, ns),
+           (np.array([0.5, -1.0]), np.array([2, 2])), (True, False))
+    yield (lambda xs, arr: rp.map(lambda x: rp.sum(rp.cond(
+        x > 0.0, lambda: rp.update(arr, 1, x), lambda: arr)), xs),
+           (np.array([0.5, -1.0]), np.arange(3.0)), (True, False))
+    yield (lambda m: rp.map(lambda r: rp.reduce(op, 0.5, r), m), (np.zeros((2, 0)),), (True,))
+    yield (lambda m: rp.map(lambda r: rp.scan(op, 0.0, r), m), (np.zeros((2, 0)),), (True,))
+    yield (lambda xs: rp.while_loop(lambda a: a < 3.0, lambda a: a + rp.sum(xs), 0.0),
+           (np.array([0.5, 1.0]),), (True,))
+    yield (_nested, (np.ones(3), np.ones(4)), (True, False))
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_runtime_batch_depth_equals_the_static_fact(case):
+    f, args, flags = list(_edge_programs())[case]
+    fun = rp.compile(rp.trace_like(f, args)).fun
+    floats = [np.asarray(a).dtype.kind == "f" for a in args]
+    for derived in (fun, rp.jvp(rp.compile(fun)).fun):
+        ins, fl = args, flags
+        if derived is not fun:  # one tangent per float argument, batched alike
+            ins = (*args, *[np.ones_like(a) for a, f_ in zip(args, floats) if f_])
+            fl = flags + tuple(b for b, f_ in zip(flags, floats) if f_)
+        plan = _CheckingPlan(derived)
+        plan.run(ins)
+        b = 2
+        plan.run_batched([np.stack([a, a]) if f_ else a for a, f_ in zip(ins, fl)], fl, b)
+        assert set(plan.bodies) == {None, tuple(fl)}
