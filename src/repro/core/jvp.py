@@ -426,7 +426,6 @@ class _JVP:
             body,
             names=names,
             stripmine=e.stripmine,
-            checkpoint=e.checkpoint,
         )
         k = len(e.params)
         j = k

@@ -8,32 +8,23 @@ body's forward sweep, and then runs the body's return sweep.  Adjoints of
 the loop's free variables are threaded as loop-variant state (Fig. 3's
 ``fvs_bdy``); adjoints of accumulated arrays thread as accumulator state.
 
-``checkpoint="entry"`` (§6.2, the user annotation for loops free of false
-dependencies) skips per-iteration checkpointing for array state: any value
-an iteration reads is still present in the *final* array, so the return
-sweep re-installs the loop's final value instead — preserving the original
-work asymptotics when the body updates arrays in place.
+An array parameter that ``ir.analysis.entry_params`` proves free of false
+dependencies (§6.2: it writes one slot ``ivar + c_w`` per iteration and
+reads only slots ``ivar + c_r`` with ``c_r < c_w``) is not checkpointed
+per iteration: every value an iteration reads is still present in the
+*final* array, so the return sweep re-installs the loop's final value
+instead, preserving the original work asymptotics.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..ir.ast import (
-    AtomExp,
-    Atom,
-    Body,
-    Index,
-    Lambda,
-    Loop,
-    ScratchLike,
-    Stm,
-    Update,
-    Var,
-)
+from ..ir.analysis import entry_params
+from ..ir.ast import Atom, AtomExp, Index, Loop, Stm, Var
 from ..ir.builder import Builder, const
 from ..ir.traversal import free_vars
-from ..ir.types import AccType, ArrayType, elem_type, is_float, rank_of, with_rank
-from ..util import ADError, fresh
+from ..ir.types import AccType, elem_type, is_float, rank_of, with_rank
+from ..util import fresh
 from .adjoint import AdjScope
 
 __all__ = ["fwd_loop", "rev_loop"]
@@ -42,48 +33,21 @@ __all__ = ["fwd_loop", "rev_loop"]
 def fwd_loop(vjp, stm: Stm, e: Loop, b: Builder):
     """Forward sweep: the original loop, with loop-variant values
     checkpointed into scratch arrays (Fig. 3's ``xs[i] = x``)."""
-    ckpt_mask = []
-    for p in e.params:
-        if e.checkpoint == "entry" and rank_of(p.type) > 0:
-            ckpt_mask.append(False)  # re-install from the final value (§6.2)
-        else:
-            ckpt_mask.append(True)
-
-    ckpt_bufs: List[Optional[Var]] = []
-    for p, init, m in zip(e.params, e.inits, ckpt_mask):
-        if m:
-            ckpt_bufs.append(b.scratch_like(e.n, init, name=p.name + "_ckpt"))
-        else:
-            ckpt_bufs.append(None)
-
+    ckpt_mask = [not entry for entry in entry_params(e)]
+    kept = [(p, init) for p, init, m in zip(e.params, e.inits, ckpt_mask) if m]
+    ckpt_bufs = [b.scratch_like(e.n, init, name=p.name + "_ckpt") for p, init in kept]
     ck_params = [
         Var(fresh(p.name + "_cs"), with_rank(elem_type(p.type), rank_of(p.type) + 1))
-        for p, m in zip(e.params, ckpt_mask)
-        if m
+        for p, _ in kept
     ]
     lb = Builder()
-    ck_res = []
-    k = 0
-    for p, m in zip(e.params, ckpt_mask):
-        if m:
-            ck_res.append(lb.update(ck_params[k], (e.ivar,), p, name=ck_params[k].name))
-            k += 1
+    ck_res = [lb.update(cp, (e.ivar,), p, name=cp.name) for cp, (p, _) in zip(ck_params, kept)]
     lb.extend(e.body.stms)
     body = lb.finish(tuple(e.body.result) + tuple(ck_res))
 
-    ck_outs = tuple(
-        Var(fresh(p.name + "_ck"), with_rank(elem_type(p.type), rank_of(p.type) + 1))
-        for p, m in zip(e.params, ckpt_mask)
-        if m
-    )
+    ck_outs = tuple(Var(fresh(p.name + "_ck"), cp.type) for cp, (p, _) in zip(ck_params, kept))
     new_loop = Loop(
-        tuple(e.params) + tuple(ck_params),
-        tuple(e.inits) + tuple(cb for cb in ckpt_bufs if cb is not None),
-        e.ivar,
-        e.n,
-        body,
-        0,
-        "iters",
+        tuple(e.params) + tuple(ck_params), tuple(e.inits) + tuple(ckpt_bufs), e.ivar, e.n, body
     )
     b.emit_into(tuple(stm.pat) + ck_outs, new_loop)
     return {"ck_outs": ck_outs, "ckpt_mask": ckpt_mask}

@@ -66,6 +66,7 @@ import numpy as np
 
 from ..ir.analysis import (
     ne_is_identity,
+    offset_step,
     recognize_binop_lambda,
     recognize_redomap_lambda,
 )
@@ -784,15 +785,13 @@ class _Lowerer:
             return self.facts.get(a.name)
         return "uni" if is_integral(a.type) else None
 
-    def _note_binop(self, e: BinOp, fx: str, name: str) -> None:
-        """What ``name = e`` is as an index, ``fx`` being what ``e.x`` is."""
-        fy = self._fact(e.y)
-        if fx == "uni" and fy == "uni":
+    def _note_binop(self, e: BinOp, name: str) -> None:
+        """What ``name = e`` is as an index."""
+        step = offset_step(e)
+        if self._fact(e.x) == "uni" and self._fact(e.y) == "uni":
             self.facts[name] = "uni"  # whatever the operator: no operand has a lane
-        elif fx == "lane" and fy and type(e.y) is Const and e.op in ("add", "sub"):
-            self.facts[name] = "lane"  # i ± c
-        elif fy == "lane" and type(e.x) is Const and e.op == "add":
-            self.facts[name] = "lane"  # c + i
+        elif step and self._fact(step[0]) == "lane":
+            self.facts[name] = "lane"  # i ± c, c + i
 
     def _index_flags(self, idx: Sequence[Atom]) -> Optional[Tuple[bool, ...]]:
         """The ``affine`` flags of an ``index``/``upd_acc`` with operands
@@ -835,9 +834,7 @@ class _Lowerer:
         if isinstance(e, UnOp):
             return RunOp("unop", xs, op=e.op)
         if isinstance(e, BinOp):
-            fact = self._fact(e.x)
-            if fact:
-                self._note_binop(e, fact, name)
+            self._note_binop(e, name)
             return RunOp("binop", xs, op=e.op)
         if isinstance(e, Select):
             return RunOp("select", xs)

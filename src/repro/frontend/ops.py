@@ -282,14 +282,15 @@ def _trace_state_body(body_out, b, state_types) -> Tuple:
     return b.finish(tuple(res))
 
 
-def fori_loop(n, body_fn: Callable, init, *, stripmine: int = 0, checkpoint: str = "iters"):
+def fori_loop(n, body_fn: Callable, init, *, stripmine: int = 0):
     """``loop (state = init) for i < n do body_fn(i, *state)``.
 
     ``stripmine=f`` strip-mines the loop by the factor ``f`` before reverse
-    AD (the paper's §4.3 time–space knob; 0 and 1 mean off);
-    ``checkpoint="entry"`` is the caller's assertion that the loop is free of
-    false dependencies (§6.2), so only the loop entry is checkpointed.  Any
-    other value of either raises ``TypeError_`` here, naming the field.
+    AD (the paper's §4.3 time–space knob; 0 and 1 mean off); any other value
+    raises ``TypeError_`` here.  Reverse AD checkpoints the state every
+    iteration, except an array it proves is only written at ``i + c_w`` and
+    read at ``i + c_r`` with ``c_r < c_w`` (§6.2): that one is restored from
+    the loop's final value (``ir.analysis.entry_params``).
     """
     inits = init if isinstance(init, (tuple, list)) else (init,)
     in_tv = _as_tvals(inits)
@@ -305,7 +306,6 @@ def fori_loop(n, body_fn: Callable, init, *, stripmine: int = 0, checkpoint: str
         lift(n, ty=I64).atom,
         body,
         stripmine=stripmine,
-        checkpoint=checkpoint,
     )
     return _pack([TVal(v) for v in vs])
 

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
-from .ast import AtomExp, BinOp, Body, Const, Fun, Lambda, Var, fact
-from .traversal import _BIND, _BODY, _LAM, _SHAPES, _STATIC, free_vars_exp
+from .ast import Atom, AtomExp, BinOp, Body, Const, Exp, Fun, Index, Lambda, Loop, Update, Var, fact
+from .traversal import _BIND, _BODY, _LAM, _SHAPES, _STATIC, exp_atoms, free_vars_exp, scopes
+from .types import is_integral, rank_of
 
 __all__ = [
     "recognize_binop_lambda",
@@ -14,6 +15,8 @@ __all__ = [
     "recognize_redomap_lambda",
     "OP_IDENTITY",
     "ne_is_identity",
+    "offset_step",
+    "entry_params",
     "ir_hash",
 ]
 
@@ -146,6 +149,88 @@ def _recognize_redomap(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
             return None
         map_stms.append(stm)
     return exp.op, Lambda(tuple(lam.params[1:]), Body(tuple(map_stms), (v,)))
+
+
+# ---------------------------------------------------------------------------
+# Entry-only loop checkpointing (§6.2)
+# ---------------------------------------------------------------------------
+
+def offset_step(e: Exp) -> Optional[Tuple[Var, int]]:
+    """``(v, c)`` when ``e`` is a copy of ``v`` (``c = 0``), ``v + c``,
+    ``v - c`` (as ``(v, -c)``) or ``c + v`` for an integer literal ``c``."""
+    if isinstance(e, AtomExp):
+        return (e.x, 0) if isinstance(e.x, Var) else None
+    if not isinstance(e, BinOp):
+        return None
+    x, y = e.x, e.y
+    if e.op in ("add", "sub") and isinstance(x, Var) and isinstance(y, Const) \
+            and is_integral(y.type):
+        return x, int(y.value) if e.op == "add" else -int(y.value)
+    if e.op == "add" and isinstance(y, Var) and isinstance(x, Const) and is_integral(x.type):
+        return y, int(x.value)
+    return None
+
+
+def entry_params(loop: Loop) -> Tuple[bool, ...]:
+    """Per parameter of ``loop``: may reverse AD re-install it from the
+    loop's final value instead of checkpointing it every iteration (§6.2)?
+    Yes for an array whose every use, nested bodies included, is an ``Index``
+    at first index ``ivar + c_r`` or the head of one top-level ``Update``
+    chain ending in its next value and writing at ``ivar + c_w`` (one
+    ``c_w``), with every ``c_r < c_w``: a slot iteration ``i`` reads is
+    never written after it, so the final array still holds it.  Offsets
+    follow ``offset_step`` copies in walk order (names may repeat across
+    sibling scopes)."""
+    offs: Dict[str, int] = {loop.ivar.name: 0}
+    owner = {p.name: p.name for p in loop.params if rank_of(p.type) > 0}
+    tail = dict(owner)  # the chain's last link, per parameter
+    reads: Dict[str, list] = {p: [] for p in owner}
+    writes: Dict[str, set] = {p: set() for p in owner}
+    bad: Set[str] = set()
+
+    def first(idx: Tuple[Atom, ...]) -> Optional[int]:
+        a = idx[0] if idx else None
+        return offs.get(a.name) if isinstance(a, Var) else None
+
+    def walk(body: Body) -> None:
+        for stm in body.stms:
+            e = stm.exp
+            uses: Iterable[Atom] = exp_atoms(e)
+            if type(e) is Index and e.arr.name in reads:
+                reads[e.arr.name].append(first(e.idx))
+                uses = e.idx
+            elif type(e) is Update and tail.get(owner.get(e.arr.name, "")) == e.arr.name:
+                p = owner[stm.pat[0].name] = owner[e.arr.name]
+                writes[p].add(first(e.idx))
+                tail[p] = stm.pat[0].name
+                uses = (*e.idx, e.val)
+            bad.update(owner[a.name] for a in uses if type(a) is Var and a.name in owner)
+            for binders, b in scopes(e):
+                for q in binders:
+                    offs.pop(q.name, None)
+                walk(b)
+                bad.update(owner[a.name] for a in b.result if type(a) is Var and a.name in owner)
+            for u in stm.pat:
+                offs.pop(u.name, None)
+            step = offset_step(e)
+            if step and step[0].name in offs:
+                offs[stm.pat[0].name] = offs[step[0].name] + step[1]
+
+    walk(loop.body)
+    for q, a in zip(loop.params, loop.body.result):
+        r = a.name if isinstance(a, Var) else ""
+        if r != tail.get(q.name, r):  # ``q``'s next value is not its chain's end
+            bad.add(q.name)
+        if r in owner and r != tail.get(q.name):  # a link returned in another place
+            bad.add(owner[r])
+
+    def accepted(p: str) -> bool:
+        if p in bad or len(writes[p]) != 1 or None in writes[p] or None in reads[p]:
+            return False
+        (c_w,) = writes[p]
+        return all(c < c_w for c in reads[p])
+
+    return tuple(p.name in owner and accepted(p.name) for p in loop.params)
 
 
 # ---------------------------------------------------------------------------

@@ -380,16 +380,11 @@ class Loop:
     """``loop (params = inits) for ivar < n do body`` — a pure for-loop.
 
     ``body`` sees ``params`` and ``ivar``; its results become the params of
-    the next iteration.  Annotations (mirroring the paper's user annotations):
-
-    * ``stripmine`` — strip-mine this loop by the factor ``stripmine`` before
-      reverse AD (time–space trade-off of §4.3; 0 and 1 both mean "off");
-    * ``checkpoint`` — ``"iters"`` (default: save loop-variant values every
-      iteration, Fig. 3) or ``"entry"`` (§6.2: loop-variant arrays free of
-      false dependencies are saved once at loop entry and restored before the
-      return sweep).  That freedom is the user's assertion; nothing checks it.
-
-    ``ir.typecheck`` refuses any other value of either field.
+    the next iteration.  ``stripmine`` (the paper's user annotation)
+    strip-mines the loop by that factor before reverse AD (the time–space
+    trade-off of §4.3; 0 and 1 both mean "off"); ``ir.typecheck`` refuses
+    any other value.  Which parameters reverse AD checkpoints only at entry
+    (§6.2) is not annotated: ``ir.analysis.entry_params`` proves it.
     """
 
     params: Tuple[Var, ...]
@@ -398,7 +393,6 @@ class Loop:
     n: Atom
     body: "Body"
     stripmine: int = 0
-    checkpoint: str = "iters"
 
 
 @dataclass(frozen=True)

@@ -240,10 +240,9 @@ class Builder:
         body: Body,
         names=None,
         stripmine: int = 0,
-        checkpoint: str = "iters",
     ) -> Tuple[Var, ...]:
         return self.emit(
-            Loop(tuple(params), tuple(inits), ivar, n, body, stripmine, checkpoint),
+            Loop(tuple(params), tuple(inits), ivar, n, body, stripmine),
             names or [p.name for p in params],
         )
 

@@ -118,11 +118,7 @@ def pretty_exp(e: Exp, ind: str = "") -> str:
         return f"scatter {e.dest.name} {e.inds.name} {e.vals.name}"
     if isinstance(e, Loop):
         hdr = ", ".join(f"{p.name} = {_atom(i)}" for p, i in zip(e.params, e.inits))
-        ann = ""
-        if e.stripmine:
-            ann += f" @stripmine({e.stripmine})"
-        if e.checkpoint != "iters":
-            ann += f" @checkpoint({e.checkpoint})"
+        ann = f" @stripmine({e.stripmine})" if e.stripmine else ""
         body = _body(e.body, ind + "  ")
         return f"loop ({hdr}) for {e.ivar.name} < {_atom(e.n)}{ann} do\n{body}{ind}end"
     if isinstance(e, WhileLoop):

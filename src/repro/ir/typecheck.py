@@ -316,10 +316,6 @@ def infer_exp_types(e: Exp) -> Tuple[Type, ...]:
         for p, r in zip(e.params, e.body.result):
             if _ty(r) != p.type:
                 raise TypeError_(f"loop: body result for {p!r}: {_ty(r)} != {p.type}")
-        if e.checkpoint not in ("iters", "entry"):
-            raise TypeError_(
-                f"loop: checkpoint must be 'iters' or 'entry', got {e.checkpoint!r}"
-            )
         if not isinstance(e.stripmine, int) or e.stripmine < 0:
             raise TypeError_(
                 "loop: stripmine must be a non-negative int (0 and 1 mean off), "

@@ -76,7 +76,7 @@ def _shrink_loop(e: Loop, keep: List[bool]) -> Loop:
     nothing the loop still computes reads — a surviving parameter's next
     value least of all — with their inits; ``keep`` is updated to what
     stays.  Accumulator parameters always stay (their updates are the
-    effect), and so do the ``stripmine``/``checkpoint`` annotations."""
+    effect), and so does the ``stripmine`` annotation."""
     for i, p in enumerate(e.params):
         keep[i] = keep[i] or isinstance(p.type, AccType)
     while True:

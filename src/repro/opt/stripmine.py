@@ -44,12 +44,12 @@ def _rewrite_loop(stm: Stm, e: Loop, b: Builder) -> None:
     els = Body((), tuple(inner_params))
     vs = ib.if_(valid, then, els, names=[p.name for p in e.params])
     inner_body = ib.finish(tuple(vs))
-    inner = Loop(inner_params, tuple(e.params), ii, fa, inner_body, 0, e.checkpoint)
+    inner = Loop(inner_params, tuple(e.params), ii, fa, inner_body)
 
     ob = Builder()
     ovs = ob.emit(inner, [p.name for p in e.params])
     outer_body = ob.finish(tuple(ovs))
-    outer = Loop(e.params, e.inits, io, no, outer_body, 0, e.checkpoint)
+    outer = Loop(e.params, e.inits, io, no, outer_body)
     b.emit_into(stm.pat, outer)
 
 

@@ -52,7 +52,7 @@ def _rewrite_while(stm: Stm, e: WhileLoop, b: Builder) -> None:
     els = Body((), tuple(e.params))
     vs = gb.if_(c, then, els, names=[p.name for p in e.params])
     body = gb.finish(tuple(vs))
-    loop = Loop(e.params, e.inits, ivar, bound, body, 0, "iters")
+    loop = Loop(e.params, e.inits, ivar, bound, body)
     b.emit_into(stm.pat, loop)
 
 

@@ -123,7 +123,7 @@ KINDS = {e.__class__: e for e in (
     Scan(_lam((p, q), y), (x,), (xs,)),
     ReduceByIndex(n, _lam((p, q), y), (ONE,), inds, (xs,)),
     Scatter(xs, inds, ys),
-    Loop((p,), (x,), i, n, Body((Stm((r,), BinOp("mul", p, y)),), (r,)), 16, "entry"),
+    Loop((p,), (x,), i, n, Body((Stm((r,), BinOp("mul", p, y)),), (r,)), 16),
     WhileLoop((p,), (x,), _lam((p,), c), Body((), (y,)), n),
     If(c, Body((), (x,)), Body((Stm((r,), UnOp("neg", y)),), (r,))),
     WithAcc((xs,), _lam((acc,), acc, y)),
@@ -247,7 +247,7 @@ def test_refresh_keeps_the_hash_and_shares_no_binder(corpus):
 
 #: (a node whose uses mention ``x`` / ``xs`` / ``i``, what must come through).
 STATICS = [
-    (KINDS[Loop], {"stripmine": 16, "checkpoint": "entry"}),
+    (KINDS[Loop], {"stripmine": 16}),
     (KINDS[WhileLoop], {"bound": n}),
     (Iota(i, I32), {"elem": I32}),
     (KINDS[Size], {"dim": 1}),

@@ -144,7 +144,7 @@ def test_dce_drops_a_dead_loop_parameter_with_its_init():
 def test_dce_keeps_a_live_loop_parameter_and_the_annotations():
     def f(x):
         a, b = rp.fori_loop(
-            6, lambda i, a, b: (a * 0.9 + x, b + 1.0), (x, x), stripmine=2, checkpoint="entry")
+            6, lambda i, a, b: (a * 0.9 + x, b + 1.0), (x, x), stripmine=2)
         return a + b
 
     fun = rp.trace_like(f, (1.0,))
@@ -152,10 +152,9 @@ def test_dce_keeps_a_live_loop_parameter_and_the_annotations():
     # ... and a shrunk loop keeps them
     g = rp.trace_like(
         lambda x: rp.fori_loop(
-            6, lambda i, a, b: (a * 0.9 + x, b + 1.0), (x, x), stripmine=2,
-            checkpoint="entry")[0], (1.0,))
+            6, lambda i, a, b: (a * 0.9 + x, b + 1.0), (x, x), stripmine=2)[0], (1.0,))
     (loop,) = _loops(dce_fun(g))
-    assert len(loop.params) == 1 and (loop.stripmine, loop.checkpoint) == (2, "entry")
+    assert len(loop.params) == 1 and loop.stripmine == 2
 
 
 def test_dce_keeps_a_dead_parameter_that_feeds_a_live_one_through_another():
