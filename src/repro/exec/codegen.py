@@ -57,7 +57,6 @@ from .vector import (
     BV,
     _elem_into,
     _gather,
-    _give,
     _index,
     _uniform_int,
     kernel_of,
@@ -99,10 +98,6 @@ class _SrcEmitter:
         #: them with the instruction's releases: a template's ``args`` would
         #: otherwise pin the arrays the memory plan just let go of).
         self.temps: List[str] = []
-        #: The local of the body being emitted that says whether its lane
-        #: extent reaches the size floor (``_Engine.lanes`` / ``.floor``):
-        #: takers and recyclable run-local releases render under it.
-        self.big = ""
 
     # -- infrastructure -------------------------------------------------------
 
@@ -167,11 +162,6 @@ class _SrcEmitter:
     def emit_body(self, pbody) -> Tuple[str, ...]:
         """Emit a lowered body at the current indent; returns the names of
         its results."""
-        outer = self.big
-        if any(o.take or o.recycle for i in pbody.instrs if i.kind == "run" for o in i.ops):
-            self.big = self.fresh("big")
-            self.temps.pop()  # a flag pins nothing: no need to clear it
-            self.w(f"{self.big} = eng.lanes >= eng.floor")
         for ins in pbody.instrs:
             first = len(self.temps)
             if ins.kind == "run":
@@ -180,7 +170,6 @@ class _SrcEmitter:
                 self._emit_call(ins)
             self._emit_release(ins, self.temps[first:])
             del self.temps[first:]
-        self.big = outer
         return tuple(self.ref(r) for r in pbody.result)
 
     def _emit_call(self, ins) -> None:
@@ -214,19 +203,11 @@ class _SrcEmitter:
 
     def _emit_release(self, ins, temps) -> None:
         """Clear the locals of the slots ``ins`` releases and the template
-        temporaries its emission introduced, then offer the recyclable ones
-        to the free list (last: a value is only kept once nobody else holds
-        it).  The slots of its nested bodies are locals of their ``def``s,
-        gone already (``outer_release``)."""
-        names = [f"s{s}" for s in outer_release(ins) if s not in ins.recycle] + list(temps)
+        temporaries its emission introduced.  The slots of its nested bodies
+        are locals of their ``def``s, gone already (``outer_release``)."""
+        names = [f"s{s}" for s in outer_release(ins)] + list(temps)
         if names:
             self.w(" = ".join(names) + " = None")
-        if ins.recycle:
-            # ``eng.out`` is empty until the call has taken a buffer from the
-            # free list: until then nothing offered would be admitted.
-            give = self.use(_give)
-            self.w("if eng.out: " + "; ".join(f"s{s} = {give}(s{s})" for s in ins.recycle))
-            self.w(" = ".join(f"s{s}" for s in ins.recycle) + " = None")
 
     # -- fused scalar runs ----------------------------------------------------
 
@@ -251,12 +232,10 @@ class _SrcEmitter:
             args = ", ".join(map(data, o.xs, lo.sels))
             if kind == "select":
                 return f"BV({uf}({args}), {k})"
-            into = f"{self.use(_elem_into)}({uf}, {o.donate!r}, {k}, [{args}]"
             if o.donate:
-                return into + (f", {self.big})" if o.take else ")")
+                return f"{self.use(_elem_into)}({uf}, {o.donate!r}, {k}, [{args}])"
             call = f"{uf}({args})"
-            plain = f"BV({call if k + max(o.pranks) else f'np.asarray({call})'}, {k})"
-            return f"({into}, True) if {self.big} else {plain})" if o.take else plain
+            return f"BV({call if k + max(o.pranks) else f'np.asarray({call})'}, {k})"
         x = data(o.xs[0], None)
         if kind == "cast":
             return f"BV({self.use(cast_to)}({x}, {self.const(o.dtype)}), {k})"
@@ -279,15 +258,6 @@ class _SrcEmitter:
             names.append(nm)
             if o.release:
                 dead = [names[y] for y in o.release]  # never an exported one
-                if o.recycle:
-                    gives = "; ".join(
-                        f"{names[y]} = {self.use(_give)}({names[y]})" for y in o.recycle
-                    )
-                    dead = [names[y] for y in o.release if y not in o.recycle]
-                    if dead:
-                        self.w(" = ".join(dead) + " = None")
-                    self.w(f"if {self.big}: {gives}")
-                    dead = [names[y] for y in o.recycle]
                 self.w(" = ".join(dead) + " = None")
                 for y in o.release:
                     self.temps.remove(names[y])

@@ -19,17 +19,7 @@ serves every shape of a rank/dtype signature:
   after it, every ``RunOp`` the run-local values that die at it and which of
   those it may compute into (``donate``) — see ``_Lowerer.lower_body`` and
   ``_plan_run_memory``.  The liveness comes from the same last-use pass
-  that finds the run exports.  Its other half says where large buffers come
-  from and go to: a released value is *recyclable* (``recycle``, on
-  instructions and run ops) when a kernel that always allocates produced it
-  (``allocated_outs`` / ``_ALLOCATING``), it is float, and nothing hands it
-  on — no ``atom``, no nested body returning it, no loop carrying it, no
-  fold starting from it (``_handed_on``); and every op that
-  can take ``out=`` is a *taker* (``take``).  At run time a recyclable value
-  goes to a free list instead of back to ``malloc`` and a taker whose
-  donation fails computes into one (``exec/vector.py``: ``_give``,
-  ``_buffer``) — under a reference-count check, because the marks only say
-  where looking is worthwhile;
+  that finds the run exports;
 * **index provenance**: which reads are gathers.  An integer name is
   *lane-affine* when it is a ``map``/redomap/hist map-part parameter bound
   to an ``iota``-defined array, or such a name ``±`` an integer literal
@@ -104,7 +94,7 @@ from ..ir.ast import (
     WithAcc,
     ZerosLike,
 )
-from ..ir.traversal import exp_free_vars, map_bodies
+from ..ir.traversal import exp_free_vars
 from ..ir.types import is_float, is_integral, np_dtype, rank_of
 from ..ir.verify import verify_mode
 from ..obs import tracing as _tracing
@@ -127,7 +117,6 @@ __all__ = [
     "run_atoms",
     "nested_bodies",
     "outer_release",
-    "allocated_outs",
     "plan_counts",
     "IRun",
     "IUpdate",
@@ -158,11 +147,6 @@ _RUN_FUSIBLE = (AtomExp, UnOp, BinOp, Select, Cast, Index, ZerosLike)
 #: Run-op kinds whose result is always a freshly allocated array (``atom``
 #: forwards its operand, ``index`` may return a view).
 _ALLOCATING = ("unop", "binop", "select", "cast", "zeroslike")
-
-#: Body-free instruction kinds whose one output is an array their kernel has
-#: just allocated (``size`` returns a scalar, ``updacc`` its accumulator).
-_ALLOCATING_LEAVES = ("update", "iota", "replicate", "scratch", "reverse", "concat",
-                      "scatter")
 
 
 class Ref:
@@ -200,10 +184,6 @@ class RunOp:
     buffer the op may write its result into — the value is a fresh array
     nobody else can see (see ``_plan_run_memory``).
 
-    ``recycle`` lists the released values that may go to the free list,
-    ``take`` says the op may compute into a buffer from it (module
-    docstring, "the memory plan").
-
     ``affine`` (``index`` ops) is ``None`` for a gather, else one flag per
     index operand — lane-affine (True) or uniform (False): the op takes the
     view path (module docstring, "index provenance").
@@ -212,8 +192,7 @@ class RunOp:
     half of an operand's layout that no batching changes (``layout`` adds
     the other)."""
 
-    __slots__ = ("kind", "op", "xs", "dtype", "release", "donate", "recycle", "take",
-                 "affine", "pranks")
+    __slots__ = ("kind", "op", "xs", "dtype", "release", "donate", "affine", "pranks")
 
     def __init__(self, kind, xs, op=None, dtype=None, affine=None):
         self.kind = kind
@@ -222,8 +201,6 @@ class RunOp:
         self.dtype = dtype
         self.release: Tuple[int, ...] = ()
         self.donate: Tuple[int, ...] = ()
-        self.recycle: Tuple[int, ...] = ()
-        self.take = False
         self.affine: Optional[Tuple[bool, ...]] = affine
         self.pranks: Tuple[int, ...] = ()
 
@@ -234,19 +211,14 @@ class PBody:
     binders (lambda/loop parameters, ``ivar``) and the results it defined
     itself; everything else it defined was released inside it.  They die
     with the body: both emitters run a body as a frame of its own (a closure
-    that clears them on return, a nested ``def``).  ``spare`` are the result
-    slots among them that hold a float array one of the body's own
-    instructions allocated and nothing hands on: recyclable when the
-    enclosing kernel consumes its body's results (the map part of a reduce /
-    scan / hist — the instruction's ``spare``) instead of forwarding them."""
+    that clears them on return, a nested ``def``)."""
 
-    __slots__ = ("instrs", "result", "bound", "spare")
+    __slots__ = ("instrs", "result", "bound")
 
-    def __init__(self, instrs, result, bound=(), spare=()):
+    def __init__(self, instrs, result, bound=()):
         self.instrs = instrs
         self.result = result
         self.bound = bound
-        self.spare = spare
 
 
 class _Instr:
@@ -262,9 +234,6 @@ class _Instr:
     #: own nested bodies (``outer_release``: which of them the enclosing body
     #: clears itself).  Never a slot the enclosing body returns.
     release: tuple = ()
-    #: The released slots whose value may go to the free list (module
-    #: docstring, "the memory plan"): only ever slots this body wrote.
-    recycle: Tuple[int, ...] = ()
 
 
 class IRun(_Instr):
@@ -349,14 +318,12 @@ class IReduce(_Instr):
     """``strategy`` ∈ {"ufunc", "redomap", "generic"}.  For ufunc/redomap,
     ``op`` names the recognised operator and ``fold`` whether the neutral
     element must still be folded in.  Redomap carries the fused map part
-    (``mparams``/``mbody``) and whether the fold kernel may offer its result
-    to the free list (``spare``: ``mbody.spare`` is not empty); generic
-    carries the full lambda."""
+    (``mparams``/``mbody``); generic carries the full lambda."""
 
     kind = "reduce"
     __slots__ = (
         "strategy", "arrs", "nes", "op", "fold",
-        "mparams", "mbody", "spare", "params", "body", "outs",
+        "mparams", "mbody", "params", "body", "outs",
     )
 
     def __init__(self, strategy, arrs, nes, outs, op=None, fold=False,
@@ -364,7 +331,6 @@ class IReduce(_Instr):
         self.strategy, self.arrs, self.nes, self.outs = strategy, arrs, nes, outs
         self.op, self.fold = op, fold
         self.mparams, self.mbody = mparams, mbody
-        self.spare = mbody is not None and bool(mbody.spare)
         self.params, self.body = params, body
 
 
@@ -378,7 +344,7 @@ class IHist(_Instr):
     kind = "hist"
     __slots__ = (
         "num_bins", "arrs", "nes", "strategy", "op",
-        "mparams", "mbody", "spare", "params", "body", "outs",
+        "mparams", "mbody", "params", "body", "outs",
     )
 
     def __init__(self, num_bins, arrs, nes, strategy, outs, op=None,
@@ -386,7 +352,6 @@ class IHist(_Instr):
         self.num_bins, self.arrs, self.nes = num_bins, arrs, nes
         self.strategy, self.outs, self.op = strategy, outs, op
         self.mparams, self.mbody = mparams, mbody
-        self.spare = mbody is not None and bool(mbody.spare)
         self.params, self.body = params, body
 
 
@@ -528,63 +493,9 @@ def _run_handed_on(ops: Sequence[RunOp]) -> set:
     }
 
 
-def allocated_outs(ins) -> Tuple[int, ...]:
-    """The output slots of ``ins`` that receive an array its kernel has just
-    allocated and handed to nobody else: exports of allocating run ops,
-    the body-free array builders, ``map`` results (``_map_result``),
-    ``withacc``'s accumulator results (its private buffers) and bulk
-    reduce / scan / hist results.  Not loop, ``if`` or generic-fold outputs:
-    those forward whatever the body returned."""
-    kind = ins.kind
-    if kind == "run":
-        shared = _run_handed_on(ins.ops)
-        return tuple(
-            slot for li, slot, _n in ins.exports
-            if ins.ops[li].kind in _ALLOCATING and li not in shared
-        )
-    if kind in _ALLOCATING_LEAVES:
-        return (ins.out[0],)
-    if kind == "map":
-        return tuple(s for s, _n in ins.outs[ins.n_acc:])
-    if kind == "withacc":
-        return tuple(s for s, _n in ins.outs[:ins.n_acc])
-    if kind in ("reduce", "scan", "hist") and ins.strategy != "generic":
-        return tuple(s for s, _n in ins.outs)
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # Lowering
 # ---------------------------------------------------------------------------
-
-
-def _handed_on(body: Body, out: set) -> set:
-    """The names some statement under ``body`` may hand on as they are, added
-    to ``out``: the operand of a copy, what a nested body returns, the
-    initial state of a loop and the neutral elements of a fold.  (Not the
-    array of an ``index``: a view holds a reference to the array it views,
-    which is exactly what the run-time check counts.)  One set for the whole
-    program — sibling scopes reuse names, and a name handed on in one of
-    them is then never recycled in the other, which costs nothing but the
-    reuse."""
-    def nested(b: Body) -> Body:
-        out.update(a.name for a in b.result if type(a) is Var)
-        _handed_on(b, out)
-        return b
-
-    for s in body.stms:
-        e = s.exp
-        if isinstance(e, AtomExp):
-            fwd: Sequence[Atom] = (e.x,)
-        elif isinstance(e, (Loop, WhileLoop)):
-            fwd = e.inits
-        elif isinstance(e, (Reduce, Scan, ReduceByIndex)):
-            fwd = e.nes
-        else:
-            fwd = ()
-        out.update(a.name for a in fwd if type(a) is Var)
-        map_bodies(e, nested)
-    return out
 
 
 def run_atoms(e: Exp) -> Tuple[Atom, ...]:
@@ -607,9 +518,8 @@ def _plan_run_memory(ops: Sequence[RunOp], exported, run: Sequence[Stm]) -> None
     else can see — produced by an op that allocates its result
     (``_ALLOCATING``), read by no op that may hand it on unchanged or as a
     view (``atom``; ``index`` on its array operand), and not exported.  Only
-    ops on ``INPLACE_OPS`` ufuncs can take ``out=``.  Such a value is
-    *recyclable* whatever op it dies at.  Values no op reads stay until the
-    run ends."""
+    ops on ``INPLACE_OPS`` ufuncs can take ``out=``.  Values no op reads stay
+    until the run ends."""
     last: Dict[int, int] = {}
     for x, o in enumerate(ops):
         for y in o.xs:
@@ -622,13 +532,12 @@ def _plan_run_memory(ops: Sequence[RunOp], exported, run: Sequence[Stm]) -> None
         o = ops[x]
         o.release += (y,)
         if (
-            ops[y].kind in _ALLOCATING
+            o.kind in ("unop", "binop") and o.op in INPLACE_OPS
+            and ops[y].kind in _ALLOCATING
             and y not in shared
             and is_float(run[y].pat[0].type)
         ):
-            o.recycle += (y,)
-            if o.kind in ("unop", "binop") and o.op in INPLACE_OPS:
-                o.donate += tuple(p for p, z in enumerate(o.xs) if z == y)[:1]
+            o.donate += tuple(p for p, z in enumerate(o.xs) if z == y)[:1]
 
 
 class _Lowerer:
@@ -649,8 +558,6 @@ class _Lowerer:
         #: (and SSA rules out shadowing within one); ``_lower_stm`` and
         #: ``_lower_run_exp`` record them as they meet the defining statement.
         self.facts: Dict[str, str] = {}
-        #: ``_handed_on`` of the program (``lower_fun`` fills it in).
-        self.handed: set = set()
 
     # -- atoms ----------------------------------------------------------------
 
@@ -740,14 +647,6 @@ class _Lowerer:
         dying: Dict[int, List[str]] = {}
         for nm, x in own.items():
             dying.setdefault(max(x, last.get(nm, x)), []).append(nm)
-        # The slots this body writes that may be worth a place on the free
-        # list: a float nothing hands on, and — as the instructions come —
-        # holding an array its instruction allocated.
-        keepable = {
-            v.name for s in stms for v in s.pat
-            if v.name in own and is_float(v.type) and v.name not in self.handed
-        }
-        fresh: set = set()
         instrs: List[_Instr] = []
         for x, (i, j) in enumerate(bounds):
             if j - i > 1:
@@ -756,13 +655,9 @@ class _Lowerer:
             else:
                 ins = self._lower_stm(stms[i])
             ins.prov = tuple(stms[i:j])
-            fresh.update(allocated_outs(ins))
             release = {self.slot(nm): nm for nm in dying.get(x, ())}
-            recycle = tuple(s for s, nm in release.items() if s in fresh and nm in keepable)
             for b in nested_bodies(ins):
                 release.update(b.bound)
-            if recycle:
-                ins.recycle = recycle
             if release:
                 ins.release = tuple(release.items())
             instrs.append(ins)
@@ -772,11 +667,7 @@ class _Lowerer:
             (r.slot, r.name) for r in result if r.slot is not None and r.name in own
         )
         self.facts = outer
-        spare = tuple(
-            r.slot for r in result
-            if r.slot in fresh and r.name in keepable
-        )
-        return PBody(tuple(instrs), result, tuple(bound.items()), spare)
+        return PBody(tuple(instrs), result, tuple(bound.items()))
 
     # -- index provenance -----------------------------------------------------
 
@@ -845,16 +736,11 @@ class _Lowerer:
         return RunOp("zeroslike", xs)
 
     def _lower_run_stm(self, s: Stm, local_of: Dict[str, int]) -> RunOp:
-        """Lower scalar statement ``s``.  An op that can take ``out=``
-        (``INPLACE_OPS``) and returns a float is a *taker*."""
+        """Lower scalar statement ``s``."""
         atoms = run_atoms(s.exp)
         o = self._lower_run_exp(
             s.exp, tuple(self._run_operand(a, local_of) for a in atoms), s.pat[0].name)
         o.pranks = tuple(rank_of(a.type) for a in atoms)
-        o.take = (
-            o.kind in ("unop", "binop") and o.op in INPLACE_OPS
-            and is_float(s.pat[0].type)
-        )
         return o
 
     def _lower_run(self, run: Sequence[Stm], used_after) -> IRun:
@@ -1035,7 +921,6 @@ def lower_fun(fun: Fun) -> PlanIR:
     """Lower ``fun`` to shape-generic plan IR."""
     with _tracing.span("lower", cat="compile", fun=fun.name):
         lo = _Lowerer()
-        _handed_on(fun.body, lo.handed)
         param_slots = tuple(lo.slot(p.name) for p in fun.params)
         param_types = tuple(p.type for p in fun.params)
         body = lo.lower_body(fun.body)

@@ -73,7 +73,6 @@ from ..ir.ast import Fun
 from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..util import BoundedLRU, ExecError
-from . import vector as _vector
 from .lower import IntRef, Layout, PlanIR, Ref, layout, lower_fun, outer_release
 from .prims import _BINOPS, cast_to, unop_fn
 from .values import coerce_arg
@@ -86,13 +85,9 @@ from .vector import (
     _elem_into,
     _expand,
     _gather,
-    _give,
     _index,
-    _pool,
     _uniform_int,
-    clear_pool,
     kernel_of,
-    pool_bytes,
 )
 
 __all__ = [
@@ -117,24 +112,15 @@ _span = _obs_tracing.span
 
 
 class _Engine:
-    """Mutable per-call state: register file, batch stack, predication mask —
-    and the lane extent ``lanes`` (the product of ``bstack``, kept in step
-    where a body is entered and left) with ``floor``, the extent from which
-    one float per lane is a buffer worth recycling: a fused run compares the
-    two once and only then runs its pool-aware ops (``exec/vector.py``, "the
-    free list").  ``out`` is the calling thread's count of pool-served
-    buffers this call has out, by key: while it is empty nothing a release
-    offers the free list would be admitted, so nothing is offered."""
+    """Mutable per-call state: register file, batch stack, predication mask.
+    Nothing outlives the call."""
 
-    __slots__ = ("regs", "bstack", "mask", "lanes", "floor", "out")
+    __slots__ = ("regs", "bstack", "mask")
 
     def __init__(self, nslots: int) -> None:
         self.regs: List[object] = [None] * nslots
         self.bstack: List[int] = []
         self.mask: Optional[BV] = None
-        self.lanes = 1
-        self.floor = -(-_vector._DONATE_MIN_BYTES // 8)
-        self.out = _pool().out
 
 
 def _run_body(eng: _Engine, code) -> Tuple[object, ...]:
@@ -220,40 +206,23 @@ def _run_data(x, sel) -> Callable:
     return lambda regs, loc, _b=base, _s=sel: _b(regs).data[_s]
 
 
-def _emit_run_op(o, lo, pooled: bool = False) -> Callable:
-    """The closure of run op ``o`` at layout ``lo``; ``pooled``: the one a
-    run uses when its lane extent reaches the size floor — a taker may
-    compute into a free-list buffer and recyclable values go there when they
-    die."""
-    fn = _emit_run_fn(o, lo, pooled and o.take)
+def _emit_run_op(o, lo) -> Callable:
+    """The closure of run op ``o`` at layout ``lo``, clearing the run-local
+    values that die at it."""
+    fn = _emit_run_fn(o, lo)
     if not o.release:
         return fn
-    dead = o.release
-    if not (pooled and o.recycle):
-        def releasing(regs, loc, _fn=fn, _dead=dead):
-            v = _fn(regs, loc)
-            for i in _dead:
-                loc[i] = None
-            return v
 
-        return releasing
-    # Everything else goes first: a value is only kept once nobody holds it.
-    dead = tuple(i for i in dead if i not in o.recycle)
-
-    def recycling(regs, loc, _fn=fn, _dead=dead, _rec=o.recycle):
+    def releasing(regs, loc, _fn=fn, _dead=o.release):
         v = _fn(regs, loc)
         for i in _dead:
             loc[i] = None
-        for i in _rec:
-            d = loc[i]
-            loc[i] = None
-            _give(d)
         return v
 
-    return recycling
+    return releasing
 
 
-def _emit_run_fn(o, lo, take: bool = False) -> Callable:
+def _emit_run_fn(o, lo) -> Callable:
     """One direct NumPy call per op: every operand's data lined up by its
     static selector, the result at the op's static batch depth ``lo.k``."""
     kind, k = o.kind, lo.k
@@ -267,21 +236,20 @@ def _emit_run_fn(o, lo, take: bool = False) -> Callable:
             return lambda regs, loc, _rc=rc, _rt=rt, _rf=rf, _uf=uf, _k=k: BV(
                 _uf(_rc(regs, loc), _rt(regs, loc), _rf(regs, loc)), _k)
         # ``donate``: an out=-capable ufunc (``INPLACE_OPS``) with some operand
-        # a dead run-local temporary computes into it when that is safe;
-        # ``take``: failing that, into a buffer from the free list.
+        # a dead run-local temporary computes into it when that is safe.
         rx = rds[0]
         if kind == "unop":
-            if don or take:
-                return lambda regs, loc, _rx=rx, _uf=uf, _don=don, _k=k, _t=take: (
-                    _elem_into(_uf, _don, _k, [_rx(regs, loc)], _t))
+            if don:
+                return lambda regs, loc, _rx=rx, _uf=uf, _don=don, _k=k: (
+                    _elem_into(_uf, _don, _k, [_rx(regs, loc)]))
             if k + o.pranks[0] == 0:  # a 0-d result: ufuncs return a scalar
                 return lambda regs, loc, _rx=rx, _uf=uf, _a=np.asarray: BV(
                     _a(_uf(_rx(regs, loc))), 0)
             return lambda regs, loc, _rx=rx, _uf=uf, _k=k: BV(_uf(_rx(regs, loc)), _k)
         ry = rds[1]
-        if don or take:
-            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don, _k=k, _t=take: (
-                _elem_into(_uf, _don, _k, [_rx(regs, loc), _ry(regs, loc)], _t))
+        if don:
+            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don, _k=k: (
+                _elem_into(_uf, _don, _k, [_rx(regs, loc), _ry(regs, loc)]))
         if k + max(o.pranks) == 0:
             return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _a=np.asarray: BV(
                 _a(_uf(_rx(regs, loc), _ry(regs, loc))), 0)
@@ -304,48 +272,29 @@ def _emit_run_fn(o, lo, take: bool = False) -> Callable:
     raise ExecError(f"plan emit: unexpected run op {kind!r}")
 
 
-def _recycle(regs, dead, rec) -> None:
-    """Release the slots ``dead``, offering those in ``rec`` to the free list
-    — last, because a value is only kept once nobody else holds it.  Callers
-    come here only while the call has a pool-served buffer out (``eng.out``):
-    until then nothing offered would be admitted, so a plan whose values
-    never reach the size floor clears its slots exactly as it always has."""
-    for s in dead:
-        if s not in rec:
-            regs[s] = None
-    for s in rec:
-        v = regs[s]
-        regs[s] = None
-        _give(v)
-
-
 def _assign_single(fn: Callable, s0: int, e) -> Callable:
     """The instruction closure binding ``fn``'s value to slot ``s0``, then
     clearing the slots ``e`` releases (no loop emitted when there are none —
-    dispatch-bound plans must not pay for the memory plan) or offering them
-    to the free list."""
-    dead, rec = outer_release(e), e.recycle
+    dispatch-bound plans must not pay for the memory plan)."""
+    dead = outer_release(e)
     if not dead:
         def ins(eng, _fn=fn, _s=s0):
             eng.regs[_s] = _fn(eng)
 
         return ins
 
-    def ins_rel(eng, _fn=fn, _s=s0, _dead=dead, _rec=rec):
+    def ins_rel(eng, _fn=fn, _s=s0, _dead=dead):
         regs = eng.regs
         regs[_s] = _fn(eng)
-        if _rec and eng.out:
-            _recycle(regs, _dead, _rec)
-        else:
-            for s in _dead:
-                regs[s] = None
+        for s in _dead:
+            regs[s] = None
 
     return ins_rel
 
 
 def _assign_multi(fn: Callable, e) -> Callable:
     slots = tuple(s for s, _ in e.outs)
-    dead, rec = outer_release(e), e.recycle
+    dead = outer_release(e)
     if not dead:
         def ins(eng, _fn=fn, _slots=slots):
             vals = _fn(eng)
@@ -355,16 +304,13 @@ def _assign_multi(fn: Callable, e) -> Callable:
 
         return ins
 
-    def ins_rel(eng, _fn=fn, _slots=slots, _dead=dead, _rec=rec):
+    def ins_rel(eng, _fn=fn, _slots=slots, _dead=dead):
         vals = _fn(eng)
         regs = eng.regs
         for s, v in zip(_slots, vals):
             regs[s] = v
-        if _rec and eng.out:
-            _recycle(regs, _dead, _rec)
-        else:
-            for s in _dead:
-                regs[s] = None
+        for s in _dead:
+            regs[s] = None
 
     return ins_rel
 
@@ -429,55 +375,27 @@ class _ClosureEmitter:
         run_ops = ins.ops  # (not ``ins``: its provenance would pin the source IR)
         los = tuple(self.lay.ops[o] for o in run_ops)
         ops = tuple(_emit_run_op(o, lo) for o, lo in zip(run_ops, los))
-        marked = any(o.take or o.recycle for o in run_ops)
-        # The ops of the run as it executes where one float per lane is a
-        # buffer worth recycling — decided per run entry, from the lane
-        # extent, and emitted when that first happens: a plan whose values
-        # never reach the size floor carries one set of closures, as ever.
-        big: List[tuple] = []
-
-        def pooled():
-            if not big:
-                big.append(tuple(
-                    _emit_run_op(o, lo, True) if o.take or o.recycle else op
-                    for o, lo, op in zip(run_ops, los, ops)
-                ))
-            return big[0]
-
-        dead, rec = tuple(s for s, _ in ins.release), ins.recycle
+        dead = tuple(s for s, _ in ins.release)
         if len(ops) == 1 and not dead:
             # A standalone scalar statement: one export, no locals.
             (_, s0, _n) = ins.exports[0]
-            op = ops[0]
-            if not marked:
-                def one(eng, _op=op, _s=s0):
-                    eng.regs[_s] = _op(eng.regs, ())
 
-                return one
-
-            def one_of(eng, _op=op, _s=s0):
-                if eng.lanes >= eng.floor:
-                    _op = pooled()[0]
+            def one(eng, _op=ops[0], _s=s0):
                 eng.regs[_s] = _op(eng.regs, ())
 
-            return one_of
+            return one
         exports = tuple((li, s) for li, s, _n in ins.exports)
         k = len(ops)
 
-        def run(eng, _ops=ops, _marked=marked, _exports=exports, _k=k, _dead=dead, _rec=rec):
+        def run(eng, _ops=ops, _exports=exports, _k=k, _dead=dead):
             regs = eng.regs
             loc = [None] * _k
-            if _marked and eng.lanes >= eng.floor:
-                _ops = pooled()
             for x, op in enumerate(_ops):
                 loc[x] = op(regs, loc)
             for li, s in _exports:
                 regs[s] = loc[li]
-            if _rec and eng.out:
-                _recycle(regs, _dead, _rec)
-            else:
-                for s in _dead:
-                    regs[s] = None
+            for s in _dead:
+                regs[s] = None
 
         return run
 
@@ -605,7 +523,6 @@ class Plan:
             eng = _Engine(self.nslots)
             if batched is not None:
                 eng.bstack.append(b)
-                eng.lanes = b
             flags = (False,) * len(args) if batched is None else batched
             vals = []
             for a, t, flag in zip(args, self.param_types, flags):
@@ -619,13 +536,8 @@ class Plan:
                     vals.append(BV(np.ascontiguousarray(arr, dtype=np_dtype(t)), 1))
                 else:
                     vals.append(BV(np.asarray(coerce_arg(a, t)), 0))
-            try:
-                with np.errstate(all="ignore"):
-                    res = self._invoke(body, eng, vals)
-            finally:
-                # What the call took and did not give back (a result, a
-                # refused value) is nobody's to return any more.
-                eng.out.clear()
+            with np.errstate(all="ignore"):
+                res = self._invoke(body, eng, vals)
             out = []
             for r in res:
                 if isinstance(r, AccBV):
@@ -774,10 +686,8 @@ def plan_cache_stats() -> Dict[str, object]:
             "entries": len(_CACHE),
             "emitters": {k: dict(v) for k, v in EMITTER_STATS.items()},
             # The memory plan (exec/lower.py): static sizes summed over the
-            # plans emitted, the donations that fell back at run time, and the
-            # free list (exec/vector.py): large results served from it or
-            # not, recyclable values it refused, bytes it holds now.
-            "mem": {**MEM_STATS, "pool_bytes": pool_bytes()},
+            # plans emitted, and the donations that fell back at run time.
+            "mem": dict(MEM_STATS),
             # Index provenance (exec/lower.py): indexed reads/updates on the
             # view path and reads left as gathers, summed over the plans
             # emitted, and the view ops that fell back at run time.
@@ -795,8 +705,7 @@ def plan_cache_stats() -> Dict[str, object]:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan, hand the free list's buffers back to the
-    allocator and reset all counters.
+    """Drop every cached plan and reset all counters.
 
     This clears ``EMITTER_STATS`` too — the per-emitter construction
     totals describe the plans being dropped, so they go with them.  To
@@ -805,7 +714,6 @@ def clear_plan_cache() -> None:
     """
     with _LOCK:
         _CACHE.clear()
-        clear_pool()
         reset_plan_cache_stats()
 
 

@@ -53,20 +53,12 @@ mask) it raises them to the join's depth with singleton axes (``_raise``).
 That is what lets the emitters line up a fused run's operands with
 selectors fixed at emission — one direct NumPy call per op, nothing aligned
 per call.
-
-This module also owns the one piece of state that outlives a call: the
-per-thread **free list** of large dead temporaries (``_give`` / ``_buffer``,
-"the free list" below).  It never holds a function input or result, only
-buffers the executing plans allocated themselves and nobody can see any
-more; ``clear_pool`` (``clear_plan_cache``) empties it.
 """
 from __future__ import annotations
 
 import math
 import threading
-import weakref
 from dataclasses import dataclass
-from sys import getrefcount
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,8 +168,7 @@ def _rows(a: np.ndarray, lead: int) -> np.ndarray:
 # Runtime primitives: masks, elementwise ops, indexed reads and updates
 #
 # ``state`` / ``eng`` is any object with ``bstack``/``mask`` attributes (the
-# plan ``_Engine``; the kernels that run bodies also read and keep ``lanes``
-# in step and read ``out``).
+# plan ``_Engine``).
 # ---------------------------------------------------------------------------
 
 
@@ -200,17 +191,11 @@ def _mask_where(state, v: np.ndarray, k: int, neutral) -> np.ndarray:
 
 #: The memory plan's counters (the ``mem`` section of ``plan_cache_stats``):
 #: three static sizes summed over the plans emitted since the last reset, and
-#: the run-time counts — donations of a buffer worth reusing whose check
-#: failed, so the op allocated; large results computed into a free-list
-#: buffer (``pool_hits``) or, the list having none of that shape, into a
-#: fresh array (``pool_misses``); and recyclable values somebody wanted that
-#: failed the exclusivity or layout check at their release (``pool_refused``
-#: — an operand an op has just computed into is one: its result holds it).
-#: ``pool_bytes`` (held now) is measured, not counted: ``pool_bytes()``.
+#: one run-time count — donations of a buffer worth reusing whose check
+#: failed, so the op allocated.
 #: Every mutation holds ``_STATS_LOCK`` (users may run plans from their own threads).
 MEM_STATS = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0,
-             "donation_fallbacks": 0, "pool_hits": 0, "pool_misses": 0,
-             "pool_refused": 0}
+             "donation_fallbacks": 0}
 #: The index counters (the ``index`` section of ``plan_cache_stats``), same
 #: discipline: how many ``index`` / indexed ``upd_acc`` ops of the plans
 #: emitted take the view path (``exec/lower.py:plan_counts``) and how many
@@ -232,165 +217,18 @@ def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
     )
 
 
-#: Smallest buffer worth keeping: glibc's default ``M_MMAP_THRESHOLD``.
-#: Below it ``malloc`` hands a just-released temporary's block straight
-#: back, so a fresh result costs less than the free-list look-up; from it up
-#: a fresh array is mapped, zero-faulted and, once dropped, trimmed or
-#: unmapped by the kernel — on every op, because nothing in the process holds
-#: on to it.  A dead operand is worth computing into from more than half of
-#: it: the donation check is a few attribute reads once the operands are
-#: lined up statically, and the donor's cache lines are hot where a fresh
-#: block's are cold (measured on the HAND Jacobian, 74 KB temporaries, one
-#: process alternating: 52.0 ms without donation, 48.7 ms with).
+#: Donation's floor: a run op computes into a dead operand only from more
+#: than half of this (glibc's default ``M_MMAP_THRESHOLD``).  Below it the
+#: check is not worth its cost: ``malloc`` hands a just-released block
+#: straight back, so a fresh result is cheap.  Above it the check is a few
+#: attribute reads, the operands being lined up statically, and the donor's
+#: cache lines are hot where a fresh block's are cold (measured on the HAND
+#: Jacobian, 74 KB temporaries, one process alternating: 52.0 ms without
+#: donation, 48.7 ms with).
 _DONATE_MIN_BYTES = 128 * 1024
 
 
-# -- the free list ------------------------------------------------------------
-#
-# Re-execution instead of a tape (the paper's trade) makes a derivative's bulk
-# temporaries short-lived: the same few shapes are allocated, used once and
-# dropped, call after call.  ``exec/lower.py`` marks where such a value dies
-# (*recyclable*) and which ops could write their result into one (*takers*);
-# ``_give`` and ``_buffer`` below are the two run-time halves.
-
-
-class _Pool:
-    """One thread's dead buffers, ``(shape, dtype) -> [array, ...]``, and per
-    key how many pool-served buffers this call still has out (``out``): a
-    dying value is admitted only against one of those, so the list never
-    holds more buffers of a key than were live at once."""
-
-    __slots__ = ("free", "out", "__weakref__")
-
-    def __init__(self) -> None:
-        self.free: Dict[tuple, List[np.ndarray]] = {}
-        self.out: Dict[tuple, int] = {}
-
-
-_TLS = threading.local()
-#: Every live thread's pool (``pool_bytes`` / ``clear_pool`` reach all of
-#: them; a pool dies with its thread).  Mutated under ``_STATS_LOCK``.
-_POOLS: "weakref.WeakSet[_Pool]" = weakref.WeakSet()
-
-
-def _pool() -> _Pool:
-    try:
-        return _TLS.pool
-    except AttributeError:
-        pool = _TLS.pool = _Pool()
-        with _STATS_LOCK:
-            _POOLS.add(pool)
-        return pool
-
-
-def _buffer(shape: Tuple[int, ...], dt: np.dtype) -> np.ndarray:
-    """An uninitialised C-contiguous array for a large result: a dead one of
-    exactly this shape and dtype from the calling thread's free list, else a
-    fresh one.  The caller overwrites every element, so what it ends up
-    holding is bitwise what ``np.empty`` / ``.copy()`` / ``out=None`` would
-    have given it."""
-    pool = _pool()
-    key = (shape, dt)
-    pool.out[key] = pool.out.get(key, 0) + 1
-    held = pool.free.get(key)
-    if held:
-        _count(MEM_STATS, "pool_hits")
-        return held.pop()
-    _count(MEM_STATS, "pool_misses")
-    return np.empty(shape, dt)
-
-
-def _refs(v: "BV", a: np.ndarray) -> Tuple[int, int]:
-    return getrefcount(v), getrefcount(a)
-
-
-def _sole_refs() -> Tuple[int, int]:
-    """What ``_refs`` reports from inside ``_give`` for a ``BV`` only
-    ``_give``'s caller holds, wrapping an array only that ``BV`` holds —
-    measured, not assumed: how many references a call in flight adds is the
-    interpreter's business."""
-    def give(v):
-        a = v.data
-        return _refs(v, a)
-
-    v = BV(np.empty(0), 0)
-    return give(v)
-
-
-_SOLE = _sole_refs()
-
-
-def _give(v) -> None:
-    """The release point of a *recyclable* value (``exec/lower.py``: produced
-    by a kernel that allocates, float, handed on by nothing lowering can
-    see), the caller holding its one reference to ``v``: keep the buffer for
-    the next ``_buffer`` of its shape instead of handing it back to
-    ``malloc`` — when it is large enough to matter, some pool-served buffer
-    of its key is still out (so the list does not grow past what the program
-    needs at once), and nobody else can see it.  The mark is not that
-    proof: ``_map_result`` hands on the body's own array, ``_withacc``
-    re-wraps the accumulator's buffer, loop state sits in a list.  The
-    reference counts are — one holder of the ``BV``, one of the array, and
-    an array that owns its data is a view of nothing while every view of it
-    would hold a reference to it; O(1), as in NumPy's own temporary
-    elision.  Returns ``None`` (so generated code can write ``x =
-    _give(x)``)."""
-    if type(v) is not BV:
-        return
-    a = v.data
-    if type(a) is not np.ndarray or a.nbytes < _DONATE_MIN_BYTES:
-        return
-    pool = _pool()
-    key = (a.shape, a.dtype)
-    out = pool.out.get(key)
-    if not out:
-        return
-    sole = _refs(v, a) == _SOLE  # before ``a.flags``: that object holds ``a`` too
-    flags = a.flags
-    if not (sole and flags.owndata and flags.c_contiguous and flags.writeable
-            and a.dtype.kind == "f"):
-        _count(MEM_STATS, "pool_refused")
-        return
-    pool.out[key] = out - 1
-    pool.free.setdefault(key, []).append(a)
-
-
-def pool_bytes() -> int:
-    """Bytes the free lists of all threads hold right now."""
-    with _STATS_LOCK:
-        pools = list(_POOLS)
-    return sum(a.nbytes for p in pools for held in list(p.free.values()) for a in list(held))
-
-
-def clear_pool() -> None:
-    """Hand every held buffer back to the allocator (``clear_plan_cache``)."""
-    with _STATS_LOCK:
-        pools = list(_POOLS)
-    for p in pools:
-        p.free.clear()
-        p.out.clear()
-
-
-def _result_buffer(datas: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """A ``_buffer`` for the result of a dtype-preserving ufunc over the
-    aligned operands ``datas`` — all of one float dtype, the broadcast result
-    large enough to matter — else ``None``."""
-    first = datas[0]
-    dt, shape = first.dtype, first.shape
-    if dt.kind != "f":
-        return None
-    for d in datas:
-        if d.dtype != dt:
-            return None
-        if d.shape != shape:
-            shape = np.broadcast_shapes(*[d.shape for d in datas])
-            break
-    if math.prod(shape) * dt.itemsize < _DONATE_MIN_BYTES:
-        return None
-    return _buffer(shape, dt)
-
-
-def _elem_into(f, donate, k: int, datas: List[np.ndarray], take: bool = False) -> BV:
+def _elem_into(f, donate, k: int, datas: List[np.ndarray]) -> BV:
     """The elementwise op ``f`` of a fused run at batch depth ``k``, its
     operands' data ``datas`` already lined up by their static selectors
     (``exec/lower.py``: ``layout``), when some of them are dead temporaries
@@ -398,9 +236,8 @@ def _elem_into(f, donate, k: int, datas: List[np.ndarray], take: bool = False) -
     holds them): write the result into the first one that is large enough to
     matter and can hold it — float, C-contiguous, of every operand's dtype
     and already of the result's shape, so the outcome is bitwise what a
-    fresh array would get — instead of allocating.  Failing that, ``take``
-    (a *taker* op in a body whose lane extent reaches the size floor)
-    computes into a ``_buffer``.  Otherwise a fresh result."""
+    fresh array would get — instead of allocating.  Otherwise a fresh
+    result."""
     refused = False
     for p in donate:
         out = datas[p]
@@ -416,10 +253,6 @@ def _elem_into(f, donate, k: int, datas: List[np.ndarray], take: bool = False) -
         refused = True
     if refused:
         _count(MEM_STATS, "donation_fallbacks")
-    if take:
-        out = _result_buffer(datas)
-        if out is not None:
-            return BV(f(*datas, out=out), k)
     return BV(np.asarray(f(*datas)), k)
 
 
@@ -646,20 +479,11 @@ def _batch_args(state, vs: Sequence[BV]) -> Tuple[List[BV], int]:
 # ---------------------------------------------------------------------------
 
 
-def _copy(src: np.ndarray) -> np.ndarray:
-    """``src.copy()`` (C order), a large one into a ``_buffer``."""
-    if src.nbytes < _DONATE_MIN_BYTES:
-        return src.copy()
-    out = _buffer(src.shape, src.dtype)
-    np.copyto(out, src)
-    return out
-
-
 def _materialised(eng, v: BV, k: int) -> np.ndarray:
     """A private copy of ``v`` at the full extent of the first ``k`` batch
     levels (what an in-place write needs)."""
     d = _expand(v, k)
-    return _copy(np.broadcast_to(d, tuple(eng.bstack[:k]) + d.shape[k:]))
+    return np.broadcast_to(d, tuple(eng.bstack[:k]) + d.shape[k:]).copy()
 
 
 def _update(eng, arr: BV, idxs: List[BV], val: BV, depth: int) -> BV:
@@ -691,7 +515,7 @@ def _replicate(eng, n: int, v: BV) -> BV:
     d = np.asarray(v.data)
     d2 = np.expand_dims(d, axis=v.bdims)
     shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
-    return BV(_copy(np.broadcast_to(d2, shape)), v.bdims)
+    return BV(np.broadcast_to(d2, shape).copy(), v.bdims)
 
 
 def _scratch(eng, n: BV, x: BV) -> BV:
@@ -700,12 +524,7 @@ def _scratch(eng, n: BV, x: BV) -> BV:
     ext = 0 if nd.size == 0 else int(nd.max())
     bshape = tuple(eng.bstack)
     dt = np.asarray(x.data).dtype
-    shape = bshape + (ext,) + x.pshape()
-    if math.prod(shape) * dt.itemsize < _DONATE_MIN_BYTES:
-        return BV(np.zeros(shape, dtype=dt), len(bshape))
-    out = _buffer(shape, dt)
-    out.fill(0)
-    return BV(out, len(bshape))
+    return BV(np.zeros(bshape + (ext,) + x.pshape(), dtype=dt), len(bshape))
 
 
 def _size(eng, v, dim: int) -> BV:
@@ -761,13 +580,10 @@ def _scatter(eng, dest: BV, inds: BV, vals: BV) -> BV:
 def _run_lanes(eng, body, vals, n: int):
     """Run ``body`` on ``vals`` one batch level (of extent ``n``) down."""
     eng.bstack.append(n)
-    outer = eng.lanes
-    eng.lanes = outer * n
     try:
         return body(eng, vals)
     finally:
         eng.bstack.pop()
-        eng.lanes = outer
 
 
 def _kept(active: BV, old, new) -> List[object]:
@@ -795,7 +611,7 @@ def _map_result(eng, r: BV, n: int) -> BV:
     body's own array when it is both, else a copy."""
     rd = _lane_payload(eng, r, n)
     if not (rd.flags.owndata and rd.flags.c_contiguous):
-        rd = _copy(rd)
+        rd = rd.copy()
     return BV(rd, len(eng.bstack))
 
 
@@ -860,27 +676,21 @@ def _scan_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> Tupl
     return (_scan_lanes(eng, op, fold, nes[0], args[0], n),)
 
 
-def _redomap(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool, spare: bool,
-             mbody, scan: bool = False) -> Tuple[BV]:
+def _redomap(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool, mbody,
+             scan: bool = False) -> Tuple[BV]:
     """A reduce (``scan``: a scan) whose operator is ``op`` after a map part:
     ``mbody`` runs once, one lane level down, then one ufunc call folds its
-    lanes; over no elements it does not run.  ``spare``: its result is a
-    buffer it allocated and nothing else holds (``exec/lower.py``), offered
-    to the free list once folded — while the call has a pool-served buffer
-    out (``eng.out``; until then nothing offered would be admitted)."""
+    lanes; over no elements it does not run."""
     ne = nes[0]
     args, n = _batch_args(eng, arrs)
     if n == 0:
         return ((_scan_empty if scan else _fold_empty)(eng, ne),)
     (r,) = _run_lanes(eng, mbody, args, n)
-    out = (_scan_lanes if scan else _reduce_lanes)(eng, op, fold, ne, r, n)
-    if spare and eng.out:
-        _give(r)
-    return (out,)
+    return ((_scan_lanes if scan else _reduce_lanes)(eng, op, fold, ne, r, n),)
 
 
-def _redomap_scan(eng, arrs, nes, op, fold, spare, mbody) -> Tuple[BV]:
-    return _redomap(eng, arrs, nes, op, fold, spare, mbody, scan=True)
+def _redomap_scan(eng, arrs, nes, op, fold, mbody) -> Tuple[BV]:
+    return _redomap(eng, arrs, nes, op, fold, mbody, scan=True)
 
 
 def _elems_at(args: Sequence[BV], i: int, d: int) -> List[BV]:
@@ -963,16 +773,12 @@ def _hist_ufunc(eng, m: int, arrs: List[BV], nes: List[BV], op: str) -> Tuple[BV
     return (_hist_accumulate(eng, op, nes[0], hs, args[1]),)
 
 
-def _hist_redomap(eng, m: int, arrs: List[BV], nes: List[BV], op: str, spare: bool,
-                  mbody) -> Tuple[BV]:
+def _hist_redomap(eng, m: int, arrs: List[BV], nes: List[BV], op: str, mbody) -> Tuple[BV]:
     """A histogram whose operator is ``op`` after a map part, as
     ``_redomap``: ``mbody`` runs once over the values, one lane level down."""
     args, n, hs = _hist_enter(eng, m, arrs)
     (r,) = _run_lanes(eng, mbody, args[1:], n)
-    out = _hist_accumulate(eng, op, nes[0], hs, r)
-    if spare and eng.out:
-        _give(r)
-    return (out,)
+    return (_hist_accumulate(eng, op, nes[0], hs, r),)
 
 
 def _hist_fold(eng, m: int, arrs: List[BV], nes: List[BV], body) -> List[BV]:
@@ -1100,15 +906,15 @@ KERNELS = {
     "updacc": (_upd_acc, ("acc", "idx", "v"), ("affine", "layout"), ()),
     "map": (_map, ("arrs", "accs"), ("n_acc",), (("params", "body"),)),
     "reduce:ufunc": (_reduce_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
-    "reduce:redomap": (_redomap, ("arrs", "nes"), ("op", "fold", "spare"),
+    "reduce:redomap": (_redomap, ("arrs", "nes"), ("op", "fold"),
                        (("mparams", "mbody"),)),
     "reduce:generic": (_fold, ("arrs", "nes"), ("layout",), (("params", "body"),)),
     "scan:ufunc": (_scan_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
-    "scan:redomap": (_redomap_scan, ("arrs", "nes"), ("op", "fold", "spare"),
+    "scan:redomap": (_redomap_scan, ("arrs", "nes"), ("op", "fold"),
                      (("mparams", "mbody"),)),
     "scan:generic": (_fold_scan, ("arrs", "nes"), ("layout",), (("params", "body"),)),
     "hist:ufunc": (_hist_ufunc, ("num_bins", "arrs", "nes"), ("op",), ()),
-    "hist:redomap": (_hist_redomap, ("num_bins", "arrs", "nes"), ("op", "spare"),
+    "hist:redomap": (_hist_redomap, ("num_bins", "arrs", "nes"), ("op",),
                      (("mparams", "mbody"),)),
     "hist:generic": (_hist_fold, ("num_bins", "arrs", "nes"), (), (("params", "body"),)),
     "withacc": (_withacc, ("arrs",), ("n_acc",), (("params", "body"),)),

@@ -25,19 +25,7 @@ of structural invariants this module checks once per lowering:
   fused run no op reads a released run-local value, and a ``donate`` mark
   sits only on an ``out=``-capable op whose operand is run-local, owned
   (produced by an allocating op, never handed on by ``atom``/``index``),
-  dead at that op and unexported.  The ``recycle`` and ``take`` marks only
-  say where the executor's reference-count check is worth making, but they
-  are what keeps it off every other release point, so they are re-derived
-  here from the plan IR alone: a recycled value is released by the marked
-  op or instruction itself, was written in the releasing body by a kernel
-  that allocates its result (an allocating run op; ``update`` / ``replicate``
-  / ``scratch`` / …; a ``map`` result; a ``withacc`` accumulator result; a
-  bulk reduce) — never a parameter, a view, or a nested body's result — and
-  sits in no handing-on position anywhere in the plan (an ``atom`` operand,
-  a nested body's result, a loop's initial state, a fold's neutral
-  element); the map part of a reduce / scan / hist whose fold kernel offers
-  its result (``spare``) wrote that result itself, by such a kernel, and
-  nothing hands it on; a taker is an ``out=``-capable op;
+  dead at that op and unexported;
 * **index provenance** — an ``affine`` flag on an ``index`` or ``upd_acc``
   operand licenses the executor to read the operand as a unit-stride slice
   without looking at more than its two ends, so the checker re-derives the
@@ -85,7 +73,6 @@ from .lower import (
     PlanIR,
     Ref,
     lift,
-    nested_bodies,
     run_atoms,
     selector,
 )
@@ -111,40 +98,13 @@ class _PlanChecker:
         #: lane-affine integer), for the slot's *current* binding: every
         #: ``write`` forgets what the previous one established.
         self.facts: Dict[int, str] = {}
-        #: Slots whose current binding is an array the writing kernel has
-        #: just allocated (every ``write`` says which).
-        self.fresh: Set[int] = set()
-        #: slot -> what hands its value on as it is, anywhere in the plan.
-        self.handed: Dict[int, str] = {}
-        self.note_handed(ir.body)
-
-    def note_handed(self, body: PBody) -> None:
-        def note(refs, who: str) -> None:
-            for r in refs or ():
-                if isinstance(r, Ref) and r.slot is not None:
-                    self.handed.setdefault(r.slot, who)
-
-        for ins in body.instrs:
-            kind = ins.kind
-            if kind == "run":
-                note([o.xs[0] for o in ins.ops if o.kind == "atom"], "an atom op")
-            elif kind in ("loop", "while"):
-                note(ins.inits, f"a {kind}'s initial state")
-            elif kind in ("reduce", "scan", "hist"):
-                note(ins.nes, f"a {kind}'s neutral element")
-            for b in nested_bodies(ins):
-                # The map part's result goes to the fold kernel and no further.
-                if b is not getattr(ins, "mbody", None):
-                    note(b.result, f"the result of a {kind} body")
-                self.note_handed(b)
 
     def fail(self, msg: str, instr=None) -> None:
         raise VerifyError(f"plan IR: {msg}", self.where, _stm_of(instr))
 
     # -- write/read primitives ---------------------------------------------
 
-    def write(self, slot: int, name: str, defined: Set[int], instr=None,
-              fresh: bool = False) -> None:
+    def write(self, slot: int, name: str, defined: Set[int], instr=None) -> None:
         if not (0 <= slot < self.ir.nslots):
             self.fail(f"slot {slot} ({name!r}) outside register space", instr)
         # Slot SSA along every execution path: a live slot is never
@@ -159,10 +119,6 @@ class _PlanChecker:
             )
         defined.add(slot)
         self.facts.pop(slot, None)
-        if fresh:
-            self.fresh.add(slot)
-        else:
-            self.fresh.discard(slot)
 
     def read(self, r, defined: Set[int], instr=None, what: str = "") -> None:
         if isinstance(r, IntRef):
@@ -257,27 +213,6 @@ class _PlanChecker:
                 self.fail(f"release of unbound slot {slot} ({name!r})", instr)
             defined.discard(slot)
             self.released[slot] = name
-        names = dict(instr.release)
-        for slot in instr.recycle:
-            what = f"slot {slot} ({names.get(slot, '?')!r})"
-            if slot not in names:
-                self.fail(f"recycles {what}, which it does not release", instr)
-            if slot in left:
-                self.fail(
-                    f"recycles {what}, a parameter or result of its nested body: "
-                    f"it dies with the body (the map part of a reduce/scan/hist "
-                    f"hands its result to the fold kernel: ``spare``)",
-                    instr,
-                )
-            if slot not in self.fresh:
-                self.fail(
-                    f"recycles {what}, which no allocating kernel produced "
-                    f"(a parameter, a view or a forwarded value may be visible "
-                    f"elsewhere)",
-                    instr,
-                )
-            if slot in self.handed:
-                self.fail(f"recycles {what}, which {self.handed[slot]} hands on", instr)
 
     def check_run_memory(self, instr: IRun) -> None:
         ops = instr.ops
@@ -358,34 +293,6 @@ class _PlanChecker:
                         instr,
                     )
 
-        # The free-list marks (after the donation clauses: a mark left on an
-        # op whose kind a rewrite changed breaks those first).
-        for pos, op in enumerate(ops):
-            if op.take and (op.kind not in ("unop", "binop") or op.op not in INPLACE_OPS):
-                self.fail(
-                    f"run op {pos} ({op.kind} {op.op!r}) is marked a taker but "
-                    f"cannot compute in place",
-                    instr,
-                )
-            for x in op.recycle:
-                if x not in op.release:
-                    self.fail(
-                        f"run op {pos} recycles {x!r}, which it does not release", instr
-                    )
-                if ops[x].kind not in _ALLOCATING:
-                    self.fail(
-                        f"run op {pos} recycles {local(x)} produced by "
-                        f"{ops[x].kind!r}, which does not own its buffer",
-                        instr,
-                    )
-                if x in handed_on:
-                    q = handed_on[x]
-                    self.fail(
-                        f"run op {pos} recycles {local(x)}, which op {q} "
-                        f"({ops[q].kind}) hands on",
-                        instr,
-                    )
-
     def check_instr(self, instr, defined: Set[int]) -> Set[int]:
         """Check one instruction; returns the slots its nested bodies left
         bound (they never join ``defined``)."""
@@ -410,7 +317,6 @@ class _PlanChecker:
                 fact = self.run_op_fact(op, local)
                 if fact:
                     local[pos] = fact
-            viewed = {o.xs[0] for o in instr.ops if o.kind in ("atom", "index")}
             for idx, slot, name in instr.exports:
                 if not (0 <= idx < len(instr.ops)):
                     self.fail(
@@ -418,8 +324,7 @@ class _PlanChecker:
                         f"the run",
                         instr,
                     )
-                self.write(slot, name, defined, instr,
-                           fresh=instr.ops[idx].kind in _ALLOCATING and idx not in viewed)
+                self.write(slot, name, defined, instr)
                 if idx in local:
                     self.facts[slot] = local[idx]
             self.check_run_memory(instr)
@@ -427,29 +332,29 @@ class _PlanChecker:
             self.read(instr.arr, defined, instr)
             self.reads(instr.idx, defined, instr)
             self.read(instr.val, defined, instr)
-            self.write(*instr.out, defined, instr, fresh=True)
+            self.write(*instr.out, defined, instr)
         elif kind == "iota":
             self.read(instr.n, defined, instr)
-            self.write(*instr.out, defined, instr, fresh=True)
+            self.write(*instr.out, defined, instr)
             self.facts[instr.out[0]] = "iota"
         elif kind == "replicate":
             self.read(instr.n, defined, instr)
             self.read(instr.v, defined, instr)
-            self.write(*instr.out, defined, instr, fresh=True)
+            self.write(*instr.out, defined, instr)
         elif kind == "scratch":
             self.read(instr.n, defined, instr)
             self.read(instr.x, defined, instr)
-            self.write(*instr.out, defined, instr, fresh=True)
+            self.write(*instr.out, defined, instr)
         elif kind == "size":
             self.read(instr.arr, defined, instr)
             self.write(*instr.out, defined, instr)
         elif kind == "reverse":
             self.read(instr.x, defined, instr)
-            self.write(*instr.out, defined, instr, fresh=True)
+            self.write(*instr.out, defined, instr)
         elif kind == "concat":
             self.read(instr.x, defined, instr)
             self.read(instr.y, defined, instr)
-            self.write(*instr.out, defined, instr, fresh=True)
+            self.write(*instr.out, defined, instr)
         elif isinstance(instr, IMap):
             self.reads(instr.arrs, defined, instr)
             self.reads(instr.accs, defined, instr)
@@ -463,26 +368,26 @@ class _PlanChecker:
                     f"{len(instr.body.result)} lambda results",
                     instr,
                 )
-            for j, (slot, name) in enumerate(instr.outs):
-                self.write(slot, name, defined, instr, fresh=j >= instr.n_acc)
+            for slot, name in instr.outs:
+                self.write(slot, name, defined, instr)
         elif isinstance(instr, IReduce):  # also IScan (subclass)
             self.reads(instr.arrs, defined, instr)
             self.reads(instr.nes, defined, instr)
             left = self._check_operator_part(instr, defined)
             for slot, name in instr.outs:
-                self.write(slot, name, defined, instr, fresh=instr.strategy != "generic")
+                self.write(slot, name, defined, instr)
         elif kind == "hist":
             self.read(instr.num_bins, defined, instr)
             self.reads(instr.arrs, defined, instr)
             self.reads(instr.nes, defined, instr)
             left = self._check_operator_part(instr, defined)
             for slot, name in instr.outs:
-                self.write(slot, name, defined, instr, fresh=instr.strategy != "generic")
+                self.write(slot, name, defined, instr)
         elif kind == "scatter":
             self.read(instr.dest, defined, instr)
             self.read(instr.inds, defined, instr)
             self.read(instr.vals, defined, instr)
-            self.write(*instr.out, defined, instr, fresh=True)
+            self.write(*instr.out, defined, instr)
         elif isinstance(instr, ILoop):
             self.read(instr.n, defined, instr)
             self.reads(instr.inits, defined, instr)
@@ -561,8 +466,8 @@ class _PlanChecker:
                     f"{len(instr.body.result)} lambda results",
                     instr,
                 )
-            for j, (slot, name) in enumerate(instr.outs):
-                self.write(slot, name, defined, instr, fresh=j < instr.n_acc)
+            for slot, name in instr.outs:
+                self.write(slot, name, defined, instr)
         elif kind == "updacc":
             self.read(instr.acc, defined, instr)
             self.reads(instr.idx, defined, instr)
@@ -584,17 +489,6 @@ class _PlanChecker:
             self.bind_params(instr.mparams, inner, instr, arrs)
             self.check_body(instr.mbody, inner)
             left |= inner - defined
-            if instr.spare:
-                r = instr.mbody.result[0]
-                what = f"the map part's result, slot {r.slot} ({r.name!r})"
-                if r.slot not in left or r.slot not in self.fresh:
-                    self.fail(
-                        f"offers {what} to the free list, which no allocating "
-                        f"kernel of the map part produced",
-                        instr,
-                    )
-                if r.slot in self.handed:
-                    self.fail(f"offers {what}, which {self.handed[r.slot]} hands on", instr)
         if instr.params is not None or instr.body is not None:
             inner = set(defined)
             self.bind_params(instr.params, inner, instr)

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional
 from ..ir.analysis import ir_hash
 from ..ir.pretty import pretty_exp
 from ..exec.lower import plan_counts
-from ..exec.plan import Plan, plan_cache_stats
+from ..exec.plan import Plan
 from . import metrics, tracing
 
 __all__ = [
@@ -155,9 +155,7 @@ def profile_summary() -> Dict[str, Any]:
 def profile_report(top_k: int = 10) -> Dict[str, Any]:
     """Rank instruction hotspots by measured seconds.
 
-    Returns ``{total_s, execute_span_s, coverage, by_kind, pool, entries}``
-    (``pool``: the free list's counters — ``plan_cache_stats()["mem"]``'s
-    ``pool_hits`` / ``pool_misses`` / ``pool_refused`` / ``pool_bytes``).
+    Returns ``{total_s, execute_span_s, coverage, by_kind, entries}``.
     Each entry carries ``label`` / ``fun`` / ``kind`` /
     ``mem`` (the size of the instruction's memory plan: slots released,
     run-local values released, donating ops — nested bodies included) /
@@ -201,7 +199,6 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
         "execute_span_s": execute_s,
         "coverage": (total / execute_s) if execute_s else None,
         "by_kind": by_kind,
-        "pool": {k: v for k, v in plan_cache_stats()["mem"].items() if k.startswith("pool_")},
         "entries": entries,
     }
 
@@ -235,8 +232,6 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
     if rep["by_kind"]:
         top = sorted(rep["by_kind"].items(), key=lambda kv: kv[1], reverse=True)
         lines.append("by kind: " + "  ".join(f"{k}={v:.4f}s" for k, v in top))
-    if rep.get("pool"):
-        lines.append("free list: " + "  ".join(f"{k}={v}" for k, v in rep["pool"].items()))
     return "\n".join(lines)
 
 

@@ -1,12 +1,13 @@
-"""The plan executor's memory plan (`exec/lower.py`: releases, donations and
-the free list), attacked through the public API on both emitters.
+"""The plan executor's memory plan (`exec/lower.py`: releases and donations),
+attacked through the public API on both emitters.
 
 A released slot that is read again raises ``unbound variable`` (``plan``) or
-``UnboundLocalError``/``AttributeError`` (``codegen``); a donation or a
-recycled buffer that hits memory someone else can see changes a result or
-raises on a read-only array.  So the tests below only have to *run* hostile
-inputs and compare results.
+``UnboundLocalError``/``AttributeError`` (``codegen``); a donation that hits
+memory someone else can see changes a result or raises on a read-only
+array.  So the tests below only have to *run* hostile inputs and compare
+results.
 """
+import gc
 import sys
 import threading
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 
 import repro as rp
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
-from repro.exec import clear_plan_cache, plan_cache_stats, vector
+from repro.exec import plan_cache_stats, vector
 from helpers import peak_mb
 from test_fuzz_programs import _gen_program
 
@@ -29,8 +30,8 @@ SHIPPED = vector._DONATE_MIN_BYTES
 
 @pytest.fixture(params=[0, None], ids=["donate-all", "donate-large"])
 def donation_floor(request, monkeypatch):
-    """Run once with every donation and every recycling attempted (CI-sized
-    temporaries sit far below the production size floor) and once as shipped.
+    """Run once with every donation attempted (CI-sized temporaries sit far
+    below the production size floor) and once as shipped.
     Yields a setter for the floor and the initial value."""
     def set_floor(nbytes):
         monkeypatch.setattr(vector, "_DONATE_MIN_BYTES", nbytes)
@@ -131,8 +132,7 @@ def test_apps_never_write_their_inputs(name, emitter, donation_floor):
 @pytest.mark.parametrize("emitter", EMITTERS)
 @pytest.mark.parametrize("name", ["gmm", "kmeans", "lstm", "ba"])
 def test_results_are_the_callers_to_overwrite(name, emitter, donation_floor):
-    # Scratch buffers survive a call (the free list), results never do:
-    # scribbling over a returned derivative must not reach a buffer the next
+    # Scribbling over a returned derivative must not reach a buffer the next
     # call reads or computes into.
     inp, fc, call = _app(name)
     first = call(fc, inp, emitter)
@@ -141,6 +141,32 @@ def test_results_are_the_callers_to_overwrite(name, emitter, donation_floor):
         if a.ndim and a.flags.writeable:
             a.fill(np.nan)
     _assert_bitwise(call(fc, inp, emitter), keep, f"{name}/{emitter}: second call differs")
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+@pytest.mark.parametrize("name", ["gmm", "kmeans", "lstm", "ba"])
+def test_nothing_a_call_allocates_outlives_it_but_its_results(name, emitter, donation_floor):
+    # A cached plan keeps no buffer across calls: once its results are
+    # dropped, no array data a call allocated is still alive.  (NumPy traces
+    # array data in a domain of its own; Python objects are not counted.)
+    inp, fc, call = _app(name)
+    for _ in range(2):
+        call(fc, inp, emitter)  # lowered, cached, every lazy table built
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = call(fc, inp, emitter)
+        held = sum(a.nbytes for a in _flat(res))
+        during = tracemalloc.take_snapshot().filter_traces(arrays)
+        del res
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(arrays)
+    finally:
+        tracemalloc.stop()
+    assert sum(t.size for t in during.traces) >= held > 0
+    left = sum(t.size for t in after.traces)
+    assert left == 0, f"{name}/{emitter}: {left} bytes of array data outlived the call"
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +240,7 @@ def test_control_flow_with_releases_matches_ref(name, donation_floor):
 
 
 # ---------------------------------------------------------------------------
-# The free list: every way a recyclable-looking buffer can still be visible
+# Donation: every way a dead-looking buffer can still be visible
 # ---------------------------------------------------------------------------
 
 
@@ -292,66 +318,35 @@ def _hazard_call(name, emitter):
 
 @pytest.mark.parametrize("emitter", EMITTERS)
 @pytest.mark.parametrize("name", sorted(_HAZARDS))
-def test_recycling_never_reaches_a_visible_buffer(name, emitter, donation_floor):
+def test_donation_never_reaches_a_visible_buffer(name, emitter, donation_floor):
     set_floor, floor = donation_floor
     call, frozen = _hazard_call(name, emitter)
     args = [a.copy() for a in frozen]
-    # Results of earlier calls are held while later calls run: a result that
-    # sat on the free list would be computed into.
+    # Results of earlier calls are held while later calls run: a later call
+    # must never compute into one.
     held = [call() for _ in range(4)]
     snap = [[a.copy() for a in _flat(r)] for r in held]
     set_floor(NEVER)
     want = call()
     set_floor(SHIPPED if floor is None else floor)
     for r, kept in zip(held, snap):
-        _assert_bitwise(r, want, f"{name}/{emitter}: recycling changed a result")
+        _assert_bitwise(r, want, f"{name}/{emitter}: donation changed a result")
         _assert_bitwise(r, kept, f"{name}/{emitter}: a later call wrote an earlier result")
     _assert_bitwise(frozen, args, f"{name}/{emitter}: inputs were written")
     if name == "input_returned":
-        assert held[0][0] is frozen[0]  # handed back as it came: never a pool buffer
-
-
-@pytest.mark.parametrize("emitter", EMITTERS)
-def test_two_plans_share_one_free_list(emitter, donation_floor):
-    # Same shapes, different programs, alternating — and the other emitter's
-    # plan of the same program in between: one store serves them all.
-    set_floor, floor = donation_floor
-    f = rp.compile(rp.trace_like(_map_result_is_body_array, (_XS,)))
-    g = rp.grad(rp.compile(rp.trace_like(_loop_state, (_XS,))))
-    other = "codegen" if emitter == "plan" else "plan"
-    calls = [
-        lambda: f(_XS, backend=emitter), lambda: g(_XS, backend=emitter),
-        lambda: f(_XS, backend=other), lambda: g(_XS, backend=emitter),
-        lambda: f(_XS, backend=emitter),
-    ]
-    got = [c() for c in calls]
-    set_floor(NEVER)
-    want = [c() for c in calls]
-    set_floor(SHIPPED if floor is None else floor)
-    _assert_bitwise(got, want, f"{emitter}: a shared free list changed a result")
-    if floor == 0:
-        before = plan_cache_stats()["mem"]
-        got = [c() for c in calls]
-        after = plan_cache_stats()["mem"]
-        assert after["pool_hits"] > before["pool_hits"]  # ... and it does serve them
-        _assert_bitwise(got, want, f"{emitter}: second round differs")
+        assert held[0][0] is frozen[0]  # handed back as it came
 
 
 @pytest.mark.parametrize("emitter", EMITTERS)
 def test_threads_run_one_plan_concurrently(emitter, donation_floor):
-    # Free lists are per thread: threads in one plan never see each other's
-    # buffers, whatever the interleaving — and the shared counters lose no
-    # update.  More threads than cores, a short switch interval.
+    # Threads in one plan never see each other's buffers, whatever the
+    # interleaving.  More threads than cores, a short switch interval.
     set_floor, floor = donation_floor
     g = rp.grad(rp.compile(rp.trace_like(_loop_state, (_XS,))))
     inputs = [_XS, _XS[::-1].copy(), _XS * 0.5]
     rounds = 20
     for x in inputs:
-        g(x, backend=emitter)  # lowered and cached before the race; lists warm
-    before = plan_cache_stats()["mem"]
-    g(inputs[0], backend=emitter)
-    after = plan_cache_stats()["mem"]
-    takes = sum(after[k] - before[k] for k in ("pool_hits", "pool_misses"))
+        g(x, backend=emitter)  # lowered and cached before the race
     got = [[] for _ in inputs]
     start = threading.Barrier(len(inputs))
 
@@ -371,10 +366,6 @@ def test_threads_run_one_plan_concurrently(emitter, donation_floor):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    raced = plan_cache_stats()["mem"]
-    assert sum(raced[k] - after[k] for k in ("pool_hits", "pool_misses")) == (
-        takes * rounds * len(inputs))
-    assert (takes > 0) == (floor == 0)
     set_floor(NEVER)
     want = [g(x, backend=emitter) for x in inputs]
     set_floor(SHIPPED if floor is None else floor)
@@ -384,46 +375,33 @@ def test_threads_run_one_plan_concurrently(emitter, donation_floor):
             _assert_bitwise(r, want[k], f"{emitter}: thread {k} saw another's buffer")
 
 
-def test_the_free_list_holds_no_more_than_was_live_at_once_and_clears():
-    # Deterministic, no timer: the `kmeans_newton` size.  The second call of
-    # a signature finds every buffer it needs; the list is bounded by what the
-    # program has live at once (six 1.95 MB temporaries), and goes with the
-    # plan cache.
+def test_a_cached_calls_traced_peak_is_its_whole_working_set():
+    # Nothing a call allocates outlives it but its results, so `tracemalloc`
+    # sees every buffer of every call: three cached calls at a shape this
+    # process has not run yet peak alike.  (A store kept across calls would
+    # serve calls 2 and 3 from buffers tracing never sees.)
     pts, ctr = datagen.kmeans_instance(8, 1000, 32, 0)
     h = rp.hessian_diag(rp.compile(kmeans.build_ir(1000, 8, 32)), wrt=1)
-    clear_plan_cache()
-    assert plan_cache_stats()["mem"]["pool_bytes"] == 0
-    first = h(pts, ctr)
-    warm = plan_cache_stats()["mem"]
-    assert warm["pool_misses"] > 0 and warm["pool_bytes"] > 0
-    second = h(pts, ctr)
-    mem = plan_cache_stats()["mem"]
-    assert mem["pool_misses"] == warm["pool_misses"], mem
-    assert mem["pool_hits"] > warm["pool_hits"]
-    assert 0 < mem["pool_bytes"] <= 12 * 2**20, mem
-    assert mem["donation_fallbacks"] == 0
-    _assert_bitwise(second, first, "recycled buffers changed the Hessian diagonal")
-    clear_plan_cache()
-    assert plan_cache_stats()["mem"]["pool_bytes"] == 0
-
-
-def test_both_emitters_recycle_the_same_buffers_per_call():
-    # The free list's run-time counters of one cached call are the same on
-    # both emitters: every buffer a body's result leaves behind is offered by
-    # a shared kernel or a release list, never by one emitter alone.
-    pts, ctr = datagen.kmeans_instance(8, 1000, 32, 0)
-    h = rp.hessian_diag(rp.compile(kmeans.build_ir(1000, 8, 32)), wrt=1)
-    keys = ("pool_hits", "pool_misses", "pool_refused")
-    per_call = {}
-    for emitter in EMITTERS:
-        clear_plan_cache()
-        h(pts, ctr, backend=emitter)
-        before = plan_cache_stats()["mem"]
-        h(pts, ctr, backend=emitter)
-        after = plan_cache_stats()["mem"]
-        per_call[emitter] = {k: after[k] - before[k] for k in keys}
-    assert per_call["plan"] == per_call["codegen"], per_call
-    assert per_call["plan"]["pool_hits"] > 0 and per_call["plan"]["pool_misses"] == 0
+    for emitter, n in (("plan", 1200), ("codegen", 1300)):
+        h(pts, ctr, backend=emitter)  # lowered and cached at n = 1000
+        new_pts = datagen.kmeans_instance(8, n, 32, 1)[0]
+        misses = plan_cache_stats()["misses"]
+        peaks, results = [], []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                results.append(h(new_pts, ctr, backend=emitter))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert plan_cache_stats()["misses"] == misses  # shape-generic: cache hits
+        assert max(peaks) <= 1.01 * min(peaks), (emitter, peaks)
+        for r in results[1:]:
+            _assert_bitwise(r, results[0], f"{emitter}: cached calls differ")
+        if emitter == "plan":
+            want = h(new_pts, ctr, backend="ref")
+            for g, w in zip(_flat(results[0]), _flat(want)):
+                np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10)
 
 
 def test_a_large_dead_temporary_is_computed_into():

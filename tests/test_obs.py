@@ -336,44 +336,6 @@ def test_donation_fallbacks_count_refused_large_buffers(monkeypatch):
     assert plan_cache_stats()["mem"]["donation_fallbacks"] == len(cases)
 
 
-def test_mem_section_counts_the_free_list(monkeypatch):
-    from repro.exec import vector
-    from repro.obs import profiler
-
-    monkeypatch.setattr(vector, "_DONATE_MIN_BYTES", 0)  # CI-sized values recycle
-    xs = np.linspace(0.0, 1.0, 64)
-    fc = rp.compile(rp.trace_like(
-        lambda v: rp.sum(rp.map(lambda x: rp.sin(x * x + 1.0) * x + rp.cos(x), v)), (xs,),
-        name="obs_pool_demo"))
-    clear_plan_cache()
-    assert {k: v for k, v in plan_cache_stats()["mem"].items() if k.startswith("pool_")} == {
-        "pool_hits": 0, "pool_misses": 0, "pool_refused": 0, "pool_bytes": 0}
-    fc(xs, backend="plan")
-    cold = plan_cache_stats()["mem"]
-    assert cold["pool_misses"] > 0 and cold["pool_bytes"] > 0
-    fc(xs, backend="plan")
-    warm = plan_cache_stats()["mem"]
-    assert warm["pool_hits"] > cold["pool_hits"] and warm["pool_misses"] == cold["pool_misses"]
-    assert obs.snapshot()["plan_cache"]["mem"] == warm
-    # the profile emitter renders the same calls, and its report prints the counters
-    fc(xs, backend="plan")
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    fc(xs)
-    rep = profiler.profile_report()
-    assert rep["pool"] == {k: v for k, v in plan_cache_stats()["mem"].items()
-                           if k.startswith("pool_")}
-    assert rep["pool"]["pool_hits"] > warm["pool_hits"]
-    assert "free list: pool_hits=" in profiler.format_profile_report(rep)
-    # counters reset with the rest; the bytes held are a measurement and stay
-    held = plan_cache_stats()["mem"]["pool_bytes"]
-    obs.reset_all()
-    mem = plan_cache_stats()["mem"]
-    assert (mem["pool_hits"], mem["pool_misses"], mem["pool_refused"]) == (0, 0, 0)
-    assert mem["pool_bytes"] == held > 0
-    clear_plan_cache()
-    assert plan_cache_stats()["mem"]["pool_bytes"] == 0
-
-
 def test_reset_plan_cache_stats_keeps_plans():
     xs = np.linspace(0.0, 1.0, 8)
     fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_reset_demo"))

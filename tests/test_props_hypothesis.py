@@ -145,7 +145,7 @@ def _summands(rng, shape, dt):
 
 def _eng(rng, bshape, masked):
     mask = BV(rng.random(bshape) < 0.7, len(bshape)) if masked else None
-    return SimpleNamespace(bstack=list(bshape), mask=mask, lanes=int(np.prod(bshape)), out={})
+    return SimpleNamespace(bstack=list(bshape), mask=mask)
 
 
 def _scatter_add_matches(dt, bshape, ka, m, row, varies, masked, seed) -> bool:

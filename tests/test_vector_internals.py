@@ -85,7 +85,7 @@ def _eng(bshape, masked):
     if masked:
         on = np.arange(lanes).reshape(bshape) % 2 == 0
         mask = BV(on, len(bshape))
-    return SimpleNamespace(bstack=list(bshape), mask=mask, lanes=lanes, out=V._pool().out)
+    return SimpleNamespace(bstack=list(bshape), mask=mask)
 
 
 def _active(eng, lane) -> bool:
@@ -284,7 +284,7 @@ def test_hist_kernels_ufunc_redomap_and_generic(bshape, masked, n, op):
         assert vs[0].bdims == d + 1
         return (vs[0],)
 
-    (got,) = V._hist_redomap(eng, m, arrs, nes, op, False, part)
+    (got,) = V._hist_redomap(eng, m, arrs, nes, op, part)
     assert depths_seen == [list(bshape) + [n]] and eng.bstack == list(bshape)
     np.testing.assert_allclose(_full(got, bshape), want, rtol=1e-14)
     steps = []
@@ -612,17 +612,17 @@ def test_map_kernel_runs_its_body_one_lane_level_down(masked):
 
     def body(e, vals):
         x, a = vals
-        seen.update(bstack=list(e.bstack), lanes=e.lanes, bdims=x.bdims)
+        seen.update(bstack=list(e.bstack), bdims=x.bdims)
         assert a is acc
         return a, BV(x.data * 2.0, x.bdims)
 
     a, out = V._map(eng, [BV(xs, 1)], [acc], 1, body)
-    assert seen == {"bstack": [2, 3], "lanes": 6, "bdims": 2}
-    assert eng.bstack == [2] and eng.lanes == 2
+    assert seen == {"bstack": [2, 3], "bdims": 2}
+    assert eng.bstack == [2]
     assert a is acc and out.bdims == 1 and (out.data == xs * 2.0).all()
     with pytest.raises(ExecError, match="accumulator results must lead"):
         V._map(eng, [BV(xs, 1)], [acc], 1, lambda e, vals: (vals[0], vals[1]))
-    assert eng.bstack == [2] and eng.lanes == 2  # restored on the way out too
+    assert eng.bstack == [2]  # restored on the way out too
 
 
 @both
@@ -725,9 +725,9 @@ def test_redomap_fold_and_hist_kernels_over_no_elements(bshape):
         ran.append(list(e.bstack))
         return (vals[0],)
 
-    (r,) = V._redomap(eng, [empty], [ne], "add", True, False, body)
+    (r,) = V._redomap(eng, [empty], [ne], "add", True, body)
     assert r.bdims == d and _full(r, bshape).shape == bshape and (r.data == 7.0).all()
-    (sc,) = V._redomap_scan(eng, [empty], [ne], "add", True, False, body)
+    (sc,) = V._redomap_scan(eng, [empty], [ne], "add", True, body)
     assert sc.bdims == d and sc.data.shape == (1,) * d + (0,)
     assert V._fold(eng, [empty], [ne], (0,), body) == [ne]
     (col,) = V._fold_scan(eng, [empty], [ne], (0,), body)
@@ -735,135 +735,8 @@ def test_redomap_fold_and_hist_kernels_over_no_elements(bshape):
     inds = BV(np.zeros(bshape + (0,), dtype=np.int64), d)
     (h,) = V._hist_fold(eng, 2, [inds, empty], [ne], body)
     assert ran == [] and h.data.shape == bshape + (2,) and (h.data == 7.0).all()
-    (h,) = V._hist_redomap(eng, 2, [inds, empty], [ne], "add", False, body)
+    (h,) = V._hist_redomap(eng, 2, [inds, empty], [ne], "add", body)
     assert ran == [list(bshape) + [0]] and h.data.shape == bshape + (2,) and (h.data == 7.0).all()
-
-
-# ---------------------------------------------------------------------------
-# The free list: `_buffer` / `_give` / `_elem_into(take=True)` / `_copy`
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    """An empty free list with the size floor at 64 bytes."""
-    monkeypatch.setattr(V, "_DONATE_MIN_BYTES", 64)
-    V.clear_pool()
-    yield V._pool()
-    V.clear_pool()
-
-
-def _offer(v):
-    """A release point: the caller's one reference goes to ``_give``."""
-    V._give(v)
-
-
-def test_give_admits_only_against_an_outstanding_take(pool):
-    key = ((16,), np.dtype(np.float64))
-    _offer(BV(np.ones(16), 0))  # nobody asked for one of these
-    assert V.pool_bytes() == 0 and not pool.free
-    buf = V._buffer(*key)  # a miss: fresh, and one buffer of this key is out
-    assert pool.out[key] == 1 and buf.shape == (16,)
-    _offer(BV(np.ones(16), 0))
-    assert V.pool_bytes() == 128 and pool.out[key] == 0
-    _offer(BV(np.ones(16), 0))  # the debt is paid: this one goes to malloc
-    assert V.pool_bytes() == 128
-    kept = pool.free[key][0]
-    assert V._buffer(*key) is kept and V.pool_bytes() == 0
-    _offer(BV(np.ones(4), 0))  # below the floor
-    assert V.pool_bytes() == 0
-    V._buffer(*key)
-    _offer(BV(kept, 0))  # `kept` is ours too: not exclusive
-    assert V.pool_bytes() == 0
-
-
-def test_give_refuses_whatever_someone_else_can_see(pool):
-    key = ((16,), np.dtype(np.float64))
-    before = V.MEM_STATS["pool_refused"]
-
-    def refused(make):
-        V._buffer(*key)  # someone wants one
-        pool.out[((4, 4), np.dtype(np.float64))] = 1
-        keep = make()  # (value offered, whatever else holds on to it)
-        _offer(keep[0])
-        return V.pool_bytes() == 0
-
-    base = np.ones(32)
-    arr = np.ones(16)
-    shared_bv = BV(np.ones(16), 0)
-    assert refused(lambda: (BV(arr, 0),))  # the array has another holder (`arr`)
-    assert refused(lambda: (shared_bv,))  # the BV has another holder
-    assert refused(lambda: (BV(base[:16], 0),))  # a view owns nothing
-    v = BV(np.ones(16), 0)
-    view = v.data[2:5]
-    assert refused(lambda: (v, view))  # a view of it is alive
-    del v, view
-    assert refused(lambda: (BV(np.asfortranarray(np.ones((4, 4))), 0),))  # not C-contiguous
-    ro = np.ones(16)
-    ro.setflags(write=False)
-    assert refused(lambda: (BV(ro, 0),))
-    assert refused(lambda: (V.AccBV(np.ones(16), 0),))  # accumulators are never offered
-    assert V.MEM_STATS["pool_refused"] > before
-    pool.out[((16,), np.dtype(np.int64))] = 1
-    _offer(BV(np.ones(16, dtype=np.int64), 0))  # not float
-    assert V.pool_bytes() == 0
-
-
-def test_a_taker_computes_the_same_bits_into_a_recycled_buffer(pool):
-    rng = np.random.default_rng(3)
-    a, b = rng.standard_normal((4, 1, 5)), rng.standard_normal((1, 3, 5))
-    want = _elem(np.multiply, BV(a, 2), BV(b, 2))
-    box = [V._elem_into(np.multiply, (), 2, [a, b], take=True)]  # a miss
-    assert box[0].data.tobytes() == want.data.tobytes() and box[0].bdims == want.bdims
-    box[0].data.fill(np.nan)
-    _offer(box.pop())
-    assert V.pool_bytes() == want.data.nbytes
-    again = V._elem_into(np.multiply, (), 2, [a, b], take=True)  # a hit
-    assert V.pool_bytes() == 0 and again.data.tobytes() == want.data.tobytes()
-    # a donor still comes first, mixed dtypes and small results allocate as ever
-    t = rng.standard_normal((4, 3, 5))
-    out = V._elem_into(np.add, (0,), 2, [t, b], take=True)
-    assert out.data is t
-    mixed = V._elem_into(np.add, (), 2, [a, b.astype(np.float32)], take=True)
-    assert mixed.data.dtype == np.float64 and not pool.out.get(((4, 3, 5), np.dtype(np.float32)))
-    small = V._elem_into(np.add, (), 0, [np.ones(2), np.ones(2)], take=True)
-    assert small.data.tolist() == [2.0, 2.0] and ((2,), np.dtype(np.float64)) not in pool.out
-
-
-def test_copy_and_scratch_serve_large_results_from_the_free_list(pool):
-    src = np.broadcast_to(np.arange(4.0), (6, 4))
-    dirty = np.full((6, 4), np.nan)
-    pool.free[((6, 4), np.dtype(np.float64))] = [dirty]
-    out = V._copy(src)
-    assert out is dirty and out.flags.c_contiguous and out.tobytes() == src.copy().tobytes()
-    assert V._copy(np.arange(3.0)).tolist() == [0.0, 1.0, 2.0]  # small: a plain copy
-    dirty2 = np.full((2, 5, 3), np.nan)
-    pool.free[((2, 5, 3), np.dtype(np.float64))] = [dirty2]
-    eng = _eng((2,), False)
-    sc = V._scratch(eng, BV(np.array([5, 3]), 1), BV(np.ones((2, 3)), 1))
-    assert sc.data is dirty2 and not sc.data.any()
-
-
-def test_redomap_kernels_offer_a_spare_map_part_result_once_folded(pool):
-    """``spare``: lowering proved the map part's result a buffer nobody else
-    holds, so the kernel hands it to the free list after folding it."""
-    key = ((16,), np.dtype(np.float64))
-    eng = _eng((), False)
-    xs = BV(np.arange(16.0), 0)
-    inds = BV(np.zeros(16, dtype=np.int64), 0)
-    part = lambda e, vals: (BV(vals[-1].data * 2.0, 1),)  # noqa: E731
-    ne = [BV(np.float64(0.0), 0)]
-    for run in (
-        lambda spare: V._redomap(eng, [xs], ne, "add", False, spare, part),
-        lambda spare: V._redomap_scan(eng, [xs], ne, "add", False, spare, part),
-        lambda spare: V._hist_redomap(eng, 1, [inds, xs], ne, "add", spare, part),
-    ):
-        pool.out[key] = 1
-        (out,) = run(False)
-        assert V.pool_bytes() == 0
-        (again,) = run(True)
-        assert V.pool_bytes() == 128 and again.data.tobytes() == out.data.tobytes()
-        V.clear_pool()
 
 
 # ---------------------------------------------------------------------------

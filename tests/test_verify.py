@@ -477,134 +477,102 @@ def test_plan_donate_live_local_rejected(monkeypatch):
         verify_plan_ir(ir)
 
 
-# -- the free-list marks: recyclable releases and takers -----------------------
-
-
-def _pool_prog(v, w):
-    a = rp.map(lambda e: e * 2.0 + 1.0, v)
-    b = rp.map(lambda e, f: rp.sin(e * f) * e, a, w)
-    return rp.sum(b) + a[1] * 3.0
-
-
-def _pool_plan(monkeypatch):
-    """The plan of ``_pool_prog`` with its first map, the run that indexes
-    that map's result (and recycles it) and the position of the ``index``."""
-    ir = _lowered(_pool_prog, (np.ones(4), np.ones(4)), monkeypatch)
-    first = ir.body.instrs[0]
-    run = next(i for i in ir.body.instrs
-               if isinstance(i, IRun) and any(o.kind == "index" for o in i.ops))
-    pos = next(p for p, o in enumerate(run.ops) if o.kind == "index")
-    assert first.kind == "map" and first.outs[0][0] in run.recycle
-    return ir, first, run, pos
-
-
-def test_lowering_marks_recyclable_releases_and_takers(monkeypatch):
-    ir, first, run, pos = _pool_plan(monkeypatch)
-    inner = first.body.instrs[0]
-    # every out=-capable float op is a taker, an interior product dies into
-    # the free list, parameters and the body's result never do
-    assert [o.take for o in inner.ops] == [True, True]
-    assert inner.ops[1].recycle == (0,) and first.recycle == ()
-    assert not run.ops[pos].take and run.ops[pos + 1].recycle == ()
-    reduce = next(i for i in ir.body.instrs if i.kind == "reduce")
-    assert reduce.recycle == tuple(s for s, _ in reduce.release)  # the second map's result
-
-
-def test_plan_recycle_of_a_parameter_rejected(monkeypatch):
-    ir, first, _run, _pos = _pool_plan(monkeypatch)
-    slot, name = first.params[0]
-    first.recycle = (slot,)
+def test_plan_donate_on_an_op_without_out_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = _donating(run)
+    op.kind = "select"  # np.where takes no out=
     with pytest.raises(
-        VerifyError, match=rf"recycles slot {slot} \('{name}'\), a parameter or result of its nested"
-    ):
-        verify_plan_ir(ir)
-    # ... and a function parameter is not even released
-    ir, first, _run, _pos = _pool_plan(monkeypatch)
-    first.recycle = (ir.param_slots[0],)
-    with pytest.raises(VerifyError, match=r"recycles slot 0 .* which it does not release"):
-        verify_plan_ir(ir)
-
-
-def test_plan_recycle_of_a_body_result_rejected(monkeypatch):
-    ir, first, _run, _pos = _pool_plan(monkeypatch)
-    res = first.body.result[0]
-    first.recycle = (res.slot,)
-    with pytest.raises(
-        VerifyError, match=rf"recycles slot {res.slot} \('{res.name}'\), a parameter or result"
+        VerifyError, match=rf"run op {pos} \(select .* donates .* but cannot compute in place"
     ):
         verify_plan_ir(ir)
 
 
-def test_plan_spare_mark_on_a_map_part_result_it_does_not_own_rejected(monkeypatch):
-    # The fold kernel offers a ``spare`` map part's result to the free list;
-    # a parameter handed straight through is not a buffer the map part made.
-    ir = _lowered(lambda v: rp.reduce(lambda a, x: a + rp.sin(x) * x, 0.0, v),
-                  (np.ones(4),), monkeypatch)
-    (red,) = ir.body.instrs
-    assert red.strategy == "redomap" and red.spare
-    red.mbody.result = tuple(Ref(slot=s, name=n) for s, n in red.mparams)
+def test_plan_release_of_an_unbound_slot_rejected(monkeypatch):
+    # the first instruction releases the result, which only the last one writes
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    res = ir.body.result[0]
+    ir.body.instrs[0].release += ((res.slot, res.name),)
     with pytest.raises(
-        VerifyError, match=r"offers the map part's result, slot .* which no allocating kernel"
+        VerifyError, match=rf"release of unbound slot {res.slot} \('{res.name}'\)"
     ):
         verify_plan_ir(ir)
 
 
-def test_plan_recycle_of_an_index_result_rejected(monkeypatch):
-    ir, _first, run, pos = _pool_plan(monkeypatch)
-    reader = next(o for o in run.ops if pos in o.release)
-    reader.recycle = (pos,)  # a view of the map's result
-    name = run.prov[pos].pat[0].name
+@pytest.mark.parametrize("whom", ["itself", "a later op", "not an op"])
+def test_plan_run_release_of_what_is_not_an_earlier_op_rejected(whom, monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    x = {"itself": 2, "a later op": 3, "not an op": -1}[whom]
+    run.ops[2].release += (x,)
+    with pytest.raises(VerifyError, match=rf"run op 2 releases {x}, not an earlier op"):
+        verify_plan_ir(ir)
+
+
+def test_plan_run_release_of_an_exported_local_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    idx, slot, name = run.exports[0]
+    pos = next(p for p in range(idx + 1, len(run.ops)) if idx not in run.ops[p].release)
+    run.ops[pos].release += (idx,)
     with pytest.raises(
         VerifyError,
-        match=rf"recycles run-local value {pos} \('{name}'\) produced by 'index'",
-    ):
-        verify_plan_ir(ir)
-    # ... and as a register: exported, then released by a later instruction
-    def prog(m):
-        a = rp.map(lambda r: rp.map(lambda e: e * 2.0, r), m)
-        row = a[0]
-        s = rp.sum(row)
-        return s + rp.sum(rp.map(lambda e: e * s, row))
-
-    ir = _lowered(prog, (np.ones((3, 2)),), monkeypatch)
-    slot, name = next(
-        (s, n) for i in ir.body.instrs if isinstance(i, IRun)
-        for li, s, n in i.exports if i.ops[li].kind == "index")
-    last = next(i for i in ir.body.instrs if slot in dict(i.release))
-    last.recycle = (slot,)
-    with pytest.raises(
-        VerifyError, match=rf"recycles slot {slot} \('{name}'\), which no allocating kernel"
+        match=rf"run op {pos} releases run-local value {idx} .* exported to slot {slot} "
+              rf"\('{name}'\)",
     ):
         verify_plan_ir(ir)
 
 
-def test_plan_recycle_of_a_value_an_atom_hands_on_rejected(monkeypatch):
-    ir, first, run, pos = _pool_plan(monkeypatch)
-    run.ops[pos].kind = "atom"  # now a copy of the map's result, not a read of it
-    run.ops[pos].affine = None
-    slot, name = first.outs[0]
-    with pytest.raises(
-        VerifyError, match=rf"recycles slot {slot} \('{name}'\), which an atom op hands on"
-    ):
+def test_plan_donate_constant_operand_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op, p = next(
+        (pos, op, p) for pos, op in enumerate(run.ops) if op.kind == "binop"
+        for p, x in enumerate(op.xs) if isinstance(x, Ref) and x.slot is None
+    )
+    op.donate = (p,)
+    with pytest.raises(VerifyError, match=rf"run op {pos} donates a constant operand"):
         verify_plan_ir(ir)
-    # ... and inside a run
-    ir, _first, _run, _pos = _pool_plan(monkeypatch)
-    second = [i for i in ir.body.instrs if i.kind == "map"][1]
-    sin = second.body.instrs[0].ops[1]
-    assert sin.op == "sin" and sin.recycle == (0,)
-    sin.kind, sin.op, sin.donate, sin.take = "atom", None, (), False
-    second.body.instrs[0].ops[2].donate = ()
+
+
+def test_plan_donate_of_an_operand_the_op_lacks_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = _donating(run)
+    op.donate = (len(op.xs),)
     with pytest.raises(
-        VerifyError, match=r"run op 1 recycles run-local value 0 .* which op 1 \(atom\) hands on"
+        VerifyError, match=rf"run op {pos} donates operand {len(op.xs)}, which it lacks"
     ):
         verify_plan_ir(ir)
 
 
-def test_plan_taker_mark_on_an_op_without_out_rejected(monkeypatch):
-    ir, _first, run, pos = _pool_plan(monkeypatch)
-    run.ops[pos].take = True
+def test_plan_donate_of_a_local_the_op_does_not_release_rejected(monkeypatch):
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = _donating(run)
+    donor = op.xs[op.donate[0]]
+    op.release = tuple(x for x in op.release if x != donor)
     with pytest.raises(
-        VerifyError, match=rf"run op {pos} \(index .* is marked a taker but cannot compute in place"
+        VerifyError, match=rf"run op {pos} donates run-local value {donor} .* not dead there"
+    ):
+        verify_plan_ir(ir)
+
+
+@pytest.mark.parametrize("kind", ["atom", "index"])
+def test_plan_donate_of_a_local_another_op_hands_on_rejected(kind, monkeypatch):
+    # an ``atom`` forwards its operand, an ``index`` reads a view of it: the
+    # donor's buffer lives on in that op's result
+    ir = _lowered(_mem_prog, (2.0, np.ones(4)), monkeypatch)
+    run = _big_run(ir)
+    pos, op = _donating(run)
+    donor = op.xs[op.donate[0]]
+    q = next(q for q in range(donor + 1, len(run.ops)) if q != pos)
+    other = run.ops[q]
+    other.kind, other.op, other.affine = kind, None, None
+    other.xs = (donor,) + tuple(other.xs[1:])
+    with pytest.raises(
+        VerifyError,
+        match=rf"run op {pos} donates run-local value {donor} .* which op {q} \({kind}\) hands on",
     ):
         verify_plan_ir(ir)
 
