@@ -131,11 +131,11 @@ class _SrcEmitter:
         return self.const(r.bv)
 
     def operand(self, x) -> str:
-        """The expression of an instruction operand: a ``Ref``, a tuple of
-        them (a list display) or an ``IntRef`` (a literal, or a register read
-        validated for lane-uniformity per call)."""
+        """The expression of an instruction operand: a ``Ref``, an
+        ``IntRef`` (a literal, or a register read validated for
+        lane-uniformity per call) or a tuple of operands (a list display)."""
         if isinstance(x, tuple):
-            return "[" + ", ".join(self.ref(r) for r in x) + "]"
+            return "[" + ", ".join(self.operand(r) for r in x) + "]"
         if not isinstance(x, IntRef):
             return self.ref(x)
         if x.const is not None:

@@ -30,7 +30,10 @@ serves every shape of a rank/dtype signature:
   (``_index`` / ``_upd_acc``); any other stays a clipped gather /
   scatter-add through one linear index (``np.take`` / ``np.add.at``, see
   ``vector._linear``).  The facts are scoped to the binding body (sibling
-  scopes reuse names) — see ``_Lowerer.facts``;
+  scopes reuse names) — see ``_Lowerer.facts``.  A redomap over ``add``
+  from 0, or an accumulator map, over ``iota``s and replicates that only
+  multiplies such reads and lane scalars is an ``IContract`` (matrix
+  products; ``contract_terms``), the map (part) its exact fallback;
 * **layout**: every value's payload rank is in its IR type (``RunOp.pranks``)
   and its batch depth is where it is computed in the flattening nest, so
   both are fixed when a plan is emitted.  ``layout(ir, flags)`` — one pass
@@ -38,7 +41,8 @@ serves every shape of a rank/dtype signature:
   fused-run op its depth and each operand a static selector (``selector``,
   ``lift``; view-path ``index`` ops their view template), and every join
   (``if``, loop state, generic fold, ``update``) the depth its kernel raises
-  its values to.  Emitters call NumPy directly on the selected operands;
+  its values to; every contract its subscripts and view templates
+  (``contract_layout``).  Emitters call NumPy directly on the selected operands;
   ``verify_plan.verify_layout`` re-derives the facts.
 
 Emitters consume the IR and its layout without re-deciding anything:
@@ -100,7 +104,7 @@ from ..ir.verify import verify_mode
 from ..obs import tracing as _tracing
 from ..util import ExecError
 from .prims import INPLACE_OPS
-from .vector import BV, _view_template
+from .vector import BV, _contract_view, _view_template
 
 __all__ = [
     "Ref",
@@ -136,6 +140,9 @@ __all__ = [
     "IIf",
     "IWithAcc",
     "IUpdAcc",
+    "IContract",
+    "contract_terms",
+    "contract_layout",
     "_RUN_FUSIBLE",
 ]
 
@@ -413,6 +420,23 @@ class IUpdAcc(_Instr):
         self.affine = affine
 
 
+class IContract(_Instr):
+    """A ``+∘*`` nest as matrix products (``vector._contract``): a redomap
+    (``nes``) or an accumulator map (``accs``), its sums ``xs`` / ``terms``
+    (``contract_terms``), ``params`` / ``body`` the map (part) it falls
+    back to.  ``arrs`` are its arguments, each an ``iota`` (``lanes``) or a
+    replicate — the ``(count, value)`` of one only it reads
+    (``_drop_replicates``)."""
+
+    kind = "contract"
+    __slots__ = ("arrs", "lanes", "nes", "accs", "xs", "terms", "params", "body", "outs")
+
+    def __init__(self, arrs, lanes, nes, accs, found, params, body, outs):
+        self.arrs, self.lanes, self.nes, self.accs = arrs, lanes, nes, accs
+        self.xs, self.terms = found
+        self.params, self.body, self.outs = params, body, outs
+
+
 class PlanIR:
     """The lowered form of one ``Fun``: a flat slot space, parameter slots,
     and a ``PBody`` of instruction records.  ``fused`` counts statements
@@ -436,7 +460,7 @@ class PlanIR:
 def nested_bodies(ins) -> Tuple[PBody, ...]:
     """The bodies instruction ``ins`` executes (none for leaf instructions)."""
     kind = ins.kind
-    if kind in ("map", "loop", "withacc"):
+    if kind in ("map", "loop", "withacc", "contract"):
         return (ins.body,)
     if kind in ("reduce", "scan", "hist"):
         return tuple(b for b in (ins.mbody, ins.body) if b is not None)
@@ -460,10 +484,12 @@ def plan_counts(instrs) -> Tuple[Dict[str, int], Dict[str, int]]:
     ``mem`` is the size of the memory plan: register slots released,
     run-local values released, and scalar ops that may compute into a dead
     operand.  ``index`` is how the indexed reads and accumulator updates
-    execute: ``index`` ops and indexed ``upd_acc``s on the view path, and
-    ``index`` ops left as gathers."""
+    execute: ``index`` ops and indexed ``upd_acc``s on the view path,
+    ``index`` ops left as gathers, and contractions (``IContract``; what
+    they fall back to is counted too)."""
     mem = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0}
-    index = {"view_index_ops": 0, "view_updacc_ops": 0, "gather_index_ops": 0}
+    index = {"view_index_ops": 0, "view_updacc_ops": 0, "gather_index_ops": 0,
+             "contract_ops": 0}
 
     def walk(instrs) -> None:
         for ins in instrs:
@@ -477,6 +503,7 @@ def plan_counts(instrs) -> Tuple[Dict[str, int], Dict[str, int]]:
                         index["view_index_ops" if view else "gather_index_ops"] += 1
             elif ins.kind == "updacc":
                 index["view_updacc_ops"] += ins.affine is not None
+            index["contract_ops"] += ins.kind == "contract"
             for b in nested_bodies(ins):
                 walk(b.instrs)
 
@@ -491,6 +518,100 @@ def _run_handed_on(ops: Sequence[RunOp]) -> set:
         o.xs[0] for o in ops
         if o.kind in ("atom", "index") and isinstance(o.xs[0], int)
     }
+
+
+def contract_terms(body: PBody, params, lanes: Sequence[bool], n_acc: int):
+    """``(xs, terms)`` if the map (part) ``body`` (``params``: its arguments',
+    an ``iota``'s where ``lanes``, then ``n_acc`` accumulators) only
+    multiplies scalar view-path reads and scalars into the product it
+    returns, or into updates of its accumulators at view-path indices.
+    A term ``(acc, ids, affine, factors)`` is ``upd accs[acc][ids] += Π
+    factors`` (``acc`` ``None``: the redomap's sum), a factor ``(src, ids,
+    affine)`` the read ``src[ids]`` or (``ids`` ``None``) the scalar
+    ``src``: argument ``src``, or ``xs[src - len(lanes)]`` from outside."""
+    nargs = len(lanes)
+    arg = {s: q for q, (s, _n) in enumerate(params[:nargs])}
+    cur = {s: j for j, (s, _n) in enumerate(params[nargs:])}  # accumulator versions
+    prods: Dict[int, tuple] = {}  # slot -> the factors of the product it holds
+    xs: List[Ref] = []
+
+    def src(r, scalar: bool) -> Optional[int]:
+        if isinstance(r, int) or r.slot in prods or r.slot in cur:
+            return None
+        q = arg.get(r.slot)
+        if q is not None:
+            return q if lanes[q] != scalar else None
+        xs.append(r)
+        return nargs + len(xs) - 1
+
+    def factors(x, loc) -> Optional[tuple]:
+        if isinstance(x, int) or x.slot in prods:
+            return loc[x] if isinstance(x, int) else prods[x.slot]
+        s = src(x, True)
+        return None if s is None else ((s, None, None),)
+
+    terms: list = []
+    for ins in body.instrs:
+        if ins.kind == "run":
+            loc: List[tuple] = []
+            for o in ins.ops:
+                f: Optional[tuple] = None
+                if o.kind == "index" and o.affine is not None and o.pranks[0] == len(o.xs) - 1:
+                    a = src(o.xs[0], True)
+                    ids = tuple(src(i, False) for i in o.xs[1:])
+                    if a is not None and a >= nargs and None not in ids:
+                        f = ((a, ids, o.affine),)
+                elif o.kind == "binop" and o.op == "mul" and not any(o.pranks):
+                    fx, fy = (factors(x, loc) for x in o.xs)
+                    if fx is not None and fy is not None:
+                        f = fx + fy
+                if f is None:
+                    return None
+                loc.append(f)
+            for li, s, _n in ins.exports:
+                prods[s] = loc[li]
+        elif ins.kind == "updacc" and ins.affine is not None and ins.acc.slot in cur \
+                and ins.v.slot in prods:
+            ids = tuple(src(i, False) for i in ins.idx)
+            if None in ids:
+                return None
+            j = cur.pop(ins.acc.slot)
+            cur[ins.out[0]] = j
+            terms.append((j, ids, ins.affine, prods[ins.v.slot]))
+        else:
+            return None
+    res = body.result
+    if n_acc:
+        if [r.slot for r in res] != sorted(cur, key=cur.get):  # the final versions
+            return None
+    elif len(res) == 1 and res[0].slot in prods:
+        terms.append((None, None, None, prods[res[0].slot]))
+    else:
+        return None
+    own = [any(ids and min(ids) < nargs for _s, ids, _a in t[3]) for t in terms]
+    return (tuple(xs), tuple(terms)) if terms and all(own) else None  # a sum over its lane
+
+
+def _drop_replicates(instrs, uses: Dict[str, int], last: Dict[str, int]) -> list:
+    """``instrs`` without each replicate only a contract reads (``uses``,
+    ``last``: ``lower_body``'s), the contract taking its ``(count, value)``
+    — unless an instruction in between last reads (releases) one of them."""
+    at = {ins.out[0]: y for y, ins in enumerate(instrs) if ins.kind == "replicate"}
+    gone = set()
+    for x, ins in enumerate(instrs):
+        for a in ins.arrs if ins.kind == "contract" else ():
+            y = at.get(a.slot) if isinstance(a, Ref) else None
+            if y is None or y in gone or uses.get(a.name) != 1 or last.get(a.name) != x:
+                continue
+            rep = instrs[y]
+            if any(r is not None and y < last.get(r.name, y) < x for r in (rep.n.ref, rep.v)):
+                continue
+            ins.arrs = tuple((rep.n, rep.v) if isinstance(b, Ref) and b.slot == a.slot else b
+                             for b in ins.arrs)
+            ins.release = tuple(p for p in ins.release if p[0] != a.slot) + rep.release
+            ins.prov += rep.prov
+            gone.add(y)
+    return [ins for y, ins in enumerate(instrs) if y not in gone]
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +674,8 @@ class _Lowerer:
         self.fused = 0
         #: Index provenance of the names in scope (module docstring): an
         #: ``iota``-defined array is ``"iota"``, a lane-affine integer
-        #: ``"lane"``, a uniform one ``"uni"``.  Each body works on its own
+        #: ``"lane"``, a uniform one ``"uni"``, a replicate ``"rep"``.  Each
+        #: body works on its own
         #: copy (``lower_body``), so a fact never outlives its binding scope
         #: (and SSA rules out shadowing within one); ``_lower_stm`` and
         #: ``_lower_run_exp`` record them as they meet the defining statement.
@@ -630,10 +752,12 @@ class _Lowerer:
         # what a run must export and which of the slots this body writes die
         # where.
         last: Dict[str, int] = {}
+        uses: Dict[str, int] = {}
         for x, (i, j) in enumerate(bounds):
             for s in stms[i:j]:
                 for a in exp_free_vars(s.exp):
                     last[a.name] = x
+                    uses[a.name] = uses.get(a.name, 0) + 1
         for a in body.result:
             if isinstance(a, Var):
                 last[a.name] = len(bounds)
@@ -661,6 +785,8 @@ class _Lowerer:
             if release:
                 ins.release = tuple(release.items())
             instrs.append(ins)
+        if any(ins.kind == "contract" for ins in instrs):
+            instrs = _drop_replicates(instrs, uses, last)
         result = self.refs(body.result)
         bound = {self.slot(v.name): v.name for v in binders}
         bound.update(
@@ -774,6 +900,7 @@ class _Lowerer:
             return IIota(self.int_ref(e.n, "iota length"), np_dtype(e.elem),
                          self.out_of(stm))
         if isinstance(e, Replicate):
+            self.facts[stm.pat[0].name] = "rep"
             return IReplicate(self.int_ref(e.n, "replicate count"),
                               self.ref(e.v), self.out_of(stm))
         if isinstance(e, ScratchLike):
@@ -831,20 +958,35 @@ class _Lowerer:
 
     # -- SOACs ----------------------------------------------------------------
 
-    def _lower_map(self, e: Map, stm: Stm) -> IMap:
-        return IMap(
+    def _lower_map(self, e: Map, stm: Stm) -> _Instr:
+        return self._contracted(e.arrs, IMap(
             self.refs(e.arrs), self.refs(e.accs), self.pslots(e.lam.params),
             self.lower_body(e.lam.body, e.lam.params,
                             self._lanes_of(e.lam.params, e.arrs)),
             len(e.accs), self.outs_of(stm, len(e.lam.body.result)),
-        )
+        ))
+
+    def _contracted(self, atoms, ins) -> _Instr:
+        """``ins``, a map or a ``+`` redomap from 0 over ``atoms``, as an
+        ``IContract`` if it is one (``contract_terms``)."""
+        red = ins.kind == "reduce"
+        params, body, accs = (ins.mparams, ins.mbody, ()) if red else (
+            ins.params, ins.body, ins.accs)
+        facts = [self._fact(a) for a in atoms]
+        lanes = tuple(f == "iota" for f in facts)
+        found = (red or accs) and all(f in ("iota", "rep") for f in facts) \
+            and contract_terms(body, params, lanes, len(accs))
+        if not found:
+            return ins
+        return IContract(ins.arrs, lanes, ins.nes if red else (), accs, found, params, body,
+                         ins.outs)
 
     def _lower_map_part(self, mlam: Lambda, arrs: Sequence[Atom]):
         return self.pslots(mlam.params), self.lower_body(
             mlam.body, mlam.params, self._lanes_of(mlam.params, arrs)
         )
 
-    def _lower_reduce(self, e: Reduce, stm: Stm) -> IReduce:
+    def _lower_reduce(self, e: Reduce, stm: Stm) -> _Instr:
         arrs = self.refs(e.arrs)
         nes = self.refs(e.nes)
         outs = self.outs_of(stm, len(e.nes))
@@ -860,11 +1002,12 @@ class _Lowerer:
             # then reduce with the ufunc — fusion keeps the fast path.
             mop, mlam = rm
             mparams, mbody = self._lower_map_part(mlam, e.arrs)
-            return IReduce(
+            ins = IReduce(
                 "redomap", arrs, nes, outs, op=mop,
                 fold=not ne_is_identity(mop, e.nes[0]),
                 mparams=mparams, mbody=mbody,
             )
+            return self._contracted(e.arrs, ins) if mop == "add" and not ins.fold else ins
         return IReduce(
             "generic", arrs, nes, outs,
             params=self.pslots(e.lam.params),
@@ -982,7 +1125,7 @@ class Layout:
     (``vector.KERNELS``) to it — the depth an ``update``'s result is raised
     to, the depths the results or state of an ``if`` / ``loop`` / ``while`` /
     generic reduce or scan are raised to (the joins), an ``upd_acc``'s
-    depth and view template."""
+    depth and view template, a contract's ``contract_layout``."""
 
     __slots__ = ("flags", "ops", "outs", "kernel")
 
@@ -1000,6 +1143,61 @@ class Layout:
 #: What ``layout`` knows of a value: its batch depth, and whether it is an
 #: accumulator (threaded as it is, never raised, whatever joins it).
 _Fact = Tuple[int, bool]
+
+
+def _matmul_form(labels, out):
+    """``(f0, t0, f1, t1)`` when summing two factors with batch levels
+    ``labels`` to ``out`` is ``op[f0] @ op[f1]``, ``.T`` where ``t``."""
+    if len(labels) != 2 or len(out) != 2 or any(len(ls) != 2 for ls in labels):
+        return None
+    m, n = out
+    shared = set(labels[0]) & set(labels[1])
+    if len(shared) != 1 or shared & {m, n}:
+        return None
+    (k,) = shared
+    f0 = 0 if m in labels[0] else 1
+    if n not in labels[1 - f0]:
+        return None
+    return f0, labels[f0] != (m, k), 1 - f0, labels[1 - f0] != (k, n)
+
+
+def contract_layout(ins: IContract, fact, d: int):
+    """The static half of ``vector._contract`` at batch depth ``d`` (the
+    map's lanes are level ``d``): per term its reads ``(src, ids,
+    template)``, ``np.einsum`` subscripts (a letter per level) and their
+    ``_matmul_form``, the selector adding levels no factor has, and the
+    target ``(acc, ids, template)``; ``None`` if a read is no view (below)."""
+    deps = [d + 1 if lane else fact(a[1] if isinstance(a, tuple) else a)[0]
+            for a, lane in zip(ins.arrs, ins.lanes)] + [fact(x)[0] for x in ins.xs]
+    terms: list = []
+    for j, ids, affine, factors in ins.terms:
+        reads: list = []
+        labels: List[tuple] = []
+        for s, fids, faff in factors:
+            v = (None, tuple(range(deps[s]))) if fids is None else \
+                _contract_view(deps[s], [deps[i] for i in fids], faff)
+            if v is None:
+                return None
+            reads.append((s, fids, v[0]))
+            labels.append(v[1])
+        target, out = None, tuple(range(d))
+        if j is not None:
+            v = _contract_view(fact(ins.accs[j])[0], [deps[i] for i in ids], affine)
+            if v is None:
+                return None
+            target, out = (j, ids, v[0]), v[1]
+        have = {t for ls in labels for t in ls}
+        got = tuple(t for t in out if t in have)
+        sub = ["".join(chr(97 + t) for t in ls) for ls in labels + [got]]
+        spec = ",".join(sub[:-1]) + "->" + sub[-1]
+        osel = None if got == out else tuple(slice(None) if t in have else None for t in out)
+        # Only a read's slice surely spans its level: a sum over a level no
+        # read slices could count a product once instead of once per lane.
+        sliced = {t for (_s, _i, vt), ls in zip(reads, labels) if vt for t in ls[vt[0]:]}
+        if any(t not in out and t not in sliced for t in range(d + 1)):
+            return None
+        terms.append((tuple(reads), spec, _matmul_form(labels, got), osel, target))
+    return tuple(terms)
 
 
 class _LayoutPass:
@@ -1098,6 +1296,12 @@ class _LayoutPass:
                       + [self.fact(r) for r in ins.accs])
             res = self.body(ins.body, depth + 1, masked)
             return res[:ins.n_acc] + [(depth, False)] * (len(res) - ins.n_acc)
+        if kind == "contract":
+            accs = [self.fact(r) for r in ins.accs]
+            self.bind(ins.params, [(depth + 1, False)] * len(ins.arrs) + accs)
+            self.body(ins.body, depth + 1, masked)
+            lay.kernel[ins] = contract_layout(ins, self.fact, depth)
+            return accs or [(depth, False)]
         if kind in ("reduce", "scan", "hist"):
             if ins.mbody is not None:
                 self.bind(ins.mparams, [(depth + 1, False)] * len(ins.mparams))

@@ -154,11 +154,11 @@ def _reader(ref: Ref) -> Callable:
 
 def _operand(x) -> Callable:
     """A ``regs -> value`` accessor for an instruction operand: a ``Ref``
-    reads a ``BV``, a tuple of ``Ref``s a list of them, an ``IntRef`` a
-    lane-uniform integer (a literal, or a register read validated per
-    call)."""
+    reads a ``BV``, an ``IntRef`` a lane-uniform integer (a literal, or a
+    register read validated per call), a tuple of operands a list of
+    theirs."""
     if isinstance(x, tuple):
-        rds = tuple(_reader(r) for r in x)
+        rds = tuple(_operand(r) for r in x)
         return lambda regs, _rds=rds: [rd(regs) for rd in _rds]
     if not isinstance(x, IntRef):
         return _reader(x)

@@ -39,7 +39,11 @@ all iterations at once.  Divergent control flow runs SIMT-style:
   the gather/scatter: ``_index`` returns a basic-indexing *view* and
   ``_upd_acc`` adds into one (``_view``, its template fixed when the plan
   is emitted), falling back to the clipped ``_gather`` / scatter-add
-  whenever a per-call fact fails.
+  whenever a per-call fact fails;
+* a ``+∘*`` nest over such reads — a redomap of their product, or a map
+  adding products into accumulators — is one ``contract`` (``_contract``):
+  an ``np.matmul`` / ``np.einsum`` per sum over the views (§6.1's
+  "matmul-shaped map-reduce kernels"), the map run only as a fallback.
 
 Batched values are ``BV(data, bdims)``: ``data`` carries ``bdims`` leading
 batch axes aligned with the engine's batch-size stack.  Batch axes may have
@@ -199,9 +203,10 @@ MEM_STATS = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0,
 #: The index counters (the ``index`` section of ``plan_cache_stats``), same
 #: discipline: how many ``index`` / indexed ``upd_acc`` ops of the plans
 #: emitted take the view path (``exec/lower.py:plan_counts``) and how many
-#: reads stay gathers, plus the view ops that fell back at run time.
+#: reads stay gathers and how many are contractions, plus the view ops and
+#: contractions that fell back at run time.
 INDEX_STATS = {"view_index_ops": 0, "view_updacc_ops": 0, "gather_index_ops": 0,
-               "view_fallbacks": 0}
+               "contract_ops": 0, "view_fallbacks": 0}
 _STATS_LOCK = threading.Lock()
 
 
@@ -280,6 +285,16 @@ def _gather(ad: np.ndarray, ids: List[np.ndarray], k: int, sels) -> BV:
     return BV(_rows(ad, k + len(ids)).take(_linear(ad.shape, k, ids), axis=0), k)
 
 
+def _contract_view(ka: int, bs: Sequence[int], affine):
+    """``_view_template`` without singleton axes or transpose: ``(template,
+    labels)``, the batch level of each axis of the view, or ``None``."""
+    if _view_template(ka, bs, affine, max([ka, *bs])) is None:
+        return None
+    tmpl = (slice(None),) * ka + (None,) * len(bs) + (Ellipsis,)
+    slots = tuple((ka + p, b - 1 if b else None) for p, b in enumerate(bs))
+    return (ka, tmpl, slots, None), tuple(range(ka)) + tuple(b - 1 for b in bs if b)
+
+
 def _view_template(ka: int, bs: Sequence[int], affine, k: int):
     """The static half of reading ``a[..., i0, i1, ..]`` (``a`` carries
     ``ka`` batch axes, index operand ``p`` ``bs[p]``, the read is at batch
@@ -338,12 +353,18 @@ def _view(a: np.ndarray, ids: Sequence[np.ndarray], vt) -> Optional[np.ndarray]:
     O(1), fails: a uniform operand must be in range; an affine one must span
     exactly its lane (``size == n``) and start and end inside the axis
     (``a[i+2]`` starts past 0; ``a[i+1]`` under ``if i+1 < n`` ends past
-    it — that read stays a clipped gather)."""
+    it — that read stays a clipped gather).  A ``slice`` is a lane's
+    ``range(n)`` (``_contract``)."""
     ka, tmpl, slots, perm = vt
     sel = list(tmpl)
     for p, (q, lane) in enumerate(slots):
         d = ids[p]
         dim = a.shape[ka + p]
+        if type(d) is slice:
+            if d.stop > dim:
+                return None
+            sel[q] = d
+            continue
         if lane is None:
             j = d.item()
             if not 0 <= j < dim:
@@ -803,6 +824,66 @@ def _hist_fold(eng, m: int, arrs: List[BV], nes: List[BV], body) -> List[BV]:
     return outs
 
 
+# -- contractions -------------------------------------------------------------
+
+
+def _contract(eng, arrs, nes, accs, xs, lanes, lay, body) -> List[object]:
+    """A ``+∘*`` nest (``exec/lower.py:IContract``): each sum — a redomap's
+    value, or an update added into its accumulator's view — one
+    ``np.matmul`` (else ``np.einsum``; ``lay``: ``contract_layout``) over
+    the reads' ``_view``s and lane scalars.  ``arrs``: an ``iota``
+    (``lanes``), a replicate, or a dropped one's ``[count, value]``.  If a
+    per-call fact fails — a view, an extent, a mask on an update — nothing
+    is written and the map (part) ``body`` runs instead."""
+    srcs: List[object] = []
+    ns = set()
+    for a, lane in zip(arrs, lanes):
+        if type(a) is list:
+            n, v = a[0], a[1].data
+        else:
+            n = a.data.shape[-1 if lane else a.bdims]
+            v = slice(0, n) if lane else a.data[..., 0] if n else None
+        srcs.append(v)  # a lane index as ``_view`` takes it, or a lane scalar
+        ns.add(n)
+    srcs += [x.data for x in xs]
+    ok = lay is not None and ns == {n} and n and (not accs or eng.mask is None)
+    done: list = []
+    for reads, spec, mm, osel, target in lay if ok else ():
+        ops = [srcs[s] if vt is None else _view(srcs[s], [srcs[i] for i in ids], vt)
+               for s, ids, vt in reads]
+        if any(v is None for v in ops):
+            ok = False
+            break
+        res = None
+        if mm is not None:
+            f0, t0, f1, t1 = mm
+            x, y = ops[f0].T if t0 else ops[f0], ops[f1].T if t1 else ops[f1]
+            if x.shape[1] == y.shape[0]:  # else a factor broadcasts the summed lane
+                res = np.matmul(x, y)
+        if res is None:
+            res = np.asarray(np.einsum(spec, *ops, optimize=False))
+        if osel is not None:
+            res = res[osel]
+        if target is None:
+            done.append(BV(res, len(eng.bstack)))
+            continue
+        j, ids, vt = target
+        view = _view(accs[j].data, [srcs[i] for i in ids], vt)
+        if view is None:
+            ok = False
+            break
+        done.append((view, res))
+    if not ok:
+        _view_fell_back()
+        args = [_replicate(eng, *a) if type(a) is list else a for a in arrs]
+        if accs:
+            return _map(eng, args, accs, len(accs), body)
+        return list(_redomap(eng, args, nes, "add", False, body))
+    for view, res in done if accs else ():
+        view += res
+    return accs or done
+
+
 # -- accumulators and control flow --------------------------------------------
 
 
@@ -917,6 +998,8 @@ KERNELS = {
     "hist:redomap": (_hist_redomap, ("num_bins", "arrs", "nes"), ("op",),
                      (("mparams", "mbody"),)),
     "hist:generic": (_hist_fold, ("num_bins", "arrs", "nes"), (), (("params", "body"),)),
+    "contract": (_contract, ("arrs", "nes", "accs", "xs"), ("lanes", "layout"),
+                 (("params", "body"),)),
     "withacc": (_withacc, ("arrs",), ("n_acc",), (("params", "body"),)),
     "if": (_branch, ("cond",), ("layout",), (("then",), ("els",))),
     "loop": (_loop, ("n", "inits"), ("layout",), (("ivar", "params", "body"),)),

@@ -37,6 +37,11 @@ of structural invariants this module checks once per lowering:
   re-bound, ``2 * i`` — is rejected, naming the op and the operand.  (The
   unflagged operands of such an op are only *hints* of lane-uniformity;
   the executor checks those per call.)
+* **contractions** — a ``contract``'s terms are re-derived from the body
+  it falls back to (``lower.contract_terms``), its layout from batch
+  depths: a read through a gather, a sum into another accumulator, an
+  argument no ``iota`` / replicate or swapped subscripts is rejected; a
+  replicate it dropped is never written, so a read of it is undefined.
 
 ``verify_codegen_source`` checks the source-codegen emitter's output: the
 generated module must parse (``ast.parse``) and must not reference any free
@@ -60,6 +65,7 @@ from ..ir.verify import VERIFY_STATS, VerifyError
 from ..obs import tracing as _tracing
 from .lower import (
     _ALLOCATING,
+    IContract,
     IIf,
     ILoop,
     IMap,
@@ -72,6 +78,8 @@ from .lower import (
     PBody,
     PlanIR,
     Ref,
+    contract_layout,
+    contract_terms,
     lift,
     run_atoms,
     selector,
@@ -95,8 +103,9 @@ class _PlanChecker:
         #: a read-after-release from a plain undefined read).
         self.released: Dict[int, str] = {}
         #: slot -> ``"iota"`` (the result of an ``iota``) / ``"lane"`` (a
-        #: lane-affine integer), for the slot's *current* binding: every
-        #: ``write`` forgets what the previous one established.
+        #: lane-affine integer) / ``"rep"`` (a replicate), for the slot's
+        #: *current* binding: every ``write`` forgets what the previous one
+        #: established.
         self.facts: Dict[int, str] = {}
 
     def fail(self, msg: str, instr=None) -> None:
@@ -341,6 +350,7 @@ class _PlanChecker:
             self.read(instr.n, defined, instr)
             self.read(instr.v, defined, instr)
             self.write(*instr.out, defined, instr)
+            self.facts[instr.out[0]] = "rep"
         elif kind == "scratch":
             self.read(instr.n, defined, instr)
             self.read(instr.x, defined, instr)
@@ -368,6 +378,17 @@ class _PlanChecker:
                     f"{len(instr.body.result)} lambda results",
                     instr,
                 )
+            for slot, name in instr.outs:
+                self.write(slot, name, defined, instr)
+        elif isinstance(instr, IContract):
+            for x in (*instr.arrs, instr.nes, instr.accs, instr.xs):
+                self.reads(x if isinstance(x, tuple) else (x,), defined, instr)
+            inner = set(defined)
+            refs = [a if isinstance(a, Ref) else a[1] for a in instr.arrs]
+            self.bind_params(instr.params, inner, instr, refs)
+            self.check_body(instr.body, inner)
+            left = inner - defined
+            self.check_contract(instr)
             for slot, name in instr.outs:
                 self.write(slot, name, defined, instr)
         elif isinstance(instr, IReduce):  # also IScan (subclass)
@@ -477,6 +498,21 @@ class _PlanChecker:
         else:  # pragma: no cover - exhaustiveness guard
             self.fail(f"unknown instruction kind {kind!r}", instr)
         return left
+
+    def check_contract(self, instr: IContract) -> None:
+        """What the kernel takes on trust: each argument is what ``lanes``
+        says, and the terms are what its fallback body computes."""
+        for q, (a, lane) in enumerate(zip(instr.arrs, instr.lanes)):
+            if ("rep" if isinstance(a, tuple) else self.facts.get(a.slot)) != (
+                    "iota" if lane else "rep"):
+                self.fail(f"contract argument {q} is no {'iota' if lane else 'replicate'}",
+                          instr)
+        found = contract_terms(instr.body, instr.params, instr.lanes, len(instr.accs))
+        if found is None:
+            self.fail("contract falls back to a body that is no +∘* nest", instr)
+        elif (found[1], list(map(id, found[0]))) != (instr.terms, list(map(id, instr.xs))):
+            self.fail(f"contract records terms {instr.terms}, its body computes "
+                      f"{found[1]}", instr)
 
     def _check_operator_part(self, instr, defined: Set[int]) -> Set[int]:
         """The fused map part / generic lambda of a reduce/scan/hist;
@@ -659,6 +695,15 @@ class _LayoutChecker:
                       + [self.fact(r) for r in ins.accs])
             res = self.body(ins.body, depth + 1, masked)
             return res[:ins.n_acc] + [(depth, False)] * (len(res) - ins.n_acc)
+        if kind == "contract":
+            accs = [self.fact(r) for r in ins.accs]
+            self.bind(ins.params, [(depth + 1, False)] * len(ins.arrs) + accs)
+            self.body(ins.body, depth + 1, masked)
+            want = contract_layout(ins, self.fact, depth)
+            if ins not in self.lay.kernel or repr(self.lay.kernel[ins]) != repr(want):
+                self.fail(f"contract recorded as {self.lay.kernel.get(ins)!r}, its "
+                          f"operands give {want!r}", ins)
+            return accs or [(depth, False)]
         if kind in ("reduce", "scan", "hist"):
             if ins.mbody is not None:
                 self.bind(ins.mparams, [(depth + 1, False)] * len(ins.mparams))

@@ -79,6 +79,8 @@ def _stm_label(stm) -> str:
 def _label_of(prov: tuple, kind: str) -> str:
     if not prov:
         return f"<{kind}>"
+    if kind == "contract":  # the map or reduce, then the replicates it dropped
+        return "contract " + _stm_label(prov[0])
     if len(prov) == 1:
         return _stm_label(prov[0])
     first, last = prov[0].pat[0].name, prov[-1].pat[0].name

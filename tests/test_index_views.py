@@ -16,10 +16,11 @@ import pytest
 
 import repro as rp
 from repro import obs
-from repro.apps import datagen, gmm, kmeans, lstm
+from repro.apps import datagen, gmm, hand, kmeans, kmeans_sparse, lstm
 from repro.ir import F64, I64, Fun, Lambda, Var, array
 from repro.ir.builder import Builder
 from repro.ir.types import AccType
+from repro.exec.lower import lower_fun, nested_bodies
 from repro.exec.plan import clear_plan_cache, plan_cache_stats
 from repro.obs import profiler
 from helpers import numpy_call_census, run_both
@@ -343,7 +344,7 @@ def test_index_counters_and_profile_marks(monkeypatch):
     fc(a, backend="plan")
     ix = plan_cache_stats()["index"]
     assert ix == {"view_index_ops": 1, "view_updacc_ops": 0, "gather_index_ops": 0,
-                  "view_fallbacks": 0}
+                  "contract_ops": 0, "view_fallbacks": 0}
     v = rp.vjp(fc)
     v(a, np.ones((N, M)), backend="plan")
     assert plan_cache_stats()["index"]["view_updacc_ops"] == 1
@@ -359,6 +360,270 @@ def test_index_counters_and_profile_marks(monkeypatch):
     fc(a, backend="plan")
     rep = profiler.profile_report()
     (entry,) = [e for e in rep["entries"] if e["kind"] == "map"]
-    assert entry["index"] == {"view_index_ops": 1, "view_updacc_ops": 0, "gather_index_ops": 0}
+    assert entry["index"] == {"view_index_ops": 1, "view_updacc_ops": 0, "gather_index_ops": 0,
+                              "contract_ops": 0}
     assert "view/gather" in profiler.format_profile_report(rep)
     profiler.reset_profile()
+
+
+# ---------------------------------------------------------------------------
+# Contractions: ``+∘*`` nests as one matmul / einsum
+# ---------------------------------------------------------------------------
+
+
+def _contracts_of(f, *args, backend="plan"):
+    """``contract_ops`` of the plans ``f``'s first call lowers."""
+    clear_plan_cache()
+    f(*args, backend=backend)
+    return plan_cache_stats()["index"]["contract_ops"]
+
+
+def test_contract_counts_and_profile_label(monkeypatch):
+    """The LSTM gradient's products contract; the HAND Jacobian and dense
+    k-means have none (their plans are the uncontracted ones).  A contract
+    has no ``strategy``: counters keyed by reduce strategy never see it."""
+    g, inp = _lstm_grad()
+    assert _contracts_of(g, *inp) > 0
+    step, kin = _kmeans_newton()
+    assert _contracts_of(step, *kin) == 0
+    fwd = rp.jvp(rp.compile(hand.build_ir(3, 8)))
+    hin = datagen.hand_instance(3, 8, 0)
+    assert _contracts_of(lambda *a, backend: hand.jacobian_fwd_ad(fwd, *a, backend=backend),
+                         *hin) == 0
+
+    def walk(body):
+        for ins in body.instrs:
+            yield ins
+            for b in nested_bodies(ins):
+                yield from walk(b)
+
+    contracts = [ins for ins in walk(lower_fun(g.adfun.fun).body) if ins.kind == "contract"]
+    assert contracts and not any(hasattr(ins, "strategy") for ins in contracts)
+
+    a, b = _mat(), np.arange(1.0, M + 1.0)
+    fc = rp.compile(rp.trace_like(lambda a, b: rp.sum(rp.map(lambda j: a[1, j] * b[j],
+                                                             rp.iota(M))), (a, b)))
+    profiler.reset_profile()
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    clear_plan_cache()
+    fc(a, b, backend="plan")
+    (entry,) = [e for e in profiler.profile_report()["entries"] if e["kind"] == "contract"]
+    assert entry["label"].startswith("contract ") and entry["index"]["contract_ops"] == 1
+    profiler.reset_profile()
+
+
+def _oracle_programs():
+    """The contracted programs: LSTM at the compile-cold / reduced bench size
+    and at sizes where no two of ``bs``, ``d``, ``h`` agree, GMM and sparse
+    k-means (``helpers.cold_programs`` sizes)."""
+    def lstm_at(bs, n, d, h):
+        xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(bs, n, d, h, 1)
+        return lambda: lstm.build_ir(n, bs, d, h), (xs, wx, wh, b, wy, tg)
+
+    return {
+        "lstm": lstm_at(2, 3, 4, 4),
+        "lstm_odd": lstm_at(3, 2, 5, 4),
+        "gmm": (lambda: gmm.build_ir(16, 4, 3), datagen.gmm_instance(16, 4, 3, 1)[:4]),
+        "kmeans_sparse": (lambda: kmeans_sparse.build_ir(20, 3, 12),
+                          datagen.sparse_kmeans_instance(20, 12, 3, 3, 1)),
+    }
+
+
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+@pytest.mark.parametrize("name", sorted(_oracle_programs()))
+def test_contracted_programs_against_independent_oracles(name, backend):
+    """Every contracted program against oracles that share nothing with it:
+    the dot-product identity ⟨w, J·v⟩ = ⟨Jᵀ·w, v⟩ between the forward and
+    the reverse program at seeded random ``v`` and ``w``, to 1e-9 relative
+    — both sides sum the same float64 products, and a contraction only
+    reorders sums (BLAS order, not left to right), which moves them by a
+    few ulps; central differences along ``v`` (eps 1e-6 on O(1) values: 1e-5
+    relative); and the reference interpreter (``run_both``, 1e-10)."""
+    build, args = _oracle_programs()[name]
+    fc = rp.compile(build())
+    rev = rp.vjp(fc)
+    floats = [k for k, a in enumerate(args) if np.asarray(a).dtype.kind == "f"]
+    rng = np.random.default_rng(7)
+    v = [rng.standard_normal(np.shape(args[k])) for k in floats]
+    w = rng.standard_normal()
+    assert _contracts_of(rev, *args, w, backend=backend) > 0
+    run_both(rev, *args, w)
+    jv = rp.jvp(fc)(*args, *v, backend=backend)[1]
+    xbar = rev(*args, w, backend=backend)[1:]
+    lhs, rhs = w * float(jv), sum(float((xb * d).sum()) for xb, d in zip(xbar, v))
+    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), (lhs, rhs)
+
+    def at(s):
+        moved = list(args)
+        for k, d in zip(floats, v):
+            moved[k] = args[k] + s * 1e-6 * d
+        return float(fc(*moved, backend=backend))
+
+    fd = w * (at(1.0) - at(-1.0)) / 2e-6
+    np.testing.assert_allclose(rhs, fd, rtol=1e-5, atol=1e-6)
+
+
+def _shifted_read(a, c):
+    """``a[i + 1, j]`` under ``if i + 1 < N``: the contract's view of ``a``
+    starts at 1 and runs past the last row, so every call falls back."""
+    return rp.map(
+        lambda i: rp.cond(i + 1 < N,
+                          lambda: rp.sum(rp.map(lambda j: a[i + 1, j] * c[i, j], rp.iota(M))),
+                          lambda: 0.0),
+        rp.iota(N))
+
+
+def _empty_sum(a, c):
+    return rp.map(lambda i: rp.sum(rp.map(lambda j: a[i, j] * c[i, j], rp.iota(0))),
+                  rp.iota(N))
+
+
+def _masked_products(a, c):
+    """The products sit in a branch, so their adjoint accumulator map runs
+    under a mask: inactive lanes must add nothing."""
+    return rp.map(
+        lambda i: rp.cond(i % 2 == 0,
+                          lambda: rp.sum(rp.map(lambda j: a[i, j] * c[i, j], rp.iota(M))),
+                          lambda: 0.0),
+        rp.iota(N))
+
+
+@pytest.mark.parametrize("prog,shape", [(_shifted_read, (N, M)), (_empty_sum, (N, 0)),
+                                        (_masked_products, (N, M))],
+                         ids=["view_fails", "zero_extent", "masked"])
+def test_contract_hazards_fall_back_exactly(prog, shape):
+    """Each hazard equals ``ref`` as a value and under ``vjp``/``jvp``, its
+    contract falling back at run time (counted in ``view_fallbacks``): the
+    read's, the empty sum's, and the masked adjoint update's."""
+    a = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7.0
+    c = np.linspace(0.5, 2.0, int(np.prod(shape))).reshape(shape)
+    fc = _all_modes(prog, (a, c))
+    cached, args = (rp.vjp(fc), (a, c, np.ones(N))) if prog is _masked_products else (fc, (a, c))
+    assert _contracts_of(cached, *args) > 0
+    before = plan_cache_stats()["index"]["view_fallbacks"]
+    cached(*args, backend="plan")
+    assert plan_cache_stats()["index"]["view_fallbacks"] > before
+
+
+def test_contract_with_a_lane_uniform_factor_counts_it_once_per_lane():
+    """``upd acc[j] += w[j] * s`` under maps over ``i`` and ``j``: no factor
+    varies along the summed lane ``i``, so one product would count ``w[j]
+    * s`` once instead of ``N`` times.  The contract falls back to the map,
+    whose update takes ``np.add.at`` (``test_upd_acc_with_a_lane_uniform_
+    value_takes_add_at``'s hazard)."""
+    a, wv, s = Var("a", array(F64)), Var("w", array(F64)), Var("s", F64)
+    acc_t = AccType(F64, 1)
+    i, j = Var("i", I64), Var("j", I64)
+    acc0, acc1, acc2 = (Var(f"acc{k}", acc_t) for k in range(3))
+    inner = Builder()
+    upd = inner.upd_acc(acc2, (j,), inner.mul(inner.index(wv, (j,)), s))
+    mid = Builder()
+    is_m = mid.iota(M)
+    (acc_m,) = mid.map(Lambda((j, acc2), inner.finish([upd])), [is_m], [acc1])
+    top = Builder()
+    is_n = top.iota(N)
+    (acc_n,) = top.map(Lambda((i, acc1), mid.finish([acc_m])), [is_n], [acc0])
+    b = Builder()
+    (out,) = b.with_acc([a], Lambda((acc0,), top.finish([acc_n])))
+    fc = rp.compile(Fun("lane_uniform_product", (a, wv, s), b.finish([out])), optimize=False)
+    av, w = np.arange(1.0, M + 1.0), np.linspace(0.5, 2.0, M)
+    np.testing.assert_allclose(run_both(fc, av, w, 0.5), av + N * w * 0.5, rtol=1e-12)
+    assert _contracts_of(fc, av, w, 0.5) == 1
+    before = plan_cache_stats()["index"]["view_fallbacks"]
+    fc(av, w, 0.5, backend="plan")
+    assert plan_cache_stats()["index"]["view_fallbacks"] > before
+
+
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def test_contract_under_batched_seeds_matches_ref_per_seed(backend):
+    """A seed batch adds a level under every contraction, and a batched
+    array an own batch axis to its reads: each seed still equals ``ref``."""
+    def matvec(w, x):
+        return rp.map(lambda i: rp.sum(rp.map(lambda j: w[i, j] * x[j], rp.iota(M))),
+                      rp.iota(N))
+
+    rng = np.random.default_rng(3)
+    w, x = rng.standard_normal((N, M)), rng.standard_normal(M)
+    ws, seeds = rng.standard_normal((3, N, M)), rng.standard_normal((3, N))
+    v = rp.vjp(rp.compile(rp.trace_like(matvec, (w, x))))
+    assert _contracts_of(v, w, x, seeds[0], backend=backend) > 0
+    for flags, arrs in (((False, False, True), (w, x, seeds)),
+                        ((True, False, True), (ws, x, seeds))):
+        out = v.call_batched(arrs, flags, 3, backend=backend)
+        for s in range(3):
+            one = v(*[a[s] if f else a for a, f in zip(arrs, flags)], backend="ref")
+            for got, want in zip(out, one):
+                np.testing.assert_allclose(np.asarray(got)[s], want, rtol=1e-12, atol=1e-12)
+
+
+def _replicate_map(with_acc_body):
+    """``with_acc [a] (\\acc0 -> ...)`` over ``with_acc_body(top, acc0)``,
+    compiled unoptimised (the program keeps its exact shape): a function of
+    ``a``, ``w`` and the scalar ``s``."""
+    a, wv, s = Var("a", array(F64)), Var("w", array(F64)), Var("s", F64)
+    acc0 = Var("acc0", AccType(F64, 1))
+    top = Builder()
+    b = Builder()
+    (out,) = b.with_acc([a], Lambda((acc0,), top.finish([with_acc_body(top, wv, s, acc0)])))
+    return rp.compile(Fun("replicate_map", (a, wv, s), b.finish([out])), optimize=False)
+
+
+def _replicates_kept(fc) -> int:
+    """The ``replicate`` instructions left in ``fc``'s lowered plan."""
+    def walk(body):
+        return sum((ins.kind == "replicate") + sum(walk(b) for b in nested_bodies(ins))
+                   for ins in body.instrs)
+    return walk(lower_fun(fc.fun).body)
+
+
+@pytest.mark.parametrize("verify", ["off", "full"])
+def test_contract_reads_a_replicate_it_maps_twice(monkeypatch, verify):
+    """``map (\\j c1 c2 -> upd acc[j] += w[j] * c1 * c2) (iota m) r r``: one
+    replicate is two arguments of one contract, which drops it once."""
+    monkeypatch.setenv("REPRO_VERIFY", verify)
+
+    def body(top, wv, s, acc0):
+        j, c1, c2 = Var("j", I64), Var("c1", F64), Var("c2", F64)
+        acc1 = Var("acc1", AccType(F64, 1))
+        inner = Builder()
+        upd = inner.upd_acc(acc1, (j,), inner.mul(inner.mul(inner.index(wv, (j,)), c1), c2))
+        r = top.replicate(M, s)
+        (acc_m,) = top.map(Lambda((j, c1, c2, acc1), inner.finish([upd])),
+                           [top.iota(M), r, r], [acc0])
+        return acc_m
+
+    fc = _replicate_map(body)
+    av, w = np.arange(1.0, M + 1.0), np.linspace(0.5, 2.0, M)
+    np.testing.assert_allclose(run_both(fc, av, w, 0.5), av + w * 0.25, rtol=1e-12)
+    assert _contracts_of(fc, av, w, 0.5) == 1
+    assert _replicates_kept(fc) == 0
+
+
+@pytest.mark.parametrize("verify", ["off", "full"])
+def test_contract_replicate_whose_value_dies_before_the_map(monkeypatch, verify):
+    """``s2 = s * 1; r = replicate m s2; t = s2 + 1; map .. r``: ``s2``'s
+    last reader sits between the replicate and the contract, so ``s2`` is
+    released before the contract runs: the contract keeps the replicate
+    rather than take ``s2``.  ``t`` is added in so it stays live."""
+    monkeypatch.setenv("REPRO_VERIFY", verify)
+
+    def body(top, wv, s, acc0):
+        j, c = Var("j", I64), Var("c", F64)
+        acc1 = Var("acc1", AccType(F64, 1))
+        s2 = top.mul(s, 1.0)
+        r = top.replicate(M, s2)
+        t = top.add(s2, 1.0)
+        inner = Builder()
+        upd = inner.upd_acc(acc1, (j,), inner.mul(inner.index(wv, (j,)), c))
+        (acc_m,) = top.map(Lambda((j, c, acc1), inner.finish([upd])), [top.iota(M), r], [acc0])
+        j2, acc2 = Var("j2", I64), Var("acc2", AccType(F64, 1))
+        inner2 = Builder()
+        upd2 = inner2.upd_acc(acc2, (j2,), t)
+        (acc_t,) = top.map(Lambda((j2, acc2), inner2.finish([upd2])), [top.iota(M)], [acc_m])
+        return acc_t
+
+    fc = _replicate_map(body)
+    av, w = np.arange(1.0, M + 1.0), np.linspace(0.5, 2.0, M)
+    np.testing.assert_allclose(run_both(fc, av, w, 0.5), av + w * 0.5 + 1.5, rtol=1e-12)
+    assert _contracts_of(fc, av, w, 0.5) == 1
+    assert _replicates_kept(fc) == 1

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro as rp
+from repro.apps import lstm
 from repro.ir import (
     BOOL,
     F64,
@@ -24,6 +25,7 @@ from repro.ir import (
     verify_mode,
     verify_stats,
 )
+from repro.ir.builder import Builder
 from repro.ir.ast import (
     AtomExp,
     BinOp,
@@ -44,9 +46,11 @@ from repro.ir.ast import (
 from repro.ir.types import AccType
 from repro.ir.verify import VERIFY_STATS
 from repro.util import ReproError
-from repro.exec.lower import ILoop, IMap, IRun, PlanIR, Ref, lower_fun, nested_bodies
+from repro.exec.lower import (
+    ILoop, IMap, IRun, PlanIR, Ref, layout, lower_fun, nested_bodies,
+)
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
-from repro.exec.verify_plan import verify_codegen_source, verify_plan_ir
+from repro.exec.verify_plan import verify_codegen_source, verify_layout, verify_plan_ir
 from helpers import run_both
 from test_fuzz_programs import _gen_program
 
@@ -762,6 +766,98 @@ def test_verify_failures_counted():
         verify_fun(bad, where="opt:evil")
     assert VERIFY_STATS["fun_checks"] == before[0] + 1
     assert VERIFY_STATS["failures"] == before[1] + 1
+
+
+# -- contractions --------------------------------------------------------------
+
+
+def _lstm_contracts(monkeypatch):
+    """The lowered LSTM gradient (verified pristine) and its contracts, each
+    with the body holding it."""
+    monkeypatch.setenv("REPRO_VERIFY", "off")
+    fun = rp.grad(rp.compile(lstm.build_ir(3, 2, 5, 4)), wrt=[1, 2, 3, 4]).adfun.fun
+    ir = lower_fun(fun)
+    verify_plan_ir(ir)
+    found = []
+
+    def walk(body):
+        for ins in body.instrs:
+            if ins.kind == "contract":
+                found.append((body, ins))
+            for b in nested_bodies(ins):
+                walk(b)
+
+    walk(ir.body)
+    return ir, found
+
+
+def test_plan_contract_swapped_output_subscripts_rejected(monkeypatch):
+    ir, found = _lstm_contracts(monkeypatch)
+    lay = layout(ir)
+    verify_layout(ir, lay)
+    ins = next(ins for _b, ins in found if lay.kernel[ins][0][1].endswith("->ab"))
+    (term,) = lay.kernel[ins]
+    lay.kernel[ins] = ((term[0], term[1][:-2] + "ba") + term[2:],)
+    with pytest.raises(VerifyError, match="contract recorded as"):
+        verify_layout(ir, lay)
+
+
+def test_plan_contract_operand_read_through_a_gather_rejected(monkeypatch):
+    ir, found = _lstm_contracts(monkeypatch)
+    _body, ins = found[0]
+    op = next(o for r in ins.body.instrs if isinstance(r, IRun) for o in r.ops
+              if o.kind == "index")
+    op.affine = None  # what lowering leaves on a gather
+    with pytest.raises(VerifyError, match="contract falls back to a body that is no"):
+        verify_plan_ir(ir)
+
+
+def test_plan_contract_aimed_at_another_accumulator_rejected(monkeypatch):
+    ir, found = _lstm_contracts(monkeypatch)
+    ins = next(ins for _b, ins in found if len(ins.accs) == 2)
+    j, *rest = ins.terms[0]
+    ins.terms = ((1 - j, *rest),) + ins.terms[1:]
+    with pytest.raises(VerifyError, match="contract records terms"):
+        verify_plan_ir(ir)
+
+
+def test_plan_contract_argument_no_replicate_rejected(monkeypatch):
+    """The kernel reads a non-lane argument as its lane scalar: it must be
+    a replicate, not any array of the right rank."""
+    ir, found = _lstm_contracts(monkeypatch)
+    ins = next(ins for _b, ins in found if not all(ins.lanes) and ins.xs)
+    q = ins.lanes.index(False)
+    ins.arrs = ins.arrs[:q] + (ins.xs[0],) + ins.arrs[q + 1:]
+    with pytest.raises(VerifyError, match=f"contract argument {q} is no replicate"):
+        verify_plan_ir(ir)
+
+
+def test_plan_read_of_a_dropped_replicate_rejected(monkeypatch):
+    """``r = replicate 4 s`` feeds a contract and then ``map (\\j c acc ->
+    upd acc[j] += c + 1)``, so lowering keeps it.  Dropped anyway (the
+    contract takes ``(4, s)``), that map reads a slot nothing wrote."""
+    monkeypatch.setenv("REPRO_VERIFY", "off")
+    a, wv, s = Var("a", array(F64)), Var("w", array(F64)), Var("s", F64)
+    acc0 = Var("acc0", AccType(F64, 1))
+    top = Builder()
+    r, acc = top.replicate(4, s), acc0
+    for q in range(2):
+        j, c, acc1 = Var(f"j{q}", I64), Var(f"c{q}", F64), Var(f"acc{q + 1}", AccType(F64, 1))
+        inner = Builder()
+        v = inner.add(c, 1.0) if q else inner.mul(inner.index(wv, (j,)), c)
+        lam = Lambda((j, c, acc1), inner.finish([inner.upd_acc(acc1, (j,), v)]))
+        (acc,) = top.map(lam, [top.iota(4), r], [acc])
+    b = Builder()
+    (out,) = b.with_acc([a], Lambda((acc0,), top.finish([acc])))
+    ir = lower_fun(Fun("replicate_read_twice", (a, wv, s), b.finish([out])))
+    verify_plan_ir(ir)
+    (body,) = [wa.body for wa in ir.body.instrs if wa.kind == "withacc"]
+    rep, ins = [i for i in body.instrs if i.kind in ("replicate", "contract")]
+    slot, name = rep.out
+    ins.arrs = tuple((rep.n, rep.v) if x.slot == slot else x for x in ins.arrs)
+    body.instrs = tuple(i for i in body.instrs if i is not rep)
+    with pytest.raises(VerifyError, match=rf"read of undefined slot {slot} \('{name}'\)"):
+        verify_plan_ir(ir)
 
 
 # ---------------------------------------------------------------------------
