@@ -25,18 +25,36 @@ elements, or its index array), and — for the redomap cases — the fused
 operator must round-trip through ``recognize_redomap_lambda`` so it stays
 both fast and un-fusable.  Applied bottom-up and to a fixed point by the
 pass pipeline driver.
+
+**Tiling** (``tile_fun``, its own pass, AD-safe, before ``fuse``) batches
+sibling slices instead of merging SOACs.  In ``map (λu. …) iota(n)`` with a
+literal ``n``, it takes the largest k ≥ 2 statement slices ``S_g`` such that:
+``S_g`` reads ``u`` only through ``t_g = c_g + u`` (``offset_step``, with
+``t_0 = u``); the slices are alpha-equal once ``t_g`` is renamed to one
+``r``; the offsets are exactly ``{0, n, …, (k−1)·n}``; each slice holds a
+SOAC; and whatever else a slice reads is bound outside the map or is a
+body-local statement that does not depend on ``u`` (copied along).  It emits
+``gs = map (λr. S_0[u := r]) iota(k·n)`` before the map and reads each
+slice's results as ``gs[t_g]``.  The k instances cover ``[0, k·n)`` once
+each, so no element is computed twice and no new index is read.  On the
+LSTM the slice is each gate's pre-activation, so a weight matrix becomes
+one contraction per step, and its adjoint one more.  Alpha-equality asks
+for shared free names, so the pass relies on CSE having run.
 """
 from __future__ import annotations
 
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.analysis import recognize_redomap_lambda
+from ..ir.analysis import ir_hash, offset_step, recognize_redomap_lambda
 from ..ir.ast import (
     BinOp,
     Body,
+    Const,
     Exp,
     Fun,
+    Index,
+    Iota,
     Lambda,
     Map,
     Reduce,
@@ -46,22 +64,26 @@ from ..ir.ast import (
     Var,
 )
 from ..ir.traversal import (
+    count_soacs,
     free_vars,
     free_vars_exp,
     inline_lambda,
     map_bodies,
+    refresh_lambda,
     rename_var,
     same_body,
+    subst_exp,
     with_body,
     with_exp,
 )
-from ..ir.types import rank_of, with_rank
+from ..ir.types import elem_type, rank_of, with_rank
 from ..obs import metrics as _obs_metrics
 from ..util import ADError, fresh
 
 __all__ = [
     "fuse_fun",
     "fuse_body",
+    "tile_fun",
     "unfuse_fun",
     "unfuse_body",
     "fusion_stats",
@@ -290,6 +312,122 @@ def _horizontal_step(stms: List[Stm]) -> bool:
                 return True
             between.update(v.name for v in s2.pat)
     return False
+
+
+# ---------------------------------------------------------------------------
+# Tiling: row-tiled sibling slices become one map over iota(k·n)
+# ---------------------------------------------------------------------------
+
+
+def _alpha_key(stm: Stm) -> Tuple[Tuple[str, ...], str]:
+    """``stm`` up to the names it binds: the names it reads, and a hash that
+    numbers its binders (``ir_hash`` over the reads as parameters)."""
+    fv = sorted(free_vars_exp(stm.exp).values(), key=lambda v: v.name)
+    return tuple(v.name for v in fv), ir_hash(Fun("stm", tuple(fv), Body((stm,), ())))
+
+
+def _tile_map(stm: Stm, iotas: Dict[str, Iota]) -> Optional[List[Stm]]:
+    """``[iota, gs = map (λr. S_0[u := r]) iota(k·n), stm']`` when the body
+    of ``stm = map (λu. …) iota(n)`` holds k ≥ 2 alpha-equal slices, slice g
+    reading ``u`` only through ``t_g = g·n + u`` and holding a SOAC; ``stm'``
+    reads each slice's results as ``gs[t_g]``.  None when nothing tiles."""
+    e = stm.exp
+    if e.accs or len(e.arrs) != 1 or e.arrs[0].name not in iotas:
+        return None
+    (u,), body = e.lam.params, e.lam.body
+    offs: Dict[str, int] = {u.name: 0}
+    roots = {u.name: u}
+    for s in body.stms:
+        step = offset_step(s.exp)
+        if step and step[0].name in offs:
+            offs[s.pat[0].name] = offs[step[0].name] + step[1]
+            roots[s.pat[0].name] = s.pat[0]
+    n, k = int(iotas[e.arrs[0].name].n.value), len(offs)
+    if k < 2 or sorted(offs.values()) != [g * n for g in range(k)]:
+        return None
+    deps: Dict[str, frozenset] = {}  # body-local name -> the roots it reads
+    for s in body.stms:
+        if not (s.pat and s.pat[0].name in roots):
+            d = frozenset().union(
+                *(deps.get(x, {x} if x in offs else ()) for x in free_vars_exp(s.exp))
+            )
+            deps.update((v.name, d) for v in s.pat)
+    ts = sorted(offs, key=offs.__getitem__)
+    slices = [[s for s in body.stms if s.pat and deps.get(s.pat[0].name) == {t}] for t in ts]
+    if not count_soacs(Body(tuple(slices[0]), ())):
+        return None
+    # The largest common slice: S_0's statements in order, each matched to an
+    # alpha-equal statement of every S_g.  One reading an unmatched statement
+    # of S_0 keeps its name under ``rho[g]``, which no statement of S_g reads.
+    pools: List[Dict[tuple, List[Stm]]] = [{} for _ in ts]
+    for g in range(1, k):
+        for s in slices[g]:
+            pools[g].setdefault(_alpha_key(s), []).append(s)
+    rho: List[Dict[str, Var]] = [{u.name: roots[t]} for t in ts]
+    common: List[List[Stm]] = [[] for _ in ts]
+    for s in slices[0]:
+        keys = [_alpha_key(Stm(s.pat, subst_exp(s.exp, rho[g]))) for g in range(1, k)]
+        if not all(pools[g].get(key) for g, key in enumerate(keys, 1)):
+            continue
+        matched = [s] + [pools[g][key].pop(0) for g, key in enumerate(keys, 1)]
+        for c, r, s_g in zip(common, rho, matched):
+            c.append(s_g)
+            r.update((p.name, q) for p, q in zip(s.pat, s_g.pat))
+    if not count_soacs(Body(tuple(common[0]), ())):
+        return None
+    dropped = {id(s) for c in common for s in c}
+    used = {a.name for a in body.result if isinstance(a, Var)}
+    for s in body.stms:
+        if id(s) not in dropped:
+            used.update(free_vars_exp(s.exp))
+    outs = [v for s in common[0] for v in s.pat if any(r[v.name].name in used for r in rho)]
+    if not outs:
+        return None
+    # Body-local statements the slice reads that do not depend on ``u``.
+    need = set().union(*(free_vars_exp(s.exp) for s in common[0]))
+    inv: List[Stm] = []
+    for s in reversed(body.stms):
+        if s.pat and deps.get(s.pat[0].name) == frozenset() and need & {v.name for v in s.pat}:
+            inv.insert(0, s)
+            need.update(free_vars_exp(s.exp))
+    iota = iotas[e.arrs[0].name]
+    big = Var(fresh("tile_is"), e.arrs[0].type)
+    gs = [Var(fresh("tile"), with_rank(elem_type(v.type), rank_of(v.type) + 1)) for v in outs]
+    lam = refresh_lambda(Lambda((u,), Body(tuple(inv + common[0]), tuple(outs))))
+    where = {r[v.name].name: Index(a, (roots[t],))
+             for r, t in zip(rho, ts) for v, a in zip(outs, gs)}
+    stms: List[Stm] = []
+    for s in body.stms:
+        if id(s) not in dropped:
+            stms.append(s)
+        else:  # the slice's results read from ``gs``; DCE drops the dead reads
+            stms.extend(Stm((p,), where[p.name]) for p in s.pat if p.name in where)
+    return [
+        Stm((big,), Iota(Const(k * n, iota.n.type), iota.elem)),
+        Stm(tuple(gs), Map(lam, (big,))),
+        Stm(stm.pat, Map(Lambda((u,), Body(tuple(stms), body.result)), e.arrs)),
+    ]
+
+
+def _tile_body(body: Body, iotas: Dict[str, Iota]) -> Body:
+    def nested(b: Body) -> Body:  # sees the literal iotas bound so far
+        return _tile_body(b, iotas)
+
+    out: List[Stm] = []
+    for stm in body.stms:
+        stm = with_exp(stm, map_bodies(stm.exp, nested))
+        e = stm.exp
+        if type(e) is Iota and type(e.n) is Const:
+            iotas = {**iotas, stm.pat[0].name: e}
+        tiled = _tile_map(stm, iotas) if type(e) is Map else None
+        out.extend(tiled or (stm,))
+    return same_body(body, out, body.result)
+
+
+def tile_fun(fun: Fun) -> Fun:
+    """Hoist row-tiled sibling slices of a ``map`` over ``iota(n)`` into one
+    map over ``iota(k·n)`` (see the module docstring)."""
+    return with_body(fun, _tile_body(fun.body, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The optimisation pipeline: five named passes with a fixed-point driver.
+"""The optimisation pipeline: six named passes with a fixed-point driver.
 
 Mirrors the paper's setup: a battery of standard simplifications runs both
 before AD (the source program is "already heavily optimized by the compiler")
@@ -16,6 +16,9 @@ Passes are named ``Fun -> Fun`` rewrites; they run in this order:
 * ``fission``  — split k-ary reduce/scan/hist into one SOAC per independent
   component group, so AD's dual-number sums lower to bulk ufunc kernels
   (``opt/fission.py``; ``passes=`` without it is the ablation);
+* ``tile``     — hoist k alpha-equal slices of a ``map`` over ``iota(n)``
+  that read rows ``g·n + u`` into one map over ``iota(k·n)``, read back
+  as ``gs[g·n + u]`` (``opt/fusion.py``; the LSTM's four gates);
 * ``fuse``     — vertical/horizontal SOAC fusion (``opt/fusion.py``);
 * ``dce``      — dead-code elimination.
 
@@ -37,12 +40,15 @@ so no later call fires *P* on it again, whatever its pass list —
 
 The enabled set is the ``passes`` argument (a sequence of pass names;
 ``("simplify", "cse", "dce")`` is the fusion ablation, ``()`` disables
-everything) or, without one, all five.
+everything) or, without one, all six.
 
 Note that ``fuse`` is enabled only for *executed* programs: the AD entry
 points optimise with ``AD_SAFE_PASSES`` (and ``unfuse_fun``) before
 differentiating, because the reduce/scan/hist AD rules assume canonical
-associative operators rather than fusion's redomap shapes.
+associative operators rather than fusion's redomap shapes.  ``tile`` is in
+that set: it moves statements into a new ``map`` and indexes its result,
+and builds no operator the AD rules do not already take, so ``vjp``,
+``jvp`` and the primal all see the batched gates.
 
 Memoisation
 -----------
@@ -67,7 +73,7 @@ from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from .cse import cse_fun
 from .dce import dce_fun
 from .fission import fission_fun
-from .fusion import fuse_fun
+from .fusion import fuse_fun, tile_fun
 from .simplify import simplify_fun
 
 __all__ = [
@@ -96,6 +102,7 @@ _PASSES: Tuple[Pass, ...] = (
     Pass("simplify", simplify_fun),  # copy propagation, folding, identities
     Pass("cse", cse_fun),  # common-subexpression elimination
     Pass("fission", fission_fun),  # split independent k-ary reduce/scan/hist
+    Pass("tile", tile_fun),  # row-tiled sibling slices -> one map over iota(k·n)
     Pass("fuse", fuse_fun),  # vertical/horizontal SOAC fusion
     Pass("dce", dce_fun),  # dead-code elimination
 )
@@ -103,8 +110,8 @@ _NAMES = tuple(p.name for p in _PASSES)
 
 #: The passes that are safe to run on a program that will be differentiated
 #: again: everything except ``fuse`` (AD rules assume canonical operators,
-#: which ``fission`` only produces more of).
-AD_SAFE_PASSES = ("simplify", "cse", "fission", "dce")
+#: which ``fission`` only produces more of and ``tile`` leaves as they are).
+AD_SAFE_PASSES = ("simplify", "cse", "fission", "tile", "dce")
 
 #: Per-pass counters: ``fired`` = invocations, ``changed`` = invocations
 #: that returned a new object (attributed only in rounds that made net

@@ -379,12 +379,14 @@ def test_a_cached_calls_traced_peak_is_its_whole_working_set():
     # Nothing a call allocates outlives it but its results, so `tracemalloc`
     # sees every buffer of every call: three cached calls at a shape this
     # process has not run yet peak alike.  (A store kept across calls would
-    # serve calls 2 and 3 from buffers tracing never sees.)
-    pts, ctr = datagen.kmeans_instance(8, 1000, 32, 0)
-    h = rp.hessian_diag(rp.compile(kmeans.build_ir(1000, 8, 32)), wrt=1)
-    for emitter, n in (("plan", 1200), ("codegen", 1300)):
-        h(pts, ctr, backend=emitter)  # lowered and cached at n = 1000
-        new_pts = datagen.kmeans_instance(8, n, 32, 1)[0]
+    # serve calls 2 and 3 from buffers tracing never sees: the per-thread
+    # free list did, for temporaries of 128 KiB and up; here the (n, k, d)
+    # ones are 240-260 KiB.)
+    pts, ctr = datagen.kmeans_instance(4, 200, 32, 0)
+    h = rp.hessian_diag(rp.compile(kmeans.build_ir(200, 4, 32)), wrt=1)
+    for emitter, n in (("plan", 240), ("codegen", 260)):
+        h(pts, ctr, backend=emitter)  # lowered and cached at n = 200
+        new_pts = datagen.kmeans_instance(4, n, 32, 1)[0]
         misses = plan_cache_stats()["misses"]
         peaks, results = [], []
         for _ in range(3):

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import repro as rp
-from helpers import check_grad, run_both
+from helpers import check_grad, fd_grad, run_both
 from repro.frontend.function import Compiled
 from repro.ir import check_fun, count_soacs, pretty
 from repro.ir.analysis import recognize_redomap_lambda
-from repro.opt.fusion import fuse_fun, unfuse_fun
+from repro.opt.fusion import tile_fun, unfuse_fun
 from repro.opt.pipeline import (
     AD_SAFE_PASSES,
     clear_opt_cache,
@@ -209,7 +209,7 @@ def test_fuzz_corpus_fused_parity(seed):
 
 def test_registry_and_resolve():
     names = [p.name for p in registered_passes()]
-    assert names == ["simplify", "cse", "fission", "fuse", "dce"]
+    assert names == ["simplify", "cse", "fission", "tile", "fuse", "dce"]
     assert [p.name for p in resolve_passes(["dce", "simplify"])] == ["simplify", "dce"]
     with pytest.raises(ValueError):
         resolve_passes(["nope"])
@@ -236,7 +236,7 @@ def test_opt_stats_counters():
     optimize_fun(_trace(f, 1.0), cache=False)
     after = opt_stats()
     assert after["passes"]["simplify"]["fired"] > before
-    assert set(after["passes"]) == {"simplify", "cse", "fission", "fuse", "dce"}
+    assert set(after["passes"]) == {"simplify", "cse", "fission", "tile", "fuse", "dce"}
     assert set(after["fission"]) == {"split", "groups", "kept_coupled"}
     assert set(after["cache"]) == {"hits", "misses"}
 
@@ -358,3 +358,90 @@ def test_fused_reduce_nonidentity_ne_through_fusion():
         np.testing.assert_allclose(
             fc(xs, backend=be), 10.0 + (xs * xs).sum(), rtol=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# Tiling: row-tiled sibling slices become one map over iota(k·n)
+# ---------------------------------------------------------------------------
+
+_TN, _TD = 3, 4  # the tiled extent n and the summed extent d
+
+
+def _gates(offsets, soac=True, local=False, literal=True, passes=("simplify", "cse", "dce")):
+    """``map u ∈ iota(n): Σ_g act_g(gate(c_g + u))`` with
+    ``gate(r) = Σ_j w[r, j]·x[j] + x[0]``, a different activation per g.
+    ``soac=False`` makes ``gate`` one scalar read; ``local`` multiplies each
+    product by ``y[u]``, a body-local value that depends on ``u``;
+    ``literal=False`` maps over ``iota(size(y))``.  Returned after
+    ``passes`` (by default the simplification and CSE the pass sees in the
+    pipeline); the gates share ``iota(d)`` and ``x[0]`` even without CSE."""
+    acts = (rp.sigmoid, rp.tanh, rp.sin, rp.cos)
+
+    def f(w, x, y):
+        js, x0 = rp.iota(_TD), x[0]
+
+        def unit(u):
+            v = y[u]
+
+            def gate(r):
+                if not soac:
+                    return w[r, 0] * 2.0
+                return rp.sum(rp.map(lambda j: w[r, j] * x[j] * (v if local else 1.0), js)) + x0
+
+            out = acts[0](gate(offsets[0] + u if offsets[0] else u))
+            for g, c in enumerate(offsets[1:], 1):
+                out = out + acts[g](gate(c + u))
+            return out
+
+        return rp.sum(rp.map(unit, rp.iota(_TN if literal else rp.size(y))))
+
+    args = (rng.standard_normal((max(offsets) + _TN, _TD)), rng.standard_normal(_TD),
+            rng.standard_normal(_TN))
+    return optimize_fun(_trace(f, *args), cache=False, passes=passes), args
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_tile_fires_on_row_tiled_gates_and_agrees_with_ref(k):
+    """k gates at rows ``g·n + u`` become one map over ``iota(k·n)``; the
+    primal and the gradient agree with the untiled program on ``ref``."""
+    fun, args = _gates([g * _TN for g in range(k)])
+    tiled = tile_fun(fun)
+    assert tiled is not fun
+    check_fun(tiled)
+    assert f"iota({k * _TN})" in pretty(tiled)
+    before = opt_stats()["passes"]["tile"]["changed"]
+    fc = rp.compile(fun)
+    assert opt_stats()["passes"]["tile"]["changed"] > before
+    untiled = rp.compile(fun, passes=("simplify", "cse", "dce"))
+    want = untiled(*args, backend="ref")
+    run_both(fc, *args)
+    for be in ("plan", "codegen"):
+        np.testing.assert_allclose(fc(*args, backend=be), want, rtol=1e-12)
+    g = rp.grad(fc, wrt=[0, 1])
+    run_both(g, *args)
+    for got, k_arg in zip(g(*args, backend="plan"), (0, 1)):
+        np.testing.assert_allclose(got, fd_grad(untiled, args, k_arg), rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("case", ["offset_plus_one", "missing_g", "duplicated_g",
+                                  "reads_u_dependent_local", "no_soac", "non_literal_extent"])
+def test_tile_does_not_fire(case):
+    """Offsets that do not tile ``[0, k·n)`` exactly once (``g·n + 1``, a
+    missing or a duplicated g), a slice that reads a body-local value that
+    depends on ``u``, a slice with no SOAC and a non-literal extent: the pass
+    returns its input object."""
+    n = _TN
+    fun, _ = {
+        "offset_plus_one": lambda: _gates([1, n + 1, 2 * n + 1]),
+        "missing_g": lambda: _gates([0, n, 3 * n]),
+        # CSE would share the duplicate; the same program with no g
+        # repeated does tile without it (below).
+        "duplicated_g": lambda: _gates([0, n, n, 2 * n], passes=()),
+        "reads_u_dependent_local": lambda: _gates([0, n, 2 * n], local=True),
+        "no_soac": lambda: _gates([0, n, 2 * n], soac=False),
+        "non_literal_extent": lambda: _gates([0, n, 2 * n], literal=False),
+    }[case]()
+    assert tile_fun(fun) is fun
+    if case == "duplicated_g":
+        control, _ = _gates([0, n, 2 * n], passes=())
+        assert tile_fun(control) is not control

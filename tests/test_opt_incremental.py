@@ -61,6 +61,8 @@ def _corpus() -> Dict[str, Fun]:
     for name, (build_ir, _derive) in cold_programs().items():
         if name != "kmeans_hess":  # the same primal as kmeans_grad
             out.update({f"{name}/{k}": f for k, f in _stages(build_ir()).items()})
+            # Shared, not yet tiled: what ``tile`` rewrites (the LSTM gates).
+            out[f"{name}/cse"] = optimize_fun(build_ir(), passes=("simplify", "cse", "dce"))
     for seed in range(60):
         xs = np.random.default_rng(seed).standard_normal(5)
         ir = rp.trace_like(_gen_program(seed), (xs,), name=f"fuzz{seed}")

@@ -771,11 +771,29 @@ def test_verify_failures_counted():
 # -- contractions --------------------------------------------------------------
 
 
-def _lstm_contracts(monkeypatch):
-    """The lowered LSTM gradient (verified pristine) and its contracts, each
-    with the body holding it."""
+def _untiled_gates():
+    """Two gates at rows ``u`` and ``u + 4`` of one matrix over ``iota(3)``:
+    their offsets do not tile, so each gate's adjoint stays an accumulator
+    map over a replicate into two accumulators (the LSTM's gates are one
+    tiled map since they were hoisted, and have no such map)."""
+    def f(w, hs):
+        def unit(b, u):
+            g1 = rp.sum(rp.map(lambda j: w[u, j] * hs[b, j], rp.iota(4)))
+            g2 = rp.sum(rp.map(lambda j: w[u + 4, j] * hs[b, j], rp.iota(4)))
+            return rp.tanh(g1) * rp.sigmoid(g2)
+
+        return rp.sum(rp.map(lambda b: rp.sum(rp.map(lambda u: unit(b, u), rp.iota(3))),
+                             rp.iota(2)))
+
+    return rp.grad(rp.compile(rp.trace_like(f, (np.ones((7, 4)), np.ones((2, 4)))))).adfun.fun
+
+
+def _lstm_contracts(monkeypatch, fun=None):
+    """The lowered LSTM gradient, or ``fun`` (verified pristine), and its
+    contracts, each with the body holding it."""
     monkeypatch.setenv("REPRO_VERIFY", "off")
-    fun = rp.grad(rp.compile(lstm.build_ir(3, 2, 5, 4)), wrt=[1, 2, 3, 4]).adfun.fun
+    if fun is None:
+        fun = rp.grad(rp.compile(lstm.build_ir(3, 2, 5, 4)), wrt=[1, 2, 3, 4]).adfun.fun
     ir = lower_fun(fun)
     verify_plan_ir(ir)
     found = []
@@ -813,7 +831,7 @@ def test_plan_contract_operand_read_through_a_gather_rejected(monkeypatch):
 
 
 def test_plan_contract_aimed_at_another_accumulator_rejected(monkeypatch):
-    ir, found = _lstm_contracts(monkeypatch)
+    ir, found = _lstm_contracts(monkeypatch, _untiled_gates())
     ins = next(ins for _b, ins in found if len(ins.accs) == 2)
     j, *rest = ins.terms[0]
     ins.terms = ((1 - j, *rest),) + ins.terms[1:]
@@ -824,7 +842,7 @@ def test_plan_contract_aimed_at_another_accumulator_rejected(monkeypatch):
 def test_plan_contract_argument_no_replicate_rejected(monkeypatch):
     """The kernel reads a non-lane argument as its lane scalar: it must be
     a replicate, not any array of the right rank."""
-    ir, found = _lstm_contracts(monkeypatch)
+    ir, found = _lstm_contracts(monkeypatch, _untiled_gates())
     ins = next(ins for _b, ins in found if not all(ins.lanes) and ins.xs)
     q = ins.lanes.index(False)
     ins.arrs = ins.arrs[:q] + (ins.xs[0],) + ins.arrs[q + 1:]
