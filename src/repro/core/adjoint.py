@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.ast import Atom, Body, Const, Exp, Lambda, Map, Size, Var
 from ..ir.builder import Builder, const
-from ..ir.traversal import exp_free_vars, refresh_body
+from ..ir import traversal
+from ..ir.traversal import exp_free_vars
 from ..ir.types import I64, ArrayType, elem_type, is_float, rank_of
 from ..util import ADError, fresh
 
@@ -40,9 +41,7 @@ __all__ = ["AdjScope", "inline_lambda", "one_hot", "sum_leading_axis"]
 def inline_lambda(b: Builder, lam: Lambda, args: Sequence[Atom]) -> Tuple[Atom, ...]:
     """Splice a (refreshed) copy of ``lam``'s body into ``b`` with its
     parameters bound to ``args``; returns the result atoms."""
-    if len(args) != len(lam.params):
-        raise ADError(f"inline: arity mismatch {len(args)} != {len(lam.params)}")
-    body = refresh_body(lam.body, {p.name: a for p, a in zip(lam.params, args)})
+    body = traversal.inline_lambda(lam, args)
     b.extend(body.stms)
     return body.result
 

@@ -231,9 +231,9 @@ class PBody:
 class _Instr:
     kind = "?"
     #: Source provenance: the ``ir.Stm``s this instruction executes, set by
-    #: ``_Lowerer.lower_body`` on top-level instructions.  The profile
-    #: emitter (``obs/profiler.py``) keys its per-instruction timings to
-    #: these statements; everything else ignores them.
+    #: ``_Lowerer.lower_body`` at every depth.  The profiler
+    #: (``obs/profiler.py``) labels its per-instruction timings with these
+    #: statements; everything else ignores them.
     prov: tuple = ()
     #: The memory plan: ``(slot, name)`` pairs to clear once this instruction
     #: has completed — slots of the enclosing body whose last read (nested

@@ -19,7 +19,8 @@ family is layered:
   its parameter slots and runs its own instructions) and assigns/releases
   slots, or runs a fused scalar run (the interpreter emitter) — and hosts
   the runtime (``_Engine``), the one ``run``/``run_batched`` driver and the
-  plan cache shared by all plan-family emitters;
+  plan cache shared by both emitters.  Under ``REPRO_PROFILE`` it passes
+  every closure it emits, at every depth, through ``obs/profiler.py:timer``;
 * ``exec/codegen.py`` emits the same IR as the source of a single Python
   function (``backend="codegen"``) — no per-instruction dispatch at all.
 
@@ -32,15 +33,16 @@ Caching
 -------
 
 ``plan_for(fun, args, batched=..., emitter=...)`` memoises plans in one
-module-level, lock-guarded LRU keyed by ``(ir_hash(fun), emitter, batched
-flags, rank/dtype signature)``.  The key leads with the alpha-invariant
+module-level, lock-guarded LRU keyed by ``(ir_hash(fun), emitter, profile,
+batched flags, rank/dtype signature)``.  The key leads with the alpha-invariant
 content hash (``ir.analysis.ir_hash``), so alpha-equivalent ``Fun`` bodies
 — retraced derivatives, re-optimised copies — share one lowering instead
 of one per object identity.  Concrete extents are not part of the key:
 plans are shape-generic, so one lowering serves a whole problem-size sweep
 (GMM D0→D6, BA camera counts) instead of re-lowering per shape and
 churning the LRU.  The emitter dimension separates closure plans from
-codegen code objects.
+codegen code objects, and ``profile`` (``REPRO_PROFILE`` set, ``plan``
+only) timed closures from plain ones.
 
 Repeat calls on same-rank arguments skip tracing, optimisation, and
 lowering entirely; ``PLAN_STATS`` counts hits/misses/evictions and the
@@ -62,7 +64,6 @@ single pass, stacked on the leading axis, instead of n/m separate runs.
 """
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,6 +73,7 @@ from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
 from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
+from ..obs.profiler import profile_enabled, timer
 from ..util import BoundedLRU, ExecError
 from .lower import IntRef, Layout, PlanIR, Ref, layout, lower_fun, outer_release
 from .prims import _BINOPS, cast_to, unop_fn
@@ -100,7 +102,6 @@ __all__ = [
     "plan_cache_stats",
     "clear_plan_cache",
     "reset_plan_cache_stats",
-    "profile_enabled",
 ]
 
 _span = _obs_tracing.span
@@ -324,11 +325,17 @@ class _ClosureEmitter:
     into a callable for its kernel, and runs fused scalar runs, one direct
     NumPy call per op."""
 
-    def __init__(self, lay: Layout) -> None:
+    def __init__(self, lay: Layout, wrap: Optional[Callable] = None) -> None:
         self.lay = lay
+        #: ``obs/profiler.py:timer``'s hook, applied to every instruction
+        #: closure at every depth (``depth``: of the body being emitted).
+        self.wrap = wrap
+        self.depth = 0
 
     def emit_body(self, pbody) -> tuple:
         instrs = tuple(self._emit_ins(i) for i in pbody.instrs)
+        if self.wrap is not None:
+            instrs = tuple(self.wrap(c, i, self.depth) for c, i in zip(instrs, pbody.instrs))
         res = tuple(_reader(r) for r in pbody.result)
         return instrs, res
 
@@ -355,7 +362,9 @@ class _ClosureEmitter:
         a nested ``def`` is in ``exec/codegen.py``."""
         *params, pbody = (getattr(ins, f) for f in fields)
         pslots = tuple(s for ps in params for s, _ in ps)
+        self.depth += 1
         code = self.emit_body(pbody)
+        self.depth -= 1
         bound = tuple(s for s, _ in pbody.bound)
 
         def body(eng, vals, _ps=pslots, _code=code, _bound=bound):
@@ -416,22 +425,24 @@ class Plan:
 
     This class is also the one driver of the plan family: argument checking
     and coercion, ``errstate``, the execute span and result unwrapping live in
-    ``run``/``run_batched``; an emitter subclass (``CodegenPlan``, the
-    profiler's ``ProfilePlan``) supplies ``_emit`` — what it builds from the
-    IR and a layout — and ``_invoke`` — how that runs."""
+    ``run``/``run_batched``; the emitter subclass ``CodegenPlan`` supplies
+    ``_emit`` — what it builds from the IR and a layout — and ``_invoke`` —
+    how that runs.  With ``profile`` every closure this class emits, nested
+    ones included, is timed by ``obs/profiler.py:timer``."""
 
     #: ``EMITTER_STATS`` bucket and span label; subclasses override it so
     #: their constructions are attributed apart.
     emitter_name = "plan"
 
     def __init__(self, fun: Fun, ir: Optional[PlanIR] = None,
-                 flags: Optional[Sequence[bool]] = None) -> None:
+                 flags: Optional[Sequence[bool]] = None, profile: bool = False) -> None:
         with _obs_tracing.timed(
             "emit", cat="compile", fun=fun.name, emitter=self.emitter_name
         ) as tm:
             if ir is None:
                 ir = lower_fun(fun)
             self.fun = fun
+            self.profile = profile
             self.param_slots = ir.param_slots
             self.param_types = ir.param_types
             self.nslots = ir.nslots
@@ -474,7 +485,8 @@ class Plan:
         """The body this emitter builds from ``ir`` under ``lay``, and what
         building it adds to the emitter's ``EMITTER_STATS`` row (closures:
         nothing)."""
-        return _ClosureEmitter(lay).emit_body(ir.body), {}
+        wrap = timer(self.fun) if self.profile else None
+        return _ClosureEmitter(lay, wrap).emit_body(ir.body), {}
 
     def _invoke(self, body, eng: _Engine, vals: List[BV]) -> Tuple[object, ...]:
         """Run the emitted ``body`` on the parameter values ``vals``."""
@@ -556,31 +568,16 @@ def _flags_key(flags: Optional[Sequence[bool]]) -> Optional[Tuple[bool, ...]]:
 
 
 def _emitter_class(name: str):
-    """The plan class of emitter ``name``.  Both imports are local because
-    the modules import this one; ``codegen`` is loaded with the package
-    (``exec/__init__``), ``obs.profiler`` on first use."""
+    """The plan class of emitter ``name``.  The import is local because
+    ``codegen`` imports this module; it is loaded with the package
+    (``exec/__init__``)."""
     if name == "plan":
         return Plan
     if name == "codegen":
         from .codegen import CodegenPlan
 
         return CodegenPlan
-    if name == "profile":
-        from ..obs.profiler import ProfilePlan
-
-        return ProfilePlan
-    raise ExecError(
-        f"unknown plan emitter {name!r} (have 'plan', 'codegen', 'profile')"
-    )
-
-
-def profile_enabled() -> bool:
-    """Whether ``REPRO_PROFILE`` routes default plan-backend executions
-    through the per-instruction ``"profile"`` emitter.  Any non-falsy
-    value enables it; a value with a path separator or ``.json`` suffix
-    is additionally the report file written at interpreter exit (see
-    ``obs/profiler.py``)."""
-    return os.environ.get("REPRO_PROFILE", "").lower() not in ("", "0", "off", "false", "no")
+    raise ExecError(f"unknown plan emitter {name!r} (have 'plan', 'codegen')")
 
 
 # ---------------------------------------------------------------------------
@@ -638,26 +635,27 @@ def plan_for(
     emitter: Optional[str] = None,
 ):
     """The cached plan for ``fun`` given ``args``' ranks/dtypes, keyed by
-    ``(ir_hash(fun), emitter, batched flags, rank/dtype signature)``
+    ``(ir_hash(fun), emitter, profile, batched flags, rank/dtype signature)``
     (module docstring, "Caching": why the content hash, and why no extents).
 
     ``emitter`` picks how the lowered IR executes — ``"plan"`` (closure
-    interpreter, the default; ``"profile"`` under ``REPRO_PROFILE``) or
-    ``"codegen"`` (compiled source).  The whole lookup — cache mutation,
-    counters, and any lowering — runs under one re-entrant lock, so
-    concurrent callers can never corrupt the LRU order or lose stat
-    increments (and a plan is lowered once, not once per racing thread).
+    interpreter, the default; ``profile``: its closures timed at every depth,
+    under ``REPRO_PROFILE``) or ``"codegen"`` (compiled source).  The whole
+    lookup — cache mutation, counters, and any lowering — runs under one
+    re-entrant lock, so concurrent callers can never corrupt the LRU order
+    or lose stat increments (and a plan is lowered once, not once per racing
+    thread).
     """
-    if emitter is None:
-        emitter = "profile" if profile_enabled() else "plan"
+    emitter = emitter or "plan"
     build = _emitter_class(emitter)
+    profile = emitter == "plan" and profile_enabled()
     flags = tuple(batched) if batched is not None else None
-    key = (ir_hash(fun), emitter, flags, _sig_of(args))
+    key = (ir_hash(fun), emitter, profile, flags, _sig_of(args))
     with _LOCK:
         plan = _CACHE.get(key, _MISS)
         if plan is _MISS:
             PLAN_STATS["misses"] += 1
-            plan = build(fun, flags=flags)
+            plan = build(fun, flags=flags, profile=profile)
             PLAN_STATS["evictions"] += _CACHE.put(key, plan, _DEFAULT_CACHE_SIZE)
         else:
             PLAN_STATS["hits"] += 1

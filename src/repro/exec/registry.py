@@ -10,9 +10,11 @@ The backends, a fixed table built at import:
 
 * ``ref``   — the reference interpreter (semantics oracle; runs the work/span
   recorder ``exec/cost.py``);
-* ``plan``  — the cached plan compiler (lower once, replay closures);
+* ``plan``  — the cached plan compiler (lower once, replay closures; under
+  ``REPRO_PROFILE`` every closure, nested ones included, is timed — see
+  ``obs/profiler.py``);
 * ``codegen`` — the source codegen executor (same lowering, plan IR rendered
-  to one compiled Python function; see ``exec/codegen.py``).
+  to one compiled Python function; see ``exec/codegen.py``; never profiled).
 """
 from __future__ import annotations
 

@@ -5,16 +5,16 @@ Three pillars, one import:
 * :mod:`repro.obs.tracing` — nestable spans over every pipeline phase
   (trace → opt passes → lower → emit/compile → execute), ring-buffered
   and exportable as Chrome-trace JSON via ``REPRO_TRACE=<file>``.
-* :mod:`repro.obs.profiler` — the ``"profile"`` plan emitter: wraps
-  every plan-IR instruction with timing keyed to its source statement
-  and ranks the hotspots.
+* :mod:`repro.obs.profiler` — ``REPRO_PROFILE``: an emit-time hook that
+  times every plan-IR instruction at every depth, keyed to its source
+  statements, and ranks the hotspots by self time.
 * :mod:`repro.obs.metrics` — one registry for counter sections and timers;
   the historical stats surfaces (plan cache, opt, fusion)
   are re-homed here, with :func:`snapshot`/:func:`reset_all`/
   :func:`delta` as the single lifecycle.
 
-Everything is zero-overhead when off: with ``REPRO_TRACE`` unset and the
-default emitter, instrumented code paths pay a no-op span check only.
+Everything is zero-overhead when off: with ``REPRO_TRACE`` and
+``REPRO_PROFILE`` unset, instrumented code paths pay a no-op span check only.
 """
 from __future__ import annotations
 
@@ -56,11 +56,3 @@ def reset_all() -> None:
     _ensure_sources()
     metrics.reset_all()
     tracing.reset()
-
-
-def __getattr__(name: str):
-    if name == "profiler":
-        import importlib
-
-        return importlib.import_module(".profiler", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,21 +1,22 @@
-"""The ``"profile"`` plan emitter: per-instruction wall-clock attribution.
+"""Per-instruction wall-clock attribution: the ``REPRO_PROFILE`` knob.
 
-``plan_for(..., emitter="profile")`` resolves to this module's class
-(``exec/plan.py:_emitter_class``), so it composes with the plan cache and
-every backend that resolves plans through ``plan_for``.  A ``ProfilePlan`` is a ``Plan`` whose top-level
-instruction closures are wrapped with timing; each measurement is keyed
-to the *source statements* the instruction executes (the provenance
-``exec/lower.py`` records on every top-level plan-IR instruction) and
-labelled via ``ir/pretty``.  Results are bitwise-identical to the plain
-``plan`` emitter — the wrapper only observes.
+An emit-time hook, not an emitter.  With the knob set, ``plan_for`` builds
+``plan`` closures with ``timer(fun)`` installed: ``exec/plan.py``'s
+``_ClosureEmitter.emit_body`` hands it every instruction closure it emits,
+fused runs included, and nested bodies are emitted by the same
+``emit_body`` — so every instruction at every depth is timed.  With the
+knob off nothing is installed.  The wrapper only observes: results are
+bitwise the unprofiled ones.
 
-``profile_report()`` ranks the top-k hotspots by measured seconds, each
-with the size of its memory and index plans.
+Each row is labelled (``ir/pretty``) with the *source statements* the
+instruction executes (the provenance ``exec/lower.py`` records).  A
+per-thread stack of running timers splits its cumulative seconds into its
+own (*self*) and its nested instructions'; ``calls`` counts executions, so
+a nested row counts body runs and fold iterations.  ``profile_report()``
+ranks the rows by self seconds.
 
-Selection: pass ``emitter="profile"`` to ``plan_for``, or set
-``REPRO_PROFILE`` — any truthy value routes default plan-backend
-executions through this emitter; a value naming a file (a path separator
-or a ``.json`` suffix) additionally writes the report there at
+Any truthy ``REPRO_PROFILE`` enables timing; a value naming a file (a path
+separator or a ``.json`` suffix) also writes the report there at
 interpreter exit.
 """
 from __future__ import annotations
@@ -25,16 +26,16 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ir.analysis import ir_hash
 from ..ir.pretty import pretty_exp
 from ..exec.lower import plan_counts
-from ..exec.plan import Plan
 from . import metrics, tracing
 
 __all__ = [
-    "ProfilePlan",
+    "timer",
+    "profile_enabled",
     "profile_report",
     "format_profile_report",
     "profile_summary",
@@ -45,27 +46,50 @@ __all__ = [
 _PLOCK = threading.Lock()
 
 
+def _knob() -> Tuple[bool, Optional[str]]:
+    """The one parser of ``REPRO_PROFILE``: (timing on, report file or
+    ``None``)."""
+    v = os.environ.get("REPRO_PROFILE", "")
+    on = v.lower() not in ("", "0", "off", "false", "no")
+    return on, (v if on and (os.sep in v or v.endswith(".json")) else None)
+
+
+def profile_enabled() -> bool:
+    """Whether ``REPRO_PROFILE`` installs ``timer`` on the plans
+    ``plan_for`` builds (part of the plan-cache key)."""
+    return _knob()[0]
+
+
 class _Rec:
-    __slots__ = ("label", "kind", "fun", "mem", "index", "calls", "seconds")
+    __slots__ = ("label", "kind", "strategy", "depth", "fun", "mem", "index",
+                 "calls", "cum", "self")
 
-    def __init__(self, label: str, kind: str, fun: str,
-                 mem: Optional[Dict[str, int]] = None,
-                 index: Optional[Dict[str, int]] = None):
-        self.label = label
-        self.kind = kind
-        self.fun = fun
-        #: ``exec.lower.plan_counts`` of the instruction (nested bodies
-        #: included), fixed at emit time: the size of its memory plan …
-        self.mem = mem or {}
-        #: … and its indexed reads and updates on the view path against its
-        #: reads left as gathers.
-        self.index = index or {}
-        self.calls = 0
-        self.seconds = 0.0
+    def __init__(self, label: str, kind: str, strategy: Optional[str], depth: int,
+                 fun: str, mem: Dict[str, int], index: Dict[str, int]):
+        self.label, self.kind, self.fun = label, kind, fun
+        #: A reduce/scan/hist's lowering strategy (a contraction is its own
+        #: ``kind``); nesting depth, 0 for the function body's instructions.
+        self.strategy, self.depth = strategy, depth
+        #: ``exec.lower.plan_counts`` of the instruction, nested bodies
+        #: included: the size of its memory plan and how its indexed reads
+        #: and updates execute.
+        self.mem, self.index = mem, index
+        self.calls, self.cum, self.self = 0, 0.0, 0.0
 
 
-# (fun name, ir hash, instr index) -> _Rec
+# (fun name, ir hash, emission index) -> _Rec
 _DATA: Dict[tuple, _Rec] = {}
+
+
+class _Stack(threading.local):
+    """The running timers of this thread: each frame sums the cumulative
+    seconds of the instructions nested in it."""
+
+    def __init__(self) -> None:
+        self.frames: List[float] = []
+
+
+_STACK = _Stack()
 
 
 def _stm_label(stm) -> str:
@@ -87,53 +111,43 @@ def _label_of(prov: tuple, kind: str) -> str:
     return f"run[{len(prov)}] {first}..{last}"
 
 
-def _wrap(closure, key: tuple, label: str, kind: str, fun: str,
-          mem: Optional[Dict[str, int]] = None,
-          index: Optional[Dict[str, int]] = None):
-    """Time one instruction closure; the record is resolved per call so
-    accumulation survives ``reset_profile`` on cached plans."""
+def timer(fun) -> Callable:
+    """The emit-time hook for ``fun``'s plans: ``wrap(closure, ins, depth)``
+    returns ``closure`` timed as plan-IR instruction ``ins`` at nesting
+    ``depth``.  Records are keyed by emission order, which is the same for
+    every body emitted from ``fun``, and resolved per call so accumulation
+    survives ``reset_profile`` on cached plans."""
+    base = (fun.name, ir_hash(fun))
+    emitted = [0]
 
-    def timed_ins(eng, _c=closure):
-        t0 = time.perf_counter()
-        try:
-            return _c(eng)
-        finally:
-            dt = time.perf_counter() - t0
-            with _PLOCK:
-                rec = _DATA.get(key)
-                if rec is None:
-                    rec = _DATA[key] = _Rec(label, kind, fun, mem, index)
-                rec.calls += 1
-                rec.seconds += dt
+    def wrap(closure, ins, depth: int) -> Callable:
+        key = base + (emitted[0],)
+        emitted[0] += 1
+        meta = (_label_of(ins.prov, ins.kind), ins.kind, getattr(ins, "strategy", None),
+                depth, fun.name, *plan_counts((ins,)))
 
-    return timed_ins
+        def timed_ins(eng, _c=closure):
+            frames = _STACK.frames
+            frames.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return _c(eng)
+            finally:
+                dt = time.perf_counter() - t0
+                inner = frames.pop()
+                if frames:
+                    frames[-1] += dt
+                with _PLOCK:
+                    rec = _DATA.get(key)
+                    if rec is None:
+                        rec = _DATA[key] = _Rec(*meta)
+                    rec.calls += 1
+                    rec.cum += dt
+                    rec.self += dt - inner
 
+        return timed_ins
 
-class ProfilePlan(Plan):
-    """A ``Plan`` whose top-level instructions are timed and attributed.
-
-    Lowering, caching and results are exactly the plain emitter's; only
-    the emitted closures differ, by one timing wrapper each.
-    """
-
-    emitter_name = "profile"
-
-    def _emit(self, ir, lay):
-        (instrs, res), built = super()._emit(ir, lay)
-        fun = self.fun
-        base = (fun.name, ir_hash(fun))
-        wrapped = tuple(
-            _wrap(
-                c,
-                base + (i,),
-                _label_of(ins.prov, ins.kind),
-                ins.kind,
-                fun.name,
-                *plan_counts((ins,)),
-            )
-            for i, (c, ins) in enumerate(zip(instrs, ir.body.instrs))
-        )
-        return (wrapped, res), built
+    return wrap
 
 
 def reset_profile() -> None:
@@ -150,49 +164,40 @@ def profile_summary() -> Dict[str, Any]:
     return {
         "instructions": len(recs),
         "calls": sum(r.calls for r in recs),
-        "seconds": sum(r.seconds for r in recs),
+        "seconds": sum(r.self for r in recs),
     }
 
 
 def profile_report(top_k: int = 10) -> Dict[str, Any]:
-    """Rank instruction hotspots by measured seconds.
+    """Rank instruction hotspots, every depth, by self seconds.
 
     Returns ``{total_s, execute_span_s, coverage, by_kind, entries}``.
-    Each entry carries ``label`` / ``fun`` / ``kind`` /
-    ``mem`` (the size of the instruction's memory plan: slots released,
-    run-local values released, donating ops — nested bodies included) /
-    ``index`` (its indexed reads and accumulator updates on the view path and
-    its reads left as gathers, nested bodies included) / ``calls`` /
-    ``seconds`` / ``share`` / ``measured_rank``.  ``coverage`` is
-    instruction-attributed seconds over the ``execute`` span total (requires
-    tracing on to be set) — the acceptance bar is ≥0.9 on the GMM gradient.
+    Each entry carries ``label`` / ``fun`` / ``kind`` / ``strategy`` /
+    ``depth`` / ``mem`` (the size of the instruction's memory plan: slots
+    released, run-local values released, donating ops — nested bodies
+    included) / ``index`` (its indexed reads and accumulator updates on the
+    view path and its reads left as gathers, nested bodies included) /
+    ``calls`` / ``self_s`` / ``cum_s`` / ``share`` (of the self total) /
+    ``measured_rank``.  ``total_s`` is the self total, which is the top-level
+    instructions' cumulative time; ``coverage`` is that over the ``execute``
+    span total (requires tracing on to be set).
     """
     with _PLOCK:
-        recs = sorted(_DATA.values(), key=lambda r: r.seconds, reverse=True)
-        recs = [
-            (r.label, r.kind, r.fun, r.mem, r.index, r.calls, r.seconds)
+        recs = sorted(_DATA.values(), key=lambda r: r.self, reverse=True)
+        rows = [
+            {"label": r.label, "fun": r.fun, "kind": r.kind, "strategy": r.strategy,
+             "depth": r.depth, "mem": dict(r.mem), "index": dict(r.index),
+             "calls": r.calls, "self_s": r.self, "cum_s": r.cum}
             for r in recs
         ]
-    total = sum(sec for *_, sec in recs)
+    total = sum(e["self_s"] for e in rows)
     by_kind: Dict[str, float] = {}
-    for _, kind, *_, sec in recs:
-        by_kind[kind] = by_kind.get(kind, 0.0) + sec
-
-    entries: List[Dict[str, Any]] = [
-        {
-            "label": label,
-            "fun": fun,
-            "kind": kind,
-            "mem": dict(mem),
-            "index": dict(index),
-            "calls": calls,
-            "seconds": sec,
-            "share": (sec / total) if total else 0.0,
-            "measured_rank": rank,
-        }
-        for rank, (label, kind, fun, mem, index, calls, sec)
-        in enumerate(recs[: max(top_k, 0)], start=1)
-    ]
+    for e in rows:
+        by_kind[e["kind"]] = by_kind.get(e["kind"], 0.0) + e["self_s"]
+    entries = rows[: max(top_k, 0)]
+    for rank, e in enumerate(entries, start=1):
+        e["share"] = (e["self_s"] / total) if total else 0.0
+        e["measured_rank"] = rank
 
     phases = tracing.phase_totals()
     execute_s = phases.get("execute", {}).get("seconds")
@@ -209,17 +214,17 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
     """The report as an aligned text table (what the README shows)."""
     rep = report if report is not None else profile_report(top_k)
     lines = [
-        f"profile: {rep['total_s']:.4f}s attributed over "
-        f"{len(rep['entries'])} top instructions"
+        f"profile: {rep['total_s']:.4f}s self time, top {len(rep['entries'])} instructions"
         + (
             f" ({100 * rep['coverage']:.1f}% of execute spans)"
             if rep["coverage"] is not None
             else ""
         ),
-        f"{'#':>2s} {'seconds':>9s} {'share':>6s} {'calls':>7s} "
-        f"{'rel/loc/don':>11s} {'view/gather':>11s} label",
+        f"{'#':>2s} {'self_s':>8s} {'share':>6s} {'cum_s':>8s} {'calls':>7s} {'d':>2s} "
+        f"{'kind':>14s} {'rel/loc/don':>11s} {'view/gather':>11s} label",
     ]
     for e in rep["entries"]:
+        kind = e["kind"] + (f"/{e['strategy']}" if e.get("strategy") else "")
         # slots released / run-local values released / donating ops
         mem = "/".join(str(n) for n in e.get("mem", {}).values()) or "-"
         # indexed reads + accumulator updates that are views / reads that gather
@@ -227,27 +232,20 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
         idx = (f"{ix['view_index_ops'] + ix['view_updacc_ops']}/"
                f"{ix['gather_index_ops']}") if ix else "-"
         lines.append(
-            f"{e['measured_rank']:2d} {e['seconds']:9.4f} "
-            f"{100 * e['share']:5.1f}% {e['calls']:7d} "
+            f"{e['measured_rank']:2d} {e['self_s']:8.4f} {100 * e['share']:5.1f}% "
+            f"{e['cum_s']:8.4f} {e['calls']:7d} {e['depth']:2d} {kind:>14s} "
             f"{mem:>11s} {idx:>11s} {e['fun']}: {e['label']}"
         )
     if rep["by_kind"]:
         top = sorted(rep["by_kind"].items(), key=lambda kv: kv[1], reverse=True)
-        lines.append("by kind: " + "  ".join(f"{k}={v:.4f}s" for k, v in top))
+        lines.append("self by kind: " + "  ".join(f"{k}={v:.4f}s" for k, v in top))
     return "\n".join(lines)
-
-
-def _profile_path() -> Optional[str]:
-    v = os.environ.get("REPRO_PROFILE", "")
-    if v and (os.sep in v or v.endswith(".json")):
-        return v
-    return None
 
 
 def write_profile(path: Optional[str] = None, top_k: int = 25) -> Optional[str]:
     """Write ``profile_report`` as JSON (default: the ``REPRO_PROFILE``
     file, when the knob names one); returns the path written."""
-    path = path or _profile_path()
+    path = path or _knob()[1]
     if not path:
         return None
     with open(path, "w") as fh:

@@ -1,10 +1,11 @@
 """The unified observability layer (``repro.obs``).
 
-Covers the PR 8 acceptance surface: span nesting/balance (including the
-exception path), Chrome-trace export via ``REPRO_TRACE``, the per-
-instruction ``"profile"`` emitter (bitwise parity with ``plan`` on the
-fuzz corpus, report coverage on the GMM gradient), the metrics registry's
-snapshot/delta/reset lifecycle, and the tracing-off overhead guard.
+Covers span nesting/balance (including the exception path), Chrome-trace
+export via ``REPRO_TRACE``, the ``REPRO_PROFILE`` timing hook (every
+instruction at every depth timed, self times that add up to the measured
+call, bitwise parity with the unprofiled plan, nothing installed when off),
+the metrics registry's snapshot/delta/reset lifecycle, and the tracing-off
+overhead guard.
 """
 import json
 import time
@@ -14,7 +15,11 @@ import pytest
 
 import repro as rp
 from repro import obs
+from repro.apps import datagen, hand, lstm
+from repro.exec import lower_fun
+from repro.exec.lower import nested_bodies
 from repro.exec.plan import (
+    Plan,
     PLAN_STATS,
     clear_plan_cache,
     plan_cache_stats,
@@ -192,11 +197,155 @@ def test_collecting_restores_off_state():
 
 
 # ---------------------------------------------------------------------------
-# Profile emitter
+# Profiler: a timing hook on every emitted closure
 # ---------------------------------------------------------------------------
 
+_CONTAINERS = ("withacc", "loop", "map", "if")
 
-def test_profile_emitter_bitwise_identical_on_fuzz_corpus(monkeypatch):
+
+def _walk(body, depth=0):
+    """``(instruction, depth)`` over a lowered body, nested bodies included."""
+    for ins in body.instrs:
+        yield ins, depth
+        for b in nested_bodies(ins):
+            yield from _walk(b, depth + 1)
+
+
+def _closures(obj, seen):
+    """Every function reachable from ``obj`` through default arguments and
+    closure cells: how emitted closures hold their operands, kernels and
+    nested bodies."""
+    if isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _closures(x, seen)
+    elif hasattr(obj, "__code__") and id(obj) not in seen:
+        seen.add(id(obj))
+        yield obj
+        for x in obj.__defaults__ or ():
+            yield from _closures(x, seen)
+        for cell in obj.__closure__ or ():
+            try:
+                yield from _closures(cell.cell_contents, seen)
+            except ValueError:  # an empty cell
+                pass
+
+
+def _timed(fun, profile):
+    """How many closures of ``fun``'s plan are the profiler's wrapper."""
+    from repro.obs import profiler
+
+    ins = lower_fun(fun).body.instrs[0]
+    wrapper = profiler.timer(fun)(lambda eng: None, ins, 0).__code__
+    body = Plan(fun, profile=profile).bodies[None]
+    return sum(f.__code__ is wrapper for f in _closures(body, set()))
+
+
+def _nested(xs):
+    """A map over a lane-divergent ``if`` with a loop in one branch, and a
+    generic fold."""
+    def row(x):
+        return rp.cond(x > 0.0, lambda: rp.fori_loop(3, lambda i, a: a * 0.5 + x, x),
+                       lambda: x - 1.0)
+
+    return rp.sum(rp.map(row, xs)) + rp.reduce(lambda a, b: a * b + a, 0.5, xs)
+
+
+def _nested_funs():
+    xs = np.array([0.5, -1.0, 2.0, -0.25])
+    fc = rp.compile(rp.trace_like(_nested, (xs,), name="obs_nested"))
+    return fc, rp.grad(fc), xs
+
+
+def test_profile_wraps_every_instruction_at_every_depth():
+    """Structural, timing-free: with the knob on, one wrapper per plan-IR
+    instruction at every depth (contract fallbacks included); off, none."""
+    fc, g, _ = _nested_funs()
+    lg, _ = _lstm_grad_case(2, 3, 4, 4)
+    for fun in (fc.fun, g.adfun.fun, lg.adfun.fun):
+        instrs = list(_walk(lower_fun(fun).body))
+        assert max(d for _, d in instrs) >= 2, fun.name
+        assert _timed(fun, profile=True) == len(instrs), fun.name
+        assert _timed(fun, profile=False) == 0, fun.name
+
+
+def test_profile_rows_at_every_depth(monkeypatch):
+    """Every instruction the calls execute has a row at its own depth, and a
+    nested row counts its body's runs: three per loop trip."""
+    from repro.obs import profiler
+
+    fc, g, xs = _nested_funs()
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    profiler.reset_profile()
+    fc(xs)
+    g(xs)
+    rows = profiler.profile_report(top_k=10**6)["entries"]
+    for fun in (fc.fun, g.adfun.fun):
+        want = sorted((d, ins.kind) for ins, d in _walk(lower_fun(fun).body))
+        assert sorted((e["depth"], e["kind"]) for e in rows if e["fun"] == fun.name) == want
+    mine = [e for e in rows if e["fun"] == fc.fun.name]
+    (loop,) = [e for e in mine if e["kind"] == "loop"]
+    assert {e["calls"] for e in mine if e["depth"] == loop["depth"] + 1} == {3 * loop["calls"]}
+    assert sorted(e["strategy"] for e in mine if e["kind"] == "reduce") == ["generic", "redomap"]
+    assert all(e["strategy"] is None for e in rows if e["kind"] not in ("reduce", "scan", "hist"))
+    for e in rows:
+        assert 0.0 <= e["self_s"] <= e["cum_s"] and e["share"] >= 0.0
+
+
+def test_profile_is_not_an_emitter(monkeypatch):
+    """``"profile"`` is an unknown emitter, and a profiled session builds
+    only ``plan`` / ``codegen`` plans."""
+    from repro.exec.plan import plan_for
+    from repro.util import ExecError
+
+    fc, g, xs = _nested_funs()
+    with pytest.raises(ExecError, match="unknown plan emitter 'profile'"):
+        plan_for(fc.fun, (xs,), emitter="profile")
+    clear_plan_cache()
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    for backend in ("plan", "codegen"):
+        fc(xs, backend=backend)
+        g(xs, backend=backend)
+    assert set(plan_cache_stats()["emitters"]) == {"plan", "codegen"}
+
+
+def _lstm_grad_case(bs, n, d, h):
+    xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(bs, n, d, h, 0)
+    g = rp.grad(rp.compile(lstm.build_ir(n, bs, d, h)), wrt=[1, 2, 3, 4])
+    return g, lambda: g(xs, wx, wh, b, wy, tg)
+
+
+def _hand_jac_case(n_bones, n_verts):
+    inp = datagen.hand_instance(n_bones, n_verts, 0)
+    fwd = rp.jvp(rp.compile(hand.build_ir(n_bones, n_verts)))
+    return fwd, lambda: (hand.jacobian_fwd_ad(fwd, *inp),)
+
+
+@pytest.mark.parametrize("case", ["lstm_grad", "hand_jac_fwd"])
+def test_profile_self_times_add_up_at_bench_size(case, monkeypatch):
+    """The bench workloads' sizes: Σ self is within 10 % of the measured
+    calls, no container row holds over 30 % of it, and the results are
+    bitwise the unprofiled ones."""
+    from repro.obs import profiler
+
+    _, call = {"lstm_grad": lambda: _lstm_grad_case(16, 12, 10, 16),
+               "hand_jac_fwd": lambda: _hand_jac_case(12, 256)}[case]()
+    want = call()
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    got = call()
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+    profiler.reset_profile()
+    t0 = time.perf_counter()
+    for _ in range(5):
+        call()
+    wall = time.perf_counter() - t0
+    rep = profiler.profile_report(top_k=10**6)
+    assert 0.9 * wall <= rep["total_s"] <= wall
+    assert any(e["depth"] >= 2 for e in rep["entries"])
+    worst = max((e for e in rep["entries"] if e["kind"] in _CONTAINERS), key=lambda e: e["share"])
+    assert worst["share"] <= 0.3, worst
+
+
+def test_profile_bitwise_identical_on_fuzz_corpus(monkeypatch):
     from repro.obs import profiler
 
     profiler.reset_profile()
@@ -234,14 +383,16 @@ def test_profile_report_gmm_gradient(monkeypatch):
     for e in rep["entries"]:
         assert e["label"] and e["kind"]
         assert e["measured_rank"] >= 1
-        assert {"seconds", "share", "calls", "index"} <= set(e)
-        assert not {"est_work", "est_rank", "mispredicted", "schedule"} & set(e)
+        assert {"self_s", "cum_s", "share", "calls", "depth", "strategy", "index"} <= set(e)
+        assert not {"seconds", "est_work", "est_rank", "mispredicted", "schedule"} & set(e)
         # the size of each instruction's memory plan rides along
         assert set(e["mem"]) == {"released_slots", "run_local_releases", "donating_ops"}
     assert sum(e["mem"]["released_slots"] for e in rep["entries"]) > 0
+    # the top rows are nested: the GMM gradient's work is in its map bodies
+    assert any(e["depth"] >= 1 for e in rep["entries"])
     txt = profiler.format_profile_report(rep)
     assert "est work" not in txt and "est#" not in txt
-    assert "%" in txt and "rel/loc/don" in txt and "view/gather" in txt
+    assert "%" in txt and "self_s" in txt and "rel/loc/don" in txt and "view/gather" in txt
 
 
 def test_write_profile_json(tmp_path, monkeypatch):
@@ -255,7 +406,8 @@ def test_write_profile_json(tmp_path, monkeypatch):
     path = profiler.write_profile(str(out))
     rep = json.loads(out.read_text())
     assert path == str(out)
-    assert rep["total_s"] >= 0.0 and isinstance(rep["entries"], list)
+    assert rep["total_s"] >= 0.0 and rep["entries"]
+    assert all("self_s" in e and "depth" in e for e in rep["entries"])
 
 
 # ---------------------------------------------------------------------------
