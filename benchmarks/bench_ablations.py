@@ -1,6 +1,6 @@
-"""Ablations A1–A5, A9 (per DESIGN.md):
+"""Ablations A2–A5, A9 (per DESIGN.md):
 
-A1  §6.1 accumulator→reduce on the matmul adjoint (the GMM/LSTM lever);
+A1  retired with the §6.1 rewrites; trial in CHANGES.md;
 A2  §4.3 strip-mining time–space trade-off (checkpoint memory vs re-exec),
     and a slot loop reverse AD proves it may checkpoint only at entry (§6.2);
 A3  §4.1 perfect nests ⇒ no re-execution (DCE kills the forward sweeps);
@@ -36,49 +36,6 @@ from repro.core.vjp import vjp_fun
 from common import BENCH_BACKEND, bench_row, on_bench_backend, timeit, write_table
 
 rng = np.random.default_rng(0)
-
-
-# --- A1: accumulator optimisation ------------------------------------------------
-
-MM = (224, 128, 160)
-
-
-@pytest.fixture(scope="module")
-def mm_adjoints():
-    n, k, m = MM
-    f = rp.compile(rp.trace_like(lambda a, b: rp.matmul(a, b), (np.ones((n, k)), np.ones((k, m)))))
-    raw = vjp(f, acc_opt=False)
-    opt = vjp(f, acc_opt=True)
-    A = rng.standard_normal((n, k))
-    B = rng.standard_normal((k, m))
-    S = rng.standard_normal((n, m))
-    return raw, opt, (A, B, S)
-
-
-def test_ablation_a1_acc_opt_off(benchmark, mm_adjoints):
-    raw, opt, args = mm_adjoints
-    benchmark(lambda: raw(*args))
-
-
-def test_ablation_a1_acc_opt_on(benchmark, mm_adjoints):
-    raw, opt, args = mm_adjoints
-    benchmark(lambda: opt(*args))
-    t_raw = timeit(lambda: raw(*args))
-    t_opt = timeit(lambda: opt(*args))
-    write_table(
-        "ablation_a1_accopt",
-        [
-            "A1: matmul adjoint — §6.1 accumulator→reduce rewrite",
-            f"shape {MM}: atomic-updates {t_raw:.3f}s, rewritten {t_opt:.3f}s, speedup {t_raw/t_opt:.2f}x",
-            "paper: 'nearly one order of magnitude at application level' on GPU;",
-            "the win grows with the summed dimension (atomics→dense reduction).",
-        ],
-        rows=[
-            bench_row("acc_opt_off", seconds=t_raw),
-            bench_row("acc_opt_on", seconds=t_opt),
-        ],
-    )
-    assert t_opt < t_raw
 
 
 # --- A2: strip-mining ---------------------------------------------------------------

@@ -7,9 +7,10 @@ an output projection, and a squared-error loss over the sequence:
     c' = f∘c + i∘g;  h' = o∘tanh(c');  y_t = Wy·h';  loss += ‖y_t − t_t‖²
 
 The IR program is a sequential loop over time steps whose state (h, c) is
-checkpointed by reverse AD; the matrix products are nested maps, so their
-adjoints go through the §6.1 accumulator optimisation — the paper's LSTM
-story end to end.  ``grad_manual`` is hand-written BPTT (the "cuDNN"
+checkpointed by reverse AD; the matrix products are nested maps, and they
+and their adjoints' accumulation maps each run as one contraction
+(``exec/lower.py:IContract``) — what the paper's §6.1 rewrites buy its
+LSTM.  ``grad_manual`` is hand-written BPTT (the "cuDNN"
 manually-differentiated comparator), ``loss_eager`` the tape baseline.
 """
 from __future__ import annotations

@@ -88,31 +88,28 @@ def _project(fun: Fun, keep: slice) -> Fun:
     return Fun(fun.name, fun.params, Body(fun.body.stms, fun.body.result[keep]))
 
 
-def _vjp_fun(f: FunLike, acc_opt: bool, wrt) -> Tuple[Fun, int]:
+def _vjp_fun(f: FunLike, wrt) -> Tuple[Fun, int]:
     """The unoptimised reverse-mode program of ``f`` and ``f``'s result count."""
     fun = _pre_ad(_fun_of(f))
-    out = vjp_fun(fun, wrt=wrt)
-    if acc_opt:
-        from ..opt.acc_opt import acc_opt_fun
-
-        out = acc_opt_fun(out)
-    return out, len(fun.body.result)
+    return vjp_fun(fun, wrt=wrt), len(fun.body.result)
 
 
-def vjp(
-    f: FunLike, optimize: bool = True, acc_opt: bool = True, wrt=None, passes=None
-) -> ADFunction:
+def vjp(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> ADFunction:
     """Reverse-mode derivative.
 
     ``vjp(f)(*args, *seeds)`` returns ``(*primal_results, *adjoints)`` where
     ``seeds`` are the adjoints of ``f``'s float results and ``adjoints`` are
-    the adjoints of ``f``'s float parameters.  ``acc_opt`` applies the §6.1
-    accumulator→reduce/histogram rewrites (on by default, as in the paper;
-    disable for the ablation).  ``passes`` selects the optimisation passes
-    applied to the *derivative* program (the pre-AD pipeline always runs the
-    AD-safe set).
+    the adjoints of ``f``'s float parameters.  ``passes`` selects the
+    optimisation passes applied to the *derivative* program (the pre-AD
+    pipeline always runs the AD-safe set).
+
+    The accumulator updates reverse AD leaves are not rewritten into
+    reduce/histogram kernels (the paper's §6.1): the executor gets the same
+    effect, as a ``contract`` instruction for a product accumulation map and
+    a strided view add (``exec/vector.py:_add_view``) for an update whose
+    index does not vary along some lanes.
     """
-    out, n_res = _vjp_fun(f, acc_opt, wrt)
+    out, n_res = _vjp_fun(f, wrt)
     return ADFunction(out, n_res, optimize=optimize, passes=passes)
 
 
@@ -137,7 +134,7 @@ def grad(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> Callable:
     r0 = fun.body.result[0].type
     if len(fun.body.result) != 1 or not is_float(r0) or rank_of(r0) != 0:
         raise ADError("grad: function must return a single float scalar")
-    out, n_res = _vjp_fun(f, True, wrt)
+    out, n_res = _vjp_fun(f, wrt)
     g = ADFunction(_project(out, slice(n_res, None)), 0, optimize=optimize, passes=passes)
 
     def run(*args, backend: Optional[str] = None):
@@ -241,7 +238,9 @@ def hessian_diag(f: FunLike, wrt: int = 0) -> Callable:
     ``wrt``-th parameter, computed with a *single* ``jvp(vjp(f))``
     invocation: when the Hessian is diagonal, seeding the all-ones tangent
     returns ``H·1`` = the diagonal — the sparsity-through-seeding trick of
-    §7.4 (k-means).  Other parameters are treated as data.
+    §7.4 (k-means).  Other parameters are treated as data.  Between the two
+    transforms the gradient program gets one ``optimize_fun`` over the
+    AD-safe passes and nothing else.
 
     The tangent calling convention is derived from the parameter lists the
     transforms actually produced (never assumed positionally): ``jvp`` of
@@ -262,14 +261,12 @@ def hessian_diag(f: FunLike, wrt: int = 0) -> Callable:
         )
     if not is_float(fun.params[wrt].type):
         raise ADError("hessian_diag: wrt parameter must be a float array")
-    from ..opt.acc_opt import acc_opt_fun
-
-    gradf = vjp_fun(fun, wrt=[wrt])  # (params..., seed) -> (y, xbar)
-    # AD-safe passes only: ``gradf`` is differentiated again below, so the
-    # fusion pass (whose redomap shapes the jvp rules cannot handle) must
-    # not run until the final ADFunction compilation.
-    gradf = acc_opt_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES))
-    hof = jvp_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES))
+    # (params..., seed) -> (y, xbar).  AD-safe passes only: ``gradf`` is
+    # differentiated again below, so the fusion pass (whose redomap shapes
+    # the jvp rules cannot handle) must not run until the final ADFunction
+    # compilation.
+    gradf = optimize_fun(vjp_fun(fun, wrt=[wrt]), passes=AD_SAFE_PASSES)
+    hof = jvp_fun(gradf)
     # hof returns (y, x̄, ẏ, x̄̇); keep only x̄̇ = (d/dε)∇f(x+ε·1) = H·1, so
     # DCE drops the primal re-run that only y and ẏ needed.
     compiled = ADFunction(_project(hof, slice(-1, None)), 0)

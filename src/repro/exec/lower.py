@@ -1166,7 +1166,8 @@ def contract_layout(ins: IContract, fact, d: int):
     map's lanes are level ``d``): per term its reads ``(src, ids,
     template)``, ``np.einsum`` subscripts (a letter per level) and their
     ``_matmul_form``, the selector adding levels no factor has, and the
-    target ``(acc, ids, template)``; ``None`` if a read is no view (below)."""
+    target ``(acc, ids, template)`` and the ``spread`` levels ``(level,
+    ((factor, axis), ..))``; ``None`` if a read is no view (below)."""
     deps = [d + 1 if lane else fact(a[1] if isinstance(a, tuple) else a)[0]
             for a, lane in zip(ins.arrs, ins.lanes)] + [fact(x)[0] for x in ins.xs]
     terms: list = []
@@ -1191,12 +1192,18 @@ def contract_layout(ins: IContract, fact, d: int):
         sub = ["".join(chr(97 + t) for t in ls) for ls in labels + [got]]
         spec = ",".join(sub[:-1]) + "->" + sub[-1]
         osel = None if got == out else tuple(slice(None) if t in have else None for t in out)
-        # Only a read's slice surely spans its level: a sum over a level no
-        # read slices could count a product once instead of once per lane.
+        # Only a read's slice surely spans its level: a batch axis may be a
+        # lane-uniform value's extent 1, and a sum over it would count a
+        # product once instead of once per lane.  A summed enclosing level
+        # no read slices is ``spread``: the kernel checks its extents per
+        # call.  The map's own lane (level ``d``) has to be sliced.
         sliced = {t for (_s, _i, vt), ls in zip(reads, labels) if vt for t in ls[vt[0]:]}
-        if any(t not in out and t not in sliced for t in range(d + 1)):
+        summed = [t for t in range(d + 1) if t not in out and t not in sliced]
+        if d in summed or any(t not in have for t in summed):
             return None
-        terms.append((tuple(reads), spec, _matmul_form(labels, got), osel, target))
+        spread = tuple((t, tuple((f, ls.index(t)) for f, ls in enumerate(labels) if t in ls))
+                       for t in summed)
+        terms.append((tuple(reads), spec, _matmul_form(labels, got), osel, target, spread))
     return tuple(terms)
 
 

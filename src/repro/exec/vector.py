@@ -406,7 +406,13 @@ def _add_view(state, acc: AccBV, ids: List[np.ndarray], v: BV, vt, k: int) -> bo
     axis no index varies along (extent 1 in the view) receives the value
     summed over it — provided the value is materialised along that axis (a
     lane-uniform value would count once instead of once per lane; that case
-    takes ``np.add.at``).  False when any fact fails; nothing was written."""
+    takes ``np.add.at``).  False when any fact fails; nothing was written.
+
+    This is what the paper's §6.1 reduce rewrite buys on a GPU: an update
+    whose index is invariant to a parallel lane becomes one sum over that
+    lane, not a scatter of contended adds.  Product accumulation maps go
+    further, to one ``_contract``; an update under a mask, or with a
+    data-dependent index, still takes ``np.add.at``."""
     ka = acc.bdims
     view = _view(acc.data, ids, vt)
     if view is None:
@@ -831,10 +837,12 @@ def _contract(eng, arrs, nes, accs, xs, lanes, lay, body) -> List[object]:
     """A ``+∘*`` nest (``exec/lower.py:IContract``): each sum — a redomap's
     value, or an update added into its accumulator's view — one
     ``np.matmul`` (else ``np.einsum``; ``lay``: ``contract_layout``) over
-    the reads' ``_view``s and lane scalars.  ``arrs``: an ``iota``
-    (``lanes``), a replicate, or a dropped one's ``[count, value]``.  If a
-    per-call fact fails — a view, an extent, a mask on an update — nothing
-    is written and the map (part) ``body`` runs instead."""
+    the reads' ``_view``s and lane scalars; on a summed ``spread`` level
+    that every factor has at extent 1, one is broadcast to the level's
+    extent.  ``arrs``: an ``iota`` (``lanes``), a replicate, or a dropped
+    one's ``[count, value]``.  If a per-call fact fails — a view, an
+    extent, a mask on an update — nothing is written and the map (part)
+    ``body`` runs instead."""
     srcs: List[object] = []
     ns = set()
     for a, lane in zip(arrs, lanes):
@@ -848,12 +856,17 @@ def _contract(eng, arrs, nes, accs, xs, lanes, lay, body) -> List[object]:
     srcs += [x.data for x in xs]
     ok = lay is not None and ns == {n} and n and (not accs or eng.mask is None)
     done: list = []
-    for reads, spec, mm, osel, target in lay if ok else ():
+    for reads, spec, mm, osel, target, spread in lay if ok else ():
         ops = [srcs[s] if vt is None else _view(srcs[s], [srcs[i] for i in ids], vt)
                for s, ids, vt in reads]
         if any(v is None for v in ops):
             ok = False
             break
+        for t, axes in spread:  # every factor lane-uniform on a summed level
+            if all(ops[f].shape[a] == 1 for f, a in axes):
+                f, a = axes[0]
+                ops[f] = np.broadcast_to(ops[f], ops[f].shape[:a] + (eng.bstack[t],)
+                                         + ops[f].shape[a + 1:])
         res = None
         if mm is not None:
             f0, t0, f1, t1 = mm

@@ -10,7 +10,7 @@ analysis over the SSA program:
   must be the region's own accumulators, and any accumulator appearing among
   the secondary results must belong to a still-live *enclosing* region
   (inherited pass-through — how nested ``withacc``s thread an outer
-  accumulator straight through, see ``opt/acc_opt``);
+  accumulator straight through);
 * accumulators are consumed *linearly*: within one scope each accumulator
   value is used at most once (``UpdAcc``, threading through ``Map``/``Loop``/
   ``If``, or being returned all count as the single use);
@@ -113,9 +113,10 @@ def _walk_body(body: Body, used: Dict[str, int], st: _Regions) -> None:
 def _read_atoms(e: Exp, used: Dict[str, int], st: _Regions) -> None:
     if isinstance(e, Size):
         # A length observation is not a consumption: linearity governs the
-        # accumulator's *write view*, and ``acc_opt`` legitimately reads
-        # ``length(acc)`` for the histogram bin count while the accumulator
-        # is still to be updated.  (Likewise harmless on a frozen array.)
+        # accumulator's *write view*, and the extent of an accumulator is
+        # its array's, fixed when the region opens — reading it reads no
+        # element and orders no update.  (Likewise harmless on a frozen
+        # array.)
         a = e.arr
         if isinstance(a.type, AccType):
             rid = st.region.get(a.name)

@@ -34,9 +34,8 @@ touch, with the facts on its nodes).  So a quiet firing is ``out is fun``;
 ``changed`` counts the firings that returned a new object; a round in which
 nothing moved ends the loop without comparing trees; and a ``Fun`` that came
 through a quiet firing of pass *P* carries that as a fact (``ir.ast.fact``),
-so no later call fires *P* on it again, whatever its pass list —
-``Compiled``'s full set after ``acc_opt``'s AD-safe set, the AD-safe set on a
-``Compiled``'s converged program.
+so no later call fires *P* on it again, whatever its pass list — the AD
+entry points' AD-safe set on a ``Compiled``'s converged program, say.
 
 The enabled set is the ``passes`` argument (a sequence of pass names;
 ``("simplify", "cse", "dce")`` is the fusion ablation, ``()`` disables

@@ -18,7 +18,6 @@ from repro.core.jvp import jvp_fun
 from repro.core.vjp import vjp_fun
 from repro.ir import pretty
 from repro.ir.traversal import count_stms
-from repro.opt.acc_opt import acc_opt_fun
 from repro.opt.pipeline import AD_SAFE_PASSES, optimize_fun
 
 
@@ -75,9 +74,8 @@ def test_hessian_diag_is_the_jvp_of_vjp_cut_to_its_last_result():
     fc = rp.compile(build_ir())
     h = rp.hessian_diag(fc, wrt=1)
     # The uncut program, through the same stages as ``hessian_diag``.
-    gradf = vjp_fun(_pre_ad(fc.fun), wrt=[1])
-    gradf = acc_opt_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES))
-    full = rp.compile(jvp_fun(optimize_fun(gradf, passes=AD_SAFE_PASSES)))
+    gradf = optimize_fun(vjp_fun(_pre_ad(fc.fun), wrt=[1]), passes=AD_SAFE_PASSES)
+    full = rp.compile(jvp_fun(gradf))
     cut = h.adfun.fun
     _same_params(cut, full.fun, fc.fun)
     assert len(full.fun.body.result) == 4 and len(cut.body.result) == 1

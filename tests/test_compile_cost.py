@@ -73,8 +73,7 @@ def test_most_pass_firings_change_the_program(cold_round):
 
 def test_every_derivative_reuses_an_optimisation(cold_round):
     """``_pre_ad``'s second optimise finds the first one's answer (the loop
-    rewrites between them hand their input back), and ``acc_opt``'s last
-    round finds its own."""
+    rewrites between them hand their input back)."""
     assert all(c["hits"] >= 1 for c in cold_round.values()), cold_round
 
 

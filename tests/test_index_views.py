@@ -537,6 +537,39 @@ def test_contract_with_a_lane_uniform_factor_counts_it_once_per_lane():
     assert plan_cache_stats()["index"]["view_fallbacks"] > before
 
 
+@pytest.mark.parametrize("sv", [0.5, -0.5], ids=["raised", "materialised"])
+def test_contract_spreads_a_raised_lane_uniform_factor(sv):
+    """``upd acc[j] += w[j] * c`` under maps over the rows of ``X`` and
+    ``j``, ``c = if s > 0 then s else x[0]``: ``c`` is at the rows' depth,
+    but when ``s`` wins it is ``s`` raised there, of extent 1.  The summed
+    row level is checked per call (a ``spread`` level of
+    ``contract_layout``): the factor is broadcast to the row count, so the
+    product counts once per row, and the contract never falls back.  When
+    ``x[0]`` wins, ``c`` has a row each and nothing is broadcast."""
+    a, X, wv, s = Var("a", array(F64)), Var("X", array(F64, 2)), Var("w", array(F64)), Var("s", F64)
+    acc_t = AccType(F64, 1)
+    x, j = Var("x", array(F64)), Var("j", I64)
+    acc0, acc1, acc2 = (Var(f"acc{k}", acc_t) for k in range(3))
+    mid, then, els = Builder(), Builder(), Builder()
+    (c,) = mid.if_(mid.binop("gt", s, 0.0), then.finish([s]), els.finish([els.index(x, (0,))]))
+    inner = Builder()
+    upd = inner.upd_acc(acc2, (j,), inner.mul(inner.index(wv, (j,)), c))
+    (acc_m,) = mid.map(Lambda((j, acc2), inner.finish([upd])), [mid.iota(M)], [acc1])
+    top = Builder()
+    (acc_n,) = top.map(Lambda((x, acc1), mid.finish([acc_m])), [X], [acc0])
+    b = Builder()
+    (out,) = b.with_acc([a], Lambda((acc0,), top.finish([acc_n])))
+    fc = rp.compile(Fun("raised_factor", (a, X, wv, s), b.finish([out])), optimize=False)
+    av, w = np.arange(1.0, M + 1.0), np.linspace(0.5, 2.0, M)
+    xv = np.linspace(-1.0, 1.0, N * M).reshape(N, M)
+    total = N * sv if sv > 0 else xv[:, 0].sum()
+    np.testing.assert_allclose(run_both(fc, av, xv, w, sv), av + w * total, rtol=1e-12)
+    assert _contracts_of(fc, av, xv, w, sv) == 1
+    before = plan_cache_stats()["index"]["view_fallbacks"]
+    fc(av, xv, w, sv, backend="plan")
+    assert plan_cache_stats()["index"]["view_fallbacks"] == before
+
+
 @pytest.mark.parametrize("backend", ["plan", "codegen"])
 def test_contract_under_batched_seeds_matches_ref_per_seed(backend):
     """A seed batch adds a level under every contraction, and a batched

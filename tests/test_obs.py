@@ -139,6 +139,12 @@ def test_repro_trace_exports_chrome_json(tmp_path, monkeypatch):
     assert {"call", "lower", "emit", "execute"} <= names
     ex = next(e for e in evs if e["name"] == "execute" and e["ph"] == "B")
     assert ex["args"]["fun"] == "obs_trace_demo"
+    # every pass firing says whether it handed back a new program
+    begins = [e for e in evs if e["ph"] == "B"]
+    firings = [e["args"]["changed"] for e in begins if e["name"].startswith("opt:")]
+    assert all(isinstance(c, bool) for c in firings) and any(firings) and not all(firings)
+    opts = [e["args"] for e in begins if e["name"] == "optimize"]
+    assert opts and all(a["rounds"] >= 1 and isinstance(a["converged"], bool) for a in opts)
 
 
 def test_tracing_under_codegen_backend(monkeypatch):
@@ -157,33 +163,6 @@ def test_tracing_under_codegen_backend(monkeypatch):
         if e["name"] == "execute" and e["ph"] == "B"
     )
     assert ex["args"]["emitter"] == "codegen"
-
-
-def test_traced_grad_shows_acc_opt_and_what_each_firing_did():
-    """The most expensive compile stage has a span of its own, and every
-    pass firing says whether it handed back a new program."""
-    xs = np.linspace(0.1, 1.0, 6)
-    ws = np.linspace(-1.0, 1.0, 18).reshape(3, 6)
-    prog = lambda w, v: rp.sum(rp.map(lambda r: rp.tanh(rp.sum(r * v)), w))  # noqa: E731
-    fc = rp.compile(rp.trace_like(prog, (ws, xs), name="obs_acc_opt_demo"))
-    tracing.enable()
-    g = rp.grad(fc)
-    begins = [e for e in tracing.events() if e["ph"] == "B"]
-    _balance_check(tracing.events())
-    (acc,) = [e for e in begins if e["name"] == "acc_opt"]
-    assert acc["cat"] == "compile" and acc["args"]["fun"] == "obs_acc_opt_demo_vjp"
-    assert acc["args"]["rewrites"] >= 1  # the row·vector adjoint hoists to a reduce
-    # one sweep more than the rounds that rewrote, never one per rewrite more
-    assert 2 <= acc["args"]["rounds"] <= acc["args"]["rewrites"] + 1
-    firings = [e for e in begins if e["name"].startswith("opt:")]
-    assert firings and all(isinstance(e["args"]["changed"], bool) for e in firings)
-    assert any(not e["args"]["changed"] for e in firings)
-    assert any(e["args"]["changed"] for e in firings)
-    opts = [e for e in begins if e["name"] == "optimize"]
-    assert opts and all(
-        e["args"]["rounds"] >= 1 and isinstance(e["args"]["converged"], bool) for e in opts
-    )
-    assert np.allclose(g(ws, xs)[0], (1 - np.tanh(ws @ xs) ** 2)[:, None] * xs)
 
 
 def test_collecting_restores_off_state():

@@ -6,9 +6,8 @@
 2. A rewrite hands back the object it was given when it changed nothing —
    and never an equal copy of it, so "same object" and "same program"
    coincide.
-3. The drivers use that identity: a converged program is not optimised
-   again, under whatever pass list, and ``acc_opt`` stops at the first round
-   that rewrote nothing.
+3. ``optimize_fun`` uses that identity: a converged program is not optimised
+   again, under whatever pass list.
 
 Corpus: the eight apps (nine derivative programs) at the benchmark's reduced
 sizes — as traced, as compiled, their ``vjp`` / ``jvp`` derivatives before
@@ -21,17 +20,13 @@ import numpy as np
 import pytest
 
 import repro as rp
-from repro import obs
 from repro.core.jvp import jvp_fun
 from repro.core.vjp import vjp_fun
 from repro.ir.ast import Body, Fun, If, Lambda, Loop, Map, Stm, Var, WhileLoop
 from repro.ir.traversal import NESTED, exp_atoms, exp_lambdas, free_vars, free_vars_exp
-from repro.opt import acc_opt
-from repro.opt.acc_opt import acc_opt_fun
 from repro.opt.fusion import unfuse_fun
 from repro.opt.pipeline import (
     AD_SAFE_PASSES,
-    clear_opt_cache,
     opt_stats,
     optimize_fun,
     registered_passes,
@@ -51,9 +46,10 @@ def _stages(ir: Fun) -> Dict[str, Fun]:
     fun = rp.compile(ir).fun
     pre = _pre_ad(fun)
     v, j = vjp_fun(pre), jvp_fun(pre)
-    va = acc_opt_fun(v)
+    # ``vjp_safe``: what ``hessian_diag`` hands to ``jvp_fun``.
     return {"traced": ir, "compiled": fun, "pre_ad": pre, "vjp": v, "jvp": j,
-            "vjp_acc_opt": va, "vjp_final": optimize_fun(va), "jvp_final": optimize_fun(j)}
+            "vjp_safe": optimize_fun(v, passes=AD_SAFE_PASSES),
+            "vjp_final": optimize_fun(v), "jvp_final": optimize_fun(j)}
 
 
 def _corpus() -> Dict[str, Fun]:
@@ -194,7 +190,7 @@ def test_rebuilt_node_does_not_inherit_facts(corpus):
 def _rewrites():
     out = {p.name: p.fn for p in registered_passes()}
     out.update(while_bound=while_bound_fun, stripmine=stripmine_fun,
-               unfuse=unfuse_fun, acc_opt=acc_opt_fun)
+               unfuse=unfuse_fun)
     return out
 
 
@@ -252,35 +248,3 @@ def test_converged_program_is_not_optimised_again(corpus):
         assert optimize_fun(g, cache=False, passes=("dce", "fuse")) is g, key
         assert _fired() == before, key
         assert optimize_fun(g, rounds=8) is g
-
-
-# -- (e) acc_opt stops when it rewrote nothing ---------------------------------
-
-
-def test_grad_of_lstm_pays_for_rewriting_rounds_only(monkeypatch):
-    build_ir, _ = cold_programs()["lstm"]
-    fc = rp.compile(build_ir())
-    sweeps = []  # per top-level sweep: how many rewrites it fired
-    depth = [0]
-    real = acc_opt._opt_body
-
-    def counting(body, fired):
-        before = len(fired)
-        depth[0] += 1
-        try:
-            return real(body, fired)
-        finally:
-            depth[0] -= 1
-            if depth[0] == 0:
-                sweeps.append(len(fired) - before)
-
-    monkeypatch.setattr(acc_opt, "_opt_body", counting)
-    clear_opt_cache()
-    obs.reset_all()
-    rp.grad(fc, wrt=[1, 2, 3, 4])
-    rewriting = sum(1 for n in sweeps if n)
-    assert rewriting >= 1 and sweeps[-1] == 0
-    assert len(sweeps) <= rewriting + 1
-    cache = opt_stats()["cache"]
-    assert cache["misses"] <= 3 + rewriting, (cache, sweeps)
-    assert cache["hits"] >= 1

@@ -1,12 +1,11 @@
-"""Simplify / CSE / fusion / while-bound / stripmine / acc_opt pass tests:
-each preserves semantics and achieves its structural goal."""
+"""Simplify / CSE / fusion / while-bound / stripmine pass tests: each
+preserves semantics and achieves its structural goal."""
 import numpy as np
 import pytest
 
 import repro as rp
 from repro.frontend.function import Compiled
-from repro.ir import Fun, check_fun, count_stms, pretty
-from repro.opt.acc_opt import acc_opt_fun
+from repro.ir import check_fun, count_stms, pretty
 from repro.opt.cse import cse_fun
 from repro.opt.fusion import fuse_fun
 from repro.opt.simplify import simplify_fun
@@ -137,65 +136,62 @@ def test_stripmine_semantics():
     _same(fun, sm, 0.7)
 
 
+def _matmul():
+    return rp.compile(rp.trace_like(lambda a, b: rp.matmul(a, b),
+                                    (np.ones((3, 4)), np.ones((4, 2)))))
+
+
 def test_acc_opt_preserves_matmul_semantics():
+    """The matmul adjoint means the same optimised (its products contracted)
+    as unoptimised."""
     from repro.core.api import vjp
 
-    f = rp.compile(rp.trace_like(lambda a, b: rp.matmul(a, b), (np.ones((3, 4)), np.ones((4, 2)))))
-    raw = vjp(f, acc_opt=False)
-    opt = vjp(f, acc_opt=True)
+    f = _matmul()
+    raw = vjp(f, optimize=False)
+    opt = vjp(f)
     A, B, S = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
     _same(raw.fun, opt.fun, A, B, S)
 
 
-def test_acc_opt_removes_innermost_atomic_storm():
-    """The §6.1 structural claim: the i·j·k scattered updates of the matmul
-    adjoint are replaced by dense reduce kernels (only the final O(k·j)
-    write-back scatter remains)."""
-    from repro.core.api import vjp
-    from repro.ir.ast import UpdAcc, Loop, WhileLoop, If
-    from repro.ir.traversal import exp_lambdas
-
-    def count_upd(node):
-        n = 0
-
-        def body(b):
-            nonlocal n
-            for stm in b.stms:
-                e = stm.exp
-                if isinstance(e, UpdAcc) and len(e.idx) > 0:
-                    n += 1
-                for l in exp_lambdas(e):
-                    body(l.body)
-                if isinstance(e, (Loop, WhileLoop)):
-                    body(e.body)
-                if isinstance(e, If):
-                    body(e.then)
-                    body(e.els)
-
-        body(node.body)
-        return n
-
-    f = rp.compile(rp.trace_like(lambda a, b: rp.matmul(a, b), (np.ones((3, 4)), np.ones((4, 2)))))
-    raw = vjp(f, acc_opt=False)
-    opt = vjp(f, acc_opt=True)
-    assert count_upd(opt.fun) < count_upd(raw.fun)
+def test_vjp_has_no_acc_opt_knob():
+    """The §6.1 accumulator rewrites are gone, and so is their switch."""
+    with pytest.raises(TypeError):
+        rp.vjp(_matmul(), acc_opt=True)
 
 
-def test_acc_opt_hist_rewrite_fires():
-    """A data-dependent update under one map becomes a reduce_by_index."""
-    from repro.core.api import vjp
+@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def test_plan_does_the_accumulator_work_of_section_6_1(backend):
+    """What §6.1 rewrites accumulator updates into, the plan emitters do as
+    they run them.  The matmul adjoint's updates run as ``contract``s (one
+    matmul each) and view adds, with no gather and no run-time fallback.
+    A data-dependent ``tbl[i]`` update takes ``np.add.at``, and its gradient
+    matches ``ref`` and central differences."""
+    from repro.exec.plan import clear_plan_cache, plan_cache_stats
+    from helpers import fd_grad, numpy_call_census
 
-    def f(xs, tbl):
+    v = rp.vjp(_matmul())
+    A, B, S = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+    clear_plan_cache()
+    v(A, B, S, backend=backend)
+    index = plan_cache_stats()["index"]
+    assert index["contract_ops"] >= 1 and index["gather_index_ops"] == 0, index
+    for _ in range(3):
+        _, abar, bbar = v(A, B, S, backend=backend)
+    assert plan_cache_stats()["index"]["view_fallbacks"] == index["view_fallbacks"]
+    np.testing.assert_allclose(abar, S @ B.T, rtol=1e-12)
+    np.testing.assert_allclose(bbar, A.T @ S, rtol=1e-12)
+
+    def lookup(xs, tbl):
         def per(x):
             i = rp.astype(rp.floor(abs(x)), rp.I64) % 4
             return tbl[i] * x
 
         return rp.sum(rp.map(per, xs))
 
-    fc = rp.compile(rp.trace_like(f, (np.ones(6), np.ones(4))))
-    opt = vjp(fc, acc_opt=True, wrt=[1])
-    assert "reduce_by_index" in pretty(opt.fun)
-    raw = vjp(fc, acc_opt=False, wrt=[1])
-    xs = rng.standard_normal(6) * 3
-    tbl = rng.standard_normal(4)
-    _same(raw.fun, opt.fun, xs, tbl, 1.0)
+    xs, tbl = rng.standard_normal(6) * 3, rng.standard_normal(4)
+    fc = rp.compile(rp.trace_like(lookup, (xs, tbl)))
+    g = rp.grad(fc, wrt=[1])
+    got = g(xs, tbl, backend=backend)
+    assert numpy_call_census(lambda: g(xs, tbl, backend=backend))["scatter"] == 1
+    np.testing.assert_allclose(got, g(xs, tbl, backend="ref"), rtol=1e-12)
+    np.testing.assert_allclose(got, fd_grad(fc, (xs, tbl), 1), rtol=1e-6, atol=1e-8)
