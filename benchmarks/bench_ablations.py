@@ -1,4 +1,4 @@
-"""Ablations A2–A5, A9 (per DESIGN.md):
+"""Ablations A2–A5 (per DESIGN.md) and the verification-cost guard:
 
 A1  retired with the §6.1 rewrites; trial in CHANGES.md;
 A2  §4.3 strip-mining time–space trade-off (checkpoint memory vs re-exec),
@@ -11,14 +11,10 @@ A7  retired with tier-2 plan specialisation (its shape-sweep invariant is
     tests/test_plan_cache.py);
 A8  retired with the cost model's decision points (the fusion gate never
     rejected a candidate; CHANGES.md, PR 17);
-A9  source codegen vs the closure interpreter: the same plan IR rendered
-    to one compiled Python function (backend=codegen) vs per-instruction
-    closure dispatch (backend=plan) on a GMM gradient and two
-    dispatch-bound scalar loops — bitwise parity asserted, codegen must
-    win outright where dispatch dominates and be no slower elsewhere;
+A9  retired with the source-codegen emitter (ROADMAP item 5; its
+    verification-cost guard is ``test_verify_cost_on_hot_plan_calls``);
 A10 retired with the schedule layer; trial in CHANGES.md, PR 21.
 """
-import os
 import tracemalloc
 
 import numpy as np
@@ -228,129 +224,41 @@ def test_ablation_a5_fusion(benchmark, fused, gmm_fusion_pair):
         assert s_on < s_off
 
 
-# --- A9: source codegen vs the closure interpreter -----------------------------------
-
-#: Two regimes.  The GMM gradient (Table 5 shape, scaled down) is
-#: array-bound: NumPy kernels dominate and codegen only trims the residual
-#: per-instruction dispatch.  The scalar loops are dispatch-bound: almost every "instruction" is a
-#: handful of FLOPs, so the closure interpreter's per-op indirection *is*
-#: the cost, and rendering the plan IR to one Python function removes it.
-GMM_A9 = (128, 8, 8)
-A9_FORI_ITERS = 512
-A9_WHILE_LIMIT = 1000.0
+# --- Verification cost: every REPRO_VERIFY layer runs at compile time ----------------
 
 
-def test_ablation_a9_codegen(benchmark):
-    from repro.exec.plan import clear_plan_cache, plan_cache_stats
-
-    n, d, K = GMM_A9
-    gmm_args = datagen.gmm_instance(n, d, K, 0)[:4] + (1.0,)
-    g_gmm = vjp(rp.compile(gmm.build_ir(n, d, K)), wrt=[0, 1, 2])
+def test_verify_cost_on_hot_plan_calls(monkeypatch):
+    """Hot cached-plan calls are unaffected by ``REPRO_VERIFY``: the verify
+    counters stand still across the timed region (also tier-1:
+    ``tests/test_verify.py::test_cached_plan_reuse_skips_reverification``),
+    and wall clock with boundary checking on stays within 2 % of
+    verification disabled, plus 0.2 ms of slack.  The program is a
+    dispatch-bound scalar loop, where a per-call check would show most."""
+    from repro.ir.verify import VERIFY_STATS
 
     def scalar_fori(x, v):
         def body(i, a):
             s = rp.sin(a) * 0.5 + rp.cos(a * a) * 0.25
             return a + s * rp.sum(v) * 1e-3
-        return rp.fori_loop(A9_FORI_ITERS, body, x)
+        return rp.fori_loop(512, body, x)
 
-    def scalar_while(x):
-        return rp.while_loop(
-            lambda a: a < A9_WHILE_LIMIT, lambda a: a + rp.sin(a) * 0.1 + 1.0, x
-        )
-
-    fori_args = (0.1, rng.standard_normal(4))
-    fc_fori = rp.compile(rp.trace_like(scalar_fori, fori_args))
-    while_args = (0.0,)
-    fc_while = rp.compile(rp.trace_like(scalar_while, while_args))
-
-    workloads = [
-        ("gmm_grad", lambda be: g_gmm(*gmm_args, backend=be), 3),
-        ("scalar_fori", lambda be: fc_fori(*fori_args, backend=be), 7),
-        ("scalar_while", lambda be: fc_while(*while_args, backend=be), 7),
-    ]
-
-    clear_plan_cache()
-    times = {}
-    for name, run, reps in workloads:
-        res_plan = run("plan")
-        res_cg = run("codegen")
-        rp_ = res_plan if isinstance(res_plan, tuple) else (res_plan,)
-        rc = res_cg if isinstance(res_cg, tuple) else (res_cg,)
-        for a, b in zip(rp_, rc):
-            # same lowering, same NumPy call sequence: bitwise, not approximate
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        times[name] = (
-            timeit(lambda: run("plan"), repeats=reps),
-            timeit(lambda: run("codegen"), repeats=reps),
-        )
-
-    em = plan_cache_stats()["emitters"]["codegen"]
-    benchmark(lambda: fc_fori(*fori_args, backend="codegen"))
-
-    lines = [
-        "A9: source codegen (plan IR -> one compiled Python function) vs the",
-        "closure interpreter (per-instruction dispatch); identical lowering,",
-        "bitwise-equal results asserted on every workload.",
-    ]
-    rows = []
-    for name, (tp, tc) in times.items():
-        lines.append(
-            f"{name:12s} plan {tp*1000:8.2f} ms, codegen {tc*1000:8.2f} ms "
-            f"({tp/tc:.2f}x)"
-        )
-        rows.append(bench_row(f"{name}/plan", seconds=tp, backend="plan"))
-        rows.append(bench_row(f"{name}/codegen", seconds=tc, backend="codegen"))
-    lines.append(
-        f"codegen cache: {em['code_objects']} code objects, "
-        f"{em['source_bytes']} source bytes, compile {em['compile_s']*1000:.1f} ms"
-    )
-    lines.append(
-        "dispatch-bound scalar loops must win outright; the array-bound GMM"
-    )
-    lines.append(
-        "gradient must be no slower than the interpreter (NumPy-bound)."
-    )
-    rows.append(bench_row("codegen_cache", backend="codegen",
-                          code_objects=em["code_objects"],
-                          source_bytes=em["source_bytes"],
-                          compile_s=em["compile_s"]))
-    write_table("ablation_a9_codegen", lines, rows=rows)
-
-    # dispatch-bound: codegen must be >= 1.0x the interpreter, outright
-    assert times["scalar_fori"][1] <= times["scalar_fori"][0], times["scalar_fori"]
-    assert times["scalar_while"][1] <= times["scalar_while"][0], times["scalar_while"]
-    # array-bound: no slower, with headroom for timing noise
-    tp, tc = times["gmm_grad"]
-    assert tc <= tp * 1.15, (tc, tp)
-
-    # Verification-cost guard: every REPRO_VERIFY layer runs at *compile*
-    # time, so hot cached-plan calls must be unaffected by the knob — the
-    # verify counters stand still across the timed region, and wall clock
-    # with boundary checking on stays within 2% of verification disabled
-    # (plus a small absolute slack: these calls are sub-millisecond).
-    from repro.ir.verify import VERIFY_STATS
+    args = (0.1, rng.standard_normal(4))
+    fc = rp.compile(rp.trace_like(scalar_fori, args))
 
     def run_hot():
-        return fc_fori(*fori_args, backend="codegen")
+        return fc(*args, backend="plan")
 
-    env0 = os.environ.get("REPRO_VERIFY")
-    try:
-        run_hot()  # plan cache is hot from the timings above
-        c0 = None
-        t_off = t_bnd = float("inf")
-        # Interleave the two modes and compare minima: min-of-rounds is
-        # robust to machine drift where one median block vs another is not.
-        for _ in range(3):
-            os.environ["REPRO_VERIFY"] = "off"
-            t_off = min(t_off, timeit(run_hot, repeats=7))
-            os.environ["REPRO_VERIFY"] = "boundary"
-            if c0 is None:
-                c0 = dict(VERIFY_STATS)
-            t_bnd = min(t_bnd, timeit(run_hot, repeats=7))
-        assert dict(VERIFY_STATS) == c0, "verifier ran on a cached-plan call"
-        assert t_bnd <= t_off * 1.02 + 2e-4, (t_bnd, t_off)
-    finally:
-        if env0 is None:
-            os.environ.pop("REPRO_VERIFY", None)
-        else:
-            os.environ["REPRO_VERIFY"] = env0
+    run_hot()  # lowered and cached
+    c0 = None
+    t_off = t_bnd = float("inf")
+    # Interleave the two modes and compare minima: min-of-rounds is
+    # robust to machine drift where one median block vs another is not.
+    for _ in range(3):
+        monkeypatch.setenv("REPRO_VERIFY", "off")
+        t_off = min(t_off, timeit(run_hot, repeats=7))
+        monkeypatch.setenv("REPRO_VERIFY", "boundary")
+        if c0 is None:
+            c0 = dict(VERIFY_STATS)
+        t_bnd = min(t_bnd, timeit(run_hot, repeats=7))
+    assert dict(VERIFY_STATS) == c0, "verifier ran on a cached-plan call"
+    assert t_bnd <= t_off * 1.02 + 2e-4, (t_bnd, t_off)

@@ -20,7 +20,7 @@ _ROWS = {}
 
 #: Every row a workload records: the step on each side, and ours split into
 #: its two derivatives, so a change shows which of them moved.
-_IMPLS = ("manual", "ours", "ours_grad", "ours_hess", "ours_cg", "tape")
+_IMPLS = ("manual", "ours", "ours_grad", "ours_hess", "tape")
 
 
 def _record(wname, impl, t):
@@ -29,14 +29,13 @@ def _record(wname, impl, t):
         lines = [
             "Table 3: dense k-means — one Newton step (grad + Hessian diag), seconds",
             f"{'workload':16s} {'manual':>9s} {'ours(AD)':>9s} {'  grad':>9s} {'  hess':>9s} "
-            f"{'ours(cg)':>9s} {'tape':>9s}",
+            f"{'tape':>9s}",
         ]
         for w, v in _ROWS.items():
             lines.append(f"{w:16s} " + " ".join(f"{v[i]:9.4f}" for i in _IMPLS))
         lines.append("paper: manual 9.3/9.9 ms, Futhark-AD 36.6/9.6 ms, PyTorch 44.9/11.2 ms (A100)")
         rows = [
-            bench_row(f"{w}/{impl}", seconds=t,
-                      backend="codegen" if impl == "ours_cg" else None)
+            bench_row(f"{w}/{impl}", seconds=t)
             for w, v in _ROWS.items()
             for impl, t in v.items()
         ]
@@ -56,21 +55,6 @@ def test_table3_ours(benchmark, wname):
     _record(wname, "ours", timeit(step))
     _record(wname, "ours_grad", timeit(lambda: g(pts, ctr)))
     _record(wname, "ours_hess", timeit(lambda: h(pts, ctr)))
-
-
-@pytest.mark.parametrize("wname", list(WORKLOADS))
-def test_table3_ours_codegen(benchmark, wname):
-    """The same AD step with the plan IR rendered to source (``codegen``):
-    per-instruction dispatch eliminated, results bitwise-equal to ``plan``."""
-    k, n, d = WORKLOADS[wname]
-    (pts, ctr), fc, g, h = kmeans_setup(k, n, d)
-
-    def step():
-        g(pts, ctr, backend="codegen")
-        h(pts, ctr, backend="codegen")
-
-    benchmark(step)
-    _record(wname, "ours_cg", timeit(step))
 
 
 @pytest.mark.parametrize("wname", list(WORKLOADS))

@@ -22,21 +22,20 @@ _ROWS = {}
 
 def _record(ds, key, value):
     _ROWS.setdefault(ds, {})[key] = value
-    need = {"ours_jac", "ours_obj", "ours_cg_jac", "tape_jac", "tape_obj"}
+    need = {"ours_jac", "ours_obj", "tape_jac", "tape_obj"}
     if len(_ROWS) == len(GRID) and all(need <= set(v) for v in _ROWS.values()):
         lines = [
             f"Table 5: GMM Jacobian — ours vs tape baseline ({SCALE_NOTE})",
-            f"{'ds':4s} {'tape jac(s)':>12s} {'speedup':>8s} {'cg jac(s)':>10s} {'tape ovh':>9s} {'ours ovh':>9s}",
+            f"{'ds':4s} {'tape jac(s)':>12s} {'speedup':>8s} {'tape ovh':>9s} {'ours ovh':>9s}",
         ]
         for ds, v in _ROWS.items():
             sp = v["tape_jac"] / v["ours_jac"]
             lines.append(
-                f"{ds:4s} {v['tape_jac']:12.4f} {sp:7.2f}x {v['ours_cg_jac']:10.4f} {v['tape_jac']/v['tape_obj']:8.2f}x {v['ours_jac']/v['ours_obj']:8.2f}x"
+                f"{ds:4s} {v['tape_jac']:12.4f} {sp:7.2f}x {v['tape_jac']/v['tape_obj']:8.2f}x {v['ours_jac']/v['ours_obj']:8.2f}x"
             )
         lines.append("paper (5b): speedups 0.87–2.18x; overheads PyT 2.45–5.28x, Fut 2.0–3.18x")
         rows = [
-            bench_row(f"{ds}/{key}", seconds=t,
-                      backend="codegen" if key == "ours_cg_jac" else None)
+            bench_row(f"{ds}/{key}", seconds=t)
             for ds, v in _ROWS.items()
             for key, t in v.items()
         ]
@@ -50,16 +49,6 @@ def test_table5_ours(benchmark, ds):
     _record(ds, "ours_obj", timeit(fc, *args))
     benchmark(lambda: g(*args))
     _record(ds, "ours_jac", timeit(lambda: g(*args)))
-
-
-@pytest.mark.parametrize("ds", list(GRID))
-def test_table5_ours_codegen(benchmark, ds):
-    """The same Jacobian with the plan IR rendered to source (``codegen``):
-    per-instruction dispatch eliminated, results bitwise-equal to ``plan``."""
-    n, d, K = GRID[ds]
-    args, fc, g = gmm_setup(n, d, K)
-    benchmark(lambda: g(*args, backend="codegen"))
-    _record(ds, "ours_cg_jac", timeit(lambda: g(*args, backend="codegen")))
 
 
 @pytest.mark.parametrize("ds", list(GRID))

@@ -9,10 +9,8 @@ and records the paper's reported numbers next to ours.
 All "ours" rows run on the plan-compiled backend by default (lowered once,
 cached per shape signature — see ``repro.exec.plan``), which is what the
 paper's compiled-bulk-code numbers correspond to.  ``REPRO_BACKEND``
-selects any registered backend instead, as it does everywhere: ``ref`` to
-measure the interpreter, ``codegen`` to run plan IR rendered to compiled
-Python source (no per-instruction dispatch, bitwise-equal to ``plan``).
-Unknown names fail at import with the registered set listed.
+selects any registered backend instead, as it does everywhere (``ref`` to
+measure the interpreter).  Unknown names fail at import with the registered set listed.
 """
 from __future__ import annotations
 
@@ -50,15 +48,15 @@ def on_bench_backend(f: Callable) -> Callable:
     return functools.partial(f, backend=BENCH_BACKEND)
 
 
-def bench_row(name: str, seconds: Optional[float] = None, backend: Optional[str] = None, **extra) -> dict:
+def bench_row(name: str, seconds: Optional[float] = None, **extra) -> dict:
     """One machine-readable benchmark row for ``write_table(rows=...)``:
-    a measurement name, the backend it ran on, its wall-clock seconds (None
+    a measurement name, the benchmark backend, its wall-clock seconds (None
     for rows recording non-time metrics), plus free-form extra fields.
 
     Timed rows additionally carry the per-phase span breakdown (``phases``:
     lower/emit/compile/execute… seconds) and the obs-counter delta (``obs``)
     of the most recent ``timeit`` measurement."""
-    row = {"name": name, "backend": backend or BENCH_BACKEND, "seconds": seconds}
+    row = {"name": name, "backend": BENCH_BACKEND, "seconds": seconds}
     if seconds is not None and _LAST_MEASUREMENT is not None:
         row.setdefault("phases", _LAST_MEASUREMENT["phases"])
         row.setdefault("obs", _LAST_MEASUREMENT["obs"])

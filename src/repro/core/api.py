@@ -14,7 +14,7 @@ These mirror the paper's ``jvp``/``vjp`` language constructs (§2.0.1/2.0.2):
 Batched seeds
 -------------
 
-On the batched-capable backends (``plan``, ``codegen``) ``jacobian``
+On the batched-capable backend (``plan``) ``jacobian``
 evaluates *all* basis seeds in a single pass: the n (fwd) or m (rev) seed
 vectors are stacked on a leading batch axis and the derivative function runs
 once with that axis treated as one more parallel level — instead of n/m
@@ -174,7 +174,7 @@ def jacobian(f: FunLike, mode: Optional[str] = None) -> Callable:
     call time — the §2 cost argument.
 
     The returned callable accepts ``backend`` and ``batched`` keywords.  On
-    the batched-capable backends (``plan``/``codegen``) all basis seeds are
+    the batched-capable backend (``plan``) all basis seeds are
     evaluated in one batched pass by default; ``batched=False`` forces the
     per-seed loop, which is also the fallback on ``ref``.
     """

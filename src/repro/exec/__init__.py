@@ -1,14 +1,10 @@
 """Executors: the reference interpreter (the oracle), the plan family
 (shared lowering in ``lower``; batched values and one kernel per plan
-instruction in ``vector``; the closure emitter and the ``run`` driver in
-``plan``, the source emitter in ``codegen`` — both bind operands and
-dispatch, neither computes) and the cost recorder — the executors resolvable
-by name through ``registry``."""
-from .codegen import (  # noqa: F401
-    CodegenPlan,
-    run_fun_codegen,
-    run_fun_codegen_batched,
-)
+instruction in ``vector``; the closure emitter, the ``run`` driver and the
+plan cache in ``plan`` — it binds operands and dispatches, it computes
+nothing) and the cost recorder — the executors resolvable by name through
+``registry``.  ``codegen`` holds a bench-only residue."""
+from .codegen import CodegenPlan  # noqa: F401
 from .cost import Cost, CostRecorder  # noqa: F401
 from .interp import RefInterp, run_fun  # noqa: F401
 from .lower import PlanIR, lower_fun  # noqa: F401

@@ -1,8 +1,8 @@
 """Backend-neutral lowering: ``Fun`` → linear, shape-generic plan IR.
 
 Every compile-time decision of the plan family (slot allocation, scalar-run
-fusion, SOAC fast-path recognition, the memory plan) is made here, once, for
-every emitter.  The **plan IR** is a flat sequence of instruction records
+fusion, SOAC fast-path recognition, the memory plan) is made here, once.
+The **plan IR** is a flat sequence of instruction records
 over a slot-numbered register space, with every statically resolvable choice
 already made — and none that depends on a concrete extent, so one lowering
 serves every shape of a rank/dtype signature:
@@ -42,15 +42,11 @@ serves every shape of a rank/dtype signature:
   ``lift``; view-path ``index`` ops their view template), and every join
   (``if``, loop state, generic fold, ``update``) the depth its kernel raises
   its values to; every contract its subscripts and view templates
-  (``contract_layout``).  Emitters call NumPy directly on the selected operands;
-  ``verify_plan.verify_layout`` re-derives the facts.
+  (``contract_layout``).  The emitter calls NumPy directly on the selected
+  operands; ``verify_plan.verify_layout`` re-derives the facts.
 
-Emitters consume the IR and its layout without re-deciding anything:
-``exec/plan.py`` emits one Python closure per instruction (the interpreter),
-``exec/codegen.py`` renders the same IR to the source of a single Python
-function (``backend="codegen"``).  Sharing the lowering is what makes the two
-backends bitwise-identical by construction — they execute the same NumPy
-calls in the same order, only dispatched differently.
+``exec/plan.py`` consumes the IR and its layout without re-deciding
+anything: it emits one Python closure per instruction.
 """
 from __future__ import annotations
 
@@ -217,8 +213,8 @@ class PBody:
     the ``(slot, name)`` pairs still bound when the body has run — its
     binders (lambda/loop parameters, ``ivar``) and the results it defined
     itself; everything else it defined was released inside it.  They die
-    with the body: both emitters run a body as a frame of its own (a closure
-    that clears them on return, a nested ``def``)."""
+    with the body: the emitter runs a body as a frame of its own (a closure
+    that clears them on return)."""
 
     __slots__ = ("instrs", "result", "bound")
 
@@ -474,7 +470,7 @@ def nested_bodies(ins) -> Tuple[PBody, ...]:
 def outer_release(ins) -> Tuple[int, ...]:
     """The slots of ``ins.release`` the body holding ``ins`` clears: not the
     ones its nested bodies left bound, which go with the body's own frame —
-    both emitters run a body as a callable of its own (``PBody``)."""
+    the emitter runs a body as a callable of its own (``PBody``)."""
     framed = {s for b in nested_bodies(ins) for s, _ in b.bound}
     return tuple(s for s, _ in ins.release if s not in framed)
 
@@ -888,7 +884,7 @@ class _Lowerer:
         e = stm.exp
         if isinstance(e, _RUN_FUSIBLE):
             # A standalone scalar statement is a fused run of length 1 with
-            # one export (shared scalar handlers in the emitters).
+            # one export (shared scalar handlers in the emitter).
             op = self._lower_run_stm(stm, {})
             out = self.out_of(stm)
             return IRun((op,), ((0,) + out,))
@@ -1388,7 +1384,7 @@ def layout(ir: PlanIR, flags: Optional[Sequence[bool]] = None) -> Layout:
     or condition's depth included, and for ``while`` the enclosing masks');
     a generic fold's accumulators; an ``update``'s result (the enclosing
     masks' depth included).  So a value's batch depth at run time always
-    equals its fact here, and the emitters line up every fused-run operand
+    equals its fact here, and the emitter lines up every fused-run operand
     with a static selector instead of aligning per call."""
     flags = None if flags is None else tuple(bool(f) for f in flags)
     if flags is not None and len(flags) != len(ir.param_slots):

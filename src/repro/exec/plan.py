@@ -7,8 +7,7 @@ family is layered:
 
 * ``exec/lower.py`` turns an optimised ``Fun`` into an explicit linear,
   shape-generic **plan IR** — slot allocation, fused scalar runs, SOAC
-  fast-path selection and the memory plan all decided there, once, for every
-  emitter;
+  fast-path selection and the memory plan all decided there, once;
 * ``exec/vector.py`` holds what each instruction of that IR *computes*: one
   kernel per instruction over the ``BV`` batched-value representation and
   its masking discipline (SIMT-style divergence, accumulators, lane-varying
@@ -17,37 +16,33 @@ family is layered:
   per instruction, over a slot-indexed register file — each closure reads
   operands, calls the kernel (a nested body passed as a closure that binds
   its parameter slots and runs its own instructions) and assigns/releases
-  slots, or runs a fused scalar run (the interpreter emitter) — and hosts
-  the runtime (``_Engine``), the one ``run``/``run_batched`` driver and the
-  plan cache shared by both emitters.  Under ``REPRO_PROFILE`` it passes
-  every closure it emits, at every depth, through ``obs/profiler.py:timer``;
-* ``exec/codegen.py`` emits the same IR as the source of a single Python
-  function (``backend="codegen"``) — no per-instruction dispatch at all.
+  slots, or runs a fused scalar run — and hosts the runtime (``_Engine``),
+  the ``run``/``run_batched`` driver and the plan cache.  Under
+  ``REPRO_PROFILE`` it passes every closure it emits, at every depth,
+  through ``obs/profiler.py:timer``.
 
-Both emitters call the same kernels, so for instruction semantics they agree
-by construction; the test suite runs every program on ``ref``, ``plan`` and
-``codegen``, where agreement with ``ref`` checks the kernels and the bitwise
-``plan`` ↔ ``codegen`` assertion checks binding, releases and fused runs.
+The test suite runs every program on ``ref`` and ``plan``: agreement with
+``ref`` checks the kernels, binding, releases and fused runs, and
+``exec/verify_plan.py`` checks the plan IR the closures are emitted from.
 
 Caching
 -------
 
-``plan_for(fun, args, batched=..., emitter=...)`` memoises plans in one
-module-level, lock-guarded LRU keyed by ``(ir_hash(fun), emitter, profile,
-batched flags, rank/dtype signature)``.  The key leads with the alpha-invariant
+``plan_for(fun, args, batched=...)`` memoises plans in one module-level,
+lock-guarded LRU keyed by ``(ir_hash(fun), profile, batched flags, rank/dtype
+signature)``.  The key leads with the alpha-invariant
 content hash (``ir.analysis.ir_hash``), so alpha-equivalent ``Fun`` bodies
 — retraced derivatives, re-optimised copies — share one lowering instead
 of one per object identity.  Concrete extents are not part of the key:
 plans are shape-generic, so one lowering serves a whole problem-size sweep
 (GMM D0→D6, BA camera counts) instead of re-lowering per shape and
-churning the LRU.  The emitter dimension separates closure plans from
-codegen code objects, and ``profile`` (``REPRO_PROFILE`` set, ``plan``
-only) timed closures from plain ones.
+churning the LRU.  ``profile`` (``REPRO_PROFILE`` set) separates timed
+closures from plain ones.
 
 Repeat calls on same-rank arguments skip tracing, optimisation, and
 lowering entirely; ``PLAN_STATS`` counts hits/misses/evictions and the
-fused-statement total, and ``EMITTER_STATS`` breaks plan construction down
-per emitter, so callers can assert cache behaviour.  The LRU holds at most
+fused-statement total, so callers can assert cache behaviour (each emission
+also lands in the metrics timer ``emit``).  The LRU holds at most
 ``_DEFAULT_CACHE_SIZE`` entries;
 ``clear_plan_cache`` drops everything eagerly (plans are derived purely from
 immutable ``Fun`` values, so entries never go stale).  All cache and counter
@@ -98,7 +93,6 @@ __all__ = [
     "run_fun_plan",
     "run_fun_plan_batched",
     "PLAN_STATS",
-    "EMITTER_STATS",
     "plan_cache_stats",
     "clear_plan_cache",
     "reset_plan_cache_stats",
@@ -358,8 +352,7 @@ class _ClosureEmitter:
     def _emit_callable(self, ins, fields) -> Callable:
         """A nested body (``fields``: its parameter fields, then its own) as
         ``body(eng, vals) -> results``: bind ``vals`` to the parameter slots,
-        run, and clear the slots the body left bound — a frame of its own, as
-        a nested ``def`` is in ``exec/codegen.py``."""
+        run, and clear the slots the body left bound — a frame of its own."""
         *params, pbody = (getattr(ins, f) for f in fields)
         pslots = tuple(s for ps in params for s, _ in ps)
         self.depth += 1
@@ -423,22 +416,14 @@ class Plan:
     keeps one emitted body per flags tuple: the one it was built for
     (``flags``), and any other the first time it runs with it.
 
-    This class is also the one driver of the plan family: argument checking
-    and coercion, ``errstate``, the execute span and result unwrapping live in
-    ``run``/``run_batched``; the emitter subclass ``CodegenPlan`` supplies
-    ``_emit`` — what it builds from the IR and a layout — and ``_invoke`` —
-    how that runs.  With ``profile`` every closure this class emits, nested
-    ones included, is timed by ``obs/profiler.py:timer``."""
-
-    #: ``EMITTER_STATS`` bucket and span label; subclasses override it so
-    #: their constructions are attributed apart.
-    emitter_name = "plan"
+    Argument checking and coercion, ``errstate``, the execute span and
+    result unwrapping live in ``run``/``run_batched``.  With ``profile``
+    every closure this class emits, nested ones included, is timed by
+    ``obs/profiler.py:timer``."""
 
     def __init__(self, fun: Fun, ir: Optional[PlanIR] = None,
                  flags: Optional[Sequence[bool]] = None, profile: bool = False) -> None:
-        with _obs_tracing.timed(
-            "emit", cat="compile", fun=fun.name, emitter=self.emitter_name
-        ) as tm:
+        with _obs_tracing.timed("emit", cat="compile", fun=fun.name):
             if ir is None:
                 ir = lower_fun(fun)
             self.fun = fun
@@ -450,21 +435,14 @@ class Plan:
             self.fused_stms = ir.fused
             #: flags (``None``: unbatched) -> the body emitted for them.
             self.bodies: Dict[Optional[Tuple[bool, ...]], object] = {}
-            built = self._add_body(ir, _flags_key(flags))
+            self._add_body(ir, _flags_key(flags))
         with _LOCK:
             _count_plan(ir)
-            self._count(plans=1, emit_s=tm.seconds, **built)
 
-    def _count(self, **built) -> None:
-        """Add ``built`` to this emitter's ``EMITTER_STATS`` row (under ``_LOCK``)."""
-        st = EMITTER_STATS.setdefault(self.emitter_name, {})
-        for k, v in built.items():
-            st[k] = st.get(k, 0) + v
-
-    def _add_body(self, ir: PlanIR, flags: Optional[Tuple[bool, ...]]) -> Dict[str, object]:
-        body, built = self._emit(ir, layout(ir, flags))
+    def _add_body(self, ir: PlanIR, flags: Optional[Tuple[bool, ...]]) -> None:
+        wrap = timer(self.fun) if self.profile else None
+        body = _ClosureEmitter(layout(ir, flags), wrap).emit_body(ir.body)
         self.bodies.setdefault(flags, body)
-        return built
 
     def _body(self, flags: Optional[Tuple[bool, ...]]):
         """The body emitted for ``flags``, emitted now — from a fresh lowering:
@@ -473,27 +451,9 @@ class Plan:
         body = self.bodies.get(flags)
         if body is not None:
             return body
-        with _obs_tracing.timed(
-            "emit", cat="compile", fun=self.fun.name, emitter=self.emitter_name
-        ) as tm:
-            built = self._add_body(lower_fun(self.fun), flags)
-        with _LOCK:
-            self._count(emit_s=tm.seconds, **built)
+        with _obs_tracing.timed("emit", cat="compile", fun=self.fun.name):
+            self._add_body(lower_fun(self.fun), flags)
         return self.bodies[flags]
-
-    def _emit(self, ir: PlanIR, lay: Layout) -> Tuple[object, Dict[str, object]]:
-        """The body this emitter builds from ``ir`` under ``lay``, and what
-        building it adds to the emitter's ``EMITTER_STATS`` row (closures:
-        nothing)."""
-        wrap = timer(self.fun) if self.profile else None
-        return _ClosureEmitter(lay, wrap).emit_body(ir.body), {}
-
-    def _invoke(self, body, eng: _Engine, vals: List[BV]) -> Tuple[object, ...]:
-        """Run the emitted ``body`` on the parameter values ``vals``."""
-        regs = eng.regs
-        for s, v in zip(self.param_slots, vals):
-            regs[s] = v
-        return _run_body(eng, body)
 
     def __repr__(self) -> str:
         return (
@@ -530,8 +490,7 @@ class Plan:
                 raise ExecError("run_batched: batched flags must match arguments")
             how["batched"] = True
         body = self._body(_flags_key(batched))
-        with _span("execute", cat="exec", fun=self.fun.name,
-                   emitter=self.emitter_name, **how):
+        with _span("execute", cat="exec", fun=self.fun.name, **how):
             eng = _Engine(self.nslots)
             if batched is not None:
                 eng.bstack.append(b)
@@ -548,8 +507,11 @@ class Plan:
                     vals.append(BV(np.ascontiguousarray(arr, dtype=np_dtype(t)), 1))
                 else:
                     vals.append(BV(np.asarray(coerce_arg(a, t)), 0))
+            regs = eng.regs
+            for s, v in zip(self.param_slots, vals):
+                regs[s] = v
             with np.errstate(all="ignore"):
-                res = self._invoke(body, eng, vals)
+                res = _run_body(eng, body)
             out = []
             for r in res:
                 if isinstance(r, AccBV):
@@ -565,19 +527,6 @@ class Plan:
 
 def _flags_key(flags: Optional[Sequence[bool]]) -> Optional[Tuple[bool, ...]]:
     return None if flags is None else tuple(bool(f) for f in flags)
-
-
-def _emitter_class(name: str):
-    """The plan class of emitter ``name``.  The import is local because
-    ``codegen`` imports this module; it is loaded with the package
-    (``exec/__init__``)."""
-    if name == "plan":
-        return Plan
-    if name == "codegen":
-        from .codegen import CodegenPlan
-
-        return CodegenPlan
-    raise ExecError(f"unknown plan emitter {name!r} (have 'plan', 'codegen')")
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +552,6 @@ PLAN_STATS = _obs_metrics.counter_group(
     },
 )
 
-#: Per-emitter construction counters (``plans`` built, ``emit_s`` wall-clock
-#: spent lowering+emitting; the codegen emitter adds ``code_objects``,
-#: ``source_bytes`` and ``compile_s``).  Mutated under ``_LOCK``; snapshot
-#: via ``plan_cache_stats()["emitters"]``; reset by ``clear_plan_cache``.
-EMITTER_STATS: Dict[str, Dict[str, object]] = {}
-
 #: The cache (key: see ``plan_for``).  Mutated only under ``_LOCK`` together
 #: with the stats dicts (a ``Compiled`` may be called from several threads).
 _CACHE = BoundedLRU()
@@ -632,30 +575,26 @@ def plan_for(
     fun: Fun,
     args: Sequence[object],
     batched: Optional[Sequence[bool]] = None,
-    emitter: Optional[str] = None,
-):
+) -> Plan:
     """The cached plan for ``fun`` given ``args``' ranks/dtypes, keyed by
-    ``(ir_hash(fun), emitter, profile, batched flags, rank/dtype signature)``
-    (module docstring, "Caching": why the content hash, and why no extents).
+    ``(ir_hash(fun), profile, batched flags, rank/dtype signature)`` (module
+    docstring, "Caching": why the content hash, and why no extents;
+    ``profile``: under ``REPRO_PROFILE`` the closures are timed at every
+    depth).
 
-    ``emitter`` picks how the lowered IR executes — ``"plan"`` (closure
-    interpreter, the default; ``profile``: its closures timed at every depth,
-    under ``REPRO_PROFILE``) or ``"codegen"`` (compiled source).  The whole
-    lookup — cache mutation, counters, and any lowering — runs under one
-    re-entrant lock, so concurrent callers can never corrupt the LRU order
-    or lose stat increments (and a plan is lowered once, not once per racing
-    thread).
+    The whole lookup — cache mutation, counters, and any lowering — runs
+    under one re-entrant lock, so concurrent callers can never corrupt the
+    LRU order or lose stat increments (and a plan is lowered once, not once
+    per racing thread).
     """
-    emitter = emitter or "plan"
-    build = _emitter_class(emitter)
-    profile = emitter == "plan" and profile_enabled()
+    profile = profile_enabled()
     flags = tuple(batched) if batched is not None else None
-    key = (ir_hash(fun), emitter, profile, flags, _sig_of(args))
+    key = (ir_hash(fun), profile, flags, _sig_of(args))
     with _LOCK:
         plan = _CACHE.get(key, _MISS)
         if plan is _MISS:
             PLAN_STATS["misses"] += 1
-            plan = build(fun, flags=flags, profile=profile)
+            plan = Plan(fun, flags=flags, profile=profile)
             PLAN_STATS["evictions"] += _CACHE.put(key, plan, _DEFAULT_CACHE_SIZE)
         else:
             PLAN_STATS["hits"] += 1
@@ -674,15 +613,13 @@ def _count_plan(ir: PlanIR) -> None:
 
 def plan_cache_stats() -> Dict[str, object]:
     """A snapshot of the cache counters plus the current entry count
-    (``entries``) and the per-emitter construction breakdown
-    (``emitters``)."""
+    (``entries``)."""
     from ..ir.verify import verify_mode, VERIFY_STATS
 
     with _LOCK:
         return {
             **PLAN_STATS,
             "entries": len(_CACHE),
-            "emitters": {k: dict(v) for k, v in EMITTER_STATS.items()},
             # The memory plan (exec/lower.py): static sizes summed over the
             # plans emitted, and the donations that fell back at run time.
             "mem": dict(MEM_STATS),
@@ -692,36 +629,29 @@ def plan_cache_stats() -> Dict[str, object]:
             "index": dict(INDEX_STATS),
             # Verification is per *lowering*, never per call: cache hits
             # reuse the verified PlanIR, so these counters stand still on
-            # the hot path (asserted by the A9 overhead guard).
+            # the hot path (tests/test_verify.py and the verification-cost
+            # guard in benchmarks/bench_ablations.py).
             "verify": {
                 "mode": verify_mode(),
                 "plan_checks": VERIFY_STATS["plan_checks"],
                 "layout_checks": VERIFY_STATS["layout_checks"],
-                "codegen_checks": VERIFY_STATS["codegen_checks"],
             },
         }
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset all counters.
-
-    This clears ``EMITTER_STATS`` too — the per-emitter construction
-    totals describe the plans being dropped, so they go with them.  To
-    zero the counters while *keeping* cached plans, use
-    ``reset_plan_cache_stats``.
-    """
+    """Drop every cached plan and reset all counters.  To zero the counters
+    while *keeping* cached plans, use ``reset_plan_cache_stats``."""
     with _LOCK:
         _CACHE.clear()
         reset_plan_cache_stats()
 
 
 def reset_plan_cache_stats() -> None:
-    """Zero ``PLAN_STATS`` and ``EMITTER_STATS`` without dropping cached
-    plans — the ``reset_*`` counterpart of the other stats surfaces,
+    """Zero ``PLAN_STATS`` without dropping cached plans — the ``reset_*`` counterpart of the other stats surfaces,
     registered with ``obs.reset_all()``."""
     with _LOCK:
         PLAN_STATS.reset()
-        EMITTER_STATS.clear()
         with _STATS_LOCK:
             MEM_STATS.update(dict.fromkeys(MEM_STATS, 0))
             INDEX_STATS.update(dict.fromkeys(INDEX_STATS, 0))

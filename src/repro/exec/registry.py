@@ -12,9 +12,7 @@ The backends, a fixed table built at import:
   recorder ``exec/cost.py``);
 * ``plan``  — the cached plan compiler (lower once, replay closures; under
   ``REPRO_PROFILE`` every closure, nested ones included, is timed — see
-  ``obs/profiler.py``);
-* ``codegen`` — the source codegen executor (same lowering, plan IR rendered
-  to one compiled Python function; see ``exec/codegen.py``; never profiled).
+  ``obs/profiler.py``).
 """
 from __future__ import annotations
 
@@ -25,7 +23,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..ir.ast import Fun
 from ..obs import metrics as _obs_metrics
 from ..util import ReproError
-from .codegen import run_fun_codegen, run_fun_codegen_batched
 from .interp import RefInterp
 from .plan import run_fun_plan, run_fun_plan_batched
 
@@ -86,7 +83,6 @@ _BACKENDS: Dict[str, Backend] = {
     for b in (
         Backend("ref", run=_run_ref),
         Backend("plan", run=run_fun_plan, run_batched=run_fun_plan_batched),
-        Backend("codegen", run=run_fun_codegen, run_batched=run_fun_codegen_batched),
     )
 }
 

@@ -7,11 +7,10 @@ does, control flow included, is written here once, as one function
 ``KERNELS`` maps the instruction kinds to theirs.  A nested body reaches its
 kernel as a callable ``body(eng, vals) -> results`` the emitter built: it
 binds ``vals`` to the body's parameters, runs, and leaves nothing bound.  The
-two emitters (``exec/plan.py``, ``exec/codegen.py``) bind operands to slots
-and build those callables, so they are bitwise equal to each other by
-construction; what a kernel computes is checked against the reference
+emitter (``exec/plan.py``) binds operands to slots and builds those
+callables; what a kernel computes is checked against the reference
 interpreter and against direct NumPy expectations with plain-Python bodies
-(``tests/test_vector_internals.py``), never against the other emitter.
+(``tests/test_vector_internals.py``).
 
 The execution model is the flattening one the paper relies on
 (§4.1): entering a ``map`` pushes a batch level, lambda parameters become
@@ -54,7 +53,7 @@ time always equals the batch depth the plan's static layout gave it
 where they are computed, and where control flow joins values of different
 depths (``if``, loop state, a generic fold, ``update`` with or without a
 mask) it raises them to the join's depth with singleton axes (``_raise``).
-That is what lets the emitters line up a fused run's operands with
+That is what lets the emitter line up a fused run's operands with
 selectors fixed at emission — one direct NumPy call per op, nothing aligned
 per call.
 """
@@ -433,7 +432,7 @@ def _add_view(state, acc: AccBV, ids: List[np.ndarray], v: BV, vt, k: int) -> bo
 
 
 def _upd_acc(state, acc, idxs: List[BV], v: BV, affine, lay) -> AccBV:
-    """``upd acc[idxs] += v`` — shared by both emitters.  ``affine`` is
+    """``upd acc[idxs] += v``.  ``affine`` is
     ``None`` for an update lowering left on the scatter path; masked updates
     always take it (inactive lanes contribute zero).  ``lay`` is the static
     ``(k, view)``: the batch depth of the update unmasked and its
@@ -977,14 +976,14 @@ def _while(eng, inits: List[object], ks: Tuple[int, ...], cond, body) -> Sequenc
             raise _out_of_fuel(limit)
 
 
-#: The kernel of every plan-IR instruction but a fused ``run`` (the emitters
-#: render those themselves), by ``kind`` (``kind:strategy`` for the reduce
+#: The kernel of every plan-IR instruction but a fused ``run`` (the emitter
+#: runs those itself), by ``kind`` (``kind:strategy`` for the reduce
 #: family): the kernel, then the instruction fields it takes as operands (a
 #: ``Ref``, a tuple of ``Ref``s or an ``IntRef`` each — read per call), as
 #: static facts (``"layout"``: what the emitting ``exec/lower.py:Layout``
 #: fixed for the instruction, ``Layout.static``), and as bodies — each body
 #: the fields holding its parameters' ``(slot, name)`` pairs, then its
-#: ``PBody`` field.  An emitter calls ``kernel(eng, *operands, *statics,
+#: ``PBody`` field.  The emitter calls ``kernel(eng, *operands, *statics,
 #: *bodies)``, each body a ``body(eng, vals)`` (module docstring), and binds
 #: the result to the instruction's ``out``, or its sequence to the
 #: instruction's ``outs``.

@@ -1,8 +1,8 @@
-"""Layer-2 static verifier: plan-IR well-formedness and codegen sanity.
+"""Layer-2 static verifier: plan-IR well-formedness.
 
 The plan compiler (``exec/lower.py``) flattens SSA names onto a single slot
-space; both emitters (closure interpreter and source codegen) rely on a set
-of structural invariants this module checks once per lowering:
+space; the closure emitter (``exec/plan.py``) relies on a set of structural
+invariants this module checks once per lowering:
 
 * **slot def-before-use** — every ``Ref``/``IntRef`` read is dominated by a
   write to its slot (function parameter, loop/lambda parameter binding,
@@ -43,12 +43,6 @@ of structural invariants this module checks once per lowering:
   argument no ``iota`` / replicate or swapped subscripts is rejected; a
   replicate it dropped is never written, so a read of it is undefined.
 
-``verify_codegen_source`` checks the source-codegen emitter's output: the
-generated module must parse (``ast.parse``) and must not reference any free
-name beyond the injected namespace defaults and a small builtin allowlist
-(every helper is passed as a keyword-only default of ``_plan_main``, so a
-stray global load means the emitter produced a dangling reference).
-
 Their callers run them only when ``REPRO_VERIFY`` is on (see
 ``ir/verify.py``; with it off this module is not even imported), at
 *compile* time only — cached-plan reuse never re-verifies (the ``verify``
@@ -56,8 +50,6 @@ section of ``plan_cache_stats()`` counts checks per lowering).
 """
 from __future__ import annotations
 
-import ast as _pyast
-import dis
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.types import rank_of
@@ -87,7 +79,7 @@ from .lower import (
 from .prims import INPLACE_OPS
 from .vector import _view_template
 
-__all__ = ["verify_plan_ir", "verify_layout", "verify_codegen_source"]
+__all__ = ["verify_plan_ir", "verify_layout"]
 
 
 def _stm_of(instr) -> Optional[object]:
@@ -773,70 +765,3 @@ def verify_layout(ir: PlanIR, lay: Layout, where: str = "layout") -> Layout:
             VERIFY_STATS["failures"] += 1
             raise
     return lay
-
-
-# ---------------------------------------------------------------------------
-# Codegen source sanity
-# ---------------------------------------------------------------------------
-
-#: Builtins the rendered source may reference as globals.  Everything else
-#: must arrive through the injected keyword-only defaults of ``_plan_main``.
-_SAFE_BUILTINS = frozenset(
-    {
-        "range",
-        "len",
-        "int",
-        "float",
-        "bool",
-        "min",
-        "max",
-        "abs",
-        "slice",
-        "tuple",
-        "list",
-        "zip",
-        "enumerate",
-        "isinstance",
-        "Exception",
-        "RuntimeError",
-        "ValueError",
-    }
-)
-
-
-def _code_objects(code):
-    yield code
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            yield from _code_objects(const)
-
-
-def verify_codegen_source(
-    fun_name: str, source: str, namespace, where: str = "codegen"
-) -> None:
-    """Check a rendered codegen module: parses, and no dangling free names."""
-    with _tracing.span(
-        "verify", cat="verify", fun=fun_name, where=where, layer="codegen"
-    ):
-        VERIFY_STATS["codegen_checks"] += 1
-        try:
-            _pyast.parse(source)
-        except SyntaxError as err:
-            VERIFY_STATS["failures"] += 1
-            raise VerifyError(
-                f"generated source for {fun_name!r} does not parse: {err}",
-                where=where,
-            ) from err
-        allowed = set(namespace) | _SAFE_BUILTINS
-        code = compile(source, f"<verify:{fun_name}>", "exec")
-        for co in _code_objects(code):
-            for ins in dis.get_instructions(co):
-                if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
-                    if ins.argval not in allowed:
-                        VERIFY_STATS["failures"] += 1
-                        raise VerifyError(
-                            f"generated source for {fun_name!r} references "
-                            f"free name {ins.argval!r} outside the injected "
-                            f"namespace",
-                            where=where,
-                        )

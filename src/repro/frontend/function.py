@@ -9,8 +9,6 @@ Backends are resolved by name (``exec/registry.py``):
   a flat sequence of NumPy closures and memoised per argument rank/dtype
   signature (see ``exec/plan.py`` for cache keying and invalidation), so
   repeat calls skip optimisation and AST dispatch entirely;
-* ``"codegen"`` — the same lowering rendered to one compiled Python
-  function (``exec/codegen.py``), bitwise-equal to ``"plan"``;
 * ``"ref"`` — the reference interpreter (semantics oracle; runs the
   work/span recorder ``exec/cost.py``).
 
@@ -18,8 +16,8 @@ Unknown names raise listing the registered set.
 
 ``call_batched`` is the batched multi-seed entry used by ``jacobian``: it
 evaluates the function once with selected arguments carrying a leading batch
-axis (supported on backends with the ``batched`` capability — ``plan`` and
-``codegen`` — whose batching machinery makes it a single bulk pass).
+axis (supported on backends with the ``batched`` capability — ``plan``,
+whose batching machinery makes it a single bulk pass).
 """
 from __future__ import annotations
 
@@ -42,7 +40,7 @@ class Compiled:
     ``backend=None`` (default) resolves through the registry-level
     ``default_backend()`` — ``REPRO_BACKEND`` or the plan compiler — so
     every entry point in the system shares one default; a backend name
-    selects that executor explicitly (``ref``, ``plan``, ``codegen``).
+    selects that executor explicitly (``ref``, ``plan``).
     ``cost()`` measures the cost-model counters of a run (reference
     interpretation).
 

@@ -13,7 +13,7 @@ invoked at pipeline boundaries behind the ``REPRO_VERIFY`` knob:
   ``tests/conftest.py``);
 * ``full``      — additionally verify after every individual optimisation
   pass (failures name the pass that fired), run the scatter-overlap
-  analysis (layer 3, below) and the plan/codegen checks of
+  analysis (layer 3, below) and the plan-IR checks of
   ``exec/verify_plan.py`` (layer 2).
 
 Checks performed by ``verify_fun``:
@@ -111,7 +111,6 @@ VERIFY_STATS = _metrics.counter_group(
         "fun_checks": 0,
         "plan_checks": 0,
         "layout_checks": 0,
-        "codegen_checks": 0,
         "scatter_checks": 0,
         "failures": 0,
     },

@@ -13,7 +13,7 @@ counters here, in one of two ways:
 * ``register_source(name, snapshot_fn, reset_fn)`` overrides (or adds)
   the snapshot/reset pair for a section, for surfaces whose view is
   richer than their raw counters (e.g. ``plan_cache_stats`` adds cache
-  entry counts and emitter aggregates).
+  entry counts and the memory / index / verify sections).
 
 On top of that the registry keeps named timers (``observe``), which
 ``tracing.timed`` feeds with every duration it measures.

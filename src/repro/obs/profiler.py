@@ -1,7 +1,7 @@
 """Per-instruction wall-clock attribution: the ``REPRO_PROFILE`` knob.
 
 An emit-time hook, not an emitter.  With the knob set, ``plan_for`` builds
-``plan`` closures with ``timer(fun)`` installed: ``exec/plan.py``'s
+closures with ``timer(fun)`` installed: ``exec/plan.py``'s
 ``_ClosureEmitter.emit_body`` hands it every instruction closure it emits,
 fused runs included, and nested bodies are emitted by the same
 ``emit_body`` — so every instruction at every depth is timed.  With the

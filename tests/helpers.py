@@ -8,13 +8,21 @@ import tracemalloc
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 import repro as rp
 
-#: Every registered backend takes part in the parity checks.  ``codegen``
-#: shares the plan lowering and must match ``plan`` *bitwise* (asserted
-#: below), not merely to tolerance.
-BACKENDS = ("ref", "plan", "codegen")
+#: Every registered backend takes part in the parity checks.
+BACKENDS = ("ref", "plan")
+#: ``plan`` again with every closure it emits timed (``REPRO_PROFILE``; set,
+#: and checked to have timed something, by ``conftest.py``): the one other
+#: emission of a lowering, which must change no result and no memory-plan
+#: property.
+PROFILED = pytest.param("plan", marks=pytest.mark.profiled, id="plan-profiled")
+#: The backend legs of the backend-parametrised tests.
+LEGS = (*BACKENDS, PROFILED)
+#: Their ``plan`` legs, for tests of the plan executor alone.
+PLAN_LEGS = ("plan", PROFILED)
 
 
 def cold_programs():
@@ -44,26 +52,17 @@ def cold_programs():
 
 
 def run_both(fc, *args):
-    """Run a compiled function on every backend and assert agreement with
-    the reference interpreter; ``codegen`` must additionally be bitwise
-    identical to ``plan`` (same lowering, same NumPy call sequence)."""
+    """Run a compiled function on ``plan`` and assert agreement with the
+    reference interpreter."""
     r_ref = fc(*args, backend="ref")
     rr = r_ref if isinstance(r_ref, tuple) else (r_ref,)
-    by_backend = {}
-    for be in BACKENDS[1:]:
-        r_be = fc(*args, backend=be)
-        rv = r_be if isinstance(r_be, tuple) else (r_be,)
-        by_backend[be] = rv
-        assert len(rr) == len(rv), f"backend {be}: result arity mismatch"
-        for a, b in zip(rr, rv):
-            np.testing.assert_allclose(
-                np.asarray(a), np.asarray(b), rtol=1e-10, atol=1e-10,
-                err_msg=f"backend {be} disagrees with ref",
-            )
-    for a, b in zip(by_backend["plan"], by_backend["codegen"]):
-        np.testing.assert_array_equal(
-            np.asarray(a), np.asarray(b),
-            err_msg="codegen is not bitwise identical to plan",
+    r_plan = fc(*args, backend="plan")
+    rv = r_plan if isinstance(r_plan, tuple) else (r_plan,)
+    assert len(rr) == len(rv), "backend plan: result arity mismatch"
+    for a, b in zip(rr, rv):
+        np.testing.assert_allclose(
+            np.asarray(a), np.asarray(b), rtol=1e-10, atol=1e-10,
+            err_msg="backend plan disagrees with ref",
         )
     return r_ref
 
@@ -110,7 +109,7 @@ def reduce_census(fun):
 def _profiled(fn) -> dict:
     """``pstats`` rows of one ``fn()`` under ``cProfile``.  Deterministic
     (call counts, no timing); counting by profile rather than by patching
-    sees the calls however an emitter bound the helper."""
+    sees the calls however the emitter bound the helper."""
     prof = cProfile.Profile()
     prof.enable()
     try:

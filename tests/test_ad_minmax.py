@@ -20,7 +20,7 @@ from repro.ir.ast import Iota, Size
 from repro.ir.builder import Builder, const
 from repro.ir.types import elem_type
 from repro.util import fresh
-from helpers import BACKENDS
+from helpers import LEGS
 
 INF, NAN = np.inf, np.nan
 
@@ -72,28 +72,28 @@ def _check_jvp(op: str, xs: np.ndarray, backend: str) -> None:
     assert dy == (0.0 if i is None else dxs[i])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("op", ["min", "max"])
 def test_vjp_routes_to_the_first_extremal_element(op, case, backend):
     _check_vjp(op, _operand(case, op), backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("op", ["min", "max"])
 def test_jvp_takes_the_tangent_of_the_first_extremal_element(op, case, backend):
     _check_jvp(op, _operand(case, op), backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_vjp_of_an_all_neutral_array_routes_to_its_first_element(backend):
     # The extremum equals the operator's neutral element; an element holds it.
     _check_vjp("min", np.full(3, INF), backend)
     _check_vjp("max", np.full(3, -INF), backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_reduces_inside_a_map_and_over_a_free_array(backend):
     rows = np.array([[2.0, 0.5, 0.5], [NAN, 1.0, NAN], [3.0, 3.0, 3.0]])
     # A row's adjoint is local to the map body (value mode) ...
@@ -112,7 +112,7 @@ def test_reduces_inside_a_map_and_over_a_free_array(backend):
     np.testing.assert_array_equal(ybar, np.full(3, 1.0))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 @pytest.mark.parametrize("op", ["min", "max"])
 def test_histogram_routes_each_bin_to_its_first_extremal_element(op, backend):
     inds = np.array([0, 2, 0, 1, 0, 2, 5, 1])  # bin 0: a tie; bin 2: a NaN; 5: dropped
@@ -131,7 +131,7 @@ def test_histogram_routes_each_bin_to_its_first_extremal_element(op, backend):
     np.testing.assert_array_equal(vbar, want)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_jvp_matches_central_differences(backend):
     rng = np.random.default_rng(3)
 
@@ -236,7 +236,7 @@ def _hot_lanes(fun):
     return [e for e in _exps(fun) if isinstance(e, Loop)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_max_pool_vjp_matches_central_differences_and_the_tape(backend):
     rng = np.random.default_rng(5)
     x, kern, s = rng.standard_normal(9), rng.standard_normal(W), 0.25
@@ -261,7 +261,7 @@ def _check_pool_ties_and_nans(backend):
         np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_max_pool_vjp_routes_ties_to_the_first_index_and_nans_to_the_first_nan(backend):
     _check_pool_ties_and_nans(backend)
 
@@ -282,7 +282,7 @@ def _check_no_hit(backend):
     assert len(_hot_lanes(rp.vjp(fc).fun)) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_no_element_holds_y_nothing_is_read_or_added(backend):
     _check_no_hit(backend)
     # An empty window reads nothing either (no element at all to read).
@@ -292,7 +292,7 @@ def test_no_element_holds_y_nothing_is_read_or_added(backend):
     np.testing.assert_array_equal(rp.vjp(fc)(xs, 1.0, backend=backend)[1], xs)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_an_inf_centre_no_point_picks_gets_a_zero_row(backend):
     # A dense one-hot adjoint multiplied the inf centre's 0 adjoint into
     # (p - inf): its gradient and Hessian rows came out [nan, 0].  Central
@@ -315,7 +315,7 @@ def test_an_inf_centre_no_point_picks_gets_a_zero_row(backend):
     assert fd == g[2, 1] == 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 @pytest.mark.parametrize("n, k", [(0, 3), (5, 0)])
 def test_kmeans_with_no_points_or_no_centres_has_zero_derivatives(n, k, backend):
     rng = np.random.default_rng(0)
@@ -327,7 +327,7 @@ def test_kmeans_with_no_points_or_no_centres_has_zero_derivatives(n, k, backend)
         np.testing.assert_array_equal(got, np.zeros_like(ctr))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGS)
 def test_sparse_kmeans_matches_the_manual_gradient(backend):
     # The per-centre reverse loop of the CSR dot product runs once per row.
     data = datagen.sparse_kmeans_instance(30, 12, 4, k=4, seed=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-from helpers import check_grad, reduce_census, run_both
+from helpers import LEGS, check_grad, reduce_census, run_both
 
 
 def test_singleton_map_and_reduce():
@@ -137,7 +137,7 @@ def test_hist_empty_input():
 
 @pytest.mark.parametrize("batched", [None, False], ids=["default", "looped"])
 @pytest.mark.parametrize("mode", [None, "fwd", "rev"])
-@pytest.mark.parametrize("backend", ["ref", "plan", "codegen"])
+@pytest.mark.parametrize("backend", LEGS)
 def test_jacobian_of_empty_input_is_the_empty_jacobian(backend, mode, batched):
     """No input (and so no output) element: the ``y.shape + x.shape`` array
     without entries, not a ``ValueError`` from stacking zero seeds."""
@@ -212,8 +212,8 @@ _EXTENT_PROGRAMS = {
 @pytest.mark.parametrize("key", list(_EXTENT_PROGRAMS), ids="-".join)
 def test_extent_0_and_1_on_every_fold_strategy(key, n, nested):
     """Primal and ``vjp`` of each strategy at extents 0 and 1, at top level
-    and under a ``map`` (batch depth 1): every backend equal to ``ref``,
-    plan and codegen bitwise-equal to each other (``run_both``)."""
+    and under a ``map`` (batch depth 1): ``plan`` equal to ``ref``
+    (``run_both``)."""
     row = _EXTENT_PROGRAMS[key]
     f = (lambda *rows: rp.map(row, *rows)) if nested else row
     lead = (2,) if nested else ()
@@ -248,7 +248,7 @@ _FOLD_OPS = {
 @pytest.mark.parametrize("soac", ["reduce", "scan", "hist"])
 def test_nan_and_inf_propagate_as_on_ref(soac, strategy, op):
     """Non-finite inputs (alone, together, next to a zero — ``0 * inf``) come
-    out of ``plan`` and ``codegen`` exactly as out of ``ref``, NaN for NaN."""
+    out of ``plan`` exactly as out of ``ref``, NaN for NaN."""
     plain, opaque, ne = _FOLD_OPS[op]
     fn = opaque if strategy == "generic" else plain
     pre = (lambda v: rp.map(lambda x: x * 2.0, v)) if strategy == "redomap" else (lambda v: v)
@@ -267,6 +267,5 @@ def test_nan_and_inf_propagate_as_on_ref(soac, strategy, op):
         vals[2:2 + len(bad)] = bad
         want = np.asarray(fc(*lead, vals, backend="ref"))
         assert not np.isfinite(want).all() or op in ("min", "max")
-        for backend in ("plan", "codegen"):
-            got = np.asarray(fc(*lead, vals, backend=backend))
-            np.testing.assert_array_equal(got, want, err_msg=f"{backend}, {bad}")
+        got = np.asarray(fc(*lead, vals, backend="plan"))
+        np.testing.assert_array_equal(got, want, err_msg=str(bad))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-from helpers import reduce_census, run_both
+from helpers import LEGS, reduce_census, run_both
 from repro.exec import plan as plan_mod
 from repro.exec import values as exec_values
 from repro.exec.plan import clear_plan_cache, plan_cache_stats
@@ -16,6 +16,93 @@ rng = np.random.default_rng(7)
 # ---------------------------------------------------------------------------
 # Parity (run_both also covers "plan" suite-wide via helpers.BACKENDS)
 # ---------------------------------------------------------------------------
+
+#: Programs whose lowering reads an extent at run time (``Size``, iota and
+#: replicate lengths, histogram sizes, empty and one-element reduces) plus
+#: every SOAC strategy, control flow and accumulators; each is traced at
+#: ``ex``'s shapes and run at different ones.
+_brng = np.random.default_rng(29)
+_BATTERY = [
+    ("size_iota_replicate", lambda v: rp.sum(
+        rp.map(lambda i: rp.astype(i, rp.F64), rp.iota(rp.size(v)))
+    ) * rp.sum(v), (np.ones(5),), (_brng.standard_normal(7),)),
+    ("reduce_nonempty", lambda v: rp.sum(v) + rp.reduce(
+        lambda a, b: rp.maximum(a, b), -1.0e9, v
+    ), (np.ones(6),), (_brng.standard_normal(9),)),
+    ("reduce_empty", lambda v: rp.sum(v), (np.zeros(0),), (np.zeros(0),)),
+    ("reduce_one", lambda v: rp.sum(v) * 3.0, (np.ones(1),),
+     (_brng.standard_normal(1),)),
+    ("scan_hist", lambda inds, vals: rp.sum(
+        rp.scan(lambda a, b: a + b, 0.0, vals)
+    ) + rp.sum(rp.reduce_by_index(4, lambda a, b: a + b, 0.0, inds, vals)),
+     (np.array([0, 1, 2]), np.ones(3)),
+     (np.array([3, 1, -1, 2, 0]), _brng.standard_normal(5))),
+    ("loop_while_if", lambda x, v: rp.cond(
+        x > 0.0,
+        lambda: rp.fori_loop(3, lambda i, a: a + rp.sum(v), x),
+        lambda: rp.while_loop(lambda a: a < 4.0, lambda a: a + 1.0, x),
+    ), (0.5, np.ones(4)), (-2.5, _brng.standard_normal(6))),
+    ("update_scatter_concat", lambda v, inds: rp.sum(
+        rp.concat(rp.update(v, 1, 9.0),
+                  rp.reverse(rp.scatter(rp.zeros_like(v), inds, v)))
+    ), (np.ones(4), np.array([0, 2, 1, 3])),
+     (_brng.standard_normal(4), np.array([3, 0, 2, 1]))),
+    ("nested_map_redomap", lambda m: rp.map(
+        lambda r: rp.sum(rp.map(lambda x: rp.exp(x) * x, r)), m
+    ), (np.ones((3, 4)),), (_brng.standard_normal((5, 2)),)),
+]
+
+
+@pytest.mark.parametrize("name,f,ex,args", _BATTERY, ids=[b[0] for b in _BATTERY])
+def test_plan_parity_battery(name, f, ex, args):
+    """Against ``ref`` through the cached plan, and an uncached ``Plan``
+    bitwise the cached one."""
+    from repro.exec import Plan
+
+    fc = rp.compile(rp.trace_like(f, ex))
+    run_both(fc, *args)
+    assert _bits(Plan(fc.fun).run(tuple(args))) == _bits(fc(*args, backend="plan"))
+
+
+@pytest.mark.parametrize("name,f,ex,args", _BATTERY, ids=[b[0] for b in _BATTERY])
+def test_timed_plan_is_bitwise_the_plan(name, f, ex, args):
+    """Timing every closure at every depth (``REPRO_PROFILE``) changes no bit
+    of a result, and does time the plan."""
+    from repro.exec import Plan
+    from repro.obs.profiler import profile_summary
+
+    fc = rp.compile(rp.trace_like(f, ex))
+    timed = Plan(fc.fun, profile=True)
+    before = profile_summary()["calls"]
+    assert _bits(timed.run(tuple(args))) == _bits(Plan(fc.fun).run(tuple(args)))
+    assert profile_summary()["calls"] > before
+
+
+def test_plan_gradient_through_while_and_scan_matches_ref():
+    def f(v, w):
+        s = rp.sum(v * w)
+        wh = rp.while_loop(lambda a: a < 10.0, lambda a: a * 2.0, 1.0 + 0.0 * s)
+        return s * wh + rp.sum(rp.scan(lambda a, b: a + b, 0.0, v))
+
+    v, w = rng.standard_normal(8), rng.standard_normal(8)
+    run_both(rp.grad(rp.compile(rp.trace_like(f, (v, w)))), v, w)
+
+
+def test_bench_codegen_residue_is_a_plan():
+    """``exec/codegen.py:CodegenPlan`` is a ``Plan`` with no source, bitwise
+    ``Plan`` on an unbatched and a batched call: the benchmark's staged
+    equality check through it still tests a real plan."""
+    from repro.exec import CodegenPlan, Plan
+
+    fun = rp.trace_like(lambda v, w: rp.sum(rp.map(lambda x: rp.sin(x) * x, v * w))
+                        * rp.sum(v + w), (np.ones(6), np.ones(6)))
+    cg, p = CodegenPlan(fun), Plan(fun)
+    assert isinstance(cg, Plan) and cg.source == ""
+    v, w = rng.standard_normal(6), rng.standard_normal(6)
+    assert _bits(cg.run((v, w))) == _bits(p.run((v, w)))
+    vb = rng.standard_normal((4, 6))
+    assert (_bits(cg.run_batched((vb, w), (True, False), 4))
+            == _bits(p.run_batched((vb, w), (True, False), 4)))
 
 
 def test_plan_parity_nested_control_flow():
@@ -91,11 +178,10 @@ def test_jacobian_batched_vs_looped_all_backends(mode):
     j = rp.jacobian(fc, mode=mode)
     ref = j(x, backend="ref")  # ref always loops over seeds
     assert ref.shape == (3, 3, 4)
-    for backend in ("plan", "codegen"):
-        looped = j(x, backend=backend, batched=False)
-        batch = j(x, backend=backend, batched=True)
-        np.testing.assert_allclose(looped, ref, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(batch, ref, rtol=1e-10, atol=1e-10)
+    looped = j(x, backend="plan", batched=False)
+    batch = j(x, backend="plan", batched=True)
+    np.testing.assert_allclose(looped, ref, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(batch, ref, rtol=1e-10, atol=1e-10)
 
 
 def test_jacobian_fwd_rev_parity_nonsquare():
@@ -182,7 +268,7 @@ def test_plan_cache_counts_jacobian_reuse():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["ref", "plan", "codegen"])
+@pytest.mark.parametrize("backend", LEGS)
 def test_while_fuel_configurable_and_reported(backend, monkeypatch):
     def f(x):
         return rp.while_loop(lambda v: v < 1.0e9, lambda v: v + 1.0, x)
@@ -194,12 +280,12 @@ def test_while_fuel_configurable_and_reported(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["unop", "binop"])
-@pytest.mark.parametrize("emitter", ["plan", "codegen"])
-def test_unknown_scalar_op_fails_when_the_plan_is_built(emitter, kind):
-    """Scalar operators resolve to their NumPy function at emit time on both
-    emitters: an unknown one is an ``ExecError`` from the constructor, with
-    one wording, before anything runs."""
-    from repro.exec import CodegenPlan, Plan, lower_fun
+@pytest.mark.parametrize("profile", [False, True], ids=["plan", "plan-profiled"])
+def test_unknown_scalar_op_fails_when_the_plan_is_built(profile, kind):
+    """Scalar operators resolve to their NumPy function at emit time, timed
+    or not: an unknown one is an ``ExecError`` from the constructor, before
+    anything runs."""
+    from repro.exec import Plan, lower_fun
 
     fc = rp.compile(rp.trace_like(lambda x, y: rp.sin(x) * y, (1.0, 1.0)))
     ir = lower_fun(fc.fun)
@@ -207,7 +293,7 @@ def test_unknown_scalar_op_fails_when_the_plan_is_built(emitter, kind):
     op.op = "frobnicate"
     what = {"unop": "unary", "binop": "binary"}[kind]
     with pytest.raises(ExecError, match=f"unknown {what} op 'frobnicate'"):
-        {"plan": Plan, "codegen": CodegenPlan}[emitter](fc.fun, ir=ir)
+        Plan(fc.fun, ir=ir, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +425,8 @@ def test_plan_cache_lru_keeps_recently_used(monkeypatch):
 # Extent-dependent paths: where a kernel picks a path from extents (a scalar
 # branch, a uniform loop, no mask, no element), its results still carry the
 # batch depth the plan's static layout gave them (``exec/lower.py:layout``).
-# Each program runs on ref, plan and codegen (``run_both``); batched calls
-# also against the per-seed loop.
+# Each program runs on ref and plan (``run_both``); batched calls also
+# against the per-seed loop.
 # ---------------------------------------------------------------------------
 
 
@@ -349,15 +435,14 @@ def _bits(out):
 
 
 def _batched_equals_per_seed(fc, args, flags, b):
-    """``call_batched`` on plan and codegen: bitwise one another, each seed's
-    row equal to an unbatched call with that seed's arguments."""
-    got = {be: fc.call_batched(args, flags, b, backend=be) for be in ("plan", "codegen")}
-    assert _bits(got["plan"]) == _bits(got["codegen"])
+    """``call_batched`` on plan: each seed's row equal to a ``ref`` call with
+    that seed's arguments."""
+    got = fc.call_batched(args, flags, b, backend="plan")
     for s in range(b):
         one = [a[s] if f else a for a, f in zip(args, flags)]
         want = fc(*one, backend="ref")
         want = want if isinstance(want, tuple) else (want,)
-        for g, w in zip(got["plan"], want):
+        for g, w in zip(got, want):
             np.testing.assert_allclose(np.asarray(g)[s], w, rtol=1e-12, atol=1e-12)
 
 
@@ -436,9 +521,8 @@ def test_jacobian_and_call_batched_at_batch_size_one():
     fc = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: rp.sin(x) * x, v), (np.ones(1),)))
     x = np.array([0.3])
     want = rp.jacobian(fc)(x, backend="ref")
-    got = {be: rp.jacobian(fc)(x, backend=be) for be in ("plan", "codegen")}
-    assert got["plan"].tobytes() == got["codegen"].tobytes()
-    np.testing.assert_allclose(got["plan"], want, rtol=1e-12)
+    got = rp.jacobian(fc)(x, backend="plan")
+    np.testing.assert_allclose(got, want, rtol=1e-12)
     loop = rp.jacobian(fc)(x, backend="plan", batched=False)
-    np.testing.assert_array_equal(got["plan"], loop)
+    np.testing.assert_array_equal(got, loop)
     _batched_equals_per_seed(fc, (x[None, :],), (True,), 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro as rp
-from helpers import run_both
+from helpers import PLAN_LEGS, run_both
 from repro.exec import get_backend
 from repro.util import ExecError
 
@@ -104,20 +104,19 @@ def test_general_scan_op_batched():
     run_both(fc, rng.standard_normal((3, 5)) * 0.3)
 
 
-def test_irregular_iota_rejected_by_plan_and_codegen():
+def test_irregular_iota_rejected_by_plan():
     def f(ns):
         return rp.map(lambda n: rp.sum(rp.map(lambda i: rp.astype(i, rp.F64), rp.iota(n))), ns)
 
     fc = rp.compile(rp.trace_like(f, (np.array([1, 2]),)))
-    for be in ("plan", "codegen"):
-        with pytest.raises(ExecError, match="varies across parallel lanes"):
-            fc(np.array([1, 2, 3]), backend=be)
+    with pytest.raises(ExecError, match="varies across parallel lanes"):
+        fc(np.array([1, 2, 3]), backend="plan")
     # The reference interpreter handles irregularity fine.
     out = fc(np.array([1, 2, 3]), backend="ref")
     np.testing.assert_allclose(out, [0.0, 1.0, 3.0])
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
+@pytest.mark.parametrize("backend", PLAN_LEGS)
 def test_run_batched_matches_looped_runs(backend):
     # The batched-seed driver must agree with one run per seed.
     be = get_backend(backend)
@@ -140,14 +139,13 @@ def test_run_batched_matches_looped_runs(backend):
             )
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
-def test_run_batched_rejects_bad_batch_axis(backend):
+def test_run_batched_rejects_bad_batch_axis():
     def f(x):
         return rp.map(lambda a: a * 2.0, x)
 
     fc = rp.compile(rp.trace_like(f, (np.ones(4),)))
     with pytest.raises(ExecError, match="does not match batch size 5"):
-        get_backend(backend).run_batched(fc.fun, (np.ones((3, 4)),), (True,), 5)
+        get_backend("plan").run_batched(fc.fun, (np.ones((3, 4)),), (True,), 5)
 
 
 @settings(max_examples=25, deadline=None)

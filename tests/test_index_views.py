@@ -6,7 +6,7 @@ parameter bound to an ``iota``, plus or minus a constant) or uniform;
 such an ``upd_acc`` into a strided ``+=``, falling back to the clipped
 gather / ``np.add.at`` whenever a per-call fact fails.  This file is the
 hostile-input battery for that selection: every program runs on every
-backend against ``ref`` (``run_both``: ``plan`` and ``codegen`` bitwise),
+backend against ``ref`` (``run_both``),
 as a value and under ``vjp``/``jvp``, and a deterministic call census pins
 which path each case takes — including the cached LSTM / GMM / k-means
 gradients, whose gathers must never silently come back.
@@ -23,7 +23,7 @@ from repro.ir.types import AccType
 from repro.exec.lower import lower_fun, nested_bodies
 from repro.exec.plan import clear_plan_cache, plan_cache_stats
 from repro.obs import profiler
-from helpers import numpy_call_census, run_both
+from helpers import PLAN_LEGS, numpy_call_census, run_both
 
 N, M = 5, 4
 
@@ -96,8 +96,7 @@ def test_lane_affine_reads_are_views(prog, gathers):
     a diagonal is not a slice — and stays one."""
     a = _mat()
     fc = _all_modes(prog, (a,))
-    for be in ("plan", "codegen"):
-        assert _census(fc, a, backend=be)["gather"] == gathers
+    assert _census(fc, a)["gather"] == gathers
 
 
 def test_out_of_range_only_in_masked_lanes():
@@ -125,9 +124,7 @@ def test_out_of_range_in_an_active_lane_clips_as_before():
     a = np.arange(1.0, N + 1.0)
     fc = rp.compile(rp.trace_like(lambda a: rp.map(lambda i: a[i + 1] * 1.0, rp.iota(N)), (a,)))
     want = a[np.minimum(np.arange(N) + 1, N - 1)]
-    got = {be: fc(a, backend=be) for be in ("plan", "codegen")}
-    for be, r in got.items():
-        np.testing.assert_array_equal(r, want, err_msg=be)
+    np.testing.assert_array_equal(fc(a, backend="plan"), want)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -150,11 +147,8 @@ def test_call_batched_with_batched_and_unbatched_arrays():
     fc = rp.compile(rp.trace_like(
         lambda a, w: rp.map(lambda i: a[i] * w[i] + w[N - 1] , rp.iota(N)), (a, ws[0])))
     want = np.stack([fc(a, w, backend="ref") for w in ws])
-    outs = {}
-    for be in ("plan", "codegen"):
-        (outs[be],) = fc.call_batched((a, ws), (False, True), 3, backend=be)
-        np.testing.assert_allclose(outs[be], want, rtol=1e-12, err_msg=be)
-    np.testing.assert_array_equal(outs["plan"], outs["codegen"])
+    (out,) = fc.call_batched((a, ws), (False, True), 3, backend="plan")
+    np.testing.assert_allclose(out, want, rtol=1e-12)
     assert numpy_call_census(
         lambda: fc.call_batched((a, ws), (False, True), 3, backend="plan"))["gather"] == 0
 
@@ -189,7 +183,7 @@ def test_input_layouts(layout):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
+@pytest.mark.parametrize("backend", PLAN_LEGS)
 def test_map_results_do_not_alias_the_indexed_array(backend):
     """``map (\\i -> a[i]) (iota n)`` is a view of ``a`` inside the map; what
     the map returns is the caller's own array (as on ``ref``)."""
@@ -215,13 +209,13 @@ def _vjp_census(f, args, seed):
     fc = rp.compile(rp.trace_like(f, args))
     v = rp.vjp(fc)
     run_both(v, *args, seed)
-    return {be: _census(v, *args, seed, backend=be) for be in ("plan", "codegen")}
+    return _census(v, *args, seed)
 
 
 def test_upd_acc_at_the_maps_own_indices_is_a_strided_add():
     a = _mat()
-    for c in _vjp_census(_rows, (a,), np.ones((N, M))).values():
-        assert c["scatter"] == 0 and c["gather"] == 0
+    c = _vjp_census(_rows, (a,), np.ones((N, M)))
+    assert c["scatter"] == 0 and c["gather"] == 0
 
 
 def test_upd_acc_sums_over_the_lanes_no_index_varies_along():
@@ -233,8 +227,7 @@ def test_upd_acc_sums_over_the_lanes_no_index_varies_along():
     def f(a, b):
         return rp.map(lambda i: rp.map(lambda j: a[j] * b[i], rp.iota(M)), rp.iota(N))
 
-    for c in _vjp_census(f, (a, b), np.ones((N, M))).values():
-        assert c["scatter"] == 0
+    assert _vjp_census(f, (a, b), np.ones((N, M)))["scatter"] == 0
 
 
 def test_upd_acc_with_a_lane_uniform_value_takes_add_at():
@@ -315,7 +308,7 @@ def _kmeans_newton():
     return step, inp
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
+@pytest.mark.parametrize("backend", PLAN_LEGS)
 def test_cached_gradient_call_counts(backend):
     """Exact, timing-free: the LSTM and GMM gradients gather and scatter
     nothing.  GMM's logsumexp ``argmax`` reads ``vals`` twice, so its adjoint
@@ -432,7 +425,7 @@ def _oracle_programs():
     }
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
+@pytest.mark.parametrize("backend", PLAN_LEGS)
 @pytest.mark.parametrize("name", sorted(_oracle_programs()))
 def test_contracted_programs_against_independent_oracles(name, backend):
     """Every contracted program against oracles that share nothing with it:
@@ -570,7 +563,7 @@ def test_contract_spreads_a_raised_lane_uniform_factor(sv):
     assert plan_cache_stats()["index"]["view_fallbacks"] == before
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
+@pytest.mark.parametrize("backend", PLAN_LEGS)
 def test_contract_under_batched_seeds_matches_ref_per_seed(backend):
     """A seed batch adds a level under every contraction, and a batched
     array an own batch axis to its reads: each seed still equals ``ref``."""

@@ -1,8 +1,8 @@
 """The plan executor's memory plan (`exec/lower.py`: releases and donations),
-attacked through the public API on both emitters.
+attacked through the public API on both emissions of a plan: plain and
+timed (``REPRO_PROFILE``).
 
-A released slot that is read again raises ``unbound variable`` (``plan``) or
-``UnboundLocalError``/``AttributeError`` (``codegen``); a donation that hits
+A released slot that is read again raises ``unbound variable``; a donation that hits
 memory someone else can see changes a result or raises on a read-only
 array.  So the tests below only have to *run* hostile inputs and compare
 results.
@@ -18,10 +18,11 @@ import pytest
 import repro as rp
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
 from repro.exec import plan_cache_stats, vector
-from helpers import peak_mb
+from helpers import PLAN_LEGS, peak_mb
 from test_fuzz_programs import _gen_program
 
-EMITTERS = ("plan", "codegen")
+#: ``plan``, and ``plan`` with every closure timed (``helpers.PROFILED``).
+EMITTERS = PLAN_LEGS
 
 
 NEVER = 1 << 62
@@ -119,14 +120,14 @@ def test_apps_never_write_their_inputs(name, emitter, donation_floor):
     for a in frozen:
         a.setflags(write=False)
     got = (fc(*frozen, backend=emitter), call(fc, frozen, emitter))
-    _assert_bitwise(got, want, f"{name}/{emitter}: read-only inputs change the result")
-    _assert_bitwise(frozen, inp, f"{name}/{emitter}: inputs were written")
+    _assert_bitwise(got, want, f"{name}: read-only inputs change the result")
+    _assert_bitwise(frozen, inp, f"{name}: inputs were written")
     set_floor, floor = donation_floor
     if floor == 0:
         # ...and computing into dead temporaries changes no bit
         set_floor(NEVER)
         plain = (fc(*inp, backend=emitter), call(fc, inp, emitter))
-        _assert_bitwise(got, plain, f"{name}/{emitter}: donation changed a result")
+        _assert_bitwise(got, plain, f"{name}: donation changed a result")
 
 
 @pytest.mark.parametrize("emitter", EMITTERS)
@@ -140,7 +141,7 @@ def test_results_are_the_callers_to_overwrite(name, emitter, donation_floor):
     for a in _flat(first):
         if a.ndim and a.flags.writeable:
             a.fill(np.nan)
-    _assert_bitwise(call(fc, inp, emitter), keep, f"{name}/{emitter}: second call differs")
+    _assert_bitwise(call(fc, inp, emitter), keep, f"{name}: second call differs")
 
 
 @pytest.mark.parametrize("emitter", EMITTERS)
@@ -166,7 +167,7 @@ def test_nothing_a_call_allocates_outlives_it_but_its_results(name, emitter, don
         tracemalloc.stop()
     assert sum(t.size for t in during.traces) >= held > 0
     left = sum(t.size for t in after.traces)
-    assert left == 0, f"{name}/{emitter}: {left} bytes of array data outlived the call"
+    assert left == 0, f"{name}: {left} bytes of array data outlived the call"
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +233,9 @@ def test_control_flow_with_releases_matches_ref(name, donation_floor):
     args = (xs, np.cos(xs)) if transform is rp.jvp else (xs,)
     deriv = transform(fc)
     want, dwant = fc(xs, backend="ref"), deriv(*args, backend="ref")
-    for emitter in EMITTERS:
-        np.testing.assert_allclose(fc(xs, backend=emitter), want, rtol=1e-12, atol=1e-12)
-        for got, ref in zip(_flat(deriv(*args, backend=emitter)), _flat(dwant)):
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
-    _assert_bitwise(deriv(*args, backend="plan"), deriv(*args, backend="codegen"), name)
+    np.testing.assert_allclose(fc(xs, backend="plan"), want, rtol=1e-12, atol=1e-12)
+    for got, ref in zip(_flat(deriv(*args, backend="plan")), _flat(dwant)):
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +329,9 @@ def test_donation_never_reaches_a_visible_buffer(name, emitter, donation_floor):
     want = call()
     set_floor(SHIPPED if floor is None else floor)
     for r, kept in zip(held, snap):
-        _assert_bitwise(r, want, f"{name}/{emitter}: donation changed a result")
-        _assert_bitwise(r, kept, f"{name}/{emitter}: a later call wrote an earlier result")
-    _assert_bitwise(frozen, args, f"{name}/{emitter}: inputs were written")
+        _assert_bitwise(r, want, f"{name}: donation changed a result")
+        _assert_bitwise(r, kept, f"{name}: a later call wrote an earlier result")
+    _assert_bitwise(frozen, args, f"{name}: inputs were written")
     if name == "input_returned":
         assert held[0][0] is frozen[0]  # handed back as it came
 
@@ -372,7 +371,7 @@ def test_threads_run_one_plan_concurrently(emitter, donation_floor):
     for k in range(len(inputs)):
         assert len(got[k]) == rounds
         for r in got[k]:
-            _assert_bitwise(r, want[k], f"{emitter}: thread {k} saw another's buffer")
+            _assert_bitwise(r, want[k], f"thread {k} saw another's buffer")
 
 
 def test_a_cached_calls_traced_peak_is_its_whole_working_set():
@@ -381,29 +380,27 @@ def test_a_cached_calls_traced_peak_is_its_whole_working_set():
     # process has not run yet peak alike.  (A store kept across calls would
     # serve calls 2 and 3 from buffers tracing never sees: the per-thread
     # free list did, for temporaries of 128 KiB and up; here the (n, k, d)
-    # ones are 240-260 KiB.)
+    # ones are 240 KiB.)
     pts, ctr = datagen.kmeans_instance(4, 200, 32, 0)
     h = rp.hessian_diag(rp.compile(kmeans.build_ir(200, 4, 32)), wrt=1)
-    for emitter, n in (("plan", 240), ("codegen", 260)):
-        h(pts, ctr, backend=emitter)  # lowered and cached at n = 200
-        new_pts = datagen.kmeans_instance(4, n, 32, 1)[0]
-        misses = plan_cache_stats()["misses"]
-        peaks, results = [], []
-        for _ in range(3):
-            tracemalloc.start()
-            try:
-                results.append(h(new_pts, ctr, backend=emitter))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert plan_cache_stats()["misses"] == misses  # shape-generic: cache hits
-        assert max(peaks) <= 1.01 * min(peaks), (emitter, peaks)
-        for r in results[1:]:
-            _assert_bitwise(r, results[0], f"{emitter}: cached calls differ")
-        if emitter == "plan":
-            want = h(new_pts, ctr, backend="ref")
-            for g, w in zip(_flat(results[0]), _flat(want)):
-                np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10)
+    h(pts, ctr, backend="plan")  # lowered and cached at n = 200
+    new_pts = datagen.kmeans_instance(4, 240, 32, 1)[0]
+    misses = plan_cache_stats()["misses"]
+    peaks, results = [], []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            results.append(h(new_pts, ctr, backend="plan"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert plan_cache_stats()["misses"] == misses  # shape-generic: cache hits
+    assert max(peaks) <= 1.01 * min(peaks), peaks
+    for r in results[1:]:
+        _assert_bitwise(r, results[0], "cached calls differ")
+    want = h(new_pts, ctr, backend="ref")
+    for g, w in zip(_flat(results[0]), _flat(want)):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10)
 
 
 def test_a_large_dead_temporary_is_computed_into():
@@ -413,19 +410,18 @@ def test_a_large_dead_temporary_is_computed_into():
     fc = rp.compile(rp.trace_like(
         lambda v: rp.map(lambda x: rp.sin(x * x + 1.0) * x - x * 0.5, v), (xs,)))
     want = fc(xs, backend="ref")
-    for emitter in EMITTERS:
-        fc(xs, backend=emitter)  # lowered and cached
-        before = plan_cache_stats()["mem"]["donation_fallbacks"]
-        tracemalloc.start()
-        try:
-            got = fc(xs, backend=emitter)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(got, want)
-        assert plan_cache_stats()["mem"]["donation_fallbacks"] == before
-        # x*x, x*0.5 and the result: three live arrays at most, not six
-        assert peak < 3.5 * xs.nbytes, peak / xs.nbytes
+    fc(xs, backend="plan")  # lowered and cached
+    before = plan_cache_stats()["mem"]["donation_fallbacks"]
+    tracemalloc.start()
+    try:
+        got = fc(xs, backend="plan")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert plan_cache_stats()["mem"]["donation_fallbacks"] == before
+    # x*x, x*0.5 and the result: three live arrays at most, not six
+    assert peak < 3.5 * xs.nbytes, peak / xs.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,9 @@ def test_malformed_knob_fails_loudly(var, value, monkeypatch):
 def test_removed_knobs_are_read_by_nothing(monkeypatch, tmp_path):
     """The five knobs nothing but their own tests set are deleted, not
     deprecated: under a value that each of them used to refuse (or, for the
-    dump directory, act on), a traced cold gradient is the program, the
-    generated source and the bits of the unset run."""
+    dump directory, act on), a traced cold gradient is the program and the
+    bits of the unset run."""
     from repro.exec import clear_plan_cache
-    from repro.exec.codegen import CodegenPlan
     from repro.ir.analysis import ir_hash
     from repro.obs import tracing
     from repro.opt.pipeline import clear_opt_cache
@@ -146,8 +145,8 @@ def test_removed_knobs_are_read_by_nothing(monkeypatch, tmp_path):
         clear_opt_cache()
         with tracing.collecting():
             g = rp.grad(rp.compile(ir))
-            bits = [g(xs, backend=be).tobytes() for be in ("ref", "plan", "codegen")]
-        return ir_hash(g.adfun.fun), CodegenPlan(g.adfun.fun).source, bits
+            bits = [g(xs, backend=be).tobytes() for be in ("ref", "plan")]
+        return ir_hash(g.adfun.fun), bits
 
     for name in removed:
         monkeypatch.delenv(name, raising=False)
@@ -177,7 +176,7 @@ def test_schedule_layer_is_deleted_not_deprecated(monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULE", value)
         forced = rp.grad(rp.compile(ir))
         assert ir_hash(forced.adfun.fun) == ir_hash(base.adfun.fun)
-        for be in ("ref", "plan", "codegen"):
+        for be in ("ref", "plan"):
             assert forced(xs, backend=be).tobytes() == base(xs, backend=be).tobytes()
 
 
@@ -197,14 +196,13 @@ def test_knob_census_matches_readme_table():
 
 def test_emitters_hold_no_numpy_call_sequence_of_their_own():
     """What an instruction computes is written once, in an ``exec/vector.py``
-    kernel — control flow included; the two emitters bind operands and hand
+    kernel — control flow included; the emitter binds operands and hands
     nested bodies to the kernels as callables.  None of the NumPy calls, mask
     or batch-stack bookkeeping or fuel those kernels are made of may grow back
-    inside either emitter class, and neither renders an instruction kind of
-    its own but fused runs."""
+    inside the emitter class, and it renders no instruction kind of its own
+    but fused runs."""
     import inspect
 
-    from repro.exec.codegen import _SrcEmitter
     from repro.exec.plan import _ClosureEmitter
 
     moved = ("np.clip", "np.where", "np.broadcast_to", "np.concatenate", "np.stack",
@@ -213,8 +211,7 @@ def test_emitters_hold_no_numpy_call_sequence_of_their_own():
              "eng.mask", "bstack", "WHILE_FUEL")
     kinds = {f"_emit_{k}" for k in ("map", "reduce", "scan", "fold_loop", "hist", "if",
                                     "loop", "while", "withacc", "lanes", "enter")}
-    for emitter in (_ClosureEmitter, _SrcEmitter):
-        src = inspect.getsource(emitter)
-        assert not [m for m in moved if m in src], emitter.__name__
-        own = {m for m in vars(emitter) if m.startswith("_emit_")}
-        assert "_emit_run" in own and not own & kinds, own
+    src = inspect.getsource(_ClosureEmitter)
+    assert not [m for m in moved if m in src]
+    own = {m for m in vars(_ClosureEmitter) if m.startswith("_emit_")}
+    assert "_emit_run" in own and not own & kinds, own

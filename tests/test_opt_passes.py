@@ -11,6 +11,7 @@ from repro.opt.fusion import fuse_fun
 from repro.opt.simplify import simplify_fun
 from repro.opt.stripmine import stripmine_fun
 from repro.opt.while_bound import while_bound_fun
+from helpers import PLAN_LEGS
 
 rng = np.random.default_rng(7)
 
@@ -159,10 +160,10 @@ def test_vjp_has_no_acc_opt_knob():
         rp.vjp(_matmul(), acc_opt=True)
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
+@pytest.mark.parametrize("backend", PLAN_LEGS)
 def test_plan_does_the_accumulator_work_of_section_6_1(backend):
-    """What §6.1 rewrites accumulator updates into, the plan emitters do as
-    they run them.  The matmul adjoint's updates run as ``contract``s (one
+    """What §6.1 rewrites accumulator updates into, the plan does as it runs
+    them.  The matmul adjoint's updates run as ``contract``s (one
     matmul each) and view adds, with no gather and no run-time fallback.
     A data-dependent ``tbl[i]`` update takes ``np.add.at``, and its gradient
     matches ``ref`` and central differences."""

@@ -14,6 +14,7 @@ from repro import obs
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
 from repro.exec.registry import default_backend
 from repro.util import BoundedLRU, ReproError
+from helpers import PLAN_LEGS
 
 rng = np.random.default_rng(11)
 
@@ -96,7 +97,12 @@ def test_repeated_batched_calls_hit_the_cache_bitwise():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["plan", "codegen"])
+def _emits():
+    """Plan bodies emitted so far (the metrics timer ``emit``)."""
+    return obs.snapshot()["timers"].get("emit", {}).get("count", 0)
+
+
+@pytest.mark.parametrize("backend", PLAN_LEGS)
 def test_compiled_called_from_user_threads(backend):
     """6 user threads (more than cores, short switch interval) x 20 calls of
     one ``Compiled``: every result is bitwise equal to a quiet call, the
@@ -111,6 +117,7 @@ def test_compiled_called_from_user_threads(backend):
     expected = {n: np.asarray(fc(x, backend=backend)).tobytes() for n, x in xs.items()}
     clear_plan_cache()
     dispatched = obs.snapshot()["backend_calls"][backend]
+    emits = _emits()
     nthreads, niter = 6, 20
     errors = []
     barrier = threading.Barrier(nthreads)
@@ -141,7 +148,7 @@ def test_compiled_called_from_user_threads(backend):
     assert st["misses"] == 1, st  # one rank/dtype signature -> one lowering
     assert st["hits"] + st["misses"] == nthreads * niter, st
     assert obs.snapshot()["backend_calls"][backend] - dispatched == nthreads * niter
-    assert st["emitters"][backend]["plans"] == 1, st
+    assert _emits() - emits == 1
 
 
 def test_plan_cache_thread_hammer():
@@ -213,8 +220,8 @@ def test_bounded_lru_default_is_returned_on_miss():
 def test_default_backend_honours_env_and_validates(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert default_backend() == "plan"
-    monkeypatch.setenv("REPRO_BACKEND", "codegen")
-    assert default_backend() == "codegen"
+    monkeypatch.setenv("REPRO_BACKEND", "ref")
+    assert default_backend() == "ref"
     monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
     with pytest.raises(ReproError, match="registered backends"):
         default_backend()

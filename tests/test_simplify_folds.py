@@ -241,7 +241,7 @@ def test_unit_times_a_double_folds_to_a_bitwise_equal_double_multiply(form):
     (body,) = [s.exp.lam.body for s in fo.fun.body.stms]
     (mul,) = [s.exp for s in body.stms]
     assert mul.op == "mul" and -2.0 in (getattr(mul.x, "value", None), getattr(mul.y, "value", None))
-    for be in ("ref", "plan", "codegen"):
+    for be in ("ref", "plan"):
         assert np.asarray(fo(_EDGES, backend=be)).tobytes() == np.asarray(fr(_EDGES, backend=be)).tobytes()
     # the fold is exactly what doubling then negating does in NumPy
     with np.errstate(over="ignore"):

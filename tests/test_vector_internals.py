@@ -747,6 +747,7 @@ def test_redomap_fold_and_hist_kernels_over_no_elements(bshape):
 
 import repro as rp  # noqa: E402
 from repro.exec.lower import layout, lower_fun  # noqa: E402
+from repro.exec import plan as plan_mod  # noqa: E402
 from repro.exec.plan import Plan, _ClosureEmitter  # noqa: E402
 from repro.exec.verify_plan import verify_layout  # noqa: E402
 from repro.ir.verify import VerifyError  # noqa: E402
@@ -833,11 +834,6 @@ class _CheckingEmitter(_ClosureEmitter):
         return checked
 
 
-class _CheckingPlan(Plan):
-    def _emit(self, ir, lay):
-        return _CheckingEmitter(lay).emit_body(ir.body), {}
-
-
 def _edge_programs():
     op = lambda a, b: a * b + a  # noqa: E731
     yield (lambda xs, a: rp.map(lambda x: rp.cond(x > 0.0, lambda: x * a, lambda: a), xs),
@@ -856,7 +852,8 @@ def _edge_programs():
 
 
 @pytest.mark.parametrize("case", range(7))
-def test_runtime_batch_depth_equals_the_static_fact(case):
+def test_runtime_batch_depth_equals_the_static_fact(case, monkeypatch):
+    monkeypatch.setattr(plan_mod, "_ClosureEmitter", _CheckingEmitter)
     f, args, flags = list(_edge_programs())[case]
     fun = rp.compile(rp.trace_like(f, args)).fun
     floats = [np.asarray(a).dtype.kind == "f" for a in args]
@@ -865,7 +862,7 @@ def test_runtime_batch_depth_equals_the_static_fact(case):
         if derived is not fun:  # one tangent per float argument, batched alike
             ins = (*args, *[np.ones_like(a) for a, f_ in zip(args, floats) if f_])
             fl = flags + tuple(b for b, f_ in zip(flags, floats) if f_)
-        plan = _CheckingPlan(derived)
+        plan = Plan(derived)
         plan.run(ins)
         b = 2
         plan.run_batched([np.stack([a, a]) if f_ else a for a, f_ in zip(ins, fl)], fl, b)

@@ -4,7 +4,7 @@ Each test programmatically corrupts well-formed IR — the exact corruptions a
 buggy rewrite pass could produce — and asserts the verifier rejects it with a
 ``VerifyError`` naming the pass and (where applicable) the offending
 statement.  The last section runs the fuzz-program corpus end-to-end under
-``REPRO_VERIFY=full`` on all four executors and checks the cached-plan /
+``REPRO_VERIFY=full`` on both executors and checks the cached-plan /
 counter behaviour of the hooks.
 """
 import numpy as np
@@ -50,7 +50,7 @@ from repro.exec.lower import (
     ILoop, IMap, IRun, PlanIR, Ref, layout, lower_fun, nested_bodies,
 )
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
-from repro.exec.verify_plan import verify_codegen_source, verify_layout, verify_plan_ir
+from repro.exec.verify_plan import verify_layout, verify_plan_ir
 from helpers import run_both
 from test_fuzz_programs import _gen_program
 
@@ -274,7 +274,7 @@ def test_forced_fission_of_coupled_argmin_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Layer 2: plan-IR checker + codegen source sanity
+# Layer 2: plan-IR checker
 # ---------------------------------------------------------------------------
 
 
@@ -674,28 +674,6 @@ def test_plan_affine_flag_on_name_rebound_in_sibling_scope_rejected(monkeypatch)
         verify_plan_ir(ir)
 
 
-def test_codegen_free_name_rejected():
-    src = "def _plan_main(x):\n    return np.sin(x)\n"
-    with pytest.raises(VerifyError, match="free name 'np'"):
-        verify_codegen_source("f", src, {})
-
-
-def test_codegen_syntax_error_rejected():
-    with pytest.raises(VerifyError, match="does not parse"):
-        verify_codegen_source("f", "def _plan_main(:\n", {})
-
-
-def test_codegen_real_source_passes_and_counts(monkeypatch):
-    monkeypatch.setenv("REPRO_VERIFY", "full")
-    clear_plan_cache()
-    fun = rp.trace_like(lambda x: rp.sum(rp.map(lambda v: v * v, x)), (np.ones(5),))
-    before = VERIFY_STATS["codegen_checks"]
-    p = plan_for(fun, (np.ones(5),), None, emitter="codegen")
-    assert VERIFY_STATS["codegen_checks"] == before + 1
-    (r,) = p.run((np.arange(5.0),))
-    assert r == pytest.approx(np.sum(np.arange(5.0) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Hook behaviour: modes, counters, cached-plan reuse
 # ---------------------------------------------------------------------------
@@ -879,7 +857,7 @@ def test_plan_read_of_a_dropped_replicate_rejected(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Fuzz corpus under REPRO_VERIFY=full on all four executors
+# Fuzz corpus under REPRO_VERIFY=full on both executors
 # ---------------------------------------------------------------------------
 
 
@@ -892,7 +870,5 @@ def test_fuzz_corpus_green_under_full_verification(seed, monkeypatch):
     run_both(fc, xs)  # every backend agrees with ref
     want = fc(xs)
     (got,) = plan_for(fc.fun, (xs,)).run((xs,))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    (got,) = plan_for(fc.fun, (xs,), None, emitter="codegen").run((xs,))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     rp.grad(fc)(xs)  # jvp/vjp boundaries + post-AD optimization under full
