@@ -82,49 +82,33 @@ def build_ir(n_obs: int):
     )
 
 
-def jacobian_ad(jv, gcams, gpts, ws, feats, backend=None, batched=None):
+def jacobian_ad(jv, gcams, gpts, ws, feats, backend=None):
     """The AD reprojection-Jacobian blocks via the seed-vector trick (§7.1).
 
     ``jv`` is ``rp.vjp(compile(build_ir(n)), wrt=[0, 1, 2])``.  One reverse
     pass per residual component recovers every per-observation block at
-    once; on the bulk backends both component seeds are stacked on a leading
-    batch axis and evaluated in a *single* ``call_batched`` pass (the
-    batched multi-seed driver) instead of a Python loop over seeds.
+    once; both component seeds are stacked on a leading batch axis and
+    evaluated in a *single* ``call_batched`` pass (the batched multi-seed
+    driver) instead of a Python loop over seeds.
 
     Returns ``(J_cam (n,2,11), J_pt (n,2,3), J_w (n,2))`` — row ``i`` holds
     ``d err_c[i] / d {cam,pt,w}[i]`` for components ``c = 0, 1``.  (The
     weight-regulariser row ``d werr/d w = -2w`` is closed-form and omitted,
     as in the Table 1 measurement.)
     """
-    from ..exec.registry import default_backend, get_backend
-
-    backend = backend or default_backend()
     n = gcams.shape[0]
-    if batched is None:
-        batched = get_backend(backend).batched
-    if batched:
-        e0 = np.zeros((2, n))
-        e0[0] = 1.0
-        e1 = np.zeros((2, n))
-        e1[1] = 1.0
-        ez = np.zeros((2, n))
-        out = jv.call_batched(
-            (gcams, gpts, ws, feats, e0, e1, ez),
-            (False, False, False, False, True, True, True),
-            2,
-            backend=backend,
-        )
-        cam_b, pt_b, w_b = (np.asarray(o) for o in out[-3:])
-    else:
-        rows = []
-        for comp in range(2):
-            seeds = [np.zeros(n), np.zeros(n), np.zeros(n)]
-            seeds[comp] = np.ones(n)
-            res = jv(gcams, gpts, ws, feats, *seeds, backend=backend)
-            rows.append([np.asarray(r) for r in res[-3:]])
-        cam_b = np.stack([r[0] for r in rows])
-        pt_b = np.stack([r[1] for r in rows])
-        w_b = np.stack([r[2] for r in rows])
+    e0 = np.zeros((2, n))
+    e0[0] = 1.0
+    e1 = np.zeros((2, n))
+    e1[1] = 1.0
+    ez = np.zeros((2, n))
+    out = jv.call_batched(
+        (gcams, gpts, ws, feats, e0, e1, ez),
+        (False, False, False, False, True, True, True),
+        2,
+        backend=backend,
+    )
+    cam_b, pt_b, w_b = (np.asarray(o) for o in out[-3:])
     return (
         np.moveaxis(cam_b, 0, 1),  # (n, 2, 11)
         np.moveaxis(pt_b, 0, 1),  # (n, 2, 3)

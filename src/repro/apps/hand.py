@@ -98,15 +98,14 @@ def build_ir(n_bones: int, n_verts: int):
     )
 
 
-def jacobian_fwd_ad(fwd, theta, base, wghts, targets, backend=None, batched=None):
+def jacobian_fwd_ad(fwd, theta, base, wghts, targets, backend=None):
     """All 3·B forward pose directions of the HAND objective in one pass.
 
     ``fwd`` is ``rp.jvp(compile(build_ir(B, V)))``.  The Table 1 HAND
-    measurement enumerates the 3·B pose basis directions in forward mode; on
-    the batched-capable backends the full identity basis is stacked on a
-    leading batch axis and evaluated in a *single* ``call_batched`` pass —
-    the same shape as ``ba.jacobian_ad`` — instead of a Python loop over
-    seeds (the ``ref``/``batched=False`` fallback).
+    measurement enumerates the 3·B pose basis directions in forward mode;
+    the full identity basis is stacked on a leading batch axis and evaluated
+    in a *single* ``call_batched`` pass — the same shape as
+    ``ba.jacobian_ad`` — instead of a Python loop over seeds.
 
     Returns the ``(3B,)`` vector of directional derivatives
     ``dL/dθ_j = ∂ objective / ∂ theta[j]`` (the scalar objective's gradient,
@@ -114,9 +113,7 @@ def jacobian_fwd_ad(fwd, theta, base, wghts, targets, backend=None, batched=None
     """
     from .seeding import identity_seed_pass
 
-    return identity_seed_pass(
-        fwd, (theta, base, wghts, targets), 0, backend=backend, batched=batched
-    )
+    return identity_seed_pass(fwd, (theta, base, wghts, targets), 0, backend=backend)
 
 
 def _rot_np(th, v):

@@ -81,24 +81,21 @@ def build_ir(n: int, bs: int, d: int, h: int, stripmine: int = 0):
     )
 
 
-def grad_fwd_ad(fwd, xs, wx, wh, b, wy, targets, backend=None, batched=None):
+def grad_fwd_ad(fwd, xs, wx, wh, b, wy, targets, backend=None):
     """Forward-mode gradient of the LSTM loss w.r.t. the bias, batched.
 
     ``fwd`` is ``rp.jvp(compile(build_ir(...)))``.  The loss is scalar, so
-    forward mode needs one pass per bias entry (4·h basis directions); on
-    the batched-capable backends the whole identity basis is stacked on a
-    leading batch axis and evaluated in a *single* ``call_batched`` pass —
-    the same multi-seed shape as ``ba.jacobian_ad``/``hand.jacobian_fwd_ad``
-    — with a per-seed loop fallback for ``ref``/``batched=False``.
+    forward mode needs one pass per bias entry (4·h basis directions); the
+    whole identity basis is stacked on a leading batch axis and evaluated in
+    a *single* ``call_batched`` pass — the same multi-seed shape as
+    ``ba.jacobian_ad``/``hand.jacobian_fwd_ad``.
 
     Returns the ``(4h,)`` bias gradient ``dL/db`` (equal, up to roundoff, to
     the reverse-mode gradient's bias component — asserted in the tests).
     """
     from .seeding import identity_seed_pass
 
-    return identity_seed_pass(
-        fwd, (xs, wx, wh, b, wy, targets), 3, backend=backend, batched=batched
-    )
+    return identity_seed_pass(fwd, (xs, wx, wh, b, wy, targets), 3, backend=backend)
 
 
 def _sig(x):

@@ -14,12 +14,11 @@ These mirror the paper's ``jvp``/``vjp`` language constructs (§2.0.1/2.0.2):
 Batched seeds
 -------------
 
-On the batched-capable backend (``plan``) ``jacobian``
-evaluates *all* basis seeds in a single pass: the n (fwd) or m (rev) seed
-vectors are stacked on a leading batch axis and the derivative function runs
-once with that axis treated as one more parallel level — instead of n/m
-separate interpreter invocations.  Pass ``batched=False`` to force the
-per-seed loop (the only strategy available on the ``ref`` backend).
+``jacobian`` evaluates *all* basis seeds in a single pass: the n (fwd) or
+m (rev) seed vectors are stacked on a leading batch axis and the derivative
+function runs once, mapped over that axis (``Compiled.call_batched``, which
+runs ``frontend.function.batched_fun`` — one more level of nested
+parallelism, on every backend) — instead of n/m separate invocations.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from ..exec.registry import batched_backends, default_backend, get_backend
+from ..exec.registry import default_backend
 from ..frontend.function import Compiled, compile_fun
 from ..ir.ast import Body, Fun
 from ..ir.types import is_float, rank_of
@@ -173,11 +172,11 @@ def jacobian(f: FunLike, mode: Optional[str] = None) -> Callable:
     ``vjp`` over output basis vectors), or None to choose by dimensions at
     call time — the §2 cost argument.
 
-    The returned callable accepts ``backend`` and ``batched`` keywords.  On
-    the batched-capable backend (``plan``) all basis seeds are
-    evaluated in one batched pass by default; ``batched=False`` forces the
-    per-seed loop, which is also the fallback on ``ref``.
+    The returned callable accepts a ``backend`` keyword.  All basis seeds
+    are evaluated in one ``call_batched`` pass.
     """
+    if mode not in (None, "fwd", "rev"):
+        raise ADError(f'jacobian: mode must be "fwd", "rev" or None, not {mode!r}')
     fun = _fun_of(f)
     if len(fun.params) != 1 or len(fun.body.result) != 1:
         raise ADError("jacobian: use vjp/jvp directly for multi-arg functions")
@@ -185,48 +184,22 @@ def jacobian(f: FunLike, mode: Optional[str] = None) -> Callable:
     fwd = jvp(f)
     rev = vjp(f)
 
-    def run(x, backend: Optional[str] = None, batched: Optional[bool] = None):
+    def run(x, backend: Optional[str] = None):
         backend = backend or default_backend()
-        be = get_backend(backend)  # fail early, naming the registered set
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(primal(x, backend=backend))
         n, m = x.size, y.size
-        use = mode or ("fwd" if n <= m else "rev")
-        use_batched = batched if batched is not None else be.batched
-        if use_batched and not be.batched:
-            raise ADError(
-                f"jacobian: batched seeds are not supported on backend "
-                f"{backend!r}; choose from {batched_backends()} or pass "
-                f"batched=False"
-            )
         if n == 0 or m == 0:
             # No seed to run in either mode: the Jacobian has no entries.
             return np.zeros(y.shape + x.shape)
-        if use == "fwd":
-            if use_batched:
-                seeds = np.eye(n, dtype=np.float64).reshape((n,) + x.shape)
-                out = fwd.call_batched((x, seeds), (False, True), n, backend=backend)
-                dys = np.asarray(out[-1]).reshape(n, -1)  # (n, m)
-                return dys.T.reshape(y.shape + x.shape)
-            rows = []
-            for i in range(n):
-                seed = np.zeros_like(x).reshape(-1)
-                seed[i] = 1.0
-                out = _as_tuple(fwd(x, seed.reshape(x.shape), backend=backend))
-                rows.append(np.asarray(out[-1]).reshape(-1))
-            return np.stack(rows, axis=1).reshape(y.shape + x.shape)
-        if use_batched:
-            seeds = np.eye(m, dtype=np.float64).reshape((m,) + y.shape)
-            out = rev.call_batched((x, seeds), (False, True), m, backend=backend)
-            xbars = np.asarray(out[-1]).reshape(m, -1)  # (m, n)
-            return xbars.reshape(y.shape + x.shape)
-        rows = []
-        for j in range(m):
-            seed = np.zeros_like(y).reshape(-1)
-            seed[j] = 1.0
-            out = _as_tuple(rev(x, seed.reshape(y.shape), backend=backend))
-            rows.append(np.asarray(out[-1]).reshape(-1))
-        return np.stack(rows, axis=0).reshape(y.shape + x.shape)
+        if (mode or ("fwd" if n <= m else "rev")) == "fwd":
+            seeds = np.eye(n, dtype=np.float64).reshape((n,) + x.shape)
+            out = fwd.call_batched((x, seeds), (False, True), n, backend=backend)
+            dys = np.asarray(out[-1]).reshape(n, -1)  # (n, m)
+            return dys.T.reshape(y.shape + x.shape)
+        seeds = np.eye(m, dtype=np.float64).reshape((m,) + y.shape)
+        out = rev.call_batched((x, seeds), (False, True), m, backend=backend)
+        return np.asarray(out[-1]).reshape(y.shape + x.shape)  # (m, n) rows
 
     run.fwd = fwd  # type: ignore[attr-defined]
     run.rev = rev  # type: ignore[attr-defined]

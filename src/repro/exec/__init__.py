@@ -14,12 +14,10 @@ from .plan import (  # noqa: F401
     plan_cache_stats,
     plan_for,
     run_fun_plan,
-    run_fun_plan_batched,
 )
 from .registry import (  # noqa: F401
     Backend,
     available_backends,
-    batched_backends,
     default_backend,
     get_backend,
 )

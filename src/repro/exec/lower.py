@@ -36,10 +36,10 @@ serves every shape of a rank/dtype signature:
   products; ``contract_terms``), the map (part) its exact fallback;
 * **layout**: every value's payload rank is in its IR type (``RunOp.pranks``)
   and its batch depth is where it is computed in the flattening nest, so
-  both are fixed when a plan is emitted.  ``layout(ir, flags)`` — one pass
-  per batched-argument flags tuple, a fixpoint over loop bodies — gives every
-  fused-run op its depth and each operand a static selector (``selector``,
-  ``lift``; view-path ``index`` ops their view template), and every join
+  both are fixed when a plan is emitted.  ``layout(ir)`` — one pass, a
+  fixpoint over loop bodies — gives every fused-run op its depth and each
+  operand a static selector (``selector``, ``lift``; view-path ``index``
+  ops their view template), and every join
   (``if``, loop state, generic fold, ``update``) the depth its kernel raises
   its values to; every contract its subscripts and view templates
   (``contract_layout``).  The emitter calls NumPy directly on the selected
@@ -1113,20 +1113,18 @@ class OpLayout:
 
 
 class Layout:
-    """The static layout of a ``PlanIR`` under one flags tuple (``None`` for
-    ``Plan.run``, else ``run_batched``'s per-argument flags), what
-    ``layout`` found: ``ops`` maps each fused-run op to its ``OpLayout``,
-    ``outs`` each instruction to the batch depths of its outputs, and
-    ``kernel`` each instruction whose kernel takes a ``"layout"`` static
-    (``vector.KERNELS``) to it — the depth an ``update``'s result is raised
-    to, the depths the results or state of an ``if`` / ``loop`` / ``while`` /
-    generic reduce or scan are raised to (the joins), an ``upd_acc``'s
-    depth and view template, a contract's ``contract_layout``."""
+    """The static layout of a ``PlanIR``, what ``layout`` found: ``ops``
+    maps each fused-run op to its ``OpLayout``, ``outs`` each instruction
+    to the batch depths of its outputs, and ``kernel`` each instruction
+    whose kernel takes a ``"layout"`` static (``vector.KERNELS``) to it —
+    the depth an ``update``'s result is raised to, the depths the results
+    or state of an ``if`` / ``loop`` / ``while`` / generic reduce or scan
+    are raised to (the joins), an ``upd_acc``'s depth and view template, a
+    contract's ``contract_layout``."""
 
-    __slots__ = ("flags", "ops", "outs", "kernel")
+    __slots__ = ("ops", "outs", "kernel")
 
-    def __init__(self, flags: Optional[Tuple[bool, ...]]) -> None:
-        self.flags = flags
+    def __init__(self) -> None:
         self.ops: Dict[RunOp, OpLayout] = {}
         self.outs: Dict[_Instr, Tuple[int, ...]] = {}
         self.kernel: Dict[_Instr, object] = {}
@@ -1360,14 +1358,12 @@ class _LayoutPass:
         return outs
 
 
-def layout(ir: PlanIR, flags: Optional[Sequence[bool]] = None) -> Layout:
-    """The static layout of ``ir`` run with batched-argument ``flags``
-    (``None``: unbatched).  Every value's payload rank is in its IR type
-    (``RunOp.pranks``); its batch depth is fixed by where it is computed —
-    the flattening nest of §4.1:
+def layout(ir: PlanIR) -> Layout:
+    """The static layout of ``ir``.  Every value's payload rank is in its IR
+    type (``RunOp.pranks``); its batch depth is fixed by where it is
+    computed — the flattening nest of §4.1:
 
-    * a parameter is at depth 1 when batched, else 0; constants, ``iota``
-      and ``size`` at 0;
+    * a parameter, a constant, ``iota`` and ``size`` at depth 0;
     * a SOAC body's parameters at the enclosing depth + 1 (a generic fold's
       accumulators and elements, and a histogram operator's, at the
       enclosing depth), every SOAC, ``scratch``, ``scatter`` and
@@ -1386,14 +1382,9 @@ def layout(ir: PlanIR, flags: Optional[Sequence[bool]] = None) -> Layout:
     masks' depth included).  So a value's batch depth at run time always
     equals its fact here, and the emitter lines up every fused-run operand
     with a static selector instead of aligning per call."""
-    flags = None if flags is None else tuple(bool(f) for f in flags)
-    if flags is not None and len(flags) != len(ir.param_slots):
-        raise ExecError("run_batched: batched flags must match arguments")
     with _tracing.span("layout", cat="compile", fun=ir.fun.name):
-        lay = Layout(flags)
-        env = {s: (int(f), False)
-               for s, f in zip(ir.param_slots, flags or (False,) * len(ir.param_slots))}
-        _LayoutPass(lay, env).body(ir.body, 0 if flags is None else 1, 0)
+        lay = Layout()
+        _LayoutPass(lay, {s: (0, False) for s in ir.param_slots}).body(ir.body, 0, 0)
     if verify_mode() == "off":
         return lay
     from .verify_plan import verify_layout

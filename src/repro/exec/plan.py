@@ -17,7 +17,7 @@ family is layered:
   operands, calls the kernel (a nested body passed as a closure that binds
   its parameter slots and runs its own instructions) and assigns/releases
   slots, or runs a fused scalar run — and hosts the runtime (``_Engine``),
-  the ``run``/``run_batched`` driver and the plan cache.  Under
+  the ``run`` driver and the plan cache.  Under
   ``REPRO_PROFILE`` it passes every closure it emits, at every depth,
   through ``obs/profiler.py:timer``.
 
@@ -28,9 +28,8 @@ The test suite runs every program on ``ref`` and ``plan``: agreement with
 Caching
 -------
 
-``plan_for(fun, args, batched=...)`` memoises plans in one module-level,
-lock-guarded LRU keyed by ``(ir_hash(fun), profile, batched flags, rank/dtype
-signature)``.  The key leads with the alpha-invariant
+``plan_for(fun, args)`` memoises plans in one module-level, lock-guarded
+LRU keyed by ``(ir_hash(fun), profile, rank/dtype signature)``.  The key leads with the alpha-invariant
 content hash (``ir.analysis.ir_hash``), so alpha-equivalent ``Fun`` bodies
 — retraced derivatives, re-optimised copies — share one lowering instead
 of one per object identity.  Concrete extents are not part of the key:
@@ -52,10 +51,11 @@ state is mutated under one re-entrant lock — users may call one
 Batched seeds
 -------------
 
-``Plan.run_batched(args, batched, batch_size)`` evaluates the plan with the
-flagged arguments carrying one extra leading batch axis — the batched
-multi-seed driver used by ``jacobian``: all n/m basis vectors evaluate in a
-single pass, stacked on the leading axis, instead of n/m separate runs.
+A batched multi-seed call is no separate mode: ``Compiled.call_batched``
+runs ``frontend.function.batched_fun`` — the function as one ``map`` over
+its flagged parameters — through ``run`` like any other program, so the
+seed axis is the map's batch level.  ``Plan.run_batched`` is a bench-only
+residue of that path (``bench/staged.py`` calls it on its staged plans).
 """
 from __future__ import annotations
 
@@ -66,7 +66,6 @@ import numpy as np
 
 from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
-from ..ir.types import np_dtype
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..obs.profiler import profile_enabled, timer
 from ..util import BoundedLRU, ExecError
@@ -80,7 +79,6 @@ from .vector import (
     AccBV,
     BV,
     _elem_into,
-    _expand,
     _gather,
     _index,
     _uniform_int,
@@ -91,7 +89,6 @@ __all__ = [
     "Plan",
     "plan_for",
     "run_fun_plan",
-    "run_fun_plan_batched",
     "PLAN_STATS",
     "plan_cache_stats",
     "clear_plan_cache",
@@ -411,18 +408,15 @@ class Plan:
     """An executable lowering of one ``Fun``: flat instruction closures over
     slots, emitted from the shared plan IR (``exec/lower.py``).  Plans are
     shape-generic: one serves every concrete shape of a rank/dtype
-    signature.  What is emitted depends on the batched-argument flags
-    (``None`` for ``run``) through the IR's static ``layout``, so a plan
-    keeps one emitted body per flags tuple: the one it was built for
-    (``flags``), and any other the first time it runs with it.
+    signature.  It keeps one ``body``, emitted from the IR and its static
+    ``layout``.
 
     Argument checking and coercion, ``errstate``, the execute span and
-    result unwrapping live in ``run``/``run_batched``.  With ``profile``
+    result unwrapping live in ``run``.  With ``profile``
     every closure this class emits, nested ones included, is timed by
     ``obs/profiler.py:timer``."""
 
-    def __init__(self, fun: Fun, ir: Optional[PlanIR] = None,
-                 flags: Optional[Sequence[bool]] = None, profile: bool = False) -> None:
+    def __init__(self, fun: Fun, ir: Optional[PlanIR] = None, profile: bool = False) -> None:
         with _obs_tracing.timed("emit", cat="compile", fun=fun.name):
             if ir is None:
                 ir = lower_fun(fun)
@@ -433,100 +427,43 @@ class Plan:
             self.nslots = ir.nslots
             #: Statements collapsed into fused scalar runs (recursive).
             self.fused_stms = ir.fused
-            #: flags (``None``: unbatched) -> the body emitted for them.
-            self.bodies: Dict[Optional[Tuple[bool, ...]], object] = {}
-            self._add_body(ir, _flags_key(flags))
+            wrap = timer(fun) if profile else None
+            self.body = _ClosureEmitter(layout(ir), wrap).emit_body(ir.body)
         with _LOCK:
             _count_plan(ir)
 
-    def _add_body(self, ir: PlanIR, flags: Optional[Tuple[bool, ...]]) -> None:
-        wrap = timer(self.fun) if self.profile else None
-        body = _ClosureEmitter(layout(ir, flags), wrap).emit_body(ir.body)
-        self.bodies.setdefault(flags, body)
-
-    def _body(self, flags: Optional[Tuple[bool, ...]]):
-        """The body emitted for ``flags``, emitted now — from a fresh lowering:
-        a plan keeps its bodies, not the IR — if this is the first call with
-        them."""
-        body = self.bodies.get(flags)
-        if body is not None:
-            return body
-        with _obs_tracing.timed("emit", cat="compile", fun=self.fun.name):
-            self._add_body(lower_fun(self.fun), flags)
-        return self.bodies[flags]
-
     def __repr__(self) -> str:
         return (
-            f"<Plan {self.fun.name}: {len(next(iter(self.bodies.values()))[0])} instrs, "
+            f"<Plan {self.fun.name}: {len(self.body[0])} instrs, "
             f"{self.nslots} slots, {self.fused_stms} fused>"
         )
 
     def run(self, args: Sequence[object]) -> Tuple[object, ...]:
-        return self._run(args, None, 0)
-
-    def run_batched(
-        self, args: Sequence[object], batched: Sequence[bool], batch_size: int
-    ) -> Tuple[object, ...]:
-        """Evaluate once with the flagged arguments batched on a leading axis.
-
-        Execution starts with one pre-pushed batch level of extent
-        ``batch_size`` — exactly the state of evaluating a ``map`` over the
-        batch — so batched arguments are ``BV``s with one batch dim, shared
-        arguments broadcast, and every statement runs as a single bulk NumPy
-        op over all batch members.  Every result is returned with a leading
-        ``batch_size`` axis.
-        """
-        return self._run(args, batched, int(batch_size))
-
-    def _run(self, args, batched: Optional[Sequence[bool]], b: int) -> Tuple[object, ...]:
         if len(args) != len(self.param_slots):
             raise ExecError(
                 f"{self.fun.name}: expected {len(self.param_slots)} arguments, "
                 f"got {len(args)}"
             )
-        how = {}
-        if batched is not None:
-            if len(batched) != len(args):
-                raise ExecError("run_batched: batched flags must match arguments")
-            how["batched"] = True
-        body = self._body(_flags_key(batched))
-        with _span("execute", cat="exec", fun=self.fun.name, **how):
+        with _span("execute", cat="exec", fun=self.fun.name):
             eng = _Engine(self.nslots)
-            if batched is not None:
-                eng.bstack.append(b)
-            flags = (False,) * len(args) if batched is None else batched
-            vals = []
-            for a, t, flag in zip(args, self.param_types, flags):
-                if flag:
-                    arr = np.asarray(a)
-                    if arr.ndim == 0 or arr.shape[0] != b:
-                        raise ExecError(
-                            f"batched argument: leading axis {arr.shape[:1]} does "
-                            f"not match batch size {b}"
-                        )
-                    vals.append(BV(np.ascontiguousarray(arr, dtype=np_dtype(t)), 1))
-                else:
-                    vals.append(BV(np.asarray(coerce_arg(a, t)), 0))
             regs = eng.regs
-            for s, v in zip(self.param_slots, vals):
-                regs[s] = v
+            for s, a, t in zip(self.param_slots, args, self.param_types):
+                regs[s] = BV(np.asarray(coerce_arg(a, t)), 0)
             with np.errstate(all="ignore"):
-                res = _run_body(eng, body)
+                res = _run_body(eng, self.body)
             out = []
             for r in res:
                 if isinstance(r, AccBV):
                     raise ExecError("accumulator escaped to top level")
-                if batched is None:
-                    d = np.asarray(r.data)
-                    out.append(d if d.ndim else d[()])
-                else:
-                    d = _expand(r, 1)
-                    out.append(np.ascontiguousarray(np.broadcast_to(d, (b,) + d.shape[1:])))
+                d = np.asarray(r.data)
+                out.append(d if d.ndim else d[()])
             return tuple(out)
 
+    def run_batched(self, args, batched, batch_size) -> Tuple[object, ...]:
+        """Bench-only residue (``bench/staged.py``): ``call_batched`` on ``self.fun``."""
+        from ..frontend.function import checked_batched_fun
 
-def _flags_key(flags: Optional[Sequence[bool]]) -> Optional[Tuple[bool, ...]]:
-    return None if flags is None else tuple(bool(f) for f in flags)
+        return plan_for(checked_batched_fun(self.fun, args, batched, batch_size), args).run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +508,9 @@ def _sig_of(args: Sequence[object]) -> tuple:
     return tuple(sig)
 
 
-def plan_for(
-    fun: Fun,
-    args: Sequence[object],
-    batched: Optional[Sequence[bool]] = None,
-) -> Plan:
+def plan_for(fun: Fun, args: Sequence[object]) -> Plan:
     """The cached plan for ``fun`` given ``args``' ranks/dtypes, keyed by
-    ``(ir_hash(fun), profile, batched flags, rank/dtype signature)`` (module
+    ``(ir_hash(fun), profile, rank/dtype signature)`` (module
     docstring, "Caching": why the content hash, and why no extents;
     ``profile``: under ``REPRO_PROFILE`` the closures are timed at every
     depth).
@@ -588,13 +521,12 @@ def plan_for(
     per racing thread).
     """
     profile = profile_enabled()
-    flags = tuple(batched) if batched is not None else None
-    key = (ir_hash(fun), profile, flags, _sig_of(args))
+    key = (ir_hash(fun), profile, _sig_of(args))
     with _LOCK:
         plan = _CACHE.get(key, _MISS)
         if plan is _MISS:
             PLAN_STATS["misses"] += 1
-            plan = Plan(fun, flags=flags, profile=profile)
+            plan = Plan(fun, profile=profile)
             PLAN_STATS["evictions"] += _CACHE.put(key, plan, _DEFAULT_CACHE_SIZE)
         else:
             PLAN_STATS["hits"] += 1
@@ -663,10 +595,3 @@ _obs_metrics.register_source("plan_cache", plan_cache_stats, reset_plan_cache_st
 def run_fun_plan(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
     """Evaluate ``fun`` via the (cached) plan backend."""
     return plan_for(fun, args).run(args)
-
-
-def run_fun_plan_batched(
-    fun: Fun, args: Sequence[object], batched: Sequence[bool], batch_size: int
-) -> Tuple[object, ...]:
-    """Evaluate ``fun`` once with batched arguments via the plan backend."""
-    return plan_for(fun, args, batched).run_batched(args, batched, batch_size)

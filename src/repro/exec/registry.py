@@ -1,6 +1,6 @@
 """The executor backends, by name.
 
-A ``Backend`` record bundles the two executor entry points, and every
+A ``Backend`` record is a name and its entry point, and every
 dispatch site (``core/api.py``, ``frontend/function.py``, the benchmark
 wiring) resolves names through ``get_backend`` — which also gives
 unknown-backend errors one helpful shape (the requested name plus the
@@ -18,20 +18,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..ir.ast import Fun
 from ..obs import metrics as _obs_metrics
 from ..util import ReproError
 from .interp import RefInterp
-from .plan import run_fun_plan, run_fun_plan_batched
+from .plan import run_fun_plan
 
 __all__ = [
     "Backend",
     "get_backend",
     "default_backend",
     "available_backends",
-    "batched_backends",
     "record_call",
     "DEFAULT_BACKEND",
 ]
@@ -56,22 +55,13 @@ DEFAULT_BACKEND = "plan"
 
 @dataclass(frozen=True)
 class Backend:
-    """One executor: a name and its entry points.
-
-    ``run(fun, args)`` evaluates a ``Fun`` and returns the result tuple.
-    ``run_batched(fun, args, batched, batch_size)`` — when not None — is the
-    batched multi-seed entry (flagged arguments carry a leading batch axis);
-    its presence *is* the ``batched`` capability.
-    """
+    """One executor: a name and ``run(fun, args)``, which evaluates a
+    ``Fun`` and returns the result tuple.  A batched multi-seed call is a
+    plain ``run`` of ``frontend.function.batched_fun``, so every backend
+    runs it."""
 
     name: str
     run: Callable[[Fun, Sequence[object]], Tuple[object, ...]]
-    run_batched: Optional[Callable] = None
-
-    @property
-    def batched(self) -> bool:
-        """Whether this backend can evaluate batched multi-seed calls."""
-        return self.run_batched is not None
 
 
 def _run_ref(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
@@ -82,7 +72,7 @@ _BACKENDS: Dict[str, Backend] = {
     b.name: b
     for b in (
         Backend("ref", run=_run_ref),
-        Backend("plan", run=run_fun_plan, run_batched=run_fun_plan_batched),
+        Backend("plan", run=run_fun_plan),
     )
 }
 
@@ -115,8 +105,3 @@ def default_backend() -> str:
 def available_backends() -> Tuple[str, ...]:
     """The backend names."""
     return tuple(_BACKENDS)
-
-
-def batched_backends() -> Tuple[str, ...]:
-    """Names of backends able to run batched multi-seed calls."""
-    return tuple(n for n, b in _BACKENDS.items() if b.batched)

@@ -756,11 +756,8 @@ def verify_layout(ir: PlanIR, lay: Layout, where: str = "layout") -> Layout:
         VERIFY_STATS["layout_checks"] += 1
         try:
             ck = _LayoutChecker(lay, where)
-            flags = lay.flags or (False,) * len(ir.param_slots)
-            top = 0 if lay.flags is None else 1
-            ck.bind(((s, "") for s in ir.param_slots),
-                    [(int(f) * top, False) for f in flags])
-            ck.body(ir.body, top, 0)
+            ck.bind(((s, "") for s in ir.param_slots), [(0, False)] * len(ir.param_slots))
+            ck.body(ir.body, 0, 0)
         except VerifyError:
             VERIFY_STATS["failures"] += 1
             raise

@@ -16,22 +16,26 @@ Unknown names raise listing the registered set.
 
 ``call_batched`` is the batched multi-seed entry used by ``jacobian``: it
 evaluates the function once with selected arguments carrying a leading batch
-axis (supported on backends with the ``batched`` capability — ``plan``,
-whose batching machinery makes it a single bulk pass).
+axis.  That is one more level of nested parallelism, so it is a ``map``:
+``batched_fun`` wraps the function in one ``map`` over the flagged
+parameters, and every backend runs the result as an ordinary program.
 """
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from ..exec.cost import Cost, CostRecorder
 from ..exec.interp import RefInterp
-from ..exec.registry import batched_backends, default_backend, get_backend, record_call
-from ..ir.ast import Fun
+from ..exec.registry import default_backend, get_backend, record_call
+from ..ir.ast import Body, Fun, Lambda, Map, Stm, Var, fact
 from ..ir.pretty import pretty
+from ..ir.types import array, elem_type, rank_of
 from ..obs import tracing as _obs_tracing
-from ..util import ReproError
+from ..util import ExecError, fresh
 
-__all__ = ["Compiled", "compile_fun"]
+__all__ = ["Compiled", "compile_fun", "batched_fun"]
 
 
 class Compiled:
@@ -88,30 +92,71 @@ class Compiled:
         batch_size: int,
         backend: "str | None" = None,
     ) -> Tuple[object, ...]:
-        """Evaluate once with the flagged arguments batched on a leading axis.
+        """Evaluate once with the flagged arguments batched on a leading axis:
+        the backend runs ``batched_fun(self.fun, batched)``.
 
         Always returns a tuple of results, each with a leading ``batch_size``
-        axis.  Only backends with the ``batched`` capability support this;
-        use a Python loop for ``ref``.
+        axis.
         """
         name = backend or default_backend()
         be = get_backend(name)
-        if be.run_batched is None:
-            raise ReproError(
-                f"backend {name!r} cannot run batched seeds; "
-                f"choose from {batched_backends()}"
-            )
+        fun = checked_batched_fun(self.fun, args, batched, batch_size)
         record_call(name)
         with _obs_tracing.span(
             "call", cat="api", fun=self.fun.name, backend=name, batched=True
         ):
-            return be.run_batched(self.fun, args, batched, batch_size)
+            return be.run(fun, args)
 
     def cost(self, *args) -> Cost:
         """Run under the cost model; returns work/span/memory counters."""
         rec = CostRecorder()
         RefInterp(rec).run(self.fun, args)
         return rec.snapshot()
+
+
+def batched_fun(fun: Fun, flags: Sequence[bool]) -> Fun:
+    """``fun`` mapped over its flagged parameters: a ``Fun`` whose body is
+    one ``map`` with ``fun``'s body as its lambda and the flagged parameters
+    as the lambda's.  The map runs over fresh parameters of one more rank in
+    their places; the unflagged parameters stay the function's own, free in
+    the lambda.  Every result gains a leading axis, the map's extent.
+    Memoised per flags tuple on ``fun`` (``ir.ast.fact``)."""
+    flags = tuple(bool(f) for f in flags)
+
+    def build(fun: Fun) -> Fun:
+        def lifted(x):
+            t = array(elem_type(x.type), rank_of(x.type) + 1)
+            return Var(fresh(getattr(x, "name", "c")), t)
+
+        outer = tuple(lifted(p) if f else p for p, f in zip(fun.params, flags))
+        res = tuple(lifted(r) for r in fun.body.result)
+        lam = Lambda(tuple(p for p, f in zip(fun.params, flags) if f), fun.body)
+        arrs = tuple(o for o, f in zip(outer, flags) if f)
+        return Fun(fun.name, outer, Body((Stm(res, Map(lam, arrs)),), res))
+
+    return fact(fun, "batched_" + "".join("1" if f else "0" for f in flags), build)
+
+
+def checked_batched_fun(
+    fun: Fun, args: Sequence[object], batched: Sequence[bool], batch_size: int
+) -> Fun:
+    """``batched_fun(fun, batched)`` once the call is checked: one flag per
+    argument and parameter, at least one set, and every flagged argument's
+    leading axis of extent ``batch_size``."""
+    if len(batched) != len(args):
+        raise ExecError("run_batched: batched flags must match arguments")
+    if len(args) != len(fun.params):
+        raise ExecError(f"{fun.name}: expected {len(fun.params)} arguments, got {len(args)}")
+    if not any(batched):
+        raise ExecError("call_batched: at least one argument must be batched")
+    b = int(batch_size)
+    for a, flag in zip(args, batched):
+        lead = np.shape(a)[:1]
+        if flag and lead != (b,):
+            raise ExecError(
+                f"batched argument: leading axis {lead} does not match batch size {b}"
+            )
+    return batched_fun(fun, batched)
 
 
 def compile_fun(

@@ -67,6 +67,39 @@ def run_both(fc, *args):
     return r_ref
 
 
+def batched_equals_per_seed(fc, args, flags, b, backends=BACKENDS):
+    """``call_batched`` on each of ``backends``: every result has a leading
+    ``b`` axis, and each seed's row equals (to 1e-12) a ``ref`` call with
+    that seed's arguments."""
+    wants = []
+    for s in range(b):
+        want = fc(*[a[s] if f else a for a, f in zip(args, flags)], backend="ref")
+        wants.append(want if isinstance(want, tuple) else (want,))
+    for backend in backends:
+        got = fc.call_batched(args, flags, b, backend=backend)
+        assert all(np.shape(g)[:1] == (b,) for g in got), backend
+        for s, want in enumerate(wants):
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(np.asarray(g)[s], w, rtol=1e-12, atol=1e-12,
+                                           err_msg=backend)
+
+
+def looped_jacobian(fc, x, mode: str, backend: str):
+    """The dense Jacobian of ``fc`` at ``x`` from one ``jvp`` (``mode="fwd"``,
+    a column per input) or ``vjp`` (``"rev"``, a row per output) call per
+    basis seed: the per-seed loop ``rp.jacobian``'s one batched pass
+    replaces."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(fc(x, backend=backend))
+    d = rp.jvp(fc) if mode == "fwd" else rp.vjp(fc)
+    like = x if mode == "fwd" else y
+    lines = []
+    for e in np.eye(like.size):
+        out = d(x, e.reshape(like.shape), backend=backend)
+        lines.append(np.asarray(out[-1] if isinstance(out, tuple) else out).reshape(-1))
+    return np.stack(lines, axis=1 if mode == "fwd" else 0).reshape(y.shape + x.shape)
+
+
 def argmin_pair_lambda():
     """The coupled ``(v, i)`` argmin operator: ``(v1, i1) ⊙ (v2, i2)`` keeps
     the smaller value, the first index on a tie.  Neither component can be

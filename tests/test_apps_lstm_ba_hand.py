@@ -5,7 +5,7 @@ import pytest
 import repro as rp
 from repro.apps import ba, datagen, hand, lstm
 from repro.baselines import eager as eg
-from helpers import PLAN_LEGS, run_both
+from helpers import BACKENDS, PLAN_LEGS, run_both
 
 
 def test_lstm_loss_and_grads():
@@ -59,6 +59,17 @@ def test_ba_residuals_and_jacobian():
         np.testing.assert_allclose(Jrow, Jm[:, comp, :], rtol=2e-4, atol=1e-5)
 
 
+def _ba_per_seed(jv, gc, gp, gw, feats, backend):
+    """``ba.jacobian_ad``'s blocks from one reverse pass per component seed."""
+    n = gc.shape[0]
+    rows = []
+    for comp in range(2):
+        seeds = [np.zeros(n), np.zeros(n), np.zeros(n)]
+        seeds[comp] = np.ones(n)
+        rows.append(jv(gc, gp, gw, feats, *seeds, backend=backend)[-3:])
+    return [np.moveaxis(np.stack([r[k] for r in rows]), 0, 1) for k in range(3)]
+
+
 def test_ba_jacobian_ad_batched_matches_looped_and_manual():
     """Both residual-component reverse passes in ONE call_batched pass
     (the batched multi-seed driver) must agree with the per-seed loop on
@@ -67,11 +78,12 @@ def test_ba_jacobian_ad_batched_matches_looped_and_manual():
     gc, gp, gw = ba.gather_obs(cams, pts, ws, oc, op)
     jv = rp.vjp(rp.compile(ba.build_ir(20)), wrt=[0, 1, 2])
     Jb_plan = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="plan")
-    J_loop = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="plan", batched=False)
-    J_ref = ba.jacobian_ad(jv, gc, gp, gw, feats, backend="ref")  # loops on ref
-    for other in (J_loop, J_ref):
-        for a, b in zip(Jb_plan, other):
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+    for backend in BACKENDS:
+        J_loop = _ba_per_seed(jv, gc, gp, gw, feats, backend)
+        J_b = ba.jacobian_ad(jv, gc, gp, gw, feats, backend=backend)
+        for a, b, c in zip(J_b, J_loop, Jb_plan):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(a, c, rtol=1e-9, atol=1e-12)
     Jm = ba.jacobian_manual(gc, gp, gw, feats)  # (n, 3, 15)
     np.testing.assert_allclose(Jb_plan[0], Jm[:, :2, :11], rtol=2e-4, atol=1e-5)
     np.testing.assert_allclose(Jb_plan[1], Jm[:, :2, 11:14], rtol=2e-4, atol=1e-5)
@@ -137,13 +149,24 @@ def test_hand_complicated_residuals_and_jacobian_blocks():
         np.testing.assert_allclose(du, -cands[:, :, c], atol=1e-12)
 
 
+def _identity_per_seed(fwd, primals, slot, backend):
+    """``seeding.identity_seed_pass`` as one ``jvp`` call per basis seed."""
+    zeros = [np.zeros_like(p) for p in primals]
+    return np.array([
+        float(fwd(*primals, *zeros[:slot], e, *zeros[slot + 1:], backend=backend)[-1])
+        for e in np.eye(primals[slot].size)])
+
+
 def test_hand_jacobian_fwd_ad_batched_matches_loop_and_grad():
     theta, base, wghts, tgts = datagen.hand_instance(4, 12, seed=7)
     fc = rp.compile(hand.build_ir(4, 12))
     fwd = rp.jvp(fc)
     batched = hand.jacobian_fwd_ad(fwd, theta, base, wghts, tgts, backend="plan")
-    looped = hand.jacobian_fwd_ad(fwd, theta, base, wghts, tgts, backend="plan", batched=False)
-    np.testing.assert_allclose(batched, looped, rtol=1e-9, atol=1e-12)
+    for backend in BACKENDS:
+        looped = _identity_per_seed(fwd, (theta, base, wghts, tgts), 0, backend)
+        got = hand.jacobian_fwd_ad(fwd, theta, base, wghts, tgts, backend=backend)
+        np.testing.assert_allclose(got, looped, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got, batched, rtol=1e-9, atol=1e-12)
     # forward over the full basis == the reverse-mode gradient
     g = rp.grad(fc, wrt=[0])
     np.testing.assert_allclose(batched, g(theta, base, wghts, tgts), rtol=1e-7, atol=1e-9)
@@ -154,8 +177,11 @@ def test_lstm_grad_fwd_ad_batched_matches_loop_and_grad():
     fc = rp.compile(lstm.build_ir(xs.shape[0], xs.shape[1], xs.shape[2], wh.shape[1]))
     fwd = rp.jvp(fc)
     batched = lstm.grad_fwd_ad(fwd, xs, wx, wh, b, wy, tg, backend="plan")
-    looped = lstm.grad_fwd_ad(fwd, xs, wx, wh, b, wy, tg, backend="plan", batched=False)
-    np.testing.assert_allclose(batched, looped, rtol=1e-9, atol=1e-12)
+    for backend in BACKENDS:
+        looped = _identity_per_seed(fwd, (xs, wx, wh, b, wy, tg), 3, backend)
+        got = lstm.grad_fwd_ad(fwd, xs, wx, wh, b, wy, tg, backend=backend)
+        np.testing.assert_allclose(got, looped, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got, batched, rtol=1e-9, atol=1e-12)
     gb = rp.grad(fc, wrt=[1, 2, 3, 4])(xs, wx, wh, b, wy, tg)[2]
     np.testing.assert_allclose(batched, gb, rtol=1e-7, atol=1e-9)
 

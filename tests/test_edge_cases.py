@@ -135,16 +135,15 @@ def test_hist_empty_input():
     assert fc(np.zeros(0, dtype=np.int64), np.zeros(0)) == 0.0
 
 
-@pytest.mark.parametrize("batched", [None, False], ids=["default", "looped"])
 @pytest.mark.parametrize("mode", [None, "fwd", "rev"])
 @pytest.mark.parametrize("backend", LEGS)
-def test_jacobian_of_empty_input_is_the_empty_jacobian(backend, mode, batched):
+def test_jacobian_of_empty_input_is_the_empty_jacobian(backend, mode):
     """No input (and so no output) element: the ``y.shape + x.shape`` array
     without entries, not a ``ValueError`` from stacking zero seeds."""
     sq = rp.compile(rp.trace_like(lambda v: rp.map(lambda x: x * x, v), (np.ones(4),)))
     total = rp.compile(rp.trace_like(lambda v: rp.sum(rp.map(lambda x: x * x, v)), (np.ones(4),)))
     for fc, shape in ((sq, (0, 0)), (total, (0,))):
-        j = rp.jacobian(fc, mode=mode)(np.zeros(0), backend=backend, batched=batched)
+        j = rp.jacobian(fc, mode=mode)(np.zeros(0), backend=backend)
         assert j.shape == shape and j.dtype == np.float64
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-from helpers import LEGS, reduce_census, run_both
+from helpers import BACKENDS, LEGS, batched_equals_per_seed, looped_jacobian, reduce_census, run_both
 from repro.exec import plan as plan_mod
 from repro.exec import values as exec_values
 from repro.exec.plan import clear_plan_cache, plan_cache_stats
@@ -171,17 +171,16 @@ def _matrix_to_vector():
     return rp.compile(rp.trace_like(f, (np.ones((3, 4)),)))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", ["fwd", "rev"])
-def test_jacobian_batched_vs_looped_all_backends(mode):
+def test_jacobian_batched_vs_looped_all_backends(mode, backend):
+    """The one batched pass against a per-seed loop on the same backend."""
     fc = _matrix_to_vector()
     x = rng.standard_normal((3, 4))
-    j = rp.jacobian(fc, mode=mode)
-    ref = j(x, backend="ref")  # ref always loops over seeds
-    assert ref.shape == (3, 3, 4)
-    looped = j(x, backend="plan", batched=False)
-    batch = j(x, backend="plan", batched=True)
-    np.testing.assert_allclose(looped, ref, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(batch, ref, rtol=1e-10, atol=1e-10)
+    batch = rp.jacobian(fc, mode=mode)(x, backend=backend)
+    assert batch.shape == (3, 3, 4)
+    np.testing.assert_allclose(batch, looped_jacobian(fc, x, mode, backend),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_jacobian_fwd_rev_parity_nonsquare():
@@ -215,10 +214,31 @@ def test_jacobian_multidim_output_shape_and_values():
     np.testing.assert_allclose(J, j(x, backend="ref"), rtol=1e-10, atol=1e-10)
 
 
-def test_jacobian_batched_on_ref_fails_loudly():
-    fc = _matrix_to_vector()
-    with pytest.raises(ADError):
-        rp.jacobian(fc)(np.ones((3, 4)), backend="ref", batched=True)
+@pytest.mark.parametrize("mode", ["forward", "bogus", ""])
+def test_jacobian_rejects_an_unknown_mode(mode):
+    """Only "fwd", "rev" and None name a mode; anything else fails when
+    ``jacobian`` is called, not by silently running reverse mode."""
+    with pytest.raises(ADError, match=r'"fwd", "rev" or None'):
+        rp.jacobian(_matrix_to_vector(), mode=mode)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_jacobian_with_batch_invariant_and_while_parts(backend):
+    """An ``if`` on the primal, a ``while`` whose trip count depends on it
+    and a map result no seed touches: on ``ref`` the batched pass is a map
+    like any other."""
+    def f(v):
+        s = rp.sum(v)
+        t = rp.cond(s > 0.0, lambda: s * 2.0, lambda: s - 1.0)
+        w = rp.while_loop(lambda a: a < 4.0, lambda a: a * 2.0 + 0.5, t * t)
+        return rp.map(lambda x: rp.sin(x) * t + w, v)
+
+    fc = rp.compile(rp.trace_like(f, (np.ones(3),)))
+    for x in (np.array([0.3, 0.9, -0.2]), np.array([-0.3, -0.9, 0.2])):
+        for mode in ("fwd", "rev"):
+            np.testing.assert_allclose(rp.jacobian(fc, mode=mode)(x, backend=backend),
+                                       looped_jacobian(fc, x, mode, backend),
+                                       rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +342,14 @@ def test_batched_plan_jacobian_speedup_over_looped_plan():
     fc = rp.compile(rp.trace_like(f, (np.ones(n),)))
     j = rp.jacobian(fc, mode="fwd")
     x = rng.standard_normal(n)
+
+    def looped():  # one jvp call per basis seed, the same cached plan
+        return np.stack([j.fwd(x, e, backend="plan")[-1] for e in np.eye(n)], axis=1)
+
     # Warm up: lower plans, and check the two paths agree before timing.
-    np.testing.assert_allclose(
-        j(x, backend="plan", batched=True),
-        j(x, backend="plan", batched=False),
-        rtol=1e-9,
-        atol=1e-9,
-    )
-    t_loop = _median_time(lambda: j(x, backend="plan", batched=False))
-    t_plan = _median_time(lambda: j(x, backend="plan", batched=True))
+    np.testing.assert_allclose(j(x, backend="plan"), looped(), rtol=1e-9, atol=1e-9)
+    t_loop = _median_time(looped)
+    t_plan = _median_time(lambda: j(x, backend="plan"))
     speedup = t_loop / t_plan
     print(
         f"\njacobian n={n}: looped-plan {t_loop*1e3:.1f} ms, "
@@ -434,18 +453,6 @@ def _bits(out):
     return [np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,))]
 
 
-def _batched_equals_per_seed(fc, args, flags, b):
-    """``call_batched`` on plan: each seed's row equal to a ``ref`` call with
-    that seed's arguments."""
-    got = fc.call_batched(args, flags, b, backend="plan")
-    for s in range(b):
-        one = [a[s] if f else a for a, f in zip(args, flags)]
-        want = fc(*one, backend="ref")
-        want = want if isinstance(want, tuple) else (want,)
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(np.asarray(g)[s], w, rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("n", [1, 3])
 def test_if_on_a_batched_condition_of_extent_one_or_more(n):
     """Extent 1: the scalar path runs one branch, whose result (a constant
@@ -457,8 +464,8 @@ def test_if_on_a_batched_condition_of_extent_one_or_more(n):
     fc = rp.compile(rp.trace_like(f, (xs, 2.0)))
     run_both(fc, xs, 2.0)
     seeds = np.array([[0.7], [-0.2]]) if n == 1 else np.stack([xs, -xs])
-    _batched_equals_per_seed(fc, (seeds, 2.0), (True, False), 2)
-    _batched_equals_per_seed(fc, (seeds[:1], 2.0), (True, False), 1)
+    batched_equals_per_seed(fc, (seeds, 2.0), (True, False), 2)
+    batched_equals_per_seed(fc, (seeds[:1], 2.0), (True, False), 1)
 
 
 @pytest.mark.parametrize("ns", [[3, 3, 3], [1, 3, 0]], ids=["agree", "vary"])
@@ -471,7 +478,7 @@ def test_loop_whose_lane_trip_counts_agree_or_vary(ns):
     xs, ns = np.array([0.5, -1.0, 2.0]), np.array(ns, dtype=np.int64)
     fc = rp.compile(rp.trace_like(f, (xs, ns)))
     run_both(fc, xs, ns)
-    _batched_equals_per_seed(fc, (np.stack([xs, xs * 2.0]), ns), (True, False), 2)
+    batched_equals_per_seed(fc, (np.stack([xs, xs * 2.0]), ns), (True, False), 2)
 
 
 @pytest.mark.parametrize("n", [1, 3], ids=["unmasked", "masked"])
@@ -488,7 +495,7 @@ def test_update_inside_an_if_with_and_without_a_mask(n):
     arr = np.arange(4.0)
     fc = rp.compile(rp.trace_like(f, (xs, arr)))
     run_both(fc, xs, arr)
-    _batched_equals_per_seed(fc, (np.stack([xs, -xs]), arr), (True, False), 2)
+    batched_equals_per_seed(fc, (np.stack([xs, -xs]), arr), (True, False), 2)
 
 
 def test_generic_fold_over_no_elements():
@@ -502,7 +509,7 @@ def test_generic_fold_over_no_elements():
     m, xs = np.zeros((3, 0)), np.zeros(0)
     fc = rp.compile(rp.trace_like(f, (np.ones((3, 2)), np.ones(2))))
     run_both(fc, m, xs)
-    _batched_equals_per_seed(fc, (np.zeros((2, 3, 0)), xs), (True, False), 2)
+    batched_equals_per_seed(fc, (np.zeros((2, 3, 0)), xs), (True, False), 2)
 
 
 @pytest.mark.parametrize("op", [lambda a, b: a + b * b, lambda a, b: a * b + a],
@@ -514,7 +521,7 @@ def test_scan_over_an_empty_array_inside_a_map(op):
     fc = rp.compile(rp.trace_like(f, (np.ones((3, 2)),)))
     for m in (np.zeros((3, 0)), np.ones((2, 3)) * 0.5):
         run_both(fc, m)
-    _batched_equals_per_seed(fc, (np.zeros((2, 3, 0)),), (True,), 2)
+    batched_equals_per_seed(fc, (np.zeros((2, 3, 0)),), (True,), 2)
 
 
 def test_jacobian_and_call_batched_at_batch_size_one():
@@ -523,6 +530,5 @@ def test_jacobian_and_call_batched_at_batch_size_one():
     want = rp.jacobian(fc)(x, backend="ref")
     got = rp.jacobian(fc)(x, backend="plan")
     np.testing.assert_allclose(got, want, rtol=1e-12)
-    loop = rp.jacobian(fc)(x, backend="plan", batched=False)
-    np.testing.assert_array_equal(got, loop)
-    _batched_equals_per_seed(fc, (x[None, :],), (True,), 1)
+    np.testing.assert_array_equal(got, looped_jacobian(fc, x, "fwd", "plan"))
+    batched_equals_per_seed(fc, (x[None, :],), (True,), 1)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro as rp
-from helpers import PLAN_LEGS, run_both
-from repro.exec import get_backend
+from helpers import BACKENDS, LEGS, batched_equals_per_seed, run_both
 from repro.util import ExecError
 
 rng = np.random.default_rng(0)
@@ -116,11 +115,9 @@ def test_irregular_iota_rejected_by_plan():
     np.testing.assert_allclose(out, [0.0, 1.0, 3.0])
 
 
-@pytest.mark.parametrize("backend", PLAN_LEGS)
-def test_run_batched_matches_looped_runs(backend):
-    # The batched-seed driver must agree with one run per seed.
-    be = get_backend(backend)
-
+@pytest.mark.parametrize("backend", LEGS)
+def test_call_batched_matches_looped_runs(backend):
+    # The batched-seed call must agree with one run per seed.
     def f(x, s):
         return rp.sum(rp.map(lambda a, b: rp.sin(a) * b, x, s)), rp.map(
             lambda a, b: a + b * b, x, s
@@ -129,23 +126,51 @@ def test_run_batched_matches_looped_runs(backend):
     fc = rp.compile(rp.trace_like(f, (np.ones(4), np.ones(4))))
     x = rng.standard_normal(4)
     seeds = rng.standard_normal((6, 4))
-    batched = be.run_batched(fc.fun, (x, seeds), (False, True), 6)
+    batched = fc.call_batched((x, seeds), (False, True), 6, backend=backend)
     assert all(np.asarray(r).shape[0] == 6 for r in batched)
     for i in range(6):
-        row = be.run(fc.fun, (x, seeds[i]))
+        row = fc(x, seeds[i], backend=backend)
         for got, want in zip(batched, row):
             np.testing.assert_allclose(
                 np.asarray(got)[i], np.asarray(want), rtol=1e-12, atol=1e-12
             )
 
 
-def test_run_batched_rejects_bad_batch_axis():
-    def f(x):
-        return rp.map(lambda a: a * 2.0, x)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_call_batched_of_a_vjp_with_accumulators_in_the_map(backend):
+    """A ``vjp`` whose reverse pass scatters into a ``withacc`` inside a map:
+    batched over its output seeds, the accumulators sit one map deeper."""
+    def f(v):
+        return rp.map(lambda i: rp.sin(v[i]) * v[0], rp.iota(4))
 
-    fc = rp.compile(rp.trace_like(f, (np.ones(4),)))
+    rev = rp.vjp(rp.compile(rp.trace_like(f, (np.ones(4),))))
+    assert "withacc" in rev.show()
+    x, seeds = rng.standard_normal(4), rng.standard_normal((3, 4))
+    batched_equals_per_seed(rev, (x, seeds), (False, True), 3, backends=(backend,))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_call_batched_over_a_zero_row_seed_array(backend):
+    """No seed: every result has a leading axis of extent 0."""
+    fwd = rp.jvp(rp.compile(rp.trace_like(lambda v: rp.sum(rp.sin(v)), (np.ones(4),))))
+    out = fwd.call_batched((np.ones(4), np.zeros((0, 4))), (False, True), 0, backend=backend)
+    assert [np.shape(o) for o in out] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_call_batched_rejects_a_bad_call(backend):
+    def f(x, y):
+        return rp.map(lambda a: a * y, x)
+
+    fc = rp.compile(rp.trace_like(f, (np.ones(4), 2.0)))
     with pytest.raises(ExecError, match="does not match batch size 5"):
-        get_backend("plan").run_batched(fc.fun, (np.ones((3, 4)),), (True,), 5)
+        fc.call_batched((np.ones((3, 4)), 2.0), (True, False), 5, backend=backend)
+    with pytest.raises(ExecError, match="does not match batch size 5"):
+        fc.call_batched((np.ones(4), 2.0), (False, True), 5, backend=backend)
+    with pytest.raises(ExecError, match="batched flags must match arguments"):
+        fc.call_batched((np.ones((5, 4)), 2.0), (True,), 5, backend=backend)
+    with pytest.raises(ExecError, match="at least one argument must be batched"):
+        fc.call_batched((np.ones(4), 2.0), (False, False), 5, backend=backend)
 
 
 @settings(max_examples=25, deadline=None)

@@ -211,7 +211,7 @@ def _timed(fun, profile):
 
     ins = lower_fun(fun).body.instrs[0]
     wrapper = profiler.timer(fun)(lambda eng: None, ins, 0).__code__
-    body = Plan(fun, profile=profile).bodies[None]
+    body = Plan(fun, profile=profile).body
     return sum(f.__code__ is wrapper for f in _closures(body, set()))
 
 

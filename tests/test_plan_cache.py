@@ -92,6 +92,25 @@ def test_repeated_batched_calls_hit_the_cache_bitwise():
     assert st["misses"] == misses and st["hits"] >= 3
 
 
+def test_a_second_call_batched_with_the_same_flags_is_one_cache_hit():
+    """The batched function is memoised per flags tuple on the ``Fun``, so a
+    repeat ``call_batched`` is one plan-cache hit: no lowering, no emission."""
+    from repro.frontend.function import batched_fun
+
+    fc = _sum_kernel()
+    fwd = rp.jvp(fc)
+    args, flags = (rng.standard_normal(5), rng.standard_normal((3, 5))), (False, True)
+    clear_plan_cache()
+    first = fwd.call_batched(args, flags, 3, backend="plan")
+    st, emits = plan_cache_stats(), _emits()
+    assert st["misses"] == 1 and st["hits"] == 0, st
+    again = fwd.call_batched(args, list(flags), 3, backend="plan")
+    st = plan_cache_stats()
+    assert st["misses"] == 1 and st["hits"] == 1 and _emits() == emits, st
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+    assert batched_fun(fwd.fun, flags) is batched_fun(fwd.fun, [0, 1])
+
+
 # ---------------------------------------------------------------------------
 # Thread safety: users may call one ``Compiled`` from their own threads
 # ---------------------------------------------------------------------------
