@@ -34,16 +34,17 @@ serves every shape of a rank/dtype signature:
   from 0, or an accumulator map, over ``iota``s and replicates that only
   multiplies such reads and lane scalars is an ``IContract`` (matrix
   products; ``contract_terms``), the map (part) its exact fallback;
-* **layout**: every value's payload rank is in its IR type (``RunOp.pranks``)
-  and its batch depth is where it is computed in the flattening nest, so
-  both are fixed when a plan is emitted.  ``layout(ir)`` — one pass, a
-  fixpoint over loop bodies — gives every fused-run op its depth and each
-  operand a static selector (``selector``, ``lift``; view-path ``index``
-  ops their view template), and every join
-  (``if``, loop state, generic fold, ``update``) the depth its kernel raises
-  its values to; every contract its subscripts and view templates
-  (``contract_layout``).  The emitter calls NumPy directly on the selected
-  operands; ``verify_plan.verify_layout`` re-derives the facts.
+* **layout**: every value's payload rank and dtype are in its IR type
+  (``RunOp.pranks``, ``RunOp.dtype``) and its batch depth is where it is
+  computed in the flattening nest, so all are fixed when a plan is emitted.
+  ``layout(ir)`` — one pass, a fixpoint over loop bodies — gives every
+  fused-run op its depth, its operands' depths and static selectors
+  (``selector``, ``lift``; view-path ``index`` ops their view template), and
+  every join (``if``, loop state, generic fold, ``update``) the depth its
+  kernel raises its values to; every contract its subscripts and view
+  templates (``contract_layout``).  The emitter calls NumPy directly on the
+  selected operands, or splits a hot run for ``exec/kernels.py`` by them;
+  ``verify_plan.verify_layout`` re-derives the facts.
 
 ``exec/plan.py`` consumes the IR and its layout without re-deciding
 anything: it emits one Python closure per instruction.
@@ -180,7 +181,7 @@ class RunOp:
     """One scalar op inside a fused run.  ``xs`` operands are run-local
     indices (``int`` — the value of a previous op in the same run) or
     ``Ref``s.  ``op`` names the scalar operator (unop/binop); ``dtype`` is
-    the target of a cast.
+    the NumPy dtype of its result, from the IR type (a cast's target).
 
     ``release`` lists the run-local values whose last read is this op (never
     an exported one); ``donate`` the operand positions among them whose
@@ -197,11 +198,11 @@ class RunOp:
 
     __slots__ = ("kind", "op", "xs", "dtype", "release", "donate", "affine", "pranks")
 
-    def __init__(self, kind, xs, op=None, dtype=None, affine=None):
+    def __init__(self, kind, xs, op=None, affine=None):
         self.kind = kind
         self.xs = xs
         self.op = op
-        self.dtype = dtype
+        self.dtype: Optional[np.dtype] = None
         self.release: Tuple[int, ...] = ()
         self.donate: Tuple[int, ...] = ()
         self.affine: Optional[Tuple[bool, ...]] = affine
@@ -852,7 +853,7 @@ class _Lowerer:
         if isinstance(e, Select):
             return RunOp("select", xs)
         if isinstance(e, Cast):
-            return RunOp("cast", xs, dtype=np_dtype(e.to))
+            return RunOp("cast", xs)
         if isinstance(e, Index):
             return RunOp("index", xs, affine=self._index_flags(e.idx))
         return RunOp("zeroslike", xs)
@@ -863,6 +864,7 @@ class _Lowerer:
         o = self._lower_run_exp(
             s.exp, tuple(self._run_operand(a, local_of) for a in atoms), s.pat[0].name)
         o.pranks = tuple(rank_of(a.type) for a in atoms)
+        o.dtype = np.dtype(np_dtype(s.pat[0].type))
         return o
 
     def _lower_run(self, run: Sequence[Stm], used_after) -> IRun:
@@ -1100,16 +1102,16 @@ def lift(b: int, k: int):
 
 class OpLayout:
     """The layout of one fused-run op: the batch depth ``k`` of its result,
-    each operand's static selector (``sels``: ``selector`` for an
-    elementwise op or ``select``, ``lift`` for an ``index``'s array and
-    indices, which a gather reads at depth ``k``) and a view-path
-    ``index``'s ``vector._view_template`` (``view``; ``None`` when no call
-    can read it as a view)."""
+    its operands' batch depths ``bs``, each operand's static selector
+    (``sels``: ``selector`` for an elementwise op or ``select``, ``lift``
+    for an ``index``'s array and indices, which a gather reads at depth
+    ``k``) and a view-path ``index``'s ``vector._view_template`` (``view``;
+    ``None`` when no call can read it as a view)."""
 
-    __slots__ = ("k", "sels", "view")
+    __slots__ = ("k", "bs", "sels", "view")
 
-    def __init__(self, k: int, sels: tuple, view=None) -> None:
-        self.k, self.sels, self.view = k, sels, view
+    def __init__(self, k: int, bs: tuple, sels: tuple, view=None) -> None:
+        self.k, self.bs, self.sels, self.view = k, bs, sels, view
 
 
 class Layout:
@@ -1240,16 +1242,16 @@ class _LayoutPass:
             bs = tuple(b for b, _ in facts)
             kind = o.kind
             if kind in ("atom", "cast", "zeroslike"):
-                lo = OpLayout(bs[0], (None,))
+                lo = OpLayout(bs[0], bs, (None,))
             elif kind == "index":
                 k = max(bs)
                 view = None
                 if o.affine is not None:
                     view = _view_template(bs[0], bs[1:], o.affine, k)
-                lo = OpLayout(k, tuple(lift(b, k) for b in bs), view)
+                lo = OpLayout(k, bs, tuple(lift(b, k) for b in bs), view)
             else:
                 k, pmax = max(bs), max(o.pranks)
-                lo = OpLayout(k, tuple(selector(b, p, k, pmax) for b, p in zip(bs, o.pranks)))
+                lo = OpLayout(k, bs, tuple(selector(b, p, k, pmax) for b, p in zip(bs, o.pranks)))
             self.lay.ops[o] = lo
             local.append(facts[0] if kind == "atom" else (lo.k, False))
         self.lay.outs[ins] = tuple(local[li][0] for li, _s, _n in ins.exports)

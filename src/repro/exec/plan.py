@@ -17,9 +17,11 @@ family is layered:
   operands, calls the kernel (a nested body passed as a closure that binds
   its parameter slots and runs its own instructions) and assigns/releases
   slots, or runs a fused scalar run — and hosts the runtime (``_Engine``),
-  the ``run`` driver and the plan cache.  Under
-  ``REPRO_PROFILE`` it passes every closure it emits, at every depth,
-  through ``obs/profiler.py:timer``.
+  the ``run`` driver and the plan cache.  A run with enough float64
+  arithmetic is emitted as a kernel run: from the plan's ``HOT_CALLS``-th
+  call on, that arithmetic is one compiled C call (``exec/kernels.py``).
+  Under ``REPRO_PROFILE`` it passes every closure it
+  emits, at every depth, through ``obs/profiler.py:timer``.
 
 The test suite runs every program on ``ref`` and ``plan``: agreement with
 ``ref`` checks the kernels, binding, releases and fused runs, and
@@ -59,6 +61,7 @@ residue of that path (``bench/staged.py`` calls it on its staged plans).
 """
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -66,6 +69,7 @@ import numpy as np
 
 from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
+from ..ir.verify import VERIFY_STATS, verify_mode
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..obs.profiler import profile_enabled, timer
 from ..util import BoundedLRU, ExecError
@@ -104,15 +108,17 @@ _span = _obs_tracing.span
 
 
 class _Engine:
-    """Mutable per-call state: register file, batch stack, predication mask.
-    Nothing outlives the call."""
+    """Mutable per-call state: register file, batch stack, predication mask,
+    and whether the plan is hot (its kernel runs may run compiled).  Nothing
+    outlives the call."""
 
-    __slots__ = ("regs", "bstack", "mask")
+    __slots__ = ("regs", "bstack", "mask", "hot")
 
-    def __init__(self, nslots: int) -> None:
+    def __init__(self, nslots: int, hot: bool = False) -> None:
         self.regs: List[object] = [None] * nslots
         self.bstack: List[int] = []
         self.mask: Optional[BV] = None
+        self.hot = hot
 
 
 def _run_body(eng: _Engine, code) -> Tuple[object, ...]:
@@ -201,7 +207,7 @@ def _run_data(x, sel) -> Callable:
 def _emit_run_op(o, lo) -> Callable:
     """The closure of run op ``o`` at layout ``lo``, clearing the run-local
     values that die at it."""
-    fn = _emit_run_fn(o, lo)
+    fn = _emit_run_fn(o, lo, o.donate)
     if not o.release:
         return fn
 
@@ -214,15 +220,15 @@ def _emit_run_op(o, lo) -> Callable:
     return releasing
 
 
-def _emit_run_fn(o, lo) -> Callable:
-    """One direct NumPy call per op: every operand's data lined up by its
-    static selector, the result at the op's static batch depth ``lo.k``."""
+def _emit_run_fn(o, lo, don) -> Callable:
+    """One direct NumPy call per op: every operand's data lined up by its static
+    selector, the result at depth ``lo.k`` (into a dead operand ``don``)."""
     kind, k = o.kind, lo.k
     if kind == "atom":
         return _run_operand(o.xs[0])
     if kind in ("unop", "binop", "select"):
         rds = tuple(_run_data(x, s) for x, s in zip(o.xs, lo.sels))
-        uf, don = _scalar_fn(o), o.donate
+        uf = _scalar_fn(o)
         if kind == "select":
             rc, rt, rf = rds
             return lambda regs, loc, _rc=rc, _rt=rt, _rf=rf, _uf=uf, _k=k: BV(
@@ -322,6 +328,8 @@ class _ClosureEmitter:
         #: closure at every depth (``depth``: of the body being emitted).
         self.wrap = wrap
         self.depth = 0
+        #: Each kernel run emitted -> its ``kernels.split_run`` partition.
+        self.kernel_runs: Dict[object, object] = {}
 
     def emit_body(self, pbody) -> tuple:
         instrs = tuple(self._emit_ins(i) for i in pbody.instrs)
@@ -373,8 +381,14 @@ class _ClosureEmitter:
     def _emit_run(self, ins) -> Callable:
         run_ops = ins.ops  # (not ``ins``: its provenance would pin the source IR)
         los = tuple(self.lay.ops[o] for o in run_ops)
-        ops = tuple(_emit_run_op(o, lo) for o, lo in zip(run_ops, los))
         dead = tuple(s for s, _ in ins.release)
+        from . import kernels
+
+        kr = kernels.split_run(ins, self.lay, kernels.CANDIDATES)
+        if kr is not None:
+            self.kernel_runs[ins] = kr
+            return self._emit_kernel_run(ins, kr, los, dead)
+        ops = tuple(_emit_run_op(o, lo) for o, lo in zip(run_ops, los))
         if len(ops) == 1 and not dead:
             # A standalone scalar statement: one export, no locals.
             (_, s0, _n) = ins.exports[0]
@@ -398,6 +412,37 @@ class _ClosureEmitter:
 
         return run
 
+    def _emit_kernel_run(self, ins, kr, los, dead) -> Callable:
+        """``ins``'s NumPy part (no release or donation: the kernel reads after it), then its
+        C part ``kr`` as one kernel call (a hot plan) or its NumPy closures; returns if the
+        kernel ran."""
+        from .kernels import kernel
+
+        cpart, n = kr.cpart, len(ins.ops)
+        ops = [(x, _emit_run_op(o, lo) if cpart[x] else _emit_run_fn(o, lo, ()))
+               for x, (o, lo) in enumerate(zip(ins.ops, los))]
+        np_part, c_part = (tuple(p for p in ops if cpart[p[0]] == c) for c in (False, True))
+        reads = tuple(_run_data(x, None) for x, _b in kr.inputs)
+        np_exports = tuple((li, s) for li, s, _n in ins.exports if not cpart[li])
+
+        def run(eng, _np=np_part, _c=c_part, _reads=reads, _kernel=kernel(kr),
+                _cx=kr.exports, _nx=np_exports, _dead=dead):
+            regs, loc = eng.regs, [None] * n
+            for x, op in _np:
+                loc[x] = op(regs, loc)
+            outs = _kernel([rd(regs, loc) for rd in _reads]) if eng.hot else None
+            for x, op in _c if outs is None else ():
+                loc[x] = op(regs, loc)
+            for (li, s, k), d in zip(_cx, outs or [None] * len(_cx)):
+                regs[s] = loc[li] if d is None else BV(d, k)
+            for li, s in _nx:
+                regs[s] = loc[li]
+            for s in _dead:
+                regs[s] = None
+            return outs is not None
+
+        return run
+
 
 # ---------------------------------------------------------------------------
 # Plans
@@ -414,7 +459,8 @@ class Plan:
     Argument checking and coercion, ``errstate``, the execute span and
     result unwrapping live in ``run``.  With ``profile``
     every closure this class emits, nested ones included, is timed by
-    ``obs/profiler.py:timer``."""
+    ``obs/profiler.py:timer``.  Its kernel runs (``exec/kernels.py``) run
+    compiled from its ``HOT_CALLS``-th execution on; no compiler runs before."""
 
     def __init__(self, fun: Fun, ir: Optional[PlanIR] = None, profile: bool = False) -> None:
         with _obs_tracing.timed("emit", cat="compile", fun=fun.name):
@@ -427,8 +473,15 @@ class Plan:
             self.nslots = ir.nslots
             #: Statements collapsed into fused scalar runs (recursive).
             self.fused_stms = ir.fused
-            wrap = timer(fun) if profile else None
-            self.body = _ClosureEmitter(layout(ir), wrap).emit_body(ir.body)
+            lay = layout(ir)
+            em = _ClosureEmitter(lay, timer(fun) if profile else None)
+            self.body = em.emit_body(ir.body)
+            #: The plan has kernel runs; ``_calls`` counts its executions.
+            self.kernels, self._calls = bool(em.kernel_runs), itertools.count()
+            if em.kernel_runs and verify_mode() != "off":
+                from .verify_plan import verify_layout
+
+                verify_layout(ir, lay, "kernels", em.kernel_runs)
         with _LOCK:
             _count_plan(ir)
 
@@ -445,7 +498,10 @@ class Plan:
                 f"got {len(args)}"
             )
         with _span("execute", cat="exec", fun=self.fun.name):
-            eng = _Engine(self.nslots)
+            n = next(self._calls)
+            if n == HOT_CALLS - 1 and self.kernels:
+                PLAN_STATS.add("promotions")
+            eng = _Engine(self.nslots, n >= HOT_CALLS - 1)
             regs = eng.regs
             for s, a, t in zip(self.param_slots, args, self.param_types):
                 regs[s] = BV(np.asarray(coerce_arg(a, t)), 0)
@@ -474,9 +530,9 @@ class Plan:
 #: ``plan_for`` call increments exactly one of ``misses`` (a lowering — by
 #: construction one per rank/dtype signature) or ``hits``; ``evictions``
 #: counts LRU drops and ``fused_stms`` scalar statements collapsed into fused
-#: run closures.  ``specialized_hits`` and ``promotions`` are always 0: the
-#: tier they counted is gone, and ``bench/workloads.py:cache_delta`` still
-#: indexes both keys.
+#: run closures; ``promotions`` plans with kernel runs that got hot, ``kernels`` /
+#: ``kernel_compile_s`` loops compiled and compiler seconds, ``kernel_fallbacks`` hot
+#: kernel-run calls that ran NumPy.  ``specialized_hits``: always 0 (``bench`` reads it).
 PLAN_STATS = _obs_metrics.counter_group(
     "plan_cache",
     {
@@ -486,6 +542,7 @@ PLAN_STATS = _obs_metrics.counter_group(
         "promotions": 0,
         "evictions": 0,
         "fused_stms": 0,
+        "kernels": 0, "kernel_compile_s": 0.0, "kernel_fallbacks": 0,
     },
 )
 
@@ -496,6 +553,7 @@ _LOCK = threading.RLock()
 _MISS = object()
 
 _DEFAULT_CACHE_SIZE = 512
+HOT_CALLS = 3  # the execution from which a plan's kernel runs run compiled (``Plan``)
 
 
 def _sig_of(args: Sequence[object]) -> tuple:
@@ -546,8 +604,6 @@ def _count_plan(ir: PlanIR) -> None:
 def plan_cache_stats() -> Dict[str, object]:
     """A snapshot of the cache counters plus the current entry count
     (``entries``)."""
-    from ..ir.verify import verify_mode, VERIFY_STATS
-
     with _LOCK:
         return {
             **PLAN_STATS,
@@ -567,6 +623,7 @@ def plan_cache_stats() -> Dict[str, object]:
                 "mode": verify_mode(),
                 "plan_checks": VERIFY_STATS["plan_checks"],
                 "layout_checks": VERIFY_STATS["layout_checks"],
+                "kernel_checks": VERIFY_STATS["kernel_checks"],
             },
         }
 

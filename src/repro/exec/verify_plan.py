@@ -562,6 +562,8 @@ class _LayoutChecker:
         self.where = where
         #: slot -> (batch depth, accumulator?) of its current binding.
         self.env: Dict[int, Tuple[int, bool]] = {}
+        #: The kernel runs to check (``verify_layout``).
+        self.kernel_runs: Dict[IRun, object] = {}
 
     def fail(self, msg: str, instr=None) -> None:
         raise VerifyError(f"plan layout: {msg}", self.where, _stm_of(instr))
@@ -619,9 +621,9 @@ class _LayoutChecker:
                 k, pmax = max(bs), max(o.pranks)
                 sels = tuple(selector(b, p, k, pmax) for b, p in zip(bs, o.pranks))
                 view = None
-            if lo.k != k:
-                self.fail(f"{what} is at batch depth {lo.k}, its operands "
-                          f"{bs} put it at {k}", ins)
+            if lo.k != k or lo.bs != bs:
+                self.fail(f"{what} is at batch depth {lo.k} over operands at "
+                          f"{lo.bs}, its operands {bs} put it at {k}", ins)
             if repr((lo.sels, lo.view)) != repr((sels, view)):
                 self.fail(f"{what}: selectors and view {(lo.sels, lo.view)!r}, its "
                           f"operands' batch depths {bs} and payload ranks "
@@ -632,6 +634,23 @@ class _LayoutChecker:
             self.fail(f"run exports recorded at batch depths {got}", ins)
         for li, s, _n in ins.exports:
             self.env[s] = local[li]
+        if ins in self.kernel_runs:
+            self.kernel(ins, self.kernel_runs[ins], local)
+
+    def kernel(self, ins: IRun, kr, local) -> None:
+        from .kernels import CANDIDATES, split_run
+
+        if getattr(split_run(ins, self.lay, CANDIDATES), "cpart", None) != kr.cpart:
+            self.fail("kernel partition is not the one its ops give", ins)
+        for x, o in enumerate(ins.ops):
+            if not kr.cpart[x] and any(isinstance(y, int) and kr.cpart[y] for y in o.xs):
+                self.fail(f"NumPy-part op {x} ({o.kind}) reads a C value", ins)
+        for what, j, y, got in [("input", j, y, b) for j, (y, b) in enumerate(kr.inputs)] + [
+                ("export", li, li, k) for li, _s, k in kr.exports]:
+            want = local[y][0] if isinstance(y, int) else self.depth(y)
+            if want != got:
+                self.fail(f"kernel {what} {j} declared at batch depth {got}, its "
+                          f"layout puts it at {want}", ins)
 
     def join(self, ins, incoming, depth: int) -> Tuple[Tuple[int, bool], ...]:
         """The join facts recorded for ``ins``, checked against what flows
@@ -743,19 +762,23 @@ class _LayoutChecker:
         return []
 
 
-def verify_layout(ir: PlanIR, lay: Layout, where: str = "layout") -> Layout:
+def verify_layout(ir: PlanIR, lay: Layout, where: str = "layout", kernel_runs=None) -> Layout:
     """Check ``lay`` against ``ir``: each fused-run op's depth is the one
     its operands give (the deepest; an ``atom`` / ``cast`` / ``zeroslike``
     its operand's), each selector and view template the one ``(bdims,
     prank)`` gives, each payload rank the one its IR type gives, each join
     (``if``, ``loop``, ``while``, generic fold, ``update``) at least as deep
     as every value flowing in and no deeper than its nest, and every other
-    output at the depth its kernel puts it.  Returns ``lay``."""
+    output at the depth its kernel puts it.  With ``kernel_runs`` (a hot
+    plan's ``IRun`` -> ``kernels.split_run`` partition) each is the
+    partition its ops give, no NumPy-part op reads a C value, and every
+    kernel input and export is at its layout depth.  Returns ``lay``."""
     with _tracing.span("verify", cat="verify", fun=ir.fun.name, where=where,
                        layer="layout"):
-        VERIFY_STATS["layout_checks"] += 1
+        VERIFY_STATS["kernel_checks" if kernel_runs else "layout_checks"] += 1
         try:
             ck = _LayoutChecker(lay, where)
+            ck.kernel_runs = kernel_runs or {}
             ck.bind(((s, "") for s in ir.param_slots), [(0, False)] * len(ir.param_slots))
             ck.body(ir.body, 0, 0)
         except VerifyError:

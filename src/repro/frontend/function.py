@@ -79,10 +79,10 @@ class Compiled:
         return pretty(self.fun)
 
     def __call__(self, *args, backend: "str | None" = None):
-        name = backend or default_backend()
-        record_call(name)
-        with _obs_tracing.span("call", cat="api", fun=self.fun.name, backend=name):
-            res = get_backend(name).run(self.fun, args)
+        be = get_backend(backend or default_backend())
+        record_call(be.name)
+        with _obs_tracing.span("call", cat="api", fun=self.fun.name, backend=be.name):
+            res = be.run(self.fun, args)
         return res[0] if len(res) == 1 else res
 
     def call_batched(

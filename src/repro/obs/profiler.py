@@ -62,7 +62,7 @@ def profile_enabled() -> bool:
 
 class _Rec:
     __slots__ = ("label", "kind", "strategy", "depth", "fun", "mem", "index",
-                 "calls", "cum", "self")
+                 "calls", "cum", "self", "kernel_calls")
 
     def __init__(self, label: str, kind: str, strategy: Optional[str], depth: int,
                  fun: str, mem: Dict[str, int], index: Dict[str, int]):
@@ -74,7 +74,8 @@ class _Rec:
         #: included: the size of its memory plan and how its indexed reads
         #: and updates execute.
         self.mem, self.index = mem, index
-        self.calls, self.cum, self.self = 0, 0.0, 0.0
+        #: ``kernel_calls``: a kernel run's calls that ran in C (``exec/kernels.py``).
+        self.calls, self.cum, self.self, self.kernel_calls = 0, 0.0, 0.0, 0
 
 
 # (fun name, ir hash, emission index) -> _Rec
@@ -116,7 +117,8 @@ def timer(fun) -> Callable:
     returns ``closure`` timed as plan-IR instruction ``ins`` at nesting
     ``depth``.  Records are keyed by emission order, which is the same for
     every body emitted from ``fun``, and resolved per call so accumulation
-    survives ``reset_profile`` on cached plans."""
+    survives ``reset_profile`` on cached plans.  A kernel run's closure
+    returns whether it ran in C."""
     base = (fun.name, ir_hash(fun))
     emitted = [0]
 
@@ -130,8 +132,10 @@ def timer(fun) -> Callable:
             frames = _STACK.frames
             frames.append(0.0)
             t0 = time.perf_counter()
+            ran = None
             try:
-                return _c(eng)
+                ran = _c(eng)
+                return ran
             finally:
                 dt = time.perf_counter() - t0
                 inner = frames.pop()
@@ -144,6 +148,7 @@ def timer(fun) -> Callable:
                     rec.calls += 1
                     rec.cum += dt
                     rec.self += dt - inner
+                    rec.kernel_calls += ran is True
 
         return timed_ins
 
@@ -173,7 +178,8 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
 
     Returns ``{total_s, execute_span_s, coverage, by_kind, entries}``.
     Each entry carries ``label`` / ``fun`` / ``kind`` / ``strategy`` /
-    ``depth`` / ``mem`` (the size of the instruction's memory plan: slots
+    ``depth`` / ``kernel_calls`` (a kernel run's calls that ran in C) /
+    ``mem`` (the size of the instruction's memory plan: slots
     released, run-local values released, donating ops — nested bodies
     included) / ``index`` (its indexed reads and accumulator updates on the
     view path and its reads left as gathers, nested bodies included) /
@@ -186,8 +192,8 @@ def profile_report(top_k: int = 10) -> Dict[str, Any]:
         recs = sorted(_DATA.values(), key=lambda r: r.self, reverse=True)
         rows = [
             {"label": r.label, "fun": r.fun, "kind": r.kind, "strategy": r.strategy,
-             "depth": r.depth, "mem": dict(r.mem), "index": dict(r.index),
-             "calls": r.calls, "self_s": r.self, "cum_s": r.cum}
+             "depth": r.depth, "mem": dict(r.mem), "index": dict(r.index), "calls": r.calls,
+             "kernel_calls": r.kernel_calls, "self_s": r.self, "cum_s": r.cum}
             for r in recs
         ]
     total = sum(e["self_s"] for e in rows)
@@ -225,6 +231,7 @@ def format_profile_report(report: Optional[Dict[str, Any]] = None, top_k: int = 
     ]
     for e in rep["entries"]:
         kind = e["kind"] + (f"/{e['strategy']}" if e.get("strategy") else "")
+        kind += "/C" if e.get("kernel_calls") else ""  # a run whose C part ran compiled
         # slots released / run-local values released / donating ops
         mem = "/".join(str(n) for n in e.get("mem", {}).values()) or "-"
         # indexed reads + accumulator updates that are views / reads that gather

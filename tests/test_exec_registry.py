@@ -57,6 +57,23 @@ def test_unknown_backend_errors_list_registered_set():
         jac(np.ones(3), backend="bogus")
 
 
+def test_an_unknown_backend_is_not_counted_as_called():
+    """The name is validated before the call is recorded, on ``__call__``
+    as on ``call_batched``: a refused call leaves ``backend_calls`` as it
+    was."""
+    from repro import obs
+
+    fc = rp.compile(rp.trace_like(lambda x: rp.sum(x), (np.ones(4),)))
+    before = dict(obs.snapshot()["backend_calls"])
+    with pytest.raises(ReproError, match="registered backends"):
+        fc(np.ones(4), backend="bogus")
+    with pytest.raises(ReproError, match="registered backends"):
+        fc.call_batched((np.ones((2, 4)),), (True,), 2, backend="bogus")
+    assert obs.snapshot()["backend_calls"] == before
+    fc(np.ones(4), backend="ref")
+    assert obs.snapshot()["backend_calls"]["ref"] == before.get("ref", 0) + 1
+
+
 @pytest.mark.parametrize("name", ["shard", "codegen"])
 def test_removed_backend_name_fails_loudly(name, monkeypatch):
     """``shard`` and ``codegen`` are gone: the keyword on ``Compiled``,
