@@ -1,14 +1,21 @@
 """Compiled fused runs: a hot plan's float64 arithmetic as one C call.
 
-A plan splits each fused run with ``MIN_OPS`` ops a loop may compute
-(``split_run``) when it is emitted; from its ``plan.HOT_CALLS``-th call on,
-the C part runs compiled (``kernel``), before that as NumPy.  The NumPy part (index views, integer ops,
-casts, ``select``, payload rank > 0, ``exp`` / ``log`` / ``tanh`` /
-``sigmoid``, which NumPy rounds its own way, and the ops those read) runs
-first; the C part is one call into a gcc-built extension (``_LAUNCHER``)
-running loops compiled per input pattern, the batch axes each input varies
-along (a jvp's primal is ``(1, n)`` where its tangents are ``(m, n)``).
-``-O2 -ffp-contract=off`` and a probe (``whitelist``) keep results bitwise."""
+A plan splits each fused run with ``MIN_OPS`` or more ops a loop may compute
+(``split_run``) when it is emitted: two, since one op alone has nothing to
+fuse, while GMM's and k-means' short runs of two to four ops hold much of
+their time.  The NumPy part (index views, integer ops, casts, ``select``,
+payload rank > 0, ``exp`` / ``log`` / ``tanh`` / ``sigmoid``, which NumPy
+rounds its own way, and the ops those read) runs first; the C part is one
+call into a gcc-built extension (``_LAUNCHER``) running loops compiled per
+input pattern, the batch axes each input varies along (a jvp's primal is
+``(1, n)`` where its tangents are ``(m, n)``).
+
+Loops are built per plan, not per run: from the call before the plan's
+``plan.HOT_CALLS``-th, a kernel-run call whose pattern has no loop yet runs
+NumPy and queues it (``kernel``), and the plan's next call compiles all it
+queued as one unit, in one compiler call and one load (``build``), so the
+C parts run compiled from the ``HOT_CALLS``-th call.  ``-O2
+-ffp-contract=off`` and a probe (``whitelist``) keep results bitwise."""
 from __future__ import annotations
 
 import atexit
@@ -27,13 +34,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..obs.tracing import span as _span
 from .plan import PLAN_STATS
 from .prims import _BINOPS, unop_fn
 
-__all__ = ["CANDIDATES", "KernelRun", "kernel", "split_run", "whitelist"]
+__all__ = ["CANDIDATES", "KernelRun", "build", "kernel", "split_run", "whitelist"]
 
 #: C ops a run needs, input patterns per run.
-MIN_OPS, MAX_VARIANTS = 8, 4
+MIN_OPS, MAX_VARIANTS = 2, 4
 
 _C_EXPR = {"add": "({0} + {1})", "sub": "({0} - {1})", "mul": "({0} * {1})", "div": "({0} / {1})",
            "neg": "(-{0})", "sin": "sin({0})", "cos": "cos({0})", "sqrt": "sqrt({0})"}
@@ -43,6 +51,10 @@ CANDIDATES = frozenset(_C_EXPR)
 #: batch depth)``; ``exports`` ``(local index, slot, batch depth)``; ``code`` ``(local
 #: index, op, args)``, each arg ``("in", j)`` (input ``j``) or ``("op", y)`` (C op ``y``).
 KernelRun = namedtuple("KernelRun", "cpart inputs exports code")
+_PROBE_CODE = tuple((i, op, (("in", 0), ("in", 1))[:1 + (op in _BINOPS)])
+                    for i, op in enumerate(sorted(CANDIDATES)))
+#: ``whitelist``'s loops: every candidate on inputs ``x`` (and ``y``).
+_PROBE = KernelRun((), ((0, 1), (1, 1)), tuple((i, 0, 1) for i, *_ in _PROBE_CODE), _PROBE_CODE)
 
 
 def split_run(ins, lay, allowed) -> Optional[KernelRun]:
@@ -104,8 +116,8 @@ def _loops(kr: KernelRun, pats) -> tuple:
         off = "".join(f" + i{b} * s[{v * depth + b}]" for b in _axes(pats[v]))
         return f"(*(const double *)(p[{v}]{off}))"
 
-    L = ["#include <math.h>", "#include <stddef.h>", "void loops(const char *const *p, "
-         "const ptrdiff_t *s, const ptrdiff_t *n, double *const *t) {"]
+    L = ["void loops(const char *const *p, const ptrdiff_t *s, const ptrdiff_t *n, "
+         "double *const *t) {"]
     for c in sorted(set(cls.values()), key=lambda c: (bin(c).count("1"), c)):
         ax = _axes(c)
         L += [f"const ptrdiff_t c{c}_{a} = 1{''.join(f' * n[{b}]' for b in ax[m + 1:])};"
@@ -125,12 +137,14 @@ def _loops(kr: KernelRun, pats) -> tuple:
 #: checks each input's depth and pattern against ``tables`` (``_loops``),
 #: allocates the exports and temporaries at the shapes they give, and calls
 #: the compiled ``loops`` at ``addr``; ``None`` for a call they do not fit.
+#: ``probe`` is the address of ``whitelist``'s loops, compiled with it.
 _LAUNCHER = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
 typedef void loops_t(const char *const *, const npy_intp *, const npy_intp *, double *const *);
+@PROBE@
 
 static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -174,13 +188,25 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL, NULL}, {NULL, NULL, 0, NULL}};
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "@NAME@", NULL, -1, methods};
-PyMODINIT_FUNC PyInit_@NAME@(void) { import_array(); return PyModule_Create(&module); }
+PyMODINIT_FUNC PyInit_@NAME@(void)
+{
+    import_array();
+    PyObject *m = PyModule_Create(&module), *probe = PyLong_FromVoidPtr((void *)loops);
+    if (m == NULL || probe == NULL || PyModule_AddObjectRef(m, "probe", probe) < 0)
+        Py_CLEAR(m);
+    Py_XDECREF(probe);
+    return m;
+}
 """
 
 _LOCK = threading.RLock()
-#: Built once per process: source hash -> (address of its ``loops``, library),
-#: ``"launcher"`` -> the extension, ``"whitelist"``, ``"dir"``; ``None``: it will not build.
+#: Built once per process: a loop's source hash -> (address of its ``loops_<j>``,
+#: library), ``"launcher"`` -> the extension, ``"whitelist"``, ``"dir"``; ``None``:
+#: it will not build.
 _BUILT: Dict[str, object] = {}
+_HEADER = "#include <math.h>\n#include <stddef.h>\n"
+#: ``kernel``'s mark for an input pattern queued for its plan's next build.
+_QUEUED = object()
 
 
 def _once(key: str, make, *args):
@@ -196,9 +222,10 @@ def _once(key: str, make, *args):
     return _BUILT[key]
 
 
-def _gcc(name: str, src: str, *flags: str) -> Optional[str]:
-    """The shared object compiled from C ``src``, or ``None`` (no ``gcc``, a
-    failed compile); ``OSError`` when its files cannot be written."""
+def _gcc(name: str, src: str, *flags: str, loops: int = 0) -> Optional[str]:
+    """The shared object compiled from C ``src`` (``loops`` loop functions), or
+    ``None`` (no ``gcc``, a failed compile); ``OSError`` when its files cannot
+    be written."""
     if shutil.which("gcc") is None:
         return None
     if "dir" not in _BUILT:
@@ -207,16 +234,19 @@ def _gcc(name: str, src: str, *flags: str) -> Optional[str]:
     path = os.path.join(_BUILT["dir"], name)
     with open(path + ".c", "w") as fh:
         fh.write(src)
-    t0 = time.perf_counter()
-    done = subprocess.run(["gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared", *flags,
-                           path + ".c", "-o", path + ".so", "-lm"], capture_output=True)
-    PLAN_STATS.add("kernel_compile_s", time.perf_counter() - t0)
+    with _span("kernel_build", cat="compile", loops=loops):
+        t0 = time.perf_counter()
+        done = subprocess.run(["gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared", *flags,
+                               path + ".c", "-o", path + ".so", "-lm"], capture_output=True)
+        PLAN_STATS.add("kernel_compile_s", time.perf_counter() - t0)
+    PLAN_STATS.add("kernel_builds")
     return path + ".so" if done.returncode == 0 else None
 
 
 def _launcher():
-    name = "_repro_launch_" + hashlib.sha256(_LAUNCHER.encode()).hexdigest()[:16]
-    so = _gcc(name, _LAUNCHER.replace("@NAME@", name), "-I", np.get_include(),
+    src = _LAUNCHER.replace("@PROBE@", _HEADER + _loops(_PROBE, (1, 1))[0])
+    name = "_repro_launch_" + hashlib.sha256(src.encode()).hexdigest()[:16]
+    so = _gcc(name, src.replace("@NAME@", name), "-I", np.get_include(),
               "-I", sysconfig.get_paths()["include"])
     if so is None:
         return None
@@ -226,28 +256,46 @@ def _launcher():
     return mod
 
 
-def _loops_lib(digest: str, src: str):
-    so = _gcc("_repro_loops_" + digest, src)
-    if so is None:
-        return None
-    lib = ctypes.CDLL(so)
-    return ctypes.cast(lib.loops, ctypes.c_void_p).value, lib
+def _unit(srcs: Dict[str, str]) -> None:
+    """Compile the loop sources ``srcs`` (hash -> C) as one unit, one
+    ``loops_<j>`` each, in one compiler call and one load, and record each in
+    ``_BUILT`` (all ``None`` when the unit will not build or load)."""
+    name = "_repro_loops_" + hashlib.sha256("".join(srcs).encode()).hexdigest()[:24]
+    src = _HEADER + "".join(
+        c.replace("void loops(", f"void loops_{j}(", 1) for j, c in enumerate(srcs.values()))
+    try:
+        so = _gcc(name, src, loops=len(srcs))
+        lib = so and ctypes.CDLL(so)
+    except OSError:
+        lib = None
+    for j, digest in enumerate(srcs):
+        _BUILT[digest] = lib and (ctypes.cast(getattr(lib, f"loops_{j}"), ctypes.c_void_p).value,
+                                  lib)
 
 
-def _build(kr: KernelRun, pats, count: bool = True):
-    """``run(datas)`` for ``kr`` at input patterns ``pats`` (exports, or
-    ``None`` for a call it does not fit), or ``None`` if it cannot build."""
-    src, (k, m, out, temps, tables) = _loops(kr, pats)
-    digest = hashlib.sha256(src.encode()).hexdigest()[:24]
+def _runner(launch, addr: int, tables):
+    """``run(datas)``: the loops at ``addr`` through the launcher, with
+    ``_loops``' ``tables`` for them."""
+    k, m, out, temps, tab = tables
+    v = np.asarray([k, m, len(out), len(temps)] + tab, np.int64).tobytes()
+    return lambda datas, _run=launch.run: _run(addr, v, datas)
+
+
+def _build(items) -> list:
+    """``run(datas)`` for each ``(kr, pats)`` of ``items``, ``kr``'s loops at
+    input patterns ``pats`` (its exports, or ``None`` for a call it does not
+    fit), or ``None`` where it cannot build.  The loops this process has not
+    built yet are compiled as one unit (``_unit``)."""
     with _LOCK:
         launch = _once("launcher", _launcher)
-        new = digest not in _BUILT
-        built = launch and _once(digest, _loops_lib, digest, src)
-        if not built:
-            return None
-        PLAN_STATS.add("kernels", int(count and new))
-    v = np.asarray([k, m, len(out), len(temps)] + tables, np.int64).tobytes()
-    return lambda datas, _run=launch.run, _f=built[0]: _run(_f, v, datas)
+        made = [_loops(kr, pats) for kr, pats in items]
+        digests = [hashlib.sha256(src.encode()).hexdigest()[:24] for src, _t in made]
+        new = {d: src for d, (src, _t) in zip(digests, made) if d not in _BUILT}
+        if launch is not None and new:
+            _unit(new)
+            PLAN_STATS.add("kernels", sum(_BUILT[d] is not None for d in new))
+        built = [_BUILT.get(d) if launch is not None else None for d in digests]
+        return [b and _runner(launch, b[0], tables) for b, (_src, tables) in zip(built, made)]
 
 
 def whitelist() -> frozenset:
@@ -259,31 +307,35 @@ def whitelist() -> frozenset:
     with _LOCK, np.errstate(all="ignore"):
         if "whitelist" in _BUILT:
             return _BUILT["whitelist"]
-        code = tuple((i, op, (("in", 0), ("in", 1))[:1 + (op in _BINOPS)])
-                     for i, op in enumerate(sorted(CANDIDATES)))
-        fn = _build(KernelRun((), ((0, 1), (1, 1)), tuple((i, 0, 1) for i, *_ in code), code),
-                    (1, 1), count=False)
+        launch = _once("launcher", _launcher)
+        fn = launch and _runner(launch, launch.probe, _loops(_PROBE, (1, 1))[1])
         sp = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1e-310, 2.2e-308,
                        1.7e308, 1e22, 2.0 ** 1000, 1e15 + 0.5, -4e9, 710.0, np.pi, 1e-8, -1.0])
         rnd = np.random.default_rng(0).standard_normal((2, 4096)) * 10.0 ** np.arange(-12, 12, 3 / 512)
         xy = np.r_[np.repeat(sp, sp.size), rnd[0]], np.r_[np.tile(sp, sp.size), rnd[1]]
         got = fn(list(xy)) if fn is not None else None
-        _BUILT["whitelist"] = frozenset(op for (_i, op, args), g in zip(code, got or ()) if all(
-            np.array_equal(np.asarray(_NUMPY[op](*(a[::st] for a in xy[:len(args)])),
-                                      np.float64).view(np.uint64), g[::st].view(np.uint64))
-            for st in (1, 3)))
+        _BUILT["whitelist"] = frozenset(
+            op for (_i, op, args), g in zip(_PROBE.code, got or ()) if all(
+                np.array_equal(np.asarray(_NUMPY[op](*(a[::st] for a in xy[:len(args)])),
+                                          np.float64).view(np.uint64), g[::st].view(np.uint64))
+                for st in (1, 3)))
         return _BUILT["whitelist"]
 
 
 _NUMPY = {op: _BINOPS.get(op) or unop_fn(op) for op in CANDIDATES}
 
 
-def kernel(kr: KernelRun):
+def kernel(kr: KernelRun, queue: list):
     """``call(datas)``: ``kr``'s C part's exports, or ``None`` for a NumPy call.
-    A new input pattern gets a variant when the cap allows and the probe
-    keeps ``kr``'s ops; a call no variant fits falls back."""
+    A new input pattern, while the run has fewer than ``MAX_VARIANTS``, is
+    queued on its plan's ``queue`` for ``build``; a call no variant fits
+    falls back, unless its pattern waits in the queue."""
     variants: list = []
     known: Dict[tuple, object] = {}
+
+    def install(key, fn):
+        known[key] = fn
+        variants.extend([fn] if fn else [])
 
     def call(datas):
         for fn in variants:
@@ -294,12 +346,23 @@ def kernel(kr: KernelRun):
                     for d in datas)
         with _LOCK:
             if key not in known and len(known) < MAX_VARIANTS:
-                ok = {op for _x, op, _a in kr.code} <= whitelist()
-                fn = known[key] = _build(kr, key) if ok else None
-                variants.extend([fn] if fn else [])
+                known[key] = _QUEUED
+                queue.append((kr, key, install))
             fn = known.get(key)
-        out = fn(datas) if fn is not None else None
-        PLAN_STATS.add("kernel_fallbacks", int(out is None))
-        return out
+        PLAN_STATS.add("kernel_fallbacks", int(fn is not _QUEUED))
+        return None
 
     return call
+
+
+def build(queue: list) -> None:
+    """Give each ``(kr, pats, install)`` a plan's kernel runs queued its loops,
+    all compiled in one compiler call (``_build``); ``None`` to a run holding
+    an op the probe (``whitelist``) does not keep."""
+    with _LOCK:
+        items, queue[:] = queue[:], []
+        keep = whitelist()
+        ok = [{op for _x, op, _a in kr.code} <= keep for kr, _p, _i in items]
+        fns = iter(_build([(kr, pats) for (kr, pats, _i), o in zip(items, ok) if o]))
+        for (_kr, pats, install), o in zip(items, ok):
+            install(pats, next(fns) if o else None)

@@ -17,9 +17,11 @@ family is layered:
   operands, calls the kernel (a nested body passed as a closure that binds
   its parameter slots and runs its own instructions) and assigns/releases
   slots, or runs a fused scalar run — and hosts the runtime (``_Engine``),
-  the ``run`` driver and the plan cache.  A run with enough float64
-  arithmetic is emitted as a kernel run: from the plan's ``HOT_CALLS``-th
-  call on, that arithmetic is one compiled C call (``exec/kernels.py``).
+  the ``run`` driver and the plan cache.  A run with two or more float64
+  ops a C loop may compute is emitted as a kernel run: from the plan's
+  ``HOT_CALLS``-th call on, that arithmetic is one compiled C call
+  (``exec/kernels.py``), the loops of all its runs built in one compiler
+  call.
   Under ``REPRO_PROFILE`` it passes every closure it
   emits, at every depth, through ``obs/profiler.py:timer``.
 
@@ -109,8 +111,9 @@ _span = _obs_tracing.span
 
 class _Engine:
     """Mutable per-call state: register file, batch stack, predication mask,
-    and whether the plan is hot (its kernel runs may run compiled).  Nothing
-    outlives the call."""
+    and whether the plan's kernel runs call their kernels (from the call
+    before the hot one, which queues their input patterns).  Nothing outlives
+    the call."""
 
     __slots__ = ("regs", "bstack", "mask", "hot")
 
@@ -330,6 +333,8 @@ class _ClosureEmitter:
         self.depth = 0
         #: Each kernel run emitted -> its ``kernels.split_run`` partition.
         self.kernel_runs: Dict[object, object] = {}
+        #: The input patterns the kernel runs wait to have built (``kernels.kernel``).
+        self.queue: list = []
 
     def emit_body(self, pbody) -> tuple:
         instrs = tuple(self._emit_ins(i) for i in pbody.instrs)
@@ -414,8 +419,8 @@ class _ClosureEmitter:
 
     def _emit_kernel_run(self, ins, kr, los, dead) -> Callable:
         """``ins``'s NumPy part (no release or donation: the kernel reads after it), then its
-        C part ``kr`` as one kernel call (a hot plan) or its NumPy closures; returns if the
-        kernel ran."""
+        C part ``kr`` as one kernel call (``_Engine.hot``) or its NumPy closures; returns if
+        the kernel ran."""
         from .kernels import kernel
 
         cpart, n = kr.cpart, len(ins.ops)
@@ -425,7 +430,7 @@ class _ClosureEmitter:
         reads = tuple(_run_data(x, None) for x, _b in kr.inputs)
         np_exports = tuple((li, s) for li, s, _n in ins.exports if not cpart[li])
 
-        def run(eng, _np=np_part, _c=c_part, _reads=reads, _kernel=kernel(kr),
+        def run(eng, _np=np_part, _c=c_part, _reads=reads, _kernel=kernel(kr, self.queue),
                 _cx=kr.exports, _nx=np_exports, _dead=dead):
             regs, loc = eng.regs, [None] * n
             for x, op in _np:
@@ -460,7 +465,10 @@ class Plan:
     result unwrapping live in ``run``.  With ``profile``
     every closure this class emits, nested ones included, is timed by
     ``obs/profiler.py:timer``.  Its kernel runs (``exec/kernels.py``) run
-    compiled from its ``HOT_CALLS``-th execution on; no compiler runs before."""
+    compiled from its ``HOT_CALLS``-th execution on: the execution before
+    queues their input patterns, and each execution that finds patterns
+    queued first builds their loops, all in one compiler call.  No compiler
+    runs before."""
 
     def __init__(self, fun: Fun, ir: Optional[PlanIR] = None, profile: bool = False) -> None:
         with _obs_tracing.timed("emit", cat="compile", fun=fun.name):
@@ -478,6 +486,7 @@ class Plan:
             self.body = em.emit_body(ir.body)
             #: The plan has kernel runs; ``_calls`` counts its executions.
             self.kernels, self._calls = bool(em.kernel_runs), itertools.count()
+            self._queue = em.queue
             if em.kernel_runs and verify_mode() != "off":
                 from .verify_plan import verify_layout
 
@@ -501,7 +510,11 @@ class Plan:
             n = next(self._calls)
             if n == HOT_CALLS - 1 and self.kernels:
                 PLAN_STATS.add("promotions")
-            eng = _Engine(self.nslots, n >= HOT_CALLS - 1)
+            if self._queue and n >= HOT_CALLS - 1:
+                from .kernels import build
+
+                build(self._queue)
+            eng = _Engine(self.nslots, n >= HOT_CALLS - 2)
             regs = eng.regs
             for s, a, t in zip(self.param_slots, args, self.param_types):
                 regs[s] = BV(np.asarray(coerce_arg(a, t)), 0)
@@ -531,8 +544,9 @@ class Plan:
 #: construction one per rank/dtype signature) or ``hits``; ``evictions``
 #: counts LRU drops and ``fused_stms`` scalar statements collapsed into fused
 #: run closures; ``promotions`` plans with kernel runs that got hot, ``kernels`` /
-#: ``kernel_compile_s`` loops compiled and compiler seconds, ``kernel_fallbacks`` hot
-#: kernel-run calls that ran NumPy.  ``specialized_hits``: always 0 (``bench`` reads it).
+#: ``kernel_builds`` / ``kernel_compile_s`` loops compiled, compiler calls and their
+#: seconds, ``kernel_fallbacks`` hot kernel-run calls that ran NumPy with no build
+#: queued.  ``specialized_hits``: always 0 (``bench`` reads it).
 PLAN_STATS = _obs_metrics.counter_group(
     "plan_cache",
     {
@@ -542,7 +556,7 @@ PLAN_STATS = _obs_metrics.counter_group(
         "promotions": 0,
         "evictions": 0,
         "fused_stms": 0,
-        "kernels": 0, "kernel_compile_s": 0.0, "kernel_fallbacks": 0,
+        "kernels": 0, "kernel_builds": 0, "kernel_compile_s": 0.0, "kernel_fallbacks": 0,
     },
 )
 

@@ -1,9 +1,12 @@
 """Compiled fused runs (``exec/kernels.py``): bitwise NumPy's, at NumPy's
 shapes, and NumPy itself whenever no kernel can take a call.
 
-The ``hot`` fixture lowers ``HOT_CALLS`` / ``MIN_OPS`` (module constants, not
-knobs) so that small programs compile every run a loop can compute on their
-first call.  The ``twin`` fixture runs every kernel run
+The ``hot`` fixture sets ``HOT_CALLS`` and ``MIN_OPS`` (module constants,
+not knobs; shipped as 3 and 2) to 1, so that a small program's first call
+queues the input pattern of every run a loop can compute, and its second
+builds all their loops in one compiler call and runs them compiled.  The
+``warm`` fixture counts the compiler calls made past the launcher, which a
+process builds once.  The ``twin`` fixture runs every kernel run
 beside the plain NumPy closure of the same run, on a copy of the registers,
 and records both results of each export.  Every test here also passes with
 no ``gcc`` on ``PATH`` (CI runs this file a second time so): then nothing
@@ -18,13 +21,14 @@ import pytest
 
 import repro as rp
 from repro import obs
-from repro.apps import datagen, hand, lstm
+from repro.apps import datagen, gmm, hand, lstm
 from repro.exec import kernels
 from repro.exec import plan as plan_mod
 from repro.exec.lower import layout, lower_fun
 from repro.exec.plan import clear_plan_cache, plan_cache_stats
 from repro.exec.verify_plan import verify_layout
 from repro.ir.verify import VerifyError
+from repro.obs import tracing
 from test_exec_plan import _BATTERY
 from test_fuzz_programs import _gen_program
 
@@ -84,23 +88,33 @@ def _bits(calls):
     return [[(a.shape, a.dtype.str, a.tobytes()) for a in _flat(c())] for c in calls]
 
 
-def _numpy_then_hot(calls, monkeypatch):
-    """``calls``' results on plans with no kernel runs, then on plans that
-    compile every run on their first call (fresh plan caches each time).  In
-    between, kernel runs that never get hot (NumPy part first, without its
-    releases and donations) must give the first results; ``twin`` keeps the
-    hot calls only."""
+def _numpy_bits(monkeypatch, calls):
+    """``calls``' results on plans with no kernel runs (a fresh cache after)."""
     min_ops = kernels.MIN_OPS
     monkeypatch.setattr(kernels, "MIN_OPS", 10**9)
     clear_plan_cache()
     want = _bits(calls)
     monkeypatch.setattr(kernels, "MIN_OPS", min_ops)
+    clear_plan_cache()
+    return want
+
+
+def _numpy_then_hot(calls, monkeypatch):
+    """``calls``' results on plans with no kernel runs, then on plans that
+    compile every run on their second call (fresh plan caches each time).  In
+    between, kernel runs that never get hot (NumPy part first, without its
+    releases and donations) must give the first results, and so must the
+    first pass of hot plans, which queues their patterns; ``twin`` keeps the
+    second pass only."""
+    want = _numpy_bits(monkeypatch, calls)
     monkeypatch.setattr(plan_mod, "HOT_CALLS", 10**9)
     clear_plan_cache()
     assert _bits(calls) == want
     _Twin.seen.clear()
     monkeypatch.setattr(plan_mod, "HOT_CALLS", 1)
     clear_plan_cache()
+    assert _bits(calls) == want
+    _Twin.seen.clear()
     return want, _bits(calls)
 
 
@@ -194,7 +208,7 @@ def test_fresh_plans_never_start_a_compiler(monkeypatch):
     hot, so no kernel and no ``gcc``.  Each plan called ``HOT_CALLS`` times
     does ask for one."""
     asked = []
-    monkeypatch.setattr(kernels, "_gcc", lambda name, src, *flags: asked.append(name))
+    monkeypatch.setattr(kernels, "_gcc", lambda name, src, *flags, **k: asked.append(name))
     monkeypatch.setattr(kernels, "_BUILT", {})
     clear_plan_cache()
     g = rp.grad(rp.compile(lstm.build_ir(12, 4, 10, 16)))
@@ -242,10 +256,10 @@ def test_transcendentals_and_a_dropped_op_stay_numpy(hot, twin, monkeypatch):
     monkeypatch.setitem(kernels._BUILT, "whitelist", kernels.CANDIDATES - {"sin"})
     built, build = [], kernels._build
 
-    def recording(kr, pats, count=True):
-        fn = build(kr, pats, count)
-        built.extend([{op for _x, op, _a in kr.code}] if fn else [])
-        return fn
+    def recording(items):
+        fns = build(items)
+        built.extend({op for _x, op, _a in kr.code} for (kr, _p), fn in zip(items, fns) if fn)
+        return fns
 
     monkeypatch.setattr(kernels, "_build", recording)
     calls, xs = [], np.linspace(-2.0, 2.0, 40)
@@ -278,7 +292,7 @@ def test_a_kernel_that_will_not_build_or_load_falls_back_asking_once(hot, twin, 
     NumPy's, bitwise, each call counts a fallback, and the compiler is asked
     at most once in the process, not once per call."""
     asked, gcc = [], kernels._gcc
-    monkeypatch.setattr(kernels, "_gcc", lambda *a: asked.append(a[0]) or gcc(*a))
+    monkeypatch.setattr(kernels, "_gcc", lambda *a, **k: asked.append(a[0]) or gcc(*a, **k))
     monkeypatch.setattr(kernels, "_BUILT", {})
     monkeypatch.setattr(where, fail)
     fc = _nested()
@@ -296,12 +310,13 @@ def test_kernel_counters_and_profile_rows(hot, monkeypatch):
     a profiled run that ran in C says so in its row."""
     from repro.obs import profiler
 
-    for key in ("kernels", "kernel_compile_s", "kernel_fallbacks", "promotions"):
+    for key in ("kernels", "kernel_builds", "kernel_compile_s", "kernel_fallbacks", "promotions"):
         assert key in plan_cache_stats() and key in obs.snapshot()["plan_cache"]
     monkeypatch.setenv("REPRO_PROFILE", "1")
     profiler.reset_profile()
     fc = _nested()
-    fc(np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 1.5, 6))
+    for _ in range(2):
+        fc(np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 1.5, 6))
     rows = profiler.profile_report(top_k=10**6)["entries"]
     runs = [e for e in rows if e["kernel_calls"]]
     if HAVE_GCC:
@@ -360,3 +375,114 @@ def test_verifier_catches_a_kernel_value_at_the_wrong_depth(corrupt, monkeypatch
         runs[run] = kr._replace(inputs=((y, b + 1),) + kr.inputs[1:])
     with pytest.raises(VerifyError, match=f"kernel {corrupt}"):
         verify_layout(ir, lay, "kernels", runs)
+
+
+@pytest.fixture
+def warm(monkeypatch):
+    """A process that has built its launcher and probe (once per process) and
+    no loop yet; yields the loop count of each compiler call made after."""
+    kernels.whitelist()
+    monkeypatch.setattr(kernels, "_BUILT", {k: v for k, v in kernels._BUILT.items()
+                                            if k in ("launcher", "whitelist", "dir")})
+    asked, gcc = [], kernels._gcc
+    monkeypatch.setattr(kernels, "_gcc",
+                        lambda *a, **k: asked.append(k.get("loops")) or gcc(*a, **k))
+    clear_plan_cache()
+    yield asked
+    clear_plan_cache()
+
+
+def _gmm_grad():
+    n, d, k = 32, 4, 3
+    g = rp.grad(rp.compile(gmm.build_ir(n, d, k)), wrt=[0, 1, 2])
+    args = datagen.gmm_instance(n, d, k, 0)[:4]
+    return g, args
+
+
+def test_a_hot_gmm_gradient_builds_all_its_loops_in_one_compiler_call(warm, monkeypatch):
+    """GMM's gradient has many short kernel runs (its triangular ``Q·(x−μ)``
+    loop, in the primal's sweep and beside its adjoint).  Its ``HOT_CALLS``-th
+    call compiles every one of their loops in one compiler call, and no
+    later call asks again; every call is bitwise NumPy's."""
+    g, args = _gmm_grad()
+    (want,) = _numpy_bits(monkeypatch, [lambda: g(*args)])
+    for i in range(plan_mod.HOT_CALLS + 2):
+        assert _bits([lambda: g(*args)]) == [want]
+        assert len(warm) == int(HAVE_GCC and i >= plan_mod.HOT_CALLS - 1)
+    st = plan_cache_stats()
+    assert st["kernel_builds"] == len(warm) and st["promotions"] == 1
+    if HAVE_GCC:
+        assert warm[0] == st["kernels"] >= 10 and st["kernel_fallbacks"] == 0
+
+
+def _two_runs():
+    def f(x, y):
+        def outer(a):
+            s = rp.sum(rp.map(lambda b: rp.sin(a * b) * a + b * b, y))
+            return rp.sum(rp.map(lambda b: rp.cos(b * s) * a - b / (a + 2.0), y))
+
+        return rp.sum(rp.map(outer, x))
+
+    return rp.compile(rp.trace_like(f, (np.ones(3), np.ones(4))))
+
+
+def test_a_pattern_first_met_on_a_later_hot_call_costs_one_more_build(warm, monkeypatch):
+    """``x`` of extent 1 makes ``a`` lane-uniform in both inner runs of a hot
+    plan: that call queues both new patterns, and the next builds them in
+    one more compiler call, not one per run."""
+    fc, y = _two_runs(), np.linspace(0.5, 1.5, 6)
+    calls = [lambda: fc(np.linspace(-1.0, 1.0, 5), y), lambda: fc(np.array([0.75]), y)]
+    want = _numpy_bits(monkeypatch, calls)
+    for _ in range(plan_mod.HOT_CALLS):
+        assert _bits(calls[:1]) == want[:1]
+    before = list(warm)
+    for _ in range(3):
+        assert _bits(calls[::-1]) == want[::-1]
+    assert len(warm) == len(before) + int(HAVE_GCC)
+    if HAVE_GCC:
+        assert warm[-1] == 2 and plan_cache_stats()["kernel_fallbacks"] == 0
+
+
+def _loops_refused(*_a, **_k):
+    raise OSError("cannot load this library")
+
+
+@pytest.mark.parametrize("fail", ["compile", "load"])
+def test_a_plan_build_that_fails_runs_numpy_and_asks_once(warm, monkeypatch, fail):
+    """A plan's one build fails, in the compiler or when its library is
+    loaded: every call stays bitwise NumPy's, counts its fallbacks, and the
+    compiler is asked once, not once per run or per call."""
+    g, args = _gmm_grad()
+    (want,) = _numpy_bits(monkeypatch, [lambda: g(*args)])
+    if fail == "compile":
+        gcc = kernels._gcc
+        monkeypatch.setattr(kernels, "_gcc", lambda *a, **k: gcc(*a, **k) and None)
+    else:
+        monkeypatch.setattr("ctypes.CDLL", _loops_refused)
+    for _ in range(plan_mod.HOT_CALLS + 3):
+        assert _bits([lambda: g(*args)]) == [want]
+    st = plan_cache_stats()
+    assert len(warm) == int(HAVE_GCC) and st["kernels"] == 0
+    assert st["kernel_fallbacks"] > 0 and st["kernel_builds"] == len(warm)
+
+
+def test_a_traced_hot_call_shows_its_one_build(warm, tmp_path, monkeypatch):
+    """A traced ``HOT_CALLS``-th call holds one ``kernel_build`` span
+    (``compile``, with its loop count) inside its ``execute``, and
+    ``kernel_builds`` counts it in ``plan_cache_stats`` and ``obs.snapshot``."""
+    g, args = _gmm_grad()
+    for _ in range(plan_mod.HOT_CALLS - 1):
+        g(*args)
+    monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "trace.json"))
+    tracing.reset()
+    g(*args)
+    evs = [e for e in tracing.events() if e["ph"] in "BE"]
+    builds = [i for i, e in enumerate(evs) if e["name"] == "kernel_build" and e["ph"] == "B"]
+    assert len(builds) == int(HAVE_GCC)
+    assert obs.snapshot()["plan_cache"]["kernel_builds"] == plan_cache_stats()["kernel_builds"]
+    assert plan_cache_stats()["kernel_builds"] == len(builds)
+    if builds:
+        (b,) = builds
+        assert evs[b]["cat"] == "compile" and evs[b]["args"]["loops"] == warm[0] >= 10
+        ex = max(i for i, e in enumerate(evs[:b]) if e["name"] == "execute" and e["ph"] == "B")
+        assert not any(e["name"] == "execute" for e in evs[ex + 1:b])

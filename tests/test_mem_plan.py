@@ -18,6 +18,7 @@ import pytest
 import repro as rp
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
 from repro.exec import plan_cache_stats, vector
+from repro.exec.plan import HOT_CALLS
 from helpers import PLAN_LEGS, peak_mb
 from test_fuzz_programs import _gen_program
 
@@ -381,9 +382,12 @@ def test_a_cached_calls_traced_peak_is_its_whole_working_set():
     # serve calls 2 and 3 from buffers tracing never sees: the per-thread
     # free list did, for temporaries of 128 KiB and up; here the (n, k, d)
     # ones are 240 KiB.)
+    # The plan is promoted at n = 200 first, so its compiled loops are built
+    # (a one-off the measured calls would otherwise trace) before them.
     pts, ctr = datagen.kmeans_instance(4, 200, 32, 0)
     h = rp.hessian_diag(rp.compile(kmeans.build_ir(200, 4, 32)), wrt=1)
-    h(pts, ctr, backend="plan")  # lowered and cached at n = 200
+    for _ in range(HOT_CALLS):  # lowered, cached and hot at n = 200
+        h(pts, ctr, backend="plan")
     new_pts = datagen.kmeans_instance(4, 240, 32, 1)[0]
     misses = plan_cache_stats()["misses"]
     peaks, results = [], []

@@ -45,7 +45,9 @@ def test_shape_sweep_one_generic_lowering_per_signature():
     assert st["misses"] == 1, f"sweep re-lowered the plan: {st}"
     assert st["hits"] == 4
     assert st["entries"] == 1
-    assert st["promotions"] == 0 and st["specialized_hits"] == 0
+    # The one plan got hot once across the sweep (its fused run compiles),
+    # not once per shape.
+    assert st["promotions"] == 1 and st["specialized_hits"] == 0
     assert "specialized_entries" not in st and "spec_folds" not in st
     # A different dtype is a different rank/dtype signature: one more miss,
     # and still only one regardless of how many float32 extents follow.
