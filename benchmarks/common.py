@@ -8,9 +8,8 @@ and records the paper's reported numbers next to ours.
 
 All "ours" rows run on the plan-compiled backend by default (lowered once,
 cached per shape signature — see ``repro.exec.plan``), which is what the
-paper's compiled-bulk-code numbers correspond to.  ``REPRO_BACKEND``
-selects any registered backend instead, as it does everywhere (``ref`` to
-measure the interpreter).  Unknown names fail at import with the registered set listed.
+paper's compiled-bulk-code numbers correspond to.  To measure another
+backend (``ref``: the interpreter), pass ``backend=`` to the call itself.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ import repro as rp
 from repro import obs
 from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
 from repro.exec.plan import plan_cache_stats
-from repro.exec.registry import default_backend
+from repro.exec.registry import DEFAULT_BACKEND
 from repro.obs import tracing as obs_tracing
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -37,10 +36,9 @@ os.makedirs(RESULTS_DIR, exist_ok=True)
 #: level of the repository (the per-run copy stays in ``results/``).
 ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Backend every "ours" measurement runs on (tables 1/3/5 etc.): the session
-#: default, resolved once here so a typo in ``REPRO_BACKEND`` fails loudly at
-#: import, not deep in dispatch half-way through a benchmark run.
-BENCH_BACKEND = default_backend()
+#: Backend every "ours" measurement runs on (tables 1/3/5 etc.): the library
+#: default, the plan compiler.
+BENCH_BACKEND = DEFAULT_BACKEND
 
 
 def on_bench_backend(f: Callable) -> Callable:

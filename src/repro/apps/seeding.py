@@ -29,9 +29,9 @@ def identity_seed_pass(
     ``(*primals, *tangents)`` with one tangent per (all-float) primal.  The
     tangent of ``primals[seed_slot]`` — which must be rank-1, of length
     ``m`` — is seeded with every row of ``eye(m)``; the other tangents are
-    zero.  ``backend=None`` resolves through ``default_backend()``
-    (``REPRO_BACKEND``).  All ``m`` basis seeds stack on a leading batch
-    axis and evaluate in one ``call_batched`` pass.
+    zero.  ``backend=None`` runs on ``DEFAULT_BACKEND`` (``plan``).  All
+    ``m`` basis seeds stack on a leading batch axis and evaluate in one
+    ``call_batched`` pass.
 
     Returns the ``(m,)`` array of ``out[-1]`` per direction — for a scalar
     function, its gradient recovered column-by-column.

@@ -26,7 +26,6 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from ..exec.registry import default_backend
 from ..frontend.function import Compiled, compile_fun
 from ..ir.ast import Body, Fun
 from ..ir.types import is_float, rank_of
@@ -138,7 +137,7 @@ def grad(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> Callable:
 
     def run(*args, backend: Optional[str] = None):
         # ``Compiled`` unwraps a single adjoint.
-        return g(*args, 1.0, backend=backend or default_backend())
+        return g(*args, 1.0, backend=backend)
 
     run.adfun = g  # type: ignore[attr-defined]
     return run
@@ -157,7 +156,7 @@ def value_and_grad(
     def run(*args, backend: Optional[str] = None):
         # Normalise exactly as ``grad`` does: ``Compiled`` unwraps singleton
         # results, so ``res`` may be a bare value rather than a tuple.
-        res = _as_tuple(g(*args, 1.0, backend=backend or default_backend()))
+        res = _as_tuple(g(*args, 1.0, backend=backend))
         adjs = res[1:]
         return res[0], (adjs[0] if len(adjs) == 1 else adjs)
 
@@ -185,7 +184,6 @@ def jacobian(f: FunLike, mode: Optional[str] = None) -> Callable:
     rev = vjp(f)
 
     def run(x, backend: Optional[str] = None):
-        backend = backend or default_backend()
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(primal(x, backend=backend))
         n, m = x.size, y.size
@@ -271,7 +269,6 @@ def hessian_diag(f: FunLike, wrt: int = 0) -> Callable:
         )
 
     def run(*args, backend: Optional[str] = None):
-        backend = backend or default_backend()
         if len(args) != n_args:
             raise ADError(
                 f"hessian_diag: expected {n_args} arguments, got {len(args)}"

@@ -538,7 +538,7 @@ class _JVP:
         self.tan[v.name] = b.upd_acc(dacc, e.idx, dv, v.name + "_dot")
 
 
-def jvp_fun(fun: Fun, check: bool = True) -> Fun:
+def jvp_fun(fun: Fun) -> Fun:
     """Forward-mode transform: params gain tangent seeds for every float
     parameter; results gain tangents of every float result.
 
@@ -559,9 +559,8 @@ def jvp_fun(fun: Fun, check: bool = True) -> Fun:
     prim, tans = j.body(fun.body, b)
     body = b.finish(tuple(prim) + tuple(tans))
     out = Fun(fun.name + "_jvp", tuple(fun.params) + tuple(dparams), body)
-    if check:
-        check_fun(out)
-        validate_fun(out)
+    check_fun(out)
+    validate_fun(out)
     from ..ir.verify import maybe_verify_fun
 
     return maybe_verify_fun(out, where="jvp")

@@ -339,7 +339,7 @@ class VJP:
             sc.add(v, contrib)
 
 
-def vjp_fun(fun: Fun, check: bool = True, wrt=None) -> Fun:
+def vjp_fun(fun: Fun, wrt=None) -> Fun:
     """Reverse-mode transform.
 
     ``vjp(f) : (params..., seeds of float results...) ->
@@ -377,9 +377,8 @@ def vjp_fun(fun: Fun, check: bool = True, wrt=None) -> Fun:
     adjs = v.transform_scope(fun.body, seeds, want, b)
     body = b.finish(tuple(fun.body.result) + tuple(adjs))
     out = Fun(fun.name + "_vjp", tuple(fun.params) + tuple(seed_params), body)
-    if check:
-        check_fun(out)
-        validate_fun(out)
+    check_fun(out)
+    validate_fun(out)
     from ..ir.verify import maybe_verify_fun
 
     return maybe_verify_fun(out, where="vjp")

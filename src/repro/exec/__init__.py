@@ -18,7 +18,6 @@ from .plan import (  # noqa: F401
 from .registry import (  # noqa: F401
     Backend,
     available_backends,
-    default_backend,
     get_backend,
 )
 from .values import AccVal, coerce_arg, zeros_of  # noqa: F401

@@ -57,12 +57,12 @@ _PROBE_CODE = tuple((i, op, (("in", 0), ("in", 1))[:1 + (op in _BINOPS)])
 _PROBE = KernelRun((), ((0, 1), (1, 1)), tuple((i, 0, 1) for i, *_ in _PROBE_CODE), _PROBE_CODE)
 
 
-def split_run(ins, lay, allowed) -> Optional[KernelRun]:
+def split_run(ins, lay) -> Optional[KernelRun]:
     """The partition of run ``ins`` at layout ``lay`` (``None`` under ``MIN_OPS``
-    C ops): C gets the ``allowed`` unops / binops on float64 scalars, less
+    C ops): C gets the ``CANDIDATES`` unops / binops on float64 scalars, less
     those the NumPy part reads, transitively."""
     ops = ins.ops
-    inc = [o.kind in ("unop", "binop") and o.op in allowed and o.dtype == np.float64
+    inc = [o.kind in ("unop", "binop") and o.op in CANDIDATES and o.dtype == np.float64
            and not any(o.pranks) for o in ops]
     for x in range(len(ops) - 1, -1, -1):
         for y in ops[x].xs if not inc[x] else ():

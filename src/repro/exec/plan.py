@@ -45,7 +45,7 @@ closures from plain ones.
 Repeat calls on same-rank arguments skip tracing, optimisation, and
 lowering entirely; ``PLAN_STATS`` counts hits/misses/evictions and the
 fused-statement total, so callers can assert cache behaviour (each emission
-also lands in the metrics timer ``emit``).  The LRU holds at most
+opens an ``emit`` span).  The LRU holds at most
 ``_DEFAULT_CACHE_SIZE`` entries;
 ``clear_plan_cache`` drops everything eagerly (plans are derived purely from
 immutable ``Fun`` values, so entries never go stale).  All cache and counter
@@ -71,7 +71,7 @@ import numpy as np
 
 from ..ir.analysis import ir_hash
 from ..ir.ast import Fun
-from ..ir.verify import VERIFY_STATS, verify_mode
+from ..ir.verify import verify_mode
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
 from ..obs.profiler import profile_enabled, timer
 from ..util import BoundedLRU, ExecError
@@ -79,7 +79,6 @@ from .lower import IntRef, Layout, PlanIR, Ref, layout, lower_fun, outer_release
 from .prims import _BINOPS, cast_to, unop_fn
 from .values import coerce_arg
 from .vector import (
-    _STATS_LOCK,
     INDEX_STATS,
     MEM_STATS,
     AccBV,
@@ -389,7 +388,7 @@ class _ClosureEmitter:
         dead = tuple(s for s, _ in ins.release)
         from . import kernels
 
-        kr = kernels.split_run(ins, self.lay, kernels.CANDIDATES)
+        kr = kernels.split_run(ins, self.lay)
         if kr is not None:
             self.kernel_runs[ins] = kr
             return self._emit_kernel_run(ins, kr, los, dead)
@@ -471,7 +470,7 @@ class Plan:
     runs before."""
 
     def __init__(self, fun: Fun, ir: Optional[PlanIR] = None, profile: bool = False) -> None:
-        with _obs_tracing.timed("emit", cat="compile", fun=fun.name):
+        with _obs_tracing.span("emit", cat="compile", fun=fun.name):
             if ir is None:
                 ir = lower_fun(fun)
             self.fun = fun
@@ -608,11 +607,10 @@ def plan_for(fun: Fun, args: Sequence[object]) -> Plan:
 def _count_plan(ir: PlanIR) -> None:
     """Add one emitted plan's static totals to the counters (under ``_LOCK``)."""
     PLAN_STATS["fused_stms"] += ir.fused
-    with _STATS_LOCK:
-        for k, n in ir.mem.items():
-            MEM_STATS[k] += n
-        for k, n in ir.index.items():
-            INDEX_STATS[k] += n
+    for k, n in ir.mem.items():
+        MEM_STATS.add(k, n)
+    for k, n in ir.index.items():
+        INDEX_STATS.add(k, n)
 
 
 def plan_cache_stats() -> Dict[str, object]:
@@ -629,16 +627,6 @@ def plan_cache_stats() -> Dict[str, object]:
             # view path and reads left as gathers, summed over the plans
             # emitted, and the view ops that fell back at run time.
             "index": dict(INDEX_STATS),
-            # Verification is per *lowering*, never per call: cache hits
-            # reuse the verified PlanIR, so these counters stand still on
-            # the hot path (tests/test_verify.py and the verification-cost
-            # guard in benchmarks/bench_ablations.py).
-            "verify": {
-                "mode": verify_mode(),
-                "plan_checks": VERIFY_STATS["plan_checks"],
-                "layout_checks": VERIFY_STATS["layout_checks"],
-                "kernel_checks": VERIFY_STATS["kernel_checks"],
-            },
         }
 
 
@@ -651,13 +639,13 @@ def clear_plan_cache() -> None:
 
 
 def reset_plan_cache_stats() -> None:
-    """Zero ``PLAN_STATS`` without dropping cached plans — the ``reset_*`` counterpart of the other stats surfaces,
-    registered with ``obs.reset_all()``."""
+    """Zero the counters without dropping cached plans — the ``reset_*``
+    counterpart of the other stats surfaces, registered with
+    ``obs.reset_all()``."""
     with _LOCK:
         PLAN_STATS.reset()
-        with _STATS_LOCK:
-            MEM_STATS.update(dict.fromkeys(MEM_STATS, 0))
-            INDEX_STATS.update(dict.fromkeys(INDEX_STATS, 0))
+        MEM_STATS.reset()
+        INDEX_STATS.reset()
 
 
 _obs_metrics.register_source("plan_cache", plan_cache_stats, reset_plan_cache_stats)

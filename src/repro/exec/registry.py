@@ -13,10 +13,12 @@ The backends, a fixed table built at import:
 * ``plan``  — the cached plan compiler (lower once, replay closures; under
   ``REPRO_PROFILE`` every closure, nested ones included, is timed — see
   ``obs/profiler.py``).
+
+An entry point's ``backend=`` keyword is the one selector: ``None`` means
+``DEFAULT_BACKEND``.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -29,7 +31,6 @@ from .plan import run_fun_plan
 __all__ = [
     "Backend",
     "get_backend",
-    "default_backend",
     "available_backends",
     "record_call",
     "DEFAULT_BACKEND",
@@ -46,7 +47,7 @@ def record_call(name: str) -> None:
     BACKEND_CALLS.add(name)
 
 
-#: Fallback default when ``REPRO_BACKEND`` is unset: the plan compiler —
+#: What ``backend=None`` runs on, at every entry point: the plan compiler —
 #: the paper's compiled-bulk-code executor, and with the plan cache the
 #: cheapest repeat-call path.  Semantics are identical across backends (the
 #: parity suite asserts it), so the default is purely a performance choice.
@@ -86,20 +87,6 @@ def get_backend(name: str) -> Backend:
             f"{', '.join(available_backends())}"
         )
     return be
-
-
-def default_backend() -> str:
-    """The session-default backend name, shared by every entry point.
-
-    ``REPRO_BACKEND`` selects it (read per call, so tests/operators can flip
-    it), falling back to ``DEFAULT_BACKEND``; either way the name is
-    validated against the registry so a typo fails loudly at the first
-    dispatch, naming the registered set.  ``Compiled.__call__``,
-    ``call_batched`` and the ``grad``/``value_and_grad``/``jacobian``/
-    ``hessian_diag`` wrappers all resolve ``backend=None`` through this one
-    function.
-    """
-    return get_backend(os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)).name
 
 
 def available_backends() -> Tuple[str, ...]:

@@ -60,12 +60,12 @@ per call.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.metrics import CounterGroup
 from ..util import ExecError
 from . import values as _values
 
@@ -195,23 +195,18 @@ def _mask_where(state, v: np.ndarray, k: int, neutral) -> np.ndarray:
 #: The memory plan's counters (the ``mem`` section of ``plan_cache_stats``):
 #: three static sizes summed over the plans emitted since the last reset, and
 #: one run-time count — donations of a buffer worth reusing whose check
-#: failed, so the op allocated.
-#: Every mutation holds ``_STATS_LOCK`` (users may run plans from their own threads).
-MEM_STATS = {"released_slots": 0, "run_local_releases": 0, "donating_ops": 0,
-             "donation_fallbacks": 0}
-#: The index counters (the ``index`` section of ``plan_cache_stats``), same
-#: discipline: how many ``index`` / indexed ``upd_acc`` ops of the plans
-#: emitted take the view path (``exec/lower.py:plan_counts``) and how many
-#: reads stay gathers and how many are contractions, plus the view ops and
-#: contractions that fell back at run time.
-INDEX_STATS = {"view_index_ops": 0, "view_updacc_ops": 0, "gather_index_ops": 0,
-               "contract_ops": 0, "view_fallbacks": 0}
-_STATS_LOCK = threading.Lock()
-
-
-def _count(stats: Dict[str, int], key: str) -> None:
-    with _STATS_LOCK:
-        stats[key] += 1
+#: failed, so the op allocated.  Unregistered groups: ``plan_cache_stats``
+#: shows and resets them.
+MEM_STATS = CounterGroup("mem", {"released_slots": 0, "run_local_releases": 0,
+                                 "donating_ops": 0, "donation_fallbacks": 0})
+#: The index counters (the ``index`` section of ``plan_cache_stats``): how
+#: many ``index`` / indexed ``upd_acc`` ops of the plans emitted take the
+#: view path (``exec/lower.py:plan_counts``) and how many reads stay gathers
+#: and how many are contractions, plus the view ops and contractions that
+#: fell back at run time.
+INDEX_STATS = CounterGroup("index", {"view_index_ops": 0, "view_updacc_ops": 0,
+                                     "gather_index_ops": 0, "contract_ops": 0,
+                                     "view_fallbacks": 0})
 
 
 def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
@@ -226,9 +221,14 @@ def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
 #: check is not worth its cost: ``malloc`` hands a just-released block
 #: straight back, so a fresh result is cheap.  Above it the check is a few
 #: attribute reads, the operands being lined up statically, and the donor's
-#: cache lines are hot where a fresh block's are cold (measured on the HAND
-#: Jacobian, 74 KB temporaries, one process alternating: 52.0 ms without
-#: donation, 48.7 ms with).
+#: cache lines are hot where a fresh block's are cold.  Donation serves the
+#: NumPy path.  With ``gcc`` present no hot call donates on the benchmark's
+#: four cached workloads (no ``out=`` write in 10 calls after 6 warm-ups):
+#: all of it happens in a plan's first two calls, before its kernel runs are
+#: compiled (k-means 18 writes, HAND 3,748, in 3 calls).  With no compiler it
+#: holds the hot step (bench sizes, 2-core box, medians of 20 alternating
+#: rounds, shipped floor vs. a floor above every buffer, shipped faster in
+#: 20/20): HAND Jacobian 46.1 vs 49.7 ms, k-means Newton 4.43 vs 8.42 ms.
 _DONATE_MIN_BYTES = 128 * 1024
 
 
@@ -256,7 +256,7 @@ def _elem_into(f, donate, k: int, datas: List[np.ndarray]) -> BV:
                 return BV(f(*datas, out=out), k)
         refused = True
     if refused:
-        _count(MEM_STATS, "donation_fallbacks")
+        MEM_STATS.add("donation_fallbacks")
     return BV(np.asarray(f(*datas)), k)
 
 
@@ -384,7 +384,7 @@ def _view(a: np.ndarray, ids: Sequence[np.ndarray], vt) -> Optional[np.ndarray]:
 
 
 def _view_fell_back() -> None:
-    _count(INDEX_STATS, "view_fallbacks")
+    INDEX_STATS.add("view_fallbacks")
 
 
 def _index(ad: np.ndarray, ids: List[np.ndarray], k: int, sels, vt) -> BV:

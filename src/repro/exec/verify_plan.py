@@ -638,9 +638,9 @@ class _LayoutChecker:
             self.kernel(ins, self.kernel_runs[ins], local)
 
     def kernel(self, ins: IRun, kr, local) -> None:
-        from .kernels import CANDIDATES, split_run
+        from .kernels import split_run
 
-        if getattr(split_run(ins, self.lay, CANDIDATES), "cpart", None) != kr.cpart:
+        if getattr(split_run(ins, self.lay), "cpart", None) != kr.cpart:
             self.fail("kernel partition is not the one its ops give", ins)
         for x, o in enumerate(ins.ops):
             if not kr.cpart[x] and any(isinstance(y, int) and kr.cpart[y] for y in o.xs):

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..exec.cost import Cost, CostRecorder
 from ..exec.interp import RefInterp
-from ..exec.registry import default_backend, get_backend, record_call
+from ..exec.registry import DEFAULT_BACKEND, get_backend, record_call
 from ..ir.ast import Body, Fun, Lambda, Map, Stm, Var, fact
 from ..ir.pretty import pretty
 from ..ir.types import array, elem_type, rank_of
@@ -41,9 +41,8 @@ __all__ = ["Compiled", "compile_fun", "batched_fun"]
 class Compiled:
     """A runnable IR function.
 
-    ``backend=None`` (default) resolves through the registry-level
-    ``default_backend()`` — ``REPRO_BACKEND`` or the plan compiler — so
-    every entry point in the system shares one default; a backend name
+    ``backend=None`` (default) runs on ``DEFAULT_BACKEND``, the plan
+    compiler, as every entry point in the system does; a backend name
     selects that executor explicitly (``ref``, ``plan``).
     ``cost()`` measures the cost-model counters of a run (reference
     interpretation).
@@ -79,7 +78,7 @@ class Compiled:
         return pretty(self.fun)
 
     def __call__(self, *args, backend: "str | None" = None):
-        be = get_backend(backend or default_backend())
+        be = get_backend(backend or DEFAULT_BACKEND)
         record_call(be.name)
         with _obs_tracing.span("call", cat="api", fun=self.fun.name, backend=be.name):
             res = be.run(self.fun, args)
@@ -98,12 +97,11 @@ class Compiled:
         Always returns a tuple of results, each with a leading ``batch_size``
         axis.
         """
-        name = backend or default_backend()
-        be = get_backend(name)
+        be = get_backend(backend or DEFAULT_BACKEND)
         fun = checked_batched_fun(self.fun, args, batched, batch_size)
-        record_call(name)
+        record_call(be.name)
         with _obs_tracing.span(
-            "call", cat="api", fun=self.fun.name, backend=name, batched=True
+            "call", cat="api", fun=self.fun.name, backend=be.name, batched=True
         ):
             return be.run(fun, args)
 

@@ -65,7 +65,6 @@ __all__ = [
     "verify_fun",
     "maybe_verify_fun",
     "verify_stats",
-    "reset_verify_stats",
 ]
 
 
@@ -123,12 +122,7 @@ def verify_stats() -> Dict[str, object]:
     return {**VERIFY_STATS, "mode": verify_mode()}
 
 
-def reset_verify_stats() -> None:
-    for k in VERIFY_STATS:
-        VERIFY_STATS[k] = 0
-
-
-_metrics.register_source("verify", verify_stats, reset_verify_stats)
+_metrics.register_source("verify", verify_stats, VERIFY_STATS.reset)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ Three pillars, one import:
 * :mod:`repro.obs.profiler` — ``REPRO_PROFILE``: an emit-time hook that
   times every plan-IR instruction at every depth, keyed to its source
   statements, and ranks the hotspots by self time.
-* :mod:`repro.obs.metrics` — one registry for counter sections and timers;
-  the historical stats surfaces (plan cache, opt, fusion)
-  are re-homed here, with :func:`snapshot`/:func:`reset_all`/
-  :func:`delta` as the single lifecycle.
+* :mod:`repro.obs.metrics` — one registry for counter sections; the
+  historical stats surfaces (plan cache, opt, fusion) are re-homed here,
+  with :func:`snapshot`/:func:`reset_all`/:func:`delta` as the single
+  lifecycle.
 
 Everything is zero-overhead when off: with ``REPRO_TRACE`` and
 ``REPRO_PROFILE`` unset, instrumented code paths pay a no-op span check only.
@@ -22,13 +22,12 @@ from typing import Any, Dict
 
 from . import metrics, tracing
 from .metrics import delta
-from .tracing import span, timed
+from .tracing import span
 
 __all__ = [
     "metrics",
     "tracing",
     "span",
-    "timed",
     "delta",
     "snapshot",
     "reset_all",
@@ -44,13 +43,13 @@ def _ensure_sources() -> None:
 
 
 def snapshot() -> Dict[str, Any]:
-    """One dict covering all stats surfaces and timers."""
+    """One dict covering all stats surfaces."""
     _ensure_sources()
     return metrics.snapshot()
 
 
 def reset_all() -> None:
-    """Zero every stats surface, the timers, the span buffer and
+    """Zero every stats surface, the span buffer and
     the profiler's accumulated instruction timings (each surface registers
     its ``reset_*`` with the metrics registry on import)."""
     _ensure_sources()

@@ -1,22 +1,21 @@
 """One metrics registry for the whole pipeline.
 
-Before this module existed each stats surface had its own lifecycle:
-``plan_cache_stats``/``clear_plan_cache`` (exec/plan), ``opt_stats``/
-``reset_opt_stats`` (opt/pipeline) and ``fusion_stats``/
-``reset_fusion_stats`` (opt/fusion).  Each module now *re-homes* its
-counters here, in one of two ways:
+Each stats surface — ``plan_cache_stats``/``clear_plan_cache``
+(exec/plan), ``opt_stats``/``reset_opt_stats`` (opt/pipeline),
+``fusion_stats``/``reset_fusion_stats`` (opt/fusion) and the rest — is a
+section here.  A section's counters are a ``CounterGroup`` (a ``dict``
+subclass, bumped with ``.add`` or ``STATS["hits"] += 1`` and zeroed with
+``.reset()``), the one counter kind in the library:
 
-* ``counter_group(name, initial)`` returns a ``CounterGroup`` — a plain
-  ``dict`` subclass, so existing ``STATS["hits"] += 1`` call sites keep
-  working unchanged — that the registry owns: it appears in
-  ``snapshot()`` and is zeroed by ``reset_all()``.
-* ``register_source(name, snapshot_fn, reset_fn)`` overrides (or adds)
-  the snapshot/reset pair for a section, for surfaces whose view is
-  richer than their raw counters (e.g. ``plan_cache_stats`` adds cache
-  entry counts and the memory / index / verify sections).
+* ``counter_group(name, initial)`` creates one and registers it as the
+  section ``name``: it appears in ``snapshot()`` and is zeroed by
+  ``reset_all()``.
+* ``register_source(name, snapshot_fn, reset_fn)`` makes a section a
+  derived view instead, for surfaces richer than one group (e.g.
+  ``plan_cache_stats`` adds the cache entry count and the unregistered
+  ``mem`` / ``index`` groups of ``exec/vector.py``).
 
-On top of that the registry keeps named timers (``observe``), which
-``tracing.timed`` feeds with every duration it measures.
+Time is not counted here: spans are the one timer (``tracing.phase_totals``).
 
 ``snapshot()`` returns one nested dict covering everything;
 ``delta(before, after)`` subtracts two snapshots recursively so tests
@@ -25,13 +24,12 @@ and benchmarks can attribute what a measured region changed.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 __all__ = [
     "CounterGroup",
     "counter_group",
     "register_source",
-    "observe",
     "snapshot",
     "reset_all",
     "delta",
@@ -61,16 +59,14 @@ class CounterGroup(dict):
             self[key] = self.get(key, 0) + n
 
     def reset(self) -> None:
-        for k in [k for k in self if k not in self._initial]:
-            del self[k]
-        for k, v in self._initial.items():
-            self[k] = v
+        with _LOCK:
+            for k in [k for k in self if k not in self._initial]:
+                del self[k]
+            self.update(self._initial)
 
 
 # section name -> (snapshot_fn, reset_fn)
 _SECTIONS: Dict[str, Tuple[Callable[[], Any], Callable[[], None]]] = {}
-
-_TIMERS: Dict[str, List[float]] = {}  # name -> [count, seconds]
 
 
 def counter_group(name: str, initial: Dict[str, Any]) -> CounterGroup:
@@ -92,23 +88,11 @@ def register_source(name: str, snapshot_fn: Callable[[], Any], reset_fn: Callabl
         _SECTIONS[name] = (snapshot_fn, reset_fn)
 
 
-def observe(name: str, seconds: float) -> None:
-    """Record one observation into the timer ``name``."""
-    with _LOCK:
-        cell = _TIMERS.get(name)
-        if cell is None:
-            cell = _TIMERS[name] = [0, 0.0]
-        cell[0] += 1
-        cell[1] += seconds
-
-
 def snapshot() -> Dict[str, Any]:
-    """One nested dict covering every registered section plus the timers."""
+    """One nested dict covering every registered section."""
     with _LOCK:
         sections = list(_SECTIONS.items())
-        out: Dict[str, Any] = {
-            "timers": {k: {"count": c, "seconds": s} for k, (c, s) in _TIMERS.items()},
-        }
+    out: Dict[str, Any] = {}
     # Section snapshots run outside the registry lock: they may take the
     # owning module's lock, and the reverse ordering must stay impossible.
     for name, (snap, _) in sections:
@@ -117,10 +101,9 @@ def snapshot() -> Dict[str, Any]:
 
 
 def reset_all() -> None:
-    """Zero every registered section and the timers."""
+    """Zero every registered section."""
     with _LOCK:
         sections = list(_SECTIONS.values())
-        _TIMERS.clear()
     for _, reset in sections:
         reset()
 

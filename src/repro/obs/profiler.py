@@ -128,7 +128,7 @@ def timer(fun) -> Callable:
         meta = (_label_of(ins.prov, ins.kind), ins.kind, getattr(ins, "strategy", None),
                 depth, fun.name, *plan_counts((ins,)))
 
-        def timed_ins(eng, _c=closure):
+        def run_timed(eng, _c=closure):
             frames = _STACK.frames
             frames.append(0.0)
             t0 = time.perf_counter()
@@ -150,7 +150,7 @@ def timer(fun) -> Callable:
                     rec.self += dt - inner
                     rec.kernel_calls += ran is True
 
-        return timed_ins
+        return run_timed
 
     return wrap
 

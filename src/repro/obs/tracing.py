@@ -14,10 +14,8 @@ and an environment-dict lookup.  Tracing activates either explicitly
 variable, which — like every other knob in this repo — is re-read per
 call so tests can monkeypatch it.
 
-``timed()`` is the migration target for the pipeline's historical
-``time.perf_counter()`` bookkeeping: it *always* measures (exposing
-``.seconds`` and feeding a registry timer) and additionally records a
-trace event when tracing is on.
+Spans are the library's one timer: ``phase_totals()`` sums their seconds
+per name.
 """
 from __future__ import annotations
 
@@ -29,11 +27,8 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from . import metrics
-
 __all__ = [
     "span",
-    "timed",
     "enable",
     "disable",
     "active",
@@ -223,40 +218,6 @@ def span(name: str, cat: str = "phase", **args: Any):
     if st is None:
         return _NULL
     return Span(st, name, cat, args)
-
-
-class Timed:
-    """A span that always measures, for call sites that need the number.
-
-    ``.seconds`` is valid after the block; the duration also lands in
-    the metrics timer ``name`` and — when tracing is on — in the trace
-    buffer like any other span.
-    """
-
-    __slots__ = ("name", "cat", "args", "t0", "seconds", "_sp")
-
-    def __init__(self, name: str, cat: str, args: Dict[str, Any]):
-        self.name = name
-        self.cat = cat
-        self.args = args
-        self.seconds = 0.0
-
-    def __enter__(self) -> "Timed":
-        st = active()
-        self._sp = Span(st, self.name, self.cat, self.args).__enter__() if st else None
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self.seconds = time.perf_counter() - self.t0
-        if self._sp is not None:
-            self._sp.__exit__(*exc)
-        metrics.observe(self.name, self.seconds)
-        return False
-
-
-def timed(name: str, cat: str = "phase", **args: Any) -> Timed:
-    return Timed(name, cat, args)
 
 
 def events() -> List[Dict[str, Any]]:

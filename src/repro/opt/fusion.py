@@ -104,9 +104,6 @@ def reset_fusion_stats() -> None:
     FUSE_STATS.reset()
 
 
-_obs_metrics.register_source("fusion", fusion_stats, reset_fusion_stats)
-
-
 def _uses_in_body(stms: List[Stm], result) -> Dict[str, int]:
     """Total number of syntactic uses of each name in a body (a statement
     counts once per name, nested bodies included)."""

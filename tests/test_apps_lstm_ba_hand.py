@@ -219,19 +219,17 @@ def _via_lstm():
 @pytest.mark.parametrize(
     "build", [_via_seeding, _via_hand, _via_ba, _via_lstm], ids=lambda f: f.__name__[5:]
 )
-def test_seeded_entry_points_follow_repro_backend(build, monkeypatch):
-    """``backend=None`` resolves through ``default_backend()``: under
-    ``REPRO_BACKEND=ref`` the pass runs on ``ref`` and builds no plan, and
-    agrees with the ``plan`` result."""
+def test_seeded_entry_points_pass_the_backend_through(build):
+    """``backend="ref"`` reaches the seeded pass: it runs on ``ref``, builds
+    no plan, and agrees with the ``plan`` result."""
     from repro import obs
     from repro.exec.plan import clear_plan_cache
 
     call = build()
     want = call(backend="plan")
-    monkeypatch.setenv("REPRO_BACKEND", "ref")
     clear_plan_cache()
     before = obs.snapshot()["backend_calls"]
-    got = call()
+    got = call(backend="ref")
     calls = obs.delta(before, obs.snapshot()["backend_calls"])
     assert calls.get("ref", 0) >= 1 and not calls.get("plan"), calls
     for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):

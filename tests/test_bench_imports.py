@@ -69,11 +69,10 @@ def test_bench_gate_imports_resolve():
 
 def test_common_exposes_plan_backend_wiring():
     common = importlib.import_module("common")
-    from repro.exec.registry import available_backends, default_backend
+    from repro.exec.registry import DEFAULT_BACKEND
 
-    # "ours" rows run on the session default (``REPRO_BACKEND``, as everywhere)
-    assert common.BENCH_BACKEND in available_backends()
-    assert common.BENCH_BACKEND == default_backend()
+    # "ours" rows run on the library default, the plan compiler
+    assert common.BENCH_BACKEND == DEFAULT_BACKEND == "plan"
 
 
 def test_opt_stats_shape_for_bench_ablations():

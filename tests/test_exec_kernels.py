@@ -141,8 +141,9 @@ def test_compiled_runs_are_bitwise_numpy_on_the_fuzz_corpus_and_battery(hot, twi
     assert got == want
     assert twin and all(sa == sb and same for _ran, sa, sb, same in twin)
     assert plan_cache_stats()["promotions"] > 0
-    if plan_cache_stats()["verify"]["mode"] != "off":
-        assert plan_cache_stats()["verify"]["kernel_checks"] > 0
+    verify = obs.snapshot()["verify"]
+    if verify["mode"] != "off":
+        assert verify["kernel_checks"] > 0
     if HAVE_GCC:
         assert sum(ran for ran, *_ in twin) > len(twin) // 2
         assert plan_cache_stats()["kernel_fallbacks"] == 0

@@ -75,10 +75,10 @@ def test_an_unknown_backend_is_not_counted_as_called():
 
 
 @pytest.mark.parametrize("name", ["shard", "codegen"])
-def test_removed_backend_name_fails_loudly(name, monkeypatch):
+def test_removed_backend_name_fails_loudly(name):
     """``shard`` and ``codegen`` are gone: the keyword on ``Compiled``,
-    ``grad`` and ``jacobian``, and ``REPRO_BACKEND``, all get the
-    unknown-backend error listing what is registered."""
+    ``grad`` and ``jacobian`` gets the unknown-backend error listing what is
+    registered."""
     fc = rp.compile(rp.trace_like(lambda v: rp.sum(rp.map(lambda x: x * x, v)), (np.ones(3),)))
     want = rf"unknown backend '{name}'; registered backends: ref, plan$"
     calls = (fc, rp.grad(fc), rp.jacobian(rp.compile(
@@ -86,7 +86,3 @@ def test_removed_backend_name_fails_loudly(name, monkeypatch):
     for call in calls:
         with pytest.raises(ReproError, match=want):
             call(np.ones(3), backend=name)
-    monkeypatch.setenv("REPRO_BACKEND", name)
-    for call in calls:
-        with pytest.raises(ReproError, match=want):
-            call(np.ones(3))

@@ -8,6 +8,8 @@ the metrics registry's snapshot/delta/reset lifecycle, and the tracing-off
 overhead guard.
 """
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.exec.plan import (
     plan_cache_stats,
     reset_plan_cache_stats,
 )
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from test_fuzz_programs import _gen_program
 
 
@@ -34,7 +36,6 @@ def _clean_tracer(monkeypatch):
     """Every test starts with tracing off and no stale REPRO_* knobs."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     tracing.disable()
     yield
     tracing.disable()
@@ -147,8 +148,7 @@ def test_repro_trace_exports_chrome_json(tmp_path, monkeypatch):
     assert opts and all(a["rounds"] >= 1 and isinstance(a["converged"], bool) for a in opts)
 
 
-def test_tracing_under_the_repro_backend_default(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "plan")
+def test_tracing_under_the_default_backend():
     xs = np.linspace(-1.0, 1.0, 16)
     fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_env_demo"))
     clear_plan_cache()
@@ -415,17 +415,19 @@ def test_write_profile_json(tmp_path, monkeypatch):
 
 
 def test_metrics_snapshot_delta_roundtrip():
-    metrics.observe("obs_test_timer", 0.25)
+    xs = np.linspace(0.0, 1.0, 8)
+    fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_delta_demo"))
+    fc(xs, backend="ref")
     before = obs.snapshot()
-    metrics.observe("obs_test_timer", 0.5)
+    fc(xs, backend="ref")
     after = obs.snapshot()
     d = obs.delta(before, after)
-    assert d["timers"]["obs_test_timer"] == {"count": 1, "seconds": 0.5}
+    assert d["backend_calls"]["ref"] == 1
     # round-trip: applying the delta to `before` reproduces `after`
-    for k, v in after["timers"]["obs_test_timer"].items():
-        assert before["timers"]["obs_test_timer"][k] + d["timers"]["obs_test_timer"][k] == v
-    # the free-standing labelled counters and gauges are gone
-    assert "counters" not in after and "gauges" not in after
+    for k, v in after["backend_calls"].items():
+        assert before["backend_calls"].get(k, 0) + d["backend_calls"][k] == v
+    # spans are the one timer; the labelled counters and gauges are gone too
+    assert not {"timers", "counters", "gauges"} & set(after)
 
 
 def test_snapshot_covers_all_stats_surfaces():
@@ -487,6 +489,38 @@ def test_donation_fallbacks_count_refused_large_buffers(monkeypatch):
     assert plan_cache_stats()["mem"]["donation_fallbacks"] == len(cases)
 
 
+def test_run_time_counters_lose_no_increment_across_threads():
+    """The run-time ``mem`` / ``index`` counters are bumped from users' own
+    threads: more threads than cores, a short switch interval, every
+    increment lands."""
+    from repro.exec import vector
+
+    reset_plan_cache_stats()
+    nthreads, niter = 6, 10000
+    start = threading.Barrier(nthreads)
+
+    def work():
+        start.wait(timeout=30)
+        for _ in range(niter):
+            vector._view_fell_back()
+            vector.MEM_STATS.add("donation_fallbacks")
+
+    threads = [threading.Thread(target=work) for _ in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    st = plan_cache_stats()
+    assert st["index"]["view_fallbacks"] == st["mem"]["donation_fallbacks"] == nthreads * niter
+    reset_plan_cache_stats()
+
+
 def test_reset_plan_cache_stats_keeps_plans():
     xs = np.linspace(0.0, 1.0, 8)
     fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_reset_demo"))
@@ -500,20 +534,48 @@ def test_reset_plan_cache_stats_keeps_plans():
     assert st["entries"] >= 1  # counters cleared, cached plans kept
 
 
-def test_reset_all_zeroes_every_surface():
-    xs = np.linspace(0.0, 1.0, 8)
-    fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_resetall_demo"))
-    fc(xs, backend="plan")
-    metrics.observe("obs_resetall_timer", 0.5)
+def _numeric_leaves(d, path=""):
+    for k, v in d.items():
+        if isinstance(v, dict):
+            yield from _numeric_leaves(v, f"{path}{k}.")
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield f"{path}{k}", v
+
+
+def test_reset_all_zeroes_every_surface(monkeypatch):
+    """A program that bumps the ``mem``, ``index``, ``verify``, ``fusion``,
+    ``fission`` and ``backend_calls`` counters; the plan cache's ``mem`` /
+    ``index`` are the snapshot's copies; ``reset_all`` zeroes every numeric
+    leaf but the cache's size (it keeps the plans) and drops the spans."""
+
+    def f(xs, ys):
+        a, b = rp.reduce(lambda a, da, b, db: (a + b, da + db), (0.0, 0.0),
+                         rp.map(lambda x: x * x, xs), ys)
+        return a * b + rp.sum(rp.map(lambda i: xs[i], rp.iota(3)))
+
+    monkeypatch.setenv("REPRO_VERIFY", "boundary")
+    xs, ys = np.linspace(0.0, 1.0, 8), np.linspace(1.0, 2.0, 8)
+    obs.reset_all()
+    fc = rp.compile(rp.trace_like(f, (xs, ys), name="obs_resetall_demo"))
+    fc(xs, ys, backend="plan")
     tracing.enable()
     with tracing.span("x"):
         pass
-    obs.reset_all()
     snap = obs.snapshot()
-    for k in ("hits", "misses", "specialized_hits", "promotions"):
-        assert snap["plan_cache"][k] == 0
-    assert all(v == 0 for v in snap["backend_calls"].values())
-    assert snap["timers"] == {}
+    bumped = {
+        "mem": snap["plan_cache"]["mem"]["released_slots"],
+        "index": snap["plan_cache"]["index"]["view_index_ops"],
+        "verify": snap["verify"]["fun_checks"],
+        "fusion": snap["fusion"]["vertical"],
+        "fission": snap["fission"]["split"],
+        "backend_calls": snap["backend_calls"]["plan"],
+    }
+    assert all(bumped.values()), bumped
+    for k in ("mem", "index"):
+        assert plan_cache_stats()[k] == snap["plan_cache"][k]
+    obs.reset_all()
+    left = [p for p, v in _numeric_leaves(obs.snapshot()) if v]
+    assert left == ["plan_cache.entries"], left
     assert tracing.phase_totals() == {}
 
 

@@ -12,7 +12,6 @@ import pytest
 import repro as rp
 from repro import obs
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
-from repro.exec.registry import default_backend
 from repro.util import BoundedLRU, ReproError
 from helpers import PLAN_LEGS
 
@@ -119,8 +118,9 @@ def test_a_second_call_batched_with_the_same_flags_is_one_cache_hit():
 
 
 def _emits():
-    """Plan bodies emitted so far (the metrics timer ``emit``)."""
-    return obs.snapshot()["timers"].get("emit", {}).get("count", 0)
+    """Plan bodies emitted so far: ``plan_for`` is the only emitter in these
+    tests, and it emits once per miss, under its lock."""
+    return plan_cache_stats()["misses"]
 
 
 @pytest.mark.parametrize("backend", PLAN_LEGS)
@@ -234,34 +234,44 @@ def test_bounded_lru_default_is_returned_on_miss():
 
 
 # ---------------------------------------------------------------------------
-# Registry-level default backend (REPRO_BACKEND)
+# The backend selector: ``backend=``, ``None`` meaning the plan compiler
 # ---------------------------------------------------------------------------
 
 
-def test_default_backend_honours_env_and_validates(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert default_backend() == "plan"
-    monkeypatch.setenv("REPRO_BACKEND", "ref")
-    assert default_backend() == "ref"
-    monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
-    with pytest.raises(ReproError, match="registered backends"):
-        default_backend()
-
-
-def test_all_entry_points_share_the_default(monkeypatch):
+def _entry_points():
     def f(v):
         return rp.sum(rp.map(lambda x: x * x, v))
 
     fc = rp.compile(rp.trace_like(f, (np.ones(3),)))
-    x = np.arange(3.0)
-    g = rp.grad(fc)
-    h = rp.hessian_diag(fc)
     j = rp.jacobian(rp.compile(rp.trace_like(lambda v: rp.map(lambda a: a * a, v), (np.ones(3),))))
-    monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
-    for call in (lambda: fc(x), lambda: g(x), lambda: h(x), lambda: j(x)):
+    return fc, rp.grad(fc), rp.hessian_diag(fc), j
+
+
+def test_all_entry_points_share_the_default():
+    fc, g, h, j = _entry_points()
+    x = np.arange(3.0)
+    for call in (fc, g, h, j):
         with pytest.raises(ReproError, match="registered backends"):
-            call()
-    monkeypatch.setenv("REPRO_BACKEND", "ref")
+            call(x, backend="not-a-backend")
+    np.testing.assert_allclose(fc(x, backend="ref"), 5.0)
+    np.testing.assert_allclose(g(x, backend="ref"), 2 * x)
+    np.testing.assert_allclose(h(x, backend="ref"), 2 * np.ones(3))
+    np.testing.assert_allclose(j(x, backend="ref"), np.diag(2 * x))
     np.testing.assert_allclose(fc(x), 5.0)
     np.testing.assert_allclose(g(x), 2 * x)
     np.testing.assert_allclose(h(x), 2 * np.ones(3))
+
+
+def test_repro_backend_in_the_environment_is_ignored(monkeypatch):
+    """``backend=`` is the one selector: with ``REPRO_BACKEND=ref`` set,
+    ``backend=None`` still runs ``plan`` at every entry point."""
+    fc, g, h, j = _entry_points()
+    x = np.arange(3.0)
+    monkeypatch.setenv("REPRO_BACKEND", "ref")
+    clear_plan_cache()
+    before = obs.snapshot()["backend_calls"]
+    for call in (fc, g, h, j, rp.value_and_grad(fc)):
+        call(x)
+    calls = obs.delta(before, obs.snapshot()["backend_calls"])
+    assert calls.get("plan", 0) >= 5 and not calls.get("ref"), calls
+    assert plan_cache_stats()["misses"] >= 5
