@@ -14,8 +14,18 @@ Loops are built per plan, not per run: from the call before the plan's
 ``plan.HOT_CALLS``-th, a kernel-run call whose pattern has no loop yet runs
 NumPy and queues it (``kernel``), and the plan's next call compiles all it
 queued as one unit, in one compiler call and one load (``build``), so the
-C parts run compiled from the ``HOT_CALLS``-th call.  ``-O2
--ffp-contract=off`` and a probe (``whitelist``) keep results bitwise."""
+C parts run compiled from the ``HOT_CALLS``-th call.
+
+gcc vectorises the loops at the host's width (``_FLAGS``: ``-O2
+-ftree-vectorize -fvect-cost-model=dynamic -march=native``).  A run's many
+pointers would need more run-time alias checks than gcc makes, so ``_loops``
+marks each innermost loop ``#pragma GCC ivdep``.  That is sound: a loop
+writes only exports and temporaries the launcher has just allocated, and
+reads only the read-only inputs and the buffers of loops over a strict subset
+of its axes, which are emitted first (``_loops`` asserts it), so no iteration
+reads what another writes.  ``-ffp-contract=off`` (``-march=native`` brings
+FMA, which rounds once where NumPy rounds twice) and a probe (``whitelist``)
+keep results bitwise."""
 from __future__ import annotations
 
 import atexit
@@ -53,6 +63,8 @@ CANDIDATES = frozenset(_C_EXPR)
 KernelRun = namedtuple("KernelRun", "cpart inputs exports code")
 _PROBE_CODE = tuple((i, op, (("in", 0), ("in", 1))[:1 + (op in _BINOPS)])
                     for i, op in enumerate(sorted(CANDIDATES)))
+#: A loop function's C signature (``_LAUNCHER``'s ``loops_t``).
+_SIG = "void loops(const char *const *p, const ptrdiff_t *s, const ptrdiff_t *n, double *const *t)"
 #: ``whitelist``'s loops: every candidate on inputs ``x`` (and ``y``).
 _PROBE = KernelRun((), ((0, 1), (1, 1)), tuple((i, 0, 1) for i, *_ in _PROBE_CODE), _PROBE_CODE)
 
@@ -94,7 +106,8 @@ def _axes(bits: int) -> List[int]:
 
 def _loops(kr: KernelRun, pats) -> tuple:
     """The C of ``kr``'s loops for inputs varying along axes ``pats[j]``
-    (bit ``a``: axis ``a``), and ``_LAUNCHER``'s tables for it."""
+    (bit ``a``: axis ``a``), and ``_LAUNCHER``'s tables for it: one loop nest
+    per class (the axes an op varies along), its innermost loop ``ivdep``."""
     depth = max([1] + [b for _y, b in kr.inputs])
     cls: Dict[int, int] = {}
     for x, _op, args in kr.code:
@@ -105,29 +118,34 @@ def _loops(kr: KernelRun, pats) -> tuple:
     temps = sorted({y for x, _op, args in kr.code for kind, y in args
                     if kind == "op" and cls[y] not in (0, cls[x]) and y not in out})
     buf = {x: i for i, x in enumerate(out + temps)}
+    done: set = set()  # the classes emitted so far
 
     def at(c):
         return " + ".join(f"i{a} * c{c}_{a}" for a in _axes(c)) or "0"
 
     def arg(a, c):
         kind, v = a
-        if kind == "op":
-            return f"v{v}" if cls[v] in (0, c) else f"t[{buf[v]}][{at(cls[v])}]"
+        if kind == "op" and cls[v] in (0, c):
+            return f"v{v}"
+        if kind == "op":  # ivdep's premise: a buffer a strict-subset class already wrote
+            assert cls[v] in done and cls[v] & c == cls[v], (cls[v], c)
+            return f"t[{buf[v]}][{at(cls[v])}]"
         off = "".join(f" + i{b} * s[{v * depth + b}]" for b in _axes(pats[v]))
         return f"(*(const double *)(p[{v}]{off}))"
 
-    L = ["void loops(const char *const *p, const ptrdiff_t *s, const ptrdiff_t *n, "
-         "double *const *t) {"]
+    L = [_SIG + " {"]
     for c in sorted(set(cls.values()), key=lambda c: (bin(c).count("1"), c)):
         ax = _axes(c)
         L += [f"const ptrdiff_t c{c}_{a} = 1{''.join(f' * n[{b}]' for b in ax[m + 1:])};"
               for m, a in enumerate(ax)]
         L += [f"for (ptrdiff_t i{a} = 0; i{a} < n[{a}]; i{a}++) {{" for a in ax]
+        L[-1:-1] = ["#pragma GCC ivdep"] if ax else []
         for x, op, args in kr.code:
             if cls[x] == c:
                 L.append(f"const double v{x} = {_C_EXPR[op].format(*(arg(a, c) for a in args))};")
                 L += [f"t[{buf[x]}][{at(c)}] = v{x};"] if x in buf else []
         L += ["}"] * len(ax)
+        done.add(c)
     tables = ([b for _y, b in kr.inputs] + list(pats) + [k for *_c, k in kr.exports]
               + [depth] * len(temps) + [cls[x] for x in out + temps])
     return "\n".join(L) + "\n}\n", (depth, len(kr.inputs), out, temps, tables)
@@ -137,7 +155,8 @@ def _loops(kr: KernelRun, pats) -> tuple:
 #: checks each input's depth and pattern against ``tables`` (``_loops``),
 #: allocates the exports and temporaries at the shapes they give, and calls
 #: the compiled ``loops`` at ``addr``; ``None`` for a call they do not fit.
-#: ``probe`` is the address of ``whitelist``'s loops, compiled with it.
+#: ``probe`` is the address of ``whitelist``'s loops, compiled with it: one
+#: loop per candidate, so that gcc vectorises each one it finds worth it.
 _LAUNCHER = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -205,6 +224,11 @@ _LOCK = threading.RLock()
 #: it will not build.
 _BUILT: Dict[str, object] = {}
 _HEADER = "#include <math.h>\n#include <stddef.h>\n"
+#: Vectorised at the host's width (``_loops``' ``ivdep``), never contracted to
+#: FMAs, which round once where NumPy rounds twice; gcc names each loop it
+#: vectorised (``_gcc`` counts them).
+_FLAGS = ("-O2", "-ftree-vectorize", "-fvect-cost-model=dynamic", "-march=native",
+          "-ffp-contract=off", "-fopt-info-vec-optimized")
 #: ``kernel``'s mark for an input pattern queued for its plan's next build.
 _QUEUED = object()
 
@@ -223,9 +247,9 @@ def _once(key: str, make, *args):
 
 
 def _gcc(name: str, src: str, *flags: str, loops: int = 0) -> Optional[str]:
-    """The shared object compiled from C ``src`` (``loops`` loop functions), or
-    ``None`` (no ``gcc``, a failed compile); ``OSError`` when its files cannot
-    be written."""
+    """The shared object compiled from C ``src`` (``loops`` loop functions, whose
+    vectorised loops it counts), or ``None`` (no ``gcc``, a failed compile);
+    ``OSError`` when its files cannot be written."""
     if shutil.which("gcc") is None:
         return None
     if "dir" not in _BUILT:
@@ -236,15 +260,24 @@ def _gcc(name: str, src: str, *flags: str, loops: int = 0) -> Optional[str]:
         fh.write(src)
     with _span("kernel_build", cat="compile", loops=loops):
         t0 = time.perf_counter()
-        done = subprocess.run(["gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared", *flags,
-                               path + ".c", "-o", path + ".so", "-lm"], capture_output=True)
+        done = subprocess.run(["gcc", *_FLAGS, "-fPIC", "-shared", *flags, path + ".c",
+                               "-o", path + ".so", "-lm"], capture_output=True)
         PLAN_STATS.add("kernel_compile_s", time.perf_counter() - t0)
     PLAN_STATS.add("kernel_builds")
-    return path + ".so" if done.returncode == 0 else None
+    if done.returncode:
+        return None
+    if loops:  # each source loop once, however many vector versions gcc made of it
+        PLAN_STATS.add("kernel_vector_loops", len({
+            ln.split(b": ")[0] for ln in done.stderr.splitlines() if b"loop vectorized" in ln}))
+    return path + ".so"
 
 
 def _launcher():
-    src = _LAUNCHER.replace("@PROBE@", _HEADER + _loops(_PROBE, (1, 1))[0])
+    ops = [_loops(KernelRun((), _PROBE.inputs, (e,), (c,)), (1, 1))[0].replace(
+               "void loops(", f"static void probe{j}(", 1)
+           for j, (c, e) in enumerate(zip(_PROBE.code, _PROBE.exports))]
+    calls = "".join(f"probe{j}(p, s, n, t + {j});\n" for j in range(len(ops)))
+    src = _LAUNCHER.replace("@PROBE@", _HEADER + "".join(ops) + f"{_SIG} {{\n{calls}}}\n")
     name = "_repro_launch_" + hashlib.sha256(src.encode()).hexdigest()[:16]
     so = _gcc(name, src.replace("@NAME@", name), "-I", np.get_include(),
               "-I", sysconfig.get_paths()["include"])
@@ -302,8 +335,9 @@ def whitelist() -> frozenset:
     """The ``CANDIDATES`` whose C is bitwise the NumPy function plans call
     (``_NUMPY``) on every pair of special values (signed zeros and
     infinities, NaN, subnormals, extremes, large arguments) and a fixed
-    spread, through contiguous and strided calls; kept for the process (empty
-    when no probe builds)."""
+    spread, through contiguous and strided calls of loops built with the
+    loops' flags (4,420 values: a vector remainder too); kept for the
+    process (empty when no probe builds)."""
     with _LOCK, np.errstate(all="ignore"):
         if "whitelist" in _BUILT:
             return _BUILT["whitelist"]

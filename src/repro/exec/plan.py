@@ -543,9 +543,10 @@ class Plan:
 #: construction one per rank/dtype signature) or ``hits``; ``evictions``
 #: counts LRU drops and ``fused_stms`` scalar statements collapsed into fused
 #: run closures; ``promotions`` plans with kernel runs that got hot, ``kernels`` /
-#: ``kernel_builds`` / ``kernel_compile_s`` loops compiled, compiler calls and their
-#: seconds, ``kernel_fallbacks`` hot kernel-run calls that ran NumPy with no build
-#: queued.  ``specialized_hits``: always 0 (``bench`` reads it).
+#: ``kernel_vector_loops`` / ``kernel_builds`` / ``kernel_compile_s`` loops compiled,
+#: loops gcc vectorised, compiler calls and their seconds, ``kernel_fallbacks`` hot
+#: kernel-run calls that ran NumPy with no build queued.  ``specialized_hits``:
+#: always 0 (``bench`` reads it).
 PLAN_STATS = _obs_metrics.counter_group(
     "plan_cache",
     {
@@ -555,7 +556,8 @@ PLAN_STATS = _obs_metrics.counter_group(
         "promotions": 0,
         "evictions": 0,
         "fused_stms": 0,
-        "kernels": 0, "kernel_builds": 0, "kernel_compile_s": 0.0, "kernel_fallbacks": 0,
+        "kernels": 0, "kernel_vector_loops": 0, "kernel_builds": 0, "kernel_compile_s": 0.0,
+        "kernel_fallbacks": 0,
     },
 )
 

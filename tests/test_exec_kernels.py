@@ -311,7 +311,8 @@ def test_kernel_counters_and_profile_rows(hot, monkeypatch):
     a profiled run that ran in C says so in its row."""
     from repro.obs import profiler
 
-    for key in ("kernels", "kernel_builds", "kernel_compile_s", "kernel_fallbacks", "promotions"):
+    for key in ("kernels", "kernel_vector_loops", "kernel_builds", "kernel_compile_s",
+                "kernel_fallbacks", "promotions"):
         assert key in plan_cache_stats() and key in obs.snapshot()["plan_cache"]
     monkeypatch.setenv("REPRO_PROFILE", "1")
     profiler.reset_profile()
@@ -487,3 +488,93 @@ def test_a_traced_hot_call_shows_its_one_build(warm, tmp_path, monkeypatch):
         assert evs[b]["cat"] == "compile" and evs[b]["args"]["loops"] == warm[0] >= 10
         ex = max(i for i, e in enumerate(evs[:b]) if e["name"] == "execute" and e["ph"] == "B")
         assert not any(e["name"] == "execute" for e in evs[ex + 1:b])
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 2.2e-308, 1.7e308,
+                     1e22, -4e9, np.pi, 1e-8, -1.0])
+
+
+def _one_loop(ops, depth):
+    """A kernel run computing each of ``ops`` on inputs ``x`` (and ``y``) of
+    batch depth ``depth``, every result exported."""
+    code = tuple((i, op, (("in", 0), ("in", 1))[:1 + (op in kernels._BINOPS)])
+                 for i, op in enumerate(ops))
+    return kernels.KernelRun((), ((0, depth), (1, depth)),
+                             tuple((i, i, depth) for i in range(len(ops))), code)
+
+
+def _views(n, depth):
+    """Input pairs of extent ``n`` (rows of ``4`` at depth 2): contiguous,
+    reversed, a stride-0 broadcast, a stride-24 view (at depth 2 HAND's
+    ``(0, 24)`` strides) and one buffer passed as both inputs."""
+    rng = np.random.default_rng(n)
+    base = np.resize(np.r_[_SPECIAL, rng.standard_normal(3 * n) * 1e3], 3 * n)
+    x, y = base[:n], np.resize(np.r_[_SPECIAL[::-1], rng.standard_normal(n)], n)
+    pairs = {"contiguous": (x, y), "reversed": (x[::-1], y[::-1]),
+             "broadcast": (np.broadcast_to(x[n // 2], (n,)), y), "stride24": (base[::3], y),
+             "aliased": (x, x)}
+    if depth == 2:
+        pairs = {k: (np.broadcast_to(a, (4, n)), np.broadcast_to(b, (4, n)))
+                 for k, (a, b) in pairs.items()}
+        pairs["aliased"] = (pairs["aliased"][0],) * 2
+        pairs["rows"] = (np.broadcast_to(x, (4, n)), rng.standard_normal((4, n))[:, ::-1])
+    return pairs
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_vectorised_loops_are_bitwise_numpy_at_every_remainder_and_view(warm, depth):
+    """Every candidate in a compiled loop, each extent leaving a different
+    vector remainder, through reversed, broadcast, strided and aliased
+    inputs: the bits of the NumPy function plans call.  The arithmetic ops
+    share one loop, which gcc vectorises (a loop calling ``sin`` / ``cos`` /
+    ``sqrt`` it leaves scalar, so those get one loop each)."""
+    arith = tuple(sorted(kernels.CANDIDATES - {"sin", "cos", "sqrt"}))
+    runs = [arith, ("sin",), ("cos",), ("sqrt",)]
+    vector_loops = plan_cache_stats()["kernel_vector_loops"]
+    for n in (1, 3, 7, 9, 17, 1000):
+        for name, (x, y) in _views(n, depth).items():
+            pats = tuple(sum(1 << a for a, e in enumerate(d.shape) if e != 1) for d in (x, y))
+            fns = kernels._build([(_one_loop(ops, depth), pats) for ops in runs])
+            assert all(fn is not None for fn in fns) == HAVE_GCC
+            for ops, fn in zip(runs, fns if HAVE_GCC else ()):
+                got = fn([x, y])
+                assert got is not None, (n, name, ops)
+                with np.errstate(all="ignore"):
+                    for op, g in zip(ops, got):
+                        want = np.asarray(kernels._NUMPY[op](*(x, y)[:1 + (op in kernels._BINOPS)]))
+                        assert g.shape == want.shape, (n, name, op)
+                        assert np.array_equal(g.view(np.uint64), want.view(np.uint64)), \
+                            (n, name, op)
+    if HAVE_GCC:
+        assert plan_cache_stats()["kernel_vector_loops"] > vector_loops
+
+
+def _classes_run():
+    """``sin(x)`` along axis 0 (a temporary), times ``y`` along axis 1."""
+    return kernels.KernelRun((), ((0, 2), (1, 2)), ((1, 1, 2),),
+                             ((0, "sin", (("in", 0),)), (1, "mul", (("op", 0), ("in", 1)))))
+
+
+def test_a_loop_emitted_before_a_class_it_reads_trips_the_ivdep_premise(monkeypatch):
+    """``_loops`` marks each innermost loop ``ivdep``, and asserts the premise:
+    a loop reads only buffers that loops over a strict subset of its axes
+    wrote before it.  Emitting the classes in reverse breaks it."""
+    src, _tables = kernels._loops(_classes_run(), (1, 2))
+    assert src.count("#pragma GCC ivdep") == 2
+    monkeypatch.setattr(kernels, "sorted", lambda xs, key=None: sorted(xs, key=key, reverse=True),
+                        raising=False)
+    with pytest.raises(AssertionError):
+        kernels._loops(_classes_run(), (1, 2))
+
+
+@pytest.mark.skipif(not HAVE_GCC, reason="no gcc on PATH: nothing compiles")
+def test_a_hot_hand_jvp_runs_vectorised_loops(warm, monkeypatch):
+    """HAND's Jacobian is one long fused run over its lanes: gcc reports at
+    least one of its loops vectorised, and the results stay NumPy's."""
+    inp = datagen.hand_instance(3, 16, 0)
+    fwd = rp.jvp(rp.compile(hand.build_ir(3, 16)))
+    (want,) = _numpy_bits(monkeypatch, [lambda: hand.jacobian_fwd_ad(fwd, *inp)])
+    for _ in range(plan_mod.HOT_CALLS):
+        assert _bits([lambda: hand.jacobian_fwd_ad(fwd, *inp)]) == [want]
+    st = plan_cache_stats()
+    assert st["kernels"] >= 1 and st["kernel_vector_loops"] >= 1
