@@ -21,7 +21,8 @@ which ``tests/test_opt_dce.py`` checks structurally on the paper's Fig. 2.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.ast import (
     AtomExp,
@@ -339,6 +340,24 @@ class VJP:
             sc.add(v, contrib)
 
 
+def _wanted(fun: Fun, wrt) -> Optional[Set[int]]:
+    """The parameter indices ``wrt`` selects (None: every float parameter),
+    each an in-range index of a float parameter, or ``ADError``."""
+    if wrt is None:
+        return None
+    n = len(fun.params)
+    if isinstance(wrt, str) or not isinstance(wrt, Sequence):
+        raise ADError(f"vjp: wrt={wrt!r} is not a sequence of indices into {n} parameters")
+    for i in wrt:
+        if isinstance(i, bool) or not isinstance(i, Integral):
+            raise ADError(f"vjp: wrt index {i!r} is not an int ({n} parameters)")
+        if not 0 <= i < n:
+            raise ADError(f"vjp: wrt index {i} out of range for {n} parameters")
+        if not is_float(fun.params[i].type):
+            raise ADError(f"vjp: wrt index {i} is not a float parameter ({n} parameters)")
+    return set(wrt)
+
+
 def vjp_fun(fun: Fun, wrt=None) -> Fun:
     """Reverse-mode transform.
 
@@ -353,10 +372,10 @@ def vjp_fun(fun: Fun, wrt=None) -> Fun:
     """
     from ..opt.fusion import unfuse_fun
 
+    wanted = _wanted(fun, wrt)
     fun = unfuse_fun(fun)
     nodiff = set()
-    if wrt is not None:
-        wanted = set(wrt)
+    if wanted is not None:
         nodiff = {p.name for i, p in enumerate(fun.params) if i not in wanted}
     v = VJP(nodiff)
     seeds: List[Optional[Atom]] = []
@@ -371,7 +390,7 @@ def vjp_fun(fun: Fun, wrt=None) -> Fun:
     want = [
         p
         for i, p in enumerate(fun.params)
-        if is_float(p.type) and (wrt is None or i in set(wrt))
+        if is_float(p.type) and (wanted is None or i in wanted)
     ]
     b = Builder()
     adjs = v.transform_scope(fun.body, seeds, want, b)

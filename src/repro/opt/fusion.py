@@ -14,9 +14,10 @@ accumulators whose results have exactly one consumer statement:
   (``ir.analysis.recognize_redomap_lambda``) so the bulk ufunc fast paths
   survive fusion, and split back into ``map`` + canonical operator by
   ``unfuse_fun`` before AD (whose reduce/scan/hist rules assume associative
-  operators);
-* **horizontal map‖map** — sibling maps over a witnessed-equal extent (they
-  share at least one array argument) merge into one multi-result map.
+  operators).
+
+Sibling maps are not merged (horizontal fusion): on the batched executor a
+map body costs the same merged or not.
 
 Safety conditions per case: no accumulators on the producer, a single
 consumer statement, results consumed only in element-array positions
@@ -92,7 +93,8 @@ __all__ = [
 
 
 #: Fusion counters: candidates that fused, by direction.  Reset via
-#: ``reset_fusion_stats``.
+#: ``reset_fusion_stats``.  ``horizontal`` stays 0 (sibling maps are not
+#: merged); it is kept only because ``bench/staged.py`` reads it.
 FUSE_STATS = _obs_metrics.counter_group("fusion", {"vertical": 0, "horizontal": 0})
 
 
@@ -272,46 +274,6 @@ def _vertical_step(stms: List[Stm], uses: Dict[str, int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Horizontal fusion
-# ---------------------------------------------------------------------------
-
-
-def _horizontal_step(stms: List[Stm]) -> bool:
-    """Merge one pair of sibling maps over a shared array (in place)."""
-    for i, s1 in enumerate(stms):
-        e1 = s1.exp
-        if not isinstance(e1, Map) or e1.accs:
-            continue
-        names1 = {v.name for v in s1.pat}
-        arrs1 = {a.name for a in e1.arrs}
-        between: Set[str] = set()
-        for j in range(i + 1, len(stms)):
-            s2 = stms[j]
-            e2 = s2.exp
-            fv2 = set(free_vars_exp(s2.exp))
-            if (
-                isinstance(e2, Map)
-                and not e2.accs
-                and arrs1 & {a.name for a in e2.arrs}  # extent witness
-                and not (fv2 & names1)  # not a vertical candidate
-                and not (fv2 & between)  # movable up to position i
-            ):
-                p2 = tuple(rename_var(p) for p in e2.lam.params)
-                b2 = inline_lambda(e2.lam, p2)
-                b1 = e1.lam.body
-                lam = Lambda(
-                    tuple(e1.lam.params) + p2,
-                    Body(b1.stms + b2.stms, b1.result + b2.result),
-                )
-                stms[i] = Stm(s1.pat + s2.pat, Map(lam, e1.arrs + e2.arrs))
-                del stms[j]
-                FUSE_STATS["horizontal"] += 1
-                return True
-            between.update(v.name for v in s2.pat)
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Tiling: row-tiled sibling slices become one map over iota(k·n)
 # ---------------------------------------------------------------------------
 
@@ -438,8 +400,6 @@ def fuse_body(body: Body) -> Body:
     while changed:
         uses = _uses_in_body(stms, body.result)
         changed = _vertical_step(stms, uses)
-        if not changed:
-            changed = _horizontal_step(stms)
     out = [with_exp(stm, map_bodies(stm.exp, fuse_body)) for stm in stms]
     return same_body(body, out, body.result)
 

@@ -19,12 +19,12 @@ Passes are named ``Fun -> Fun`` rewrites; they run in this order:
 * ``tile``     — hoist k alpha-equal slices of a ``map`` over ``iota(n)``
   that read rows ``g·n + u`` into one map over ``iota(k·n)``, read back
   as ``gs[g·n + u]`` (``opt/fusion.py``; the LSTM's four gates);
-* ``fuse``     — vertical/horizontal SOAC fusion (``opt/fusion.py``);
+* ``fuse``     — vertical SOAC fusion (``opt/fusion.py``);
 * ``dce``      — dead-code elimination.
 
 ``optimize_fun`` drives the enabled passes to a fixed point (bounded by
-``rounds``) and keeps per-pass ``fired``/``changed`` counters, exposed
-together with the memo-cache counters via ``opt_stats()``.
+``ROUNDS``) and keeps per-pass ``fired``/``changed`` counters, exposed
+together with the call counters via ``opt_stats()``.
 
 The driver works by identity.  What a pass promises: *return your input if
 you changed nothing* — the ``Fun`` object itself, never an equal copy
@@ -36,6 +36,9 @@ nothing moved ends the loop without comparing trees; and a ``Fun`` that came
 through a quiet firing of pass *P* carries that as a fact (``ir.ast.fact``),
 so no later call fires *P* on it again, whatever its pass list — the AD
 entry points' AD-safe set on a ``Compiled``'s converged program, say.
+That fact is all the optimiser remembers (it keeps no cache of results);
+``clear_opt_cache`` makes every program optimise afresh by moving on the
+epoch the fact is stamped with.
 
 The enabled set is the ``passes`` argument (a sequence of pass names;
 ``("simplify", "cse", "dce")`` is the fusion ablation, ``()`` disables
@@ -48,24 +51,11 @@ associative operators rather than fusion's redomap shapes.  ``tile`` is in
 that set: it moves statements into a new ``map`` and indexes its result,
 and builds no operator the AD rules do not already take, so ``vjp``,
 ``jvp`` and the primal all see the batched gates.
-
-Memoisation
------------
-
-The result for a ``(rounds, pass names)`` pair is a fact of the input ``Fun``
-(``ir.ast.fact``): the AD entry points and the ``Compiled`` wrapper optimise
-the same function objects repeatedly, and on the hot path the memo turns
-those re-runs into one dictionary lookup on the node.  A converged output
-(a fixed point of the pipeline) is its own result, so
-``optimize_fun(optimize_fun(f))`` is free.  The memo lives and dies with the
-node — nothing is pinned, bounded or evicted, and an entry never goes stale
-(``Fun`` is immutable).  ``clear_opt_cache`` makes every program optimise
-afresh by moving on the epoch each stored result is stamped with.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from ..ir.ast import Fun, fact
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
@@ -102,7 +92,7 @@ _PASSES: Tuple[Pass, ...] = (
     Pass("cse", cse_fun),  # common-subexpression elimination
     Pass("fission", fission_fun),  # split independent k-ary reduce/scan/hist
     Pass("tile", tile_fun),  # row-tiled sibling slices -> one map over iota(k·n)
-    Pass("fuse", fuse_fun),  # vertical/horizontal SOAC fusion
+    Pass("fuse", fuse_fun),  # vertical SOAC fusion
     Pass("dce", dce_fun),  # dead-code elimination
 )
 _NAMES = tuple(p.name for p in _PASSES)
@@ -120,13 +110,17 @@ AD_SAFE_PASSES = ("simplify", "cse", "fission", "tile", "dce")
 #: "structurally different" are the same thing (``tests/test_opt_incremental``).
 _PASS_STATS: Dict[str, Dict[str, int]] = {n: {"fired": 0, "changed": 0} for n in _NAMES}
 
-#: Memo counters (snapshot/reset through the ``"opt"`` registry
-#: section below, together with the per-pass counters).
+#: Call counters: ``hits`` = calls that returned their input without firing
+#: a pass, ``misses`` = calls that fired at least one (snapshot/reset
+#: through the ``"opt"`` registry section below).
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
-#: What ``clear_opt_cache`` moves on: a memoised result counts only while the
-#: epoch it was stored under is the current one.
+#: What ``clear_opt_cache`` moves on: a fixed-point fact counts only while
+#: the epoch it was stamped with is the current one.
 _EPOCH = 0
+
+#: Fixed-point rounds per ``optimize_fun`` call.
+ROUNDS = 3
 
 
 def registered_passes() -> Tuple[Pass, ...]:
@@ -148,33 +142,21 @@ def resolve_passes(passes: Optional[Sequence[str]] = None) -> Tuple[Pass, ...]:
     return tuple(p for p in _PASSES if p.name in names)
 
 
-def _memo(fun: Fun) -> Dict[tuple, Tuple[int, Optional[Fun]]]:
-    """``fun``'s optimised forms: ``(rounds, pass names) -> (epoch, result)``,
-    the result ``None`` where it is ``fun`` itself."""
-    return fact(fun, "_optimized", lambda _: {})
+def _fixed_point_of(fun: Fun) -> Set[str]:
+    """The passes this very object is known to be a fixed point of."""
+    stamp = fact(fun, "_fixed_point_of", lambda _: [_EPOCH, set()])
+    if stamp[0] != _EPOCH:
+        stamp[:] = [_EPOCH, set()]
+    return stamp[1]
 
 
-def optimize_fun(
-    fun: Fun,
-    rounds: int = 3,
-    cache: bool = True,
-    passes: Optional[Sequence[str]] = None,
-) -> Fun:
-    """Run the enabled passes to a fixed point (bounded by ``rounds``)."""
+def optimize_fun(fun: Fun, passes: Optional[Sequence[str]] = None) -> Fun:
+    """Run the enabled passes to a fixed point (bounded by ``ROUNDS``)."""
     active = resolve_passes(passes)
     if not active:
         return fun
-    key = (rounds, tuple(p.name for p in active))
-    if cache:
-        epoch, hit = _memo(fun).get(key, (None, None))
-        if epoch == _EPOCH:
-            _CACHE_STATS["hits"] += 1
-            return fun if hit is None else hit
-        _CACHE_STATS["misses"] += 1
-
-    src = fun
     converged = False
-    n = 0
+    fired = n = 0
     # Pass-boundary verification (ir/verify): "full" re-checks the IR after
     # every pass that produced a new program, attributing a violation to the
     # pass that fired; "boundary" checks once after the whole pipeline.
@@ -183,18 +165,18 @@ def optimize_fun(
 
     vmode = verify_mode()
     with _obs_tracing.span("optimize", cat="compile", fun=fun.name) as sp:
-        for n in range(1, rounds + 1):
+        for n in range(1, ROUNDS + 1):
             start = fun
             moved = []
             for p in active:
-                # The passes this very object is known to be a fixed point of.
-                quiet = fact(fun, "_fixed_point_of", lambda _: set())
+                quiet = _fixed_point_of(fun)
                 if p.name in quiet:
                     continue
                 with _obs_tracing.span(f"opt:{p.name}", cat="opt", fun=fun.name) as psp:
                     out = p.fn(fun)
                     psp.note(changed=out is not fun)
                 _PASS_STATS[p.name]["fired"] += 1
+                fired += 1
                 if out is fun:
                     quiet.add(p.name)
                     continue
@@ -212,21 +194,14 @@ def optimize_fun(
             for name in moved:
                 _PASS_STATS[name]["changed"] += 1
         sp.note(rounds=n, converged=converged)
-    if vmode == "boundary":
+    _CACHE_STATS["misses" if fired else "hits"] += 1
+    if vmode == "boundary" and fired:  # a call that fired nothing was checked before
         maybe_verify_fun(fun, where="optimize")
-    if cache:
-        # ``None`` stands for the program itself: a node never refers to
-        # itself, so dropping the last reference to it frees it at once.
-        _memo(src)[key] = (_EPOCH, None if fun is src else fun)
-        if converged:
-            # The pipeline is deterministic, so a converged output maps to
-            # itself — make re-optimising the result a memo hit too.
-            _memo(fun)[key] = (_EPOCH, None)
     return fun
 
 
 def opt_stats() -> Dict[str, object]:
-    """Per-pass fired/changed counters plus memo-cache counters."""
+    """Per-pass fired/changed counters plus the call counters."""
     from .fission import fission_stats
     from .fusion import fusion_stats
 
@@ -240,7 +215,7 @@ def opt_stats() -> Dict[str, object]:
 
 
 def reset_opt_stats() -> None:
-    """Zero every pass and memo counter (the memoised results are untouched)."""
+    """Zero every pass and call counter (the fixed-point facts are untouched)."""
     for c in _PASS_STATS.values():
         c["fired"] = c["changed"] = 0
     for k in _CACHE_STATS:
@@ -248,7 +223,7 @@ def reset_opt_stats() -> None:
 
 
 def clear_opt_cache() -> None:
-    """Forget all memoised optimisation results."""
+    """Forget every fixed-point fact: each program optimises afresh."""
     global _EPOCH
     _EPOCH += 1
 

@@ -1,6 +1,8 @@
 """Regression tests for ``core/api.py`` calling-convention fixes:
-``value_and_grad`` tuple normalisation and ``hessian_diag`` tangent
-ordering."""
+``value_and_grad`` tuple normalisation, ``hessian_diag`` tangent
+ordering and the ``wrt`` checks."""
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,33 @@ def test_hessian_diag_rejects_out_of_range_wrt():
         rp.hessian_diag(fc, wrt=-1)  # would silently return zeros otherwise
     with pytest.raises(ADError, match="out of range"):
         rp.hessian_diag(fc, wrt=3)
+
+
+@pytest.mark.parametrize("entry", [rp.vjp, rp.grad, rp.value_and_grad])
+@pytest.mark.parametrize("wrt, match", [
+    (0, "wrt=0 is not a sequence"),
+    ("0", "wrt='0' is not a sequence"),
+    ([0.5], "index 0.5 is not an int"),
+    ([True], "index True is not an int"),
+    ([3], "index 3 out of range for 3 parameters"),
+    ([-1], "index -1 out of range for 3 parameters"),
+    ([0, 2], "index 2 is not a float parameter"),
+])
+def test_bad_wrt_is_rejected(entry, wrt, match):
+    # Each used to return no adjoint (or raise a bare TypeError).
+    fc = rp.compile(rp.trace_like(
+        lambda w, x, n: _quad(w, x, x) * rp.astype(n, rp.F64),
+        (np.ones(4), np.ones(4), np.int64(2))))
+    with pytest.raises(ADError, match=re.escape(match)):
+        entry(fc, wrt=wrt)
+
+
+def test_good_wrt_forms_agree():
+    fc = rp.compile(rp.trace_like(_quad, (np.ones(4), np.ones(4), np.ones(4))))
+    args = [rng.standard_normal(4) for _ in range(3)]
+    want = rp.grad(fc, wrt=[1])(*args)
+    for wrt in ((1,), range(1, 2), [np.int64(1)]):
+        np.testing.assert_array_equal(rp.grad(fc, wrt=wrt)(*args), want)
 
 
 def test_hessian_diag_wrong_arity_fails_loudly():

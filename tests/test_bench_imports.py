@@ -92,7 +92,7 @@ def test_opt_stats_shape_for_bench_ablations():
         assert {"fired", "changed"} <= set(c)
     before = st["passes"]["fuse"]["fired"], st["fusion"]["vertical"]
     fun = rp.trace_like(lambda xs: rp.sum(rp.map(lambda x: x * 2.0, xs)), (np.ones(3),))
-    optimize_fun(fun, cache=False)
+    optimize_fun(fun)
     st = opt_stats()
     assert st["passes"]["fuse"]["fired"] > before[0]
     assert st["fusion"]["vertical"] > before[1]

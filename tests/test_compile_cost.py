@@ -19,9 +19,9 @@ from helpers import cold_programs
 
 @pytest.fixture(scope="module")
 def cold_round():
-    """Per program: pass firings / changes, opt-memo hits, from-scratch
-    free-variable walks and nested nodes constructed during one cold
-    ``rp.compile`` + derivative."""
+    """Per program: pass firings / changes, optimise calls that fired no
+    pass (``hits``), from-scratch free-variable walks and nested nodes
+    constructed during one cold ``rp.compile`` + derivative."""
     walks = built = 0
     real_walk = traversal._fv_nested
     inits = {cls: cls.__init__ for cls in NESTED}
@@ -72,9 +72,10 @@ def test_most_pass_firings_change_the_program(cold_round):
 
 
 def test_every_derivative_reuses_an_optimisation(cold_round):
-    """``_pre_ad``'s second optimise finds the first one's answer (the loop
-    rewrites between them hand their input back)."""
-    assert all(c["hits"] >= 1 for c in cold_round.values()), cold_round
+    """Both of ``_pre_ad``'s optimises of a compiled program fire no pass:
+    the fixed-point facts of its converged program answer them (the loop
+    rewrites between the two hand their input back)."""
+    assert all(c["hits"] >= 2 for c in cold_round.values()), cold_round
 
 
 def test_free_variables_are_walked_once_per_node(cold_round):

@@ -24,6 +24,7 @@ from repro.core.jvp import jvp_fun
 from repro.core.vjp import vjp_fun
 from repro.ir.ast import Body, Fun, If, Lambda, Loop, Map, Stm, Var, WhileLoop
 from repro.ir.traversal import NESTED, exp_atoms, exp_lambdas, free_vars, free_vars_exp
+from repro.opt import pipeline
 from repro.opt.fusion import unfuse_fun
 from repro.opt.pipeline import (
     AD_SAFE_PASSES,
@@ -238,13 +239,33 @@ def _fired() -> int:
     return sum(p["fired"] for p in opt_stats()["passes"].values())
 
 
-def test_converged_program_is_not_optimised_again(corpus):
+def test_converged_program_is_not_optimised_again(corpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "ROUNDS", 8)  # enough to converge every program
     for key, fun in corpus.items():
-        g = optimize_fun(fun, rounds=8)
+        g = optimize_fun(fun)
         before = _fired()
-        # cache=False: it is the facts on ``g`` that must answer, not the memo
-        assert optimize_fun(g, rounds=8, cache=False) is g, key
-        assert optimize_fun(g, cache=False, passes=AD_SAFE_PASSES) is g, key
-        assert optimize_fun(g, cache=False, passes=("dce", "fuse")) is g, key
+        assert optimize_fun(g) is g, key
+        assert optimize_fun(g, passes=AD_SAFE_PASSES) is g, key
+        assert optimize_fun(g, passes=("dce", "fuse")) is g, key
         assert _fired() == before, key
-        assert optimize_fun(g, rounds=8) is g
+
+
+def test_pre_ad_second_optimise_fires_no_pass(corpus, monkeypatch):
+    """``_pre_ad``'s loop rewrites hand a converged program back, so the
+    fixed-point facts answer its second optimise: no pass fires."""
+    from repro.core import api
+
+    calls = []
+
+    def counted(fun, passes=None):
+        before = _fired()
+        out = optimize_fun(fun, passes=passes)
+        calls.append((_fired() - before, out is fun))
+        return out
+
+    monkeypatch.setattr(api, "optimize_fun", counted)
+    for key, fun in corpus.items():
+        if key.endswith("/traced") and not key.startswith("fuzz"):
+            calls.clear()
+            api._pre_ad(fun)
+            assert calls[0][0] > 0 and calls[1] == (0, True), (key, calls)
