@@ -118,9 +118,9 @@ def test_ablation_a3_dce_perfect_nest(benchmark):
     opt = optimize_fun(raw)
     ass = rng.standard_normal((16, 64))
     seed = np.ones((16, 64))
-    prim = Compiled(fun, optimize=False)
-    craw = Compiled(raw, optimize=False)
-    copt = Compiled(opt, optimize=False)
+    prim = Compiled(fun, passes=())
+    craw = Compiled(raw, passes=())
+    copt = Compiled(opt, passes=())
     benchmark(lambda: copt(ass, seed))
     wp = prim.cost(ass).work
     wr = craw.cost(ass, seed).work

@@ -14,7 +14,6 @@ Paper-reported ratios (their Table 1):
   Manual    8.6   6.2     4.6   4.6     4.4
 """
 import numpy as np
-import pytest
 
 import repro as rp
 from repro.apps import ba, gmm, hand, lstm

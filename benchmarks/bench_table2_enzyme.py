@@ -5,8 +5,6 @@ two Monte Carlo neutron-transport kernels; Futhark 3.6×/2.6× vs Enzyme
 4.2×/3.2×.  Enzyme cannot run here; we measure our overhead on the same
 ported kernels and quote the paper's numbers alongside.
 """
-import pytest
-
 from common import bench_row, rs_setup, timeit, write_table, xs_setup
 
 PAPER = {"RSBench": {"fut": 3.6, "enzyme": 4.2}, "XSBench": {"fut": 2.6, "enzyme": 3.2}}

@@ -6,7 +6,7 @@ Synthetic CSR matrices with matching shape/sparsity, scaled ~8×.
 """
 import pytest
 
-from repro.apps import datagen, kmeans_sparse
+from repro.apps import kmeans_sparse
 from repro.baselines import eager as eg
 from common import bench_row, kmeans_sparse_setup, timeit, write_table
 

@@ -157,7 +157,7 @@ def kmeans_sparse_setup(rows: int, cols: int, nnz_row: int, k: int, seed: int = 
 
 @functools.lru_cache(maxsize=None)
 def lstm_setup(bs: int, n: int, d: int, h: int, seed: int = 0):
-    """Returns ``(args, loss, grad, raw jvp ADFunction)`` — the raw forward
+    """Returns ``(args, loss, grad, raw jvp Compiled)`` — the raw forward
     function is what ``lstm.grad_fwd_ad`` drives through ``call_batched`` so
     all 4·h bias basis seeds evaluate in one batched pass."""
     xs, wx, wh, b, wy, h0, c0, tg = datagen.lstm_instance(bs, n, d, h, seed)
@@ -170,7 +170,7 @@ def lstm_setup(bs: int, n: int, d: int, h: int, seed: int = 0):
 
 @functools.lru_cache(maxsize=None)
 def ba_setup(n_cams: int, n_pts: int, n_obs: int, seed: int = 0):
-    """Returns ``(args, objective, vjp-callable, raw ADFunction)`` — the raw
+    """Returns ``(args, objective, vjp-callable, raw vjp Compiled)`` — the raw
     function is what ``ba.jacobian_ad`` drives through ``call_batched`` so
     both residual-component seeds evaluate in one batched pass."""
     cams, pts, ws, oc, op, feats = datagen.ba_instance(n_cams, n_pts, n_obs, seed)
@@ -182,7 +182,7 @@ def ba_setup(n_cams: int, n_pts: int, n_obs: int, seed: int = 0):
 
 @functools.lru_cache(maxsize=None)
 def hand_setup(n_bones: int, n_verts: int, seed: int = 0):
-    """Returns ``(args, objective, raw jvp ADFunction)`` — the raw function
+    """Returns ``(args, objective, raw jvp Compiled)`` — the raw function
     is what ``hand.jacobian_fwd_ad`` drives through ``call_batched`` so all
     3·B pose-direction seeds evaluate in one batched pass."""
     args = datagen.hand_instance(n_bones, n_verts, seed)

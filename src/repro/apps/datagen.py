@@ -9,9 +9,6 @@ are deterministic in their seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 __all__ = [

@@ -25,7 +25,7 @@ def identity_seed_pass(
     """Directional derivatives of ``fwd`` over the full identity basis of
     one tangent.
 
-    ``fwd`` is an ``rp.jvp`` ``ADFunction`` whose parameters are
+    ``fwd`` is an ``rp.jvp`` ``Compiled`` whose parameters are
     ``(*primals, *tangents)`` with one tangent per (all-float) primal.  The
     tangent of ``primals[seed_slot]`` — which must be rank-1, of length
     ``m`` — is seeded with every row of ``eye(m)``; the other tangents are

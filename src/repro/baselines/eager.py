@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -11,6 +11,10 @@ These mirror the paper's ``jvp``/``vjp`` language constructs (§2.0.1/2.0.2):
 * ``hessian_diag`` nests forward over reverse (the §7.4 k-means trick —
   sparsity exploited by choosing seed vectors).
 
+Every derivative is a ``Compiled`` (the callables' ``run.adfun``);
+``passes=`` selects the optimisation passes of the derivative program and
+``passes=()`` skips them, as for ``compile``.
+
 Batched seeds
 -------------
 
@@ -69,16 +73,6 @@ def _as_tuple(res) -> tuple:
     return res if isinstance(res, tuple) else (res,)
 
 
-class ADFunction(Compiled):
-    """A compiled derivative function with bookkeeping about its shape."""
-
-    def __init__(
-        self, fun: Fun, n_primal_out: int, optimize: bool = True, passes=None
-    ) -> None:
-        super().__init__(fun, optimize=optimize, passes=passes)
-        self.n_primal_out = n_primal_out
-
-
 def _project(fun: Fun, keep: slice) -> Fun:
     """``fun`` returning only ``fun.body.result[keep]``, with its parameter
     list unchanged: the optimiser's DCE then drops the work that only the
@@ -92,14 +86,14 @@ def _vjp_fun(f: FunLike, wrt) -> Tuple[Fun, int]:
     return vjp_fun(fun, wrt=wrt), len(fun.body.result)
 
 
-def vjp(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> ADFunction:
+def vjp(f: FunLike, wrt=None, passes=None) -> Compiled:
     """Reverse-mode derivative.
 
     ``vjp(f)(*args, *seeds)`` returns ``(*primal_results, *adjoints)`` where
     ``seeds`` are the adjoints of ``f``'s float results and ``adjoints`` are
     the adjoints of ``f``'s float parameters.  ``passes`` selects the
-    optimisation passes applied to the *derivative* program (the pre-AD
-    pipeline always runs the AD-safe set).
+    optimisation passes applied to the *derivative* program (``()``: none;
+    the pre-AD pipeline always runs the AD-safe set).
 
     The accumulator updates reverse AD leaves are not rewritten into
     reduce/histogram kernels (the paper's §6.1): the executor gets the same
@@ -107,21 +101,18 @@ def vjp(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> ADFunction:
     a strided view add (``exec/vector.py:_add_view``) for an update whose
     index does not vary along some lanes.
     """
-    out, n_res = _vjp_fun(f, wrt)
-    return ADFunction(out, n_res, optimize=optimize, passes=passes)
+    return Compiled(_vjp_fun(f, wrt)[0], passes=passes)
 
 
-def jvp(f: FunLike, optimize: bool = True, passes=None) -> ADFunction:
+def jvp(f: FunLike, passes=None) -> Compiled:
     """Forward-mode derivative.
 
     ``jvp(f)(*args, *tangents)`` returns ``(*primal_results, *tangent_results)``.
     """
-    fun = _pre_ad(_fun_of(f))
-    out = jvp_fun(fun)
-    return ADFunction(out, len(fun.body.result), optimize=optimize, passes=passes)
+    return Compiled(jvp_fun(_pre_ad(_fun_of(f))), passes=passes)
 
 
-def grad(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> Callable:
+def grad(f: FunLike, wrt=None, passes=None) -> Callable:
     """Gradient of a scalar-valued function: ``grad(f)(*args)`` returns the
     adjoints of the (``wrt``-selected) float parameters.
 
@@ -133,7 +124,7 @@ def grad(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> Callable:
     if len(fun.body.result) != 1 or not is_float(r0) or rank_of(r0) != 0:
         raise ADError("grad: function must return a single float scalar")
     out, n_res = _vjp_fun(f, wrt)
-    g = ADFunction(_project(out, slice(n_res, None)), 0, optimize=optimize, passes=passes)
+    g = Compiled(_project(out, slice(n_res, None)), passes=passes)
 
     def run(*args, backend: Optional[str] = None):
         # ``Compiled`` unwraps a single adjoint.
@@ -143,15 +134,13 @@ def grad(f: FunLike, optimize: bool = True, wrt=None, passes=None) -> Callable:
     return run
 
 
-def value_and_grad(
-    f: FunLike, optimize: bool = True, wrt=None, passes=None
-) -> Callable:
+def value_and_grad(f: FunLike, wrt=None, passes=None) -> Callable:
     """Like ``grad`` but also returns the primal value."""
     fun = _fun_of(f)
     r0 = fun.body.result[0].type
     if len(fun.body.result) != 1 or not is_float(r0) or rank_of(r0) != 0:
         raise ADError("value_and_grad: function must return a single float scalar")
-    g = vjp(f, optimize=optimize, wrt=wrt, passes=passes)
+    g = vjp(f, wrt=wrt, passes=passes)
 
     def run(*args, backend: Optional[str] = None):
         # Normalise exactly as ``grad`` does: ``Compiled`` unwraps singleton
@@ -234,13 +223,13 @@ def hessian_diag(f: FunLike, wrt: int = 0) -> Callable:
         raise ADError("hessian_diag: wrt parameter must be a float array")
     # (params..., seed) -> (y, xbar).  AD-safe passes only: ``gradf`` is
     # differentiated again below, so the fusion pass (whose redomap shapes
-    # the jvp rules cannot handle) must not run until the final ADFunction
-    # compilation.
+    # the jvp rules cannot handle) must not run until the final
+    # ``Compiled``.
     gradf = optimize_fun(vjp_fun(fun, wrt=[wrt]), passes=AD_SAFE_PASSES)
     hof = jvp_fun(gradf)
     # hof returns (y, x̄, ẏ, x̄̇); keep only x̄̇ = (d/dε)∇f(x+ε·1) = H·1, so
     # DCE drops the primal re-run that only y and ẏ needed.
-    compiled = ADFunction(_project(hof, slice(-1, None)), 0)
+    compiled = Compiled(_project(hof, slice(-1, None)))
 
     # Derive (and check) the tangent ordering from the actual parameter
     # lists rather than trusting positional conventions.

@@ -20,7 +20,8 @@ Conventions for bundling (all "float positions" in order, primals first):
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.ast import (
     AtomExp,
@@ -30,7 +31,6 @@ from ..ir.ast import (
     Cast,
     Concat,
     Const,
-    Exp,
     Fun,
     If,
     Index,
@@ -39,10 +39,8 @@ from ..ir.ast import (
     Loop,
     Map,
     Reduce,
-    ReduceByIndex,
     Replicate,
     Reverse,
-    Scan,
     Scatter,
     ScratchLike,
     Select,
@@ -57,7 +55,7 @@ from ..ir.ast import (
     ZerosLike,
 )
 from ..ir.analysis import recognize_binop_lambda
-from ..ir.builder import Builder, const
+from ..ir.builder import Builder
 from ..ir.traversal import refresh_lambda
 from ..ir.typecheck import check_fun
 from ..ir.validate import validate_fun
@@ -248,9 +246,6 @@ class _JVP:
 
     # -- SOACs -------------------------------------------------------------------------
 
-    def _float_tangents_of(self, atoms: Sequence[Atom]) -> List[Atom]:
-        return [self.tangent(a) for a in atoms if is_float(a.type)]
-
     def _jvp_Map(self, stm: Stm, e: Map, b: Builder) -> None:
         n_arr, n_acc = len(e.arrs), len(e.accs)
         arr_params = e.lam.params[:n_arr]
@@ -352,11 +347,16 @@ class _JVP:
             _, dy = b.reduce(new_lam, new_nes, (e.arrs[0], darr), names=[y.name, y.name + "_dot"])
             self.tan[y.name] = dy
             return
+        self._jvp_fold(stm, e, b)
+
+    def _jvp_fold(self, stm: Stm, e, b: Builder) -> None:
+        """A reduce, scan or histogram over its operator lifted to dual
+        numbers, its tangent arrays after its own."""
         new_lam, new_nes, floats = self._lift_operator(e.lam, e.nes, b)
         darrs = [self.tangent(a) for a, fl in zip(e.arrs, floats) if fl]
-        new_arrs = tuple(e.arrs) + tuple(darrs)  # type: ignore[arg-type]
         names = [v.name for v in stm.pat] + [v.name + "_dot" for v, fl in zip(stm.pat, floats) if fl]
-        vs = b.reduce(new_lam, new_nes, new_arrs, names=names)
+        vs = b.emit(replace(e, lam=new_lam, nes=new_nes, arrs=tuple(e.arrs) + tuple(darrs)),
+                    names)
         k = len(e.nes)
         j = k
         for v_old, v_new, fl in zip(stm.pat, vs[:k], floats):
@@ -365,33 +365,7 @@ class _JVP:
                 self.tan[v_old.name] = vs[j]
                 j += 1
 
-    def _jvp_Scan(self, stm: Stm, e: Scan, b: Builder) -> None:
-        new_lam, new_nes, floats = self._lift_operator(e.lam, e.nes, b)
-        darrs = [self.tangent(a) for a, fl in zip(e.arrs, floats) if fl]
-        new_arrs = tuple(e.arrs) + tuple(darrs)  # type: ignore[arg-type]
-        names = [v.name for v in stm.pat] + [v.name + "_dot" for v, fl in zip(stm.pat, floats) if fl]
-        vs = b.scan(new_lam, new_nes, new_arrs, names=names)
-        k = len(e.nes)
-        j = k
-        for v_old, v_new, fl in zip(stm.pat, vs[:k], floats):
-            self._alias(v_old, v_new, b)
-            if fl:
-                self.tan[v_old.name] = vs[j]
-                j += 1
-
-    def _jvp_ReduceByIndex(self, stm: Stm, e: ReduceByIndex, b: Builder) -> None:
-        new_lam, new_nes, floats = self._lift_operator(e.lam, e.nes, b)
-        dvals = [self.tangent(a) for a, fl in zip(e.vals, floats) if fl]
-        new_vals = tuple(e.vals) + tuple(dvals)  # type: ignore[arg-type]
-        names = [v.name for v in stm.pat] + [v.name + "_dot" for v, fl in zip(stm.pat, floats) if fl]
-        vs = b.reduce_by_index(e.num_bins, new_lam, new_nes, e.inds, new_vals, names=names)
-        k = len(e.nes)
-        j = k
-        for v_old, v_new, fl in zip(stm.pat, vs[:k], floats):
-            self._alias(v_old, v_new, b)
-            if fl:
-                self.tan[v_old.name] = vs[j]
-                j += 1
+    _jvp_Scan = _jvp_ReduceByIndex = _jvp_fold
 
     def _jvp_Scatter(self, stm: Stm, e: Scatter, b: Builder) -> None:
         self._bind(stm, b)

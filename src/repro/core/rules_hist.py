@@ -40,7 +40,7 @@ def fwd_hist(vjp, stm: Stm, e: ReduceByIndex, b: Builder):
     if op is None or not is_float(stm.pat[0].type):
         b.emit_into(stm.pat, e)
         return {"kind": "general"}
-    arr = e.vals[0]
+    arr = e.arrs[0]
     et = elem_type(arr.type)
     if op == "add":
         b.emit_into(stm.pat, e)
@@ -92,7 +92,7 @@ def rev_hist(vjp, stm: Stm, e: ReduceByIndex, aux, sc: AdjScope) -> None:
         # The sort + segmented-scan construction (reported as work in
         # progress in the paper) — implemented here as an extension.
         return _rev_hist_general(vjp, stm, e, sc)
-    arr = e.vals[0]
+    arr = e.arrs[0]
     et = elem_type(arr.type)
     hbar = sc.lookup(stm.pat[0])
     if not isinstance(hbar, Var):
@@ -257,7 +257,7 @@ def _rev_hist_general(vjp, stm, e: ReduceByIndex, sc: AdjScope) -> None:
             "operator is not supported"
         )
     b = sc.b
-    arr = e.vals[0]
+    arr = e.arrs[0]
     inds = e.inds
     et = elem_type(arr.type)
     ne = e.nes[0]

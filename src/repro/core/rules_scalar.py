@@ -9,11 +9,11 @@ keeps the two modes consistent by construction.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..ir.ast import Atom, BinOp, Const, Select, UnOp, Var
+from ..ir.ast import Atom
 from ..ir.builder import Builder, const_like
-from ..ir.types import elem_type, is_float
+from ..ir.types import is_float
 from ..util import ADError
 
 __all__ = ["unop_partial", "binop_partials", "minmax_takes_x", "is_diff_atom"]

@@ -18,7 +18,7 @@ The special case ``scan (+)`` needs no derivatives at all:
 from __future__ import annotations
 
 from ..ir.analysis import recognize_binop_lambda
-from ..ir.ast import Const, Iota, Lambda, Scan, Size, Stm, Var
+from ..ir.ast import Iota, Lambda, Scan, Size, Stm, Var
 from ..ir.builder import Builder, const
 from ..ir.traversal import free_vars
 from ..ir.types import I64, elem_type, is_float

@@ -22,7 +22,7 @@ which ``tests/test_opt_dce.py`` checks structurally on the paper's Fig. 2.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..ir.ast import (
     AtomExp,
@@ -31,8 +31,6 @@ from ..ir.ast import (
     Body,
     Cast,
     Concat,
-    Const,
-    Exp,
     Fun,
     If,
     Index,
@@ -58,11 +56,11 @@ from ..ir.ast import (
     WithAcc,
     ZerosLike,
 )
-from ..ir.builder import Builder, const, const_like
+from ..ir.builder import Builder, const_like
 from ..ir.traversal import free_vars
 from ..ir.typecheck import check_fun
 from ..ir.validate import validate_fun
-from ..ir.types import elem_type, is_float, rank_of
+from ..ir.types import elem_type, is_float
 from ..util import ADError, fresh
 from .adjoint import AdjScope
 from .rules_scalar import binop_partials, minmax_takes_x, unop_partial

@@ -20,8 +20,8 @@ a ``par`` frame combines its iterations with max, a ``red(n)`` frame with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 __all__ = ["CostRecorder", "Cost"]
 

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ir.analysis import recognize_binop_lambda
 from ..ir.ast import (
     AtomExp,
     Atom,
@@ -20,7 +19,6 @@ from ..ir.ast import (
     Body,
     Cast,
     Concat,
-    Const,
     Exp,
     Fun,
     If,
@@ -47,7 +45,7 @@ from ..ir.ast import (
     WithAcc,
     ZerosLike,
 )
-from ..ir.types import AccType, np_dtype, rank_of
+from ..ir.types import np_dtype, rank_of
 from ..util import ExecError
 from .cost import CostRecorder, NullRecorder
 from . import values as _values
@@ -352,16 +350,15 @@ class RefInterp:
         for j, col in enumerate(outs):
             if n:
                 res.append(np.stack([np.asarray(v) for v in col]))
-            else:
-                rt = e.nes[j].type
-                res.append(np.zeros((0,) * (rank_of(rt) + 1), dtype=np_dtype(rt)))
+            else:  # each element of the neutral element's extents
+                res.append(np.zeros((0,) + np.shape(acc[j]), dtype=np_dtype(e.nes[j].type)))
         rec.mem(writes=sum(int(np.asarray(r).size) for r in res))
         return tuple(res)
 
     def _eval_hist(self, e: ReduceByIndex, env: Env) -> Tuple[object, ...]:
         m = int(scalar_value(self.atom(e.num_bins, env)))
         inds = np.asarray(self.atom(e.inds, env))
-        vals = [np.asarray(self.atom(v, env)) for v in e.vals]
+        vals = [np.asarray(self.atom(v, env)) for v in e.arrs]
         n = self._map_len([inds] + vals)
         rec = self.rec
         rec.mem(reads=inds.size + sum(v.size for v in vals))

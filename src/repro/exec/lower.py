@@ -12,9 +12,10 @@ serves every shape of a rank/dtype signature:
 * runs of ≥2 adjacent scalar statements (``_RUN_FUSIBLE``) collapse into one
   ``IRun`` whose interior temporaries never touch the register file (what
   a run exports comes from ONE last-use pass per body);
-* reduce/scan/histogram operators are recognised (``recognize_binop_lambda``
-  / ``recognize_redomap_lambda``) and the chosen strategy — ufunc fast path,
-  fused redomap, or generic fold — is recorded on the instruction;
+* a reduce, scan or histogram is one ``IFold``; its operator is recognised
+  (``recognize_redomap_lambda``) and the chosen strategy recorded on it —
+  redomap (a recognised operator after a map part), ufunc (the redomap
+  with an identity map part, run with none) or generic fold;
 * the **memory plan**: every instruction lists the slots to ``release``
   after it, every ``RunOp`` the run-local values that die at it and which of
   those it may compute into (``donate``) — see ``_Lowerer.lower_body`` and
@@ -70,6 +71,7 @@ from ..ir.ast import (
     Concat,
     Const,
     Exp,
+    FOLDS,
     Fun,
     If,
     Index,
@@ -128,9 +130,7 @@ __all__ = [
     "IReverse",
     "IConcat",
     "IMap",
-    "IReduce",
-    "IScan",
-    "IHist",
+    "IFold",
     "IScatter",
     "ILoop",
     "IWhile",
@@ -147,6 +147,9 @@ __all__ = [
 #: Statement expressions eligible for scalar-run fusion: pure, single-result,
 #: independent of the engine's mask/batch state (they only read operands).
 _RUN_FUSIBLE = (AtomExp, UnOp, BinOp, Select, Cast, Index, ZerosLike)
+
+#: The plan-IR ``kind`` of each fold of the IR (``IFold``).
+_FOLD_KINDS = {Reduce: "reduce", Scan: "scan", ReduceByIndex: "hist"}
 
 #: Run-op kinds whose result is always a freshly allocated array (``atom``
 #: forwards its operand, ``index`` may return a view).
@@ -318,45 +321,25 @@ class IMap(_Instr):
         self.body, self.n_acc, self.outs = body, n_acc, outs
 
 
-class IReduce(_Instr):
-    """``strategy`` ∈ {"ufunc", "redomap", "generic"}.  For ufunc/redomap,
-    ``op`` names the recognised operator and ``fold`` whether the neutral
-    element must still be folded in.  Redomap carries the fused map part
-    (``mparams``/``mbody``); generic carries the full lambda."""
+class IFold(_Instr):
+    """A reduce, scan or histogram (``kind``); a histogram's ``arrs`` lead
+    with its indices, ``num_bins`` its size.  ``strategy`` ∈ {"ufunc",
+    "redomap", "generic"}: a redomap folds with the recognised operator
+    ``op`` (``fold``: the neutral element must still be folded in, never
+    for a histogram) what its map part ``mparams`` / ``mbody`` computes;
+    ``ufunc`` is a redomap with an identity map part (none: ``mbody`` is
+    ``None``); generic runs the full lambda ``params`` / ``body`` element
+    at a time."""
 
-    kind = "reduce"
     __slots__ = (
-        "strategy", "arrs", "nes", "op", "fold",
+        "kind", "strategy", "num_bins", "arrs", "nes", "op", "fold",
         "mparams", "mbody", "params", "body", "outs",
     )
 
-    def __init__(self, strategy, arrs, nes, outs, op=None, fold=False,
-                 mparams=None, mbody=None, params=None, body=None):
-        self.strategy, self.arrs, self.nes, self.outs = strategy, arrs, nes, outs
-        self.op, self.fold = op, fold
-        self.mparams, self.mbody = mparams, mbody
-        self.params, self.body = params, body
-
-
-class IScan(IReduce):
-    kind = "scan"
-
-
-class IHist(_Instr):
-    """Generalised histogram; same strategy taxonomy as ``IReduce``."""
-
-    kind = "hist"
-    __slots__ = (
-        "num_bins", "arrs", "nes", "strategy", "op",
-        "mparams", "mbody", "params", "body", "outs",
-    )
-
-    def __init__(self, num_bins, arrs, nes, strategy, outs, op=None,
-                 mparams=None, mbody=None, params=None, body=None):
-        self.num_bins, self.arrs, self.nes = num_bins, arrs, nes
-        self.strategy, self.outs, self.op = strategy, outs, op
-        self.mparams, self.mbody = mparams, mbody
-        self.params, self.body = params, body
+    def __init__(self, kind, arrs, nes, outs, num_bins=None):
+        self.kind, self.arrs, self.nes, self.outs = kind, arrs, nes, outs
+        self.num_bins, self.strategy, self.op, self.fold = num_bins, "generic", None, False
+        self.mparams = self.mbody = self.params = self.body = None
 
 
 class IScatter(_Instr):
@@ -912,12 +895,8 @@ class _Lowerer:
             return IConcat(self.ref(e.x), self.ref(e.y), self.out_of(stm))
         if isinstance(e, Map):
             return self._lower_map(e, stm)
-        if isinstance(e, Reduce):
-            return self._lower_reduce(e, stm)
-        if isinstance(e, Scan):
-            return self._lower_scan(e, stm)
-        if isinstance(e, ReduceByIndex):
-            return self._lower_hist(e, stm)
+        if isinstance(e, FOLDS):
+            return self._lower_fold(e, stm)
         if isinstance(e, Scatter):
             return IScatter(self.ref(e.dest), self.ref(e.inds),
                             self.ref(e.vals), self.out_of(stm))
@@ -984,78 +963,32 @@ class _Lowerer:
             mlam.body, mlam.params, self._lanes_of(mlam.params, arrs)
         )
 
-    def _lower_reduce(self, e: Reduce, stm: Stm) -> _Instr:
-        arrs = self.refs(e.arrs)
-        nes = self.refs(e.nes)
-        outs = self.outs_of(stm, len(e.nes))
-        op = recognize_binop_lambda(e.lam) if len(e.nes) == 1 else None
-        if op is not None:
-            return IReduce(
-                "ufunc", arrs, nes, outs, op=op,
-                fold=not ne_is_identity(op, e.nes[0]),
-            )
+    def _lower_fold(self, e, stm: Stm) -> _Instr:
+        """A reduce, scan or histogram: ``redomap`` when its operator is one
+        (``recognize_redomap_lambda``), ``ufunc`` when that one's map part
+        is the identity, else ``generic``."""
+        kind = _FOLD_KINDS[type(e)]
+        hist = kind == "hist"
+        num_bins = self.int_ref(e.num_bins, "histogram size") if hist else None
+        ins = IFold(kind, self.refs(((e.inds,) if hist else ()) + e.arrs), self.refs(e.nes),
+                    self.outs_of(stm, len(e.nes)), num_bins)
         rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
-        if rm is not None:
-            # Fused (redomap-shaped) operator: bulk-map the element function,
-            # then reduce with the ufunc — fusion keeps the fast path.
-            mop, mlam = rm
-            mparams, mbody = self._lower_map_part(mlam, e.arrs)
-            ins = IReduce(
-                "redomap", arrs, nes, outs, op=mop,
-                fold=not ne_is_identity(mop, e.nes[0]),
-                mparams=mparams, mbody=mbody,
-            )
-            return self._contracted(e.arrs, ins) if mop == "add" and not ins.fold else ins
-        return IReduce(
-            "generic", arrs, nes, outs,
-            params=self.pslots(e.lam.params),
-            body=self.lower_body(e.lam.body, e.lam.params),
-        )
-
-    def _lower_scan(self, e: Scan, stm: Stm) -> IScan:
-        arrs = self.refs(e.arrs)
-        nes = self.refs(e.nes)
-        outs = self.outs_of(stm, len(e.nes))
-        op = recognize_binop_lambda(e.lam) if len(e.nes) == 1 else None
-        if op is not None:
-            return IScan(
-                "ufunc", arrs, nes, outs, op=op,
-                fold=not ne_is_identity(op, e.nes[0]),
-            )
-        rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
-        if rm is not None:
-            mop, mlam = rm
-            mparams, mbody = self._lower_map_part(mlam, e.arrs)
-            return IScan(
-                "redomap", arrs, nes, outs, op=mop,
-                fold=not ne_is_identity(mop, e.nes[0]),
-                mparams=mparams, mbody=mbody,
-            )
-        return IScan(
-            "generic", arrs, nes, outs,
-            params=self.pslots(e.lam.params),
-            body=self.lower_body(e.lam.body, e.lam.params),
-        )
-
-    def _lower_hist(self, e: ReduceByIndex, stm: Stm) -> IHist:
-        num_bins = self.int_ref(e.num_bins, "histogram size")
-        arrs = self.refs((e.inds,) + e.vals)
-        nes = self.refs(e.nes)
-        outs = self.outs_of(stm, len(e.nes))
-        op = recognize_binop_lambda(e.lam) if len(e.nes) == 1 else None
-        if op is not None:
-            return IHist(num_bins, arrs, nes, "ufunc", outs, op=op)
-        rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
-        if rm is not None:
-            mop, mlam = rm
-            mparams, mbody = self._lower_map_part(mlam, e.vals)
-            return IHist(num_bins, arrs, nes, "redomap", outs, op=mop,
-                         mparams=mparams, mbody=mbody)
-        return IHist(
-            num_bins, arrs, nes, "generic", outs,
-            params=self.pslots(e.lam.params),
-            body=self.lower_body(e.lam.body, e.lam.params),
-        )
+        if rm is None:
+            ins.params = self.pslots(e.lam.params)
+            ins.body = self.lower_body(e.lam.body, e.lam.params)
+            return ins
+        ins.op, mlam = rm
+        ins.fold = not hist and not ne_is_identity(ins.op, e.nes[0])
+        if recognize_binop_lambda(e.lam) is not None:
+            ins.strategy = "ufunc"
+            return ins
+        # Fused (redomap-shaped) operator: bulk-map the element function,
+        # then fold with the ufunc — fusion keeps the fast path.
+        ins.strategy = "redomap"
+        ins.mparams, ins.mbody = self._lower_map_part(mlam, e.arrs)
+        if kind == "reduce" and ins.op == "add" and not ins.fold:
+            return self._contracted(e.arrs, ins)
+        return ins
 
 
 def lower_fun(fun: Fun) -> PlanIR:

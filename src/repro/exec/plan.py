@@ -358,11 +358,14 @@ class _ClosureEmitter:
             return _assign_single(fn, ins.out[0], ins)
         return _assign_multi(fn, ins)
 
-    def _emit_callable(self, ins, fields) -> Callable:
+    def _emit_callable(self, ins, fields) -> Optional[Callable]:
         """A nested body (``fields``: its parameter fields, then its own) as
         ``body(eng, vals) -> results``: bind ``vals`` to the parameter slots,
-        run, and clear the slots the body left bound — a frame of its own."""
+        run, and clear the slots the body left bound — a frame of its own.
+        ``None`` for no body (a ``ufunc`` fold's map part)."""
         *params, pbody = (getattr(ins, f) for f in fields)
+        if pbody is None:
+            return None
         pslots = tuple(s for ps in params for s, _ in ps)
         self.depth += 1
         code = self.emit_body(pbody)

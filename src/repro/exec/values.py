@@ -7,11 +7,10 @@ bridge between user-supplied Python values and typed IR values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from ..ir.types import ArrayType, Scalar, Type, np_dtype, rank_of
+from ..ir.types import Type, np_dtype, rank_of
 from ..util import ExecError
 
 __all__ = [

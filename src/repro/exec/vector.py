@@ -4,13 +4,14 @@ This module is **not an executor** — it runs no program — but it *is* the
 semantics of the plan IR: what every instruction but a fused scalar run
 does, control flow included, is written here once, as one function
 (``kernel(eng, *operands, *static facts, *bodies) -> BV | sequence``).
-``KERNELS`` maps the instruction kinds to theirs.  A nested body reaches its
-kernel as a callable ``body(eng, vals) -> results`` the emitter built: it
-binds ``vals`` to the body's parameters, runs, and leaves nothing bound.  The
-emitter (``exec/plan.py``) binds operands to slots and builds those
-callables; what a kernel computes is checked against the reference
-interpreter and against direct NumPy expectations with plain-Python bodies
-(``tests/test_vector_internals.py``).
+``KERNELS`` maps the instruction kinds to theirs; a fold's ``ufunc``
+strategy is its redomap kernel with no map part (``mbody`` ``None``).  A
+nested body reaches its kernel as a callable ``body(eng, vals) -> results``
+the emitter built: it binds ``vals`` to the body's parameters, runs, and
+leaves nothing bound.  The emitter (``exec/plan.py``) binds operands to
+slots and builds those callables; what a kernel computes is checked against
+the reference interpreter and against direct NumPy expectations with
+plain-Python bodies (``tests/test_vector_internals.py``).
 
 The execution model is the flattening one the paper relies on
 (§4.1): entering a ``map`` pushes a batch level, lambda parameters become
@@ -672,20 +673,11 @@ def _reduce_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
     return BV(red, d)
 
 
-def _reduce_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> Tuple[BV]:
-    d = len(eng.bstack)
-    args, n = _batch_args(eng, arrs)
-    if n == 0:
-        shape = args[0].data.shape
-        return (BV(np.broadcast_to(_expand(nes[0], d), shape[:d] + shape[d + 1:]).copy(), d),)
-    return (_reduce_lanes(eng, op, fold, nes[0], args[0], n),)
-
-
 def _scan_empty(eng, ne: BV) -> BV:
-    """A scan over no elements: no element per lane, at the lanes' depth."""
+    """A scan over no elements: no element per lane, at the lanes' depth —
+    each of the neutral element's extents."""
     d = len(eng.bstack)
-    nd = np.asarray(ne.data)
-    return BV(np.zeros((1,) * d + (0,) * (nd.ndim - ne.bdims + 1), dtype=nd.dtype), d)
+    return BV(np.zeros((1,) * d + (0,) + ne.pshape(), dtype=np.asarray(ne.data).dtype), d)
 
 
 def _scan_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
@@ -697,26 +689,24 @@ def _scan_lanes(eng, op: str, fold: bool, ne: BV, r: BV, n: int) -> BV:
     return BV(acc, d)
 
 
-def _scan_ufunc(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool) -> Tuple[BV]:
-    args, n = _batch_args(eng, arrs)
-    return (_scan_lanes(eng, op, fold, nes[0], args[0], n),)
+def _map_part(eng, mbody, args: List[BV], n: int) -> BV:
+    """What a redomap folds: its map part run once, one lane level down, or
+    (``mbody`` None: the ``ufunc`` strategy) its one argument."""
+    return args[0] if mbody is None else _run_lanes(eng, mbody, args, n)[0]
 
 
-def _redomap(eng, arrs: List[BV], nes: List[BV], op: str, fold: bool, mbody,
-             scan: bool = False) -> Tuple[BV]:
-    """A reduce (``scan``: a scan) whose operator is ``op`` after a map part:
-    ``mbody`` runs once, one lane level down, then one ufunc call folds its
-    lanes; over no elements it does not run."""
+def _redomap(eng, arrs: List[BV], nes: List[BV], kind: str, op: str, fold: bool,
+             mbody) -> Tuple[BV]:
+    """A reduce or scan (``kind``) whose operator is ``op`` after a map part
+    (``_map_part``): one ufunc call folds its lanes; over no elements the
+    map part does not run."""
     ne = nes[0]
     args, n = _batch_args(eng, arrs)
+    scan = kind == "scan"
     if n == 0:
         return ((_scan_empty if scan else _fold_empty)(eng, ne),)
-    (r,) = _run_lanes(eng, mbody, args, n)
+    r = _map_part(eng, mbody, args, n)
     return ((_scan_lanes if scan else _reduce_lanes)(eng, op, fold, ne, r, n),)
-
-
-def _redomap_scan(eng, arrs, nes, op, fold, mbody) -> Tuple[BV]:
-    return _redomap(eng, arrs, nes, op, fold, mbody, scan=True)
 
 
 def _elems_at(args: Sequence[BV], i: int, d: int) -> List[BV]:
@@ -734,12 +724,13 @@ def _stack_columns(eng, col: List[BV], ne: BV) -> BV:
     return BV(np.stack([np.broadcast_to(c, shape) for c in col], axis=d), d)
 
 
-def _fold(eng, arrs: List[BV], nes: List[BV], ks: Tuple[int, ...], body,
-          scan: bool = False) -> Sequence[BV]:
-    """A generic reduce (``scan``: scan), one element at a time: the operator
-    ``body`` runs on the accumulators and element ``i`` of every argument.
-    The accumulators stay at their static batch depths ``ks``."""
+def _fold(eng, arrs: List[BV], nes: List[BV], kind: str, ks: Tuple[int, ...],
+          body) -> Sequence[BV]:
+    """A generic reduce or scan (``kind``), one element at a time: the
+    operator ``body`` runs on the accumulators and element ``i`` of every
+    argument.  The accumulators stay at their static batch depths ``ks``."""
     d = len(eng.bstack)
+    scan = kind == "scan"
     args, n = _batch_args(eng, arrs)
     acc: Sequence[BV] = [_raise(v, k) for v, k in zip(nes, ks)]
     cols: List[List[BV]] = [[] for _ in nes]
@@ -751,10 +742,6 @@ def _fold(eng, arrs: List[BV], nes: List[BV], ks: Tuple[int, ...], body,
     if not scan:
         return acc
     return [_stack_columns(eng, col, ne) for col, ne in zip(cols, nes)]
-
-
-def _fold_scan(eng, arrs, nes, ks, body) -> Sequence[BV]:
-    return _fold(eng, arrs, nes, ks, body, scan=True)
 
 
 # -- histograms ---------------------------------------------------------------
@@ -794,17 +781,11 @@ def _hist_accumulate(eng, op: str, ne: BV, hs, r: BV) -> BV:
     return BV(hist, d)
 
 
-def _hist_ufunc(eng, m: int, arrs: List[BV], nes: List[BV], op: str) -> Tuple[BV]:
-    args, _n, hs = _hist_enter(eng, m, arrs)
-    return (_hist_accumulate(eng, op, nes[0], hs, args[1]),)
-
-
 def _hist_redomap(eng, m: int, arrs: List[BV], nes: List[BV], op: str, mbody) -> Tuple[BV]:
-    """A histogram whose operator is ``op`` after a map part, as
-    ``_redomap``: ``mbody`` runs once over the values, one lane level down."""
+    """A histogram whose operator is ``op`` after a map part over its values,
+    as ``_redomap``."""
     args, n, hs = _hist_enter(eng, m, arrs)
-    (r,) = _run_lanes(eng, mbody, args[1:], n)
-    return (_hist_accumulate(eng, op, nes[0], hs, r),)
+    return (_hist_accumulate(eng, op, nes[0], hs, _map_part(eng, mbody, args[1:], n)),)
 
 
 def _hist_fold(eng, m: int, arrs: List[BV], nes: List[BV], body) -> List[BV]:
@@ -890,7 +871,7 @@ def _contract(eng, arrs, nes, accs, xs, lanes, lay, body) -> List[object]:
         args = [_replicate(eng, *a) if type(a) is list else a for a in arrs]
         if accs:
             return _map(eng, args, accs, len(accs), body)
-        return list(_redomap(eng, args, nes, "add", False, body))
+        return list(_redomap(eng, args, nes, "reduce", "add", False, body))
     for view, res in done if accs else ():
         view += res
     return accs or done
@@ -976,9 +957,15 @@ def _while(eng, inits: List[object], ks: Tuple[int, ...], cond, body) -> Sequenc
             raise _out_of_fuel(limit)
 
 
+#: A fold's kernels: the ``ufunc`` strategy runs the redomap one with no map
+#: part (``mbody`` None).
+_REDOMAP = (_redomap, ("arrs", "nes"), ("kind", "op", "fold"), (("mparams", "mbody"),))
+_HIST_REDOMAP = (_hist_redomap, ("num_bins", "arrs", "nes"), ("op",), (("mparams", "mbody"),))
+_GENERIC = (_fold, ("arrs", "nes"), ("kind", "layout"), (("params", "body"),))
+
 #: The kernel of every plan-IR instruction but a fused ``run`` (the emitter
-#: runs those itself), by ``kind`` (``kind:strategy`` for the reduce
-#: family): the kernel, then the instruction fields it takes as operands (a
+#: runs those itself), by ``kind`` (``kind:strategy`` for the fold family):
+#: the kernel, then the instruction fields it takes as operands (a
 #: ``Ref``, a tuple of ``Ref``s or an ``IntRef`` each — read per call), as
 #: static facts (``"layout"``: what the emitting ``exec/lower.py:Layout``
 #: fixed for the instruction, ``Layout.static``), and as bodies — each body
@@ -998,17 +985,14 @@ KERNELS = {
     "scatter": (_scatter, ("dest", "inds", "vals"), (), ()),
     "updacc": (_upd_acc, ("acc", "idx", "v"), ("affine", "layout"), ()),
     "map": (_map, ("arrs", "accs"), ("n_acc",), (("params", "body"),)),
-    "reduce:ufunc": (_reduce_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
-    "reduce:redomap": (_redomap, ("arrs", "nes"), ("op", "fold"),
-                       (("mparams", "mbody"),)),
-    "reduce:generic": (_fold, ("arrs", "nes"), ("layout",), (("params", "body"),)),
-    "scan:ufunc": (_scan_ufunc, ("arrs", "nes"), ("op", "fold"), ()),
-    "scan:redomap": (_redomap_scan, ("arrs", "nes"), ("op", "fold"),
-                     (("mparams", "mbody"),)),
-    "scan:generic": (_fold_scan, ("arrs", "nes"), ("layout",), (("params", "body"),)),
-    "hist:ufunc": (_hist_ufunc, ("num_bins", "arrs", "nes"), ("op",), ()),
-    "hist:redomap": (_hist_redomap, ("num_bins", "arrs", "nes"), ("op",),
-                     (("mparams", "mbody"),)),
+    "reduce:ufunc": _REDOMAP,
+    "reduce:redomap": _REDOMAP,
+    "reduce:generic": _GENERIC,
+    "scan:ufunc": _REDOMAP,
+    "scan:redomap": _REDOMAP,
+    "scan:generic": _GENERIC,
+    "hist:ufunc": _HIST_REDOMAP,
+    "hist:redomap": _HIST_REDOMAP,
     "hist:generic": (_hist_fold, ("num_bins", "arrs", "nes"), (), (("params", "body"),)),
     "contract": (_contract, ("arrs", "nes", "accs", "xs"), ("lanes", "layout"),
                  (("params", "body"),)),

@@ -58,11 +58,11 @@ from ..obs import tracing as _tracing
 from .lower import (
     _ALLOCATING,
     IContract,
+    IFold,
     IIf,
     ILoop,
     IMap,
     IntRef,
-    IReduce,
     IRun,
     IWhile,
     IWithAcc,
@@ -383,14 +383,9 @@ class _PlanChecker:
             self.check_contract(instr)
             for slot, name in instr.outs:
                 self.write(slot, name, defined, instr)
-        elif isinstance(instr, IReduce):  # also IScan (subclass)
-            self.reads(instr.arrs, defined, instr)
-            self.reads(instr.nes, defined, instr)
-            left = self._check_operator_part(instr, defined)
-            for slot, name in instr.outs:
-                self.write(slot, name, defined, instr)
-        elif kind == "hist":
-            self.read(instr.num_bins, defined, instr)
+        elif isinstance(instr, IFold):
+            if kind == "hist":
+                self.read(instr.num_bins, defined, instr)
             self.reads(instr.arrs, defined, instr)
             self.reads(instr.nes, defined, instr)
             left = self._check_operator_part(instr, defined)

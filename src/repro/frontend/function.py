@@ -48,20 +48,15 @@ class Compiled:
     interpretation).
 
     ``passes`` selects the optimisation passes applied at construction (a
-    sequence of pass names — see ``opt.pipeline``); None means all of them.
+    sequence of pass names — see ``opt.pipeline``); None means all of them,
+    ``passes=()`` none (the program runs as given).
     """
 
-    def __init__(
-        self,
-        fun: Fun,
-        optimize: bool = True,
-        passes: "Sequence[str] | None" = None,
-    ) -> None:
-        if optimize:
-            from ..opt.pipeline import optimize_fun
+    def __init__(self, fun: Fun, passes: "Sequence[str] | None" = None) -> None:
+        from ..opt.pipeline import optimize_fun
 
-            fun = optimize_fun(fun, passes=passes)
-        # The only pre-lowering check of an ``optimize=False`` program.
+        fun = optimize_fun(fun, passes=passes)
+        # The only pre-lowering check of a ``passes=()`` program.
         from ..ir.verify import maybe_verify_fun
 
         self.fun = maybe_verify_fun(fun, where="compile")
@@ -157,9 +152,5 @@ def checked_batched_fun(
     return batched_fun(fun, batched)
 
 
-def compile_fun(
-    fun: Fun,
-    optimize: bool = True,
-    passes: "Sequence[str] | None" = None,
-) -> Compiled:
-    return Compiled(fun, optimize=optimize, passes=passes)
+def compile_fun(fun: Fun, passes: "Sequence[str] | None" = None) -> Compiled:
+    return Compiled(fun, passes=passes)

@@ -12,37 +12,24 @@ code reads::
 """
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..ir.ast import (
     Concat,
-    If,
     Iota,
     Lambda,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
     Replicate,
     Reverse,
-    Scan,
-    Scatter,
     Select,
     Size,
     Update,
     Var,
-    WhileLoop,
     ZerosLike,
 )
-from ..ir.builder import as_atom, const
 from ..ir.types import (
-    ArrayType,
     BOOL,
-    F32,
-    F64,
-    I32,
     I64,
     Scalar,
     elem_type,

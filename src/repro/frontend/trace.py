@@ -15,14 +15,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ir.ast import AtomExp, Atom, BinOp, Cast, Const, Fun, Index, UnOp, Var
-from ..ir.builder import Builder, as_atom, const
+from ..ir.ast import Atom, Const, Fun, Index, Var
+from ..ir.builder import Builder, const
 from ..ir.typecheck import check_fun
 from ..ir.validate import validate_fun
 from ..ir.types import (
-    ArrayType,
     BOOL,
-    F32,
     F64,
     I32,
     I64,

@@ -11,7 +11,6 @@ from .types import is_integral, rank_of
 
 __all__ = [
     "recognize_binop_lambda",
-    "recognize_addition",
     "recognize_redomap_lambda",
     "OP_IDENTITY",
     "ne_is_identity",
@@ -47,41 +46,15 @@ def recognize_binop_lambda(lam: Lambda) -> Optional[str]:
 
     This powers the paper's special-case reduce/scan/hist rules (§5.1.1): the
     general rules are always sound, the specialised ones are the fast paths.
-    Accepts the operands in either order and tolerates a single intervening
-    copy statement.
+    It is the case of ``recognize_redomap_lambda`` whose map part has no
+    statements and returns its one parameter (operands in either order,
+    trailing copies allowed).
     """
-    if len(lam.params) != 2 or len(lam.body.result) != 1:
+    rm = recognize_redomap_lambda(lam)
+    if rm is None or len(lam.params) != 2 or rm[1].body.stms:
         return None
-    px, py = lam.params
-    body = lam.body
-    res = body.result[0]
-
-    # Unwind trailing copies (t = x op y; r = t).
-    defs = {}
-    for stm in body.stms:
-        if len(stm.pat) == 1:
-            defs[stm.pat[0].name] = stm.exp
-    seen = set()
-    exp = None
-    cur = res
-    while isinstance(cur, Var) and cur.name in defs and cur.name not in seen:
-        seen.add(cur.name)
-        e = defs[cur.name]
-        if isinstance(e, AtomExp):
-            cur = e.x
-            continue
-        exp = e
-        break
-    if not isinstance(exp, BinOp) or exp.op not in ("add", "mul", "min", "max"):
-        return None
-    ops = {a.name for a in (exp.x, exp.y) if isinstance(a, Var)}
-    if ops == {px.name, py.name}:
-        return exp.op
-    return None
-
-
-def recognize_addition(lam: Lambda) -> bool:
-    return recognize_binop_lambda(lam) == "add"
+    (res,) = rm[1].body.result
+    return rm[0] if isinstance(res, Var) and res.name == lam.params[1].name else None
 
 
 def recognize_redomap_lambda(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
@@ -98,8 +71,10 @@ def recognize_redomap_lambda(lam: Lambda) -> Optional[Tuple[str, Lambda]]:
 
     Returns ``None`` unless the accumulator parameter (``lam.params[0]``)
     feeds *exactly* the final combine.  ``g`` is returned as a ``Lambda``
-    over the element parameters (``lam.params[1:]``).  A fact of the lambda
-    (``ir.ast.fact``): the reference interpreter asks per reduce evaluation.
+    over the element parameters (``lam.params[1:]``); the ``ufunc``
+    strategy of ``exec/lower.py`` is the case whose ``g`` is the identity
+    (``recognize_binop_lambda``).  A fact of the lambda (``ir.ast.fact``):
+    the AD rules, the optimiser and the lowering all ask.
     """
     return fact(lam, "_redomap", _recognize_redomap)
 

@@ -51,6 +51,7 @@ __all__ = [
     "Reduce",
     "Scan",
     "ReduceByIndex",
+    "FOLDS",
     "Scatter",
     "Loop",
     "WhileLoop",
@@ -344,16 +345,17 @@ class ReduceByIndex:
     """Generalised histogram (paper §5.1.2).
 
     ``num_bins`` gives the histogram size ``m``; ``inds`` holds bin indices
-    (out-of-range indices are ignored, matching Futhark's semantics); ``vals``
-    are the value arrays; ``lam``/``nes`` is the associative & commutative
-    operator with neutral element(s).  Results are ``k`` arrays of length m.
+    (out-of-range indices are ignored, matching Futhark's semantics); ``arrs``
+    are the value arrays (named as a reduce's and a scan's are); ``lam``/``nes``
+    is the associative & commutative operator with neutral element(s).
+    Results are ``k`` arrays of length m.
     """
 
     num_bins: Atom
     lam: Lambda
     nes: Tuple[Atom, ...]
     inds: Var
-    vals: Tuple[Var, ...]
+    arrs: Tuple[Var, ...]
 
 
 @dataclass(frozen=True)
@@ -479,6 +481,10 @@ Exp = Union[
     WithAcc,
     UpdAcc,
 ]
+
+#: The fold family: an operator (``lam``), its neutral elements (``nes``)
+#: and the element arrays it folds (``arrs``).
+FOLDS = (Reduce, Scan, ReduceByIndex)
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,9 @@ class Builder:
     def scan(self, lam: Lambda, nes: Sequence[Atom], arrs: Sequence[Var], names=None) -> Tuple[Var, ...]:
         return self.emit(Scan(lam, tuple(nes), tuple(arrs)), names)
 
-    def reduce_by_index(self, num_bins, lam, nes, inds, vals, names=None) -> Tuple[Var, ...]:
+    def reduce_by_index(self, num_bins, lam, nes, inds, arrs, names=None) -> Tuple[Var, ...]:
         return self.emit(
-            ReduceByIndex(as_atom(num_bins, I64), lam, tuple(nes), inds, tuple(vals)),
+            ReduceByIndex(as_atom(num_bins, I64), lam, tuple(nes), inds, tuple(arrs)),
             names,
         )
 

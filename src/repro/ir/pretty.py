@@ -112,7 +112,7 @@ def pretty_exp(e: Exp, ind: str = "") -> str:
     if isinstance(e, ReduceByIndex):
         return (
             f"reduce_by_index {_atom(e.num_bins)} {_lam(e.lam, ind)} "
-            f"({_atoms(e.nes)}) {e.inds.name} {_atoms(e.vals)}"
+            f"({_atoms(e.nes)}) {e.inds.name} {_atoms(e.arrs)}"
         )
     if isinstance(e, Scatter):
         return f"scatter {e.dest.name} {e.inds.name} {e.vals.name}"

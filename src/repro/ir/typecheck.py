@@ -29,7 +29,6 @@ from .ast import (
     If,
     Index,
     Iota,
-    Lambda,
     Loop,
     Map,
     Reduce,
@@ -64,7 +63,7 @@ from .types import (
     with_rank,
 )
 
-__all__ = ["infer_exp_types", "check_fun", "check_lambda_arity"]
+__all__ = ["infer_exp_types", "check_fun"]
 
 
 def _ty(a: Atom) -> Type:
@@ -278,14 +277,14 @@ def infer_exp_types(e: Exp) -> Tuple[Type, ...]:
         # (redomap-shaped) hists may draw their contributions from m
         # producer input arrays instead.
         k = len(e.nes)
-        m = len(e.vals)
+        m = len(e.arrs)
         if m == 0 or len(e.lam.params) != k + m or len(e.lam.body.result) != k:
             raise TypeError_("reduce_by_index: operator arity mismatch")
         for i, ne in enumerate(e.nes):
             nt = _ty(ne)
             if e.lam.params[i].type != nt or e.lam.body.result[i].type != nt:
                 raise TypeError_("reduce_by_index: neutral element type mismatch")
-        for j, v in enumerate(e.vals):
+        for j, v in enumerate(e.arrs):
             elem, rank = _elem_of_array(v, "reduce_by_index")
             if e.lam.params[k + j].type != with_rank(elem, rank - 1):
                 raise TypeError_("reduce_by_index: value element type mismatch")
@@ -443,11 +442,3 @@ def check_fun(fun: Fun) -> Tuple[Type, ...]:
         seen.add(p.name)
         c.bind(p)
     return c.body(fun.body)
-
-
-def check_lambda_arity(lam: Lambda, n_params: int, n_results: int, what: str) -> None:
-    if len(lam.params) != n_params or len(lam.body.result) != n_results:
-        raise TypeError_(
-            f"{what}: lambda must be {n_params} -> {n_results}, got "
-            f"{len(lam.params)} -> {len(lam.body.result)}"
-        )

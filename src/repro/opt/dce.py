@@ -34,14 +34,12 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 from ..ir.analysis import recognize_redomap_lambda
 from ..ir.ast import (
     Body,
+    FOLDS,
     Fun,
     If,
     Lambda,
     Loop,
     Map,
-    Reduce,
-    ReduceByIndex,
-    Scan,
     Stm,
     UpdAcc,
     Var,
@@ -192,9 +190,6 @@ def _shrink_withacc(e: WithAcc, keep: List[bool]) -> WithAcc:
     return out
 
 
-_FOLDS = frozenset({Reduce, Scan, ReduceByIndex})
-
-
 def _unread_params(lam: Lambda) -> Tuple[int, ...]:
     used = free_vars(lam.body)
     return tuple(i for i, p in enumerate(lam.params) if p.name not in used)
@@ -204,8 +199,7 @@ def _drop_unread(e):
     """A fused (redomap-shaped) reduce/scan/hist without the element arrays
     whose parameter its operator never reads; one array always stays, for
     the extent.  Canonical ``(k+k)`` operators come back unchanged."""
-    arrs = e.vals if isinstance(e, ReduceByIndex) else e.arrs
-    k = len(e.nes)
+    arrs, k = e.arrs, len(e.nes)
     if len(arrs) == k or recognize_redomap_lambda(e.lam) is None:
         return e
     unread = {i - k for i in fact(e.lam, "_unread_params", _unread_params) if i >= k}
@@ -214,10 +208,7 @@ def _drop_unread(e):
         return e
     params = e.lam.params
     lam = Lambda(params[:k] + tuple(params[k + j] for j in stay), e.lam.body)
-    kept = tuple(arrs[j] for j in stay)
-    if isinstance(e, ReduceByIndex):
-        return replace(e, lam=lam, vals=kept)
-    return replace(e, lam=lam, arrs=kept)
+    return replace(e, lam=lam, arrs=tuple(arrs[j] for j in stay))
 
 
 def dce_body(body: Body) -> Body:
@@ -241,7 +232,7 @@ def dce_body(body: Body) -> Body:
             if e is not stm.exp:
                 pat = tuple(v for v, k in zip(pat, keep) if k)
         e = map_bodies(e, dce_body)
-        if type(e) in _FOLDS:
+        if isinstance(e, FOLDS):
             e = _drop_unread(e)
         live.update(a.name for a in exp_free_vars(e))
         out.append(stm if e is stm.exp else Stm(pat, e))

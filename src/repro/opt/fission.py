@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from ..ir.ast import Body, Fun, Lambda, Reduce, ReduceByIndex, Scan, Stm, Var
+from ..ir.ast import FOLDS, Body, Fun, Lambda, Stm, Var
 from ..ir.traversal import free_vars_exp, map_bodies, same_body, with_body, with_exp
 from ..obs import metrics as _obs_metrics
 from .dce import dce_body
@@ -79,8 +79,6 @@ def split_soac(stm: Stm, groups: Sequence[Sequence[int]]) -> List[Stm]:
     an unbound operator parameter."""
     e = stm.exp
     k = len(e.nes)
-    arrs_field = "vals" if isinstance(e, ReduceByIndex) else "arrs"
-    arrs = getattr(e, arrs_field)
     out = []
     for g in groups:
         params = tuple(e.lam.params[j] for j in g) + tuple(
@@ -93,7 +91,7 @@ def split_soac(stm: Stm, groups: Sequence[Sequence[int]]) -> List[Stm]:
             e,
             lam=Lambda(params, body),
             nes=tuple(e.nes[j] for j in g),
-            **{arrs_field: tuple(arrs[j] for j in g)},
+            arrs=tuple(e.arrs[j] for j in g),
         )
         out.append(Stm(tuple(stm.pat[j] for j in g), piece))
     return out
@@ -104,7 +102,7 @@ def _fission_body(body: Body) -> Body:
     for stm in body.stms:
         stm = with_exp(stm, map_bodies(stm.exp, _fission_body))
         e = stm.exp
-        if isinstance(e, (Reduce, Scan, ReduceByIndex)) and len(e.nes) > 1:
+        if isinstance(e, FOLDS) and len(e.nes) > 1:
             groups = component_groups(e.lam, len(e.nes))
             if len(groups) > 1:
                 FISSION_STATS["split"] += 1

@@ -21,7 +21,7 @@ map body costs the same merged or not.
 
 Safety conditions per case: no accumulators on the producer, a single
 consumer statement, results consumed only in element-array positions
-(``arrs``/``vals`` — never free in the consumer lambda, its neutral
+(``arrs`` — never free in the consumer lambda, its neutral
 elements, or its index array), and — for the redomap cases — the fused
 operator must round-trip through ``recognize_redomap_lambda`` so it stays
 both fast and un-fusable.  Applied bottom-up and to a fixed point by the
@@ -45,22 +45,22 @@ for shared free names, so the pass relies on CSE having run.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.analysis import ir_hash, offset_step, recognize_redomap_lambda
+from ..ir.analysis import ir_hash, offset_step, recognize_binop_lambda, recognize_redomap_lambda
 from ..ir.ast import (
     BinOp,
     Body,
     Const,
     Exp,
+    FOLDS,
     Fun,
     Index,
     Iota,
     Lambda,
     Map,
-    Reduce,
     ReduceByIndex,
-    Scan,
     Stm,
     Var,
 )
@@ -177,9 +177,7 @@ def _fuse_vertical(prod_stm: Stm, cons: Exp) -> Optional[Exp]:
             return None
         params, body, arrs = sp
         return Map(Lambda(params, body), arrs, cons.accs)
-    if isinstance(cons, (Reduce, Scan)):
-        if len(cons.nes) != 1:
-            return None
+    if isinstance(cons, FOLDS) and len(cons.nes) == 1:
         sp = _splice(prod_stm, cons.lam, cons.arrs, 1)
         if sp is None:
             return None
@@ -189,32 +187,13 @@ def _fuse_vertical(prod_stm: Stm, cons: Exp) -> Optional[Exp]:
         # keep their bulk fast path and unfuse_fun can split it before AD.
         if recognize_redomap_lambda(lam) is None:
             return None
-        return Reduce(lam, cons.nes, arrs) if isinstance(cons, Reduce) else Scan(
-            lam, cons.nes, arrs
-        )
-    if isinstance(cons, ReduceByIndex):
-        if len(cons.nes) != 1:
-            return None
-        sp = _splice(prod_stm, cons.lam, cons.vals, 1)
-        if sp is None:
-            return None
-        params, body, vals = sp
-        lam = Lambda(params, body)
-        if recognize_redomap_lambda(lam) is None:
-            return None
-        return ReduceByIndex(cons.num_bins, lam, cons.nes, cons.inds, vals)
+        return replace(cons, lam=lam, arrs=arrs)
     return None
 
 
 def _consumable_positions(e: Exp) -> Optional[Tuple[Var, ...]]:
     """The element-array variables of a fusable consumer (None otherwise)."""
-    if isinstance(e, Map):
-        return e.arrs
-    if isinstance(e, (Reduce, Scan)):
-        return e.arrs
-    if isinstance(e, ReduceByIndex):
-        return e.vals
-    return None
+    return e.arrs if isinstance(e, (Map,) + FOLDS) else None
 
 
 def _forbidden_names(e: Exp) -> Set[str]:
@@ -413,26 +392,14 @@ def fuse_fun(fun: Fun) -> Fun:
 # ---------------------------------------------------------------------------
 
 
-def _is_trivial_map_part(mlam: Lambda) -> bool:
-    """True for ``\\x -> x`` map parts (a canonical binop operator)."""
-    return (
-        not mlam.body.stms
-        and len(mlam.params) == 1
-        and isinstance(mlam.body.result[0], Var)
-        and mlam.body.result[0].name == mlam.params[0].name
-    )
-
-
 def _unfuse_redomap(stm: Stm) -> List[Stm]:
     """Split a redomap-shaped reduce/scan/hist back into map + canonical op."""
     e = stm.exp
-    if not isinstance(e, (Reduce, Scan, ReduceByIndex)) or len(e.nes) != 1:
+    if not isinstance(e, FOLDS) or len(e.nes) != 1:
         return [stm]
-    arrs = e.vals if isinstance(e, ReduceByIndex) else e.arrs
-    canonical = len(arrs) == 1 and len(e.lam.params) == 2
-    rm = recognize_redomap_lambda(e.lam)
+    arrs, rm = e.arrs, recognize_redomap_lambda(e.lam)
     if rm is None:
-        if canonical:
+        if len(arrs) == 1 and len(e.lam.params) == 2:
             return [stm]
         raise ADError(
             f"AD requires canonical (k+k) -> k {type(e).__name__} operators; "
@@ -441,9 +408,9 @@ def _unfuse_redomap(stm: Stm) -> List[Stm]:
             "split into map + canonical operator — rewrite it that way to "
             "differentiate it"
         )
-    op, mlam = rm
-    if canonical and _is_trivial_map_part(mlam):
+    if recognize_binop_lambda(e.lam) is not None:  # the identity map part
         return [stm]
+    op, mlam = rm
     v = mlam.body.result[0]
     et = v.type
     tvar = Var(fresh("fusx"), with_rank(et, rank_of(et) + 1))
@@ -452,13 +419,7 @@ def _unfuse_redomap(stm: Stm) -> List[Stm]:
     x = Var(fresh("fusb"), et)
     r = Var(fresh("fusr"), et)
     op_lam = Lambda((acc, x), Body((Stm((r,), BinOp(op, acc, x)),), (r,)))
-    if isinstance(e, Reduce):
-        new: Exp = Reduce(op_lam, e.nes, (tvar,))
-    elif isinstance(e, Scan):
-        new = Scan(op_lam, e.nes, (tvar,))
-    else:
-        new = ReduceByIndex(e.num_bins, op_lam, e.nes, e.inds, (tvar,))
-    return [map_stm, Stm(stm.pat, new)]
+    return [map_stm, Stm(stm.pat, replace(e, lam=op_lam, arrs=(tvar,)))]
 
 
 def unfuse_body(body: Body) -> Body:

@@ -39,7 +39,7 @@ from ..ir.traversal import (
     with_body,
     with_exp,
 )
-from ..ir.types import BOOL, AccType, Scalar, is_float, np_dtype, rank_of
+from ..ir.types import BOOL, AccType, is_float, np_dtype, rank_of
 from ..exec.prims import apply_binop, apply_unop, cast_to
 
 __all__ = ["simplify_fun", "simplify_body"]

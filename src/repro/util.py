@@ -13,7 +13,6 @@ __all__ = [
     "ExecError",
     "NameSupply",
     "fresh",
-    "reset_names",
     "BoundedLRU",
 ]
 
@@ -122,9 +121,3 @@ class BoundedLRU:
     def clear(self) -> None:
         with self._lock:
             self._d.clear()
-
-
-def reset_names() -> None:
-    """Reset the global name counter (tests only — not thread safe)."""
-    global _GLOBAL_SUPPLY
-    _GLOBAL_SUPPLY = NameSupply()

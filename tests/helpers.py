@@ -5,7 +5,6 @@ from __future__ import annotations
 import cProfile
 import pstats
 import tracemalloc
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ def cold_programs():
     benchmark compiles cold, from the eight apps, at its reduced sizes
     (``bench/workloads.py``, third column, restated: tests do not import
     ``bench/``).  ``derive(fc)`` goes through the public API and returns the
-    ``ADFunction``."""
+    derivative's ``Compiled``."""
     from repro.apps import ba, datagen, gmm, hand, kmeans, kmeans_sparse, lstm, rsbench, xsbench
 
     def grad(wrt):

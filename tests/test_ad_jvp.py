@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro as rp
-from repro.exec import run_fun
 from repro.core.jvp import jvp_fun
-from repro.opt.pipeline import optimize_fun
 
 rng = np.random.default_rng(2)
 

@@ -1,6 +1,5 @@
 """Application-level integration tests: RSBench / XSBench-shaped kernels."""
 import numpy as np
-import pytest
 
 import repro as rp
 from repro.apps import datagen, rsbench, xsbench

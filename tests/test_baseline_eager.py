@@ -1,7 +1,6 @@
 """Eager tape-AD baseline tests (the PyTorch/Tapenade comparator must itself
 be correct for the benchmark ratios to mean anything)."""
 import numpy as np
-import pytest
 
 from repro.baselines import eager as eg
 

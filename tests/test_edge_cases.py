@@ -268,3 +268,52 @@ def test_nan_and_inf_propagate_as_on_ref(soac, strategy, op):
         assert not np.isfinite(want).all() or op in ("min", "max")
         got = np.asarray(fc(*lead, vals, backend="plan"))
         np.testing.assert_array_equal(got, want, err_msg=str(bad))
+
+
+# ---------------------------------------------------------------------------
+# A scan over no elements keeps its elements' extents: the neutral element's
+# ---------------------------------------------------------------------------
+
+
+def _array_scan_fun(strategy: str, nested: bool):
+    """``scan op z xs`` over ``[n][3]f64`` rows from ``z : [3]f64`` (under a
+    ``map`` over ``[2][n][3]f64`` when ``nested``), ``op`` lowered as
+    ``strategy``."""
+    from repro.ir import F64, Fun, Lambda, Var, array
+    from repro.ir.builder import Builder
+
+    a, x = Var("a", array(F64, 1)), Var("x", array(F64, 1))
+    ob = Builder()
+    if strategy == "ufunc":  # a + x
+        r = ob.add(a, x)
+    elif strategy == "redomap":  # a + x·x
+        r = ob.add(a, ob.mul(x, x))
+    else:  # a·x + a: the accumulator read twice
+        r = ob.add(ob.mul(a, x), a)
+    op = Lambda((a, x), ob.finish([r]))
+    z = Var("z", array(F64, 1))
+    xs = Var("xs", array(F64, 2))
+    sb = Builder()
+    (ys,) = sb.scan(op, [z], [xs])
+    if not nested:
+        return Fun("scan_rows", (xs, z), sb.finish([ys]))
+    xss = Var("xss", array(F64, 3))
+    b = Builder()
+    (out,) = b.map(Lambda((xs,), sb.finish([ys])), [xss])
+    return Fun("scan_rows_in_map", (xss, z), b.finish([out]))
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "in-map"])
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("strategy", ["ufunc", "redomap", "generic"])
+def test_scan_over_no_elements_keeps_the_neutral_elements_extents(strategy, n, nested):
+    """Every element of a scan has the neutral element's extents, also when
+    there is none: ``ref`` and every plan strategy return ``(n, 3)`` rows."""
+    fc = rp.compile(_array_scan_fun(strategy, nested))
+    assert reduce_census(fc.fun) == [("scan", strategy)]
+    lead = (2,) if nested else ()
+    xs = 0.5 * np.arange(1.0, 1.0 + 2 * n * 3).reshape(2, n, 3)
+    args = (xs if nested else xs[0], np.array([1.0, -2.0, 0.25]))
+    for backend in ("ref", "plan"):
+        assert np.shape(fc(*args, backend=backend)) == lead + (n, 3), backend
+    run_both(fc, *args)

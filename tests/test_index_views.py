@@ -251,7 +251,7 @@ def test_upd_acc_with_a_lane_uniform_value_takes_add_at():
     (acc_n,) = top.map(Lambda((i, acc1), mid.finish([acc_m])), [is_n], [acc0])
     b = Builder()
     (out,) = b.with_acc([a], Lambda((acc0,), top.finish([acc_n])))
-    fc = rp.compile(Fun("lane_uniform_upd", (a, s), b.finish([out])), optimize=False)
+    fc = rp.compile(Fun("lane_uniform_upd", (a, s), b.finish([out])), passes=())
     av = np.arange(1.0, M + 1.0)
     np.testing.assert_array_equal(run_both(fc, av, 0.5), av + N * 0.5)
     before = plan_cache_stats()["index"]["view_fallbacks"]
@@ -521,7 +521,7 @@ def test_contract_with_a_lane_uniform_factor_counts_it_once_per_lane():
     (acc_n,) = top.map(Lambda((i, acc1), mid.finish([acc_m])), [is_n], [acc0])
     b = Builder()
     (out,) = b.with_acc([a], Lambda((acc0,), top.finish([acc_n])))
-    fc = rp.compile(Fun("lane_uniform_product", (a, wv, s), b.finish([out])), optimize=False)
+    fc = rp.compile(Fun("lane_uniform_product", (a, wv, s), b.finish([out])), passes=())
     av, w = np.arange(1.0, M + 1.0), np.linspace(0.5, 2.0, M)
     np.testing.assert_allclose(run_both(fc, av, w, 0.5), av + N * w * 0.5, rtol=1e-12)
     assert _contracts_of(fc, av, w, 0.5) == 1
@@ -552,7 +552,7 @@ def test_contract_spreads_a_raised_lane_uniform_factor(sv):
     (acc_n,) = top.map(Lambda((x, acc1), mid.finish([acc_m])), [X], [acc0])
     b = Builder()
     (out,) = b.with_acc([a], Lambda((acc0,), top.finish([acc_n])))
-    fc = rp.compile(Fun("raised_factor", (a, X, wv, s), b.finish([out])), optimize=False)
+    fc = rp.compile(Fun("raised_factor", (a, X, wv, s), b.finish([out])), passes=())
     av, w = np.arange(1.0, M + 1.0), np.linspace(0.5, 2.0, M)
     xv = np.linspace(-1.0, 1.0, N * M).reshape(N, M)
     total = N * sv if sv > 0 else xv[:, 0].sum()
@@ -594,7 +594,7 @@ def _replicate_map(with_acc_body):
     top = Builder()
     b = Builder()
     (out,) = b.with_acc([a], Lambda((acc0,), top.finish([with_acc_body(top, wv, s, acc0)])))
-    return rp.compile(Fun("replicate_map", (a, wv, s), b.finish([out])), optimize=False)
+    return rp.compile(Fun("replicate_map", (a, wv, s), b.finish([out])), passes=())
 
 
 def _replicates_kept(fc) -> int:

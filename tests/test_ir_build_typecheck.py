@@ -1,5 +1,4 @@
 """Builder + typechecker unit tests."""
-import numpy as np
 import pytest
 
 from repro.ir import (
@@ -17,7 +16,7 @@ from repro.ir import (
     pretty,
     validate_fun,
 )
-from repro.ir.ast import BinOp, If, Index, Iota, Map, Body, AtomExp, UpdAcc, WithAcc
+from repro.ir.ast import BinOp, If, Index, Iota, Map, Body, AtomExp, UpdAcc
 from repro.ir.types import AccType
 from repro.util import IRError, TypeError_
 

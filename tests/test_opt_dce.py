@@ -36,7 +36,7 @@ def test_dce_preserves_semantics():
     fun = rp.trace_like(f, (np.ones(4),))
     d = dce_fun(fun)
     xs = rng.standard_normal(4)
-    assert Compiled(d, optimize=False)(xs) == Compiled(fun, optimize=False)(xs)
+    assert Compiled(d, passes=())(xs) == Compiled(fun, passes=())(xs)
     assert _maps_in(d) < _maps_in(fun)
 
 
@@ -66,8 +66,8 @@ def test_perfect_nest_no_reexecution():
     # Cost-model check: adjoint work ≤ ~4x primal work (constant, not depth-
     # dependent — the Fig. 2 claim).
     ass = rng.standard_normal((8, 16))
-    prim = Compiled(fun, optimize=False)
-    adj = Compiled(opt, optimize=False)
+    prim = Compiled(fun, passes=())
+    adj = Compiled(opt, passes=())
     cp = prim.cost(ass)
     ca = adj.cost(ass, np.ones((8, 16)))
     assert ca.work <= 6 * cp.work, (ca.work, cp.work)
@@ -93,8 +93,8 @@ def test_fig2_structure_if_inside_map():
     cs = rng.standard_normal(3)
     ass = rng.standard_normal((3, 4))
     seed = rng.standard_normal((3, 4))
-    r1 = Compiled(raw, optimize=False)(cs, ass, seed)
-    r2 = Compiled(opt, optimize=False)(cs, ass, seed)
+    r1 = Compiled(raw, passes=())(cs, ass, seed)
+    r2 = Compiled(opt, passes=())(cs, ass, seed)
     for a, b in zip(r1, r2):
         np.testing.assert_allclose(np.asarray(a), np.asarray(b))
 
@@ -122,8 +122,8 @@ def _loops(fun):
 
 
 def _same_on_ref(a, b, *args):
-    ra = Compiled(a, optimize=False)(*args, backend="ref")
-    rb = Compiled(b, optimize=False)(*args, backend="ref")
+    ra = Compiled(a, passes=())(*args, backend="ref")
+    rb = Compiled(b, passes=())(*args, backend="ref")
     for x, y in zip(ra if isinstance(ra, tuple) else (ra,), rb if isinstance(rb, tuple) else (rb,)):
         assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
@@ -234,7 +234,7 @@ def test_dce_is_bitwise_on_ref_for_every_app():
         cut = dce_fun(raw)
         assert count_stms(cut) <= count_stms(raw), name
         inp = tuple(np.asarray(a) for a in inp)
-        res = Compiled(fun, optimize=False)(*inp, backend="ref")
+        res = Compiled(fun, passes=())(*inp, backend="ref")
         seeds = tuple(np.ones_like(np.asarray(r)) for r in (res if isinstance(res, tuple) else (res,)))
         _same_on_ref(raw, cut, *inp, *seeds)
 
@@ -291,8 +291,8 @@ def _cut_is_sound(fun, *args):
     check_fun(cut)
     validate_fun(cut)
     for be in ("ref", "plan"):
-        want = _as_tuple(Compiled(fun, optimize=False)(*args, backend=be))
-        got = _as_tuple(Compiled(cut, optimize=False)(*args, backend=be))
+        want = _as_tuple(Compiled(fun, passes=())(*args, backend=be))
+        got = _as_tuple(Compiled(cut, passes=())(*args, backend=be))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), be
@@ -413,8 +413,7 @@ def test_dce_drops_an_unread_operand_of_a_fused_soac(kind):
     for op_body, n in ((_twice_x0, 3), (_count, 2)):
         fun = _soac_fun(kind, 1, op_body, n)
         e = _cut_is_sound(fun, *_soac_args(n)).body.stms[-1].exp
-        arrs = e.vals if kind == "hist" else e.arrs
-        assert [a.name for a in arrs] == ["xs0"] and len(e.lam.params) == 2
+        assert [a.name for a in e.arrs] == ["xs0"] and len(e.lam.params) == 2
 
 
 @pytest.mark.parametrize("kind", ["reduce", "scan", "hist"])

@@ -29,8 +29,8 @@ def _soacs(fun, klass=(Reduce, Scan, ReduceByIndex)):
 
 
 def _same_results(fun, split, *args):
-    a = rp.compile(fun, optimize=False)(*args, backend="ref")
-    b = rp.compile(split, optimize=False)(*args, backend="ref")
+    a = rp.compile(fun, passes=())(*args, backend="ref")
+    b = rp.compile(split, passes=())(*args, backend="ref")
     for x, y in zip(a, b):
         np.testing.assert_allclose(np.asarray(x), np.asarray(y), rtol=1e-12, atol=0)
 
@@ -72,7 +72,7 @@ def test_argmin_pair_and_argmin_with_tangent_stay_whole():
     assert fission_stats()["kept_coupled"] == before + 1
 
     # (v, i, v̇): jvp lifts the operator; v̇ is selected by the same predicate.
-    lifted = _soacs(rp.jvp(rp.compile(fun, optimize=False), optimize=False).fun)
+    lifted = _soacs(rp.jvp(rp.compile(fun, passes=()), passes=()).fun)
     (stm,) = [s for s in lifted if len(s.exp.nes) == 3]
     assert component_groups(stm.exp.lam, 3) == [(0, 1, 2)]
 

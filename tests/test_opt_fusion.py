@@ -108,6 +108,45 @@ def test_fusion_respects_multi_consumer_maps():
 # ---------------------------------------------------------------------------
 
 
+def _op_lambda(build):
+    """``\\x y -> build(b, x, y)`` over ``f64``."""
+    from repro.ir import F64, Lambda, Var
+    from repro.ir.builder import Builder
+
+    x, y, b = Var("x", F64), Var("y", F64), Builder()
+    return Lambda((x, y), b.finish([build(b, x, y)]))
+
+
+@pytest.mark.parametrize("build, op", [
+    (lambda b, x, y: b.add(y, x), "add"),  # operands swapped
+    (lambda b, x, y: b.copy(b.binop("max", x, y)), "max"),  # a trailing copy
+    (lambda b, x, y: b.add(x, x), None),
+    (lambda b, x, y: b.sub(x, y), None),
+    (lambda b, x, y: (b.unop("sin", y), b.mul(x, y))[1], None),  # a dead statement
+], ids=["swapped", "copy", "x+x", "x-y", "dead-stm"])
+def test_binop_lambda_is_the_redomap_with_an_identity_map_part(build, op):
+    """``recognize_binop_lambda`` is ``recognize_redomap_lambda``'s case whose
+    map part has no statement and returns its parameter: a dead statement
+    beside the combine makes the operator a redomap, and only a program
+    compiled with ``passes=()`` (DCE drops the statement) lowers it so."""
+    from repro.ir import F64, Fun, Var, array
+    from repro.ir.analysis import recognize_binop_lambda
+    from repro.ir.builder import Builder, const
+    from helpers import reduce_census
+
+    lam = _op_lambda(build)
+    assert recognize_binop_lambda(lam) == op
+    rm = recognize_redomap_lambda(lam)
+    if op is not None:
+        assert rm is not None and rm[0] == op and not rm[1].body.stms
+    xs, b = Var("xs", array(F64, 1)), Builder()
+    (r,) = b.reduce(lam, [const(0.0, F64)], [xs])
+    fun = Fun("fold", (xs,), b.finish([r]))
+    strategy = "ufunc" if op else "redomap" if rm else "generic"
+    assert reduce_census(rp.compile(fun, passes=()).fun) == [("reduce", strategy)]
+    run_both(rp.compile(fun, passes=()), rng.standard_normal(5))
+
+
 def test_redomap_recognized_and_unfused():
     def f(xs):
         return rp.sum(rp.map(lambda x: rp.tanh(x) * 2.0, xs))
@@ -121,7 +160,7 @@ def test_redomap_recognized_and_unfused():
     assert count_soacs(uf) == 2  # map + canonical reduce
     xs = rng.standard_normal(4)
     np.testing.assert_allclose(
-        Compiled(fz, optimize=False)(xs), Compiled(uf, optimize=False)(xs)
+        Compiled(fz, passes=())(xs), Compiled(uf, passes=())(xs)
     )
 
 

@@ -17,8 +17,8 @@ rng = np.random.default_rng(7)
 
 
 def _same(fun1, fun2, *args):
-    r1 = Compiled(fun1, optimize=False)(*args)
-    r2 = Compiled(fun2, optimize=False)(*args)
+    r1 = Compiled(fun1, passes=())(*args)
+    r2 = Compiled(fun2, passes=())(*args)
     r1 = r1 if isinstance(r1, tuple) else (r1,)
     r2 = r2 if isinstance(r2, tuple) else (r2,)
     for a, b in zip(r1, r2):
@@ -148,7 +148,7 @@ def test_acc_opt_preserves_matmul_semantics():
     from repro.core.api import vjp
 
     f = _matmul()
-    raw = vjp(f, optimize=False)
+    raw = vjp(f, passes=())
     opt = vjp(f)
     A, B, S = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
     _same(raw.fun, opt.fun, A, B, S)

@@ -2,12 +2,10 @@
 are assembled from these rules, so each partial is pinned numerically)."""
 import math
 
-import numpy as np
 import pytest
 
 from repro.exec.interp import RefInterp
 from repro.ir import Builder, F64, Fun, Var, const
-from repro.ir.ast import BinOp, UnOp
 from repro.core.rules_scalar import binop_partials, unop_partial
 
 

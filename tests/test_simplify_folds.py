@@ -33,8 +33,8 @@ _FOLD_CASES = [
 @pytest.mark.parametrize("name,f", _FOLD_CASES, ids=[c[0] for c in _FOLD_CASES])
 def test_folds_match_runtime_on_every_backend(name, f):
     fun = rp.trace_like(f, (1.0,))
-    fo = rp.compile(fun, optimize=True)
-    fr = rp.compile(fun, optimize=False)
+    fo = rp.compile(fun)
+    fr = rp.compile(fun, passes=())
     # these folds must actually fire (the old blanket `except Exception`
     # silently demoted several of them to "don't fold")
     assert len(fo.fun.body.stms) == 0, "expected the expression to fold away"
@@ -47,8 +47,8 @@ def test_folds_match_runtime_on_every_backend(name, f):
 def test_integer_div_and_mod_by_zero_fold_like_runtime():
     for f in (lambda i: (i * 0 + 1) / (i * 0), lambda i: (i * 0 + 1) % (i * 0)):
         fun = rp.trace_like(f, (np.int64(3),))
-        fo = rp.compile(fun, optimize=True)
-        fr = rp.compile(fun, optimize=False)
+        fo = rp.compile(fun)
+        fr = rp.compile(fun, passes=())
         for be in BACKENDS:
             assert fo(np.int64(3), backend=be) == fr(np.int64(3), backend=be)
 
@@ -57,8 +57,8 @@ def test_cast_of_inf_to_int_folds_like_runtime():
     # np.int64(inf) raises, but the executors' astype produces a value: the
     # fold must go through the same astype, not the scalar constructor.
     fun = rp.trace_like(lambda x: rp.astype(x * 0.0 + 1e308 * 10.0, rp.I64), (1.0,))
-    fo = rp.compile(fun, optimize=True)
-    fr = rp.compile(fun, optimize=False)
+    fo = rp.compile(fun)
+    fr = rp.compile(fun, passes=())
     assert len(fo.fun.body.stms) == 0
     for be in BACKENDS:
         assert fo(1.0, backend=be) == fr(1.0, backend=be)
@@ -72,8 +72,8 @@ def test_folded_gradients_survive_nonfinite_constants():
         return x * x + big * 0.0  # big*0.0 folds to nan? no: 1e308*0.0 == 0.0
 
     fun = rp.trace_like(f, (1.0,))
-    g_opt = rp.grad(rp.compile(fun, optimize=True))(3.0)
-    g_raw = rp.grad(rp.compile(fun, optimize=False), optimize=False)(3.0)
+    g_opt = rp.grad(rp.compile(fun))(3.0)
+    g_raw = rp.grad(rp.compile(fun, passes=()), passes=())(3.0)
     np.testing.assert_allclose(g_opt, g_raw)
 
 
@@ -108,8 +108,8 @@ _SIZE_CASES = [
 @pytest.mark.parametrize("name,f,kinds", _SIZE_CASES, ids=[c[0] for c in _SIZE_CASES])
 def test_length_folds_through_definition(name, f, kinds):
     fun = rp.trace_like(f, (np.ones(4),))
-    fo = rp.compile(fun, optimize=True)
-    fr = rp.compile(fun, optimize=False)
+    fo = rp.compile(fun)
+    fr = rp.compile(fun, passes=())
     assert _stm_kinds(fo.fun) == kinds
     for n in (0, 1, 5):
         for be in BACKENDS:
@@ -136,7 +136,7 @@ def test_length_fold_ignores_a_sibling_scopes_definition_of_the_name():
     out = simplify_fun(fun)
     assert out.body.stms[0].exp.lam.body.result == (const(3, I64),)
     assert out.body.stms[1].exp.lam.body == second.body
-    got = rp.compile(out, optimize=False)(np.ones((2, 5)), backend="ref")
+    got = rp.compile(out, passes=())(np.ones((2, 5)), backend="ref")
     np.testing.assert_array_equal(got[0], [3, 3])
     np.testing.assert_array_equal(got[1], [5, 5])
 
@@ -236,8 +236,8 @@ def test_unit_times_a_double_folds_to_a_bitwise_equal_double_multiply(form):
         return rp.map(elem, xs)
 
     fun = rp.trace_like(f, (_EDGES,))
-    fo = rp.compile(fun, optimize=True)
-    fr = rp.compile(fun, optimize=False)
+    fo = rp.compile(fun)
+    fr = rp.compile(fun, passes=())
     (body,) = [s.exp.lam.body for s in fo.fun.body.stms]
     (mul,) = [s.exp for s in body.stms]
     assert mul.op == "mul" and -2.0 in (getattr(mul.x, "value", None), getattr(mul.y, "value", None))

@@ -198,23 +198,26 @@ def test_scatter_kernel(bshape, masked, n):
 @pytest.mark.parametrize("fold", [False, True])
 @pytest.mark.parametrize("op", list(_OPS))
 @pytest.mark.parametrize("n", [0, 1, 5])
-def test_reduce_and_scan_ufunc_kernels(bshape, n, op, fold):
+def test_ufunc_reduce_and_scan_run_the_redomap_kernel(bshape, n, op, fold):
     rng = np.random.default_rng(3)
     eng, d = _eng(bshape, False), len(bshape)
     xs = _rand(rng, bshape, n)
     # ``fold``: the neutral element is not the operator's own and is folded in.
     ne = 0.25 if fold else _NE[op]
-    (red,) = V._reduce_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold)
+    # The ``ufunc`` strategy: the redomap kernel with no map part.
+    (red,) = V._redomap(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], "reduce", op, fold, None)
     red = _full(red, bshape)
-    (scn,) = V._scan_ufunc(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], op, fold)
-    assert scn.bdims == d and scn.data.shape == bshape + (n,)
+    (scn,) = V._redomap(eng, [BV(xs, d)], [BV(np.float64(ne), 0)], "scan", op, fold, None)
+    assert scn.bdims == d
+    scn = _full(scn, bshape)
+    assert scn.shape == bshape + (n,)
     for lane in np.ndindex(*bshape):
         acc, pre = ne, []
         for x in xs[lane]:
             acc = _OPS[op](acc, x)
             pre.append(acc)
         np.testing.assert_allclose(red[lane], acc, rtol=1e-14)
-        np.testing.assert_allclose(scn.data[lane], pre, rtol=1e-14)
+        np.testing.assert_allclose(scn[lane], pre, rtol=1e-14)
 
 
 @depths
@@ -232,7 +235,7 @@ def test_redomap_tails_broadcast_a_lane_uniform_body_result(bshape):
     empty = V._fold_empty(eng, BV(np.float64(7.0), 0))
     assert empty.bdims == d and empty.data.shape == bshape and (empty.data == 7.0).all()
     e2 = V._scan_empty(eng, BV(np.zeros(3, dtype=np.float32), 0))
-    assert e2.data.shape == (1,) * d + (0, 0) and e2.data.dtype == np.float32 and e2.bdims == d
+    assert e2.data.shape == (1,) * d + (0, 3) and e2.data.dtype == np.float32 and e2.bdims == d
 
 
 def test_map_result_is_owned_contiguous_and_full_extent():
@@ -262,11 +265,11 @@ def _hist_want(eng, bshape, m, inds, vals, op, ne):
 @pytest.mark.parametrize("op", list(_OPS))
 @pytest.mark.parametrize("n", [0, 1, 6])
 def test_hist_kernels_ufunc_redomap_and_generic(bshape, masked, n, op):
-    """One expectation, three routes: the ``hist:ufunc`` kernel, the
-    ``hist:redomap`` one with an identity map part (run once, one lane level
-    down — also over no elements) and the element-at-a-time ``hist:generic``
-    one driven by a Python operator body.  Indices run from -2 to m+1 in
-    every kind of lane."""
+    """One expectation, three routes: the ``hist:redomap`` kernel with no map
+    part (the ``ufunc`` strategy) and with an identity one (run once, one
+    lane level down — also over no elements), and the element-at-a-time
+    ``hist:generic`` one driven by a Python operator body.  Indices run from
+    -2 to m+1 in every kind of lane."""
     rng = np.random.default_rng(4)
     eng, d = _eng(bshape, masked), len(bshape)
     m = 3
@@ -275,7 +278,7 @@ def test_hist_kernels_ufunc_redomap_and_generic(bshape, masked, n, op):
     nes = [BV(np.float64(_NE[op]), 0)]
     want = _hist_want(eng, bshape, m, inds, vals, op, _NE[op])
     arrs = [BV(inds, d), BV(vals, d)]
-    (got,) = V._hist_ufunc(eng, m, arrs, nes, op)
+    (got,) = V._hist_redomap(eng, m, arrs, nes, op, None)
     np.testing.assert_allclose(_full(got, bshape), want, rtol=1e-14)
     depths_seen = []
 
@@ -556,14 +559,16 @@ def test_out_of_fuel_is_the_one_wording():
 
 def test_leaf_kernel_table_names_fields_the_plan_ir_has():
     """``KERNELS`` reads instruction records by field name: every plan-IR
-    kind but a fused ``run`` has one entry (one per strategy for the reduce
-    family), every operand, static and body field an entry names is a slot
-    of that instruction class (a ``"layout"`` static is the emitting
-    ``Layout``'s fact, ``Layout.static``), a body's last field holds the
-    ``PBody`` and the kernel takes exactly ``eng`` plus what the entry
-    names."""
+    kind but a fused ``run`` has one entry (one per strategy for the fold
+    family, ``IFold``, whose ``ufunc`` runs the redomap kernel), every
+    operand, static and body field an entry names is a slot of that
+    instruction class (a ``"layout"`` static is the emitting ``Layout``'s
+    fact, ``Layout.static``), a body's last field holds the ``PBody`` and the
+    kernel takes exactly ``eng`` plus what the entry names."""
     by_kind = {c.kind: c for c in vars(lower).values()
-               if isinstance(c, type) and issubclass(c, lower._Instr) and c is not lower._Instr}
+               if isinstance(c, type) and issubclass(c, lower._Instr)
+               and c not in (lower._Instr, lower.IFold)}
+    by_kind.update(dict.fromkeys(("reduce", "scan", "hist"), lower.IFold))
 
     def slots_of(cls):
         return {s for k in cls.__mro__ for s in getattr(k, "__slots__", ())}
@@ -582,7 +587,7 @@ def test_leaf_kernel_table_names_fields_the_plan_ir_has():
         inspect.signature(kernel).bind(None, *[None] * (len(operands) + len(statics) + len(bodies)))
     assert bodies_of["if"] == ["then", "els"] and bodies_of["while"] == ["cbody", "body"]
     for k in ("reduce", "scan", "hist"):
-        assert [bodies_of[f"{k}:{s}"] for s in strategies] == [[], ["mbody"], ["body"]]
+        assert [bodies_of[f"{k}:{s}"] for s in strategies] == [["mbody"], ["mbody"], ["body"]]
     with pytest.raises(KeyError):
         V.kernel_of(lower.IRun((), ()))
 
@@ -701,8 +706,8 @@ def test_generic_fold_and_scan_kernels_collect_one_column_per_result(bshape):
         assert x.bdims == d and e.bstack == list(bshape)
         return _elem(np.add, a, x), _elem(np.multiply, b, y)
 
-    red = V._fold(eng, [BV(xs, d), BV(ys, d)], nes, (d, d), op)
-    scn = V._fold_scan(eng, [BV(xs, d), BV(ys, d)], nes, (d, d), op)
+    red = V._fold(eng, [BV(xs, d), BV(ys, d)], nes, "reduce", (d, d), op)
+    scn = V._fold(eng, [BV(xs, d), BV(ys, d)], nes, "scan", (d, d), op)
     want_s = 0.5 + np.cumsum(xs, axis=-1)
     want_p = np.cumprod(ys, axis=-1)
     np.testing.assert_allclose(_full(red[0], bshape), want_s[..., -1], rtol=1e-14)
@@ -725,12 +730,12 @@ def test_redomap_fold_and_hist_kernels_over_no_elements(bshape):
         ran.append(list(e.bstack))
         return (vals[0],)
 
-    (r,) = V._redomap(eng, [empty], [ne], "add", True, body)
+    (r,) = V._redomap(eng, [empty], [ne], "reduce", "add", True, body)
     assert r.bdims == d and _full(r, bshape).shape == bshape and (r.data == 7.0).all()
-    (sc,) = V._redomap_scan(eng, [empty], [ne], "add", True, body)
+    (sc,) = V._redomap(eng, [empty], [ne], "scan", "add", True, body)
     assert sc.bdims == d and sc.data.shape == (1,) * d + (0,)
-    assert V._fold(eng, [empty], [ne], (0,), body) == [ne]
-    (col,) = V._fold_scan(eng, [empty], [ne], (0,), body)
+    assert V._fold(eng, [empty], [ne], "reduce", (0,), body) == [ne]
+    (col,) = V._fold(eng, [empty], [ne], "scan", (0,), body)
     assert col.bdims == d and col.data.shape == (1,) * d + (0,)
     inds = BV(np.zeros(bshape + (0,), dtype=np.int64), d)
     (h,) = V._hist_fold(eng, 2, [inds, empty], [ne], body)
