@@ -175,7 +175,6 @@ def jacobian_manual(gcams, gpts, ws, feats, eps: float = 1e-7):
     ADBench's hand-written BA Jacobian enumerates the same 15 columns with
     symbolic derivatives; numerically the two coincide to O(eps²), and the
     runtime structure (15 cheap vectorised passes) is identical."""
-    n = gcams.shape[0]
     blocks = []
     packs = [gcams, gpts, ws[:, None]]
     for bi, blk in enumerate(packs):

@@ -60,7 +60,7 @@ def build_ir(n: int, d: int, K: int):
     of (alphas, means, icf, x) -> scalar."""
 
     def objective(alphas, means, icf, x):
-        dd = rp.size(means, dim=1)
+        rp.size(means, dim=1)
         k_is = rp.iota(K)
 
         def log_wishart(k):
@@ -134,7 +134,6 @@ def _unpack(icf: np.ndarray, d: int):
 
 def _forward(alphas, means, icf, x):
     n, d = x.shape
-    K = alphas.shape[0]
     ldiag, lt = _unpack(icf, d)
     xc = x[:, None, :] - means[None, :, :]  # (n,K,d)
     qxc = ldiag[None] * xc + np.einsum("krj,ikj->ikr", lt, xc)
@@ -158,7 +157,6 @@ def objective_np(alphas, means, icf, x) -> float:
 def grad_manual(alphas, means, icf, x):
     """Hand-written adjoint of the objective (the "Manual" column)."""
     n, d = x.shape
-    K = alphas.shape[0]
     idx, mask = tri_indices(d)
     obj, (ldiag, lt, xc, qxc, inner, lse) = _forward(alphas, means, icf, x)
     w = np.exp(inner - lse[:, None])  # softmax over k, (n,K)

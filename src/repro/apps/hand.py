@@ -129,7 +129,6 @@ def _rot_np(th, v):
 
 def _positions_np(theta, base, wghts):
     n_bones = len(theta) // 3
-    pos = np.zeros_like(base)
     cur = base.copy()
     acc = np.zeros_like(base)
     for b in range(n_bones):

@@ -26,8 +26,6 @@ __all__ = ["build_ir", "loss_np", "grad_fwd_ad", "grad_manual", "loss_eager"]
 def build_ir(n: int, bs: int, d: int, h: int, stripmine: int = 0):
     """loss(xs, wx, wh, b, wy, targets) -> scalar.  ``stripmine`` is the time
     loop's §4.3 annotation (``rp.fori_loop``)."""
-    H4 = 4 * h
-
     def loss(xs, wx, wh, b, wy, targets):
         def step(t, hs, cs, acc):
             def cell_row(bi):

@@ -424,7 +424,8 @@ class _JVP:
         body = lb.finish(tuple(prim) + tuple(dres))
         new_params = tuple(e.params) + tuple(dparams)
         # The condition reads only primal state; extend its parameter list.
-        cond_extra = tuple(_dvar(p) for p in dparams)
+        for p in dparams:  # (fresh names drawn as before: later names keep their numbers)
+            _dvar(p)
         m = {p.name: np_ for p, np_ in zip(e.cond.params, e.params)}
         from ..ir.traversal import subst
 

@@ -319,7 +319,7 @@ def _rev_hist_general(vjp, stm, e: ReduceByIndex, sc: AdjScope) -> None:
     nslot_eff = lb.select(ok2, nslot, slot, "nse")
     curn = lb.update(curp, (sfi,), nslot_eff, "cur")
     loop_body = lb.finish([curn, posn])
-    livar = Var(fresh("si"), I64)
+    fresh("si")
     _cur_out, positions = b.loop(
         (curp, posp), (cur0, pos_init), li, n, loop_body, names=["cur", "positions"]
     )

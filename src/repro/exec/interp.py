@@ -231,7 +231,6 @@ class RefInterp:
             dest = np.array(self.atom(e.dest, env))  # functional copy
             inds = np.asarray(self.atom(e.inds, env))
             vals = np.asarray(self.atom(e.vals, env))
-            m = len(inds)
             ok = (inds >= 0) & (inds < dest.shape[0])
             dest[inds[ok]] = vals[ok]
             rec.mem(reads=int(vals[ok].size), writes=int(vals[ok].size))

@@ -25,11 +25,17 @@ reads only the read-only inputs and the buffers of loops over a strict subset
 of its axes, which are emitted first (``_loops`` asserts it), so no iteration
 reads what another writes.  ``-ffp-contract=off`` (``-march=native`` brings
 FMA, which rounds once where NumPy rounds twice) and a probe (``whitelist``)
-keep results bitwise."""
+keep results bitwise.
+
+The launcher also runs a hot plan's float64 ``upd acc[…] += v`` (``updacc``):
+lanes summed in C order from +0.0 (NumPy's, but for an innermost summed
+axis, which stays NumPy; ``_sums_agree`` probes it) into a view, or a
+scatter-add in C order (``np.add.at``'s)."""
 from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import hashlib
 import importlib.util
 import os
@@ -47,8 +53,9 @@ import numpy as np
 from ..obs.tracing import span as _span
 from .plan import PLAN_STATS
 from .prims import _BINOPS, unop_fn
+from .vector import _upd_table
 
-__all__ = ["CANDIDATES", "KernelRun", "build", "kernel", "split_run", "whitelist"]
+__all__ = ["CANDIDATES", "KernelRun", "build", "kernel", "split_run", "updacc", "whitelist"]
 
 #: C ops a run needs, input patterns per run.
 MIN_OPS, MAX_VARIANTS = 2, 4
@@ -204,8 +211,165 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     PyObject *out = PyTuple_GetSlice(r, 0, ne); Py_DECREF(r); return out;
 }
 
+#define ND 16  /* updacc's most axes, and its most operands (index operands + 2) */
+
+/* Step i through n[0..nd) in C order, operand j's byte offset off[j] by strides st[j]; 0: done. */
+static int step(int nd, const npy_intp *n, npy_intp *i, int no, npy_intp *off, npy_intp st[][ND])
+{
+    for (int a = nd - 1; a >= 0; a--) {
+        for (int j = 0; j < no; j++) off[j] += st[j][a];
+        if (++i[a] < n[a]) return 1;
+        for (int j = 0; j < no; j++) off[j] -= st[j][a] * n[a];
+        i[a] = 0;
+    }
+    return 0;
+}
+
+/* d += s at every point of n[0..l] (l >= 1; byte strides ds, ss) in C order, the two
+   innermost axes loops: a point of d that several of s reach (stride 0) adds them in order. */
+static void addto(int l, const npy_intp *n, char *d, const npy_intp *ds, const char *s,
+                  const npy_intp *ss)
+{
+    npy_intp i[ND] = {0}, off[2] = {0, 0}, st[2][ND];
+    for (int a = 0; a <= l; a++) {
+        if (n[a] == 0) return;
+        st[0][a] = ds[a], st[1][a] = ss[a];
+    }
+    do {
+        for (npy_intp a = 0; a < n[l - 1]; a++) {
+            char *x = d + off[0] + a * ds[l - 1]; const char *y = s + off[1] + a * ss[l - 1];
+            double *restrict xd = (double *)x; const double *restrict yd = (const double *)y;
+            if (ds[l] == 8 && ss[l] == 8)  /* contiguous rows: gcc vectorises this one */
+                for (npy_intp j = 0; j < n[l]; j++) xd[j] += yd[j];
+            else
+                for (npy_intp j = 0; j < n[l]; j++)
+                    *(double *)(x + j * ds[l]) += *(const double *)(y + j * ss[l]);
+        }
+    } while (step(l - 1, n, i, 2, off, st));
+}
+
+/* A scatter row of nq points: point q adds v's double at byte q * vs to the accumulator's at
+   a + q * as plus each index p's value at byte q * is[p] of x[p], clipped, times es[p].  The
+   addresses first (vectorised: out of line, as gcc vectorises nothing in updacc), then the
+   adds in order: no ivdep, equal indices alias. */
+__attribute__((noinline)) static void scatter(char *acc, npy_intp a, npy_intp as, const char *v,
+                                              npy_intp vs, int m, const char *const *x,
+                                              const npy_intp *is, const npy_intp *top,
+                                              const npy_intp *es, npy_intp nq)
+{
+    npy_intp ad[256];
+    for (npy_intp q0 = 0; q0 < nq; q0 += 256) {
+        const npy_intp n = nq - q0 < 256 ? nq - q0 : 256;
+        for (npy_intp q = 0; q < n; q++) ad[q] = a + (q0 + q) * as;
+        for (int p = 0; p < m; p++) {
+            const npy_int64 *restrict xs = (const npy_int64 *)(x[p] + q0 * is[p]), j = xs[0];
+            const npy_intp t = top[p], e = es[p];
+            if (is[p] == 0)  /* an index no point of the row varies along */
+                for (npy_intp q = 0, c = (j < 0 ? 0 : j > t ? t : j) * e; q < n; q++) ad[q] += c;
+            else if (is[p] == 8)
+                for (npy_intp q = 0; q < n; q++) ad[q] += (xs[q] < 0 ? 0 : xs[q] > t ? t : xs[q])*e;
+            else
+                for (npy_intp q = 0; q < n; q++) {
+                    const npy_int64 y = *(const npy_int64 *)((const char *)xs + q * is[p]);
+                    ad[q] += (y < 0 ? 0 : y > t ? t : y) * e;
+                }
+        }
+        for (npy_intp q = 0; q < n; q++)
+            *(double *)(acc + ad[q]) += *(const double *)(v + (q0 + q) * vs);
+    }
+}
+
+/* updacc(sums, tab, acc, ids, v, bstack): an unmasked float64 ``upd acc[ids] += v``
+   (``vector._upd_acc``; ``tab``: ``vector._upd_table``).  1: added into the accumulator's
+   view (``vector._add_view``), the lanes no index varies along summed first, in C order from
+   +0.0: NumPy's order where ``sums`` (the probe agreed) and it sums sequentially; 2: added
+   through the clipped indices point by point in C order, as ``np.add.at``; None: NumPy's. */
+static PyObject *updacc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 6 || !PyArray_Check(args[2]) || !PyArray_Check(args[4])
+        || !PyList_CheckExact(args[3]) || !PyList_CheckExact(args[5])) Py_RETURN_NONE;
+    const long long *T = (long long *)PyBytes_AS_STRING(args[1]), *b = T + 5, *lane = b + T[3];
+    const int k = T[0], ka = T[1], kv = T[2], m = T[3], sums = PyObject_IsTrue(args[0]);
+    PyArrayObject *acc = (PyArrayObject *)args[2], *v = (PyArrayObject *)args[4], *id[ND];
+    const int P = PyArray_NDIM(acc) - ka - m, nd = k + P > 1 ? k + P : 2;
+    if (PyArray_TYPE(acc) != NPY_DOUBLE || PyArray_TYPE(v) != NPY_DOUBLE || P < 0
+        || !PyArray_IS_C_CONTIGUOUS(acc) || !PyArray_ISWRITEABLE(acc) || !PyArray_ISALIGNED(v)
+        || PyArray_SIZE(acc) == 0 || PyArray_NDIM(v) != kv + P || nd >= ND || m + 2 > ND
+        || PyList_GET_SIZE(args[3]) != m || PyList_GET_SIZE(args[5]) < k) Py_RETURN_NONE;
+    /* Per axis (batch, payload, then to 2 axes ones of extent 1): n the extents, w the view's
+       (strides ws), vn v's at depth k (strides st[0]), st[1] the accumulator's strides. */
+    npy_intp n[ND], w[ND], ws[ND], vn[ND], st[ND][ND], ts[ND], lo, hi, K = 1;
+    const npy_intp *ad = PyArray_DIMS(acc), *as = PyArray_STRIDES(acc);
+    char *at = PyArray_BYTES(acc), *tmp = NULL;
+    int E[ND] = {0}, sum = 0, ok = T[4], last = -1, empty = 0;
+    for (int t = 0; t < nd; t++) {
+        const int c = t < ka ? t : t < k || t >= k + P ? -1 : t - k + ka + m;
+        const int u = t < kv ? t : t < k || t >= k + P ? -1 : t - k + kv;
+        w[t] = c < 0 ? 1 : ad[c], ws[t] = st[1][t] = c < 0 ? 0 : as[c];
+        n[t] = t < k ? PyLong_AsSsize_t(PyList_GET_ITEM(args[5], t)) : w[t];
+        vn[t] = u < 0 ? 1 : PyArray_DIM(v, u), st[0][t] = vn[t] == 1 ? 0 : PyArray_STRIDE(v, u);
+        if (t < ka && w[t] != n[t]) Py_RETURN_NONE;
+        last = vn[t] != 1 ? t : last, empty |= n[t] == 0;
+    }
+    for (int p = 0; p < m; p++) {
+        id[p] = (PyArrayObject *)PyList_GET_ITEM(args[3], p);
+        if (!PyArray_Check(id[p]) || PyArray_TYPE(id[p]) != NPY_INT64 || PyArray_NDIM(id[p]) != b[p]
+            || (ok && lane[p] < 0 && PyArray_SIZE(id[p]) != 1)) Py_RETURN_NONE;
+    }
+    for (int p = 0; p < m && ok; p++) {  /* the view's per-call facts (``vector._view``) */
+        const int l = lane[p];
+        const npy_intp nl = l < 0 ? 1 : PyArray_DIM(id[p], l);
+        if (nl == 0 || PyArray_SIZE(id[p]) != nl) { ok = 0; break; }
+        const char *x = PyArray_BYTES(id[p]) + (l < 0 ? 0 : (nl - 1) * PyArray_STRIDE(id[p], l));
+        lo = *(const npy_int64 *)PyArray_BYTES(id[p]), hi = *(const npy_int64 *)x;
+        ok = lo >= 0 && lo + nl <= ad[ka + p] && hi == lo + nl - 1;
+        at += lo * as[ka + p];
+        if (l >= 0) w[l] = nl, ws[l] = as[ka + p];
+    }
+    for (int t = ka; t < k && ok; t++) {  /* ``vector._add_view``'s facts */
+        ok = w[t] == 1 ? vn[t] == n[t] : w[t] == n[t];
+        E[t] = w[t] == 1, sum |= E[t];
+    }
+    if (ok) {
+        for (int t = nd - 1; t >= 0; t--) {
+            if (!E[t] && vn[t] != 1 && vn[t] != w[t]) Py_RETURN_NONE;  /* NumPy's += raises */
+            if (sum && !m && t < ka && vn[t] != n[t]) Py_RETURN_NONE;  /* NumPy sums a broadcast */
+            ts[t] = E[t] || vn[t] == 1 ? 0 : K * 8, K *= E[t] ? 1 : vn[t];
+        }
+        if (sum) {  /* NumPy sums an innermost summed axis pairwise */
+            if (!sums || !PyArray_IS_C_CONTIGUOUS(v) || (last >= 0 && E[last])) Py_RETURN_NONE;
+            if ((tmp = calloc(K, 8)) == NULL) return PyErr_NoMemory();
+            addto(nd - 1, vn, tmp, ts, PyArray_BYTES(v), st[0]);
+        }
+        addto(nd - 1, w, at, ws, tmp ? tmp : PyArray_BYTES(v), tmp ? ts : st[0]);
+        free(tmp);
+        return PyLong_FromLong(1);
+    }
+    if (!m) Py_RETURN_NONE;
+    for (int t = 0; t < nd; t++) {  /* the scatter's operands: 0 v, 1 acc, 2 + p index p */
+        if (t < k ? vn[t] != 1 && vn[t] != n[t] : vn[t] != n[t]) Py_RETURN_NONE;
+        st[1][t] = t >= ka && t < k ? 0 : st[1][t];
+        for (int p = 0; p < m; p++) {
+            const npy_intp e = t < b[p] ? PyArray_DIM(id[p], t) : 1;
+            if (e != 1 && e != n[t]) Py_RETURN_NONE;
+            st[2 + p][t] = e == 1 ? 0 : PyArray_STRIDE(id[p], t);
+        }
+    }
+    npy_intp i[ND] = {0}, off[ND] = {0}, is[ND], top[ND], es[ND];
+    const char *x[ND];
+    for (int p = 0; p < m; p++)
+        is[p] = st[2 + p][nd - 1], top[p] = ad[ka + p] - 1, es[p] = as[ka + p];
+    do {
+        for (int p = 0; p < m; p++) x[p] = PyArray_BYTES(id[p]) + off[2 + p];
+        scatter(PyArray_BYTES(acc), off[1], st[1][nd - 1], PyArray_BYTES(v) + off[0], st[0][nd - 1],
+                m, x, is, top, es, empty ? 0 : n[nd - 1]);
+    } while (!empty && step(nd - 1, n, i, 2 + m, off, st));
+    return PyLong_FromLong(2);
+}
+
 static PyMethodDef methods[] = {
-    {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL, NULL}, {NULL, NULL, 0, NULL}};
+    {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL, NULL},
+    {"updacc", (PyCFunction)(void (*)(void))updacc, METH_FASTCALL, NULL}, {NULL, NULL, 0, NULL}};
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "@NAME@", NULL, -1, methods};
 PyMODINIT_FUNC PyInit_@NAME@(void)
 {
@@ -357,6 +521,42 @@ def whitelist() -> frozenset:
 
 
 _NUMPY = {op: _BINOPS.get(op) or unop_fn(op) for op in CANDIDATES}
+
+#: ``_sums_agree``'s (value shape, accumulator depth, update depth, NumPy sums in C order).
+_SUM_CASES = (((1024, 8), 0, 1, True), ((16, 16), 0, 1, True), ((16, 64), 0, 1, True),
+              ((64, 8, 8), 0, 1, True), ((5, 2), 0, 1, True), ((4, 64, 2), 1, 2, True),
+              ((3, 5, 7), 0, 2, True), ((8, 1024), 1, 2, False), ((1024, 1), 0, 1, False))
+_SUM_SPECIAL = ((-0.0,), (np.nan,), (np.inf,), (np.inf, -np.inf), (5e-324, -1e-310, 2.2e-308))
+
+
+def _sums_agree(fn) -> bool:
+    """Whether the C ``updacc`` ``fn`` is ``acc += v.sum(…)`` bitwise on the ``_SUM_CASES``
+    NumPy sums in C order (6 decades, ``_SUM_SPECIAL``) and declines the others."""
+    rng = np.random.default_rng(0)
+    with np.errstate(all="ignore"):
+        for shape, ka, k, seq in _SUM_CASES:
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+            acc = rng.standard_normal(shape[:ka] + shape[k:])
+            for j, sp in zip(np.ndindex(*acc.shape), _SUM_SPECIAL):
+                lanes = v[j[:ka] + (slice(None),) * (k - ka) + j[ka:]]
+                lanes.flat[:len(sp)] = sp
+                if sp == (-0.0,):
+                    lanes[...] = acc[j] = -0.0
+            want, got = acc + v.sum(axis=tuple(range(ka, k))), acc.copy()
+            done = fn(True, _upd_table(k, ka, k, (), None, None), got, [], v, list(shape[:k]))
+            if done != (1 if seq else None) or seq and got.tobytes() != want.tobytes():
+                return False
+    return True
+
+
+def updacc():
+    """The launcher's ``updacc`` for hot plans (``vector._upd_acc``), lane
+    sums on if the probe (``_sums_agree``) agrees; ``None``: no launcher."""
+    with _LOCK:
+        if "updacc" not in _BUILT:
+            fn = getattr(_once("launcher", _launcher), "updacc", None)
+            _BUILT["updacc"] = fn and functools.partial(fn, _sums_agree(fn))
+        return _BUILT["updacc"]
 
 
 def kernel(kr: KernelRun, queue: list):

@@ -103,7 +103,7 @@ from ..ir.verify import verify_mode
 from ..obs import tracing as _tracing
 from ..util import ExecError
 from .prims import INPLACE_OPS
-from .vector import BV, _contract_view, _view_template
+from .vector import BV, _contract_view, _upd_table, _view_template
 
 __all__ = [
     "Ref",
@@ -193,15 +193,16 @@ class RunOp:
 
     ``affine`` (``index`` ops) is ``None`` for a gather, else one flag per
     index operand — lane-affine (True) or uniform (False): the op takes the
-    view path (module docstring, "index provenance").
+    view path (module docstring, "index provenance").  ``row``: a gather
+    whose last operand is the lane itself, from 0 (``vector._gather``).
 
     ``pranks`` is the payload rank of each operand, from its IR type: the
     half of an operand's layout that no batching changes (``layout`` adds
     the other)."""
 
-    __slots__ = ("kind", "op", "xs", "dtype", "release", "donate", "affine", "pranks")
+    __slots__ = ("kind", "op", "xs", "dtype", "release", "donate", "affine", "row", "pranks")
 
-    def __init__(self, kind, xs, op=None, affine=None):
+    def __init__(self, kind, xs, op=None, affine=None, row=False):
         self.kind = kind
         self.xs = xs
         self.op = op
@@ -209,6 +210,7 @@ class RunOp:
         self.release: Tuple[int, ...] = ()
         self.donate: Tuple[int, ...] = ()
         self.affine: Optional[Tuple[bool, ...]] = affine
+        self.row = row
         self.pranks: Tuple[int, ...] = ()
 
 
@@ -654,8 +656,8 @@ class _Lowerer:
         self.fused = 0
         #: Index provenance of the names in scope (module docstring): an
         #: ``iota``-defined array is ``"iota"``, a lane-affine integer
-        #: ``"lane"``, a uniform one ``"uni"``, a replicate ``"rep"``.  Each
-        #: body works on its own
+        #: ``"lane"`` (``"lane0"``: the lane itself, from 0), a uniform one
+        #: ``"uni"``, a replicate ``"rep"``.  Each body works on its own
         #: copy (``lower_body``), so a fact never outlives its binding scope
         #: (and SSA rules out shadowing within one); ``_lower_stm`` and
         #: ``_lower_run_exp`` record them as they meet the defining statement.
@@ -787,7 +789,7 @@ class _Lowerer:
         step = offset_step(e)
         if self._fact(e.x) == "uni" and self._fact(e.y) == "uni":
             self.facts[name] = "uni"  # whatever the operator: no operand has a lane
-        elif step and self._fact(step[0]) == "lane":
+        elif step and self._fact(step[0]) in ("lane", "lane0"):
             self.facts[name] = "lane"  # i ± c, c + i
 
     def _index_flags(self, idx: Sequence[Atom]) -> Optional[Tuple[bool, ...]]:
@@ -798,7 +800,7 @@ class _Lowerer:
         flags = []
         for a in idx:
             f = get(a.name) if type(a) is Var else self._fact(a)
-            if f == "lane":
+            if f in ("lane", "lane0"):
                 flags.append(True)
             elif f == "uni":
                 flags.append(False)
@@ -809,7 +811,7 @@ class _Lowerer:
     def _lanes_of(self, params: Sequence[Var], arrs: Sequence[Atom]) -> Dict[str, str]:
         """The parameters of a map (part) that run over an ``iota``."""
         return {
-            p.name: "lane" for p, a in zip(params, arrs) if self._fact(a) == "iota"
+            p.name: "lane0" for p, a in zip(params, arrs) if self._fact(a) == "iota"
         }
 
     # -- fused scalar runs ----------------------------------------------------
@@ -838,7 +840,9 @@ class _Lowerer:
         if isinstance(e, Cast):
             return RunOp("cast", xs)
         if isinstance(e, Index):
-            return RunOp("index", xs, affine=self._index_flags(e.idx))
+            affine = self._index_flags(e.idx)
+            row = affine is None and len(e.idx) > 1 and self._fact(e.idx[-1]) == "lane0"
+            return RunOp("index", xs, affine=affine, row=row)
         return RunOp("zeroslike", xs)
 
     def _lower_run_stm(self, s: Stm, local_of: Dict[str, int]) -> RunOp:
@@ -1039,7 +1043,7 @@ class OpLayout:
     (``sels``: ``selector`` for an elementwise op or ``select``, ``lift``
     for an ``index``'s array and indices, which a gather reads at depth
     ``k``) and a view-path ``index``'s ``vector._view_template`` (``view``;
-    ``None`` when no call can read it as a view)."""
+    ``None``: no call can read it as a view; ``"rows"``: a ``row`` gather)."""
 
     __slots__ = ("k", "bs", "sels", "view")
 
@@ -1054,8 +1058,8 @@ class Layout:
     whose kernel takes a ``"layout"`` static (``vector.KERNELS``) to it —
     the depth an ``update``'s result is raised to, the depths the results
     or state of an ``if`` / ``loop`` / ``while`` / generic reduce or scan
-    are raised to (the joins), an ``upd_acc``'s depth and view template, a
-    contract's ``contract_layout``."""
+    are raised to (the joins), an ``upd_acc``'s depth, view template and C
+    table (``vector._upd_table``), a contract's ``contract_layout``."""
 
     __slots__ = ("ops", "outs", "kernel")
 
@@ -1181,6 +1185,8 @@ class _LayoutPass:
                 view = None
                 if o.affine is not None:
                     view = _view_template(bs[0], bs[1:], o.affine, k)
+                elif o.row and bs[0] == 0 and bs[-1] == k > max(bs[1:-1]):
+                    view = "rows"  # ``vector._gather``'s ``rows``
                 lo = OpLayout(k, bs, tuple(lift(b, k) for b in bs), view)
             else:
                 k, pmax = max(bs), max(o.pranks)
@@ -1225,7 +1231,7 @@ class _LayoutPass:
             bs = [dep(i) for i in ins.idx]
             k = max([acc[0], dep(ins.v)] + bs)
             view = None if ins.affine is None else _view_template(acc[0], bs, ins.affine, k)
-            lay.kernel[ins] = (k, view)
+            lay.kernel[ins] = (k, view, _upd_table(k, acc[0], dep(ins.v), bs, ins.affine, view))
             return [acc]
         if kind == "map":
             self.bind(ins.params, [(depth + 1, False)] * len(ins.arrs)

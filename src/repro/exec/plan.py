@@ -21,7 +21,7 @@ family is layered:
   ops a C loop may compute is emitted as a kernel run: from the plan's
   ``HOT_CALLS``-th call on, that arithmetic is one compiled C call
   (``exec/kernels.py``), the loops of all its runs built in one compiler
-  call.
+  call, and so is each unmasked float64 ``upd``.
   Under ``REPRO_PROFILE`` it passes every closure it
   emits, at every depth, through ``obs/profiler.py:timer``.
 
@@ -110,17 +110,18 @@ _span = _obs_tracing.span
 
 class _Engine:
     """Mutable per-call state: register file, batch stack, predication mask,
-    and whether the plan's kernel runs call their kernels (from the call
-    before the hot one, which queues their input patterns).  Nothing outlives
-    the call."""
+    whether the plan's kernel runs call their kernels (from the call before
+    the hot one, which queues their input patterns), the C ``updacc`` a hot
+    call's ``upd``s try and their ``[NumPy, C]`` count.  Nothing outlives it."""
 
-    __slots__ = ("regs", "bstack", "mask", "hot")
+    __slots__ = ("regs", "bstack", "mask", "hot", "updacc", "upd_calls")
 
-    def __init__(self, nslots: int, hot: bool = False) -> None:
+    def __init__(self, nslots: int, hot: bool = False, updacc=None) -> None:
         self.regs: List[object] = [None] * nslots
         self.bstack: List[int] = []
         self.mask: Optional[BV] = None
         self.hot = hot
+        self.updacc, self.upd_calls = updacc, [0, 0]
 
 
 def _run_body(eng: _Engine, code) -> Tuple[object, ...]:
@@ -262,8 +263,8 @@ def _emit_run_fn(o, lo, don) -> Callable:
         ra = _run_data(o.xs[0], None)
         ris = tuple(_run_data(x, None) for x in o.xs[1:])
         if o.affine is None:
-            return lambda regs, loc, _ra=ra, _ris=ris, _k=k, _s=lo.sels: _gather(
-                _ra(regs, loc), [r(regs, loc) for r in _ris], _k, _s)
+            return lambda regs, loc, _ra=ra, _ris=ris, _k=k, _s=lo.sels, _r=lo.view == "rows": (
+                _gather(_ra(regs, loc), [r(regs, loc) for r in _ris], _k, _s, _r))
         return lambda regs, loc, _ra=ra, _ris=ris, _k=k, _s=lo.sels, _v=lo.view: _index(
             _ra(regs, loc), [r(regs, loc) for r in _ris], _k, _s, _v)
     if kind == "zeroslike":
@@ -334,6 +335,8 @@ class _ClosureEmitter:
         self.kernel_runs: Dict[object, object] = {}
         #: The input patterns the kernel runs wait to have built (``kernels.kernel``).
         self.queue: list = []
+        #: Some ``upd`` was emitted (it tries C from the hot call on).
+        self.upds = False
 
     def emit_body(self, pbody) -> tuple:
         instrs = tuple(self._emit_ins(i) for i in pbody.instrs)
@@ -354,9 +357,19 @@ class _ClosureEmitter:
             regs = eng.regs
             return _k(eng, *[rd(regs) for rd in _reads], *_consts)
 
-        if hasattr(ins, "out"):
-            return _assign_single(fn, ins.out[0], ins)
-        return _assign_multi(fn, ins)
+        if not hasattr(ins, "out"):
+            return _assign_multi(fn, ins)
+        assign = _assign_single(fn, ins.out[0], ins)
+        if ins.kind != "updacc":
+            return assign
+        self.upds = True
+
+        def upd(eng, _a=assign):  # whether it ran in C, as a kernel run says (profile rows)
+            n = eng.upd_calls[1]
+            _a(eng)
+            return eng.upd_calls[1] != n
+
+        return upd if self.wrap else assign
 
     def _emit_callable(self, ins, fields) -> Optional[Callable]:
         """A nested body (``fields``: its parameter fields, then its own) as
@@ -469,8 +482,8 @@ class Plan:
     ``obs/profiler.py:timer``.  Its kernel runs (``exec/kernels.py``) run
     compiled from its ``HOT_CALLS``-th execution on: the execution before
     queues their input patterns, and each execution that finds patterns
-    queued first builds their loops, all in one compiler call.  No compiler
-    runs before."""
+    queued first builds their loops, all in one compiler call; its ``upd``s
+    try the launcher's ``updacc``.  No compiler runs before."""
 
     def __init__(self, fun: Fun, ir: Optional[PlanIR] = None, profile: bool = False) -> None:
         with _obs_tracing.span("emit", cat="compile", fun=fun.name):
@@ -486,9 +499,9 @@ class Plan:
             lay = layout(ir)
             em = _ClosureEmitter(lay, timer(fun) if profile else None)
             self.body = em.emit_body(ir.body)
-            #: The plan has kernel runs; ``_calls`` counts its executions.
-            self.kernels, self._calls = bool(em.kernel_runs), itertools.count()
-            self._queue = em.queue
+            #: The plan has kernel runs or ``upd``s; ``_calls`` counts its executions.
+            self.kernels, self._calls = bool(em.kernel_runs) or em.upds, itertools.count()
+            self._queue, self._upds, self._updacc = em.queue, em.upds, None
             if em.kernel_runs and verify_mode() != "off":
                 from .verify_plan import verify_layout
 
@@ -512,16 +525,22 @@ class Plan:
             n = next(self._calls)
             if n == HOT_CALLS - 1 and self.kernels:
                 PLAN_STATS.add("promotions")
+                from .kernels import updacc
+
+                self._updacc = updacc() if self._upds else None
             if self._queue and n >= HOT_CALLS - 1:
                 from .kernels import build
 
                 build(self._queue)
-            eng = _Engine(self.nslots, n >= HOT_CALLS - 2)
+            eng = _Engine(self.nslots, n >= HOT_CALLS - 2, self._updacc)
             regs = eng.regs
             for s, a, t in zip(self.param_slots, args, self.param_types):
                 regs[s] = BV(np.asarray(coerce_arg(a, t)), 0)
             with np.errstate(all="ignore"):
                 res = _run_body(eng, self.body)
+            if eng.updacc is not None:
+                PLAN_STATS.add("upd_fallbacks", eng.upd_calls[0])
+                PLAN_STATS.add("upd_kernel_calls", eng.upd_calls[1])
             out = []
             for r in res:
                 if isinstance(r, AccBV):
@@ -545,11 +564,12 @@ class Plan:
 #: ``plan_for`` call increments exactly one of ``misses`` (a lowering — by
 #: construction one per rank/dtype signature) or ``hits``; ``evictions``
 #: counts LRU drops and ``fused_stms`` scalar statements collapsed into fused
-#: run closures; ``promotions`` plans with kernel runs that got hot, ``kernels`` /
+#: run closures; ``promotions`` plans with kernel runs or ``upd``s that got hot, ``kernels`` /
 #: ``kernel_vector_loops`` / ``kernel_builds`` / ``kernel_compile_s`` loops compiled,
 #: loops gcc vectorised, compiler calls and their seconds, ``kernel_fallbacks`` hot
-#: kernel-run calls that ran NumPy with no build queued.  ``specialized_hits``:
-#: always 0 (``bench`` reads it).
+#: kernel-run calls that ran NumPy with no build queued, ``upd_kernel_calls`` /
+#: ``upd_fallbacks`` a hot plan's ``upd``s that ran in C / NumPy (``_Engine``).
+#: ``specialized_hits``: always 0 (``bench`` reads it).
 PLAN_STATS = _obs_metrics.counter_group(
     "plan_cache",
     {
@@ -560,7 +580,7 @@ PLAN_STATS = _obs_metrics.counter_group(
         "evictions": 0,
         "fused_stms": 0,
         "kernels": 0, "kernel_vector_loops": 0, "kernel_builds": 0, "kernel_compile_s": 0.0,
-        "kernel_fallbacks": 0,
+        "kernel_fallbacks": 0, "upd_kernel_calls": 0, "upd_fallbacks": 0,
     },
 )
 

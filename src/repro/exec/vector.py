@@ -26,7 +26,8 @@ all iterations at once.  Divergent control flow runs SIMT-style:
   trip count with per-lane active masks;
 * accumulator updates (``UpdAcc``) become one ``np.add.at`` on the
   flattened accumulator — the moral equivalent of the CUDA ``atomicAdd``
-  the paper lowers accumulators to — with inactive lanes contributing zero;
+  the paper lowers accumulators to — with inactive lanes contributing zero,
+  or on a hot plan one call of the C ``updacc`` (``exec/kernels.py``);
 * every indexed kernel (gather, scatter-add, histogram, ``scatter``,
   ``update``) addresses its array through one element-linear ``intp``
   index (``_linear``: batch lanes and clipped index operands times
@@ -204,10 +205,10 @@ MEM_STATS = CounterGroup("mem", {"released_slots": 0, "run_local_releases": 0,
 #: many ``index`` / indexed ``upd_acc`` ops of the plans emitted take the
 #: view path (``exec/lower.py:plan_counts``) and how many reads stay gathers
 #: and how many are contractions, plus the view ops and contractions that
-#: fell back at run time.
+#: fell back at run time and the gathers that read whole rows (``_gather``).
 INDEX_STATS = CounterGroup("index", {"view_index_ops": 0, "view_updacc_ops": 0,
                                      "gather_index_ops": 0, "contract_ops": 0,
-                                     "view_fallbacks": 0})
+                                     "view_fallbacks": 0, "row_gathers": 0})
 
 
 def _fits(shape: Tuple[int, ...], into: Tuple[int, ...]) -> bool:
@@ -275,10 +276,17 @@ def _where(c: BV, t, f):
     return BV(np.where(cd.reshape(cd.shape + (1,) * (np.ndim(td) - cd.ndim)), td, f.data), k)
 
 
-def _gather(ad: np.ndarray, ids: List[np.ndarray], k: int, sels) -> BV:
+def _gather(ad: np.ndarray, ids: List[np.ndarray], k: int, sels, rows: bool = False) -> BV:
     """``a[ids]`` through clipped indices: one ``take`` of rows.  ``sels``
     are the static selectors (``exec/lower.py``: ``lift``) that raise the
-    array's data ``ad`` and each index's data to batch depth ``k``."""
+    array's data ``ad`` and each index's data to batch depth ``k``.
+    ``rows`` (``exec/lower.py``: a ``"rows"`` read, its last index the lane
+    from 0): a lane spanning its axis takes the rows the others pick."""
+    m = len(ids) - 1
+    if rows and ids[m].size == ad.shape[m] == ids[m].shape[-1] > 0:
+        INDEX_STATS.add("row_gathers")
+        lead = [i.reshape(i.shape + (1,) * (k - 1 - i.ndim)) for i in ids[:-1]]
+        return BV(_rows(ad, m).take(_linear(ad.shape, 0, lead), axis=0), k)
     if sels[0] is not None:
         ad = ad[sels[0]]
     ids = [i if s is None else i[s] for i, s in zip(ids, sels[1:])]
@@ -432,15 +440,33 @@ def _add_view(state, acc: AccBV, ids: List[np.ndarray], v: BV, vt, k: int) -> bo
     return True
 
 
+def _upd_table(k: int, ka: int, kv: int, bs: Sequence[int], affine, vt) -> bytes:
+    """The C ``updacc``'s table (``exec/kernels.py``) of an ``upd`` at depth
+    ``k`` (accumulator, value, indices at ``ka``, ``kv``, ``bs``): the depths,
+    whether the view path is open and each index's lane (-1: uniform)."""
+    view = not bs or (affine is not None and vt is not None)
+    lanes = [b - 1 if a else -1 for a, b in zip(affine or (False,) * len(bs), bs)]
+    return np.asarray([k, ka, kv, len(bs), view, *bs, *lanes], np.int64).tobytes()
+
+
 def _upd_acc(state, acc, idxs: List[BV], v: BV, affine, lay) -> AccBV:
     """``upd acc[idxs] += v``.  ``affine`` is
     ``None`` for an update lowering left on the scatter path; masked updates
     always take it (inactive lanes contribute zero).  ``lay`` is the static
-    ``(k, view)``: the batch depth of the update unmasked and its
-    ``_view_template``."""
+    ``(k, view, table)``: the batch depth of the update unmasked, its
+    ``_view_template`` and its ``_upd_table``.  A hot plan's unmasked update
+    first tries the C ``state.updacc``: the NumPy code's bits, or declined."""
     if not isinstance(acc, AccBV):
         raise ExecError("upd: operand is not an accumulator")
-    k, vt = lay
+    k, vt, tab = lay
+    c = state.updacc
+    if c is not None:
+        done = state.mask is None and c(tab, acc.data, [i.data for i in idxs], v.data, state.bstack)
+        state.upd_calls[bool(done)] += 1
+        if done:
+            if done == 2 and affine is not None:
+                _view_fell_back()
+            return acc
     if state.mask is not None:
         k = max(k, state.mask.bdims)
     elif affine is not None:

@@ -36,7 +36,8 @@ invariants this module checks once per lowering:
   data-dependent index, a loop-carried integer, a name a sibling scope
   re-bound, ``2 * i`` — is rejected, naming the op and the operand.  (The
   unflagged operands of such an op are only *hints* of lane-uniformity;
-  the executor checks those per call.)
+  the executor checks those per call.)  A ``row`` read's last operand must
+  be such a parameter itself, through copies only.
 * **contractions** — a ``contract``'s terms are re-derived from the body
   it falls back to (``lower.contract_terms``), its layout from batch
   depths: a read through a gather, a sum into another accumulator, an
@@ -77,7 +78,7 @@ from .lower import (
     selector,
 )
 from .prims import INPLACE_OPS
-from .vector import _view_template
+from .vector import _upd_table, _view_template
 
 __all__ = ["verify_plan_ir", "verify_layout"]
 
@@ -95,7 +96,7 @@ class _PlanChecker:
         #: a read-after-release from a plain undefined read).
         self.released: Dict[int, str] = {}
         #: slot -> ``"iota"`` (the result of an ``iota``) / ``"lane"`` (a
-        #: lane-affine integer) / ``"rep"`` (a replicate), for the slot's
+        #: lane-affine integer; ``"lane0"``: the parameter) / ``"rep"``, for the slot's
         #: *current* binding: every ``write`` forgets what the previous one
         #: established.
         self.facts: Dict[int, str] = {}
@@ -145,12 +146,12 @@ class _PlanChecker:
             self.write(slot, name, defined, instr)
         for (slot, _), arr in zip(pslots or (), arrs):
             if self.facts.get(arr.slot) == "iota":
-                self.facts[slot] = "lane"
+                self.facts[slot] = "lane0"
 
     # -- index provenance -----------------------------------------------------
 
     def operand_fact(self, x, local: Dict[int, str]) -> Optional[str]:
-        """``"lane"``/``"iota"``/``"const"`` (an integer constant) or None."""
+        """``"lane"`` (``"lane0"``: from 0)/``"iota"``/``"const"`` (an integer) or None."""
         if isinstance(x, int):
             return local.get(x)
         if x.slot is not None:
@@ -163,9 +164,9 @@ class _PlanChecker:
             return self.operand_fact(op.xs[0], local)
         if op.kind == "binop" and op.op in ("add", "sub"):
             fx, fy = (self.operand_fact(x, local) for x in op.xs)
-            if fx == "lane" and fy == "const":
+            if fx in ("lane", "lane0") and fy == "const":
                 return "lane"
-            if op.op == "add" and fx == "const" and fy == "lane":
+            if op.op == "add" and fx == "const" and fy in ("lane", "lane0"):
                 return "lane"
         return None
 
@@ -176,7 +177,7 @@ class _PlanChecker:
             self.fail(f"{what} carries {len(flags)} affine flags for "
                       f"{len(idx)} index operands", instr)
         for p, (flag, x) in enumerate(zip(flags, idx)):
-            if flag and self.operand_fact(x, local) != "lane":
+            if flag and self.operand_fact(x, local) not in ("lane", "lane0"):
                 name = f"run-local value {x}" if isinstance(x, int) else (
                     f"slot {x.slot} ({x.name!r})" if x.slot is not None
                     else "a constant")
@@ -315,6 +316,8 @@ class _PlanChecker:
                 if op.kind == "index":
                     self.check_affine(op.affine, op.xs[1:], local,
                                       f"run op {pos} (index)", instr)
+                    if op.row and self.operand_fact(op.xs[-1], local) != "lane0":
+                        self.fail(f"run op {pos} (index) reads rows at no lane from 0", instr)
                 fact = self.run_op_fact(op, local)
                 if fact:
                     local[pos] = fact
@@ -610,8 +613,9 @@ class _LayoutChecker:
             elif o.kind == "index":
                 k = max(bs)
                 sels = tuple(lift(b, k) for b in bs)
-                view = (None if o.affine is None
-                        else _view_template(bs[0], bs[1:], o.affine, k))
+                rows = o.row and bs[0] == 0 and bs[-1] == k > max(bs[1:-1])
+                view = (_view_template(bs[0], bs[1:], o.affine, k) if o.affine is not None
+                        else "rows" if rows else None)
             else:
                 k, pmax = max(bs), max(o.pranks)
                 sels = tuple(selector(b, p, k, pmax) for b, p in zip(bs, o.pranks))
@@ -691,10 +695,10 @@ class _LayoutChecker:
             bs = [dep(i) for i in ins.idx]
             k = max([acc[0], dep(ins.v)] + bs)
             view = None if ins.affine is None else _view_template(acc[0], bs, ins.affine, k)
-            got = self.recorded(self.lay.kernel, ins, "depth and view")
-            if repr(got) != repr((k, view)):
-                self.fail(f"upd_acc recorded at {got!r}, its operands give "
-                          f"{(k, view)!r}", ins)
+            want = (k, view, _upd_table(k, acc[0], dep(ins.v), bs, ins.affine, view))
+            got = self.recorded(self.lay.kernel, ins, "depth, view and table")
+            if repr(got) != repr(want):
+                self.fail(f"upd_acc recorded at {got!r}, its operands give {want!r}", ins)
             return [acc]
         if kind == "map":
             self.bind(ins.params, [(depth + 1, False)] * len(ins.arrs)

@@ -77,5 +77,5 @@ def test_where_stack_concat():
 def test_tape_memory_instrumented():
     eg.tape.reset()
     x = eg.T(np.ones(1000), requires_grad=True)
-    y = ((x * 2.0) + 1.0) * x
+    ((x * 2.0) + 1.0) * x
     assert eg.tape.peak_tape_bytes >= 3 * 8000  # every intermediate retained

@@ -52,7 +52,6 @@ def test_scatter_adjoint_work_proportional_to_m_not_n():
         RefInterp(rec).run(g.adfun.fun, [xs, inds, vals, 1.0])
         return rec.snapshot().work
 
-    w_small_n = make(100, 16)
     w_big_n = make(10_000, 16)
     # The sum over ys is O(n) regardless; isolate the scatter part by
     # comparing growth: work grows ~linearly in n only through the summap,

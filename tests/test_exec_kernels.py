@@ -1,5 +1,6 @@
-"""Compiled fused runs (``exec/kernels.py``): bitwise NumPy's, at NumPy's
-shapes, and NumPy itself whenever no kernel can take a call.
+"""Compiled fused runs and accumulator updates (``exec/kernels.py``): bitwise
+NumPy's, at NumPy's shapes, and NumPy itself whenever no kernel can take a
+call.
 
 The ``hot`` fixture sets ``HOT_CALLS`` and ``MIN_OPS`` (module constants,
 not knobs; shipped as 3 and 2) to 1, so that a small program's first call
@@ -15,6 +16,7 @@ compiles, and every call falls back to NumPy.
 import shutil
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro import obs
 from repro.apps import datagen, gmm, hand, lstm
 from repro.exec import kernels
 from repro.exec import plan as plan_mod
+from repro.exec import vector as V
 from repro.exec.lower import layout, lower_fun
 from repro.exec.plan import clear_plan_cache, plan_cache_stats
 from repro.exec.verify_plan import verify_layout
@@ -78,6 +81,27 @@ def twin(monkeypatch):
     return _Twin.seen
 
 
+@pytest.fixture
+def upd_twin(monkeypatch):
+    """Every ``upd`` the plans emitted from here on run twice: NumPy's code on
+    a copy of the accumulator (an engine with no C ``updacc``), then as the
+    plan runs it; records whether the second ran in C and whether both left
+    the same bits."""
+    seen, kernel = [], V._upd_acc
+
+    def twin(state, acc, idxs, v, affine, lay):
+        ref = V.AccBV(acc.data.copy(), acc.bdims)
+        kernel(SimpleNamespace(bstack=state.bstack, mask=state.mask, updacc=None),
+               ref, idxs, v, affine, lay)
+        n = state.upd_calls[1]
+        out = kernel(state, acc, idxs, v, affine, lay)
+        seen.append((state.upd_calls[1] != n, ref.data.tobytes() == acc.data.tobytes()))
+        return out
+
+    monkeypatch.setitem(V.KERNELS, "updacc", (twin,) + V.KERNELS["updacc"][1:])
+    return seen
+
+
 def _flat(out):
     if isinstance(out, (tuple, list)):
         return [a for o in out for a in _flat(o)]
@@ -129,10 +153,12 @@ def _fuzz_calls(seeds, n=48):
     return calls
 
 
-def test_compiled_runs_are_bitwise_numpy_on_the_fuzz_corpus_and_battery(hot, twin, monkeypatch):
-    """(a) Every run a loop can compute compiled: the fuzz programs (primal,
-    ``grad``, ``jvp``) and the eight ``_BATTERY`` programs give NumPy's
-    bits, export by export and end to end."""
+def test_compiled_runs_are_bitwise_numpy_on_the_fuzz_corpus_and_battery(hot, twin, upd_twin,
+                                                                         monkeypatch):
+    """(a) Every run a loop can compute compiled, and every ``upd`` trying C
+    from a plan's first call: the fuzz programs (primal, ``grad``, ``jvp``)
+    and the eight ``_BATTERY`` programs give NumPy's bits, export by export,
+    update by update and end to end."""
     calls = _fuzz_calls(range(10))
     for _name, f, ex, args in _BATTERY:
         fc = rp.compile(rp.trace_like(f, ex))
@@ -144,9 +170,11 @@ def test_compiled_runs_are_bitwise_numpy_on_the_fuzz_corpus_and_battery(hot, twi
     verify = obs.snapshot()["verify"]
     if verify["mode"] != "off":
         assert verify["kernel_checks"] > 0
+    assert upd_twin and all(same for _ran, same in upd_twin)
     if HAVE_GCC:
         assert sum(ran for ran, *_ in twin) > len(twin) // 2
         assert plan_cache_stats()["kernel_fallbacks"] == 0
+        assert any(ran for ran, _same in upd_twin) and plan_cache_stats()["upd_kernel_calls"] > 0
 
 
 def test_jvp_primal_and_tangent_exports_keep_numpys_shapes(hot, twin, monkeypatch):
@@ -188,6 +216,14 @@ def test_a_pattern_past_the_variant_cap_runs_numpy(hot, twin, monkeypatch):
         assert plan_cache_stats()["kernels"] <= 1
 
 
+def _upd_only():
+    """A gradient whose plan has ``upd``s and no kernel run: ``x[ids]``'s
+    adjoint scatter-added, through clipped indices."""
+    fc = rp.compile(rp.trace_like(lambda x, ids: rp.sum(rp.map(lambda i: x[i], ids)),
+                                  (np.ones(5), np.arange(3))))
+    return rp.grad(fc, wrt=[0]), (np.arange(5.0), np.array([1, 4, 1, -2, 7]))
+
+
 def test_no_compiler_falls_back_to_numpy(hot, twin, monkeypatch):
     """(d) With no ``gcc`` on ``PATH`` (and no kernel built before in the
     process) every run is NumPy's, bitwise, and each call counts."""
@@ -201,6 +237,11 @@ def test_no_compiler_falls_back_to_numpy(hot, twin, monkeypatch):
     assert twin and not any(ran for ran, *_ in twin)
     st = plan_cache_stats()
     assert st["kernels"] == 0 and st["kernel_fallbacks"] > 0
+    g, args = _upd_only()  # and every ``upd`` is NumPy's
+    want, got = _numpy_then_hot([lambda: g(*args)] * 3, monkeypatch)
+    assert got == want and kernels.updacc() is None
+    st = plan_cache_stats()
+    assert st["promotions"] == 1 and st["upd_kernel_calls"] == st["kernels"] == 0
 
 
 def test_fresh_plans_never_start_a_compiler(monkeypatch):
@@ -233,6 +274,15 @@ def test_fresh_plans_never_start_a_compiler(monkeypatch):
     for _ in range(plan_mod.HOT_CALLS - 1):
         assert np.array_equal(hand.jacobian_fwd_ad(fwd, *inp), first)
     assert plan_cache_stats()["promotions"] == 1 and asked
+    asked.clear()  # a plan with ``upd``s and no kernel run asks for the launcher when hot
+    monkeypatch.setattr(kernels, "_BUILT", {})
+    clear_plan_cache()
+    g, args = _upd_only()
+    first = g(*args)
+    assert asked == [] and plan_cache_stats()["promotions"] == 0
+    for _ in range(plan_mod.HOT_CALLS - 1):
+        assert np.array_equal(g(*args), first)
+    assert plan_cache_stats()["promotions"] == 1 and asked and plan_cache_stats()["kernels"] == 0
 
 
 def test_the_probe_pins_the_whitelist_and_drops_a_disagreeing_op(monkeypatch):
@@ -312,7 +362,7 @@ def test_kernel_counters_and_profile_rows(hot, monkeypatch):
     from repro.obs import profiler
 
     for key in ("kernels", "kernel_vector_loops", "kernel_builds", "kernel_compile_s",
-                "kernel_fallbacks", "promotions"):
+                "kernel_fallbacks", "promotions", "upd_kernel_calls", "upd_fallbacks"):
         assert key in plan_cache_stats() and key in obs.snapshot()["plan_cache"]
     monkeypatch.setenv("REPRO_PROFILE", "1")
     profiler.reset_profile()
@@ -326,6 +376,34 @@ def test_kernel_counters_and_profile_rows(hot, monkeypatch):
         assert "/C" in profiler.format_profile_report(top_k=10**6)
     else:
         assert not runs
+
+
+def test_a_hot_gmm_gradient_adds_its_updates_in_c(monkeypatch):
+    """A hot GMM gradient call at the benchmark's size makes 76 ``upd``s,
+    all unmasked: 74 lane-summed view adds (the points axis summed, NumPy's
+    order) and 2 plain ones.  At least the 74 run in C, with the fallbacks
+    counted; profiled, their ``updacc`` rows carry ``kernel_calls`` and the
+    report marks them ``/C``.  Results are NumPy's bits."""
+    from repro.obs import profiler
+
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    n, d, k = 1024, 8, 8
+    g = rp.grad(rp.compile(gmm.build_ir(n, d, k)), wrt=[0, 1, 2])
+    args = datagen.gmm_instance(n, d, k, 0)[:4]
+    (want,) = _numpy_bits(monkeypatch, [lambda: g(*args)])
+    for _ in range(plan_mod.HOT_CALLS):
+        assert _bits([lambda: g(*args)]) == [want]
+    plan_mod.reset_plan_cache_stats()
+    profiler.reset_profile()
+    assert _bits([lambda: g(*args)]) == [want]
+    st = plan_cache_stats()
+    assert st["upd_kernel_calls"] + st["upd_fallbacks"] == (76 if HAVE_GCC else 0)
+    rows = [e for e in profiler.profile_report(top_k=10**6)["entries"] if e["kind"] == "updacc"]
+    assert sum(e["calls"] for e in rows) == 76
+    if HAVE_GCC:
+        assert st["upd_kernel_calls"] >= 74
+        assert sum(e["kernel_calls"] for e in rows) == st["upd_kernel_calls"]
+        assert "updacc/C" in profiler.format_profile_report(top_k=10**6)
 
 
 def test_threads_share_one_kernel_run(hot, monkeypatch):
@@ -578,3 +656,132 @@ def test_a_hot_hand_jvp_runs_vectorised_loops(warm, monkeypatch):
         assert _bits([lambda: hand.jacobian_fwd_ad(fwd, *inp)]) == [want]
     st = plan_cache_stats()
     assert st["kernels"] >= 1 and st["kernel_vector_loops"] >= 1
+
+
+def _c_engine(bstack, c, mask=None):
+    eng = plan_mod._Engine(0, True, c)
+    eng.bstack[:], eng.mask = list(bstack), mask
+    return eng
+
+
+def _upd_both(acc, ka, idxs, v, affine, mask=None, c=None):
+    """``upd acc[idxs] += v`` (``idxs``: ``(data, depth)``; ``v``'s payload
+    is ``acc``'s element's) on NumPy's code and through ``c`` (the C
+    ``updacc``): both accumulators' bytes, and whether the C one ran in C."""
+    bs = [b for _d, b in idxs]
+    kv = v.ndim - (acc.ndim - ka - len(idxs))
+    k = max([ka, kv] + bs)
+    vt = None if affine is None else V._view_template(ka, bs, affine, k)
+    lay = (k, vt, V._upd_table(k, ka, kv, bs, affine, vt))
+    bstack = [max([1] + [np.shape(d)[t] for d, b in [*idxs, (v, kv)] if t < b]) for t in range(k)]
+    out = []
+    for fn in (None, c):
+        got = V.AccBV(acc.copy(), ka)
+        eng = _c_engine(bstack, fn, mask)
+        with np.errstate(all="ignore"):
+            V._upd_acc(eng, got, [V.BV(d, b) for d, b in idxs], V.BV(v, kv), affine, lay)
+        out.append((got.data.tobytes(), eng.upd_calls[1]))
+    (a, _), (b, ran) = out
+    return a, b, bool(ran)
+
+
+def _values(rng, shape):
+    """A spread over 6 decades, whose sums depend on their order, and in the
+    first points signed zeros, NaN, infinities and subnormals."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310]
+    x.flat[:7] = special[:x.size]
+    return x
+
+
+def _lane(n, level, depth):
+    return np.arange(n).reshape((1,) * level + (n,) + (1,) * (depth - 1 - level))
+
+
+#: View-path updates: accumulator shape and batch depth, index operands
+#: (data, depth; an ``_lane`` or a uniform 0-d), the value's shape (at the
+#: update's depth), its lane flags, and whether NumPy sums its lanes in C
+#: order (a sum of an innermost axis, or of everything into one element,
+#: it makes pairwise: the C path declines).
+_VIEW_UPDS = [
+    ("gmm", (8, 36), 0, [(_lane(8, 1, 2), 2), (np.array(3), 0)], (1024, 8), (True, False), True),
+    ("square", (16, 4), 0, [(_lane(16, 1, 2), 2), (np.array(1), 0)], (16, 16), (True, False), True),
+    ("lstm", (64,), 0, [(_lane(64, 1, 2), 2)], (16, 64), (True,), True),
+    ("rows", (8, 36), 0, [(_lane(8, 1, 2), 2), (_lane(8, 2, 3), 3)], (1024, 8, 8), (True, True),
+     True),
+    ("acc-batch", (4, 8), 1, [(_lane(8, 2, 3), 3)], (4, 64, 8), (True,), True),
+    ("no-index", (8,), 0, [], (1024, 8), None, True),
+    ("plain", (8, 28), 0, [(_lane(8, 0, 1), 1), (_lane(28, 1, 2), 2)], (8, 28), (True, True), True),
+    ("inner-sum", (8,), 0, [(_lane(8, 0, 1), 1)], (8, 1024), (True,), False),
+    ("column", (1,), 0, [(_lane(1, 1, 2), 2)], (1024, 1), (True,), False),
+]
+
+
+@pytest.mark.parametrize("name,acc,ka,idxs,vshape,affine,seq", _VIEW_UPDS,
+                         ids=[u[0] for u in _VIEW_UPDS])
+def test_c_updacc_view_path_is_bitwise_numpy(name, acc, ka, idxs, vshape, affine, seq):
+    """The C ``updacc``'s view path: a strided add, lanes no index varies
+    along summed first, is NumPy's ``sum`` then ``+=``, bitwise, on every
+    shape NumPy sums in C order; a shape it sums pairwise (``(8, 1024)``
+    over axis 1, ``(1024, 1)`` over axis 0) the C path declines, and the
+    result is NumPy's all the same."""
+    rng = np.random.default_rng(len(name))
+    start = _values(rng, acc)
+    start.flat[0] = -0.0  # a sum from +0.0 into -0.0 is +0.0
+    a, b, ran = _upd_both(start, ka, idxs, _values(rng, vshape), affine, c=kernels.updacc())
+    assert a == b
+    assert ran == (HAVE_GCC and seq)
+
+
+@pytest.mark.parametrize("ka", [0, 1])
+@pytest.mark.parametrize("row", [(), (2,)], ids=["scalars", "rows"])
+def test_c_updacc_scatter_path_is_bitwise_add_at(ka, row):
+    """The C ``updacc``'s scatter path is ``np.add.at``, bitwise: duplicate,
+    negative and past-the-end (clipped) indices, one or two index operands,
+    signed zeros, NaN of either sign and infinities in the values and the
+    accumulator; under a mask it declines."""
+    rng = np.random.default_rng(ka + len(row))
+    c = kernels.updacc()
+    for trial in range(20):
+        start = _values(rng, (4,) * ka + (5, 3) + row)
+        start.flat[-1] = -np.nan
+        i0 = rng.integers(-3, 8, (4, 7))
+        i1 = rng.integers(-2, 5, (1, 7)) if trial % 2 else np.array(trial % 4)
+        v = _values(rng, (4, 7) + row)
+        v.flat[-1] = -np.nan
+        a, b, ran = _upd_both(start, ka, [(i0, 2), (i1, i1.ndim)], v, None, c=c)
+        assert a == b and ran == HAVE_GCC
+    mask = V.BV(rng.random((4, 7)) < 0.5, 2)
+    a, b, ran = _upd_both(start, ka, [(i0, 2), (i1, i1.ndim)], v, None, mask, c)
+    assert a == b and not ran
+
+
+#: Mutations of the C lane sum the probe must catch: summing an innermost
+#: axis in order (NumPy sums it pairwise), and sums that start from -0.0.
+_LANE_SUM_MUTANTS = {
+    "innermost-in-order": ("(last >= 0 && E[last])", "0"),
+    "from-minus-zero": ("if ((tmp = calloc(K, 8)) == NULL) return PyErr_NoMemory();",
+                        "if ((tmp = calloc(K, 8)) == NULL) return PyErr_NoMemory();\n"
+                        "            for (npy_intp q = 0; q < K; q++) ((double *)tmp)[q] = -0.0;"),
+}
+
+
+@pytest.mark.skipif(not HAVE_GCC, reason="no gcc on PATH: nothing compiles")
+@pytest.mark.parametrize("mutant", sorted(_LANE_SUM_MUTANTS))
+def test_the_probe_catches_a_mutated_lane_sum(mutant, monkeypatch):
+    """A launcher whose lane sum is not NumPy's fails the probe at load: its
+    lane-summed updates run NumPy's code (bitwise), its scatters still C."""
+    old, new = _LANE_SUM_MUTANTS[mutant]
+    assert kernels._LAUNCHER.count(old) == 1
+    monkeypatch.setattr(kernels, "_LAUNCHER", kernels._LAUNCHER.replace(old, new))
+    monkeypatch.setattr(kernels, "_BUILT", {})
+    c = kernels.updacc()
+    assert c.args == (False,)
+    assert not kernels._sums_agree(kernels._BUILT["launcher"].updacc)
+    _name, acc, ka, idxs, vshape, affine, _seq = _VIEW_UPDS[0]
+    rng = np.random.default_rng(0)
+    a, b, ran = _upd_both(_values(rng, acc), ka, idxs, _values(rng, vshape), affine, c=c)
+    assert a == b and not ran
+    i0 = rng.integers(-3, 8, (4, 7))
+    a, b, ran = _upd_both(_values(rng, (5, 2)), 0, [(i0, 2)], _values(rng, (4, 7, 2)), None, c=c)
+    assert a == b and ran

@@ -109,7 +109,7 @@ def test_validate_rejects_nonlinear_acc_use():
     arr = Var("arr", array(F64, 1))
     lam = Lambda((acc,), body)
     b = Builder()
-    iv = b.emit1(AtomExp(const(0, I64)), "i")
+    b.emit1(AtomExp(const(0, I64)), "i")
     # Build a fun around it; the validator should reject it.
     wb = Builder()
     outs = wb.with_acc([arr], lam, names=["out"])

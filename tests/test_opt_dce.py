@@ -30,7 +30,7 @@ def test_dce_removes_unused_binding():
 
 def test_dce_preserves_semantics():
     def f(xs):
-        dead = rp.map(lambda x: rp.exp(x), xs)  # noqa: F841
+        rp.map(lambda x: rp.exp(x), xs)  # dead
         return rp.sum(rp.map(lambda x: x * x, xs))
 
     fun = rp.trace_like(f, (np.ones(4),))

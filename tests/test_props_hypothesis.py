@@ -123,8 +123,6 @@ def test_optimization_pipeline_preserves_gradients(n, seed):
 
 from types import SimpleNamespace  # noqa: E402
 
-import pytest  # noqa: E402
-
 from repro.exec import vector as V  # noqa: E402
 from repro.exec.vector import AccBV, BV  # noqa: E402
 
@@ -145,7 +143,7 @@ def _summands(rng, shape, dt):
 
 def _eng(rng, bshape, masked):
     mask = BV(rng.random(bshape) < 0.7, len(bshape)) if masked else None
-    return SimpleNamespace(bstack=list(bshape), mask=mask)
+    return SimpleNamespace(bstack=list(bshape), mask=mask, updacc=None)
 
 
 def _scatter_add_matches(dt, bshape, ka, m, row, varies, masked, seed) -> bool:
@@ -158,7 +156,7 @@ def _scatter_add_matches(dt, bshape, ka, m, row, varies, masked, seed) -> bool:
     idx = rng.integers(-1, m + 1, tuple(s if v else 1 for s, v in zip(bshape, varies)))
     v = _summands(rng, bshape + row, dt)
     acc = AccBV(start.copy(), ka)
-    V._upd_acc(eng, acc, [BV(idx, k)], BV(v, k), None, (k, None))
+    V._upd_acc(eng, acc, [BV(idx, k)], BV(v, k), None, (k, None, None))
     if masked:
         v = np.where(eng.mask.data.reshape(bshape + (1,) * len(row)), v, dt(0))
     want = start.copy()

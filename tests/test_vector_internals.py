@@ -85,7 +85,7 @@ def _eng(bshape, masked):
     if masked:
         on = np.arange(lanes).reshape(bshape) % 2 == 0
         mask = BV(on, len(bshape))
-    return SimpleNamespace(bstack=list(bshape), mask=mask)
+    return SimpleNamespace(bstack=list(bshape), mask=mask, updacc=None)
 
 
 def _active(eng, lane) -> bool:
@@ -406,7 +406,7 @@ def test_upd_acc_scatter_path_against_a_per_lane_loop(masked, ka):
     for v in (BV(rng.standard_normal(bshape + (2,)), 2), BV(rng.standard_normal((1, 4, 2)), 2),
               BV(rng.standard_normal(2), 0)):  # full, extent-1 lane axis, lane-uniform
         acc = AccBV(start.copy(), ka)
-        assert V._upd_acc(eng, acc, [BV(idx, 2)], v, None, (2, None)) is acc
+        assert V._upd_acc(eng, acc, [BV(idx, 2)], v, None, (2, None, None)) is acc
         want = start.copy()
         for lane in np.ndindex(*bshape):
             if _active(eng, lane):
@@ -415,7 +415,7 @@ def test_upd_acc_scatter_path_against_a_per_lane_loop(masked, ka):
     # No lanes at all: nothing is added.
     acc = AccBV(np.ones((5, 2)), 0)
     V._upd_acc(_eng((0,), False), acc, [BV(np.zeros(0, dtype=np.int64), 1)],
-               BV(np.zeros((0, 2)), 1), None, (1, None))
+               BV(np.zeros((0, 2)), 1), None, (1, None, None))
     np.testing.assert_array_equal(acc.data, np.ones((5, 2)))
 
 

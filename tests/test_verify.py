@@ -674,6 +674,24 @@ def test_plan_affine_flag_on_name_rebound_in_sibling_scope_rejected(monkeypatch)
         verify_plan_ir(ir)
 
 
+def test_plan_row_flag_needs_the_lane_itself_last(monkeypatch):
+    """A row read (``c[iy[p], j]``, ``j`` the inner map's own ``iota``) may
+    take whole rows; the same read at ``j + 1`` may not, and a forced flag
+    there is rejected."""
+    def prog(c, iy):
+        return rp.map(lambda p: rp.sum(rp.map(
+            lambda j: c[iy[p], j] + c[iy[p], j + 1], rp.iota(2))), rp.iota(3))
+
+    ir = _lowered(prog, (np.ones((3, 4)), np.arange(3)), monkeypatch)
+    rows = [op.row for _, _, op in _index_ops(ir) if op.affine is None]
+    assert rows == [True, False]
+    verify_plan_ir(ir)
+    ins, pos, op = next(x for x in _index_ops(ir) if x[2].affine is None and not x[2].row)
+    op.row = True
+    with pytest.raises(VerifyError, match=rf"run op {pos} \(index\) reads rows at no lane from 0"):
+        verify_plan_ir(ir)
+
+
 # ---------------------------------------------------------------------------
 # Hook behaviour: modes, counters, cached-plan reuse
 # ---------------------------------------------------------------------------
