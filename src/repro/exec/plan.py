@@ -17,7 +17,11 @@ family is layered:
   operands, calls the kernel (a nested body passed as a closure that binds
   its parameter slots and runs its own instructions) and assigns/releases
   slots, or runs a fused scalar run — and hosts the runtime (``_Engine``),
-  the ``run`` driver and the plan cache.  A run with two or more float64
+  the ``run`` driver and the plan cache.  What emission knows is bound into
+  the closures, not redone per call: each kernel call is bound per operand
+  arity, a tuple operand's or a body's result slots are read in one pass,
+  and a fused run reads each register once and computes on arrays, making a
+  ``BV`` per export only.  A run with two or more float64
   ops a C loop may compute is emitted as a kernel run: from the plan's
   ``HOT_CALLS``-th call on, that arithmetic is one compiled C call
   (``exec/kernels.py``), the loops of all its runs built in one compiler
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,17 +129,22 @@ class _Engine:
         self.updacc, self.upd_calls = updacc, [0, 0]
 
 
-def _run_body(eng: _Engine, code) -> Tuple[object, ...]:
+def _run_body(eng: _Engine, code) -> list:
     instrs, res = code
     for ins in instrs:
         ins(eng)
-    regs = eng.regs
-    return tuple(r(regs) for r in res)
+    return res(eng.regs)
 
 
 # ---------------------------------------------------------------------------
 # Closure emission over the plan IR
 # ---------------------------------------------------------------------------
+
+
+def _unbound(regs, refs) -> ExecError:
+    """The error of reading the first of ``refs`` whose slot is not bound."""
+    name = next(r.name for r in refs if r.slot is not None and regs[r.slot] is None)
+    return ExecError(f"unbound variable {name}")
 
 
 def _reader(ref: Ref) -> Callable:
@@ -153,19 +163,66 @@ def _reader(ref: Ref) -> Callable:
     return lambda regs, _bv=bv: _bv
 
 
+def _refs_reader(refs) -> Callable:
+    """A ``regs -> list`` accessor for a tuple of operands: one read of all
+    their slots when each is a register ``Ref``."""
+    if not all(type(r) is Ref and r.slot is not None for r in refs):
+        rds = tuple(_operand(r) for r in refs)
+        return lambda regs: [rd(regs) for rd in rds]
+    slots = tuple(r.slot for r in refs)
+
+    def rd_all(regs):
+        vals = list(map(regs.__getitem__, slots))
+        if None in vals:
+            raise _unbound(regs, refs)
+        return vals
+
+    return rd_all
+
+
 def _operand(x) -> Callable:
     """A ``regs -> value`` accessor for an instruction operand: a ``Ref``
     reads a ``BV``, an ``IntRef`` a lane-uniform integer (a literal, or a
     register read validated per call), a tuple of operands a list of
     theirs."""
     if isinstance(x, tuple):
-        rds = tuple(_operand(r) for r in x)
-        return lambda regs, _rds=rds: [rd(regs) for rd in _rds]
+        return _refs_reader(x)
     if not isinstance(x, IntRef):
         return _reader(x)
     if x.const is not None:
         return lambda regs, _n=x.const: _n
     return lambda regs, _rd=_reader(x.ref), _w=x.what: _uniform_int(_rd(regs), _w)
+
+
+def _bind(kernel, reads, consts) -> Callable:
+    """``eng -> kernel(eng, *operands, *consts)``, bound per operand arity:
+    no list of operands is built per call."""
+    if len(reads) == 1:
+        (a,) = reads
+        return lambda eng: kernel(eng, a(eng.regs), *consts)
+    if len(reads) == 2:
+        a, b = reads
+
+        def fn2(eng):
+            regs = eng.regs
+            return kernel(eng, a(regs), b(regs), *consts)
+
+        return fn2
+    if len(reads) == 3:
+        a, b, c = reads
+
+        def fn3(eng):
+            regs = eng.regs
+            return kernel(eng, a(regs), b(regs), c(regs), *consts)
+
+        return fn3
+    a, b, c, e = reads  # a contraction's four
+
+    def fn4(eng):
+        regs = eng.regs
+        return kernel(eng, a(regs), b(regs), c(regs), e(regs), *consts)
+
+    return fn4
 
 
 def _scalar_fn(o):
@@ -181,95 +238,105 @@ def _scalar_fn(o):
         raise ExecError(f"unknown {what} op {o.op!r}") from None
 
 
-def _run_operand(x) -> Callable:
-    """A ``(regs, loc) -> BV`` accessor: run-local values (``int`` indices)
-    read from the closure-local list, everything else from the register
-    file."""
-    if isinstance(x, int):
-        return lambda regs, loc, _i=x: loc[_i]
-    base = _reader(x)
-    return lambda regs, loc, _b=base: _b(regs)
+#: A fused run works on data: each op's value at its own index of a local
+#: list, the constants' data after them and the registers' last, read once per
+#: call (``_run_inputs``); ``BV``s are made for its exports only.
+_DATA = attrgetter("data")
 
 
-def _run_data(x, sel) -> Callable:
-    """A ``(regs, loc) -> ndarray`` accessor of a run operand's data, lined
-    up by its static selector ``sel`` (``exec/lower.py``: ``layout``)."""
-    if isinstance(x, int):
-        if sel is None:
-            return lambda regs, loc, _i=x: loc[_i].data
-        return lambda regs, loc, _i=x, _s=sel: loc[_i].data[_s]
-    if x.slot is None:
-        d = x.bv.data if sel is None else x.bv.data[sel]
-        return lambda regs, loc, _d=d: _d
-    base = _reader(x)
+def _run_inputs(ops) -> tuple:
+    """``(at, blank, slots, refs)`` of run ``ops``: ``at(x)`` the local index
+    of operand ``x``, ``blank`` the local list a call starts from (constants
+    filled in), and the registers it appends, by slot and as ``Ref``s."""
+    consts: Dict[int, Ref] = {}
+    regs: Dict[int, Ref] = {}
+    for o in ops:
+        for x in o.xs:
+            if isinstance(x, int):
+                continue
+            if x.slot is None:
+                consts.setdefault(id(x), x)
+            else:
+                regs.setdefault(x.slot, x)
+    n, c = len(ops), len(consts)
+    cpos = {key: n + i for i, key in enumerate(consts)}
+    rpos = {key: n + c + i for i, key in enumerate(regs)}
+
+    def at(x) -> int:
+        if isinstance(x, int):
+            return x
+        return cpos[id(x)] if x.slot is None else rpos[x.slot]
+
+    return (at, [None] * n + [r.bv.data for r in consts.values()], tuple(regs),
+            tuple(regs.values()))
+
+
+def _run_exports(ins, los, keep) -> tuple:
+    """The exports of run ``ins`` that ``keep`` selects as ``(local index,
+    slot, batch depth)``, and as ``(register, slot)`` those of an atom that
+    hands a register on as it is (an accumulator stays one)."""
+    exports, forwards = [], []
+    for li, s, _n in ins.exports:
+        y = li
+        while isinstance(y, int) and ins.ops[y].kind == "atom":
+            y = ins.ops[y].xs[0]
+        if not keep(li):
+            continue
+        if isinstance(y, int) or y.slot is None:
+            exports.append((li, s, los[li].k))
+        else:
+            forwards.append((y.slot, s))
+    return tuple(exports), tuple(forwards)
+
+
+def _run_data(p: int, sel) -> Callable:
+    """A ``loc -> ndarray`` accessor of the run operand at local index ``p``,
+    lined up by its static selector ``sel`` (``exec/lower.py``: ``layout``)."""
     if sel is None:
-        return lambda regs, loc, _b=base: _b(regs).data
-    return lambda regs, loc, _b=base, _s=sel: _b(regs).data[_s]
+        return itemgetter(p)
+    return lambda loc: loc[p][sel]
 
 
-def _emit_run_op(o, lo) -> Callable:
-    """The closure of run op ``o`` at layout ``lo``, clearing the run-local
-    values that die at it."""
-    fn = _emit_run_fn(o, lo, o.donate)
-    if not o.release:
-        return fn
-
-    def releasing(regs, loc, _fn=fn, _dead=o.release):
-        v = _fn(regs, loc)
-        for i in _dead:
-            loc[i] = None
-        return v
-
-    return releasing
-
-
-def _emit_run_fn(o, lo, don) -> Callable:
-    """One direct NumPy call per op: every operand's data lined up by its static
-    selector, the result at depth ``lo.k`` (into a dead operand ``don``)."""
+def _emit_run_fn(o, lo, don, at) -> Callable:
+    """``loc -> ndarray``: op ``o`` at layout ``lo`` as one direct NumPy call,
+    every operand (local index ``at(x)``) lined up by its static selector,
+    the result at depth ``lo.k`` (into a dead operand ``don``)."""
     kind, k = o.kind, lo.k
     if kind == "atom":
-        return _run_operand(o.xs[0])
+        return itemgetter(at(o.xs[0]))
     if kind in ("unop", "binop", "select"):
-        rds = tuple(_run_data(x, s) for x, s in zip(o.xs, lo.sels))
+        rds = tuple(_run_data(at(x), s) for x, s in zip(o.xs, lo.sels))
         uf = _scalar_fn(o)
         if kind == "select":
             rc, rt, rf = rds
-            return lambda regs, loc, _rc=rc, _rt=rt, _rf=rf, _uf=uf, _k=k: BV(
-                _uf(_rc(regs, loc), _rt(regs, loc), _rf(regs, loc)), _k)
+            return lambda loc: uf(rc(loc), rt(loc), rf(loc))
         # ``donate``: an out=-capable ufunc (``INPLACE_OPS``) with some operand
         # a dead run-local temporary computes into it when that is safe.
         rx = rds[0]
         if kind == "unop":
             if don:
-                return lambda regs, loc, _rx=rx, _uf=uf, _don=don, _k=k: (
-                    _elem_into(_uf, _don, _k, [_rx(regs, loc)]))
+                return lambda loc: _elem_into(uf, don, k, [rx(loc)]).data
             if k + o.pranks[0] == 0:  # a 0-d result: ufuncs return a scalar
-                return lambda regs, loc, _rx=rx, _uf=uf, _a=np.asarray: BV(
-                    _a(_uf(_rx(regs, loc))), 0)
-            return lambda regs, loc, _rx=rx, _uf=uf, _k=k: BV(_uf(_rx(regs, loc)), _k)
+                return lambda loc: np.asarray(uf(rx(loc)))
+            return lambda loc: uf(rx(loc))
         ry = rds[1]
         if don:
-            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _don=don, _k=k: (
-                _elem_into(_uf, _don, _k, [_rx(regs, loc), _ry(regs, loc)]))
+            return lambda loc: _elem_into(uf, don, k, [rx(loc), ry(loc)]).data
         if k + max(o.pranks) == 0:
-            return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _a=np.asarray: BV(
-                _a(_uf(_rx(regs, loc), _ry(regs, loc))), 0)
-        return lambda regs, loc, _rx=rx, _ry=ry, _uf=uf, _k=k: BV(
-            _uf(_rx(regs, loc), _ry(regs, loc)), _k)
+            return lambda loc: np.asarray(uf(rx(loc), ry(loc)))
+        return lambda loc: uf(rx(loc), ry(loc))
     if kind == "cast":
-        return lambda regs, loc, _rx=_run_data(o.xs[0], None), _dt=o.dtype, _k=k: BV(
-            cast_to(_rx(regs, loc), _dt), _k)
+        p, dt = at(o.xs[0]), o.dtype
+        return lambda loc: cast_to(loc[p], dt)
     if kind == "index":
-        ra = _run_data(o.xs[0], None)
-        ris = tuple(_run_data(x, None) for x in o.xs[1:])
+        a, ii, sels, view = at(o.xs[0]), tuple(at(x) for x in o.xs[1:]), lo.sels, lo.view
         if o.affine is None:
-            return lambda regs, loc, _ra=ra, _ris=ris, _k=k, _s=lo.sels, _r=lo.view == "rows": (
-                _gather(_ra(regs, loc), [r(regs, loc) for r in _ris], _k, _s, _r))
-        return lambda regs, loc, _ra=ra, _ris=ris, _k=k, _s=lo.sels, _v=lo.view: _index(
-            _ra(regs, loc), [r(regs, loc) for r in _ris], _k, _s, _v)
+            rows = view == "rows"
+            return lambda loc: _gather(loc[a], list(map(loc.__getitem__, ii)), k, sels, rows).data
+        return lambda loc: _index(loc[a], list(map(loc.__getitem__, ii)), k, sels, view)
     if kind == "zeroslike":
-        return lambda regs, loc, _rx=_run_data(o.xs[0], None), _k=k: BV(
-            np.zeros_like(np.asarray(_rx(regs, loc))), _k)
+        p = at(o.xs[0])
+        return lambda loc: np.zeros_like(np.asarray(loc[p]))
     raise ExecError(f"plan emit: unexpected run op {kind!r}")
 
 
@@ -342,8 +409,7 @@ class _ClosureEmitter:
         instrs = tuple(self._emit_ins(i) for i in pbody.instrs)
         if self.wrap is not None:
             instrs = tuple(self.wrap(c, i, self.depth) for c, i in zip(instrs, pbody.instrs))
-        res = tuple(_reader(r) for r in pbody.result)
-        return instrs, res
+        return instrs, _refs_reader(pbody.result)
 
     def _emit_ins(self, ins) -> Callable:
         if ins.kind == "run":
@@ -352,11 +418,7 @@ class _ClosureEmitter:
         reads = tuple(_operand(getattr(ins, f)) for f in operands)
         consts = tuple(self.lay.static(ins, f) for f in statics)
         consts += tuple(self._emit_callable(ins, fields) for fields in bodies)
-
-        def fn(eng, _k=kernel, _reads=reads, _consts=consts):
-            regs = eng.regs
-            return _k(eng, *[rd(regs) for rd in _reads], *_consts)
-
+        fn = _bind(kernel, reads, consts)
         if not hasattr(ins, "out"):
             return _assign_multi(fn, ins)
         assign = _assign_single(fn, ins.out[0], ins)
@@ -383,16 +445,19 @@ class _ClosureEmitter:
         self.depth += 1
         code = self.emit_body(pbody)
         self.depth -= 1
+        instrs, res = code
         bound = tuple(s for s, _ in pbody.bound)
 
-        def body(eng, vals, _ps=pslots, _code=code, _bound=bound):
+        def body(eng, vals):
             regs = eng.regs
-            for s, v in zip(_ps, vals):
+            for s, v in zip(pslots, vals):
                 regs[s] = v
-            res = _run_body(eng, _code)
-            for s in _bound:
+            for i in instrs:
+                i(eng)
+            out = res(regs)
+            for s in bound:
                 regs[s] = None
-            return res
+            return out
 
         return body
 
@@ -408,26 +473,26 @@ class _ClosureEmitter:
         if kr is not None:
             self.kernel_runs[ins] = kr
             return self._emit_kernel_run(ins, kr, los, dead)
-        ops = tuple(_emit_run_op(o, lo) for o, lo in zip(run_ops, los))
-        if len(ops) == 1 and not dead:
-            # A standalone scalar statement: one export, no locals.
-            (_, s0, _n) = ins.exports[0]
+        at, blank, slots, refs = _run_inputs(run_ops)
+        ops = tuple((x, _emit_run_fn(o, lo, o.donate, at), o.release)
+                    for x, (o, lo) in enumerate(zip(run_ops, los)))
+        exports, forwards = _run_exports(ins, los, lambda li: True)
 
-            def one(eng, _op=ops[0], _s=s0):
-                eng.regs[_s] = _op(eng.regs, ())
-
-            return one
-        exports = tuple((li, s) for li, s, _n in ins.exports)
-        k = len(ops)
-
-        def run(eng, _ops=ops, _exports=exports, _k=k, _dead=dead):
+        def run(eng):
             regs = eng.regs
-            loc = [None] * _k
-            for x, op in enumerate(_ops):
-                loc[x] = op(regs, loc)
-            for li, s in _exports:
-                regs[s] = loc[li]
-            for s in _dead:
+            try:
+                loc = blank + list(map(_DATA, map(regs.__getitem__, slots)))
+            except AttributeError:
+                raise _unbound(regs, refs) from None
+            for x, op, rel in ops:
+                loc[x] = op(loc)
+                for i in rel:
+                    loc[i] = None
+            for li, s, k in exports:
+                regs[s] = BV(loc[li], k)
+            for r, s in forwards:
+                regs[s] = regs[r]
+            for s in dead:
                 regs[s] = None
 
         return run
@@ -438,26 +503,36 @@ class _ClosureEmitter:
         the kernel ran."""
         from .kernels import kernel
 
-        cpart, n = kr.cpart, len(ins.ops)
-        ops = [(x, _emit_run_op(o, lo) if cpart[x] else _emit_run_fn(o, lo, ()))
-               for x, (o, lo) in enumerate(zip(ins.ops, los))]
+        cpart = kr.cpart
+        at, blank, slots, refs = _run_inputs(ins.ops)
+        ops = [(x, _emit_run_fn(o, lo, o.donate if cpart[x] else (), at),
+                o.release if cpart[x] else ()) for x, (o, lo) in enumerate(zip(ins.ops, los))]
         np_part, c_part = (tuple(p for p in ops if cpart[p[0]] == c) for c in (False, True))
-        reads = tuple(_run_data(x, None) for x, _b in kr.inputs)
-        np_exports = tuple((li, s) for li, s, _n in ins.exports if not cpart[li])
+        inputs = tuple(at(x) for x, _b in kr.inputs)
+        np_exports, forwards = _run_exports(ins, los, lambda li: not cpart[li])
+        c_exports, call = kr.exports, kernel(kr, self.queue)
+        nones = (None,) * len(c_exports)
 
-        def run(eng, _np=np_part, _c=c_part, _reads=reads, _kernel=kernel(kr, self.queue),
-                _cx=kr.exports, _nx=np_exports, _dead=dead):
-            regs, loc = eng.regs, [None] * n
-            for x, op in _np:
-                loc[x] = op(regs, loc)
-            outs = _kernel([rd(regs, loc) for rd in _reads]) if eng.hot else None
-            for x, op in _c if outs is None else ():
-                loc[x] = op(regs, loc)
-            for (li, s, k), d in zip(_cx, outs or [None] * len(_cx)):
-                regs[s] = loc[li] if d is None else BV(d, k)
-            for li, s in _nx:
-                regs[s] = loc[li]
-            for s in _dead:
+        def run(eng):
+            regs = eng.regs
+            try:
+                loc = blank + list(map(_DATA, map(regs.__getitem__, slots)))
+            except AttributeError:
+                raise _unbound(regs, refs) from None
+            for x, op, _rel in np_part:
+                loc[x] = op(loc)
+            outs = call(list(map(loc.__getitem__, inputs))) if eng.hot else None
+            for x, op, rel in c_part if outs is None else ():
+                loc[x] = op(loc)
+                for i in rel:
+                    loc[i] = None
+            for (li, s, k), d in zip(c_exports, outs or nones):
+                regs[s] = BV(loc[li] if d is None else d, k)
+            for li, s, k in np_exports:
+                regs[s] = BV(loc[li], k)
+            for r, s in forwards:
+                regs[s] = regs[r]
+            for s in dead:
                 regs[s] = None
             return outs is not None
 

@@ -62,7 +62,6 @@ per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,23 +88,25 @@ def _neutral_of(op: str, dt: np.dtype):
     return dt.type(info.max if op == "min" else info.min)
 
 
-@dataclass
 class BV:
     """A batched value: ``bdims`` leading batch axes, then the payload."""
 
-    data: np.ndarray
-    bdims: int
+    __slots__ = ("data", "bdims")
+
+    def __init__(self, data: np.ndarray, bdims: int) -> None:
+        self.data, self.bdims = data, bdims
 
     def pshape(self) -> Tuple[int, ...]:
         return np.asarray(self.data).shape[self.bdims:]
 
 
-@dataclass
 class AccBV:
     """A mutable batched accumulator buffer (always fully materialised)."""
 
-    data: np.ndarray
-    bdims: int
+    __slots__ = ("data", "bdims")
+
+    def __init__(self, data: np.ndarray, bdims: int) -> None:
+        self.data, self.bdims = data, bdims
 
 
 def _expand(v: BV, k: int) -> np.ndarray:
@@ -396,16 +397,16 @@ def _view_fell_back() -> None:
     INDEX_STATS.add("view_fallbacks")
 
 
-def _index(ad: np.ndarray, ids: List[np.ndarray], k: int, sels, vt) -> BV:
-    """``a[ids]`` for an ``index`` op lowering routed to the view path
-    (every operand lane-affine or lane-uniform by construction): the
+def _index(ad: np.ndarray, ids: List[np.ndarray], k: int, sels, vt) -> np.ndarray:
+    """The data of ``a[ids]`` for an ``index`` op lowering routed to the view
+    path (every operand lane-affine or lane-uniform by construction): the
     ``_view``, else exactly ``_gather``."""
     if vt is not None:
         out = _view(ad, ids, vt)
         if out is not None:
-            return BV(out, k)
+            return out
     _view_fell_back()
-    return _gather(ad, ids, k, sels)
+    return _gather(ad, ids, k, sels).data
 
 
 def _add_view(state, acc: AccBV, ids: List[np.ndarray], v: BV, vt, k: int) -> bool:
@@ -524,7 +525,7 @@ def _batch_args(state, vs: Sequence[BV]) -> Tuple[List[BV], int]:
         elif ln != n:
             raise ExecError(f"map/soac: array length mismatch {n} vs {ln}")
         params.append(BV(dd, d + 1))
-    return params, int(n or 0)
+    return params, n or 0
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +537,27 @@ def _materialised(eng, v: BV, k: int) -> np.ndarray:
     """A private copy of ``v`` at the full extent of the first ``k`` batch
     levels (what an in-place write needs)."""
     d = _expand(v, k)
-    return np.broadcast_to(d, tuple(eng.bstack[:k]) + d.shape[k:]).copy()
+    shape = tuple(eng.bstack[:k]) + d.shape[k:]
+    return (d if d.shape == shape else np.broadcast_to(d, shape)).copy()
 
 
 def _update(eng, arr: BV, idxs: List[BV], val: BV, depth: int) -> BV:
     """``arr with [idxs] <- val`` on a copy, through clipped indices; inactive
     lanes keep the old element.  The result is raised to ``depth``, its
-    static batch depth: a mask, when there is one, adds its own."""
+    static batch depth: a mask, when there is one, adds its own.  At depth 0
+    (every operand lane-uniform, ``verify_layout``), unmasked and with every
+    index in range, it is one basic-indexing assignment on the copy."""
+    if depth == 0 and eng.mask is None:
+        ad, js = np.asarray(arr.data), []
+        for i, n in zip(idxs, ad.shape):
+            j = i.data.item()
+            if not 0 <= j < n:
+                break
+            js.append(j)
+        else:
+            ad = ad.copy()
+            ad[tuple(js)] = val.data
+            return BV(ad, 0)
     k = max([arr.bdims, val.bdims] + [i.bdims for i in idxs])
     if eng.mask is not None:
         k = max(k, eng.mask.bdims)
@@ -565,10 +580,10 @@ def _iota(eng, n: int, dt) -> BV:
 
 
 def _replicate(eng, n: int, v: BV) -> BV:
-    d = np.asarray(v.data)
-    d2 = np.expand_dims(d, axis=v.bdims)
-    shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
-    return BV(np.broadcast_to(d2, shape).copy(), v.bdims)
+    d, b = np.asarray(v.data), v.bdims
+    out = np.empty(d.shape[:b] + (n,) + d.shape[b:], d.dtype)
+    out[...] = d.reshape(d.shape[:b] + (1,) + d.shape[b:])
+    return BV(out, b)
 
 
 def _scratch(eng, n: BV, x: BV) -> BV:
@@ -661,11 +676,17 @@ def _lane_payload(eng, r: BV, n: int) -> np.ndarray:
 
 def _map_result(eng, r: BV, n: int) -> BV:
     """A map result: contiguous and owned (results never alias inputs) — the
-    body's own array when it is both, else a copy."""
-    rd = _lane_payload(eng, r, n)
-    if not (rd.flags.owndata and rd.flags.c_contiguous):
+    body's own array when it is both, else a copy (at extent ``n`` on the
+    lane axis)."""
+    d = len(eng.bstack)
+    rd = _expand(r, d + 1)
+    if rd.shape[d] != n:
+        out = np.empty(rd.shape[:d] + (n,) + rd.shape[d + 1:], rd.dtype)
+        out[...] = rd
+        rd = out
+    elif not (rd.flags.owndata and rd.flags.c_contiguous):
         rd = rd.copy()
-    return BV(rd, len(eng.bstack))
+    return BV(rd, d)
 
 
 def _map(eng, arrs: List[BV], accs: List[AccBV], n_acc: int, body) -> List[object]:
@@ -673,7 +694,11 @@ def _map(eng, arrs: List[BV], accs: List[AccBV], n_acc: int, body) -> List[objec
     elements as whole batched arrays and on the accumulators as they are;
     those must lead its results."""
     params, n = _batch_args(eng, arrs)
-    res = _run_lanes(eng, body, params + accs, n)
+    eng.bstack.append(n)
+    try:
+        res = body(eng, params + accs)
+    finally:
+        eng.bstack.pop()
     for r in res[:n_acc]:
         if not isinstance(r, AccBV):
             raise ExecError("map: accumulator results must lead")

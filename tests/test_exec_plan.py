@@ -346,8 +346,12 @@ def test_batched_plan_jacobian_speedup_over_looped_plan():
     def looped():  # one jvp call per basis seed, the same cached plan
         return np.stack([j.fwd(x, e, backend="plan")[-1] for e in np.eye(n)], axis=1)
 
-    # Warm up: lower plans, and check the two paths agree before timing.
+    # Warm up: lower plans, and check the two paths agree before timing.  The
+    # looped plan is hot after its 64 calls; the batched one runs HOT_CALLS
+    # more, so the call that builds its loops is not in the timed window.
     np.testing.assert_allclose(j(x, backend="plan"), looped(), rtol=1e-9, atol=1e-9)
+    for _ in range(plan_mod.HOT_CALLS):
+        j(x, backend="plan")
     t_loop = _median_time(looped)
     t_plan = _median_time(lambda: j(x, backend="plan"))
     speedup = t_loop / t_plan
@@ -438,6 +442,53 @@ def test_plan_cache_lru_keeps_recently_used(monkeypatch):
     assert s2["hits"] == s["hits"] + 1
     assert s2["misses"] == s["misses"]
     clear_plan_cache()
+
+
+# ---------------------------------------------------------------------------
+# Per-instruction dispatch: what emission knows is not paid for per call
+# ---------------------------------------------------------------------------
+
+
+def _python_calls(f) -> int:
+    """The Python function calls (``sys.setprofile`` "call" events) of ``f()``."""
+    import sys
+
+    n = [0]
+
+    def count(_frame, event, _arg):
+        n[0] += event == "call"
+
+    sys.setprofile(count)
+    try:
+        f()
+    finally:
+        sys.setprofile(None)
+    return n[0]
+
+
+def test_cached_lstm_gradient_dispatch_budget(monkeypatch):
+    """One cached LSTM gradient call at the benchmark's size makes at most
+    13,000 Python calls (19,071 when every instruction built its operand list,
+    ran its body through a generator and every fused-run op made a ``BV``), and
+    its primal no more than then: 5,051 with the kernel runs compiled, 5,567
+    with no compiler (they run their NumPy closures).  Python 3.12 inlines
+    comprehensions, so there the counts only fall."""
+    from repro.apps import datagen, lstm
+
+    monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    xs, wx, wh, b, wy, _h0, _c0, tg = datagen.lstm_instance(16, 12, 10, 16, 0)
+    fc = rp.compile(lstm.build_ir(12, 16, 10, 16))
+    g = rp.grad(fc, wrt=[1, 2, 3, 4])
+    args = (xs, wx, wh, b, wy, tg)
+    for _ in range(plan_mod.HOT_CALLS):
+        g(*args)
+        fc(*args)
+    fallbacks = plan_cache_stats()["kernel_fallbacks"]
+    grad_calls = _python_calls(lambda: g(*args))
+    primal_calls = _python_calls(lambda: fc(*args))
+    compiled = plan_cache_stats()["kernel_fallbacks"] == fallbacks
+    assert grad_calls <= 13_000, grad_calls
+    assert primal_calls <= (5_051 if compiled else 5_567), (primal_calls, compiled)
 
 
 # ---------------------------------------------------------------------------

@@ -808,6 +808,32 @@ def test_layout_mutant_a_loop_state_below_its_body_result_is_caught():
         verify_layout(ir, lay)
 
 
+def test_layout_mutant_a_lane_update_recorded_at_depth_zero_is_caught():
+    """``_update`` trusts a depth-0 fact to mean every operand is lane-uniform
+    (its basic-indexing path): a per-lane update recorded at 0 is refused."""
+    ir, lay = _fresh_layout(lambda xs, arr: rp.map(lambda x: rp.sum(rp.update(arr, 1, x)), xs),
+                            (np.ones(3), np.arange(4.0)))
+    upd = next(i for i in lay.kernel if i.kind == "update")
+    assert lay.kernel[upd] == 1  # the value is a lane's element
+    lay.kernel[upd], lay.outs[upd] = 0, (0,)
+    with pytest.raises(VerifyError, match="below what flows in"):
+        verify_layout(ir, lay)
+
+
+def test_update_at_depth_zero_is_the_clipped_write_in_and_out_of_range():
+    """The basic-indexing path of an unmasked depth-0 ``update`` gives the
+    clipped scatter's bits; an index out of range takes the clipped write."""
+    arr = BV(np.arange(12.0).reshape(3, 4), 0)
+    val = BV(np.full(4, -1.0), 0)
+    eng = _eng((), False)
+    for j in (0, 2, 3, -1):
+        got = V._update(eng, arr, [BV(np.asarray(j), 0)], val, 0)
+        want = arr.data.copy()
+        want[min(max(j, 0), 2)] = -1.0
+        assert got.bdims == 0 and got.data.tobytes() == want.tobytes(), j
+    assert arr.data[0, 0] == 0.0  # on a copy
+
+
 def test_layout_mutant_a_wrong_payload_rank_is_caught():
     ir, lay = _fresh_layout()
     op = _a_lined_up_op(lay)
