@@ -15,7 +15,7 @@ Array adjoints come in two modes:
   their current accumulator variable and is shared across nested scopes.
 
 A value-mode adjoint may also be a **pending one-hot**: the min/max rule
-(``rules_reduce``) gives ȳ to one element only, its *hot lane* ``iy``, and
+(``rules_fold``) gives ȳ to one element only, its *hot lane* ``iy``, and
 when the reduced array is the result of a ``map`` of this scope read by that
 reduce alone, the rule records ``(iy, ȳ)`` instead of building the dense
 one-hot array.  ``rules_map.rev_map`` of the defining statement takes it

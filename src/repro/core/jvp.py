@@ -56,7 +56,7 @@ from ..ir.ast import (
 )
 from ..ir.analysis import recognize_binop_lambda
 from ..ir.builder import Builder
-from ..ir.traversal import refresh_lambda
+from ..ir.traversal import refresh_lambda, subst
 from ..ir.typecheck import check_fun
 from ..ir.validate import validate_fun
 from ..ir.types import is_float
@@ -98,10 +98,41 @@ class _JVP:
         tans = tuple(self.tangent(a) for a in prim if is_float(a.type))
         return prim, tans
 
-    def sub_body(self, body: Body) -> Body:
+    def sub_body(self, body: Body, n_acc: int = 0) -> Body:
+        """``body`` transformed in a builder of its own, its results laid out
+        as ``_bind_dual`` binds them: the leading ``n_acc`` (accumulators)
+        and their tangents, then the rest and the float ones' tangents."""
         b = Builder()
-        prim, tans = self.body(body, b)
-        return b.finish(tuple(prim) + tans)
+        prim, _ = self.body(body, b)
+        res: List[Atom] = []
+        for group in (prim[:n_acc], prim[n_acc:]):
+            res += [*group, *(self.tangent(a) for a in group if is_float(a.type))]
+        return b.finish(tuple(res))
+
+    def dparams(self, params) -> List[Var]:
+        """A tangent parameter per float parameter, recorded as its tangent."""
+        out = []
+        for p in params:
+            if is_float(p.type):
+                self.tan[p.name] = dp = _dvar(p)
+                out.append(dp)
+        return out
+
+    def _bind_dual(self, pat, b: Builder, emit, n_acc: int = 0) -> None:
+        """``emit(names)`` binds ``pat``'s leading ``n_acc`` results
+        (accumulators) and their tangents, then the rest and the float ones'
+        tangents; alias ``pat`` to the primal results and record the
+        tangents."""
+        groups = (pat[:n_acc], pat[n_acc:])
+        names = [n for g in groups for n in
+                 [v.name for v in g] + [v.name + "_dot" for v in g if is_float(v.type)]]
+        out = iter(emit(names))
+        for g in groups:
+            for v_old, v_new in zip(g, [next(out) for _ in g]):
+                self._alias(v_old, v_new, b)
+            for v_old in g:
+                if is_float(v_old.type):
+                    self.tan[v_old.name] = next(out)
 
     # -- statements --------------------------------------------------------------
 
@@ -250,89 +281,34 @@ class _JVP:
         n_arr, n_acc = len(e.arrs), len(e.accs)
         arr_params = e.lam.params[:n_arr]
         acc_params = e.lam.params[n_arr:]
-
         darrs = [self.tangent(a) for a in e.arrs if is_float(a.type)]
         daccs = [self.tangent(a) for a in e.accs]
-        darr_params = []
-        for p, a in zip(arr_params, e.arrs):
-            if is_float(a.type):
-                dp = _dvar(p)
-                self.tan[p.name] = dp
-                darr_params.append(dp)
-        dacc_params = []
-        for p in acc_params:
-            dp = _dvar(p)
-            self.tan[p.name] = dp
-            dacc_params.append(dp)
-
-        lb = Builder()
-        prim, _ = self.body(e.lam.body, lb)
-        accs_res = list(prim[:n_acc])
-        daccs_res = [self.tangent(a) for a in accs_res]
-        outs = list(prim[n_acc:])
-        douts = [self.tangent(a) for a in outs if is_float(a.type)]
-        lam_body = lb.finish(tuple(accs_res) + tuple(daccs_res) + tuple(outs) + tuple(douts))
+        darr_params = self.dparams(arr_params)
+        dacc_params = self.dparams(acc_params)
         new_params = tuple(arr_params) + tuple(darr_params) + tuple(acc_params) + tuple(dacc_params)
-        new_lam = Lambda(new_params, lam_body)
-
+        new_lam = Lambda(new_params, self.sub_body(e.lam.body, n_acc))
         new_arrs = tuple(e.arrs) + tuple(darrs)  # type: ignore[arg-type]
         new_accs = tuple(e.accs) + tuple(daccs)  # type: ignore[arg-type]
-        names = (
-            [v.name for v in stm.pat[:n_acc]]
-            + [v.name + "_dot" for v in stm.pat[:n_acc]]
-            + [v.name for v in stm.pat[n_acc:]]
-            + [v.name + "_dot" for v, a in zip(stm.pat[n_acc:], outs) if is_float(a.type)]
-        )
-        vs = b.map(new_lam, new_arrs, new_accs, names=names)
-        # Rebind: accs, dacc tangents, primal outs, out tangents.
-        res_accs = vs[:n_acc]
-        res_daccs = vs[n_acc : 2 * n_acc]
-        rest = vs[2 * n_acc :]
-        res_outs = rest[: len(outs)]
-        res_douts = rest[len(outs) :]
-        for v_old, v_new in zip(stm.pat[:n_acc], res_accs):
-            self._alias(v_old, v_new, b)
-        for v_old, dv in zip(stm.pat[:n_acc], res_daccs):
-            self.tan[v_old.name] = dv
-        j = 0
-        for v_old, v_new, a in zip(stm.pat[n_acc:], res_outs, outs):
-            self._alias(v_old, v_new, b)
-            if is_float(a.type):
-                self.tan[v_old.name] = res_douts[j]
-                j += 1
+        self._bind_dual(stm.pat, b, lambda names: b.map(new_lam, new_arrs, new_accs, names=names),
+                       n_acc)
 
     def _alias(self, old: Var, new: Var, b: Builder) -> None:
         """Bind the original pattern name to the new result."""
         b.emit_into((old,), AtomExp(new))
 
-    def _lift_operator(
-        self, lam: Lambda, nes: Tuple[Atom, ...], b: Builder
-    ) -> Tuple[Lambda, Tuple[Atom, ...], List[bool]]:
+    def _lift_operator(self, lam: Lambda, nes: Tuple[Atom, ...]) -> Tuple[Lambda, Tuple[Atom, ...]]:
         """Lift an associative k-ary operator to dual numbers."""
         k = len(nes)
         accs, elems = lam.params[:k], lam.params[k:]
-        floats = [is_float(ne.type) for ne in nes]
-        daccs, delems = [], []
-        for p, fl in zip(accs, floats):
-            if fl:
-                dp = _dvar(p)
-                self.tan[p.name] = dp
-                daccs.append(dp)
-        for p, fl in zip(elems, floats):
-            if fl:
-                dp = _dvar(p)
-                self.tan[p.name] = dp
-                delems.append(dp)
-        lb = Builder()
-        prim, _ = self.body(lam.body, lb)
-        dres = [self.tangent(a) for a, fl in zip(prim, floats) if fl]
-        body = lb.finish(tuple(prim) + tuple(dres))
-        new_lam = Lambda(tuple(accs) + tuple(daccs) + tuple(elems) + tuple(delems), body)
+        daccs = self.dparams(accs)
+        delems = self.dparams(elems)
+        new_lam = Lambda(tuple(accs) + tuple(daccs) + tuple(elems) + tuple(delems),
+                         self.sub_body(lam.body))
         # A neutral element's tangent is its own: 0 for a constant, and for
         # a computed one whatever the input moves it by (``sum_leading_axis``'s
         # zero row is ``zeros_like`` of the tangent rows, not of the primal).
-        dnes = [self.tangent(ne) for ne, fl in zip(nes, floats) if fl]
-        return new_lam, tuple(nes) + tuple(dnes), floats
+        dnes = [self.tangent(ne) for ne in nes if is_float(ne.type)]
+        return new_lam, tuple(nes) + tuple(dnes)
 
     def _jvp_Reduce(self, stm: Stm, e: Reduce, b: Builder) -> None:
         y = stm.pat[0]
@@ -342,7 +318,7 @@ class _JVP:
             # where only y is used (the first-index reduce of a vjp), DCE
             # drops the fold and no element-at-a-time reduce is left.
             self._bind(stm, b)
-            new_lam, new_nes, _ = self._lift_operator(refresh_lambda(e.lam), e.nes, b)
+            new_lam, new_nes = self._lift_operator(refresh_lambda(e.lam), e.nes)
             darr = self.tangent(e.arrs[0])
             _, dy = b.reduce(new_lam, new_nes, (e.arrs[0], darr), names=[y.name, y.name + "_dot"])
             self.tan[y.name] = dy
@@ -352,18 +328,10 @@ class _JVP:
     def _jvp_fold(self, stm: Stm, e, b: Builder) -> None:
         """A reduce, scan or histogram over its operator lifted to dual
         numbers, its tangent arrays after its own."""
-        new_lam, new_nes, floats = self._lift_operator(e.lam, e.nes, b)
-        darrs = [self.tangent(a) for a, fl in zip(e.arrs, floats) if fl]
-        names = [v.name for v in stm.pat] + [v.name + "_dot" for v, fl in zip(stm.pat, floats) if fl]
-        vs = b.emit(replace(e, lam=new_lam, nes=new_nes, arrs=tuple(e.arrs) + tuple(darrs)),
-                    names)
-        k = len(e.nes)
-        j = k
-        for v_old, v_new, fl in zip(stm.pat, vs[:k], floats):
-            self._alias(v_old, v_new, b)
-            if fl:
-                self.tan[v_old.name] = vs[j]
-                j += 1
+        new_lam, new_nes = self._lift_operator(e.lam, e.nes)
+        arrs = tuple(e.arrs) + tuple(self.tangent(a) for a in e.arrs if is_float(a.type))
+        self._bind_dual(stm.pat, b, lambda names: b.emit(
+            replace(e, lam=new_lam, nes=new_nes, arrs=arrs), names))
 
     _jvp_Scan = _jvp_ReduceByIndex = _jvp_fold
 
@@ -379,130 +347,34 @@ class _JVP:
     # -- control flow ----------------------------------------------------------------
 
     def _jvp_Loop(self, stm: Stm, e: Loop, b: Builder) -> None:
-        floats = [is_float(p.type) for p in e.params]
-        dparams = []
-        for p, fl in zip(e.params, floats):
-            if fl:
-                dp = _dvar(p)
-                self.tan[p.name] = dp
-                dparams.append(dp)
-        dinits = [self.tangent(i) for i, fl in zip(e.inits, floats) if fl]
-        lb = Builder()
-        prim, _ = self.body(e.body, lb)
-        dres = [self.tangent(a) for a, fl in zip(prim, floats) if fl]
-        body = lb.finish(tuple(prim) + tuple(dres))
-        names = [v.name for v in stm.pat] + [v.name + "_dot" for v, fl in zip(stm.pat, floats) if fl]
-        vs = b.loop(
-            tuple(e.params) + tuple(dparams),
-            tuple(e.inits) + tuple(dinits),
-            e.ivar,
-            e.n,
-            body,
-            names=names,
-            stripmine=e.stripmine,
-        )
-        k = len(e.params)
-        j = k
-        for v_old, v_new, fl in zip(stm.pat, vs[:k], floats):
-            self._alias(v_old, v_new, b)
-            if fl:
-                self.tan[v_old.name] = vs[j]
-                j += 1
+        params = tuple(e.params) + tuple(self.dparams(e.params))
+        inits = tuple(e.inits) + tuple(self.tangent(i) for i in e.inits if is_float(i.type))
+        body = self.sub_body(e.body)
+        self._bind_dual(stm.pat, b, lambda names: b.loop(
+            params, inits, e.ivar, e.n, body, names=names, stripmine=e.stripmine))
 
     def _jvp_WhileLoop(self, stm: Stm, e: WhileLoop, b: Builder) -> None:
-        floats = [is_float(p.type) for p in e.params]
-        dparams = []
-        for p, fl in zip(e.params, floats):
-            if fl:
-                dp = _dvar(p)
-                self.tan[p.name] = dp
-                dparams.append(dp)
-        dinits = [self.tangent(i) for i, fl in zip(e.inits, floats) if fl]
-        lb = Builder()
-        prim, _ = self.body(e.body, lb)
-        dres = [self.tangent(a) for a, fl in zip(prim, floats) if fl]
-        body = lb.finish(tuple(prim) + tuple(dres))
-        new_params = tuple(e.params) + tuple(dparams)
+        params = tuple(e.params) + tuple(self.dparams(e.params))
+        inits = tuple(e.inits) + tuple(self.tangent(i) for i in e.inits if is_float(i.type))
+        body = self.sub_body(e.body)
         # The condition reads only primal state; extend its parameter list.
-        for p in dparams:  # (fresh names drawn as before: later names keep their numbers)
-            _dvar(p)
         m = {p.name: np_ for p, np_ in zip(e.cond.params, e.params)}
-        from ..ir.traversal import subst
-
-        cond_body = subst(Lambda(e.cond.params, e.cond.body), m).body
-        new_cond = Lambda(new_params, cond_body)
-        names = [v.name for v in stm.pat] + [v.name + "_dot" for v, fl in zip(stm.pat, floats) if fl]
-        vs = b.while_loop(
-            new_params,
-            tuple(e.inits) + tuple(dinits),
-            new_cond,
-            body,
-            bound=e.bound,
-            names=names,
-        )
-        k = len(e.params)
-        j = k
-        for v_old, v_new, fl in zip(stm.pat, vs[:k], floats):
-            self._alias(v_old, v_new, b)
-            if fl:
-                self.tan[v_old.name] = vs[j]
-                j += 1
+        cond = Lambda(params, subst(Lambda(e.cond.params, e.cond.body), m).body)
+        self._bind_dual(stm.pat, b, lambda names: b.while_loop(
+            params, inits, cond, body, bound=e.bound, names=names))
 
     def _jvp_If(self, stm: Stm, e: If, b: Builder) -> None:
-        floats = [is_float(v.type) for v in stm.pat]
-        then = self.sub_body(e.then)
-        els = self.sub_body(e.els)
-        names = [v.name for v in stm.pat] + [v.name + "_dot" for v, fl in zip(stm.pat, floats) if fl]
-        vs = b.if_(e.cond, then, els, names=names)
-        k = len(stm.pat)
-        j = k
-        for v_old, v_new, fl in zip(stm.pat, vs[:k], floats):
-            self._alias(v_old, v_new, b)
-            if fl:
-                self.tan[v_old.name] = vs[j]
-                j += 1
+        then, els = self.sub_body(e.then), self.sub_body(e.els)
+        self._bind_dual(stm.pat, b, lambda names: b.if_(e.cond, then, els, names=names))
 
     # -- accumulators ------------------------------------------------------------------
 
     def _jvp_WithAcc(self, stm: Stm, e: WithAcc, b: Builder) -> None:
         n = len(e.arrs)
-        darrs = [self.tangent(a) for a in e.arrs]
-        dacc_params = []
-        for p in e.lam.params:
-            dp = _dvar(p)
-            self.tan[p.name] = dp
-            dacc_params.append(dp)
-        lb = Builder()
-        prim, _ = self.body(e.lam.body, lb)
-        accs_res = list(prim[:n])
-        dacc_res = [self.tangent(a) for a in accs_res]
-        extra = list(prim[n:])
-        dextra = [self.tangent(a) for a in extra if is_float(a.type)]
-        body = lb.finish(tuple(accs_res) + tuple(dacc_res) + tuple(extra) + tuple(dextra))
-        new_lam = Lambda(tuple(e.lam.params) + tuple(dacc_params), body)
-        new_arrs = tuple(e.arrs) + tuple(darrs)  # type: ignore[arg-type]
-        names = (
-            [v.name for v in stm.pat[:n]]
-            + [v.name + "_dot" for v in stm.pat[:n]]
-            + [v.name for v in stm.pat[n:]]
-            + [v.name + "_dot" for v, a in zip(stm.pat[n:], extra) if is_float(a.type)]
-        )
-        vs = b.with_acc(new_arrs, new_lam, names=names)
-        res_arrs = vs[:n]
-        res_darrs = vs[n : 2 * n]
-        rest = vs[2 * n :]
-        for v_old, v_new in zip(stm.pat[:n], res_arrs):
-            self._alias(v_old, v_new, b)
-        for v_old, dv in zip(stm.pat[:n], res_darrs):
-            self.tan[v_old.name] = dv
-        res_extra = rest[: len(extra)]
-        res_dextra = rest[len(extra) :]
-        j = 0
-        for v_old, v_new, a in zip(stm.pat[n:], res_extra, extra):
-            self._alias(v_old, v_new, b)
-            if is_float(a.type):
-                self.tan[v_old.name] = res_dextra[j]
-                j += 1
+        arrs = tuple(e.arrs) + tuple(self.tangent(a) for a in e.arrs)
+        params = tuple(e.lam.params) + tuple(self.dparams(e.lam.params))
+        new_lam = Lambda(params, self.sub_body(e.lam.body, n))
+        self._bind_dual(stm.pat, b, lambda names: b.with_acc(arrs, new_lam, names=names), n)
 
     def _jvp_UpdAcc(self, stm: Stm, e: UpdAcc, b: Builder) -> None:
         self._bind(stm, b)
@@ -524,16 +396,8 @@ def jvp_fun(fun: Fun) -> Fun:
 
     fun = unfuse_fun(fun)
     j = _JVP()
-    dparams = []
-    for p in fun.params:
-        if is_float(p.type):
-            dp = _dvar(p)
-            j.tan[p.name] = dp
-            dparams.append(dp)
-    b = Builder()
-    prim, tans = j.body(fun.body, b)
-    body = b.finish(tuple(prim) + tuple(tans))
-    out = Fun(fun.name + "_jvp", tuple(fun.params) + tuple(dparams), body)
+    dparams = j.dparams(fun.params)
+    out = Fun(fun.name + "_jvp", tuple(fun.params) + tuple(dparams), j.sub_body(fun.body))
     check_fun(out)
     validate_fun(out)
     from ..ir.verify import maybe_verify_fun

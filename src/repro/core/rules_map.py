@@ -198,7 +198,7 @@ def _rev_hot_lane(vjp, e: Map, sc: AdjScope, iy: Var, ybars: List[Optional[Atom]
 
 def _lane_trips(b: Builder, iy: Var, arr: Var) -> Var:
     """1 when ``iy`` is an element of ``arr`` (some element holds ``y``),
-    else 0 (``iy`` is ``rules_reduce.NO_INDEX``)."""
+    else 0 (``iy`` is ``rules_fold.NO_INDEX``)."""
     hit = b.binop("lt", iy, b.emit1(Size(arr), "n"), "hit")
     return b.select(hit, const(1, I64), const(0, I64), "trips")
 

@@ -77,7 +77,7 @@ def minmax_takes_x(b: Builder, op: str, x: Atom, y: Atom) -> Atom:
     """Whether ``x `op` y`` (``min``/``max``) returned ``x``: it wins ties, and
     a NaN ``x`` is what the operator propagated.  Derivatives follow that
     operand, so a left fold routes them to the first extremal element — the
-    first NaN, if any — as the reduce rule does (``rules_reduce``)."""
+    first NaN, if any — as the reduce rule does (``rules_fold``)."""
     c = b.binop("le" if op == "min" else "ge", x, y, "d")
     return b.binop("or", c, b.binop("ne", x, x, "nan"), "d")
 

@@ -11,8 +11,8 @@ The transform follows Fig. 3:
   values are saved per iteration, Fig. 3/4);
 * inside ``map``, free-array adjoints become **accumulators** (§5.4);
   free-scalar adjoints are returned per iteration and summed;
-* the parallel operators use the rewrite rules of §5 (``rules_reduce``,
-  ``rules_scan``, ``rules_hist``, ``rules_scatter``, ``rules_map``,
+* the parallel operators use the rewrite rules of §5 (``rules_fold`` for
+  reduce, scan and reduce_by_index, ``rules_scatter``, ``rules_map``,
   ``rules_loop``).
 
 Re-execution overhead is bounded by the nesting depth; the redundant forward
@@ -31,6 +31,7 @@ from ..ir.ast import (
     Body,
     Cast,
     Concat,
+    FOLDS,
     Fun,
     If,
     Index,
@@ -38,11 +39,8 @@ from ..ir.ast import (
     Lambda,
     Loop,
     Map,
-    Reduce,
-    ReduceByIndex,
     Replicate,
     Reverse,
-    Scan,
     Scatter,
     ScratchLike,
     Select,
@@ -117,14 +115,10 @@ class VJP:
             from .rules_loop import fwd_loop
 
             return fwd_loop(self, stm, e, b)
-        if isinstance(e, Reduce):
-            from .rules_reduce import fwd_reduce
+        if isinstance(e, FOLDS):
+            from .rules_fold import fwd_fold
 
-            return fwd_reduce(self, stm, e, b)
-        if isinstance(e, ReduceByIndex):
-            from .rules_hist import fwd_hist
-
-            return fwd_hist(self, stm, e, b)
+            return fwd_fold(stm, e, b)
         if isinstance(e, (WithAcc, UpdAcc)):
             raise ADError(
                 "reverse AD of accumulator constructs is not supported; "
@@ -268,20 +262,12 @@ class VJP:
 
         rev_map(self, stm, e, sc)
 
-    def _rev_Reduce(self, stm: Stm, e: Reduce, aux, sc: AdjScope) -> None:
-        from .rules_reduce import rev_reduce
+    def _rev_fold(self, stm: Stm, e, aux, sc: AdjScope) -> None:
+        from .rules_fold import rev_fold
 
-        rev_reduce(self, stm, e, aux, sc)
+        rev_fold(self, stm, e, aux, sc)
 
-    def _rev_Scan(self, stm: Stm, e: Scan, aux, sc: AdjScope) -> None:
-        from .rules_scan import rev_scan
-
-        rev_scan(self, stm, e, sc)
-
-    def _rev_ReduceByIndex(self, stm: Stm, e: ReduceByIndex, aux, sc: AdjScope) -> None:
-        from .rules_hist import rev_hist
-
-        rev_hist(self, stm, e, aux, sc)
+    _rev_Reduce = _rev_Scan = _rev_ReduceByIndex = _rev_fold
 
     def _rev_Scatter(self, stm: Stm, e: Scatter, aux, sc: AdjScope) -> None:
         from .rules_scatter import rev_scatter

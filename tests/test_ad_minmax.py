@@ -3,7 +3,7 @@ the *first* element holding the extremum — the first NaN when there is one,
 as ``np.argmin`` reports — on every backend.
 
 ``vjp`` finds that element with a bulk first-index reduce
-(``rules_reduce.first_index``); ``jvp`` lifts the operator, whose scalar rule
+(``rules_fold.first_index``); ``jvp`` lifts the operator, whose scalar rule
 keeps the left operand on a tie and follows a NaN
 (``rules_scalar.minmax_takes_x``).  A mutant that breaks ties towards the
 last index is caught by the same checks.
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro as rp
-import repro.core.rules_reduce as rules_reduce
+import repro.core.rules_fold as rules_fold
 from repro.apps import datagen, kmeans, kmeans_sparse
 from repro.baselines import eager as eg
 from repro.ir import I64, Lambda, Var
@@ -131,6 +131,36 @@ def test_histogram_routes_each_bin_to_its_first_extremal_element(op, backend):
     np.testing.assert_array_equal(vbar, want)
 
 
+def _empty_fold_case(path: str, op: str):
+    """``(f, args, wrt, gradient)`` of a fold no element wins: a histogram in
+    value mode, the same inside a map (accumulator mode), or a reduce of an
+    array free in a map.  Only the neutral elements reach the results."""
+    fn, ne = (rp.minimum, 5.0) if op == "min" else (rp.maximum, -5.0)
+    xs, inds, w = np.zeros(0), np.zeros(0, dtype=np.int64), np.array([1.0, 2.0])
+
+    def hist(i, x):
+        return rp.sum(rp.reduce_by_index(3, fn, ne, i, x))
+
+    if path == "hist":
+        return hist, (inds, xs), [1], [xs]
+    if path == "hist_in_map":
+        return (lambda i, x, v: rp.sum(rp.map(lambda s: s * hist(i, x), v)),
+                (inds, xs, w), [1, 2], [xs, np.full(2, 3 * ne)])
+    return (lambda x, v: rp.sum(rp.map(lambda s: s * getattr(rp, op)(x), v)),
+            (xs, w), [0, 1], [xs, np.full(2, INF if op == "min" else -INF)])
+
+
+@pytest.mark.parametrize("backend", LEGS)
+@pytest.mark.parametrize("path", ["hist", "hist_in_map", "reduce_in_map"])
+@pytest.mark.parametrize("op", ["min", "max"])
+def test_an_empty_fold_updates_nothing(op, path, backend):
+    f, args, wrt, want = _empty_fold_case(path, op)
+    like = tuple(np.ones(3, a.dtype) if a.size == 0 else a for a in args)
+    got = rp.grad(rp.compile(rp.trace_like(f, like)), wrt=wrt)(*args, backend=backend)
+    for g, w in zip(got if isinstance(got, tuple) else (got,), want):
+        np.testing.assert_array_equal(g, w)
+
+
 @pytest.mark.parametrize("backend", LEGS)
 def test_jvp_matches_central_differences(backend):
     rng = np.random.default_rng(3)
@@ -151,20 +181,20 @@ def test_jvp_matches_central_differences(backend):
 
 
 def _last_index(b, arr, y):
-    """Mutant of ``rules_reduce.first_index``: the *last* index holding y."""
+    """Mutant of ``rules_fold.first_index``: the *last* index holding y."""
     idxs = b.emit1(Iota(b.emit1(Size(arr), "n")), "is")
     v, i = Var(fresh("v"), elem_type(arr.type)), Var(fresh("i"), I64)
     hb = Builder()
     hit = hb.binop("eq", v, y, "hit")
     hi = hb.select(hit, i, const(-1, I64), "hi")
     (hits,) = b.map(Lambda((v, i), hb.finish([hi])), [arr, idxs], names=["hits"])
-    (iy,) = b.reduce(rules_reduce.op_lambda("max", I64), [const(-1, I64)], [hits], names=["iy"])
+    (iy,) = b.reduce(rules_fold.op_lambda("max", I64), [const(-1, I64)], [hits], names=["iy"])
     return idxs, iy
 
 
 def test_a_last_index_tie_break_is_caught(monkeypatch):
     _check_vjp("min", _operand("ties", "min"), "plan")  # the real rule passes
-    monkeypatch.setattr(rules_reduce, "first_index", _last_index)
+    monkeypatch.setattr(rules_fold, "first_index", _last_index)
     for op in ("min", "max"):
         with pytest.raises(AssertionError):
             _check_vjp(op, _operand("ties", op), "plan")
@@ -342,7 +372,7 @@ def test_hot_lane_mutants_are_caught(monkeypatch):
     _check_pool_ties_and_nans("plan")
     _check_no_hit("plan")
     with monkeypatch.context() as m:
-        m.setattr(rules_reduce, "first_index", _last_index)
+        m.setattr(rules_fold, "first_index", _last_index)
         with pytest.raises(AssertionError):
             _check_pool_ties_and_nans("plan")
     with monkeypatch.context() as m:

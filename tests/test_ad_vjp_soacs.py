@@ -1,4 +1,6 @@
 """Reverse-mode AD of the parallel combinators (paper §5 rewrite rules)."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,14 +350,61 @@ def test_input_dependent_neutral_element_jvp_matches_central_differences(name):
         np.testing.assert_allclose(dy, fd[0], rtol=1e-6)
 
 
+#: The paper section of each fold's reverse rules, which its refusals name.
+_SECTIONS = {"reduce": "§5.1", "scan": "§5.2", "hist": "§5.1.2"}
+
+
+def _refusal(fold: str, what: str) -> str:
+    name = "reduce_by_index" if fold == "hist" else fold
+    return (re.escape(f"reverse AD of {name} with {what}") + ".*"
+            + re.escape(f"paper {_SECTIONS[fold]} assume"))
+
+
 @pytest.mark.parametrize("name", list(_NE_CASES))
 def test_input_dependent_neutral_element_vjp_raises(name):
     from repro.util import ADError
 
-    with pytest.raises(ADError, match="neutral element"):
+    match = _refusal(name.split("_")[0], "an input-dependent float neutral element")
+    with pytest.raises(ADError, match=match):
         rp.grad(_ne_fun(name))
-    with pytest.raises(ADError, match="neutral element"):
+    with pytest.raises(ADError, match=match):
         rp.vjp(_ne_fun(name))
+
+
+def _cmul(a1, a2, b1, b2):
+    """Complex multiplication: associative, commutative, and neither
+    component of the result splits off."""
+    return a1 * b1 - a2 * b2, a1 * b2 + a2 * b1
+
+
+_FOLDS = {
+    "reduce": lambda op, ne, _inds, *xs: rp.reduce(op, ne, *xs),
+    "scan": lambda op, ne, _inds, *xs: rp.scan(op, ne, *xs),
+    "hist": lambda op, ne, inds, *xs: rp.reduce_by_index(3, op, ne, inds, *xs),
+}
+
+
+#: The general rules' refusals (the neutral elements' are above).
+_REFUSED = {"tuple": "a tuple-valued general operator",
+            "free_var": "a free float variable in its operator"}
+
+
+@pytest.mark.parametrize("fold", list(_FOLDS))
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_reverse_fold_refusals_name_the_construct_and_its_section(fold, case):
+    from repro.util import ADError
+
+    def f(xs, inds):
+        if case == "tuple":
+            r = _FOLDS[fold](_cmul, (1.0, 0.0), inds, xs, xs * 0.5)[1]
+        else:
+            s = rp.sum(xs)
+            r = _FOLDS[fold](lambda a, b: a * b * s, 1.0, inds, xs)
+        return r if fold == "reduce" else rp.sum(r)
+
+    fc = rp.compile(rp.trace_like(f, (rng.standard_normal(4), np.array([0, 2, 1, 0]))))
+    with pytest.raises(ADError, match=_refusal(fold, _REFUSED[case])):
+        rp.grad(fc, wrt=[0])
 
 
 def test_product_with_a_constant_non_identity_neutral_element():
